@@ -6,13 +6,8 @@
 // internal/check invariants. The QUORUM grid drives the ABD replication
 // engine instead: seeded operation schedules with crash plans that kill up
 // to f replicas mid-protocol (including mid-phase-2), checked against the
-// quorum invariants. The SHARD grid drives the world-sharding handoff
-// engine: seeded schedules interleaving puts, live shard migrations, and
-// crash plans that kill handoff participants at each protocol step
-// (source after START, target around the END commit, both mid-transfer),
-// checked against the shard-ownership invariants — no region double-owned
-// or orphaned, no covered acked write lost. Any failure is greedily
-// shrunk and reported with the command line that reproduces it.
+// quorum invariants. Any failure is greedily shrunk and reported with the
+// command line that reproduces it.
 //
 // Usage:
 //
@@ -20,7 +15,6 @@
 //	sdso-check -protocols MSYNC2 -schedules 16  # one protocol, quick
 //	sdso-check -seed 7 -fault-every 4           # every 4th schedule lossy
 //	sdso-check -protocols QUORUM -quorum-f 2    # ABD grid, f=2 only
-//	sdso-check -protocols SHARD -shards 4,16    # handoff grid, two counts
 //	sdso-check -repro 23 -protocols EC -fault-every 1
 //	                                            # replay one shrunk schedule
 //	sdso-check -protocols BSYNC,MSYNC,MSYNC2 -interest
@@ -47,14 +41,13 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sdso-check", flag.ContinueOnError)
-	protos := fs.String("protocols", "BSYNC,MSYNC,MSYNC2,EC,QUORUM,SHARD", "comma-separated protocols to check")
+	protos := fs.String("protocols", "BSYNC,MSYNC,MSYNC2,EC,QUORUM", "comma-separated protocols to check")
 	schedules := fs.Int("schedules", 64, "delivery schedules (seeds) explored per protocol")
 	seed := fs.Int64("seed", 1, "first schedule seed; schedule i runs seed+i")
 	teams := fs.Int("teams", 4, "number of players")
 	ticks := fs.Int("ticks", 48, "game horizon in logical ticks")
 	faultEvery := fs.Int("fault-every", 4, "run every Nth schedule under ambient message faults (0 = never)")
 	quorumF := fs.String("quorum-f", "1,2", "replication factors swept by the QUORUM grid")
-	shardCounts := fs.String("shards", "4,8,16", "shard counts swept by the SHARD grid")
 	interest := fs.Bool("interest", false, "run the lookahead protocols with spatial interest management on (arms the interest-safety invariants)")
 	repro := fs.Int64("repro", 0, "replay exactly the one schedule with this seed (as printed in a repro line) and exit")
 	verbose := fs.Bool("v", false, "print per-protocol progress")
@@ -64,7 +57,6 @@ func run(args []string) error {
 
 	var list []harness.Protocol
 	quorum := false
-	shardGrid := false
 	for _, p := range strings.Split(*protos, ",") {
 		name := harness.Protocol(strings.ToUpper(strings.TrimSpace(p)))
 		switch name {
@@ -77,10 +69,8 @@ func run(args []string) error {
 			list = append(list, name)
 		case "QUORUM":
 			quorum = true
-		case "SHARD":
-			shardGrid = true
 		default:
-			return fmt.Errorf("unknown protocol %q (want BSYNC, MSYNC, MSYNC2, EC, QUORUM, SHARD)", p)
+			return fmt.Errorf("unknown protocol %q (want BSYNC, MSYNC, MSYNC2, EC, QUORUM)", p)
 		}
 	}
 	var factors []int
@@ -91,16 +81,6 @@ func run(args []string) error {
 				return fmt.Errorf("bad -quorum-f entry %q", s)
 			}
 			factors = append(factors, f)
-		}
-	}
-	var counts []int
-	if shardGrid {
-		for _, s := range strings.Split(*shardCounts, ",") {
-			k, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || k < 1 {
-				return fmt.Errorf("bad -shards entry %q", s)
-			}
-			counts = append(counts, k)
 		}
 	}
 
@@ -159,13 +139,6 @@ func run(args []string) error {
 			return quorumReproLine(f, sc)
 		})
 	}
-	for _, k := range counts {
-		k := k
-		res := check.Explore(cfg, check.ShardRunner(k))
-		report(fmt.Sprintf("SHARD(k=%d)", k), res, func(sc check.Scenario) string {
-			return shardReproLine(k, sc)
-		})
-	}
 	if failed {
 		return fmt.Errorf("consistency violations found")
 	}
@@ -177,17 +150,6 @@ func run(args []string) error {
 func quorumReproLine(f int, sc check.Scenario) string {
 	line := fmt.Sprintf("go run ./cmd/sdso-check -repro %d -protocols QUORUM -quorum-f %d -teams %d -ticks %d",
 		sc.Seed, f, sc.Teams, sc.Ticks)
-	if sc.Faults {
-		line += " -fault-every 1"
-	}
-	return line
-}
-
-// shardReproLine renders the sdso-check invocation that re-runs one
-// handoff schedule.
-func shardReproLine(k int, sc check.Scenario) string {
-	line := fmt.Sprintf("go run ./cmd/sdso-check -repro %d -protocols SHARD -shards %d -teams %d -ticks %d",
-		sc.Seed, k, sc.Teams, sc.Ticks)
 	if sc.Faults {
 		line += " -fault-every 1"
 	}

@@ -3,27 +3,21 @@
 // fanout bounded by shard residency instead of the sensing-radius
 // filter, so the shards=1 column is the unsharded baseline and the
 // headline claim — sharded msgs/tick at n=256/16 shards below unsharded
-// n=256 — falls straight out of the series. The handoff microbench
-// drives a shard.Node cluster directly, migrating every shard ring-wise
-// under a concurrent put load, and reports handoff throughput plus the
-// stall tail. Regenerate with `go run ./cmd/bench -suite shard`.
+// n=256 — falls straight out of the series. Regenerate with
+// `go run ./cmd/bench -suite shard`.
 package benchsuite
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"sdso/internal/harness"
-	"sdso/internal/shard"
-	"sdso/internal/store"
 )
 
 // Shard lists the world-sharding suite in report order.
 func Shard() []Bench {
 	return []Bench{
 		{"ShardFanout", ShardFanout},
-		{"ShardHandoff", ShardHandoff},
 	}
 }
 
@@ -81,126 +75,5 @@ func ShardFanout(b *testing.B) {
 			b.ReportMetric(c.msgs, fmt.Sprintf("n%d_s%d_msgs_per_tick", n, shards))
 			b.ReportMetric(float64(c.vetoes), fmt.Sprintf("n%d_s%d_shard_vetoes", n, shards))
 		}
-	}
-}
-
-// shardBenchCluster is the in-memory cluster the handoff microbench
-// drives: every node shares one MemLog (the log service modeled as
-// stable) and binds the same object map.
-type shardBenchCluster struct {
-	nodes []*shard.Node
-	vers  map[store.ID]int64
-}
-
-func newShardBenchCluster(b testing.TB, nodes, shards, objects int) *shardBenchCluster {
-	b.Helper()
-	part, err := shard.New(64, 48, shards)
-	if err != nil {
-		b.Fatal(err)
-	}
-	log := shard.NewMemLog()
-	c := &shardBenchCluster{vers: make(map[store.ID]int64)}
-	for i := 0; i < nodes; i++ {
-		n := shard.NewNode(i, nodes, part, log, store.New())
-		for o := 0; o < objects; o++ {
-			n.Bind(store.ID(o), o%shards)
-		}
-		c.nodes = append(c.nodes, n)
-	}
-	return c
-}
-
-// drain routes an outcome's messages to their destinations until the
-// cluster quiesces, reissuing replayed puts at the new owner.
-func (c *shardBenchCluster) drain(out shard.Outcome) (acked []shard.Put) {
-	queue := out.Msgs
-	acked = append(acked, out.Acked...)
-	replay := out.Replay
-	for len(queue) > 0 || len(replay) > 0 {
-		if len(queue) > 0 {
-			m := queue[0]
-			queue = queue[1:]
-			next := c.nodes[m.Dst].Deliver(m)
-			queue = append(queue, next.Msgs...)
-			acked = append(acked, next.Acked...)
-			replay = append(replay, next.Replay...)
-			continue
-		}
-		p := replay[0]
-		replay = replay[1:]
-		sh, _ := c.nodes[0].ShardOf(p.Obj)
-		owner := c.nodes[0].Owner(sh).Owner
-		if res := c.nodes[owner].Put(p); res.Status == shard.PutApplied {
-			acked = append(acked, p)
-		}
-	}
-	return acked
-}
-
-// put issues the next version of obj at its believed owner.
-func (c *shardBenchCluster) put(obj store.ID) shard.PutResult {
-	sh, _ := c.nodes[0].ShardOf(obj)
-	owner := c.nodes[0].Owner(sh).Owner
-	c.vers[obj]++
-	return c.nodes[owner].Put(shard.Put{
-		Obj: obj, Data: []byte{byte(obj), byte(c.vers[obj])},
-		Version: c.vers[obj], Client: owner,
-	})
-}
-
-// ShardHandoff migrates every shard ring-wise across a 4-node cluster
-// while puts land against the migrating regions, exercising the
-// write-ahead log, the stall queues, and the replay drain. Reported
-// series: handoffs per second, puts stalled per handoff, and the p99
-// puts-per-stall-window tail (how many writes a migration parked before
-// releasing them).
-func ShardHandoff(b *testing.B) {
-	b.ReportAllocs()
-	const (
-		nodes   = 4
-		shards  = 16
-		objects = 64
-		// putsPerShard lands against each shard mid-migration, so every
-		// handoff drains a non-trivial stall queue.
-		putsPerShard = 8
-	)
-	c := newShardBenchCluster(b, nodes, shards, objects)
-	handoffs, stalls := 0, 0
-	var windows []int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s := 0; s < shards; s++ {
-			src := c.nodes[0].Owner(s).Owner
-			dst := (src + 1) % nodes
-			out, err := c.nodes[src].StartHandoff(s, dst)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Writes against the migrating region stall in the source's
-			// queue until the END record releases them.
-			window := 0
-			for p := 0; p < putsPerShard; p++ {
-				obj := store.ID(s + (p%(objects/shards))*shards)
-				if res := c.put(obj); res.Status == shard.PutStalled {
-					window++
-				}
-			}
-			acked := c.drain(out)
-			if len(acked) < window {
-				b.Fatalf("handoff of shard %d released %d of %d stalled puts", s, len(acked), window)
-			}
-			handoffs++
-			stalls += window
-			windows = append(windows, window)
-		}
-	}
-	b.StopTimer()
-	if handoffs > 0 {
-		b.ReportMetric(float64(handoffs)/b.Elapsed().Seconds(), "handoffs_per_sec")
-		b.ReportMetric(float64(stalls)/float64(handoffs), "stalls_per_handoff")
-	}
-	sort.Ints(windows)
-	if len(windows) > 0 {
-		b.ReportMetric(float64(windows[len(windows)*99/100]), "stall_window_p99")
 	}
 }

@@ -1,11 +1,12 @@
 package core
 
 // Interest-management support: the grouped SYNC fanout for peers whose
-// DATA was withheld by Config.InterestFilter, and the hooks a spatial
-// interest layer calls when a peer enters the sensing radius. The
-// filter itself lives above the runtime (internal/interest plus the
-// protocol layer); core only honors the veto and keeps the delta
-// machinery sound across interest transitions.
+// DATA ExchangeOpts.SendData withheld (ExchangeOpts.GroupWithheldSyncs),
+// and the hooks a spatial interest layer calls when a peer enters the
+// sensing radius. The filter itself lives above the runtime
+// (internal/interest plus the protocol layer's gate); core only honors
+// the veto and keeps the delta machinery sound across interest
+// transitions.
 
 import (
 	"errors"
@@ -16,7 +17,7 @@ import (
 	"sdso/internal/wire"
 )
 
-// sendSyncFanout ships the bare SYNC of every deferred (filtered-out)
+// sendSyncFanout ships the bare SYNC of every deferred (withheld-from)
 // peer. Peers whose beacons are identical — the common case: same tank
 // positions, same buffered-modification box — share one frame encode via
 // the transport's EncodedSender fast path, so the per-tick cost of the

@@ -95,6 +95,14 @@ type ExchangeOpts struct {
 	// rendezvous (the spatial filter). Nil means always send. Withheld
 	// diffs stay buffered in the peer's slot.
 	SendData func(peer int) bool
+	// GroupWithheldSyncs ships the bare SYNCs of peers SendData withheld
+	// after the per-peer loop, one frame encode per distinct beacon (see
+	// sendSyncFanout), instead of inline in peer order. Grouping reorders
+	// the tick's sends, so it is a property of the filter, set where the
+	// filter is built: a filter that withholds from most peers at scale
+	// (interest sets, shard residency) wins by grouping, while the
+	// paper's plain MSYNC filters withhold from few and keep peer order.
+	GroupWithheldSyncs bool
 	// Beacon supplies the local coordination payload carried on the SYNC
 	// message to each peer. It is evaluated per peer after that peer's
 	// data (if any) has been flushed, so it can accurately describe what
@@ -166,32 +174,6 @@ type Config struct {
 	// positions, spatial filters) so the first rendezvous with the joiner
 	// resends a full picture.
 	OnJoin func(peer int)
-
-	// InterestFilter, when set, gates DATA flushes in multicast exchanges
-	// by spatial interest: a peer for which it returns false keeps its
-	// modifications buffered (merging, bounded) instead of receiving them
-	// this rendezvous, exactly like a SendData veto. SYNC beacons are
-	// never filtered — liveness must not depend on proximity — and
-	// Broadcast exchanges ignore the filter entirely (paper §3.1 forces a
-	// full flush). It composes with ExchangeOpts.SendData: data goes out
-	// only when both agree. Nil (the default) leaves every path
-	// byte-identical to the unfiltered runtime.
-	InterestFilter func(peer int) bool
-
-	// Shards records how many world regions the layer above partitioned
-	// the grid into (see internal/shard). The runtime itself is geometry-
-	// blind; the count is carried for diagnostics and so transports and
-	// tools can tell a sharded run from a flat one. Zero or one means
-	// unsharded.
-	Shards int
-	// ShardFilter, when set, gates DATA flushes by shard residency the
-	// same way InterestFilter gates them by sensing radius: a peer for
-	// which it returns false keeps its modifications buffered. The two
-	// filters compose as an intersection — data flows only when both
-	// agree — and ShardFilter obeys the same carve-outs (SYNC beacons
-	// never filtered, Broadcast exchanges exempt). Nil (the default)
-	// leaves every path byte-identical to the unfiltered runtime.
-	ShardFilter func(peer int) bool
 
 	// Trace, when set, records this process's observation history — clock
 	// ticks, schedule changes, data sends/applies, SYNC receipt,
@@ -612,12 +594,6 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 			continue
 		}
 		sendData := opts.How == Broadcast || opts.SendData == nil || opts.SendData(peer)
-		if sendData && opts.How != Broadcast && r.cfg.InterestFilter != nil && !r.cfg.InterestFilter(peer) {
-			sendData = false
-		}
-		if sendData && opts.How != Broadcast && r.cfg.ShardFilter != nil && !r.cfg.ShardFilter(peer) {
-			sendData = false
-		}
 		if r.tr != nil && !sendData {
 			for _, obj := range r.buf.Objects(peer) {
 				r.tr.Record(trace.OpWithheld, peer, int64(obj), 0, r.now, 0)
@@ -674,11 +650,11 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 			}
 			r.traceDataSend(peer, diffs, r.now)
 		}
-		if (r.cfg.InterestFilter != nil || r.cfg.ShardFilter != nil) && !sendData {
-			// With a spatial filter active the out-of-range peers are
-			// the common case at scale; their bare SYNCs usually share a
-			// beacon (same tanks, same buffered box), so they are fanned
-			// out after the loop with one encode per distinct beacon.
+		if opts.GroupWithheldSyncs && !sendData {
+			// The withheld peers are the common case at scale and their
+			// bare SYNCs usually share a beacon (same tanks, same
+			// buffered box), so they are fanned out after the loop with
+			// one encode per distinct beacon.
 			deferredSync = append(deferredSync, peer)
 			continue
 		}

@@ -60,9 +60,10 @@ type CheckedConfig struct {
 	Interest bool
 	// Shards runs the lookahead protocols with the world partitioned and
 	// the DATA fanout intersected with shard residency (see
-	// lookahead.PlayerConfig.Shards). The shard gate shares the interest
-	// machinery's flush backstops, so the same spatial-safety slack
-	// applies; zero or one leaves the run unsharded.
+	// lookahead.PlayerConfig.Shards). The residency term and the interest
+	// term are terms of one gate behind one pair of flush backstops, so
+	// the same spatial-safety slack applies; zero or one leaves the run
+	// unsharded.
 	Shards int
 }
 
@@ -110,15 +111,16 @@ func checkOptions(cfg CheckedConfig, g game.Config) check.Options {
 		opts.EC = true
 	}
 	if cfg.Interest || cfg.Shards > 1 {
-		// The interest filter and the shard gate withhold under every
+		// The gate's interest and shard terms withhold under every
 		// lookahead protocol (BSYNC included), so each withhold must
 		// honor the sensing radius, and every process must see updates
 		// to objects inside its radius within the interest machinery's
 		// delivery budget: up to InterestMaxStretch stretched batch
 		// periods for the flush-triggering rendezvous, doubled for the
 		// fetch round trip and beacon staleness, plus a constant for
-		// delivery jitter. The shard gate reuses the interest flush
-		// backstops, so the same slack bounds its withholds.
+		// delivery jitter. Both terms sit behind the gate's one pair of
+		// flush backstops — by construction, not by copying slacks — so
+		// the same slack bounds either term's withholds.
 		base := cfg.MaxBatchTicks
 		if base < 1 {
 			base = 1

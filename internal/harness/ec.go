@@ -79,8 +79,3 @@ func runECVtime(cfg Config) (*Result, error) {
 	res := collect(cfg, stats, collectors)
 	return res, nil
 }
-
-// ensure the stub dispatch reaches the real implementation.
-func init() {
-	runECImpl = runECVtime
-}

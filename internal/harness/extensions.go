@@ -107,8 +107,3 @@ func runLRCVtime(cfg Config) (*Result, error) {
 	}
 	return collect(cfg, stats, collectors), nil
 }
-
-func init() {
-	runLRCImpl = runLRCVtime
-	runCausalImpl = runCausalVtime
-}

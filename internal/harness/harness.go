@@ -122,11 +122,11 @@ func Run(cfg Config) (*Result, error) {
 	case BSYNC, MSYNC, MSYNC2:
 		return runLookahead(cfg)
 	case EC:
-		return runEC(cfg)
+		return runECVtime(cfg)
 	case LRC:
-		return runLRC(cfg)
+		return runLRCVtime(cfg)
 	case Causal:
-		return runCausal(cfg)
+		return runCausalVtime(cfg)
 	case Central:
 		return runCentralVtime(cfg)
 	default:

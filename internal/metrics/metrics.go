@@ -167,12 +167,9 @@ type Collector struct {
 	interestChurn   padded
 	interestFetches padded
 
-	// World-sharding counters: DATA flushes vetoed because no shard
-	// region is within reach of both neighborhoods, region handoffs
-	// completed, and writes stalled against a migrating region.
-	shardVetoes   padded
-	shardHandoffs padded
-	shardStalls   padded
+	// World-sharding counter: DATA flushes vetoed because no shard
+	// region is within reach of both neighborhoods.
+	shardVetoes padded
 }
 
 // NewCollector returns an empty collector.
@@ -317,13 +314,6 @@ func (c *Collector) AddInterestFetch() { c.interestFetches.v.Add(1) }
 // neighborhood shares no world shard with ours.
 func (c *Collector) AddShardVeto() { c.shardVetoes.v.Add(1) }
 
-// AddShardHandoff records one completed shard ownership handoff.
-func (c *Collector) AddShardHandoff() { c.shardHandoffs.v.Add(1) }
-
-// AddShardStall records one write stalled against a migrating region
-// (replayed at the new owner or applied after an abort).
-func (c *Collector) AddShardStall() { c.shardStalls.v.Add(1) }
-
 // SetExecTime records the process's total execution time (its clock at
 // completion).
 func (c *Collector) SetExecTime(d time.Duration) { c.execTime.Store(int64(d)) }
@@ -373,9 +363,7 @@ func (c *Collector) Snapshot() Snapshot {
 		InterestChurn:   int(c.interestChurn.v.Load()),
 		InterestFetches: int(c.interestFetches.v.Load()),
 
-		ShardVetoes:   int(c.shardVetoes.v.Load()),
-		ShardHandoffs: int(c.shardHandoffs.v.Load()),
-		ShardStalls:   int(c.shardStalls.v.Load()),
+		ShardVetoes: int(c.shardVetoes.v.Load()),
 	}
 	for k := wire.KindSync; int(k) < wire.NumKinds; k++ {
 		if n := c.msgsSent[k].v.Load(); n != 0 {
@@ -449,12 +437,8 @@ type Snapshot struct {
 	InterestSetPeak int
 	InterestChurn   int
 	InterestFetches int
-	// World-sharding counters: DATA flushes vetoed by shard residency,
-	// region handoffs completed, and writes stalled against a migrating
-	// region.
-	ShardVetoes   int
-	ShardHandoffs int
-	ShardStalls   int
+	// World-sharding counter: DATA flushes vetoed by shard residency.
+	ShardVetoes int
 }
 
 // DataMsgs returns the number of data messages sent (paper Figure 7).
@@ -782,25 +766,6 @@ func (g Group) ShardVetoes() int {
 	n := 0
 	for _, s := range g.Procs {
 		n += s.ShardVetoes
-	}
-	return n
-}
-
-// ShardHandoffs sums completed region handoffs across processes.
-func (g Group) ShardHandoffs() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.ShardHandoffs
-	}
-	return n
-}
-
-// ShardStalls sums writes stalled against migrating regions across
-// processes.
-func (g Group) ShardStalls() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.ShardStalls
 	}
 	return n
 }

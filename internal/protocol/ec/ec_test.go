@@ -86,6 +86,13 @@ func runECGameOn(t *testing.T, cfg game.Config, apps, svcs []transport.Endpoint)
 // be sane: tanks are conserved (on board, at goal, or destroyed), the goal
 // block survives, bombs never move, and no block holds a tank of a
 // finished team.
+//
+// Conservation has to allow for the horizon race: a team that runs out of
+// ticks exits with Destroyed=false and leaves its tank idle on the board,
+// and a slower asynchronous peer still playing can shoot that tank
+// afterwards. The victim never runs another tick to notice, so "live team,
+// zero tanks on board" is a legal final state exactly when an enemy write
+// removed the tank from the block its owner left it on.
 func TestECGameSafetyInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		cfg := game.DefaultConfig(6, 1)
@@ -98,7 +105,10 @@ func TestECGameSafetyInvariants(t *testing.T) {
 
 // checkECWorldSanity is the EC conformance oracle: merge the replicas by
 // version into the final world and require tank conservation, a surviving
-// goal block, stationary bombs, and no tanks left for finished teams.
+// goal block, stationary bombs, and no tanks left for finished teams. A
+// live team's tanks are each either still on the board or were overwritten,
+// after the team's last tick, by another team's write to the block the
+// team left them on.
 func checkECWorldSanity(t *testing.T, cfg game.Config, nodes []*Node, stats []game.TeamStats, label string) {
 	t.Helper()
 	initial, err := game.NewWorld(cfg)
@@ -106,8 +116,12 @@ func checkECWorldSanity(t *testing.T, cfg game.Config, nodes []*Node, stats []ga
 		t.Fatal(err)
 	}
 
-	// Merge replicas by version to reconstruct the final world.
+	// Merge replicas by version to reconstruct the final world. The
+	// process that wrote a block's winning version still holds it under
+	// its own name (replicas that merely pulled it record no writer), so
+	// the merge can also say who wrote each block last.
 	merged := store.New()
+	lastWriter := make([]int, cfg.NumObjects())
 	for i := 0; i < cfg.NumObjects(); i++ {
 		id := store.ID(i)
 		var best []byte
@@ -117,10 +131,16 @@ func checkECWorldSanity(t *testing.T, cfg game.Config, nodes []*Node, stats []ga
 			if err != nil {
 				t.Fatal(err)
 			}
+			if v < bestVer {
+				continue
+			}
 			if v > bestVer {
 				bestVer = v
-				b, _ := node.Store().Get(id)
-				best = b
+				best, _ = node.Store().Get(id)
+				lastWriter[i] = -1
+			}
+			if w, _ := node.Store().WriterOf(id); w >= 0 {
+				lastWriter[i] = w
 			}
 		}
 		if err := merged.Register(id, best); err != nil {
@@ -163,8 +183,22 @@ func checkECWorldSanity(t *testing.T, cfg game.Config, nodes []*Node, stats []ga
 				t.Errorf("%s: finished team %d still on board (%d tanks): %+v", label, st.Team, onBoard, st)
 			}
 		default:
-			if onBoard != cfg.TanksPerTeam {
-				t.Errorf("%s: live team %d has %d tanks on board", label, st.Team, onBoard)
+			// The tanks the team left behind when it stopped playing.
+			shotAfterExit := 0
+			for _, tank := range nodes[st.Team].tanks {
+				if c := final.At(tank.Pos); c.Kind == game.Tank && c.Team == st.Team {
+					continue
+				}
+				if w := lastWriter[cfg.ObjectOf(tank.Pos)]; w < 0 || w == st.Team {
+					t.Errorf("%s: live team %d's tank at %v vanished without an enemy write (last writer %d): %+v",
+						label, st.Team, tank.Pos, w, st)
+					continue
+				}
+				shotAfterExit++
+			}
+			if onBoard+shotAfterExit != cfg.TanksPerTeam {
+				t.Errorf("%s: live team %d has %d tanks on board and %d shot after its last tick, want %d in all: %+v",
+					label, st.Team, onBoard, shotAfterExit, cfg.TanksPerTeam, st)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package lookahead
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -40,6 +41,27 @@ func collectTraces(t *testing.T, cfg game.Config, proto Protocol) [][]string {
 	return traces
 }
 
+// requireSameTraces fails at the first action where two runs of the same
+// game diverge.
+func requireSameTraces(t *testing.T, label string, base, got [][]string) {
+	t.Helper()
+	if reflect.DeepEqual(base, got) {
+		return
+	}
+	for team := range base {
+		n := len(base[team])
+		if len(got[team]) < n {
+			n = len(got[team])
+		}
+		for k := 0; k < n; k++ {
+			if base[team][k] != got[team][k] {
+				t.Fatalf("%s team %d action %d: %q vs %q", label, team, k, got[team][k], base[team][k])
+			}
+		}
+	}
+	t.Fatalf("%s: trace lengths differ", label)
+}
+
 // TestRunsAreScheduleIndependent: the distributed execution must produce
 // identical action traces regardless of goroutine/message interleaving —
 // the protocols' behaviour may depend only on logical time, never on
@@ -50,22 +72,19 @@ func TestRunsAreScheduleIndependent(t *testing.T) {
 		cfg.MaxTicks = 100
 		base := collectTraces(t, cfg, proto)
 		for run := 0; run < 5; run++ {
-			got := collectTraces(t, cfg, proto)
-			if !reflect.DeepEqual(base, got) {
-				for team := range base {
-					n := len(base[team])
-					if len(got[team]) < n {
-						n = len(got[team])
-					}
-					for k := 0; k < n; k++ {
-						if base[team][k] != got[team][k] {
-							t.Fatalf("%v run %d team %d action %d: %q vs %q",
-								proto, run, team, k, got[team][k], base[team][k])
-						}
-					}
-				}
-				t.Fatalf("%v run %d: trace lengths differ", proto, run)
-			}
+			requireSameTraces(t, fmt.Sprintf("%v run %d", proto, run), base, collectTraces(t, cfg, proto))
 		}
+	}
+}
+
+// TestMSYNCShortGameRepeatsOverMem: eleven runs of one 40-tick MSYNC game
+// over the in-memory transport must match action for action — a shorter
+// game than TestRunsAreScheduleIndependent plays, repeated twice as often.
+func TestMSYNCShortGameRepeatsOverMem(t *testing.T) {
+	cfg := game.DefaultConfig(8, 1)
+	cfg.MaxTicks = 40
+	base := collectTraces(t, cfg, MSYNC)
+	for run := 0; run < 10; run++ {
+		requireSameTraces(t, fmt.Sprintf("run %d", run), base, collectTraces(t, cfg, MSYNC))
 	}
 }

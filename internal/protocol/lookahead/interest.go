@@ -1,10 +1,10 @@
 package lookahead
 
 // Spatial interest management for the lookahead protocols (PlayerConfig.
-// Interest): the per-tick interest-set refresh, the runtime DATA filter,
-// and the interest-paced BSYNC s-function. The grid-bucketed index
-// itself lives in internal/interest; this file wires it to the player
-// loop and the core runtime.
+// Interest): the per-tick interest-set refresh and the interest-paced
+// BSYNC s-function. The grid-bucketed index itself lives in
+// internal/interest; the DATA veto it feeds is the interest term of
+// gate (gate.go).
 
 import (
 	"sdso/internal/game"
@@ -55,34 +55,6 @@ func (p *player) refreshInterest(tick int64) {
 		}
 		p.rt.InterestFetch(peer, objs)
 	}
-}
-
-// interestGate is the core.Config.InterestFilter: data flows to a peer
-// when it is in the hysteretic interest set, when nothing is known about
-// it (safety degrades to flushing, never to silence), or when one of the
-// MSYNC flush backstops fires — the peer's tanks approaching the box of
-// buffered modifications, or coming within interaction range of our
-// tanks. The backstop slacks match the MSYNC SendData filter exactly,
-// so composing the two never weakens the paper's invariants.
-func (p *player) interestGate(peer int) bool {
-	if p.ix.Contains(peer) {
-		return true
-	}
-	kp := p.known[peer]
-	if kp == nil || len(kp.beacon.Tanks) == 0 {
-		return true
-	}
-	h := p.cfg.Game.InteractionRadius()
-	staleness := int(p.rt.Now() - kp.tick)
-	myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
-	if game.BoxApproach(kp.beacon.Tanks, myBox, h, staleness+3) {
-		return true
-	}
-	mine := game.Positions(p.tanks)
-	if myBox != nil && game.WithinRange(mine, kp.beacon.Tanks, h, staleness+4) {
-		return true
-	}
-	return false
 }
 
 // interestPacedSFunc is BSYNC's s-function under interest management:

@@ -18,11 +18,18 @@
 //   - MSYNC2 refines MSYNC's filter: data flows only if the peers could
 //     also come within the interaction radius.
 //
-// Both MSYNC variants additionally flush when a peer's tanks approach the
-// region of buffered (withheld) modifications; this is the invariant that
-// keeps every block a tank looks at consistent (paper §4: "the consistency
-// protocol ensures that the necessary blocks, in the range of a tank, are
-// all always consistent").
+// Every withhold additionally yields to two flush backstops — a peer's
+// tanks approaching the region of buffered (withheld) modifications, or
+// coming within reach of the local tanks while anything is buffered; this
+// is the invariant that keeps every block a tank looks at consistent
+// (paper §4: "the consistency protocol ensures that the necessary blocks,
+// in the range of a tank, are all always consistent").
+//
+// The spatial filter is one function, gate (gate.go), handed to the
+// runtime as the paper's SendData argument: the backstops, the protocol's
+// own term above, and the two optional fanout bounds (PlayerConfig.Interest,
+// PlayerConfig.Shards) are its ordered terms, so the backstops exist once
+// and cover every reason to withhold.
 package lookahead
 
 import (
@@ -100,26 +107,26 @@ type PlayerConfig struct {
 	MaxBatchTicks int64
 	// Interest turns on spatial interest management: a grid-bucketed
 	// index (internal/interest) tracks which peers' tanks are within the
-	// interaction radius (with hysteresis slack), and the runtime's
-	// InterestFilter withholds DATA from peers outside the set — their
-	// writes keep buffering and merging until they come near, enter-
-	// radius events trigger an on-demand full-record fetch, and under
-	// BSYNC the s-function additionally stretches rendezvous with far
-	// peers (bounded by the symmetric NextDelta guarantee) so SYNC
-	// traffic scales with neighborhood density too. The MSYNC flush
-	// backstops (box approach, within range) always override the filter,
-	// and Broadcast flushes ignore it entirely. Off by default: the
-	// exchange path stays byte-identical.
+	// interaction radius (with hysteresis slack), and the gate's interest
+	// term withholds DATA from peers outside the set — their writes keep
+	// buffering and merging until they come near, enter-radius events
+	// trigger an on-demand full-record fetch, and under BSYNC the
+	// s-function additionally stretches rendezvous with far peers
+	// (bounded by the symmetric NextDelta guarantee) so SYNC traffic
+	// scales with neighborhood density too. The gate evaluates its flush
+	// backstops (box approach, within range) before this term, so they
+	// always override it, and Broadcast flushes bypass the gate entirely.
+	// Off by default: the exchange path stays byte-identical.
 	Interest bool
 	// Shards partitions the world grid into this many numbered regions
 	// (internal/shard: recursive longest-axis halving, so the count must
-	// be a power of two up to 256) and intersects the DATA fanout with
-	// shard residency: a peer receives a flush only when some region is
-	// within interaction reach of both neighborhoods. Blind peers and
-	// the MSYNC flush backstops always pass, mirroring the interest
-	// filter's safety rules, and the two filters compose when both are
-	// on. Zero or one leaves the exchange path byte-identical to the
-	// unsharded runtime.
+	// be a power of two up to 256) and adds a residency term to the gate:
+	// a peer receives a flush only when some region is within interaction
+	// reach of both neighborhoods. It is the gate's last term, behind the
+	// unknown-peer pass, the flush backstops and the interest term, so it
+	// inherits their safety rules and shard_vetoes counts only withholds
+	// nothing earlier decided. Zero or one leaves the exchange path
+	// byte-identical to the unsharded runtime.
 	Shards int
 	// ComputePerTick models the application's per-tick local processing
 	// ("the application processes have only a minimal amount of local
@@ -189,8 +196,9 @@ type player struct {
 	known  map[int]*knownPeer
 	stats  game.TeamStats
 	mc     *metrics.Collector
-	ix     *interest.Index  // nil unless cfg.Interest
-	shards *shard.Partition // nil unless cfg.Shards > 1
+	ix     *interest.Index   // nil unless cfg.Interest
+	shards *shard.Partition  // nil unless cfg.Shards > 1
+	opts   core.ExchangeOpts // every tick's exchange() arguments, built once
 }
 
 // RunPlayer executes one team's process to completion and returns its
@@ -268,23 +276,7 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 	if cfg.Protocol == BSYNC && cfg.MaxBatchTicks > 1 {
 		batch = cfg.MaxBatchTicks
 	}
-	var filter func(peer int) bool
-	if cfg.Interest {
-		// The filter consults the hysteretic set plus the same flush
-		// backstops the MSYNC SendData filters use, so data is withheld
-		// only from peers that provably cannot be looking at it.
-		filter = p.interestGate
-	}
-	var shardFilter func(peer int) bool
-	if p.shards != nil {
-		// Intersected with the interest filter by the runtime: data goes
-		// out only when the peer is both interesting and shard-resident.
-		shardFilter = p.shardGate
-	}
 	rt, err := core.New(core.Config{
-		InterestFilter:    filter,
-		Shards:            cfg.Shards,
-		ShardFilter:       shardFilter,
 		Endpoint:          cfg.Endpoint,
 		Metrics:           mc,
 		MergeDiffs:        merge,
@@ -324,6 +316,7 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 		return nil, err
 	}
 	p.rt = rt
+	p.opts = p.exchangeOpts()
 	return p, nil
 }
 
@@ -485,7 +478,7 @@ func (p *player) play() error {
 			}
 		}
 		p.refreshInterest(tick)
-		if err := p.rt.Exchange(p.exchangeOpts()); err != nil {
+		if err := p.rt.Exchange(p.opts); err != nil {
 			return fmt.Errorf("tick %d: %w", tick, err)
 		}
 		if p.cfg.afterExchange != nil {
@@ -588,12 +581,19 @@ func (p *player) cellAt(pos game.Pos) game.Cell {
 	return c
 }
 
-// exchangeOpts assembles the per-protocol exchange configuration.
+// exchangeOpts assembles the per-protocol exchange configuration: the
+// s-function (the temporal half) and the gate (the spatial half).
 func (p *player) exchangeOpts() core.ExchangeOpts {
 	h := p.cfg.Game.InteractionRadius()
+	// The interest and shard terms withhold from most peers at scale, so
+	// their bare SYNCs fan out grouped; the paper's plain filters withhold
+	// from few and keep their SYNCs inline in peer order (grouping there
+	// only reorders sends and costs virtual time).
+	bounded := p.ix != nil || p.shards != nil
 	opts := core.ExchangeOpts{
-		Resync: true,
-		How:    core.Multicast,
+		Resync:             true,
+		How:                core.Multicast,
+		GroupWithheldSyncs: bounded,
 		Beacon: func(peer int) []int64 {
 			return game.EncodeBeacon(game.Beacon{
 				Tanks: game.Positions(p.tanks),
@@ -613,8 +613,6 @@ func (p *player) exchangeOpts() core.ExchangeOpts {
 			// distance bound, so SYNC traffic also thins with distance.
 			opts.SFunc = p.interestPacedSFunc()
 		}
-		// SendData nil: broadcast all updates to everyone each tick
-		// (modulo the runtime's InterestFilter when Interest is on).
 	default:
 		opts.SFunc = func(peer int, now int64, peerBeacon []int64) int64 {
 			kp := p.known[peer] // OnBeacon ran just before this
@@ -624,34 +622,11 @@ func (p *player) exchangeOpts() core.ExchangeOpts {
 			myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
 			return now + game.NextDelta(h, game.Positions(p.tanks), myBox, kp.beacon.Tanks, kp.beacon.Box)
 		}
-		opts.SendData = func(peer int) bool {
-			kp := p.known[peer]
-			if kp == nil {
-				return true // no knowledge: be safe and flush
-			}
-			staleness := int(p.rt.Now() - kp.tick)
-			// Correctness backstops, identical for MSYNC and MSYNC2:
-			// flush when the peer's tanks could be walking into
-			// withheld writes. Old writes are a static region (the
-			// box): the peer closes on it at one block per tick from
-			// its last-known position. Recent writes cluster around
-			// our own (moving) tanks, so the peer being reachable to
-			// our tanks' neighbourhood also forces a flush.
-			myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
-			if game.BoxApproach(kp.beacon.Tanks, myBox, h, staleness+3) {
-				return true
-			}
-			mine := game.Positions(p.tanks)
-			if myBox != nil && game.WithinRange(mine, kp.beacon.Tanks, h, staleness+4) {
-				return true
-			}
-			// The paper's spatial filters proper.
-			aligned := game.AlignmentPossible(mine, kp.beacon.Tanks, staleness+1)
-			if p.cfg.Protocol == MSYNC {
-				return aligned
-			}
-			return aligned && game.WithinRange(mine, kp.beacon.Tanks, h, staleness+1)
-		}
+	}
+	if p.cfg.Protocol != BSYNC || bounded {
+		// Plain BSYNC broadcasts to everyone each tick: the gate would
+		// have no term that withholds, so it is not installed.
+		opts.SendData = p.gate
 	}
 	return opts
 }

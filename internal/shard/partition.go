@@ -1,21 +1,13 @@
-// Package shard partitions the world grid into numbered regions and
-// runs the logged handoff protocol that moves a region's object state
-// between owners without ever double-owning or orphaning it.
+// Package shard partitions the world grid into numbered regions so the
+// lookahead gate can bound DATA fanout by shard residency: a peer
+// receives a flush only when some region is within reach of both
+// neighbourhoods (Partition.Overlaps).
 //
 // The partition is a recursive longest-axis halving: configuration k
 // covers the world with k axis-aligned rectangles, and doubling k
 // splits each region in two, keeping the larger half under the old
-// shard number and giving the smaller half a new number k above it.
-// That numbering makes growth cheap and predictable: going from k to
-// 2k shards moves only the cells that land in the new halves — the
-// provably minimal set for any refinement of the k-way partition into
-// the 2k-way one — and shardOf(p, 2k) mod k == shardOf(p, k), so a
-// shard's ancestry is readable off its number.
-//
-// Ownership changes go through a durable handoff log (see handoff.go):
-// a source logs the region snapshot before transferring, the target
-// commits by logging the end record, and either side's crash resolves
-// by replaying the log.
+// shard number and giving the smaller half a new number k above it, so
+// the 2k-way partition refines the k-way one.
 package shard
 
 import (
@@ -24,23 +16,18 @@ import (
 	"sdso/internal/game"
 )
 
-// Region is one axis-aligned rectangle of the partition, covering
+// region is one axis-aligned rectangle of the partition, covering
 // cells with X0 <= x < X1 and Y0 <= y < Y1.
-type Region struct {
+type region struct {
 	X0, Y0, X1, Y1 int
 }
 
-// Contains reports whether p falls inside the region.
-func (r Region) Contains(p game.Pos) bool {
-	return p.X >= r.X0 && p.X < r.X1 && p.Y >= r.Y0 && p.Y < r.Y1
-}
+// area returns the number of cells the region covers.
+func (r region) area() int { return (r.X1 - r.X0) * (r.Y1 - r.Y0) }
 
-// Area returns the number of cells the region covers.
-func (r Region) Area() int { return (r.X1 - r.X0) * (r.Y1 - r.Y0) }
-
-// Dist returns the Manhattan distance from p to the region (zero if
+// dist returns the Manhattan distance from p to the region (zero if
 // inside), matching the metric the s-function machinery uses.
-func (r Region) Dist(p game.Pos) int {
+func (r region) dist(p game.Pos) int {
 	d := 0
 	switch {
 	case p.X < r.X0:
@@ -57,16 +44,14 @@ func (r Region) Dist(p game.Pos) int {
 	return d
 }
 
-func (r Region) String() string {
+func (r region) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)", r.X0, r.X1, r.Y0, r.Y1)
 }
 
 // Partition is one numbered shard configuration over a Width x Height
 // world. It is immutable after New.
 type Partition struct {
-	width, height int
-	shards        int
-	regions       []Region
+	regions []region
 }
 
 // Validate reports whether (width, height, shards) is a legal
@@ -86,7 +71,7 @@ func Validate(width, height, shards int) error {
 	// strand a 1-cell region whose next split is empty. Run the actual
 	// halving (at most 256 regions) and insist every region keeps area.
 	for _, r := range halve(width, height, shards) {
-		if r.Area() <= 0 {
+		if r.area() <= 0 {
 			return fmt.Errorf("shard: %d shards over a %dx%d world leaves region %v empty", shards, width, height, r)
 		}
 	}
@@ -95,11 +80,11 @@ func Validate(width, height, shards int) error {
 
 // halve runs the recursive longest-axis halving down to the given
 // shard count, returning the regions indexed by shard number.
-func halve(width, height, shards int) []Region {
-	regions := []Region{{0, 0, width, height}}
+func halve(width, height, shards int) []region {
+	regions := []region{{0, 0, width, height}}
 	for len(regions) < shards {
 		k := len(regions)
-		next := make([]Region, 2*k)
+		next := make([]region, 2*k)
 		for i, r := range regions {
 			low, high := split(r)
 			next[i] = low
@@ -116,104 +101,26 @@ func New(width, height, shards int) (*Partition, error) {
 	if err := Validate(width, height, shards); err != nil {
 		return nil, err
 	}
-	return &Partition{
-		width:   width,
-		height:  height,
-		shards:  shards,
-		regions: halve(width, height, shards),
-	}, nil
+	return &Partition{regions: halve(width, height, shards)}, nil
 }
 
 // split halves r along its longest axis. The low half (keeping the
 // parent's shard number) takes the ceiling of the cells so the half
-// that moves to a new number is never the larger one — that is what
-// makes k -> 2k remapping minimal.
-func split(r Region) (low, high Region) {
+// that moves to a new number is never the larger one.
+func split(r region) (low, high region) {
 	w, h := r.X1-r.X0, r.Y1-r.Y0
 	if w >= h {
 		mid := r.X0 + (w+1)/2
-		return Region{r.X0, r.Y0, mid, r.Y1}, Region{mid, r.Y0, r.X1, r.Y1}
+		return region{r.X0, r.Y0, mid, r.Y1}, region{mid, r.Y0, r.X1, r.Y1}
 	}
 	mid := r.Y0 + (h+1)/2
-	return Region{r.X0, r.Y0, r.X1, mid}, Region{r.X0, mid, r.X1, r.Y1}
-}
-
-// Shards returns the number of regions in the configuration.
-func (p *Partition) Shards() int { return p.shards }
-
-// Size returns the world dimensions the partition covers.
-func (p *Partition) Size() (width, height int) { return p.width, p.height }
-
-// Regions returns the region of every shard, indexed by shard number.
-// The caller must not mutate the slice.
-func (p *Partition) Regions() []Region { return p.regions }
-
-// Region returns the rectangle owned by shard s.
-func (p *Partition) Region(s int) Region { return p.regions[s] }
-
-// ShardOf maps a position to the one shard whose region contains it.
-// Positions outside the world clamp to the nearest edge cell, matching
-// the interest index's bucketing.
-func (p *Partition) ShardOf(pos game.Pos) int {
-	x, y := pos.X, pos.Y
-	if x < 0 {
-		x = 0
-	}
-	if x >= p.width {
-		x = p.width - 1
-	}
-	if y < 0 {
-		y = 0
-	}
-	if y >= p.height {
-		y = p.height - 1
-	}
-	// Walk the halving tree numerically: at each level the clamped point
-	// is either in the low half (index unchanged) or the high half
-	// (index gains the level's k). Regions are few (<= 256), so a linear
-	// scan would also do, but the descent keeps this O(log shards).
-	r := Region{0, 0, p.width, p.height}
-	idx := 0
-	for k := 1; k < p.shards; k *= 2 {
-		low, high := split(r)
-		if low.Contains(game.Pos{X: x, Y: y}) {
-			r = low
-		} else {
-			r = high
-			idx += k
-		}
-	}
-	return idx
-}
-
-// Resident returns the sorted shard numbers whose regions come within
-// reach blocks (Manhattan) of any of the given positions: the shards a
-// player with sensing radius reach is resident in. A nil or empty
-// position list returns every shard — unknown whereabouts degrade to
-// full fanout, like a blind peer in the interest index.
-func (p *Partition) Resident(tanks []game.Pos, reach int) []int {
-	out := make([]int, 0, 4)
-	if len(tanks) == 0 {
-		for s := 0; s < p.shards; s++ {
-			out = append(out, s)
-		}
-		return out
-	}
-	for s, r := range p.regions {
-		for _, t := range tanks {
-			if r.Dist(t) <= reach {
-				out = append(out, s)
-				break
-			}
-		}
-	}
-	return out
+	return region{r.X0, r.Y0, r.X1, mid}, region{r.X0, mid, r.X1, r.Y1}
 }
 
 // Overlaps reports whether two players' residency footprints share a
 // shard: a's tanks within reachA of some region that b's tanks are
-// within reachB of. It is the fanout intersection test the shard
-// filter uses, O(shards) with shards <= 256.
+// within reachB of. It is the residency term of the lookahead gate,
+// O(shards) with shards <= 256.
 func (p *Partition) Overlaps(a []game.Pos, reachA int, b []game.Pos, reachB int) bool {
 	if len(a) == 0 || len(b) == 0 {
 		return true // blind on either side: never veto
@@ -221,7 +128,7 @@ func (p *Partition) Overlaps(a []game.Pos, reachA int, b []game.Pos, reachB int)
 	for _, r := range p.regions {
 		na := false
 		for _, t := range a {
-			if r.Dist(t) <= reachA {
+			if r.dist(t) <= reachA {
 				na = true
 				break
 			}
@@ -230,7 +137,7 @@ func (p *Partition) Overlaps(a []game.Pos, reachA int, b []game.Pos, reachB int)
 			continue
 		}
 		for _, t := range b {
-			if r.Dist(t) <= reachB {
+			if r.dist(t) <= reachB {
 				return true
 			}
 		}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"sort"
 	"testing"
 
 	"sdso/internal/game"
@@ -12,7 +11,7 @@ import (
 var worlds = [][2]int{{32, 24}, {64, 48}, {96, 64}, {128, 96}, {7, 5}}
 
 // TestCellsMapToExactlyOneShard brute-forces the tiling property: every
-// cell of the world is inside exactly one region, and ShardOf names it.
+// cell of the world is inside exactly one region.
 func TestCellsMapToExactlyOneShard(t *testing.T) {
 	for _, wh := range worlds {
 		w, h := wh[0], wh[1]
@@ -25,8 +24,8 @@ func TestCellsMapToExactlyOneShard(t *testing.T) {
 				for y := 0; y < h; y++ {
 					pos := game.Pos{X: x, Y: y}
 					owner := -1
-					for s, r := range p.Regions() {
-						if !r.Contains(pos) {
+					for s, r := range p.regions {
+						if r.dist(pos) != 0 {
 							continue
 						}
 						if owner != -1 {
@@ -36,9 +35,6 @@ func TestCellsMapToExactlyOneShard(t *testing.T) {
 					}
 					if owner == -1 {
 						t.Fatalf("%dx%d k=%d: cell %v in no shard", w, h, k, pos)
-					}
-					if got := p.ShardOf(pos); got != owner {
-						t.Fatalf("%dx%d k=%d: ShardOf(%v)=%d, containing region is %d", w, h, k, pos, got, owner)
 					}
 				}
 			}
@@ -61,12 +57,12 @@ func TestRegionsTileWithoutGapsOrOverlaps(t *testing.T) {
 				t.Fatalf("New(%d,%d,%d): %v", w, h, k, err)
 			}
 			total := 0
-			regs := p.Regions()
+			regs := p.regions
 			for s, r := range regs {
-				if r.Area() <= 0 {
+				if r.area() <= 0 {
 					t.Fatalf("%dx%d k=%d: shard %d region %v is empty", w, h, k, s, r)
 				}
-				total += r.Area()
+				total += r.area()
 				for s2 := s + 1; s2 < len(regs); s2++ {
 					r2 := regs[s2]
 					if r.X0 < r2.X1 && r2.X0 < r.X1 && r.Y0 < r2.Y1 && r2.Y0 < r.Y1 {
@@ -76,68 +72,6 @@ func TestRegionsTileWithoutGapsOrOverlaps(t *testing.T) {
 			}
 			if total != w*h {
 				t.Fatalf("%dx%d k=%d: region areas sum to %d, want %d", w, h, k, total, w*h)
-			}
-		}
-	}
-}
-
-// TestRemapMovesMinimalSet pins the growth property for 4 -> 8 -> 16:
-// doubling the shard count renumbers exactly the cells of each parent's
-// smaller half — the brute-force minimum, since refining any region in
-// two forces at least min(|A|, |B|) cells onto a new number — and the
-// surviving half keeps its number (ancestry: fine mod coarse == coarse).
-func TestRemapMovesMinimalSet(t *testing.T) {
-	for _, wh := range worlds {
-		w, h := wh[0], wh[1]
-		for k := 4; k <= 8; k *= 2 {
-			coarse, err := New(w, h, k)
-			if err != nil {
-				t.Fatalf("New(%d,%d,%d): %v", w, h, k, err)
-			}
-			fine, err := New(w, h, 2*k)
-			if err != nil {
-				t.Fatalf("New(%d,%d,%d): %v", w, h, 2*k, err)
-			}
-			moved := 0
-			// minMoved brute-forces the floor: per parent shard, the cell
-			// counts of its two children in the fine partition, taking the
-			// smaller.
-			children := make(map[int][]int) // parent -> child cell counts
-			for x := 0; x < w; x++ {
-				for y := 0; y < h; y++ {
-					pos := game.Pos{X: x, Y: y}
-					c, f := coarse.ShardOf(pos), fine.ShardOf(pos)
-					if f%k != c {
-						t.Fatalf("%dx%d %d->%d: cell %v ancestry broken: fine %d mod %d != coarse %d",
-							w, h, k, 2*k, pos, f, k, c)
-					}
-					if f != c {
-						moved++
-					}
-					for len(children[c]) < 2 {
-						children[c] = append(children[c], 0)
-					}
-					if f == c {
-						children[c][0]++
-					} else {
-						children[c][1]++
-					}
-				}
-			}
-			minMoved := 0
-			for parent, counts := range children {
-				lo, hi := counts[0], counts[1]
-				if lo == 0 || hi == 0 {
-					t.Fatalf("%dx%d %d->%d: parent %d did not split in two (children %d/%d)",
-						w, h, k, 2*k, parent, lo, hi)
-				}
-				if lo < hi {
-					lo, hi = hi, lo
-				}
-				minMoved += hi
-			}
-			if moved != minMoved {
-				t.Fatalf("%dx%d %d->%d: remap moved %d cells, minimum is %d", w, h, k, 2*k, moved, minMoved)
 			}
 		}
 	}
@@ -165,50 +99,27 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// TestResident cross-checks the rectangle-distance residency against a
-// brute-force per-cell scan, and pins the blind full-fanout degrade.
-func TestResident(t *testing.T) {
-	p, err := New(32, 24, 8)
+// TestOverlaps cross-checks the residency intersection against a
+// brute-force per-cell scan — a region is in a footprint when one of its
+// cells is within reach of one of the tanks — and pins the blind
+// never-veto degrade.
+func TestOverlaps(t *testing.T) {
+	const w, h = 64, 48
+	p, err := New(w, h, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tanks := []game.Pos{{X: 3, Y: 3}, {X: 20, Y: 10}}
-	for _, reach := range []int{0, 2, 5, 11} {
-		got := p.Resident(tanks, reach)
-		if !sort.IntsAreSorted(got) {
-			t.Fatalf("reach %d: residency %v not sorted", reach, got)
-		}
-		want := map[int]bool{}
-		for x := 0; x < 32; x++ {
-			for y := 0; y < 24; y++ {
-				for _, t := range tanks {
-					if t.Manhattan(game.Pos{X: x, Y: y}) <= reach {
-						want[p.ShardOf(game.Pos{X: x, Y: y})] = true
-						break
+	resident := func(r region, tanks []game.Pos, reach int) bool {
+		for x := r.X0; x < r.X1; x++ {
+			for y := r.Y0; y < r.Y1; y++ {
+				for _, tank := range tanks {
+					if tank.Manhattan(game.Pos{X: x, Y: y}) <= reach {
+						return true
 					}
 				}
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("reach %d: residency %v, brute force wants %d shards", reach, got, len(want))
-		}
-		for _, s := range got {
-			if !want[s] {
-				t.Fatalf("reach %d: shard %d resident but no cell within reach", reach, s)
-			}
-		}
-	}
-	if got := p.Resident(nil, 2); len(got) != 8 {
-		t.Fatalf("blind residency %v, want all 8 shards", got)
-	}
-}
-
-// TestOverlaps cross-checks the fanout intersection test against
-// residency-set intersection.
-func TestOverlaps(t *testing.T) {
-	p, err := New(64, 48, 16)
-	if err != nil {
-		t.Fatal(err)
+		return false
 	}
 	cases := []struct {
 		a, b   []game.Pos
@@ -217,21 +128,19 @@ func TestOverlaps(t *testing.T) {
 		{[]game.Pos{{X: 2, Y: 2}}, []game.Pos{{X: 60, Y: 40}}, 3, 3},
 		{[]game.Pos{{X: 2, Y: 2}}, []game.Pos{{X: 5, Y: 5}}, 3, 3},
 		{[]game.Pos{{X: 30, Y: 20}}, []game.Pos{{X: 34, Y: 26}}, 6, 6},
+		{[]game.Pos{{X: 30, Y: 20}}, []game.Pos{{X: 34, Y: 26}}, 0, 0},
+		{[]game.Pos{{X: 14, Y: 10}}, []game.Pos{{X: 20, Y: 14}}, 2, 6},
 		{[]game.Pos{{X: 0, Y: 0}, {X: 63, Y: 47}}, []game.Pos{{X: 32, Y: 24}}, 2, 2},
 	}
 	for _, c := range cases {
-		ra := p.Resident(c.a, c.ra)
-		rb := p.Resident(c.b, c.rb)
 		want := false
-		for _, s := range ra {
-			for _, s2 := range rb {
-				if s == s2 {
-					want = true
-				}
+		for _, r := range p.regions {
+			if resident(r, c.a, c.ra) && resident(r, c.b, c.rb) {
+				want = true
 			}
 		}
 		if got := p.Overlaps(c.a, c.ra, c.b, c.rb); got != want {
-			t.Errorf("Overlaps(%v r%d, %v r%d) = %v, residency sets say %v", c.a, c.ra, c.b, c.rb, got, want)
+			t.Errorf("Overlaps(%v r%d, %v r%d) = %v, per-cell scan says %v", c.a, c.ra, c.b, c.rb, got, want)
 		}
 	}
 	if !p.Overlaps(nil, 1, []game.Pos{{X: 1, Y: 1}}, 1) {

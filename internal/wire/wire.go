@@ -128,20 +128,6 @@ const (
 	// as liveness evidence; PONG merely guarantees an idle-but-healthy
 	// link produces some.
 	KindPong
-	// KindHandoffStart opens a shard handoff: the source announces to the
-	// target that it is transferring a region. Obj names the shard, Stamp
-	// the handoff epoch the transfer commits as, Ints [from, to]. The
-	// source logs the region snapshot durably before sending this, so a
-	// source crash after Start never loses pre-handoff writes.
-	KindHandoffStart
-	// KindHandoffState carries the region's object state (a
-	// store.Snapshot blob) from source to target. Obj names the shard,
-	// Stamp the handoff epoch.
-	KindHandoffState
-	// KindHandoffEnd commits a handoff: the target announces (to the
-	// source and every other peer) that it now owns the shard. Obj names
-	// the shard, Stamp the epoch, Ints [owner].
-	KindHandoffEnd
 
 	kindMax
 )
@@ -150,35 +136,32 @@ const (
 const NumKinds = int(kindMax)
 
 var kindNames = map[Kind]string{
-	KindSync:         "SYNC",
-	KindData:         "DATA",
-	KindDone:         "DONE",
-	KindLockReq:      "LOCK_REQ",
-	KindLockGrant:    "LOCK_GRANT",
-	KindLockRelease:  "LOCK_REL",
-	KindObjReq:       "OBJ_REQ",
-	KindObjReply:     "OBJ_REPLY",
-	KindWriteNotice:  "WRITE_NOTICE",
-	KindDiffReq:      "DIFF_REQ",
-	KindDiffReply:    "DIFF_REPLY",
-	KindUpdate:       "UPDATE",
-	KindShutdown:     "SHUTDOWN",
-	KindHello:        "HELLO",
-	KindCrash:        "CRASH",
-	KindLockBusy:     "LOCK_BUSY",
-	KindJoinReq:      "JOIN_REQ",
-	KindJoinAck:      "JOIN_ACK",
-	KindSnapshot:     "SNAPSHOT",
-	KindQRead:        "QREAD",
-	KindQReadAck:     "QREAD_ACK",
-	KindQWrite:       "QWRITE",
-	KindQWriteAck:    "QWRITE_ACK",
-	KindCkpt:         "CKPT",
-	KindPing:         "PING",
-	KindPong:         "PONG",
-	KindHandoffStart: "HANDOFF_START",
-	KindHandoffState: "HANDOFF_STATE",
-	KindHandoffEnd:   "HANDOFF_END",
+	KindSync:        "SYNC",
+	KindData:        "DATA",
+	KindDone:        "DONE",
+	KindLockReq:     "LOCK_REQ",
+	KindLockGrant:   "LOCK_GRANT",
+	KindLockRelease: "LOCK_REL",
+	KindObjReq:      "OBJ_REQ",
+	KindObjReply:    "OBJ_REPLY",
+	KindWriteNotice: "WRITE_NOTICE",
+	KindDiffReq:     "DIFF_REQ",
+	KindDiffReply:   "DIFF_REPLY",
+	KindUpdate:      "UPDATE",
+	KindShutdown:    "SHUTDOWN",
+	KindHello:       "HELLO",
+	KindCrash:       "CRASH",
+	KindLockBusy:    "LOCK_BUSY",
+	KindJoinReq:     "JOIN_REQ",
+	KindJoinAck:     "JOIN_ACK",
+	KindSnapshot:    "SNAPSHOT",
+	KindQRead:       "QREAD",
+	KindQReadAck:    "QREAD_ACK",
+	KindQWrite:      "QWRITE",
+	KindQWriteAck:   "QWRITE_ACK",
+	KindCkpt:        "CKPT",
+	KindPing:        "PING",
+	KindPong:        "PONG",
 }
 
 // String implements fmt.Stringer.
@@ -236,8 +219,7 @@ type Msg struct {
 // "data message" class); everything else is a control message.
 func (m *Msg) IsData() bool {
 	switch m.Kind {
-	case KindData, KindObjReply, KindDiffReply, KindUpdate, KindSnapshot, KindCkpt,
-		KindHandoffState:
+	case KindData, KindObjReply, KindDiffReply, KindUpdate, KindSnapshot, KindCkpt:
 		return true
 	}
 	return false

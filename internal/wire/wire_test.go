@@ -170,7 +170,7 @@ func TestReadFrameRejectsHugeLength(t *testing.T) {
 func TestIsData(t *testing.T) {
 	dataKinds := map[Kind]bool{
 		KindData: true, KindObjReply: true, KindDiffReply: true, KindUpdate: true,
-		KindSnapshot: true, KindCkpt: true, KindHandoffState: true,
+		KindSnapshot: true, KindCkpt: true,
 	}
 	for k := KindSync; k < kindMax; k++ {
 		m := &Msg{Kind: k}
