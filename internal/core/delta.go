@@ -6,17 +6,17 @@
 // The machinery is a per-peer acked-version table fed by the existing SYNC
 // traffic. For every peer the sender tracks, per object:
 //
-//   - tip: the state after the last record flushed to that peer (nil means
-//     the registered initial state — both sides share it, so even a first
-//     record can be a delta);
-//   - pending: a FIFO of (stamp, object) pairs for records sent but not yet
-//     proven consumed. A consumed SYNC from the peer stamped s proves the
-//     peer completed every mutual rendezvous before s, and therefore (FIFO
-//     channels) consumed every record stamped below s; those entries are
-//     promoted out of the FIFO.
+//   - tip: the state after the last record flushed to that peer (no entry
+//     means the registered initial state — both sides share it, so even a
+//     first record can be a delta);
+//   - sent: the stamp of the last record flushed to that peer. A consumed
+//     SYNC from the peer stamped s proves the peer completed every mutual
+//     rendezvous before s, and therefore (FIFO channels) consumed every
+//     record stamped below s; stamps only grow, so the object has a record
+//     still unproven exactly when sent is not below the highest such s.
 //
 // A record for an object is delta-encoded only when the object has no
-// pending record (the ack table is current — on any ack gap the sender
+// unproven record (the ack table is current — on any ack gap the sender
 // falls back to a full record) and the delta is actually smaller. Each
 // delta carries the base's version and 32-bit fingerprint; the receiver
 // keeps a per-sender shadow of the sender's last-sent states and verifies
@@ -27,6 +27,10 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
+
 	"sdso/internal/diff"
 	"sdso/internal/store"
 	"sdso/internal/trace"
@@ -34,139 +38,152 @@ import (
 	"sdso/internal/xlist"
 )
 
-// deltaPending is one record sent but not yet proven consumed.
-type deltaPending struct {
-	stamp int64
-	obj   store.ID
+// deltaEntry is what one half of the acked-version table holds for one
+// (peer, object): on the sender half the tip — the state after the last
+// record flushed to the peer — and that record's stamp; on the receiver
+// half the shadow of the peer's last-sent state. state is a
+// published slice shared with whoever else holds that state (the buffered
+// replacement it came from, the store): it is replaced, never modified.
+type deltaEntry struct {
+	obj store.ID
+	// known is set once state and ver are valid; until then the entry
+	// stands for the registered initial state at version 0.
+	known bool
+	// bad (receiver) marks a shadow that is unknown — a rejected delta, a
+	// diff that would not apply; deltas are refused until a full
+	// replacement record or a recovery reply restores it.
+	bad bool
+	// fetching (receiver) marks an outstanding recovery fetch.
+	fetching bool
+	// sent (sender) is the stamp of the last record flushed to the peer,
+	// zero when none was (or a served reply superseded it).
+	sent  int64
+	ver   int64
+	state []byte
+}
+
+// deltaTable is one half of the acked-version table for one peer: entries
+// for the objects actually exchanged with that peer, sorted by object ID.
+// It is sparse and starts empty — a dense peer × object table would cost
+// hundreds of megabytes at n = 128 (DESIGN.md, "Ownership and memory").
+type deltaTable struct {
+	entries []deltaEntry
+}
+
+// at returns obj's entry, inserting an unknown one on first use. The
+// pointer is valid until the next insertion.
+func (t *deltaTable) at(obj store.ID) *deltaEntry {
+	i, ok := slices.BinarySearchFunc(t.entries, obj, func(e deltaEntry, obj store.ID) int {
+		return cmp.Compare(e.obj, obj)
+	})
+	if !ok {
+		if t.entries == nil {
+			// Most tables hold a handful of objects — a tank's trail while
+			// both processes lived: start past the first doublings.
+			t.entries = make([]deltaEntry, 0, 4)
+		}
+		t.entries = slices.Insert(t.entries, i, deltaEntry{obj: obj})
+	}
+	return &t.entries[i]
 }
 
 // deltaSendState is the sender half of the acked-version table for one peer.
 type deltaSendState struct {
-	tip     map[store.ID][]byte // state after the last flushed record; missing = initial
-	tipVer  map[store.ID]int64
-	pending []deltaPending
-	npend   map[store.ID]int // pending records per object
+	deltaTable
+	// acked is the highest stamp of a consumed SYNC from the peer: every
+	// record stamped below it is proven consumed.
+	acked int64
 }
 
-// deltaRecvState is the receiver's shadow of one sender's last-sent states.
-type deltaRecvState struct {
-	state map[store.ID][]byte // missing = registered initial state
-	ver   map[store.ID]int64
-	// bad marks objects whose shadow is unknown (a rejected delta, a diff
-	// that would not apply); deltas are refused until a full replacement
-	// record or a recovery reply restores it.
-	bad map[store.ID]bool
-}
-
-func newDeltaSendState() *deltaSendState {
-	return &deltaSendState{
-		tip:    make(map[store.ID][]byte),
-		tipVer: make(map[store.ID]int64),
-		npend:  make(map[store.ID]int),
-	}
-}
-
-func newDeltaRecvState() *deltaRecvState {
-	return &deltaRecvState{
-		state: make(map[store.ID][]byte),
-		ver:   make(map[store.ID]int64),
-		bad:   make(map[store.ID]bool),
-	}
+// unproven reports whether a record flushed for e's object may not have
+// been consumed by the peer yet.
+func (ds *deltaSendState) unproven(e *deltaEntry) bool {
+	return e.sent != 0 && e.sent >= ds.acked
 }
 
 // deltaBaseline returns the object's registered initial state — the
-// universal base both sides share before any record flows.
-func (r *Runtime) deltaBaseline(id store.ID) []byte { return r.deltaInit[id] }
-
-// deltaSendFor returns (allocating on first use) the send table for peer.
-func (r *Runtime) deltaSendFor(peer int) *deltaSendState {
-	ds, ok := r.deltaSend[peer]
-	if !ok {
-		ds = newDeltaSendState()
-		r.deltaSend[peer] = ds
+// universal base both sides share before any record flows — or nil for an
+// object that was never Shared (restored from a snapshot).
+func (r *Runtime) deltaBaseline(id store.ID) []byte {
+	if int(id) < len(r.deltaInit) {
+		return r.deltaInit[id]
 	}
-	return ds
+	return nil
 }
 
-// deltaRecvFor returns (allocating on first use) the shadow table for peer.
-func (r *Runtime) deltaRecvFor(peer int) *deltaRecvState {
-	dr, ok := r.deltaRecv[peer]
-	if !ok {
-		dr = newDeltaRecvState()
-		r.deltaRecv[peer] = dr
+// deltaBase returns the state and version e stands for: its own once known,
+// the registered initial state at version 0 before.
+func (r *Runtime) deltaBase(e *deltaEntry) ([]byte, int64) {
+	if e.known {
+		return e.state, e.ver
 	}
-	return dr
+	return r.deltaBaseline(e.obj), 0
 }
 
 // encodeDataPayload builds the payload for a DATA frame carrying diffs to
 // peer, stamped stamp. With DeltaEncode off it is exactly the PR4 encoding
 // (and returns mode 0, leaving frames byte-identical); with it on, each
 // record is delta-encoded when the table permits and the result is smaller,
-// and the returned mode bit marks the payload for the receiver.
+// and the returned mode bit marks the payload for the receiver. Records,
+// XOR bytes and the encoding are assembled in per-runtime scratch; the
+// returned payload is one exact-size copy, owned by the message.
 func (r *Runtime) encodeDataPayload(peer int, diffs []xlist.ObjDiff, stamp int64) ([]byte, uint8) {
 	if !r.cfg.DeltaEncode {
-		return xlist.EncodeDiffs(diffs), 0
+		r.encBuf = xlist.AppendDiffs(r.encBuf[:0], diffs)
+		return bytes.Clone(r.encBuf), 0
 	}
-	ds := r.deltaSendFor(peer)
-	recs := make([]xlist.DeltaRecord, 0, len(diffs))
+	ds := &r.peers[peer].send
+	recs, xor := r.encRecs[:0], r.encXOR[:0]
 	for _, od := range diffs {
 		rec := xlist.DeltaRecord{Obj: od.Obj, Version: od.Version, D: od.D}
-		base, haveTip := ds.tip[od.Obj]
-		baseVer := ds.tipVer[od.Obj]
-		if !haveTip {
-			base = r.deltaBaseline(od.Obj)
-		}
-		next, err := diff.Apply(base, od.D)
-		if err != nil {
-			// The diff does not apply over our record of the peer's state
-			// (it should: Write buffers whole-state replacements). Ship the
-			// full record and resynchronize the tip from the local store.
-			if cur, gerr := r.st.Get(od.Obj); gerr == nil {
-				next = cur
-			} else {
-				next = base
-			}
-		}
-		if ds.npend[od.Obj] == 0 && len(base) == len(next) {
-			if x, xerr := diff.EncodeXOR(base, next); xerr == nil {
-				full := len(diff.Encode(od.D))
-				if len(x) < full {
-					rec.Delta = true
-					rec.D = diff.Diff{}
-					rec.BaseVer = baseVer
-					rec.BaseHash = diff.Fingerprint(base)
-					rec.X = x
-					r.mc.AddDeltaRecord(full - len(x))
+		e := ds.at(od.Obj)
+		base, baseVer := r.deltaBase(e)
+		// The tip after this record. Write buffers whole-state
+		// replacements, whose state the tip shares.
+		next, ok := od.D.Replacement()
+		if !ok {
+			var err error
+			if next, err = diff.Apply(base, od.D); err != nil {
+				// The diff does not apply over our record of the peer's
+				// state. Ship the full record and resynchronize the tip
+				// from the local store.
+				if cur, gerr := r.st.View(od.Obj); gerr == nil {
+					next = cur
+				} else {
+					next = base
 				}
 			}
 		}
-		ds.tip[od.Obj] = next
-		ds.tipVer[od.Obj] = od.Version
-		ds.pending = append(ds.pending, deltaPending{stamp: stamp, obj: od.Obj})
-		ds.npend[od.Obj]++
+		if !ds.unproven(e) && len(base) == len(next) {
+			mark := len(xor)
+			xor, _ = diff.AppendXOR(xor, base, next) // lengths match: cannot fail
+			if full := diff.EncodedSize(od.D); len(xor)-mark < full {
+				rec.Delta = true
+				rec.D = diff.Diff{}
+				rec.BaseVer = baseVer
+				rec.BaseHash = diff.Fingerprint(base)
+				rec.X = xor[mark:]
+				r.mc.AddDeltaRecord(full - len(rec.X))
+			} else {
+				xor = xor[:mark]
+			}
+		}
+		e.state, e.ver, e.known, e.sent = next, od.Version, true, stamp
 		recs = append(recs, rec)
 	}
-	return xlist.EncodeDeltaRecords(recs), wire.ModeDeltaPayload
+	r.encBuf = xlist.AppendDeltaRecords(r.encBuf[:0], recs)
+	clear(recs) // the scratch must not pin the diffs it carried
+	r.encRecs, r.encXOR = recs, xor
+	return bytes.Clone(r.encBuf), wire.ModeDeltaPayload
 }
 
 // deltaAck feeds a consumed SYNC from peer stamped stamp into the ack
-// table: every record stamped strictly below stamp is promoted (the peer
-// cannot emit a SYNC for tick s before completing the rendezvous that
+// table: every record stamped strictly below stamp is proven consumed (the
+// peer cannot emit a SYNC for tick s before completing the rendezvous that
 // consumed them).
 func (r *Runtime) deltaAck(peer int, stamp int64) {
-	if !r.cfg.DeltaEncode {
-		return
-	}
-	ds, ok := r.deltaSend[peer]
-	if !ok {
-		return
-	}
-	i := 0
-	for ; i < len(ds.pending) && ds.pending[i].stamp < stamp; i++ {
-		ds.npend[ds.pending[i].obj]--
-	}
-	if i > 0 {
-		ds.pending = append(ds.pending[:0], ds.pending[i:]...)
+	if ds := &r.peers[peer].send; stamp > ds.acked {
+		ds.acked = stamp
 	}
 }
 
@@ -175,152 +192,113 @@ func (r *Runtime) deltaAck(peer int, stamp int64) {
 // — advances the per-sender shadow, because the shadow mirrors what the
 // sender sent, not what the receiver kept. Store application then goes
 // through exactly the version/PID gate applyData uses.
+//
+// The records are decoded into scratch whose bytes alias m.Payload, which
+// a pooling transport reuses once m is recycled: everything retained — the
+// shadow, the store's state — is an owned slice (a reconstruction, or a
+// copy of a replacement's bytes), shared between the two.
 func (r *Runtime) applyDeltaData(m *wire.Msg) {
-	recs, err := xlist.DecodeDeltaRecords(m.Payload)
+	recs, err := xlist.DecodeDeltaRecordsInto(r.decRecs, m.Payload)
 	if err != nil {
 		return // corrupt payloads are dropped, like plain diff batches
 	}
+	r.decRecs = recs
 	src := int(m.Src)
-	dr := r.deltaRecvFor(src)
-	for _, rec := range recs {
-		base, haveShadow := dr.state[rec.Obj]
-		if !haveShadow {
-			base = r.deltaBaseline(rec.Obj)
-		}
+	dr := &r.peers[src].recv
+	for i := range recs {
+		rec := &recs[i]
+		e := dr.at(rec.Obj)
+		base, baseVer := r.deltaBase(e)
 		var next []byte
 		if rec.Delta {
-			if dr.bad[rec.Obj] || dr.ver[rec.Obj] != rec.BaseVer || diff.Fingerprint(base) != rec.BaseHash {
-				// Stale or diverged base: refuse the delta and refetch the
-				// full state from the sender (the reply realigns both
-				// sides' tables). FIFO ordering makes this converge even if
-				// more stale-base records are already in flight.
+			ok := !e.bad && baseVer == rec.BaseVer && diff.Fingerprint(base) == rec.BaseHash
+			if ok {
+				next, err = diff.ApplyXOR(base, rec.X)
+				ok = err == nil
+			}
+			if !ok {
+				// Stale or diverged base (or a delta that does not decode
+				// against it): refuse the delta and refetch the full state
+				// from the sender (the reply realigns both sides' tables).
+				// FIFO ordering makes this converge even if more
+				// stale-base records are already in flight.
 				r.mc.AddDeltaMismatch()
-				dr.bad[rec.Obj] = true
-				r.deltaRequestRecovery(src, rec.Obj)
+				e.bad = true
+				r.deltaRequestRecovery(src, e)
 				continue
 			}
-			next, err = diff.ApplyXOR(base, rec.X)
-			if err != nil {
-				r.mc.AddDeltaMismatch()
-				dr.bad[rec.Obj] = true
-				r.deltaRequestRecovery(src, rec.Obj)
-				continue
-			}
-		} else {
-			next, err = diff.Apply(base, rec.D)
-			if err != nil {
-				if rec.D.Replace {
-					// Unreachable (a replacement applies over anything),
-					// but keep the shadow honest.
-					dr.bad[rec.Obj] = true
-					continue
-				}
-				// A run diff over an unknown shadow: apply to the store as
-				// plain data would, but the shadow stays unknown.
-				dr.bad[rec.Obj] = true
+		} else if state, ok := rec.D.Replacement(); ok {
+			next = bytes.Clone(state)
+			e.bad = false
+		} else if next, err = diff.Apply(base, rec.D); err != nil {
+			// A run diff over an unknown shadow (or a malformed
+			// replacement, which the codec already rejects): apply to the
+			// store as plain data would, but the shadow stays unknown.
+			e.bad = true
+			if !rec.D.Replace {
 				r.applyDeltaToStore(src, rec.Obj, rec.Version, rec.D, nil, m.Stamp)
-				continue
 			}
-			if rec.D.Replace {
-				delete(dr.bad, rec.Obj)
-			}
+			continue
 		}
-		if !dr.bad[rec.Obj] {
-			dr.state[rec.Obj] = next
-			dr.ver[rec.Obj] = rec.Version
+		if !e.bad {
+			e.state, e.ver, e.known = next, rec.Version, true
 		}
-		if rec.Delta {
+		if rec.D.Replace || rec.Delta {
 			r.applyDeltaToStore(src, rec.Obj, rec.Version, diff.Diff{}, next, m.Stamp)
 		} else {
 			r.applyDeltaToStore(src, rec.Obj, rec.Version, rec.D, nil, m.Stamp)
 		}
-	}
-	if m.Stamp > r.seen[src] {
-		r.seen[src] = m.Stamp
 	}
 }
 
 // applyDeltaToStore pushes one decoded record into the main store through
 // the same version/PID gate as applyData: older versions are stale, equal
 // versions are a data race arbitrated by PID, newer versions win. A delta
-// record supplies the reconstructed full state (state non-nil); a full
-// record supplies the diff.
+// or replacement record supplies the full state (state non-nil, owned, and
+// adopted without a copy); a run-diff record supplies the diff.
 func (r *Runtime) applyDeltaToStore(src int, obj store.ID, ver int64, d diff.Diff, state []byte, stamp int64) {
-	cur, err := r.st.Version(obj)
-	if err != nil {
+	if !r.admit(src, obj, ver) {
 		return
-	}
-	if ver < cur {
-		r.tr.Record(trace.OpStale, src, int64(obj), ver, r.now, 0)
-		return
-	}
-	if ver == cur {
-		w, _ := r.st.WriterOf(obj)
-		if w < 0 || src >= w {
-			r.tr.Record(trace.OpStale, src, int64(obj), ver, r.now, 1)
-			return
-		}
 	}
 	if state != nil {
-		_ = r.st.SetStateFrom(obj, state, ver, src)
+		_ = r.st.AdoptStateFrom(obj, state, ver, src)
 	} else {
 		_ = r.st.ApplyDiffFrom(obj, d, ver, src)
 	}
 	r.tr.Record(trace.OpApply, src, int64(obj), ver, r.now, stamp)
 }
 
-// deltaRequestRecovery refetches obj's full state from peer after a base
+// deltaRequestRecovery refetches e's object in full from peer after a base
 // mismatch, at most one outstanding request per (peer, object).
-func (r *Runtime) deltaRequestRecovery(peer int, obj store.ID) {
-	if r.deltaFetch[peer] == nil {
-		r.deltaFetch[peer] = make(map[store.ID]bool)
-	}
-	if r.deltaFetch[peer][obj] {
+func (r *Runtime) deltaRequestRecovery(peer int, e *deltaEntry) {
+	if e.fetching {
 		return
 	}
-	r.deltaFetch[peer][obj] = true
-	_ = r.AsyncGet(obj, peer)
+	e.fetching = true
+	_ = r.AsyncGet(e.obj, peer)
 }
 
 // deltaServe resets the sender half of the table after serving obj's full
 // state to peer (an ObjReply): the requester will adopt exactly this state
-// as its shadow, so the tip realigns to it and every pending record for the
-// object is dropped (the reply supersedes them; any still in flight will be
-// refused by the requester's fingerprint gate and recovered again if needed,
-// but FIFO ordering means the reply lands after them).
+// as its shadow, so the tip realigns to it and the object's unproven
+// records are forgotten (the reply supersedes them; any still in flight will
+// be refused by the requester's fingerprint gate and recovered again if
+// needed, but FIFO ordering means the reply lands after them). state must be
+// an owned, published slice.
 func (r *Runtime) deltaServe(peer int, obj store.ID, state []byte, ver int64) {
 	if !r.cfg.DeltaEncode {
 		return
 	}
-	ds := r.deltaSendFor(peer)
-	ds.tip[obj] = append([]byte(nil), state...)
-	ds.tipVer[obj] = ver
-	if ds.npend[obj] > 0 {
-		kept := ds.pending[:0]
-		for _, p := range ds.pending {
-			if p.obj != obj {
-				kept = append(kept, p)
-			}
-		}
-		ds.pending = kept
-		ds.npend[obj] = 0
-	}
+	*r.peers[peer].send.at(obj) = deltaEntry{obj: obj, known: true, ver: ver, state: state}
 }
 
 // deltaAdoptReply realigns the receiver's shadow with a full-state ObjReply
 // from peer (the recovery path's delivery): whatever the main store decided,
-// the sender's table now assumes we hold exactly this state.
+// the sender's table now assumes we hold exactly this state. state is
+// copied (it is a message payload).
 func (r *Runtime) deltaAdoptReply(peer int, obj store.ID, state []byte, ver int64) {
-	if r.deltaRecv == nil {
-		return
-	}
-	dr := r.deltaRecvFor(peer)
-	dr.state[obj] = append([]byte(nil), state...)
-	dr.ver[obj] = ver
-	delete(dr.bad, obj)
-	if r.deltaFetch[peer] != nil {
-		delete(r.deltaFetch[peer], obj)
-	}
+	e := r.peers[peer].recv.at(obj)
+	*e = deltaEntry{obj: obj, known: true, ver: ver, state: bytes.Clone(state)}
 }
 
 // deltaResetPeer drops every delta table for peer, forcing full records on
@@ -328,21 +306,14 @@ func (r *Runtime) deltaAdoptReply(peer int, obj store.ID, state []byte, ver int6
 // a session reset or a rejoin invalidates any assumption about what the
 // other side holds.
 func (r *Runtime) deltaResetPeer(peer int) {
-	if r.deltaSend == nil {
-		return
-	}
-	delete(r.deltaSend, peer)
-	delete(r.deltaRecv, peer)
-	delete(r.deltaFetch, peer)
+	ps := &r.peers[peer]
+	ps.send, ps.recv = deltaSendState{}, deltaTable{}
 }
 
 // deltaResetAll drops every peer's delta tables (a joiner's state predates
 // the snapshot it is about to restore).
 func (r *Runtime) deltaResetAll() {
-	if r.deltaSend == nil {
-		return
+	for peer := range r.peers {
+		r.deltaResetPeer(peer)
 	}
-	clear(r.deltaSend)
-	clear(r.deltaRecv)
-	clear(r.deltaFetch)
 }

@@ -196,7 +196,7 @@ func TestDeltaTableResetForcesFullRecords(t *testing.T) {
 	// state, not the peer's last-seen tip.
 	r.deltaAck(1, 4)
 	r.deltaResetPeer(1)
-	if _, ok := r.deltaSend[1]; ok {
+	if ps := &r.peers[1]; ps.send.entries != nil {
 		t.Fatal("deltaResetPeer left the send table allocated")
 	}
 	payload, _ = r.encodeDataPayload(1, diffFor(mut(3), mut(4), 4), 4)
@@ -214,8 +214,10 @@ func TestDeltaTableResetForcesFullRecords(t *testing.T) {
 
 	// Join reset: everything clears, including the receive shadows.
 	r.deltaResetAll()
-	if len(r.deltaSend) != 0 || len(r.deltaRecv) != 0 || len(r.deltaFetch) != 0 {
-		t.Fatal("deltaResetAll left table entries behind")
+	for peer := range r.peers {
+		if ps := &r.peers[peer]; ps.send.entries != nil || ps.recv.entries != nil {
+			t.Fatal("deltaResetAll left table entries behind")
+		}
 	}
 }
 

@@ -11,11 +11,19 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sdso/internal/store"
 	"sdso/internal/transport"
 	"sdso/internal/wire"
 )
+
+// syncGroup is one distinct beacon among a tick's deferred SYNCs and the
+// peers it goes to.
+type syncGroup struct {
+	beacon []int64
+	dsts   []int
+}
 
 // sendSyncFanout ships the bare SYNC of every deferred (withheld-from)
 // peer. Peers whose beacons are identical — the common case: same tank
@@ -25,47 +33,46 @@ import (
 // encodes. Metrics count one logical SYNC per destination either way,
 // and a destination that fails with transport.ErrPeerGone is evicted
 // exactly as on the per-peer path.
-func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts, sentSync map[int]*wire.Msg) error {
+func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 	if len(peers) == 0 {
 		return nil
 	}
-	groups := make(map[string][]int, 1)
-	beacons := make(map[string][]int64, 1)
-	// Groups ship in first-seen order: peers arrives in runtime peer
-	// order, and the virtual network sequences deliveries by send order,
-	// so iterating the group map directly would leak map-iteration
-	// nondeterminism into the delivery schedule.
-	var order []string
-	var keyBuf []byte
+	// Groups form and ship in first-seen order: peers arrives in runtime
+	// peer order, and the virtual network sequences deliveries by send
+	// order, so the delivery schedule is deterministic. A tick has a
+	// handful of distinct beacons, so a linear probe finds a peer's group.
+	groups := r.fanout[:0]
 	for _, peer := range peers {
 		var beacon []int64
 		if opts.Beacon != nil {
 			beacon = opts.Beacon(peer)
 		}
-		keyBuf = keyBuf[:0]
-		for _, v := range beacon {
-			keyBuf = append(keyBuf,
-				byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-				byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+		g := slices.IndexFunc(groups, func(g syncGroup) bool { return slices.Equal(g.beacon, beacon) })
+		if g < 0 {
+			g = len(groups)
+			if g < cap(groups) {
+				groups = groups[:g+1] // reuse the recycled group's dsts backing
+			} else {
+				groups = append(groups, syncGroup{})
+			}
+			groups[g].beacon, groups[g].dsts = beacon, groups[g].dsts[:0]
 		}
-		k := string(keyBuf)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-			beacons[k] = beacon
-		}
-		groups[k] = append(groups[k], peer)
+		groups[g].dsts = append(groups[g].dsts, peer)
 	}
+	r.fanout = groups
 	es, hasES := r.ep.(transport.EncodedSender)
-	for _, k := range order {
-		dsts := groups[k]
-		sync := &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: beacons[k]}
-		if hasES && len(dsts) > 1 {
+	for _, g := range groups {
+		if hasES && len(g.dsts) > 1 {
+			// The transport never retains sync (the shared frame is what
+			// hits the wire), so the group's peers also share it as their
+			// echo and retransmission source.
+			sync := &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: g.beacon}
 			enc, err := wire.EncodeFrame(sync)
 			if err != nil {
 				return fmt.Errorf("exchange sync fanout: %w", err)
 			}
 			size := sync.EncodedSize()
-			for _, peer := range dsts {
+			for _, peer := range g.dsts {
 				r.mc.CountSend(sync, size)
 				if err := es.SendEncoded(peer, enc, sync); err != nil {
 					if errors.Is(err, transport.ErrPeerGone) {
@@ -75,18 +82,13 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts, sentSync map[in
 					enc.Release()
 					return fmt.Errorf("exchange sync to %d: %w", peer, err)
 				}
-				// Each peer keeps its own instance for the echo and
-				// retransmission machinery; the shared frame above is
-				// what actually hit the wire.
-				own := sync.Clone()
-				sentSync[peer] = own
-				r.lastSync[peer] = own
+				r.peers[peer].lastSync = sync
 			}
 			enc.Release()
 			continue
 		}
-		for _, peer := range dsts {
-			m := sync.Clone()
+		for _, peer := range g.dsts {
+			m := &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: g.beacon}
 			if err := r.send(peer, m); err != nil {
 				if errors.Is(err, transport.ErrPeerGone) {
 					r.evictPeer(peer)
@@ -94,8 +96,7 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts, sentSync map[in
 				}
 				return fmt.Errorf("exchange sync to %d: %w", peer, err)
 			}
-			sentSync[peer] = m
-			r.lastSync[peer] = m
+			r.peers[peer].lastSync = m
 		}
 	}
 	return nil
@@ -113,8 +114,9 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts, sentSync map[in
 // peer, so the enter-radius fetch is never suppressed by a stale
 // outstanding-request mark from a previous encounter.
 func (r *Runtime) InterestEnter(peer int) {
-	if r.deltaFetch != nil {
-		delete(r.deltaFetch, peer)
+	entries := r.peers[peer].recv.entries
+	for i := range entries {
+		entries[i].fetching = false
 	}
 }
 
@@ -126,14 +128,16 @@ func (r *Runtime) InterestEnter(peer int) {
 // version-gated and realign the delta shadow. Peers that are crashed,
 // done, or not yet admitted are skipped.
 func (r *Runtime) InterestFetch(peer int, objs []store.ID) {
-	if r.peerCrashed[peer] || r.peerDone[peer] || r.peerAbsent[peer] {
+	ps := &r.peers[peer]
+	if ps.gone() {
 		return
 	}
 	for _, obj := range objs {
-		if r.deltaFetch[peer] != nil && r.deltaFetch[peer][obj] {
+		e := ps.recv.at(obj)
+		if e.fetching {
 			continue
 		}
 		r.mc.AddInterestFetch()
-		r.deltaRequestRecovery(peer, obj)
+		r.deltaRequestRecovery(peer, e)
 	}
 }

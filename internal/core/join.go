@@ -18,7 +18,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"sdso/internal/trace"
 	"sdso/internal/transport"
@@ -49,11 +48,10 @@ func (r *Runtime) Join(incarnation int64) error {
 		return errors.New("core: Join requires RendezvousTimeout (failure detection)")
 	}
 	var targets []int
-	for peer := 0; peer < r.ep.N(); peer++ {
-		if peer == r.ep.ID() || r.peerDone[peer] || r.peerCrashed[peer] {
-			continue
+	for peer := range r.peers {
+		if ps := &r.peers[peer]; peer != r.ep.ID() && !ps.done && !ps.crashed {
+			targets = append(targets, peer)
 		}
-		targets = append(targets, peer)
 	}
 	js := &joinState{admit: make(map[int]int64), snapped: make(map[int]bool)}
 	r.joining = js
@@ -75,7 +73,7 @@ func (r *Runtime) Join(incarnation int64) error {
 	r.flush()
 
 	resolved := func(peer int) bool {
-		if r.peerDone[peer] || r.peerCrashed[peer] {
+		if ps := &r.peers[peer]; ps.done || ps.crashed {
 			return true
 		}
 		_, acked := js.admit[peer]
@@ -97,7 +95,7 @@ func (r *Runtime) Join(incarnation int64) error {
 			return fmt.Errorf("join recv: %w", err)
 		}
 		if ok {
-			r.dispatch(m, nil, nil)
+			r.dispatch(m, false)
 			r.flush() // dispatch may have answered (echo, object serve)
 			continue
 		}
@@ -143,7 +141,7 @@ func (r *Runtime) Join(incarnation int64) error {
 	earliest := int64(-1)
 	for _, peer := range targets {
 		admit, ok := js.admit[peer]
-		if !ok || r.peerDone[peer] || r.peerCrashed[peer] {
+		if ps := &r.peers[peer]; !ok || ps.done || ps.crashed {
 			continue
 		}
 		if earliest < 0 || admit < earliest {
@@ -169,13 +167,13 @@ func (r *Runtime) Join(incarnation int64) error {
 // (a fresh tick would desynchronize the pairwise schedule if both acks
 // eventually arrive) plus a fresh snapshot.
 func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
-	if peer == r.ep.ID() || r.localDone || r.peerDone[peer] {
+	ps := &r.peers[peer]
+	if peer == r.ep.ID() || r.localDone || ps.done {
 		return
 	}
 	inc := m.Stamp
-	if admit, ok := r.joinGrant[peer]; ok && r.joinInc[peer] == inc &&
-		!r.peerCrashed[peer] && !r.peerAbsent[peer] {
-		r.sendJoinReply(peer, admit)
+	if ps.granted && ps.joinInc == inc && !ps.crashed && !ps.absent {
+		r.sendJoinReply(peer, ps.joinGrant)
 		return
 	}
 	r.readmitPeer(peer)
@@ -184,8 +182,7 @@ func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
 		slack = DefaultJoinSlack
 	}
 	admit := r.now + slack
-	r.joinGrant[peer] = admit
-	r.joinInc[peer] = inc
+	ps.granted, ps.joinGrant, ps.joinInc = true, admit, inc
 	r.xl.Set(peer, admit)
 	r.tr.Record(trace.OpAdmit, peer, 0, 0, r.now, admit)
 	r.debugf("now=%d serveJoin peer=%d inc=%d admit=%d epoch=%d", r.now, peer, inc, admit, r.epoch)
@@ -201,18 +198,16 @@ func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
 // reopens so subsequent writes buffer for it again. The joiner's missed
 // history travels in the snapshot, so the slot starts empty.
 func (r *Runtime) readmitPeer(peer int) {
-	if !r.peerCrashed[peer] && !r.peerAbsent[peer] {
+	ps := &r.peers[peer]
+	if !ps.crashed && !ps.absent {
 		return
 	}
-	delete(r.peerCrashed, peer)
-	delete(r.peerAbsent, peer)
+	ps.crashed, ps.absent = false, false
 	r.epoch++
 	r.buf.Readmit(peer)
 	// Pre-crash leftovers from the peer's previous life must not leak
 	// into its new one.
-	delete(r.earlySync, peer)
-	delete(r.earlyData, peer)
-	delete(r.lastSync, peer)
+	ps.earlySync, ps.earlyData, ps.lastSync = nil, nil, nil
 	// The peer's new life starts from the join snapshot, not from whatever
 	// the delta tables remember of its old one: force full records until
 	// fresh acks rebuild the table.
@@ -224,15 +219,12 @@ func (r *Runtime) readmitPeer(peer int) {
 	// from the store. The merge is version-gated, so it is a no-op when
 	// eviction-time relaying already did this. Then the entry is dropped;
 	// the peer's next epoch streams a fresh one.
-	if r.vault != nil {
-		if e, ok := r.vault[peer]; ok && !r.relayed[peer] {
-			if adopted, _, err := r.st.Merge(e.snap); err == nil && adopted > 0 {
-				r.mc.AddReplicaCatchup()
-			}
+	if ps.vaulted && !ps.relayed {
+		if adopted, _, err := r.st.Merge(ps.vault.snap); err == nil && adopted > 0 {
+			r.mc.AddReplicaCatchup()
 		}
-		delete(r.vault, peer)
-		delete(r.relayed, peer)
 	}
+	ps.vault, ps.vaulted, ps.relayed = vaultEntry{}, false, false
 }
 
 // sendJoinReply ships the admission ack (tick, epoch, game-over flag,
@@ -258,20 +250,15 @@ func (r *Runtime) sendJoinReply(peer int, admit int64) {
 	snap := r.st.Snapshot(r.now)
 	r.mc.AddSnapshotBytes(len(snap))
 	_ = r.send(peer, &wire.Msg{Kind: wire.KindSnapshot, Stamp: r.now, Payload: snap})
-	if r.vault == nil {
-		return
-	}
 	// With checkpoint replication on, the reply also carries every vaulted
 	// blob — most importantly the joiner's own pre-crash checkpoint, which
 	// restores its committed writes even when every process it ever
-	// exchanged with is gone. Sorted for a deterministic wire order.
-	origins := make([]int, 0, len(r.vault))
-	for origin := range r.vault {
-		origins = append(origins, origin)
-	}
-	sort.Ints(origins)
-	for _, origin := range origins {
-		e := r.vault[origin]
+	// exchanged with is gone — in ascending origin order.
+	for origin := range r.peers {
+		if !r.peers[origin].vaulted {
+			continue
+		}
+		e := r.peers[origin].vault
 		r.mc.AddSnapshotBytes(len(e.snap))
 		_ = r.send(peer, &wire.Msg{Kind: wire.KindCkpt, Stamp: e.stamp, Obj: uint32(origin), Payload: e.snap})
 	}
@@ -284,7 +271,7 @@ func (r *Runtime) sendJoinReply(peer int, admit int64) {
 // granted rendezvous times out.
 func (r *Runtime) handleJoinAck(peer int, m *wire.Msg) {
 	js := r.joining
-	if js == nil || r.peerDone[peer] || r.peerCrashed[peer] {
+	if js == nil || r.peers[peer].done || r.peers[peer].crashed {
 		return
 	}
 	r.readmitPeer(peer) // the responder is live and a member
@@ -309,7 +296,7 @@ func (r *Runtime) handleSnapshot(peer int, m *wire.Msg) {
 		return // corrupt checkpoints are dropped; a retransmission follows
 	}
 	js := r.joining
-	if js == nil || r.peerDone[peer] || r.peerCrashed[peer] {
+	if js == nil || r.peers[peer].done || r.peers[peer].crashed {
 		return
 	}
 	if !js.snapped[peer] {

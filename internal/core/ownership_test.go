@@ -1,0 +1,338 @@
+package core
+
+import (
+	"bytes"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"sdso/internal/diff"
+	"sdso/internal/metrics"
+	"sdso/internal/race"
+	"sdso/internal/store"
+	"sdso/internal/transport"
+	"sdso/internal/wire"
+	"sdso/internal/xlist"
+)
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRetransmittedSyncKeepsBeacon is the regression test for recycle
+// writing to a message it does not own. On the mem transport the received
+// *wire.Msg is the sender's struct, which the sender keeps as its lastSync
+// and Clones on a suspicion timeout: the receiver wiping Ints there was a
+// cross-goroutine write/read with no happens-before (run this under -race)
+// and made the retransmitted SYNC overwrite the held beacon with nothing.
+func TestRetransmittedSyncKeepsBeacon(t *testing.T) {
+	net := transport.NewMemNetwork(2)
+	t.Cleanup(net.Close)
+	beacon := []int64{7, 7}
+	var got [][]int64 // beacons b's rendezvous with a delivered
+	mcA := metrics.NewCollector()
+	mk := func(id int, mc *metrics.Collector, onBeacon func(int, []int64)) *Runtime {
+		r, err := New(Config{
+			Endpoint: net.Endpoint(id), Metrics: mc, OnBeacon: onBeacon,
+			RendezvousTimeout: 20 * time.Millisecond, MaxRetransmits: 50,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	a := mk(0, mcA, nil)
+	b := mk(1, metrics.NewCollector(), func(_ int, ints []int64) { got = append(got, ints) })
+	opts := ExchangeOpts{Resync: true, SFunc: EveryTick, Beacon: func(int) []int64 { return beacon }}
+
+	errA := make(chan error, 1)
+	go func() { errA <- a.Exchange(opts) }()
+
+	// b is late: it only drains its mailbox, which holds a's SYNC as early
+	// traffic and recycles the message.
+	waitFor(t, "a's SYNC to be held early", func() bool {
+		b.Poll()
+		return len(b.peers[0].earlySync) == 1
+	})
+	// a times out on b and retransmits its SYNC — a Clone of the struct b
+	// just recycled. b consumes the retransmission too.
+	waitFor(t, "a's retransmission", func() bool { return mcA.Snapshot().Retransmits > 0 })
+	b.Poll()
+	if es := b.peers[0].earlySync; len(es) != 1 || !slices.Equal(es[0].beacon, beacon) {
+		t.Fatalf("held SYNC after the retransmission = %+v, want one carrying %v", es, beacon)
+	}
+
+	if err := b.Exchange(opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !slices.Equal(got[0], beacon) {
+		t.Fatalf("b's rendezvous saw beacons %v, want [%v]", got, beacon)
+	}
+}
+
+// TestAppliedDataSurvivesPayloadReuse: a pooling transport reuses m.Payload
+// once the message is recycled, and applyData decodes into scratch that
+// aliases it — so after applying a delta payload and a full-record payload,
+// scribbling over both buffers must leave the store, the per-sender shadow
+// and every View taken along the way unchanged.
+func TestAppliedDataSurvivesPayloadReuse(t *testing.T) {
+	net := transport.NewMemNetwork(2)
+	t.Cleanup(net.Close)
+	mk := func(id int) *Runtime {
+		r, err := New(Config{Endpoint: net.Endpoint(id), MergeDiffs: true, DeltaEncode: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for obj := store.ID(0); obj < 2; obj++ {
+			if err := r.Share(obj, make([]byte, 32)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	snd, rcv := mk(0), mk(1)
+	state := func(v byte) []byte { return bytes.Repeat([]byte{v}, 32) }
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0xEE
+		}
+	}
+	var views [][2][]byte // {view, expected copy}
+	check := func(when string, obj store.ID, want []byte) {
+		t.Helper()
+		v, err := rcv.st.View(obj)
+		if err != nil || !bytes.Equal(v, want) {
+			t.Fatalf("%s: store object %d = %x, %v; want %x", when, obj, v, err, want)
+		}
+		views = append(views, [2][]byte{v, bytes.Clone(v)})
+		e := rcv.peers[0].recv.at(obj)
+		if !e.known || !bytes.Equal(e.state, want) {
+			t.Fatalf("%s: shadow of object %d = %+v, want state %x", when, obj, e, want)
+		}
+		for i, pair := range views {
+			if !bytes.Equal(pair[0], pair[1]) {
+				t.Fatalf("%s: View #%d changed under its holder: %x, was %x", when, i, pair[0], pair[1])
+			}
+		}
+	}
+	deliver := func(stamp int64, write func()) (payload []byte, recs []xlist.DeltaRecord) {
+		t.Helper()
+		write()
+		payload, mode := snd.encodeDataPayload(1, snd.buf.Flush(1), stamp)
+		recs, err := xlist.DecodeDeltaRecords(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcv.now = stamp
+		rcv.applyData(&wire.Msg{Kind: wire.KindData, Mode: mode, Src: 0, Stamp: stamp, Payload: payload})
+		return payload, recs
+	}
+
+	// Tick 1: a sparse change against the shared initial state — a delta.
+	sparse := make([]byte, 32)
+	sparse[3] = 9
+	p1, recs := deliver(1, func() {
+		if err := snd.Write(0, sparse); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !recs[0].Delta {
+		t.Fatal("first record should be an XOR delta")
+	}
+	check("after the delta", 0, sparse)
+
+	// Tick 2: the same object again with its predecessor unacknowledged —
+	// a full replacement record.
+	p2, recs := deliver(2, func() {
+		if err := snd.Write(0, state(5)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if recs[0].Delta {
+		t.Fatal("record over an unacknowledged predecessor should be full")
+	}
+	check("after the full record", 0, state(5))
+
+	scribble(p1)
+	scribble(p2)
+	check("after both payload buffers were reused", 0, state(5))
+
+	// The plain encoding's decode scratch aliases the payload as well.
+	d := diff.Compute(state(5), state(6))
+	p3 := xlist.EncodeDiffs([]xlist.ObjDiff{{Obj: 1, Version: 1, D: d}})
+	rcv.applyData(&wire.Msg{Kind: wire.KindData, Src: 0, Stamp: 2, Payload: p3})
+	v, _ := rcv.st.View(1)
+	want := bytes.Clone(v)
+	scribble(p3)
+	if v2, _ := rcv.st.View(1); !bytes.Equal(v2, want) || !bytes.Equal(v, want) {
+		t.Fatalf("plain-diff state changed with its payload buffer: %x, was %x", v2, want)
+	}
+}
+
+// lockstepPair runs two runtimes on a mem pair: tick() performs one
+// Write+Exchange on both (the peer in its own goroutine, as in a real
+// game) and returns when both are through.
+func lockstepPair(t *testing.T, delta bool) (tick func()) {
+	t.Helper()
+	net := transport.NewMemNetwork(2)
+	t.Cleanup(net.Close)
+	rts := make([]*Runtime, 2)
+	for id := range rts {
+		r, err := New(Config{Endpoint: net.Endpoint(id), MergeDiffs: true, DeltaEncode: delta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for obj := store.ID(0); obj < 2; obj++ {
+			if err := r.Share(obj, counterBytes(0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rts[id] = r
+	}
+	beacons := [2][]int64{{0, 0}, {1, 1}}
+	step := func(r *Runtime) error {
+		if err := r.Write(store.ID(r.ID()), counterBytes(uint64(r.Now()+1))); err != nil {
+			return err
+		}
+		return r.Exchange(ExchangeOpts{
+			Resync: true, SFunc: EveryTick,
+			Beacon: func(int) []int64 { return beacons[r.ID()] },
+		})
+	}
+	kick, done := make(chan struct{}), make(chan error)
+	go func() {
+		for range kick {
+			done <- step(rts[1])
+		}
+	}()
+	t.Cleanup(func() { close(kick) })
+	return func() {
+		kick <- struct{}{}
+		err0 := step(rts[0])
+		if err1 := <-done; err0 != nil || err1 != nil {
+			t.Fatalf("lockstep tick: %v, %v", err0, err1)
+		}
+	}
+}
+
+// TestExchangeAllocBudget pins the steady-state allocations of one lockstep
+// tick of a two-runtime mem pair — both runtimes' Write+Exchange, the shape
+// of the benchmark panel's core.exchange2_allocs_op — so the allocator
+// cannot creep back into the tick unnoticed. What a tick still allocates,
+// per runtime: the written state's published copy and its diff (UpdateBy),
+// the replacement's run slice, the DATA payload and the two messages (they
+// belong to the receiver), and the received state.
+func TestExchangeAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name    string
+		delta   bool
+		ceiling float64
+	}{
+		{"delta", true, 24},
+		{"plain", false, 24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tick := lockstepPair(t, tc.delta)
+			for i := 0; i < 32; i++ { // warm the scratch buffers
+				tick()
+			}
+			got := testing.AllocsPerRun(200, tick)
+			t.Logf("%.1f allocations per pair-tick", got)
+			if got > tc.ceiling {
+				t.Errorf("%.1f allocations per pair-tick, budget %.0f", got, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestMemoryLaw holds the runtime to O(n) + O(objects) + O(objects actually
+// exchanged with each peer): one runtime Shares a 768-block world and plays
+// 60 lockstep ticks against 7 peers that each write their own block. A
+// dense peer × object table would be 7 × 768 entries here (and 12.5 M
+// across an n = 128 run); the sparse tables hold one entry per peer.
+func TestMemoryLaw(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector inflates the heap")
+	}
+	const n, objects, ticks = 8, 768, 60
+	net := transport.NewMemNetwork(n)
+	t.Cleanup(net.Close)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	rts := make([]*Runtime, n)
+	before := heap()
+	for id := range rts {
+		r, err := New(Config{Endpoint: net.Endpoint(id), MergeDiffs: true, DeltaEncode: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for obj := store.ID(0); obj < objects; obj++ {
+			if err := r.Share(obj, make([]byte, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rts[id] = r
+	}
+	shared := heap()
+	var wg sync.WaitGroup
+	for _, r := range rts {
+		wg.Add(1)
+		go func(r *Runtime) {
+			defer wg.Done()
+			for k := 1; k <= ticks; k++ {
+				if err := r.Write(store.ID(r.ID()), counterBytes(uint64(k))); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := r.Exchange(ExchangeOpts{Resync: true, SFunc: EveryTick}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	played := heap()
+
+	t.Logf("set-up %d B per runtime, play grew each by %d B", (shared-before)/n, int64(played-shared)/n)
+	// Set-up: the store's arenas, its index and the delta baseline index —
+	// about 90 B an object — plus the peer slab.
+	if perRuntime := (shared - before) / n; perRuntime > 128*objects+4096*n {
+		t.Errorf("set-up holds %d B per runtime, budget %d", perRuntime, 128*objects+4096*n)
+	}
+	// Play: each runtime exchanged one object with each peer, so its tables,
+	// slots and retransmission state grew by O(n) small pieces (about 800 B
+	// a peer), nowhere near n × objects table entries.
+	if grown := int64(played-shared) / n; grown > 2048*n {
+		t.Errorf("60 ticks grew each runtime by %d B, budget %d (a dense table would be %d)",
+			grown, 2048*n, 48*(n-1)*objects)
+	}
+	for _, r := range rts {
+		for peer := range r.peers {
+			if got := len(r.peers[peer].send.entries) + len(r.peers[peer].recv.entries); got > 2 {
+				t.Fatalf("runtime %d holds %d delta entries for peer %d, want at most 2", r.ID(), got, peer)
+			}
+		}
+	}
+	runtime.KeepAlive(rts)
+}

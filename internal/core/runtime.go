@@ -228,6 +228,14 @@ const DefaultJoinSlack = 2
 const DefaultCheckpointF = 1
 
 // Runtime is one process's S-DSO instance.
+//
+// Memory. Peers are the dense integers 0..N-1, so everything the runtime
+// keeps per peer lives in one slab (peers) instead of a map per concern,
+// and the working sets of Exchange — Exchange is not re-entrant — are
+// reusable scratch. Per runtime that is O(N) + O(objects) + O(objects
+// actually exchanged with each peer): the per-peer delta tables are sparse
+// and created on first use. A dense peer × object table is deliberately
+// absent (DESIGN.md, "Ownership and memory").
 type Runtime struct {
 	ep  transport.Endpoint
 	st  *store.Store
@@ -235,54 +243,97 @@ type Runtime struct {
 	tr  *trace.Recorder // nil when tracing is off; Record is nil-safe
 	cfg Config
 
-	now  int64
-	xl   *xlist.List
-	buf  *xlist.SlottedBuffer
-	seen map[int]int64 // latest applied data stamp per peer (diagnostics)
+	now   int64
+	xl    *xlist.List
+	buf   *xlist.SlottedBuffer
+	peers []peerState // indexed by process ID; the local entry stays zero
 
-	// Early (future-stamped) traffic, at most one outstanding rendezvous
-	// per peer: earlySync records SYNC stamps seen ahead of the local
-	// clock, earlyData buffers their DATA payloads unapplied.
-	earlySync map[int]map[int64][]int64 // peer -> stamp -> beacon
-	earlyData map[int][]*wire.Msg
-
-	peerDone  map[int]bool
 	localDone bool
 	gameOver  bool  // some process announced DONE with the won flag
 	corr      int64 // correlation-stamp counter for put/get replies
 
 	pendingReplies []*wire.Msg // ObjReply messages awaiting a SyncGet
-
-	// Failure detection state (active when RendezvousTimeout > 0).
-	peerCrashed map[int]bool      // peers evicted as crashed
-	syncSeen    map[int]int64     // highest consumed SYNC stamp per peer
-	lastSync    map[int]*wire.Msg // last SYNC sent to each peer (echo source)
-	corrDone    int64             // highest consumed reply correlation stamp
+	corrDone       int64       // highest consumed reply correlation stamp
 
 	// Membership state (epoch-numbered views; see View).
-	epoch      int64
-	peerAbsent map[int]bool  // late joiners not yet admitted
-	joining    *joinState    // non-nil while Join is collecting admissions
-	joinGrant  map[int]int64 // peer → admission tick granted to it
-	joinInc    map[int]int64 // peer → incarnation of that grant
+	epoch   int64
+	joining *joinState // non-nil while Join is collecting admissions
 
-	// Checkpoint replication state (active when CheckpointEvery > 0):
-	// the freshest vaulted blob per origin, and which origins' blobs
-	// were already merged-and-relayed after an eviction.
-	vault   map[int]vaultEntry
-	relayed map[int]bool
+	// vaulting is set when CheckpointEvery > 0: peers' replicated
+	// checkpoints are vaulted (peerState.vault) and relayed on eviction.
+	vaulting bool
 
-	// Delta-encoding state (see delta.go): the registered initial state
-	// per object (the universal delta baseline), the per-peer sender and
-	// receiver halves of the acked-version table, and outstanding
-	// mismatch-recovery fetches. The receiver maps are maintained even
-	// when DeltaEncode is off locally, so a runtime can always decode a
-	// delta-encoding peer.
-	deltaInit  map[store.ID][]byte
-	deltaSend  map[int]*deltaSendState
-	deltaRecv  map[int]*deltaRecvState
-	deltaFetch map[int]map[store.ID]bool
+	// deltaInit is the registered initial state per object ID — the
+	// universal delta baseline (see delta.go). Entries alias the store's
+	// registered bytes.
+	deltaInit [][]byte
+
+	// Exchange scratch, reused every tick.
+	targets     []int // this tick's rendezvous set
+	deferred    []int // withheld peers whose bare SYNC fans out grouped
+	fanout      []syncGroup
+	outstanding int // targets awaitRendezvous still waits on
+
+	// DATA payload scratch (see delta.go): records and XOR bytes being
+	// assembled for one frame, the frame's encoding before its exact-size
+	// copy, and the decoded records of the frame being applied.
+	encRecs  []xlist.DeltaRecord
+	encXOR   []byte
+	encBuf   []byte
+	decRecs  []xlist.DeltaRecord
+	decDiffs []xlist.ObjDiff
 }
+
+// peerState is everything the runtime knows about one remote process.
+type peerState struct {
+	done    bool // announced completion
+	crashed bool // evicted as crashed
+	absent  bool // late joiner not yet admitted
+
+	// Early (future-stamped) traffic: SYNC beacons seen ahead of the local
+	// clock, and DATA messages buffered unapplied.
+	earlySync []earlySync
+	earlyData []*wire.Msg
+
+	// Failure detection (active when RendezvousTimeout > 0).
+	syncSeen int64     // highest consumed SYNC stamp
+	lastSync *wire.Msg // last SYNC sent to the peer (echo and retransmit source)
+
+	// Join: the admission tick granted to the peer and the incarnation it
+	// was granted to.
+	granted   bool
+	joinGrant int64
+	joinInc   int64
+
+	// Checkpoint replication: the freshest vaulted blob with the peer as
+	// origin, and whether it was already merged-and-relayed after an
+	// eviction.
+	vaulted bool
+	relayed bool
+	vault   vaultEntry
+
+	// Delta-encoding state (see delta.go): the sender and receiver halves
+	// of the acked-version table. The receiver half is maintained even when
+	// DeltaEncode is off locally, so a runtime can always decode a
+	// delta-encoding peer.
+	send deltaSendState
+	recv deltaTable
+
+	// Rendezvous scratch, valid only for the tick it is stamped with.
+	beacon   []int64 // the peer's SYNC beacon for tick syncTick
+	syncTick int64   // tick whose SYNC from the peer is in hand
+	waitTick int64   // tick awaitRendezvous is waiting on the peer for
+}
+
+// earlySync is one SYNC held until the local clock reaches its stamp.
+type earlySync struct {
+	stamp  int64
+	beacon []int64
+}
+
+// gone reports whether the peer is not participating — announced done,
+// evicted as crashed, or absent (not yet joined).
+func (ps *peerState) gone() bool { return ps.done || ps.crashed || ps.absent }
 
 // vaultEntry is one replicated checkpoint: an origin's store snapshot at
 // its clock stamp.
@@ -327,63 +378,36 @@ func New(cfg Config) (*Runtime, error) {
 		first = 1
 	}
 	r := &Runtime{
-		ep:        ep,
-		st:        store.New(),
-		mc:        mc,
-		tr:        cfg.Trace,
-		cfg:       cfg,
-		xl:        xlist.NewList(),
-		buf:       xlist.NewSlottedBuffer(ep.ID(), ep.N(), cfg.MergeDiffs),
-		seen:      make(map[int]int64),
-		earlySync: make(map[int]map[int64][]int64),
-		earlyData: make(map[int][]*wire.Msg),
-		peerDone:  make(map[int]bool),
-
-		peerCrashed: make(map[int]bool),
-		syncSeen:    make(map[int]int64),
-		lastSync:    make(map[int]*wire.Msg),
-
-		peerAbsent: make(map[int]bool),
-		joinGrant:  make(map[int]int64),
-		joinInc:    make(map[int]int64),
-
-		deltaInit:  make(map[store.ID][]byte),
-		deltaSend:  make(map[int]*deltaSendState),
-		deltaRecv:  make(map[int]*deltaRecvState),
-		deltaFetch: make(map[int]map[store.ID]bool),
+		ep:       ep,
+		st:       store.New(),
+		mc:       mc,
+		tr:       cfg.Trace,
+		cfg:      cfg,
+		xl:       xlist.NewList(),
+		buf:      xlist.NewSlottedBuffer(ep.ID(), ep.N(), cfg.MergeDiffs),
+		peers:    make([]peerState, ep.N()),
+		vaulting: cfg.CheckpointEvery > 0,
 	}
-	if cfg.CheckpointEvery > 0 {
-		if r.cfg.CheckpointF <= 0 {
-			r.cfg.CheckpointF = DefaultCheckpointF
-		}
-		r.vault = make(map[int]vaultEntry)
-		r.relayed = make(map[int]bool)
-	}
-	for peer := 0; peer < ep.N(); peer++ {
-		if peer == ep.ID() {
-			continue
-		}
-		r.xl.Set(peer, first)
+	if r.vaulting && r.cfg.CheckpointF <= 0 {
+		r.cfg.CheckpointF = DefaultCheckpointF
 	}
 	if cfg.InitialMembers != nil {
-		member := make(map[int]bool, len(cfg.InitialMembers))
-		for _, p := range cfg.InitialMembers {
-			member[p] = true
+		for peer := range r.peers {
+			r.peers[peer].absent = peer != ep.ID()
 		}
-		for peer := 0; peer < ep.N(); peer++ {
-			if peer == ep.ID() || member[peer] {
-				continue
+		for _, p := range cfg.InitialMembers {
+			if p >= 0 && p < len(r.peers) {
+				r.peers[p].absent = false
 			}
-			r.peerAbsent[peer] = true
-			r.xl.Remove(peer)
-			r.buf.Drop(peer)
 		}
 	}
-	if r.tr != nil {
-		for peer := 0; peer < ep.N(); peer++ {
-			if peer == ep.ID() || r.peerAbsent[peer] {
-				continue
-			}
+	for peer := range r.peers {
+		switch {
+		case peer == ep.ID():
+		case r.peers[peer].absent:
+			r.buf.Drop(peer)
+		default:
+			r.xl.Set(peer, first)
 			r.tr.Record(trace.OpSched, peer, 0, 0, 0, first)
 		}
 	}
@@ -406,21 +430,19 @@ func (r *Runtime) Store() *store.Store { return r.st }
 func (r *Runtime) Metrics() *metrics.Collector { return r.mc }
 
 // PeerDone reports whether peer has announced completion.
-func (r *Runtime) PeerDone(peer int) bool { return r.peerDone[peer] }
+func (r *Runtime) PeerDone(peer int) bool { return r.peers[peer].done }
 
 // PeerCrashed reports whether peer was evicted as crashed (silent past the
 // suspicion threshold, or its connection broke without a DONE).
-func (r *Runtime) PeerCrashed(peer int) bool { return r.peerCrashed[peer] }
+func (r *Runtime) PeerCrashed(peer int) bool { return r.peers[peer].crashed }
 
 // PeerAbsent reports whether peer has not yet joined the game (it was
 // excluded from Config.InitialMembers and no join request has arrived).
-func (r *Runtime) PeerAbsent(peer int) bool { return r.peerAbsent[peer] }
+func (r *Runtime) PeerAbsent(peer int) bool { return r.peers[peer].absent }
 
 // PeerGone reports whether peer is not participating — announced done,
 // evicted as crashed, or absent (not yet joined).
-func (r *Runtime) PeerGone(peer int) bool {
-	return r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer]
-}
+func (r *Runtime) PeerGone(peer int) bool { return r.peers[peer].gone() }
 
 // View is an epoch-numbered membership view: the live members (including
 // the local process) as of the view's epoch. The epoch increments on every
@@ -436,12 +458,11 @@ func (r *Runtime) Epoch() int64 { return r.epoch }
 
 // View returns the current membership view.
 func (r *Runtime) View() View {
-	members := make([]int, 0, r.ep.N())
-	for peer := 0; peer < r.ep.N(); peer++ {
-		if peer != r.ep.ID() && (r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer]) {
-			continue
+	members := make([]int, 0, len(r.peers))
+	for peer := range r.peers {
+		if peer == r.ep.ID() || !r.peers[peer].gone() {
+			members = append(members, peer)
 		}
-		members = append(members, peer)
 	}
 	return View{Epoch: r.epoch, Members: members}
 }
@@ -451,17 +472,24 @@ func (r *Runtime) View() View {
 // local "dirty region").
 func (r *Runtime) PendingObjects(peer int) []store.ID { return r.buf.Objects(peer) }
 
+// AppendPendingObjects appends PendingObjects(peer) to dst, for callers
+// that ask every tick and keep a buffer.
+func (r *Runtime) AppendPendingObjects(dst []store.ID, peer int) []store.ID {
+	return r.buf.AppendObjects(dst, peer)
+}
+
 // LivePeers returns the peers that have neither announced done nor been
 // evicted as crashed, ascending.
-func (r *Runtime) LivePeers() []int {
-	var out []int
-	for peer := 0; peer < r.ep.N(); peer++ {
-		if peer == r.ep.ID() || r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer] {
-			continue
+func (r *Runtime) LivePeers() []int { return r.appendLivePeers(nil) }
+
+// appendLivePeers appends LivePeers to dst.
+func (r *Runtime) appendLivePeers(dst []int) []int {
+	for peer := range r.peers {
+		if peer != r.ep.ID() && !r.peers[peer].gone() {
+			dst = append(dst, peer)
 		}
-		out = append(out, peer)
 	}
-	return out
+	return dst
 }
 
 // Share registers a shared object with its initial state — the paper's
@@ -473,8 +501,12 @@ func (r *Runtime) Share(id store.ID, initial []byte) error {
 	// The registered initial state is the universal delta baseline: every
 	// process Shares the same objects with the same initial bytes, so a
 	// missing entry in either half of the acked-version table means "the
-	// initial state" and even a first record can be delta-encoded.
-	r.deltaInit[id] = append([]byte(nil), initial...)
+	// initial state" and even a first record can be delta-encoded. The
+	// baseline aliases the store's copy: published bytes are immutable.
+	if int(id) >= len(r.deltaInit) {
+		r.deltaInit = append(r.deltaInit, make([][]byte, int(id)+1-len(r.deltaInit))...)
+	}
+	r.deltaInit[id], _ = r.st.View(id)
 	return nil
 }
 
@@ -507,26 +539,15 @@ func (r *Runtime) Write(id store.ID, data []byte) error {
 		return err
 	}
 	r.tr.Record(trace.OpWrite, r.ep.ID(), int64(id), ver, r.now, 0)
-	state := make([]byte, len(data))
-	copy(state, data)
+	// The store's fresh copy is the published state; the buffered
+	// replacement shares it. Done, crashed and absent peers need no skip
+	// list: their slots are tombstoned and accumulate nothing.
+	state, err := r.st.View(id)
+	if err != nil {
+		return err
+	}
 	repl := diff.Diff{Replace: true, Len: len(state), Runs: []diff.Run{{Off: 0, Data: state}}}
-	skip := make(map[int]bool, len(r.peerDone)+len(r.peerCrashed)+len(r.peerAbsent))
-	for peer, done := range r.peerDone {
-		if done {
-			skip[peer] = true
-		}
-	}
-	for peer, crashed := range r.peerCrashed {
-		if crashed {
-			skip[peer] = true
-		}
-	}
-	for peer, absent := range r.peerAbsent {
-		if absent {
-			skip[peer] = true
-		}
-	}
-	return r.buf.AddAll(id, ver, repl, skip)
+	return r.buf.AddAll(id, ver, repl, nil)
 }
 
 // send transmits m and counts it.
@@ -555,17 +576,18 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	r.tr.Record(trace.OpTick, -1, 0, 0, r.now, 0)
 
 	// Determine this tick's rendezvous set.
-	var targets []int
+	targets := r.targets[:0]
 	switch opts.How {
 	case Broadcast:
-		targets = r.LivePeers()
+		targets = r.appendLivePeers(targets)
 	default:
 		for _, e := range r.xl.Due(r.now) {
-			if !r.peerDone[e.Proc] && !r.peerCrashed[e.Proc] {
+			if ps := &r.peers[e.Proc]; !ps.done && !ps.crashed {
 				targets = append(targets, e.Proc)
 			}
 		}
 	}
+	r.targets = targets
 
 	if r.cfg.MaxBatchTicks > 1 && opts.How == Multicast && len(targets) == 0 {
 		// A tick folded into the next rendezvous's frame by the batching
@@ -573,11 +595,9 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		r.mc.AddTickBatched()
 	}
 
-	// Apply any buffered early traffic that has become current; collect
+	// Apply any buffered early traffic that has become current; note the
 	// beacons of partners whose SYNC already arrived.
-	gotSync := make(map[int][]int64)
-	haveSync := make(map[int]bool)
-	r.absorbEarly(gotSync, haveSync)
+	r.absorbEarly()
 
 	// Push (data, SYNC) pairs to each target. Broadcast mode "forces the
 	// modifications ... as well as all buffered modifications to be
@@ -587,10 +607,15 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	// A send that fails with transport.ErrPeerGone (TCP peer hung up
 	// without a DONE) is a crash observation: the peer is evicted and the
 	// exchange proceeds with the survivors.
-	sentSync := make(map[int]*wire.Msg, len(targets))
-	var deferredSync []int // filtered-out peers whose bare SYNC fans out grouped
+	//
+	// Every message sent is freshly allocated and never touched again: the
+	// in-memory and simulated transports hand the receiver this very
+	// struct, so a sent Msg, its Payload and its Ints belong to the
+	// receiver (beacons may be shared between messages, read-only).
+	deferred := r.deferred[:0] // filtered-out peers whose bare SYNC fans out grouped
 	for _, peer := range targets {
-		if r.peerCrashed[peer] {
+		ps := &r.peers[peer]
+		if ps.crashed {
 			continue
 		}
 		sendData := opts.How == Broadcast || opts.SendData == nil || opts.SendData(peer)
@@ -629,9 +654,7 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 				r.mc.AddPiggybackSync()
 				// The logical SYNC is recorded for the retransmission and
 				// echo machinery but never sent on its own.
-				sync := &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: beacon}
-				sentSync[peer] = sync
-				r.lastSync[peer] = sync
+				ps.lastSync = &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: beacon}
 				continue
 			}
 			payload, dmode := r.encodeDataPayload(peer, diffs, r.now)
@@ -655,7 +678,7 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 			// bare SYNCs usually share a beacon (same tanks, same
 			// buffered box), so they are fanned out after the loop with
 			// one encode per distinct beacon.
-			deferredSync = append(deferredSync, peer)
+			deferred = append(deferred, peer)
 			continue
 		}
 		var beacon []int64
@@ -670,10 +693,10 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 			}
 			return fmt.Errorf("exchange sync to %d: %w", peer, err)
 		}
-		sentSync[peer] = sync
-		r.lastSync[peer] = sync
+		ps.lastSync = sync
 	}
-	if err := r.sendSyncFanout(deferredSync, opts, sentSync); err != nil {
+	r.deferred = deferred
+	if err := r.sendSyncFanout(deferred, opts); err != nil {
 		return err
 	}
 	// Barrier: release whatever the transport coalesced before blocking on
@@ -685,15 +708,19 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		if timeout <= 0 {
 			timeout = r.cfg.RendezvousTimeout
 		}
-		if err := r.awaitRendezvous(targets, gotSync, haveSync, sentSync, timeout); err != nil {
+		if err := r.awaitRendezvous(targets, timeout); err != nil {
 			return err
 		}
 		// Reschedule every partner that is still live.
 		for _, peer := range targets {
-			if r.peerDone[peer] || r.peerCrashed[peer] {
+			ps := &r.peers[peer]
+			if ps.done || ps.crashed {
 				continue
 			}
-			pb := gotSync[peer]
+			var pb []int64
+			if ps.syncTick == r.now {
+				pb = ps.beacon
+			}
 			if r.cfg.OnBeacon != nil {
 				r.cfg.OnBeacon(peer, pb)
 			}
@@ -731,7 +758,7 @@ func (r *Runtime) streamCheckpoint() {
 	r.mc.AddQuorumRound()
 	for d := 1; d < n && sent < want; d++ {
 		peer := (self + d) % n
-		if r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer] {
+		if r.peers[peer].gone() {
 			continue
 		}
 		m := &wire.Msg{Kind: wire.KindCkpt, Stamp: r.now, Obj: uint32(self), Payload: snap}
@@ -754,11 +781,11 @@ func (r *Runtime) streamCheckpoint() {
 // freshest blob; a blob for an already-crashed origin (or, after a restart,
 // for the local process itself) is merged into the live store immediately —
 // that is the recovery path the stream exists for.
-func (r *Runtime) handleCkpt(peer int, m *wire.Msg) {
-	if r.vault == nil {
-		return // replication not enabled here; drop
-	}
+func (r *Runtime) handleCkpt(m *wire.Msg) {
 	origin := int(m.Obj)
+	if !r.vaulting || origin >= len(r.peers) {
+		return // replication not enabled here, or no such origin; drop
+	}
 	if origin == r.ep.ID() {
 		// Our own pre-crash state coming back after a restart.
 		if adopted, _, err := r.st.Merge(m.Payload); err == nil && adopted > 0 {
@@ -766,17 +793,17 @@ func (r *Runtime) handleCkpt(peer int, m *wire.Msg) {
 		}
 		return
 	}
-	if cur, ok := r.vault[origin]; ok && cur.stamp >= m.Stamp {
+	ps := &r.peers[origin]
+	if ps.vaulted && ps.vault.stamp >= m.Stamp {
 		return
 	}
-	r.vault[origin] = vaultEntry{stamp: m.Stamp, snap: m.Payload}
-	delete(r.relayed, origin)
+	ps.vault, ps.vaulted = vaultEntry{stamp: m.Stamp, snap: m.Payload}, true
+	ps.relayed = false
 	r.debugf("now=%d vault ckpt origin=%d stamp=%d bytes=%d", r.now, origin, m.Stamp, len(m.Payload))
-	if r.peerCrashed[origin] {
+	if ps.crashed {
 		// The origin is already gone: fold its writes in right away.
 		r.relayVault(origin)
 	}
-	_ = peer
 }
 
 // relayVault merges an evicted origin's vaulted checkpoint into the local
@@ -785,22 +812,19 @@ func (r *Runtime) handleCkpt(peer int, m *wire.Msg) {
 // outside its exchange range, under spatial withholding). Idempotent per
 // (origin, blob); best-effort on the wire.
 func (r *Runtime) relayVault(origin int) {
-	if r.vault == nil || r.relayed[origin] {
+	o := &r.peers[origin]
+	if !o.vaulted || o.relayed {
 		return
 	}
-	e, ok := r.vault[origin]
-	if !ok {
-		return
-	}
-	r.relayed[origin] = true
+	e := o.vault
+	o.relayed = true
 	if _, _, err := r.st.Merge(e.snap); err != nil {
 		return
 	}
 	r.mc.AddReplicaCatchup()
-	self, n := r.ep.ID(), r.ep.N()
 	sent := 0
-	for peer := 0; peer < n; peer++ {
-		if peer == self || r.peerDone[peer] || r.peerCrashed[peer] || r.peerAbsent[peer] {
+	for peer := range r.peers {
+		if peer == r.ep.ID() || r.peers[peer].gone() {
 			continue
 		}
 		m := &wire.Msg{Kind: wire.KindCkpt, Stamp: e.stamp, Obj: uint32(origin), Payload: e.snap}
@@ -819,11 +843,16 @@ func (r *Runtime) relayVault(origin int) {
 }
 
 // absorbEarly moves buffered early messages whose stamp is now current into
-// effect: DATA payloads are applied, SYNC beacons recorded.
-func (r *Runtime) absorbEarly(gotSync map[int][]int64, haveSync map[int]bool) {
-	for peer, msgs := range r.earlyData {
-		var keep []*wire.Msg
-		for _, m := range msgs {
+// effect, in ascending peer order: DATA payloads are applied, then SYNC
+// beacons are noted as this tick's.
+func (r *Runtime) absorbEarly() {
+	for peer := range r.peers {
+		ps := &r.peers[peer]
+		if len(ps.earlyData) == 0 {
+			continue
+		}
+		keep := ps.earlyData[:0]
+		for _, m := range ps.earlyData {
 			if m.Stamp <= r.now {
 				r.applyData(m)
 				r.recycle(m)
@@ -831,37 +860,59 @@ func (r *Runtime) absorbEarly(gotSync map[int][]int64, haveSync map[int]bool) {
 				keep = append(keep, m)
 			}
 		}
-		if len(keep) == 0 {
-			delete(r.earlyData, peer)
-		} else {
-			r.earlyData[peer] = keep
-		}
+		clear(ps.earlyData[len(keep):])
+		ps.earlyData = keep
 	}
-	for peer, stamps := range r.earlySync {
+	for peer := range r.peers {
+		ps := &r.peers[peer]
 		best := int64(-1)
-		for stamp := range stamps {
-			if stamp <= r.now && stamp > best {
-				best = stamp
+		for _, es := range ps.earlySync {
+			if es.stamp <= r.now && es.stamp > best {
+				best = es.stamp
+				ps.beacon = es.beacon
 			}
 		}
 		if best < 0 {
 			continue
 		}
 		r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, best)
-		gotSync[peer] = stamps[best]
-		haveSync[peer] = true
-		if best > r.syncSeen[peer] {
-			r.syncSeen[peer] = best
+		ps.syncTick = r.now
+		if best > ps.syncSeen {
+			ps.syncSeen = best
 			r.deltaAck(peer, best)
 		}
-		for stamp := range stamps {
-			if stamp <= r.now {
-				delete(stamps, stamp)
+		keep := ps.earlySync[:0]
+		for _, es := range ps.earlySync {
+			if es.stamp > r.now {
+				keep = append(keep, es)
 			}
 		}
-		if len(stamps) == 0 {
-			delete(r.earlySync, peer)
-		}
+		clear(ps.earlySync[len(keep):])
+		ps.earlySync = keep
+	}
+}
+
+// settle stops awaitRendezvous waiting on peer (its SYNC arrived, it
+// announced DONE, or it was evicted).
+func (r *Runtime) settle(ps *peerState) {
+	if ps.waitTick == r.now {
+		ps.waitTick = 0
+		r.outstanding--
+	}
+}
+
+// onSync completes the rendezvous with peer when awaitRendezvous is waiting
+// on it: its beacon becomes this tick's and its stamp feeds the ack table.
+func (r *Runtime) onSync(peer int, beacon []int64, stamp int64) {
+	ps := &r.peers[peer]
+	if ps.waitTick != r.now {
+		return
+	}
+	ps.beacon, ps.syncTick = beacon, r.now
+	r.settle(ps)
+	if stamp > ps.syncSeen {
+		ps.syncSeen = stamp
+		r.deltaAck(peer, stamp)
 	}
 }
 
@@ -870,34 +921,23 @@ func (r *Runtime) absorbEarly(gotSync map[int][]int64, haveSync map[int]bool) {
 // become suspects: the unacknowledged SYNC is retransmitted under bounded
 // exponential backoff, and after maxRetransmits strikes the stragglers are
 // evicted as crashed and the rendezvous completes among the survivors.
-func (r *Runtime) awaitRendezvous(targets []int, gotSync map[int][]int64, haveSync map[int]bool, sentSync map[int]*wire.Msg, timeout time.Duration) error {
-	outstanding := make(map[int]bool, len(targets))
+func (r *Runtime) awaitRendezvous(targets []int, timeout time.Duration) error {
+	r.outstanding = 0
 	for _, peer := range targets {
-		if r.peerDone[peer] || r.peerCrashed[peer] || haveSync[peer] {
+		ps := &r.peers[peer]
+		if ps.done || ps.crashed || ps.syncTick == r.now {
 			continue
 		}
-		outstanding[peer] = true
-	}
-	onSync := func(peer int, beacon []int64, stamp int64) {
-		if outstanding[peer] {
-			gotSync[peer] = beacon
-			delete(outstanding, peer)
-			if stamp > r.syncSeen[peer] {
-				r.syncSeen[peer] = stamp
-				r.deltaAck(peer, stamp)
-			}
-		}
-	}
-	onPeerDone := func(peer int) {
-		delete(outstanding, peer)
+		ps.waitTick = r.now
+		r.outstanding++
 	}
 	if timeout <= 0 {
-		for len(outstanding) > 0 {
+		for r.outstanding > 0 {
 			m, err := r.ep.Recv()
 			if err != nil {
 				return fmt.Errorf("exchange recv at tick %d: %w", r.now, err)
 			}
-			r.dispatch(m, onSync, onPeerDone)
+			r.dispatch(m, true)
 			r.flush() // dispatch may have answered (echo, object serve)
 		}
 		return nil
@@ -905,20 +945,20 @@ func (r *Runtime) awaitRendezvous(targets []int, gotSync map[int][]int64, haveSy
 	wait := timeout
 	retries := 0
 	suspected := false
-	for len(outstanding) > 0 {
+	for r.outstanding > 0 {
 		m, ok, err := r.ep.RecvTimeout(wait)
 		if err != nil {
 			return fmt.Errorf("exchange recv at tick %d: %w", r.now, err)
 		}
 		if ok {
-			r.dispatch(m, onSync, onPeerDone)
+			r.dispatch(m, true)
 			r.flush() // dispatch may have answered (echo, object serve)
 			continue
 		}
 		// Timeout: every remaining straggler becomes a suspect.
 		if !suspected {
 			suspected = true
-			for range outstanding {
+			for i := 0; i < r.outstanding; i++ {
 				r.mc.AddSuspect()
 			}
 		}
@@ -928,29 +968,28 @@ func (r *Runtime) awaitRendezvous(targets []int, gotSync map[int][]int64, haveSy
 		// now. Merely slow peers (the transport reports nothing) keep
 		// the full budget.
 		for _, peer := range targets {
-			if outstanding[peer] && transport.PeerGone(r.ep, peer) {
+			if r.peers[peer].waitTick == r.now && transport.PeerGone(r.ep, peer) {
 				r.evictPeer(peer)
-				delete(outstanding, peer)
 			}
 		}
 		retries++
 		if retries > r.maxRetransmits() {
-			// Iterate the targets slice (not the map) so evictions land
-			// in a deterministic order.
+			// Evictions land in target order, which is deterministic.
 			for _, peer := range targets {
-				if outstanding[peer] {
+				if r.peers[peer].waitTick == r.now {
 					r.evictPeer(peer)
-					delete(outstanding, peer)
 				}
 			}
 			return nil
 		}
 		for _, peer := range targets {
-			if !outstanding[peer] {
+			ps := &r.peers[peer]
+			if ps.waitTick != r.now {
 				continue
 			}
-			msg := sentSync[peer]
-			if msg == nil {
+			// The SYNC this tick sent the peer, if one was.
+			msg := ps.lastSync
+			if msg == nil || msg.Stamp != r.now {
 				continue
 			}
 			re := msg.Clone()
@@ -958,7 +997,6 @@ func (r *Runtime) awaitRendezvous(targets []int, gotSync map[int][]int64, haveSy
 			if err := r.send(peer, re); err != nil {
 				if errors.Is(err, transport.ErrPeerGone) {
 					r.evictPeer(peer)
-					delete(outstanding, peer)
 					continue
 				}
 				return fmt.Errorf("retransmit sync to %d: %w", peer, err)
@@ -988,20 +1026,24 @@ func (r *Runtime) maxRetransmits() int {
 // from the peer survives (a fail-stop process's pre-crash output is valid
 // and is absorbed at its stamped tick).
 func (r *Runtime) evictPeer(peer int) {
-	if peer == r.ep.ID() || r.peerDone[peer] || r.peerCrashed[peer] {
+	if peer == r.ep.ID() {
 		return
 	}
-	delete(r.peerAbsent, peer) // an absent peer that failed to join is crashed
-	r.peerCrashed[peer] = true
+	ps := &r.peers[peer]
+	r.settle(ps)
+	if ps.done || ps.crashed {
+		return
+	}
+	ps.absent = false // an absent peer that failed to join is crashed
+	ps.crashed = true
 	r.epoch++
-	delete(r.joinGrant, peer) // a future rejoin negotiates a fresh admission
-	delete(r.joinInc, peer)
+	ps.granted = false // a future rejoin negotiates a fresh admission
 	r.mc.AddEviction()
 	r.tr.Record(trace.OpEvict, peer, 0, 0, r.now, 0)
 	r.debugf("now=%d evict peer=%d epoch=%d", r.now, peer, r.epoch)
 	r.xl.Remove(peer)
 	r.buf.Drop(peer)
-	delete(r.earlySync, peer)
+	ps.earlySync = nil
 	// Anything the delta tables assumed about the peer died with it; a
 	// future readmission must start from full records.
 	r.deltaResetPeer(peer)
@@ -1028,20 +1070,21 @@ func (r *Runtime) traceDataSend(peer int, diffs []xlist.ObjDiff, stamp int64) {
 func (r *Runtime) flush() { _ = transport.Flush(r.ep) }
 
 // recycle returns a fully consumed incoming message to the transport's
-// free-list; a no-op on transports that do not pool received messages.
-// Beacon slices can outlive the message (earlySync and the rendezvous
-// gotSync map retain them), so Ints is always detached before pooling.
-func (r *Runtime) recycle(m *wire.Msg) {
-	m.Ints = nil
-	transport.Recycle(r.ep, m)
-}
+// free-list; a no-op on transports that do not pool received messages. The
+// message is handed over untouched: on the in-memory and simulated
+// transports it is still the sender's struct (kept as its lastSync and
+// cloned on a retransmit), so nothing here may write to it. Beacons
+// retained past this point (earlySync, peerState.beacon) are safe because
+// the pooling transports detach Ints themselves (see transport.Recycler).
+func (r *Runtime) recycle(m *wire.Msg) { transport.Recycle(r.ep, m) }
 
-// dispatch routes one incoming message. onSync fires for SYNC content
-// stamped with the current tick; onPeerDone fires when a peer announces
-// completion. Messages fully consumed by the routing are recycled back to
-// the transport's pool.
-func (r *Runtime) dispatch(m *wire.Msg, onSync func(peer int, beacon []int64, stamp int64), onPeerDone func(peer int)) {
-	if r.consume(m, onSync, onPeerDone) {
+// dispatch routes one incoming message. rendezvous is set by
+// awaitRendezvous: SYNC content stamped with the current tick then
+// completes the sender's rendezvous (onSync) instead of being held.
+// Messages fully consumed by the routing are recycled back to the
+// transport's pool.
+func (r *Runtime) dispatch(m *wire.Msg, rendezvous bool) {
+	if r.consume(m, rendezvous) {
 		r.recycle(m)
 	}
 }
@@ -1049,8 +1092,11 @@ func (r *Runtime) dispatch(m *wire.Msg, onSync func(peer int, beacon []int64, st
 // consume routes m and reports whether it was fully consumed (true) or
 // retained by the runtime — buffered as early data or parked as a pending
 // reply — and therefore must not be recycled.
-func (r *Runtime) consume(m *wire.Msg, onSync func(peer int, beacon []int64, stamp int64), onPeerDone func(peer int)) bool {
+func (r *Runtime) consume(m *wire.Msg, rendezvous bool) bool {
 	peer := int(m.Src)
+	if peer < 0 || peer >= len(r.peers) {
+		return true // not from a member of this group
+	}
 	// Join traffic is routed before the crashed/absent gate: a join
 	// request from an evicted or absent peer is exactly the expected way
 	// back in, and a joiner holds every peer absent until its ack lands.
@@ -1070,10 +1116,11 @@ func (r *Runtime) consume(m *wire.Msg, onSync func(peer int, beacon []int64, sta
 		// for (or even from) a peer already marked crashed — that is the
 		// recovery case the stream exists for. The payload is retained in
 		// the vault, so the message is not recycled.
-		r.handleCkpt(peer, m)
+		r.handleCkpt(m)
 		return false
 	}
-	if r.peerCrashed[peer] || r.peerAbsent[peer] {
+	ps := &r.peers[peer]
+	if ps.crashed || ps.absent {
 		// Other traffic from an evicted (or not-yet-joined) peer is
 		// dropped: the eviction decision is final (late messages from a
 		// slow-but-live peer must not resurrect half of its state), and
@@ -1088,23 +1135,20 @@ func (r *Runtime) consume(m *wire.Msg, onSync func(peer int, beacon []int64, sta
 		// sees it at arrival, exactly as if a bare SYNC had followed.
 		piggy := m.Mode&wire.ModeSyncPiggyback != 0
 		if m.Stamp > r.now {
-			r.earlyData[peer] = append(r.earlyData[peer], m)
+			ps.earlyData = append(ps.earlyData, m)
 			if piggy {
-				r.handleSyncPart(peer, m.Stamp, m.Ints, 0, onSync)
+				r.handleSyncPart(peer, m.Stamp, m.Ints, 0, rendezvous)
 			}
 			return false
 		}
 		r.applyData(m)
 		if piggy {
-			r.handleSyncPart(peer, m.Stamp, m.Ints, 0, onSync)
+			r.handleSyncPart(peer, m.Stamp, m.Ints, 0, rendezvous)
 		}
 	case wire.KindSync:
-		r.handleSyncPart(peer, m.Stamp, m.Ints, m.Mode, onSync)
+		r.handleSyncPart(peer, m.Stamp, m.Ints, m.Mode, rendezvous)
 	case wire.KindDone:
 		r.handleDone(peer, m)
-		if onPeerDone != nil {
-			onPeerDone(peer)
-		}
 	case wire.KindObjReq:
 		if m.Mode == modePut {
 			r.acceptPut(peer, m)
@@ -1147,8 +1191,9 @@ func (r *Runtime) consume(m *wire.Msg, onSync func(peer int, beacon []int64, sta
 // KindSync message, or the sync half synthesized from a piggybacked DATA
 // frame (mode 0 in that case: a piggybacked frame is never a
 // retransmission).
-func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uint8, onSync func(peer int, beacon []int64, stamp int64)) {
-	if stamp <= r.syncSeen[peer] {
+func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uint8, rendezvous bool) {
+	ps := &r.peers[peer]
+	if stamp <= ps.syncSeen {
 		// Duplicate of a SYNC already consumed (a retransmission or
 		// an injected duplicate). An explicit retransmission means
 		// the peer never received our answering SYNC for that tick —
@@ -1156,7 +1201,7 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 		// complete. Echoes are sent unmarked, so an echo arriving as
 		// a duplicate dies here without ping-ponging.
 		if mode == modeRetransmit {
-			if ls := r.lastSync[peer]; ls != nil && ls.Stamp >= stamp {
+			if ls := ps.lastSync; ls != nil && ls.Stamp >= stamp {
 				if err := r.send(peer, ls.Clone()); err == nil {
 					r.mc.AddRetransmit()
 				}
@@ -1164,20 +1209,21 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 		}
 		return
 	}
-	if stamp > r.now || onSync == nil {
+	if stamp > r.now || !rendezvous {
 		// Ahead of our clock, or nobody is awaiting a rendezvous
 		// right now: hold the SYNC until the matching Exchange.
 		r.tr.Record(trace.OpSyncEarly, peer, 0, 0, r.now, stamp)
-		stamps, ok := r.earlySync[peer]
-		if !ok {
-			stamps = make(map[int64][]int64)
-			r.earlySync[peer] = stamps
+		for i := range ps.earlySync {
+			if ps.earlySync[i].stamp == stamp {
+				ps.earlySync[i].beacon = beacon
+				return
+			}
 		}
-		stamps[stamp] = beacon
+		ps.earlySync = append(ps.earlySync, earlySync{stamp: stamp, beacon: beacon})
 		return
 	}
 	r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, stamp)
-	onSync(peer, beacon, stamp)
+	r.onSync(peer, beacon, stamp)
 }
 
 func (r *Runtime) handleDone(peer int, m *wire.Msg) {
@@ -1186,10 +1232,12 @@ func (r *Runtime) handleDone(peer int, m *wire.Msg) {
 	if m.Mode == doneWon {
 		r.gameOver = true
 	}
-	if r.peerDone[peer] {
+	ps := &r.peers[peer]
+	r.settle(ps)
+	if ps.done {
 		return
 	}
-	r.peerDone[peer] = true
+	ps.done = true
 	r.epoch++
 	r.tr.Record(trace.OpPeerDone, peer, 0, 0, r.now, m.Stamp)
 	r.debugf("now=%d peerDone peer=%d stamp=%d epoch=%d", r.now, peer, m.Stamp, r.epoch)
@@ -1199,7 +1247,7 @@ func (r *Runtime) handleDone(peer int, m *wire.Msg) {
 	// tick ahead of its DONE); it must survive and be absorbed at its
 	// stamped tick — dropping it would lose the departing process's last
 	// writes. Early SYNCs, by contrast, have no rendezvous left to serve.
-	delete(r.earlySync, peer)
+	ps.earlySync = nil
 }
 
 func (r *Runtime) debugf(format string, args ...any) {
@@ -1208,59 +1256,63 @@ func (r *Runtime) debugf(format string, args ...any) {
 	}
 }
 
-// applyData decodes and applies a DATA message's diff batch.
+// applyData decodes and applies a DATA message's diff batch. The diffs are
+// decoded into scratch whose run data aliases m.Payload; the store copies
+// what it keeps.
 func (r *Runtime) applyData(m *wire.Msg) {
 	if m.Mode&wire.ModeDeltaPayload != 0 {
 		r.applyDeltaData(m)
 		return
 	}
-	if r.cfg.Debug != nil {
-		if dd, err := xlist.DecodeDiffs(m.Payload); err == nil {
-			objs := ""
-			for _, od := range dd {
-				objs += fmt.Sprintf("%d@v%d ", od.Obj, od.Version)
-			}
-			r.debugf("now=%d applyData from=%d stamp=%d objs=[%s]", r.now, m.Src, m.Stamp, objs)
-		}
-	}
-	diffs, err := xlist.DecodeDiffs(m.Payload)
+	diffs, err := xlist.DecodeDiffsInto(r.decDiffs, m.Payload)
 	if err != nil {
 		// Corrupt payloads are dropped; shared state stays at the last
 		// good version and the next rendezvous re-syncs.
 		return
 	}
+	r.decDiffs = diffs
+	if r.cfg.Debug != nil {
+		objs := ""
+		for _, od := range diffs {
+			objs += fmt.Sprintf("%d@v%d ", od.Obj, od.Version)
+		}
+		r.debugf("now=%d applyData from=%d stamp=%d objs=[%s]", r.now, m.Src, m.Stamp, objs)
+	}
 	src := int(m.Src)
 	for _, od := range diffs {
-		// Version gate: updates from different writers can arrive in
-		// any order; only content newer than the local replica is
-		// applied (see Write). At equal versions two processes raced a
-		// write to the same object; the lower process ID wins (the
-		// paper's data-race arbitration rule), which makes the outcome
-		// independent of arrival order.
-		cur, err := r.st.Version(od.Obj)
-		if err != nil {
+		if !r.admit(src, od.Obj, od.Version) {
 			continue
-		}
-		if od.Version < cur {
-			r.tr.Record(trace.OpStale, src, int64(od.Obj), od.Version, r.now, 0)
-			continue
-		}
-		if od.Version == cur {
-			w, _ := r.st.WriterOf(od.Obj)
-			if w < 0 || src >= w {
-				// Unknown local writer (initial or snapshot state) keeps
-				// the local copy, matching the old <= gate; a known
-				// lower-or-equal writer keeps its win.
-				r.tr.Record(trace.OpStale, src, int64(od.Obj), od.Version, r.now, 1)
-				continue
-			}
 		}
 		_ = r.st.ApplyDiffFrom(od.Obj, od.D, od.Version, src)
 		r.tr.Record(trace.OpApply, src, int64(od.Obj), od.Version, r.now, m.Stamp)
 	}
-	if m.Stamp > r.seen[int(m.Src)] {
-		r.seen[int(m.Src)] = m.Stamp
+}
+
+// admit is the version gate every received update passes before it reaches
+// the store: updates from different writers can arrive in any order; only
+// content newer than the local replica is applied (see Write). At equal
+// versions two processes raced a write to the same object; the lower
+// process ID wins (the paper's data-race arbitration rule), which makes the
+// outcome independent of arrival order. Refusals are traced as stale.
+func (r *Runtime) admit(src int, obj store.ID, ver int64) bool {
+	cur, err := r.st.Version(obj)
+	if err != nil {
+		return false
 	}
+	if ver < cur {
+		r.tr.Record(trace.OpStale, src, int64(obj), ver, r.now, 0)
+		return false
+	}
+	if ver == cur {
+		// Unknown local writer (initial or snapshot state) keeps the local
+		// copy, matching the old <= gate; a known lower-or-equal writer
+		// keeps its win.
+		if w, _ := r.st.WriterOf(obj); w < 0 || src >= w {
+			r.tr.Record(trace.OpStale, src, int64(obj), ver, r.now, 1)
+			return false
+		}
+	}
+	return true
 }
 
 func (r *Runtime) serveObj(peer int, m *wire.Msg) {
@@ -1282,8 +1334,12 @@ func (r *Runtime) serveObj(peer int, m *wire.Msg) {
 		return
 	}
 	// The requester adopts exactly this state as its shadow of us: realign
-	// the sender half of the delta table to it (see delta.go).
-	r.deltaServe(peer, id, state, ver)
+	// the sender half of the delta table to it (see delta.go). The tip
+	// shares the store's published state; the payload now belongs to the
+	// receiver.
+	if view, err := r.st.View(id); err == nil {
+		r.deltaServe(peer, id, view, ver)
+	}
 }
 
 // doneWon marks a DONE from a process that reached the application's goal;
@@ -1305,7 +1361,7 @@ func (r *Runtime) Poll() {
 			r.flush() // dispatch may have answered (echo, object serve)
 			return
 		}
-		r.dispatch(m, nil, nil)
+		r.dispatch(m, false)
 	}
 }
 
@@ -1329,7 +1385,8 @@ func (r *Runtime) Done(won bool) error {
 	// Peers at that tick apply them on receipt; peers behind buffer them
 	// until their own clocks arrive, exactly as a regular rendezvous
 	// would, independent of wall-clock message timing.
-	for _, peer := range r.LivePeers() {
+	r.targets = r.appendLivePeers(r.targets[:0])
+	for _, peer := range r.targets {
 		if r.buf.Pending(peer) > 0 {
 			diffs := r.buf.Flush(peer)
 			payload, dmode := r.encodeDataPayload(peer, diffs, r.now+1)
@@ -1504,11 +1561,11 @@ func (r *Runtime) waitReply(to int, req *wire.Msg, obj uint32, stamp int64, appl
 			if err != nil {
 				return fmt.Errorf("await reply for obj %d: %w", obj, err)
 			}
-			r.dispatch(m, nil, nil)
+			r.dispatch(m, false)
 			r.flush() // dispatch may have answered (echo, object serve)
 			continue
 		}
-		if r.peerDone[to] || r.peerCrashed[to] {
+		if ps := &r.peers[to]; ps.done || ps.crashed {
 			return fmt.Errorf("core: awaiting reply for obj %d from %d: %w", obj, to, ErrPeerCrashed)
 		}
 		m, ok, err := r.ep.RecvTimeout(wait)
@@ -1516,7 +1573,7 @@ func (r *Runtime) waitReply(to int, req *wire.Msg, obj uint32, stamp int64, appl
 			return fmt.Errorf("await reply for obj %d: %w", obj, err)
 		}
 		if ok {
-			r.dispatch(m, nil, nil)
+			r.dispatch(m, false)
 			r.flush() // dispatch may have answered (echo, object serve)
 			continue
 		}

@@ -402,7 +402,7 @@ func TestPutsAndGets(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			r.dispatch(m, nil, nil)
+			r.dispatch(m, false)
 			return nil
 		default:
 			// Wait for the pushed object 1.
@@ -415,7 +415,7 @@ func TestPutsAndGets(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				r.dispatch(m, nil, nil)
+				r.dispatch(m, false)
 			}
 			if err := r.SyncGet(2, 0); err != nil {
 				return err
@@ -444,7 +444,7 @@ func TestAsyncGetAppliesOnArrival(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			r.dispatch(m, nil, nil)
+			r.dispatch(m, false)
 			return nil
 		}
 		if err := r.AsyncGet(1, 0); err != nil {
@@ -460,7 +460,7 @@ func TestAsyncGetAppliesOnArrival(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			r.dispatch(m, nil, nil)
+			r.dispatch(m, false)
 		}
 	})
 }

@@ -38,11 +38,21 @@ func Fingerprint(b []byte) uint32 {
 // the differing positions, with equal gaps shorter than the coalesce
 // threshold absorbed into one run — the same trade Compute makes.
 func EncodeXOR(base, next []byte) ([]byte, error) {
-	if len(base) != len(next) {
-		return nil, fmt.Errorf("%w: base %d, next %d", ErrLengthMismatch, len(base), len(next))
+	buf, err := AppendXOR(make([]byte, 0, binary.MaxVarintLen64+len(next)/4+8), base, next)
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, 0, binary.MaxVarintLen64+len(next)/4+8)
-	buf = binary.AppendUvarint(buf, uint64(len(next)))
+	return buf, nil
+}
+
+// AppendXOR appends EncodeXOR(base, next) to dst and returns the extended
+// slice; on error dst is returned unchanged. Payload builders XOR a whole
+// batch into one scratch buffer with it.
+func AppendXOR(dst, base, next []byte) ([]byte, error) {
+	if len(base) != len(next) {
+		return dst, fmt.Errorf("%w: base %d, next %d", ErrLengthMismatch, len(base), len(next))
+	}
+	buf := binary.AppendUvarint(dst, uint64(len(next)))
 	cursor := 0
 	i := 0
 	for i < len(next) {

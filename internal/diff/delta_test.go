@@ -96,6 +96,9 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EncodeXOR: %v", err)
 		}
+		if app, err := AppendXOR([]byte{0xAB}, base, next); err != nil || !bytes.Equal(app[1:], delta) {
+			t.Fatalf("AppendXOR = %x, %v; want 0xAB + %x", app, err, delta)
+		}
 		got, err := ApplyXOR(base, delta)
 		if err != nil {
 			t.Fatalf("ApplyXOR rejected its own encoding: %v", err)

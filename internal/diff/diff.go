@@ -122,6 +122,18 @@ func ComputeInto(d *Diff, old, new []byte) {
 	}
 }
 
+// Replacement returns the complete new state a well-formed whole-state
+// replacement carries, without copying: the result aliases the diff's run
+// data. Published state bytes are immutable (see DESIGN.md, "Ownership and
+// memory"), so holders of the diff and of the state may share them. ok is
+// false for run diffs and malformed replacements.
+func (d Diff) Replacement() (state []byte, ok bool) {
+	if !d.Replace || len(d.Runs) != 1 || d.Runs[0].Off != 0 || len(d.Runs[0].Data) != d.Len {
+		return nil, false
+	}
+	return d.Runs[0].Data, true
+}
+
 // Empty reports whether the diff changes nothing.
 func (d Diff) Empty() bool { return !d.Replace && len(d.Runs) == 0 }
 
@@ -146,10 +158,11 @@ func Apply(base []byte, d Diff) ([]byte, error) {
 // state buffer per object apply diffs with zero heap allocations.
 func ApplyTo(dst, base []byte, d Diff) ([]byte, error) {
 	if d.Replace {
-		if len(d.Runs) != 1 || d.Runs[0].Off != 0 || len(d.Runs[0].Data) != d.Len {
+		state, ok := d.Replacement()
+		if !ok {
 			return nil, fmt.Errorf("%w: malformed replacement", ErrCorrupt)
 		}
-		return append(dst[:0], d.Runs[0].Data...), nil
+		return append(dst[:0], state...), nil
 	}
 	if len(base) != d.Len {
 		return nil, fmt.Errorf("%w: base %d, diff %d", ErrLengthMismatch, len(base), d.Len)
@@ -368,84 +381,126 @@ func (d Diff) clone() Diff {
 	return c
 }
 
+// uvarintLen returns the number of bytes binary.AppendUvarint emits for v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// EncodedSize returns len(Encode(d)) without encoding: payload builders
+// write it as the record's length prefix and size-compare it against the
+// XOR form.
+func EncodedSize(d Diff) int {
+	size := 1 + uvarintLen(uint64(d.Len)) + uvarintLen(uint64(len(d.Runs)))
+	for _, r := range d.Runs {
+		size += uvarintLen(uint64(r.Off)) + uvarintLen(uint64(len(r.Data))) + len(r.Data)
+	}
+	return size
+}
+
 // Encode serializes the diff for transmission.
 func Encode(d Diff) []byte {
-	size := 1 + binary.MaxVarintLen64*2
-	for _, r := range d.Runs {
-		size += binary.MaxVarintLen64*2 + len(r.Data)
-	}
-	buf := make([]byte, 0, size)
+	return AppendEncode(make([]byte, 0, EncodedSize(d)), d)
+}
+
+// AppendEncode appends Encode(d) to dst and returns the extended slice.
+func AppendEncode(dst []byte, d Diff) []byte {
 	var flags byte
 	if d.Replace {
 		flags = 1
 	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(d.Len))
-	buf = binary.AppendUvarint(buf, uint64(len(d.Runs)))
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, uint64(d.Len))
+	dst = binary.AppendUvarint(dst, uint64(len(d.Runs)))
 	for _, r := range d.Runs {
-		buf = binary.AppendUvarint(buf, uint64(r.Off))
-		buf = binary.AppendUvarint(buf, uint64(len(r.Data)))
-		buf = append(buf, r.Data...)
+		dst = binary.AppendUvarint(dst, uint64(r.Off))
+		dst = binary.AppendUvarint(dst, uint64(len(r.Data)))
+		dst = append(dst, r.Data...)
 	}
-	return buf
+	return dst
 }
 
-// Decode parses an encoded diff.
+// Decode parses an encoded diff into freshly allocated runs.
 func Decode(buf []byte) (Diff, error) {
+	var d Diff
+	if err := decode(&d, buf, false); err != nil {
+		return Diff{}, err
+	}
+	return d, nil
+}
+
+// DecodeAliased parses an encoded diff into d, recycling d's Runs slice;
+// run data aliases buf instead of being copied, so d is valid only while
+// buf is. It is for decode scratch that is consumed before buf is reused
+// (pooled receive buffers); d must not be handed to the *Into functions
+// afterwards, which would write through the aliases.
+func DecodeAliased(d *Diff, buf []byte) error {
+	return decode(d, buf, true)
+}
+
+func decode(d *Diff, buf []byte, alias bool) error {
+	d.Runs = d.Runs[:0]
 	if len(buf) < 1 {
-		return Diff{}, ErrCorrupt
+		return ErrCorrupt
 	}
-	d := Diff{Replace: buf[0] == 1}
 	if buf[0] > 1 {
-		return Diff{}, fmt.Errorf("%w: bad flags %d", ErrCorrupt, buf[0])
+		return fmt.Errorf("%w: bad flags %d", ErrCorrupt, buf[0])
 	}
+	d.Replace = buf[0] == 1
 	buf = buf[1:]
 	length, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return Diff{}, fmt.Errorf("%w: length", ErrCorrupt)
+		return fmt.Errorf("%w: length", ErrCorrupt)
 	}
 	buf = buf[n:]
 	nRuns, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return Diff{}, fmt.Errorf("%w: run count", ErrCorrupt)
+		return fmt.Errorf("%w: run count", ErrCorrupt)
 	}
 	buf = buf[n:]
 	d.Len = int(length)
 	if nRuns > uint64(len(buf))+1 { // each run needs at least 2 bytes of header
-		return Diff{}, fmt.Errorf("%w: %d runs in %d bytes", ErrCorrupt, nRuns, len(buf))
+		return fmt.Errorf("%w: %d runs in %d bytes", ErrCorrupt, nRuns, len(buf))
 	}
 	prevEnd := -1
 	for i := uint64(0); i < nRuns; i++ {
 		off, n := binary.Uvarint(buf)
 		if n <= 0 {
-			return Diff{}, fmt.Errorf("%w: run %d offset", ErrCorrupt, i)
+			return fmt.Errorf("%w: run %d offset", ErrCorrupt, i)
 		}
 		buf = buf[n:]
 		dlen, n := binary.Uvarint(buf)
 		if n <= 0 {
-			return Diff{}, fmt.Errorf("%w: run %d length", ErrCorrupt, i)
+			return fmt.Errorf("%w: run %d length", ErrCorrupt, i)
 		}
 		buf = buf[n:]
 		if dlen > uint64(len(buf)) {
-			return Diff{}, fmt.Errorf("%w: run %d data truncated", ErrCorrupt, i)
+			return fmt.Errorf("%w: run %d data truncated", ErrCorrupt, i)
 		}
 		if int(off) <= prevEnd {
-			return Diff{}, fmt.Errorf("%w: runs unsorted or overlapping", ErrCorrupt)
+			return fmt.Errorf("%w: runs unsorted or overlapping", ErrCorrupt)
 		}
 		if int(off)+int(dlen) > d.Len {
-			return Diff{}, fmt.Errorf("%w: run %d out of bounds", ErrCorrupt, i)
+			return fmt.Errorf("%w: run %d out of bounds", ErrCorrupt, i)
 		}
-		data := make([]byte, dlen)
-		copy(data, buf)
+		data := buf[:dlen:dlen]
+		if !alias {
+			data = make([]byte, dlen)
+			copy(data, buf)
+		}
 		buf = buf[dlen:]
 		d.Runs = append(d.Runs, Run{Off: int(off), Data: data})
 		prevEnd = int(off) + int(dlen) - 1
 	}
 	if len(buf) != 0 {
-		return Diff{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
 	}
 	if d.Replace && (len(d.Runs) != 1 || d.Runs[0].Off != 0 || len(d.Runs[0].Data) != d.Len) {
-		return Diff{}, fmt.Errorf("%w: malformed replacement", ErrCorrupt)
+		return fmt.Errorf("%w: malformed replacement", ErrCorrupt)
 	}
-	return d, nil
+	return nil
 }

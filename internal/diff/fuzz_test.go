@@ -16,7 +16,15 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		d2, err := Decode(Encode(d))
+		enc := Encode(d)
+		if EncodedSize(d) != len(enc) {
+			t.Fatalf("EncodedSize = %d, len(Encode) = %d", EncodedSize(d), len(enc))
+		}
+		var aliased Diff
+		if err := DecodeAliased(&aliased, data); err != nil || !bytes.Equal(Encode(aliased), enc) {
+			t.Fatalf("DecodeAliased disagrees with Decode: %+v, %v", aliased, err)
+		}
+		d2, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("accepted diff failed to round trip: %v", err)
 		}

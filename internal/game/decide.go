@@ -229,11 +229,15 @@ func (t TankState) Advance(a Action) TankState {
 // Positions extracts the positions of a tank set (beacon payloads and
 // s-function inputs).
 func Positions(ts []TankState) []Pos {
-	out := make([]Pos, len(ts))
-	for i, t := range ts {
-		out[i] = t.Pos
+	return AppendPositions(make([]Pos, 0, len(ts)), ts)
+}
+
+// AppendPositions appends the positions of a tank set to dst.
+func AppendPositions(dst []Pos, ts []TankState) []Pos {
+	for _, t := range ts {
+		dst = append(dst, t.Pos)
 	}
-	return out
+	return dst
 }
 
 // CellWrite is one block modification produced by applying an action.

@@ -53,16 +53,27 @@ func BoxOf(ps []Pos) *Box {
 	return b
 }
 
-// BoxOfObjects returns the bounding box of a set of object IDs.
+// BoxOfObjects returns the bounding box of a set of object IDs, or nil if
+// empty.
 func BoxOfObjects(cfg Config, ids []store.ID) *Box {
 	if len(ids) == 0 {
 		return nil
 	}
-	ps := make([]Pos, len(ids))
-	for i, id := range ids {
-		ps[i] = cfg.PosOf(id)
+	return BoxOfObjectsInto(new(Box), cfg, ids)
+}
+
+// BoxOfObjectsInto is BoxOfObjects with the box stored in (and returned
+// as) *box, for callers that keep one.
+func BoxOfObjectsInto(box *Box, cfg Config, ids []store.ID) *Box {
+	if len(ids) == 0 {
+		return nil
 	}
-	return BoxOf(ps)
+	p := cfg.PosOf(ids[0])
+	*box = Box{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+	for _, id := range ids[1:] {
+		box.Add(cfg.PosOf(id))
+	}
+	return box
 }
 
 // Dist returns the Manhattan distance from p to the box (zero if inside).
@@ -100,32 +111,49 @@ func EncodeBeacon(b Beacon) []int64 {
 
 // DecodeBeacon parses an encoded beacon.
 func DecodeBeacon(ints []int64) (Beacon, error) {
+	var b Beacon
+	if err := DecodeBeaconInto(&b, nil, ints); err != nil {
+		return Beacon{}, err
+	}
+	return b, nil
+}
+
+// DecodeBeaconInto parses an encoded beacon into b, reusing b.Tanks'
+// capacity; when the beacon carries a box it is stored in *box (a fresh Box
+// if box is nil) and b.Box points there. A receiver that keeps one Beacon
+// and one Box per peer decodes every rendezvous without allocating. On
+// error b and *box are untouched.
+func DecodeBeaconInto(b *Beacon, box *Box, ints []int64) error {
 	if len(ints) < 1 {
-		return Beacon{}, fmt.Errorf("game: empty beacon")
+		return fmt.Errorf("game: empty beacon")
 	}
 	n := int(ints[0])
 	if n < 0 || len(ints) < 1+2*n+1 {
-		return Beacon{}, fmt.Errorf("game: truncated beacon (%d ints for %d tanks)", len(ints), n)
-	}
-	b := Beacon{}
-	if n > 0 {
-		b.Tanks = make([]Pos, n)
-		for i := 0; i < n; i++ {
-			b.Tanks[i] = Pos{X: int(ints[1+2*i]), Y: int(ints[2+2*i])}
-		}
+		return fmt.Errorf("game: truncated beacon (%d ints for %d tanks)", len(ints), n)
 	}
 	rest := ints[1+2*n:]
-	switch rest[0] {
-	case 0:
-	case 1:
-		if len(rest) < 5 {
-			return Beacon{}, fmt.Errorf("game: truncated beacon box")
-		}
-		b.Box = &Box{MinX: int(rest[1]), MinY: int(rest[2]), MaxX: int(rest[3]), MaxY: int(rest[4])}
-	default:
-		return Beacon{}, fmt.Errorf("game: bad beacon box flag %d", rest[0])
+	switch {
+	case rest[0] == 1 && len(rest) < 5:
+		return fmt.Errorf("game: truncated beacon box")
+	case rest[0] != 0 && rest[0] != 1:
+		return fmt.Errorf("game: bad beacon box flag %d", rest[0])
 	}
-	return b, nil
+	if cap(b.Tanks) < n {
+		b.Tanks = make([]Pos, 0, n)
+	}
+	b.Tanks = b.Tanks[:0]
+	for i := 0; i < n; i++ {
+		b.Tanks = append(b.Tanks, Pos{X: int(ints[1+2*i]), Y: int(ints[2+2*i])})
+	}
+	b.Box = nil
+	if rest[0] == 1 {
+		if box == nil {
+			box = new(Box)
+		}
+		*box = Box{MinX: int(rest[1]), MinY: int(rest[2]), MaxX: int(rest[3]), MaxY: int(rest[4])}
+		b.Box = box
+	}
+	return nil
 }
 
 // minPairDist returns the minimum Manhattan distance between any tank of a

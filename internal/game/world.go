@@ -284,6 +284,31 @@ func (w *World) TankPositions() map[int][]Pos {
 	return out
 }
 
+// TanksByTeam is TankPositions as a table indexed by team. The per-team
+// lists are carved from one backing array, each clipped to its own length,
+// so building the picture of a 128-team board costs three allocations.
+func (w *World) TanksByTeam() [][]Pos {
+	counts := make([]int, w.Cfg.Teams)
+	total := 0
+	for _, c := range w.Cells {
+		if c.Kind == Tank && c.Team < len(counts) {
+			counts[c.Team]++
+			total++
+		}
+	}
+	out := make([][]Pos, len(counts))
+	backing := make([]Pos, total)
+	for team, n := range counts {
+		out[team], backing = backing[:0:n], backing[n:]
+	}
+	for i, c := range w.Cells {
+		if c.Kind == Tank && c.Team < len(counts) {
+			out[c.Team] = append(out[c.Team], w.Cfg.PosOf(store.ID(i)))
+		}
+	}
+	return out
+}
+
 // Encode writes every cell into a fresh object store (the initial replica
 // every process starts from).
 func (w *World) Encode() *store.Store {

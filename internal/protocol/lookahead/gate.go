@@ -43,11 +43,11 @@ func (p *player) gate(peer int) bool {
 	h := p.cfg.Game.InteractionRadius()
 	staleness := int(p.rt.Now() - kp.tick)
 	theirs := kp.beacon.Tanks
-	myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
+	myBox := p.pendingBox(peer)
 	if game.BoxApproach(theirs, myBox, h, staleness+3) {
 		return true
 	}
-	mine := game.Positions(p.tanks)
+	mine := p.positions()
 	if myBox != nil && game.WithinRange(mine, theirs, h, staleness+4) {
 		return true
 	}

@@ -28,7 +28,7 @@ func (p *player) refreshInterest(tick int64) {
 	if p.ix == nil {
 		return
 	}
-	entered, left := p.ix.Refresh(game.Positions(p.tanks), tick)
+	entered, left := p.ix.Refresh(p.positions(), tick)
 	p.mc.NoteInterestSetSize(p.ix.Size())
 	if tick > 1 {
 		// The first refresh builds the set; only later transitions are
@@ -77,8 +77,7 @@ func (p *player) interestPacedSFunc() func(peer int, now int64, peerBeacon []int
 		if kp == nil || len(kp.beacon.Tanks) == 0 {
 			return now + base // peer about to vanish; DONE will arrive
 		}
-		myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
-		d := game.NextDelta(h, game.Positions(p.tanks), myBox, kp.beacon.Tanks, kp.beacon.Box)
+		d := game.NextDelta(h, p.positions(), p.pendingBox(peer), kp.beacon.Tanks, kp.beacon.Box)
 		stretch := d / base
 		if stretch < 1 {
 			stretch = 1

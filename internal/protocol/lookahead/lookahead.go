@@ -180,9 +180,12 @@ type PlayerConfig struct {
 	debug         func(event string)
 }
 
-// knownPeer is the freshest rendezvous information about one peer.
+// knownPeer is the freshest rendezvous information about one peer. Each
+// rendezvous decodes into the same entry (beacon.Tanks' backing and box are
+// its storage), so nothing may keep beacon.Tanks or beacon.Box across ticks.
 type knownPeer struct {
 	beacon game.Beacon
+	box    game.Box // what beacon.Box points to when the peer advertised one
 	tick   int64
 }
 
@@ -199,6 +202,20 @@ type player struct {
 	ix     *interest.Index   // nil unless cfg.Interest
 	shards *shard.Partition  // nil unless cfg.Shards > 1
 	opts   core.ExchangeOpts // every tick's exchange() arguments, built once
+
+	// Per-tick scratch: the own tanks' positions (see positions), the box
+	// of writes buffered for a peer (see pendingBox), the enemy picture
+	// handed to Decide, and the tick's box-less beacon.
+	pos     []game.Pos
+	ids     []store.ID
+	box     game.Box
+	enemies map[int][]game.Pos
+	// bare is the beacon for a peer with nothing buffered — every BSYNC
+	// peer, every tick — encoded once per tick (a fresh slice each tick:
+	// receivers and the retransmission state keep it) and shared read-only
+	// by that tick's SYNCs.
+	bare     []int64
+	bareTick int64
 }
 
 // RunPlayer executes one team's process to completion and returns its
@@ -233,11 +250,12 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 	}
 
 	p := &player{
-		cfg:   cfg,
-		team:  cfg.Endpoint.ID(),
-		known: make(map[int]*knownPeer, cfg.Endpoint.N()),
-		mc:    mc,
-		stats: game.TeamStats{Team: cfg.Endpoint.ID()},
+		cfg:     cfg,
+		team:    cfg.Endpoint.ID(),
+		known:   make(map[int]*knownPeer, cfg.Endpoint.N()),
+		enemies: make(map[int][]game.Pos, cfg.Endpoint.N()),
+		mc:      mc,
+		stats:   game.TeamStats{Team: cfg.Endpoint.ID()},
 	}
 	if cfg.Interest {
 		p.ix = interest.New(interest.Config{
@@ -302,13 +320,20 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 			}
 		},
 		OnBeacon: func(peer int, ints []int64) {
-			b, err := game.DecodeBeacon(ints)
-			if err != nil {
+			kp := p.known[peer]
+			fresh := kp == nil
+			if fresh {
+				kp = &knownPeer{}
+			}
+			if err := game.DecodeBeaconInto(&kp.beacon, &kp.box, ints); err != nil {
 				return // malformed beacons are ignored; stale info remains
 			}
-			p.known[peer] = &knownPeer{beacon: b, tick: p.rt.Now()}
+			kp.tick = p.rt.Now()
+			if fresh {
+				p.known[peer] = kp
+			}
 			if p.ix != nil {
-				p.ix.Observe(peer, b.Tanks, p.rt.Now())
+				p.ix.Observe(peer, kp.beacon.Tanks, kp.tick)
 			}
 		},
 	})
@@ -352,16 +377,23 @@ func (p *player) setup() error {
 			return err
 		}
 	}
-	for team, positions := range w.TankPositions() {
+	// Every process knows the initial placement, so peers start "known" as
+	// of tick 0. The entries come from one slab, like their tank lists.
+	byTeam := w.TanksByTeam()
+	slab := make([]knownPeer, len(byTeam))
+	for team, positions := range byTeam {
+		if len(positions) == 0 {
+			continue
+		}
 		if team == p.team {
 			for _, pos := range positions {
 				p.tanks = append(p.tanks, game.NewTankState(pos))
 			}
 			continue
 		}
-		// Every process knows the initial placement, so peers start
-		// "known" as of tick 0.
-		p.known[team] = &knownPeer{beacon: game.Beacon{Tanks: positions}}
+		kp := &slab[team]
+		kp.beacon.Tanks = positions
+		p.known[team] = kp
 		if p.ix != nil {
 			p.ix.Observe(team, positions, 0)
 		}
@@ -514,7 +546,8 @@ func (p *player) refreshOwnTanks() {
 // sequencing is naturally provided by the local store: each tank's writes
 // land before the next tank decides.
 func (p *player) decideAll() []tankAction {
-	enemies := make(map[int][]game.Pos, len(p.known))
+	enemies := p.enemies
+	clear(enemies)
 	for team, kp := range p.known {
 		// A peer that announced done or was evicted as crashed no longer
 		// moves; its last-known tanks are dropped from the enemy picture
@@ -565,6 +598,21 @@ func (p *player) updateTanksAfterActions(actions []tankAction) {
 	p.tanks = next
 }
 
+// pendingBox returns the bounding box of the modifications still buffered
+// for peer, nil when there are none. The box is player scratch: the result
+// is valid until the next call.
+func (p *player) pendingBox(peer int) *game.Box {
+	p.ids = p.rt.AppendPendingObjects(p.ids[:0], peer)
+	return game.BoxOfObjectsInto(&p.box, p.cfg.Game, p.ids)
+}
+
+// positions returns the own tanks' positions in a buffer reused by every
+// call: the result is valid until the next call.
+func (p *player) positions() []game.Pos {
+	p.pos = game.AppendPositions(p.pos[:0], p.tanks)
+	return p.pos
+}
+
 func (p *player) readCell(pos game.Pos) (game.Cell, error) {
 	b, err := p.rt.Store().View(p.cfg.Game.ObjectOf(pos))
 	if err != nil {
@@ -595,10 +643,13 @@ func (p *player) exchangeOpts() core.ExchangeOpts {
 		How:                core.Multicast,
 		GroupWithheldSyncs: bounded,
 		Beacon: func(peer int) []int64 {
-			return game.EncodeBeacon(game.Beacon{
-				Tanks: game.Positions(p.tanks),
-				Box:   game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer)),
-			})
+			if box := p.pendingBox(peer); box != nil {
+				return game.EncodeBeacon(game.Beacon{Tanks: p.positions(), Box: box})
+			}
+			if now := p.rt.Now(); p.bareTick != now {
+				p.bare, p.bareTick = game.EncodeBeacon(game.Beacon{Tanks: p.positions()}), now
+			}
+			return p.bare
 		},
 	}
 	switch p.cfg.Protocol {
@@ -619,8 +670,7 @@ func (p *player) exchangeOpts() core.ExchangeOpts {
 			if kp == nil || len(kp.beacon.Tanks) == 0 {
 				return now + 1 // peer about to vanish; DONE will arrive
 			}
-			myBox := game.BoxOfObjects(p.cfg.Game, p.rt.PendingObjects(peer))
-			return now + game.NextDelta(h, game.Positions(p.tanks), myBox, kp.beacon.Tanks, kp.beacon.Box)
+			return now + game.NextDelta(h, p.positions(), p.pendingBox(peer), kp.beacon.Tanks, kp.beacon.Box)
 		}
 	}
 	if p.cfg.Protocol != BSYNC || bounded {

@@ -8,6 +8,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,17 +39,20 @@ const (
 // the snapshot already covers; everything after flows through the live
 // exchange machinery once the joiner is readmitted.
 func (s *Store) Snapshot(floor int64) []byte {
-	ids := s.IDs()
 	size := snapshotHeaderSize
-	for _, id := range ids {
-		size += snapshotRecordSize + len(s.objs[id].data)
+	for _, o := range s.byID {
+		if o != nil {
+			size += snapshotRecordSize + len(o.data)
+		}
 	}
 	buf := make([]byte, size)
 	binary.BigEndian.PutUint64(buf, uint64(floor))
-	binary.BigEndian.PutUint32(buf[8:], uint32(len(ids)))
+	binary.BigEndian.PutUint32(buf[8:], uint32(s.n))
 	off := snapshotHeaderSize
-	for _, id := range ids {
-		o := s.objs[id]
+	for id, o := range s.byID {
+		if o == nil {
+			continue
+		}
 		binary.BigEndian.PutUint32(buf[off:], uint32(id))
 		binary.BigEndian.PutUint64(buf[off+4:], uint64(o.version))
 		binary.BigEndian.PutUint32(buf[off+12:], uint32(len(o.data)))
@@ -79,6 +83,9 @@ func decodeSnapshot(snap []byte, visit func(id ID, version int64, state []byte))
 		version := int64(binary.BigEndian.Uint64(snap[off+4:]))
 		n := binary.BigEndian.Uint32(snap[off+12:])
 		off += snapshotRecordSize
+		if id > MaxID {
+			return 0, fmt.Errorf("%w: object ID %d exceeds the maximum %d", ErrBadSnapshot, id, MaxID)
+		}
 		if n > MaxSnapshotObjectBytes || len(snap)-off < int(n) {
 			return 0, fmt.Errorf("%w: object %d claims %d state bytes", ErrBadSnapshot, id, n)
 		}
@@ -98,20 +105,16 @@ func decodeSnapshot(snap []byte, visit func(id ID, version int64, state []byte))
 // peers in any order converges to the element-wise highest-version state.
 func (s *Store) Merge(snap []byte) (adopted int, floor int64, err error) {
 	floor, err = decodeSnapshot(snap, func(id ID, version int64, state []byte) {
-		o, ok := s.objs[id]
-		if !ok {
-			data := make([]byte, len(state))
-			copy(data, state)
-			s.objs[id] = &Object{id: id, data: data, version: version, writer: -1}
-			s.ids = nil
+		o, lerr := s.lookup(id)
+		if lerr != nil {
+			_ = s.register(id, state, version) // cannot fail: decodeSnapshot bounds the ID
 			adopted++
 			return
 		}
 		if version <= o.version {
 			return
 		}
-		o.data = make([]byte, len(state))
-		copy(o.data, state)
+		o.data = bytes.Clone(state)
 		o.version = version
 		o.writer = -1
 		adopted++
@@ -128,16 +131,18 @@ func (s *Store) Merge(snap []byte) (adopted int, floor int64, err error) {
 // Restore; one that rebuilt its initial environment and wants the freshest
 // of both uses Merge.
 func (s *Store) Restore(snap []byte) (floor int64, err error) {
-	objs := make(map[ID]*Object)
+	fresh := New()
 	floor, err = decodeSnapshot(snap, func(id ID, version int64, state []byte) {
-		data := make([]byte, len(state))
-		copy(data, state)
-		objs[id] = &Object{id: id, data: data, version: version, writer: -1}
+		if o, lerr := fresh.lookup(id); lerr == nil {
+			// A repeated ID: the later record wins, as it always has.
+			o.data, o.version = bytes.Clone(state), version
+			return
+		}
+		_ = fresh.register(id, state, version) // cannot fail: decodeSnapshot bounds the ID
 	})
 	if err != nil {
 		return 0, err
 	}
-	s.objs = objs
-	s.ids = nil
+	*s = *fresh
 	return floor, nil
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -193,5 +194,100 @@ func TestViewAliasesUntilWrite(t *testing.T) {
 	}
 	if _, err := s.View(99); err == nil {
 		t.Error("View unknown should fail")
+	}
+}
+
+// TestIDBound: the store indexes by ID, so it refuses IDs above MaxID —
+// from Register and from a snapshot alike — instead of sizing its index by
+// them.
+func TestIDBound(t *testing.T) {
+	s := New()
+	if err := s.Register(MaxID, []byte("edge")); err != nil {
+		t.Fatalf("Register(MaxID): %v", err)
+	}
+	if err := s.Register(MaxID+1, []byte("beyond")); err == nil {
+		t.Fatal("Register accepted an ID above MaxID")
+	}
+	if s.Has(MaxID+1) || s.Len() != 1 {
+		t.Fatal("a refused Register left a trace")
+	}
+	if _, err := s.Get(MaxID + 1); err == nil {
+		t.Fatal("Get of an out-of-range ID should fail")
+	}
+
+	// A snapshot naming an out-of-range ID is malformed, for Merge and
+	// Restore both.
+	src := New()
+	if err := src.Register(3, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	snap := src.Snapshot(0)
+	snap[snapshotHeaderSize] = 0xFF // the record's ID becomes 0xFF000003
+	for name, load := range map[string]func([]byte) error{
+		"Merge":   func(b []byte) error { _, _, err := New().Merge(b); return err },
+		"Restore": func(b []byte) error { _, err := New().Restore(b); return err },
+	} {
+		if err := load(snap); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s of an out-of-range ID: err = %v, want ErrBadSnapshot", name, err)
+		}
+	}
+}
+
+// TestPublishedBytesAreImmutable pins the ownership rule the runtime's
+// aliasing rests on: a View is a snapshot no later write, apply or adopt
+// changes, and — registered states being carved from shared chunks — an
+// append through a View cannot reach a neighbouring object.
+func TestPublishedBytesAreImmutable(t *testing.T) {
+	s := New()
+	for id := ID(0); id < 40; id++ { // spans several arena chunks
+		if err := s.Register(id, []byte{byte(id), byte(id), byte(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var views [][]byte
+	snapshot := func(id ID) {
+		v, err := s.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, v, bytes.Clone(v))
+	}
+	snapshot(7)
+	if _, err := s.Update(7, []byte("written")); err != nil {
+		t.Fatal(err)
+	}
+	snapshot(7)
+	if err := s.ApplyDiff(7, diff.Compute([]byte("written"), []byte("wrItten")), 5); err != nil {
+		t.Fatal(err)
+	}
+	snapshot(7)
+	adopted := []byte("adopted")
+	if err := s.AdoptStateFrom(7, adopted, 9, 2); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.View(7); &v[0] != &adopted[0] {
+		t.Error("AdoptStateFrom copied the state it was given")
+	}
+	if w, _ := s.WriterOf(7); w != 2 {
+		t.Errorf("WriterOf after AdoptStateFrom = %d, want 2", w)
+	}
+	if err := s.SetState(7, []byte("set"), 10); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(views); i += 2 {
+		if !bytes.Equal(views[i], views[i+1]) {
+			t.Errorf("View #%d changed under its holder: %q, was %q", i/2, views[i], views[i+1])
+		}
+	}
+
+	v8, _ := s.View(8)
+	_ = append(v8, 0xEE, 0xEE, 0xEE)
+	for id := ID(0); id < 40; id++ {
+		if id == 7 {
+			continue
+		}
+		if b, _ := s.Get(id); !bytes.Equal(b, []byte{byte(id), byte(id), byte(id)}) {
+			t.Fatalf("object %d = %v after an append through object 8's View", id, b)
+		}
 	}
 }

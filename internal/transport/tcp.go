@@ -688,8 +688,12 @@ func (e *TCPEndpoint) Flush() error {
 
 // Recycle implements Recycler: messages delivered by this endpoint are
 // decoded from frames into pool-owned structs (see readLoop), so a fully
-// consumed message goes back to the free-list.
-func (e *TCPEndpoint) Recycle(m *wire.Msg) { wire.PutMsg(m) }
+// consumed message goes back to the free-list. Ints is detached first, as
+// the Recycler contract requires: receivers keep beacons past the message.
+func (e *TCPEndpoint) Recycle(m *wire.Msg) {
+	m.Ints = nil
+	wire.PutMsg(m)
+}
 
 // Recv implements Endpoint.
 func (e *TCPEndpoint) Recv() (*wire.Msg, error) {

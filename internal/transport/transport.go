@@ -142,8 +142,12 @@ type LivenessReporter interface {
 // consumed messages back to the transport's free-list so steady-state
 // receive paths stop allocating. Only endpoints whose delivered messages
 // are transport-owned (decoded from frames, never aliased by the sender)
-// implement it; the in-memory transport deliberately does not, because it
-// delivers sender-retained pointers.
+// pool them; the in-memory transport deliberately does not, because it
+// delivers sender-retained pointers, and wrappers forward to whatever they
+// wrap. The caller therefore hands the message over untouched — it may
+// still be the sender's struct — and may keep m.Ints (a beacon outlives its
+// message): an implementation that pools m takes the struct and the
+// Payload buffer only, and detaches Ints itself.
 type Recycler interface {
 	Recycle(m *wire.Msg)
 }

@@ -1,6 +1,9 @@
 package xlist
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzDecodeDiffs: arbitrary DATA payloads must never panic the batch
 // decoder, and accepted batches must round trip.
@@ -12,7 +15,11 @@ func FuzzDecodeDiffs(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := DecodeDiffs(EncodeDiffs(diffs))
+		enc := EncodeDiffs(diffs)
+		if scratch, err := DecodeDiffsInto(nil, data); err != nil || !bytes.Equal(EncodeDiffs(scratch), enc) {
+			t.Fatalf("DecodeDiffsInto disagrees with DecodeDiffs: %v", err)
+		}
+		re, err := DecodeDiffs(enc)
 		if err != nil {
 			t.Fatalf("accepted batch failed to round trip: %v", err)
 		}

@@ -13,9 +13,10 @@
 package xlist
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"slices"
+	"sort"
 
 	"sdso/internal/diff"
 	"sdso/internal/store"
@@ -48,100 +49,102 @@ type Entry struct {
 }
 
 // List is the exchange-list: at most one pending exchange time per remote
-// process, ordered earliest-first (ties broken by process ID for
-// determinism).
+// process, read earliest-first (ties broken by process ID for determinism).
+// Processes are small dense integers, so the list is a table indexed by
+// process that grows to the highest process scheduled; the paper's
+// time-ordered rendering is produced on read (Due, Entries, Peek), which is
+// where the order matters.
 type List struct {
-	h     entryHeap
-	index map[int]*entryItem // proc -> live heap item
+	items []listItem // indexed by process
+	n     int        // scheduled processes
+	due   []Entry    // Due's result buffer
 }
 
-type entryItem struct {
-	Entry
-	pos     int
-	removed bool
+type listItem struct {
+	time      int64
+	scheduled bool
 }
 
 // NewList returns an empty exchange-list.
-func NewList() *List {
-	return &List{index: make(map[int]*entryItem)}
-}
+func NewList() *List { return &List{} }
 
-// Set schedules (or reschedules) the exchange time for proc.
+// Set schedules (or reschedules) the exchange time for proc, which must not
+// be negative.
 func (l *List) Set(proc int, t int64) {
-	if it, ok := l.index[proc]; ok {
-		it.Time = t
-		heap.Fix(&l.h, it.pos)
-		return
+	if proc >= len(l.items) {
+		l.items = append(l.items, make([]listItem, proc+1-len(l.items))...)
 	}
-	it := &entryItem{Entry: Entry{Time: t, Proc: proc}}
-	l.index[proc] = it
-	heap.Push(&l.h, it)
+	it := &l.items[proc]
+	if !it.scheduled {
+		it.scheduled = true
+		l.n++
+	}
+	it.time = t
 }
 
 // Remove drops proc from the list (e.g., the process announced DONE).
 func (l *List) Remove(proc int) {
-	it, ok := l.index[proc]
-	if !ok {
+	if proc < 0 || proc >= len(l.items) || !l.items[proc].scheduled {
 		return
 	}
-	delete(l.index, proc)
-	heap.Remove(&l.h, it.pos)
+	l.items[proc].scheduled = false
+	l.n--
 }
 
 // Time returns proc's scheduled exchange time.
 func (l *List) Time(proc int) (int64, bool) {
-	it, ok := l.index[proc]
-	if !ok {
+	if proc < 0 || proc >= len(l.items) || !l.items[proc].scheduled {
 		return 0, false
 	}
-	return it.Time, true
+	return l.items[proc].time, true
 }
 
 // Len returns the number of scheduled processes.
-func (l *List) Len() int { return len(l.index) }
+func (l *List) Len() int { return l.n }
 
 // Peek returns the earliest entry without removing it.
 func (l *List) Peek() (Entry, bool) {
-	if l.h.Len() == 0 {
-		return Entry{}, false
+	var best Entry
+	found := false
+	for proc, it := range l.items {
+		if it.scheduled && (!found || it.time < best.Time) {
+			best, found = Entry{Time: it.time, Proc: proc}, true
+		}
 	}
-	return l.h[0].Entry, true
+	return best, found
 }
 
 // Due returns, in ascending (time, proc) order, every process whose
 // exchange time is <= now. The entries remain scheduled; callers
 // reschedule them via Set after the exchange completes (the paper's
 // exchange() deletes the entry and has the s-function compute a new time).
+// The result is the list's own buffer: it stays valid (Set and Remove do
+// not touch it) until the next Due call.
 func (l *List) Due(now int64) []Entry {
-	if len(l.index) == 0 {
-		return nil
-	}
-	due := make([]Entry, 0, len(l.index))
-	for _, it := range l.index {
-		if it.Time <= now {
-			due = append(due, it.Entry)
-		}
-	}
-	if len(due) == 0 {
-		return nil
-	}
-	if !slices.IsSortedFunc(due, compareEntries) {
-		slices.SortFunc(due, compareEntries)
-	}
-	return due
+	l.due = l.appendUpTo(l.due[:0], now)
+	return l.due
 }
 
 // Entries returns every entry in (time, proc) order — the rendering used in
 // the paper's Figure 2.
 func (l *List) Entries() []Entry {
-	out := make([]Entry, 0, len(l.index))
-	for _, it := range l.index {
-		out = append(out, it.Entry)
+	return l.appendUpTo(make([]Entry, 0, l.n), math.MaxInt64)
+}
+
+// appendUpTo appends the entries scheduled at or before now to dst in
+// (time, proc) order.
+func (l *List) appendUpTo(dst []Entry, now int64) []Entry {
+	for proc, it := range l.items {
+		if it.scheduled && it.time <= now {
+			dst = append(dst, Entry{Time: it.time, Proc: proc})
+		}
 	}
-	if !slices.IsSortedFunc(out, compareEntries) {
-		slices.SortFunc(out, compareEntries)
+	// The scan is in process order, which is already the answer whenever
+	// the times agree (BSYNC's every-tick schedule).
+	if !slices.IsSortedFunc(dst, compareEntries) {
+		slices.SortFunc(dst, compareEntries)
 	}
-	return out
+	return dst
 }
 
 // String renders the list like Figure 2: (t1,p1) (t2,p2) ...
@@ -151,34 +154,6 @@ func (l *List) String() string {
 		s += fmt.Sprintf("(%d,%d) ", e.Time, e.Proc)
 	}
 	return s
-}
-
-type entryHeap []*entryItem
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
-	}
-	return h[i].Proc < h[j].Proc
-}
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos = i
-	h[j].pos = j
-}
-func (h *entryHeap) Push(x any) {
-	it := x.(*entryItem)
-	it.pos = len(*h)
-	*h = append(*h, it)
-}
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
 }
 
 // ObjDiff pairs an object with a (possibly merged) diff and the version the
@@ -192,11 +167,28 @@ type ObjDiff struct {
 // SlottedBuffer buffers outstanding object modifications per remote
 // process (paper Figure 3). One slot per remote process; the local
 // process's slot stays empty.
+//
+// Diffs handed to Add are shared, not copied: the buffer may keep d and
+// hand it out again from Flush, and in merge mode a whole-state replacement
+// arriving over a buffered diff simply takes its place in every slot. That
+// is sound because published state bytes are immutable (DESIGN.md,
+// "Ownership and memory"): callers must not modify a diff's run data after
+// adding it.
 type SlottedBuffer struct {
 	self  int
 	n     int
 	merge bool
-	slots []map[store.ID][]ObjDiff
+	slots []slot
+}
+
+// slot is one process's pending diffs, kept sorted by object and, within an
+// object, oldest first — the order Flush promises — so a write finds its
+// object by binary search however long a withheld peer's backlog grows.
+// Flush hands the backing out and Add refills it, so a steady-state slot
+// allocates nothing.
+type slot struct {
+	pending []ObjDiff
+	dropped bool
 }
 
 // NewSlottedBuffer returns a buffer for a group of n processes with local
@@ -206,18 +198,16 @@ type SlottedBuffer struct {
 // every intermediate diff is retained and shipped, which the ablation bench
 // uses to measure the optimization's payoff.
 func NewSlottedBuffer(self, n int, merge bool) *SlottedBuffer {
-	slots := make([]map[store.ID][]ObjDiff, n)
-	for i := range slots {
-		if i == self {
-			continue
-		}
-		slots[i] = make(map[store.ID][]ObjDiff)
-	}
-	return &SlottedBuffer{self: self, n: n, merge: merge, slots: slots}
+	return &SlottedBuffer{self: self, n: n, merge: merge, slots: make([]slot, n)}
 }
 
 // Merging reports whether diff merging is enabled.
 func (b *SlottedBuffer) Merging() bool { return b.merge }
+
+// remote reports whether proc names a slot other than the local one.
+func (b *SlottedBuffer) remote(proc int) bool {
+	return proc != b.self && proc >= 0 && proc < b.n
+}
 
 // Add records that obj changed by d (reaching version) and the change has
 // not yet been sent to proc.
@@ -228,25 +218,34 @@ func (b *SlottedBuffer) Add(proc int, obj store.ID, version int64, d diff.Diff) 
 	if proc < 0 || proc >= b.n {
 		return fmt.Errorf("xlist: no slot for process %d", proc)
 	}
-	slot := b.slots[proc]
-	if slot == nil {
+	sl := &b.slots[proc]
+	if sl.dropped {
 		return nil // dropped peer: nothing accumulates until Readmit
 	}
-	prev := slot[obj]
-	if len(prev) == 0 || !b.merge {
-		slot[obj] = append(prev, ObjDiff{Obj: obj, Version: version, D: d})
+	// at is one past obj's last buffered diff: where a new one goes.
+	at := sort.Search(len(sl.pending), func(i int) bool { return sl.pending[i].Obj > obj })
+	if at == 0 || sl.pending[at-1].Obj != obj || !b.merge {
+		if sl.pending == nil {
+			// A tick's writes are a few objects: start past the first
+			// doublings.
+			sl.pending = make([]ObjDiff, 0, 4)
+		}
+		sl.pending = slices.Insert(sl.pending, at, ObjDiff{Obj: obj, Version: version, D: d})
 		return nil
 	}
-	last := prev[len(prev)-1]
-	// MergeInto with a fresh destination: the merge-walk emits each output
-	// run once instead of Merge's split-then-coalesce spans. The destination
-	// must not be recycled scratch — Flush hands ObjDiffs to callers whose
-	// lifetime we do not control.
-	var m diff.Diff
-	if err := diff.MergeInto(&m, last.D, d); err != nil {
-		return fmt.Errorf("merge buffered diff for obj %d: %w", obj, err)
+	last := &sl.pending[at-1]
+	m := d // a replacement supersedes whatever was buffered
+	if !d.Replace {
+		// MergeInto with a fresh destination: the merge-walk emits each
+		// output run once instead of Merge's split-then-coalesce spans. The
+		// destination must not be recycled scratch — Flush hands ObjDiffs to
+		// callers, and other slots may share last.D.
+		m = diff.Diff{}
+		if err := diff.MergeInto(&m, last.D, d); err != nil {
+			return fmt.Errorf("merge buffered diff for obj %d: %w", obj, err)
+		}
 	}
-	prev[len(prev)-1] = ObjDiff{Obj: obj, Version: version, D: m}
+	*last = ObjDiff{Obj: obj, Version: version, D: m}
 	return nil
 }
 
@@ -265,75 +264,62 @@ func (b *SlottedBuffer) AddAll(obj store.ID, version int64, d diff.Diff, skip ma
 
 // Pending returns the number of buffered object diffs for proc.
 func (b *SlottedBuffer) Pending(proc int) int {
-	if proc == b.self || proc < 0 || proc >= b.n {
+	if !b.remote(proc) {
 		return 0
 	}
-	n := 0
-	for _, diffs := range b.slots[proc] {
-		n += len(diffs)
-	}
-	return n
+	return len(b.slots[proc].pending)
 }
 
 // Flush removes and returns proc's buffered diffs, ordered by ascending
 // object ID and, within an object, oldest first (so sequential application
-// at the receiver reproduces the writer's final state).
+// at the receiver reproduces the writer's final state). The result is the
+// slot's own storage: it stays valid until the next Add (or AddAll) for the
+// same process, which refills it — encode or copy it before buffering
+// further writes.
 func (b *SlottedBuffer) Flush(proc int) []ObjDiff {
-	if proc == b.self || proc < 0 || proc >= b.n {
+	if !b.remote(proc) {
 		return nil
 	}
-	slot := b.slots[proc]
-	if len(slot) == 0 {
+	sl := &b.slots[proc]
+	if len(sl.pending) == 0 {
 		return nil
 	}
-	ids := make([]store.ID, 0, len(slot))
-	for id := range slot {
-		ids = append(ids, id)
-	}
-	if !slices.IsSorted(ids) {
-		slices.Sort(ids)
-	}
-	out := make([]ObjDiff, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, slot[id]...)
-	}
-	b.slots[proc] = make(map[store.ID][]ObjDiff)
+	out := sl.pending
+	sl.pending = out[:0]
 	return out
 }
 
 // Objects returns the IDs of objects with buffered diffs for proc, in
 // ascending order.
-func (b *SlottedBuffer) Objects(proc int) []store.ID {
-	if proc == b.self || proc < 0 || proc >= b.n {
-		return nil
+func (b *SlottedBuffer) Objects(proc int) []store.ID { return b.AppendObjects(nil, proc) }
+
+// AppendObjects appends Objects(proc) to dst.
+func (b *SlottedBuffer) AppendObjects(dst []store.ID, proc int) []store.ID {
+	if !b.remote(proc) {
+		return dst
 	}
-	slot := b.slots[proc]
-	if len(slot) == 0 {
-		return nil
+	pending := b.slots[proc].pending
+	for i, od := range pending {
+		if i == 0 || od.Obj != pending[i-1].Obj {
+			dst = append(dst, od.Obj)
+		}
 	}
-	ids := make([]store.ID, 0, len(slot))
-	for id := range slot {
-		ids = append(ids, id)
-	}
-	if !slices.IsSorted(ids) {
-		slices.Sort(ids)
-	}
-	return ids
+	return dst
 }
 
 // Drop discards proc's buffered diffs and tombstones the slot: a dropped
 // process (DONE, evicted as crashed, or absent from the initial
 // membership) accumulates nothing until Readmit re-opens its slot.
 func (b *SlottedBuffer) Drop(proc int) {
-	if proc == b.self || proc < 0 || proc >= b.n {
+	if !b.remote(proc) {
 		return
 	}
-	b.slots[proc] = nil
+	b.slots[proc] = slot{dropped: true}
 }
 
 // Dropped reports whether proc's slot is tombstoned.
 func (b *SlottedBuffer) Dropped(proc int) bool {
-	return proc != b.self && proc >= 0 && proc < b.n && b.slots[proc] == nil
+	return b.remote(proc) && b.slots[proc].dropped
 }
 
 // Readmit re-opens the slot of a previously dropped process so future
@@ -341,10 +327,8 @@ func (b *SlottedBuffer) Dropped(proc int) bool {
 // joiner's missed history travels in the store snapshot, so the re-opened
 // slot starts empty. Readmitting a live slot is a no-op.
 func (b *SlottedBuffer) Readmit(proc int) {
-	if proc == b.self || proc < 0 || proc >= b.n {
+	if !b.remote(proc) {
 		return
 	}
-	if b.slots[proc] == nil {
-		b.slots[proc] = make(map[store.ID][]ObjDiff)
-	}
+	b.slots[proc].dropped = false
 }
