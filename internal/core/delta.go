@@ -126,11 +126,14 @@ func (r *Runtime) deltaBase(e *deltaEntry) ([]byte, int64) {
 // record is delta-encoded when the table permits and the result is smaller,
 // and the returned mode bit marks the payload for the receiver. Records,
 // XOR bytes and the encoding are assembled in per-runtime scratch; the
-// returned payload is one exact-size copy, owned by the message.
-func (r *Runtime) encodeDataPayload(peer int, diffs []xlist.ObjDiff, stamp int64) ([]byte, uint8) {
+// returned payload is one copy of it into dst's capacity (the outgoing
+// message's, usually enough after the struct's first trip round), owned by
+// the message. Encoding straight into dst would regrow a capacity-less
+// struct's buffer several times over.
+func (r *Runtime) encodeDataPayload(dst []byte, peer int, diffs []xlist.ObjDiff, stamp int64) ([]byte, uint8) {
 	if !r.cfg.DeltaEncode {
 		r.encBuf = xlist.AppendDiffs(r.encBuf[:0], diffs)
-		return bytes.Clone(r.encBuf), 0
+		return append(dst[:0], r.encBuf...), 0
 	}
 	ds := &r.peers[peer].send
 	recs, xor := r.encRecs[:0], r.encXOR[:0]
@@ -174,7 +177,7 @@ func (r *Runtime) encodeDataPayload(peer int, diffs []xlist.ObjDiff, stamp int64
 	r.encBuf = xlist.AppendDeltaRecords(r.encBuf[:0], recs)
 	clear(recs) // the scratch must not pin the diffs it carried
 	r.encRecs, r.encXOR = recs, xor
-	return bytes.Clone(r.encBuf), wire.ModeDeltaPayload
+	return append(dst[:0], r.encBuf...), wire.ModeDeltaPayload
 }
 
 // deltaAck feeds a consumed SYNC from peer stamped stamp into the ack

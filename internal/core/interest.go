@@ -63,10 +63,10 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 	es, hasES := r.ep.(transport.EncodedSender)
 	for _, g := range groups {
 		if hasES && len(g.dsts) > 1 {
-			// The transport never retains sync (the shared frame is what
-			// hits the wire), so the group's peers also share it as their
-			// echo and retransmission source.
-			sync := &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: g.beacon}
+			// SendEncoded does not take sync — the shared frame is what
+			// hits the wire — so the header goes straight back to the pool
+			// once the group is served.
+			sync := newSync(r.now, g.beacon, 0)
 			enc, err := wire.EncodeFrame(sync)
 			if err != nil {
 				return fmt.Errorf("exchange sync fanout: %w", err)
@@ -82,21 +82,22 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 					enc.Release()
 					return fmt.Errorf("exchange sync to %d: %w", peer, err)
 				}
-				r.peers[peer].lastSync = sync
+				r.peers[peer].lastSync = sentSync{stamp: r.now, beacon: g.beacon}
 			}
 			enc.Release()
+			sync.Ints = nil
+			wire.PutMsg(sync)
 			continue
 		}
 		for _, peer := range g.dsts {
-			m := &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: g.beacon}
-			if err := r.send(peer, m); err != nil {
+			if err := r.send(peer, newSync(r.now, g.beacon, 0)); err != nil {
 				if errors.Is(err, transport.ErrPeerGone) {
 					r.evictPeer(peer)
 					continue
 				}
 				return fmt.Errorf("exchange sync to %d: %w", peer, err)
 			}
-			r.peers[peer].lastSync = m
+			r.peers[peer].lastSync = sentSync{stamp: r.now, beacon: g.beacon}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -29,21 +30,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestRetransmittedSyncKeepsBeacon is the regression test for recycle
-// writing to a message it does not own. On the mem transport the received
-// *wire.Msg is the sender's struct, which the sender keeps as its lastSync
-// and Clones on a suspicion timeout: the receiver wiping Ints there was a
-// cross-goroutine write/read with no happens-before (run this under -race)
-// and made the retransmitted SYNC overwrite the held beacon with nothing.
+// TestRetransmittedSyncKeepsBeacon pins the sender half of the message rule
+// on the two paths that resend a SYNC. A sent message is given away: on the
+// mem transport the receiver holds the sender's very struct, recycles it
+// once consumed, and the pool hands it to whoever sends next. Both
+// endpoints poison what they recycle, so by the time a's suspicion timeout
+// retransmits its SYNC, and by the time b echoes its own, the struct that
+// carried the original is scribbled over and back in circulation — the
+// resent messages must be built from the values the senders kept
+// (peerState.lastSync), never from the struct. (When lastSync was the sent
+// struct, the receiver wiping it was a cross-goroutine write/read with no
+// happens-before — run this under -race — and the retransmitted SYNC
+// overwrote the held beacon with nothing.)
 func TestRetransmittedSyncKeepsBeacon(t *testing.T) {
 	net := transport.NewMemNetwork(2)
 	t.Cleanup(net.Close)
-	beacon := []int64{7, 7}
+	beacons := [2][]int64{{7, 7}, {9, 9, 9}}
 	var got [][]int64 // beacons b's rendezvous with a delivered
 	mcA := metrics.NewCollector()
 	mk := func(id int, mc *metrics.Collector, onBeacon func(int, []int64)) *Runtime {
 		r, err := New(Config{
-			Endpoint: net.Endpoint(id), Metrics: mc, OnBeacon: onBeacon,
+			Endpoint: NewPoisonEndpoint(net.Endpoint(id), true), Metrics: mc, OnBeacon: onBeacon,
 			RendezvousTimeout: 20 * time.Millisecond, MaxRetransmits: 50,
 		})
 		if err != nil {
@@ -53,34 +60,152 @@ func TestRetransmittedSyncKeepsBeacon(t *testing.T) {
 	}
 	a := mk(0, mcA, nil)
 	b := mk(1, metrics.NewCollector(), func(_ int, ints []int64) { got = append(got, ints) })
-	opts := ExchangeOpts{Resync: true, SFunc: EveryTick, Beacon: func(int) []int64 { return beacon }}
+	opts := func(id int) ExchangeOpts {
+		return ExchangeOpts{Resync: true, SFunc: EveryTick, Beacon: func(int) []int64 { return beacons[id] }}
+	}
 
 	errA := make(chan error, 1)
-	go func() { errA <- a.Exchange(opts) }()
+	go func() { errA <- a.Exchange(opts(0)) }()
 
 	// b is late: it only drains its mailbox, which holds a's SYNC as early
-	// traffic and recycles the message.
+	// traffic and recycles — poisons — the message.
 	waitFor(t, "a's SYNC to be held early", func() bool {
 		b.Poll()
 		return len(b.peers[0].earlySync) == 1
 	})
-	// a times out on b and retransmits its SYNC — a Clone of the struct b
-	// just recycled. b consumes the retransmission too.
+	// a times out on b and retransmits its SYNC, from the values it kept:
+	// the struct it sent is the one b just poisoned. b consumes the
+	// retransmission too.
 	waitFor(t, "a's retransmission", func() bool { return mcA.Snapshot().Retransmits > 0 })
 	b.Poll()
-	if es := b.peers[0].earlySync; len(es) != 1 || !slices.Equal(es[0].beacon, beacon) {
-		t.Fatalf("held SYNC after the retransmission = %+v, want one carrying %v", es, beacon)
+	if es := b.peers[0].earlySync; len(es) != 1 || !slices.Equal(es[0].beacon, beacons[0]) {
+		t.Fatalf("held SYNC after the retransmission = %+v, want one carrying %v", es, beacons[0])
 	}
 
-	if err := b.Exchange(opts); err != nil {
+	if err := b.Exchange(opts(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errA; err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || !slices.Equal(got[0], beacon) {
-		t.Fatalf("b's rendezvous saw beacons %v, want [%v]", got, beacon)
+	if len(got) != 1 || !slices.Equal(got[0], beacons[0]) {
+		t.Fatalf("b's rendezvous saw beacons %v, want [%v]", got, beacons[0])
 	}
+
+	// The echo: a marked retransmission of a SYNC b has already consumed
+	// makes b resend its own last SYNC — whose original struct a consumed,
+	// poisoned and recycled when its rendezvous completed.
+	a.Poll() // drain whatever b's side of the retransmissions left behind
+	if err := net.Endpoint(0).Send(1, newSync(1, beacons[0], modeRetransmit)); err != nil {
+		t.Fatal(err)
+	}
+	b.Poll()
+	echo, ok, err := net.Endpoint(0).TryRecv()
+	if err != nil || !ok {
+		t.Fatalf("no echo from b: ok=%v err=%v", ok, err)
+	}
+	if echo.Kind != wire.KindSync || echo.Stamp != 1 || echo.Mode != 0 || !slices.Equal(echo.Ints, beacons[1]) {
+		t.Fatalf("echo = %v ints=%v, want b's tick-1 SYNC carrying %v", echo, echo.Ints, beacons[1])
+	}
+}
+
+// TestSentMessageIsGivenAway: after an Exchange no peerState field may
+// point at a struct the runtime handed to its transport. Whatever the
+// runtime keeps of a message it sent (lastSync, the delta tips) it keeps as
+// values. The walk is by reflection over the whole per-peer slab, so a
+// field added later is covered without being named here.
+func TestSentMessageIsGivenAway(t *testing.T) {
+	for _, piggyback := range []bool{false, true} {
+		net := transport.NewMemNetwork(2)
+		t.Cleanup(net.Close)
+		// What each runtime handed to Send during the tick in progress. The
+		// sets are per tick because structs circulate: one a runtime sent
+		// last tick may legitimately come back to it, as its peer's message.
+		sent := make([]map[*wire.Msg]bool, 2)
+		rts := make([]*Runtime, 2)
+		for id := range rts {
+			id := id
+			r, err := New(Config{
+				Endpoint:   &poisonEndpoint{Endpoint: net.Endpoint(id), onSend: func(m *wire.Msg) { sent[id][m] = true }},
+				MergeDiffs: true, DeltaEncode: true, PiggybackSync: piggyback,
+				RendezvousTimeout: time.Minute, // failure detection on: lastSync is live state
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Share(0, counterBytes(0)); err != nil {
+				t.Fatal(err)
+			}
+			rts[id] = r
+		}
+		step := func(r *Runtime, k int) error {
+			if err := r.Write(0, counterBytes(uint64(2*k+r.ID()))); err != nil {
+				return err
+			}
+			return r.Exchange(ExchangeOpts{
+				Resync: true, SFunc: EveryTick, Beacon: func(int) []int64 { return []int64{int64(k)} },
+			})
+		}
+		for k := 1; k <= 3; k++ {
+			sent[0], sent[1] = make(map[*wire.Msg]bool), make(map[*wire.Msg]bool)
+			errB := make(chan error, 1)
+			go func() { errB <- step(rts[1], k) }()
+			if err := step(rts[0], k); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errB; err != nil {
+				t.Fatal(err)
+			}
+			for id, r := range rts {
+				if len(sent[id]) == 0 {
+					t.Fatalf("tick %d: the recorder saw nothing runtime %d sent", k, id)
+				}
+				if r.peers[1-id].lastSync.stamp != int64(k) {
+					t.Fatalf("runtime %d kept lastSync %+v after tick %d", id, r.peers[1-id].lastSync, k)
+				}
+				for _, m := range reachableMsgs(reflect.ValueOf(r.peers)) {
+					if sent[id][m] {
+						t.Fatalf("piggyback=%v tick %d: runtime %d still holds %p (%v), which it gave to its transport", piggyback, k, id, m, m)
+					}
+				}
+			}
+		}
+	}
+}
+
+// reachableMsgs returns every *wire.Msg reachable from v through pointers,
+// slices, arrays, structs and interfaces.
+func reachableMsgs(v reflect.Value) []*wire.Msg {
+	var out []*wire.Msg
+	msgType := reflect.TypeOf((*wire.Msg)(nil))
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() {
+				return
+			}
+			if v.Type() == msgType {
+				out = append(out, (*wire.Msg)(v.UnsafePointer()))
+				return
+			}
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		}
+	}
+	walk(v)
+	return out
 }
 
 // TestAppliedDataSurvivesPayloadReuse: a pooling transport reuses m.Payload
@@ -131,7 +256,7 @@ func TestAppliedDataSurvivesPayloadReuse(t *testing.T) {
 	deliver := func(stamp int64, write func()) (payload []byte, recs []xlist.DeltaRecord) {
 		t.Helper()
 		write()
-		payload, mode := snd.encodeDataPayload(1, snd.buf.Flush(1), stamp)
+		payload, mode := snd.encodeDataPayload(nil, 1, snd.buf.Flush(1), stamp)
 		recs, err := xlist.DecodeDeltaRecords(payload)
 		if err != nil {
 			t.Fatal(err)
@@ -233,8 +358,9 @@ func lockstepPair(t *testing.T, delta bool) (tick func()) {
 // of the benchmark panel's core.exchange2_allocs_op — so the allocator
 // cannot creep back into the tick unnoticed. What a tick still allocates,
 // per runtime: the written state's published copy and its diff (UpdateBy),
-// the replacement's run slice, the DATA payload and the two messages (they
-// belong to the receiver), and the received state.
+// the replacement's run slice, and the received state. The two messages
+// and the DATA payload no longer appear: they circulate through the wire
+// pool (a sent message is given away, a consumed one recycled).
 func TestExchangeAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -244,8 +370,8 @@ func TestExchangeAllocBudget(t *testing.T) {
 		delta   bool
 		ceiling float64
 	}{
-		{"delta", true, 24},
-		{"plain", false, 24},
+		{"delta", true, 12},
+		{"plain", false, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tick := lockstepPair(t, tc.delta)

@@ -29,6 +29,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sdso/internal/diff"
@@ -275,8 +276,9 @@ type Runtime struct {
 	outstanding int // targets awaitRendezvous still waits on
 
 	// DATA payload scratch (see delta.go): records and XOR bytes being
-	// assembled for one frame, the frame's encoding before its exact-size
-	// copy, and the decoded records of the frame being applied.
+	// assembled for one frame, the frame's encoding before its one copy
+	// into the outgoing message, and the decoded records of the frame
+	// being applied.
 	encRecs  []xlist.DeltaRecord
 	encXOR   []byte
 	encBuf   []byte
@@ -296,8 +298,8 @@ type peerState struct {
 	earlyData []*wire.Msg
 
 	// Failure detection (active when RendezvousTimeout > 0).
-	syncSeen int64     // highest consumed SYNC stamp
-	lastSync *wire.Msg // last SYNC sent to the peer (echo and retransmit source)
+	syncSeen int64    // highest consumed SYNC stamp
+	lastSync sentSync // last SYNC sent to the peer (echo and retransmit source)
 
 	// Join: the admission tick granted to the peer and the incarnation it
 	// was granted to.
@@ -323,6 +325,15 @@ type peerState struct {
 	beacon   []int64 // the peer's SYNC beacon for tick syncTick
 	syncTick int64   // tick whose SYNC from the peer is in hand
 	waitTick int64   // tick awaitRendezvous is waiting on the peer for
+}
+
+// sentSync is what the runtime keeps of a SYNC it sent — the values, never
+// the message, which Send gave away. The echo and retransmit paths build a
+// fresh message from it; the beacon is shared with every message that
+// carried it and is immutable. A zero stamp means none was sent.
+type sentSync struct {
+	stamp  int64
+	beacon []int64
 }
 
 // earlySync is one SYNC held until the local clock reaches its stamp.
@@ -492,6 +503,16 @@ func (r *Runtime) appendLivePeers(dst []int) []int {
 	return dst
 }
 
+// Reserve announces that objects IDs (0..objects-1) are about to be Shared,
+// so the store's index and the delta baseline are sized once instead of
+// regrown an element at a time. Optional: Share works without it.
+func (r *Runtime) Reserve(objects int) {
+	r.st.Reserve(objects)
+	if objects = min(objects, int(store.MaxID)+1); objects > cap(r.deltaInit) {
+		r.deltaInit = slices.Grow(r.deltaInit, objects-len(r.deltaInit))
+	}
+}
+
 // Share registers a shared object with its initial state — the paper's
 // share() call, used once per object at initialization.
 func (r *Runtime) Share(id store.ID, initial []byte) error {
@@ -550,10 +571,27 @@ func (r *Runtime) Write(id store.ID, data []byte) error {
 	return r.buf.AddAll(id, ver, repl, nil)
 }
 
-// send transmits m and counts it.
+// send transmits m and counts it. A sent message is given away
+// (transport.Endpoint.Send): callers keep values, never m.
 func (r *Runtime) send(to int, m *wire.Msg) error {
 	r.mc.CountSend(m, m.EncodedSize())
 	return r.ep.Send(to, m)
+}
+
+// newSync builds a SYNC in a pooled struct; beacon is shared, not copied.
+func newSync(stamp int64, beacon []int64, mode uint8) *wire.Msg {
+	m := wire.GetMsg()
+	m.Kind, m.Stamp, m.Mode, m.Ints = wire.KindSync, stamp, mode, beacon
+	return m
+}
+
+// newData builds the DATA message carrying diffs to peer, stamped stamp, in
+// a pooled struct whose Payload capacity takes the encoding.
+func (r *Runtime) newData(peer int, diffs []xlist.ObjDiff, stamp int64) *wire.Msg {
+	m := wire.GetMsg()
+	m.Kind, m.Stamp = wire.KindData, stamp
+	m.Payload, m.Mode = r.encodeDataPayload(m.Payload, peer, diffs, stamp)
+	return m
 }
 
 // Exchange is the paper's exchange() call (Figure 4): advance the logical
@@ -608,10 +646,13 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	// without a DONE) is a crash observation: the peer is evicted and the
 	// exchange proceeds with the survivors.
 	//
-	// Every message sent is freshly allocated and never touched again: the
+	// Every message comes from the wire pool and is given away by send: the
 	// in-memory and simulated transports hand the receiver this very
-	// struct, so a sent Msg, its Payload and its Ints belong to the
-	// receiver (beacons may be shared between messages, read-only).
+	// struct, which the receiver recycles once consumed — so the struct
+	// and its Payload circulate between processes instead of being
+	// allocated per rendezvous, and nothing here keeps a sent message
+	// (lastSync is a value). Beacons are shared between messages,
+	// read-only (DESIGN.md §15).
 	deferred := r.deferred[:0] // filtered-out peers whose bare SYNC fans out grouped
 	for _, peer := range targets {
 		ps := &r.peers[peer]
@@ -626,43 +667,19 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		}
 		if sendData && r.buf.Pending(peer) > 0 {
 			diffs := r.buf.Flush(peer)
-			if r.cfg.PiggybackSync {
+			piggyback := r.cfg.PiggybackSync
+			var beacon []int64
+			if piggyback && opts.Beacon != nil {
 				// One frame carries both halves of the rendezvous: the
 				// beacon — evaluated after the flush, exactly as for a
 				// bare SYNC — rides in Ints under the piggyback flag, and
 				// the receiver synthesizes the logical (data, SYNC) pair.
-				var beacon []int64
-				if opts.Beacon != nil {
-					beacon = opts.Beacon(peer)
-				}
-				payload, dmode := r.encodeDataPayload(peer, diffs, r.now)
-				data := &wire.Msg{
-					Kind:    wire.KindData,
-					Mode:    wire.ModeSyncPiggyback | dmode,
-					Stamp:   r.now,
-					Ints:    beacon,
-					Payload: payload,
-				}
-				if err := r.send(peer, data); err != nil {
-					if errors.Is(err, transport.ErrPeerGone) {
-						r.evictPeer(peer)
-						continue
-					}
-					return fmt.Errorf("exchange data to %d: %w", peer, err)
-				}
-				r.traceDataSend(peer, diffs, r.now)
-				r.mc.AddPiggybackSync()
-				// The logical SYNC is recorded for the retransmission and
-				// echo machinery but never sent on its own.
-				ps.lastSync = &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: beacon}
-				continue
+				beacon = opts.Beacon(peer)
 			}
-			payload, dmode := r.encodeDataPayload(peer, diffs, r.now)
-			data := &wire.Msg{
-				Kind:    wire.KindData,
-				Mode:    dmode,
-				Stamp:   r.now,
-				Payload: payload,
+			data := r.newData(peer, diffs, r.now)
+			if piggyback {
+				data.Mode |= wire.ModeSyncPiggyback
+				data.Ints = beacon
 			}
 			if err := r.send(peer, data); err != nil {
 				if errors.Is(err, transport.ErrPeerGone) {
@@ -672,6 +689,13 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 				return fmt.Errorf("exchange data to %d: %w", peer, err)
 			}
 			r.traceDataSend(peer, diffs, r.now)
+			if piggyback {
+				r.mc.AddPiggybackSync()
+				// The logical SYNC is recorded for the retransmission and
+				// echo machinery but never sent on its own.
+				ps.lastSync = sentSync{stamp: r.now, beacon: beacon}
+				continue
+			}
 		}
 		if opts.GroupWithheldSyncs && !sendData {
 			// The withheld peers are the common case at scale and their
@@ -685,15 +709,14 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		if opts.Beacon != nil {
 			beacon = opts.Beacon(peer)
 		}
-		sync := &wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: beacon}
-		if err := r.send(peer, sync); err != nil {
+		if err := r.send(peer, newSync(r.now, beacon, 0)); err != nil {
 			if errors.Is(err, transport.ErrPeerGone) {
 				r.evictPeer(peer)
 				continue
 			}
 			return fmt.Errorf("exchange sync to %d: %w", peer, err)
 		}
-		ps.lastSync = sync
+		ps.lastSync = sentSync{stamp: r.now, beacon: beacon}
 	}
 	r.deferred = deferred
 	if err := r.sendSyncFanout(deferred, opts); err != nil {
@@ -988,13 +1011,11 @@ func (r *Runtime) awaitRendezvous(targets []int, timeout time.Duration) error {
 				continue
 			}
 			// The SYNC this tick sent the peer, if one was.
-			msg := ps.lastSync
-			if msg == nil || msg.Stamp != r.now {
+			ls := ps.lastSync
+			if ls.stamp != r.now {
 				continue
 			}
-			re := msg.Clone()
-			re.Mode = modeRetransmit
-			if err := r.send(peer, re); err != nil {
+			if err := r.send(peer, newSync(ls.stamp, ls.beacon, modeRetransmit)); err != nil {
 				if errors.Is(err, transport.ErrPeerGone) {
 					r.evictPeer(peer)
 					continue
@@ -1070,12 +1091,11 @@ func (r *Runtime) traceDataSend(peer int, diffs []xlist.ObjDiff, stamp int64) {
 func (r *Runtime) flush() { _ = transport.Flush(r.ep) }
 
 // recycle returns a fully consumed incoming message to the transport's
-// free-list; a no-op on transports that do not pool received messages. The
-// message is handed over untouched: on the in-memory and simulated
-// transports it is still the sender's struct (kept as its lastSync and
-// cloned on a retransmit), so nothing here may write to it. Beacons
-// retained past this point (earlySync, peerState.beacon) are safe because
-// the pooling transports detach Ints themselves (see transport.Recycler).
+// free-list, from which the next outgoing message is taken (newSync,
+// newData): a delivered message is the receiver's alone, so this closes the
+// cycle. Nothing may reference the struct or its Payload afterwards;
+// beacons retained past this point (earlySync, peerState.beacon) are safe
+// because transports detach Ints themselves (see transport.Recycler).
 func (r *Runtime) recycle(m *wire.Msg) { transport.Recycle(r.ep, m) }
 
 // dispatch routes one incoming message. rendezvous is set by
@@ -1201,8 +1221,8 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 		// complete. Echoes are sent unmarked, so an echo arriving as
 		// a duplicate dies here without ping-ponging.
 		if mode == modeRetransmit {
-			if ls := ps.lastSync; ls != nil && ls.Stamp >= stamp {
-				if err := r.send(peer, ls.Clone()); err == nil {
+			if ls := ps.lastSync; ls.stamp != 0 && ls.stamp >= stamp {
+				if err := r.send(peer, newSync(ls.stamp, ls.beacon, 0)); err == nil {
 					r.mc.AddRetransmit()
 				}
 			}
@@ -1389,14 +1409,7 @@ func (r *Runtime) Done(won bool) error {
 	for _, peer := range r.targets {
 		if r.buf.Pending(peer) > 0 {
 			diffs := r.buf.Flush(peer)
-			payload, dmode := r.encodeDataPayload(peer, diffs, r.now+1)
-			data := &wire.Msg{
-				Kind:    wire.KindData,
-				Mode:    dmode,
-				Stamp:   r.now + 1,
-				Payload: payload,
-			}
-			if err := r.send(peer, data); err != nil {
+			if err := r.send(peer, r.newData(peer, diffs, r.now+1)); err != nil {
 				if errors.Is(err, transport.ErrPeerGone) {
 					r.evictPeer(peer)
 					continue
@@ -1405,7 +1418,8 @@ func (r *Runtime) Done(won bool) error {
 			}
 			r.traceDataSend(peer, diffs, r.now+1)
 		}
-		done := &wire.Msg{Kind: wire.KindDone, Stamp: r.now, Mode: mode}
+		done := wire.GetMsg()
+		done.Kind, done.Stamp, done.Mode = wire.KindDone, r.now, mode
 		if err := r.send(peer, done); err != nil {
 			if errors.Is(err, transport.ErrPeerGone) {
 				r.evictPeer(peer)
@@ -1445,11 +1459,13 @@ func (r *Runtime) SyncPut(id store.ID, to int) error {
 	}
 	ver, _ := r.st.Version(id)
 	stamp := r.nextCorrelation(id)
+	// m is the request kept for waitReply's retransmissions; what is sent —
+	// and so given away — is always a clone of it.
 	m := &wire.Msg{
 		Kind: wire.KindObjReq, Mode: modePut, Obj: uint32(id),
 		Stamp: stamp, Ints: []int64{ver}, Payload: state,
 	}
-	if err := r.send(to, m); err != nil {
+	if err := r.send(to, m.Clone()); err != nil {
 		if errors.Is(err, transport.ErrPeerGone) {
 			r.evictPeer(to)
 			return fmt.Errorf("core: sync put obj %d to %d: %w", id, to, ErrPeerCrashed)
@@ -1510,8 +1526,8 @@ func (r *Runtime) AsyncGet(id store.ID, from int) error {
 // up-to-date copy from an owner.
 func (r *Runtime) SyncGet(id store.ID, from int) error {
 	stamp := r.nextCorrelation(id)
-	m := &wire.Msg{Kind: wire.KindObjReq, Obj: uint32(id), Stamp: stamp}
-	if err := r.send(from, m); err != nil {
+	m := &wire.Msg{Kind: wire.KindObjReq, Obj: uint32(id), Stamp: stamp} // kept; clones are sent
+	if err := r.send(from, m.Clone()); err != nil {
 		if errors.Is(err, transport.ErrPeerGone) {
 			r.evictPeer(from)
 			return fmt.Errorf("core: sync get obj %d from %d: %w", id, from, ErrPeerCrashed)
@@ -1524,8 +1540,9 @@ func (r *Runtime) SyncGet(id store.ID, from int) error {
 
 // waitReply blocks until an ObjReply for (obj, stamp) arrives, applying it
 // if apply is set. With a rendezvous timeout configured, a silent responder
-// is suspected, the request req is retransmitted under bounded exponential
-// backoff, and after maxRetransmits strikes the responder is evicted and an
+// is suspected, the request is retransmitted (a clone of req, which is kept
+// and never itself sent) under bounded exponential backoff, and after
+// maxRetransmits strikes the responder is evicted and an
 // ErrPeerCrashed-wrapping error is returned instead of hanging forever.
 // Object requests are idempotent on the serving side (version-gated state
 // application, re-served reads), so retransmitted requests are safe.

@@ -297,16 +297,15 @@ func (e *Endpoint) Send(to int, m *wire.Msg) error {
 	defer e.mu.Unlock()
 	return e.sendOneLocked(to, m,
 		func(to, copies int) error {
-			for i := 0; i < copies; i++ {
-				out := m
-				if i > 0 {
-					out = m.Clone()
-				}
-				if err := e.inner.Send(to, out); err != nil {
+			// Duplicates are cloned first and the caller's m goes out last:
+			// a sent message is given away (transport.Endpoint.Send), so m
+			// cannot be read once the wrapped transport has it.
+			for i := 1; i < copies; i++ {
+				if err := e.inner.Send(to, m.Clone()); err != nil {
 					return err
 				}
 			}
-			return nil
+			return e.inner.Send(to, m)
 		},
 		func() *wire.Msg { return m })
 }

@@ -313,6 +313,7 @@ func (w *World) TanksByTeam() [][]Pos {
 // every process starts from).
 func (w *World) Encode() *store.Store {
 	st := store.New()
+	st.Reserve(len(w.Cells))
 	for i, c := range w.Cells {
 		// Register cannot fail here: IDs are unique by construction.
 		_ = st.Register(store.ID(i), EncodeCell(c))

@@ -372,6 +372,7 @@ func (p *player) setup() error {
 	if p.cfg.Join {
 		return p.joinSetup()
 	}
+	p.rt.Reserve(len(w.Cells))
 	for i, c := range w.Cells {
 		if err := p.rt.Share(store.ID(i), game.EncodeCell(c)); err != nil {
 			return err

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -283,6 +284,55 @@ func TestTCPRecycleAliasing(t *testing.T) {
 	}
 	Recycle(eps[1], m1)
 	Recycle(eps[1], m2)
+}
+
+// The in-memory endpoint's half of the message rule: a plain Send hands the
+// receiver the sender's very struct, a SendMany delivery is a private
+// decode, and Recycle takes either back — struct and Payload — while the
+// beacon the receiver kept stays intact.
+func TestMemRecycle(t *testing.T) {
+	net := NewMemNetwork(3)
+	defer net.Close()
+	beacon := []int64{4, 2}
+	sent := wire.GetMsg()
+	sent.Kind, sent.Stamp, sent.Ints = wire.KindData, 7, beacon
+	sent.Payload = append(sent.Payload[:0], "given away"...)
+	if err := net.Endpoint(0).Send(1, sent); err != nil {
+		t.Fatal(err)
+	}
+	got, err := net.Endpoint(1).Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != sent {
+		t.Fatal("plain Send delivered a copy, not the struct that was given away")
+	}
+	kept := got.Ints
+	Recycle(net.Endpoint(1), got)
+	if got.Ints != nil || got.Kind != 0 || len(got.Payload) != 0 {
+		t.Fatalf("recycled struct not reset for its next life: %v ints=%v", got, got.Ints)
+	}
+	if !slices.Equal(kept, []int64{4, 2}) {
+		t.Fatalf("beacon kept past Recycle = %v", kept)
+	}
+
+	many := &wire.Msg{Kind: wire.KindSync, Stamp: 8, Ints: beacon}
+	if err := SendMany(net.Endpoint(0), []int{1, 2}, many); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{1, 2} {
+		got, err := net.Endpoint(id).Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == many || got.Src != 0 || got.Dst != int32(id) || got.Stamp != 8 || !slices.Equal(got.Ints, beacon) {
+			t.Fatalf("SendMany delivery at %d = %v ints=%v (private copy: %v)", id, got, got.Ints, got != many)
+		}
+		Recycle(net.Endpoint(id), got)
+	}
+	if many.Stamp != 8 || !slices.Equal(many.Ints, beacon) {
+		t.Fatalf("SendMany consumed the caller's message: %v", many)
+	}
 }
 
 // tcpPair dials a 2-node loopback mesh with the given config.

@@ -41,10 +41,11 @@ func (n *MemNetwork) Close() {
 
 // memItem is one queued delivery: either an eagerly delivered Msg pointer
 // (plain Send — the receiver sees the very struct the sender passed, which
-// is why this transport never recycles received messages) or a shared
-// encoding from a SendMany fanout, decoded lazily at receive time so each
-// receiver gets a private copy (copy-on-read) while the fanout itself
-// marshaled only once.
+// Send gave away: the struct and its Payload are the receiver's from then
+// on) or a shared encoding from a SendMany fanout, decoded lazily at
+// receive time into a pooled struct so each receiver gets a private copy
+// (copy-on-read) while the fanout itself marshaled only once. Either way
+// the delivered message is the receiver's to Recycle.
 type memItem struct {
 	m        *wire.Msg
 	enc      *wire.Encoded
@@ -57,7 +58,7 @@ type memEndpoint struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []memItem
+	queue  mailbox[memItem]
 	closed bool
 }
 
@@ -65,6 +66,7 @@ var (
 	_ Endpoint      = (*memEndpoint)(nil)
 	_ MultiSender   = (*memEndpoint)(nil)
 	_ EncodedSender = (*memEndpoint)(nil)
+	_ Recycler      = (*memEndpoint)(nil)
 )
 
 func (e *memEndpoint) ID() int { return e.id }
@@ -87,7 +89,7 @@ func (e *memEndpoint) Send(to int, m *wire.Msg) error {
 	if dst.closed {
 		return nil // messages to a closed peer are dropped, like the sim
 	}
-	dst.queue = append(dst.queue, memItem{m: m})
+	dst.queue.push(memItem{m: m})
 	dst.cond.Signal()
 	return nil
 }
@@ -111,7 +113,7 @@ func (e *memEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error 
 	if dst.closed {
 		return nil // dropped, as in Send
 	}
-	dst.queue = append(dst.queue, memItem{enc: enc.Retain(), src: int32(e.id), dst: int32(to)})
+	dst.queue.push(memItem{enc: enc.Retain(), src: int32(e.id), dst: int32(to)})
 	dst.cond.Signal()
 	return nil
 }
@@ -122,31 +124,36 @@ func (e *memEndpoint) SendMany(dsts []int, m *wire.Msg) error {
 }
 
 // pop dequeues the head item (e.mu held) and materializes a Msg: eager
-// deliveries pass the sender's pointer through, shared encodings decode a
-// private copy and patch the out-of-band routing in.
+// deliveries pass the given-away pointer through, shared encodings decode
+// a private copy into a pooled struct and patch the out-of-band routing in.
 func (e *memEndpoint) pop() (*wire.Msg, error) {
-	it := e.queue[0]
-	e.queue[0] = memItem{}
-	e.queue = e.queue[1:]
+	it := e.queue.pop()
 	if it.enc == nil {
 		return it.m, nil
 	}
 	defer it.enc.Release()
-	m := new(wire.Msg)
+	m := wire.GetMsg()
 	if err := it.enc.DecodeInto(m); err != nil {
+		wire.PutMsg(m)
 		return nil, err
 	}
 	m.Src, m.Dst = it.src, it.dst
 	return m, nil
 }
 
+// Recycle implements Recycler: every message this endpoint delivers is the
+// receiver's alone — Send gave the sender's struct away, a SendMany
+// delivery was decoded into a pooled one — so a fully consumed message goes
+// back to the free-list.
+func (e *memEndpoint) Recycle(m *wire.Msg) { recycle(m) }
+
 func (e *memEndpoint) Recv() (*wire.Msg, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for len(e.queue) == 0 && !e.closed {
+	for e.queue.len() == 0 && !e.closed {
 		e.cond.Wait()
 	}
-	if len(e.queue) == 0 {
+	if e.queue.len() == 0 {
 		return nil, ErrClosed
 	}
 	return e.pop()
@@ -164,13 +171,13 @@ func (e *memEndpoint) RecvTimeout(d time.Duration) (*wire.Msg, bool, error) {
 	defer timer.Stop()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for len(e.queue) == 0 && !e.closed {
+	for e.queue.len() == 0 && !e.closed {
 		if !time.Now().Before(deadline) {
 			return nil, false, nil
 		}
 		e.cond.Wait()
 	}
-	if len(e.queue) == 0 {
+	if e.queue.len() == 0 {
 		return nil, false, ErrClosed
 	}
 	m, err := e.pop()
@@ -180,7 +187,7 @@ func (e *memEndpoint) RecvTimeout(d time.Duration) (*wire.Msg, bool, error) {
 func (e *memEndpoint) TryRecv() (*wire.Msg, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.queue) == 0 {
+	if e.queue.len() == 0 {
 		if e.closed {
 			return nil, false, ErrClosed
 		}

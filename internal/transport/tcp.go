@@ -197,7 +197,7 @@ type TCPEndpoint struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []*wire.Msg
+	queue  mailbox[*wire.Msg]
 	closed bool
 
 	// closing and done mirror `closed` for paths that cannot take e.mu:
@@ -459,7 +459,7 @@ func (e *TCPEndpoint) readLoop(p *tcpPeer) {
 			e.mu.Unlock()
 			return
 		}
-		e.queue = append(e.queue, m)
+		e.queue.push(m)
 		e.cond.Signal()
 		e.mu.Unlock()
 	}
@@ -646,13 +646,15 @@ func (e *TCPEndpoint) Flush() error {
 		// must not touch the bufio writers the writer goroutines own.
 		return nil
 	}
-	e.mu.Lock()
-	peers := make([]*tcpPeer, len(e.peers))
-	copy(peers, e.peers)
-	e.mu.Unlock()
 	var errs []error
 	maxBuffered, flushed := 0, false
-	for to, p := range peers {
+	for to := 0; to < e.n; to++ {
+		// One link at a time under e.mu, never a snapshot of the table: the
+		// barrier runs every tick and must not allocate, and e.mu cannot be
+		// held across a socket write (the read loops deliver under it).
+		e.mu.Lock()
+		p := e.peers[to]
+		e.mu.Unlock()
 		if p == nil {
 			continue
 		}
@@ -688,26 +690,20 @@ func (e *TCPEndpoint) Flush() error {
 
 // Recycle implements Recycler: messages delivered by this endpoint are
 // decoded from frames into pool-owned structs (see readLoop), so a fully
-// consumed message goes back to the free-list. Ints is detached first, as
-// the Recycler contract requires: receivers keep beacons past the message.
-func (e *TCPEndpoint) Recycle(m *wire.Msg) {
-	m.Ints = nil
-	wire.PutMsg(m)
-}
+// consumed message goes back to the free-list.
+func (e *TCPEndpoint) Recycle(m *wire.Msg) { recycle(m) }
 
 // Recv implements Endpoint.
 func (e *TCPEndpoint) Recv() (*wire.Msg, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for len(e.queue) == 0 && !e.closed {
+	for e.queue.len() == 0 && !e.closed {
 		e.cond.Wait()
 	}
-	if len(e.queue) == 0 {
+	if e.queue.len() == 0 {
 		return nil, ErrClosed
 	}
-	m := e.queue[0]
-	e.queue = e.queue[1:]
-	return m, nil
+	return e.queue.pop(), nil
 }
 
 // RecvTimeout implements Endpoint with a wall-clock deadline.
@@ -721,33 +717,29 @@ func (e *TCPEndpoint) RecvTimeout(d time.Duration) (*wire.Msg, bool, error) {
 	defer timer.Stop()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for len(e.queue) == 0 && !e.closed {
+	for e.queue.len() == 0 && !e.closed {
 		if !time.Now().Before(deadline) {
 			return nil, false, nil
 		}
 		e.cond.Wait()
 	}
-	if len(e.queue) == 0 {
+	if e.queue.len() == 0 {
 		return nil, false, ErrClosed
 	}
-	m := e.queue[0]
-	e.queue = e.queue[1:]
-	return m, true, nil
+	return e.queue.pop(), true, nil
 }
 
 // TryRecv implements Endpoint without blocking.
 func (e *TCPEndpoint) TryRecv() (*wire.Msg, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.queue) == 0 {
+	if e.queue.len() == 0 {
 		if e.closed {
 			return nil, false, ErrClosed
 		}
 		return nil, false, nil
 	}
-	m := e.queue[0]
-	e.queue = e.queue[1:]
-	return m, true, nil
+	return e.queue.pop(), true, nil
 }
 
 // Now implements Endpoint; it reports wall time since the endpoint started.

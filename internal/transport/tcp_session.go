@@ -532,7 +532,7 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 			wire.PutMsg(m)
 			return
 		}
-		e.queue = append(e.queue, m)
+		e.queue.push(m)
 		e.cond.Signal()
 		e.mu.Unlock()
 	}

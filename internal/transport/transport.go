@@ -38,6 +38,17 @@ type Endpoint interface {
 	N() int
 	// Send transmits m to process `to`. The message's Src/Dst fields are
 	// filled in by the transport.
+	//
+	// A sent message is given away, whatever Send returned: the struct and
+	// its Payload belong to the receiver until it recycles them (the
+	// in-memory and simulated transports deliver the very struct), so the
+	// sender neither reads, writes, resends nor retains m afterwards — it
+	// keeps values, and builds a fresh message to retransmit. Ints is the
+	// exception: it is shared, and immutable from the moment it is sent, so
+	// one beacon may ride many messages and outlive all of them. Senders
+	// that must keep a message they send (a request held for a failover
+	// retransmit) send a Clone; that is only safe to skip towards receivers
+	// that never Recycle.
 	Send(to int, m *wire.Msg) error
 	// Recv returns the next incoming message.
 	Recv() (*wire.Msg, error)
@@ -138,18 +149,28 @@ type LivenessReporter interface {
 	PeerGone(peer int) bool
 }
 
-// Recycler is an optional Endpoint capability: receivers hand fully
-// consumed messages back to the transport's free-list so steady-state
-// receive paths stop allocating. Only endpoints whose delivered messages
-// are transport-owned (decoded from frames, never aliased by the sender)
-// pool them; the in-memory transport deliberately does not, because it
-// delivers sender-retained pointers, and wrappers forward to whatever they
-// wrap. The caller therefore hands the message over untouched — it may
-// still be the sender's struct — and may keep m.Ints (a beacon outlives its
-// message): an implementation that pools m takes the struct and the
-// Payload buffer only, and detaches Ints itself.
+// Recycler is an optional Endpoint capability, and the other half of the
+// Send rule: a delivered message is the receiver's alone — decoded from a
+// frame into a pooled struct (TCP, SendMany deliveries) or given away by
+// its sender (in-memory and simulated Send) — so the receiver hands a fully
+// consumed one back to the free-list (wire.PutMsg) and messages circulate
+// instead of being allocated. Every transport in this package implements
+// it; wrappers forward to whatever they wrap. The caller must hold no
+// reference into the struct or its Payload afterwards, but may keep m.Ints
+// (a beacon outlives its message): an implementation takes the struct and
+// the Payload buffer only, and detaches Ints itself. Recycling is optional
+// per message — one whose Payload is retained (a vaulted checkpoint, a
+// parked reply) is simply never handed back.
 type Recycler interface {
 	Recycle(m *wire.Msg)
+}
+
+// recycle is the Recycle of every endpoint in this package: the struct and
+// its Payload buffer go back to the wire free-list; Ints is detached first
+// because beacons are shared between messages and outlive them.
+func recycle(m *wire.Msg) {
+	m.Ints = nil
+	wire.PutMsg(m)
 }
 
 // SendMany transmits m to every destination in dsts, using the endpoint's
@@ -180,7 +201,7 @@ func Flush(ep Endpoint) error {
 }
 
 // Recycle returns a fully consumed received message to the endpoint's
-// free-list when the transport supports it, and drops it otherwise. The
+// free-list when the endpoint supports it, and drops it otherwise. The
 // caller must not touch m afterwards.
 func Recycle(ep Endpoint, m *wire.Msg) {
 	if r, ok := ep.(Recycler); ok {

@@ -22,6 +22,7 @@ var (
 	_ Endpoint      = (*SimEndpoint)(nil)
 	_ MultiSender   = (*SimEndpoint)(nil)
 	_ EncodedSender = (*SimEndpoint)(nil)
+	_ Recycler      = (*SimEndpoint)(nil)
 )
 
 // simEncoded is the vtime payload for shared-encoding deliveries: the
@@ -80,15 +81,17 @@ func (e *SimEndpoint) SendMany(dsts []int, m *wire.Msg) error {
 }
 
 // simDecode materializes a received vtime payload: eager *wire.Msg
-// deliveries pass through, shared encodings decode a private copy.
+// deliveries pass the given-away struct through, shared encodings decode a
+// private copy into a pooled one.
 func simDecode(payload any) (*wire.Msg, bool) {
 	switch v := payload.(type) {
 	case *wire.Msg:
 		return v, true
 	case *simEncoded:
 		defer v.enc.Release()
-		m := new(wire.Msg)
+		m := wire.GetMsg()
 		if err := v.enc.DecodeInto(m); err != nil {
+			wire.PutMsg(m)
 			return nil, false
 		}
 		m.Src, m.Dst = v.src, v.dst
@@ -96,6 +99,11 @@ func simDecode(payload any) (*wire.Msg, bool) {
 	}
 	return nil, false
 }
+
+// Recycle implements Recycler, exactly as the in-memory endpoint does: a
+// delivered message is the receiver's alone, so a fully consumed one goes
+// back to the free-list.
+func (e *SimEndpoint) Recycle(m *wire.Msg) { recycle(m) }
 
 // Recv implements Endpoint.
 func (e *SimEndpoint) Recv() (*wire.Msg, error) {

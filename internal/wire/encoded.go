@@ -138,10 +138,16 @@ func (e *Encoded) WriteTo(w io.Writer) (int64, error) {
 // caller may retain m past the frame's Release.
 func (e *Encoded) DecodeInto(m *Msg) error { return m.UnmarshalBinary(e.buf[4:]) }
 
-// msgPool recycles Msg structs delivered by transports that decode frames
-// themselves (the TCP read loop, shared-encoding deliveries). A recycled
-// Msg keeps its Ints/Payload capacity, so steady-state receive paths decode
-// with zero per-message heap allocations.
+// msgPool is the free-list messages circulate through. The lookahead
+// runtime takes every hot-path outgoing message from it; Send gives the
+// message away (transport.Endpoint.Send); the receiving transport delivers
+// that struct, or a frame decoded into another pooled one (the TCP read
+// loop, shared-encoding deliveries); and the receiver's Recycle puts it
+// back once consumed. A recycled Msg keeps its Payload capacity (and its
+// Ints capacity, when the caller left Ints attached), so in steady state
+// neither a send nor a decode allocates. A Msg taken and never put back —
+// sent over TCP, retained by its receiver, received by a protocol that
+// does not recycle — is ordinary garbage, and the next Get allocates.
 var msgPool = sync.Pool{New: func() any { return new(Msg) }}
 
 // GetMsg returns a Msg from the free-list (fields zeroed, slice capacity
