@@ -103,8 +103,7 @@ func run(args []string) error {
 			fmt.Println(sw.Table(title, "ms per modification", harness.MetricNormalizedTime))
 		}
 		if want("6") {
-			title := fmt.Sprintf("Figure 6 (range %d): total message transfers (control + data)", r)
-			fmt.Println(sw.Table(title, "messages", harness.MetricTotalMsgs))
+			fmt.Println(sw.Figure6Tables(r))
 		}
 		if want("7") {
 			title := fmt.Sprintf("Figure 7 (range %d): data message transfers", r)

@@ -192,7 +192,7 @@ func TCPLoopbackExchange(b *testing.B) {
 
 // framesPerExchange runs a 2-process lockstep game over loopback TCP and
 // returns the per-process physical frames and wire bytes per exchange tick.
-func framesPerExchange(b testing.TB, piggyback bool) (frames, bytes float64) {
+func framesPerExchange(b testing.TB) (frames, bytes float64) {
 	b.Helper()
 	const ticks = 100
 	addrs := benchFreeAddrs(b, 2)
@@ -210,11 +210,7 @@ func framesPerExchange(b testing.TB, piggyback bool) (frames, bytes float64) {
 		go func() {
 			defer wg.Done()
 			errs[i] = func() error {
-				rt, err := core.New(core.Config{
-					Endpoint:      eps[i],
-					MergeDiffs:    true,
-					PiggybackSync: piggyback,
-				})
+				rt, err := core.New(core.Config{Endpoint: eps[i], MergeDiffs: true})
 				if err != nil {
 					return err
 				}
@@ -259,20 +255,14 @@ func framesPerExchange(b testing.TB, piggyback bool) (frames, bytes float64) {
 }
 
 // FramesPerExchange measures the physical cost of one exchange tick over
-// TCP with and without SYNC piggybacking: steady state is two frames per
-// exchange plain (DATA + SYNC) and one piggybacked.
+// TCP: one frame in steady state, DATA carrying the SYNC marker. The keys
+// keep the "_piggyback" suffix BENCH_PR4.json recorded this form under.
 func FramesPerExchange(b *testing.B) {
 	b.ReportAllocs()
-	var plainF, plainB, piggyF, piggyB float64
+	var frames, bytes float64
 	for i := 0; i < b.N; i++ {
-		plainF, plainB = framesPerExchange(b, false)
-		piggyF, piggyB = framesPerExchange(b, true)
+		frames, bytes = framesPerExchange(b)
 	}
-	b.ReportMetric(plainF, "frames/exchange_plain")
-	b.ReportMetric(plainB, "wirebytes/exchange_plain")
-	b.ReportMetric(piggyF, "frames/exchange_piggyback")
-	b.ReportMetric(piggyB, "wirebytes/exchange_piggyback")
-	if piggyF > 0 {
-		b.ReportMetric(plainF/piggyF, "frame_reduction_x")
-	}
+	b.ReportMetric(frames, "frames/exchange_piggyback")
+	b.ReportMetric(bytes, "wirebytes/exchange_piggyback")
 }

@@ -24,10 +24,10 @@ func Interest() []Bench {
 
 // interestCell plays one BSYNC game on the simulated cluster with delta
 // encoding and tick batching on (the PR 8 configuration) and, per the
-// flags, the spatial interest filter and SYNC piggybacking. It returns
-// the Figure-5 normalized time in ms per modification, the wire messages
-// per process-tick, and the run's metrics for the interest counters.
-func interestCell(b testing.TB, n int, interest, piggyback bool) (msPerMod, msgsPerTick float64, res *harness.Result) {
+// flag, the spatial interest filter. It returns the Figure-5 normalized
+// time in ms per modification, the wire messages per process-tick, and the
+// run's metrics for the interest counters.
+func interestCell(b testing.TB, n int, interest bool) (msPerMod, msgsPerTick float64, res *harness.Result) {
 	b.Helper()
 	cfg := harness.Config{
 		Game:          harness.InterestWorld(n),
@@ -35,7 +35,6 @@ func interestCell(b testing.TB, n int, interest, piggyback bool) (msPerMod, msgs
 		DeltaEncode:   true,
 		MaxBatchTicks: deltaBatchTicks,
 		Interest:      interest,
-		PiggybackSync: piggyback,
 	}
 	res, err := harness.Run(cfg)
 	if err != nil {
@@ -53,26 +52,24 @@ func interestCell(b testing.TB, n int, interest, piggyback bool) (msPerMod, msgs
 
 // InterestFanout sweeps n ∈ {64, 128, 256} at fixed density and compares
 // the PR 8 delta+batch exchange (full-membership fanout) against the same
-// configuration with the interest filter on, plus the filter composed
-// with SYNC piggybacking. Reported series: ms per modification, messages
-// per process-tick, the speedup, and the interest counters (peak set
-// size, churn, enter-radius fetches).
+// configuration with the interest filter on. Reported series: ms per
+// modification, messages per process-tick, the speedup, and the interest
+// counters (peak set size, churn, enter-radius fetches).
 func InterestFanout(b *testing.B) {
 	b.ReportAllocs()
 	ns := []int{64, 128, 256}
 	type cell struct {
-		offMs, onMs, pigMs    float64
+		offMs, onMs           float64
 		offMsgs, onMsgs       float64
 		setPeak, churn, fetch int
 	}
 	cells := make([]cell, len(ns))
 	for i := 0; i < b.N; i++ {
 		for k, n := range ns {
-			offMs, offMsgs, _ := interestCell(b, n, false, false)
-			onMs, onMsgs, res := interestCell(b, n, true, false)
-			pigMs, _, _ := interestCell(b, n, true, true)
+			offMs, offMsgs, _ := interestCell(b, n, false)
+			onMs, onMsgs, res := interestCell(b, n, true)
 			cells[k] = cell{
-				offMs: offMs, onMs: onMs, pigMs: pigMs,
+				offMs: offMs, onMs: onMs,
 				offMsgs: offMsgs, onMsgs: onMsgs,
 				setPeak: res.Metrics.InterestSetPeak(),
 				churn:   res.Metrics.InterestChurn(),
@@ -84,7 +81,6 @@ func InterestFanout(b *testing.B) {
 		c := cells[k]
 		b.ReportMetric(c.offMs, fmt.Sprintf("n%d_msmod_plain", n))
 		b.ReportMetric(c.onMs, fmt.Sprintf("n%d_msmod_interest", n))
-		b.ReportMetric(c.pigMs, fmt.Sprintf("n%d_msmod_interest_pig", n))
 		b.ReportMetric(c.offMsgs, fmt.Sprintf("n%d_msgs_per_tick_plain", n))
 		b.ReportMetric(c.onMsgs, fmt.Sprintf("n%d_msgs_per_tick_interest", n))
 		if c.onMs > 0 {

@@ -37,13 +37,10 @@ func TestFramesMatchPR4Baseline(t *testing.T) {
 		t.Fatal("BENCH_PR4.json has no FramesPerExchange entry")
 	}
 
-	plainF, plainB := framesPerExchange(t, false)
-	piggyF, piggyB := framesPerExchange(t, true)
+	frames, bytes := framesPerExchange(t)
 	got := map[string]float64{
-		"frames/exchange_plain":        plainF,
-		"wirebytes/exchange_plain":     plainB,
-		"frames/exchange_piggyback":    piggyF,
-		"wirebytes/exchange_piggyback": piggyB,
+		"frames/exchange_piggyback":    frames,
+		"wirebytes/exchange_piggyback": bytes,
 	}
 	for key, g := range got {
 		w, ok := want[key]

@@ -1,0 +1,132 @@
+package core
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"sdso/internal/trace"
+	"sdso/internal/transport"
+	"sdso/internal/wire"
+)
+
+// TestRidingDoneAheadOfReceiversClock: a peer one tick behind receives the
+// departing process's final flush — DATA carrying the DONE marker, stamped
+// ahead of its clock. The marker takes effect at arrival (the sender is
+// gone from the schedule at once) while the data half waits in earlyData
+// and is absorbed at its own tick, after the sender was marked done; and
+// the DONE is recorded with the stamp a bare DONE carries, the sender's
+// last tick.
+func TestRidingDoneAheadOfReceiversClock(t *testing.T) {
+	for _, buffered := range []bool{true, false} { // riding DONE, then the bare one
+		net := transport.NewMemNetwork(2)
+		t.Cleanup(net.Close)
+		rec := trace.NewRecorder(1)
+		a, err := New(Config{Endpoint: net.Endpoint(0), MergeDiffs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(Config{Endpoint: net.Endpoint(1), MergeDiffs: true, Trace: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Runtime{a, b} {
+			if err := r.Share(1, counterBytes(0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Push-only exchanges, so neither side blocks: a runs to tick 2 and
+		// leaves, b is at tick 1 when the final frame arrives.
+		tick := func(r *Runtime) {
+			t.Helper()
+			if err := r.Exchange(ExchangeOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tick(a)
+		tick(a)
+		if buffered {
+			if err := a.Write(1, counterBytes(42)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Done(false); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := a.Metrics().Snapshot().PiggybackedDones == 1, buffered; got != want {
+			t.Fatalf("buffered=%v: DONE rode the final flush = %v", buffered, got)
+		}
+		tick(b)
+		b.Poll()
+		value := func() uint64 {
+			state, _ := b.Store().Get(1)
+			return binary.BigEndian.Uint64(state)
+		}
+		if !b.PeerDone(0) {
+			t.Fatalf("buffered=%v: the DONE did not take effect at arrival", buffered)
+		}
+		var doneStamp int64 = -1
+		for _, ev := range rec.Events() {
+			if ev.Op == trace.OpPeerDone {
+				doneStamp = ev.Aux
+			}
+		}
+		if doneStamp != 2 {
+			t.Errorf("buffered=%v: OpPeerDone recorded stamp %d, want the sender's last tick 2", buffered, doneStamp)
+		}
+		if !buffered {
+			continue
+		}
+		if got := len(b.peers[0].earlyData); got != 1 || value() != 0 {
+			t.Fatalf("at tick %d: %d early DATA held, object = %d; want the flush stamped 3 waiting unapplied", b.Now(), got, value())
+		}
+		tick(b) // tick 2: still ahead
+		if value() != 0 {
+			t.Fatalf("final flush stamped 3 applied at tick %d", b.Now())
+		}
+		tick(b) // tick 3: absorbed, from a peer long marked done
+		if got := len(b.peers[0].earlyData); got != 0 || value() != 42 {
+			t.Fatalf("at tick %d: %d early DATA held, object = %d; want the final write absorbed", b.Now(), got, value())
+		}
+	}
+}
+
+// FuzzConsumeData is a live-read-path fuzz target: a KindData frame with
+// arbitrary mode bits, stamp, beacon and payload is dispatched into a
+// runtime mid-game. It must never panic, and a frame from a crashed or
+// absent peer must be dropped whole — whatever marker it carries.
+func FuzzConsumeData(f *testing.F) {
+	f.Add(int32(1), int64(2), uint8(wire.ModeSyncPiggyback), []byte{1, 2, 3}, []byte{0, 0, 0, 1}, true)
+	f.Add(int32(1), int64(9), uint8(wire.ModeDonePiggyback|wire.ModeDoneWon), []byte{}, []byte{}, false)
+	f.Add(int32(2), int64(1), uint8(0xF0), []byte{0xFF}, []byte{9}, true)
+	f.Add(int32(3), int64(-1), uint8(wire.ModeDonePiggyback|wire.ModeSyncPiggyback|wire.ModeDeltaPayload), []byte{7}, []byte{}, false)
+	f.Add(int32(7), int64(1)<<62, uint8(0x3F), []byte{}, []byte{1}, true)
+	f.Fuzz(func(t *testing.T, src int32, stamp int64, mode uint8, beacon, payload []byte, rendezvous bool) {
+		net := transport.NewMemNetwork(4)
+		defer net.Close()
+		// Peer 1 is live, 2 gets evicted, 3 has not joined.
+		r, err := New(Config{Endpoint: net.Endpoint(0), MergeDiffs: true, InitialMembers: []int{1, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Share(1, counterBytes(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Exchange(ExchangeOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		r.evictPeer(2)
+		epoch := r.Epoch()
+		ints := make([]int64, len(beacon))
+		for i, v := range beacon {
+			ints[i] = int64(int8(v))
+		}
+		r.dispatch(&wire.Msg{Kind: wire.KindData, Src: src, Stamp: stamp, Mode: mode, Ints: ints, Payload: payload}, rendezvous)
+		if src != 2 && src != 3 {
+			return
+		}
+		ps := &r.peers[src]
+		if ps.done || len(ps.earlyData) != 0 || len(ps.earlySync) != 0 || ps.syncSeen != 0 || r.GameOver() || r.Epoch() != epoch {
+			t.Fatalf("frame from gone peer %d (mode %#x) left a mark: %+v gameOver=%v epoch %d→%d", src, mode, *ps, r.GameOver(), epoch, r.Epoch())
+		}
+	})
+}

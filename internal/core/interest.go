@@ -82,7 +82,7 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 					enc.Release()
 					return fmt.Errorf("exchange sync to %d: %w", peer, err)
 				}
-				r.peers[peer].lastSync = sentSync{stamp: r.now, beacon: g.beacon}
+				r.peers[peer].sent(r.now, g.beacon)
 			}
 			enc.Release()
 			sync.Ints = nil
@@ -97,7 +97,7 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 				}
 				return fmt.Errorf("exchange sync to %d: %w", peer, err)
 			}
-			r.peers[peer].lastSync = sentSync{stamp: r.now, beacon: g.beacon}
+			r.peers[peer].sent(r.now, g.beacon)
 		}
 	}
 	return nil

@@ -207,7 +207,7 @@ func (r *Runtime) readmitPeer(peer int) {
 	r.buf.Readmit(peer)
 	// Pre-crash leftovers from the peer's previous life must not leak
 	// into its new one.
-	ps.earlySync, ps.earlyData, ps.lastSync = nil, nil, sentSync{}
+	ps.earlySync, ps.earlyData, ps.lastSync, ps.prevSync = nil, nil, sentSync{}, sentSync{}
 	// The peer's new life starts from the join snapshot, not from whatever
 	// the delta tables remember of its old one: force full records until
 	// fresh acks rebuild the table.

@@ -115,58 +115,56 @@ func TestRetransmittedSyncKeepsBeacon(t *testing.T) {
 // values. The walk is by reflection over the whole per-peer slab, so a
 // field added later is covered without being named here.
 func TestSentMessageIsGivenAway(t *testing.T) {
-	for _, piggyback := range []bool{false, true} {
-		net := transport.NewMemNetwork(2)
-		t.Cleanup(net.Close)
-		// What each runtime handed to Send during the tick in progress. The
-		// sets are per tick because structs circulate: one a runtime sent
-		// last tick may legitimately come back to it, as its peer's message.
-		sent := make([]map[*wire.Msg]bool, 2)
-		rts := make([]*Runtime, 2)
-		for id := range rts {
-			id := id
-			r, err := New(Config{
-				Endpoint:   &poisonEndpoint{Endpoint: net.Endpoint(id), onSend: func(m *wire.Msg) { sent[id][m] = true }},
-				MergeDiffs: true, DeltaEncode: true, PiggybackSync: piggyback,
-				RendezvousTimeout: time.Minute, // failure detection on: lastSync is live state
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Share(0, counterBytes(0)); err != nil {
-				t.Fatal(err)
-			}
-			rts[id] = r
+	net := transport.NewMemNetwork(2)
+	t.Cleanup(net.Close)
+	// What each runtime handed to Send during the tick in progress. The
+	// sets are per tick because structs circulate: one a runtime sent
+	// last tick may legitimately come back to it, as its peer's message.
+	sent := make([]map[*wire.Msg]bool, 2)
+	rts := make([]*Runtime, 2)
+	for id := range rts {
+		id := id
+		r, err := New(Config{
+			Endpoint:   &poisonEndpoint{Endpoint: net.Endpoint(id), onSend: func(_ int, m *wire.Msg) { sent[id][m] = true }},
+			MergeDiffs: true, DeltaEncode: true,
+			RendezvousTimeout: time.Minute, // failure detection on: lastSync is live state
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		step := func(r *Runtime, k int) error {
-			if err := r.Write(0, counterBytes(uint64(2*k+r.ID()))); err != nil {
-				return err
-			}
-			return r.Exchange(ExchangeOpts{
-				Resync: true, SFunc: EveryTick, Beacon: func(int) []int64 { return []int64{int64(k)} },
-			})
+		if err := r.Share(0, counterBytes(0)); err != nil {
+			t.Fatal(err)
 		}
-		for k := 1; k <= 3; k++ {
-			sent[0], sent[1] = make(map[*wire.Msg]bool), make(map[*wire.Msg]bool)
-			errB := make(chan error, 1)
-			go func() { errB <- step(rts[1], k) }()
-			if err := step(rts[0], k); err != nil {
-				t.Fatal(err)
+		rts[id] = r
+	}
+	step := func(r *Runtime, k int) error {
+		if err := r.Write(0, counterBytes(uint64(2*k+r.ID()))); err != nil {
+			return err
+		}
+		return r.Exchange(ExchangeOpts{
+			Resync: true, SFunc: EveryTick, Beacon: func(int) []int64 { return []int64{int64(k)} },
+		})
+	}
+	for k := 1; k <= 3; k++ {
+		sent[0], sent[1] = make(map[*wire.Msg]bool), make(map[*wire.Msg]bool)
+		errB := make(chan error, 1)
+		go func() { errB <- step(rts[1], k) }()
+		if err := step(rts[0], k); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errB; err != nil {
+			t.Fatal(err)
+		}
+		for id, r := range rts {
+			if len(sent[id]) == 0 {
+				t.Fatalf("tick %d: the recorder saw nothing runtime %d sent", k, id)
 			}
-			if err := <-errB; err != nil {
-				t.Fatal(err)
+			if r.peers[1-id].lastSync.stamp != int64(k) {
+				t.Fatalf("runtime %d kept lastSync %+v after tick %d", id, r.peers[1-id].lastSync, k)
 			}
-			for id, r := range rts {
-				if len(sent[id]) == 0 {
-					t.Fatalf("tick %d: the recorder saw nothing runtime %d sent", k, id)
-				}
-				if r.peers[1-id].lastSync.stamp != int64(k) {
-					t.Fatalf("runtime %d kept lastSync %+v after tick %d", id, r.peers[1-id].lastSync, k)
-				}
-				for _, m := range reachableMsgs(reflect.ValueOf(r.peers)) {
-					if sent[id][m] {
-						t.Fatalf("piggyback=%v tick %d: runtime %d still holds %p (%v), which it gave to its transport", piggyback, k, id, m, m)
-					}
+			for _, m := range reachableMsgs(reflect.ValueOf(r.peers)) {
+				if sent[id][m] {
+					t.Fatalf("tick %d: runtime %d still holds %p (%v), which it gave to its transport", k, id, m, m)
 				}
 			}
 		}

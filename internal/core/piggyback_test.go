@@ -56,8 +56,13 @@ func runConfigGroup(t *testing.T, n int, mkCfg func(ep transport.Endpoint) Confi
 
 // lockstepBody is the BSYNC shape used by the piggyback tests: every
 // process owns one counter object, increments it each tick, and exchanges
-// with everyone every tick, advertising a per-tick beacon.
+// with everyone every tick, advertising a per-tick beacon. It ends with one
+// more write and Done, so the final flush carries the DONE marker — after a
+// barrier, so that no process meets a peer's DONE while still awaiting its
+// last rendezvous and every Done has all n-1 peers live.
 func lockstepBody(n, ticks int) func(r *Runtime) error {
+	var lastTick sync.WaitGroup
+	lastTick.Add(n)
 	return func(r *Runtime) error {
 		for obj := 0; obj < n; obj++ {
 			if err := r.Share(store.ID(obj), counterBytes(0)); err != nil {
@@ -78,105 +83,157 @@ func lockstepBody(n, ticks int) func(r *Runtime) error {
 				return err
 			}
 		}
-		return nil
+		lastTick.Done()
+		lastTick.Wait()
+		if err := r.Write(mine, counterBytes(uint64(ticks+1))); err != nil {
+			return err
+		}
+		return r.Done(false)
 	}
 }
 
-// TestPiggybackConvergence runs the lockstep game with SYNC piggybacking
-// on: replicas must still converge on the sequential outcome, and — since
-// data flows to every peer at every tick — every SYNC must have ridden on
-// a data frame, sending zero standalone SYNC messages.
+// splitEndpoint counts the frames its runtime sends and, with split set,
+// sends them as a two-frame peer would: a DATA frame carrying a marker goes
+// out as unflagged DATA followed by the bare SYNC or DONE — the form every
+// receiver keeps accepting (DESIGN.md §15, the frame rule).
+type splitEndpoint struct {
+	transport.Endpoint
+	split  bool
+	frames int
+}
+
+func (s *splitEndpoint) Send(to int, m *wire.Msg) error {
+	s.frames++
+	const markers = wire.ModeSyncPiggyback | wire.ModeDonePiggyback | wire.ModeDoneWon
+	if !s.split || m.Kind != wire.KindData || m.Mode&markers == 0 {
+		return s.Endpoint.Send(to, m)
+	}
+	s.frames++
+	marker := &wire.Msg{Kind: wire.KindSync, Stamp: m.Stamp, Ints: m.Ints}
+	if m.Mode&wire.ModeDonePiggyback != 0 {
+		marker = &wire.Msg{Kind: wire.KindDone, Stamp: m.Stamp - 1}
+		if m.Mode&wire.ModeDoneWon != 0 {
+			marker.Mode = doneWon
+		}
+	}
+	m.Mode, m.Ints = m.Mode&^markers, nil
+	if err := s.Endpoint.Send(to, m); err != nil {
+		return err
+	}
+	return s.Endpoint.Send(to, marker)
+}
+
+// TestPiggybackConvergence runs the lockstep game: replicas must converge
+// on the sequential outcome, and — since data flows to every peer at every
+// tick and with the final flush — every SYNC and DONE must have ridden on a
+// data frame, sending zero standalone markers.
 func TestPiggybackConvergence(t *testing.T) {
 	const n, ticks = 4, 10
 	mcs := make([]*metrics.Collector, n)
 	rts := runConfigGroup(t, n, func(ep transport.Endpoint) Config {
 		mc := metrics.NewCollector()
 		mcs[ep.ID()] = mc
-		return Config{Endpoint: ep, MergeDiffs: true, PiggybackSync: true, Metrics: mc}
+		return Config{Endpoint: ep, MergeDiffs: true, Metrics: mc}
 	}, lockstepBody(n, ticks))
-	for i := 1; i < n; i++ {
-		if !rts[0].Store().Equal(rts[i].Store()) {
-			t.Fatalf("replica %d diverged from replica 0", i)
-		}
-	}
-	for obj := 0; obj < n; obj++ {
-		b, err := rts[0].Store().Get(store.ID(obj))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := binary.BigEndian.Uint64(b); got != ticks {
-			t.Errorf("object %d = %d, want %d", obj, got, ticks)
+	// The final flush is stamped one tick past the last Exchange, so it
+	// waits (early) at peers that never tick again: every replica holds the
+	// loop's last value of each object, and its own final write.
+	for i, r := range rts {
+		for obj := 0; obj < n; obj++ {
+			b, err := r.Store().Get(store.ID(obj))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(ticks)
+			if obj == i {
+				want++
+			}
+			if got := binary.BigEndian.Uint64(b); got != want {
+				t.Errorf("replica %d: object %d = %d, want %d", i, obj, got, want)
+			}
 		}
 	}
 	for i, mc := range mcs {
 		s := mc.Snapshot()
 		wantPairs := ticks * (n - 1)
-		if got := s.MsgsSent[wire.KindSync]; got != 0 {
-			t.Errorf("process %d sent %d standalone SYNCs, want 0 (all piggybacked)", i, got)
+		if got := s.MsgsSent[wire.KindSync] + s.MsgsSent[wire.KindDone]; got != 0 {
+			t.Errorf("process %d sent %d standalone SYNCs and DONEs, want 0 (all riding)", i, got)
 		}
-		if got := s.MsgsSent[wire.KindData]; got != wantPairs {
-			t.Errorf("process %d sent %d DATA messages, want %d", i, got, wantPairs)
+		if got := s.MsgsSent[wire.KindData]; got != wantPairs+n-1 {
+			t.Errorf("process %d sent %d DATA messages, want %d", i, got, wantPairs+n-1)
 		}
 		if got := s.PiggybackedSyncs; got != wantPairs {
 			t.Errorf("process %d piggybacked %d SYNCs, want %d", i, got, wantPairs)
 		}
+		if got := s.PiggybackedDones; got != n-1 {
+			t.Errorf("process %d piggybacked %d DONEs, want %d", i, got, n-1)
+		}
+		if got, want := s.LogicalMsgs(), 2*s.TotalMsgs(); got != want {
+			t.Errorf("process %d: %d logical messages, want %d (two per frame)", i, got, want)
+		}
 	}
 }
 
-// TestPiggybackEquivalence replays the identical lockstep game with
-// piggybacking off and on: final replicas and the full per-process beacon
-// observation logs must match exactly — the receive path synthesizes the
-// same logical (data, SYNC) pairs either way — while the messages-sent
-// count halves.
+// TestPiggybackEquivalence replays the identical lockstep game in the
+// one-frame form the runtime sends and in the two-frame form it still
+// accepts (every marker split off its data frame on the way out): final
+// replicas, the full per-process beacon observation logs and the peers
+// seen done must match exactly — the receive path synthesizes the same
+// logical (data, marker) pairs either way — while the frames sent halve.
 func TestPiggybackEquivalence(t *testing.T) {
 	const n, ticks = 4, 10
-	run := func(piggy bool) ([]*Runtime, [][]string, int) {
+	run := func(split bool) ([]*Runtime, [][]string, int) {
 		beacons := make([][]string, n)
-		mcs := make([]*metrics.Collector, n)
+		eps := make([]*splitEndpoint, n)
 		rts := runConfigGroup(t, n, func(ep transport.Endpoint) Config {
 			id := ep.ID()
-			mc := metrics.NewCollector()
-			mcs[id] = mc
+			eps[id] = &splitEndpoint{Endpoint: ep, split: split}
 			return Config{
-				Endpoint: ep, MergeDiffs: true, PiggybackSync: piggy, Metrics: mc,
+				Endpoint: eps[id], MergeDiffs: true,
 				OnBeacon: func(peer int, b []int64) {
 					beacons[id] = append(beacons[id], fmt.Sprintf("%d:%v", peer, b))
 				},
 			}
 		}, lockstepBody(n, ticks))
 		total := 0
-		for _, mc := range mcs {
-			total += mc.Snapshot().TotalMsgs()
+		for i, r := range rts {
+			r.Poll() // everyone has called Done: take the DONEs in
+			for peer := 0; peer < n; peer++ {
+				if peer != i && !r.PeerDone(peer) {
+					t.Fatalf("split=%v: runtime %d never saw peer %d done", split, i, peer)
+				}
+			}
+			total += eps[i].frames
 		}
 		return rts, beacons, total
 	}
-	rtsOff, beaconsOff, totalOff := run(false)
-	rtsOn, beaconsOn, totalOn := run(true)
+	rtsOne, beaconsOne, framesOne := run(false)
+	rtsTwo, beaconsTwo, framesTwo := run(true)
 	for i := 0; i < n; i++ {
-		if !rtsOff[i].Store().Equal(rtsOn[i].Store()) {
-			t.Fatalf("replica %d: piggybacked run diverged from baseline", i)
+		if !rtsOne[i].Store().Equal(rtsTwo[i].Store()) {
+			t.Fatalf("replica %d: the two-frame form diverged from the one-frame form", i)
 		}
-		if fmt.Sprint(beaconsOff[i]) != fmt.Sprint(beaconsOn[i]) {
-			t.Fatalf("process %d beacon logs diverged:\noff: %v\non:  %v", i, beaconsOff[i], beaconsOn[i])
+		if fmt.Sprint(beaconsOne[i]) != fmt.Sprint(beaconsTwo[i]) {
+			t.Fatalf("process %d beacon logs diverged:\none frame:  %v\ntwo frames: %v", i, beaconsOne[i], beaconsTwo[i])
 		}
 	}
-	if totalOn*2 != totalOff {
-		t.Errorf("messages sent: %d with piggybacking, %d without; want exactly half", totalOn, totalOff)
+	if framesOne*2 != framesTwo {
+		t.Errorf("frames sent: %d riding, %d split; want exactly half", framesOne, framesTwo)
 	}
 }
 
-// TestPiggybackOracleClean replays the lockstep game with piggybacking off
-// and on, this time under trace recorders, and hands both histories to the
-// consistency oracle: riding SYNCs on data frames must leave every checked
-// invariant — clock monotonicity, exchange-list adherence, PID arbitration,
-// delivery, convergence — exactly as sound as the standalone-SYNC path.
+// TestPiggybackOracleClean replays the lockstep game in both frame forms
+// under trace recorders and hands the histories to the consistency oracle:
+// a marker riding its data frame and one trailing it must leave every
+// checked invariant — clock monotonicity, exchange-list adherence, PID
+// arbitration, delivery, convergence — equally sound.
 func TestPiggybackOracleClean(t *testing.T) {
 	const n, ticks = 4, 10
-	run := func(piggy bool) check.History {
+	run := func(split bool) check.History {
 		recs := make([]*trace.Recorder, n)
 		rts := runConfigGroup(t, n, func(ep transport.Endpoint) Config {
 			recs[ep.ID()] = trace.NewRecorder(ep.ID())
-			return Config{Endpoint: ep, MergeDiffs: true, PiggybackSync: piggy, Trace: recs[ep.ID()]}
+			return Config{Endpoint: &splitEndpoint{Endpoint: ep, split: split}, MergeDiffs: true, Trace: recs[ep.ID()]}
 		}, lockstepBody(n, ticks))
 		h := check.History{
 			Procs:   make([][]trace.Event, n),
@@ -189,26 +246,26 @@ func TestPiggybackOracleClean(t *testing.T) {
 		}
 		return h
 	}
-	for _, piggy := range []bool{false, true} {
-		rep := check.Analyze(run(piggy), check.Options{Convergence: true})
+	for _, split := range []bool{false, true} {
+		rep := check.Analyze(run(split), check.Options{Convergence: true})
 		if !rep.Ok() {
-			t.Errorf("piggyback=%v: oracle found violations:\n%s", piggy, rep)
+			t.Errorf("split=%v: oracle found violations:\n%s", split, rep)
 		}
 		if rep.Events == 0 {
-			t.Errorf("piggyback=%v: no events traced", piggy)
+			t.Errorf("split=%v: no events traced", split)
 		}
 	}
 }
 
 // TestPiggybackWithSpatialFilter mixes the two frame shapes in one game:
 // the spatial filter withholds data from higher-numbered peers, so those
-// rendezvous use bare SYNCs while the rest piggyback, and withheld diffs
+// rendezvous use bare SYNCs while the rest ride their data, and withheld diffs
 // stay buffered until the filter opens. Replicas must still converge once
 // a final unfiltered broadcast flushes everything.
 func TestPiggybackWithSpatialFilter(t *testing.T) {
 	const n, ticks = 3, 6
 	rts := runConfigGroup(t, n, func(ep transport.Endpoint) Config {
-		return Config{Endpoint: ep, MergeDiffs: true, PiggybackSync: true}
+		return Config{Endpoint: ep, MergeDiffs: true}
 	}, func(r *Runtime) error {
 		for obj := 0; obj < n; obj++ {
 			if err := r.Share(store.ID(obj), counterBytes(0)); err != nil {

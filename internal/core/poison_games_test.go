@@ -30,9 +30,10 @@ import (
 //   - over the mem transport under real goroutine concurrency, poisoned,
 //     against game.RunReference.
 
-// poisonFeatures are the DATA/SYNC shapes a message can take on its way
-// round: plain and delta payloads, the piggybacked pair, and the gated run
-// whose withheld peers get grouped bare SYNCs from one shared frame.
+// poisonFeatures are the shapes a frame can take on its way round: DATA
+// with plain and delta payloads carrying the SYNC or — as a final flush —
+// the DONE marker, bare markers, and the gated run whose withheld peers get
+// grouped bare SYNCs from one shared frame.
 var poisonFeatures = []struct {
 	name  string
 	apply func(*lookahead.PlayerConfig)
@@ -44,7 +45,6 @@ var poisonFeatures = []struct {
 }{
 	{"plain", func(*lookahead.PlayerConfig) {}, true},
 	{"delta", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode = true }, true},
-	{"piggyback", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.PiggybackSync = true, true }, true},
 	{"interest+shards", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.Interest, pc.Shards = true, true, 4 }, false},
 }
 
@@ -59,6 +59,7 @@ func poisonGame() game.Config {
 type gameOutcome struct {
 	stats       []game.TeamStats
 	msgs, bytes int
+	ridingDones int // DONE markers that rode a final flush
 	retransmits int
 	virtual     time.Duration
 	decisions   []string
@@ -70,9 +71,9 @@ func (a gameOutcome) diff(b gameOutcome) string {
 			return fmt.Sprintf("team %d stats %+v vs %+v", i, a.stats[i], b.stats[i])
 		}
 	}
-	if a.msgs != b.msgs || a.bytes != b.bytes || a.retransmits != b.retransmits || a.virtual != b.virtual {
-		return fmt.Sprintf("msgs %d/%d bytes %d/%d retransmits %d/%d virtual %v/%v",
-			a.msgs, b.msgs, a.bytes, b.bytes, a.retransmits, b.retransmits, a.virtual, b.virtual)
+	if a.msgs != b.msgs || a.bytes != b.bytes || a.ridingDones != b.ridingDones || a.retransmits != b.retransmits || a.virtual != b.virtual {
+		return fmt.Sprintf("msgs %d/%d bytes %d/%d riding DONEs %d/%d retransmits %d/%d virtual %v/%v",
+			a.msgs, b.msgs, a.bytes, b.bytes, a.ridingDones, b.ridingDones, a.retransmits, b.retransmits, a.virtual, b.virtual)
 	}
 	for i := range a.decisions {
 		if a.decisions[i] != b.decisions[i] {
@@ -136,6 +137,7 @@ func playSim(t *testing.T, proto lookahead.Protocol, apply func(*lookahead.Playe
 		s := mcs[i].Snapshot()
 		out.msgs += s.TotalMsgs()
 		out.bytes += s.BytesSent
+		out.ridingDones += s.PiggybackedDones
 		out.retransmits += s.Retransmits
 		out.virtual = max(out.virtual, s.ExecTime)
 		if faulty {
@@ -188,6 +190,9 @@ func TestPoisonedRecycleWholeGames(t *testing.T) {
 				clean := playSim(t, proto, f.apply, faultnet.LinkFaults{}, false)
 				if d := clean.diff(playSim(t, proto, f.apply, faultnet.LinkFaults{}, true)); d != "" {
 					t.Errorf("sim: poisoning recycled messages changed the run: %s", d)
+				}
+				if clean.ridingDones == 0 {
+					t.Error("sim: no DONE rode a final flush; that frame shape was never recycled")
 				}
 				faulty := playSim(t, proto, f.apply, dupDelay, false)
 				if faulty.retransmits == 0 {

@@ -13,7 +13,9 @@ import (
 // struct it sent, a receiver that kept a slice of a payload — computes with
 // garbage, and under -race is reported outright. Ints are left alone: they
 // are shared and immutable, and receivers legitimately keep them. onSend,
-// when set, sees every message the runtime hands to Send.
+// when set, sees every frame the runtime sends before it leaves: each
+// message handed to Send and, once per recipient, the header of a shared
+// frame handed to SendEncoded (which the caller keeps).
 //
 // It forwards every optional capability the runtime probes for, with or
 // without poison, so a poisoned and an unpoisoned run differ in nothing
@@ -21,7 +23,7 @@ import (
 type poisonEndpoint struct {
 	transport.Endpoint
 	poison bool
-	onSend func(m *wire.Msg)
+	onSend func(to int, m *wire.Msg)
 }
 
 var (
@@ -38,9 +40,14 @@ func NewPoisonEndpoint(ep transport.Endpoint, poison bool) transport.Endpoint {
 	return &poisonEndpoint{Endpoint: ep, poison: poison}
 }
 
+// NewObservedEndpoint wraps ep, unpoisoned, with onSend watching its sends.
+func NewObservedEndpoint(ep transport.Endpoint, onSend func(to int, m *wire.Msg)) transport.Endpoint {
+	return &poisonEndpoint{Endpoint: ep, onSend: onSend}
+}
+
 func (p *poisonEndpoint) Send(to int, m *wire.Msg) error {
 	if p.onSend != nil {
-		p.onSend(m)
+		p.onSend(to, m)
 	}
 	return p.Endpoint.Send(to, m)
 }
@@ -53,6 +60,9 @@ func (p *poisonEndpoint) SendMany(dsts []int, m *wire.Msg) error {
 // one (mem, sim) and sends a private clone otherwise (faultnet) — either
 // way the caller keeps m.
 func (p *poisonEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error {
+	if p.onSend != nil {
+		p.onSend(to, m)
+	}
 	if es, ok := p.Endpoint.(transport.EncodedSender); ok {
 		return es.SendEncoded(to, enc, m)
 	}

@@ -124,14 +124,6 @@ type Config struct {
 	// MergeDiffs enables the slotted buffer's diff merging (paper §3.1
 	// optimization; on by default in protocols, off in the ablation).
 	MergeDiffs bool
-	// PiggybackSync merges each rendezvous's SYNC marker onto the data
-	// frame when one flows to the peer anyway: the DATA message carries
-	// wire.ModeSyncPiggyback plus the beacon in Ints, and the receiver
-	// synthesizes the logical (data, SYNC) pair, halving steady-state
-	// frames per exchange. Peers receiving no data this tick still get a
-	// bare SYNC, and retransmissions are always bare SYNCs. Off by default
-	// so existing traces (and the harness sweeps) stay byte-identical.
-	PiggybackSync bool
 	// DeltaEncode switches DATA payloads to the delta-capable record
 	// encoding: each object record may be an XOR delta against the last
 	// state of that object the destination provably consumed (see
@@ -300,6 +292,7 @@ type peerState struct {
 	// Failure detection (active when RendezvousTimeout > 0).
 	syncSeen int64    // highest consumed SYNC stamp
 	lastSync sentSync // last SYNC sent to the peer (echo and retransmit source)
+	prevSync sentSync // the one before it (echo source for a peer a rendezvous behind)
 
 	// Join: the admission tick granted to the peer and the incarnation it
 	// was granted to.
@@ -334,6 +327,13 @@ type peerState struct {
 type sentSync struct {
 	stamp  int64
 	beacon []int64
+}
+
+// sent records the SYNC (bare or riding a DATA frame) just sent to the peer.
+// Two are kept: the local process passed rendezvous k only on the peer's
+// SYNC(k), so the peer can be missing ours for k or the one after, no older.
+func (ps *peerState) sent(stamp int64, beacon []int64) {
+	ps.prevSync, ps.lastSync = ps.lastSync, sentSync{stamp: stamp, beacon: beacon}
 }
 
 // earlySync is one SYNC held until the local clock reaches its stamp.
@@ -586,11 +586,13 @@ func newSync(stamp int64, beacon []int64, mode uint8) *wire.Msg {
 }
 
 // newData builds the DATA message carrying diffs to peer, stamped stamp, in
-// a pooled struct whose Payload capacity takes the encoding.
-func (r *Runtime) newData(peer int, diffs []xlist.ObjDiff, stamp int64) *wire.Msg {
+// a pooled struct whose Payload capacity takes the encoding. marker is the
+// SYNC (with its beacon) or DONE mode bits riding on the frame.
+func (r *Runtime) newData(peer int, diffs []xlist.ObjDiff, stamp int64, marker uint8, beacon []int64) *wire.Msg {
 	m := wire.GetMsg()
-	m.Kind, m.Stamp = wire.KindData, stamp
+	m.Kind, m.Stamp, m.Ints = wire.KindData, stamp, beacon
 	m.Payload, m.Mode = r.encodeDataPayload(m.Payload, peer, diffs, stamp)
+	m.Mode |= marker
 	return m
 }
 
@@ -637,22 +639,21 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	// beacons of partners whose SYNC already arrived.
 	r.absorbEarly()
 
-	// Push (data, SYNC) pairs to each target. Broadcast mode "forces the
-	// modifications ... as well as all buffered modifications to be
-	// immediately flushed to all remote processes" (paper §3.1): the
-	// spatial filter does not apply.
-	//
-	// A send that fails with transport.ErrPeerGone (TCP peer hung up
-	// without a DONE) is a crash observation: the peer is evicted and the
-	// exchange proceeds with the survivors.
+	// Send each target one frame (DESIGN.md §15, the frame rule): DATA
+	// carrying the SYNC marker and the beacon when data flows, a bare SYNC
+	// otherwise. Broadcast mode "forces the modifications ... as well as
+	// all buffered modifications to be immediately flushed to all remote
+	// processes" (paper §3.1): the spatial filter does not apply. A send
+	// that fails with transport.ErrPeerGone (TCP peer hung up without a
+	// DONE) is a crash observation: the peer is evicted and the exchange
+	// proceeds with the survivors.
 	//
 	// Every message comes from the wire pool and is given away by send: the
 	// in-memory and simulated transports hand the receiver this very
-	// struct, which the receiver recycles once consumed — so the struct
-	// and its Payload circulate between processes instead of being
-	// allocated per rendezvous, and nothing here keeps a sent message
-	// (lastSync is a value). Beacons are shared between messages,
-	// read-only (DESIGN.md §15).
+	// struct, which the receiver recycles once consumed, so structs and
+	// payloads circulate instead of being allocated per rendezvous, and
+	// nothing here keeps a sent message (lastSync is a value). Beacons are
+	// shared between messages, read-only.
 	deferred := r.deferred[:0] // filtered-out peers whose bare SYNC fans out grouped
 	for _, peer := range targets {
 		ps := &r.peers[peer]
@@ -665,38 +666,6 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 				r.tr.Record(trace.OpWithheld, peer, int64(obj), 0, r.now, 0)
 			}
 		}
-		if sendData && r.buf.Pending(peer) > 0 {
-			diffs := r.buf.Flush(peer)
-			piggyback := r.cfg.PiggybackSync
-			var beacon []int64
-			if piggyback && opts.Beacon != nil {
-				// One frame carries both halves of the rendezvous: the
-				// beacon — evaluated after the flush, exactly as for a
-				// bare SYNC — rides in Ints under the piggyback flag, and
-				// the receiver synthesizes the logical (data, SYNC) pair.
-				beacon = opts.Beacon(peer)
-			}
-			data := r.newData(peer, diffs, r.now)
-			if piggyback {
-				data.Mode |= wire.ModeSyncPiggyback
-				data.Ints = beacon
-			}
-			if err := r.send(peer, data); err != nil {
-				if errors.Is(err, transport.ErrPeerGone) {
-					r.evictPeer(peer)
-					continue
-				}
-				return fmt.Errorf("exchange data to %d: %w", peer, err)
-			}
-			r.traceDataSend(peer, diffs, r.now)
-			if piggyback {
-				r.mc.AddPiggybackSync()
-				// The logical SYNC is recorded for the retransmission and
-				// echo machinery but never sent on its own.
-				ps.lastSync = sentSync{stamp: r.now, beacon: beacon}
-				continue
-			}
-		}
 		if opts.GroupWithheldSyncs && !sendData {
 			// The withheld peers are the common case at scale and their
 			// bare SYNCs usually share a beacon (same tanks, same
@@ -705,18 +674,32 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 			deferred = append(deferred, peer)
 			continue
 		}
-		var beacon []int64
+		var diffs []xlist.ObjDiff
+		if sendData && r.buf.Pending(peer) > 0 {
+			diffs = r.buf.Flush(peer)
+		}
+		var beacon []int64 // evaluated after the flush: describes what stays buffered
 		if opts.Beacon != nil {
 			beacon = opts.Beacon(peer)
 		}
-		if err := r.send(peer, newSync(r.now, beacon, 0)); err != nil {
+		var m *wire.Msg
+		if len(diffs) > 0 {
+			m = r.newData(peer, diffs, r.now, wire.ModeSyncPiggyback, beacon)
+		} else {
+			m = newSync(r.now, beacon, 0)
+		}
+		if err := r.send(peer, m); err != nil {
 			if errors.Is(err, transport.ErrPeerGone) {
 				r.evictPeer(peer)
 				continue
 			}
-			return fmt.Errorf("exchange sync to %d: %w", peer, err)
+			return fmt.Errorf("exchange with %d: %w", peer, err)
 		}
-		ps.lastSync = sentSync{stamp: r.now, beacon: beacon}
+		if len(diffs) > 0 {
+			r.traceDataSend(peer, diffs, r.now)
+			r.mc.AddPiggybackedSync()
+		}
+		ps.sent(r.now, beacon) // retransmits and echoes are always bare SYNCs
 	}
 	r.deferred = deferred
 	if err := r.sendSyncFanout(deferred, opts); err != nil {
@@ -1149,26 +1132,29 @@ func (r *Runtime) consume(m *wire.Msg, rendezvous bool) bool {
 	}
 	switch m.Kind {
 	case wire.KindData:
-		// A piggybacked frame is the logical (data, SYNC) pair in one
-		// message: the sync half is peeled off immediately — even when
-		// the data half is early-buffered — so the rendezvous machinery
-		// sees it at arrival, exactly as if a bare SYNC had followed.
-		piggy := m.Mode&wire.ModeSyncPiggyback != 0
-		if m.Stamp > r.now {
+		// One frame may carry the sender's whole call to this peer (the
+		// frame rule, DESIGN.md §15): the data half is applied or
+		// early-buffered first, then the SYNC or DONE marker riding on it
+		// is peeled off at arrival, exactly as if a bare marker had followed
+		// — the same pair in two frames, which stays accepted.
+		early := m.Stamp > r.now
+		if early {
 			ps.earlyData = append(ps.earlyData, m)
-			if piggy {
-				r.handleSyncPart(peer, m.Stamp, m.Ints, 0, rendezvous)
-			}
-			return false
+		} else {
+			r.applyData(m)
 		}
-		r.applyData(m)
-		if piggy {
+		if m.Mode&wire.ModeSyncPiggyback != 0 {
 			r.handleSyncPart(peer, m.Stamp, m.Ints, 0, rendezvous)
 		}
+		if m.Mode&wire.ModeDonePiggyback != 0 {
+			// A final flush is stamped one tick past the DONE it carries.
+			r.handleDone(peer, m.Mode&wire.ModeDoneWon != 0, m.Stamp-1)
+		}
+		return !early
 	case wire.KindSync:
 		r.handleSyncPart(peer, m.Stamp, m.Ints, m.Mode, rendezvous)
 	case wire.KindDone:
-		r.handleDone(peer, m)
+		r.handleDone(peer, m.Mode == doneWon, m.Stamp)
 	case wire.KindObjReq:
 		if m.Mode == modePut {
 			r.acceptPut(peer, m)
@@ -1208,20 +1194,24 @@ func (r *Runtime) consume(m *wire.Msg, rendezvous bool) bool {
 }
 
 // handleSyncPart processes the SYNC content of an incoming frame — a bare
-// KindSync message, or the sync half synthesized from a piggybacked DATA
-// frame (mode 0 in that case: a piggybacked frame is never a
-// retransmission).
+// KindSync message, or the marker riding a DATA frame (mode 0 in that case:
+// retransmissions are always bare).
 func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uint8, rendezvous bool) {
 	ps := &r.peers[peer]
 	if stamp <= ps.syncSeen {
-		// Duplicate of a SYNC already consumed (a retransmission or
-		// an injected duplicate). An explicit retransmission means
-		// the peer never received our answering SYNC for that tick —
-		// re-echo the last SYNC we sent it so its rendezvous can
-		// complete. Echoes are sent unmarked, so an echo arriving as
-		// a duplicate dies here without ping-ponging.
+		// Duplicate of a SYNC already consumed (a retransmission or an
+		// injected duplicate). An explicit retransmission means the peer
+		// never received our answering SYNC for that tick — re-echo it:
+		// the earliest we sent it that is not older (the next
+		// rendezvous's, if already sent, it would only hold as early).
+		// Echoes are sent unmarked, so one arriving as a duplicate dies
+		// here without ping-ponging.
 		if mode == modeRetransmit {
-			if ls := ps.lastSync; ls.stamp != 0 && ls.stamp >= stamp {
+			ls := ps.lastSync
+			if ps.prevSync.stamp >= stamp {
+				ls = ps.prevSync
+			}
+			if ls.stamp != 0 && ls.stamp >= stamp {
 				if err := r.send(peer, newSync(ls.stamp, ls.beacon, 0)); err == nil {
 					r.mc.AddRetransmit()
 				}
@@ -1246,10 +1236,10 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 	r.onSync(peer, beacon, stamp)
 }
 
-func (r *Runtime) handleDone(peer int, m *wire.Msg) {
-	// A DONE carries the peer's final data (if any) implicitly via
-	// earlier DATA messages (FIFO). Mark it gone everywhere.
-	if m.Mode == doneWon {
+// handleDone marks peer finished as of its DONE stamp. Its final data (if
+// any) is the data half of the same frame, or an earlier DATA message (FIFO).
+func (r *Runtime) handleDone(peer int, won bool, stamp int64) {
+	if won {
 		r.gameOver = true
 	}
 	ps := &r.peers[peer]
@@ -1259,8 +1249,8 @@ func (r *Runtime) handleDone(peer int, m *wire.Msg) {
 	}
 	ps.done = true
 	r.epoch++
-	r.tr.Record(trace.OpPeerDone, peer, 0, 0, r.now, m.Stamp)
-	r.debugf("now=%d peerDone peer=%d stamp=%d epoch=%d", r.now, peer, m.Stamp, r.epoch)
+	r.tr.Record(trace.OpPeerDone, peer, 0, 0, r.now, stamp)
+	r.debugf("now=%d peerDone peer=%d stamp=%d epoch=%d", r.now, peer, stamp, r.epoch)
 	r.xl.Remove(peer)
 	r.buf.Drop(peer)
 	// The peer's final flush may already sit in earlyData (stamped one
@@ -1385,47 +1375,48 @@ func (r *Runtime) Poll() {
 	}
 }
 
-// Done announces that this process has finished: it pushes every buffered
-// modification out (so peers see its final writes) and broadcasts DONE. won
-// marks a process that reached the goal (ending a first-to-goal game).
+// Done announces that this process has finished, one frame per live peer
+// (DESIGN.md §15): a peer with buffered modifications gets them as a final
+// flush carrying the DONE marker, every other peer a bare DONE. won marks a
+// process that reached the goal (ending a first-to-goal game).
 func (r *Runtime) Done(won bool) error {
 	if r.localDone {
 		return ErrDone
 	}
 	r.localDone = true
-	var mode uint8
 	var wonAux int64
+	bare, riding := uint8(0), wire.ModeDonePiggyback
 	if won {
-		mode = doneWon
-		wonAux = 1
+		wonAux, bare, riding = 1, doneWon, riding|wire.ModeDoneWon
 	}
 	r.tr.Record(trace.OpDone, -1, 0, 0, r.now, wonAux)
 	// Done replaces the Exchange of the tick in progress, so the final
 	// flush is stamped now+1 — the tick those writes logically belong to.
 	// Peers at that tick apply them on receipt; peers behind buffer them
 	// until their own clocks arrive, exactly as a regular rendezvous
-	// would, independent of wall-clock message timing.
+	// would, independent of wall-clock message timing. The DONE is stamped
+	// now either way — riding a flush, the frame's stamp less one.
 	r.targets = r.appendLivePeers(r.targets[:0])
 	for _, peer := range r.targets {
+		var m *wire.Msg
+		var diffs []xlist.ObjDiff
 		if r.buf.Pending(peer) > 0 {
-			diffs := r.buf.Flush(peer)
-			if err := r.send(peer, r.newData(peer, diffs, r.now+1)); err != nil {
-				if errors.Is(err, transport.ErrPeerGone) {
-					r.evictPeer(peer)
-					continue
-				}
-				return fmt.Errorf("final flush to %d: %w", peer, err)
-			}
-			r.traceDataSend(peer, diffs, r.now+1)
+			diffs = r.buf.Flush(peer)
+			m = r.newData(peer, diffs, r.now+1, riding, nil)
+		} else {
+			m = wire.GetMsg()
+			m.Kind, m.Stamp, m.Mode = wire.KindDone, r.now, bare
 		}
-		done := wire.GetMsg()
-		done.Kind, done.Stamp, done.Mode = wire.KindDone, r.now, mode
-		if err := r.send(peer, done); err != nil {
+		if err := r.send(peer, m); err != nil {
 			if errors.Is(err, transport.ErrPeerGone) {
 				r.evictPeer(peer)
 				continue
 			}
 			return fmt.Errorf("done to %d: %w", peer, err)
+		}
+		if len(diffs) > 0 {
+			r.traceDataSend(peer, diffs, r.now+1)
+			r.mc.AddPiggybackedDone()
 		}
 	}
 	// The process may never send again; force the final frames out.

@@ -35,13 +35,13 @@ func (pl Plan) Describe() string {
 		sort.Ints(procs)
 		for _, p := range procs {
 			c := pl.Crashes[p]
-			switch {
-			case c.RestartAt > 0:
-				fmt.Fprintf(&b, " crash=%d@%v..%v", p, c.At, c.RestartAt)
-			case c.AtTick > 0:
+			if c.AtTick > 0 {
 				fmt.Fprintf(&b, " crash=%d@tick%d", p, c.AtTick)
-			default:
+			} else {
 				fmt.Fprintf(&b, " crash=%d@%v", p, c.At)
+			}
+			if c.RestartAfter > 0 {
+				fmt.Fprintf(&b, "+%v", c.RestartAfter)
 			}
 		}
 	}

@@ -63,12 +63,13 @@ type Crash struct {
 	// At, when positive, silences the process once its endpoint clock
 	// (virtual time on simulated transports) reaches this instant.
 	At time.Duration
-	// RestartAt, when positive, schedules a crash-then-restart: the
-	// process revives at this endpoint-clock instant. The driver calls
-	// AwaitRestart after observing ErrCrashed; everything queued while
-	// down is lost (fail-stop loses volatile state), and the revived
-	// process must rejoin via the protocol's join machinery.
-	RestartAt time.Duration
+	// RestartAfter, when positive, schedules a crash-then-restart: the
+	// process revives this long after its crash instant (At itself, or the
+	// endpoint clock when the AtTick trigger fires), however fast the
+	// protocol under test got there. The driver calls AwaitRestart after
+	// observing ErrCrashed; everything queued while down is lost, and the
+	// revived process must rejoin via the protocol's join machinery.
+	RestartAfter time.Duration
 }
 
 func (c Crash) zero() bool { return c.AtTick <= 0 && c.At <= 0 }
@@ -225,7 +226,8 @@ type Endpoint struct {
 	cutFrom   map[int]time.Duration // inbound cuts: peer → heal instant
 	crash     Crash
 	crashed   bool
-	restarted bool // revived by AwaitRestart: crash triggers disarmed
+	crashedAt time.Duration // the crash instant Crash.RestartAfter counts from
+	restarted bool          // revived by AwaitRestart: crash triggers disarmed
 }
 
 var _ transport.Endpoint = (*Endpoint)(nil)
@@ -266,12 +268,12 @@ func (e *Endpoint) checkCrashLocked(m *wire.Msg) bool {
 		return false
 	}
 	if e.crash.At > 0 && e.inner.Now() >= e.crash.At {
-		e.crashed = true
+		e.crashed, e.crashedAt = true, e.crash.At
 	}
 	if !e.crashed && m != nil && e.crash.AtTick > 0 && m.Stamp >= e.crash.AtTick {
 		switch m.Kind {
 		case wire.KindSync, wire.KindData, wire.KindDone:
-			e.crashed = true
+			e.crashed, e.crashedAt = true, e.inner.Now()
 		}
 	}
 	if e.crashed {
@@ -505,22 +507,22 @@ func (e *Endpoint) admit(m *wire.Msg) bool {
 }
 
 // AwaitRestart blocks (advancing the process clock) until the scheduled
-// restart instant, discards everything queued while the process was down,
+// downtime has passed, discards everything queued while the process was down,
 // and re-arms the endpoint with the crash triggers disarmed. The caller
 // then re-runs its protocol stack with a rejoin configuration. It errors
 // if no restart is scheduled or the process has not crashed yet.
 func (e *Endpoint) AwaitRestart() error {
 	e.mu.Lock()
-	restartAt := e.crash.RestartAt
-	crashed := e.crashed
+	after := e.crash.RestartAfter
+	crashed, crashedAt := e.crashed, e.crashedAt
 	e.mu.Unlock()
-	if restartAt <= 0 {
+	if after <= 0 {
 		return errors.New("faultnet: no restart scheduled for this process")
 	}
 	if !crashed {
 		return errors.New("faultnet: process has not crashed")
 	}
-	if d := restartAt - e.inner.Now(); d > 0 {
+	if d := crashedAt + after - e.inner.Now(); d > 0 {
 		e.inner.Compute(d)
 	}
 	e.mu.Lock()

@@ -80,7 +80,7 @@ func TestHeal(t *testing.T) {
 func TestAwaitRestart(t *testing.T) {
 	net := transport.NewMemNetwork(2)
 	defer net.Close()
-	plan := &Plan{Seed: 1, Crashes: map[int]Crash{0: {At: time.Nanosecond, RestartAt: 2 * time.Nanosecond}}}
+	plan := &Plan{Seed: 1, Crashes: map[int]Crash{0: {At: time.Nanosecond, RestartAfter: time.Nanosecond}}}
 	ep := plan.Wrap(net.Endpoint(0), nil)
 	time.Sleep(time.Millisecond) // the wall clock passes the crash instant
 
@@ -122,7 +122,7 @@ func TestAwaitRestartErrors(t *testing.T) {
 		t.Fatal("AwaitRestart without a scheduled restart should fail")
 	}
 
-	notCrashed := (&Plan{Seed: 1, Crashes: map[int]Crash{1: {At: time.Hour, RestartAt: 2 * time.Hour}}}).Wrap(net.Endpoint(1), nil)
+	notCrashed := (&Plan{Seed: 1, Crashes: map[int]Crash{1: {At: time.Hour, RestartAfter: time.Hour}}}).Wrap(net.Endpoint(1), nil)
 	if err := notCrashed.AwaitRestart(); err == nil {
 		t.Fatal("AwaitRestart before the crash should fail")
 	}

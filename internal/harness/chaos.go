@@ -44,14 +44,14 @@ type ChaosConfig struct {
 	// defaults to 10ms. On EC both of the node's processes (application
 	// and service) crash together — the node fail-stops as a unit.
 	CrashAfter time.Duration
-	// RestartAt, when positive, revives the crashed team at this absolute
-	// virtual-time instant: its process(es) await the restart and then
-	// rejoin the running game through the protocol's join machinery
-	// (core.Join for the lookahead protocols, the EC join handshake).
-	// Pick an instant comfortably after the crash fires; an instant
-	// already in the past revives immediately. Zero keeps the crash
-	// permanent.
-	RestartAt time.Duration
+	// RestartAfter, when positive, revives the crashed team this long (in
+	// virtual time) after its crash fires: its process(es) await the
+	// restart and then rejoin the running game through the protocol's
+	// join machinery (core.Join for the lookahead protocols, the EC join
+	// handshake). Relative to the crash, so it need outlast only the
+	// survivors' eviction of the victim (75 ms of suspicion timeouts at
+	// the defaults), not a protocol's speed. Zero keeps the crash permanent.
+	RestartAfter time.Duration
 	// LateJoinTeam names a team that skips the initial rendezvous: the
 	// other players start the game without it and it joins in progress at
 	// LateJoinAt. Enabled iff LateJoinAt > 0; lookahead protocols only.
@@ -135,7 +135,7 @@ type ChaosResult struct {
 	// victim died with faultnet.ErrCrashed).
 	Crashed bool
 	// Rejoined reports whether every configured re-entry completed: the
-	// crashed team restarted and rejoined (RestartAt > 0) and/or the late
+	// crashed team restarted and rejoined (RestartAfter > 0) and/or the late
 	// joiner was admitted (LateJoinAt > 0). False when neither is
 	// configured.
 	Rejoined bool
@@ -155,7 +155,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// reporting the combination — and a supported-protocol error should
 	// never wait until after endpoints spin up.
 	if cfg.Protocol == EC && cfg.LateJoinAt > 0 {
-		return nil, errors.New("harness: late join is a lookahead scenario; EC supports crash-then-restart (RestartAt)")
+		return nil, errors.New("harness: late join is a lookahead scenario; EC supports crash-then-restart (RestartAfter)")
 	}
 	cfg = cfg.withChaosDefaults()
 	switch cfg.Protocol {
@@ -211,7 +211,7 @@ func RunChaosGrid(cfgs []ChaosConfig, workers int) ([]*ChaosResult, error) {
 func runChaosLookahead(cfg ChaosConfig) (*ChaosResult, error) {
 	n := cfg.Game.Teams
 	lateJoin := cfg.LateJoinAt > 0
-	restart := cfg.CrashTeam >= 0 && cfg.RestartAt > 0
+	restart := cfg.CrashTeam >= 0 && cfg.RestartAfter > 0
 	sim := vtime.NewSim(vtime.Config{
 		Links:   netmodel.NewCluster(cfg.Net),
 		Horizon: cfg.Horizon,
@@ -227,7 +227,7 @@ func runChaosLookahead(cfg ChaosConfig) (*ChaosResult, error) {
 		crashes[p] = c
 	}
 	if cfg.CrashTeam >= 0 {
-		crashes[cfg.CrashTeam] = faultnet.Crash{AtTick: cfg.CrashTick, RestartAt: cfg.RestartAt}
+		crashes[cfg.CrashTeam] = faultnet.Crash{AtTick: cfg.CrashTick, RestartAfter: cfg.RestartAfter}
 	}
 	plan := &faultnet.Plan{Seed: cfg.Seed, Default: cfg.Faults, Crashes: crashes}
 
@@ -335,9 +335,9 @@ func runChaosLookahead(cfg ChaosConfig) (*ChaosResult, error) {
 func runChaosEC(cfg ChaosConfig) (*ChaosResult, error) {
 	n := cfg.Game.Teams
 	if cfg.LateJoinAt > 0 {
-		return nil, errors.New("harness: late join is a lookahead scenario; EC supports crash-then-restart (RestartAt)")
+		return nil, errors.New("harness: late join is a lookahead scenario; EC supports crash-then-restart (RestartAfter)")
 	}
-	restart := cfg.CrashTeam >= 0 && cfg.RestartAt > 0
+	restart := cfg.CrashTeam >= 0 && cfg.RestartAfter > 0
 	net := cfg.Net
 	net.HostOf = func(proc int) int { return proc % n }
 	sim := vtime.NewSim(vtime.Config{
@@ -354,8 +354,8 @@ func runChaosEC(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.CrashTeam >= 0 {
 		// The node fail-stops as a unit: application and service die at
 		// the same virtual instant (and revive together on restart).
-		crashes[cfg.CrashTeam] = faultnet.Crash{At: cfg.CrashAfter, RestartAt: cfg.RestartAt}
-		crashes[n+cfg.CrashTeam] = faultnet.Crash{At: cfg.CrashAfter, RestartAt: cfg.RestartAt}
+		crashes[cfg.CrashTeam] = faultnet.Crash{At: cfg.CrashAfter, RestartAfter: cfg.RestartAfter}
+		crashes[n+cfg.CrashTeam] = faultnet.Crash{At: cfg.CrashAfter, RestartAfter: cfg.RestartAfter}
 	}
 	plan := &faultnet.Plan{Seed: cfg.Seed, Default: cfg.Faults, Crashes: crashes}
 

@@ -49,16 +49,17 @@ func holderLossConfig(recs []*trace.Recorder, snaps []*store.Store) ChaosConfig 
 	g := game.DefaultConfig(4, 1)
 	g.Seed = 22
 	g.MaxTicks = 60
-	return ChaosConfig{
+	cfg := ChaosConfig{
 		Config:       Config{Game: g, Protocol: MSYNC2},
 		Seed:         1,
 		CrashTeam:    2,
 		CrashTick:    14,
-		RestartAt:    200 * time.Millisecond,
 		ExtraCrashes: map[int]faultnet.Crash{3: {AtTick: 14}},
 		Traces:       recs,
 		Snapshot:     func(team int, st *store.Store) { snaps[team] = st.Clone() },
 	}
+	cfg.RestartAfter = rejoinDowntime(cfg)
+	return cfg
 }
 
 // lostWrites returns how many of the victim's recoverable pre-crash
@@ -229,12 +230,12 @@ func TestChaosECQuorumFailover(t *testing.T) {
 	g.Seed = 7
 	g.MaxTicks = 30
 	cfg := ChaosConfig{
-		Config:     Config{Game: g, Protocol: EC},
-		Seed:       3,
-		CrashTeam:  1,
-		CrashAfter: 10 * time.Millisecond,
-		RestartAt:  300 * time.Millisecond,
-		QuorumF:    1,
+		Config:       Config{Game: g, Protocol: EC},
+		Seed:         3,
+		CrashTeam:    1,
+		CrashAfter:   10 * time.Millisecond,
+		RestartAfter: 290 * time.Millisecond,
+		QuorumF:      1,
 	}
 	res, err := RunChaos(cfg)
 	if err != nil {

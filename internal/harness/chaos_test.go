@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"cmp"
 	"os"
 	"strconv"
 	"testing"
 	"time"
 
+	"sdso/internal/core"
 	"sdso/internal/faultnet"
 	"sdso/internal/game"
 )
@@ -35,11 +37,29 @@ func chaosConfig(proto Protocol, seed int64) ChaosConfig {
 func rejoinConfig(proto Protocol, seed int64) ChaosConfig {
 	cfg := chaosConfig(proto, seed)
 	if proto == EC {
-		cfg.RestartAt = 300 * time.Millisecond
+		cfg.RestartAfter = 290 * time.Millisecond
 	} else {
-		cfg.RestartAt = 200 * time.Millisecond
+		cfg.RestartAfter = rejoinDowntime(cfg)
 	}
 	return cfg
+}
+
+// rejoinDowntime keeps a lookahead crash victim down until its peers have
+// evicted it and no longer, so the game it left still has ticks to play
+// however fast the protocol plays them. The eviction bound is the one span
+// of a crash-restart plan protocol speed does not set: a peer awaiting a
+// silent process waits the suspicion timeout, then a doubling wait (capped
+// at 8×) per retransmission — 75 ms at the chaos defaults. One more maximal
+// wait is added because peers start waiting up to a rendezvous after the
+// crash fires.
+func rejoinDowntime(cfg ChaosConfig) time.Duration {
+	cfg = cfg.withChaosDefaults()
+	bound, wait := time.Duration(0), cfg.SuspectTimeout
+	for i := cmp.Or(cfg.MaxRetransmits, core.DefaultMaxRetransmits) + 1; i >= 0; i-- {
+		bound += wait
+		wait = min(2*wait, 8*cfg.SuspectTimeout)
+	}
+	return bound
 }
 
 // assertSameRun demands two chaos runs be byte-identical: same fault

@@ -76,9 +76,6 @@ type Config struct {
 	// BSYNC exchange frame (see lookahead.PlayerConfig.MaxBatchTicks).
 	// Values below 2 mean no batching; only BSYNC honors it.
 	MaxBatchTicks int64
-	// PiggybackSync rides SYNC markers on data frames (see
-	// core.Config.PiggybackSync); only the lookahead protocols honor it.
-	PiggybackSync bool
 	// Interest turns on spatial interest management (see
 	// lookahead.PlayerConfig.Interest); only the lookahead protocols
 	// honor it.
@@ -170,7 +167,6 @@ func runLookahead(cfg Config) (*Result, error) {
 				RendezvousTimeout: cfg.SuspectTimeout,
 				DeltaEncode:       cfg.DeltaEncode,
 				MaxBatchTicks:     cfg.MaxBatchTicks,
-				PiggybackSync:     cfg.PiggybackSync,
 				Interest:          cfg.Interest,
 				Shards:            cfg.Shards,
 			})

@@ -45,7 +45,7 @@ func quorumScenario(proto Protocol, teams, f int, seed int64) ChaosConfig {
 	}
 	if proto == EC {
 		cfg.CrashAfter = 80 * time.Millisecond
-		cfg.RestartAt = 400 * time.Millisecond
+		cfg.RestartAfter = 320 * time.Millisecond
 		cfg.QuorumF = f
 		// Each dirty release now waits on a quorum round to 2f backups
 		// before its grants escape, so the grant-wait failure detector
@@ -55,9 +55,10 @@ func quorumScenario(proto Protocol, teams, f int, seed int64) ChaosConfig {
 		cfg.SuspectTimeout = time.Duration(10*(f+1)) * time.Millisecond
 	} else {
 		cfg.CrashTick = 10
-		cfg.RestartAt = 200 * time.Millisecond
 		cfg.CheckpointEvery = 1
 		cfg.CheckpointF = f
+		// Down for the survivors' eviction bound plus one maximal wait.
+		cfg.RestartAfter = (15 + 8) * 5 * time.Millisecond
 	}
 	return cfg
 }

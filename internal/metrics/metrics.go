@@ -129,14 +129,16 @@ type Collector struct {
 	replicaCatchups padded
 
 	// Wire-level counters (encode-once fanout and frame coalescing).
-	// These count physical frames and bytes at the transport, as opposed to
-	// msgsSent/bytesSent which count logical protocol messages — with SYNC
-	// piggybacking one frame can carry two logical messages, and with
-	// deferred flushing many frames share one syscall.
+	// framesSent/wireBytes count physical frames and bytes at the TCP
+	// transport and flushes the syscalls they coalesce into; msgsSent and
+	// bytesSent count each frame the runtime sends, once. A DATA frame
+	// usually carries a SYNC or DONE marker too (DESIGN.md §15): piggySyncs
+	// and piggyDones count those — messages in the paper's accounting.
 	framesSent padded
 	flushes    padded
 	wireBytes  padded
 	piggySyncs padded
+	piggyDones padded
 
 	// TCP session-layer resilience counters: sockets re-established after
 	// a loss, heartbeat intervals that passed without any traffic from a
@@ -175,7 +177,7 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return new(Collector) }
 
-// CountSend records an outgoing message of the given wire size.
+// CountSend records one outgoing frame (a marker it carries is not counted).
 func (c *Collector) CountSend(m *wire.Msg, size int) {
 	if m.Kind.Valid() {
 		c.msgsSent[m.Kind].v.Add(1)
@@ -253,9 +255,12 @@ func (c *Collector) AddFrame(n int) {
 // coalesce into. FramesSent/Flushes is the coalescing factor.
 func (c *Collector) AddFlush() { c.flushes.v.Add(1) }
 
-// AddPiggybackSync records one SYNC marker that rode on a data frame
+// AddPiggybackedSync records one SYNC marker that rode on a data frame
 // instead of occupying a frame of its own.
-func (c *Collector) AddPiggybackSync() { c.piggySyncs.v.Add(1) }
+func (c *Collector) AddPiggybackedSync() { c.piggySyncs.v.Add(1) }
+
+// AddPiggybackedDone records one DONE marker that rode on a final flush.
+func (c *Collector) AddPiggybackedDone() { c.piggyDones.v.Add(1) }
 
 // AddReconnect records one link re-established after a socket loss (the
 // TCP session layer's reconnect path, including a restarted peer's fresh
@@ -346,6 +351,7 @@ func (c *Collector) Snapshot() Snapshot {
 		Flushes:          int(c.flushes.v.Load()),
 		WireBytes:        int(c.wireBytes.v.Load()),
 		PiggybackedSyncs: int(c.piggySyncs.v.Load()),
+		PiggybackedDones: int(c.piggyDones.v.Load()),
 
 		Reconnects:        int(c.reconnects.v.Load()),
 		HeartbeatsMissed:  int(c.heartbeatsMissed.v.Load()),
@@ -407,13 +413,13 @@ type Snapshot struct {
 	ReplicaCatchups int
 	// Wire-level counters: physical frames and bytes at the transport
 	// (only populated by transports that report them, currently TCP), the
-	// flush syscalls those frames coalesced into, and SYNC markers that
-	// were piggybacked onto data frames instead of sent as frames of their
-	// own.
+	// flush syscalls those frames coalesced into, and the SYNC and DONE
+	// markers that rode on data frames instead of frames of their own.
 	FramesSent       int
 	Flushes          int
 	WireBytes        int
 	PiggybackedSyncs int
+	PiggybackedDones int
 	// TCP session-layer resilience counters: reconnects completed,
 	// heartbeat intervals missed, frames shed from full send queues, the
 	// send-queue depth high-water mark, and bytes flushed by Drain.
@@ -452,13 +458,19 @@ func (s Snapshot) DataMsgs() int {
 	return n
 }
 
-// TotalMsgs returns the number of messages of any kind sent (Figure 6).
+// TotalMsgs returns the number of frames of any kind sent.
 func (s Snapshot) TotalMsgs() int {
 	n := 0
 	for _, v := range s.MsgsSent {
 		n += v
 	}
 	return n
+}
+
+// LogicalMsgs counts messages as the paper does (Figure 6): every frame,
+// plus each SYNC or DONE marker that rode on a data frame.
+func (s Snapshot) LogicalMsgs() int {
+	return s.TotalMsgs() + s.PiggybackedSyncs + s.PiggybackedDones
 }
 
 // ControlMsgs returns TotalMsgs minus DataMsgs.
@@ -489,7 +501,7 @@ type Group struct {
 	Procs []Snapshot
 }
 
-// TotalMsgs sums message counts across processes.
+// TotalMsgs sums frame counts across processes.
 func (g Group) TotalMsgs() int {
 	n := 0
 	for _, s := range g.Procs {
@@ -627,11 +639,11 @@ func (g Group) WireBytes() int {
 	return n
 }
 
-// PiggybackedSyncs sums piggybacked SYNC markers across processes.
-func (g Group) PiggybackedSyncs() int {
+// LogicalMsgs sums the paper's message count across processes.
+func (g Group) LogicalMsgs() int {
 	n := 0
 	for _, s := range g.Procs {
-		n += s.PiggybackedSyncs
+		n += s.LogicalMsgs()
 	}
 	return n
 }

@@ -88,10 +88,6 @@ type PlayerConfig struct {
 	// MergeDiffs toggles slotted-buffer diff merging (default on; the
 	// ablation bench turns it off).
 	MergeDiffs *bool
-	// PiggybackSync rides each rendezvous's SYNC marker on the data frame
-	// when one flows anyway (see core.Config.PiggybackSync). Off by
-	// default so existing traces stay byte-identical.
-	PiggybackSync bool
 	// DeltaEncode switches DATA payloads to the delta-capable record
 	// encoding (see core.Config.DeltaEncode). Off by default so the wire
 	// stays byte-identical to the plain encoding.
@@ -298,7 +294,6 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 		Endpoint:          cfg.Endpoint,
 		Metrics:           mc,
 		MergeDiffs:        merge,
-		PiggybackSync:     cfg.PiggybackSync,
 		DeltaEncode:       cfg.DeltaEncode,
 		MaxBatchTicks:     batch,
 		Trace:             cfg.Trace,

@@ -30,8 +30,8 @@ func reserveLoopbackAddrs(t *testing.T, n int) []string {
 }
 
 // runTCPConformance plays the same 4-process game twice — once over the
-// in-memory transport, once over loopback TCP with deferred flushing and
-// SYNC piggybacking — and requires identical outcomes. This is the
+// in-memory transport, once over loopback TCP with deferred flushing —
+// and requires identical outcomes. This is the
 // conformance oracle for the encode-once/coalescing transport path: the
 // optimizations may change how many frames cross the wire, never what the
 // processes compute.
@@ -63,10 +63,9 @@ func runTCPConformance(t *testing.T, proto Protocol) {
 			}
 			defer ep.Close()
 			tcpStats[i], errs[i] = RunPlayer(PlayerConfig{
-				Game:          cfg,
-				Protocol:      proto,
-				Endpoint:      ep,
-				PiggybackSync: true,
+				Game:     cfg,
+				Protocol: proto,
+				Endpoint: ep,
 			})
 		}()
 	}

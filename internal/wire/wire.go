@@ -183,23 +183,29 @@ const (
 	ModeWrite uint8 = 2
 )
 
-// ModeSyncPiggyback is a Mode flag bit on KindData frames marking that the
-// frame also carries the sender's SYNC rendezvous marker for the same
-// Stamp: Ints holds the SYNC beacon and the receiver synthesizes the
-// logical (data, SYNC) pair. The flag occupies the high bit so it composes
-// with (and is disjoint from) the small-integer mode values; decoders that
-// predate it pass Mode through the codec untouched, so old frames and new
-// frames coexist on one wire.
-const ModeSyncPiggyback uint8 = 0x80
-
-// ModeDeltaPayload is a Mode flag bit on KindData frames marking that the
-// payload uses the delta-capable record encoding (xlist.EncodeDeltaRecords):
-// each record is either a full diff or an XOR delta against a base the
-// receiver is expected to hold, identified by version and fingerprint. The
-// bit composes with ModeSyncPiggyback and is disjoint from the small-integer
-// mode values; senders set it only when Config.DeltaEncode is on, so the
-// disabled path's frames stay byte-identical to the plain encoding.
-const ModeDeltaPayload uint8 = 0x40
+// Mode flag bits on KindData frames. A runtime call sends each peer exactly
+// one frame (DESIGN.md §15, the frame rule), so when data flows the call's
+// marker rides the data frame; unflagged DATA followed by a bare SYNC or
+// DONE is the same logical pair in two frames. The bits occupy the high
+// nibble: they compose, and are disjoint from the small-integer modes.
+const (
+	// ModeSyncPiggyback: the frame also carries the sender's SYNC
+	// rendezvous marker for the same Stamp, with the SYNC beacon in Ints.
+	ModeSyncPiggyback uint8 = 0x80
+	// ModeDeltaPayload: the payload uses the delta-capable record encoding
+	// (xlist.EncodeDeltaRecords) — each record a full diff or an XOR delta
+	// against a base the receiver is expected to hold. Set only when
+	// Config.DeltaEncode is on; other payloads keep the plain encoding.
+	ModeDeltaPayload uint8 = 0x40
+	// ModeDonePiggyback: the frame is the sender's final flush and also
+	// carries its DONE. The flush is stamped one tick past the sender's
+	// last Exchange; the DONE keeps its own stamp, Stamp-1, and takes
+	// effect at arrival even while the data half waits for its tick.
+	ModeDonePiggyback uint8 = 0x20
+	// ModeDoneWon accompanies ModeDonePiggyback when the departing process
+	// reached the application's goal (a bare DONE says so with Mode 1).
+	ModeDoneWon uint8 = 0x10
+)
 
 // Msg is a protocol message. The fixed header fields cover every protocol's
 // needs; Ints is a small variable-length header (owner/version pairs, vector
