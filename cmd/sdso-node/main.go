@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"sdso/internal/game"
+	"sdso/internal/metrics"
 	"sdso/internal/protocol/lookahead"
 	"sdso/internal/transport"
 )
@@ -138,18 +139,22 @@ func run(args []string) error {
 	}()
 
 	start := time.Now()
+	mc := metrics.NewCollector()
 	stats, err := lookahead.RunPlayer(lookahead.PlayerConfig{
 		Game:        g,
 		Protocol:    variant,
 		Endpoint:    ep,
 		Join:        *join,
 		Incarnation: *incarnation,
+		Metrics:     mc,
 	})
 	if err != nil {
 		return fmt.Errorf("game: %w", err)
 	}
-	fmt.Printf("node %d finished: ticks=%d mods=%d score=%d reachedGoal=%v destroyed=%v (%.2fs wall)\n",
+	sent := mc.Snapshot()
+	fmt.Printf("node %d finished: ticks=%d mods=%d score=%d reachedGoal=%v destroyed=%v (%.2fs wall) sent %d frames, %d B, envelope=%.2f\n",
 		*id, stats.Ticks, stats.Mods, stats.Score, stats.ReachedGoal, stats.Destroyed,
-		time.Since(start).Seconds())
+		time.Since(start).Seconds(),
+		sent.TotalMsgs(), sent.BytesSent, 1-float64(sent.PayloadBytes)/float64(sent.BytesSent))
 	return nil
 }

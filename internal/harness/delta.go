@@ -32,6 +32,9 @@ type DeltaRow struct {
 	// PlainBytesPerX / DeltaBytesPerX are wire bytes per exchange slot
 	// (one slot = one process-tick) with the encoding off / on.
 	PlainBytesPerX, DeltaBytesPerX float64
+	// PlainEnvelope / DeltaEnvelope are the share of those bytes that is
+	// not Msg.Payload: 1 - PayloadBytes/BytesSent (header and Ints).
+	PlainEnvelope, DeltaEnvelope float64
 	// PlainMsPerMod / DeltaMsPerMod are the Figure-5 normalized times.
 	PlainMsPerMod, DeltaMsPerMod float64
 	// DeltaRecords, DeltaBytesSaved, and TicksBatched sum the delta
@@ -51,9 +54,9 @@ func (r DeltaRow) SavedPct() float64 {
 }
 
 // runDeltaCell plays one BSYNC game and returns its wire bytes per
-// exchange slot and normalized time, folding the delta counters into row
-// when the encoding is on.
-func runDeltaCell(n int, seed int64, on bool, row *DeltaRow) (bytesPerX, msPerMod float64, err error) {
+// exchange slot, their envelope share and normalized time, folding the
+// delta counters into row when the encoding is on.
+func runDeltaCell(n int, seed int64, on bool, row *DeltaRow) (bytesPerX, envelope, msPerMod float64, err error) {
 	g := game.DefaultConfig(n, 1)
 	g.MaxTicks = deltaPanelTicks
 	g.Seed = seed
@@ -64,7 +67,7 @@ func runDeltaCell(n int, seed int64, on bool, row *DeltaRow) (bytesPerX, msPerMo
 	}
 	res, err := Run(cfg)
 	if err != nil {
-		return 0, 0, fmt.Errorf("delta panel n=%d seed=%d delta=%v: %w", n, seed, on, err)
+		return 0, 0, 0, fmt.Errorf("delta panel n=%d seed=%d delta=%v: %w", n, seed, on, err)
 	}
 	bytes, ticks := 0, 0
 	for _, s := range res.Metrics.Procs {
@@ -72,7 +75,7 @@ func runDeltaCell(n int, seed int64, on bool, row *DeltaRow) (bytesPerX, msPerMo
 		ticks += s.Ticks
 	}
 	if ticks == 0 {
-		return 0, 0, fmt.Errorf("delta panel n=%d seed=%d delta=%v: no ticks played", n, seed, on)
+		return 0, 0, 0, fmt.Errorf("delta panel n=%d seed=%d delta=%v: no ticks played", n, seed, on)
 	}
 	if on {
 		row.DeltaRecords += res.Metrics.DeltaRecords()
@@ -80,7 +83,8 @@ func runDeltaCell(n int, seed int64, on bool, row *DeltaRow) (bytesPerX, msPerMo
 		row.TicksBatched += res.Metrics.TicksBatched()
 		row.Mismatches += res.Metrics.DeltaMismatches()
 	}
-	return float64(bytes) / float64(ticks), MetricNormalizedTime(res), nil
+	envelope = 1 - float64(res.Metrics.PayloadBytes())/float64(bytes)
+	return float64(bytes) / float64(ticks), envelope, MetricNormalizedTime(res), nil
 }
 
 // DeltaAnalysis runs the delta panel. Ns defaults to {16, 64, 128} and
@@ -97,16 +101,18 @@ func DeltaAnalysis(ns []int, seeds []int64) ([]DeltaRow, error) {
 		row := DeltaRow{N: n, Seeds: len(seeds)}
 		start := time.Now()
 		for _, seed := range seeds {
-			offB, offMs, err := runDeltaCell(n, seed, false, &row)
+			offB, offEnv, offMs, err := runDeltaCell(n, seed, false, &row)
 			if err != nil {
 				return nil, err
 			}
-			onB, onMs, err := runDeltaCell(n, seed, true, &row)
+			onB, onEnv, onMs, err := runDeltaCell(n, seed, true, &row)
 			if err != nil {
 				return nil, err
 			}
 			row.PlainBytesPerX += offB / float64(len(seeds))
 			row.DeltaBytesPerX += onB / float64(len(seeds))
+			row.PlainEnvelope += offEnv / float64(len(seeds))
+			row.DeltaEnvelope += onEnv / float64(len(seeds))
 			row.PlainMsPerMod += offMs / float64(len(seeds))
 			row.DeltaMsPerMod += onMs / float64(len(seeds))
 		}
@@ -121,13 +127,14 @@ func RenderDelta(rows []DeltaRow) string {
 	var b strings.Builder
 	b.WriteString("Delta exchange: BSYNC wire bytes per exchange slot and normalized time, ")
 	fmt.Fprintf(&b, "plain vs delta-encoded + %d-tick batching\n", deltaPanelBatch)
-	fmt.Fprintf(&b, "%5s %6s %9s %9s %7s %9s %9s %8s %11s %9s %6s %9s\n",
-		"n", "seeds", "B/x", "B/x", "saved", "ms/mod", "ms/mod", "drecs", "dsaved-B", "batched", "miss", "wall")
-	fmt.Fprintf(&b, "%5s %6s %9s %9s %7s %9s %9s %8s %11s %9s %6s %9s\n",
-		"", "", "plain", "delta", "", "plain", "delta", "", "", "", "", "")
+	fmt.Fprintf(&b, "%5s %6s %9s %9s %7s %8s %8s %9s %9s %8s %11s %9s %6s %9s\n",
+		"n", "seeds", "B/x", "B/x", "saved", "envelope", "envelope", "ms/mod", "ms/mod", "drecs", "dsaved-B", "batched", "miss", "wall")
+	fmt.Fprintf(&b, "%5s %6s %9s %9s %7s %8s %8s %9s %9s %8s %11s %9s %6s %9s\n",
+		"", "", "plain", "delta", "", "plain", "delta", "plain", "delta", "", "", "", "", "")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%5d %6d %9.1f %9.1f %6.1f%% %9.2f %9.2f %8d %11d %9d %6d %9s\n",
+		fmt.Fprintf(&b, "%5d %6d %9.1f %9.1f %6.1f%% %8.2f %8.2f %9.2f %9.2f %8d %11d %9d %6d %9s\n",
 			r.N, r.Seeds, r.PlainBytesPerX, r.DeltaBytesPerX, r.SavedPct(),
+			r.PlainEnvelope, r.DeltaEnvelope,
 			r.PlainMsPerMod, r.DeltaMsPerMod,
 			r.DeltaRecords, r.DeltaBytesSaved, r.TicksBatched, r.Mismatches,
 			r.Wall.Round(time.Millisecond))

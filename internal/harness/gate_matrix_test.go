@@ -13,8 +13,11 @@ import (
 // filters became one gate; messages, bytes and durations were re-recorded
 // once, when the SYNC and DONE markers began riding the data frame — with
 // every cell's per-team stats and vetoes equal to the two-frame protocol's
-// (EXPERIMENTS.md lists old → new). The last vector keeps the name it was
-// recorded under; its piggyback flag is now every vector's. A
+// — and the bytes column alone once more, when the message codec became
+// varint (frames, durations, vetoes and per-team stats of every cell equal
+// to the fixed-width codec's; EXPERIMENTS.md lists old → new for both). The
+// last vector keeps the name it was recorded under; its piggyback flag is
+// now every vector's. A
 // reordered gate term, a changed backstop slack, or a moved choice
 // between inline and grouped SYNC fanout shifts at least one cell: the
 // virtual clock sequences deliveries by send order, so even a pure
@@ -41,36 +44,36 @@ func TestGoldenGateMatrix(t *testing.T) {
 		virtual  time.Duration
 		vetoes   int
 	}{
-		{16, BSYNC, "plain", 3262, 299584, 641946400, 0},
-		{16, BSYNC, "interest", 1734, 176029, 523870000, 0},
-		{16, BSYNC, "shards4", 3262, 300169, 721278000, 565},
-		{16, BSYNC, "interest+shards16", 1734, 164630, 523870000, 0},
-		{16, BSYNC, "interest+shards4+batch3+piggyback", 1507, 150587, 333499600, 0},
-		{16, MSYNC, "plain", 1405, 153330, 437684800, 0},
-		{16, MSYNC, "interest", 1588, 161103, 479483200, 0},
-		{16, MSYNC, "shards4", 1405, 141869, 445815200, 20},
-		{16, MSYNC, "interest+shards16", 1588, 149417, 479483200, 0},
-		{16, MSYNC, "interest+shards4+batch3+piggyback", 1588, 149417, 479483200, 0},
-		{16, MSYNC2, "plain", 1413, 154525, 440173200, 0},
-		{16, MSYNC2, "interest", 1588, 161103, 479483200, 0},
-		{16, MSYNC2, "shards4", 1413, 142848, 446726800, 0},
-		{16, MSYNC2, "interest+shards16", 1588, 149417, 479483200, 0},
-		{16, MSYNC2, "interest+shards4+batch3+piggyback", 1588, 149417, 479483200, 0},
-		{64, BSYNC, "plain", 67844, 6270753, 2808504000, 0},
-		{64, BSYNC, "interest", 24139, 2723906, 2428930000, 0},
-		{64, BSYNC, "shards4", 67844, 6479396, 3696355200, 33291},
-		{64, BSYNC, "interest+shards16", 24139, 2503636, 2428930000, 0},
-		{64, BSYNC, "interest+shards4+batch3+piggyback", 16714, 1895938, 1135038800, 0},
-		{64, MSYNC, "plain", 12787, 1744303, 1902492000, 0},
-		{64, MSYNC, "interest", 14633, 1822139, 1966954800, 0},
-		{64, MSYNC, "shards4", 12846, 1520690, 1837882800, 576},
-		{64, MSYNC, "interest+shards16", 14633, 1591006, 1966954800, 0},
-		{64, MSYNC, "interest+shards4+batch3+piggyback", 14633, 1591006, 1966954800, 0},
-		{64, MSYNC2, "plain", 12998, 1762017, 1911684000, 0},
-		{64, MSYNC2, "interest", 14633, 1822139, 1966954800, 0},
-		{64, MSYNC2, "shards4", 12974, 1527500, 1931233200, 0},
-		{64, MSYNC2, "interest+shards16", 14633, 1591006, 1966954800, 0},
-		{64, MSYNC2, "interest+shards4+batch3+piggyback", 14633, 1591006, 1966954800, 0},
+		{16, BSYNC, "plain", 3262, 159500, 641946400, 0},
+		{16, BSYNC, "interest", 1734, 99127, 523870000, 0},
+		{16, BSYNC, "shards4", 3262, 144536, 721278000, 565},
+		{16, BSYNC, "interest+shards16", 1734, 87716, 523870000, 0},
+		{16, BSYNC, "interest+shards4+batch3+piggyback", 1507, 86863, 333499600, 0},
+		{16, MSYNC, "plain", 1405, 93006, 437684800, 0},
+		{16, MSYNC, "interest", 1588, 95508, 479483200, 0},
+		{16, MSYNC, "shards4", 1405, 80990, 445815200, 20},
+		{16, MSYNC, "interest+shards16", 1588, 83775, 479483200, 0},
+		{16, MSYNC, "interest+shards4+batch3+piggyback", 1588, 83775, 479483200, 0},
+		{16, MSYNC2, "plain", 1413, 92171, 440173200, 0},
+		{16, MSYNC2, "interest", 1588, 95508, 479483200, 0},
+		{16, MSYNC2, "shards4", 1413, 80447, 446726800, 0},
+		{16, MSYNC2, "interest+shards16", 1588, 83775, 479483200, 0},
+		{16, MSYNC2, "interest+shards4+batch3+piggyback", 1588, 83775, 479483200, 0},
+		{64, BSYNC, "plain", 67844, 3343129, 2808504000, 0},
+		{64, BSYNC, "interest", 24139, 1361356, 2428930000, 0},
+		{64, BSYNC, "shards4", 67844, 2628733, 3696355200, 33291},
+		{64, BSYNC, "interest+shards16", 24139, 1140906, 2428930000, 0},
+		{64, BSYNC, "interest+shards4+batch3+piggyback", 16714, 1079033, 1135038800, 0},
+		{64, MSYNC, "plain", 12787, 1167969, 1902492000, 0},
+		{64, MSYNC, "interest", 14633, 1173349, 1966954800, 0},
+		{64, MSYNC, "shards4", 12846, 926497, 1837882800, 576},
+		{64, MSYNC, "interest+shards16", 14633, 941711, 1966954800, 0},
+		{64, MSYNC, "interest+shards4+batch3+piggyback", 14633, 941711, 1966954800, 0},
+		{64, MSYNC2, "plain", 12998, 1142949, 1911684000, 0},
+		{64, MSYNC2, "interest", 14633, 1173349, 1966954800, 0},
+		{64, MSYNC2, "shards4", 12974, 908980, 1931233200, 0},
+		{64, MSYNC2, "interest+shards16", 14633, 941711, 1966954800, 0},
+		{64, MSYNC2, "interest+shards4+batch3+piggyback", 14633, 941711, 1966954800, 0},
 	}
 	for _, want := range golden {
 		t.Run(fmt.Sprintf("n%d/%s/%s", want.n, want.proto, want.features), func(t *testing.T) {

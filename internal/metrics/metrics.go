@@ -104,12 +104,13 @@ type padded = PaddedCounter
 // independent padded atomic, so hot-path increments are lock-free and
 // uncontended.
 type Collector struct {
-	msgsSent  [wire.NumKinds]padded // indexed by wire.Kind
-	bytesSent padded
-	durations [int(catMax)]padded // nanoseconds, indexed by Category
-	mods      padded
-	ticks     padded
-	execTime  atomic.Int64
+	msgsSent     [wire.NumKinds]padded // indexed by wire.Kind
+	bytesSent    padded
+	payloadBytes padded
+	durations    [int(catMax)]padded // nanoseconds, indexed by Category
+	mods         padded
+	ticks        padded
+	execTime     atomic.Int64
 
 	// Fault-tolerance counters (crash detection and recovery).
 	retransmits padded
@@ -183,6 +184,7 @@ func (c *Collector) CountSend(m *wire.Msg, size int) {
 		c.msgsSent[m.Kind].v.Add(1)
 	}
 	c.bytesSent.v.Add(int64(size))
+	c.payloadBytes.v.Add(int64(len(m.Payload)))
 }
 
 // AddTime attributes a span of (virtual) time to a category.
@@ -328,16 +330,17 @@ func (c *Collector) SetExecTime(d time.Duration) { c.execTime.Store(int64(d)) }
 // map-backed collector exposed.
 func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
-		MsgsSent:    make(map[wire.Kind]int),
-		Durations:   make(map[Category]time.Duration),
-		BytesSent:   int(c.bytesSent.v.Load()),
-		Mods:        int(c.mods.v.Load()),
-		Ticks:       int(c.ticks.v.Load()),
-		ExecTime:    time.Duration(c.execTime.Load()),
-		Retransmits: int(c.retransmits.v.Load()),
-		Suspects:    int(c.suspects.v.Load()),
-		Evictions:   int(c.evictions.v.Load()),
-		Faults:      int(c.faults.v.Load()),
+		MsgsSent:     make(map[wire.Kind]int),
+		Durations:    make(map[Category]time.Duration),
+		BytesSent:    int(c.bytesSent.v.Load()),
+		PayloadBytes: int(c.payloadBytes.v.Load()),
+		Mods:         int(c.mods.v.Load()),
+		Ticks:        int(c.ticks.v.Load()),
+		ExecTime:     time.Duration(c.execTime.Load()),
+		Retransmits:  int(c.retransmits.v.Load()),
+		Suspects:     int(c.suspects.v.Load()),
+		Evictions:    int(c.evictions.v.Load()),
+		Faults:       int(c.faults.v.Load()),
 
 		Joins:         int(c.joins.v.Load()),
 		SnapshotBytes: int(c.snapshotBytes.v.Load()),
@@ -388,10 +391,13 @@ func (c *Collector) Snapshot() Snapshot {
 type Snapshot struct {
 	MsgsSent  map[wire.Kind]int
 	BytesSent int
-	Durations map[Category]time.Duration
-	Mods      int
-	Ticks     int
-	ExecTime  time.Duration
+	// PayloadBytes is the part of BytesSent that was Msg.Payload; the
+	// rest, 1 - PayloadBytes/BytesSent, is envelope: header and Ints.
+	PayloadBytes int
+	Durations    map[Category]time.Duration
+	Mods         int
+	Ticks        int
+	ExecTime     time.Duration
 	// Fault-tolerance counters: message retransmissions, peers that
 	// entered the suspected state, peers evicted as crashed, and faults
 	// injected by the process's (fault-injecting) transport.
@@ -635,6 +641,15 @@ func (g Group) WireBytes() int {
 	n := 0
 	for _, s := range g.Procs {
 		n += s.WireBytes
+	}
+	return n
+}
+
+// PayloadBytes sums sent payload bytes across processes.
+func (g Group) PayloadBytes() int {
+	n := 0
+	for _, s := range g.Procs {
+		n += s.PayloadBytes
 	}
 	return n
 }

@@ -14,7 +14,7 @@ func TestCountSendSplitsClasses(t *testing.T) {
 	c.CountSend(&wire.Msg{Kind: wire.KindSync}, 2048)
 	c.CountSend(&wire.Msg{Kind: wire.KindData}, 2048)
 	c.CountSend(&wire.Msg{Kind: wire.KindLockReq}, 2048)
-	c.CountSend(&wire.Msg{Kind: wire.KindObjReply}, 2048)
+	c.CountSend(&wire.Msg{Kind: wire.KindObjReply, Payload: make([]byte, 100)}, 2048)
 	s := c.Snapshot()
 	if got := s.TotalMsgs(); got != 4 {
 		t.Errorf("TotalMsgs = %d", got)
@@ -27,6 +27,9 @@ func TestCountSendSplitsClasses(t *testing.T) {
 	}
 	if s.BytesSent != 4*2048 {
 		t.Errorf("BytesSent = %d", s.BytesSent)
+	}
+	if g := (Group{Procs: []Snapshot{s, s}}); s.PayloadBytes != 100 || g.PayloadBytes() != 200 {
+		t.Errorf("PayloadBytes = %d, group of two = %d", s.PayloadBytes, g.PayloadBytes())
 	}
 }
 

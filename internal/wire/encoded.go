@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// Fixed byte offsets of the Src and Dst header fields within a frame
-// (4-byte length prefix + encoded body; see AppendBinary for the layout).
-// They let a fanout patch per-destination routing into an already-encoded
-// frame instead of re-encoding the whole message per peer.
+// Fixed byte offsets of the Src and Dst fields within a frame (4-byte
+// length prefix + encoded body; they sit in the body's fixed-width prefix,
+// see prefixSize). They let a fanout patch per-destination routing into an
+// already-encoded frame instead of re-encoding the whole message per peer.
 const (
 	frameSrcOff = 4 + 2
 	frameDstOff = 4 + 6
@@ -20,7 +20,8 @@ const (
 // bytes WriteFrame would produce — that can be shared across destinations:
 // the message body is marshaled exactly once and the immutable bulk (kind,
 // stamp, ints, payload) is reused for every peer, with only the fixed-offset
-// Src/Dst header words patched per destination.
+// Src/Dst words patched per destination — the patch never changes a frame's
+// length, which is why those two fields alone are not varints.
 //
 // Ownership follows a reference count. EncodeFrame returns an Encoded with
 // one reference; Retain adds one per additional holder and Release drops
@@ -122,9 +123,11 @@ func (e *Encoded) SetDst(dst int32) {
 // Kind returns the encoded message's kind without decoding.
 func (e *Encoded) Kind() Kind { return Kind(e.buf[4]) }
 
-// Stamp returns the encoded message's stamp without decoding.
+// Stamp returns the encoded message's stamp without decoding: the varint
+// that follows the fixed prefix.
 func (e *Encoded) Stamp() int64 {
-	return int64(binary.BigEndian.Uint64(e.buf[4+10:]))
+	v, _ := binary.Varint(e.buf[4+prefixSize:])
+	return v
 }
 
 // WriteTo writes the frame to w as one Write call.

@@ -2,6 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -23,23 +28,33 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		if err := m.UnmarshalBinary(data); err != nil {
 			return
 		}
-		re, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatalf("accepted message failed to re-marshal: %v", err)
-		}
-		var m2 Msg
-		if err := m2.UnmarshalBinary(re); err != nil {
-			t.Fatalf("re-marshaled message failed to parse: %v", err)
-		}
-		if m.Kind != m2.Kind || m.Src != m2.Src || m.Stamp != m2.Stamp ||
-			!bytes.Equal(m.Payload, m2.Payload) {
-			t.Fatalf("round trip changed message: %+v vs %+v", m, m2)
-		}
+		checkReencodes(t, &m)
 	})
 }
 
-// FuzzReadFrame: arbitrary streams must never panic the frame reader. The
-// seed corpus includes truncated frames — a crashing or partitioned peer
+// checkReencodes demands that an accepted message survives a second trip
+// through the codec in every field, at exactly the size EncodedSize states.
+// (The input itself may be longer: the decoder accepts padded varints, the
+// encoder never writes them.)
+func checkReencodes(t *testing.T, m *Msg) {
+	t.Helper()
+	re, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatalf("accepted message failed to re-marshal: %v", err)
+	}
+	if len(re) != m.EncodedSize() {
+		t.Fatalf("re-marshaled to %d bytes, EncodedSize says %d: %v", len(re), m.EncodedSize(), m)
+	}
+	var m2 Msg
+	if err := m2.UnmarshalBinary(re); err != nil {
+		t.Fatalf("re-marshaled message failed to parse: %v", err)
+	}
+	assertMsgEqual(t, &m2, m)
+}
+
+// FuzzReadFrame: arbitrary streams must never panic the frame reader, and
+// a frame it accepts must re-encode like any other message. The seed
+// corpus includes truncated frames — a crashing or partitioned peer
 // cuts the TCP stream at arbitrary byte boundaries, so the reader must fail
 // cleanly mid-length-prefix, mid-header, and mid-payload.
 func FuzzReadFrame(f *testing.F) {
@@ -63,7 +78,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Msg
-		_ = ReadFrame(bytes.NewReader(data), &m)
+		if err := ReadFrame(bytes.NewReader(data), &m); err != nil {
+			return
+		}
+		checkReencodes(t, &m)
 	})
 }
 
@@ -75,5 +93,68 @@ func joinKindMsgs() []*Msg {
 		{Kind: KindJoinAck, Src: 0, Dst: 2, Stamp: 14, Ints: []int64{3, 0, 0, 1, 2}},
 		{Kind: KindJoinAck, Src: 4, Dst: 6, Stamp: 1, Ints: []int64{0, 3}, Payload: []byte{0, 0, 0, 0}},
 		{Kind: KindSnapshot, Src: 0, Dst: 2, Stamp: 12, Payload: []byte{0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0}},
+	}
+}
+
+// corpusMsgs are the seeds checked in under testdata/fuzz for both targets
+// (go test replays that directory without -fuzz): the two smallest frames
+// there are, every varint width boundary as stamp and as an int, Obj at
+// full width, and the piggybacked final flush — DATA carrying a DONE.
+func corpusMsgs() map[string]*Msg {
+	ms := map[string]*Msg{
+		"min-sync":     {Kind: KindSync},
+		"min-lock-req": {Kind: KindLockReq, Mode: ModeWrite, Src: 3, Dst: 1, Obj: 9},
+		"data-done": {
+			Kind: KindData, Mode: ModeDonePiggyback | ModeDoneWon | ModeDeltaPayload,
+			Src: 5, Dst: 2, Stamp: 41, Ints: []int64{2, 17, 33, 1, 90, 4}, Payload: []byte{1, 8, 0x81, 3},
+		},
+		"obj-max": {Kind: KindObjReq, Src: -1, Dst: -2, Obj: math.MaxUint32},
+	}
+	for _, v := range boundaries {
+		ms[fmt.Sprintf("boundary-%d", v)] = &Msg{
+			Kind: KindUpdate, Src: 1, Dst: 2, Stamp: v, Ints: []int64{v, -v}, Payload: []byte{byte(v)},
+		}
+	}
+	return ms
+}
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz from corpusMsgs")
+
+// TestSeedCorpusIsCurrent keeps the checked-in seeds equal to what this
+// codec writes for corpusMsgs, so a layout change cannot leave the fuzzers
+// starting from frames of the old one. Regenerate with
+// go test ./internal/wire -run TestSeedCorpusIsCurrent -update-corpus.
+func TestSeedCorpusIsCurrent(t *testing.T) {
+	for name, m := range corpusMsgs() {
+		body, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frame bytes.Buffer
+		if err := WriteFrame(&frame, m); err != nil {
+			t.Fatal(err)
+		}
+		for target, seed := range map[string][]byte{
+			"FuzzUnmarshalBinary": body,
+			"FuzzReadFrame":       frame.Bytes(),
+		} {
+			path := filepath.Join("testdata", "fuzz", target, name)
+			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+			if *updateCorpus {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Errorf("seed missing (run with -update-corpus): %v", err)
+			} else if string(got) != want {
+				t.Errorf("%s is not what the codec writes for %v (run with -update-corpus)", path, m)
+			}
+		}
 	}
 }

@@ -1,6 +1,13 @@
 // Package wire defines the message vocabulary spoken by every S-DSO
-// consistency protocol, together with a compact binary codec and framing
+// consistency protocol, together with its one binary codec and the framing
 // helpers used by the TCP transport.
+//
+// An encoded message is a fixed 10-byte prefix — kind, mode, and the two
+// routing words Src and Dst, which a fanout patches in place — followed by
+// varints: the stamp, the object ID, the two counts, each of Ints, then the
+// payload bytes (DESIGN.md §3.4 has the table). A message costs what its
+// values need, 14 bytes at least. The format carries no version: every
+// process of a session runs one build.
 //
 // The paper's protocols exchange two broad message classes: control messages
 // (SYNC rendezvous markers, lock traffic, done/shutdown notifications) and
@@ -14,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -252,13 +261,40 @@ var (
 	ErrTooLarge    = errors.New("wire: field exceeds codec limit")
 )
 
-// encodedHeaderSize is the fixed portion of an encoded message:
-// kind(1) + mode(1) + src(4) + dst(4) + stamp(8) + obj(4) + nints(4) + npayload(4).
-const encodedHeaderSize = 1 + 1 + 4 + 4 + 8 + 4 + 4 + 4
+// Layout of an encoded message (DESIGN.md §3.4). Kind, Mode, Src and Dst
+// form a fixed 10-byte prefix, so an already-encoded frame can be re-routed
+// by patching fixed offsets (Encoded.SetSrc/SetDst) and every recipient of a
+// grouped fanout is charged the same size. Everything after it is as wide as
+// its value: Stamp as a zig-zag varint, Obj, len(Ints) and len(Payload) as
+// uvarints, each of Ints as a zig-zag varint, then the payload bytes.
+const (
+	prefixSize = 1 + 1 + 4 + 4 // kind, mode, src, dst
+	// encodedHeaderSize is the smallest encoding there is: the prefix and
+	// four one-byte varints (stamp, obj, nints, npayload).
+	encodedHeaderSize = prefixSize + 4
+	// maxEncodedSize is the largest: every varint at full width
+	// (stamp 10, obj 5, nints 3, npayload 4 bytes; 10 bytes an int).
+	maxEncodedSize = prefixSize + 10 + 5 + 3 + 4 + 10*MaxInts + MaxPayload
+)
+
+// zigzag maps a signed value onto the unsigned one encoding/binary's
+// PutVarint writes, so small magnitudes of either sign encode short.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// uvarintLen returns the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // EncodedSize returns the exact length of m's binary encoding.
 func (m *Msg) EncodedSize() int {
-	return encodedHeaderSize + 8*len(m.Ints) + len(m.Payload)
+	n := prefixSize + uvarintLen(zigzag(m.Stamp)) + uvarintLen(uint64(m.Obj)) +
+		uvarintLen(uint64(len(m.Ints))) + uvarintLen(uint64(len(m.Payload))) + len(m.Payload)
+	for _, v := range m.Ints {
+		n += uvarintLen(zigzag(v))
+	}
+	return n
 }
 
 // AppendBinary appends m's binary encoding to dst and returns the extended
@@ -273,24 +309,17 @@ func (m *Msg) AppendBinary(dst []byte) ([]byte, error) {
 		return dst, ErrTooLarge
 	}
 	encodeCalls.Add(1)
-	base := len(dst)
-	dst = append(dst, make([]byte, m.EncodedSize())...)
-	buf := dst[base:]
-	buf[0] = byte(m.Kind)
-	buf[1] = m.Mode
-	binary.BigEndian.PutUint32(buf[2:], uint32(m.Src))
-	binary.BigEndian.PutUint32(buf[6:], uint32(m.Dst))
-	binary.BigEndian.PutUint64(buf[10:], uint64(m.Stamp))
-	binary.BigEndian.PutUint32(buf[18:], m.Obj)
-	binary.BigEndian.PutUint32(buf[22:], uint32(len(m.Ints)))
-	binary.BigEndian.PutUint32(buf[26:], uint32(len(m.Payload)))
-	off := encodedHeaderSize
+	dst = append(dst, byte(m.Kind), m.Mode)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Src))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Dst))
+	dst = binary.AppendVarint(dst, m.Stamp)
+	dst = binary.AppendUvarint(dst, uint64(m.Obj))
+	dst = binary.AppendUvarint(dst, uint64(len(m.Ints)))
+	dst = binary.AppendUvarint(dst, uint64(len(m.Payload)))
 	for _, v := range m.Ints {
-		binary.BigEndian.PutUint64(buf[off:], uint64(v))
-		off += 8
+		dst = binary.AppendVarint(dst, v)
 	}
-	copy(buf[off:], m.Payload)
-	return dst, nil
+	return append(dst, m.Payload...), nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -302,6 +331,26 @@ func (m *Msg) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
+// uvarint reads the uvarint at buf[off:] and returns it with the offset of
+// the byte after it, or with what binary.Uvarint reports on failure, for
+// varintErr to name.
+func uvarint(buf []byte, off int) (v uint64, next int) {
+	v, n := binary.Uvarint(buf[off:])
+	if n <= 0 {
+		return 0, n
+	}
+	return v, off + n
+}
+
+// varintErr names a failed uvarint: next is 0 when the buffer ended inside
+// the varint, negative when it ran past ten bytes or overflowed 64 bits.
+func varintErr(next int) error {
+	if next == 0 {
+		return ErrShortBuffer
+	}
+	return ErrTooLarge
+}
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler with reuse
 // semantics: m's existing Ints and Payload slices are resized in place when
 // their capacity suffices, so a steady-state decoder that recycles one Msg
@@ -309,6 +358,13 @@ func (m *Msg) MarshalBinary() ([]byte, error) {
 // buf — ReadFrame pools and scribbles over its frame buffers, and protocols
 // buffer decoded messages long after the frame is recycled
 // (TestUnmarshalDoesNotAliasInput is the regression witness).
+//
+// buf comes off a socket, so the whole frame is validated before m is
+// touched or anything is allocated: the minimum length, the kind, each
+// header varint and its limit, the two counts against the bytes that
+// follow them, every Ints varint, and finally that the frame ends exactly
+// where the payload does. A rejected frame leaves m as it was, and the
+// errors are the bare sentinels, so rejecting one allocates nothing either.
 func (m *Msg) UnmarshalBinary(buf []byte) error {
 	if len(buf) < encodedHeaderSize {
 		return ErrShortBuffer
@@ -317,21 +373,44 @@ func (m *Msg) UnmarshalBinary(buf []byte) error {
 	if !k.Valid() {
 		return ErrBadKind
 	}
-	nInts := binary.BigEndian.Uint32(buf[22:])
-	nPayload := binary.BigEndian.Uint32(buf[26:])
-	if nInts > MaxInts || nPayload > MaxPayload {
+	var hdr [4]uint64 // stamp (zig-zag), obj, len(Ints), len(Payload)
+	off := prefixSize
+	for i := range hdr {
+		if off < len(buf) && buf[off] < 0x80 {
+			hdr[i] = uint64(buf[off]) // one byte, as most ticks, IDs and counts are
+			off++
+		} else if hdr[i], off = uvarint(buf, off); off <= 0 {
+			return varintErr(off)
+		}
+	}
+	ustamp, obj, nInts, nPayload := hdr[0], hdr[1], hdr[2], hdr[3]
+	if obj > math.MaxUint32 || nInts > MaxInts || nPayload > MaxPayload {
 		return ErrTooLarge
 	}
-	want := encodedHeaderSize + 8*int(nInts) + int(nPayload)
-	if len(buf) != want {
-		return fmt.Errorf("%w: have %d bytes, want %d", ErrShortBuffer, len(buf), want)
+	// Every int takes at least one byte, so this bounds both counts by
+	// what is actually there before either sizes a slice.
+	if nInts+nPayload > uint64(len(buf)-off) {
+		return ErrShortBuffer
 	}
+	ints := buf[off : len(buf)-int(nPayload)]
+	p := 0
+	for i := uint64(0); i < nInts; i++ {
+		if p < len(ints) && ints[p] < 0x80 {
+			p++
+		} else if _, p = uvarint(ints, p); p <= 0 {
+			return varintErr(p)
+		}
+	}
+	if p != len(ints) {
+		return ErrShortBuffer // bytes left over between the ints and the payload
+	}
+
 	m.Kind = k
 	m.Mode = buf[1]
 	m.Src = int32(binary.BigEndian.Uint32(buf[2:]))
 	m.Dst = int32(binary.BigEndian.Uint32(buf[6:]))
-	m.Stamp = int64(binary.BigEndian.Uint64(buf[10:]))
-	m.Obj = binary.BigEndian.Uint32(buf[18:])
+	m.Stamp = unzigzag(ustamp)
+	m.Obj = uint32(obj)
 	if nInts == 0 {
 		if m.Ints != nil {
 			m.Ints = m.Ints[:0]
@@ -342,10 +421,15 @@ func (m *Msg) UnmarshalBinary(buf []byte) error {
 		} else {
 			m.Ints = m.Ints[:nInts]
 		}
-		off := encodedHeaderSize
+		p = 0
 		for i := range m.Ints {
-			m.Ints[i] = int64(binary.BigEndian.Uint64(buf[off:]))
-			off += 8
+			u := uint64(ints[p])
+			if u < 0x80 {
+				p++
+			} else {
+				u, p = uvarint(ints, p) // cannot fail: validated above
+			}
+			m.Ints[i] = unzigzag(u)
 		}
 	}
 	if nPayload == 0 {
@@ -400,7 +484,7 @@ func ReadFrame(r io.Reader, m *Msg) error {
 		return err // io.EOF passes through for clean connection shutdown
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n < encodedHeaderSize || n > MaxPayload+8*MaxInts+encodedHeaderSize {
+	if n < encodedHeaderSize || n > maxEncodedSize {
 		return fmt.Errorf("%w: frame length %d", ErrTooLarge, n)
 	}
 	bp := framePool.Get().(*[]byte)
