@@ -66,23 +66,21 @@ type deltaEntry struct {
 // for the objects actually exchanged with that peer, sorted by object ID.
 // It is sparse and starts empty — a dense peer × object table would cost
 // hundreds of megabytes at n = 128 (DESIGN.md, "Ownership and memory").
+// entries is one contiguous block of the runtime's pool (Runtime.deltaPool):
+// it moves to the next size class when full and goes back on reset, so the
+// tables of one runtime share what any of them outgrew.
 type deltaTable struct {
 	entries []deltaEntry
 }
 
-// at returns obj's entry, inserting an unknown one on first use. The
-// pointer is valid until the next insertion.
-func (t *deltaTable) at(obj store.ID) *deltaEntry {
+// at returns obj's entry, inserting an unknown one (carved from pool) on
+// first use. The pointer is valid until the next insertion.
+func (t *deltaTable) at(pool *xlist.Blocks[deltaEntry], obj store.ID) *deltaEntry {
 	i, ok := slices.BinarySearchFunc(t.entries, obj, func(e deltaEntry, obj store.ID) int {
 		return cmp.Compare(e.obj, obj)
 	})
 	if !ok {
-		if t.entries == nil {
-			// Most tables hold a handful of objects — a tank's trail while
-			// both processes lived: start past the first doublings.
-			t.entries = make([]deltaEntry, 0, 4)
-		}
-		t.entries = slices.Insert(t.entries, i, deltaEntry{obj: obj})
+		t.entries = pool.Insert(t.entries, i, deltaEntry{obj: obj})
 	}
 	return &t.entries[i]
 }
@@ -139,7 +137,7 @@ func (r *Runtime) encodeDataPayload(dst []byte, peer int, diffs []xlist.ObjDiff,
 	recs, xor := r.encRecs[:0], r.encXOR[:0]
 	for _, od := range diffs {
 		rec := xlist.DeltaRecord{Obj: od.Obj, Version: od.Version, D: od.D}
-		e := ds.at(od.Obj)
+		e := ds.at(&r.deltaPool, od.Obj)
 		base, baseVer := r.deltaBase(e)
 		// The tip after this record. Write buffers whole-state
 		// replacements, whose state the tip shares.
@@ -210,7 +208,7 @@ func (r *Runtime) applyDeltaData(m *wire.Msg) {
 	dr := &r.peers[src].recv
 	for i := range recs {
 		rec := &recs[i]
-		e := dr.at(rec.Obj)
+		e := dr.at(&r.deltaPool, rec.Obj)
 		base, baseVer := r.deltaBase(e)
 		var next []byte
 		if rec.Delta {
@@ -292,7 +290,7 @@ func (r *Runtime) deltaServe(peer int, obj store.ID, state []byte, ver int64) {
 	if !r.cfg.DeltaEncode {
 		return
 	}
-	*r.peers[peer].send.at(obj) = deltaEntry{obj: obj, known: true, ver: ver, state: state}
+	*r.peers[peer].send.at(&r.deltaPool, obj) = deltaEntry{obj: obj, known: true, ver: ver, state: state}
 }
 
 // deltaAdoptReply realigns the receiver's shadow with a full-state ObjReply
@@ -300,16 +298,19 @@ func (r *Runtime) deltaServe(peer int, obj store.ID, state []byte, ver int64) {
 // the sender's table now assumes we hold exactly this state. state is
 // copied (it is a message payload).
 func (r *Runtime) deltaAdoptReply(peer int, obj store.ID, state []byte, ver int64) {
-	e := r.peers[peer].recv.at(obj)
+	e := r.peers[peer].recv.at(&r.deltaPool, obj)
 	*e = deltaEntry{obj: obj, known: true, ver: ver, state: bytes.Clone(state)}
 }
 
 // deltaResetPeer drops every delta table for peer, forcing full records on
 // the next exchange in both directions. Called on eviction and readmission:
 // a session reset or a rejoin invalidates any assumption about what the
-// other side holds.
+// other side holds. The tables' blocks go back to the pool, cleared: a freed
+// block pins no state bytes.
 func (r *Runtime) deltaResetPeer(peer int) {
 	ps := &r.peers[peer]
+	r.deltaPool.Put(ps.send.entries)
+	r.deltaPool.Put(ps.recv.entries)
 	ps.send, ps.recv = deltaSendState{}, deltaTable{}
 }
 

@@ -134,7 +134,7 @@ func (r *Runtime) InterestFetch(peer int, objs []store.ID) {
 		return
 	}
 	for _, obj := range objs {
-		e := ps.recv.at(obj)
+		e := ps.recv.at(&r.deltaPool, obj)
 		if e.fetching {
 			continue
 		}

@@ -241,7 +241,7 @@ func TestAppliedDataSurvivesPayloadReuse(t *testing.T) {
 			t.Fatalf("%s: store object %d = %x, %v; want %x", when, obj, v, err, want)
 		}
 		views = append(views, [2][]byte{v, bytes.Clone(v)})
-		e := rcv.peers[0].recv.at(obj)
+		e := rcv.peers[0].recv.at(&rcv.deltaPool, obj)
 		if !e.known || !bytes.Equal(e.state, want) {
 			t.Fatalf("%s: shadow of object %d = %+v, want state %x", when, obj, e, want)
 		}

@@ -260,6 +260,8 @@ type Runtime struct {
 	// universal delta baseline (see delta.go). Entries alias the store's
 	// registered bytes.
 	deltaInit [][]byte
+	// deltaPool is the storage under every peer's delta tables.
+	deltaPool xlist.Blocks[deltaEntry]
 
 	// Exchange scratch, reused every tick.
 	targets     []int // this tick's rendezvous set
@@ -554,7 +556,9 @@ func (r *Runtime) Write(id store.ID, data []byte) error {
 	if d.Empty() {
 		return nil
 	}
-	r.debugf("now=%d write obj=%d", r.now, id)
+	if r.cfg.Debug != nil { // the variadic call boxes its arguments either way
+		r.debugf("now=%d write obj=%d", r.now, id)
+	}
 	ver, err := r.st.Version(id)
 	if err != nil {
 		return err
@@ -734,7 +738,9 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 			if next <= r.now {
 				return fmt.Errorf("core: s-function scheduled peer %d at %d, not after now=%d", peer, next, r.now)
 			}
-			r.debugf("now=%d reschedule peer=%d next=%d", r.now, peer, next)
+			if r.cfg.Debug != nil {
+				r.debugf("now=%d reschedule peer=%d next=%d", r.now, peer, next)
+			}
 			r.tr.Record(trace.OpRendezvous, peer, 0, 0, r.now, next)
 			r.xl.Set(peer, next)
 		}
@@ -1253,6 +1259,11 @@ func (r *Runtime) handleDone(peer int, won bool, stamp int64) {
 	r.debugf("now=%d peerDone peer=%d stamp=%d epoch=%d", r.now, peer, stamp, r.epoch)
 	r.xl.Remove(peer)
 	r.buf.Drop(peer)
+	// Nothing is flushed to a finished peer again: the sender half of its
+	// delta table goes back to the pool for the live peers' tables to grow
+	// into. The receiver half stays — the final flush below may be a delta.
+	r.deltaPool.Put(ps.send.entries)
+	ps.send = deltaSendState{}
 	// The peer's final flush may already sit in earlyData (stamped one
 	// tick ahead of its DONE); it must survive and be absorbed at its
 	// stamped tick — dropping it would lose the departing process's last

@@ -73,6 +73,9 @@ type View struct {
 // interact in a single tick (move into the same block, or fire).
 const conflictRadius = 2
 
+// moveDirs is Decide's fixed direction order: N, E, S, W.
+var moveDirs = [4]Pos{{0, -1}, {1, 0}, {0, 1}, {-1, 0}}
+
 // Decide computes the tank's action. It is deterministic and consults only
 // the freshness-guaranteed parts of the view (see View).
 func Decide(v View) Action {
@@ -136,9 +139,9 @@ func Decide(v View) Action {
 		kind  CellKind
 		score int
 	}
-	dirs := []Pos{{0, -1}, {1, 0}, {0, 1}, {-1, 0}}
-	var cands []candidate
-	for _, d := range dirs {
+	var backing [len(moveDirs)]candidate // one candidate a direction: no allocation
+	cands := backing[:0]
+	for _, d := range moveDirs {
 		to := Pos{v.Self.X + d.X, v.Self.Y + d.Y}
 		if !v.Cfg.InBounds(to) {
 			continue

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdso/internal/game"
+	"sdso/internal/race"
 )
 
 func TestBlindPeerAlwaysInteresting(t *testing.T) {
@@ -173,6 +174,41 @@ func TestRefreshMatchesBruteForce(t *testing.T) {
 					tick, id, got, exp, minDist(r))
 			}
 		}
+	}
+}
+
+// TestIndexSteadyStateAllocs: once every peer has been seen, a tick's worth of
+// index work — an Observe per peer, each into a different cell than last
+// time, then a Refresh with peers entering and leaving — allocates nothing.
+func TestIndexSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, w, h = 64, 64, 48
+	ix := New(Config{Width: w, Height: h, Radius: 3})
+	rng := rand.New(rand.NewSource(7))
+	tanks := make([][]game.Pos, n)
+	for peer := 1; peer < n; peer++ {
+		tanks[peer] = []game.Pos{{X: rng.Intn(w), Y: rng.Intn(h)}, {X: rng.Intn(w), Y: rng.Intn(h)}}
+	}
+	self := []game.Pos{{X: w / 2, Y: h / 2}}
+	tick := int64(0)
+	round := func() {
+		tick++
+		for peer := 1; peer < n; peer++ {
+			for i := range tanks[peer] {
+				tanks[peer][i].X = (tanks[peer][i].X + 5) % w
+			}
+			ix.Observe(peer, tanks[peer], tick)
+		}
+		ix.Refresh(self, tick)
+	}
+	round() // the warm round: slab, grid and arena reach their sizes
+	if got := testing.AllocsPerRun(50, round); got != 0 {
+		t.Errorf("%.1f allocations per steady-state round, want 0", got)
+	}
+	if ix.Size() == 0 {
+		t.Error("the rounds never made a peer interesting: the test measured nothing")
 	}
 }
 

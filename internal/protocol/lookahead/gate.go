@@ -36,8 +36,8 @@ import "sdso/internal/game"
 // meaning "withheld by residency alone" — interest already excludes
 // nearly every peer residency would.
 func (p *player) gate(peer int) bool {
-	kp := p.known[peer]
-	if kp == nil {
+	kp := &p.known[peer]
+	if !kp.present {
 		return true
 	}
 	h := p.cfg.Game.InteractionRadius()

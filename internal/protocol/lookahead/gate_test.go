@@ -85,9 +85,9 @@ func TestGateExitsInOrder(t *testing.T) {
 
 			p.tanks = []game.TankState{game.NewTankState(me)}
 			if tc.unknown {
-				delete(p.known, 1)
+				p.known[1].present = false
 			} else {
-				p.known[1] = &knownPeer{beacon: game.Beacon{Tanks: tc.theirs}, tick: p.rt.Now()}
+				p.known[1] = knownPeer{present: true, beacon: game.Beacon{Tanks: tc.theirs}, tick: p.rt.Now()}
 			}
 			if p.ix != nil {
 				p.ix.Drop(1)

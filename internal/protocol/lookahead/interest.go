@@ -6,10 +6,7 @@ package lookahead
 // internal/interest; the DATA veto it feeds is the interest term of
 // gate (gate.go).
 
-import (
-	"sdso/internal/game"
-	"sdso/internal/store"
-)
+import "sdso/internal/game"
 
 // InterestMaxStretch caps how many base periods the interest-paced BSYNC
 // s-function may skip for a far peer. It bounds SYNC staleness (and the
@@ -45,15 +42,15 @@ func (p *player) refreshInterest(tick int64) {
 		if tick <= 1 {
 			continue // the initial world is shared; nothing was withheld yet
 		}
-		kp := p.known[peer]
-		if kp == nil {
+		kp := &p.known[peer]
+		if !kp.present {
 			continue
 		}
-		objs := make([]store.ID, 0, len(kp.beacon.Tanks))
+		p.ids = p.ids[:0] // InterestFetch does not keep it
 		for _, pos := range kp.beacon.Tanks {
-			objs = append(objs, p.cfg.Game.ObjectOf(pos))
+			p.ids = append(p.ids, p.cfg.Game.ObjectOf(pos))
 		}
-		p.rt.InterestFetch(peer, objs)
+		p.rt.InterestFetch(peer, p.ids)
 	}
 }
 
@@ -73,8 +70,8 @@ func (p *player) interestPacedSFunc() func(peer int, now int64, peerBeacon []int
 		base = p.cfg.MaxBatchTicks
 	}
 	return func(peer int, now int64, peerBeacon []int64) int64 {
-		kp := p.known[peer] // OnBeacon ran just before this
-		if kp == nil || len(kp.beacon.Tanks) == 0 {
+		kp := &p.known[peer] // OnBeacon ran just before this
+		if !kp.present || len(kp.beacon.Tanks) == 0 {
 			return now + base // peer about to vanish; DONE will arrive
 		}
 		d := game.NextDelta(h, p.positions(), p.pendingBox(peer), kp.beacon.Tanks, kp.beacon.Box)

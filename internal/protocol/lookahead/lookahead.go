@@ -180,9 +180,10 @@ type PlayerConfig struct {
 // rendezvous decodes into the same entry (beacon.Tanks' backing and box are
 // its storage), so nothing may keep beacon.Tanks or beacon.Box across ticks.
 type knownPeer struct {
-	beacon game.Beacon
-	box    game.Box // what beacon.Box points to when the peer advertised one
-	tick   int64
+	present bool // something is known; the rest is meaningless otherwise
+	beacon  game.Beacon
+	box     game.Box // what beacon.Box points to when the peer advertised one
+	tick    int64
 }
 
 // player is one running game process.
@@ -192,7 +193,7 @@ type player struct {
 	team   int
 	goal   game.Pos
 	tanks  []game.TankState
-	known  map[int]*knownPeer
+	known  []knownPeer // indexed by team; see knownPeer.present
 	stats  game.TeamStats
 	mc     *metrics.Collector
 	ix     *interest.Index   // nil unless cfg.Interest
@@ -248,7 +249,7 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 	p := &player{
 		cfg:     cfg,
 		team:    cfg.Endpoint.ID(),
-		known:   make(map[int]*knownPeer, cfg.Endpoint.N()),
+		known:   make([]knownPeer, cfg.Endpoint.N()),
 		enemies: make(map[int][]game.Pos, cfg.Endpoint.N()),
 		mc:      mc,
 		stats:   game.TeamStats{Team: cfg.Endpoint.ID()},
@@ -309,24 +310,17 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 			// the rejoined peer cannot walk into withheld writes. The
 			// interest index likewise marks it blind — unconditionally
 			// interesting — until its first beacon lands.
-			delete(p.known, peer)
+			p.known[peer].present = false
 			if p.ix != nil {
 				p.ix.Forget(peer)
 			}
 		},
 		OnBeacon: func(peer int, ints []int64) {
-			kp := p.known[peer]
-			fresh := kp == nil
-			if fresh {
-				kp = &knownPeer{}
-			}
+			kp := &p.known[peer]
 			if err := game.DecodeBeaconInto(&kp.beacon, &kp.box, ints); err != nil {
 				return // malformed beacons are ignored; stale info remains
 			}
-			kp.tick = p.rt.Now()
-			if fresh {
-				p.known[peer] = kp
-			}
+			kp.present, kp.tick = true, p.rt.Now()
 			if p.ix != nil {
 				p.ix.Observe(peer, kp.beacon.Tanks, kp.tick)
 			}
@@ -374,10 +368,8 @@ func (p *player) setup() error {
 		}
 	}
 	// Every process knows the initial placement, so peers start "known" as
-	// of tick 0. The entries come from one slab, like their tank lists.
-	byTeam := w.TanksByTeam()
-	slab := make([]knownPeer, len(byTeam))
-	for team, positions := range byTeam {
+	// of tick 0.
+	for team, positions := range w.TanksByTeam() {
 		if len(positions) == 0 {
 			continue
 		}
@@ -387,9 +379,7 @@ func (p *player) setup() error {
 			}
 			continue
 		}
-		kp := &slab[team]
-		kp.beacon.Tanks = positions
-		p.known[team] = kp
+		p.known[team] = knownPeer{present: true, beacon: game.Beacon{Tanks: positions}}
 		if p.ix != nil {
 			p.ix.Observe(team, positions, 0)
 		}
@@ -421,7 +411,7 @@ func (p *player) joinSetup() error {
 			}
 			continue
 		}
-		p.known[team] = &knownPeer{beacon: game.Beacon{Tanks: positions}, tick: p.rt.Now()}
+		p.known[team] = knownPeer{present: true, beacon: game.Beacon{Tanks: positions}, tick: p.rt.Now()}
 		if p.ix != nil {
 			p.ix.Observe(team, positions, p.rt.Now())
 		}
@@ -544,11 +534,12 @@ func (p *player) refreshOwnTanks() {
 func (p *player) decideAll() []tankAction {
 	enemies := p.enemies
 	clear(enemies)
-	for team, kp := range p.known {
+	for team := range p.known {
 		// A peer that announced done or was evicted as crashed no longer
 		// moves; its last-known tanks are dropped from the enemy picture
 		// (its final world writes, if any, already landed via DATA).
-		if p.rt.PeerGone(team) || len(kp.beacon.Tanks) == 0 {
+		kp := &p.known[team]
+		if !kp.present || p.rt.PeerGone(team) || len(kp.beacon.Tanks) == 0 {
 			continue
 		}
 		enemies[team] = kp.beacon.Tanks
@@ -662,8 +653,8 @@ func (p *player) exchangeOpts() core.ExchangeOpts {
 		}
 	default:
 		opts.SFunc = func(peer int, now int64, peerBeacon []int64) int64 {
-			kp := p.known[peer] // OnBeacon ran just before this
-			if kp == nil || len(kp.beacon.Tanks) == 0 {
+			kp := &p.known[peer] // OnBeacon ran just before this
+			if !kp.present || len(kp.beacon.Tanks) == 0 {
 				return now + 1 // peer about to vanish; DONE will arrive
 			}
 			return now + game.NextDelta(h, p.positions(), p.pendingBox(peer), kp.beacon.Tanks, kp.beacon.Box)

@@ -562,33 +562,17 @@ func (e *TCPEndpoint) Send(to int, m *wire.Msg) error {
 		return err
 	}
 	m.Src, m.Dst = int32(e.id), int32(to)
+	enc, err := wire.EncodeFrame(m)
+	if err != nil {
+		return err
+	}
 	if e.cfg.Reconnect {
-		enc, err := wire.EncodeFrame(m)
-		if err != nil {
-			return err
-		}
 		// enqueue takes ownership of the reference: the frame is staged
 		// without a copy and released by whichever path dequeues it.
 		return e.enqueue(p, enc, m.Kind)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.draining {
-		return ErrClosed
-	}
-	if p.dead {
-		return p.brokenLocked()
-	}
-	if err := wire.WriteFrame(p.bw, m); err != nil {
-		return p.brokenLocked()
-	}
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.AddFrame(4 + m.EncodedSize())
-	}
-	if err := e.maybeFlushLocked(p); err != nil {
-		return p.brokenLocked()
-	}
-	return nil
+	defer enc.Release()
+	return e.writeFrame(p, enc)
 }
 
 // SendEncoded implements EncodedSender: it patches the routing header into
@@ -610,6 +594,12 @@ func (e *TCPEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error 
 		// destination and releases enc when the fanout returns.
 		return e.enqueue(p, enc.Clone(), m.Kind)
 	}
+	return e.writeFrame(p, enc)
+}
+
+// writeFrame stages enc in p's write buffer (the legacy, non-reconnecting
+// path) and counts it by the encoded frame's own length.
+func (e *TCPEndpoint) writeFrame(p *tcpPeer, enc *wire.Encoded) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.draining {

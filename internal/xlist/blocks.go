@@ -1,0 +1,113 @@
+package xlist
+
+import (
+	"math/bits"
+	"slices"
+	"unsafe"
+)
+
+// Block-pool geometry. Blocks come in power-of-two capacities from
+// minBlock. Chunks double from firstChunkBytes up to maxChunkBytes — sized
+// in bytes because those are allocator size classes, so a chunk wastes
+// nothing the pool did not ask for — and hold as many whole minBlocks as
+// fit: a two-peer runtime stays small, an n = 128 one carves its few
+// hundred first blocks out of a dozen allocations, and what a short-lived
+// owner leaves uncarved is at most 4 KB. A block larger than a chunk gets a
+// chunk of its own. Free lists start at minFree entries.
+const (
+	minBlock        = 4
+	firstChunkBytes = 1 << 10
+	maxChunkBytes   = 4 << 10
+	minFree         = 16
+)
+
+// Blocks is the storage under a runtime's or a buffer's per-peer
+// bookkeeping (DESIGN.md §15, the bookkeeping rule): the sorted tables that
+// grow by one element at a time — a slotted buffer's slots, core's per-peer
+// delta tables — take their backing from one pool per owner instead of the
+// allocator. A block is a []T whose capacity is its size class; it is carved
+// from a chunk, handed back with Put (or by Insert when it outgrows its
+// class) and reused by whichever table of the same owner asks next. A freed
+// block is cleared, so it pins nothing its last holder stored. The zero
+// value is an empty pool; it is not safe for concurrent use.
+type Blocks[T any] struct {
+	// free is, per size class, the stack of freed blocks, each held by the
+	// pointer to its first element. The class gives the capacity, and with
+	// a 24-byte slice header per block the lists were a tenth of the memory
+	// they track (every table of a lockstep broadcast outgrows its first
+	// block in the same tick). The invariant behind the two unsafe calls: a
+	// pointer on free[class] heads minBlock<<class cleared elements of one
+	// chunk of this pool.
+	free  [][]*T
+	chunk []T // unused tail of the current chunk
+	bytes int // size the current chunk was allocated with
+}
+
+// get returns an empty block of capacity minBlock<<class.
+func (p *Blocks[T]) get(class int) []T {
+	size := minBlock << class
+	if class < len(p.free) {
+		if f := p.free[class]; len(f) > 0 {
+			head := f[len(f)-1]
+			f[len(f)-1] = nil
+			p.free[class] = f[:len(f)-1]
+			return unsafe.Slice(head, size)[:0]
+		}
+	}
+	if size > len(p.chunk) {
+		var elem T
+		p.bytes = min(max(2*p.bytes, firstChunkBytes), maxChunkBytes)
+		fit := p.bytes / max(int(unsafe.Sizeof(elem)), 1) &^ (minBlock - 1)
+		p.chunk = make([]T, max(size, fit))
+	}
+	b := p.chunk[:0:size]
+	p.chunk = p.chunk[size:]
+	return b
+}
+
+// grow returns a block of the next size class holding old's elements, and
+// frees old.
+func (p *Blocks[T]) grow(old []T) []T {
+	if cap(old) == 0 {
+		return p.get(0)
+	}
+	b := p.get(classOf(cap(old)) + 1)[:len(old)]
+	copy(b, old)
+	p.Put(old)
+	return b
+}
+
+// Put clears b's whole capacity and frees it. b must be a block of this pool
+// (or nil); nothing may use it afterwards.
+func (p *Blocks[T]) Put(b []T) {
+	if cap(b) == 0 {
+		return
+	}
+	b = b[:cap(b)]
+	clear(b)
+	class := classOf(len(b))
+	if class >= len(p.free) {
+		p.free = append(p.free, make([][]*T, class+1-len(p.free))...)
+	}
+	f := p.free[class]
+	if len(f) == cap(f) {
+		f = slices.Grow(f, max(len(f), minFree))
+	}
+	p.free[class] = append(f, unsafe.SliceData(b))
+}
+
+// Insert puts v at index i of s — a block of this pool, or nil — moving s to
+// the next size class when it is full. Like append, the result replaces s; a
+// pointer into s is valid until the next Insert on it.
+func (p *Blocks[T]) Insert(s []T, i int, v T) []T {
+	if len(s) == cap(s) {
+		s = p.grow(s)
+	}
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// classOf returns the size class of a block of capacity c.
+func classOf(c int) int { return bits.TrailingZeros(uint(c / minBlock)) }

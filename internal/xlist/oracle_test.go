@@ -136,7 +136,9 @@ func flat(diffs []ObjDiff) string {
 // whole-state replacements and run diffs mixed, out-of-range processes
 // included — and demands identical observations throughout. It also holds
 // Flush to its lifetime promise: a returned slice stays intact until the
-// next Add for the same process, whatever happens to the other slots.
+// next Add for the same process or its Drop (which frees the slot's block),
+// whatever happens to the other slots — including their growing into, and
+// freeing, blocks of the shared pool.
 func TestSlottedBufferMatchesMapOracle(t *testing.T) {
 	const n, self, objs, stateLen = 6, 2, 12, 16
 	for _, merge := range []bool{true, false} {
@@ -144,7 +146,7 @@ func TestSlottedBufferMatchesMapOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			got, want := NewSlottedBuffer(self, n, merge), newMapBuffer(self, n, merge)
 			// held[p] is the last Flush(p) result and its rendering, until an
-			// Add for p releases the promise.
+			// Add for p or Drop(p) releases the promise.
 			held := make(map[int][]ObjDiff)
 			heldFlat := make(map[int]string)
 			states := make([][]byte, objs) // current state per object, for run diffs
@@ -199,6 +201,7 @@ func TestSlottedBufferMatchesMapOracle(t *testing.T) {
 				case op < 9:
 					got.Drop(proc)
 					want.Drop(proc)
+					delete(held, proc)
 				default:
 					got.Readmit(proc)
 					want.Readmit(proc)
@@ -216,7 +219,7 @@ func TestSlottedBufferMatchesMapOracle(t *testing.T) {
 				}
 				for p, diffs := range held {
 					if flat(diffs) != heldFlat[p] {
-						t.Fatalf("%s: Flush(%d)'s result changed before the next Add for %d", ctx, p, p)
+						t.Fatalf("%s: Flush(%d)'s result changed before the next Add or Drop for %d", ctx, p, p)
 					}
 				}
 			}

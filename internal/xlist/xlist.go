@@ -179,12 +179,15 @@ type SlottedBuffer struct {
 	n     int
 	merge bool
 	slots []slot
+	pool  Blocks[ObjDiff] // every slot's storage
 }
 
 // slot is one process's pending diffs, kept sorted by object and, within an
 // object, oldest first — the order Flush promises — so a write finds its
 // object by binary search however long a withheld peer's backlog grows.
-// Flush hands the backing out and Add refills it, so a steady-state slot
+// pending is a block of the buffer's pool: Flush hands it out and Add
+// refills it, a full one moves to the next size class and Drop gives it
+// back, so slots share what any of them outgrew and a steady-state slot
 // allocates nothing.
 type slot struct {
 	pending []ObjDiff
@@ -225,12 +228,7 @@ func (b *SlottedBuffer) Add(proc int, obj store.ID, version int64, d diff.Diff) 
 	// at is one past obj's last buffered diff: where a new one goes.
 	at := sort.Search(len(sl.pending), func(i int) bool { return sl.pending[i].Obj > obj })
 	if at == 0 || sl.pending[at-1].Obj != obj || !b.merge {
-		if sl.pending == nil {
-			// A tick's writes are a few objects: start past the first
-			// doublings.
-			sl.pending = make([]ObjDiff, 0, 4)
-		}
-		sl.pending = slices.Insert(sl.pending, at, ObjDiff{Obj: obj, Version: version, D: d})
+		sl.pending = b.pool.Insert(sl.pending, at, ObjDiff{Obj: obj, Version: version, D: d})
 		return nil
 	}
 	last := &sl.pending[at-1]
@@ -274,8 +272,8 @@ func (b *SlottedBuffer) Pending(proc int) int {
 // object ID and, within an object, oldest first (so sequential application
 // at the receiver reproduces the writer's final state). The result is the
 // slot's own storage: it stays valid until the next Add (or AddAll) for the
-// same process, which refills it — encode or copy it before buffering
-// further writes.
+// same process, which refills it, or its Drop, which frees it — encode or
+// copy it before buffering further writes.
 func (b *SlottedBuffer) Flush(proc int) []ObjDiff {
 	if !b.remote(proc) {
 		return nil
@@ -314,6 +312,7 @@ func (b *SlottedBuffer) Drop(proc int) {
 	if !b.remote(proc) {
 		return
 	}
+	b.pool.Put(b.slots[proc].pending)
 	b.slots[proc] = slot{dropped: true}
 }
 
