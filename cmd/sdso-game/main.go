@@ -61,6 +61,14 @@ func run(args []string) error {
 		fmt.Printf("%-6d %-7d %-6d %-6d %-8v %-10v %d\n",
 			st.Team, st.Ticks, st.Mods, st.Score, st.ReachedGoal, st.Destroyed, st.DoneTick)
 	}
+	if len(res.Touched) > 0 {
+		sum := 0.0
+		for _, k := range res.Touched {
+			sum += float64(k) / float64(len(res.Touched))
+		}
+		fmt.Printf("\nreplica: a team touched %.1f of %d blocks on average (%.1f%%); the rest it read from the shared start\n",
+			sum, g.NumObjects(), 100*sum/float64(g.NumObjects()))
+	}
 	fmt.Printf("\nvirtual duration: %v\n", res.VirtualDuration)
 	fmt.Printf("messages: %d total (%d data, %d control)\n",
 		res.Metrics.TotalMsgs(), res.Metrics.DataMsgs(), res.Metrics.ControlMsgs())

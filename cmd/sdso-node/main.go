@@ -33,6 +33,7 @@ import (
 	"sdso/internal/game"
 	"sdso/internal/metrics"
 	"sdso/internal/protocol/lookahead"
+	"sdso/internal/store"
 	"sdso/internal/transport"
 )
 
@@ -140,6 +141,7 @@ func run(args []string) error {
 
 	start := time.Now()
 	mc := metrics.NewCollector()
+	touched, objects := 0, 0
 	stats, err := lookahead.RunPlayer(lookahead.PlayerConfig{
 		Game:        g,
 		Protocol:    variant,
@@ -147,14 +149,16 @@ func run(args []string) error {
 		Join:        *join,
 		Incarnation: *incarnation,
 		Metrics:     mc,
+		Snapshot:    func(st *store.Store) { touched, objects = st.Materialized(), st.Len() },
 	})
 	if err != nil {
 		return fmt.Errorf("game: %w", err)
 	}
 	sent := mc.Snapshot()
-	fmt.Printf("node %d finished: ticks=%d mods=%d score=%d reachedGoal=%v destroyed=%v (%.2fs wall) sent %d frames, %d B, envelope=%.2f\n",
+	fmt.Printf("node %d finished: ticks=%d mods=%d score=%d reachedGoal=%v destroyed=%v (%.2fs wall) sent %d frames, %d B, envelope=%.2f, touched=%d/%d\n",
 		*id, stats.Ticks, stats.Mods, stats.Score, stats.ReachedGoal, stats.Destroyed,
 		time.Since(start).Seconds(),
-		sent.TotalMsgs(), sent.BytesSent, 1-float64(sent.PayloadBytes)/float64(sent.BytesSent))
+		sent.TotalMsgs(), sent.BytesSent, 1-float64(sent.PayloadBytes)/float64(sent.BytesSent),
+		touched, objects)
 	return nil
 }

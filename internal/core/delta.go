@@ -99,23 +99,15 @@ func (ds *deltaSendState) unproven(e *deltaEntry) bool {
 	return e.sent != 0 && e.sent >= ds.acked
 }
 
-// deltaBaseline returns the object's registered initial state — the
-// universal base both sides share before any record flows — or nil for an
-// object that was never Shared (restored from a snapshot).
-func (r *Runtime) deltaBaseline(id store.ID) []byte {
-	if int(id) < len(r.deltaInit) {
-		return r.deltaInit[id]
-	}
-	return nil
-}
-
 // deltaBase returns the state and version e stands for: its own once known,
-// the registered initial state at version 0 before.
+// before that the registered initial state at version 0 — the universal base
+// both sides share before any record flows — which is nil for an object that
+// was never Shared (restored from a snapshot).
 func (r *Runtime) deltaBase(e *deltaEntry) ([]byte, int64) {
 	if e.known {
 		return e.state, e.ver
 	}
-	return r.deltaBaseline(e.obj), 0
+	return r.st.Initial(e.obj), 0
 }
 
 // encodeDataPayload builds the payload for a DATA frame carrying diffs to

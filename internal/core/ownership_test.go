@@ -385,11 +385,14 @@ func TestExchangeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestMemoryLaw holds the runtime to O(n) + O(objects) + O(objects actually
-// exchanged with each peer): one runtime Shares a 768-block world and plays
-// 60 lockstep ticks against 7 peers that each write their own block. A
-// dense peer × object table would be 7 × 768 entries here (and 12.5 M
-// across an n = 128 run); the sparse tables hold one entry per peer.
+// TestMemoryLaw holds the runtime to O(n) + O(index) + O(objects touched) +
+// O(objects actually exchanged with each peer): one runtime Shares a
+// 768-block world and plays 60 lockstep ticks against 7 peers that each
+// write their own block. A dense peer × object table would be 7 × 768
+// entries here (and 12.5 M across an n = 128 run); the sparse tables hold
+// one entry per peer. Registration holds the states, their offsets and
+// nothing per object beside; and the runtimes of one process standing on one
+// Baseline (ShareAll) hold one copy of the world between them.
 func TestMemoryLaw(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector inflates the heap")
@@ -399,17 +402,57 @@ func TestMemoryLaw(t *testing.T) {
 	t.Cleanup(net.Close)
 	heap := func() uint64 {
 		runtime.GC()
+		runtime.GC() // twice: a sync.Pool lets go of its contents a cycle late
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	rts := make([]*Runtime, n)
-	before := heap()
-	for id := range rts {
+	newRuntime := func(id int) *Runtime {
 		r, err := New(Config{Endpoint: net.Endpoint(id), MergeDiffs: true, DeltaEncode: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return r
+	}
+
+	// One world under n runtimes: sharing it adds nothing per runtime.
+	over := make([]*Runtime, n)
+	for id := range over {
+		over[id] = newRuntime(id)
+	}
+	bare := heap()
+	world := new(store.Baseline)
+	for obj := store.ID(0); obj < objects; obj++ {
+		if err := world.Register(obj, make([]byte, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := heap() - bare
+	for _, r := range over {
+		if err := r.ShareAll(world); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("one world holds %d B; %d runtimes over it hold %d B", one, n, heap()-bare)
+	if all := heap() - bare; all >= 2*one {
+		t.Errorf("%d runtimes over one %d B world hold %d B, want under two worlds", n, one, all)
+	}
+	first, _ := over[0].Store().View(objects - 1)
+	for _, r := range over {
+		if r.Store().Len() != objects {
+			t.Fatalf("runtime %d holds %d objects after ShareAll, want %d", r.ID(), r.Store().Len(), objects)
+		}
+		if v, err := r.Store().View(objects - 1); err != nil || &v[0] != &first[0] {
+			t.Fatalf("runtime %d reads its own copy of the shared world (err %v)", r.ID(), err)
+		}
+	}
+	runtime.KeepAlive(world)
+	over = nil
+
+	rts := make([]*Runtime, n)
+	before := heap()
+	for id := range rts {
+		r := newRuntime(id)
 		for obj := store.ID(0); obj < objects; obj++ {
 			if err := r.Share(obj, make([]byte, 8)); err != nil {
 				t.Fatal(err)
@@ -439,17 +482,20 @@ func TestMemoryLaw(t *testing.T) {
 	played := heap()
 
 	t.Logf("set-up %d B per runtime, play grew each by %d B", (shared-before)/n, int64(played-shared)/n)
-	// Set-up: the store's arenas, its index and the delta baseline index —
-	// about 90 B an object — plus the peer slab.
-	if perRuntime := (shared - before) / n; perRuntime > 128*objects+4096*n {
-		t.Errorf("set-up holds %d B per runtime, budget %d", perRuntime, 128*objects+4096*n)
+	// Set-up, object by object into a baseline of the runtime's own: the
+	// states and an offset pair each — about 20 B an object with 8-byte
+	// states, no record and no index yet — plus the peer slab.
+	if perRuntime := (shared - before) / n; perRuntime > 32*objects+4096*n {
+		t.Errorf("set-up holds %d B per runtime, budget %d", perRuntime, 32*objects+4096*n)
 	}
 	// Play: each runtime exchanged one object with each peer, so its tables,
 	// slots and retransmission state grew by O(n) small pieces (about 800 B
-	// a peer), nowhere near n × objects table entries.
-	if grown := int64(played-shared) / n; grown > 2048*n {
+	// a peer), nowhere near n × objects table entries; and its first write
+	// brought the overlay's index (a word per object) and first chunk of
+	// records.
+	if budget := int64(2048*n + 4*objects + 4096); int64(played-shared)/n > budget {
 		t.Errorf("60 ticks grew each runtime by %d B, budget %d (a dense table would be %d)",
-			grown, 2048*n, 48*(n-1)*objects)
+			int64(played-shared)/n, budget, 48*(n-1)*objects)
 	}
 	for _, r := range rts {
 		for peer := range r.peers {

@@ -29,7 +29,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"sdso/internal/diff"
@@ -256,10 +255,6 @@ type Runtime struct {
 	// checkpoints are vaulted (peerState.vault) and relayed on eviction.
 	vaulting bool
 
-	// deltaInit is the registered initial state per object ID — the
-	// universal delta baseline (see delta.go). Entries alias the store's
-	// registered bytes.
-	deltaInit [][]byte
 	// deltaPool is the storage under every peer's delta tables.
 	deltaPool xlist.Blocks[deltaEntry]
 
@@ -505,32 +500,23 @@ func (r *Runtime) appendLivePeers(dst []int) []int {
 	return dst
 }
 
-// Reserve announces that objects IDs (0..objects-1) are about to be Shared,
-// so the store's index and the delta baseline are sized once instead of
-// regrown an element at a time. Optional: Share works without it.
-func (r *Runtime) Reserve(objects int) {
-	r.st.Reserve(objects)
-	if objects = min(objects, int(store.MaxID)+1); objects > cap(r.deltaInit) {
-		r.deltaInit = slices.Grow(r.deltaInit, objects-len(r.deltaInit))
-	}
-}
-
 // Share registers a shared object with its initial state — the paper's
 // share() call, used once per object at initialization.
+//
+// The registered initial state is the universal delta baseline (see
+// delta.go): every process registers the same objects with the same initial
+// bytes, so a missing entry in either half of the acked-version table means
+// "the initial state" and even a first record can be delta-encoded.
 func (r *Runtime) Share(id store.ID, initial []byte) error {
-	if err := r.st.Register(id, initial); err != nil {
-		return err
-	}
-	// The registered initial state is the universal delta baseline: every
-	// process Shares the same objects with the same initial bytes, so a
-	// missing entry in either half of the acked-version table means "the
-	// initial state" and even a first record can be delta-encoded. The
-	// baseline aliases the store's copy: published bytes are immutable.
-	if int(id) >= len(r.deltaInit) {
-		r.deltaInit = append(r.deltaInit, make([][]byte, int(id)+1-len(r.deltaInit))...)
-	}
-	r.deltaInit[id], _ = r.st.View(id)
-	return nil
+	return r.st.Register(id, initial)
+}
+
+// ShareAll is Share for a whole initial environment at once, by reference:
+// the replica reads b and never writes it, so every runtime of a process
+// may stand on the same one. It must be the runtime's only registration,
+// and b must not change afterwards.
+func (r *Runtime) ShareAll(b *store.Baseline) error {
+	return r.st.RegisterAll(b)
 }
 
 // Write applies a local modification to a shared object and buffers the

@@ -559,38 +559,3 @@ func TestBroadcastOverridesFilter(t *testing.T) {
 		t.Errorf("broadcast did not override the filter: object = %d, want 77", got)
 	}
 }
-
-// TestReserveSizesTheIndexesOnce: after Reserve, Sharing the announced world
-// regrows neither the store's index nor the delta baseline, and Share stays
-// correct for IDs the reservation did not cover.
-func TestReserveSizesTheIndexesOnce(t *testing.T) {
-	const world = 3072
-	net := transport.NewMemNetwork(1)
-	t.Cleanup(net.Close)
-	r, err := New(Config{Endpoint: net.Endpoint(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Reserve(world)
-	baseline := cap(r.deltaInit)
-	if baseline < world {
-		t.Fatalf("baseline index holds %d IDs after Reserve(%d)", baseline, world)
-	}
-	for id := store.ID(0); id < world; id++ {
-		if err := r.Share(id, counterBytes(uint64(id))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cap(r.deltaInit) != baseline {
-		t.Errorf("baseline index regrew from %d to %d while sharing the reserved world", baseline, cap(r.deltaInit))
-	}
-	if err := r.Share(world+9, counterBytes(1)); err != nil {
-		t.Fatalf("an ID beyond the reservation must still share: %v", err)
-	}
-	for _, id := range []store.ID{0, world - 1, world + 9} {
-		view, _ := r.Store().View(id)
-		if base := r.deltaBaseline(id); len(base) == 0 || &base[0] != &view[0] {
-			t.Errorf("object %d: the delta baseline is not the registered state", id)
-		}
-	}
-}

@@ -8,6 +8,8 @@
 // The package provides:
 //
 //   - the world model and its object encoding (world.go),
+//   - the immutable start of a game, generated once per Config and shared
+//     by every player of the process (start.go),
 //   - the per-tick tank decision function, a pure function of state that
 //     every consistency protocol keeps fresh (decide.go),
 //   - the lockstep single-threaded reference simulation that the lookahead
@@ -20,6 +22,7 @@ package game
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"sdso/internal/store"
 )
@@ -71,10 +74,12 @@ const CellBytes = 8
 
 // EncodeCell serializes a cell into a fresh slice.
 func EncodeCell(c Cell) []byte {
-	b := make([]byte, CellBytes)
-	b[0] = byte(c.Kind)
-	b[1] = byte(c.Team)
-	return b
+	b := encodeCell(c)
+	return b[:]
+}
+
+func encodeCell(c Cell) [CellBytes]byte {
+	return [CellBytes]byte{byte(c.Kind), byte(c.Team)}
 }
 
 // DecodeCell parses an encoded cell.
@@ -216,10 +221,20 @@ type World struct {
 	Goal  Pos
 }
 
-// NewWorld builds the deterministic initial world for cfg: goal, bonuses,
-// bombs, and one tank per (team, slot) placed by the seeded RNG on distinct
-// empty blocks.
+// NewWorld returns the deterministic initial world for cfg — goal, bonuses,
+// bombs, and one tank per (team, slot) on distinct empty blocks — as a
+// mutable copy of the game's start (see StartOf).
 func NewWorld(cfg Config) (*World, error) {
+	st, err := StartOf(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &World{Cfg: cfg, Cells: slices.Clone(st.cells), Goal: st.Goal}, nil
+}
+
+// generate places goal, bonuses, bombs, and one tank per (team, slot) with
+// the seeded RNG on distinct empty blocks.
+func generate(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -309,11 +324,10 @@ func (w *World) TanksByTeam() [][]Pos {
 	return out
 }
 
-// Encode writes every cell into a fresh object store (the initial replica
-// every process starts from).
+// Encode writes every cell into a fresh object store of its own (a process's
+// initial replica is Start.NewStore, which registers nothing per block).
 func (w *World) Encode() *store.Store {
 	st := store.New()
-	st.Reserve(len(w.Cells))
 	for i, c := range w.Cells {
 		// Register cannot fail here: IDs are unique by construction.
 		_ = st.Register(store.ID(i), EncodeCell(c))
@@ -326,7 +340,7 @@ func DecodeWorld(cfg Config, st *store.Store) (*World, error) {
 	w := &World{Cfg: cfg, Cells: make([]Cell, cfg.NumObjects())}
 	goalSeen := false
 	for i := 0; i < cfg.NumObjects(); i++ {
-		b, err := st.Get(store.ID(i))
+		b, err := st.View(store.ID(i))
 		if err != nil {
 			return nil, fmt.Errorf("decode world: %w", err)
 		}

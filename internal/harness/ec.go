@@ -77,5 +77,8 @@ func runECVtime(cfg Config) (*Result, error) {
 	// the collector was already stamped by RunApp. Service proc time is
 	// protocol overhead accounted through message costs.
 	res := collect(cfg, stats, collectors)
+	for _, node := range nodes {
+		res.Touched = append(res.Touched, node.Store().Materialized())
+	}
 	return res, nil
 }

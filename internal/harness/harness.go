@@ -13,6 +13,7 @@ import (
 	"sdso/internal/metrics"
 	"sdso/internal/netmodel"
 	"sdso/internal/protocol/lookahead"
+	"sdso/internal/store"
 	"sdso/internal/transport"
 	"sdso/internal/vtime"
 )
@@ -110,6 +111,10 @@ type Result struct {
 	Metrics metrics.Group
 	// VirtualDuration is the maximum process completion time.
 	VirtualDuration time.Duration
+	// Touched is, by team, how many objects of its replica the process ever
+	// held a record of its own for (store.Materialized); nil for the
+	// protocols whose run does not hand back a store.
+	Touched []int
 }
 
 // Run executes one experiment and returns its measurements.
@@ -152,12 +157,14 @@ func runLookahead(cfg Config) (*Result, error) {
 	stats := make([]game.TeamStats, n)
 	errs := make([]error, n)
 	eps := make([]*transport.SimEndpoint, n)
+	touched := make([]int, n)
 
 	for i := 0; i < n; i++ {
 		i := i
 		collectors[i] = metrics.NewCollector()
 		sim.Spawn(func(p *vtime.Proc) {
 			stats[i], errs[i] = lookahead.RunPlayer(lookahead.PlayerConfig{
+				Snapshot:          func(st *store.Store) { touched[i] = st.Materialized() },
 				Game:              cfg.Game,
 				Protocol:          lookaheadVariant(cfg.Protocol),
 				Endpoint:          eps[i],
@@ -183,7 +190,9 @@ func runLookahead(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("%s process %d: %w", cfg.Protocol, i, err)
 		}
 	}
-	return collect(cfg, stats, collectors), nil
+	res := collect(cfg, stats, collectors)
+	res.Touched = touched
+	return res, nil
 }
 
 func collect(cfg Config, stats []game.TeamStats, collectors []*metrics.Collector) *Result {

@@ -83,13 +83,13 @@ func RunPlayer(cfg PlayerConfig) (game.TeamStats, error) {
 		peerDone: make(map[int]bool),
 		stats:    game.TeamStats{Team: cfg.Endpoint.ID()},
 	}
-	w, err := game.NewWorld(cfg.Game)
+	start, err := game.StartOf(cfg.Game)
 	if err != nil {
 		return game.TeamStats{}, err
 	}
-	p.goal = w.Goal
-	p.st = w.Encode()
-	for _, pos := range w.TankPositions()[p.team] {
+	p.goal = start.Goal
+	p.st = start.NewStore()
+	for _, pos := range start.Tanks[p.team] {
 		p.tanks = append(p.tanks, game.NewTankState(pos))
 	}
 	err = p.play()

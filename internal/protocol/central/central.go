@@ -67,12 +67,12 @@ func RunServer(cfg ServerConfig) error {
 	if mc == nil {
 		mc = metrics.NewCollector()
 	}
-	w, err := game.NewWorld(cfg.Game)
+	start, err := game.StartOf(cfg.Game)
 	if err != nil {
 		return err
 	}
-	st := w.Encode()
-	goal := w.Goal
+	st := start.NewStore()
+	goal := start.Goal
 	gameOver := false
 	remaining := cfg.Game.Teams
 
@@ -216,14 +216,14 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 		mc = metrics.NewCollector()
 	}
 	server := cfg.Game.Teams
-	w, err := game.NewWorld(cfg.Game)
+	start, err := game.StartOf(cfg.Game)
 	if err != nil {
 		return game.TeamStats{}, err
 	}
-	st := w.Encode()
-	goal := w.Goal
+	st := start.NewStore()
+	goal := start.Goal
 	var tanks []game.TankState
-	for _, pos := range w.TankPositions()[team] {
+	for _, pos := range start.Tanks[team] {
 		tanks = append(tanks, game.NewTankState(pos))
 	}
 	stats := game.TeamStats{Team: team}

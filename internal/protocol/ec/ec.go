@@ -187,11 +187,11 @@ func New(cfg NodeConfig) (*Node, error) {
 		n.qAdopted = make(map[int]bool)
 	}
 
-	w, err := game.NewWorld(cfg.Game)
+	start, err := game.StartOf(cfg.Game)
 	if err != nil {
 		return nil, err
 	}
-	n.goal = w.Goal // the goal block never moves; keep it even if hidden
+	n.goal = start.Goal // the goal block never moves; keep it even if hidden
 	if cfg.Rejoin {
 		// The world and the tank roster come from peer checkpoints; the
 		// lock-manager shard comes back via the join handback.
@@ -203,8 +203,8 @@ func New(cfg NodeConfig) (*Node, error) {
 		n.joinRecs = make(map[int][]lockmgr.Record)
 		return n, nil
 	}
-	n.st = w.Encode()
-	for _, pos := range w.TankPositions()[n.team] {
+	n.st = start.NewStore()
+	for _, pos := range start.Tanks[n.team] {
 		n.tanks = append(n.tanks, game.NewTankState(pos))
 	}
 
@@ -1136,7 +1136,7 @@ func (n *Node) runJoin() error {
 	if err != nil {
 		return fmt.Errorf("ec app %d: decode joined world: %w", n.team, err)
 	}
-	for _, pos := range w.TankPositions()[n.team] {
+	for _, pos := range w.TanksByTeam()[n.team] {
 		n.tanks = append(n.tanks, game.NewTankState(pos))
 	}
 	n.mc.AddJoin()

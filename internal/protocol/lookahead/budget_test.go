@@ -13,9 +13,10 @@ import (
 
 // TestWholeGameAllocBudget is the whole-path companion of core's
 // TestExchangeAllocBudget: a small game over the mem transport may spend at
-// most a stated number of heap allocations per player-tick, set-up (world
-// generation, Share of every block) included. Two games, the small siblings
-// of the benchmark's two in-process workloads:
+// most a stated number of heap allocations, and of allocated bytes, per
+// player-tick, set-up (the game's start, generated once a game and shared by
+// its players) included. Two games, the small siblings of the benchmark's two
+// in-process workloads:
 //
 //   - bsync: n = 8 BSYNC with delta encoding (bsync_mem_n128). Before the
 //     tick's maps, per-flush slots and per-record encodes were replaced
@@ -25,6 +26,10 @@ import (
 //   - gated: n = 16 MSYNC2 with delta encoding, the interest set and four
 //     shards (msync2_gated_mem_n64). With the map-based interest index and
 //     per-peer first blocks from the allocator this was 49; it is 33.
+//
+// Bytes: 4 266 and 6 043 a player-tick (8 581 and 10 150 while every player
+// generated the world and registered a record per block: on a 768-block
+// board that was half of what a 20-tick player allocates).
 //
 // Ceilings are the measurement + 15 %: the gated game's enter-radius
 // fetches depend on goroutine timing, so its count wobbles by a few tenths.
@@ -36,11 +41,12 @@ func TestWholeGameAllocBudget(t *testing.T) {
 		name    string
 		teams   int
 		ticks   int
-		ceiling float64
+		ceiling float64 // allocations per player-tick
+		bytes   float64 // bytes allocated per player-tick
 		apply   func(*PlayerConfig)
 	}{
-		{"bsync", 8, 20, 30, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
-		{"gated", 16, 30, 38, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
+		{"bsync", 8, 20, 30, 4900, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
+		{"gated", 16, 30, 38, 6950, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := game.DefaultConfig(tc.teams, 1)
@@ -82,9 +88,13 @@ func TestWholeGameAllocBudget(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			got := float64(after.Mallocs-before.Mallocs) / float64(ticks)
-			t.Logf("%.1f allocations per player-tick over %d player-ticks", got, ticks)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(ticks)
+			t.Logf("%.1f allocations, %.0f bytes per player-tick over %d player-ticks", got, bytes, ticks)
 			if got > tc.ceiling {
 				t.Errorf("%.1f allocations per player-tick, budget %.0f", got, tc.ceiling)
+			}
+			if bytes > tc.bytes {
+				t.Errorf("%.0f bytes allocated per player-tick, budget %.0f", bytes, tc.bytes)
 			}
 		})
 	}

@@ -349,41 +349,31 @@ func (p *player) run() (game.TeamStats, error) {
 	return p.stats, nil
 }
 
-// setup builds the deterministic initial world (identical on every process)
-// and registers every block as a shared object. A joiner instead restores
-// the current world from its peers' checkpoints.
+// setup stands the player on the game's start — identical on every process,
+// and within one process the same value under every player, so set-up costs
+// nothing per block. A joiner instead restores the current world from its
+// peers' checkpoints.
 func (p *player) setup() error {
-	w, err := game.NewWorld(p.cfg.Game)
+	start, err := game.StartOf(p.cfg.Game)
 	if err != nil {
 		return err
 	}
-	p.goal = w.Goal // the goal block never moves; keep it even if hidden
+	p.goal = start.Goal // the goal block never moves; keep it even if hidden
 	if p.cfg.Join {
+		// Not over the baseline, cheap as that would be. A joiner has no
+		// registered initial states, so a record a peer delta-encodes
+		// against one is refused and refetched in full; over the baseline
+		// it would apply, and the rejoin frames, recovery fetches and
+		// delta_mismatch counts the chaos goldens pin would all move — a
+		// protocol change, to be claimed on its own if ever wanted.
 		return p.joinSetup()
 	}
-	p.rt.Reserve(len(w.Cells))
-	for i, c := range w.Cells {
-		if err := p.rt.Share(store.ID(i), game.EncodeCell(c)); err != nil {
-			return err
-		}
+	if err := p.rt.ShareAll(start.Baseline); err != nil {
+		return err
 	}
 	// Every process knows the initial placement, so peers start "known" as
 	// of tick 0.
-	for team, positions := range w.TanksByTeam() {
-		if len(positions) == 0 {
-			continue
-		}
-		if team == p.team {
-			for _, pos := range positions {
-				p.tanks = append(p.tanks, game.NewTankState(pos))
-			}
-			continue
-		}
-		p.known[team] = knownPeer{present: true, beacon: game.Beacon{Tanks: positions}}
-		if p.ix != nil {
-			p.ix.Observe(team, positions, 0)
-		}
-	}
+	p.learnTanks(start.Tanks, 0)
 	return nil
 }
 
@@ -404,19 +394,37 @@ func (p *player) joinSetup() error {
 	if err != nil {
 		return fmt.Errorf("lookahead: decode joined world: %w", err)
 	}
-	for team, positions := range w.TankPositions() {
+	p.learnTanks(w.TanksByTeam(), p.rt.Now())
+	return nil
+}
+
+// learnTanks takes the board's tanks, by team, as of tick: the player's own
+// become its tank states, every other team's its knowledge of that peer. The
+// lists are copied — a peer's entry is decoded into in place at every
+// rendezvous, and the start's table is shared by every player of the process.
+func (p *player) learnTanks(byTeam [][]game.Pos, tick int64) {
+	total := 0
+	for _, positions := range byTeam {
+		total += len(positions)
+	}
+	own := make([]game.Pos, total)
+	for team, positions := range byTeam {
+		if len(positions) == 0 {
+			continue
+		}
 		if team == p.team {
 			for _, pos := range positions {
 				p.tanks = append(p.tanks, game.NewTankState(pos))
 			}
 			continue
 		}
-		p.known[team] = knownPeer{present: true, beacon: game.Beacon{Tanks: positions}, tick: p.rt.Now()}
+		n := copy(own, positions)
+		p.known[team] = knownPeer{present: true, beacon: game.Beacon{Tanks: own[:n:n]}, tick: tick}
+		own = own[n:]
 		if p.ix != nil {
-			p.ix.Observe(team, positions, p.rt.Now())
+			p.ix.Observe(team, positions, tick)
 		}
 	}
-	return nil
 }
 
 // play runs the tick loop: look, decide, modify, exchange. The loop is

@@ -154,13 +154,13 @@ func New(cfg NodeConfig) (*Node, error) {
 		cfg: cfg, team: cfg.App.ID(), teams: teams, mc: mc,
 		mgrBd: make(board), known: make(board),
 	}
-	w, err := game.NewWorld(cfg.Game)
+	start, err := game.StartOf(cfg.Game)
 	if err != nil {
 		return nil, err
 	}
-	n.goal = w.Goal
-	n.st = w.Encode()
-	for _, pos := range w.TankPositions()[n.team] {
+	n.goal = start.Goal
+	n.st = start.NewStore()
+	for _, pos := range start.Tanks[n.team] {
 		n.tanks = append(n.tanks, game.NewTankState(pos))
 	}
 	var managed []store.ID

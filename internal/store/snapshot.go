@@ -40,17 +40,18 @@ const (
 // exchange machinery once the joiner is readmitted.
 func (s *Store) Snapshot(floor int64) []byte {
 	size := snapshotHeaderSize
-	for _, o := range s.byID {
-		if o != nil {
+	for id := 0; id < s.extent(); id++ {
+		if o, ok := s.get(ID(id)); ok {
 			size += snapshotRecordSize + len(o.data)
 		}
 	}
 	buf := make([]byte, size)
 	binary.BigEndian.PutUint64(buf, uint64(floor))
-	binary.BigEndian.PutUint32(buf[8:], uint32(s.n))
+	binary.BigEndian.PutUint32(buf[8:], uint32(s.Len()))
 	off := snapshotHeaderSize
-	for id, o := range s.byID {
-		if o == nil {
+	for id := 0; id < s.extent(); id++ {
+		o, ok := s.get(ID(id))
+		if !ok {
 			continue
 		}
 		binary.BigEndian.PutUint32(buf[off:], uint32(id))
@@ -105,18 +106,15 @@ func decodeSnapshot(snap []byte, visit func(id ID, version int64, state []byte))
 // peers in any order converges to the element-wise highest-version state.
 func (s *Store) Merge(snap []byte) (adopted int, floor int64, err error) {
 	floor, err = decodeSnapshot(snap, func(id ID, version int64, state []byte) {
-		o, lerr := s.lookup(id)
-		if lerr != nil {
-			_ = s.register(id, state, version) // cannot fail: decodeSnapshot bounds the ID
-			adopted++
+		o, ok := s.get(id)
+		switch {
+		case !ok:
+			s.add(id, state, version)
+		case version > o.version:
+			s.put(id, object{data: bytes.Clone(state), version: version, writer: -1})
+		default:
 			return
 		}
-		if version <= o.version {
-			return
-		}
-		o.data = bytes.Clone(state)
-		o.version = version
-		o.writer = -1
 		adopted++
 	})
 	if err != nil {
@@ -126,19 +124,19 @@ func (s *Store) Merge(snap []byte) (adopted int, floor int64, err error) {
 }
 
 // Restore replaces the store's entire contents with the snapshot,
-// discarding whatever was registered before, and returns the snapshot's
-// clock floor. A restarted process with no surviving local state uses
-// Restore; one that rebuilt its initial environment and wants the freshest
-// of both uses Merge.
+// discarding whatever was registered before — baseline included — and
+// returns the snapshot's clock floor. A restarted process with no surviving
+// local state uses Restore; one that rebuilt its initial environment and
+// wants the freshest of both uses Merge.
 func (s *Store) Restore(snap []byte) (floor int64, err error) {
 	fresh := New()
 	floor, err = decodeSnapshot(snap, func(id ID, version int64, state []byte) {
-		if o, lerr := fresh.lookup(id); lerr == nil {
+		if fresh.Has(id) {
 			// A repeated ID: the later record wins, as it always has.
-			o.data, o.version = bytes.Clone(state), version
+			fresh.put(id, object{data: bytes.Clone(state), version: version, writer: -1})
 			return
 		}
-		_ = fresh.register(id, state, version) // cannot fail: decodeSnapshot bounds the ID
+		fresh.add(id, state, version)
 	})
 	if err != nil {
 		return 0, err

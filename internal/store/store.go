@@ -5,17 +5,26 @@
 // reconciled. The store tracks a version per object so pull-based protocols
 // (entry consistency) can tell stale copies from fresh ones.
 //
+// Representation. A replica is a Baseline — the registered initial states,
+// immutable, one flat byte array — under a copy-on-write overlay: an object
+// gets a record of its own the first time it is mutated here, and until then
+// reads fall through to the baseline at version 0, writer unknown. A replica
+// costs an index word per object plus what was written to it, and the
+// replicas of one process share one baseline through RegisterAll.
+//
 // Ownership. A state slice, once published — registered, written, applied
 // or adopted — is never modified in place: every change installs a fresh
 // slice. Holders of a published state (View callers, the runtime's delta
-// baseline and shadows, buffered replacement diffs) may therefore share it
-// for as long as they like; what they may not do is write through it. See
-// DESIGN.md, "Ownership and memory".
+// tables and shadows, buffered replacement diffs, every replica over a
+// shared baseline) may therefore share it for as long as they like; what
+// they may not do is write through it. See DESIGN.md, "Ownership and
+// memory".
 package store
 
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 
 	"sdso/internal/diff"
@@ -28,8 +37,57 @@ type ID uint32
 
 // MaxID is the highest object ID a store accepts. It matches the 20 ID bits
 // of the runtime's request/reply correlation stamps, and it bounds the
-// index a hostile snapshot can make Merge allocate (8 MB).
+// index a hostile snapshot can make Merge allocate (4 MB).
 const MaxID ID = 1<<20 - 1
+
+// Baseline is a set of registered initial states: every state in one flat
+// byte array, found by object ID. It is built by Register and read-only
+// from then on — once handed to a store (RegisterAll) nothing writes it
+// again, so any number of stores and goroutines may share one.
+type Baseline struct {
+	data []byte
+	at   []span // indexed by ID
+	n    int    // registered objects
+}
+
+// span locates one state in Baseline.data. The offset is stored plus one so
+// the zero value means "not registered".
+type span struct{ off1, n uint32 }
+
+// Register adds an object with its initial state, copied. Registering an
+// existing ID or one above MaxID is an error.
+func (b *Baseline) Register(id ID, initial []byte) error {
+	_, dup := b.view(id)
+	switch {
+	case dup:
+		return fmt.Errorf("store: object %d already registered", id)
+	case id > MaxID:
+		return fmt.Errorf("store: object ID %d exceeds the maximum %d", id, MaxID)
+	case uint64(len(b.data))+uint64(len(initial)) >= math.MaxUint32:
+		return fmt.Errorf("store: object %d: initial states exceed %d bytes", id, uint32(math.MaxUint32))
+	}
+	if int(id) >= len(b.at) {
+		b.at = append(b.at, make([]span, int(id)+1-len(b.at))...)
+	}
+	b.at[id] = span{off1: uint32(len(b.data)) + 1, n: uint32(len(initial))}
+	// Growing data leaves the array earlier views alias untouched.
+	b.data = append(b.data, initial...)
+	b.n++
+	return nil
+}
+
+// Len returns the number of registered objects.
+func (b *Baseline) Len() int { return b.n }
+
+// view returns id's initial state, its capacity clipped so an append
+// through it cannot reach a neighbour, and whether id is registered.
+func (b *Baseline) view(id ID) ([]byte, bool) {
+	if int(id) >= len(b.at) || b.at[id].off1 == 0 {
+		return nil, false
+	}
+	lo, hi := b.at[id].off1-1, b.at[id].off1-1+b.at[id].n
+	return b.data[lo:hi:hi], true
+}
 
 // object is one shared object replica.
 type object struct {
@@ -41,119 +99,147 @@ type object struct {
 	writer int32
 }
 
-// Registration carves object records and initial state bytes out of chunks
-// that double up to a cap, so a two-object store stays small and a world of
-// hundreds of blocks costs a dozen allocations instead of two per block.
-// The object cap keeps a chunk — 40-byte records plus the allocator's
-// 8-byte header on pointerful objects over 512 B — inside the 8 KB size
-// class; byte chunks are powers of two, which are size classes themselves.
-const (
-	firstObjectChunk = 16
-	maxObjectChunk   = 204
-	firstByteChunk   = 64
-	maxByteChunk     = 4096
-)
+// recChunk is how many overlay records one chunk holds (2.5 KB): a replica
+// that was written to at all has usually been written a few dozen times.
+const recChunk = 64
 
-// Store is a set of shared-object replicas. It is not safe for concurrent
-// use; callers running on real (non-simulated) transports must serialize
-// access externally.
+// Store is a set of shared-object replicas, made by New. It is not safe for
+// concurrent use; callers running on real (non-simulated) transports must
+// serialize access externally.
 type Store struct {
-	byID []*object // indexed by ID; nil = not registered
-	n    int       // registered objects
+	// base holds the registered initial states. owned means no other store
+	// reads it, so Register may append to it; a shared one is copied first.
+	base  *Baseline
+	owned bool
 
-	// Registration arenas: the unused tail of the current chunk of each
-	// kind, and the size the chunk was allocated with.
-	objs      []object
-	objChunk  int
-	bytes     []byte
-	byteChunk int
+	// The overlay: a record for every object mutated here or arrived
+	// without a baseline (extra counts the latter), nrecs in all, in chunks
+	// of recChunk so that growing copies nothing. idx maps an ID to one plus
+	// its record's position, zero or out of range meaning none.
+	idx   []uint32
+	recs  [][]object
+	nrecs int
+	extra int
+
+	// loose holds the states that arrived without a baseline, end to end
+	// like Baseline.data: a joiner restoring a world of hundreds of blocks
+	// makes a dozen allocations instead of one per block.
+	loose []byte
 }
+
+// noBaseline is what every store stands on before a registration: never written.
+var noBaseline = new(Baseline)
 
 // New returns an empty store.
-func New() *Store { return &Store{} }
+func New() *Store { return &Store{base: noBaseline} }
 
-// Reserve sizes the index for a world of objects IDs (0..objects-1) about
-// to be registered, so registering them one by one does not regrow it —
-// past a few hundred elements append grows by a quarter at a time and a
-// 3 072-object world allocates five times its final index. Optional, and
-// only a hint: IDs at or above objects still register.
-func (s *Store) Reserve(objects int) {
-	if objects = min(objects, int(MaxID)+1); objects > cap(s.byID) {
-		s.byID = slices.Grow(s.byID, objects-len(s.byID))
-	}
-}
-
-// lookup returns id's replica, or an error naming the unregistered ID.
-func (s *Store) lookup(id ID) (*object, error) {
-	if int(id) < len(s.byID) {
-		if o := s.byID[id]; o != nil {
-			return o, nil
+// get returns id's replica: its overlay record, else its registered initial
+// state at version 0, writer unknown.
+func (s *Store) get(id ID) (object, bool) {
+	if int(id) < len(s.idx) {
+		if k := s.idx[id]; k != 0 {
+			return s.recs[(k-1)/recChunk][(k-1)%recChunk], true
 		}
 	}
-	return nil, fmt.Errorf("store: object %d not registered", id)
+	data, ok := s.base.view(id)
+	return object{data: data, writer: -1}, ok
 }
+
+// lookup is get with an error naming the unregistered ID.
+func (s *Store) lookup(id ID) (object, error) {
+	o, ok := s.get(id)
+	if !ok {
+		return o, fmt.Errorf("store: object %d not registered", id)
+	}
+	return o, nil
+}
+
+// put installs o as id's replica, giving id an overlay record on its first
+// mutation.
+func (s *Store) put(id ID, o object) {
+	if int(id) >= len(s.idx) {
+		// Sized once for the registered world.
+		s.idx = append(s.idx, make([]uint32, max(int(id)+1, len(s.base.at))-len(s.idx))...)
+	}
+	k := s.idx[id]
+	if k == 0 {
+		if s.nrecs%recChunk == 0 {
+			s.recs = append(s.recs, make([]object, recChunk))
+		}
+		s.nrecs++
+		k = uint32(s.nrecs)
+		s.idx[id] = k
+	}
+	s.recs[(k-1)/recChunk][(k-1)%recChunk] = o
+}
+
+// extent returns one past the highest ID that may be registered.
+func (s *Store) extent() int { return max(len(s.idx), len(s.base.at)) }
 
 // Register adds a shared object with its initial state. Registering an
 // existing ID is an error: the paper's share() call registers each object
 // exactly once at program initialization. IDs above MaxID are refused. The
-// initial bytes are copied.
+// initial bytes are copied into the store's baseline; no record is created.
 func (s *Store) Register(id ID, initial []byte) error {
 	if s.Has(id) {
 		return fmt.Errorf("store: object %d already registered", id)
 	}
-	return s.register(id, initial, 0)
+	if !s.owned {
+		b := *s.base
+		b.data, b.at = slices.Clone(b.data), slices.Clone(b.at)
+		s.base, s.owned = &b, true
+	}
+	return s.base.Register(id, initial)
 }
 
-// register installs a new replica holding a copy of state, writer unknown.
-func (s *Store) register(id ID, state []byte, version int64) error {
-	if id > MaxID {
-		return fmt.Errorf("store: object ID %d exceeds the maximum %d", id, MaxID)
+// RegisterAll registers every object of b at once, by reference: the store
+// reads b from now on and never writes it, so the replicas of one process
+// may all stand on the same baseline. It is the whole of registration —
+// the store must be empty — and b must not be registered into afterwards.
+func (s *Store) RegisterAll(b *Baseline) error {
+	if s.Len() > 0 {
+		return fmt.Errorf("store: RegisterAll on a store that already holds %d objects", s.Len())
 	}
-	if int(id) >= len(s.byID) {
-		s.byID = append(s.byID, make([]*object, int(id)+1-len(s.byID))...)
-	}
-	if len(s.objs) == 0 {
-		s.objChunk = min(max(2*s.objChunk, firstObjectChunk), maxObjectChunk)
-		s.objs = make([]object, s.objChunk)
-	}
-	o := &s.objs[0]
-	s.objs = s.objs[1:]
-	*o = object{data: s.arenaCopy(state), version: version, writer: -1}
-	s.byID[id] = o
-	s.n++
+	s.base, s.owned = b, false
 	return nil
 }
 
-// arenaCopy returns a copy of b carved from the byte arena, its capacity
-// clipped so an append through it cannot reach a neighbour. States too
-// large to share a chunk get their own allocation.
-func (s *Store) arenaCopy(b []byte) []byte {
-	if len(b) > maxByteChunk/4 {
-		return bytes.Clone(b)
-	}
-	if len(b) > len(s.bytes) {
-		s.byteChunk = min(max(2*s.byteChunk, firstByteChunk), maxByteChunk)
-		s.bytes = make([]byte, s.byteChunk)
-	}
-	out := s.bytes[:len(b):len(b)]
-	s.bytes = s.bytes[len(b):]
-	copy(out, b)
-	return out
+// Initial returns the state id was registered with, or nil for an object
+// that was not registered here (it arrived by Merge or Restore). The slice
+// is published: the caller must not modify it.
+func (s *Store) Initial(id ID) []byte {
+	b, _ := s.base.view(id)
+	return b
+}
+
+// add installs an object that arrives without a baseline (Merge and Restore
+// of an ID never registered here), holding a copy of state, writer unknown.
+func (s *Store) add(id ID, state []byte, version int64) {
+	lo := len(s.loose)
+	s.loose = append(s.loose, state...) // growing leaves the array earlier states alias untouched
+	s.put(id, object{data: s.loose[lo:len(s.loose):len(s.loose)], version: version, writer: -1})
+	s.extra++
 }
 
 // Len returns the number of registered objects.
-func (s *Store) Len() int { return s.n }
+func (s *Store) Len() int { return s.base.Len() + s.extra }
+
+// Materialized returns how many objects have a record of their own: those
+// mutated here since registration or arrived without a baseline. The other
+// Len − Materialized still read the initial state.
+func (s *Store) Materialized() int { return s.nrecs }
 
 // Has reports whether id is registered.
 func (s *Store) Has(id ID) bool {
-	return int(id) < len(s.byID) && s.byID[id] != nil
+	_, ok := s.get(id)
+	return ok
 }
 
 // IDs returns all registered object IDs in ascending order.
 func (s *Store) IDs() []ID {
-	out := make([]ID, 0, s.n)
-	for id, o := range s.byID {
-		if o != nil {
+	out := make([]ID, 0, s.Len())
+	for id := 0; id < s.extent(); id++ {
+		if s.Has(ID(id)) {
 			out = append(out, ID(id))
 		}
 	}
@@ -177,19 +263,13 @@ func (s *Store) Get(id ID) ([]byte, error) {
 // keep it as a snapshot of the object at the time of the call.
 func (s *Store) View(id ID) ([]byte, error) {
 	o, err := s.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	return o.data, nil
+	return o.data, err
 }
 
 // Version returns the object's version counter.
 func (s *Store) Version(id ID) (int64, error) {
 	o, err := s.lookup(id)
-	if err != nil {
-		return 0, err
-	}
-	return o.version, nil
+	return o.version, err
 }
 
 // Update overwrites the object's state with data, increments its version,
@@ -212,9 +292,7 @@ func (s *Store) UpdateBy(id ID, data []byte, writer int) (diff.Diff, error) {
 	if d.Empty() {
 		return d, nil
 	}
-	o.data = bytes.Clone(data)
-	o.version++
-	o.writer = int32(writer)
+	s.put(id, object{data: bytes.Clone(data), version: o.version + 1, writer: int32(writer)})
 	return d, nil
 }
 
@@ -236,14 +314,11 @@ func (s *Store) ApplyDiff(id ID, d diff.Diff, version int64) error {
 	if err != nil {
 		return err
 	}
-	next, err := diff.Apply(o.data, d)
-	if err != nil {
+	if o.data, err = diff.Apply(o.data, d); err != nil {
 		return fmt.Errorf("object %d: %w", id, err)
 	}
-	o.data = next
-	if version > o.version {
-		o.version = version
-	}
+	o.version = max(o.version, version)
+	s.put(id, o)
 	return nil
 }
 
@@ -256,15 +331,13 @@ func (s *Store) ApplyDiffFrom(id ID, d diff.Diff, version int64, writer int) err
 	if err != nil {
 		return err
 	}
-	next, err := diff.Apply(o.data, d)
-	if err != nil {
+	if o.data, err = diff.Apply(o.data, d); err != nil {
 		return fmt.Errorf("object %d: %w", id, err)
 	}
-	o.data = next
 	if version >= o.version {
-		o.version = version
-		o.writer = int32(writer)
+		o.version, o.writer = version, int32(writer)
 	}
+	s.put(id, o)
 	return nil
 }
 
@@ -281,26 +354,21 @@ func (s *Store) SetState(id ID, data []byte, version int64) error {
 // per-sender shadow share one reconstructed state while preserving the
 // writer attribution that same-version PID arbitration depends on.
 func (s *Store) AdoptStateFrom(id ID, data []byte, version int64, writer int) error {
-	o, err := s.lookup(id)
-	if err != nil {
+	if _, err := s.lookup(id); err != nil {
 		return err
 	}
-	o.data = data
-	o.version = version
-	o.writer = int32(writer)
+	s.put(id, object{data: data, version: version, writer: int32(writer)})
 	return nil
 }
 
-// Clone returns a deep copy of the store (used to seed every process with
-// the same initial shared environment).
+// Clone returns an independent copy of the store: the overlay is copied,
+// the baseline and the published state bytes are shared. Sharing freezes
+// the baseline — either store's next Register copies it first.
 func (s *Store) Clone() *Store {
-	c := New()
-	for id, o := range s.byID {
-		if o == nil {
-			continue
-		}
-		_ = c.register(ID(id), o.data, o.version) // cannot fail: id was accepted once
-		c.byID[id].writer = o.writer
+	s.owned = false
+	c := &Store{base: s.base, idx: slices.Clone(s.idx), recs: make([][]object, len(s.recs)), nrecs: s.nrecs, extra: s.extra}
+	for i, chunk := range s.recs {
+		c.recs[i] = slices.Clone(chunk)
 	}
 	return c
 }
@@ -309,15 +377,16 @@ func (s *Store) Clone() *Store {
 // are ignored: different protocols bump versions differently while agreeing
 // on content).
 func (s *Store) Equal(other *Store) bool {
-	if s.n != other.n {
+	if s.Len() != other.Len() {
 		return false
 	}
-	for id, o := range s.byID {
-		if o == nil {
+	for id := 0; id < s.extent(); id++ {
+		o, ok := s.get(ID(id))
+		if !ok {
 			continue
 		}
-		oo, err := other.lookup(ID(id))
-		if err != nil || !bytes.Equal(o.data, oo.data) {
+		oo, ok := other.get(ID(id))
+		if !ok || !bytes.Equal(o.data, oo.data) {
 			return false
 		}
 	}

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -231,46 +230,6 @@ func TestIDBound(t *testing.T) {
 		if err := load(snap); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s of an out-of-range ID: err = %v, want ErrBadSnapshot", name, err)
 		}
-	}
-}
-
-// TestReserve: a reserved index takes the announced world without growing,
-// and Reserve is only a hint — it registers nothing, never shrinks, is
-// clamped to the ID range, and IDs beyond it still register.
-func TestReserve(t *testing.T) {
-	const world = 3072
-	s := New()
-	s.Reserve(world)
-	if s.Len() != 0 || s.Has(0) {
-		t.Fatal("Reserve registered something")
-	}
-	index := cap(s.byID)
-	if index < world {
-		t.Fatalf("index holds %d IDs after Reserve(%d)", index, world)
-	}
-	for id := ID(0); id < world; id++ {
-		if err := s.Register(id, []byte{byte(id)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cap(s.byID) != index {
-		t.Errorf("index regrew from %d to %d while registering the reserved world", index, cap(s.byID))
-	}
-	s.Reserve(16) // smaller than what is there: nothing to do
-	s.Reserve(-1)
-	if cap(s.byID) != index || s.Len() != world {
-		t.Error("a smaller Reserve disturbed the store")
-	}
-	if err := s.Register(world+5, []byte("late")); err != nil {
-		t.Fatalf("an ID beyond the reservation must still register: %v", err)
-	}
-	if b, err := s.Get(7); err != nil || !bytes.Equal(b, []byte{7}) {
-		t.Fatalf("Get(7) = %v, %v", b, err)
-	}
-	huge := New()
-	huge.Reserve(math.MaxInt) // clamped to the ID range
-	if c := cap(huge.byID); c < int(MaxID)+1 || c > 2*(int(MaxID)+1) {
-		t.Errorf("Reserve beyond the ID range sized the index to %d", c)
 	}
 }
 
