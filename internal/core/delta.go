@@ -27,7 +27,6 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"slices"
 
@@ -136,7 +135,7 @@ func (r *Runtime) encodeDataPayload(dst []byte, peer int, diffs []xlist.ObjDiff,
 		next, ok := od.D.Replacement()
 		if !ok {
 			var err error
-			if next, err = diff.Apply(base, od.D); err != nil {
+			if next, err = diff.ApplyTo(r.st.Alloc(len(base)), base, od.D); err != nil {
 				// The diff does not apply over our record of the peer's
 				// state. Ship the full record and resynchronize the tip
 				// from the local store.
@@ -189,7 +188,8 @@ func (r *Runtime) deltaAck(peer int, stamp int64) {
 // The records are decoded into scratch whose bytes alias m.Payload, which
 // a pooling transport reuses once m is recycled: everything retained — the
 // shadow, the store's state — is an owned slice (a reconstruction, or a
-// copy of a replacement's bytes), shared between the two.
+// copy of a replacement's bytes), shared between the two and carved from
+// the store's arena like every other state the replica installs.
 func (r *Runtime) applyDeltaData(m *wire.Msg) {
 	recs, err := xlist.DecodeDeltaRecordsInto(r.decRecs, m.Payload)
 	if err != nil {
@@ -206,7 +206,7 @@ func (r *Runtime) applyDeltaData(m *wire.Msg) {
 		if rec.Delta {
 			ok := !e.bad && baseVer == rec.BaseVer && diff.Fingerprint(base) == rec.BaseHash
 			if ok {
-				next, err = diff.ApplyXOR(base, rec.X)
+				next, err = diff.ApplyXORTo(r.st.Alloc(len(base)), base, rec.X)
 				ok = err == nil
 			}
 			if !ok {
@@ -221,9 +221,9 @@ func (r *Runtime) applyDeltaData(m *wire.Msg) {
 				continue
 			}
 		} else if state, ok := rec.D.Replacement(); ok {
-			next = bytes.Clone(state)
+			next = append(r.st.Alloc(len(state))[:0], state...)
 			e.bad = false
-		} else if next, err = diff.Apply(base, rec.D); err != nil {
+		} else if next, err = diff.ApplyTo(r.st.Alloc(len(base)), base, rec.D); err != nil {
 			// A run diff over an unknown shadow (or a malformed
 			// replacement, which the codec already rejects): apply to the
 			// store as plain data would, but the shadow stays unknown.
@@ -291,7 +291,7 @@ func (r *Runtime) deltaServe(peer int, obj store.ID, state []byte, ver int64) {
 // copied (it is a message payload).
 func (r *Runtime) deltaAdoptReply(peer int, obj store.ID, state []byte, ver int64) {
 	e := r.peers[peer].recv.at(&r.deltaPool, obj)
-	*e = deltaEntry{obj: obj, known: true, ver: ver, state: bytes.Clone(state)}
+	*e = deltaEntry{obj: obj, known: true, ver: ver, state: append(r.st.Alloc(len(state))[:0], state...)}
 }
 
 // deltaResetPeer drops every delta table for peer, forcing full records on

@@ -7,6 +7,7 @@ package core
 // Join so a peer's new life never receives deltas against its old one.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"sdso/internal/store"
 	"sdso/internal/trace"
 	"sdso/internal/transport"
+	"sdso/internal/wire"
 	"sdso/internal/xlist"
 )
 
@@ -218,6 +220,75 @@ func TestDeltaTableResetForcesFullRecords(t *testing.T) {
 		if ps := &r.peers[peer]; ps.send.entries != nil || ps.recv.entries != nil {
 			t.Fatal("deltaResetAll left table entries behind")
 		}
+	}
+}
+
+// TestRejectedDeltaInstallsNothing: reconstructions are written into bytes
+// carved from the store's arena before the codec has seen the whole delta,
+// so a delta refused halfway — a wrong base, or the right base and XOR bytes
+// that do not decode — must leave the store's state, the shadow and the
+// mismatch count exactly where a refusal always left them; and a record that
+// is accepted installs one carved slice that the shadow and the store share.
+func TestRejectedDeltaInstallsNothing(t *testing.T) {
+	net := transport.NewMemNetwork(2)
+	t.Cleanup(net.Close)
+	mc := metrics.NewCollector()
+	r, err := New(Config{Endpoint: net.Endpoint(0), DeltaEncode: true, Metrics: mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const obj = store.ID(3)
+	base := []byte("aaaaaaaa")
+	next := []byte("abaaacaa")
+	if err := r.Share(obj, base); err != nil {
+		t.Fatal(err)
+	}
+	good, _ := diff.EncodeXOR(base, next)
+	deliver := func(rec xlist.DeltaRecord) {
+		rec.Obj = obj
+		r.applyDeltaData(&wire.Msg{Kind: wire.KindData, Src: 1, Mode: wire.ModeDeltaPayload,
+			Payload: xlist.EncodeDeltaRecords([]xlist.DeltaRecord{rec})})
+	}
+	shadow := func() deltaEntry { return *r.peers[1].recv.at(&r.deltaPool, obj) }
+	before, _ := r.st.View(obj)
+
+	for name, rec := range map[string]xlist.DeltaRecord{
+		"wrong base":         {Version: 1, Delta: true, BaseHash: diff.Fingerprint(next), X: good},
+		"run past the end":   {Version: 1, Delta: true, BaseHash: diff.Fingerprint(base), X: []byte{8, 7, 2, 1, 1}},
+		"run data cut off":   {Version: 1, Delta: true, BaseHash: diff.Fingerprint(base), X: good[:len(good)-1]},
+		"other state length": {Version: 1, Delta: true, BaseHash: diff.Fingerprint(base), X: []byte{9}},
+	} {
+		r.peers[1].recv = deltaTable{} // each refusal against a fresh, trusted shadow
+		mismatches := mc.Snapshot().DeltaMismatches
+		deliver(rec)
+		if got := mc.Snapshot().DeltaMismatches - mismatches; got != 1 {
+			t.Errorf("%s: counted %d mismatches, want 1", name, got)
+		}
+		if e := shadow(); !e.bad || !e.fetching || e.known || e.state != nil {
+			t.Errorf("%s: shadow after the refusal = %+v, want bad, fetching and otherwise untouched", name, e)
+		}
+		if v, _ := r.st.View(obj); &v[0] != &before[0] || !bytes.Equal(v, base) {
+			t.Errorf("%s: the store holds %q after a refused delta", name, v)
+		}
+		if ver, _ := r.st.Version(obj); ver != 0 {
+			t.Errorf("%s: version %d after a refused delta", name, ver)
+		}
+	}
+
+	r.peers[1].recv = deltaTable{}
+	deliver(xlist.DeltaRecord{Version: 1, Delta: true, BaseHash: diff.Fingerprint(base), X: good})
+	v, _ := r.st.View(obj)
+	if e := shadow(); e.bad || !e.known || !bytes.Equal(v, next) || &e.state[0] != &v[0] || cap(v) != len(v) {
+		t.Errorf("accepted delta: store %q (cap %d), shadow %+v: want one carved slice under both", v, cap(v), e)
+	}
+	repl := []byte("replaced")
+	deliver(xlist.DeltaRecord{Version: 2, D: diff.Diff{Replace: true, Len: len(repl), Runs: []diff.Run{{Data: repl}}}})
+	v, _ = r.st.View(obj)
+	if e := shadow(); !bytes.Equal(v, repl) || &e.state[0] != &v[0] || &v[0] == &repl[0] || cap(v) != len(v) {
+		t.Errorf("replacement record: store %q (cap %d), shadow %+v: want one carved copy under both", v, cap(v), e)
+	}
+	if got := mc.Snapshot().DeltaMismatches; got != 4 {
+		t.Errorf("%d mismatches in all, want the 4 refusals", got)
 	}
 }
 

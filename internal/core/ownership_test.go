@@ -355,10 +355,12 @@ func lockstepPair(t *testing.T, delta bool) (tick func()) {
 // tick of a two-runtime mem pair — both runtimes' Write+Exchange, the shape
 // of the benchmark panel's core.exchange2_allocs_op — so the allocator
 // cannot creep back into the tick unnoticed. What a tick still allocates,
-// per runtime: the written state's published copy and its diff (UpdateBy),
-// the replacement's run slice, and the received state. The two messages
-// and the DATA payload no longer appear: they circulate through the wire
-// pool (a sent message is given away, a consumed one recycled).
+// per runtime: the replacement's run slice. The written state's published
+// copy and the received state are carved from the store's arena (a chunk
+// every 64 of them, which AllocsPerRun's integer average does not see); the
+// write computes no diff; the two messages and the DATA payload circulate
+// through the wire pool (a sent message is given away, a consumed one
+// recycled). It was 10 before the arena.
 func TestExchangeAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -368,8 +370,8 @@ func TestExchangeAllocBudget(t *testing.T) {
 		delta   bool
 		ceiling float64
 	}{
-		{"delta", true, 12},
-		{"plain", false, 12},
+		{"delta", true, 3},
+		{"plain", false, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tick := lockstepPair(t, tc.delta)
@@ -391,8 +393,10 @@ func TestExchangeAllocBudget(t *testing.T) {
 // write their own block. A dense peer × object table would be 7 × 768
 // entries here (and 12.5 M across an n = 128 run); the sparse tables hold
 // one entry per peer. Registration holds the states, their offsets and
-// nothing per object beside; and the runtimes of one process standing on one
-// Baseline (ShareAll) hold one copy of the world between them.
+// nothing per object beside; the runtimes of one process standing on one
+// Baseline (ShareAll) hold one copy of the world between them; and however
+// often a replica is overwritten, the state bytes it retains stay under one
+// arena chunk per live object (DESIGN.md §15, the retention corollary).
 func TestMemoryLaw(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector inflates the heap")
@@ -446,8 +450,43 @@ func TestMemoryLaw(t *testing.T) {
 			t.Fatalf("runtime %d reads its own copy of the shared world (err %v)", r.ID(), err)
 		}
 	}
-	runtime.KeepAlive(world)
 	over = nil
+
+	// Retention: a live state pins the arena chunk it was carved from, so
+	// the worst a replica can hold is one chunk per object — reached here on
+	// purpose, by following every write that stays with a chunk's worth of
+	// writes that do not (to a scratch object, overwritten again at once).
+	// Eight rounds carve 3 MB; what survives them must fit the bound, which
+	// has no term in the number of writes.
+	const chunk, rounds = 512, 8 // chunk is store's arenaChunk
+	rep := newRuntime(0)
+	if err := rep.ShareAll(world); err != nil {
+		t.Fatal(err)
+	}
+	st, scratch, serial := rep.Store(), store.ID(objects-1), uint64(0)
+	write := func(obj store.ID) {
+		serial++
+		if _, _, _, err := st.WriteBy(obj, counterBytes(serial), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unwritten := heap()
+	for round := 0; round < rounds; round++ {
+		for obj := store.ID(0); obj < scratch; obj++ {
+			write(obj)
+			for k := 1; k < chunk/8; k++ {
+				write(scratch)
+			}
+		}
+	}
+	// Beside the chunks: a 40-byte record and an index word per object.
+	retained, bound := int64(heap()-unwritten), int64(objects*chunk+48*objects+8192)
+	t.Logf("%d rounds of %d writes retain %d B, bound %d (the states are %d B)", rounds, serial/rounds, retained, bound, 8*objects)
+	if retained > bound {
+		t.Errorf("an overwritten replica retains %d B, bound %d = objects × chunk + records", retained, bound)
+	}
+	runtime.KeepAlive(rep)
+	runtime.KeepAlive(world)
 
 	rts := make([]*Runtime, n)
 	before := heap()

@@ -535,28 +535,21 @@ func (r *Runtime) ShareAll(b *store.Baseline) error {
 // (internal/diff) still carries the updates — a replacement is one kind of
 // diff — and slotted-buffer merging still collapses successive writes.
 func (r *Runtime) Write(id store.ID, data []byte) error {
-	d, err := r.st.UpdateBy(id, data, r.ep.ID())
+	// The store's fresh copy is the published state; the buffered
+	// replacement shares it.
+	state, ver, changed, err := r.st.WriteBy(id, data, r.ep.ID())
 	if err != nil {
 		return fmt.Errorf("write object %d: %w", id, err)
 	}
-	if d.Empty() {
+	if !changed {
 		return nil
 	}
 	if r.cfg.Debug != nil { // the variadic call boxes its arguments either way
 		r.debugf("now=%d write obj=%d", r.now, id)
 	}
-	ver, err := r.st.Version(id)
-	if err != nil {
-		return err
-	}
 	r.tr.Record(trace.OpWrite, r.ep.ID(), int64(id), ver, r.now, 0)
-	// The store's fresh copy is the published state; the buffered
-	// replacement shares it. Done, crashed and absent peers need no skip
-	// list: their slots are tombstoned and accumulate nothing.
-	state, err := r.st.View(id)
-	if err != nil {
-		return err
-	}
+	// Done, crashed and absent peers need no skip list: their slots are
+	// tombstoned and accumulate nothing.
 	repl := diff.Diff{Replace: true, Len: len(state), Runs: []diff.Run{{Off: 0, Data: state}}}
 	return r.buf.AddAll(id, ver, repl, nil)
 }

@@ -93,6 +93,14 @@ func AppendXOR(dst, base, next []byte) ([]byte, error) {
 // against a state of a different length and ErrCorrupt on any malformed
 // input; base is never modified.
 func ApplyXOR(base, delta []byte) ([]byte, error) {
+	return ApplyXORTo(nil, base, delta)
+}
+
+// ApplyXORTo is ApplyXOR with reuse semantics, as ApplyTo is Apply's: the
+// next state is written into dst (in place when its capacity suffices) and
+// returned. dst must not alias base or delta, and holds no meaningful bytes
+// after an error.
+func ApplyXORTo(dst, base, delta []byte) ([]byte, error) {
 	n, used := binary.Uvarint(delta)
 	if used <= 0 {
 		return nil, fmt.Errorf("%w: delta length header", ErrCorrupt)
@@ -101,8 +109,10 @@ func ApplyXOR(base, delta []byte) ([]byte, error) {
 	if n != uint64(len(base)) {
 		return nil, fmt.Errorf("%w: base %d, delta expects %d", ErrLengthMismatch, len(base), n)
 	}
-	out := make([]byte, len(base))
-	copy(out, base)
+	out := append(dst[:0], base...)
+	if out == nil {
+		out = []byte{} // a reconstructed state is never nil, even when empty
+	}
 	cursor := 0
 	for len(delta) > 0 {
 		skip, used := binary.Uvarint(delta)

@@ -126,11 +126,32 @@ func FuzzDeltaApplyAgainstWrongBase(f *testing.F) {
 		if !bytes.Equal(base, orig) {
 			t.Fatal("ApplyXOR modified its base")
 		}
+		// The same into a destination carved from a larger block, as the
+		// store's arena hands them out: same verdict, same state, written in
+		// place, and nothing outside the destination touched.
+		block := bytes.Repeat([]byte{0xA5}, len(base)+16)
+		dst := block[8 : 8+len(base) : 8+len(base)]
+		into, intoErr := ApplyXORTo(dst, base, delta)
+		if (err == nil) != (intoErr == nil) || (err != nil && err.Error() != intoErr.Error()) {
+			t.Fatalf("ApplyXORTo err = %v, ApplyXOR err = %v", intoErr, err)
+		}
+		if !bytes.Equal(base, orig) {
+			t.Fatal("ApplyXORTo modified its base")
+		}
+		if !bytes.Equal(block[:8], bytes.Repeat([]byte{0xA5}, 8)) || !bytes.Equal(block[8+len(base):], bytes.Repeat([]byte{0xA5}, 8)) {
+			t.Fatal("ApplyXORTo wrote outside its destination")
+		}
 		if err != nil {
 			return
 		}
 		if len(out) != len(base) {
 			t.Fatalf("ApplyXOR produced %d bytes from a %d-byte base", len(out), len(base))
+		}
+		if !bytes.Equal(into, out) {
+			t.Fatalf("ApplyXORTo = %x, ApplyXOR = %x", into, out)
+		}
+		if len(base) > 0 && &into[0] != &dst[0] {
+			t.Fatal("ApplyXORTo reallocated a destination that fits")
 		}
 	})
 }

@@ -21,8 +21,10 @@
 package ec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -113,6 +115,7 @@ type Node struct {
 
 	goal     game.Pos
 	tanks    []game.TankState
+	locks    []lockReq // lockSet's scratch
 	stats    game.TeamStats
 	gameOver bool
 
@@ -1172,39 +1175,43 @@ func (n *Node) pollApp() {
 	}
 }
 
+// lockDirs is the order lockSet sweeps a tank's four rays in.
+var lockDirs = [4]game.Pos{{X: 0, Y: -1}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: -1, Y: 0}}
+
 // lockSet computes this iteration's lock requests: write locks on each
 // tank's block and the four adjacent blocks, read locks on the rest of the
-// visibility set, ascending object order (deadlock prevention).
+// visibility set, ascending object order (deadlock prevention). The result
+// is the node's scratch, valid until the next call.
 func (n *Node) lockSet() []lockReq {
 	cfg := n.cfg.Game
-	want := make(map[store.ID]bool) // id -> write?
+	out := n.locks[:0]
 	addVis := func(p game.Pos, write bool) {
-		if !cfg.InBounds(p) {
-			return
-		}
-		id := cfg.ObjectOf(p)
-		if write {
-			want[id] = true
-		} else if _, ok := want[id]; !ok {
-			want[id] = false
+		if cfg.InBounds(p) {
+			out = append(out, lockReq{obj: cfg.ObjectOf(p), write: write})
 		}
 	}
 	for _, tank := range n.tanks {
 		addVis(tank.Pos, true)
-		dirs := []game.Pos{{X: 0, Y: -1}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: -1, Y: 0}}
-		for _, d := range dirs {
+		for _, d := range lockDirs {
 			addVis(game.Pos{X: tank.Pos.X + d.X, Y: tank.Pos.Y + d.Y}, true)
 			for k := 2; k <= cfg.Range; k++ {
 				addVis(game.Pos{X: tank.Pos.X + d.X*k, Y: tank.Pos.Y + d.Y*k}, false)
 			}
 		}
 	}
-	out := make([]lockReq, 0, len(want))
-	for id, write := range want {
-		out = append(out, lockReq{obj: id, write: write})
+	// One request per object, a write if any sweep asked for one.
+	slices.SortFunc(out, func(a, b lockReq) int { return cmp.Compare(a.obj, b.obj) })
+	k := 0
+	for _, lr := range out {
+		if k > 0 && out[k-1].obj == lr.obj {
+			out[k-1].write = out[k-1].write || lr.write
+			continue
+		}
+		out[k] = lr
+		k++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].obj < out[j].obj })
-	return out
+	n.locks = out[:k]
+	return n.locks
 }
 
 // acquireAll acquires the lock set in order, pulling fresh copies as grants
@@ -1499,6 +1506,10 @@ func (n *Node) awaitPullFT(obj store.ID, req *wire.Msg, owner int) (*wire.Msg, b
 	}
 }
 
+// cleanRelease is the Ints of every release that wrote nothing: shared and
+// read-only, as a message's Ints are (DESIGN.md, "the message rule").
+var cleanRelease = []int64{0, 0}
+
 // releaseAll returns every lock; written objects release dirty with their
 // new version, transferring ownership.
 func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
@@ -1514,7 +1525,7 @@ func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
 			rel.Ints = []int64{1, v}
 			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.obj), v, 0, 1)
 		} else {
-			rel.Ints = []int64{0, 0}
+			rel.Ints = cleanRelease
 			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.obj), 0, 0, 0)
 		}
 		// Releases are asynchronous; errors only surface via metrics
@@ -1599,10 +1610,10 @@ func (n *Node) decideAndWrite() map[store.ID]int64 {
 		writes, reachedGoal := act.Writes(n.team, n.goal)
 		for _, cw := range writes {
 			id := cfg.ObjectOf(cw.Pos)
-			if _, err := n.st.UpdateBy(id, game.EncodeCell(cw.Cell), n.team); err != nil {
+			_, v, _, err := n.st.WriteBy(id, game.EncodeCell(cw.Cell), n.team)
+			if err != nil {
 				continue
 			}
-			v, _ := n.st.Version(id)
 			n.cfg.AppTrace.Record(trace.OpWrite, n.team, int64(id), v, 0, 0)
 			dirty[id] = v
 			modified = true

@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sdso/internal/diff"
 )
@@ -184,7 +186,9 @@ const (
 // runStoreProgram interprets prog against two replicas from the factory and
 // two from the oracle (operations name one; Merge, Restore, Clone and Equal
 // involve the other), comparing every result and, after every step, the
-// touched object and the whole serialized store.
+// touched object and the whole serialized store. The arena's promises are
+// checked alongside (checkPublished): they are about where bytes live, which
+// no return value shows.
 func runStoreProgram(t testing.TB, prog []byte, factory storeFactory) {
 	if len(prog) == 0 {
 		return
@@ -195,6 +199,7 @@ func runStoreProgram(t testing.TB, prog []byte, factory storeFactory) {
 		ids = opIDs
 	}
 	var got, want [2]replica
+	var held []heldView
 	for i := range got {
 		got[i], want[i] = factory(t, world), eagerFactory(t, world)
 	}
@@ -228,6 +233,18 @@ func runStoreProgram(t testing.TB, prog []byte, factory storeFactory) {
 		case opRegister:
 			same("Register", errText(g.Register(id, state)), errText(w.Register(id, state)))
 		case opUpdateBy:
+			if cow, ok := g.(cowReplica); ok && d&0x80 != 0 {
+				// The same write asked the other way: the outcome, no diff.
+				gs, gver, changed, gerr := cow.WriteBy(id, state, writer)
+				wd, werr := w.UpdateBy(id, state, writer)
+				ws, _ := w.View(id)
+				wver, _ := w.Version(id)
+				same("WriteBy state", gs, ws)
+				same("WriteBy version", gver, wver)
+				same("WriteBy changed", changed, !wd.Empty())
+				same("WriteBy err", errText(gerr), errText(werr))
+				break
+			}
 			gd, gerr := g.UpdateBy(id, state, writer)
 			wd, werr := w.UpdateBy(id, state, writer)
 			same("UpdateBy diff", gd, wd)
@@ -253,7 +270,7 @@ func runStoreProgram(t testing.TB, prog []byte, factory storeFactory) {
 		case opSetState:
 			same("SetState", errText(g.SetState(id, state, version)), errText(w.SetState(id, state, version)))
 		case opAdopt:
-			gs, ws := bytes.Clone(state), bytes.Clone(state)
+			gs, ws := slices.Clip(bytes.Clone(state)), bytes.Clone(state) // published as Alloc would hand it out
 			same("AdoptStateFrom", errText(g.AdoptStateFrom(id, gs, version, writer)), errText(w.AdoptStateFrom(id, ws, version, writer)))
 			if v, err := g.View(id); err == nil && len(gs) > 0 && &v[0] != &gs[0] {
 				t.Fatalf("%s: AdoptStateFrom copied the state it was given", where)
@@ -307,6 +324,14 @@ func runStoreProgram(t testing.TB, prog []byte, factory storeFactory) {
 		same("WriterOf", gwr, wwr)
 		same("WriterOf err", errText(gerr), errText(werr))
 		same("Has", g.Has(id), w.Has(id))
+		if gerr == nil {
+			held = append(held, heldView{where, gv, bytes.Clone(gv)})
+		}
+		for _, h := range held {
+			if !bytes.Equal(h.view, h.was) {
+				t.Fatalf("%s: the state read at %q changed under its holder: %x, was %x", where, h.at, h.view, h.was)
+			}
+		}
 		if len(ids) > len(nearIDs) && step%8 != 0 && pc+5 < len(prog) {
 			continue // a million-entry index: serialize every eighth step and the last
 		}
@@ -314,6 +339,48 @@ func runStoreProgram(t testing.TB, prog []byte, factory storeFactory) {
 			same(fmt.Sprintf("Len of replica %d", i), got[i].Len(), want[i].Len())
 			same(fmt.Sprintf("IDs of replica %d", i), got[i].IDs(), want[i].IDs())
 			same(fmt.Sprintf("Snapshot of replica %d", i), got[i].Snapshot(int64(step)), want[i].Snapshot(int64(step)))
+		}
+		checkPublished(t, where, got[:])
+	}
+}
+
+// heldView is a state some earlier step read and kept, with what it held.
+type heldView struct {
+	at        string
+	view, was []byte
+}
+
+// checkPublished holds the live states of replicas to what the arena owes
+// them: a View's capacity ends where its state does, so an append through it
+// reallocates instead of reaching a neighbour (the oracle's states are each
+// an allocation of their own, whose slack is nobody's), and two states share memory
+// only by being the same state (a clone and its origin, a replica and its
+// baseline) — never by overlapping.
+func checkPublished(t testing.TB, where string, replicas []replica) {
+	type extent struct {
+		lo, hi uintptr
+		id     ID
+	}
+	var live []extent
+	for _, r := range replicas {
+		for _, id := range r.IDs() {
+			v, err := r.View(id)
+			if err != nil {
+				t.Fatalf("%s: View(%d) of a listed ID: %v", where, id, err)
+			}
+			if _, oracle := r.(refReplica); !oracle && cap(v) != len(v) {
+				t.Fatalf("%s: View(%d) has len %d, cap %d: an append would write past the state", where, id, len(v), cap(v))
+			}
+			if len(v) > 0 {
+				lo := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+				live = append(live, extent{lo, lo + uintptr(len(v)), id})
+			}
+		}
+	}
+	slices.SortFunc(live, func(a, b extent) int { return cmp.Or(cmp.Compare(a.lo, b.lo), cmp.Compare(a.hi, b.hi)) })
+	for i := 1; i < len(live); i++ {
+		if a, b := live[i-1], live[i]; b.lo < a.hi && (a.lo != b.lo || a.hi != b.hi) {
+			t.Fatalf("%s: the states of objects %d and %d overlap in memory: [%#x,%#x) and [%#x,%#x)", where, a.id, b.id, a.lo, a.hi, b.lo, b.hi)
 		}
 	}
 }

@@ -8,7 +8,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -111,7 +110,7 @@ func (s *Store) Merge(snap []byte) (adopted int, floor int64, err error) {
 		case !ok:
 			s.add(id, state, version)
 		case version > o.version:
-			s.put(id, object{data: bytes.Clone(state), version: version, writer: -1})
+			s.put(id, object{data: s.copyOf(state), version: version, writer: -1})
 		default:
 			return
 		}
@@ -133,7 +132,7 @@ func (s *Store) Restore(snap []byte) (floor int64, err error) {
 	floor, err = decodeSnapshot(snap, func(id ID, version int64, state []byte) {
 		if fresh.Has(id) {
 			// A repeated ID: the later record wins, as it always has.
-			fresh.put(id, object{data: bytes.Clone(state), version: version, writer: -1})
+			fresh.put(id, object{data: fresh.copyOf(state), version: version, writer: -1})
 			return
 		}
 		fresh.add(id, state, version)

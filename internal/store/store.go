@@ -10,7 +10,11 @@
 // gets a record of its own the first time it is mutated here, and until then
 // reads fall through to the baseline at version 0, writer unknown. A replica
 // costs an index word per object plus what was written to it, and the
-// replicas of one process share one baseline through RegisterAll.
+// replicas of one process share one baseline through RegisterAll. The bytes
+// of every state installed here — written, patched, set, merged, restored,
+// or reconstructed by the runtime above — are carved by Alloc from small
+// fixed-size chunks, many states to one heap object; a chunk is never
+// reused and is the garbage collector's once no state in it is live.
 //
 // Ownership. A state slice, once published — registered, written, applied
 // or adopted — is never modified in place: every change installs a fresh
@@ -121,10 +125,8 @@ type Store struct {
 	nrecs int
 	extra int
 
-	// loose holds the states that arrived without a baseline, end to end
-	// like Baseline.data: a joiner restoring a world of hundreds of blocks
-	// makes a dozen allocations instead of one per block.
-	loose []byte
+	// free is the uncarved rest of the arena's current chunk (Alloc).
+	free []byte
 }
 
 // noBaseline is what every store stands on before a registration: never written.
@@ -173,6 +175,34 @@ func (s *Store) put(id ID, o object) {
 	s.recs[(k-1)/recChunk][(k-1)%recChunk] = o
 }
 
+// arenaChunk is the size of one arena chunk. A live state pins its whole
+// chunk, so a replica retains at most live objects × arenaChunk state bytes
+// (DESIGN.md, "Ownership and memory", has the measurements behind 512).
+const arenaChunk = 512
+
+// Alloc returns n zeroed bytes for a state about to be published, carved
+// from the store's arena: a view with cap == len, so an append through it
+// reallocates and never reaches the neighbouring state. Every state the
+// store installs comes from here, and so do the ones the runtime
+// reconstructs and hands to AdoptStateFrom. A state above a quarter chunk
+// (or an empty one) is a plain allocation.
+func (s *Store) Alloc(n int) []byte {
+	if n == 0 || n > arenaChunk/4 {
+		return make([]byte, n)
+	}
+	if n > len(s.free) {
+		s.free = make([]byte, arenaChunk)
+	}
+	b := s.free[:n:n]
+	s.free = s.free[n:]
+	return b
+}
+
+// copyOf returns a carved copy of state.
+func (s *Store) copyOf(state []byte) []byte {
+	return append(s.Alloc(len(state))[:0], state...)
+}
+
 // extent returns one past the highest ID that may be registered.
 func (s *Store) extent() int { return max(len(s.idx), len(s.base.at)) }
 
@@ -215,9 +245,7 @@ func (s *Store) Initial(id ID) []byte {
 // add installs an object that arrives without a baseline (Merge and Restore
 // of an ID never registered here), holding a copy of state, writer unknown.
 func (s *Store) add(id ID, state []byte, version int64) {
-	lo := len(s.loose)
-	s.loose = append(s.loose, state...) // growing leaves the array earlier states alias untouched
-	s.put(id, object{data: s.loose[lo:len(s.loose):len(s.loose)], version: version, writer: -1})
+	s.put(id, object{data: s.copyOf(state), version: version, writer: -1})
 	s.extra++
 }
 
@@ -284,16 +312,26 @@ func (s *Store) Update(id ID, data []byte) (diff.Diff, error) {
 // object's writer is set to writer, so same-version data races can be
 // arbitrated by PID.
 func (s *Store) UpdateBy(id ID, data []byte, writer int) (diff.Diff, error) {
-	o, err := s.lookup(id)
+	old, err := s.View(id)
 	if err != nil {
 		return diff.Diff{}, err
 	}
-	d := diff.Compute(o.data, data)
-	if d.Empty() {
-		return d, nil
+	_, _, _, err = s.WriteBy(id, data, writer)
+	return diff.Compute(old, data), err
+}
+
+// WriteBy is UpdateBy for a caller that wants the outcome rather than the
+// diff: it returns the object's published state and version after the
+// write, and whether the write changed anything (a write of identical
+// bytes installs nothing and bumps nothing). It computes no diff.
+func (s *Store) WriteBy(id ID, data []byte, writer int) (state []byte, version int64, changed bool, err error) {
+	o, err := s.lookup(id)
+	if err != nil || bytes.Equal(o.data, data) {
+		return o.data, o.version, false, err
 	}
-	s.put(id, object{data: bytes.Clone(data), version: o.version + 1, writer: int32(writer)})
-	return d, nil
+	o = object{data: s.copyOf(data), version: o.version + 1, writer: int32(writer)}
+	s.put(id, o)
+	return o.data, o.version, true, nil
 }
 
 // WriterOf returns the process ID recorded for the object's current state,
@@ -307,19 +345,11 @@ func (s *Store) WriterOf(id ID) (int, error) {
 }
 
 // ApplyDiff patches the object with a remotely produced diff and sets its
-// version to the given remote version if that is newer. The writer is
-// recorded as unknown; use ApplyDiffFrom to attribute the change.
+// version to the given remote version if that is newer. The recorded writer
+// stays; use ApplyDiffFrom to attribute the change.
 func (s *Store) ApplyDiff(id ID, d diff.Diff, version int64) error {
-	o, err := s.lookup(id)
-	if err != nil {
-		return err
-	}
-	if o.data, err = diff.Apply(o.data, d); err != nil {
-		return fmt.Errorf("object %d: %w", id, err)
-	}
-	o.version = max(o.version, version)
-	s.put(id, o)
-	return nil
+	o, _ := s.get(id) // an unregistered id is ApplyDiffFrom's to report
+	return s.ApplyDiffFrom(id, d, version, int(o.writer))
 }
 
 // ApplyDiffFrom is ApplyDiff attributed to the originating writer. The
@@ -331,7 +361,13 @@ func (s *Store) ApplyDiffFrom(id ID, d diff.Diff, version int64, writer int) err
 	if err != nil {
 		return err
 	}
-	if o.data, err = diff.Apply(o.data, d); err != nil {
+	// Carve what is held, not what d claims: a run diff keeps the length,
+	// a well-formed replacement carries its own.
+	n := len(o.data)
+	if state, ok := d.Replacement(); ok {
+		n = len(state)
+	}
+	if o.data, err = diff.ApplyTo(s.Alloc(n), o.data, d); err != nil {
 		return fmt.Errorf("object %d: %w", id, err)
 	}
 	if version >= o.version {
@@ -344,7 +380,7 @@ func (s *Store) ApplyDiffFrom(id ID, d diff.Diff, version int64, writer int) err
 // SetState replaces the object's state and version outright (used when a
 // pull-based protocol fetches a whole fresh copy). The bytes are copied.
 func (s *Store) SetState(id ID, data []byte, version int64) error {
-	return s.AdoptStateFrom(id, bytes.Clone(data), version, -1)
+	return s.AdoptStateFrom(id, s.copyOf(data), version, -1)
 }
 
 // AdoptStateFrom replaces the object's state and version outright, records

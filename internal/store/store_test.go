@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sdso/internal/diff"
+	"sdso/internal/race"
 )
 
 func newTestStore(t *testing.T) *Store {
@@ -289,5 +291,78 @@ func TestPublishedBytesAreImmutable(t *testing.T) {
 		if b, _ := s.Get(id); !bytes.Equal(b, []byte{byte(id), byte(id), byte(id)}) {
 			t.Fatalf("object %d = %v after an append through object 8's View", id, b)
 		}
+	}
+
+	// The same for overlay states, carved side by side from one arena chunk
+	// by every call that installs one.
+	newer := New()
+	if err := newer.Register(24, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newer.Update(24, []byte("mrg")); err != nil {
+		t.Fatal(err)
+	}
+	install := map[ID]func() error{
+		20: func() error { _, err := s.Update(20, []byte("upd")); return err },
+		21: func() error { _, _, _, err := s.WriteBy(21, []byte("wri"), 1); return err },
+		22: func() error { return s.ApplyDiff(22, diff.Compute([]byte{22, 22, 22}, []byte("app")), 3) },
+		23: func() error { return s.SetState(23, []byte("set"), 4) },
+		24: func() error { _, _, err := s.Merge(newer.Snapshot(0)); return err },
+	}
+	for id := ID(20); id <= 24; id++ {
+		if err := install[id](); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[ID]string{20: "upd", 21: "wri", 22: "app", 23: "set", 24: "mrg"}
+	for id := range want {
+		v, _ := s.View(id)
+		if cap(v) != len(v) {
+			t.Errorf("object %d: an installed state has len %d, cap %d", id, len(v), cap(v))
+		}
+		_ = append(v, 0xEE, 0xEE, 0xEE, 0xEE)
+	}
+	for id, state := range want {
+		if b, _ := s.Get(id); string(b) != state {
+			t.Errorf("object %d = %q after appends through its neighbours' Views, want %q", id, b, state)
+		}
+	}
+}
+
+// TestAllocCarvesChunks pins the arena's shape: small states are carved end
+// to end from one chunk, zeroed and capacity-clipped; a state above a quarter
+// chunk, or an empty one, is no part of any chunk; a clone carves from chunks
+// of its own.
+func TestAllocCarvesChunks(t *testing.T) {
+	s := New()
+	a, b := s.Alloc(8), s.Alloc(3)
+	if cap(a) != 8 || cap(b) != 3 {
+		t.Fatalf("Alloc(8), Alloc(3) have caps %d, %d", cap(a), cap(b))
+	}
+	if unsafe.Add(unsafe.Pointer(&a[0]), 8) != unsafe.Pointer(&b[0]) {
+		t.Error("two small states in a row are not carved end to end")
+	}
+	if !bytes.Equal(a, make([]byte, 8)) {
+		t.Errorf("Alloc returned dirty bytes %x", a)
+	}
+	if e := s.Alloc(0); e == nil || len(e) != 0 {
+		t.Errorf("Alloc(0) = %v, want empty and non-nil", e)
+	}
+	big := s.Alloc(arenaChunk/4 + 1)
+	if c := s.Alloc(1); unsafe.Add(unsafe.Pointer(&b[0]), 3) != unsafe.Pointer(&c[0]) || len(big) != arenaChunk/4+1 {
+		t.Error("a state above a quarter chunk was carved from the chunk")
+	}
+	if c := s.Clone().Alloc(1); unsafe.Add(unsafe.Pointer(&b[0]), 4) == unsafe.Pointer(&c[0]) {
+		t.Error("a clone carves from its origin's chunk")
+	}
+	if race.Enabled {
+		return // the detector's instrumentation allocates
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		for i := 0; i < arenaChunk/8; i++ {
+			s.Alloc(8)
+		}
+	}); got > 1 {
+		t.Errorf("a chunk's worth of 8-byte states cost %.0f allocations, want 1", got)
 	}
 }
