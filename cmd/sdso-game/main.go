@@ -25,7 +25,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sdso-game", flag.ContinueOnError)
-	proto := fs.String("protocol", "MSYNC2", "consistency protocol: BSYNC, MSYNC, MSYNC2, EC, LRC, CAUSAL")
+	proto := fs.String("protocol", "MSYNC2", "consistency protocol: BSYNC, MSYNC, MSYNC2, EC, LRC, CAUSAL, CENTRAL")
 	teams := fs.Int("teams", 8, "number of teams (= processes)")
 	rng := fs.Int("range", 1, "tank visibility range")
 	seed := fs.Int64("seed", 1, "world placement seed")

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -303,5 +304,96 @@ func TestPiggybackWithSpatialFilter(t *testing.T) {
 		if got := binary.BigEndian.Uint64(b); got != ticks {
 			t.Errorf("object %d = %d, want %d", obj, got, ticks)
 		}
+	}
+}
+
+// TestFramesMatchPR4Baseline pins the zero-config TCP path: a two-runtime,
+// 100-tick lockstep game over loopback sockets, with no checkpoint stream,
+// session layer, delta encoding, interest filter or shards configured, must
+// put exactly the frames and wire bytes on the transport that it has since
+// PR 4 made the exchange one frame per peer per tick — every later feature
+// is opt-in and may not add a byte here. 200 exchanges (2 players x 100
+// ticks) send 200 frames and 7 548 bytes; the byte count was 13 400 (67 a
+// frame) until PR 20 replaced the fixed 30-byte header and 8-byte ints with
+// varints, which moved every byte count and no frame count.
+func TestFramesMatchPR4Baseline(t *testing.T) {
+	const n, ticks = 2, 100
+	const wantFrames, wantWireBytes = 200, 7548
+
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("reserve port: %v", err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	// each runs f for every player concurrently and fails on any error.
+	each := func(what string, f func(i int) error) {
+		t.Helper()
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = f(i)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s, player %d: %v", what, i, err)
+			}
+		}
+	}
+
+	mcs := make([]*metrics.Collector, n)
+	eps := make([]*transport.TCPEndpoint, n)
+	each("dial", func(i int) (err error) {
+		mcs[i] = metrics.NewCollector()
+		eps[i], err = transport.DialTCPConfig(i, addrs, transport.TCPConfig{FlushThreshold: 32 << 10, Metrics: mcs[i]})
+		return err
+	})
+	each("play", func(i int) error {
+		r, err := New(Config{Endpoint: eps[i], MergeDiffs: true})
+		if err != nil {
+			return err
+		}
+		for obj := 0; obj < n; obj++ {
+			if err := r.Share(store.ID(obj), counterBytes(0)); err != nil {
+				return err
+			}
+		}
+		for k := 1; k <= ticks; k++ {
+			if err := r.Write(store.ID(i), counterBytes(uint64(k))); err != nil {
+				return err
+			}
+			opts := ExchangeOpts{
+				Resync: true,
+				SFunc:  EveryTick,
+				Beacon: func(peer int) []int64 { return []int64{int64(i), r.Now()} },
+			}
+			if err := r.Exchange(opts); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	// Concurrently: a sequential close would leave the first endpoint's
+	// read loop blocked on its still-open peer until the close grace ends.
+	each("close", func(i int) error { return eps[i].Close() })
+
+	frames, wireBytes := 0, 0
+	for _, mc := range mcs {
+		s := mc.Snapshot()
+		frames += s.FramesSent
+		wireBytes += s.WireBytes
+	}
+	if frames != wantFrames || wireBytes != wantWireBytes {
+		t.Errorf("%d exchanges put %d frames, %d bytes on the wire; want %d frames, %d bytes — the zero-config TCP path changed",
+			n*ticks, frames, wireBytes, wantFrames, wantWireBytes)
 	}
 }

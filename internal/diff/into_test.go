@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"sdso/internal/race"
 )
 
 // --- coalesceGap boundary cases (coalesceGap == 8) ---
@@ -236,7 +238,8 @@ func TestApplyToReusesDst(t *testing.T) {
 }
 
 // TestComputeApplyIntoRoundTrip drives the full reuse loop the protocols
-// run: one recycled Diff, one recycled state buffer, many modifications.
+// run: one recycled Diff, one recycled state buffer, many modifications —
+// and, once both are warm, no allocation.
 func TestComputeApplyIntoRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	state := make([]byte, 64)
@@ -260,5 +263,18 @@ func TestComputeApplyIntoRoundTrip(t *testing.T) {
 		if !bytes.Equal(peer, state) {
 			t.Fatalf("step %d: peer diverged from writer", step)
 		}
+	}
+
+	if race.Enabled {
+		return // the detector's instrumentation allocates
+	}
+	next := append([]byte(nil), state...)
+	next[0], next[40] = ^next[0], ^next[40]
+	var err error
+	if allocs := testing.AllocsPerRun(10, func() {
+		ComputeInto(&d, state, next)
+		buf, err = ApplyTo(buf, peer, d)
+	}); allocs != 0 || err != nil {
+		t.Errorf("ComputeInto + ApplyTo on warm storage: %.1f allocations (err %v), want 0", allocs, err)
 	}
 }

@@ -246,7 +246,6 @@ func runChaosLookahead(cfg ChaosConfig) (*ChaosResult, error) {
 				Protocol:          lookaheadVariant(cfg.Protocol),
 				Endpoint:          eps[i],
 				Metrics:           collectors[i],
-				MergeDiffs:        cfg.MergeDiffs,
 				ComputePerTick:    cfg.ComputePerTick,
 				RendezvousTimeout: cfg.SuspectTimeout,
 				MaxRetransmits:    cfg.MaxRetransmits,

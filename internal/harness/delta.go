@@ -16,8 +16,7 @@ import (
 )
 
 // deltaPanelBatch is the batching factor the panel's "on" cells run
-// with; it matches internal/benchsuite's delta suite and the checked
-// oracle matrix.
+// with; it matches the checked oracle matrix.
 const deltaPanelBatch = 4
 
 // deltaPanelTicks fixes the game length so bytes divide by an identical

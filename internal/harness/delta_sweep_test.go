@@ -45,3 +45,27 @@ func TestDeltaSweep64MatchesReference(t *testing.T) {
 		t.Fatalf("delta+batch: %d team stats, want 64", len(res.Stats))
 	}
 }
+
+// TestDeltaBytesReductionAtLeast30Pct pins the delta panel's headline on
+// its smallest cell: with delta encoding and 4-tick batching on, a 60-tick
+// BSYNC game at 16 processes must put at least 30% fewer wire bytes per
+// exchange slot on the simulated cluster than the identical game with
+// both off. The seed is the one game.DefaultConfig sets, so this is the
+// panel's n=16, seed-1 cell (`sdso-bench -fig delta`).
+func TestDeltaBytesReductionAtLeast30Pct(t *testing.T) {
+	var row DeltaRow
+	seed := game.DefaultConfig(16, 1).Seed
+	off, _, _, err := runDeltaCell(16, seed, false, &row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, _, _, err := runDeltaCell(16, seed, true, &row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row.PlainBytesPerX, row.DeltaBytesPerX = off, on
+	t.Logf("n=16 bytes/exchange: plain %.1f, delta %.1f (%.1f%% reduction)", off, on, row.SavedPct())
+	if row.SavedPct() < 30 {
+		t.Fatalf("delta encoding + batching saved only %.1f%% of wire bytes/exchange at n=16, want >= 30%%", row.SavedPct())
+	}
+}

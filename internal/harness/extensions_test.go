@@ -53,6 +53,8 @@ func TestCausalCostsMoreThanBSYNC(t *testing.T) {
 	for _, s := range bs.Metrics.Procs {
 		bsBytes += s.BytesSent
 	}
+	t.Logf("n=8 bytes/tick: CAUSAL %.1f, BSYNC %.1f",
+		float64(caBytes)/float64(totalTicks(ca)), float64(bsBytes)/float64(totalTicks(bs)))
 	// Same game, same tick structure; causal updates carry an n-entry
 	// vector clock per message.
 	if caBytes <= bsBytes {
@@ -96,6 +98,7 @@ func TestLRCCompletesAndOutweighsEC(t *testing.T) {
 		}
 		lrPerTick := float64(lrBytes) / float64(totalTicks(lr))
 		ecPerTick := float64(ecBytes) / float64(totalTicks(ecRes))
+		t.Logf("n=%d bytes/tick: LRC %.1f, EC %.1f", teams, lrPerTick, ecPerTick)
 		if lrPerTick <= ecPerTick {
 			t.Errorf("teams=%d: LRC bytes/tick (%.0f) not above EC (%.0f)", teams, lrPerTick, ecPerTick)
 		}

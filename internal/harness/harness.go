@@ -1,8 +1,8 @@
 // Package harness runs the paper's experiments: complete games under each
 // consistency protocol on the simulated 10 Mbps workstation cluster
 // (internal/vtime + internal/netmodel), collecting the measurements behind
-// Figures 5-8. It is the programmatic core used by cmd/sdso-bench, the
-// bench_test.go targets, and the integration tests.
+// Figures 5-8. It is the programmatic core used by cmd/sdso-bench and the
+// integration tests.
 package harness
 
 import (
@@ -57,9 +57,6 @@ type Config struct {
 	// Zero means 50µs (the paper: "only a minimal amount of local
 	// processing").
 	ComputePerTick time.Duration
-	// MergeDiffs disables the slotted-buffer merge optimization when set
-	// to an explicit false (ablation).
-	MergeDiffs *bool
 	// Horizon bounds virtual time (guard against runaway runs). Zero
 	// means 10 minutes of virtual time.
 	Horizon time.Duration
@@ -169,7 +166,6 @@ func runLookahead(cfg Config) (*Result, error) {
 				Protocol:          lookaheadVariant(cfg.Protocol),
 				Endpoint:          eps[i],
 				Metrics:           collectors[i],
-				MergeDiffs:        cfg.MergeDiffs,
 				ComputePerTick:    cfg.ComputePerTick,
 				RendezvousTimeout: cfg.SuspectTimeout,
 				DeltaEncode:       cfg.DeltaEncode,

@@ -23,8 +23,8 @@ const interestPanelTicks = 60
 // InterestWorld builds the fixed-density world for n players: the area
 // scales linearly with n at the default density (DefaultConfig is 32x24
 // for 16 players, 48 cells each), and the bonus/bomb scatter scales with
-// the area so object density is constant too. Used by the panel and by
-// the benchsuite interest sweep.
+// the area so object density is constant too. Used by the interest and
+// shard panels and by the benchmark's gated workload.
 func InterestWorld(n int) game.Config {
 	g := game.DefaultConfig(n, 1)
 	var w, h int

@@ -15,15 +15,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"sdso/internal/game"
 )
-
-// ShardWorld builds the fixed-density world for n players used by the
-// sharded sweeps: identical to InterestWorld, so sharded and unsharded
-// cells at the same n are the same game and differ only in the fanout
-// filter.
-func ShardWorld(n int) game.Config { return InterestWorld(n) }
 
 // ShardRow is one (process count, shard count) cell of the shard panel,
 // averaged over the seeds. Shards=1 rows are the unsharded baseline.
@@ -42,7 +34,7 @@ type ShardRow struct {
 // on (the PR 8 configuration) plus the given shard count, returning
 // normalized time and messages per process-tick.
 func runShardCell(n, shards int, seed int64, row *ShardRow) (msPerMod, msgsPerTick float64, err error) {
-	g := ShardWorld(n)
+	g := InterestWorld(n)
 	g.Seed = seed
 	cfg := Config{
 		Game:          g,

@@ -537,15 +537,6 @@ func (g Group) Retransmits() int {
 	return n
 }
 
-// Suspects sums suspected-peer counts across processes.
-func (g Group) Suspects() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.Suspects
-	}
-	return n
-}
-
 // Evictions sums crash-eviction counts across processes.
 func (g Group) Evictions() int {
 	n := 0
@@ -618,33 +609,6 @@ func (g Group) ReplicaCatchups() int {
 	return n
 }
 
-// FramesSent sums physical frame counts across processes.
-func (g Group) FramesSent() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.FramesSent
-	}
-	return n
-}
-
-// Flushes sums writer-flush counts across processes.
-func (g Group) Flushes() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.Flushes
-	}
-	return n
-}
-
-// WireBytes sums physical wire bytes across processes.
-func (g Group) WireBytes() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.WireBytes
-	}
-	return n
-}
-
 // PayloadBytes sums sent payload bytes across processes.
 func (g Group) PayloadBytes() int {
 	n := 0
@@ -659,53 +623,6 @@ func (g Group) LogicalMsgs() int {
 	n := 0
 	for _, s := range g.Procs {
 		n += s.LogicalMsgs()
-	}
-	return n
-}
-
-// Reconnects sums re-established links across processes.
-func (g Group) Reconnects() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.Reconnects
-	}
-	return n
-}
-
-// HeartbeatsMissed sums missed heartbeat intervals across processes.
-func (g Group) HeartbeatsMissed() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.HeartbeatsMissed
-	}
-	return n
-}
-
-// SendQShed sums frames shed from full send queues across processes.
-func (g Group) SendQShed() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.SendQShed
-	}
-	return n
-}
-
-// SendQDepthPeak returns the deepest send queue observed at any process.
-func (g Group) SendQDepthPeak() int {
-	n := 0
-	for _, s := range g.Procs {
-		if s.SendQDepthPeak > n {
-			n = s.SendQDepthPeak
-		}
-	}
-	return n
-}
-
-// DrainFlushedBytes sums gracefully drained bytes across processes.
-func (g Group) DrainFlushedBytes() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.DrainFlushedBytes
 	}
 	return n
 }
@@ -747,18 +664,6 @@ func (g Group) TicksBatched() int {
 	return n
 }
 
-// FlushThresholdPeak returns the highest adaptive flush threshold any
-// process ended with (zero when the controller never ran).
-func (g Group) FlushThresholdPeak() int {
-	n := 0
-	for _, s := range g.Procs {
-		if s.FlushThresholdCurrent > n {
-			n = s.FlushThresholdCurrent
-		}
-	}
-	return n
-}
-
 // InterestSetPeak returns the largest interest set any process held.
 func (g Group) InterestSetPeak() int {
 	n := 0
@@ -795,16 +700,6 @@ func (g Group) ShardVetoes() int {
 		n += s.ShardVetoes
 	}
 	return n
-}
-
-// FramesPerFlush returns the average number of frames coalesced into one
-// flush (zero when no flushes were recorded).
-func (g Group) FramesPerFlush() float64 {
-	f := g.Flushes()
-	if f == 0 {
-		return 0
-	}
-	return float64(g.FramesSent()) / float64(f)
 }
 
 // AvgExecTime averages process execution times.

@@ -185,7 +185,9 @@ func TestProtocolMessageOrdering(t *testing.T) {
 }
 
 // TestMergeDiffsOffStillCorrect: disabling the slotted-buffer merge
-// optimization must not change the outcome, only the payload volume.
+// optimization must not change the outcome, only the payload volume — the
+// same game with merging on ships no more bytes (paper §3.1; the simulated
+// cluster's n=8 race-to-goal game recorded merged ≈ 85% of unmerged).
 func TestMergeDiffsOffStillCorrect(t *testing.T) {
 	cfg := game.DefaultConfig(4, 1)
 	cfg.MaxTicks = 120
@@ -193,31 +195,41 @@ func TestMergeDiffsOffStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := transport.NewMemNetwork(cfg.Teams)
-	defer net.Close()
-	noMerge := false
-	stats := make([]game.TeamStats, cfg.Teams)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Teams; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st, err := RunPlayer(PlayerConfig{
-				Game: cfg, Protocol: MSYNC2,
-				Endpoint: net.Endpoint(i), MergeDiffs: &noMerge,
-			})
-			if err != nil {
-				t.Errorf("player %d: %v", i, err)
-			}
-			stats[i] = st
-		}()
-	}
-	wg.Wait()
-	for i, st := range stats {
-		if !statsEqual(st, ref.Stats[i]) {
-			t.Errorf("team %d: got %+v want %+v", i, st, ref.Stats[i])
+	play := func(merge bool) (bytesSent int) {
+		net := transport.NewMemNetwork(cfg.Teams)
+		defer net.Close()
+		stats := make([]game.TeamStats, cfg.Teams)
+		mcs := make([]*metrics.Collector, cfg.Teams)
+		var wg sync.WaitGroup
+		for i := 0; i < cfg.Teams; i++ {
+			i := i
+			mcs[i] = metrics.NewCollector()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st, err := RunPlayer(PlayerConfig{
+					Game: cfg, Protocol: MSYNC2,
+					Endpoint: net.Endpoint(i), MergeDiffs: &merge, Metrics: mcs[i],
+				})
+				if err != nil {
+					t.Errorf("merge=%v player %d: %v", merge, i, err)
+				}
+				stats[i] = st
+			}()
 		}
+		wg.Wait()
+		for i, st := range stats {
+			if !statsEqual(st, ref.Stats[i]) {
+				t.Errorf("merge=%v team %d: got %+v want %+v", merge, i, st, ref.Stats[i])
+			}
+			bytesSent += mcs[i].Snapshot().BytesSent
+		}
+		return bytesSent
+	}
+	unmerged, merged := play(false), play(true)
+	t.Logf("MSYNC2 bytes sent: merged %d, unmerged %d (%.1f%%)", merged, unmerged, 100*float64(merged)/float64(unmerged))
+	if merged > unmerged {
+		t.Errorf("merging shipped %d bytes, more than the %d without it", merged, unmerged)
 	}
 }
 
