@@ -8,24 +8,23 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"sdso/internal/faultnet"
 	"sdso/internal/game"
-	"sdso/internal/metrics"
-	"sdso/internal/netmodel"
 	"sdso/internal/protocol/ec"
 	"sdso/internal/protocol/lookahead"
 	"sdso/internal/store"
 	"sdso/internal/trace"
 	"sdso/internal/transport"
-	"sdso/internal/vtime"
 )
 
 // ChaosConfig describes one fault-injected experiment run.
 type ChaosConfig struct {
+	// Config is the run; its SuspectTimeout (the failure-detection timeout
+	// handed to the protocols) defaults to 5ms of virtual time here. Chaos
+	// runs play the plain exchange: DeltaEncode, MaxBatchTicks, Interest
+	// and Shards are not applied.
 	Config
 	// Seed drives every fault decision (per-link streams are derived from
 	// it, so one seed reproduces the whole run).
@@ -58,9 +57,6 @@ type ChaosConfig struct {
 	LateJoinTeam int
 	// LateJoinAt is the virtual-time instant at which LateJoinTeam joins.
 	LateJoinAt time.Duration
-	// SuspectTimeout is the failure-detection timeout handed to the
-	// protocols; zero means 5ms (virtual time).
-	SuspectTimeout time.Duration
 	// MaxRetransmits bounds retransmissions before eviction; zero means
 	// the protocol default.
 	MaxRetransmits int
@@ -159,13 +155,152 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	cfg = cfg.withChaosDefaults()
 	switch cfg.Protocol {
-	case BSYNC, MSYNC, MSYNC2:
-		return runChaosLookahead(cfg)
-	case EC:
-		return runChaosEC(cfg)
+	case BSYNC, MSYNC, MSYNC2, EC:
 	default:
 		return nil, fmt.Errorf("harness: chaos runs support the paper's four protocols, not %q", cfg.Protocol)
 	}
+	n := cfg.Game.Teams
+	if cfg.Traces != nil && len(cfg.Traces) != n {
+		return nil, fmt.Errorf("harness: %d trace recorders for %d teams", len(cfg.Traces), n)
+	}
+	lateJoin := cfg.LateJoinAt > 0
+	restart := cfg.CrashTeam >= 0 && cfg.RestartAfter > 0
+	c := simCluster{name: string(cfg.Protocol) + " chaos", procs: n}
+	crash := faultnet.Crash{AtTick: cfg.CrashTick, RestartAfter: cfg.RestartAfter}
+	if cfg.Protocol == EC {
+		// The node fail-stops as a unit: application and service die at
+		// the same virtual instant (and revive together on restart).
+		c.procs, c.nodes = 2*n, n
+		crash = faultnet.Crash{At: cfg.CrashAfter, RestartAfter: cfg.RestartAfter}
+	}
+	crashes := make(map[int]faultnet.Crash)
+	for p, x := range cfg.ExtraCrashes {
+		if p < 0 || p >= c.procs {
+			return nil, fmt.Errorf("harness: extra crash for process %d outside the %d processes", p, c.procs)
+		}
+		crashes[p] = x
+	}
+	for p := cfg.CrashTeam; p >= 0 && p < c.procs; p += n {
+		crashes[p] = crash
+	}
+	plan := &faultnet.Plan{Seed: cfg.Seed, Default: cfg.Faults, Crashes: crashes}
+
+	collectors := newCollectors(n)
+	stats := make([]game.TeamStats, n)
+	feps := make([]*faultnet.Endpoint, c.procs)
+	c.wrap = func(i int, ep transport.Endpoint) transport.Endpoint {
+		feps[i] = plan.Wrap(ep, collectors[i%n])
+		return feps[i]
+	}
+	// life plays process i's first life or, again, its life after a restart.
+	var life func(i int, again bool) error
+	if cfg.Protocol == EC {
+		// The rejoin node is built up front (node construction is pure, so
+		// this keeps the run deterministic) and shared by both revived procs.
+		nodes := make([]*ec.Node, n)
+		var reborn *ec.Node
+		node := func(eps []transport.Endpoint, team int, rejoin bool) (*ec.Node, error) {
+			nc := cfg.ecNode(eps[team], eps[n+team], collectors[team])
+			nc.MaxRetransmits, nc.QuorumF = cfg.MaxRetransmits, cfg.QuorumF
+			nc.Rejoin = rejoin
+			if rejoin {
+				nc.Incarnation = 1
+			}
+			return ec.New(nc)
+		}
+		c.setup = func(eps []transport.Endpoint) (err error) {
+			for i := range nodes {
+				if nodes[i], err = node(eps, i, false); err != nil {
+					return err
+				}
+			}
+			if restart {
+				reborn, err = node(eps, cfg.CrashTeam, true)
+			}
+			return err
+		}
+		life = func(i int, again bool) error {
+			if again {
+				return nodeBody(reborn, i, n, stats)
+			}
+			return nodeBody(nodes[i%n], i, n, stats)
+		}
+	} else {
+		plain := cfg.Config // chaos plays the plain exchange (see ChaosConfig)
+		plain.DeltaEncode, plain.MaxBatchTicks, plain.Interest, plain.Shards = false, 0, false, 0
+		life = func(i int, again bool) (err error) {
+			pc := plain.player(feps[i], collectors[i])
+			pc.MaxRetransmits, pc.CheckpointEvery, pc.CheckpointF = cfg.MaxRetransmits, cfg.CheckpointEvery, cfg.CheckpointF
+			if cfg.Traces != nil {
+				pc.Trace = cfg.Traces[i]
+			}
+			if cfg.Snapshot != nil {
+				pc.Snapshot = func(st *store.Store) { cfg.Snapshot(i, st) }
+			}
+			switch {
+			case again:
+				// Re-enter the game as a new incarnation via a peer checkpoint.
+				pc.Join, pc.Incarnation = true, 1
+			case lateJoin && i == cfg.LateJoinTeam:
+				// Sit out until the join instant, then enter the running
+				// game through the rejoin machinery.
+				if wait := cfg.LateJoinAt - feps[i].Now(); wait > 0 {
+					feps[i].Compute(wait)
+				}
+				pc.Join, pc.Incarnation = true, 1
+			case lateJoin:
+				pc.AbsentPeers = []int{cfg.LateJoinTeam}
+			}
+			stats[i], err = lookahead.RunPlayer(pc)
+			return err
+		}
+	}
+
+	fired := make([]bool, c.procs) // crashed, then revived by the restart
+	down := make([]bool, c.procs)  // crashed and stayed down by design
+	c.role = func(i int) string {
+		role := "survivor"
+		switch {
+		case fired[i]:
+			role = "rejoiner"
+		case lateJoin && i == cfg.LateJoinTeam:
+			role = "late joiner"
+		}
+		return fmt.Sprintf("%s %d", role, i%n)
+	}
+	err := c.play(cfg.Config, func(i int, _ transport.Endpoint) error {
+		err := life(i, false)
+		if restart && i%n == cfg.CrashTeam && errors.Is(err, faultnet.ErrCrashed) {
+			// Crash-then-restart: wait out the downtime (losing whatever
+			// was queued — fail-stop loses volatile state), then live again.
+			fired[i] = true
+			if err = feps[i].AwaitRestart(); err == nil {
+				err = life(i, true)
+			}
+		}
+		_, extra := cfg.ExtraCrashes[i]
+		if errors.Is(err, faultnet.ErrCrashed) && !fired[i] && (i%n == cfg.CrashTeam || extra) {
+			down[i] = true // a permanent crash fired, as configured
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Any configured re-entry that failed was fatal above, so reaching
+	// here means the late joiner (if any) was admitted; the restarted
+	// victim rejoined if every one of its processes revived.
+	crashed, rejoined := false, lateJoin || restart
+	logs := make([]string, c.procs)
+	for i, ep := range feps {
+		crashed = crashed || fired[i] || down[i]
+		if restart && i%n == cfg.CrashTeam && !fired[i] {
+			rejoined = false
+		}
+		logs[i] = string(ep.DecisionLog())
+	}
+	return &ChaosResult{Result: collect(cfg.Config, stats, collectors), Crashed: crashed, Rejoined: rejoined, DecisionLogs: logs}, nil
 }
 
 // RunChaosGrid executes a batch of chaos experiments concurrently on a
@@ -176,298 +311,5 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 // included; TestChaosGridParallelDeterminism asserts it under -race. On
 // error the first failing experiment in input order is reported.
 func RunChaosGrid(cfgs []ChaosConfig, workers int) ([]*ChaosResult, error) {
-	results := make([]*ChaosResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i], errs[i] = RunChaos(cfgs[i])
-			}
-		}()
-	}
-	for i := range cfgs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-func runChaosLookahead(cfg ChaosConfig) (*ChaosResult, error) {
-	n := cfg.Game.Teams
-	lateJoin := cfg.LateJoinAt > 0
-	restart := cfg.CrashTeam >= 0 && cfg.RestartAfter > 0
-	sim := vtime.NewSim(vtime.Config{
-		Links:   netmodel.NewCluster(cfg.Net),
-		Horizon: cfg.Horizon,
-	})
-	if cfg.Traces != nil && len(cfg.Traces) != n {
-		return nil, fmt.Errorf("harness: %d trace recorders for %d teams", len(cfg.Traces), n)
-	}
-	crashes := make(map[int]faultnet.Crash)
-	for p, c := range cfg.ExtraCrashes {
-		if p < 0 || p >= n {
-			return nil, fmt.Errorf("harness: extra crash for process %d outside the %d teams", p, n)
-		}
-		crashes[p] = c
-	}
-	if cfg.CrashTeam >= 0 {
-		crashes[cfg.CrashTeam] = faultnet.Crash{AtTick: cfg.CrashTick, RestartAfter: cfg.RestartAfter}
-	}
-	plan := &faultnet.Plan{Seed: cfg.Seed, Default: cfg.Faults, Crashes: crashes}
-
-	collectors := make([]*metrics.Collector, n)
-	stats := make([]game.TeamStats, n)
-	errs := make([]error, n)
-	eps := make([]*faultnet.Endpoint, n)
-	crashFired := make([]bool, n)
-
-	for i := 0; i < n; i++ {
-		i := i
-		collectors[i] = metrics.NewCollector()
-		sim.Spawn(func(p *vtime.Proc) {
-			pcfg := lookahead.PlayerConfig{
-				Game:              cfg.Game,
-				Protocol:          lookaheadVariant(cfg.Protocol),
-				Endpoint:          eps[i],
-				Metrics:           collectors[i],
-				ComputePerTick:    cfg.ComputePerTick,
-				RendezvousTimeout: cfg.SuspectTimeout,
-				MaxRetransmits:    cfg.MaxRetransmits,
-				CheckpointEvery:   cfg.CheckpointEvery,
-				CheckpointF:       cfg.CheckpointF,
-			}
-			if cfg.Traces != nil {
-				pcfg.Trace = cfg.Traces[i]
-			}
-			if cfg.Snapshot != nil {
-				pcfg.Snapshot = func(st *store.Store) { cfg.Snapshot(i, st) }
-			}
-			if lateJoin {
-				if i == cfg.LateJoinTeam {
-					// Sit out until the join instant, then enter the
-					// running game through the rejoin machinery.
-					if wait := cfg.LateJoinAt - eps[i].Now(); wait > 0 {
-						eps[i].Compute(wait)
-					}
-					pcfg.Join = true
-					pcfg.Incarnation = 1
-				} else {
-					pcfg.AbsentPeers = []int{cfg.LateJoinTeam}
-				}
-			}
-			stats[i], errs[i] = lookahead.RunPlayer(pcfg)
-			if i != cfg.CrashTeam || !restart || !errors.Is(errs[i], faultnet.ErrCrashed) {
-				return
-			}
-			// Crash-then-restart: wait out the downtime (losing whatever
-			// was queued — fail-stop loses volatile state) and re-enter
-			// the game as a new incarnation via a peer checkpoint.
-			crashFired[i] = true
-			if err := eps[i].AwaitRestart(); err != nil {
-				errs[i] = err
-				return
-			}
-			pcfg.Join = true
-			pcfg.Incarnation = 1
-			pcfg.AbsentPeers = nil
-			stats[i], errs[i] = lookahead.RunPlayer(pcfg)
-		})
-	}
-	for i := 0; i < n; i++ {
-		inner := transport.NewSimEndpoint(sim.Proc(i), n, transport.FixedSize(cfg.MsgSize))
-		eps[i] = plan.Wrap(inner, collectors[i])
-	}
-	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("%s chaos simulation: %w", cfg.Protocol, err)
-	}
-	crashed := false
-	for i, err := range errs {
-		crashed = crashed || crashFired[i]
-		if err == nil {
-			continue
-		}
-		if i == cfg.CrashTeam && errors.Is(err, faultnet.ErrCrashed) && !crashFired[i] {
-			crashed = true
-			continue
-		}
-		if _, extra := cfg.ExtraCrashes[i]; extra && i != cfg.CrashTeam && errors.Is(err, faultnet.ErrCrashed) {
-			crashed = true // an extra crash fired; it stays dead by design
-			continue
-		}
-		role := "survivor"
-		switch {
-		case crashFired[i]:
-			role = "rejoiner"
-		case lateJoin && i == cfg.LateJoinTeam:
-			role = "late joiner"
-		}
-		return nil, fmt.Errorf("%s chaos %s %d: %w", cfg.Protocol, role, i, err)
-	}
-	// Any configured re-entry that failed was fatal above, so reaching
-	// here means the late joiner (if any) was admitted and the restarted
-	// victim (if its crash fired) rejoined.
-	rejoined := (lateJoin || restart) && (!restart || crashFired[cfg.CrashTeam])
-	res := collect(cfg.Config, stats, collectors)
-	logs := make([]string, n)
-	for i, ep := range eps {
-		logs[i] = string(ep.DecisionLog())
-	}
-	return &ChaosResult{Result: res, Crashed: crashed, Rejoined: rejoined, DecisionLogs: logs}, nil
-}
-
-func runChaosEC(cfg ChaosConfig) (*ChaosResult, error) {
-	n := cfg.Game.Teams
-	if cfg.LateJoinAt > 0 {
-		return nil, errors.New("harness: late join is a lookahead scenario; EC supports crash-then-restart (RestartAfter)")
-	}
-	restart := cfg.CrashTeam >= 0 && cfg.RestartAfter > 0
-	net := cfg.Net
-	net.HostOf = func(proc int) int { return proc % n }
-	sim := vtime.NewSim(vtime.Config{
-		Links:   netmodel.NewCluster(net),
-		Horizon: cfg.Horizon,
-	})
-	crashes := make(map[int]faultnet.Crash)
-	for p, c := range cfg.ExtraCrashes {
-		if p < 0 || p >= 2*n {
-			return nil, fmt.Errorf("harness: extra crash for process %d outside the %d EC processes", p, 2*n)
-		}
-		crashes[p] = c
-	}
-	if cfg.CrashTeam >= 0 {
-		// The node fail-stops as a unit: application and service die at
-		// the same virtual instant (and revive together on restart).
-		crashes[cfg.CrashTeam] = faultnet.Crash{At: cfg.CrashAfter, RestartAfter: cfg.RestartAfter}
-		crashes[n+cfg.CrashTeam] = faultnet.Crash{At: cfg.CrashAfter, RestartAfter: cfg.RestartAfter}
-	}
-	plan := &faultnet.Plan{Seed: cfg.Seed, Default: cfg.Faults, Crashes: crashes}
-
-	collectors := make([]*metrics.Collector, n)
-	nodes := make([]*ec.Node, n)
-	stats := make([]game.TeamStats, n)
-	appErrs := make([]error, n)
-	svcErrs := make([]error, n)
-	eps := make([]*faultnet.Endpoint, 2*n)
-	crashFired := make([]bool, 2*n)
-	// The rejoin node is built up front (node construction is pure, so
-	// this keeps the run deterministic) and shared by both revived procs.
-	var rejoinNode *ec.Node
-
-	for i := 0; i < n; i++ {
-		i := i
-		collectors[i] = metrics.NewCollector()
-		sim.Spawn(func(p *vtime.Proc) { // app proc i
-			stats[i], appErrs[i] = nodes[i].RunApp()
-			if i != cfg.CrashTeam || rejoinNode == nil || !errors.Is(appErrs[i], faultnet.ErrCrashed) {
-				return
-			}
-			crashFired[i] = true
-			if err := eps[i].AwaitRestart(); err != nil {
-				appErrs[i] = err
-				return
-			}
-			stats[i], appErrs[i] = rejoinNode.RunApp()
-		})
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		sim.Spawn(func(p *vtime.Proc) { // svc proc n+i
-			svcErrs[i] = nodes[i].RunService()
-			if i != cfg.CrashTeam || rejoinNode == nil || !errors.Is(svcErrs[i], faultnet.ErrCrashed) {
-				return
-			}
-			crashFired[n+i] = true
-			if err := eps[n+i].AwaitRestart(); err != nil {
-				svcErrs[i] = err
-				return
-			}
-			svcErrs[i] = rejoinNode.RunService()
-		})
-	}
-	for i := 0; i < n; i++ {
-		eps[i] = plan.Wrap(transport.NewSimEndpoint(sim.Proc(i), 2*n, transport.FixedSize(cfg.MsgSize)), collectors[i])
-		eps[n+i] = plan.Wrap(transport.NewSimEndpoint(sim.Proc(n+i), 2*n, transport.FixedSize(cfg.MsgSize)), collectors[i])
-		node, err := ec.New(ec.NodeConfig{
-			Game:           cfg.Game,
-			App:            eps[i],
-			Svc:            eps[n+i],
-			Metrics:        collectors[i],
-			ComputePerTick: cfg.ComputePerTick,
-			SuspectTimeout: cfg.SuspectTimeout,
-			MaxRetransmits: cfg.MaxRetransmits,
-			QuorumF:        cfg.QuorumF,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = node
-	}
-	if restart {
-		node, err := ec.New(ec.NodeConfig{
-			Game:           cfg.Game,
-			App:            eps[cfg.CrashTeam],
-			Svc:            eps[n+cfg.CrashTeam],
-			Metrics:        collectors[cfg.CrashTeam],
-			ComputePerTick: cfg.ComputePerTick,
-			SuspectTimeout: cfg.SuspectTimeout,
-			MaxRetransmits: cfg.MaxRetransmits,
-			QuorumF:        cfg.QuorumF,
-			Rejoin:         true,
-			Incarnation:    1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rejoinNode = node
-	}
-	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("EC chaos simulation: %w", err)
-	}
-	crashed := false
-	for i := 0; i < n; i++ {
-		rejoiner := crashFired[i] || crashFired[n+i]
-		crashed = crashed || rejoiner
-		for j, err := range []error{appErrs[i], svcErrs[i]} {
-			if err == nil {
-				continue
-			}
-			if i == cfg.CrashTeam && errors.Is(err, faultnet.ErrCrashed) && !rejoiner {
-				crashed = true
-				continue
-			}
-			proc := i + j*n // app proc is i, service proc is n+i
-			if _, extra := cfg.ExtraCrashes[proc]; extra && i != cfg.CrashTeam && errors.Is(err, faultnet.ErrCrashed) {
-				crashed = true // an extra crash fired; it stays dead by design
-				continue
-			}
-			role := "survivor"
-			if rejoiner {
-				role = "rejoiner"
-			}
-			return nil, fmt.Errorf("EC chaos %s %d: %w", role, i, err)
-		}
-	}
-	rejoined := restart && crashFired[cfg.CrashTeam] && crashFired[n+cfg.CrashTeam]
-	res := collect(cfg.Config, stats, collectors)
-	logs := make([]string, 2*n)
-	for i, ep := range eps {
-		logs[i] = string(ep.DecisionLog())
-	}
-	return &ChaosResult{Result: res, Crashed: crashed, Rejoined: rejoined, DecisionLogs: logs}, nil
+	return runAll(cfgs, workers, RunChaos)
 }

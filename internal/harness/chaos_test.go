@@ -319,6 +319,33 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
+// TestChaosSuspectTimeoutIsTheConfigs: a chaos run has one failure-detection
+// timeout, the embedded Config's. Set in the Config literal or through the
+// promoted selector it runs the same crash game, and that game differs from
+// the 5ms default's — the timeout paces the survivors' eviction of the
+// victim.
+func TestChaosSuspectTimeoutIsTheConfigs(t *testing.T) {
+	literal := chaosConfig(BSYNC, 42)
+	literal.Config = Config{Game: literal.Game, Protocol: BSYNC, SuspectTimeout: 40 * time.Millisecond}
+	selector := chaosConfig(BSYNC, 42)
+	selector.SuspectTimeout = 40 * time.Millisecond
+	var res [3]*ChaosResult
+	for i, cfg := range []ChaosConfig{literal, selector, chaosConfig(BSYNC, 42)} {
+		r, err := RunChaos(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Crashed {
+			t.Fatalf("run %d: the configured crash never fired", i)
+		}
+		res[i] = r
+	}
+	assertSameRun(t, res[0], res[1])
+	if res[0].VirtualDuration == res[2].VirtualDuration {
+		t.Errorf("a 40ms suspect timeout ran the game the 5ms default did (%v)", res[2].VirtualDuration)
+	}
+}
+
 // TestChaosSeedsDiffer sanity-checks that the seed actually drives the fault
 // plan: two different seeds on a lossy network should produce different
 // decision logs somewhere.

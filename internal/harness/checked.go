@@ -13,13 +13,11 @@ import (
 	"sdso/internal/faultnet"
 	"sdso/internal/game"
 	"sdso/internal/metrics"
-	"sdso/internal/netmodel"
 	"sdso/internal/protocol/ec"
 	"sdso/internal/protocol/lookahead"
 	"sdso/internal/store"
 	"sdso/internal/trace"
 	"sdso/internal/transport"
-	"sdso/internal/vtime"
 )
 
 // CheckedConfig describes one oracle-checked run.
@@ -140,183 +138,80 @@ func RunChecked(cfg CheckedConfig) (*check.Report, error) {
 		return nil, fmt.Errorf("harness: interest management and sharding apply to the lookahead protocols, not %q", cfg.Protocol)
 	}
 	switch cfg.Protocol {
-	case BSYNC, MSYNC, MSYNC2:
-		return runCheckedLookahead(cfg)
-	case EC:
-		return runCheckedEC(cfg)
+	case BSYNC, MSYNC, MSYNC2, EC:
 	default:
 		return nil, fmt.Errorf("harness: checked runs support the paper's four protocols, not %q", cfg.Protocol)
 	}
-}
-
-func runCheckedLookahead(cfg CheckedConfig) (*check.Report, error) {
 	n := cfg.Teams
 	g := game.DefaultConfig(n, 1)
 	g.MaxTicks = cfg.Ticks
 	g.Seed = cfg.Seed
-
-	base := Config{Game: g, Protocol: cfg.Protocol}.withDefaults()
-	sim := vtime.NewSim(vtime.Config{
-		Links:   vtime.Jitter(netmodel.NewCluster(base.Net), uint64(cfg.Seed), cfg.Jitter),
-		Horizon: base.Horizon,
-	})
-
-	var plan *faultnet.Plan
-	timeout := time.Duration(0)
+	run := Config{Game: g, Protocol: cfg.Protocol, DeltaEncode: cfg.DeltaEncode,
+		MaxBatchTicks: cfg.MaxBatchTicks, Interest: cfg.Interest, Shards: cfg.Shards}
+	c := simCluster{name: string(cfg.Protocol) + " checked", procs: n, jitter: cfg.Jitter, seed: cfg.Seed}
+	if cfg.Protocol == EC {
+		c.procs, c.nodes = 2*n, n
+	}
 	if cfg.Faults {
-		plan = &faultnet.Plan{Seed: cfg.Seed, Default: cfg.faultRates()}
-		timeout = 5 * time.Millisecond
-	}
-
-	recs := make([]*trace.Recorder, n)
-	stores := make([]*store.Store, n)
-	stats := make([]game.TeamStats, n)
-	errs := make([]error, n)
-	eps := make([]transport.Endpoint, n)
-
-	for i := 0; i < n; i++ {
-		i := i
-		recs[i] = trace.NewRecorder(i)
-		sim.Spawn(func(p *vtime.Proc) {
-			stats[i], errs[i] = lookahead.RunPlayer(lookahead.PlayerConfig{
-				Game:              g,
-				Protocol:          lookaheadVariant(cfg.Protocol),
-				Endpoint:          eps[i],
-				ComputePerTick:    base.ComputePerTick,
-				RendezvousTimeout: timeout,
-				DeltaEncode:       cfg.DeltaEncode,
-				MaxBatchTicks:     cfg.MaxBatchTicks,
-				Interest:          cfg.Interest,
-				Shards:            cfg.Shards,
-				Trace:             recs[i],
-				Snapshot:          func(st *store.Store) { stores[i] = st.Clone() },
-			})
-		})
-	}
-	for i := 0; i < n; i++ {
-		inner := transport.NewSimEndpoint(sim.Proc(i), n, transport.FixedSize(base.MsgSize))
-		if plan != nil {
-			eps[i] = plan.Wrap(inner, metrics.NewCollector())
-		} else {
-			eps[i] = inner
+		run.SuspectTimeout = 5 * time.Millisecond
+		plan := &faultnet.Plan{Seed: cfg.Seed, Default: cfg.faultRates()}
+		if cfg.Protocol == EC {
+			// A node's application and service are co-located, and local
+			// IPC does not lose messages; faulting it would leave a service
+			// waiting forever for its own application's shutdown (which,
+			// unlike remote traffic, has no retransmission path).
+			plan.Links = make(map[[2]int]faultnet.LinkFaults, 2*n)
+			for i := 0; i < n; i++ {
+				plan.Links[[2]int{i, n + i}] = faultnet.LinkFaults{}
+				plan.Links[[2]int{n + i, i}] = faultnet.LinkFaults{}
+			}
 		}
+		c.wrap = func(_ int, ep transport.Endpoint) transport.Endpoint { return plan.Wrap(ep, metrics.NewCollector()) }
 	}
-	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("%s checked simulation: %w", cfg.Protocol, err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s checked process %d: %w", cfg.Protocol, i, err)
-		}
-	}
+	run = run.withDefaults()
 
+	// Each process gets its own recorder; under EC the applications'
+	// (0..n-1) and the services' (n..2n-1), so the oracle sees 2n
+	// histories. EC replicas are interest-driven (a node only pulls what it
+	// locks), so no store-equality claims apply: their stores stay nil and
+	// only the event-log invariants are checked.
 	h := check.History{
-		Procs:   make([][]trace.Event, n),
-		Stores:  stores,
-		Crashed: make([]bool, n),
+		Procs:   make([][]trace.Event, c.procs),
+		Stores:  make([]*store.Store, c.procs),
+		Crashed: make([]bool, c.procs),
+	}
+	recs := make([]*trace.Recorder, c.procs)
+	for i := range recs {
+		recs[i] = trace.NewRecorder(i)
+	}
+	stats := make([]game.TeamStats, n)
+	body := func(i int, ep transport.Endpoint) (err error) {
+		pc := run.player(ep, nil)
+		pc.Trace = recs[i]
+		pc.Snapshot = func(st *store.Store) { h.Stores[i] = st.Clone() }
+		stats[i], err = lookahead.RunPlayer(pc)
+		return err
+	}
+	if cfg.Protocol == EC {
+		nodes := make([]*ec.Node, n)
+		c.setup = func(eps []transport.Endpoint) (err error) {
+			for i := range nodes {
+				nc := run.ecNode(eps[i], eps[n+i], nil)
+				nc.AppTrace, nc.SvcTrace = recs[i], recs[n+i]
+				if nodes[i], err = ec.New(nc); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		body = func(i int, _ transport.Endpoint) error { return nodeBody(nodes[i%n], i, n, stats) }
+	}
+	if err := c.play(run, body); err != nil {
+		return nil, err
 	}
 	for i, r := range recs {
 		h.Procs[i] = r.Events()
 	}
-	return check.Analyze(h, checkOptions(cfg, g)), nil
-}
-
-func runCheckedEC(cfg CheckedConfig) (*check.Report, error) {
-	n := cfg.Teams
-	g := game.DefaultConfig(n, 1)
-	g.MaxTicks = cfg.Ticks
-	g.Seed = cfg.Seed
-
-	base := Config{Game: g, Protocol: EC}.withDefaults()
-	net := base.Net
-	net.HostOf = func(proc int) int { return proc % n }
-	sim := vtime.NewSim(vtime.Config{
-		Links:   vtime.Jitter(netmodel.NewCluster(net), uint64(cfg.Seed), cfg.Jitter),
-		Horizon: base.Horizon,
-	})
-
-	var plan *faultnet.Plan
-	timeout := time.Duration(0)
-	if cfg.Faults {
-		plan = &faultnet.Plan{Seed: cfg.Seed, Default: cfg.faultRates()}
-		timeout = 5 * time.Millisecond
-		// A node's application and service are co-located, and local IPC
-		// does not lose messages; faulting it would leave a service
-		// waiting forever for its own application's shutdown (which,
-		// unlike remote traffic, has no retransmission path).
-		plan.Links = make(map[[2]int]faultnet.LinkFaults, 2*n)
-		for i := 0; i < n; i++ {
-			plan.Links[[2]int{i, n + i}] = faultnet.LinkFaults{}
-			plan.Links[[2]int{n + i, i}] = faultnet.LinkFaults{}
-		}
-	}
-
-	// Processes 0..n-1 are the applications, n..2n-1 the services; each
-	// side gets its own recorder so the oracle sees 2n histories.
-	recs := make([]*trace.Recorder, 2*n)
-	nodes := make([]*ec.Node, n)
-	stats := make([]game.TeamStats, n)
-	appErrs := make([]error, n)
-	svcErrs := make([]error, n)
-	eps := make([]transport.Endpoint, 2*n)
-
-	for i := 0; i < n; i++ {
-		i := i
-		recs[i] = trace.NewRecorder(i)
-		recs[n+i] = trace.NewRecorder(n + i)
-		sim.Spawn(func(p *vtime.Proc) { stats[i], appErrs[i] = nodes[i].RunApp() })
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		sim.Spawn(func(p *vtime.Proc) { svcErrs[i] = nodes[i].RunService() })
-	}
-	wrap := func(proc int) transport.Endpoint {
-		inner := transport.NewSimEndpoint(sim.Proc(proc), 2*n, transport.FixedSize(base.MsgSize))
-		if plan != nil {
-			return plan.Wrap(inner, metrics.NewCollector())
-		}
-		return inner
-	}
-	for i := 0; i < n; i++ {
-		eps[i] = wrap(i)
-		eps[n+i] = wrap(n + i)
-		node, err := ec.New(ec.NodeConfig{
-			Game:           g,
-			App:            eps[i],
-			Svc:            eps[n+i],
-			ComputePerTick: base.ComputePerTick,
-			SuspectTimeout: timeout,
-			AppTrace:       recs[i],
-			SvcTrace:       recs[n+i],
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = node
-	}
-	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("EC checked simulation: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		if appErrs[i] != nil {
-			return nil, fmt.Errorf("EC checked app %d: %w", i, appErrs[i])
-		}
-		if svcErrs[i] != nil {
-			return nil, fmt.Errorf("EC checked svc %d: %w", i, svcErrs[i])
-		}
-	}
-
-	h := check.History{
-		Procs:   make([][]trace.Event, 2*n),
-		Stores:  make([]*store.Store, 2*n),
-		Crashed: make([]bool, 2*n),
-	}
-	for i, r := range recs {
-		h.Procs[i] = r.Events()
-	}
-	// EC replicas are interest-driven (a node only pulls what it locks),
-	// so no store-equality claims apply; the stores stay nil and only the
-	// event-log invariants are checked.
 	return check.Analyze(h, checkOptions(cfg, g)), nil
 }
 

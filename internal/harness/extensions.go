@@ -1,50 +1,29 @@
 package harness
 
 import (
-	"fmt"
-
 	"sdso/internal/game"
-	"sdso/internal/metrics"
-	"sdso/internal/netmodel"
 	"sdso/internal/protocol/causal"
+	"sdso/internal/protocol/central"
 	"sdso/internal/protocol/lrc"
 	"sdso/internal/transport"
-	"sdso/internal/vtime"
 )
 
 // runCausalVtime runs the causal-memory baseline on the simulated cluster.
 func runCausalVtime(cfg Config) (*Result, error) {
 	n := cfg.Game.Teams
-	sim := vtime.NewSim(vtime.Config{
-		Links:   netmodel.NewCluster(cfg.Net),
-		Horizon: cfg.Horizon,
-	})
-	collectors := make([]*metrics.Collector, n)
+	collectors := newCollectors(n)
 	stats := make([]game.TeamStats, n)
-	errs := make([]error, n)
-	eps := make([]*transport.SimEndpoint, n)
-	for i := 0; i < n; i++ {
-		i := i
-		collectors[i] = metrics.NewCollector()
-		sim.Spawn(func(p *vtime.Proc) {
-			stats[i], errs[i] = causal.RunPlayer(causal.PlayerConfig{
-				Game:           cfg.Game,
-				Endpoint:       eps[i],
-				Metrics:        collectors[i],
-				ComputePerTick: cfg.ComputePerTick,
-			})
+	err := simCluster{name: "CAUSAL", procs: n}.play(cfg, func(i int, ep transport.Endpoint) (err error) {
+		stats[i], err = causal.RunPlayer(causal.PlayerConfig{
+			Game:           cfg.Game,
+			Endpoint:       ep,
+			Metrics:        collectors[i],
+			ComputePerTick: cfg.ComputePerTick,
 		})
-	}
-	for i := 0; i < n; i++ {
-		eps[i] = transport.NewSimEndpoint(sim.Proc(i), n, transport.FixedSize(cfg.MsgSize))
-	}
-	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("CAUSAL simulation: %w", err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("CAUSAL process %d: %w", i, err)
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return collect(cfg, stats, collectors), nil
 }
@@ -53,57 +32,55 @@ func runCausalVtime(cfg Config) (*Result, error) {
 // cluster (two processes per node, like EC).
 func runLRCVtime(cfg Config) (*Result, error) {
 	n := cfg.Game.Teams
-	net := cfg.Net
-	net.HostOf = func(proc int) int { return proc % n }
-	sim := vtime.NewSim(vtime.Config{
-		Links:   netmodel.NewCluster(net),
-		Horizon: cfg.Horizon,
-	})
-	collectors := make([]*metrics.Collector, n)
+	collectors := newCollectors(n)
 	nodes := make([]*lrc.Node, n)
 	stats := make([]game.TeamStats, n)
-	appErrs := make([]error, n)
-	svcErrs := make([]error, n)
-	appEPs := make([]*transport.SimEndpoint, n)
-	svcEPs := make([]*transport.SimEndpoint, n)
-	for i := 0; i < n; i++ {
-		i := i
-		collectors[i] = metrics.NewCollector()
-		sim.Spawn(func(p *vtime.Proc) {
-			stats[i], appErrs[i] = nodes[i].RunApp()
-		})
+	err := simCluster{name: "LRC", procs: 2 * n, nodes: n, setup: func(eps []transport.Endpoint) (err error) {
+		for i := range nodes {
+			nodes[i], err = lrc.New(lrc.NodeConfig{
+				Game:           cfg.Game,
+				App:            eps[i],
+				Svc:            eps[n+i],
+				Metrics:        collectors[i],
+				ComputePerTick: cfg.ComputePerTick,
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}}.play(cfg, func(i int, _ transport.Endpoint) error { return nodeBody(nodes[i%n], i, n, stats) })
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		i := i
-		sim.Spawn(func(p *vtime.Proc) {
-			svcErrs[i] = nodes[i].RunService()
-		})
-	}
-	for i := 0; i < n; i++ {
-		appEPs[i] = transport.NewSimEndpoint(sim.Proc(i), 2*n, transport.FixedSize(cfg.MsgSize))
-		svcEPs[i] = transport.NewSimEndpoint(sim.Proc(n+i), 2*n, transport.FixedSize(cfg.MsgSize))
-		node, err := lrc.New(lrc.NodeConfig{
+	return collect(cfg, stats, collectors), nil
+}
+
+// runCentralVtime runs the client-server alternative (paper §2.1) on the
+// simulated cluster: n client hosts plus one dedicated server host (process
+// n) whose NIC becomes the bottleneck.
+func runCentralVtime(cfg Config) (*Result, error) {
+	n := cfg.Game.Teams
+	collectors := newCollectors(n + 1)
+	stats := make([]game.TeamStats, n)
+	err := simCluster{name: "CENTRAL", procs: n + 1}.play(cfg, func(i int, ep transport.Endpoint) (err error) {
+		if i == n {
+			return central.RunServer(central.ServerConfig{Game: cfg.Game, Endpoint: ep, Metrics: collectors[n]})
+		}
+		stats[i], err = central.RunClient(central.ClientConfig{
 			Game:           cfg.Game,
-			App:            appEPs[i],
-			Svc:            svcEPs[i],
+			Endpoint:       ep,
 			Metrics:        collectors[i],
 			ComputePerTick: cfg.ComputePerTick,
 		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = node
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("LRC simulation: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		if appErrs[i] != nil {
-			return nil, fmt.Errorf("LRC app %d: %w", i, appErrs[i])
-		}
-		if svcErrs[i] != nil {
-			return nil, fmt.Errorf("LRC service %d: %w", i, svcErrs[i])
-		}
-	}
-	return collect(cfg, stats, collectors), nil
+	// Client collectors carry the per-team stats; the server's messages
+	// are folded in as an extra snapshot (it has no game stats).
+	res := collect(cfg, stats, collectors[:n])
+	res.Metrics.Procs = append(res.Metrics.Procs, collectors[n].Snapshot())
+	return res, nil
 }

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"sdso/internal/game"
@@ -163,56 +161,17 @@ func runCell(sc SweepConfig, c sweepCell) (*Result, error) {
 // deterministic per seed, sharing no state with its neighbours — so the
 // assembled Sweep is identical to a sequential (Workers=1) execution;
 // TestRunSweepParallelMatchesSequential asserts byte-equality. On error the
-// first failing cell in grid order is reported, matching the sequential
-// path's choice.
+// first failing cell in grid order is reported.
 func RunSweep(sc SweepConfig) (*Sweep, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	sc = sc.withDefaults()
 	cells := sc.cells()
-	results := make([]*Result, len(cells))
-
-	workers := sc.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	results, err := runAll(cells, sc.Workers, func(c sweepCell) (*Result, error) { return runCell(sc, c) })
+	if err != nil {
+		return nil, err
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for i, c := range cells {
-			res, err := runCell(sc, c)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-	} else {
-		errs := make([]error, len(cells))
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					results[i], errs[i] = runCell(sc, cells[i])
-				}
-			}()
-		}
-		for i := range cells {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	sw := &Sweep{Config: sc, Results: make(map[Protocol]map[int][]*Result)}
 	for i, c := range cells {
 		m := sw.Results[c.proto]

@@ -3,15 +3,26 @@
 // (internal/vtime + internal/netmodel), collecting the measurements behind
 // Figures 5-8. It is the programmatic core used by cmd/sdso-bench and the
 // integration tests.
+//
+// Every run — plain (Run), fault-injected (RunChaos) and oracle-checked
+// (RunChecked) — plays on one cluster builder, simCluster: it owns the
+// simulation and its links, gives each process one FixedSize(MsgSize)
+// endpoint (optionally wrapped, e.g. by a faultnet plan), spawns the
+// processes in process order and reports the first error with its role.
+// Config maps onto a lookahead player and an EC node in one place each
+// (Config.player, Config.ecNode); the runners set only what they add.
 package harness
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"sdso/internal/game"
 	"sdso/internal/metrics"
 	"sdso/internal/netmodel"
+	"sdso/internal/protocol/ec"
 	"sdso/internal/protocol/lookahead"
 	"sdso/internal/store"
 	"sdso/internal/transport"
@@ -101,6 +112,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// player maps the run onto one lookahead player on ep.
+func (c Config) player(ep transport.Endpoint, mc *metrics.Collector) lookahead.PlayerConfig {
+	return lookahead.PlayerConfig{
+		Game:              c.Game,
+		Protocol:          lookaheadVariant(c.Protocol),
+		Endpoint:          ep,
+		Metrics:           mc,
+		ComputePerTick:    c.ComputePerTick,
+		RendezvousTimeout: c.SuspectTimeout,
+		DeltaEncode:       c.DeltaEncode,
+		MaxBatchTicks:     c.MaxBatchTicks,
+		Interest:          c.Interest,
+		Shards:            c.Shards,
+	}
+}
+
+// ecNode maps the run onto one EC node: an application on app and its
+// lock-manager/object service on svc.
+func (c Config) ecNode(app, svc transport.Endpoint, mc *metrics.Collector) ec.NodeConfig {
+	return ec.NodeConfig{
+		Game:           c.Game,
+		App:            app,
+		Svc:            svc,
+		Metrics:        mc,
+		ComputePerTick: c.ComputePerTick,
+		SuspectTimeout: c.SuspectTimeout,
+	}
+}
+
 // Result is the outcome of one experiment run.
 type Result struct {
 	Config  Config
@@ -144,47 +184,148 @@ func lookaheadVariant(p Protocol) lookahead.Protocol {
 	}
 }
 
-func runLookahead(cfg Config) (*Result, error) {
-	n := cfg.Game.Teams
+// simCluster is the simulated workstation cluster a run plays on: procs
+// processes on Config.Net's links, each with one FixedSize(MsgSize)
+// endpoint.
+type simCluster struct {
+	name  string // error prefix, e.g. "BSYNC" or "EC chaos"
+	procs int
+	// nodes > 0 lays the processes out as node applications 0..nodes-1
+	// and their services nodes..2*nodes-1, service i co-located with
+	// application i, so requests to the local lock manager take the cheap
+	// loopback path (probability 1/n, as in the paper).
+	nodes int
+	// jitter > 0 delays every delivery by a seeded offset below it.
+	jitter time.Duration
+	seed   int64
+	// wrap, when set, stands between each process and its endpoint.
+	wrap func(proc int, ep transport.Endpoint) transport.Endpoint
+	// setup runs once every endpoint exists, before the clock starts.
+	setup func(eps []transport.Endpoint) error
+	// role names a process in errors; nil means "process i", or "app i" /
+	// "service i" when nodes > 0.
+	role func(proc int) string
+}
+
+// play spawns body once per process, in process order, and runs the
+// simulation; it returns the first process error in process order.
+func (c simCluster) play(cfg Config, body func(proc int, ep transport.Endpoint) error) error {
+	net := cfg.Net
+	if c.nodes > 0 {
+		net.HostOf = func(proc int) int { return proc % c.nodes }
+	}
 	sim := vtime.NewSim(vtime.Config{
-		Links:   netmodel.NewCluster(cfg.Net),
+		Links:   vtime.Jitter(netmodel.NewCluster(net), uint64(c.seed), c.jitter),
 		Horizon: cfg.Horizon,
 	})
-	collectors := make([]*metrics.Collector, n)
-	stats := make([]game.TeamStats, n)
-	errs := make([]error, n)
-	eps := make([]*transport.SimEndpoint, n)
-	touched := make([]int, n)
-
-	for i := 0; i < n; i++ {
-		i := i
-		collectors[i] = metrics.NewCollector()
-		sim.Spawn(func(p *vtime.Proc) {
-			stats[i], errs[i] = lookahead.RunPlayer(lookahead.PlayerConfig{
-				Snapshot:          func(st *store.Store) { touched[i] = st.Materialized() },
-				Game:              cfg.Game,
-				Protocol:          lookaheadVariant(cfg.Protocol),
-				Endpoint:          eps[i],
-				Metrics:           collectors[i],
-				ComputePerTick:    cfg.ComputePerTick,
-				RendezvousTimeout: cfg.SuspectTimeout,
-				DeltaEncode:       cfg.DeltaEncode,
-				MaxBatchTicks:     cfg.MaxBatchTicks,
-				Interest:          cfg.Interest,
-				Shards:            cfg.Shards,
-			})
-		})
+	eps := make([]transport.Endpoint, c.procs)
+	errs := make([]error, c.procs)
+	for i := range eps {
+		sim.Spawn(func(*vtime.Proc) { errs[i] = body(i, eps[i]) })
 	}
-	for i := 0; i < n; i++ {
-		eps[i] = transport.NewSimEndpoint(sim.Proc(i), n, transport.FixedSize(cfg.MsgSize))
+	for i := range eps {
+		eps[i] = transport.NewSimEndpoint(sim.Proc(i), c.procs, transport.FixedSize(cfg.MsgSize))
+		if c.wrap != nil {
+			eps[i] = c.wrap(i, eps[i])
+		}
+	}
+	if c.setup != nil {
+		if err := c.setup(eps); err != nil {
+			return err
+		}
 	}
 	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("%s simulation: %w", cfg.Protocol, err)
+		return fmt.Errorf("%s simulation: %w", c.name, err)
 	}
 	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s process %d: %w", cfg.Protocol, i, err)
+		if err == nil {
+			continue
 		}
+		role := fmt.Sprintf("process %d", i)
+		switch {
+		case c.role != nil:
+			role = c.role(i)
+		case c.nodes > 0 && i < c.nodes:
+			role = fmt.Sprintf("app %d", i)
+		case c.nodes > 0:
+			role = fmt.Sprintf("service %d", i-c.nodes)
+		}
+		return fmt.Errorf("%s %s: %w", c.name, role, err)
+	}
+	return nil
+}
+
+// appService is a node the cluster runs as two processes: its application
+// and its co-located lock-manager/object service (EC, LRC).
+type appService interface {
+	RunApp() (game.TeamStats, error)
+	RunService() error
+}
+
+// nodeBody plays process proc of a paired layout of n nodes on node:
+// its application (recording the team's stats) or its service.
+func nodeBody(node appService, proc, n int, stats []game.TeamStats) (err error) {
+	if proc < n {
+		stats[proc], err = node.RunApp()
+		return err
+	}
+	return node.RunService()
+}
+
+func newCollectors(n int) []*metrics.Collector {
+	mcs := make([]*metrics.Collector, n)
+	for i := range mcs {
+		mcs[i] = metrics.NewCollector()
+	}
+	return mcs
+}
+
+// runAll runs every input through run on a pool of workers goroutines
+// (<= 0 means GOMAXPROCS) and returns the results in input order; on error
+// the first failing input in input order is reported.
+func runAll[C, R any](in []C, workers int, run func(C) (R, error)) ([]R, error) {
+	out := make([]R, len(in))
+	errs := make([]error, len(in))
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(in)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				out[i], errs[i] = run(in[i])
+			}
+		}()
+	}
+	for i := range in {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func runLookahead(cfg Config) (*Result, error) {
+	n := cfg.Game.Teams
+	collectors := newCollectors(n)
+	stats := make([]game.TeamStats, n)
+	touched := make([]int, n)
+	err := simCluster{name: string(cfg.Protocol), procs: n}.play(cfg, func(i int, ep transport.Endpoint) (err error) {
+		pc := cfg.player(ep, collectors[i])
+		pc.Snapshot = func(st *store.Store) { touched[i] = st.Materialized() }
+		stats[i], err = lookahead.RunPlayer(pc)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := collect(cfg, stats, collectors)
 	res.Touched = touched

@@ -163,14 +163,9 @@ func runResilienceLookahead(p Protocol, seed int64, row *ResilienceRow) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = lookahead.RunPlayer(lookahead.PlayerConfig{
-				Game:              cfg,
-				Protocol:          lookaheadVariant(p),
-				Endpoint:          eps[i],
-				Metrics:           mcs[i],
-				RendezvousTimeout: 100 * time.Millisecond,
-				MaxRetransmits:    8,
-			})
+			pc := Config{Game: cfg, Protocol: p, SuspectTimeout: 100 * time.Millisecond}.player(eps[i], mcs[i])
+			pc.MaxRetransmits = 8
+			_, errs[i] = lookahead.RunPlayer(pc)
 		}()
 	}
 	wg.Wait()
@@ -208,16 +203,12 @@ func runResilienceEC(seed int64, row *ResilienceRow) error {
 	if err != nil {
 		return err
 	}
+	run := Config{Game: cfg, Protocol: EC, SuspectTimeout: 150 * time.Millisecond}
 	nodes := make([]*ec.Node, resilienceTeams)
 	for i := 0; i < resilienceTeams; i++ {
-		node, nerr := ec.New(ec.NodeConfig{
-			Game:           cfg,
-			App:            eps[i],
-			Svc:            eps[resilienceTeams+i],
-			Metrics:        mcs[i],
-			SuspectTimeout: 150 * time.Millisecond,
-			MaxRetransmits: 100,
-		})
+		nc := run.ecNode(eps[i], eps[resilienceTeams+i], mcs[i])
+		nc.MaxRetransmits = 100
+		node, nerr := ec.New(nc)
 		if nerr != nil {
 			closeAll(eps)
 			return fmt.Errorf("ec.New(%d): %w", i, nerr)

@@ -335,7 +335,11 @@ func DialTCPConfig(id int, addrs []string, cfg TCPConfig) (*TCPEndpoint, error) 
 	errc := make(chan error, 2)
 	var setup sync.WaitGroup
 
-	// Accept links from higher-numbered peers.
+	// Accept links from higher-numbered peers. The set-up deadline bounds
+	// both the wait for a peer that never starts and the wait for the
+	// hello of one that connects and stays silent.
+	deadline := time.Now().Add(cfg.DialTimeout)
+	_ = ln.(*net.TCPListener).SetDeadline(deadline)
 	setup.Add(1)
 	go func() {
 		defer setup.Done()
@@ -345,12 +349,14 @@ func DialTCPConfig(id int, addrs []string, cfg TCPConfig) (*TCPEndpoint, error) 
 				errc <- fmt.Errorf("accept: %w", err)
 				return
 			}
+			_ = conn.SetReadDeadline(deadline)
 			var hello wire.Msg
 			if err := wire.ReadFrame(conn, &hello); err != nil || hello.Kind != wire.KindHello {
 				conn.Close()
 				errc <- fmt.Errorf("bad handshake from %s: %v", conn.RemoteAddr(), err)
 				return
 			}
+			_ = conn.SetReadDeadline(time.Time{})
 			peer := int(hello.Stamp)
 			if peer <= id || peer >= n {
 				conn.Close()

@@ -276,6 +276,54 @@ func TestTCPMesh(t *testing.T) {
 	}
 }
 
+// TestDialTCPHonoursDialTimeout: the zero-config mesh's accept side is
+// bounded by DialTimeout too — node 0 of 2 gives up on a peer that never
+// starts, and on one that connects but never says hello, instead of
+// waiting forever. A watchdog fails the test rather than letting it hang.
+func TestDialTCPHonoursDialTimeout(t *testing.T) {
+	dial := func(t *testing.T, addrs []string) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			ep, err := DialTCPConfig(0, addrs, TCPConfig{DialTimeout: 200 * time.Millisecond})
+			if ep != nil {
+				ep.Close()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("DialTCPConfig succeeded without its peer")
+			}
+		case <-time.After(time.Second):
+			t.Fatal("DialTCPConfig still waiting 1s into a 200ms dial timeout")
+		}
+	}
+	t.Run("peer never starts", func(t *testing.T) {
+		dial(t, freeAddrs(t, 2))
+	})
+	t.Run("peer never says hello", func(t *testing.T) {
+		addrs := freeAddrs(t, 2)
+		silent := make(chan net.Conn, 1)
+		go func() {
+			for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+				if conn, err := net.Dial("tcp", addrs[0]); err == nil {
+					silent <- conn
+					return
+				}
+			}
+			close(silent)
+		}()
+		dial(t, addrs)
+		if conn, ok := <-silent; ok {
+			conn.Close()
+		} else {
+			t.Fatal("the silent peer never connected")
+		}
+	})
+}
+
 func TestTCPFIFOAndVolume(t *testing.T) {
 	addrs := freeAddrs(t, 2)
 	eps := startTCPMesh(t, addrs)
