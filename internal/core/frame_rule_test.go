@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"sdso/internal/core"
 	"sdso/internal/faultnet"
 	"sdso/internal/game"
 	"sdso/internal/metrics"
@@ -54,7 +53,7 @@ type observedPlayer struct {
 
 // observe wraps ep so that p notes every exchange-traffic frame sent.
 func (p *observedPlayer) observe(ep transport.Endpoint) transport.Endpoint {
-	return core.NewObservedEndpoint(ep, func(to int, m *wire.Msg) {
+	return faultnet.NewObservedEndpoint(ep, func(to int, m *wire.Msg) {
 		switch m.Kind {
 		case wire.KindSync, wire.KindData, wire.KindDone:
 			p.frames = append(p.frames, sentFrame{to, m.Kind, m.Mode, m.Stamp, len(m.Payload)})

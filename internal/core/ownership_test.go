@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sdso/internal/diff"
+	"sdso/internal/faultnet"
 	"sdso/internal/metrics"
 	"sdso/internal/race"
 	"sdso/internal/store"
@@ -50,7 +51,7 @@ func TestRetransmittedSyncKeepsBeacon(t *testing.T) {
 	mcA := metrics.NewCollector()
 	mk := func(id int, mc *metrics.Collector, onBeacon func(int, []int64)) *Runtime {
 		r, err := New(Config{
-			Endpoint: NewPoisonEndpoint(net.Endpoint(id), true), Metrics: mc, OnBeacon: onBeacon,
+			Endpoint: faultnet.NewPoisonEndpoint(net.Endpoint(id), true), Metrics: mc, OnBeacon: onBeacon,
 			RendezvousTimeout: 20 * time.Millisecond, MaxRetransmits: 50,
 		})
 		if err != nil {
@@ -125,7 +126,7 @@ func TestSentMessageIsGivenAway(t *testing.T) {
 	for id := range rts {
 		id := id
 		r, err := New(Config{
-			Endpoint:   &poisonEndpoint{Endpoint: net.Endpoint(id), onSend: func(_ int, m *wire.Msg) { sent[id][m] = true }},
+			Endpoint:   faultnet.NewObservedEndpoint(net.Endpoint(id), func(_ int, m *wire.Msg) { sent[id][m] = true }),
 			MergeDiffs: true, DeltaEncode: true,
 			RendezvousTimeout: time.Minute, // failure detection on: lastSync is live state
 		})

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sdso/internal/core"
 	"sdso/internal/faultnet"
 	"sdso/internal/game"
 	"sdso/internal/metrics"
@@ -125,7 +124,7 @@ func playSim(t *testing.T, proto lookahead.Protocol, apply func(*lookahead.Playe
 			wrapped[i] = plan.Wrap(ep, mcs[i])
 			ep = wrapped[i]
 		}
-		eps[i] = core.NewPoisonEndpoint(ep, poison)
+		eps[i] = faultnet.NewPoisonEndpoint(ep, poison)
 	}
 	if err := sim.Run(); err != nil {
 		t.Fatalf("simulation: %v", err)
@@ -163,7 +162,7 @@ func playMem(t *testing.T, proto lookahead.Protocol, apply func(*lookahead.Playe
 			defer wg.Done()
 			pc := lookahead.PlayerConfig{
 				Game: cfg, Protocol: proto, Metrics: metrics.NewCollector(),
-				Endpoint: core.NewPoisonEndpoint(net.Endpoint(i), true),
+				Endpoint: faultnet.NewPoisonEndpoint(net.Endpoint(i), true),
 			}
 			apply(&pc)
 			stats[i], errs[i] = lookahead.RunPlayer(pc)

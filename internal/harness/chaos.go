@@ -192,8 +192,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		feps[i] = plan.Wrap(ep, collectors[i%n])
 		return feps[i]
 	}
-	// life plays process i's first life or, again, its life after a restart.
-	var life func(i int, again bool) error
+	// life plays process i on ep: its first life or, again, its life after
+	// a restart.
+	var life func(i int, ep transport.Endpoint, again bool) error
 	if cfg.Protocol == EC {
 		// The rejoin node is built up front (node construction is pure, so
 		// this keeps the run deterministic) and shared by both revived procs.
@@ -219,7 +220,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			}
 			return err
 		}
-		life = func(i int, again bool) error {
+		life = func(i int, _ transport.Endpoint, again bool) error {
 			if again {
 				return nodeBody(reborn, i, n, stats)
 			}
@@ -228,8 +229,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	} else {
 		plain := cfg.Config // chaos plays the plain exchange (see ChaosConfig)
 		plain.DeltaEncode, plain.MaxBatchTicks, plain.Interest, plain.Shards = false, 0, false, 0
-		life = func(i int, again bool) (err error) {
-			pc := plain.player(feps[i], collectors[i])
+		life = func(i int, ep transport.Endpoint, again bool) (err error) {
+			pc := plain.player(ep, collectors[i])
 			pc.MaxRetransmits, pc.CheckpointEvery, pc.CheckpointF = cfg.MaxRetransmits, cfg.CheckpointEvery, cfg.CheckpointF
 			if cfg.Traces != nil {
 				pc.Trace = cfg.Traces[i]
@@ -268,14 +269,14 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		}
 		return fmt.Sprintf("%s %d", role, i%n)
 	}
-	err := c.play(cfg.Config, func(i int, _ transport.Endpoint) error {
-		err := life(i, false)
+	err := c.play(cfg.Config, func(i int, ep transport.Endpoint) error {
+		err := life(i, ep, false)
 		if restart && i%n == cfg.CrashTeam && errors.Is(err, faultnet.ErrCrashed) {
 			// Crash-then-restart: wait out the downtime (losing whatever
 			// was queued — fail-stop loses volatile state), then live again.
 			fired[i] = true
 			if err = feps[i].AwaitRestart(); err == nil {
-				err = life(i, true)
+				err = life(i, ep, true)
 			}
 		}
 		_, extra := cfg.ExtraCrashes[i]

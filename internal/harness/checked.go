@@ -63,6 +63,9 @@ type CheckedConfig struct {
 	// the same spatial-safety slack applies; zero or one leaves the run
 	// unsharded.
 	Shards int
+
+	// wrap is Config.wrap for the checked run.
+	wrap func(transport.Endpoint) transport.Endpoint
 }
 
 func (c CheckedConfig) withCheckedDefaults() CheckedConfig {
@@ -147,7 +150,7 @@ func RunChecked(cfg CheckedConfig) (*check.Report, error) {
 	g.MaxTicks = cfg.Ticks
 	g.Seed = cfg.Seed
 	run := Config{Game: g, Protocol: cfg.Protocol, DeltaEncode: cfg.DeltaEncode,
-		MaxBatchTicks: cfg.MaxBatchTicks, Interest: cfg.Interest, Shards: cfg.Shards}
+		MaxBatchTicks: cfg.MaxBatchTicks, Interest: cfg.Interest, Shards: cfg.Shards, wrap: cfg.wrap}
 	c := simCluster{name: string(cfg.Protocol) + " checked", procs: n, jitter: cfg.Jitter, seed: cfg.Seed}
 	if cfg.Protocol == EC {
 		c.procs, c.nodes = 2*n, n

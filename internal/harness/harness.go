@@ -94,6 +94,10 @@ type Config struct {
 	// lookahead.PlayerConfig.Shards); only the lookahead protocols honor
 	// it. Zero or one means unsharded.
 	Shards int
+
+	// wrap, when set, stands outermost between each process and its
+	// endpoint, over whatever the runner wraps it in (a faultnet plan).
+	wrap func(transport.Endpoint) transport.Endpoint
 }
 
 func (c Config) withDefaults() Config {
@@ -227,6 +231,9 @@ func (c simCluster) play(cfg Config, body func(proc int, ep transport.Endpoint) 
 		eps[i] = transport.NewSimEndpoint(sim.Proc(i), c.procs, transport.FixedSize(cfg.MsgSize))
 		if c.wrap != nil {
 			eps[i] = c.wrap(i, eps[i])
+		}
+		if cfg.wrap != nil {
+			eps[i] = cfg.wrap(eps[i])
 		}
 	}
 	if c.setup != nil {

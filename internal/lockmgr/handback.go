@@ -10,7 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sdso/internal/store"
 )
@@ -29,9 +29,8 @@ type Record struct {
 // records in ascending object order. Objects not managed here are skipped,
 // so an adopter exports exactly the part of a shard it actually holds.
 func (m *Manager) Export(objs []store.ID) []Record {
-	sorted := make([]store.ID, len(objs))
-	copy(sorted, objs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(objs)
+	slices.Sort(sorted)
 	var out []Record
 	for _, obj := range sorted {
 		st, ok := m.locks[obj]
@@ -39,13 +38,11 @@ func (m *Manager) Export(objs []store.ID) []Record {
 			continue
 		}
 		delete(m.locks, obj)
-		rec := Record{Obj: obj, Mode: st.mode, Owner: st.owner, Version: st.version}
-		for p := range st.holders {
-			rec.Holders = append(rec.Holders, p)
-		}
-		sort.Ints(rec.Holders)
-		rec.Queue = append(rec.Queue, st.queue...)
-		out = append(out, rec)
+		out = append(out, Record{
+			Obj: obj, Mode: st.mode, Owner: st.owner, Version: st.version,
+			Holders: append([]int(nil), st.holders...),
+			Queue:   append([]Request(nil), st.queue...),
+		})
 	}
 	return out
 }
@@ -59,15 +56,11 @@ func (m *Manager) Readmit(recs []Record) {
 		if _, ok := m.locks[rec.Obj]; ok {
 			continue
 		}
-		st := &lockState{
-			mode:    rec.Mode,
-			holders: make(map[int]bool, len(rec.Holders)),
-			owner:   rec.Owner,
-			version: rec.Version,
-		}
-		for _, p := range rec.Holders {
-			st.holders[p] = true
-		}
+		st := &newStates(1)[0]
+		st.mode, st.owner, st.version = rec.Mode, rec.Owner, rec.Version
+		st.holders = append(st.holders, rec.Holders...)
+		slices.Sort(st.holders)
+		st.holders = slices.Compact(st.holders)
 		st.queue = append(st.queue, rec.Queue...)
 		m.locks[rec.Obj] = st
 	}

@@ -9,13 +9,15 @@
 //
 // Manager is a pure state machine — it performs no I/O. The entry
 // consistency protocol drives it from each node's service loop and sends
-// the grants the manager emits.
+// the grants the manager emits. In steady state it does not allocate: lock
+// states are carved from one slab, holders live in each state's inline
+// array, and grants come back in the manager's scratch.
 package lockmgr
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sdso/internal/store"
 )
@@ -69,16 +71,30 @@ var (
 )
 
 type lockState struct {
-	mode    Mode // meaningful only when holders is non-empty
-	holders map[int]bool
+	mode    Mode  // meaningful only when holders is non-empty
+	holders []int // ascending; backed by inline until it outgrows it
 	queue   []Request
 	owner   int
 	version int64
+	inline  [2]int
+}
+
+// newStates returns n free lock states in one slab. A state's holders point
+// into the state itself, so states are used in place, never copied.
+func newStates(n int) []lockState {
+	slab := make([]lockState, n)
+	for i := range slab {
+		slab[i].holders = slab[i].inline[:0]
+	}
+	return slab
 }
 
 // Manager manages the locks for a static subset of the shared objects.
+// Acquire, Release and PurgeProc return their grants in the manager's
+// scratch, valid until the next call to any of the three.
 type Manager struct {
-	locks map[store.ID]*lockState
+	locks  map[store.ID]*lockState
+	grants []Grant
 }
 
 // New returns a manager for the given objects. initialOwner names the
@@ -87,12 +103,12 @@ type Manager struct {
 // setup replicates the initial environment everywhere).
 func New(objs []store.ID, initialOwner func(store.ID) int) *Manager {
 	m := &Manager{locks: make(map[store.ID]*lockState, len(objs))}
-	for _, obj := range objs {
-		owner := 0
+	slab := newStates(len(objs))
+	for i, obj := range objs {
 		if initialOwner != nil {
-			owner = initialOwner(obj)
+			slab[i].owner = initialOwner(obj)
 		}
-		m.locks[obj] = &lockState{holders: make(map[int]bool), owner: owner}
+		m.locks[obj] = &slab[i]
 	}
 	return m
 }
@@ -116,7 +132,7 @@ func (m *Manager) Owner(obj store.ID) (proc int, version int64, err error) {
 // Acquire processes a lock request and returns any grants that can be
 // issued immediately (at most one: the request's own, since an acquire
 // never unblocks other waiters). A request that cannot be granted is queued
-// FIFO and granted by a later Release.
+// FIFO and granted by a later Release. The grants are the manager's scratch.
 func (m *Manager) Acquire(req Request) ([]Grant, error) {
 	st, ok := m.locks[req.Obj]
 	if !ok {
@@ -125,7 +141,7 @@ func (m *Manager) Acquire(req Request) ([]Grant, error) {
 	if req.Mode != Read && req.Mode != Write {
 		return nil, fmt.Errorf("lockmgr: invalid mode %d", req.Mode)
 	}
-	if st.holders[req.Proc] {
+	if slices.Contains(st.holders, req.Proc) {
 		return nil, fmt.Errorf("%w: proc %d obj %d", ErrDoubleLock, req.Proc, req.Obj)
 	}
 	for _, q := range st.queue {
@@ -136,9 +152,8 @@ func (m *Manager) Acquire(req Request) ([]Grant, error) {
 	// Grant immediately when compatible AND nothing is queued ahead
 	// (queued writers block later readers, preventing writer starvation).
 	if len(st.queue) == 0 && m.compatible(st, req.Mode) {
-		st.holders[req.Proc] = true
-		st.mode = req.Mode
-		return []Grant{m.grantFor(st, req)}, nil
+		m.grants = append(m.grants[:0], m.grant(st, req))
+		return m.grants, nil
 	}
 	st.queue = append(st.queue, req)
 	return nil, nil
@@ -151,20 +166,27 @@ func (m *Manager) compatible(st *lockState, mode Mode) bool {
 	return st.mode == Read && mode == Read
 }
 
-func (m *Manager) grantFor(st *lockState, req Request) Grant {
+// grant makes req's process a holder and returns its grant.
+func (m *Manager) grant(st *lockState, req Request) Grant {
+	if i, held := slices.BinarySearch(st.holders, req.Proc); !held {
+		st.holders = slices.Insert(st.holders, i, req.Proc)
+	}
+	st.mode = req.Mode
 	return Grant{Proc: req.Proc, Obj: req.Obj, Mode: req.Mode, Owner: st.owner, Version: st.version}
 }
 
 // Release returns proc's lock on obj. If the holder wrote the object
 // (dirty), proc becomes the owner of the freshest copy at newVersion.
 // Release returns the grants unblocked by the release: either the longest
-// prefix of queued readers or a single queued writer.
+// prefix of queued readers or a single queued writer, in the manager's
+// scratch.
 func (m *Manager) Release(proc int, obj store.ID, dirty bool, newVersion int64) ([]Grant, error) {
 	st, ok := m.locks[obj]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNotManaged, obj)
 	}
-	if !st.holders[proc] {
+	i, held := slices.BinarySearch(st.holders, proc)
+	if !held {
 		return nil, fmt.Errorf("%w: proc %d obj %d", ErrNotHeld, proc, obj)
 	}
 	if dirty {
@@ -176,49 +198,49 @@ func (m *Manager) Release(proc int, obj store.ID, dirty bool, newVersion int64) 
 			st.version = newVersion
 		}
 	}
-	delete(st.holders, proc)
+	st.holders = slices.Delete(st.holders, i, i+1)
 	if len(st.holders) > 0 {
 		return nil, nil // shared readers remain; nothing unblocks
 	}
-	return m.drainQueue(st), nil
+	return m.drainQueue(st, m.grants[:0]), nil
 }
 
-// drainQueue grants the longest compatible prefix of st's queue: either a
-// run of readers or a single writer.
-func (m *Manager) drainQueue(st *lockState) []Grant {
-	var grants []Grant
+// drainQueue appends to grants the grants for the longest compatible prefix
+// of st's queue: either a run of readers or a single writer. The queue
+// keeps its backing array.
+func (m *Manager) drainQueue(st *lockState, grants []Grant) []Grant {
 	for len(st.queue) > 0 {
 		head := st.queue[0]
 		if !m.compatible(st, head.Mode) {
 			break
 		}
-		st.queue = st.queue[1:]
-		st.holders[head.Proc] = true
-		st.mode = head.Mode
-		grants = append(grants, m.grantFor(st, head))
+		st.queue = slices.Delete(st.queue, 0, 1)
+		grants = append(grants, m.grant(st, head))
 		if head.Mode == Write {
 			break // exclusive: grant exactly one writer
 		}
 	}
+	m.grants = grants
 	return grants
 }
 
 // PurgeProc removes every trace of a crashed process from the manager: its
 // held locks are force-released (non-dirty — its unreleased writes are lost,
 // fail-stop) and its queued requests dropped. Grants unblocked by the purge
-// are returned in ascending object order, so recovery is deterministic.
+// are returned in ascending object order, so recovery is deterministic, in
+// the manager's scratch.
 func (m *Manager) PurgeProc(proc int) []Grant {
 	ids := make([]store.ID, 0, len(m.locks))
 	for id := range m.locks {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var out []Grant
+	slices.Sort(ids)
+	out := m.grants[:0]
 	for _, id := range ids {
 		st := m.locks[id]
-		held := st.holders[proc]
+		i, held := slices.BinarySearch(st.holders, proc)
 		if held {
-			delete(st.holders, proc)
+			st.holders = slices.Delete(st.holders, i, i+1)
 		}
 		if len(st.queue) > 0 {
 			q := st.queue[:0]
@@ -230,7 +252,7 @@ func (m *Manager) PurgeProc(proc int) []Grant {
 			st.queue = q
 		}
 		if held && len(st.holders) == 0 {
-			out = append(out, m.drainQueue(st)...)
+			out = m.drainQueue(st, out)
 		}
 	}
 	return out
@@ -247,7 +269,9 @@ func (m *Manager) Adopt(objs []store.ID, owner int) {
 		if _, ok := m.locks[obj]; ok {
 			continue
 		}
-		m.locks[obj] = &lockState{holders: make(map[int]bool), owner: owner}
+		st := &newStates(1)[0]
+		st.owner = owner
+		m.locks[obj] = st
 	}
 }
 
@@ -273,24 +297,19 @@ func (m *Manager) RestoreOwner(obj store.ID, owner int, version int64) bool {
 // been lost. ok is false if proc does not hold the lock.
 func (m *Manager) Reissue(proc int, obj store.ID) (Grant, bool) {
 	st, ok := m.locks[obj]
-	if !ok || !st.holders[proc] {
+	if !ok || !slices.Contains(st.holders, proc) {
 		return Grant{}, false
 	}
 	return Grant{Proc: proc, Obj: obj, Mode: st.mode, Owner: st.owner, Version: st.version}, true
 }
 
-// Holders returns the processes currently holding obj's lock (for tests and
-// invariant checks).
+// Holders returns, ascending, the processes currently holding obj's lock.
 func (m *Manager) Holders(obj store.ID) ([]int, Mode, error) {
 	st, ok := m.locks[obj]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %d", ErrNotManaged, obj)
 	}
-	var out []int
-	for p := range st.holders {
-		out = append(out, p)
-	}
-	return out, st.mode, nil
+	return append([]int(nil), st.holders...), st.mode, nil
 }
 
 // QueueLen returns the number of requests waiting on obj.

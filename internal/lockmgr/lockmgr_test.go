@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sdso/internal/race"
 	"sdso/internal/store"
 )
 
@@ -311,3 +312,42 @@ func TestSafetyAndLivenessRandomSchedules(t *testing.T) {
 }
 
 func newMgrQuick() *Manager { return New([]store.ID{1}, nil) }
+
+// TestSteadyStateAllocs: once a lock's holders and queue have reached their
+// high-water marks, the manager serves requests without allocating — lock
+// states live in a slab, holders in the state, grants in the manager's
+// scratch.
+func TestSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	m := New([]store.ID{1, 2}, nil)
+	round := func() {
+		if _, err := m.Acquire(Request{Proc: 3, Obj: 1, Mode: Write}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Release(3, 1, true, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("acquire/release round: %v allocations, want 0", got)
+	}
+	// A writer holds object 2 while three readers queue behind it; its
+	// release grants all three, and their releases leave the lock free.
+	drain := func() {
+		m.Acquire(Request{Proc: 0, Obj: 2, Mode: Write})
+		for p := 1; p <= 3; p++ {
+			m.Acquire(Request{Proc: p, Obj: 2, Mode: Read})
+		}
+		if g, err := m.Release(0, 2, true, 1); err != nil || len(g) != 3 {
+			t.Fatalf("drain granted %v (%v), want the three readers", g, err)
+		}
+		for p := 1; p <= 3; p++ {
+			m.Release(p, 2, false, 0)
+		}
+	}
+	if got := testing.AllocsPerRun(100, drain); got != 0 {
+		t.Errorf("queued drain: %v allocations, want 0", got)
+	}
+}

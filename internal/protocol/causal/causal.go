@@ -331,10 +331,10 @@ func (p *player) decide() ([]xlist.ObjDiff, bool) {
 		for _, cw := range writes {
 			id := cfg.ObjectOf(cw.Pos)
 			data := game.EncodeCell(cw.Cell)
-			if _, err := p.st.Update(id, data); err != nil {
+			_, v, _, err := p.st.WriteBy(id, data, -1)
+			if err != nil {
 				continue
 			}
-			v, _ := p.st.Version(id)
 			out = append(out, xlist.ObjDiff{
 				Obj:     id,
 				Version: v,

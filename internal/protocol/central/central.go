@@ -171,7 +171,7 @@ func applyIntent(cfg game.Config, st *store.Store, goal game.Pos, m *wire.Msg) b
 	}
 	for _, od := range diffs {
 		newState, _ := applyReplace(od)
-		_, _ = st.Update(od.Obj, newState)
+		_, _, _, _ = st.WriteBy(od.Obj, newState, -1) // every object was looked up above
 	}
 	return true
 }
@@ -421,10 +421,10 @@ func decide(cfg game.Config, st *store.Store, goal game.Pos, team int, tanks *[]
 		for _, cw := range writes {
 			id := cfg.ObjectOf(cw.Pos)
 			data := game.EncodeCell(cw.Cell)
-			if _, err := st.Update(id, data); err != nil {
+			_, v, _, err := st.WriteBy(id, data, -1)
+			if err != nil {
 				continue
 			}
-			v, _ := st.Version(id)
 			out = append(out, xlist.ObjDiff{Obj: id, Version: v, D: newReplace(data)})
 		}
 		switch {

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -119,6 +118,14 @@ type Node struct {
 	stats    game.TeamStats
 	gameOver bool
 
+	// decideAndWrite's scratch: the dirty versions it returns (valid until
+	// its next call) and the tank buffer it swaps with tanks.
+	dirty map[store.ID]int64
+	spare []game.TankState
+	// Ints of the messages the application and the service send, each side
+	// carving from its own chunk since the two run concurrently.
+	appInts, svcInts intsChunk
+
 	// crashed marks teams declared crashed (guarded by mu; the app and
 	// service processes of a node converge on it independently).
 	crashed map[int]bool
@@ -179,6 +186,7 @@ func New(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg: cfg, team: cfg.App.ID(), teams: teams, mc: mc,
 		crashed: make(map[int]bool), inc: make(map[int]int64),
+		dirty: make(map[store.ID]int64),
 	}
 	if cfg.Incarnation > 0 {
 		n.inc[n.team] = cfg.Incarnation
@@ -218,7 +226,7 @@ func New(cfg NodeConfig) (*Node, error) {
 
 // shardOf returns the objects whose lock manager statically lives on team.
 func (n *Node) shardOf(team int) []store.ID {
-	var out []store.ID
+	out := make([]store.ID, 0, n.cfg.Game.NumObjects()/n.teams+1)
 	for i := 0; i < n.cfg.Game.NumObjects(); i++ {
 		if lockmgr.ManagerFor(store.ID(i), n.teams) == team {
 			out = append(out, store.ID(i))
@@ -249,13 +257,47 @@ func (n *Node) countSend(ep transport.Endpoint, to int, m *wire.Msg) error {
 	return transport.Flush(ep)
 }
 
+// send gives away a message shaped like t (DESIGN.md §15, the message
+// rule): the struct comes from the wire pool, t's Payload is copied into the
+// struct's own buffer and t's Ints are shared. A sender that must resend
+// keeps t, a value, and sends it again.
+func (n *Node) send(ep transport.Endpoint, to int, t wire.Msg) error {
+	m := wire.GetMsg()
+	t.Payload = append(m.Payload[:0], t.Payload...)
+	*m = t
+	return n.countSend(ep, to, m)
+}
+
+// recycle hands a consumed message back to ep's free-list. Join traffic is
+// rare and a snapshot is the size of a world, so it is left to the garbage
+// collector rather than pooled for the next small message.
+func recycle(ep transport.Endpoint, m *wire.Msg) {
+	if k := m.Kind; k != wire.KindJoinReq && k != wire.KindJoinAck && k != wire.KindSnapshot {
+		transport.Recycle(ep, m)
+	}
+}
+
+// intsChunk carves message Ints. Sent Ints are shared and immutable (§15),
+// so a chunk is never reused: it goes when the last Ints in it does.
+type intsChunk []int64
+
+func (c *intsChunk) carve(vals ...int64) []int64 {
+	if cap(*c)-len(*c) < len(vals) {
+		*c = make(intsChunk, 0, 128)
+	}
+	*c = append(*c, vals...)
+	return (*c)[len(*c)-len(vals) : len(*c) : len(*c)]
+}
+
 // ft reports whether crash tolerance is enabled.
 func (n *Node) ft() bool { return n.cfg.SuspectTimeout > 0 }
 
+// debug reports whether tracing is on; call sites check it before tracef,
+// whose arguments would otherwise be boxed on every call.
+func (n *Node) debug() bool { return n.cfg.Debug != nil }
+
 func (n *Node) tracef(format string, args ...any) {
-	if n.cfg.Debug != nil {
-		n.cfg.Debug(fmt.Sprintf(format, args...))
-	}
+	n.cfg.Debug(fmt.Sprintf(format, args...))
 }
 
 func (n *Node) maxRetransmits() int {
@@ -332,17 +374,19 @@ func (n *Node) declareCrash(team int) {
 	if !n.noteCrash(team, inc) {
 		return
 	}
-	n.tracef("team %d declares %d crashed (inc %d)", n.team, team, inc)
+	if n.debug() {
+		n.tracef("team %d declares %d crashed (inc %d)", n.team, team, inc)
+	}
 	n.mc.AddEviction()
+	crash := wire.Msg{Kind: wire.KindCrash, Stamp: int64(team), Ints: []int64{inc}}
 	for t := 0; t < n.teams; t++ {
 		if t == team {
 			continue
 		}
-		m := &wire.Msg{Kind: wire.KindCrash, Stamp: int64(team), Ints: []int64{inc}}
 		if t != n.team && !n.isCrashed(t) {
-			_ = n.countSend(n.cfg.App, t, m.Clone())
+			_ = n.send(n.cfg.App, t, crash)
 		}
-		_ = n.countSend(n.cfg.App, n.svcID(t), m)
+		_ = n.send(n.cfg.App, n.svcID(t), crash)
 	}
 }
 
@@ -356,9 +400,10 @@ func (n *Node) reannounceCrash(dead, mgrTeam int) {
 	n.mu.Lock()
 	inc := n.inc[dead]
 	n.mu.Unlock()
-	n.tracef("app %d re-announces crash of %d (inc %d) to mgr %d", n.team, dead, inc, mgrTeam)
-	m := &wire.Msg{Kind: wire.KindCrash, Stamp: int64(dead), Ints: []int64{inc}}
-	_ = n.countSend(n.cfg.App, n.svcID(mgrTeam), m)
+	if n.debug() {
+		n.tracef("app %d re-announces crash of %d (inc %d) to mgr %d", n.team, dead, inc, mgrTeam)
+	}
+	_ = n.send(n.cfg.App, n.svcID(mgrTeam), wire.Msg{Kind: wire.KindCrash, Stamp: int64(dead), Ints: []int64{inc}})
 }
 
 // liveManagerFor returns the team currently managing obj's lock: the static
@@ -462,7 +507,9 @@ func (n *Node) routeLock(m *wire.Msg) (routeAction, int) {
 		}
 		chain[t] = true
 	}
-	n.tracef("svc %d adopts shard chain for obj %d (teams %v)", n.team, obj, chain)
+	if n.debug() {
+		n.tracef("svc %d adopts shard chain for obj %d (teams %v)", n.team, obj, chain)
+	}
 	var objs []store.ID
 	for i := 0; i < n.cfg.Game.NumObjects(); i++ {
 		id := store.ID(i)
@@ -480,10 +527,12 @@ func (n *Node) routeLock(m *wire.Msg) (routeAction, int) {
 // application as crashed (it is demonstrably alive), and once that
 // application has shut down, prolonged total silence lets the service exit
 // rather than deadlock on shutdown or crash announcements lost in transit.
+// A message is recycled at the bottom of the loop once served; the paths
+// that keep it (stalled, forwarded) continue past that point.
 func (n *Node) RunService() error {
 	svc := n.cfg.Svc
 	remaining := n.teams
-	handled := make(map[int]bool) // teams counted toward remaining
+	handled := make(map[int]bool, n.teams) // teams counted toward remaining
 	idle := 0
 	wait := n.cfg.SuspectTimeout
 	for remaining > 0 {
@@ -498,7 +547,9 @@ func (n *Node) RunService() error {
 				}
 				idle++
 				if idle > n.maxRetransmits() {
-					n.tracef("svc %d now=%v idle-exit, remaining %d", n.team, svc.Now(), remaining)
+					if n.debug() {
+						n.tracef("svc %d now=%v idle-exit, remaining %d", n.team, svc.Now(), remaining)
+					}
 					return nil
 				}
 				if wait < 8*n.cfg.SuspectTimeout {
@@ -540,28 +591,22 @@ func (n *Node) RunService() error {
 					continue
 				}
 			}
-			var err error
-			if m.Kind == wire.KindLockReq {
-				err = n.handleLockReq(m)
-			} else {
-				err = n.handleLockRelease(m)
-			}
-			if err != nil {
+			if err := n.serveLock(m); err != nil {
 				return err
 			}
 		case wire.KindObjReq:
 			n.mu.Lock()
-			state, errGet := n.st.Get(store.ID(m.Obj))
+			state, errGet := n.st.View(store.ID(m.Obj)) // published: immutable
 			ver, _ := n.st.Version(store.ID(m.Obj))
 			n.mu.Unlock()
 			if errGet != nil {
 				return fmt.Errorf("ec service %d: serve obj %d: %w", n.team, m.Obj, errGet)
 			}
-			reply := &wire.Msg{
+			reply := wire.Msg{
 				Kind: wire.KindObjReply, Obj: m.Obj, Stamp: m.Stamp,
-				Ints: []int64{ver}, Payload: state,
+				Ints: n.svcInts.carve(ver), Payload: state,
 			}
-			if err := n.countSend(svc, int(m.Src), reply); err != nil {
+			if err := n.send(svc, int(m.Src), reply); err != nil {
 				return err
 			}
 		case wire.KindShutdown:
@@ -569,7 +614,9 @@ func (n *Node) RunService() error {
 				handled[src] = true
 				remaining--
 			}
-			n.tracef("svc %d now=%v shutdown from %d, remaining %d", n.team, svc.Now(), m.Stamp, remaining)
+			if n.debug() {
+				n.tracef("svc %d now=%v shutdown from %d, remaining %d", n.team, svc.Now(), m.Stamp, remaining)
+			}
 		case wire.KindCrash:
 			// A crash declaration: stop waiting for the dead team's
 			// shutdown, free every lock it held or queued for (granting
@@ -580,11 +627,11 @@ func (n *Node) RunService() error {
 				// A false declaration about our own co-located (and
 				// demonstrably alive) application: purging its locks or
 				// abandoning its shutdown would orphan it.
-				continue
+				break
 			}
 			fresh := n.noteCrash(dead, crashInc(m))
 			if !fresh && !n.isCrashed(dead) {
-				continue // stale declaration: the team has since rejoined
+				break // stale declaration: the team has since rejoined
 			}
 			if !handled[dead] {
 				handled[dead] = true
@@ -635,8 +682,17 @@ func (n *Node) RunService() error {
 				return err
 			}
 		}
+		recycle(svc, m)
 	}
 	return nil
+}
+
+// serveLock serves a lock request or release at this manager.
+func (n *Node) serveLock(m *wire.Msg) error {
+	if m.Kind == wire.KindLockReq {
+		return n.handleLockReq(m)
+	}
+	return n.handleLockRelease(m)
 }
 
 // handleLockReq serves one lock request at this manager. A retransmitted
@@ -659,14 +715,13 @@ func (n *Node) handleLockReq(m *wire.Msg) error {
 			grants = []lockmgr.Grant{g}
 		} else {
 			holders, _, _ := n.mgr.Holders(store.ID(m.Obj))
-			sort.Ints(holders)
 			ints := make([]int64, len(holders))
 			for i, h := range holders {
 				ints[i] = int64(h)
 			}
-			busy := &wire.Msg{Kind: wire.KindLockBusy, Obj: m.Obj, Ints: ints}
+			busy := wire.Msg{Kind: wire.KindLockBusy, Obj: m.Obj, Ints: ints}
 			n.mu.Unlock()
-			if err := n.countSend(svc, proc, busy); err != nil {
+			if err := n.send(svc, proc, busy); err != nil {
 				return fmt.Errorf("ec service %d: lock-busy to %d: %w", n.team, proc, err)
 			}
 			return nil
@@ -714,20 +769,23 @@ func (n *Node) handleLockRelease(m *wire.Msg) error {
 
 // forwardLock sends a misrouted lock message on to the team that actually
 // manages the object, tagging it with the original requester (the grant or
-// busy reply then goes straight back to them). A forward to a team that
-// died in the meantime is dropped: the requester's own retransmission will
-// re-route once the crash news reaches it.
+// busy reply then goes straight back to them). The received struct itself
+// travels on, so it is gone once sent. A forward to a team that died in the
+// meantime is dropped: the requester's own retransmission will re-route
+// once the crash news reaches it.
 func (n *Node) forwardLock(m *wire.Msg, to int) error {
-	fm := m.Clone()
-	fm.Stamp = int64(lockProc(m)) + 1
-	if err := n.countSend(n.cfg.Svc, n.svcID(to), fm); err != nil {
+	kind, obj, proc := m.Kind, m.Obj, lockProc(m)
+	m.Stamp = int64(proc) + 1
+	if err := n.countSend(n.cfg.Svc, n.svcID(to), m); err != nil {
 		if errors.Is(err, transport.ErrPeerGone) {
 			n.declareCrash(to)
 			return nil
 		}
-		return fmt.Errorf("ec service %d: forward %v obj %d to %d: %w", n.team, m.Kind, m.Obj, to, err)
+		return fmt.Errorf("ec service %d: forward %v obj %d to %d: %w", n.team, kind, obj, to, err)
 	}
-	n.tracef("svc %d forwards %v obj %d for proc %d to %d", n.team, m.Kind, m.Obj, lockProc(m), to)
+	if n.debug() {
+		n.tracef("svc %d forwards %v obj %d for proc %d to %d", n.team, kind, obj, proc, to)
+	}
 	return nil
 }
 
@@ -740,11 +798,11 @@ func (n *Node) sendGrants(grants []lockmgr.Grant) error {
 			modeAux = 1
 		}
 		n.cfg.SvcTrace.Record(trace.OpMgrGrant, g.Proc, int64(g.Obj), g.Version, 0, modeAux)
-		m := &wire.Msg{
+		m := wire.Msg{
 			Kind: wire.KindLockGrant, Obj: uint32(g.Obj), Mode: mode,
-			Ints: []int64{int64(g.Owner), g.Version},
+			Ints: n.svcInts.carve(int64(g.Owner), g.Version),
 		}
-		if err := n.countSend(n.cfg.Svc, g.Proc, m); err != nil {
+		if err := n.send(n.cfg.Svc, g.Proc, m); err != nil {
 			return fmt.Errorf("ec service %d: send grant: %w", n.team, err)
 		}
 	}
@@ -800,17 +858,19 @@ func (n *Node) serveJoin(m *wire.Msg, handled map[int]bool, remaining *int) erro
 	}
 	if fresh {
 		n.mc.AddJoin()
-		n.tracef("svc %d admits team %d (inc %d): %d handback bytes", n.team, t, inc, len(payload))
+		if n.debug() {
+			n.tracef("svc %d admits team %d (inc %d): %d handback bytes", n.team, t, inc, len(payload))
+		}
 	}
-	ack := &wire.Msg{Kind: wire.KindJoinAck, Stamp: inc, Ints: ints, Payload: payload}
-	if err := n.countSend(n.cfg.Svc, n.svcID(t), ack); err != nil {
+	ack := wire.Msg{Kind: wire.KindJoinAck, Stamp: inc, Ints: ints, Payload: payload}
+	if err := n.send(n.cfg.Svc, n.svcID(t), ack); err != nil {
 		if errors.Is(err, transport.ErrPeerGone) {
 			return nil
 		}
 		return fmt.Errorf("ec service %d: join ack to %d: %w", n.team, t, err)
 	}
 	n.mc.AddSnapshotBytes(len(snap))
-	if err := n.countSend(n.cfg.Svc, n.svcID(t), &wire.Msg{Kind: wire.KindSnapshot, Payload: snap}); err != nil && !errors.Is(err, transport.ErrPeerGone) {
+	if err := n.send(n.cfg.Svc, n.svcID(t), wire.Msg{Kind: wire.KindSnapshot, Payload: snap}); err != nil && !errors.Is(err, transport.ErrPeerGone) {
 		return fmt.Errorf("ec service %d: snapshot to %d: %w", n.team, t, err)
 	}
 	return nil
@@ -912,18 +972,20 @@ func (n *Node) finishRejoin() error {
 	stalled := n.joinStalled
 	n.joinStalled = nil
 	n.mu.Unlock()
-	n.tracef("svc %d rejoin complete: shard restored, replaying %d stalled messages", n.team, len(stalled))
-	for _, sm := range stalled {
-		var err error
-		switch sm.Kind {
-		case wire.KindLockReq:
-			err = n.handleLockReq(sm)
-		case wire.KindLockRelease:
-			err = n.handleLockRelease(sm)
-		}
-		if err != nil {
+	if n.debug() {
+		n.tracef("svc %d rejoin complete: shard restored, replaying %d stalled messages", n.team, len(stalled))
+	}
+	return n.replay(stalled)
+}
+
+// replay serves lock traffic that stalled while its shard was in flight,
+// recycling each message once served.
+func (n *Node) replay(stalled []*wire.Msg) error {
+	for _, m := range stalled {
+		if err := n.serveLock(m); err != nil {
 			return err
 		}
+		recycle(n.cfg.Svc, m)
 	}
 	return nil
 }
@@ -957,7 +1019,9 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 				break
 			}
 		}
-		n.tracef("app %d now=%v tick %d", n.team, app.Now(), tick)
+		if n.debug() {
+			n.tracef("app %d now=%v tick %d", n.team, app.Now(), tick)
+		}
 		n.cfg.AppTrace.Record(trace.OpTick, -1, 0, 0, int64(tick), 0)
 		locks := n.lockSet()
 		if err := n.acquireAll(locks); err != nil {
@@ -1002,8 +1066,7 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 			if team == n.team || (n.ft() && n.isCrashed(team)) {
 				continue
 			}
-			m := &wire.Msg{Kind: wire.KindDone, Mode: 1, Stamp: int64(n.team)}
-			if err := n.countSend(app, team, m); err != nil {
+			if err := n.send(app, team, wire.Msg{Kind: wire.KindDone, Mode: 1, Stamp: int64(n.team)}); err != nil {
 				if n.ft() && errors.Is(err, transport.ErrPeerGone) {
 					n.declareCrash(team)
 					continue
@@ -1020,8 +1083,7 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 		if n.ft() && n.isCrashed(team) {
 			continue
 		}
-		m := &wire.Msg{Kind: wire.KindShutdown, Stamp: int64(n.team)}
-		if err := n.countSend(app, n.svcID(team), m); err != nil {
+		if err := n.send(app, n.svcID(team), wire.Msg{Kind: wire.KindShutdown, Stamp: int64(n.team)}); err != nil {
 			if n.ft() && errors.Is(err, transport.ErrPeerGone) {
 				continue
 			}
@@ -1040,7 +1102,7 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 // process was away are simply absent from the board.
 func (n *Node) runJoin() error {
 	app := n.cfg.App
-	req := &wire.Msg{Kind: wire.KindJoinReq, Stamp: n.cfg.Incarnation}
+	req := wire.Msg{Kind: wire.KindJoinReq, Stamp: n.cfg.Incarnation}
 	var targets []int
 	for t := 0; t < n.teams; t++ {
 		if t != n.team {
@@ -1059,7 +1121,7 @@ func (n *Node) runJoin() error {
 		return out
 	}
 	send := func(t int) error {
-		if err := n.countSend(app, n.svcID(t), req.Clone()); err != nil {
+		if err := n.send(app, n.svcID(t), req); err != nil {
 			if errors.Is(err, transport.ErrPeerGone) {
 				n.declareCrash(t)
 				return nil
@@ -1082,7 +1144,7 @@ func (n *Node) runJoin() error {
 			return fmt.Errorf("ec app %d: join wait: %w", n.team, err)
 		}
 		if ok {
-			n.joinAppMsg(m)
+			n.noteAppMsg(m)
 			continue
 		}
 		retries++
@@ -1119,7 +1181,7 @@ func (n *Node) runJoin() error {
 			return fmt.Errorf("ec app %d: join wait: %w", n.team, err)
 		}
 		if ok {
-			n.joinAppMsg(m)
+			n.noteAppMsg(m)
 		}
 	}
 	n.mu.Lock()
@@ -1143,19 +1205,23 @@ func (n *Node) runJoin() error {
 		n.tanks = append(n.tanks, game.NewTankState(pos))
 	}
 	n.mc.AddJoin()
-	n.tracef("app %d rejoined (inc %d): %d acks, %d tanks", n.team, n.cfg.Incarnation, acks, len(n.tanks))
+	if n.debug() {
+		n.tracef("app %d rejoined (inc %d): %d acks, %d tanks", n.team, n.cfg.Incarnation, acks, len(n.tanks))
+	}
 	return nil
 }
 
-// joinAppMsg handles application-endpoint traffic arriving mid-join (only
-// winner announcements and crash declarations are expected).
-func (n *Node) joinAppMsg(m *wire.Msg) {
+// noteAppMsg consumes application-endpoint traffic other than the reply
+// being awaited: winner announcements and crash declarations are noted,
+// anything else (a duplicate, say) is dropped. Either way it is recycled.
+func (n *Node) noteAppMsg(m *wire.Msg) {
 	switch m.Kind {
 	case wire.KindDone:
 		n.noteGameOver()
 	case wire.KindCrash:
 		n.noteCrash(int(m.Stamp), crashInc(m))
 	}
+	recycle(n.cfg.App, m)
 }
 
 // pollApp drains queued application-endpoint traffic without blocking
@@ -1166,12 +1232,7 @@ func (n *Node) pollApp() {
 		if err != nil || !ok {
 			return
 		}
-		if m.Kind == wire.KindDone {
-			n.noteGameOver()
-		}
-		if m.Kind == wire.KindCrash {
-			n.noteCrash(int(m.Stamp), crashInc(m))
-		}
+		n.noteAppMsg(m)
 	}
 }
 
@@ -1242,9 +1303,9 @@ func (n *Node) acquireOne(lr lockReq) error {
 		modeAux = 1
 	}
 	n.cfg.AppTrace.Record(trace.OpLockReq, mgrTeam, int64(lr.obj), 0, 0, modeAux)
-	req := &wire.Msg{Kind: wire.KindLockReq, Obj: uint32(lr.obj), Mode: mode}
+	req := wire.Msg{Kind: wire.KindLockReq, Obj: uint32(lr.obj), Mode: mode}
 	t0 := app.Now()
-	if err := n.countSend(app, n.svcID(mgrTeam), req); err != nil {
+	if err := n.send(app, n.svcID(mgrTeam), req); err != nil {
 		if n.ft() && errors.Is(err, transport.ErrPeerGone) {
 			n.declareCrash(mgrTeam)
 			return n.acquireOne(lr)
@@ -1264,14 +1325,15 @@ func (n *Node) acquireOne(lr lockReq) error {
 	n.mc.AddTime(metrics.CatLockAcquire, app.Now()-t0)
 
 	owner, version := int(grant.Ints[0]), grant.Ints[1]
+	recycle(app, grant)
 	n.cfg.AppTrace.Record(trace.OpLockGranted, owner, int64(lr.obj), version, 0, modeAux)
 	n.mu.Lock()
 	local, _ := n.st.Version(lr.obj)
 	n.mu.Unlock()
 	if version > local && owner != n.team && !(n.ft() && n.isCrashed(owner)) {
 		t1 := app.Now()
-		pull := &wire.Msg{Kind: wire.KindObjReq, Obj: uint32(lr.obj), Stamp: int64(lr.obj)}
-		if err := n.countSend(app, n.svcID(owner), pull); err != nil {
+		pull := wire.Msg{Kind: wire.KindObjReq, Obj: uint32(lr.obj), Stamp: int64(lr.obj)}
+		if err := n.send(app, n.svcID(owner), pull); err != nil {
 			if n.ft() && errors.Is(err, transport.ErrPeerGone) {
 				n.declareCrash(owner)
 				return nil // local replica stands in for the lost copy
@@ -1299,8 +1361,9 @@ func (n *Node) acquireOne(lr lockReq) error {
 			}
 		}
 		n.mu.Lock()
-		err = n.st.SetState(lr.obj, reply.Payload, reply.Ints[0])
+		err = n.st.SetState(lr.obj, reply.Payload, reply.Ints[0]) // copies the payload
 		n.mu.Unlock()
+		recycle(app, reply)
 		if err != nil {
 			return fmt.Errorf("ec app %d: apply pulled %d: %w", n.team, lr.obj, err)
 		}
@@ -1321,18 +1384,10 @@ func (n *Node) awaitKind(kind wire.Kind, obj uint32) (*wire.Msg, error) {
 		if m.Kind == kind && m.Obj == obj {
 			return m, nil
 		}
-		if m.Kind == wire.KindDone {
-			// A winner's announcement arriving mid-acquire: note it and
-			// keep waiting for the expected grant (locks are still
-			// released properly at the end of the iteration).
-			n.noteGameOver()
-			continue
-		}
-		if m.Kind == wire.KindCrash {
-			n.noteCrash(int(m.Stamp), crashInc(m))
-			continue
-		}
-		// Unexpected traffic (e.g. a duplicate) is dropped.
+		// A winner's announcement arriving mid-acquire is noted and the
+		// wait goes on (locks are still released properly at the end of the
+		// iteration).
+		n.noteAppMsg(m)
 	}
 }
 
@@ -1342,7 +1397,7 @@ func (n *Node) awaitKind(kind wire.Kind, obj uint32) (*wire.Msg, error) {
 // manager, or (after a KindLockBusy hint) a lock holder — crashed, and the
 // wait restarts against the recovered state: a dead manager's successor is
 // re-asked, a dead holder's purge lets the (live) manager grant.
-func (n *Node) awaitGrantFT(obj store.ID, req *wire.Msg, mgrTeam int) (*wire.Msg, error) {
+func (n *Node) awaitGrantFT(obj store.ID, req wire.Msg, mgrTeam int) (*wire.Msg, error) {
 	app := n.cfg.App
 	timeout := n.cfg.SuspectTimeout
 	wait := timeout
@@ -1355,8 +1410,10 @@ func (n *Node) awaitGrantFT(obj store.ID, req *wire.Msg, mgrTeam int) (*wire.Msg
 		suspectIsHolder = false
 		retries = 0
 		wait = timeout
-		n.tracef("app %d now=%v obj=%d failover to mgr %d", n.team, app.Now(), obj, mgrTeam)
-		if err := n.countSend(app, n.svcID(mgrTeam), req.Clone()); err != nil {
+		if n.debug() {
+			n.tracef("app %d now=%v obj=%d failover to mgr %d", n.team, app.Now(), obj, mgrTeam)
+		}
+		if err := n.send(app, n.svcID(mgrTeam), req); err != nil {
 			return fmt.Errorf("ec app %d: failover lock req %d to %d: %w", n.team, obj, mgrTeam, err)
 		}
 		n.mc.AddRetransmit()
@@ -1396,15 +1453,13 @@ func (n *Node) awaitGrantFT(obj store.ID, req *wire.Msg, mgrTeam int) (*wire.Msg
 						}
 					}
 				}
-			case m.Kind == wire.KindDone:
-				n.noteGameOver()
-			case m.Kind == wire.KindCrash:
-				n.noteCrash(int(m.Stamp), crashInc(m))
-				if int(m.Stamp) == mgrTeam && n.isCrashed(mgrTeam) {
-					// Someone else buried our manager; fail over now.
-					if err := failover(); err != nil {
-						return nil, err
-					}
+			}
+			buried := m.Kind == wire.KindCrash && int(m.Stamp) == mgrTeam
+			n.noteAppMsg(m)
+			if buried && n.isCrashed(mgrTeam) {
+				// Someone else buried our manager; fail over now.
+				if err := failover(); err != nil {
+					return nil, err
 				}
 			}
 			continue
@@ -1422,8 +1477,10 @@ func (n *Node) awaitGrantFT(obj store.ID, req *wire.Msg, mgrTeam int) (*wire.Msg
 			suspect = cur
 			suspectIsHolder = false
 		}
-		n.tracef("app %d now=%v obj=%d grant-wait timeout #%d suspect=%d holder=%v",
-			n.team, app.Now(), obj, retries, suspect, suspectIsHolder)
+		if n.debug() {
+			n.tracef("app %d now=%v obj=%d grant-wait timeout #%d suspect=%d holder=%v",
+				n.team, app.Now(), obj, retries, suspect, suspectIsHolder)
+		}
 		if retries > n.maxRetransmits() {
 			n.declareCrash(suspect)
 			if suspectIsHolder {
@@ -1440,7 +1497,7 @@ func (n *Node) awaitGrantFT(obj store.ID, req *wire.Msg, mgrTeam int) (*wire.Msg
 			}
 			continue
 		}
-		if err := n.countSend(app, n.svcID(mgrTeam), req.Clone()); err != nil {
+		if err := n.send(app, n.svcID(mgrTeam), req); err != nil {
 			if errors.Is(err, transport.ErrPeerGone) {
 				n.declareCrash(mgrTeam)
 				if err := failover(); err != nil {
@@ -1460,7 +1517,7 @@ func (n *Node) awaitGrantFT(obj store.ID, req *wire.Msg, mgrTeam int) (*wire.Msg
 // awaitPullFT waits for an object-pull reply with failure detection. ok is
 // false when the owner was declared crashed instead of answering — the
 // caller falls back to its local replica.
-func (n *Node) awaitPullFT(obj store.ID, req *wire.Msg, owner int) (*wire.Msg, bool, error) {
+func (n *Node) awaitPullFT(obj store.ID, req wire.Msg, owner int) (*wire.Msg, bool, error) {
 	app := n.cfg.App
 	timeout := n.cfg.SuspectTimeout
 	wait := timeout
@@ -1471,16 +1528,13 @@ func (n *Node) awaitPullFT(obj store.ID, req *wire.Msg, owner int) (*wire.Msg, b
 			return nil, false, fmt.Errorf("ec app %d: await pull %d: %w", n.team, obj, err)
 		}
 		if ok {
-			switch {
-			case m.Kind == wire.KindObjReply && m.Obj == uint32(obj):
+			if m.Kind == wire.KindObjReply && m.Obj == uint32(obj) {
 				return m, true, nil
-			case m.Kind == wire.KindDone:
-				n.noteGameOver()
-			case m.Kind == wire.KindCrash:
-				n.noteCrash(int(m.Stamp), crashInc(m))
-				if int(m.Stamp) == owner && n.isCrashed(owner) {
-					return nil, false, nil
-				}
+			}
+			buried := m.Kind == wire.KindCrash && int(m.Stamp) == owner
+			n.noteAppMsg(m)
+			if buried && n.isCrashed(owner) {
+				return nil, false, nil
 			}
 			continue
 		}
@@ -1492,7 +1546,7 @@ func (n *Node) awaitPullFT(obj store.ID, req *wire.Msg, owner int) (*wire.Msg, b
 			n.declareCrash(owner)
 			return nil, false, nil
 		}
-		if err := n.countSend(app, n.svcID(owner), req.Clone()); err != nil {
+		if err := n.send(app, n.svcID(owner), req); err != nil {
 			if errors.Is(err, transport.ErrPeerGone) {
 				n.declareCrash(owner)
 				return nil, false, nil
@@ -1520,17 +1574,16 @@ func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
 		if n.ft() {
 			mgrTeam = n.liveManagerFor(lr.obj)
 		}
-		rel := &wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.obj)}
+		rel := wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.obj), Ints: cleanRelease}
 		if v, ok := dirty[lr.obj]; ok && lr.write {
-			rel.Ints = []int64{1, v}
+			rel.Ints = n.appInts.carve(1, v)
 			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.obj), v, 0, 1)
 		} else {
-			rel.Ints = cleanRelease
 			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.obj), 0, 0, 0)
 		}
 		// Releases are asynchronous; errors only surface via metrics
 		// divergence in tests.
-		_ = n.countSend(app, n.svcID(mgrTeam), rel)
+		_ = n.send(app, n.svcID(mgrTeam), rel)
 	}
 	n.mc.AddTime(metrics.CatLockRelease, app.Now()-t0)
 }
@@ -1555,7 +1608,8 @@ func (n *Node) refreshTanks() bool {
 }
 
 // decideAndWrite runs the decision function on the freshly locked state and
-// applies the writes; returns the dirty object versions.
+// applies the writes; returns the dirty object versions, valid until the
+// next call.
 func (n *Node) decideAndWrite() map[store.ID]int64 {
 	cfg := n.cfg.Game
 	n.mu.Lock()
@@ -1576,8 +1630,7 @@ func (n *Node) decideAndWrite() map[store.ID]int64 {
 	// beacons; the locks themselves guarantee freshness).
 	enemies := make(map[int][]game.Pos)
 	for _, tank := range n.tanks {
-		dirs := []game.Pos{{X: 0, Y: -1}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: -1, Y: 0}}
-		for _, d := range dirs {
+		for _, d := range lockDirs {
 			for k := 1; k <= cfg.Range; k++ {
 				p := game.Pos{X: tank.Pos.X + d.X*k, Y: tank.Pos.Y + d.Y*k}
 				if !cfg.InBounds(p) {
@@ -1590,9 +1643,10 @@ func (n *Node) decideAndWrite() map[store.ID]int64 {
 		}
 	}
 
-	dirty := make(map[store.ID]int64)
+	dirty := n.dirty
+	clear(dirty)
 	modified := false
-	var next []game.TankState
+	next := n.spare[:0]
 	for _, tank := range n.tanks {
 		act := game.Decide(game.View{
 			Cfg:     cfg,
@@ -1636,6 +1690,6 @@ func (n *Node) decideAndWrite() map[store.ID]int64 {
 		n.mc.AddMod()
 	}
 	n.mc.AddTick()
-	n.tanks = next
+	n.spare, n.tanks = n.tanks, next
 	return dirty
 }

@@ -2,6 +2,7 @@ package ec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -277,5 +278,42 @@ func TestECConfigValidation(t *testing.T) {
 	}
 	if _, err := New(NodeConfig{Game: cfg, App: net.Endpoint(3), Svc: net.Endpoint(2)}); err == nil {
 		t.Error("app id out of team range accepted")
+	}
+}
+
+// TestDebugTraces: with NodeConfig.Debug set, both of a node's processes
+// report through it (every call site checks Debug before formatting).
+func TestDebugTraces(t *testing.T) {
+	cfg := game.DefaultConfig(2, 1)
+	cfg.Seed, cfg.MaxTicks = 1, 3
+	net := transport.NewMemNetwork(4)
+	t.Cleanup(net.Close)
+	var mu sync.Mutex
+	var lines []string
+	debug := func(s string) { mu.Lock(); lines = append(lines, s); mu.Unlock() }
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		var err error
+		if nodes[i], err = New(NodeConfig{Game: cfg, App: net.Endpoint(i), Svc: net.Endpoint(2 + i), Debug: debug}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, 4) // one per process
+	for _, node := range nodes {
+		go func() { errs <- node.RunService() }()
+		go func() { _, err := node.RunApp(); errs <- err }()
+	}
+	for range 4 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	var app, svc bool
+	for _, l := range lines {
+		app = app || strings.Contains(l, "tick 1")
+		svc = svc || strings.Contains(l, "shutdown from")
+	}
+	if !app || !svc {
+		t.Errorf("traces %q: want the application's ticks and the service's shutdowns", lines)
 	}
 }

@@ -20,6 +20,7 @@ package ec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sdso/internal/lockmgr"
 	"sdso/internal/quorum"
@@ -63,15 +64,6 @@ func (n *Node) qGroup(base int) []int {
 	return quorum.Group(base, n.teams, n.qf())
 }
 
-func inGroup(group []int, team int) bool {
-	for _, t := range group {
-		if t == team {
-			return true
-		}
-	}
-	return false
-}
-
 // replicateOwner commits a dirty release's ownership record to the
 // object's quorum group, deferring grants until f+1 group members hold it
 // (the local copy counts when this manager is in the group). With fewer
@@ -83,7 +75,7 @@ func (n *Node) replicateOwner(obj store.ID, owner int, version int64, grants []l
 	group := n.qGroup(base)
 	needed := n.qf() + 1
 	n.mu.Lock()
-	if inGroup(group, n.team) {
+	if slices.Contains(group, n.team) {
 		n.qrepApply(obj, owner, version)
 		needed--
 	}
@@ -100,7 +92,7 @@ func (n *Node) replicateOwner(obj store.ID, owner int, version int64, grants []l
 	seq := n.qseq
 	if needed > 0 {
 		n.qpend[seq] = &qPending{
-			obj: obj, grants: grants, needed: needed,
+			obj: obj, grants: slices.Clone(grants), needed: needed, // grants are the manager's scratch
 			acked: make(map[int]bool), sent: make(map[int]bool),
 		}
 		for _, t := range targets {
@@ -112,12 +104,9 @@ func (n *Node) replicateOwner(obj store.ID, owner int, version int64, grants []l
 	if needed == 0 {
 		return n.sendGrants(grants)
 	}
+	m := wire.Msg{Kind: wire.KindQWrite, Stamp: seq, Obj: uint32(obj), Ints: n.svcInts.carve(int64(owner), version)}
 	for _, t := range targets {
-		m := &wire.Msg{
-			Kind: wire.KindQWrite, Stamp: seq, Obj: uint32(obj),
-			Ints: []int64{int64(owner), version},
-		}
-		if err := n.countSend(n.cfg.Svc, n.svcID(t), m); err != nil {
+		if err := n.send(n.cfg.Svc, n.svcID(t), m); err != nil {
 			if errors.Is(err, transport.ErrPeerGone) {
 				n.declareCrash(t)
 				continue
@@ -147,8 +136,8 @@ func (n *Node) handleQWrite(m *wire.Msg) error {
 	n.mu.Lock()
 	n.qrepApply(store.ID(m.Obj), int(m.Ints[0]), m.Ints[1])
 	n.mu.Unlock()
-	ack := &wire.Msg{Kind: wire.KindQWriteAck, Stamp: m.Stamp, Obj: m.Obj}
-	if err := n.countSend(n.cfg.Svc, int(m.Src), ack); err != nil && !errors.Is(err, transport.ErrPeerGone) {
+	ack := wire.Msg{Kind: wire.KindQWriteAck, Stamp: m.Stamp, Obj: m.Obj}
+	if err := n.send(n.cfg.Svc, int(m.Src), ack); err != nil && !errors.Is(err, transport.ErrPeerGone) {
 		return fmt.Errorf("ec service %d: qwrite ack: %w", n.team, err)
 	}
 	return nil
@@ -251,7 +240,7 @@ func (n *Node) startAdoptRecon() error {
 			replied: make(map[int]bool),
 			best:    make(map[store.ID]qOwnerRec),
 		}
-		if inGroup(group, n.team) {
+		if slices.Contains(group, n.team) {
 			st.replied[n.team] = true
 			for _, obj := range n.shardOf(dead) {
 				if rec, ok := n.qrep[obj]; ok {
@@ -277,10 +266,12 @@ func (n *Node) startAdoptRecon() error {
 	n.mu.Unlock()
 	for _, s := range starts {
 		n.mc.AddQuorumRound()
-		n.tracef("svc %d reconstructs dead mgr %d's shard from quorum (seq %d)", n.team, s.dead, s.seq)
+		if n.debug() {
+			n.tracef("svc %d reconstructs dead mgr %d's shard from quorum (seq %d)", n.team, s.dead, s.seq)
+		}
 		for _, t := range s.targets {
-			m := &wire.Msg{Kind: wire.KindQRead, Stamp: s.seq, Obj: uint32(s.dead)}
-			if err := n.countSend(n.cfg.Svc, n.svcID(t), m); err != nil {
+			m := wire.Msg{Kind: wire.KindQRead, Stamp: s.seq, Obj: uint32(s.dead)}
+			if err := n.send(n.cfg.Svc, n.svcID(t), m); err != nil {
 				if errors.Is(err, transport.ErrPeerGone) {
 					n.declareCrash(t)
 					continue
@@ -315,11 +306,11 @@ func (n *Node) handleQRead(m *wire.Msg) error {
 		}
 	}
 	n.mu.Unlock()
-	ack := &wire.Msg{
+	ack := wire.Msg{
 		Kind: wire.KindQReadAck, Stamp: m.Stamp, Obj: m.Obj,
 		Payload: lockmgr.EncodeRecords(recs),
 	}
-	if err := n.countSend(n.cfg.Svc, int(m.Src), ack); err != nil && !errors.Is(err, transport.ErrPeerGone) {
+	if err := n.send(n.cfg.Svc, int(m.Src), ack); err != nil && !errors.Is(err, transport.ErrPeerGone) {
 		return fmt.Errorf("ec service %d: qread ack: %w", n.team, err)
 	}
 	return nil
@@ -374,20 +365,11 @@ func (n *Node) finishAdoptRecon(dead int) error {
 		n.mc.AddReadRepair()
 	}
 	n.mc.AddReplicaCatchup()
-	n.tracef("svc %d reconstructed mgr %d's shard: %d records repaired, %d stalled msgs",
-		n.team, dead, repaired, len(stalled))
-	for _, m := range stalled {
-		var err error
-		if m.Kind == wire.KindLockReq {
-			err = n.handleLockReq(m)
-		} else {
-			err = n.handleLockRelease(m)
-		}
-		if err != nil {
-			return err
-		}
+	if n.debug() {
+		n.tracef("svc %d reconstructed mgr %d's shard: %d records repaired, %d stalled msgs",
+			n.team, dead, repaired, len(stalled))
 	}
-	return nil
+	return n.replay(stalled)
 }
 
 // stallForAdopt parks a lock request or release whose object's ownership is

@@ -558,10 +558,10 @@ func (n *Node) decideAndWrite() map[store.ID]int64 {
 		writes, reachedGoal := act.Writes(n.team, n.goal)
 		for _, cw := range writes {
 			id := cfg.ObjectOf(cw.Pos)
-			if _, err := n.st.Update(id, game.EncodeCell(cw.Cell)); err != nil {
+			_, v, _, err := n.st.WriteBy(id, game.EncodeCell(cw.Cell), -1)
+			if err != nil {
 				continue
 			}
-			v, _ := n.st.Version(id)
 			dirty[id] = v
 			n.known[id] = notice{writer: n.team, version: v}
 			modified = true

@@ -45,10 +45,7 @@ type Endpoint interface {
 	// sender neither reads, writes, resends nor retains m afterwards — it
 	// keeps values, and builds a fresh message to retransmit. Ints is the
 	// exception: it is shared, and immutable from the moment it is sent, so
-	// one beacon may ride many messages and outlive all of them. Senders
-	// that must keep a message they send (a request held for a failover
-	// retransmit) send a Clone; that is only safe to skip towards receivers
-	// that never Recycle.
+	// one beacon may ride many messages and outlive all of them.
 	Send(to int, m *wire.Msg) error
 	// Recv returns the next incoming message.
 	Recv() (*wire.Msg, error)

@@ -142,10 +142,11 @@ func (e *Encoded) WriteTo(w io.Writer) (int64, error) {
 func (e *Encoded) DecodeInto(m *Msg) error { return m.UnmarshalBinary(e.buf[4:]) }
 
 // msgPool is the free-list messages circulate through. The lookahead
-// runtime takes every hot-path outgoing message from it; Send gives the
-// message away (transport.Endpoint.Send); the receiving transport delivers
-// that struct, or a frame decoded into another pooled one (the TCP read
-// loop, shared-encoding deliveries); and the receiver's Recycle puts it
+// runtime takes every hot-path outgoing message from it, and EC every
+// message it sends; Send gives the message away (transport.Endpoint.Send);
+// the receiving transport delivers that struct, or a frame decoded into
+// another pooled one (the TCP read loop, shared-encoding deliveries); and
+// the receiver's Recycle puts it
 // back once consumed. A recycled Msg keeps its Payload capacity (and its
 // Ints capacity, when the caller left Ints attached), so in steady state
 // neither a send nor a decode allocates. A Msg taken and never put back —
