@@ -85,7 +85,6 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 				r.peers[peer].sent(r.now, g.beacon)
 			}
 			enc.Release()
-			sync.Ints = nil
 			wire.PutMsg(sync)
 			continue
 		}

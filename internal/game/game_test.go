@@ -421,11 +421,16 @@ func TestBeaconRoundTrip(t *testing.T) {
 		if hasBox {
 			b.Box = &Box{MinX: int(bx), MinY: int(by), MaxX: int(bx) + int(bx2), MaxY: int(by) + int(by2)}
 		}
-		got, err := DecodeBeacon(EncodeBeacon(b))
+		enc := EncodeBeacon(b)
+		got, err := DecodeBeacon(enc)
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(normalizeBeacon(got), normalizeBeacon(b))
+		// AppendBeacon writes the same ints after whatever dst holds.
+		prefix := []int64{-7}
+		appended := AppendBeacon(prefix, b)
+		return reflect.DeepEqual(normalizeBeacon(got), normalizeBeacon(b)) &&
+			appended[0] == -7 && reflect.DeepEqual(appended[1:], enc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -93,20 +93,23 @@ func (b *Box) Dist(p Pos) int {
 	return dx + dy
 }
 
-// EncodeBeacon flattens a beacon into the int64 slice carried on SYNC
-// messages. Layout: [nTanks, x1, y1, ..., hasBox, minX, minY, maxX, maxY].
+// EncodeBeacon flattens a beacon into a fresh int64 slice (AppendBeacon).
 func EncodeBeacon(b Beacon) []int64 {
-	out := make([]int64, 0, 2+2*len(b.Tanks)+4)
-	out = append(out, int64(len(b.Tanks)))
+	return AppendBeacon(make([]int64, 0, 2+2*len(b.Tanks)+4), b)
+}
+
+// AppendBeacon appends the encoding of b carried on SYNC messages to dst
+// and returns the extended slice. Layout: [nTanks, x1, y1, ..., hasBox,
+// minX, minY, maxX, maxY].
+func AppendBeacon(dst []int64, b Beacon) []int64 {
+	dst = append(dst, int64(len(b.Tanks)))
 	for _, p := range b.Tanks {
-		out = append(out, int64(p.X), int64(p.Y))
+		dst = append(dst, int64(p.X), int64(p.Y))
 	}
 	if b.Box == nil {
-		out = append(out, 0)
-	} else {
-		out = append(out, 1, int64(b.Box.MinX), int64(b.Box.MinY), int64(b.Box.MaxX), int64(b.Box.MaxY))
+		return append(dst, 0)
 	}
-	return out
+	return append(dst, 1, int64(b.Box.MinX), int64(b.Box.MinY), int64(b.Box.MaxX), int64(b.Box.MaxY))
 }
 
 // DecodeBeacon parses an encoded beacon.

@@ -124,7 +124,7 @@ type Node struct {
 	spare []game.TankState
 	// Ints of the messages the application and the service send, each side
 	// carving from its own chunk since the two run concurrently.
-	appInts, svcInts intsChunk
+	appInts, svcInts wire.IntsChunk
 
 	// crashed marks teams declared crashed (guarded by mu; the app and
 	// service processes of a node converge on it independently).
@@ -275,18 +275,6 @@ func recycle(ep transport.Endpoint, m *wire.Msg) {
 	if k := m.Kind; k != wire.KindJoinReq && k != wire.KindJoinAck && k != wire.KindSnapshot {
 		transport.Recycle(ep, m)
 	}
-}
-
-// intsChunk carves message Ints. Sent Ints are shared and immutable (§15),
-// so a chunk is never reused: it goes when the last Ints in it does.
-type intsChunk []int64
-
-func (c *intsChunk) carve(vals ...int64) []int64 {
-	if cap(*c)-len(*c) < len(vals) {
-		*c = make(intsChunk, 0, 128)
-	}
-	*c = append(*c, vals...)
-	return (*c)[len(*c)-len(vals) : len(*c) : len(*c)]
 }
 
 // ft reports whether crash tolerance is enabled.
@@ -604,7 +592,7 @@ func (n *Node) RunService() error {
 			}
 			reply := wire.Msg{
 				Kind: wire.KindObjReply, Obj: m.Obj, Stamp: m.Stamp,
-				Ints: n.svcInts.carve(ver), Payload: state,
+				Ints: n.svcInts.Carve(ver), Payload: state,
 			}
 			if err := n.send(svc, int(m.Src), reply); err != nil {
 				return err
@@ -800,7 +788,7 @@ func (n *Node) sendGrants(grants []lockmgr.Grant) error {
 		n.cfg.SvcTrace.Record(trace.OpMgrGrant, g.Proc, int64(g.Obj), g.Version, 0, modeAux)
 		m := wire.Msg{
 			Kind: wire.KindLockGrant, Obj: uint32(g.Obj), Mode: mode,
-			Ints: n.svcInts.carve(int64(g.Owner), g.Version),
+			Ints: n.svcInts.Carve(int64(g.Owner), g.Version),
 		}
 		if err := n.send(n.cfg.Svc, g.Proc, m); err != nil {
 			return fmt.Errorf("ec service %d: send grant: %w", n.team, err)
@@ -1576,7 +1564,7 @@ func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
 		}
 		rel := wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.obj), Ints: cleanRelease}
 		if v, ok := dirty[lr.obj]; ok && lr.write {
-			rel.Ints = n.appInts.carve(1, v)
+			rel.Ints = n.appInts.Carve(1, v)
 			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.obj), v, 0, 1)
 		} else {
 			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.obj), 0, 0, 0)

@@ -104,7 +104,7 @@ func (n *Node) replicateOwner(obj store.ID, owner int, version int64, grants []l
 	if needed == 0 {
 		return n.sendGrants(grants)
 	}
-	m := wire.Msg{Kind: wire.KindQWrite, Stamp: seq, Obj: uint32(obj), Ints: n.svcInts.carve(int64(owner), version)}
+	m := wire.Msg{Kind: wire.KindQWrite, Stamp: seq, Obj: uint32(obj), Ints: n.svcInts.Carve(int64(owner), version)}
 	for _, t := range targets {
 		if err := n.send(n.cfg.Svc, n.svcID(t), m); err != nil {
 			if errors.Is(err, transport.ErrPeerGone) {

@@ -22,14 +22,15 @@ import (
 //     tick's maps, per-flush slots and per-record encodes were replaced
 //     this figure was about 350; with messages circulating through the wire
 //     pool about 34, with one frame a peer a call 32, with the delta
-//     tables and slots carved from their owner's block pool 26, and with
-//     every installed state carved from the store's arena 9.
+//     tables and slots carved from their owner's block pool 26, with every
+//     installed state carved from the store's arena 9.3, and with beacons
+//     and decoded Ints carved from chunks 8.6.
 //   - gated: n = 16 MSYNC2 with delta encoding, the interest set and four
 //     shards (msync2_gated_mem_n64). With the map-based interest index and
 //     per-peer first blocks from the allocator this was 49; then 33; with
-//     the arena it is 15.
+//     the arena 15.3; with carved beacons and decoded Ints 13.6.
 //
-// Bytes: 4 266 and 6 043 a player-tick (8 581 and 10 150 while every player
+// Bytes: 4 225 and 6 030 a player-tick (8 581 and 10 150 while every player
 // generated the world and registered a record per block: on a 768-block
 // board that was half of what a 20-tick player allocates).
 //
@@ -47,8 +48,8 @@ func TestWholeGameAllocBudget(t *testing.T) {
 		bytes   float64 // bytes allocated per player-tick
 		apply   func(*PlayerConfig)
 	}{
-		{"bsync", 8, 20, 11, 4900, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
-		{"gated", 16, 30, 18, 6950, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
+		{"bsync", 8, 20, 10, 4900, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
+		{"gated", 16, 30, 16, 6950, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := game.DefaultConfig(tc.teams, 1)

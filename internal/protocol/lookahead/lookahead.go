@@ -45,6 +45,7 @@ import (
 	"sdso/internal/store"
 	"sdso/internal/trace"
 	"sdso/internal/transport"
+	"sdso/internal/wire"
 )
 
 // Protocol selects a lookahead variant.
@@ -213,6 +214,10 @@ type player struct {
 	// by that tick's SYNCs.
 	bare     []int64
 	bareTick int64
+	// Every beacon sent is carved from ints (see beacon), encoded first in
+	// the scratch enc.
+	ints wire.IntsChunk
+	enc  []int64
 }
 
 // RunPlayer executes one team's process to completion and returns its
@@ -608,6 +613,14 @@ func (p *player) positions() []game.Pos {
 	return p.pos
 }
 
+// beacon encodes b into a slice carved from the player's chunk: a sent
+// beacon is shared and immutable (DESIGN.md §15), so it needs no heap
+// object of its own.
+func (p *player) beacon(b game.Beacon) []int64 {
+	p.enc = game.AppendBeacon(p.enc[:0], b)
+	return p.ints.Carve(p.enc...)
+}
+
 func (p *player) readCell(pos game.Pos) (game.Cell, error) {
 	b, err := p.rt.Store().View(p.cfg.Game.ObjectOf(pos))
 	if err != nil {
@@ -639,10 +652,10 @@ func (p *player) exchangeOpts() core.ExchangeOpts {
 		GroupWithheldSyncs: bounded,
 		Beacon: func(peer int) []int64 {
 			if box := p.pendingBox(peer); box != nil {
-				return game.EncodeBeacon(game.Beacon{Tanks: p.positions(), Box: box})
+				return p.beacon(game.Beacon{Tanks: p.positions(), Box: box})
 			}
 			if now := p.rt.Now(); p.bareTick != now {
-				p.bare, p.bareTick = game.EncodeBeacon(game.Beacon{Tanks: p.positions()}), now
+				p.bare, p.bareTick = p.beacon(game.Beacon{Tanks: p.positions()}), now
 			}
 			return p.bare
 		},

@@ -59,6 +59,7 @@ type memEndpoint struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  mailbox[memItem]
+	ints   wire.IntsChunk // what pop carves decoded Ints from (under mu)
 	closed bool
 }
 
@@ -133,7 +134,7 @@ func (e *memEndpoint) pop() (*wire.Msg, error) {
 	}
 	defer it.enc.Release()
 	m := wire.GetMsg()
-	if err := it.enc.DecodeInto(m); err != nil {
+	if err := it.enc.DecodeCarved(m, &e.ints); err != nil {
 		wire.PutMsg(m)
 		return nil, err
 	}
@@ -145,7 +146,7 @@ func (e *memEndpoint) pop() (*wire.Msg, error) {
 // receiver's alone — Send gave the sender's struct away, a SendMany
 // delivery was decoded into a pooled one — so a fully consumed message goes
 // back to the free-list.
-func (e *memEndpoint) Recycle(m *wire.Msg) { recycle(m) }
+func (e *memEndpoint) Recycle(m *wire.Msg) { wire.PutMsg(m) }
 
 func (e *memEndpoint) Recv() (*wire.Msg, error) {
 	e.mu.Lock()

@@ -200,6 +200,10 @@ type TCPEndpoint struct {
 	queue  mailbox[*wire.Msg]
 	closed bool
 
+	// ints is what every read loop of the endpoint carves decoded Ints
+	// from: one chunk, not one a loop, so n-1 links fill one chunk.
+	ints sharedInts
+
 	// closing and done mirror `closed` for paths that cannot take e.mu:
 	// per-peer writer/redial loops observe closing via the atomic and
 	// interrupt their sleeps on the channel.
@@ -212,6 +216,20 @@ type TCPEndpoint struct {
 
 	peers []*tcpPeer // index by peer id; nil at own index
 	wg    sync.WaitGroup
+}
+
+// sharedInts is a wire.IntsChunk behind a lock, for the read loops that
+// carve from it concurrently.
+type sharedInts struct {
+	mu sync.Mutex
+	c  wire.IntsChunk
+}
+
+// Take implements wire.IntsSource.
+func (s *sharedInts) Take(n int) []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.c.Take(n)
 }
 
 type tcpPeer struct {
@@ -436,8 +454,8 @@ func (e *TCPEndpoint) readLoop(p *tcpPeer) {
 		// Recycle once fully consumed, so steady-state receive paths stop
 		// allocating a Msg (plus its slices) per frame.
 		m := wire.GetMsg()
-		if err := wire.ReadFrame(br, m); err != nil {
-			wire.PutMsg(m)
+		if err := wire.ReadFrameCarved(br, m, &e.ints); err != nil {
+			e.Recycle(m)
 			if !errors.Is(err, io.EOF) {
 				// Anything but a clean end-of-stream — a truncated,
 				// oversized, or garbage frame, or a reset — leaves the
@@ -463,6 +481,7 @@ func (e *TCPEndpoint) readLoop(p *tcpPeer) {
 		e.mu.Lock()
 		if e.closed {
 			e.mu.Unlock()
+			e.Recycle(m)
 			return
 		}
 		e.queue.push(m)
@@ -687,7 +706,7 @@ func (e *TCPEndpoint) Flush() error {
 // Recycle implements Recycler: messages delivered by this endpoint are
 // decoded from frames into pool-owned structs (see readLoop), so a fully
 // consumed message goes back to the free-list.
-func (e *TCPEndpoint) Recycle(m *wire.Msg) { recycle(m) }
+func (e *TCPEndpoint) Recycle(m *wire.Msg) { wire.PutMsg(m) }
 
 // Recv implements Endpoint.
 func (e *TCPEndpoint) Recv() (*wire.Msg, error) {

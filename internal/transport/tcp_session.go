@@ -459,8 +459,8 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 	br := bufio.NewReader(conn)
 	for {
 		m := wire.GetMsg()
-		if err := wire.ReadFrame(br, m); err != nil {
-			wire.PutMsg(m)
+		if err := wire.ReadFrameCarved(br, m, &e.ints); err != nil {
+			e.Recycle(m)
 			p.mu.Lock()
 			if p.gen == gen {
 				e.linkDownLocked(p)
@@ -476,7 +476,7 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 			if len(m.Ints) > 0 {
 				ack = m.Ints[0]
 			}
-			wire.PutMsg(m)
+			e.Recycle(m)
 			p.mu.Lock()
 			if p.gen != gen {
 				p.mu.Unlock()
@@ -494,7 +494,7 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 			if len(m.Ints) > 0 && m.Kind == wire.KindPong {
 				ack = m.Ints[0]
 			}
-			wire.PutMsg(m)
+			e.Recycle(m)
 			if ack > 0 {
 				p.mu.Lock()
 				if p.gen != gen {
@@ -509,7 +509,7 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 		p.mu.Lock()
 		if p.gen != gen {
 			p.mu.Unlock()
-			wire.PutMsg(m)
+			e.Recycle(m)
 			return
 		}
 		if m.Kind == wire.KindDone {
@@ -529,7 +529,7 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 		e.mu.Lock()
 		if e.closed {
 			e.mu.Unlock()
-			wire.PutMsg(m)
+			e.Recycle(m)
 			return
 		}
 		e.queue.push(m)

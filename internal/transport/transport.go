@@ -45,7 +45,9 @@ type Endpoint interface {
 	// sender neither reads, writes, resends nor retains m afterwards — it
 	// keeps values, and builds a fresh message to retransmit. Ints is the
 	// exception: it is shared, and immutable from the moment it is sent, so
-	// one beacon may ride many messages and outlive all of them.
+	// one beacon may ride many messages and outlive all of them. A received
+	// message's Ints are immutable too: each endpoint carves the Ints it
+	// decodes from a wire.IntsChunk of its own.
 	Send(to int, m *wire.Msg) error
 	// Recv returns the next incoming message.
 	Recv() (*wire.Msg, error)
@@ -154,20 +156,12 @@ type LivenessReporter interface {
 // instead of being allocated. Every transport in this package implements
 // it; wrappers forward to whatever they wrap. The caller must hold no
 // reference into the struct or its Payload afterwards, but may keep m.Ints
-// (a beacon outlives its message): an implementation takes the struct and
-// the Payload buffer only, and detaches Ints itself. Recycling is optional
-// per message — one whose Payload is retained (a vaulted checkpoint, a
-// parked reply) is simply never handed back.
+// (a beacon outlives its message): wire.PutMsg takes the struct and the
+// Payload buffer only. Recycling is optional per message — one whose
+// Payload is retained (a vaulted checkpoint, a parked reply) is simply
+// never handed back.
 type Recycler interface {
 	Recycle(m *wire.Msg)
-}
-
-// recycle is the Recycle of every endpoint in this package: the struct and
-// its Payload buffer go back to the wire free-list; Ints is detached first
-// because beacons are shared between messages and outlive them.
-func recycle(m *wire.Msg) {
-	m.Ints = nil
-	wire.PutMsg(m)
 }
 
 // SendMany transmits m to every destination in dsts, using the endpoint's

@@ -16,6 +16,7 @@ type SimEndpoint struct {
 	n     int
 	size  SizeFunc
 	alive bool
+	ints  wire.IntsChunk // what decoded Ints are carved from
 }
 
 var (
@@ -80,17 +81,17 @@ func (e *SimEndpoint) SendMany(dsts []int, m *wire.Msg) error {
 	return sendManyEncoded(e, dsts, m)
 }
 
-// simDecode materializes a received vtime payload: eager *wire.Msg
+// decode materializes a received vtime payload: eager *wire.Msg
 // deliveries pass the given-away struct through, shared encodings decode a
 // private copy into a pooled one.
-func simDecode(payload any) (*wire.Msg, bool) {
+func (e *SimEndpoint) decode(payload any) (*wire.Msg, bool) {
 	switch v := payload.(type) {
 	case *wire.Msg:
 		return v, true
 	case *simEncoded:
 		defer v.enc.Release()
 		m := wire.GetMsg()
-		if err := v.enc.DecodeInto(m); err != nil {
+		if err := v.enc.DecodeCarved(m, &e.ints); err != nil {
 			wire.PutMsg(m)
 			return nil, false
 		}
@@ -103,7 +104,7 @@ func simDecode(payload any) (*wire.Msg, bool) {
 // Recycle implements Recycler, exactly as the in-memory endpoint does: a
 // delivered message is the receiver's alone, so a fully consumed one goes
 // back to the free-list.
-func (e *SimEndpoint) Recycle(m *wire.Msg) { recycle(m) }
+func (e *SimEndpoint) Recycle(m *wire.Msg) { wire.PutMsg(m) }
 
 // Recv implements Endpoint.
 func (e *SimEndpoint) Recv() (*wire.Msg, error) {
@@ -114,7 +115,7 @@ func (e *SimEndpoint) Recv() (*wire.Msg, error) {
 	if !ok {
 		return nil, ErrClosed
 	}
-	m, ok := simDecode(vm.Payload)
+	m, ok := e.decode(vm.Payload)
 	if !ok {
 		return nil, ErrClosed
 	}
@@ -134,7 +135,7 @@ func (e *SimEndpoint) RecvTimeout(d time.Duration) (*wire.Msg, bool, error) {
 	if !got {
 		return nil, false, ErrClosed
 	}
-	m, okM := simDecode(vm.Payload)
+	m, okM := e.decode(vm.Payload)
 	if !okM {
 		return nil, false, ErrClosed
 	}
@@ -150,7 +151,7 @@ func (e *SimEndpoint) TryRecv() (*wire.Msg, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	m, okM := simDecode(vm.Payload)
+	m, okM := e.decode(vm.Payload)
 	if !okM {
 		return nil, false, nil
 	}

@@ -139,7 +139,49 @@ func (e *Encoded) WriteTo(w io.Writer) (int64, error) {
 // DecodeInto decodes the frame body into m with UnmarshalBinary's reuse
 // semantics. The decoded fields never alias the shared frame bytes, so the
 // caller may retain m past the frame's Release.
-func (e *Encoded) DecodeInto(m *Msg) error { return m.UnmarshalBinary(e.buf[4:]) }
+func (e *Encoded) DecodeInto(m *Msg) error { return m.unmarshal(e.buf[4:], nil) }
+
+// DecodeCarved is DecodeInto with m.Ints taken from src: whatever m.Ints
+// held is left alone, and nothing else is allocated.
+func (e *Encoded) DecodeCarved(m *Msg, src IntsSource) error { return m.unmarshal(e.buf[4:], src) }
+
+// IntsSource supplies the Ints of a carving decode (DecodeCarved,
+// ReadFrameCarved): Take(n) returns n int64s no live slice shares, with
+// cap == len.
+type IntsSource interface {
+	Take(n int) []int64
+}
+
+// IntsChunk is where message Ints are carved from. Ints are shared and
+// immutable from the moment they are sent or delivered (DESIGN.md §15), so
+// a chunk is never reused: every slice cut from it is capacity-clipped,
+// nothing is freed or reset, and a chunk goes when the last Ints in it does.
+// A live Ints therefore pins at most one chunk. The zero value is ready; a
+// chunk is not safe for concurrent use.
+type IntsChunk []int64
+
+// intsChunkLen is a chunk's length, 1 KB (an allocator size class). A
+// request above a quarter of it gets a slice of its own.
+const intsChunkLen = 128
+
+// Take implements IntsSource.
+func (c *IntsChunk) Take(n int) []int64 {
+	if n > intsChunkLen/4 {
+		return make([]int64, n)
+	}
+	if cap(*c)-len(*c) < n {
+		*c = make(IntsChunk, 0, intsChunkLen)
+	}
+	*c = (*c)[:len(*c)+n]
+	return (*c)[len(*c)-n : len(*c) : len(*c)]
+}
+
+// Carve returns a copy of vals carved from c.
+func (c *IntsChunk) Carve(vals ...int64) []int64 {
+	s := c.Take(len(vals))
+	copy(s, vals)
+	return s
+}
 
 // msgPool is the free-list messages circulate through. The lookahead
 // runtime takes every hot-path outgoing message from it, and EC every
@@ -147,34 +189,26 @@ func (e *Encoded) DecodeInto(m *Msg) error { return m.UnmarshalBinary(e.buf[4:])
 // the receiving transport delivers that struct, or a frame decoded into
 // another pooled one (the TCP read loop, shared-encoding deliveries); and
 // the receiver's Recycle puts it
-// back once consumed. A recycled Msg keeps its Payload capacity (and its
-// Ints capacity, when the caller left Ints attached), so in steady state
-// neither a send nor a decode allocates. A Msg taken and never put back —
-// sent over TCP, retained by its receiver, received by a protocol that
-// does not recycle — is ordinary garbage, and the next Get allocates.
+// back once consumed. A recycled Msg keeps its Payload capacity, so in
+// steady state neither a send nor a decode allocates. A Msg taken and never
+// put back — sent over TCP, retained by its receiver, received by a
+// protocol that does not recycle — is ordinary garbage, and the next Get
+// allocates.
 var msgPool = sync.Pool{New: func() any { return new(Msg) }}
 
-// GetMsg returns a Msg from the free-list (fields zeroed, slice capacity
-// possibly retained from a previous life).
+// GetMsg returns a Msg from the free-list (fields zeroed and Ints nil,
+// Payload capacity possibly retained from a previous life).
 func GetMsg() *Msg { return msgPool.Get().(*Msg) }
 
-// PutMsg recycles m. The caller must own m and every slice it references:
-// after PutMsg the struct and its Ints/Payload backing arrays will be
-// scribbled over by a future decode. Callers that handed a slice onward
-// (a retained beacon, say) detach it (m.Ints = nil) before recycling.
+// PutMsg recycles m. The caller must own m and its Payload: after PutMsg
+// the struct and the Payload backing array will be scribbled over by a
+// future decode. Ints are never pooled — they are shared, immutable, and
+// often carved — so PutMsg detaches them, and a caller may keep m.Ints.
 func PutMsg(m *Msg) {
 	if m == nil {
 		return
 	}
-	m.Kind, m.Mode = 0, 0
-	m.Src, m.Dst = 0, 0
-	m.Stamp, m.Obj = 0, 0
-	if m.Ints != nil {
-		m.Ints = m.Ints[:0]
-	}
-	if m.Payload != nil {
-		m.Payload = m.Payload[:0]
-	}
+	*m = Msg{Payload: m.Payload[:0]}
 	msgPool.Put(m)
 }
 

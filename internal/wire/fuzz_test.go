@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshalBinary: arbitrary bytes must never panic the codec, and any
-// input it accepts must re-encode to an equivalent message.
+// FuzzUnmarshalBinary: arbitrary bytes must never panic the codec, any
+// input it accepts must re-encode to an equivalent message, and the carving
+// decode must accept and refuse exactly what it does, field for field.
 func FuzzUnmarshalBinary(f *testing.F) {
 	if b, err := sampleMsg().MarshalBinary(); err == nil {
 		f.Add(b)
@@ -25,11 +26,38 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add(make([]byte, encodedHeaderSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Msg
-		if err := m.UnmarshalBinary(data); err != nil {
-			return
+		err := m.UnmarshalBinary(data)
+		checkCarvedMatches(t, &m, err, func(m *Msg, c *IntsChunk) error { return m.unmarshal(data, c) })
+		if err == nil {
+			checkReencodes(t, &m)
 		}
-		checkReencodes(t, &m)
 	})
+}
+
+// checkCarvedMatches decodes the same input again through a chunk, into a
+// struct whose Ints another holder keeps, and demands what the plain decode
+// gave — the same error, or the same message field for field — with the
+// kept Ints untouched and the decoded ones capacity-clipped.
+func checkCarvedMatches(t *testing.T, want *Msg, wantErr error, decode func(*Msg, *IntsChunk) error) {
+	t.Helper()
+	kept := append(make([]int64, 0, 64), -1, -2)
+	var c IntsChunk
+	got := &Msg{Ints: kept}
+	err := decode(got, &c)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("carving decode: error %v, plain decode: %v", err, wantErr)
+	}
+	if kept[0] != -1 || kept[1] != -2 {
+		t.Fatalf("carving decode wrote into the Ints the struct held: %v", kept)
+	}
+	if err != nil {
+		return
+	}
+	assertMsgEqual(t, got, want)
+	if cap(got.Ints) != len(got.Ints) || overlaps(got.Ints, kept) {
+		t.Fatalf("carved Ints have len %d cap %d, and share the held Ints' memory: %v",
+			len(got.Ints), cap(got.Ints), overlaps(got.Ints, kept))
+	}
 }
 
 // checkReencodes demands that an accepted message survives a second trip
@@ -52,8 +80,9 @@ func checkReencodes(t *testing.T, m *Msg) {
 	assertMsgEqual(t, &m2, m)
 }
 
-// FuzzReadFrame: arbitrary streams must never panic the frame reader, and
-// a frame it accepts must re-encode like any other message. The seed
+// FuzzReadFrame: arbitrary streams must never panic the frame reader, a
+// frame it accepts must re-encode like any other message, and
+// ReadFrameCarved must read the same. The seed
 // corpus includes truncated frames — a crashing or partitioned peer
 // cuts the TCP stream at arbitrary byte boundaries, so the reader must fail
 // cleanly mid-length-prefix, mid-header, and mid-payload.
@@ -78,10 +107,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Msg
-		if err := ReadFrame(bytes.NewReader(data), &m); err != nil {
-			return
+		err := ReadFrame(bytes.NewReader(data), &m)
+		checkCarvedMatches(t, &m, err, func(m *Msg, c *IntsChunk) error {
+			return ReadFrameCarved(bytes.NewReader(data), m, c)
+		})
+		if err == nil {
+			checkReencodes(t, &m)
 		}
-		checkReencodes(t, &m)
 	})
 }
 

@@ -365,7 +365,12 @@ func varintErr(next int) error {
 // follow them, every Ints varint, and finally that the frame ends exactly
 // where the payload does. A rejected frame leaves m as it was, and the
 // errors are the bare sentinels, so rejecting one allocates nothing either.
-func (m *Msg) UnmarshalBinary(buf []byte) error {
+func (m *Msg) UnmarshalBinary(buf []byte) error { return m.unmarshal(buf, nil) }
+
+// unmarshal is the one decode body. Given a source, it takes m.Ints from it
+// and never writes into the slice m.Ints held, which may be a beacon
+// somebody kept; without one, it has UnmarshalBinary's reuse semantics.
+func (m *Msg) unmarshal(buf []byte, src IntsSource) error {
 	if len(buf) < encodedHeaderSize {
 		return ErrShortBuffer
 	}
@@ -411,26 +416,26 @@ func (m *Msg) UnmarshalBinary(buf []byte) error {
 	m.Dst = int32(binary.BigEndian.Uint32(buf[6:]))
 	m.Stamp = unzigzag(ustamp)
 	m.Obj = uint32(obj)
-	if nInts == 0 {
-		if m.Ints != nil {
-			m.Ints = m.Ints[:0]
+	switch {
+	case src != nil:
+		m.Ints = nil
+		if nInts > 0 {
+			m.Ints = src.Take(int(nInts))
 		}
-	} else {
-		if cap(m.Ints) < int(nInts) {
-			m.Ints = make([]int64, nInts)
+	case cap(m.Ints) < int(nInts):
+		m.Ints = make([]int64, nInts)
+	case m.Ints != nil:
+		m.Ints = m.Ints[:nInts]
+	}
+	p = 0
+	for i := range m.Ints {
+		u := uint64(ints[p])
+		if u < 0x80 {
+			p++
 		} else {
-			m.Ints = m.Ints[:nInts]
+			u, p = uvarint(ints, p) // cannot fail: validated above
 		}
-		p = 0
-		for i := range m.Ints {
-			u := uint64(ints[p])
-			if u < 0x80 {
-				p++
-			} else {
-				u, p = uvarint(ints, p) // cannot fail: validated above
-			}
-			m.Ints[i] = unzigzag(u)
-		}
+		m.Ints[i] = unzigzag(u)
 	}
 	if nPayload == 0 {
 		if m.Payload != nil {
@@ -478,17 +483,25 @@ func WriteFrame(w io.Writer, m *Msg) error {
 // lands in a pooled scratch buffer that is recycled on return; m owns none
 // of it (UnmarshalBinary copies), so callers may retain m and its slices
 // indefinitely.
-func ReadFrame(r io.Reader, m *Msg) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader, m *Msg) error { return readFrame(r, m, nil) }
+
+// ReadFrameCarved is ReadFrame with m.Ints taken from src, as
+// Encoded.DecodeCarved takes them.
+func ReadFrameCarved(r io.Reader, m *Msg, src IntsSource) error { return readFrame(r, m, src) }
+
+func readFrame(r io.Reader, m *Msg, src IntsSource) error {
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	// The length prefix lands in the pooled buffer too: a local array handed
+	// to an io.Reader escapes, an allocation per frame.
+	hdr := (*bp)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return err // io.EOF passes through for clean connection shutdown
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n < encodedHeaderSize || n > maxEncodedSize {
 		return fmt.Errorf("%w: frame length %d", ErrTooLarge, n)
 	}
-	bp := framePool.Get().(*[]byte)
-	defer framePool.Put(bp)
 	var body []byte
 	if cap(*bp) < int(n) {
 		body = make([]byte, n)
@@ -499,7 +512,7 @@ func ReadFrame(r io.Reader, m *Msg) error {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return fmt.Errorf("read frame body: %w", err)
 	}
-	return m.UnmarshalBinary(body)
+	return m.unmarshal(body, src)
 }
 
 // Clone returns a deep copy of m. Protocols that buffer messages use Clone
