@@ -313,12 +313,14 @@ func TestPiggybackWithSpatialFilter(t *testing.T) {
 // put exactly the frames and wire bytes on the transport that it has since
 // PR 4 made the exchange one frame per peer per tick — every later feature
 // is opt-in and may not add a byte here. 200 exchanges (2 players x 100
-// ticks) send 200 frames and 7 548 bytes; the byte count was 13 400 (67 a
-// frame) until PR 20 replaced the fixed 30-byte header and 8-byte ints with
-// varints, which moved every byte count and no frame count.
+// ticks) send 200 frames and 5 948 bytes. The byte count was 13 400 (67 a
+// frame) until the codec replaced the fixed 30-byte header and 8-byte ints
+// with varints (7 548), and 7 548 until the routing words left the
+// encoding: 7 548 - 200 frames x 8 B (Src and Dst, 4 B each) = 5 948.
+// Neither moved a frame count.
 func TestFramesMatchPR4Baseline(t *testing.T) {
 	const n, ticks = 2, 100
-	const wantFrames, wantWireBytes = 200, 7548
+	const wantFrames, wantWireBytes = 200, 5948
 
 	addrs := make([]string, n)
 	for i := range addrs {

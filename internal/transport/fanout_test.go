@@ -142,7 +142,7 @@ func TestSendManyCopyOnRead(t *testing.T) {
 }
 
 // The simulated transport's SendMany must deliver per-link copies too,
-// with routing patched in from out-of-band metadata.
+// with routing set from the simulator's delivery record.
 func TestSimSendMany(t *testing.T) {
 	sim := vtime.NewSim(vtime.Config{Links: vtime.ConstantDelay(time.Millisecond)})
 	got := make([][]*wire.Msg, 3)

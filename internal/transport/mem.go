@@ -47,9 +47,9 @@ func (n *MemNetwork) Close() {
 // (copy-on-read) while the fanout itself marshaled only once. Either way
 // the delivered message is the receiver's to Recycle.
 type memItem struct {
-	m        *wire.Msg
-	enc      *wire.Encoded
-	src, dst int32 // routing for the enc path, carried out of band
+	m   *wire.Msg
+	enc *wire.Encoded
+	src int32 // the sender of an enc delivery; the receiver is the queue's owner
 }
 
 type memEndpoint struct {
@@ -107,14 +107,13 @@ func (e *memEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error 
 	if closed {
 		return ErrClosed
 	}
-	m.Src, m.Dst = int32(e.id), int32(to)
 	dst := e.net.eps[to]
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	if dst.closed {
 		return nil // dropped, as in Send
 	}
-	dst.queue.push(memItem{enc: enc.Retain(), src: int32(e.id), dst: int32(to)})
+	dst.queue.push(memItem{enc: enc.Retain(), src: int32(e.id)})
 	dst.cond.Signal()
 	return nil
 }
@@ -126,7 +125,7 @@ func (e *memEndpoint) SendMany(dsts []int, m *wire.Msg) error {
 
 // pop dequeues the head item (e.mu held) and materializes a Msg: eager
 // deliveries pass the given-away pointer through, shared encodings decode
-// a private copy into a pooled struct and patch the out-of-band routing in.
+// a private copy into a pooled struct and set its routing from the link.
 func (e *memEndpoint) pop() (*wire.Msg, error) {
 	it := e.queue.pop()
 	if it.enc == nil {
@@ -138,7 +137,7 @@ func (e *memEndpoint) pop() (*wire.Msg, error) {
 		wire.PutMsg(m)
 		return nil, err
 	}
-	m.Src, m.Dst = it.src, it.dst
+	m.Src, m.Dst = it.src, int32(e.id)
 	return m, nil
 }
 

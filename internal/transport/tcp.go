@@ -471,6 +471,7 @@ func (e *TCPEndpoint) readLoop(p *tcpPeer) {
 			}
 			return // peer closed, sent garbage, or endpoint shutting down
 		}
+		m.Src, m.Dst = int32(p.id), int32(e.id) // routing is the link's, not the frame's
 		if m.Kind == wire.KindDone {
 			// The peer announced completion: a subsequent hang-up is a
 			// legitimate departure, not a crash (see Send).
@@ -582,42 +583,24 @@ func (p *tcpPeer) brokenLocked() error {
 
 // Send implements Endpoint.
 func (e *TCPEndpoint) Send(to int, m *wire.Msg) error {
-	p, err := e.peer(to)
-	if err != nil {
-		return err
-	}
-	m.Src, m.Dst = int32(e.id), int32(to)
 	enc, err := wire.EncodeFrame(m)
 	if err != nil {
 		return err
 	}
-	if e.cfg.Reconnect {
-		// enqueue takes ownership of the reference: the frame is staged
-		// without a copy and released by whichever path dequeues it.
-		return e.enqueue(p, enc, m.Kind)
-	}
 	defer enc.Release()
-	return e.writeFrame(p, enc)
+	return e.SendEncoded(to, enc, m)
 }
 
-// SendEncoded implements EncodedSender: it patches the routing header into
-// the shared frame and writes the bytes without re-encoding. The write
-// completes (or is staged in the peer's buffer) before returning, so
-// patching the shared bytes is safe — the caller serializes destinations.
+// SendEncoded implements EncodedSender: the shared frame goes out as it is,
+// since no byte of it names a destination. The session layer's queue holds
+// a reference of its own, released by whichever path dequeues the frame.
 func (e *TCPEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error {
 	p, err := e.peer(to)
 	if err != nil {
 		return err
 	}
-	m.Src, m.Dst = int32(e.id), int32(to)
-	enc.SetSrc(int32(e.id))
-	enc.SetDst(int32(to))
 	if e.cfg.Reconnect {
-		// The caller serializes destinations, so patch-then-clone on the
-		// shared bytes is safe; the queue needs its own pooled copy (not a
-		// Retain) because the caller patches the shared bytes for the next
-		// destination and releases enc when the fanout returns.
-		return e.enqueue(p, enc.Clone(), m.Kind)
+		return e.enqueue(p, enc.Retain(), m.Kind)
 	}
 	return e.writeFrame(p, enc)
 }

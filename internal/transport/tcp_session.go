@@ -468,6 +468,7 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 			p.mu.Unlock()
 			return
 		}
+		m.Src, m.Dst = int32(p.id), int32(e.id) // routing is the link's, not the frame's
 		p.lastRecv.Store(time.Now().UnixNano())
 		switch m.Kind {
 		case wire.KindPing:
@@ -486,8 +487,7 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 			recvd := p.recvSeq
 			p.ackSent = recvd
 			p.mu.Unlock()
-			e.sendControl(p, &wire.Msg{Kind: wire.KindPong, Stamp: seq,
-				Src: int32(e.id), Dst: int32(p.id), Ints: []int64{recvd}})
+			e.sendControl(p, &wire.Msg{Kind: wire.KindPong, Stamp: seq, Ints: []int64{recvd}})
 			continue
 		case wire.KindPong, wire.KindHello:
 			ack := int64(0)
@@ -523,8 +523,7 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 		}
 		p.mu.Unlock()
 		if ackNow > 0 {
-			e.sendControl(p, &wire.Msg{Kind: wire.KindPong,
-				Src: int32(e.id), Dst: int32(p.id), Ints: []int64{ackNow}})
+			e.sendControl(p, &wire.Msg{Kind: wire.KindPong, Ints: []int64{ackNow}})
 		}
 		e.mu.Lock()
 		if e.closed {
@@ -786,8 +785,7 @@ func (e *TCPEndpoint) heartbeatLoop() {
 			if ping {
 				// The probe doubles as an ack: its Ints carry our receive
 				// count, so an idle-but-retaining peer gets released.
-				e.sendControl(p, &wire.Msg{Kind: wire.KindPing, Stamp: seq,
-					Src: int32(e.id), Dst: int32(p.id), Ints: []int64{recvd}})
+				e.sendControl(p, &wire.Msg{Kind: wire.KindPing, Stamp: seq, Ints: []int64{recvd}})
 			}
 		}
 	}

@@ -36,8 +36,9 @@ type Endpoint interface {
 	ID() int
 	// N returns the size of the group.
 	N() int
-	// Send transmits m to process `to`. The message's Src/Dst fields are
-	// filled in by the transport.
+	// Send transmits m to process `to`. Whatever m's Src and Dst held, the
+	// delivered message's are this endpoint and `to`: routing is the
+	// link's, set by the receiving transport, never read off the frame.
 	//
 	// A sent message is given away, whatever Send returned: the struct and
 	// its Payload belong to the receiver until it recycles them (the
@@ -99,12 +100,12 @@ type MultiSender interface {
 // EncodedSender is an optional Endpoint capability used by SendMany
 // implementations and fault-injecting wrappers: it forwards one shared,
 // pre-encoded frame (the encoding of m) to a single destination without
-// re-encoding. Implementations either write the bytes synchronously —
-// patching Src/Dst into the shared frame is then safe, since the caller
-// serializes destinations — or Retain the frame and carry the routing out
-// of band, patching it into the Msg after their own lazy decode. m is the
-// message the frame encodes, provided for sizing and header inspection;
-// implementations may set its Src/Dst (as Send does) but never retain it.
+// re-encoding. The frame is immutable and names no destination, so every
+// destination gets the same bytes: implementations write them before
+// returning, or Retain the frame and decode it lazily, setting Src and Dst
+// from the link as every receive path does. m is the message the frame
+// encodes, provided for sizing and header inspection; implementations
+// never modify or retain it.
 type EncodedSender interface {
 	SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error
 }

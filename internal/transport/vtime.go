@@ -26,15 +26,6 @@ var (
 	_ Recycler      = (*SimEndpoint)(nil)
 )
 
-// simEncoded is the vtime payload for shared-encoding deliveries: the
-// frame plus out-of-band routing, decoded lazily at receive time so every
-// receiver gets a private copy while the fanout marshaled once. The link
-// model saw the usual per-link (message, size) pair at send time.
-type simEncoded struct {
-	enc      *wire.Encoded
-	src, dst int32
-}
-
 // NewSimEndpoint wraps proc as an endpoint in a group of n simulated
 // processes. size chooses the wire size charged to the link model; nil
 // defaults to EncodedSize.
@@ -65,14 +56,14 @@ func (e *SimEndpoint) Send(to int, m *wire.Msg) error {
 }
 
 // SendEncoded implements EncodedSender: the link model is charged exactly
-// as for Send (per-link message and size), but the payload shares the
-// one-time encoding.
+// as for Send (per-link message and size), but the payload is the shared
+// frame itself, decoded lazily at receive time so every receiver gets a
+// private copy while the fanout marshaled once.
 func (e *SimEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error {
 	if !e.alive {
 		return ErrClosed
 	}
-	m.Src, m.Dst = int32(e.proc.ID()), int32(to)
-	e.proc.Send(to, &simEncoded{enc: enc.Retain(), src: m.Src, dst: m.Dst}, e.size(m))
+	e.proc.Send(to, enc.Retain(), e.size(m))
 	return nil
 }
 
@@ -81,21 +72,21 @@ func (e *SimEndpoint) SendMany(dsts []int, m *wire.Msg) error {
 	return sendManyEncoded(e, dsts, m)
 }
 
-// decode materializes a received vtime payload: eager *wire.Msg
+// decode materializes a received vtime message: eager *wire.Msg
 // deliveries pass the given-away struct through, shared encodings decode a
-// private copy into a pooled one.
-func (e *SimEndpoint) decode(payload any) (*wire.Msg, bool) {
-	switch v := payload.(type) {
+// private copy into a pooled one, routed by the simulator's delivery record.
+func (e *SimEndpoint) decode(vm vtime.Message) (*wire.Msg, bool) {
+	switch v := vm.Payload.(type) {
 	case *wire.Msg:
 		return v, true
-	case *simEncoded:
-		defer v.enc.Release()
+	case *wire.Encoded:
+		defer v.Release()
 		m := wire.GetMsg()
-		if err := v.enc.DecodeCarved(m, &e.ints); err != nil {
+		if err := v.DecodeCarved(m, &e.ints); err != nil {
 			wire.PutMsg(m)
 			return nil, false
 		}
-		m.Src, m.Dst = v.src, v.dst
+		m.Src, m.Dst = int32(vm.From), int32(vm.To)
 		return m, true
 	}
 	return nil, false
@@ -115,7 +106,7 @@ func (e *SimEndpoint) Recv() (*wire.Msg, error) {
 	if !ok {
 		return nil, ErrClosed
 	}
-	m, ok := e.decode(vm.Payload)
+	m, ok := e.decode(vm)
 	if !ok {
 		return nil, ErrClosed
 	}
@@ -135,7 +126,7 @@ func (e *SimEndpoint) RecvTimeout(d time.Duration) (*wire.Msg, bool, error) {
 	if !got {
 		return nil, false, ErrClosed
 	}
-	m, okM := e.decode(vm.Payload)
+	m, okM := e.decode(vm)
 	if !okM {
 		return nil, false, ErrClosed
 	}
@@ -151,7 +142,7 @@ func (e *SimEndpoint) TryRecv() (*wire.Msg, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	m, okM := e.decode(vm.Payload)
+	m, okM := e.decode(vm)
 	if !okM {
 		return nil, false, nil
 	}

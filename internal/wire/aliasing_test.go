@@ -14,7 +14,7 @@ import (
 // deface the input, and demand the message is untouched.
 func TestUnmarshalDoesNotAliasInput(t *testing.T) {
 	src := &Msg{
-		Kind: KindData, Src: 1, Dst: 2, Stamp: 99, Obj: 7, Mode: ModeWrite,
+		Kind: KindData, Stamp: 99, Obj: 7, Mode: ModeWrite,
 		Ints:    []int64{10, 20, 30},
 		Payload: []byte("the quick brown fox"),
 	}
@@ -98,7 +98,7 @@ func TestReadFramePoolingDoesNotCorruptEarlierMessages(t *testing.T) {
 	var want []*Msg
 	for i := 0; i < 8; i++ {
 		m := &Msg{
-			Kind: KindData, Src: int32(i), Dst: int32(i + 1), Stamp: int64(100 + i),
+			Kind: KindData, Stamp: int64(100 + i),
 			Ints:    []int64{int64(i), int64(i * i)},
 			Payload: bytes.Repeat([]byte{byte(i + 1)}, 16+i),
 		}

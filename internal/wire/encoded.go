@@ -7,30 +7,17 @@ import (
 	"sync/atomic"
 )
 
-// Fixed byte offsets of the Src and Dst fields within a frame (4-byte
-// length prefix + encoded body; they sit in the body's fixed-width prefix,
-// see prefixSize). They let a fanout patch per-destination routing into an
-// already-encoded frame instead of re-encoding the whole message per peer.
-const (
-	frameSrcOff = 4 + 2
-	frameDstOff = 4 + 6
-)
-
 // Encoded is a frame-ready binary encoding of one Msg — the length-prefixed
-// bytes WriteFrame would produce — that can be shared across destinations:
-// the message body is marshaled exactly once and the immutable bulk (kind,
-// stamp, ints, payload) is reused for every peer, with only the fixed-offset
-// Src/Dst words patched per destination — the patch never changes a frame's
-// length, which is why those two fields alone are not varints.
+// bytes WriteFrame would produce — shared across destinations: the message
+// is marshaled exactly once and the same bytes go to every peer. Routing is
+// not encoded (each receiver learns Src and Dst from its link), so nothing
+// about a destination is written into the frame, and it is immutable from
+// EncodeFrame until its last Release.
 //
 // Ownership follows a reference count. EncodeFrame returns an Encoded with
-// one reference; Retain adds one per additional holder and Release drops
-// one, recycling the buffer through a pool when the count reaches zero.
-// SetSrc/SetDst mutate the shared bytes, so they are only safe while a
-// single goroutine owns the frame (the TCP fanout patches and writes each
-// destination in turn); consumers that share one Encoded across receivers
-// (the in-memory and simulated transports) carry the destination out of
-// band and patch it into the decoded Msg instead.
+// one reference; Retain adds one per additional holder — a send queue, a
+// lazily decoding receiver — and Release drops one, recycling the buffer
+// through a pool when the count reaches zero.
 type Encoded struct {
 	buf  []byte // length prefix + body
 	refs atomic.Int32
@@ -68,19 +55,6 @@ func EncodeFrame(m *Msg) (*Encoded, error) {
 	return e, nil
 }
 
-// Clone returns an independent pooled copy of the frame with one reference
-// of its own. A holder that must mutate the header (SetSrc/SetDst) or
-// outlive the original's Release — a bounded send queue staging a fanout
-// frame, say — clones instead of Retaining, because Retain shares the
-// underlying bytes.
-func (e *Encoded) Clone() *Encoded {
-	c := encodedPool.Get().(*Encoded)
-	c.buf = append(c.buf[:0], e.buf...)
-	c.refs.Store(1)
-	liveFrames.Add(1)
-	return c
-}
-
 // Retain adds one reference and returns e, for handing the same frame to an
 // additional holder (one per destination in a shared-encoding fanout).
 func (e *Encoded) Retain() *Encoded {
@@ -109,22 +83,11 @@ func (e *Encoded) Len() int { return len(e.buf) }
 // encoded message.
 func (e *Encoded) EncodedSize() int { return len(e.buf) - 4 }
 
-// SetSrc patches the sender field in the shared bytes (sole-owner only).
-func (e *Encoded) SetSrc(src int32) {
-	binary.BigEndian.PutUint32(e.buf[frameSrcOff:], uint32(src))
-}
-
-// SetDst patches the destination field in the shared bytes (sole-owner
-// only).
-func (e *Encoded) SetDst(dst int32) {
-	binary.BigEndian.PutUint32(e.buf[frameDstOff:], uint32(dst))
-}
-
 // Kind returns the encoded message's kind without decoding.
 func (e *Encoded) Kind() Kind { return Kind(e.buf[4]) }
 
 // Stamp returns the encoded message's stamp without decoding: the varint
-// that follows the fixed prefix.
+// that follows kind and mode.
 func (e *Encoded) Stamp() int64 {
 	v, _ := binary.Varint(e.buf[4+prefixSize:])
 	return v

@@ -8,8 +8,6 @@ import (
 func sampleFanoutMsg() *Msg {
 	return &Msg{
 		Kind:    KindData,
-		Src:     3,
-		Dst:     7,
 		Stamp:   42,
 		Obj:     9,
 		Mode:    ModeSyncPiggyback,
@@ -43,28 +41,6 @@ func TestEncodeFrameMatchesWriteFrame(t *testing.T) {
 	}
 	if e.Kind() != m.Kind || e.Stamp() != m.Stamp {
 		t.Fatalf("header peek = (%v, %d), want (%v, %d)", e.Kind(), e.Stamp(), m.Kind, m.Stamp)
-	}
-}
-
-// Patching Src/Dst at the fixed header offsets must change exactly those
-// fields and leave the rest of the encoding intact.
-func TestEncodedSetSrcDst(t *testing.T) {
-	m := sampleFanoutMsg()
-	e, err := EncodeFrame(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Release()
-	for _, dst := range []int32{0, 5, 11, 1 << 20} {
-		e.SetSrc(dst + 1)
-		e.SetDst(dst)
-		var got Msg
-		if err := e.DecodeInto(&got); err != nil {
-			t.Fatal(err)
-		}
-		want := *m
-		want.Src, want.Dst = dst+1, dst
-		assertMsgEqual(t, &got, &want)
 	}
 }
 
@@ -118,10 +94,11 @@ func TestMsgPoolReuse(t *testing.T) {
 	PutMsg(nil) // must be a no-op
 }
 
+// assertMsgEqual compares the six fields the encoding carries; Src and Dst
+// are the link's, not the frame's.
 func assertMsgEqual(t *testing.T, got, want *Msg) {
 	t.Helper()
-	if got.Kind != want.Kind || got.Src != want.Src || got.Dst != want.Dst ||
-		got.Stamp != want.Stamp || got.Obj != want.Obj || got.Mode != want.Mode {
+	if got.Kind != want.Kind || got.Stamp != want.Stamp || got.Obj != want.Obj || got.Mode != want.Mode {
 		t.Fatalf("header mismatch:\n  got  %v\n  want %v", got, want)
 	}
 	if len(got.Ints) != len(want.Ints) {
@@ -138,7 +115,9 @@ func assertMsgEqual(t *testing.T, got, want *Msg) {
 }
 
 // EncodeCalls counts encodes: encoding a frame once must bump it exactly
-// once regardless of how many destinations later share the frame.
+// once regardless of how many destinations later share the frame, and
+// sharing it is read-only — 16 receivers' decodes leave every byte as
+// EncodeFrame wrote it.
 func TestEncodeCallsCounter(t *testing.T) {
 	m := sampleFanoutMsg()
 	before := EncodeCalls()
@@ -147,14 +126,18 @@ func TestEncodeCallsCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Release()
+	frame := bytes.Clone(e.Frame())
 	for i := 0; i < 16; i++ {
-		e.SetDst(int32(i))
 		var got Msg
 		if err := e.DecodeInto(&got); err != nil {
 			t.Fatal(err)
 		}
+		assertMsgEqual(t, &got, m)
 	}
 	if n := EncodeCalls() - before; n != 1 {
 		t.Fatalf("EncodeCalls after one EncodeFrame + 16 decodes = %d, want 1", n)
+	}
+	if !bytes.Equal(e.Frame(), frame) {
+		t.Fatalf("16 decodes changed the shared frame:\n  before %x\n  after  %x", frame, e.Frame())
 	}
 }

@@ -61,7 +61,8 @@ func checkCarvedMatches(t *testing.T, want *Msg, wantErr error, decode func(*Msg
 }
 
 // checkReencodes demands that an accepted message survives a second trip
-// through the codec in every field, at exactly the size EncodedSize states.
+// through the codec in each of the six fields it encodes, at exactly the
+// size EncodedSize states.
 // (The input itself may be longer: the decoder accepts padded varints, the
 // encoder never writes them.)
 func checkReencodes(t *testing.T, m *Msg) {
@@ -121,10 +122,10 @@ func FuzzReadFrame(f *testing.F) {
 // and ack, store snapshot) in the shapes the protocols actually send.
 func joinKindMsgs() []*Msg {
 	return []*Msg{
-		{Kind: KindJoinReq, Src: 2, Stamp: 1},
-		{Kind: KindJoinAck, Src: 0, Dst: 2, Stamp: 14, Ints: []int64{3, 0, 0, 1, 2}},
-		{Kind: KindJoinAck, Src: 4, Dst: 6, Stamp: 1, Ints: []int64{0, 3}, Payload: []byte{0, 0, 0, 0}},
-		{Kind: KindSnapshot, Src: 0, Dst: 2, Stamp: 12, Payload: []byte{0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0}},
+		{Kind: KindJoinReq, Stamp: 1},
+		{Kind: KindJoinAck, Stamp: 14, Ints: []int64{3, 0, 0, 1, 2}},
+		{Kind: KindJoinAck, Stamp: 1, Ints: []int64{0, 3}, Payload: []byte{0, 0, 0, 0}},
+		{Kind: KindSnapshot, Stamp: 12, Payload: []byte{0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0}},
 	}
 }
 
@@ -135,16 +136,16 @@ func joinKindMsgs() []*Msg {
 func corpusMsgs() map[string]*Msg {
 	ms := map[string]*Msg{
 		"min-sync":     {Kind: KindSync},
-		"min-lock-req": {Kind: KindLockReq, Mode: ModeWrite, Src: 3, Dst: 1, Obj: 9},
+		"min-lock-req": {Kind: KindLockReq, Mode: ModeWrite, Obj: 9},
 		"data-done": {
 			Kind: KindData, Mode: ModeDonePiggyback | ModeDoneWon | ModeDeltaPayload,
-			Src: 5, Dst: 2, Stamp: 41, Ints: []int64{2, 17, 33, 1, 90, 4}, Payload: []byte{1, 8, 0x81, 3},
+			Stamp: 41, Ints: []int64{2, 17, 33, 1, 90, 4}, Payload: []byte{1, 8, 0x81, 3},
 		},
-		"obj-max": {Kind: KindObjReq, Src: -1, Dst: -2, Obj: math.MaxUint32},
+		"obj-max": {Kind: KindObjReq, Obj: math.MaxUint32},
 	}
 	for _, v := range boundaries {
 		ms[fmt.Sprintf("boundary-%d", v)] = &Msg{
-			Kind: KindUpdate, Src: 1, Dst: 2, Stamp: v, Ints: []int64{v, -v}, Payload: []byte{byte(v)},
+			Kind: KindUpdate, Stamp: v, Ints: []int64{v, -v}, Payload: []byte{byte(v)},
 		}
 	}
 	return ms

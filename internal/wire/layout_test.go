@@ -19,8 +19,8 @@ var boundaries = []int64{
 }
 
 // layoutMsgs generates the messages the size law is checked on: every
-// boundary as Stamp and as an int, negative routing words, Obj across its
-// widths, 0…MaxInts ints, empty to large payloads.
+// boundary as Stamp and as an int, routing words set (they must cost
+// nothing), Obj across its widths, 0…MaxInts ints, empty to large payloads.
 func layoutMsgs() []*Msg {
 	var ms []*Msg
 	for _, stamp := range boundaries {
@@ -52,8 +52,9 @@ func layoutMsgs() []*Msg {
 // EncodedSize without encoding, so a size that drifted from the encoder
 // would mis-state every byte metric silently.
 func TestSizeLaw(t *testing.T) {
-	if got := (&Msg{Kind: KindSync}).EncodedSize(); got != encodedHeaderSize {
-		t.Errorf("smallest message is %d bytes, want encodedHeaderSize = %d", got, encodedHeaderSize)
+	if got := (&Msg{Kind: KindSync}).EncodedSize(); got != 6 || encodedHeaderSize != 6 {
+		t.Errorf("smallest message is %d bytes (encodedHeaderSize %d), want 6: kind, mode and four one-byte varints",
+			got, encodedHeaderSize)
 	}
 	for _, m := range layoutMsgs() {
 		size := m.EncodedSize()
@@ -78,19 +79,22 @@ func TestSizeLaw(t *testing.T) {
 		}
 		assertMsgEqual(t, &got, m)
 
-		// Re-routing patches the prefix only: same length, same peeked
-		// kind and stamp, and a decode that differs in Src/Dst alone.
-		e.SetSrc(-3)
-		e.SetDst(1 << 30)
-		want := *m
-		want.Src, want.Dst = -3, 1<<30
-		if err := e.DecodeInto(&got); err != nil {
-			t.Fatalf("%v: DecodeInto after re-routing: %v", m, err)
+		// Routing is not encoded: the same message bound elsewhere writes
+		// the same bytes, and a decode leaves the target's routing alone.
+		rerouted := *m
+		rerouted.Src, rerouted.Dst = -3, 1<<30
+		if rb, _ := rerouted.AppendBinary(nil); !bytes.Equal(rb, b) {
+			t.Errorf("%v: routing changed the encoding:\n  %x\n  %x", m, b, rb)
 		}
-		assertMsgEqual(t, &got, &want)
-		if e.Kind() != got.Kind || e.Stamp() != got.Stamp || e.EncodedSize() != size {
-			t.Errorf("%v: after re-routing peek = (%v, %d, %d B), decode = (%v, %d, %d B)",
-				m, e.Kind(), e.Stamp(), e.EncodedSize(), got.Kind, got.Stamp, size)
+		got.Src, got.Dst = 5, 6
+		if err := e.DecodeInto(&got); err != nil {
+			t.Fatalf("%v: DecodeInto: %v", m, err)
+		}
+		if got.Src != 5 || got.Dst != 6 {
+			t.Errorf("%v: the decoder wrote routing %d->%d", m, got.Src, got.Dst)
+		}
+		if e.Kind() != got.Kind || e.Stamp() != got.Stamp {
+			t.Errorf("%v: peek = (%v, %d), decode = (%v, %d)", m, e.Kind(), e.Stamp(), got.Kind, got.Stamp)
 		}
 		e.Release()
 	}
@@ -106,7 +110,7 @@ type hostileFrame struct {
 // writes. Each is built from a prefix and hand-laid varints so the table
 // reads as the layout does.
 func hostileFrames() []hostileFrame {
-	prefix := []byte{byte(KindData), 0, 0, 0, 0, 1, 0, 0, 0, 2}
+	prefix := []byte{byte(KindData), 0} // kind, mode
 	frame := func(parts ...[]byte) []byte {
 		return bytes.Join(append([][]byte{prefix}, parts...), nil)
 	}

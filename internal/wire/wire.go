@@ -2,12 +2,13 @@
 // consistency protocol, together with its one binary codec and the framing
 // helpers used by the TCP transport.
 //
-// An encoded message is a fixed 10-byte prefix — kind, mode, and the two
-// routing words Src and Dst, which a fanout patches in place — followed by
-// varints: the stamp, the object ID, the two counts, each of Ints, then the
-// payload bytes (DESIGN.md §3.4 has the table). A message costs what its
-// values need, 14 bytes at least. The format carries no version: every
-// process of a session runs one build.
+// An encoded message is two bytes — kind and mode — followed by varints:
+// the stamp, the object ID, the two counts, each of Ints, then the payload
+// bytes (DESIGN.md §3.4 has the table). A message costs what its values
+// need, 6 bytes at least. Routing is not encoded: Src and Dst are the link's,
+// set by the transport that delivers the message, so one encoding serves
+// every destination of a fanout unchanged. The format carries no version:
+// every process of a session runs one build.
 //
 // The paper's protocols exchange two broad message classes: control messages
 // (SYNC rendezvous markers, lock traffic, done/shutdown notifications) and
@@ -221,8 +222,8 @@ const (
 // clocks) and Payload carries object state or encoded diffs.
 type Msg struct {
 	Kind    Kind
-	Src     int32  // sending process
-	Dst     int32  // destination process
+	Src     int32  // sending process, set by the transport (not encoded)
+	Dst     int32  // destination process, set by the transport (not encoded)
 	Stamp   int64  // logical timestamp / pair sequence / tick
 	Obj     uint32 // object identifier, when relevant
 	Mode    uint8  // lock mode or protocol-specific flag
@@ -261,14 +262,12 @@ var (
 	ErrTooLarge    = errors.New("wire: field exceeds codec limit")
 )
 
-// Layout of an encoded message (DESIGN.md §3.4). Kind, Mode, Src and Dst
-// form a fixed 10-byte prefix, so an already-encoded frame can be re-routed
-// by patching fixed offsets (Encoded.SetSrc/SetDst) and every recipient of a
-// grouped fanout is charged the same size. Everything after it is as wide as
-// its value: Stamp as a zig-zag varint, Obj, len(Ints) and len(Payload) as
-// uvarints, each of Ints as a zig-zag varint, then the payload bytes.
+// Layout of an encoded message (DESIGN.md §3.4). Kind and Mode are one byte
+// each; everything after them is as wide as its value: Stamp as a zig-zag
+// varint, Obj, len(Ints) and len(Payload) as uvarints, each of Ints as a
+// zig-zag varint, then the payload bytes. Src and Dst are not encoded.
 const (
-	prefixSize = 1 + 1 + 4 + 4 // kind, mode, src, dst
+	prefixSize = 1 + 1 // kind, mode
 	// encodedHeaderSize is the smallest encoding there is: the prefix and
 	// four one-byte varints (stamp, obj, nints, npayload).
 	encodedHeaderSize = prefixSize + 4
@@ -310,8 +309,6 @@ func (m *Msg) AppendBinary(dst []byte) ([]byte, error) {
 	}
 	encodeCalls.Add(1)
 	dst = append(dst, byte(m.Kind), m.Mode)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Src))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Dst))
 	dst = binary.AppendVarint(dst, m.Stamp)
 	dst = binary.AppendUvarint(dst, uint64(m.Obj))
 	dst = binary.AppendUvarint(dst, uint64(len(m.Ints)))
@@ -357,7 +354,9 @@ func varintErr(next int) error {
 // pays zero per-message heap allocations. The decoded fields never alias
 // buf — ReadFrame pools and scribbles over its frame buffers, and protocols
 // buffer decoded messages long after the frame is recycled
-// (TestUnmarshalDoesNotAliasInput is the regression witness).
+// (TestUnmarshalDoesNotAliasInput is the regression witness). Src and Dst
+// are not in the encoding, so the decoder leaves them as they were: every
+// receive path sets them from the link the frame arrived on.
 //
 // buf comes off a socket, so the whole frame is validated before m is
 // touched or anything is allocated: the minimum length, the kind, each
@@ -412,8 +411,6 @@ func (m *Msg) unmarshal(buf []byte, src IntsSource) error {
 
 	m.Kind = k
 	m.Mode = buf[1]
-	m.Src = int32(binary.BigEndian.Uint32(buf[2:]))
-	m.Dst = int32(binary.BigEndian.Uint32(buf[6:]))
 	m.Stamp = unzigzag(ustamp)
 	m.Obj = uint32(obj)
 	switch {
@@ -482,7 +479,8 @@ func WriteFrame(w io.Writer, m *Msg) error {
 // ReadFrame reads one length-prefixed frame from r into m. The frame body
 // lands in a pooled scratch buffer that is recycled on return; m owns none
 // of it (UnmarshalBinary copies), so callers may retain m and its slices
-// indefinitely.
+// indefinitely. Like UnmarshalBinary it leaves m.Src and m.Dst alone: the
+// caller knows which link r is.
 func ReadFrame(r io.Reader, m *Msg) error { return readFrame(r, m, nil) }
 
 // ReadFrameCarved is ReadFrame with m.Ints taken from src, as
