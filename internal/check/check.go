@@ -67,8 +67,9 @@ type Options struct {
 	// InterestSafety enables the interest-management visibility check: no
 	// process may miss an update for an object inside its sensing radius
 	// once the object has been visible for InterestSlack ticks — the
-	// interest machinery's budget for the flush-triggering rendezvous and
-	// the enter-radius fetch round trip. Runs only on loss-free histories
+	// interest machinery's budget for the rendezvous whose flush backstop
+	// delivers the withheld update; nothing else carries it, since
+	// interest never pulls. Runs only on loss-free histories
 	// without joins (loss and snapshots legitimately suppress or bypass
 	// the per-apply evidence the check rests on).
 	InterestSafety bool
@@ -80,7 +81,8 @@ type Options struct {
 
 // DefaultInterestSlack is the InterestSafety budget used when
 // Options.InterestSlack is zero: generous enough for an unbatched
-// interest-paced schedule (stretch cap 4) plus a fetch round trip.
+// interest-paced schedule (stretch cap 4), its flush-triggering
+// rendezvous and beacon staleness — padded, not derived from the schedule.
 const DefaultInterestSlack = 16
 
 // Violation is one invariant breach.
@@ -565,8 +567,8 @@ func (a *analyzer) checkDelivery() {
 // q, the check finds the first tick at or after the write at which obj
 // lies within q's radius; q's replica must then reflect a version at
 // least ver within InterestSlack ticks — the budget covering the
-// stretched rendezvous that flushes the withheld update plus the
-// enter-radius fetch round trip. Obligations that outlive either
+// stretched rendezvous whose flush backstop delivers the withheld
+// update, the only path that carries it. Obligations that outlive either
 // process's history, or involve an eviction between the pair, are
 // excused; joins disable the check entirely (snapshot catch-up bypasses
 // the per-apply evidence, making the applied-version timeline a lower
@@ -584,8 +586,8 @@ func (a *analyzer) checkInterestSafety() {
 		ver int64
 	}
 	// verHist[q][obj] is the time-ordered prefix-max of versions q's
-	// replica held (own writes, applied remote writes, and adopted fetch
-	// replies).
+	// replica held (own writes, applied remote writes, and adopted delta
+	// recovery replies).
 	n := len(a.h.Procs)
 	verHist := make([]map[int64][]verAt, n)
 	for q, evs := range a.h.Procs {

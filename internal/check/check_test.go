@@ -279,6 +279,92 @@ func TestOracleSpatialWithholdingFarIsFine(t *testing.T) {
 	analyzeClean(t, h, opts)
 }
 
+// interestPair is a loss-free two-process history of the given length in
+// which proc 0 writes object 7 (cell (7, 0)) at tick 2 and withholds it.
+// Proc 1's tank sits far away through tick 3 and on the object's cell from
+// tick 4, so the write becomes visible to proc 1 at tick 4. When
+// deliverAt > 0, proc 0 flushes the write at that tick's rendezvous and
+// proc 1 applies it.
+func interestPair(t *testing.T, ticks, deliverAt int64) History {
+	t.Helper()
+	h := History{
+		Procs:   make([][]trace.Event, 2),
+		Stores:  []*store.Store{store.New(), store.New()},
+		Crashed: []bool{false, false},
+	}
+	for me, st := range h.Stores {
+		if err := st.Register(7, []byte{0}); err != nil {
+			t.Fatal(err)
+		}
+		h.Procs[me] = append(h.Procs[me], ev(trace.OpSched, 1-me, 0, 0, 0, 1))
+	}
+	for tick := int64(1); tick <= ticks; tick++ {
+		x := int64(100)
+		if tick >= 4 {
+			x = 7
+		}
+		h.Procs[1] = append(h.Procs[1], ev(trace.OpTankAt, -1, x, 0, tick, 0))
+		for me := range h.Procs {
+			h.Procs[me] = append(h.Procs[me],
+				ev(trace.OpTick, -1, 0, 0, tick, 0),
+				ev(trace.OpSyncRecv, 1-me, 0, 0, tick, tick),
+				ev(trace.OpRendezvous, 1-me, 0, 0, tick, tick+1),
+			)
+		}
+		switch tick {
+		case 2:
+			h.Procs[0] = append(h.Procs[0], ev(trace.OpWrite, 0, 7, 1, tick, 0))
+		case deliverAt:
+			h.Procs[0] = append(h.Procs[0],
+				ev(trace.OpSendObj, 1, 7, 1, tick, 0),
+				ev(trace.OpDataSend, 1, 0, 0, tick, 1),
+			)
+			h.Procs[1] = append(h.Procs[1], ev(trace.OpApply, 0, 7, 1, tick, tick))
+			applyState(t, h.Stores[1], 7, []byte{9}, 1, 0)
+		}
+	}
+	if _, err := h.Stores[0].UpdateBy(7, []byte{9}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for me := range h.Procs {
+		h.Procs[me] = append(h.Procs[me], ev(trace.OpDone, -1, 0, 0, ticks, 0))
+	}
+	return h
+}
+
+// TestOracleInterestSafety shows the interest-safety check can fire: a
+// withheld write must reach every process that can see the object within
+// InterestSlack ticks of it becoming visible, or the history must end
+// first.
+func TestOracleInterestSafety(t *testing.T) {
+	opts := Options{
+		InterestSafety: true,
+		InterestSlack:  4,
+		Radius:         2,
+		ObjPos:         func(obj int64) (int, int) { return int(obj), 0 },
+	}
+	for _, tc := range []struct {
+		name             string
+		ticks, deliverAt int64
+		violation        bool
+	}{
+		// Visible from tick 4, so the budget runs out at tick 8.
+		{"never-delivered", 12, 0, true},
+		{"delivered-within-slack", 12, 8, false},
+		{"delivered-one-tick-late", 12, 9, true},
+		{"outlives-history", 7, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := interestPair(t, tc.ticks, tc.deliverAt)
+			if tc.violation {
+				wantClass(t, Analyze(h, opts), "interest-safety")
+				return
+			}
+			analyzeClean(t, h, opts)
+		})
+	}
+}
+
 func TestOracleOutOfRangeDelivery(t *testing.T) {
 	h := cleanPair()
 	// MSYNC2: proc 0's DATA at tick 3 reaches a peer whose tanks are far

@@ -65,13 +65,14 @@ var frameRuleFeatures = []struct {
 	name  string
 	apply func(*lookahead.PlayerConfig)
 	// exact: the run reproduces the lockstep reference tick for tick.
-	// Batched BSYNC trades that for fewer rendezvous; the gated run's
-	// fetches are timing-dependent over real goroutines.
+	// Batched BSYNC trades that for fewer rendezvous. The gated run is
+	// exact on this game: its gate only withholds and never pulls, so no
+	// reply lands at an instant goroutine timing chose.
 	exact bool
 }{
 	{"plain", func(*lookahead.PlayerConfig) {}, true},
 	{"delta", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode = true }, true},
-	{"interest+shards", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.Interest, pc.Shards = true, true, 4 }, false},
+	{"interest+shards", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.Interest, pc.Shards = true, true, 4 }, true},
 	{"batch3", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.MaxBatchTicks = true, 3 }, false},
 }
 

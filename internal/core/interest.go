@@ -1,19 +1,18 @@
 package core
 
 // Interest-management support: the grouped SYNC fanout for peers whose
-// DATA ExchangeOpts.SendData withheld (ExchangeOpts.GroupWithheldSyncs),
-// and the hooks a spatial interest layer calls when a peer enters the
-// sensing radius. The filter itself lives above the runtime
-// (internal/interest plus the protocol layer's gate); core only honors
-// the veto and keeps the delta machinery sound across interest
-// transitions.
+// DATA ExchangeOpts.SendData withheld (ExchangeOpts.GroupWithheldSyncs).
+// The filter itself lives above the runtime (internal/interest plus the
+// protocol layer's gate); core only honors the veto. Interest never
+// pulls: a peer entering the sensing radius sends nothing, and the delta
+// acked-version tables stay put across the transition, because interest
+// withholds flushes but never the SYNC wave that carries delta acks.
 
 import (
 	"errors"
 	"fmt"
 	"slices"
 
-	"sdso/internal/store"
 	"sdso/internal/transport"
 	"sdso/internal/wire"
 )
@@ -100,44 +99,4 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 		}
 	}
 	return nil
-}
-
-// InterestEnter tells the runtime that peer just (re)entered the local
-// sensing radius after a filtered stretch. The delta acked-version
-// tables deliberately stay put: interest only withholds flushes, never
-// the SYNC wave that carries delta acks, so the sender tip for peer is
-// still exactly what peer's receive shadow holds and the next delta
-// against it remains decodable. (Resetting the sender half would make
-// the next payload a delta against the registered initial state, which
-// the peer's shadow has long since left behind — a guaranteed
-// fingerprint mismatch.) What does reset is the fetch dedup entry for
-// peer, so the enter-radius fetch is never suppressed by a stale
-// outstanding-request mark from a previous encounter.
-func (r *Runtime) InterestEnter(peer int) {
-	entries := r.peers[peer].recv.entries
-	for i := range entries {
-		entries[i].fetching = false
-	}
-}
-
-// InterestFetch issues on-demand full-record fetches for objs from peer,
-// the pull half of an enter-radius event: updates withheld while the
-// peer was out of interest are recovered immediately instead of waiting
-// for its next flush. It reuses the delta recovery path (AsyncGet with
-// at most one outstanding request per peer/object pair); replies adopt
-// version-gated and realign the delta shadow. Peers that are crashed,
-// done, or not yet admitted are skipped.
-func (r *Runtime) InterestFetch(peer int, objs []store.ID) {
-	ps := &r.peers[peer]
-	if ps.gone() {
-		return
-	}
-	for _, obj := range objs {
-		e := ps.recv.at(&r.deltaPool, obj)
-		if e.fetching {
-			continue
-		}
-		r.mc.AddInterestFetch()
-		r.deltaRequestRecovery(peer, e)
-	}
 }

@@ -32,19 +32,19 @@ import (
 // poisonFeatures are the shapes a frame can take on its way round: DATA
 // with plain and delta payloads carrying the SYNC or — as a final flush —
 // the DONE marker, bare markers, and the gated run whose withheld peers get
-// grouped bare SYNCs from one shared frame.
+// grouped bare SYNCs from one shared frame. On this game every one
+// reproduces the lockstep reference tick for tick, the gated run included:
+// its gate only withholds what the s-function's rendezvous carry and never
+// pulls, so no reply lands at an instant goroutine timing chose. (Larger
+// gated games over mem can still end a player unlike the reference; the
+// benchmark reports that share as lookahead.ref_mismatch_share.)
 var poisonFeatures = []struct {
 	name  string
 	apply func(*lookahead.PlayerConfig)
-	// exact reports that the distributed run reproduces the lockstep
-	// reference tick for tick (the interest gate's fetches are timing-
-	// dependent over real goroutines, so the gated cell checks the
-	// simulator pairs only).
-	exact bool
 }{
-	{"plain", func(*lookahead.PlayerConfig) {}, true},
-	{"delta", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode = true }, true},
-	{"interest+shards", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.Interest, pc.Shards = true, true, 4 }, false},
+	{"plain", func(*lookahead.PlayerConfig) {}},
+	{"delta", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode = true }},
+	{"interest+shards", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.Interest, pc.Shards = true, true, 4 }},
 }
 
 func poisonGame() game.Config {
@@ -199,9 +199,6 @@ func TestPoisonedRecycleWholeGames(t *testing.T) {
 				}
 				if d := faulty.diff(playSim(t, proto, f.apply, dupDelay, true)); d != "" {
 					t.Errorf("sim+faultnet: poisoning recycled messages changed the run: %s", d)
-				}
-				if !f.exact {
-					return
 				}
 				for i, st := range playMem(t, proto, f.apply) {
 					if !matchesReference(st, ref.Stats[i]) {

@@ -117,11 +117,11 @@ func checkOptions(cfg CheckedConfig, g game.Config) check.Options {
 		// honor the sensing radius, and every process must see updates
 		// to objects inside its radius within the interest machinery's
 		// delivery budget: up to InterestMaxStretch stretched batch
-		// periods for the flush-triggering rendezvous, doubled for the
-		// fetch round trip and beacon staleness, plus a constant for
-		// delivery jitter. Both terms sit behind the gate's one pair of
-		// flush backstops — by construction, not by copying slacks — so
-		// the same slack bounds either term's withholds.
+		// periods for the rendezvous whose flush backstop delivers the
+		// withheld update, doubled for beacon staleness, plus a constant
+		// for delivery jitter (padded, not derived). Both terms sit behind
+		// the gate's one pair of flush backstops — by construction, not by
+		// copying slacks — so the same slack bounds either term's withholds.
 		base := cfg.MaxBatchTicks
 		if base < 1 {
 			base = 1

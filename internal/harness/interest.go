@@ -57,11 +57,11 @@ type InterestRow struct {
 	// PlainMsgsPerTick / InterestMsgsPerTick are wire messages per
 	// process-tick with the filter off / on.
 	PlainMsgsPerTick, InterestMsgsPerTick float64
-	// SetPeak, Churn, and Fetches aggregate the interest counters across
-	// the on-side runs: the largest interest set any process held, total
-	// enter/leave transitions, and enter-radius on-demand fetches.
-	SetPeak, Churn, Fetches int
-	Wall                    time.Duration
+	// SetPeak and Churn aggregate the interest counters across the
+	// on-side runs: the largest interest set any process held and total
+	// enter/leave transitions.
+	SetPeak, Churn int
+	Wall           time.Duration
 }
 
 // Speedup is the panel's headline: normalized-time improvement from
@@ -102,7 +102,6 @@ func runInterestCell(n int, seed int64, on bool, row *InterestRow) (msPerMod, ms
 			row.SetPeak = peak
 		}
 		row.Churn += res.Metrics.InterestChurn()
-		row.Fetches += res.Metrics.InterestFetches()
 	}
 	return MetricNormalizedTime(res), float64(res.Metrics.TotalMsgs()) / float64(ticks), nil
 }
@@ -145,15 +144,15 @@ func RenderInterest(rows []InterestRow) string {
 	var b strings.Builder
 	b.WriteString("Interest management: BSYNC at fixed density (~48 cells/player), ")
 	fmt.Fprintf(&b, "delta+%d-tick batching, filter off vs on\n", deltaPanelBatch)
-	fmt.Fprintf(&b, "%5s %6s %9s %9s %8s %8s %8s %8s %8s %9s %9s\n",
-		"n", "seeds", "ms/mod", "ms/mod", "speedup", "msg/tick", "msg/tick", "setpeak", "churn", "fetches", "wall")
-	fmt.Fprintf(&b, "%5s %6s %9s %9s %8s %8s %8s %8s %8s %9s %9s\n",
-		"", "", "plain", "filter", "", "plain", "filter", "", "", "", "")
+	fmt.Fprintf(&b, "%5s %6s %9s %9s %8s %8s %8s %8s %8s %9s\n",
+		"n", "seeds", "ms/mod", "ms/mod", "speedup", "msg/tick", "msg/tick", "setpeak", "churn", "wall")
+	fmt.Fprintf(&b, "%5s %6s %9s %9s %8s %8s %8s %8s %8s %9s\n",
+		"", "", "plain", "filter", "", "plain", "filter", "", "", "")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%5d %6d %9.2f %9.2f %7.2fx %8.1f %8.1f %8d %8d %9d %9s\n",
+		fmt.Fprintf(&b, "%5d %6d %9.2f %9.2f %7.2fx %8.1f %8.1f %8d %8d %9s\n",
 			r.N, r.Seeds, r.PlainMsPerMod, r.InterestMsPerMod, r.Speedup(),
 			r.PlainMsgsPerTick, r.InterestMsgsPerTick,
-			r.SetPeak, r.Churn, r.Fetches,
+			r.SetPeak, r.Churn,
 			r.Wall.Round(time.Millisecond))
 	}
 	return b.String()

@@ -35,7 +35,9 @@ func pinOf(res *Result) simPin {
 // TestSimRunsPinned pins one small run of every simulated-cluster runner —
 // each protocol's plain run, a lookahead and an EC crash-and-restart chaos
 // run, and a faulted checked run of each family — to the values they
-// measured at the parent of the commit that gave them one cluster builder.
+// measured at the parent of the commit that gave them one cluster builder
+// (the gated run's traffic and duration re-recorded, stats unchanged, when
+// the enter-radius fetch was deleted).
 // Spawn order, process numbering and collector wiring all show up here: the
 // virtual clock orders events by spawn and faultnet derives its decisions
 // per link.
@@ -88,7 +90,7 @@ func TestSimRunsPinned(t *testing.T) {
 	}{
 		{"run/BSYNC", plain(Config{Game: small(6), Protocol: BSYNC}), simPin{virtual: 259618000, msgs: 602, logical: 1182, stats: "9dfdac6a49959849"}},
 		{"run/MSYNC2+delta+interest+shards4", plain(Config{Game: gated, Protocol: MSYNC2,
-			DeltaEncode: true, Interest: true, Shards: 4}), simPin{virtual: 367525600, msgs: 1142, logical: 1828, stats: "636ed461701b9600"}},
+			DeltaEncode: true, Interest: true, Shards: 4}), simPin{virtual: 348814800, msgs: 1011, logical: 1699, stats: "636ed461701b9600"}},
 		{"run/EC", plain(Config{Game: small(6), Protocol: EC}), simPin{virtual: 2962750400, msgs: 2523, logical: 2523, stats: "c55f15bd84596f01"}},
 		{"run/LRC", plain(Config{Game: small(6), Protocol: LRC}), simPin{virtual: 2988114800, msgs: 2538, logical: 2538, stats: "e94e3ff4da16e39b"}},
 		{"run/CAUSAL", plain(Config{Game: small(6), Protocol: Causal}), simPin{virtual: 262944800, msgs: 616, logical: 616, stats: "9dfdac6a49959849"}},

@@ -321,6 +321,8 @@ func (ix *Index) drift(o *obs, now int64) int {
 // the set this refresh, each ascending. Blind peers are not members (they
 // are covered by Contains separately) and never appear in either list.
 // The lists are the index's own buffers, valid until the next Refresh.
+// They only report membership churn: entering the set triggers no
+// traffic, since the gate reads Contains at each flush decision.
 func (ix *Index) Refresh(self []game.Pos, now int64) (entered, left []int) {
 	entered, left = ix.enteredBuf[:0], ix.leftBuf[:0]
 	// One pass over the slab. Exit: existing members leave once provably
@@ -380,7 +382,7 @@ func (ix *Index) Refresh(self []game.Pos, now int64) (entered, left []int) {
 			}
 		}
 	}
-	// Callers act on these lists (enter-radius fetches) in order.
+	// Sorted, so a caller that walks the lists does so in peer order.
 	slices.Sort(entered)
 	ix.enteredBuf = entered
 	return entered, left

@@ -242,8 +242,8 @@ func (ix *refIndex) Refresh(self []game.Pos, now int64) (entered, left []int) {
 			}
 		}
 	}
-	// Callers act on these lists (enter-radius fetches) in order; sort so
-	// the map iteration above never leaks nondeterminism downstream.
+	// The lists are ascending, as Index.Refresh documents; sort so the map
+	// iteration above never leaks nondeterminism downstream.
 	sort.Ints(entered)
 	sort.Ints(left)
 	return entered, left

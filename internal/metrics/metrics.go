@@ -163,12 +163,10 @@ type Collector struct {
 	flushThreshold  padded
 
 	// Interest-management counters: the largest interest set the process
-	// ever held (a gauge), peers that entered or left the interest set
-	// after the initial build (churn), and full-record fetches issued when
-	// a peer entered the sensing radius.
+	// ever held (a gauge) and peers that entered or left the interest set
+	// after the initial build (churn).
 	interestSetPeak padded
 	interestChurn   padded
-	interestFetches padded
 
 	// World-sharding counter: DATA flushes vetoed because no shard
 	// region is within reach of both neighborhoods.
@@ -313,10 +311,6 @@ func (c *Collector) NoteInterestSetSize(n int) { c.interestSetPeak.Max(int64(n))
 // at one refresh.
 func (c *Collector) AddInterestChurn(n int) { c.interestChurn.v.Add(int64(n)) }
 
-// AddInterestFetch records one on-demand full-record fetch issued because
-// a peer entered the sensing radius.
-func (c *Collector) AddInterestFetch() { c.interestFetches.v.Add(1) }
-
 // AddShardVeto records one DATA flush withheld because the peer's
 // neighborhood shares no world shard with ours.
 func (c *Collector) AddShardVeto() { c.shardVetoes.v.Add(1) }
@@ -370,7 +364,6 @@ func (c *Collector) Snapshot() Snapshot {
 
 		InterestSetPeak: int(c.interestSetPeak.v.Load()),
 		InterestChurn:   int(c.interestChurn.v.Load()),
-		InterestFetches: int(c.interestFetches.v.Load()),
 
 		ShardVetoes: int(c.shardVetoes.v.Load()),
 	}
@@ -444,8 +437,10 @@ type Snapshot struct {
 	TicksBatched          int
 	FlushThresholdCurrent int
 	// Interest-management counters: the largest interest set held at any
-	// refresh, peers entering or leaving the set after the initial build,
-	// and on-demand full-record fetches triggered by enter-radius events.
+	// refresh and peers entering or leaving the set after the initial
+	// build. InterestFetches is always 0: interest no longer pulls on an
+	// enter-radius event, and the field stays only because the benchmark
+	// still reads it.
 	InterestSetPeak int
 	InterestChurn   int
 	InterestFetches int
@@ -680,15 +675,6 @@ func (g Group) InterestChurn() int {
 	n := 0
 	for _, s := range g.Procs {
 		n += s.InterestChurn
-	}
-	return n
-}
-
-// InterestFetches sums enter-radius full-record fetches across processes.
-func (g Group) InterestFetches() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.InterestFetches
 	}
 	return n
 }

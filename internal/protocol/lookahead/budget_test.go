@@ -28,14 +28,14 @@ import (
 //   - gated: n = 16 MSYNC2 with delta encoding, the interest set and four
 //     shards (msync2_gated_mem_n64). With the map-based interest index and
 //     per-peer first blocks from the allocator this was 49; then 33; with
-//     the arena 15.3; with carved beacons and decoded Ints 13.6.
+//     the arena 15.3; with carved beacons and decoded Ints 13.6; without
+//     the enter-radius fetch 12.2.
 //
-// Bytes: 4 225 and 6 030 a player-tick (8 581 and 10 150 while every player
+// Bytes: 4 225 and 5 950 a player-tick (8 581 and 10 150 while every player
 // generated the world and registered a record per block: on a 768-block
 // board that was half of what a 20-tick player allocates).
 //
-// Ceilings are the measurement + 15 %: the gated game's enter-radius
-// fetches depend on goroutine timing, so its count wobbles by a few tenths.
+// Ceilings are the measurement + 15 %.
 func TestWholeGameAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -49,7 +49,7 @@ func TestWholeGameAllocBudget(t *testing.T) {
 		apply   func(*PlayerConfig)
 	}{
 		{"bsync", 8, 20, 10, 4900, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
-		{"gated", 16, 30, 16, 6950, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
+		{"gated", 16, 30, 14, 6850, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := game.DefaultConfig(tc.teams, 1)

@@ -15,12 +15,11 @@ import "sdso/internal/game"
 // ticks.
 const InterestMaxStretch = 4
 
-// refreshInterest recomputes the interest set for the upcoming tick and
-// handles enter-radius events: peers that just became interesting get
-// their delta send-table reset (full records next flush) and an
-// on-demand fetch of the objects under their last-known tanks, so the
-// tick they become visible is backed by fresh state rather than by
-// whatever survived the filtered stretch.
+// refreshInterest recomputes the interest set for the upcoming tick. An
+// enter-radius event sends nothing: interest is a SendData term, so it
+// only decides what rides on a rendezvous the s-function already chose.
+// Writes withheld while the peer was out of the set reach it through the
+// gate's flush backstops, not through a pull.
 func (p *player) refreshInterest(tick int64) {
 	if p.ix == nil {
 		return
@@ -33,24 +32,6 @@ func (p *player) refreshInterest(tick int64) {
 		if n := len(entered) + len(left); n > 0 {
 			p.mc.AddInterestChurn(n)
 		}
-	}
-	for _, peer := range entered {
-		if p.rt.PeerGone(peer) {
-			continue
-		}
-		p.rt.InterestEnter(peer)
-		if tick <= 1 {
-			continue // the initial world is shared; nothing was withheld yet
-		}
-		kp := &p.known[peer]
-		if !kp.present {
-			continue
-		}
-		p.ids = p.ids[:0] // InterestFetch does not keep it
-		for _, pos := range kp.beacon.Tanks {
-			p.ids = append(p.ids, p.cfg.Game.ObjectOf(pos))
-		}
-		p.rt.InterestFetch(peer, p.ids)
 	}
 }
 

@@ -106,10 +106,10 @@ type PlayerConfig struct {
 	// index (internal/interest) tracks which peers' tanks are within the
 	// interaction radius (with hysteresis slack), and the gate's interest
 	// term withholds DATA from peers outside the set — their writes keep
-	// buffering and merging until they come near, enter-radius events
-	// trigger an on-demand full-record fetch, and under BSYNC the
-	// s-function additionally stretches rendezvous with far peers
-	// (bounded by the symmetric NextDelta guarantee) so SYNC traffic
+	// buffering and merging until they come near (the gate's flush
+	// backstops deliver them; an enter-radius event sends nothing), and
+	// under BSYNC the s-function additionally stretches rendezvous with far
+	// peers (bounded by the symmetric NextDelta guarantee) so SYNC traffic
 	// scales with neighborhood density too. The gate evaluates its flush
 	// backstops (box approach, within range) before this term, so they
 	// always override it, and Broadcast flushes bypass the gate entirely.

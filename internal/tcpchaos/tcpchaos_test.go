@@ -61,8 +61,13 @@ func TestProxyRelaysBothDirections(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echoed %q, want %q", got, msg)
 	}
-	if p.Relayed() < int64(2*len(msg)) {
-		t.Fatalf("relayed %d bytes, want >= %d", p.Relayed(), 2*len(msg))
+	// A pump forwards a chunk before it adds the chunk to the counter, so
+	// the echo can arrive first: poll for the count.
+	want := int64(2 * len(msg))
+	for deadline := time.Now().Add(2 * time.Second); p.Relayed() < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("relayed %d bytes, want >= %d", p.Relayed(), want)
+		}
 	}
 }
 

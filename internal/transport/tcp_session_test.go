@@ -239,8 +239,14 @@ func TestSessionRestartWithHigherIncarnationRejoins(t *testing.T) {
 	}
 	t.Cleanup(restarted.Abort)
 
-	if eps[0].PeerGone(1) {
-		t.Fatal("PeerGone(1) still true after the restarted peer's handshake")
+	// The accept side writes its hello before it installs the link, so the
+	// dialer can return first: poll for the resurrection.
+	deadline = time.Now().Add(2 * time.Second)
+	for eps[0].PeerGone(1) {
+		if time.Now().After(deadline) {
+			t.Fatal("PeerGone(1) still true after the restarted peer's handshake")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if err := eps[0].Send(1, &wire.Msg{Kind: wire.KindData, Stamp: 9}); err != nil {
 		t.Fatalf("send to resurrected link: %v", err)
