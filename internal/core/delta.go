@@ -9,11 +9,11 @@
 //   - tip: the state after the last record flushed to that peer (no entry
 //     means the registered initial state — both sides share it, so even a
 //     first record can be a delta);
-//   - sent: the stamp of the last record flushed to that peer. A consumed
+//   - stamp: the stamp of the last record flushed to that peer. A consumed
 //     SYNC from the peer stamped s proves the peer completed every mutual
 //     rendezvous before s, and therefore (FIFO channels) consumed every
 //     record stamped below s; stamps only grow, so the object has a record
-//     still unproven exactly when sent is not below the highest such s.
+//     still unproven exactly when stamp is not below the highest such s.
 //
 // A record for an object is delta-encoded only when the object has no
 // unproven record (the ack table is current — on any ack gap the sender
@@ -32,7 +32,6 @@ import (
 
 	"sdso/internal/diff"
 	"sdso/internal/store"
-	"sdso/internal/trace"
 	"sdso/internal/wire"
 	"sdso/internal/xlist"
 )
@@ -52,11 +51,11 @@ type deltaEntry struct {
 	// diff that would not apply; deltas are refused until a full
 	// replacement record or a recovery reply restores it.
 	bad bool
-	// fetching (receiver) marks an outstanding recovery fetch.
-	fetching bool
-	// sent (sender) is the stamp of the last record flushed to the peer,
-	// zero when none was (or a served reply superseded it).
-	sent  int64
+	// stamp is, on the sender half, the stamp of the last record flushed to
+	// the peer, zero when none was (or a served reply superseded it); on the
+	// receiver half, the tick of the outstanding recovery fetch, zero when
+	// none is.
+	stamp int64
 	ver   int64
 	state []byte
 }
@@ -95,7 +94,7 @@ type deltaSendState struct {
 // unproven reports whether a record flushed for e's object may not have
 // been consumed by the peer yet.
 func (ds *deltaSendState) unproven(e *deltaEntry) bool {
-	return e.sent != 0 && e.sent >= ds.acked
+	return e.stamp != 0 && e.stamp >= ds.acked
 }
 
 // deltaBase returns the state and version e stands for: its own once known,
@@ -160,7 +159,7 @@ func (r *Runtime) encodeDataPayload(dst []byte, peer int, diffs []xlist.ObjDiff,
 				xor = xor[:mark]
 			}
 		}
-		e.state, e.ver, e.known, e.sent = next, od.Version, true, stamp
+		e.state, e.ver, e.known, e.stamp = next, od.Version, true, stamp
 		recs = append(recs, rec)
 	}
 	r.encBuf = xlist.AppendDeltaRecords(r.encBuf[:0], recs)
@@ -182,8 +181,8 @@ func (r *Runtime) deltaAck(peer int, stamp int64) {
 // applyDeltaData decodes and applies a DATA payload in the delta-capable
 // record encoding. Every consumed record — whatever the main store decides
 // — advances the per-sender shadow, because the shadow mirrors what the
-// sender sent, not what the receiver kept. Store application then goes
-// through exactly the version/PID gate applyData uses.
+// sender sent, not what the receiver kept. Store application then takes
+// the one install path (install) the plain format takes.
 //
 // The records are decoded into scratch whose bytes alias m.Payload, which
 // a pooling transport reuses once m is recycled: everything retained — the
@@ -222,52 +221,36 @@ func (r *Runtime) applyDeltaData(m *wire.Msg) {
 			}
 		} else if state, ok := rec.D.Replacement(); ok {
 			next = append(r.st.Alloc(len(state))[:0], state...)
-			e.bad = false
+			e.bad, e.stamp = false, 0
 		} else if next, err = diff.ApplyTo(r.st.Alloc(len(base)), base, rec.D); err != nil {
 			// A run diff over an unknown shadow (or a malformed
 			// replacement, which the codec already rejects): apply to the
 			// store as plain data would, but the shadow stays unknown.
-			e.bad = true
-			if !rec.D.Replace {
-				r.applyDeltaToStore(src, rec.Obj, rec.Version, rec.D, nil, m.Stamp)
+			e.bad, next = true, nil
+			if rec.D.Replace {
+				continue
 			}
-			continue
 		}
 		if !e.bad {
 			e.state, e.ver, e.known = next, rec.Version, true
 		}
-		if rec.D.Replace || rec.Delta {
-			r.applyDeltaToStore(src, rec.Obj, rec.Version, diff.Diff{}, next, m.Stamp)
-		} else {
-			r.applyDeltaToStore(src, rec.Obj, rec.Version, rec.D, nil, m.Stamp)
+		if !rec.D.Replace && !rec.Delta {
+			next = nil // a run diff applies to the replica, not to the shadow's base
 		}
+		r.install(src, rec.Obj, rec.Version, rec.D, next, m.Stamp)
 	}
-}
-
-// applyDeltaToStore pushes one decoded record into the main store through
-// the same version/PID gate as applyData: older versions are stale, equal
-// versions are a data race arbitrated by PID, newer versions win. A delta
-// or replacement record supplies the full state (state non-nil, owned, and
-// adopted without a copy); a run-diff record supplies the diff.
-func (r *Runtime) applyDeltaToStore(src int, obj store.ID, ver int64, d diff.Diff, state []byte, stamp int64) {
-	if !r.admit(src, obj, ver) {
-		return
-	}
-	if state != nil {
-		_ = r.st.AdoptStateFrom(obj, state, ver, src)
-	} else {
-		_ = r.st.ApplyDiffFrom(obj, d, ver, src)
-	}
-	r.tr.Record(trace.OpApply, src, int64(obj), ver, r.now, stamp)
 }
 
 // deltaRequestRecovery refetches e's object in full from peer after a base
-// mismatch, at most one outstanding request per (peer, object).
+// mismatch, at most once a tick per (peer, object): a lost fetch is asked
+// again on the next refusal, and a duplicate is harmless, for deltaServe and
+// deltaAdoptReply both realign the tables to the state served. Before the
+// first tick (now 0, the "none outstanding" mark) every refusal fetches.
 func (r *Runtime) deltaRequestRecovery(peer int, e *deltaEntry) {
-	if e.fetching {
+	if e.stamp != 0 && e.stamp == r.now {
 		return
 	}
-	e.fetching = true
+	e.stamp = r.now
 	_ = r.AsyncGet(e.obj, peer)
 }
 

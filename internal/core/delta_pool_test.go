@@ -33,7 +33,7 @@ func TestResetTablesPinNoState(t *testing.T) {
 	ps := &r.peers[1]
 	for obj := store.ID(0); obj < objects; obj++ {
 		for _, tab := range []*deltaTable{&ps.send.deltaTable, &ps.recv} {
-			*tab.at(&r.deltaPool, obj) = deltaEntry{obj: obj, known: true, ver: 1, sent: 1, state: poison}
+			*tab.at(&r.deltaPool, obj) = deltaEntry{obj: obj, known: true, ver: 1, stamp: 1, state: poison}
 			held[&tab.entries[0]] = true
 		}
 	}
@@ -51,7 +51,7 @@ func TestResetTablesPinNoState(t *testing.T) {
 		for obj := store.ID(0); obj < objects; obj++ {
 			for _, tab := range []*deltaTable{&r.peers[peer].send.deltaTable, &r.peers[peer].recv} {
 				e := tab.at(&r.deltaPool, obj)
-				if e.obj != obj || e.known || e.sent != 0 || e.ver != 0 || e.state != nil {
+				if e.obj != obj || e.known || e.stamp != 0 || e.ver != 0 || e.state != nil {
 					t.Fatalf("peer %d: first use of object %d found %+v", peer, obj, *e)
 				}
 				block := tab.entries[:cap(tab.entries)]

@@ -251,6 +251,7 @@ func TestRejectedDeltaInstallsNothing(t *testing.T) {
 	}
 	shadow := func() deltaEntry { return *r.peers[1].recv.at(&r.deltaPool, obj) }
 	before, _ := r.st.View(obj)
+	r.now = 5 // a fetch outstanding is marked with the tick it was asked at
 
 	for name, rec := range map[string]xlist.DeltaRecord{
 		"wrong base":         {Version: 1, Delta: true, BaseHash: diff.Fingerprint(next), X: good},
@@ -264,7 +265,7 @@ func TestRejectedDeltaInstallsNothing(t *testing.T) {
 		if got := mc.Snapshot().DeltaMismatches - mismatches; got != 1 {
 			t.Errorf("%s: counted %d mismatches, want 1", name, got)
 		}
-		if e := shadow(); !e.bad || !e.fetching || e.known || e.state != nil {
+		if e := shadow(); !e.bad || e.stamp != 5 || e.known || e.state != nil {
 			t.Errorf("%s: shadow after the refusal = %+v, want bad, fetching and otherwise untouched", name, e)
 		}
 		if v, _ := r.st.View(obj); &v[0] != &before[0] || !bytes.Equal(v, base) {
@@ -407,5 +408,98 @@ func TestDeltaLateJoinerResetsTables(t *testing.T) {
 		if got := mc.Snapshot().DeltaMismatches; got != 0 {
 			t.Errorf("process %d detected %d delta base mismatches across the join, want 0 (tables must reset, not recover)", i, got)
 		}
+	}
+}
+
+// hookEndpoint runs keep on every message sent and delivers only those it
+// keeps.
+type hookEndpoint struct {
+	transport.Endpoint
+	keep func(m *wire.Msg) bool
+}
+
+func (e hookEndpoint) Send(to int, m *wire.Msg) error {
+	if !e.keep(m) {
+		return nil
+	}
+	return e.Endpoint.Send(to, m)
+}
+
+// TestDeltaRecoveryRetriesLostFetch: a refused delta fetches its object in
+// full, and the reply realigns both tables. When that reply is lost, the
+// mark the fetch left must not stall recovery for good: the next refused
+// delta, on a later tick, fetches again and the shadow recovers. The sender
+// writes every other tick so its records are proven and go out as deltas;
+// its DATA frame of tick 3 and its first ObjReply are dropped.
+func TestDeltaRecoveryRetriesLostFetch(t *testing.T) {
+	net := transport.NewMemNetwork(2)
+	t.Cleanup(net.Close)
+	const obj = store.ID(1)
+	var b *Runtime
+	var fetches []int64 // the receiver's clock at each ObjReq it sent
+	droppedData, droppedReply := false, false
+	a, err := New(Config{Endpoint: hookEndpoint{net.Endpoint(0), func(m *wire.Msg) bool {
+		switch {
+		case m.Kind == wire.KindData && m.Stamp == 3 && !droppedData:
+			droppedData = true
+			return false
+		case m.Kind == wire.KindObjReply && !droppedReply:
+			droppedReply = true
+			return false
+		}
+		return true
+	}}, MergeDiffs: true, DeltaEncode: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := metrics.NewCollector()
+	b, err = New(Config{Endpoint: hookEndpoint{net.Endpoint(1), func(m *wire.Msg) bool {
+		if m.Kind == wire.KindObjReq {
+			fetches = append(fetches, b.Now())
+		}
+		return true
+	}}, MergeDiffs: true, Metrics: mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func(k int) []byte {
+		s := make([]byte, 16)
+		s[k%16] = byte(k)
+		return s
+	}
+	for _, r := range []*Runtime{a, b} {
+		if err := r.Share(obj, state(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 1; k <= 10; k++ {
+		if k%2 == 1 {
+			if err := a.Write(obj, state(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range []*Runtime{a, b} {
+			if err := r.Exchange(ExchangeOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Poll()
+		b.Poll()
+	}
+	if !droppedData || !droppedReply {
+		t.Fatalf("dropped DATA %v, ObjReply %v: the scenario did not play out", droppedData, droppedReply)
+	}
+	if len(fetches) < 2 || fetches[1] <= fetches[0] {
+		t.Fatalf("ObjReqs at ticks %v: want a second fetch on a later tick's refused delta", fetches)
+	}
+	if got := mc.Snapshot().DeltaMismatches; got < 2 {
+		t.Errorf("%d refused deltas, want the two the lost frames caused", got)
+	}
+	want, _ := a.Store().Get(obj)
+	if got, _ := b.Store().Get(obj); !bytes.Equal(got, want) {
+		t.Errorf("receiver holds %v, sender %v", got, want)
+	}
+	if e := b.peers[0].recv.at(&b.deltaPool, obj); e.bad || !e.known || !bytes.Equal(e.state, want) {
+		t.Errorf("shadow of the sender %+v did not recover to %v", *e, want)
 	}
 }

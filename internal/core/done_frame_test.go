@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"sdso/internal/store"
 	"sdso/internal/trace"
 	"sdso/internal/transport"
 	"sdso/internal/wire"
@@ -90,21 +91,39 @@ func TestRidingDoneAheadOfReceiversClock(t *testing.T) {
 	}
 }
 
-// FuzzConsumeData is a live-read-path fuzz target: a KindData frame with
-// arbitrary mode bits, stamp, beacon and payload is dispatched into a
-// runtime mid-game. It must never panic, and a frame from a crashed or
-// absent peer must be dropped whole — whatever marker it carries.
+// FuzzConsumeData is the live-read-path fuzz target: a frame of any kind —
+// DATA with arbitrary mode bits, SYNC (retransmitted or not), DONE, ObjReq
+// (get or put), ObjReply (an AsyncGet's or a correlated one), CKPT — with an
+// arbitrary stamp, object, beacon and payload is dispatched into a runtime
+// mid-game, from a live peer (1), an evicted one (2) or one not yet joined
+// (3). It must never panic, and a frame from a crashed or absent peer that
+// is not join traffic must be dropped whole — whatever marker it carries.
 func FuzzConsumeData(f *testing.F) {
-	f.Add(int32(1), int64(2), uint8(wire.ModeSyncPiggyback), []byte{1, 2, 3}, []byte{0, 0, 0, 1}, true)
-	f.Add(int32(1), int64(9), uint8(wire.ModeDonePiggyback|wire.ModeDoneWon), []byte{}, []byte{}, false)
-	f.Add(int32(2), int64(1), uint8(0xF0), []byte{0xFF}, []byte{9}, true)
-	f.Add(int32(3), int64(-1), uint8(wire.ModeDonePiggyback|wire.ModeSyncPiggyback|wire.ModeDeltaPayload), []byte{7}, []byte{}, false)
-	f.Add(int32(7), int64(1)<<62, uint8(0x3F), []byte{}, []byte{1}, true)
-	f.Fuzz(func(t *testing.T, src int32, stamp int64, mode uint8, beacon, payload []byte, rendezvous bool) {
+	data := uint8(wire.KindData)
+	f.Add(data, int32(1), int64(2), uint8(wire.ModeSyncPiggyback), uint32(0), []byte{1, 2, 3}, []byte{0, 0, 0, 1}, true)
+	f.Add(data, int32(1), int64(9), uint8(wire.ModeDonePiggyback|wire.ModeDoneWon), uint32(0), []byte{}, []byte{}, false)
+	f.Add(data, int32(2), int64(1), uint8(0xF0), uint32(0), []byte{0xFF}, []byte{9}, true)
+	f.Add(data, int32(3), int64(-1), uint8(wire.ModeDonePiggyback|wire.ModeSyncPiggyback|wire.ModeDeltaPayload), uint32(0), []byte{7}, []byte{}, false)
+	f.Add(data, int32(7), int64(1)<<62, uint8(0x3F), uint32(0), []byte{}, []byte{1}, true)
+	snap := store.New()
+	if err := snap.Register(1, counterBytes(5)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(wire.KindSync), int32(1), int64(1), uint8(0), uint32(0), []byte{4, 2}, []byte{}, true)
+	f.Add(uint8(wire.KindSync), int32(2), int64(1), modeRetransmit, uint32(0), []byte{1}, []byte{}, false)
+	f.Add(uint8(wire.KindDone), int32(3), int64(1), doneWon, uint32(0), []byte{}, []byte{}, false)
+	f.Add(uint8(wire.KindObjReq), int32(1), int64(3), uint8(0), uint32(1), []byte{}, []byte{}, false)
+	f.Add(uint8(wire.KindObjReq), int32(2), int64(1)<<20|1, modePut, uint32(1), []byte{3}, counterBytes(9), false)
+	f.Add(uint8(wire.KindObjReply), int32(1), int64(1), modeAuto, uint32(1), []byte{2}, counterBytes(7), false)
+	f.Add(uint8(wire.KindObjReply), int32(3), int64(1)<<20|1, uint8(0), uint32(1), []byte{2}, counterBytes(7), false)
+	f.Add(uint8(wire.KindCkpt), int32(2), int64(1), uint8(0), uint32(2), []byte{}, snap.Snapshot(1), false)
+	f.Fuzz(func(t *testing.T, kind uint8, src int32, stamp int64, mode uint8, obj uint32, beacon, payload []byte, rendezvous bool) {
 		net := transport.NewMemNetwork(4)
 		defer net.Close()
-		// Peer 1 is live, 2 gets evicted, 3 has not joined.
-		r, err := New(Config{Endpoint: net.Endpoint(0), MergeDiffs: true, InitialMembers: []int{1, 2}})
+		// Peer 1 is live, 2 gets evicted, 3 has not joined. Checkpoints are
+		// vaulted (none is streamed this early), so CKPT frames take their
+		// whole path.
+		r, err := New(Config{Endpoint: net.Endpoint(0), MergeDiffs: true, InitialMembers: []int{1, 2}, CheckpointEvery: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,13 +139,14 @@ func FuzzConsumeData(f *testing.F) {
 		for i, v := range beacon {
 			ints[i] = int64(int8(v))
 		}
-		r.dispatch(&wire.Msg{Kind: wire.KindData, Src: src, Stamp: stamp, Mode: mode, Ints: ints, Payload: payload}, rendezvous)
-		if src != 2 && src != 3 {
+		k := wire.Kind(kind)
+		r.dispatch(&wire.Msg{Kind: k, Src: src, Stamp: stamp, Mode: mode, Obj: obj, Ints: ints, Payload: payload}, rendezvous)
+		if src != 2 && src != 3 || k == wire.KindJoinReq || k == wire.KindJoinAck || k == wire.KindSnapshot {
 			return
 		}
 		ps := &r.peers[src]
 		if ps.done || len(ps.earlyData) != 0 || len(ps.earlySync) != 0 || ps.syncSeen != 0 || r.GameOver() || r.Epoch() != epoch {
-			t.Fatalf("frame from gone peer %d (mode %#x) left a mark: %+v gameOver=%v epoch %d→%d", src, mode, *ps, r.GameOver(), epoch, r.Epoch())
+			t.Fatalf("%v frame from gone peer %d (mode %#x) left a mark: %+v gameOver=%v epoch %d→%d", k, src, mode, *ps, r.GameOver(), epoch, r.Epoch())
 		}
 	})
 }

@@ -9,7 +9,6 @@ package core
 // withholds flushes but never the SYNC wave that carries delta acks.
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -30,8 +29,8 @@ type syncGroup struct {
 // the transport's EncodedSender fast path, so the per-tick cost of the
 // global SYNC wave stays one encode plus O(n) writes instead of O(n)
 // encodes. Metrics count one logical SYNC per destination either way,
-// and a destination that fails with transport.ErrPeerGone is evicted
-// exactly as on the per-peer path.
+// and a failed send follows the send-error rule exactly as on the
+// per-peer path.
 func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 	if len(peers) == 0 {
 		return nil
@@ -73,29 +72,27 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 			size := sync.EncodedSize()
 			for _, peer := range g.dsts {
 				r.mc.CountSend(sync, size)
-				if err := es.SendEncoded(peer, enc, sync); err != nil {
-					if errors.Is(err, transport.ErrPeerGone) {
-						r.evictPeer(peer)
-						continue
-					}
+				sent, err := r.sendOutcome(peer, es.SendEncoded(peer, enc, sync), "exchange sync to")
+				if err != nil {
 					enc.Release()
-					return fmt.Errorf("exchange sync to %d: %w", peer, err)
+					return err
 				}
-				r.peers[peer].sent(r.now, g.beacon)
+				if sent {
+					r.peers[peer].sent(r.now, g.beacon)
+				}
 			}
 			enc.Release()
 			wire.PutMsg(sync)
 			continue
 		}
 		for _, peer := range g.dsts {
-			if err := r.send(peer, newSync(r.now, g.beacon, 0)); err != nil {
-				if errors.Is(err, transport.ErrPeerGone) {
-					r.evictPeer(peer)
-					continue
-				}
-				return fmt.Errorf("exchange sync to %d: %w", peer, err)
+			sent, err := r.sendTo(peer, newSync(r.now, g.beacon, 0), "exchange sync to")
+			if err != nil {
+				return err
 			}
-			r.peers[peer].sent(r.now, g.beacon)
+			if sent {
+				r.peers[peer].sent(r.now, g.beacon)
+			}
 		}
 	}
 	return nil

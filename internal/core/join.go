@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"sdso/internal/trace"
-	"sdso/internal/transport"
 	"sdso/internal/wire"
 )
 
@@ -60,79 +59,25 @@ func (r *Runtime) Join(incarnation int64) error {
 	// restored: force full records in both directions with every peer.
 	r.deltaResetAll()
 
-	req := &wire.Msg{Kind: wire.KindJoinReq, Stamp: incarnation}
+	req := &wire.Msg{Kind: wire.KindJoinReq, Stamp: incarnation} // kept; clones are sent
 	for _, peer := range targets {
-		if err := r.send(peer, req.Clone()); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				r.evictPeer(peer)
-				continue
-			}
-			return fmt.Errorf("join request to %d: %w", peer, err)
+		if _, err := r.sendTo(peer, req.Clone(), "join request to"); err != nil {
+			return err
 		}
 	}
 	r.flush()
-
-	resolved := func(peer int) bool {
-		if ps := &r.peers[peer]; ps.done || ps.crashed {
-			return true
-		}
-		_, acked := js.admit[peer]
-		return acked && js.snapped[peer]
-	}
-	allResolved := func() bool {
-		for _, peer := range targets {
-			if !resolved(peer) {
-				return false
-			}
-		}
-		return true
-	}
-	wait := timeout
-	retries := 0
-	for !allResolved() {
-		m, ok, err := r.ep.RecvTimeout(wait)
-		if err != nil {
-			return fmt.Errorf("join recv: %w", err)
-		}
-		if ok {
-			r.dispatch(m, false)
-			r.flush() // dispatch may have answered (echo, object serve)
-			continue
-		}
-		retries++
-		if retries > r.maxRetransmits() {
-			// Non-responders are presumed dead; the join completes among
-			// whoever answered.
-			for _, peer := range targets {
-				if !resolved(peer) {
-					r.evictPeer(peer)
-				}
-			}
-			break
-		}
-		for _, peer := range targets {
-			if resolved(peer) {
-				continue
-			}
-			if transport.PeerGone(r.ep, peer) {
-				// The transport knows this target's socket is dead past
-				// its reconnect grace — don't burn the budget on it.
-				r.evictPeer(peer)
-				continue
-			}
-			if err := r.send(peer, req.Clone()); err != nil {
-				if errors.Is(err, transport.ErrPeerGone) {
-					r.evictPeer(peer)
-					continue
-				}
-				return fmt.Errorf("join retransmit to %d: %w", peer, err)
-			}
-			r.mc.AddRetransmit()
-		}
-		r.flush()
-		if wait < 8*timeout {
-			wait *= 2
-		}
+	// Non-responders are presumed dead; the join completes among whoever
+	// sent both its ack and its snapshot.
+	if _, err := r.await(&waiter{
+		peers: targets, timeout: timeout,
+		pending: func(peer int) bool {
+			ps := &r.peers[peer]
+			_, acked := js.admit[peer]
+			return !ps.done && !ps.crashed && !(acked && js.snapped[peer])
+		},
+		resend: func(peer int) (bool, error) { return r.sendTo(peer, req.Clone(), "join retransmit to") },
+	}); err != nil {
+		return fmt.Errorf("join: %w", err)
 	}
 
 	// Resume the clock one tick before the earliest admission: the next
@@ -207,7 +152,7 @@ func (r *Runtime) readmitPeer(peer int) {
 	r.buf.Readmit(peer)
 	// Pre-crash leftovers from the peer's previous life must not leak
 	// into its new one.
-	ps.earlySync, ps.earlyData, ps.lastSync, ps.prevSync = nil, nil, sentSync{}, sentSync{}
+	ps.earlySync, ps.earlyData, ps.lastSync, ps.prevSync = nil, nil, syncRec{}, syncRec{}
 	// The peer's new life starts from the join snapshot, not from whatever
 	// the delta tables remember of its old one: force full records until
 	// fresh acks rebuild the table.
@@ -241,10 +186,7 @@ func (r *Runtime) sendJoinReply(peer int, admit int64) {
 		ints = append(ints, int64(p))
 	}
 	ack := &wire.Msg{Kind: wire.KindJoinAck, Stamp: admit, Ints: ints}
-	if err := r.send(peer, ack); err != nil {
-		if errors.Is(err, transport.ErrPeerGone) {
-			r.evictPeer(peer)
-		}
+	if sent, _ := r.sendTo(peer, ack, "join ack to"); !sent {
 		return
 	}
 	snap := r.st.Snapshot(r.now)

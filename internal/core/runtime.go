@@ -24,6 +24,11 @@
 // side hands the peer's beacon to the s-function. Data payloads (object
 // diffs) may be filtered spatially without breaking symmetry because beacons
 // always flow.
+//
+// The tick in stages: Exchange runs selectTargets, absorbEarly, sendFrames,
+// awaitRendezvous, reschedule and streamCheckpoint (ckpt.go). sendFrame
+// builds every per-peer frame of Exchange and Done, sendOutcome rules every send
+// error, await (wait.go) is every blocking wait and install every update.
 package core
 
 import (
@@ -283,13 +288,13 @@ type peerState struct {
 
 	// Early (future-stamped) traffic: SYNC beacons seen ahead of the local
 	// clock, and DATA messages buffered unapplied.
-	earlySync []earlySync
+	earlySync []syncRec
 	earlyData []*wire.Msg
 
 	// Failure detection (active when RendezvousTimeout > 0).
-	syncSeen int64    // highest consumed SYNC stamp
-	lastSync sentSync // last SYNC sent to the peer (echo and retransmit source)
-	prevSync sentSync // the one before it (echo source for a peer a rendezvous behind)
+	syncSeen int64   // highest consumed SYNC stamp
+	lastSync syncRec // last SYNC sent to the peer (echo and retransmit source)
+	prevSync syncRec // the one before it (echo source for a peer a rendezvous behind)
 
 	// Join: the admission tick granted to the peer and the incarnation it
 	// was granted to.
@@ -317,11 +322,12 @@ type peerState struct {
 	waitTick int64   // tick awaitRendezvous is waiting on the peer for
 }
 
-// sentSync is what the runtime keeps of a SYNC it sent — the values, never
-// the message, which Send gave away. The echo and retransmit paths build a
-// fresh message from it; the beacon is shared with every message that
-// carried it and is immutable. A zero stamp means none was sent.
-type sentSync struct {
+// syncRec is what the runtime keeps of a SYNC: one held early until the
+// local clock reaches its stamp, or one it sent — the values, never the
+// message, which Send gave away. The echo and retransmit paths build a fresh
+// message from it; the beacon is shared with every message that carried it
+// and is immutable. A zero stamp means none was sent.
+type syncRec struct {
 	stamp  int64
 	beacon []int64
 }
@@ -330,25 +336,12 @@ type sentSync struct {
 // Two are kept: the local process passed rendezvous k only on the peer's
 // SYNC(k), so the peer can be missing ours for k or the one after, no older.
 func (ps *peerState) sent(stamp int64, beacon []int64) {
-	ps.prevSync, ps.lastSync = ps.lastSync, sentSync{stamp: stamp, beacon: beacon}
-}
-
-// earlySync is one SYNC held until the local clock reaches its stamp.
-type earlySync struct {
-	stamp  int64
-	beacon []int64
+	ps.prevSync, ps.lastSync = ps.lastSync, syncRec{stamp: stamp, beacon: beacon}
 }
 
 // gone reports whether the peer is not participating — announced done,
 // evicted as crashed, or absent (not yet joined).
 func (ps *peerState) gone() bool { return ps.done || ps.crashed || ps.absent }
-
-// vaultEntry is one replicated checkpoint: an origin's store snapshot at
-// its clock stamp.
-type vaultEntry struct {
-	stamp int64
-	snap  []byte
-}
 
 // Errors returned by the runtime.
 var (
@@ -561,6 +554,26 @@ func (r *Runtime) send(to int, m *wire.Msg) error {
 	return r.ep.Send(to, m)
 }
 
+// sendTo sends m to peer under the one send-error rule, sendOutcome.
+func (r *Runtime) sendTo(peer int, m *wire.Msg, op string) (bool, error) {
+	return r.sendOutcome(peer, r.send(peer, m), op)
+}
+
+// sendOutcome is the one send-error rule, for err from a send to peer:
+// transport.ErrPeerGone (a TCP peer hung up without a DONE) is a crash
+// observation, so the peer is evicted and the caller skips it (false, nil);
+// any other error comes back wrapped as "op peer: err".
+func (r *Runtime) sendOutcome(peer int, err error, op string) (bool, error) {
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, transport.ErrPeerGone):
+		r.evictPeer(peer)
+		return false, nil
+	}
+	return false, fmt.Errorf("%s %d: %w", op, peer, err)
+}
+
 // newSync builds a SYNC in a pooled struct; beacon is shared, not copied.
 func newSync(stamp int64, beacon []int64, mode uint8) *wire.Msg {
 	m := wire.GetMsg()
@@ -568,21 +581,32 @@ func newSync(stamp int64, beacon []int64, mode uint8) *wire.Msg {
 	return m
 }
 
-// newData builds the DATA message carrying diffs to peer, stamped stamp, in
-// a pooled struct whose Payload capacity takes the encoding. marker is the
-// SYNC (with its beacon) or DONE mode bits riding on the frame.
-func (r *Runtime) newData(peer int, diffs []xlist.ObjDiff, stamp int64, marker uint8, beacon []int64) *wire.Msg {
-	m := wire.GetMsg()
-	m.Kind, m.Stamp, m.Ints = wire.KindData, stamp, beacon
-	m.Payload, m.Mode = r.encodeDataPayload(m.Payload, peer, diffs, stamp)
-	m.Mode |= marker
-	return m
+// sendFrame sends peer the one frame a rendezvous or Done owes it (DESIGN.md
+// §15), under the one send-error rule, and reports whether it went out.
+// Without diffs it is m, the call's bare marker (a SYNC or a DONE); with
+// diffs flushed from peer's slot, m becomes a DATA frame stamped stamp that
+// carries them, marker riding on it.
+func (r *Runtime) sendFrame(peer int, m *wire.Msg, diffs []xlist.ObjDiff, stamp int64, marker uint8, op string) (bool, error) {
+	if len(diffs) > 0 {
+		m.Kind, m.Stamp = wire.KindData, stamp
+		m.Payload, m.Mode = r.encodeDataPayload(m.Payload, peer, diffs, stamp)
+		m.Mode |= marker
+	}
+	sent, err := r.sendTo(peer, m, op)
+	if sent && len(diffs) > 0 && r.tr != nil {
+		for _, od := range diffs {
+			r.tr.Record(trace.OpSendObj, peer, int64(od.Obj), od.Version, stamp, 0)
+		}
+		r.tr.Record(trace.OpDataSend, peer, 0, 0, stamp, int64(len(diffs)))
+	}
+	return sent, err
 }
 
 // Exchange is the paper's exchange() call (Figure 4): advance the logical
 // clock, ship buffered and current modifications to the processes due now,
 // and — in resync mode — block until each of them has exchanged back, then
-// use the s-function to schedule the next rendezvous with each.
+// use the s-function to schedule the next rendezvous with each, in the
+// stages the package comment lists (DESIGN.md §3.5).
 func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	if r.localDone {
 		return ErrDone
@@ -598,12 +622,37 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	r.mc.AddTick()
 	r.tr.Record(trace.OpTick, -1, 0, 0, r.now, 0)
 
-	// Determine this tick's rendezvous set.
+	r.selectTargets(opts.How)
+	r.absorbEarly()
+	if err := r.sendFrames(opts); err != nil {
+		return err
+	}
+	if opts.Resync {
+		timeout := opts.Timeout
+		if timeout <= 0 {
+			timeout = r.cfg.RendezvousTimeout
+		}
+		if err := r.awaitRendezvous(timeout); err != nil {
+			return err
+		}
+		if err := r.reschedule(opts.SFunc); err != nil {
+			return err
+		}
+	}
+	if r.cfg.CheckpointEvery > 0 && r.now%r.cfg.CheckpointEvery == 0 {
+		r.streamCheckpoint()
+	}
+	r.mc.AddTime(metrics.CatExchange, r.ep.Now()-startWall)
+	return nil
+}
+
+// selectTargets is the due-set stage: this tick's rendezvous set is every
+// live peer under Broadcast, else the live peers the exchange-list has due.
+func (r *Runtime) selectTargets(how SendMode) {
 	targets := r.targets[:0]
-	switch opts.How {
-	case Broadcast:
+	if how == Broadcast {
 		targets = r.appendLivePeers(targets)
-	default:
+	} else {
 		for _, e := range r.xl.Due(r.now) {
 			if ps := &r.peers[e.Proc]; !ps.done && !ps.crashed {
 				targets = append(targets, e.Proc)
@@ -611,36 +660,29 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		}
 	}
 	r.targets = targets
-
-	if r.cfg.MaxBatchTicks > 1 && opts.How == Multicast && len(targets) == 0 {
+	if r.cfg.MaxBatchTicks > 1 && how == Multicast && len(targets) == 0 {
 		// A tick folded into the next rendezvous's frame by the batching
 		// s-function: its writes stay buffered (and merge).
 		r.mc.AddTickBatched()
 	}
+}
 
-	// Apply any buffered early traffic that has become current; note the
-	// beacons of partners whose SYNC already arrived.
-	r.absorbEarly()
-
-	// Send each target one frame (DESIGN.md §15, the frame rule): DATA
-	// carrying the SYNC marker and the beacon when data flows, a bare SYNC
-	// otherwise. Broadcast mode "forces the modifications ... as well as
-	// all buffered modifications to be immediately flushed to all remote
-	// processes" (paper §3.1): the spatial filter does not apply. A send
-	// that fails with transport.ErrPeerGone (TCP peer hung up without a
-	// DONE) is a crash observation: the peer is evicted and the exchange
-	// proceeds with the survivors.
-	//
-	// Every message comes from the wire pool and is given away by send: the
-	// in-memory and simulated transports hand the receiver this very
-	// struct, which the receiver recycles once consumed, so structs and
-	// payloads circulate instead of being allocated per rendezvous, and
-	// nothing here keeps a sent message (lastSync is a value). Beacons are
-	// shared between messages, read-only.
+// sendFrames is the send stage: the gate, then one frame per target
+// (sendFrame), the grouped fanout and the barrier. Broadcast mode "forces
+// the modifications ... as well as all buffered modifications to be
+// immediately flushed to all remote processes" (paper §3.1): the spatial
+// filter does not apply.
+//
+// Every message comes from the wire pool and is given away by send: the
+// in-memory and simulated transports hand the receiver this very struct,
+// which the receiver recycles once consumed, so structs and payloads
+// circulate instead of being allocated per rendezvous, and nothing here
+// keeps a sent message (lastSync is a value). Beacons are shared between
+// messages, read-only.
+func (r *Runtime) sendFrames(opts ExchangeOpts) error {
 	deferred := r.deferred[:0] // filtered-out peers whose bare SYNC fans out grouped
-	for _, peer := range targets {
-		ps := &r.peers[peer]
-		if ps.crashed {
+	for _, peer := range r.targets {
+		if r.peers[peer].crashed {
 			continue
 		}
 		sendData := opts.How == Broadcast || opts.SendData == nil || opts.SendData(peer)
@@ -665,24 +707,17 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		if opts.Beacon != nil {
 			beacon = opts.Beacon(peer)
 		}
-		var m *wire.Msg
-		if len(diffs) > 0 {
-			m = r.newData(peer, diffs, r.now, wire.ModeSyncPiggyback, beacon)
-		} else {
-			m = newSync(r.now, beacon, 0)
+		sent, err := r.sendFrame(peer, newSync(r.now, beacon, 0), diffs, r.now, wire.ModeSyncPiggyback, "exchange with")
+		if err != nil {
+			return err
 		}
-		if err := r.send(peer, m); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				r.evictPeer(peer)
-				continue
-			}
-			return fmt.Errorf("exchange with %d: %w", peer, err)
+		if !sent {
+			continue
 		}
 		if len(diffs) > 0 {
-			r.traceDataSend(peer, diffs, r.now)
 			r.mc.AddPiggybackedSync()
 		}
-		ps.sent(r.now, beacon) // retransmits and echoes are always bare SYNCs
+		r.peers[peer].sent(r.now, beacon) // retransmits and echoes are always bare SYNCs
 	}
 	r.deferred = deferred
 	if err := r.sendSyncFanout(deferred, opts); err != nil {
@@ -691,146 +726,35 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	// Barrier: release whatever the transport coalesced before blocking on
 	// (or returning control ahead of) the peers' answers.
 	r.flush()
-
-	if opts.Resync {
-		timeout := opts.Timeout
-		if timeout <= 0 {
-			timeout = r.cfg.RendezvousTimeout
-		}
-		if err := r.awaitRendezvous(targets, timeout); err != nil {
-			return err
-		}
-		// Reschedule every partner that is still live.
-		for _, peer := range targets {
-			ps := &r.peers[peer]
-			if ps.done || ps.crashed {
-				continue
-			}
-			var pb []int64
-			if ps.syncTick == r.now {
-				pb = ps.beacon
-			}
-			if r.cfg.OnBeacon != nil {
-				r.cfg.OnBeacon(peer, pb)
-			}
-			next := opts.SFunc(peer, r.now, pb)
-			if next <= r.now {
-				return fmt.Errorf("core: s-function scheduled peer %d at %d, not after now=%d", peer, next, r.now)
-			}
-			if r.cfg.Debug != nil {
-				r.debugf("now=%d reschedule peer=%d next=%d", r.now, peer, next)
-			}
-			r.tr.Record(trace.OpRendezvous, peer, 0, 0, r.now, next)
-			r.xl.Set(peer, next)
-		}
-	}
-
-	if r.cfg.CheckpointEvery > 0 && r.now%r.cfg.CheckpointEvery == 0 {
-		r.streamCheckpoint()
-	}
-
-	r.mc.AddTime(metrics.CatExchange, r.ep.Now()-startWall)
 	return nil
 }
 
-// streamCheckpoint snapshots the local store and streams the blob to the
-// first CheckpointF+1 live peers in ring order: any f failures leave at
-// least one copy outside the crash set, so the local process's committed
-// writes survive even if every peer that exchanged with it is gone too.
-// Called only at epoch boundaries (CheckpointEvery > 0).
-func (r *Runtime) streamCheckpoint() {
-	snap := r.st.Snapshot(r.now)
-	if len(snap) == 0 {
-		return
-	}
-	self, n := r.ep.ID(), r.ep.N()
-	want := r.cfg.CheckpointF + 1
-	sent := 0
-	r.mc.AddQuorumRound()
-	for d := 1; d < n && sent < want; d++ {
-		peer := (self + d) % n
-		if r.peers[peer].gone() {
+// reschedule hands the s-function each live partner's beacon of this tick
+// and puts the partner's next exchange into the exchange-list.
+func (r *Runtime) reschedule(sfunc SFunc) error {
+	for _, peer := range r.targets {
+		ps := &r.peers[peer]
+		if ps.done || ps.crashed {
 			continue
 		}
-		m := &wire.Msg{Kind: wire.KindCkpt, Stamp: r.now, Obj: uint32(self), Payload: snap}
-		if err := r.send(peer, m); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				r.evictPeer(peer)
-				continue
-			}
-			return // best-effort: a lost checkpoint only weakens this epoch's copy count
+		var pb []int64
+		if ps.syncTick == r.now {
+			pb = ps.beacon
 		}
-		r.mc.AddSnapshotBytes(len(snap))
-		sent++
-	}
-	if sent > 0 {
-		r.flush()
-	}
-}
-
-// handleCkpt vaults a replicated checkpoint. Each origin keeps only its
-// freshest blob; a blob for an already-crashed origin (or, after a restart,
-// for the local process itself) is merged into the live store immediately —
-// that is the recovery path the stream exists for.
-func (r *Runtime) handleCkpt(m *wire.Msg) {
-	origin := int(m.Obj)
-	if !r.vaulting || origin >= len(r.peers) {
-		return // replication not enabled here, or no such origin; drop
-	}
-	if origin == r.ep.ID() {
-		// Our own pre-crash state coming back after a restart.
-		if adopted, _, err := r.st.Merge(m.Payload); err == nil && adopted > 0 {
-			r.mc.AddReplicaCatchup()
+		if r.cfg.OnBeacon != nil {
+			r.cfg.OnBeacon(peer, pb)
 		}
-		return
-	}
-	ps := &r.peers[origin]
-	if ps.vaulted && ps.vault.stamp >= m.Stamp {
-		return
-	}
-	ps.vault, ps.vaulted = vaultEntry{stamp: m.Stamp, snap: m.Payload}, true
-	ps.relayed = false
-	r.debugf("now=%d vault ckpt origin=%d stamp=%d bytes=%d", r.now, origin, m.Stamp, len(m.Payload))
-	if ps.crashed {
-		// The origin is already gone: fold its writes in right away.
-		r.relayVault(origin)
-	}
-}
-
-// relayVault merges an evicted origin's vaulted checkpoint into the local
-// store and relays the blob to every live peer, so the crashed process's
-// committed writes propagate even to peers outside its checkpoint set (and
-// outside its exchange range, under spatial withholding). Idempotent per
-// (origin, blob); best-effort on the wire.
-func (r *Runtime) relayVault(origin int) {
-	o := &r.peers[origin]
-	if !o.vaulted || o.relayed {
-		return
-	}
-	e := o.vault
-	o.relayed = true
-	if _, _, err := r.st.Merge(e.snap); err != nil {
-		return
-	}
-	r.mc.AddReplicaCatchup()
-	sent := 0
-	for peer := range r.peers {
-		if peer == r.ep.ID() || r.peers[peer].gone() {
-			continue
+		next := sfunc(peer, r.now, pb)
+		if next <= r.now {
+			return fmt.Errorf("core: s-function scheduled peer %d at %d, not after now=%d", peer, next, r.now)
 		}
-		m := &wire.Msg{Kind: wire.KindCkpt, Stamp: e.stamp, Obj: uint32(origin), Payload: e.snap}
-		if err := r.send(peer, m); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				r.evictPeer(peer)
-			}
-			continue
+		if r.cfg.Debug != nil {
+			r.debugf("now=%d reschedule peer=%d next=%d", r.now, peer, next)
 		}
-		r.mc.AddSnapshotBytes(len(e.snap))
-		sent++
+		r.tr.Record(trace.OpRendezvous, peer, 0, 0, r.now, next)
+		r.xl.Set(peer, next)
 	}
-	if sent > 0 {
-		r.flush()
-	}
+	return nil
 }
 
 // absorbEarly moves buffered early messages whose stamp is now current into
@@ -857,21 +781,17 @@ func (r *Runtime) absorbEarly() {
 	for peer := range r.peers {
 		ps := &r.peers[peer]
 		best := int64(-1)
+		var beacon []int64
 		for _, es := range ps.earlySync {
 			if es.stamp <= r.now && es.stamp > best {
-				best = es.stamp
-				ps.beacon = es.beacon
+				best, beacon = es.stamp, es.beacon
 			}
 		}
 		if best < 0 {
 			continue
 		}
 		r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, best)
-		ps.syncTick = r.now
-		if best > ps.syncSeen {
-			ps.syncSeen = best
-			r.deltaAck(peer, best)
-		}
+		r.takeSync(peer, beacon, best)
 		keep := ps.earlySync[:0]
 		for _, es := range ps.earlySync {
 			if es.stamp > r.now {
@@ -883,38 +803,24 @@ func (r *Runtime) absorbEarly() {
 	}
 }
 
-// settle stops awaitRendezvous waiting on peer (its SYNC arrived, it
-// announced DONE, or it was evicted).
-func (r *Runtime) settle(ps *peerState) {
-	if ps.waitTick == r.now {
-		ps.waitTick = 0
-		r.outstanding--
-	}
-}
-
-// onSync completes the rendezvous with peer when awaitRendezvous is waiting
-// on it: its beacon becomes this tick's and its stamp feeds the ack table.
-func (r *Runtime) onSync(peer int, beacon []int64, stamp int64) {
+// takeSync makes peer's SYNC stamped stamp this tick's, whether it completes
+// a wait or was held early: its beacon goes to the s-function and its stamp
+// feeds the ack table.
+func (r *Runtime) takeSync(peer int, beacon []int64, stamp int64) {
 	ps := &r.peers[peer]
-	if ps.waitTick != r.now {
-		return
-	}
 	ps.beacon, ps.syncTick = beacon, r.now
-	r.settle(ps)
 	if stamp > ps.syncSeen {
 		ps.syncSeen = stamp
 		r.deltaAck(peer, stamp)
 	}
 }
 
-// awaitRendezvous blocks until every target has answered this tick's
-// exchange with a SYNC (or announced DONE). With a timeout, silent targets
-// become suspects: the unacknowledged SYNC is retransmitted under bounded
-// exponential backoff, and after maxRetransmits strikes the stragglers are
-// evicted as crashed and the rendezvous completes among the survivors.
-func (r *Runtime) awaitRendezvous(targets []int, timeout time.Duration) error {
+// awaitRendezvous is the await stage: the one wait, until every target has
+// answered with a SYNC (or announced DONE). A silent target is resent the
+// SYNC this tick sent it; the rendezvous completes among the survivors.
+func (r *Runtime) awaitRendezvous(timeout time.Duration) error {
 	r.outstanding = 0
-	for _, peer := range targets {
+	for _, peer := range r.targets {
 		ps := &r.peers[peer]
 		if ps.done || ps.crashed || ps.syncTick == r.now {
 			continue
@@ -922,136 +828,21 @@ func (r *Runtime) awaitRendezvous(targets []int, timeout time.Duration) error {
 		ps.waitTick = r.now
 		r.outstanding++
 	}
-	if timeout <= 0 {
-		for r.outstanding > 0 {
-			m, err := r.ep.Recv()
-			if err != nil {
-				return fmt.Errorf("exchange recv at tick %d: %w", r.now, err)
-			}
-			r.dispatch(m, true)
-			r.flush() // dispatch may have answered (echo, object serve)
-		}
-		return nil
-	}
-	wait := timeout
-	retries := 0
-	suspected := false
-	for r.outstanding > 0 {
-		m, ok, err := r.ep.RecvTimeout(wait)
-		if err != nil {
-			return fmt.Errorf("exchange recv at tick %d: %w", r.now, err)
-		}
-		if ok {
-			r.dispatch(m, true)
-			r.flush() // dispatch may have answered (echo, object serve)
-			continue
-		}
-		// Timeout: every remaining straggler becomes a suspect.
-		if !suspected {
-			suspected = true
-			for i := 0; i < r.outstanding; i++ {
-				r.mc.AddSuspect()
-			}
-		}
-		// A straggler the transport has positive evidence against — a
-		// socket broken past its reconnect grace — gets no retransmit
-		// budget: retransmitting into a dead link cannot help, so evict
-		// now. Merely slow peers (the transport reports nothing) keep
-		// the full budget.
-		for _, peer := range targets {
-			if r.peers[peer].waitTick == r.now && transport.PeerGone(r.ep, peer) {
-				r.evictPeer(peer)
-			}
-		}
-		retries++
-		if retries > r.maxRetransmits() {
-			// Evictions land in target order, which is deterministic.
-			for _, peer := range targets {
-				if r.peers[peer].waitTick == r.now {
-					r.evictPeer(peer)
-				}
-			}
-			return nil
-		}
-		for _, peer := range targets {
-			ps := &r.peers[peer]
-			if ps.waitTick != r.now {
-				continue
-			}
-			// The SYNC this tick sent the peer, if one was.
-			ls := ps.lastSync
+	_, err := r.await(&waiter{
+		peers: r.targets, timeout: timeout, rendezvous: true, suspect: true, goneFirst: true,
+		pending: func(peer int) bool { return r.peers[peer].waitTick == r.now },
+		resend: func(peer int) (bool, error) {
+			ls := r.peers[peer].lastSync
 			if ls.stamp != r.now {
-				continue
+				return false, nil // no SYNC went to the peer this tick
 			}
-			if err := r.send(peer, newSync(ls.stamp, ls.beacon, modeRetransmit)); err != nil {
-				if errors.Is(err, transport.ErrPeerGone) {
-					r.evictPeer(peer)
-					continue
-				}
-				return fmt.Errorf("retransmit sync to %d: %w", peer, err)
-			}
-			r.mc.AddRetransmit()
-		}
-		r.flush()
-		if wait < 8*timeout {
-			wait *= 2
-		}
+			return r.sendTo(peer, newSync(ls.stamp, ls.beacon, modeRetransmit), "retransmit sync to")
+		},
+	})
+	if err != nil {
+		return fmt.Errorf("exchange at tick %d: %w", r.now, err)
 	}
 	return nil
-}
-
-// maxRetransmits resolves the configured eviction threshold.
-func (r *Runtime) maxRetransmits() int {
-	if r.cfg.MaxRetransmits > 0 {
-		return r.cfg.MaxRetransmits
-	}
-	return DefaultMaxRetransmits
-}
-
-// evictPeer declares peer crashed: it is removed from the exchange list,
-// its buffered outbound diffs are dropped, and its pending rendezvous state
-// is discarded. Like a DONE, but recorded distinctly — PeerCrashed reports
-// it and the eviction is counted in metrics. Early DATA already received
-// from the peer survives (a fail-stop process's pre-crash output is valid
-// and is absorbed at its stamped tick).
-func (r *Runtime) evictPeer(peer int) {
-	if peer == r.ep.ID() {
-		return
-	}
-	ps := &r.peers[peer]
-	r.settle(ps)
-	if ps.done || ps.crashed {
-		return
-	}
-	ps.absent = false // an absent peer that failed to join is crashed
-	ps.crashed = true
-	r.epoch++
-	ps.granted = false // a future rejoin negotiates a fresh admission
-	r.mc.AddEviction()
-	r.tr.Record(trace.OpEvict, peer, 0, 0, r.now, 0)
-	r.debugf("now=%d evict peer=%d epoch=%d", r.now, peer, r.epoch)
-	r.xl.Remove(peer)
-	r.buf.Drop(peer)
-	ps.earlySync = nil
-	// Anything the delta tables assumed about the peer died with it; a
-	// future readmission must start from full records.
-	r.deltaResetPeer(peer)
-	// With checkpoint replication on, an eviction is the moment the vault
-	// pays off: fold the evictee's last replicated snapshot into the live
-	// store and relay it so its committed writes outlive the crash.
-	r.relayVault(peer)
-}
-
-// traceDataSend records a flushed DATA message and each object diff it
-// carried (no-op when tracing is off).
-func (r *Runtime) traceDataSend(peer int, diffs []xlist.ObjDiff, stamp int64) {
-	if r.tr == nil {
-		return
-	}
-	for _, od := range diffs {
-		r.tr.Record(trace.OpSendObj, peer, int64(od.Obj), od.Version, stamp, 0)
-	}
-	r.tr.Record(trace.OpDataSend, peer, 0, 0, stamp, int64(len(diffs)))
 }
 
 // flush releases whatever frames the transport has coalesced since the
@@ -1060,15 +851,15 @@ func (r *Runtime) flush() { _ = transport.Flush(r.ep) }
 
 // recycle returns a fully consumed incoming message to the transport's
 // free-list, from which the next outgoing message is taken (newSync,
-// newData): a delivered message is the receiver's alone, so this closes the
-// cycle. Nothing may reference the struct or its Payload afterwards;
+// Done): a delivered message is the receiver's alone, so this closes
+// the cycle. Nothing may reference the struct or its Payload afterwards;
 // beacons retained past this point (earlySync, peerState.beacon) are safe
 // because transports detach Ints themselves (see transport.Recycler).
 func (r *Runtime) recycle(m *wire.Msg) { transport.Recycle(r.ep, m) }
 
 // dispatch routes one incoming message. rendezvous is set by
 // awaitRendezvous: SYNC content stamped with the current tick then
-// completes the sender's rendezvous (onSync) instead of being held.
+// completes the sender's rendezvous instead of being held.
 // Messages fully consumed by the routing are recycled back to the
 // transport's pool.
 func (r *Runtime) dispatch(m *wire.Msg, rendezvous bool) {
@@ -1149,17 +940,12 @@ func (r *Runtime) consume(m *wire.Msg, rendezvous bool) bool {
 	case wire.KindObjReply:
 		if m.Mode == modeAuto {
 			// Reply to an AsyncGet: apply as soon as it arrives.
-			ver := int64(0)
-			if len(m.Ints) > 0 {
-				ver = m.Ints[0]
-			}
-			if cur, err := r.st.Version(store.ID(m.Obj)); err == nil && ver >= cur {
-				_ = r.st.SetState(store.ID(m.Obj), m.Payload, ver)
+			if ver, adopted := r.adopt(m); adopted {
 				r.tr.Record(trace.OpAdopt, peer, int64(m.Obj), ver, r.now, m.Stamp)
 			}
 			// Whatever the store decided, the serving peer now assumes we
 			// hold exactly this state: realign the shadow (see delta.go).
-			r.deltaAdoptReply(peer, store.ID(m.Obj), m.Payload, ver)
+			r.deltaAdoptReply(peer, store.ID(m.Obj), m.Payload, replyVersion(m))
 			return true
 		}
 		if m.Stamp != 0 && m.Stamp <= r.corrDone {
@@ -1214,11 +1000,14 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 				return
 			}
 		}
-		ps.earlySync = append(ps.earlySync, earlySync{stamp: stamp, beacon: beacon})
+		ps.earlySync = append(ps.earlySync, syncRec{stamp: stamp, beacon: beacon})
 		return
 	}
 	r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, stamp)
-	r.onSync(peer, beacon, stamp)
+	if ps.waitTick == r.now { // the rendezvous awaited it
+		r.takeSync(peer, beacon, stamp)
+		r.settle(ps)
+	}
 }
 
 // handleDone marks peer finished as of its DONE stamp. Its final data (if
@@ -1256,9 +1045,9 @@ func (r *Runtime) debugf(format string, args ...any) {
 	}
 }
 
-// applyData decodes and applies a DATA message's diff batch. The diffs are
-// decoded into scratch whose run data aliases m.Payload; the store copies
-// what it keeps.
+// applyData decodes and applies a DATA message's diff batch, in the payload
+// format its mode bit names. Plain diffs are decoded into scratch whose run
+// data aliases m.Payload; the store copies what it keeps.
 func (r *Runtime) applyData(m *wire.Msg) {
 	if m.Mode&wire.ModeDeltaPayload != 0 {
 		r.applyDeltaData(m)
@@ -1278,14 +1067,24 @@ func (r *Runtime) applyData(m *wire.Msg) {
 		}
 		r.debugf("now=%d applyData from=%d stamp=%d objs=[%s]", r.now, m.Src, m.Stamp, objs)
 	}
-	src := int(m.Src)
 	for _, od := range diffs {
-		if !r.admit(src, od.Obj, od.Version) {
-			continue
-		}
-		_ = r.st.ApplyDiffFrom(od.Obj, od.D, od.Version, src)
-		r.tr.Record(trace.OpApply, src, int64(od.Obj), od.Version, r.now, m.Stamp)
+		r.install(int(m.Src), od.Obj, od.Version, od.D, nil, m.Stamp)
 	}
+}
+
+// install is the one path a received record takes into the store, in either
+// payload format: admit, store, trace. An owned full state is adopted
+// without a copy; without one, d is applied to the replica.
+func (r *Runtime) install(src int, obj store.ID, ver int64, d diff.Diff, state []byte, stamp int64) {
+	if !r.admit(src, obj, ver) {
+		return
+	}
+	if state != nil {
+		_ = r.st.AdoptStateFrom(obj, state, ver, src)
+	} else {
+		_ = r.st.ApplyDiffFrom(obj, d, ver, src)
+	}
+	r.tr.Record(trace.OpApply, src, int64(obj), ver, r.now, stamp)
 }
 
 // admit is the version gate every received update passes before it reaches
@@ -1315,36 +1114,15 @@ func (r *Runtime) admit(src int, obj store.ID, ver int64) bool {
 	return true
 }
 
-func (r *Runtime) serveObj(peer int, m *wire.Msg) {
-	id := store.ID(m.Obj)
-	state, err := r.st.Get(id)
-	if err != nil {
-		return
-	}
-	ver, _ := r.st.Version(id)
-	reply := &wire.Msg{
-		Kind:    wire.KindObjReply,
-		Obj:     m.Obj,
-		Stamp:   m.Stamp,
-		Mode:    m.Mode, // echoed so AsyncGet replies self-identify
-		Ints:    []int64{ver},
-		Payload: state,
-	}
-	if err := r.send(peer, reply); err != nil {
-		return
-	}
-	// The requester adopts exactly this state as its shadow of us: realign
-	// the sender half of the delta table to it (see delta.go). The tip
-	// shares the store's published state; the payload now belongs to the
-	// receiver.
-	if view, err := r.st.View(id); err == nil {
-		r.deltaServe(peer, id, view, ver)
-	}
-}
-
 // doneWon marks a DONE from a process that reached the application's goal;
 // in first-to-goal (race) games it ends the game for everyone.
 const doneWon uint8 = 1
+
+// modeRetransmit marks a SYNC resent on suspicion timeout. A receiver that
+// already consumed the original answers a marked duplicate by re-echoing its
+// own SYNC (the answer may have been lost); unmarked duplicates are dropped
+// silently.
+const modeRetransmit uint8 = 5
 
 // GameOver reports whether any process has announced a winning DONE.
 func (r *Runtime) GameOver() bool { return r.gameOver }
@@ -1388,215 +1166,21 @@ func (r *Runtime) Done(won bool) error {
 	// now either way — riding a flush, the frame's stamp less one.
 	r.targets = r.appendLivePeers(r.targets[:0])
 	for _, peer := range r.targets {
-		var m *wire.Msg
 		var diffs []xlist.ObjDiff
 		if r.buf.Pending(peer) > 0 {
 			diffs = r.buf.Flush(peer)
-			m = r.newData(peer, diffs, r.now+1, riding, nil)
-		} else {
-			m = wire.GetMsg()
-			m.Kind, m.Stamp, m.Mode = wire.KindDone, r.now, bare
 		}
-		if err := r.send(peer, m); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				r.evictPeer(peer)
-				continue
-			}
-			return fmt.Errorf("done to %d: %w", peer, err)
+		m := wire.GetMsg()
+		m.Kind, m.Stamp, m.Mode = wire.KindDone, r.now, bare
+		sent, err := r.sendFrame(peer, m, diffs, r.now+1, riding, "done to")
+		if err != nil {
+			return err
 		}
-		if len(diffs) > 0 {
-			r.traceDataSend(peer, diffs, r.now+1)
+		if sent && len(diffs) > 0 {
 			r.mc.AddPiggybackedDone()
 		}
 	}
 	// The process may never send again; force the final frames out.
 	r.flush()
 	return nil
-}
-
-// AsyncPut sends obj's full current state to a remote process without
-// waiting — the paper's async_put.
-func (r *Runtime) AsyncPut(id store.ID, to int) error {
-	state, err := r.st.Get(id)
-	if err != nil {
-		return err
-	}
-	ver, _ := r.st.Version(id)
-	m := &wire.Msg{Kind: wire.KindObjReply, Obj: uint32(id), Ints: []int64{ver}, Payload: state}
-	if err := r.send(to, m); err != nil {
-		return err
-	}
-	r.flush()
-	return nil
-}
-
-// SyncPut sends obj's state and blocks until the remote acknowledges — the
-// paper's sync_put. The acknowledgment is the peer's ObjReply echo carrying
-// the same stamp.
-func (r *Runtime) SyncPut(id store.ID, to int) error {
-	state, err := r.st.Get(id)
-	if err != nil {
-		return err
-	}
-	ver, _ := r.st.Version(id)
-	stamp := r.nextCorrelation(id)
-	// m is the request kept for waitReply's retransmissions; what is sent —
-	// and so given away — is always a clone of it.
-	m := &wire.Msg{
-		Kind: wire.KindObjReq, Mode: modePut, Obj: uint32(id),
-		Stamp: stamp, Ints: []int64{ver}, Payload: state,
-	}
-	if err := r.send(to, m.Clone()); err != nil {
-		if errors.Is(err, transport.ErrPeerGone) {
-			r.evictPeer(to)
-			return fmt.Errorf("core: sync put obj %d to %d: %w", id, to, ErrPeerCrashed)
-		}
-		return err
-	}
-	r.flush()
-	return r.waitReply(to, m, uint32(id), stamp, false)
-}
-
-// modePut marks an ObjReq as carrying a put (state push needing an ack)
-// rather than a get; modeAuto marks an async get whose reply should be
-// applied on arrival without a waiter.
-const (
-	modePut  uint8 = 3
-	modeAuto uint8 = 4
-	// modeRetransmit marks a SYNC resent on suspicion timeout. A receiver
-	// that already consumed the original answers a marked duplicate by
-	// re-echoing its own SYNC (the answer may have been lost); unmarked
-	// duplicates are dropped silently.
-	modeRetransmit uint8 = 5
-)
-
-// nextCorrelation builds a correlation stamp for request/reply matching.
-func (r *Runtime) nextCorrelation(id store.ID) int64 {
-	r.corr++
-	return r.corr<<20 | int64(id)&0xfffff
-}
-
-// acceptPut applies a pushed object state and acknowledges it.
-func (r *Runtime) acceptPut(peer int, m *wire.Msg) {
-	ver := int64(0)
-	if len(m.Ints) > 0 {
-		ver = m.Ints[0]
-	}
-	cur, err := r.st.Version(store.ID(m.Obj))
-	if err == nil && ver >= cur {
-		_ = r.st.SetState(store.ID(m.Obj), m.Payload, ver)
-	}
-	ack := &wire.Msg{Kind: wire.KindObjReply, Obj: m.Obj, Stamp: m.Stamp}
-	_ = r.send(peer, ack)
-}
-
-// AsyncGet requests obj's state from a remote process and returns without
-// blocking; the reply is applied whenever it arrives — the paper's
-// async_get.
-func (r *Runtime) AsyncGet(id store.ID, from int) error {
-	m := &wire.Msg{Kind: wire.KindObjReq, Mode: modeAuto, Obj: uint32(id), Stamp: r.now}
-	if err := r.send(from, m); err != nil {
-		return err
-	}
-	r.flush()
-	return nil
-}
-
-// SyncGet requests obj's state from a remote process and blocks until it
-// arrives — the paper's sync_get, used by pull-based protocols to fetch the
-// up-to-date copy from an owner.
-func (r *Runtime) SyncGet(id store.ID, from int) error {
-	stamp := r.nextCorrelation(id)
-	m := &wire.Msg{Kind: wire.KindObjReq, Obj: uint32(id), Stamp: stamp} // kept; clones are sent
-	if err := r.send(from, m.Clone()); err != nil {
-		if errors.Is(err, transport.ErrPeerGone) {
-			r.evictPeer(from)
-			return fmt.Errorf("core: sync get obj %d from %d: %w", id, from, ErrPeerCrashed)
-		}
-		return err
-	}
-	r.flush()
-	return r.waitReply(from, m, uint32(id), stamp, true)
-}
-
-// waitReply blocks until an ObjReply for (obj, stamp) arrives, applying it
-// if apply is set. With a rendezvous timeout configured, a silent responder
-// is suspected, the request is retransmitted (a clone of req, which is kept
-// and never itself sent) under bounded exponential backoff, and after
-// maxRetransmits strikes the responder is evicted and an
-// ErrPeerCrashed-wrapping error is returned instead of hanging forever.
-// Object requests are idempotent on the serving side (version-gated state
-// application, re-served reads), so retransmitted requests are safe.
-func (r *Runtime) waitReply(to int, req *wire.Msg, obj uint32, stamp int64, apply bool) error {
-	take := func(m *wire.Msg) bool { return m.Kind == wire.KindObjReply && m.Obj == obj && m.Stamp == stamp }
-	consume := func(m *wire.Msg) error {
-		if stamp > r.corrDone {
-			r.corrDone = stamp
-		}
-		if apply {
-			ver := int64(0)
-			if len(m.Ints) > 0 {
-				ver = m.Ints[0]
-			}
-			return r.st.SetState(store.ID(m.Obj), m.Payload, ver)
-		}
-		return nil
-	}
-	timeout := r.cfg.RendezvousTimeout
-	wait := timeout
-	retries := 0
-	for {
-		for i, m := range r.pendingReplies {
-			if take(m) {
-				r.pendingReplies = append(r.pendingReplies[:i], r.pendingReplies[i+1:]...)
-				err := consume(m)
-				r.recycle(m) // SetState copies the payload
-				return err
-			}
-		}
-		if timeout <= 0 {
-			m, err := r.ep.Recv()
-			if err != nil {
-				return fmt.Errorf("await reply for obj %d: %w", obj, err)
-			}
-			r.dispatch(m, false)
-			r.flush() // dispatch may have answered (echo, object serve)
-			continue
-		}
-		if ps := &r.peers[to]; ps.done || ps.crashed {
-			return fmt.Errorf("core: awaiting reply for obj %d from %d: %w", obj, to, ErrPeerCrashed)
-		}
-		m, ok, err := r.ep.RecvTimeout(wait)
-		if err != nil {
-			return fmt.Errorf("await reply for obj %d: %w", obj, err)
-		}
-		if ok {
-			r.dispatch(m, false)
-			r.flush() // dispatch may have answered (echo, object serve)
-			continue
-		}
-		if retries == 0 {
-			r.mc.AddSuspect()
-		}
-		retries++
-		if retries > r.maxRetransmits() || transport.PeerGone(r.ep, to) {
-			// Budget exhausted — or the transport already knows the
-			// responder's socket is dead, in which case retransmitting
-			// into the broken link would only delay the eviction.
-			r.evictPeer(to)
-			return fmt.Errorf("core: no reply for obj %d from peer %d after %d retransmits: %w (%w)", obj, to, retries-1, ErrSyncTimeout, ErrEvicted)
-		}
-		if err := r.send(to, req.Clone()); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				r.evictPeer(to)
-				return fmt.Errorf("core: reply source %d hung up for obj %d: %w", to, obj, ErrPeerCrashed)
-			}
-			return err
-		}
-		r.mc.AddRetransmit()
-		r.flush()
-		if wait < 8*timeout {
-			wait *= 2
-		}
-	}
 }

@@ -1,0 +1,149 @@
+// Failure detection: the one blocking wait — under a rendezvous, a
+// SyncGet/SyncPut reply and a Join — and eviction.
+package core
+
+import (
+	"fmt"
+	"slices"
+	"time"
+
+	"sdso/internal/trace"
+	"sdso/internal/transport"
+	"sdso/internal/wire"
+)
+
+// settle stops awaitRendezvous waiting on peer (its SYNC arrived, it
+// announced DONE, or it was evicted).
+func (r *Runtime) settle(ps *peerState) {
+	if ps.waitTick == r.now {
+		ps.waitTick = 0
+		r.outstanding--
+	}
+}
+
+// waiter is what differs between the waits of a rendezvous, a
+// SyncGet/SyncPut reply and a Join.
+type waiter struct {
+	peers   []int                        // who may be awaited, in eviction order
+	pending func(peer int) bool          // peer is still awaited
+	resend  func(peer int) (bool, error) // retransmits to peer; false: nothing went out
+	timeout time.Duration                // zero or less: block without suspicion
+	// rendezvous is dispatch's mode (r.outstanding counts its pending);
+	// suspect counts the pending at the first silence; goneFirst evicts the
+	// peers the transport reports gone before the budget check.
+	rendezvous, suspect, goneFirst bool
+}
+
+// waiting reports whether w still awaits anyone.
+func (r *Runtime) waiting(w *waiter) bool {
+	if w.rendezvous {
+		return r.outstanding > 0
+	}
+	return slices.ContainsFunc(w.peers, w.pending)
+}
+
+// await is the one blocking wait (DESIGN.md §7, "One wait"): it receives
+// and dispatches until w awaits no one. With a timeout, each silence of t,
+// 2t, 4t, 8t, 8t, ... is a strike: a pending peer the transport reports
+// gone is evicted, as resending into a dead link cannot help; the strike
+// after MaxRetransmits evicts every pending peer, else each gets w.resend.
+// It reports whether a strike evicted anyone.
+func (r *Runtime) await(w *waiter) (evicted bool, err error) {
+	wait, strikes, budget := w.timeout, 0, r.cfg.MaxRetransmits
+	if budget <= 0 {
+		budget = DefaultMaxRetransmits
+	}
+	for r.waiting(w) {
+		var m *wire.Msg
+		ok := true
+		if w.timeout <= 0 {
+			m, err = r.ep.Recv()
+		} else {
+			m, ok, err = r.ep.RecvTimeout(wait)
+		}
+		if err != nil {
+			return evicted, fmt.Errorf("recv: %w", err)
+		}
+		if ok {
+			r.dispatch(m, w.rendezvous)
+			r.flush() // dispatch may have answered (echo, object serve)
+			continue
+		}
+		strikes++
+		for _, peer := range w.peers {
+			if w.suspect && strikes == 1 && w.pending(peer) {
+				r.mc.AddSuspect()
+			}
+		}
+		for _, peer := range w.peers {
+			if w.goneFirst && w.pending(peer) && transport.PeerGone(r.ep, peer) {
+				r.evictPeer(peer)
+				evicted = true
+			}
+		}
+		if strikes > budget {
+			for _, peer := range w.peers {
+				if w.pending(peer) {
+					r.evictPeer(peer)
+				}
+			}
+			return true, nil
+		}
+		for _, peer := range w.peers {
+			if !w.pending(peer) {
+				continue
+			}
+			if !w.goneFirst && transport.PeerGone(r.ep, peer) {
+				r.evictPeer(peer)
+				evicted = true
+				continue
+			}
+			sent, err := w.resend(peer)
+			if err != nil {
+				return evicted, err
+			}
+			if sent {
+				r.mc.AddRetransmit()
+			}
+		}
+		r.flush()
+		if wait < 8*w.timeout {
+			wait *= 2
+		}
+	}
+	return evicted, nil
+}
+
+// evictPeer declares peer crashed: it is removed from the exchange list,
+// its buffered outbound diffs are dropped, and its pending rendezvous state
+// is discarded. Like a DONE, but recorded distinctly — PeerCrashed reports
+// it and the eviction is counted in metrics. Early DATA already received
+// from the peer survives (a fail-stop process's pre-crash output is valid
+// and is absorbed at its stamped tick).
+func (r *Runtime) evictPeer(peer int) {
+	if peer == r.ep.ID() {
+		return
+	}
+	ps := &r.peers[peer]
+	r.settle(ps)
+	if ps.done || ps.crashed {
+		return
+	}
+	ps.absent = false // an absent peer that failed to join is crashed
+	ps.crashed = true
+	r.epoch++
+	ps.granted = false // a future rejoin negotiates a fresh admission
+	r.mc.AddEviction()
+	r.tr.Record(trace.OpEvict, peer, 0, 0, r.now, 0)
+	r.debugf("now=%d evict peer=%d epoch=%d", r.now, peer, r.epoch)
+	r.xl.Remove(peer)
+	r.buf.Drop(peer)
+	ps.earlySync = nil
+	// Anything the delta tables assumed about the peer died with it; a
+	// future readmission must start from full records.
+	r.deltaResetPeer(peer)
+	// With checkpoint replication on, an eviction is the moment the vault
+	// pays off: fold the evictee's last replicated snapshot into the live
+	// store and relay it so its committed writes outlive the crash.
+	r.relayVault(peer)
+}
