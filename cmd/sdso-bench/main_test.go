@@ -3,14 +3,20 @@ package main
 import "testing"
 
 func TestRunFlagValidation(t *testing.T) {
-	if err := run([]string{"-range", "7"}); err == nil {
-		t.Error("bad range accepted")
-	}
-	if err := run([]string{"-fig", "99"}); err == nil {
-		t.Error("bad figure accepted")
-	}
-	if err := run([]string{"-bogus"}); err == nil {
-		t.Error("unknown flag accepted")
+	for _, args := range [][]string{
+		{"-range", "7"},
+		{"-fig", "99"},
+		{"-bogus"},
+		// Rejected before any game runs: quorum divided by zero seeds and
+		// a negative count could not size the seed list.
+		{"-seeds", "0", "-fig", "quorum"},
+		{"-seeds", "-1"},
+		// Figure 8 is range 1 only.
+		{"-fig", "8", "-range", "3"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

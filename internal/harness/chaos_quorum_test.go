@@ -9,6 +9,7 @@ import (
 
 	"sdso/internal/faultnet"
 	"sdso/internal/game"
+	"sdso/internal/metrics"
 	"sdso/internal/store"
 	"sdso/internal/trace"
 )
@@ -157,19 +158,19 @@ func TestChaosCheckpointSurvivesHolderSetCrash(t *testing.T) {
 // TestQuorumAnalysisRuns: the sdso-bench quorum panel completes on every
 // scenario and actually exercises the replication machinery.
 func TestQuorumAnalysisRuns(t *testing.T) {
-	rows, err := QuorumAnalysis([]int64{1}, 0)
+	lines, err := quorumPanel([]int64{1}).play(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rows))
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines, want 4", len(lines))
 	}
-	for _, r := range rows {
-		if r.QuorumRounds == 0 {
-			t.Errorf("%s: no quorum rounds", r.Label)
+	for _, l := range lines {
+		if total(func(s metrics.Snapshot) int { return s.QuorumRounds }, l.games[0]...) == 0 {
+			t.Errorf("%s: no quorum rounds", l.key.label)
 		}
-		if r.ReplicaCatchups == 0 {
-			t.Errorf("%s: no replica catch-ups", r.Label)
+		if total(func(s metrics.Snapshot) int { return s.ReplicaCatchups }, l.games[0]...) == 0 {
+			t.Errorf("%s: no replica catch-ups", l.key.label)
 		}
 	}
 }

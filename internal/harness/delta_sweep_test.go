@@ -53,19 +53,15 @@ func TestDeltaSweep64MatchesReference(t *testing.T) {
 // both off. The seed is the one game.DefaultConfig sets, so this is the
 // panel's n=16, seed-1 cell (`sdso-bench -fig delta`).
 func TestDeltaBytesReductionAtLeast30Pct(t *testing.T) {
-	var row DeltaRow
-	seed := game.DefaultConfig(16, 1).Seed
-	off, _, _, err := runDeltaCell(16, seed, false, &row)
+	lines, err := deltaPanel([]int{16}, []int64{game.DefaultConfig(16, 1).Seed}).play(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, _, _, err := runDeltaCell(16, seed, true, &row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row.PlainBytesPerX, row.DeltaBytesPerX = off, on
-	t.Logf("n=16 bytes/exchange: plain %.1f, delta %.1f (%.1f%% reduction)", off, on, row.SavedPct())
-	if row.SavedPct() < 30 {
-		t.Fatalf("delta encoding + batching saved only %.1f%% of wire bytes/exchange at n=16, want >= 30%%", row.SavedPct())
+	l := lines[0]
+	saved := savedPct(l)
+	t.Logf("n=16 bytes/exchange: plain %.1f, delta %.1f (%.1f%% reduction)",
+		mean(l.games[0], bytesPerSlot), mean(l.games[1], bytesPerSlot), saved)
+	if saved < 30 {
+		t.Fatalf("delta encoding + batching saved only %.1f%% of wire bytes/exchange at n=16, want >= 30%%", saved)
 	}
 }

@@ -2,8 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"time"
 
 	"sdso/internal/game"
@@ -123,37 +123,6 @@ type Sweep struct {
 	Results map[Protocol]map[int][]*Result
 }
 
-// sweepCell is one point of the (protocol, n, seed) grid, in grid order.
-type sweepCell struct {
-	proto Protocol
-	n     int
-	seed  int64
-}
-
-func (sc SweepConfig) cells() []sweepCell {
-	cells := make([]sweepCell, 0, len(sc.Protocols)*len(sc.Ns)*len(sc.Seeds))
-	for _, proto := range sc.Protocols {
-		for _, n := range sc.Ns {
-			for _, seed := range sc.Seeds {
-				cells = append(cells, sweepCell{proto: proto, n: n, seed: seed})
-			}
-		}
-	}
-	return cells
-}
-
-func runCell(sc SweepConfig, c sweepCell) (*Result, error) {
-	g := game.DefaultConfig(c.n, sc.Range)
-	g.Seed = c.seed
-	g.MaxTicks = sc.MaxTicks
-	g.EndOnFirstGoal = true // the paper's race semantics
-	res, err := Run(Config{Game: g, Protocol: c.proto, Net: sc.Net, SuspectTimeout: sc.SuspectTimeout, Shards: sc.Shards})
-	if err != nil {
-		return nil, fmt.Errorf("sweep %s n=%d range=%d seed=%d: %w", c.proto, c.n, sc.Range, c.seed, err)
-	}
-	return res, nil
-}
-
 // RunSweep executes every (protocol, n, seed) experiment of the sweep.
 //
 // Cells run concurrently on a pool of SweepConfig.Workers goroutines
@@ -167,19 +136,28 @@ func RunSweep(sc SweepConfig) (*Sweep, error) {
 		return nil, err
 	}
 	sc = sc.withDefaults()
-	cells := sc.cells()
-	results, err := runAll(cells, sc.Workers, func(c sweepCell) (*Result, error) { return runCell(sc, c) })
+	lines, err := grid[int, Protocol]{
+		name:     fmt.Sprintf("sweep range=%d", sc.Range),
+		keys:     sc.Ns,
+		variants: sc.Protocols,
+		seeds:    sc.Seeds,
+		cell: func(n int, p Protocol, seed int64) (*Result, error) {
+			g := game.DefaultConfig(n, sc.Range)
+			g.Seed = seed
+			g.MaxTicks = sc.MaxTicks
+			g.EndOnFirstGoal = true // the paper's race semantics
+			return Run(Config{Game: g, Protocol: p, Net: sc.Net, SuspectTimeout: sc.SuspectTimeout, Shards: sc.Shards})
+		},
+	}.play(sc.Workers)
 	if err != nil {
 		return nil, err
 	}
 	sw := &Sweep{Config: sc, Results: make(map[Protocol]map[int][]*Result)}
-	for i, c := range cells {
-		m := sw.Results[c.proto]
-		if m == nil {
-			m = make(map[int][]*Result)
-			sw.Results[c.proto] = m
+	for v, p := range sc.Protocols {
+		sw.Results[p] = make(map[int][]*Result)
+		for _, l := range lines {
+			sw.Results[p][l.key] = l.games[v]
 		}
-		m[c.n] = append(m[c.n], results[i])
 	}
 	return sw, nil
 }
@@ -223,125 +201,79 @@ func (sw *Sweep) Series(p Protocol, m Metric) []float64 {
 
 // Value returns one metric for one (protocol, n) cell, averaged over the
 // sweep's seeds.
-func (sw *Sweep) Value(p Protocol, n int, m Metric) float64 {
-	rs := sw.Results[p][n]
-	if len(rs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range rs {
-		sum += m(r)
-	}
-	return sum / float64(len(rs))
-}
+func (sw *Sweep) Value(p Protocol, n int, m Metric) float64 { return mean(sw.Results[p][n], m) }
 
 // Table renders a figure's data as the paper-style rows (one per process
 // count, one column per protocol).
 func (sw *Sweep) Table(title, unit string, m Metric) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%8s", "procs")
+	cols := []column[int]{{head: "procs", width: 8, value: strconv.Itoa}}
 	for _, p := range sw.Config.Protocols {
-		fmt.Fprintf(&b, "%12s", string(p))
+		cols = append(cols, column[int]{head: string(p), width: 12, value: func(n int) string { return fixed(sw.Value(p, n, m), 2) }})
 	}
-	fmt.Fprintf(&b, "    (%s)\n", unit)
-	for _, n := range sw.Config.Ns {
-		fmt.Fprintf(&b, "%8d", n)
-		for _, p := range sw.Config.Protocols {
-			fmt.Fprintf(&b, "%12.2f", sw.Value(p, n, m))
-		}
-		fmt.Fprintln(&b)
-	}
-	return b.String()
+	cols = append(cols, column[int]{head: "    (" + unit + ")"})
+	return tabulate(title, "", cols, sw.Config.Ns)
 }
 
 // CategoryPct averages the share of execution time spent in a category for
 // one (protocol, n) cell across seeds.
 func (sw *Sweep) CategoryPct(p Protocol, n int, cat metrics.Category) float64 {
-	rs := sw.Results[p][n]
-	if len(rs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range rs {
-		sum += r.Metrics.AvgCategoryPct(cat)
-	}
-	return sum / float64(len(rs))
+	return mean(sw.Results[p][n], func(r *Result) float64 { return r.Metrics.AvgCategoryPct(cat) })
 }
 
 // OverheadBreakdown renders Figure 8's stacked components for one process
 // count: per-protocol percentages of execution time by category.
 func (sw *Sweep) OverheadBreakdown(n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Protocol overhead breakdown at %d processes (%% of execution time)\n", n)
-	cats := metrics.Categories()
-	fmt.Fprintf(&b, "%8s", "")
-	for _, c := range cats {
-		fmt.Fprintf(&b, "%14s", c)
+	cols := []column[Protocol]{{width: 8, value: func(p Protocol) string { return string(p) }}}
+	for _, c := range metrics.Categories() {
+		cols = append(cols, column[Protocol]{head: c.String(), width: 14, value: func(p Protocol) string { return fixed(sw.CategoryPct(p, n, c), 1) }})
 	}
-	fmt.Fprintf(&b, "%14s\n", "total-ovh")
+	cols = append(cols, column[Protocol]{head: "total-ovh", width: 14, value: func(p Protocol) string { return fixed(sw.Value(p, n, MetricOverheadPct), 1) }})
+	var rows []Protocol
 	for _, p := range sw.Config.Protocols {
-		if _, ok := sw.Results[p][n]; !ok {
-			continue
+		if _, ok := sw.Results[p][n]; ok {
+			rows = append(rows, p)
 		}
-		fmt.Fprintf(&b, "%8s", string(p))
-		for _, c := range cats {
-			fmt.Fprintf(&b, "%14.1f", sw.CategoryPct(p, n, c))
-		}
-		fmt.Fprintf(&b, "%14.1f\n", sw.Value(p, n, MetricOverheadPct))
 	}
-	return b.String()
+	return tabulate(fmt.Sprintf("Protocol overhead breakdown at %d processes (%% of execution time)", n), "", cols, rows)
 }
 
-// Figures 5-8 conveniences: run the sweeps a figure needs and render it.
+// Figure renders the paper's Figure fig ("5", "6", "7" or "8") from the
+// sweep at its range; Figure 8 adds the overhead breakdown at the largest
+// process count. Any other fig renders nothing.
+func (sw *Sweep) Figure(fig string) string {
+	r := sw.Config.Range
+	switch fig {
+	case "5":
+		return sw.Table(fmt.Sprintf("Figure 5 (range %d): avg execution time per process / avg object modifications", r), "ms per modification", MetricNormalizedTime)
+	case "6":
+		return sw.Table(fmt.Sprintf("Figure 6 (range %d): total message transfers (control + data)", r), "messages", MetricTotalMsgs) + "\n" +
+			sw.Table(fmt.Sprintf("Figure 6 (range %d), on the wire: frames sent", r), "frames", MetricFrames)
+	case "7":
+		return sw.Table(fmt.Sprintf("Figure 7 (range %d): data message transfers", r), "data messages", MetricDataMsgs)
+	case "8":
+		return sw.Table(fmt.Sprintf("Figure 8: protocol overhead as %% of execution time (range %d)", r), "% of execution time", MetricOverheadPct) + "\n" +
+			sw.OverheadBreakdown(slices.Max(sw.Config.Ns))
+	}
+	return ""
+}
+
+// figure runs the default sweep at a range and renders Figure fig.
+func figure(fig string, rng int) (*Sweep, string, error) {
+	sw, err := RunSweep(SweepConfig{Range: rng})
+	if err != nil {
+		return nil, "", err
+	}
+	return sw, sw.Figure(fig), nil
+}
 
 // Figure5 reproduces the paper's Figure 5 panel for a range.
-func Figure5(rng int) (*Sweep, string, error) {
-	sw, err := RunSweep(SweepConfig{Range: rng})
-	if err != nil {
-		return nil, "", err
-	}
-	title := fmt.Sprintf("Figure 5 (range %d): avg execution time per process / avg object modifications", rng)
-	return sw, sw.Table(title, "ms per modification", MetricNormalizedTime), nil
-}
+func Figure5(rng int) (*Sweep, string, error) { return figure("5", rng) }
 
 // Figure6 reproduces the paper's Figure 6 panel for a range.
-func Figure6(rng int) (*Sweep, string, error) {
-	sw, err := RunSweep(SweepConfig{Range: rng})
-	if err != nil {
-		return nil, "", err
-	}
-	return sw, sw.Figure6Tables(rng), nil
-}
-
-// Figure6Tables renders Figure 6: the paper's message count, then frames.
-func (sw *Sweep) Figure6Tables(rng int) string {
-	title := fmt.Sprintf("Figure 6 (range %d): total message transfers (control + data)", rng)
-	return sw.Table(title, "messages", MetricTotalMsgs) + "\n" +
-		sw.Table(fmt.Sprintf("Figure 6 (range %d), on the wire: frames sent", rng), "frames", MetricFrames)
-}
+func Figure6(rng int) (*Sweep, string, error) { return figure("6", rng) }
 
 // Figure7 reproduces the paper's Figure 7 panel for a range.
-func Figure7(rng int) (*Sweep, string, error) {
-	sw, err := RunSweep(SweepConfig{Range: rng})
-	if err != nil {
-		return nil, "", err
-	}
-	title := fmt.Sprintf("Figure 7 (range %d): data message transfers", rng)
-	return sw, sw.Table(title, "data messages", MetricDataMsgs), nil
-}
+func Figure7(rng int) (*Sweep, string, error) { return figure("7", rng) }
 
 // Figure8 reproduces the paper's Figure 8 (overheads, range 1).
-func Figure8() (*Sweep, string, error) {
-	sw, err := RunSweep(SweepConfig{Range: 1})
-	if err != nil {
-		return nil, "", err
-	}
-	var b strings.Builder
-	b.WriteString(sw.Table("Figure 8: protocol overhead as % of execution time (range 1)", "% of execution time", MetricOverheadPct))
-	b.WriteString("\n")
-	ns := append([]int(nil), sw.Config.Ns...)
-	sort.Ints(ns)
-	b.WriteString(sw.OverheadBreakdown(ns[len(ns)-1]))
-	return sw, b.String(), nil
-}
+func Figure8() (*Sweep, string, error) { return figure("8", 1) }

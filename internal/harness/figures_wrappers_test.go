@@ -1,52 +1,50 @@
 package harness
 
 import (
-	"strings"
 	"testing"
+
+	"sdso/internal/metrics"
 )
 
-// TestFigureWrappers drives the one-call-per-figure conveniences end to end
-// and sanity-checks the rendered tables.
+// TestFigureWrappers drives the one-call-per-figure conveniences end to end:
+// each must render its sweep through Sweep.Figure, and the sweep's values
+// must be the ones the figure plots.
 func TestFigureWrappers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four full sweeps")
 	}
-	sw5, table5, err := Figure5(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(table5, "Figure 5") || !strings.Contains(table5, "MSYNC2") {
-		t.Errorf("figure 5 table:\n%s", table5)
-	}
-	series := sw5.Series(EC, MetricNormalizedTime)
-	if len(series) != len(PaperNs) {
-		t.Errorf("series length = %d", len(series))
-	}
-	for i := 1; i < len(series); i++ {
-		if series[i] <= 0 {
-			t.Errorf("series[%d] = %f", i, series[i])
+	for _, w := range []struct {
+		fig string
+		rng int
+		run func() (*Sweep, string, error)
+	}{
+		{"5", 1, func() (*Sweep, string, error) { return Figure5(1) }},
+		{"6", 3, func() (*Sweep, string, error) { return Figure6(3) }},
+		{"7", 1, func() (*Sweep, string, error) { return Figure7(1) }},
+		{"8", 1, Figure8},
+	} {
+		sw, table, err := w.run()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	_, table6, err := Figure6(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(table6, "Figure 6 (range 3)") {
-		t.Errorf("figure 6 table:\n%s", table6)
-	}
-	_, table7, err := Figure7(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(table7, "data messages") {
-		t.Errorf("figure 7 table:\n%s", table7)
-	}
-	_, table8, err := Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(table8, "overhead") || !strings.Contains(table8, "lock-acquire") {
-		t.Errorf("figure 8 table:\n%s", table8)
+		if sw.Config.Range != w.rng || table != sw.Figure(w.fig) {
+			t.Errorf("Figure%s: range %d, table not the sweep's Figure(%q):\n%s", w.fig, sw.Config.Range, w.fig, table)
+		}
+		for _, p := range PaperProtocols {
+			series := sw.Series(p, MetricNormalizedTime)
+			if len(series) != len(PaperNs) {
+				t.Errorf("Figure%s %s: series length = %d", w.fig, p, len(series))
+			}
+			for i, v := range series {
+				if v <= 0 {
+					t.Errorf("Figure%s %s: series[%d] = %f", w.fig, p, i, v)
+				}
+			}
+		}
+		if w.fig == "8" {
+			if lock := sw.CategoryPct(EC, 16, metrics.CatLockAcquire); lock <= 0 {
+				t.Errorf("Figure8: EC lock-acquire share %.1f%%", lock)
+			}
+		}
 	}
 }

@@ -1,8 +1,7 @@
 package harness
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"sdso/internal/game"
@@ -15,135 +14,71 @@ import (
 // lookahead schemes, and (2) the effects of different data sizes." Both are
 // implemented here.
 
-// BlockingRow is one line of the blocking analysis: the average virtual
-// time a process spends blocked, per logical tick, split by cause.
-type BlockingRow struct {
-	Protocol Protocol
-	N        int
-	// LockWaitPerTick is time blocked acquiring locks and pulling objects
-	// (the lock-based protocols' blocking).
-	LockWaitPerTick time.Duration
-	// ExchangeWaitPerTick is time spent inside exchange rendezvous (the
-	// lookahead protocols' multicast synchronization).
-	ExchangeWaitPerTick time.Duration
+// blocking renders future-work item 1 over the range-1 Figure sweep: per
+// protocol and process count, the virtual time a process spent blocked per
+// tick on locks and object pulls (the lock-based protocols' blocking) and
+// inside exchange rendezvous (the lookahead protocols' multicast
+// synchronization).
+func (sw *Sweep) blocking() string {
+	type cell struct {
+		p Protocol
+		n int
+	}
+	var rows []cell
+	for _, p := range sw.Config.Protocols {
+		for _, n := range sw.Config.Ns {
+			rows = append(rows, cell{p, n})
+		}
+	}
+	wait := func(cats ...metrics.Category) func(cell) string {
+		return func(c cell) string { return sw.blockedPerTick(c.p, c.n, cats...).Round(10 * time.Microsecond).String() }
+	}
+	return tabulate("Blocking analysis (paper §4 future-work 1): avg blocked time per tick", " ", []column[cell]{
+		{head: "proto", width: 8, value: func(c cell) string { return string(c.p) }},
+		{head: "procs", width: 6, value: func(c cell) string { return strconv.Itoa(c.n) }},
+		{head: "lock-wait/tick", width: 18, value: wait(metrics.CatLockAcquire, metrics.CatObjPull)},
+		{head: "exchange-wait/tick", width: 18, value: wait(metrics.CatExchange)},
+	}, rows)
 }
 
-// BlockingAnalysis runs the game across process counts and reports each
-// protocol's blocking profile (future-work item 1).
-func BlockingAnalysis(rng int, seeds []int64, ns []int) ([]BlockingRow, error) {
-	if len(ns) == 0 {
-		ns = PaperNs
+// blockedPerTick is the virtual time the (p, n) games spent in cats per
+// process-tick, over every seed.
+func (sw *Sweep) blockedPerTick(p Protocol, n int, cats ...metrics.Category) time.Duration {
+	rs := sw.Results[p][n]
+	blocked := total(func(s metrics.Snapshot) int {
+		d := time.Duration(0)
+		for _, c := range cats {
+			d += s.Durations[c]
+		}
+		return int(d)
+	}, rs...)
+	return time.Duration(blocked) / time.Duration(total(ticks, rs...))
+}
+
+// dataSizePanel measures the effect of message size on each protocol at 8
+// processes (future-work item 2: "it is interesting to understand the
+// effect of changes in the resolution of shared objects, where either more
+// or less data is transferred in each data message"). The lookahead
+// protocols push many data messages, so they gain the most from small
+// objects and pay the most for sensor-image-sized ones; EC's lock traffic
+// is size-insensitive in count but every control message grows too.
+func dataSizePanel(sizes []int, seeds []int64) gridPanel[int, Protocol] {
+	cols := []column[line[int]]{intKey("msg bytes", 10)}
+	for v, p := range PaperProtocols {
+		cols = append(cols, meanCol[int](string(p), "", 12, 2, v, MetricNormalizedTime))
 	}
-	if len(seeds) == 0 {
-		seeds = []int64{1, 2, 3}
-	}
-	var rows []BlockingRow
-	for _, p := range PaperProtocols {
-		for _, n := range ns {
-			var lock, exch time.Duration
-			ticks := 0
-			for _, seed := range seeds {
-				g := game.DefaultConfig(n, rng)
+	return gridPanel[int, Protocol]{
+		title: "Data-size sweep (paper §4 future-work 2) at 8 processes: ms per modification",
+		grid: grid[int, Protocol]{
+			name: "datasize", keys: sizes, variants: PaperProtocols, seeds: seeds,
+			cell: func(size int, p Protocol, seed int64) (*Result, error) {
+				g := game.DefaultConfig(8, 1)
 				g.Seed = seed
 				g.MaxTicks = 200
 				g.EndOnFirstGoal = true
-				res, err := Run(Config{Game: g, Protocol: p})
-				if err != nil {
-					return nil, fmt.Errorf("blocking %s n=%d seed=%d: %w", p, n, seed, err)
-				}
-				for _, s := range res.Metrics.Procs {
-					lock += s.Durations[metrics.CatLockAcquire] + s.Durations[metrics.CatObjPull]
-					exch += s.Durations[metrics.CatExchange]
-					ticks += s.Ticks
-				}
-			}
-			if ticks == 0 {
-				ticks = 1
-			}
-			rows = append(rows, BlockingRow{
-				Protocol:            p,
-				N:                   n,
-				LockWaitPerTick:     lock / time.Duration(ticks),
-				ExchangeWaitPerTick: exch / time.Duration(ticks),
-			})
-		}
+				return Run(Config{Game: g, Protocol: p, MsgSize: size})
+			},
+		},
+		cols: cols,
 	}
-	return rows, nil
-}
-
-// RenderBlocking formats the blocking analysis as a table.
-func RenderBlocking(rows []BlockingRow) string {
-	var b strings.Builder
-	b.WriteString("Blocking analysis (paper §4 future-work 1): avg blocked time per tick\n")
-	fmt.Fprintf(&b, "%8s %6s %18s %18s\n", "proto", "procs", "lock-wait/tick", "exchange-wait/tick")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%8s %6d %18s %18s\n",
-			r.Protocol, r.N,
-			r.LockWaitPerTick.Round(10*time.Microsecond).String(),
-			r.ExchangeWaitPerTick.Round(10*time.Microsecond).String())
-	}
-	return b.String()
-}
-
-// DataSizeRow is one line of the data-size sweep: the normalized execution
-// time when every message carries `Size` bytes.
-type DataSizeRow struct {
-	Size   int
-	Values map[Protocol]float64 // ms per modification
-}
-
-// DataSizeSweep measures the effect of message size on each protocol
-// (future-work item 2: "it is interesting to understand the effect of
-// changes in the resolution of shared objects, where either more or less
-// data is transferred in each data message"). The lookahead protocols push
-// many data messages, so they gain the most from small objects and pay the
-// most for sensor-image-sized ones; EC's lock traffic is size-insensitive
-// in count but every control message grows too.
-func DataSizeSweep(sizes []int, n, rng int, seeds []int64) ([]DataSizeRow, error) {
-	if len(sizes) == 0 {
-		sizes = []int{512, 2048, 8192, 32768}
-	}
-	if len(seeds) == 0 {
-		seeds = []int64{1, 2, 3}
-	}
-	var rows []DataSizeRow
-	for _, size := range sizes {
-		row := DataSizeRow{Size: size, Values: make(map[Protocol]float64)}
-		for _, p := range PaperProtocols {
-			sum := 0.0
-			for _, seed := range seeds {
-				g := game.DefaultConfig(n, rng)
-				g.Seed = seed
-				g.MaxTicks = 200
-				g.EndOnFirstGoal = true
-				res, err := Run(Config{Game: g, Protocol: p, MsgSize: size})
-				if err != nil {
-					return nil, fmt.Errorf("datasize %s size=%d seed=%d: %w", p, size, seed, err)
-				}
-				sum += MetricNormalizedTime(res)
-			}
-			row.Values[p] = sum / float64(len(seeds))
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RenderDataSize formats the data-size sweep as a table.
-func RenderDataSize(rows []DataSizeRow, n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Data-size sweep (paper §4 future-work 2) at %d processes: ms per modification\n", n)
-	fmt.Fprintf(&b, "%10s", "msg bytes")
-	for _, p := range PaperProtocols {
-		fmt.Fprintf(&b, "%12s", string(p))
-	}
-	b.WriteString("\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%10d", r.Size)
-		for _, p := range PaperProtocols {
-			fmt.Fprintf(&b, "%12.2f", r.Values[p])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -1,8 +1,11 @@
 package harness
 
 import (
-	"strings"
+	"slices"
 	"testing"
+	"time"
+
+	"sdso/internal/metrics"
 )
 
 // TestBlockingAnalysisShapes: the §4 future-work hypothesis the paper
@@ -10,39 +13,27 @@ import (
 // time in blocked modes, while waiting for locks" whereas a lookahead
 // scheme "is able to [send more data] with far less blocking overhead".
 func TestBlockingAnalysisShapes(t *testing.T) {
-	rows, err := BlockingAnalysis(1, []int64{1, 2}, []int{8, 16})
+	sw, err := RunSweep(SweepConfig{Ns: []int{8, 16}, Seeds: []int64{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(p Protocol, n int) BlockingRow {
-		for _, r := range rows {
-			if r.Protocol == p && r.N == n {
-				return r
-			}
-		}
-		t.Fatalf("missing row %s/%d", p, n)
-		return BlockingRow{}
+	lock := func(p Protocol, n int) time.Duration {
+		return sw.blockedPerTick(p, n, metrics.CatLockAcquire, metrics.CatObjPull)
 	}
+	exch := func(p Protocol, n int) time.Duration { return sw.blockedPerTick(p, n, metrics.CatExchange) }
 	for _, n := range []int{8, 16} {
-		ec := get(EC, n)
-		m2 := get(MSYNC2, n)
 		// EC blocks on locks, not exchanges; lookahead the reverse.
-		if ec.LockWaitPerTick == 0 || ec.ExchangeWaitPerTick != 0 {
-			t.Errorf("n=%d: EC blocking profile inverted: %+v", n, ec)
+		if lock(EC, n) == 0 || exch(EC, n) != 0 {
+			t.Errorf("n=%d: EC blocking profile inverted: lock %v exchange %v", n, lock(EC, n), exch(EC, n))
 		}
-		if m2.ExchangeWaitPerTick == 0 || m2.LockWaitPerTick != 0 {
-			t.Errorf("n=%d: MSYNC2 blocking profile inverted: %+v", n, m2)
+		if exch(MSYNC2, n) == 0 || lock(MSYNC2, n) != 0 {
+			t.Errorf("n=%d: MSYNC2 blocking profile inverted: lock %v exchange %v", n, lock(MSYNC2, n), exch(MSYNC2, n))
 		}
 		// The paper's hypothesis: EC's per-tick blocking exceeds
 		// MSYNC2's multicast-synchronization cost.
-		if ec.LockWaitPerTick <= m2.ExchangeWaitPerTick {
-			t.Errorf("n=%d: EC lock wait (%v) not above MSYNC2 exchange wait (%v)",
-				n, ec.LockWaitPerTick, m2.ExchangeWaitPerTick)
+		if lock(EC, n) <= exch(MSYNC2, n) {
+			t.Errorf("n=%d: EC lock wait (%v) not above MSYNC2 exchange wait (%v)", n, lock(EC, n), exch(MSYNC2, n))
 		}
-	}
-	out := RenderBlocking(rows)
-	if !strings.Contains(out, "lock-wait/tick") {
-		t.Errorf("render:\n%s", out)
 	}
 }
 
@@ -50,29 +41,25 @@ func TestBlockingAnalysisShapes(t *testing.T) {
 // protocols more than the message-light EC — the paper predicted data size
 // would matter most "when sensor images of enemy tanks are employed".
 func TestDataSizeSweepShapes(t *testing.T) {
-	rows, err := DataSizeSweep([]int{512, 16384}, 8, 1, []int64{1, 2})
+	lines, err := dataSizePanel([]int{512, 16384}, []int64{1, 2}).play(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(lines) != 2 {
+		t.Fatalf("lines = %d", len(lines))
 	}
-	small, large := rows[0], rows[1]
-	for _, p := range PaperProtocols {
-		if large.Values[p] <= small.Values[p] {
-			t.Errorf("%s: larger messages did not cost more (%.2f vs %.2f)",
-				p, large.Values[p], small.Values[p])
+	cost := func(size, v int) float64 { return mean(lines[size].games[v], MetricNormalizedTime) }
+	for v, p := range PaperProtocols {
+		if small, large := cost(0, v), cost(1, v); large <= small {
+			t.Errorf("%s: larger messages did not cost more (%.2f vs %.2f)", p, large, small)
 		}
 	}
 	// BSYNC sends the most messages, so its size sensitivity (cost ratio
 	// large/small) must exceed EC's.
-	bsyncRatio := large.Values[BSYNC] / small.Values[BSYNC]
-	ecRatio := large.Values[EC] / small.Values[EC]
+	bsync, ec := slices.Index(PaperProtocols, BSYNC), slices.Index(PaperProtocols, EC)
+	bsyncRatio := cost(1, bsync) / cost(0, bsync)
+	ecRatio := cost(1, ec) / cost(0, ec)
 	if bsyncRatio <= ecRatio {
 		t.Errorf("BSYNC size sensitivity (%.2fx) not above EC's (%.2fx)", bsyncRatio, ecRatio)
-	}
-	out := RenderDataSize(rows, 8)
-	if !strings.Contains(out, "msg bytes") {
-		t.Errorf("render:\n%s", out)
 	}
 }

@@ -10,10 +10,10 @@ package harness
 
 import (
 	"fmt"
-	"strings"
-	"time"
+	"strconv"
 
 	"sdso/internal/game"
+	"sdso/internal/metrics"
 )
 
 // interestPanelTicks fixes the game length so message counts divide by an
@@ -46,114 +46,46 @@ func InterestWorld(n int) game.Config {
 	return g
 }
 
-// InterestRow is one process-count cell of the interest panel, averaged
-// over the seeds.
-type InterestRow struct {
-	N     int
-	Seeds int
-	// PlainMsPerMod / InterestMsPerMod are the Figure-5 normalized times
-	// with the filter off / on.
-	PlainMsPerMod, InterestMsPerMod float64
-	// PlainMsgsPerTick / InterestMsgsPerTick are wire messages per
-	// process-tick with the filter off / on.
-	PlainMsgsPerTick, InterestMsgsPerTick float64
-	// SetPeak and Churn aggregate the interest counters across the
-	// on-side runs: the largest interest set any process held and total
-	// enter/leave transitions.
-	SetPeak, Churn int
-	Wall           time.Duration
-}
+// msgsPerTick is wire messages per process-tick of one game.
+var msgsPerTick = perTick(metrics.Snapshot.TotalMsgs)
 
-// Speedup is the panel's headline: normalized-time improvement from
-// bounding DATA fanout by the interest set.
-func (r InterestRow) Speedup() float64 {
-	if r.InterestMsPerMod <= 0 {
-		return 0
+// interestPanel plays one BSYNC game per n, seed and side with delta
+// encoding and batching on: "plain", or "filter" with the interest filter
+// on. The filter side's interest counters aggregate its games: the largest
+// interest set any process held and the total enter/leave transitions.
+func interestPanel(ns []int, seeds []int64) gridPanel[int, string] {
+	return gridPanel[int, string]{
+		title: "Interest management: BSYNC at fixed density (~48 cells/player), " +
+			fmt.Sprintf("delta+%d-tick batching, filter off vs on", deltaPanelBatch),
+		sep: " ",
+		grid: grid[int, string]{
+			name: "interest panel", keys: ns, variants: []string{"plain", "filter"}, seeds: seeds,
+			cell: func(n int, side string, seed int64) (*Result, error) {
+				g := InterestWorld(n)
+				g.Seed = seed
+				return Run(Config{Game: g, Protocol: BSYNC, DeltaEncode: true, MaxBatchTicks: deltaPanelBatch, Interest: side == "filter"})
+			},
+		},
+		cols: []column[line[int]]{
+			intKey("n", 5), seedsCol[int](6),
+			meanCol[int]("ms/mod", "plain", 9, 2, 0, MetricNormalizedTime),
+			meanCol[int]("ms/mod", "filter", 9, 2, 1, MetricNormalizedTime),
+			// The headline: what bounding DATA fanout by the interest set buys.
+			{"speedup", "", 8, func(l line[int]) string {
+				return fixed(mean(l.games[0], MetricNormalizedTime)/mean(l.games[1], MetricNormalizedTime), 2) + "x"
+			}},
+			meanCol[int]("msg/tick", "plain", 8, 1, 0, msgsPerTick),
+			meanCol[int]("msg/tick", "filter", 8, 1, 1, msgsPerTick),
+			{"setpeak", "", 8, func(l line[int]) string {
+				peak := 0
+				for _, r := range l.games[1] {
+					for _, s := range r.Metrics.Procs {
+						peak = max(peak, s.InterestSetPeak)
+					}
+				}
+				return strconv.Itoa(peak)
+			}},
+			sumCol[int]("churn", 8, 1, func(s metrics.Snapshot) int { return s.InterestChurn }),
+		},
 	}
-	return r.PlainMsPerMod / r.InterestMsPerMod
-}
-
-// runInterestCell plays one BSYNC game with delta encoding and batching
-// on and returns its normalized time and messages per process-tick,
-// folding the interest counters into row when the filter is on.
-func runInterestCell(n int, seed int64, on bool, row *InterestRow) (msPerMod, msgsPerTick float64, err error) {
-	g := InterestWorld(n)
-	g.Seed = seed
-	cfg := Config{
-		Game:          g,
-		Protocol:      BSYNC,
-		DeltaEncode:   true,
-		MaxBatchTicks: deltaPanelBatch,
-		Interest:      on,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		return 0, 0, fmt.Errorf("interest panel n=%d seed=%d interest=%v: %w", n, seed, on, err)
-	}
-	ticks := 0
-	for _, s := range res.Metrics.Procs {
-		ticks += s.Ticks
-	}
-	if ticks == 0 {
-		return 0, 0, fmt.Errorf("interest panel n=%d seed=%d interest=%v: no ticks played", n, seed, on)
-	}
-	if on {
-		if peak := res.Metrics.InterestSetPeak(); peak > row.SetPeak {
-			row.SetPeak = peak
-		}
-		row.Churn += res.Metrics.InterestChurn()
-	}
-	return MetricNormalizedTime(res), float64(res.Metrics.TotalMsgs()) / float64(ticks), nil
-}
-
-// InterestAnalysis runs the interest panel. Ns defaults to {64, 128, 256}
-// and seeds to {1, 2, 3}.
-func InterestAnalysis(ns []int, seeds []int64) ([]InterestRow, error) {
-	if len(ns) == 0 {
-		ns = []int{64, 128, 256}
-	}
-	if len(seeds) == 0 {
-		seeds = []int64{1, 2, 3}
-	}
-	rows := make([]InterestRow, 0, len(ns))
-	for _, n := range ns {
-		row := InterestRow{N: n, Seeds: len(seeds)}
-		start := time.Now()
-		for _, seed := range seeds {
-			offMs, offMsgs, err := runInterestCell(n, seed, false, &row)
-			if err != nil {
-				return nil, err
-			}
-			onMs, onMsgs, err := runInterestCell(n, seed, true, &row)
-			if err != nil {
-				return nil, err
-			}
-			row.PlainMsPerMod += offMs / float64(len(seeds))
-			row.InterestMsPerMod += onMs / float64(len(seeds))
-			row.PlainMsgsPerTick += offMsgs / float64(len(seeds))
-			row.InterestMsgsPerTick += onMsgs / float64(len(seeds))
-		}
-		row.Wall = time.Since(start)
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RenderInterest formats the panel as a table.
-func RenderInterest(rows []InterestRow) string {
-	var b strings.Builder
-	b.WriteString("Interest management: BSYNC at fixed density (~48 cells/player), ")
-	fmt.Fprintf(&b, "delta+%d-tick batching, filter off vs on\n", deltaPanelBatch)
-	fmt.Fprintf(&b, "%5s %6s %9s %9s %8s %8s %8s %8s %8s %9s\n",
-		"n", "seeds", "ms/mod", "ms/mod", "speedup", "msg/tick", "msg/tick", "setpeak", "churn", "wall")
-	fmt.Fprintf(&b, "%5s %6s %9s %9s %8s %8s %8s %8s %8s %9s\n",
-		"", "", "plain", "filter", "", "plain", "filter", "", "", "")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%5d %6d %9.2f %9.2f %7.2fx %8.1f %8.1f %8d %8d %9s\n",
-			r.N, r.Seeds, r.PlainMsPerMod, r.InterestMsPerMod, r.Speedup(),
-			r.PlainMsgsPerTick, r.InterestMsgsPerTick,
-			r.SetPeak, r.Churn,
-			r.Wall.Round(time.Millisecond))
-	}
-	return b.String()
 }

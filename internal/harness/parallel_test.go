@@ -55,6 +55,20 @@ func TestRunSweepParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel sweep: %v", err)
 	}
 	assertSweepsEqual(t, seq, par)
+
+	// A panel with a grid of its own plays on the same pool.
+	delta := deltaPanel([]int{16}, []int64{1, 2})
+	seqT, err := delta.table(1)
+	if err != nil {
+		t.Fatalf("sequential delta panel: %v", err)
+	}
+	parT, err := delta.table(4)
+	if err != nil {
+		t.Fatalf("parallel delta panel: %v", err)
+	}
+	if seqT != parT {
+		t.Errorf("parallel delta panel diverges from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqT, parT)
+	}
 }
 
 // TestRunSweepParallelLossyLinks guards the fault-injection path: a sweep

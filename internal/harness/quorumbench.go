@@ -6,31 +6,11 @@
 package harness
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"sdso/internal/game"
+	"sdso/internal/metrics"
 )
-
-// QuorumRow is one replication scenario's outcome.
-type QuorumRow struct {
-	// Label names the scenario (protocol and crash budget).
-	Label string
-	// Seeds is how many fault seeds the counters aggregate over.
-	Seeds int
-	// QuorumRounds counts completed quorum round trips (records
-	// committed to a majority, checkpoint stream rounds).
-	QuorumRounds int
-	// ReadRepairs counts ownership records reconstructed from a quorum
-	// read during failover.
-	ReadRepairs int
-	// ReplicaCatchups counts replicas caught up from a vaulted
-	// checkpoint or a reconstructed shard.
-	ReplicaCatchups int
-	// VirtualDuration is the mean completed-game virtual time.
-	VirtualDuration time.Duration
-}
 
 // quorumScenario builds one crash-and-restart chaos config with
 // replication on.
@@ -63,59 +43,51 @@ func quorumScenario(proto Protocol, teams, f int, seed int64) ChaosConfig {
 	return cfg
 }
 
-// QuorumAnalysis runs the replication scenarios over the given fault
-// seeds: EC with majority-replicated lock state at f=1 and f=2, and
-// MSYNC2 with the f+1 checkpoint stream. Counters are summed across
-// seeds; the virtual duration is averaged.
-func QuorumAnalysis(seeds []int64, workers int) ([]QuorumRow, error) {
-	type scenario struct {
-		label string
-		proto Protocol
-		teams int
-		f     int
-	}
-	scenarios := []scenario{
-		{"EC quorum f=1 (3 of 4 teams)", EC, 4, 1},
-		{"EC quorum f=2 (5 of 5 teams)", EC, 5, 2},
-		{"MSYNC2 checkpoints f=1", MSYNC2, 4, 1},
-		{"MSYNC2 checkpoints f=2", MSYNC2, 5, 2},
-	}
-	var cfgs []ChaosConfig
-	for _, sc := range scenarios {
-		for _, seed := range seeds {
-			cfgs = append(cfgs, quorumScenario(sc.proto, sc.teams, sc.f, seed))
-		}
-	}
-	results, err := RunChaosGrid(cfgs, workers)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]QuorumRow, len(scenarios))
-	for i, sc := range scenarios {
-		row := QuorumRow{Label: sc.label, Seeds: len(seeds)}
-		var total time.Duration
-		for j := range seeds {
-			res := results[i*len(seeds)+j]
-			row.QuorumRounds += res.Metrics.QuorumRounds()
-			row.ReadRepairs += res.Metrics.ReadRepairs()
-			row.ReplicaCatchups += res.Metrics.ReplicaCatchups()
-			total += res.VirtualDuration
-		}
-		row.VirtualDuration = total / time.Duration(len(seeds))
-		rows[i] = row
-	}
-	return rows, nil
+// quorumCase is one row of the quorum panel.
+type quorumCase struct {
+	label    string
+	proto    Protocol
+	teams, f int
 }
 
-// RenderQuorum formats the analysis as the bench panel table.
-func RenderQuorum(rows []QuorumRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Quorum replication: crash-and-restart games with replicated lock state / checkpoint streaming\n")
-	fmt.Fprintf(&b, "%-30s %8s %12s %12s %10s %12s\n",
-		"scenario", "seeds", "quorum rts", "read repairs", "catch-ups", "virt time")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-30s %8d %12d %12d %10d %12s\n",
-			r.Label, r.Seeds, r.QuorumRounds, r.ReadRepairs, r.ReplicaCatchups, r.VirtualDuration)
+// quorumPanel plays the replication scenarios over the fault seeds: EC
+// with majority-replicated lock state at f=1 and f=2, and MSYNC2 with the
+// f+1 checkpoint stream. Counters are summed over seeds; the virtual time
+// is the mean completed-game time.
+func quorumPanel(seeds []int64) gridPanel[quorumCase, string] {
+	return gridPanel[quorumCase, string]{
+		title: "Quorum replication: crash-and-restart games with replicated lock state / checkpoint streaming",
+		sep:   " ",
+		grid: grid[quorumCase, string]{
+			name: "quorum panel",
+			keys: []quorumCase{
+				{"EC quorum f=1 (3 of 4 teams)", EC, 4, 1},
+				{"EC quorum f=2 (5 of 5 teams)", EC, 5, 2},
+				{"MSYNC2 checkpoints f=1", MSYNC2, 4, 1},
+				{"MSYNC2 checkpoints f=2", MSYNC2, 5, 2},
+			},
+			variants: []string{"chaos"}, seeds: seeds,
+			cell: func(c quorumCase, _ string, seed int64) (*Result, error) {
+				res, err := RunChaos(quorumScenario(c.proto, c.teams, c.f, seed))
+				if err != nil {
+					return nil, err
+				}
+				return res.Result, nil
+			},
+		},
+		cols: []column[line[quorumCase]]{
+			{"scenario", "", -30, func(l line[quorumCase]) string { return l.key.label }},
+			seedsCol[quorumCase](8),
+			sumCol[quorumCase]("quorum rts", 12, 0, func(s metrics.Snapshot) int { return s.QuorumRounds }),
+			sumCol[quorumCase]("read repairs", 12, 0, func(s metrics.Snapshot) int { return s.ReadRepairs }),
+			sumCol[quorumCase]("catch-ups", 10, 0, func(s metrics.Snapshot) int { return s.ReplicaCatchups }),
+			{"virt time", "", 12, func(l line[quorumCase]) string {
+				var d time.Duration
+				for _, r := range l.games[0] {
+					d += r.VirtualDuration
+				}
+				return (d / time.Duration(len(l.games[0]))).String()
+			}},
+		},
 	}
-	return b.String()
 }

@@ -502,191 +502,57 @@ type Group struct {
 	Procs []Snapshot
 }
 
-// TotalMsgs sums frame counts across processes.
-func (g Group) TotalMsgs() int {
+// Sum adds f over every process: the one per-process sum the roll-ups
+// below, and the harness's panel columns, read a Snapshot through.
+func (g Group) Sum(f func(Snapshot) int) int {
 	n := 0
 	for _, s := range g.Procs {
-		n += s.TotalMsgs()
+		n += f(s)
 	}
 	return n
 }
 
+// TotalMsgs sums frame counts across processes.
+func (g Group) TotalMsgs() int { return g.Sum(Snapshot.TotalMsgs) }
+
 // DataMsgs sums data-message counts across processes.
-func (g Group) DataMsgs() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.DataMsgs()
-	}
-	return n
-}
+func (g Group) DataMsgs() int { return g.Sum(Snapshot.DataMsgs) }
 
 // ControlMsgs sums control-message counts across processes.
 func (g Group) ControlMsgs() int { return g.TotalMsgs() - g.DataMsgs() }
 
 // Retransmits sums retransmission counts across processes.
-func (g Group) Retransmits() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.Retransmits
-	}
-	return n
-}
+func (g Group) Retransmits() int { return g.Sum(func(s Snapshot) int { return s.Retransmits }) }
 
 // Evictions sums crash-eviction counts across processes.
-func (g Group) Evictions() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.Evictions
-	}
-	return n
-}
+func (g Group) Evictions() int { return g.Sum(func(s Snapshot) int { return s.Evictions }) }
 
 // Faults sums injected-fault counts across processes.
-func (g Group) Faults() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.Faults
-	}
-	return n
-}
+func (g Group) Faults() int { return g.Sum(func(s Snapshot) int { return s.Faults }) }
 
 // Joins sums completed/served join handshakes across processes.
-func (g Group) Joins() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.Joins
-	}
-	return n
-}
+func (g Group) Joins() int { return g.Sum(func(s Snapshot) int { return s.Joins }) }
 
 // SnapshotBytes sums checkpoint payload bytes across processes.
-func (g Group) SnapshotBytes() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.SnapshotBytes
-	}
-	return n
-}
+func (g Group) SnapshotBytes() int { return g.Sum(func(s Snapshot) int { return s.SnapshotBytes }) }
 
 // CatchupDiffs sums snapshot-adopted object states across processes.
-func (g Group) CatchupDiffs() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.CatchupDiffs
-	}
-	return n
-}
+func (g Group) CatchupDiffs() int { return g.Sum(func(s Snapshot) int { return s.CatchupDiffs }) }
 
 // QuorumRounds sums completed quorum round trips across processes.
-func (g Group) QuorumRounds() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.QuorumRounds
-	}
-	return n
-}
-
-// ReadRepairs sums quorum read repairs across processes.
-func (g Group) ReadRepairs() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.ReadRepairs
-	}
-	return n
-}
+func (g Group) QuorumRounds() int { return g.Sum(func(s Snapshot) int { return s.QuorumRounds }) }
 
 // ReplicaCatchups sums replica-served recoveries across processes.
-func (g Group) ReplicaCatchups() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.ReplicaCatchups
-	}
-	return n
-}
+func (g Group) ReplicaCatchups() int { return g.Sum(func(s Snapshot) int { return s.ReplicaCatchups }) }
 
 // PayloadBytes sums sent payload bytes across processes.
-func (g Group) PayloadBytes() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.PayloadBytes
-	}
-	return n
-}
+func (g Group) PayloadBytes() int { return g.Sum(func(s Snapshot) int { return s.PayloadBytes }) }
 
 // LogicalMsgs sums the paper's message count across processes.
-func (g Group) LogicalMsgs() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.LogicalMsgs()
-	}
-	return n
-}
-
-// DeltaRecords sums XOR-delta records sent across processes.
-func (g Group) DeltaRecords() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.DeltaRecords
-	}
-	return n
-}
-
-// DeltaBytesSaved sums payload bytes saved by delta records across
-// processes.
-func (g Group) DeltaBytesSaved() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.DeltaBytesSaved
-	}
-	return n
-}
-
-// DeltaMismatches sums refused delta records across processes.
-func (g Group) DeltaMismatches() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.DeltaMismatches
-	}
-	return n
-}
-
-// TicksBatched sums batching-folded ticks across processes.
-func (g Group) TicksBatched() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.TicksBatched
-	}
-	return n
-}
-
-// InterestSetPeak returns the largest interest set any process held.
-func (g Group) InterestSetPeak() int {
-	n := 0
-	for _, s := range g.Procs {
-		if s.InterestSetPeak > n {
-			n = s.InterestSetPeak
-		}
-	}
-	return n
-}
-
-// InterestChurn sums interest-set membership changes across processes.
-func (g Group) InterestChurn() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.InterestChurn
-	}
-	return n
-}
+func (g Group) LogicalMsgs() int { return g.Sum(Snapshot.LogicalMsgs) }
 
 // ShardVetoes sums residency-vetoed DATA flushes across processes.
-func (g Group) ShardVetoes() int {
-	n := 0
-	for _, s := range g.Procs {
-		n += s.ShardVetoes
-	}
-	return n
-}
+func (g Group) ShardVetoes() int { return g.Sum(func(s Snapshot) int { return s.ShardVetoes }) }
 
 // AvgExecTime averages process execution times.
 func (g Group) AvgExecTime() time.Duration {
