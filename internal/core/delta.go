@@ -42,6 +42,7 @@ import (
 // half the shadow of the peer's last-sent state. state is a
 // published slice shared with whoever else holds that state (the buffered
 // replacement it came from, the store): it is replaced, never modified.
+// Entries are carved from the runtime's slab (deltaStorage) and never move.
 type deltaEntry struct {
 	obj store.ID
 	// known is set once state and ver are valid; until then the entry
@@ -64,23 +65,44 @@ type deltaEntry struct {
 // for the objects actually exchanged with that peer, sorted by object ID.
 // It is sparse and starts empty — a dense peer × object table would cost
 // hundreds of megabytes at n = 128 (DESIGN.md, "Ownership and memory").
-// entries is one contiguous block of the runtime's pool (Runtime.deltaPool):
-// it moves to the next size class when full and goes back on reset, so the
-// tables of one runtime share what any of them outgrew.
+// entries is a block of pointers from the runtime's pool
+// (deltaStorage.tables): it moves to the next size class when full and goes
+// back on reset, so the tables of one runtime share what any of them
+// outgrew, and growing one copies 8 bytes an entry.
 type deltaTable struct {
-	entries []deltaEntry
+	entries []*deltaEntry
 }
 
-// at returns obj's entry, inserting an unknown one (carved from pool) on
-// first use. The pointer is valid until the next insertion.
-func (t *deltaTable) at(pool *xlist.Blocks[deltaEntry], obj store.ID) *deltaEntry {
-	i, ok := slices.BinarySearchFunc(t.entries, obj, func(e deltaEntry, obj store.ID) int {
+// deltaStorage is the storage under a runtime's delta tables (DESIGN.md
+// §15, the bookkeeping rule): entries from one slab, tables from one block
+// pool.
+type deltaStorage struct {
+	entries xlist.Slab[deltaEntry]
+	tables  xlist.Blocks[*deltaEntry]
+}
+
+// at returns obj's entry, inserting an unknown one on first use. The
+// pointer is valid until the table's reset.
+func (t *deltaTable) at(s *deltaStorage, obj store.ID) *deltaEntry {
+	i, ok := slices.BinarySearchFunc(t.entries, obj, func(e *deltaEntry, obj store.ID) int {
 		return cmp.Compare(e.obj, obj)
 	})
 	if !ok {
-		t.entries = pool.Insert(t.entries, i, deltaEntry{obj: obj})
+		e := s.entries.New()
+		e.obj = obj
+		t.entries = s.tables.Insert(t.entries, i, e)
 	}
-	return &t.entries[i]
+	return t.entries[i]
+}
+
+// reset empties t, handing its entries and its block back to s, cleared: a
+// freed entry pins no state bytes.
+func (t *deltaTable) reset(s *deltaStorage) {
+	for _, e := range t.entries {
+		s.entries.Free(e)
+	}
+	s.tables.Put(t.entries)
+	t.entries = nil
 }
 
 // deltaSendState is the sender half of the acked-version table for one peer.
@@ -89,6 +111,12 @@ type deltaSendState struct {
 	// acked is the highest stamp of a consumed SYNC from the peer: every
 	// record stamped below it is proven consumed.
 	acked int64
+}
+
+// reset empties ds, as reset does a table, and forgets its acks.
+func (ds *deltaSendState) reset(s *deltaStorage) {
+	ds.deltaTable.reset(s)
+	ds.acked = 0
 }
 
 // unproven reports whether a record flushed for e's object may not have
@@ -280,13 +308,11 @@ func (r *Runtime) deltaAdoptReply(peer int, obj store.ID, state []byte, ver int6
 // deltaResetPeer drops every delta table for peer, forcing full records on
 // the next exchange in both directions. Called on eviction and readmission:
 // a session reset or a rejoin invalidates any assumption about what the
-// other side holds. The tables' blocks go back to the pool, cleared: a freed
-// block pins no state bytes.
+// other side holds.
 func (r *Runtime) deltaResetPeer(peer int) {
 	ps := &r.peers[peer]
-	r.deltaPool.Put(ps.send.entries)
-	r.deltaPool.Put(ps.recv.entries)
-	ps.send, ps.recv = deltaSendState{}, deltaTable{}
+	ps.send.reset(&r.deltaPool)
+	ps.recv.reset(&r.deltaPool)
 }
 
 // deltaResetAll drops every peer's delta tables (a joiner's state predates

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -322,14 +321,9 @@ func TestFramesMatchPR4Baseline(t *testing.T) {
 	const n, ticks = 2, 100
 	const wantFrames, wantWireBytes = 200, 5948
 
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
+	lns, addrs, err := transport.ListenLoopback(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// each runs f for every player concurrently and fails on any error.
 	each := func(what string, f func(i int) error) {
@@ -356,7 +350,7 @@ func TestFramesMatchPR4Baseline(t *testing.T) {
 	eps := make([]*transport.TCPEndpoint, n)
 	each("dial", func(i int) (err error) {
 		mcs[i] = metrics.NewCollector()
-		eps[i], err = transport.DialTCPConfig(i, addrs, transport.TCPConfig{FlushThreshold: 32 << 10, Metrics: mcs[i]})
+		eps[i], err = transport.DialTCPConfig(i, addrs, transport.TCPConfig{FlushThreshold: 32 << 10, Metrics: mcs[i], Listener: lns[i]})
 		return err
 	})
 	each("play", func(i int) error {

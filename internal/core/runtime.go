@@ -261,7 +261,7 @@ type Runtime struct {
 	vaulting bool
 
 	// deltaPool is the storage under every peer's delta tables.
-	deltaPool xlist.Blocks[deltaEntry]
+	deltaPool deltaStorage
 
 	// Exchange scratch, reused every tick.
 	targets     []int // this tick's rendezvous set
@@ -1030,8 +1030,7 @@ func (r *Runtime) handleDone(peer int, won bool, stamp int64) {
 	// Nothing is flushed to a finished peer again: the sender half of its
 	// delta table goes back to the pool for the live peers' tables to grow
 	// into. The receiver half stays — the final flush below may be a delta.
-	r.deltaPool.Put(ps.send.entries)
-	ps.send = deltaSendState{}
+	ps.send.reset(&r.deltaPool)
 	// The peer's final flush may already sit in earlyData (stamped one
 	// tick ahead of its DONE); it must survive and be absorbed at its
 	// stamped tick — dropping it would lose the departing process's last

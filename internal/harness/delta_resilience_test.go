@@ -28,7 +28,7 @@ func TestDeltaSurvivesSessionResume(t *testing.T) {
 	}
 	const seed = int64(7)
 	cfg := resilienceGame(seed)
-	proxies, proxyAddrs, realAddrs, err := resilienceMesh(resilienceTeams, seed)
+	proxies, proxyAddrs, lns, err := resilienceMesh(resilienceTeams, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDeltaSurvivesSessionResume(t *testing.T) {
 	for i := range mcs {
 		mcs[i] = metrics.NewCollector()
 	}
-	eps, err := dialResilientMesh(proxyAddrs, realAddrs, mcs)
+	eps, err := dialResilientMesh(proxyAddrs, lns, mcs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func resilienceGame(seed int64) game.Config {
 	return cfg
 }
 
-func resilienceEndpointConfig(id int, realAddr string, mc *metrics.Collector) transport.TCPConfig {
+func resilienceEndpointConfig(id int, ln net.Listener, mc *metrics.Collector) transport.TCPConfig {
 	return transport.TCPConfig{
 		Reconnect:         true,
 		ReconnectGrace:    10 * time.Second, // kills are transient: never declare a live peer gone
@@ -55,22 +55,18 @@ func resilienceEndpointConfig(id int, realAddr string, mc *metrics.Collector) tr
 		HeartbeatInterval: 100 * time.Millisecond,
 		HeartbeatMisses:   5,
 		Incarnation:       1,
-		ListenAddr:        realAddr,
+		Listener:          ln,
 		Metrics:           mc,
 	}
 }
 
-// resilienceMesh reserves n loopback listen addresses and fronts each with
-// a chaos proxy seeded from (seed, ordinal). The caller closes the proxies.
-func resilienceMesh(n int, seed int64) (proxies []*tcpchaos.Proxy, proxyAddrs, realAddrs []string, err error) {
-	realAddrs = make([]string, n)
-	for i := range realAddrs {
-		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			return nil, nil, nil, fmt.Errorf("reserve port: %w", lerr)
-		}
-		realAddrs[i] = ln.Addr().String()
-		_ = ln.Close()
+// resilienceMesh binds n loopback listeners and fronts each with a chaos
+// proxy seeded from (seed, ordinal). The caller closes the proxies and
+// hands the listeners to dialResilientMesh.
+func resilienceMesh(n int, seed int64) (proxies []*tcpchaos.Proxy, proxyAddrs []string, lns []net.Listener, err error) {
+	lns, realAddrs, err := transport.ListenLoopback(n)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	proxies = make([]*tcpchaos.Proxy, n)
 	proxyAddrs = make([]string, n)
@@ -84,17 +80,20 @@ func resilienceMesh(n int, seed int64) (proxies []*tcpchaos.Proxy, proxyAddrs, r
 			for _, q := range proxies[:i] {
 				q.Close()
 			}
+			for _, ln := range lns {
+				_ = ln.Close()
+			}
 			return nil, nil, nil, fmt.Errorf("proxy %d: %w", i, perr)
 		}
 		proxies[i] = p
 		proxyAddrs[i] = p.Addr()
 	}
-	return proxies, proxyAddrs, realAddrs, nil
+	return proxies, proxyAddrs, lns, nil
 }
 
-// dialResilientMesh brings up one resilient endpoint per address slot,
-// concurrently (the mesh handshake needs all sides dialing).
-func dialResilientMesh(proxyAddrs, realAddrs []string, mcs []*metrics.Collector) ([]*transport.TCPEndpoint, error) {
+// dialResilientMesh brings up one resilient endpoint per address slot, on
+// its listener, concurrently (the mesh handshake needs all sides dialing).
+func dialResilientMesh(proxyAddrs []string, lns []net.Listener, mcs []*metrics.Collector) ([]*transport.TCPEndpoint, error) {
 	eps := make([]*transport.TCPEndpoint, len(proxyAddrs))
 	errs := make([]error, len(proxyAddrs))
 	var wg sync.WaitGroup
@@ -104,7 +103,7 @@ func dialResilientMesh(proxyAddrs, realAddrs []string, mcs []*metrics.Collector)
 		go func() {
 			defer wg.Done()
 			eps[i], errs[i] = transport.DialTCPConfig(i, proxyAddrs,
-				resilienceEndpointConfig(i, realAddrs[i], mcs[i]))
+				resilienceEndpointConfig(i, lns[i], mcs[i]))
 		}()
 	}
 	wg.Wait()
@@ -139,7 +138,7 @@ func closeAll(eps []*transport.TCPEndpoint) {
 // into row.
 func runResilienceLookahead(p Protocol, seed int64, row *ResilienceRow) error {
 	cfg := resilienceGame(seed)
-	proxies, proxyAddrs, realAddrs, err := resilienceMesh(resilienceTeams, seed)
+	proxies, proxyAddrs, lns, err := resilienceMesh(resilienceTeams, seed)
 	if err != nil {
 		return err
 	}
@@ -152,7 +151,7 @@ func runResilienceLookahead(p Protocol, seed int64, row *ResilienceRow) error {
 	for i := range mcs {
 		mcs[i] = metrics.NewCollector()
 	}
-	eps, err := dialResilientMesh(proxyAddrs, realAddrs, mcs)
+	eps, err := dialResilientMesh(proxyAddrs, lns, mcs)
 	if err != nil {
 		return err
 	}
@@ -186,7 +185,7 @@ func runResilienceLookahead(p Protocol, seed int64, row *ResilienceRow) error {
 func runResilienceEC(seed int64, row *ResilienceRow) error {
 	cfg := resilienceGame(seed)
 	cfg.MaxTicks = 60
-	proxies, proxyAddrs, realAddrs, err := resilienceMesh(2*resilienceTeams, seed)
+	proxies, proxyAddrs, lns, err := resilienceMesh(2*resilienceTeams, seed)
 	if err != nil {
 		return err
 	}
@@ -199,7 +198,7 @@ func runResilienceEC(seed int64, row *ResilienceRow) error {
 	for i := range mcs {
 		mcs[i] = metrics.NewCollector()
 	}
-	eps, err := dialResilientMesh(proxyAddrs, realAddrs, mcs)
+	eps, err := dialResilientMesh(proxyAddrs, lns, mcs)
 	if err != nil {
 		return err
 	}

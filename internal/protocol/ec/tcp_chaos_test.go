@@ -1,7 +1,6 @@
 package ec
 
 import (
-	"net"
 	"os"
 	"strconv"
 	"sync"
@@ -38,14 +37,9 @@ func TestTCPChaosMatrixEC(t *testing.T) {
 	// 2n endpoints (apps 0..n-1, services n..2n-1), each fronted by its own
 	// chaos proxy: the mesh dials proxy addresses, every node listens on its
 	// real one.
-	realAddrs := make([]string, 2*teams)
-	for i := range realAddrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
-		}
-		realAddrs[i] = ln.Addr().String()
-		ln.Close()
+	lns, realAddrs, err := transport.ListenLoopback(2 * teams)
+	if err != nil {
+		t.Fatal(err)
 	}
 	proxies := make([]*tcpchaos.Proxy, 2*teams)
 	proxyAddrs := make([]string, 2*teams)
@@ -88,7 +82,7 @@ func TestTCPChaosMatrixEC(t *testing.T) {
 				HeartbeatInterval: 100 * time.Millisecond,
 				HeartbeatMisses:   5,
 				Incarnation:       1,
-				ListenAddr:        realAddrs[i],
+				Listener:          lns[i],
 				Metrics:           mcs[i],
 			})
 		}()

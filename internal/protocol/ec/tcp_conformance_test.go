@@ -1,7 +1,6 @@
 package ec
 
 import (
-	"net"
 	"sync"
 	"testing"
 
@@ -27,18 +26,9 @@ func TestTCPConformanceEC(t *testing.T) {
 	memNodes, memStats := runECGame(t, cfg)
 	checkECWorldSanity(t, cfg, memNodes, memStats, "mem")
 
-	addrs := make([]string, 2*teams)
-	listeners := make([]net.Listener, 2*teams)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range listeners {
-		ln.Close()
+	lns, addrs, err := transport.ListenLoopback(2 * teams)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	eps := make([]*transport.TCPEndpoint, 2*teams)
@@ -51,6 +41,7 @@ func TestTCPConformanceEC(t *testing.T) {
 			defer wg.Done()
 			eps[i], dialErrs[i] = transport.DialTCPConfig(i, addrs, transport.TCPConfig{
 				FlushThreshold: 32 << 10,
+				Listener:       lns[i],
 			})
 		}()
 	}

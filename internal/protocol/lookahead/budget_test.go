@@ -31,9 +31,11 @@ import (
 //     the arena 15.3; with carved beacons and decoded Ints 13.6; without
 //     the enter-radius fetch 12.2.
 //
-// Bytes: 4 225 and 5 950 a player-tick (8 581 and 10 150 while every player
+// Bytes: 3 470 and 4 850 a player-tick (8 581 and 10 150 while every player
 // generated the world and registered a record per block: on a 768-block
-// board that was half of what a 20-tick player allocates).
+// board that was half of what a 20-tick player allocates; 4 225 and 5 950
+// while every slot held its own copy of a write and every delta table its
+// entries by value, in blocks that doubled as they grew).
 //
 // Ceilings are the measurement + 15 %.
 func TestWholeGameAllocBudget(t *testing.T) {
@@ -48,8 +50,8 @@ func TestWholeGameAllocBudget(t *testing.T) {
 		bytes   float64 // bytes allocated per player-tick
 		apply   func(*PlayerConfig)
 	}{
-		{"bsync", 8, 20, 10, 4900, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
-		{"gated", 16, 30, 14, 6850, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
+		{"bsync", 8, 20, 10, 3990, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
+		{"gated", 16, 30, 14, 5580, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := game.DefaultConfig(tc.teams, 1)

@@ -9,24 +9,20 @@ import (
 	"sdso/internal/transport"
 )
 
-// reserveLoopbackAddrs picks n distinct loopback addresses by briefly
-// listening on them.
-func reserveLoopbackAddrs(t *testing.T, n int) []string {
+// listenLoopback binds n loopback listeners (transport.ListenLoopback) and
+// closes at cleanup any no endpoint took.
+func listenLoopback(t *testing.T, n int) ([]net.Listener, []string) {
 	t.Helper()
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
+	lns, addrs, err := transport.ListenLoopback(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, ln := range lns {
+			ln.Close()
 		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	return addrs
+	})
+	return lns, addrs
 }
 
 // runTCPConformance plays the same 4-process game twice — once over the
@@ -45,7 +41,7 @@ func runTCPConformance(t *testing.T, proto Protocol) {
 
 	memStats, _ := runGame(t, cfg, proto)
 
-	addrs := reserveLoopbackAddrs(t, teams)
+	lns, addrs := listenLoopback(t, teams)
 	tcpStats := make([]game.TeamStats, teams)
 	errs := make([]error, teams)
 	var wg sync.WaitGroup
@@ -56,6 +52,7 @@ func runTCPConformance(t *testing.T, proto Protocol) {
 			defer wg.Done()
 			ep, err := transport.DialTCPConfig(i, addrs, transport.TCPConfig{
 				FlushThreshold: 32 << 10,
+				Listener:       lns[i],
 			})
 			if err != nil {
 				errs[i] = err

@@ -1,6 +1,7 @@
 package lookahead
 
 import (
+	"net"
 	"os"
 	"strconv"
 	"sync"
@@ -30,7 +31,8 @@ func tcpChaosSeed() int64 {
 // resilientTCPConfig is the session-layer configuration the resilience
 // tests share: reconnect with fast backoff, liveness heartbeats, and a
 // grace long enough that only genuinely dead processes are reported gone.
-func resilientTCPConfig(id int, incarnation int64, grace time.Duration, realAddr string, mc *metrics.Collector) transport.TCPConfig {
+// The node listens on ln, its real address behind the proxy.
+func resilientTCPConfig(id int, incarnation int64, grace time.Duration, ln net.Listener, mc *metrics.Collector) transport.TCPConfig {
 	return transport.TCPConfig{
 		Reconnect:         true,
 		ReconnectGrace:    grace,
@@ -40,7 +42,7 @@ func resilientTCPConfig(id int, incarnation int64, grace time.Duration, realAddr
 		HeartbeatInterval: 100 * time.Millisecond,
 		HeartbeatMisses:   5,
 		Incarnation:       incarnation,
-		ListenAddr:        realAddr,
+		Listener:          ln,
 		Metrics:           mc,
 	}
 }
@@ -93,7 +95,7 @@ func TestTCPChaosKillRestartRejoin(t *testing.T) {
 	cfg.MaxTicks = 400
 	cfg.Seed = 11
 
-	realAddrs := reserveLoopbackAddrs(t, teams)
+	lns, realAddrs := listenLoopback(t, teams)
 	proxies, proxyAddrs := proxyMesh(t, realAddrs, func(int) tcpchaos.Config { return tcpchaos.Config{} })
 
 	grace := 300 * time.Millisecond
@@ -128,7 +130,7 @@ func TestTCPChaosKillRestartRejoin(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ep, err := transport.DialTCPConfig(i, proxyAddrs, resilientTCPConfig(i, 1, grace, realAddrs[i], mcs[i]))
+			ep, err := transport.DialTCPConfig(i, proxyAddrs, resilientTCPConfig(i, 1, grace, lns[i], mcs[i]))
 			if err != nil {
 				errs[i] = err
 				if i == victim {
@@ -193,7 +195,11 @@ func TestTCPChaosKillRestartRejoin(t *testing.T) {
 	// Restart with a higher incarnation on the same real address: the
 	// startup dial re-establishes every link (stale-socket-proof via the
 	// handshake), and Join re-admits the process into the running game.
-	ep2, err := transport.DialTCPConfig(victim, proxyAddrs, resilientTCPConfig(victim, 2, grace, realAddrs[victim], mcs[victim]))
+	ln2, err := net.Listen("tcp", realAddrs[victim])
+	if err != nil {
+		t.Fatalf("victim restart listen: %v", err)
+	}
+	ep2, err := transport.DialTCPConfig(victim, proxyAddrs, resilientTCPConfig(victim, 2, grace, ln2, mcs[victim]))
 	if err != nil {
 		t.Fatalf("victim restart dial: %v", err)
 	}
@@ -279,7 +285,7 @@ func runTCPChaosMatrix(t *testing.T, proto Protocol) {
 	// above it and a deterministic mid-game KillConns below guarantees at
 	// least one cut even for seeds whose filtered traffic never reaches the
 	// budget (MSYNC2 sends very little on a quiet board).
-	realAddrs := reserveLoopbackAddrs(t, teams)
+	lns, realAddrs := listenLoopback(t, teams)
 	proxies, proxyAddrs := proxyMesh(t, realAddrs, func(i int) tcpchaos.Config {
 		return tcpchaos.Config{
 			Seed:         uint64(seed)*0x9e37 + uint64(i) + 1,
@@ -301,7 +307,7 @@ func runTCPChaosMatrix(t *testing.T, proto Protocol) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ep, err := transport.DialTCPConfig(i, proxyAddrs, resilientTCPConfig(i, 1, 10*time.Second, realAddrs[i], mcs[i]))
+			ep, err := transport.DialTCPConfig(i, proxyAddrs, resilientTCPConfig(i, 1, 10*time.Second, lns[i], mcs[i]))
 			if err != nil {
 				errs[i] = err
 				return

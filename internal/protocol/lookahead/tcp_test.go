@@ -1,7 +1,6 @@
 package lookahead
 
 import (
-	"net"
 	"sync"
 	"testing"
 
@@ -24,19 +23,7 @@ func TestGameOverRealTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addrs := make([]string, teams)
-	listeners := make([]net.Listener, teams)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range listeners {
-		ln.Close()
-	}
+	lns, addrs := listenLoopback(t, teams)
 
 	stats := make([]game.TeamStats, teams)
 	errs := make([]error, teams)
@@ -46,7 +33,7 @@ func TestGameOverRealTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ep, err := transport.DialTCP(i, addrs)
+			ep, err := transport.DialTCPConfig(i, addrs, transport.TCPConfig{Listener: lns[i]})
 			if err != nil {
 				errs[i] = err
 				return

@@ -10,7 +10,7 @@
 //
 // Topology: every node gets one proxy fronting its real listen address.
 // The mesh's address list carries the proxy addresses, and each node
-// passes its real address as TCPConfig.ListenAddr — so every link's
+// listens on its real address (TCPConfig.Listener) — so every link's
 // traffic traverses the victim side's proxy, and killing/stalling one
 // proxy isolates exactly one node.
 package tcpchaos

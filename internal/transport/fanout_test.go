@@ -345,7 +345,7 @@ func tcpPair(t *testing.T, cfg TCPConfig) [2]*TCPEndpoint {
 // tcpMesh dials an n-node loopback mesh with the given config.
 func tcpMesh(t *testing.T, n int, cfg TCPConfig) []*TCPEndpoint {
 	t.Helper()
-	addrs := freeAddrs(t, n)
+	lns, addrs := listenLoopback(t, n)
 	eps := make([]*TCPEndpoint, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -354,6 +354,8 @@ func tcpMesh(t *testing.T, n int, cfg TCPConfig) []*TCPEndpoint {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			cfg := cfg
+			cfg.Listener = lns[i]
 			eps[i], errs[i] = DialTCPConfig(i, addrs, cfg)
 		}()
 	}

@@ -87,7 +87,8 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 // then the test's to write and read as it likes.
 func rawPeers(t *testing.T, k int, cfg TCPConfig) (*TCPEndpoint, []net.Conn) {
 	t.Helper()
-	addrs := freeAddrs(t, 1+k)
+	lns, addrs := listenLoopback(t, 1+k)
+	cfg.Listener = lns[0]
 	type dialed struct {
 		ep  *TCPEndpoint
 		err error

@@ -141,11 +141,16 @@ type TCPConfig struct {
 	// handshake; a restarted process presents a higher incarnation so
 	// peers close stale sockets in its favor. Zero selects 1.
 	Incarnation int64
-	// ListenAddr, when non-empty, overrides addrs[id] as the local listen
-	// address while peers are still dialed at addrs[peer]. This lets a
-	// chaos proxy front every node: addrs carries proxy addresses, and
-	// each node listens on its real backend address.
-	ListenAddr string
+	// Listener, when non-nil, is the local listener, already bound by the
+	// caller, used in place of listening on addrs[id]; peers are still
+	// dialed at addrs[peer]. This lets a chaos proxy front every node:
+	// addrs carries proxy addresses, and each node listens on its real
+	// backend address. A caller that binds 127.0.0.1:0 and passes the
+	// listener on learns its address without letting go of the port, which
+	// reserving an address and closing it before the dial cannot promise.
+	// The endpoint owns it from the call on: Close, or a failed dial,
+	// closes it.
+	Listener net.Listener
 }
 
 // resilient reports whether any session-layer feature is configured; the
@@ -297,6 +302,24 @@ func sheddable(k wire.Kind) bool {
 
 var _ Endpoint = (*TCPEndpoint)(nil)
 
+// ListenLoopback binds n listeners on free loopback ports and returns them
+// with their addresses, for a mesh on one host: node i's endpoint takes
+// lns[i] as its TCPConfig.Listener, so no port is let go between choosing
+// it and listening on it. On error it closes what it bound.
+func ListenLoopback(n int) (lns []net.Listener, addrs []string, err error) {
+	lns, addrs = make([]net.Listener, n), make([]string, n)
+	for i := range lns {
+		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			for _, ln := range lns[:i] {
+				_ = ln.Close()
+			}
+			return nil, nil, fmt.Errorf("listen: %w", err)
+		}
+		addrs[i] = lns[i].Addr().String()
+	}
+	return lns, addrs, nil
+}
+
 // DialTCP builds the full mesh for node id among addrs (one listen address
 // per node, indexed by node id) using the default TCPConfig. It listens on
 // addrs[id], dials every node with a smaller id, accepts connections from
@@ -310,16 +333,18 @@ func DialTCP(id int, addrs []string) (*TCPEndpoint, error) {
 func DialTCPConfig(id int, addrs []string, cfg TCPConfig) (*TCPEndpoint, error) {
 	n := len(addrs)
 	if id < 0 || id >= n {
+		if cfg.Listener != nil {
+			_ = cfg.Listener.Close()
+		}
 		return nil, fmt.Errorf("transport: node id %d out of range for %d addrs", id, n)
 	}
 	cfg = cfg.withDefaults()
-	listen := addrs[id]
-	if cfg.ListenAddr != "" {
-		listen = cfg.ListenAddr
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return nil, fmt.Errorf("listen %s: %w", listen, err)
+	ln := cfg.Listener
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", addrs[id]); err != nil {
+			return nil, fmt.Errorf("listen %s: %w", addrs[id], err)
+		}
 	}
 	e := &TCPEndpoint{
 		id:    id,
@@ -357,7 +382,9 @@ func DialTCPConfig(id int, addrs []string, cfg TCPConfig) (*TCPEndpoint, error) 
 	// both the wait for a peer that never starts and the wait for the
 	// hello of one that connects and stays silent.
 	deadline := time.Now().Add(cfg.DialTimeout)
-	_ = ln.(*net.TCPListener).SetDeadline(deadline)
+	if dl, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
+		_ = dl.SetDeadline(deadline)
+	}
 	setup.Add(1)
 	go func() {
 		defer setup.Done()

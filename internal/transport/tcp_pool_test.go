@@ -94,7 +94,7 @@ func TestSessionCloseReleasesRetainedFrames(t *testing.T) {
 // buffers nearly empty halve it back, with the current value exported
 // through the FlushThresholdCurrent gauge.
 func TestAdaptiveFlushThresholdTracksTraffic(t *testing.T) {
-	addrs := freeAddrs(t, 2)
+	lns, addrs := listenLoopback(t, 2)
 	mc := metrics.NewCollector()
 	eps := make([]*TCPEndpoint, 2)
 	errs := make([]error, 2)
@@ -102,7 +102,7 @@ func TestAdaptiveFlushThresholdTracksTraffic(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		cfg := TCPConfig{FlushThreshold: 1024, AdaptiveFlush: true,
-			CloseGrace: 100 * time.Millisecond}
+			CloseGrace: 100 * time.Millisecond, Listener: lns[i]}
 		if i == 0 {
 			cfg.Metrics = mc
 		}

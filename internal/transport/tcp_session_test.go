@@ -17,7 +17,7 @@ import (
 // per node before dialing.
 func startResilientPair(t *testing.T, mutate func(id int, cfg *TCPConfig)) ([]*TCPEndpoint, []*metrics.Collector) {
 	t.Helper()
-	addrs := freeAddrs(t, 2)
+	lns, addrs := listenLoopback(t, 2)
 	eps := make([]*TCPEndpoint, 2)
 	mcs := make([]*metrics.Collector, 2)
 	errs := make([]error, 2)
@@ -31,6 +31,7 @@ func startResilientPair(t *testing.T, mutate func(id int, cfg *TCPConfig)) ([]*T
 			CloseGrace:  200 * time.Millisecond,
 			Metrics:     mcs[id],
 			Incarnation: 1,
+			Listener:    lns[id],
 		}
 		if mutate != nil {
 			mutate(id, &cfg)
@@ -349,7 +350,9 @@ func (f *fakeSessionPeer) accept(t *testing.T, inc int64) net.Conn {
 // this interact badly with delayed ACKs and crawl at ~2 KB per 40 ms).
 func dialThroughFake(t *testing.T, fake *fakeSessionPeer, cfg TCPConfig) (*TCPEndpoint, net.Conn) {
 	t.Helper()
-	addrs := []string{fake.ln.Addr().String(), freeAddrs(t, 1)[0]}
+	lns, own := listenLoopback(t, 1)
+	addrs := []string{fake.ln.Addr().String(), own[0]}
+	cfg.Listener = lns[0]
 	connCh := make(chan net.Conn, 1)
 	go func() {
 		conn := fake.accept(t, 1)
@@ -641,7 +644,7 @@ func TestSessionMalformedFramesSuspectPeerWithoutPanic(t *testing.T) {
 			// then writes junk. The read loop must down the link (no panic,
 			// no wedge), and with nobody redialing the grace declares the
 			// peer gone.
-			addrs := freeAddrs(t, 2)
+			lns, addrs := listenLoopback(t, 2)
 			epCh := make(chan *TCPEndpoint, 1)
 			errCh := make(chan error, 1)
 			go func() {
@@ -649,6 +652,7 @@ func TestSessionMalformedFramesSuspectPeerWithoutPanic(t *testing.T) {
 					Reconnect:      true,
 					ReconnectGrace: 100 * time.Millisecond,
 					CloseGrace:     100 * time.Millisecond,
+					Listener:       lns[0],
 				})
 				epCh <- ep
 				errCh <- err
@@ -706,11 +710,11 @@ func TestLegacyMalformedFramesSuspectPeerWithoutPanic(t *testing.T) {
 			// loop must close the connection and mark the peer dead so the
 			// next send reports ErrPeerGone — not stop silently and leave
 			// the link half-alive.
-			addrs := freeAddrs(t, 2)
+			lns, addrs := listenLoopback(t, 2)
 			epCh := make(chan *TCPEndpoint, 1)
 			errCh := make(chan error, 1)
 			go func() {
-				ep, err := DialTCPConfig(0, addrs, TCPConfig{})
+				ep, err := DialTCPConfig(0, addrs, TCPConfig{Listener: lns[0]})
 				epCh <- ep
 				errCh <- err
 			}()

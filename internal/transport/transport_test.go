@@ -193,28 +193,25 @@ func TestSimEndpointClosed(t *testing.T) {
 	}
 }
 
-// freeAddrs reserves n distinct loopback addresses for TCP tests.
-func freeAddrs(t *testing.T, n int) []string {
+// listenLoopback is ListenLoopback for a test: a listener no endpoint took
+// is closed at cleanup.
+func listenLoopback(t *testing.T, n int) ([]net.Listener, []string) {
 	t.Helper()
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
+	lns, addrs, err := ListenLoopback(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, ln := range lns {
+			ln.Close()
 		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	return addrs
+	})
+	return lns, addrs
 }
 
-func startTCPMesh(t *testing.T, addrs []string) []*TCPEndpoint {
+func startTCPMesh(t *testing.T, n int) []*TCPEndpoint {
 	t.Helper()
-	n := len(addrs)
+	lns, addrs := listenLoopback(t, n)
 	eps := make([]*TCPEndpoint, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -223,7 +220,7 @@ func startTCPMesh(t *testing.T, addrs []string) []*TCPEndpoint {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eps[i], errs[i] = DialTCP(i, addrs)
+			eps[i], errs[i] = DialTCPConfig(i, addrs, TCPConfig{Listener: lns[i]})
 		}()
 	}
 	wg.Wait()
@@ -243,8 +240,7 @@ func startTCPMesh(t *testing.T, addrs []string) []*TCPEndpoint {
 }
 
 func TestTCPMesh(t *testing.T) {
-	addrs := freeAddrs(t, 3)
-	eps := startTCPMesh(t, addrs)
+	eps := startTCPMesh(t, 3)
 
 	// Every node sends one message to every other node.
 	for i, ep := range eps {
@@ -281,11 +277,11 @@ func TestTCPMesh(t *testing.T) {
 // starts, and on one that connects but never says hello, instead of
 // waiting forever. A watchdog fails the test rather than letting it hang.
 func TestDialTCPHonoursDialTimeout(t *testing.T) {
-	dial := func(t *testing.T, addrs []string) {
+	dial := func(t *testing.T, lns []net.Listener, addrs []string) {
 		t.Helper()
 		done := make(chan error, 1)
 		go func() {
-			ep, err := DialTCPConfig(0, addrs, TCPConfig{DialTimeout: 200 * time.Millisecond})
+			ep, err := DialTCPConfig(0, addrs, TCPConfig{DialTimeout: 200 * time.Millisecond, Listener: lns[0]})
 			if ep != nil {
 				ep.Close()
 			}
@@ -301,10 +297,11 @@ func TestDialTCPHonoursDialTimeout(t *testing.T) {
 		}
 	}
 	t.Run("peer never starts", func(t *testing.T) {
-		dial(t, freeAddrs(t, 2))
+		lns, addrs := listenLoopback(t, 2)
+		dial(t, lns, addrs)
 	})
 	t.Run("peer never says hello", func(t *testing.T) {
-		addrs := freeAddrs(t, 2)
+		lns, addrs := listenLoopback(t, 2)
 		silent := make(chan net.Conn, 1)
 		go func() {
 			for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
@@ -315,7 +312,7 @@ func TestDialTCPHonoursDialTimeout(t *testing.T) {
 			}
 			close(silent)
 		}()
-		dial(t, addrs)
+		dial(t, lns, addrs)
 		if conn, ok := <-silent; ok {
 			conn.Close()
 		} else {
@@ -325,8 +322,7 @@ func TestDialTCPHonoursDialTimeout(t *testing.T) {
 }
 
 func TestTCPFIFOAndVolume(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	eps := startTCPMesh(t, addrs)
+	eps := startTCPMesh(t, 2)
 	const count = 500
 	go func() {
 		for i := 0; i < count; i++ {
@@ -352,8 +348,7 @@ func TestTCPFIFOAndVolume(t *testing.T) {
 }
 
 func TestTCPCloseUnblocksRecv(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	eps := startTCPMesh(t, addrs)
+	eps := startTCPMesh(t, 2)
 	done := make(chan error, 1)
 	go func() {
 		_, err := eps[0].Recv()
@@ -372,8 +367,7 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 }
 
 func TestTCPSendErrors(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	eps := startTCPMesh(t, addrs)
+	eps := startTCPMesh(t, 2)
 	if err := eps[0].Send(0, &wire.Msg{Kind: wire.KindSync}); err == nil {
 		t.Error("Send to self should error")
 	}

@@ -24,12 +24,13 @@ const (
 // Blocks is the storage under a runtime's or a buffer's per-peer
 // bookkeeping (DESIGN.md §15, the bookkeeping rule): the sorted tables that
 // grow by one element at a time — a slotted buffer's slots, core's per-peer
-// delta tables — take their backing from one pool per owner instead of the
-// allocator. A block is a []T whose capacity is its size class; it is carved
-// from a chunk, handed back with Put (or by Insert when it outgrows its
-// class) and reused by whichever table of the same owner asks next. A freed
-// block is cleared, so it pins nothing its last holder stored. The zero
-// value is an empty pool; it is not safe for concurrent use.
+// delta tables, each a table of pointers to its owner's Slab records — take
+// their backing from one pool per owner instead of the allocator. A block is
+// a []T whose capacity is its size class; it is carved from a chunk, handed
+// back with Put (or by Insert when it outgrows its class) and reused by
+// whichever table of the same owner asks next. A freed block is cleared, so
+// it pins nothing its last holder stored. The zero value is an empty pool;
+// it is not safe for concurrent use.
 type Blocks[T any] struct {
 	// free is, per size class, the stack of freed blocks, each held by the
 	// pointer to its first element. The class gives the capacity, and with
@@ -111,3 +112,47 @@ func (p *Blocks[T]) Insert(s []T, i int, v T) []T {
 
 // classOf returns the size class of a block of capacity c.
 func classOf(c int) int { return bits.TrailingZeros(uint(c / minBlock)) }
+
+// Slab is the storage under records that tables name rather than hold
+// (DESIGN.md §15, the bookkeeping rule): a slotted buffer's writes, each
+// named by every slot it waits in, and core's delta entries, each named by
+// one table. New carves a record from growing chunks, sized like Blocks'
+// chunks; Free clears it and puts it on an intrusive free list, from which
+// the next New of the same owner takes it. A record never moves, so a
+// pointer to it is valid until it is freed. The zero value is an empty slab;
+// it is not safe for concurrent use.
+type Slab[T any] struct {
+	free  *slabCell[T] // freed records, most recent first
+	chunk []slabCell[T]
+	bytes int // size the current chunk was allocated with
+}
+
+// slabCell is one record of a Slab and the free list's link. v is the first
+// field, so a record's address is its cell's.
+type slabCell[T any] struct {
+	v    T
+	next *slabCell[T] // nil while v is live
+}
+
+// New returns a zeroed record.
+func (s *Slab[T]) New() *T {
+	if c := s.free; c != nil {
+		s.free, c.next = c.next, nil
+		return &c.v
+	}
+	if len(s.chunk) == 0 {
+		s.bytes = min(max(2*s.bytes, firstChunkBytes), maxChunkBytes)
+		s.chunk = make([]slabCell[T], max(s.bytes/int(unsafe.Sizeof(slabCell[T]{})), 1))
+	}
+	c := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	return &c.v
+}
+
+// Free clears the record v points to and hands it back. v must come from
+// this slab's New; nothing may use it afterwards.
+func (s *Slab[T]) Free(v *T) {
+	c := (*slabCell[T])(unsafe.Pointer(v))
+	*c = slabCell[T]{next: s.free}
+	s.free = c
+}

@@ -136,19 +136,19 @@ func flat(diffs []ObjDiff) string {
 // whole-state replacements and run diffs mixed, out-of-range processes
 // included — and demands identical observations throughout. It also holds
 // Flush to its lifetime promise: a returned slice stays intact until the
-// next Add for the same process or its Drop (which frees the slot's block),
-// whatever happens to the other slots — including their growing into, and
-// freeing, blocks of the shared pool.
+// next Flush, whatever Add, AddAll, Drop and Readmit do in between —
+// including freeing the records it was copied from and reusing them for
+// new writes.
 func TestSlottedBufferMatchesMapOracle(t *testing.T) {
 	const n, self, objs, stateLen = 6, 2, 12, 16
 	for _, merge := range []bool{true, false} {
 		for seed := int64(1); seed <= 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			got, want := NewSlottedBuffer(self, n, merge), newMapBuffer(self, n, merge)
-			// held[p] is the last Flush(p) result and its rendering, until an
-			// Add for p or Drop(p) releases the promise.
-			held := make(map[int][]ObjDiff)
-			heldFlat := make(map[int]string)
+			// held is the last non-empty Flush result and its rendering,
+			// until the next Flush releases the promise.
+			var held []ObjDiff
+			var heldFlat string
 			states := make([][]byte, objs) // current state per object, for run diffs
 			for i := range states {
 				states[i] = make([]byte, stateLen)
@@ -178,7 +178,6 @@ func TestSlottedBufferMatchesMapOracle(t *testing.T) {
 					if (errG == nil) != (errW == nil) {
 						t.Fatalf("%s: Add err = %v, oracle %v", ctx, errG, errW)
 					}
-					delete(held, proc)
 				case op < 5:
 					var skip map[int]bool
 					if rng.Intn(2) == 0 {
@@ -189,19 +188,17 @@ func TestSlottedBufferMatchesMapOracle(t *testing.T) {
 					if (errG == nil) != (errW == nil) {
 						t.Fatalf("%s: AddAll err = %v, oracle %v", ctx, errG, errW)
 					}
-					clear(held)
 				case op < 8:
 					g, w := got.Flush(proc), want.Flush(proc)
 					if flat(g) != flat(w) {
 						t.Fatalf("%s: Flush = %s\noracle  %s", ctx, flat(g), flat(w))
 					}
 					if len(g) > 0 {
-						held[proc], heldFlat[proc] = g, flat(g)
+						held, heldFlat = g, flat(g)
 					}
 				case op < 9:
 					got.Drop(proc)
 					want.Drop(proc)
-					delete(held, proc)
 				default:
 					got.Readmit(proc)
 					want.Readmit(proc)
@@ -217,10 +214,8 @@ func TestSlottedBufferMatchesMapOracle(t *testing.T) {
 						t.Fatalf("%s: Dropped(%d) = %v, oracle %v", ctx, p, g, w)
 					}
 				}
-				for p, diffs := range held {
-					if flat(diffs) != heldFlat[p] {
-						t.Fatalf("%s: Flush(%d)'s result changed before the next Add or Drop for %d", ctx, p, p)
-					}
+				if flat(held) != heldFlat {
+					t.Fatalf("%s: the last Flush's result changed before the next Flush", ctx)
 				}
 			}
 		}

@@ -168,8 +168,10 @@ type ObjDiff struct {
 // process (paper Figure 3). One slot per remote process; the local
 // process's slot stays empty.
 //
-// Diffs handed to Add are shared, not copied: the buffer may keep d and
-// hand it out again from Flush, and in merge mode a whole-state replacement
+// A write is stored once: AddAll makes one record of it, and every slot it
+// waits in names that record (DESIGN.md §15, the bookkeeping rule). Diffs
+// handed to Add are shared, not copied: the buffer may keep d and hand it
+// out again from Flush, and in merge mode a whole-state replacement
 // arriving over a buffered diff simply takes its place in every slot. That
 // is sound because published state bytes are immutable (DESIGN.md,
 // "Ownership and memory"): callers must not modify a diff's run data after
@@ -179,18 +181,31 @@ type SlottedBuffer struct {
 	n     int
 	merge bool
 	slots []slot
-	pool  Blocks[ObjDiff] // every slot's storage
+	recs  Slab[record]    // every buffered write, once
+	pool  Blocks[*record] // every slot's storage
+	out   []ObjDiff       // Flush's result
+	// first is out's storage until a flush outgrows it: a buffer whose
+	// flushes stay small allocates no result.
+	first [minBlock]ObjDiff
+}
+
+// record is one buffered write and the number of slots naming it. The last
+// slot to flush it, merge past it or drop it frees it, cleared: a free
+// record pins no diff.
+type record struct {
+	ObjDiff
+	refs int
 }
 
 // slot is one process's pending diffs, kept sorted by object and, within an
 // object, oldest first — the order Flush promises — so a write finds its
 // object by binary search however long a withheld peer's backlog grows.
-// pending is a block of the buffer's pool: Flush hands it out and Add
+// pending is a block of the buffer's pool holding pointers to records: Add
 // refills it, a full one moves to the next size class and Drop gives it
 // back, so slots share what any of them outgrew and a steady-state slot
 // allocates nothing.
 type slot struct {
-	pending []ObjDiff
+	pending []*record
 	dropped bool
 }
 
@@ -201,7 +216,9 @@ type slot struct {
 // every intermediate diff is retained and shipped, which the ablation bench
 // uses to measure the optimization's payoff.
 func NewSlottedBuffer(self, n int, merge bool) *SlottedBuffer {
-	return &SlottedBuffer{self: self, n: n, merge: merge, slots: make([]slot, n)}
+	b := &SlottedBuffer{self: self, n: n, merge: merge, slots: make([]slot, n)}
+	b.out = b.first[:0]
+	return b
 }
 
 // Merging reports whether diff merging is enabled.
@@ -221,43 +238,75 @@ func (b *SlottedBuffer) Add(proc int, obj store.ID, version int64, d diff.Diff) 
 	if proc < 0 || proc >= b.n {
 		return fmt.Errorf("xlist: no slot for process %d", proc)
 	}
-	sl := &b.slots[proc]
-	if sl.dropped {
-		return nil // dropped peer: nothing accumulates until Readmit
-	}
-	// at is one past obj's last buffered diff: where a new one goes.
-	at := sort.Search(len(sl.pending), func(i int) bool { return sl.pending[i].Obj > obj })
-	if at == 0 || sl.pending[at-1].Obj != obj || !b.merge {
-		sl.pending = b.pool.Insert(sl.pending, at, ObjDiff{Obj: obj, Version: version, D: d})
-		return nil
-	}
-	last := &sl.pending[at-1]
-	m := d // a replacement supersedes whatever was buffered
-	if !d.Replace {
-		// MergeInto with a fresh destination: the merge-walk emits each
-		// output run once instead of Merge's split-then-coalesce spans. The
-		// destination must not be recycled scratch — Flush hands ObjDiffs to
-		// callers, and other slots may share last.D.
-		m = diff.Diff{}
-		if err := diff.MergeInto(&m, last.D, d); err != nil {
-			return fmt.Errorf("merge buffered diff for obj %d: %w", obj, err)
-		}
-	}
-	*last = ObjDiff{Obj: obj, Version: version, D: m}
-	return nil
+	var rec *record
+	return b.add(&b.slots[proc], &rec, ObjDiff{Obj: obj, Version: version, D: d})
 }
 
 // AddAll records the change for every remote process except those in skip.
+// The slots it reaches share one record of it.
 func (b *SlottedBuffer) AddAll(obj store.ID, version int64, d diff.Diff, skip map[int]bool) error {
+	var rec *record
+	od := ObjDiff{Obj: obj, Version: version, D: d}
 	for proc := 0; proc < b.n; proc++ {
 		if proc == b.self || skip[proc] {
 			continue
 		}
-		if err := b.Add(proc, obj, version, d); err != nil {
+		if err := b.add(&b.slots[proc], &rec, od); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// add buffers od in sl. *rec is od's record, made on first use and shared
+// by every slot that takes od as it is; a slot that merges od into a
+// partial diff it buffered gets a record of its own.
+func (b *SlottedBuffer) add(sl *slot, rec **record, od ObjDiff) error {
+	if sl.dropped {
+		return nil // dropped peer: nothing accumulates until Readmit
+	}
+	// at is one past obj's last buffered diff: where a new one goes.
+	at := sort.Search(len(sl.pending), func(i int) bool { return sl.pending[i].Obj > od.Obj })
+	if !b.merge || at == 0 || sl.pending[at-1].Obj != od.Obj {
+		sl.pending = b.pool.Insert(sl.pending, at, b.ref(rec, od))
+		return nil
+	}
+	last := sl.pending[at-1]
+	if od.D.Replace { // a replacement supersedes whatever was buffered
+		b.release(last)
+		sl.pending[at-1] = b.ref(rec, od)
+		return nil
+	}
+	// MergeInto with a fresh destination: the merge-walk emits each output
+	// run once instead of Merge's split-then-coalesce spans. The destination
+	// must not be recycled scratch — Flush hands the diff to callers, and
+	// other slots may share last.D.
+	var m diff.Diff
+	if err := diff.MergeInto(&m, last.D, od.D); err != nil {
+		return fmt.Errorf("merge buffered diff for obj %d: %w", od.Obj, err)
+	}
+	b.release(last)
+	var own *record
+	sl.pending[at-1] = b.ref(&own, ObjDiff{Obj: od.Obj, Version: od.Version, D: m})
+	return nil
+}
+
+// ref returns *rec with one more slot naming it, making it from od first if
+// it is nil.
+func (b *SlottedBuffer) ref(rec **record, od ObjDiff) *record {
+	if *rec == nil {
+		*rec = b.recs.New()
+		(*rec).ObjDiff = od
+	}
+	(*rec).refs++
+	return *rec
+}
+
+// release drops one slot's name for r, freeing r when it was the last.
+func (b *SlottedBuffer) release(r *record) {
+	if r.refs--; r.refs == 0 {
+		b.recs.Free(r)
+	}
 }
 
 // Pending returns the number of buffered object diffs for proc.
@@ -271,9 +320,8 @@ func (b *SlottedBuffer) Pending(proc int) int {
 // Flush removes and returns proc's buffered diffs, ordered by ascending
 // object ID and, within an object, oldest first (so sequential application
 // at the receiver reproduces the writer's final state). The result is the
-// slot's own storage: it stays valid until the next Add (or AddAll) for the
-// same process, which refills it, or its Drop, which frees it — encode or
-// copy it before buffering further writes.
+// buffer's own scratch: it stays valid until the next Flush, for any
+// process — encode or copy it before flushing again.
 func (b *SlottedBuffer) Flush(proc int) []ObjDiff {
 	if !b.remote(proc) {
 		return nil
@@ -282,8 +330,18 @@ func (b *SlottedBuffer) Flush(proc int) []ObjDiff {
 	if len(sl.pending) == 0 {
 		return nil
 	}
-	out := sl.pending
-	sl.pending = out[:0]
+	// The last result must not pin its diffs, nor may first, which keeps
+	// the head of a result that outgrew it.
+	clear(b.out)
+	clear(b.first[:])
+	out := b.out[:0]
+	for _, r := range sl.pending {
+		out = append(out, r.ObjDiff)
+		b.release(r)
+	}
+	clear(sl.pending)
+	sl.pending = sl.pending[:0]
+	b.out = out
 	return out
 }
 
@@ -297,9 +355,9 @@ func (b *SlottedBuffer) AppendObjects(dst []store.ID, proc int) []store.ID {
 		return dst
 	}
 	pending := b.slots[proc].pending
-	for i, od := range pending {
-		if i == 0 || od.Obj != pending[i-1].Obj {
-			dst = append(dst, od.Obj)
+	for i, r := range pending {
+		if i == 0 || r.Obj != pending[i-1].Obj {
+			dst = append(dst, r.Obj)
 		}
 	}
 	return dst
@@ -311,6 +369,9 @@ func (b *SlottedBuffer) AppendObjects(dst []store.ID, proc int) []store.ID {
 func (b *SlottedBuffer) Drop(proc int) {
 	if !b.remote(proc) {
 		return
+	}
+	for _, r := range b.slots[proc].pending {
+		b.release(r)
 	}
 	b.pool.Put(b.slots[proc].pending)
 	b.slots[proc] = slot{dropped: true}
