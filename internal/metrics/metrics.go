@@ -154,13 +154,11 @@ type Collector struct {
 	// Delta-exchange and tick-batching counters: records shipped as XOR
 	// deltas instead of full diffs, payload bytes those deltas saved,
 	// delta base mismatches detected (and recovered from), logical ticks
-	// folded into a later rendezvous's frame by the batching s-function,
-	// and the adaptive flush controller's current threshold (a gauge).
+	// folded into a later rendezvous's frame by the batching s-function.
 	deltaRecords    padded
 	deltaBytesSaved padded
 	deltaMismatches padded
 	ticksBatched    padded
-	flushThreshold  padded
 
 	// Interest-management counters: the largest interest set the process
 	// ever held (a gauge) and peers that entered or left the interest set
@@ -299,10 +297,6 @@ func (c *Collector) AddDeltaMismatch() { c.deltaMismatches.v.Add(1) }
 // later rendezvous's frame by the tick-batching s-function.
 func (c *Collector) AddTickBatched() { c.ticksBatched.v.Add(1) }
 
-// NoteFlushThreshold records the adaptive flush controller's current
-// byte threshold (a gauge: the last written value wins).
-func (c *Collector) NoteFlushThreshold(threshold int) { c.flushThreshold.v.Store(int64(threshold)) }
-
 // NoteInterestSetSize raises the interest-set high-water mark to n if it
 // is the largest set observed so far.
 func (c *Collector) NoteInterestSetSize(n int) { c.interestSetPeak.Max(int64(n)) }
@@ -356,11 +350,10 @@ func (c *Collector) Snapshot() Snapshot {
 		SendQDepthPeak:    int(c.sendqDepthPeak.v.Load()),
 		DrainFlushedBytes: int(c.drainFlushed.v.Load()),
 
-		DeltaRecords:          int(c.deltaRecords.v.Load()),
-		DeltaBytesSaved:       int(c.deltaBytesSaved.v.Load()),
-		DeltaMismatches:       int(c.deltaMismatches.v.Load()),
-		TicksBatched:          int(c.ticksBatched.v.Load()),
-		FlushThresholdCurrent: int(c.flushThreshold.v.Load()),
+		DeltaRecords:    int(c.deltaRecords.v.Load()),
+		DeltaBytesSaved: int(c.deltaBytesSaved.v.Load()),
+		DeltaMismatches: int(c.deltaMismatches.v.Load()),
+		TicksBatched:    int(c.ticksBatched.v.Load()),
 
 		InterestSetPeak: int(c.interestSetPeak.v.Load()),
 		InterestChurn:   int(c.interestChurn.v.Load()),
@@ -429,13 +422,11 @@ type Snapshot struct {
 	DrainFlushedBytes int
 	// Delta-exchange and tick-batching counters: XOR-delta records sent,
 	// payload bytes those deltas saved over full diffs, delta base
-	// mismatches detected, ticks folded by the batching s-function, and
-	// the adaptive flush controller's final threshold.
-	DeltaRecords          int
-	DeltaBytesSaved       int
-	DeltaMismatches       int
-	TicksBatched          int
-	FlushThresholdCurrent int
+	// mismatches detected, and ticks folded by the batching s-function.
+	DeltaRecords    int
+	DeltaBytesSaved int
+	DeltaMismatches int
+	TicksBatched    int
 	// Interest-management counters: the largest interest set held at any
 	// refresh and peers entering or leaving the set after the initial
 	// build. InterestFetches is always 0: interest no longer pulls on an

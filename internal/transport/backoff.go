@@ -71,14 +71,3 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// hashString folds a string into a 64-bit seed (FNV-1a), so retry loops
-// keyed by address get decorrelated jitter without shared state.
-func hashString(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}

@@ -81,10 +81,31 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 	}
 }
 
+// handshakeRaw dials addr as node id and completes a handshake — its hello
+// out and, when the link is resumable, the endpoint's reply in — returning
+// the raw connection.
+func handshakeRaw(t *testing.T, addr string, id int, resumable bool) net.Conn {
+	t.Helper()
+	conn := dialRaw(t, addr)
+	hello := &wire.Msg{Kind: wire.KindHello, Stamp: int64(id), Ints: []int64{1, 0, 0}}
+	if err := wire.WriteFrame(conn, hello); err != nil {
+		t.Fatal(err)
+	}
+	if !resumable {
+		return conn
+	}
+	var reply wire.Msg
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.ReadFrame(conn, &reply); err != nil || reply.Kind != wire.KindHello {
+		t.Fatalf("handshake reply: %v %v", reply.Kind, err)
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return conn
+}
+
 // rawPeers brings up node 0 of an (1+k)-node mesh whose nodes 1…k are raw
-// sockets: each dials node 0 and says hello in the config's dialect — the
-// legacy one-way announcement, or the session layer's exchange — and is
-// then the test's to write and read as it likes.
+// sockets: each dials node 0, shakes hands, and is then the test's to
+// write and read as it likes.
 func rawPeers(t *testing.T, k int, cfg TCPConfig) (*TCPEndpoint, []net.Conn) {
 	t.Helper()
 	lns, addrs := listenLoopback(t, 1+k)
@@ -100,23 +121,7 @@ func rawPeers(t *testing.T, k int, cfg TCPConfig) (*TCPEndpoint, []net.Conn) {
 	}()
 	conns := make([]net.Conn, k)
 	for i := range conns {
-		conn := dialRaw(t, addrs[0])
-		hello := &wire.Msg{Kind: wire.KindHello, Stamp: int64(i + 1)}
-		if cfg.resilient() {
-			hello.Ints = []int64{1, 0}
-		}
-		if err := wire.WriteFrame(conn, hello); err != nil {
-			t.Fatal(err)
-		}
-		if cfg.resilient() {
-			var reply wire.Msg
-			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if err := wire.ReadFrame(conn, &reply); err != nil || reply.Kind != wire.KindHello {
-				t.Fatalf("handshake reply: %v %v", reply.Kind, err)
-			}
-			_ = conn.SetReadDeadline(time.Time{})
-		}
-		conns[i] = conn
+		conns[i] = handshakeRaw(t, addrs[0], i+1, cfg.Reconnect)
 	}
 	d := <-epCh
 	if d.err != nil {
@@ -125,7 +130,8 @@ func rawPeers(t *testing.T, k int, cfg TCPConfig) (*TCPEndpoint, []net.Conn) {
 	return d.ep, conns
 }
 
-// tcpModes are the two dialects of the TCP endpoint.
+// tcpModes are the two kinds of TCP link: final once broken (zero config,
+// named for the mesh that used to serve it) and resumable.
 var tcpModes = []struct {
 	name string
 	cfg  TCPConfig

@@ -2,10 +2,9 @@ package transport
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,32 +20,21 @@ const (
 	// tcpCloseGrace bounds how long Close waits for peers to finish
 	// sending.
 	tcpCloseGrace = 2 * time.Second
-	// tcpReconnectGrace is how long a broken resilient link keeps queueing
+	// tcpReconnectGrace is how long a broken resumable link keeps queueing
 	// sends while the reconnect machinery works, before the peer is
 	// declared gone.
 	tcpReconnectGrace = 5 * time.Second
 	// tcpHeartbeatMisses is the default miss budget: a link idle for more
 	// than (misses+1) heartbeat intervals is torn down.
 	tcpHeartbeatMisses = 3
-	// tcpSendQueueFrames / tcpSendQueueBytes bound a resilient peer's send
-	// queue when the config leaves the caps zero.
+	// tcpSendQueueFrames / tcpSendQueueBytes bound a peer's send queue
+	// when the config leaves the caps zero.
 	tcpSendQueueFrames = 1024
 	tcpSendQueueBytes  = 8 << 20
 )
 
-// Adaptive flush controller bounds: the runtime threshold doubles up to
-// the cap when sends keep crossing it (frames are coalescing — batch
-// harder) and halves down to the floor when the exchange barrier finds the
-// buffer mostly empty (the threshold exceeds a round's traffic and only
-// adds latency).
-const (
-	adaptiveFlushMin  = 512
-	adaptiveFlushMax  = 64 << 10
-	adaptiveFlushInit = 2048
-)
-
-// QueuePolicy selects what a resilient endpoint does when a peer's send
-// queue is full.
+// QueuePolicy selects what an endpoint does when a peer's send queue is
+// full.
 type QueuePolicy int
 
 const (
@@ -61,56 +49,49 @@ const (
 	QueueShedOldest
 )
 
-// TCPConfig tunes the TCP transport's timing and write batching. The zero
-// value selects the defaults (10s dial timeout, 2s close grace, flush on
-// every send).
+// TCPConfig tunes the TCP transport's timing, write batching and link
+// resilience. The zero value selects the defaults (10s dial timeout, 2s
+// close grace, flush on every send) and the paper's fail-stop links: a
+// broken link is final.
 type TCPConfig struct {
 	// DialTimeout bounds how long DialTCP waits for every peer to come
 	// up; all nodes must start within this window of each other.
 	DialTimeout time.Duration
-	// CloseGrace bounds how long Close lingers waiting for peers to
-	// finish sending before hard-closing connections.
+	// CloseGrace bounds how long Close lingers, first for the writers to
+	// put queued frames on the wire and then for peers to finish sending,
+	// before hard-closing connections.
 	CloseGrace time.Duration
 	// FlushThreshold switches the endpoint to deferred flushing: frames
-	// accumulate in each peer's write buffer until the runtime's Flush
-	// barrier (end of an exchange round, before blocking in a receive
-	// loop) or until at least this many bytes are buffered, coalescing
-	// many frames into one syscall. Zero keeps the historical
+	// wait in each peer's send queue until the runtime's Flush barrier
+	// (end of an exchange round, before blocking in a receive loop) or
+	// until at least this many bytes are queued, and then go out
+	// coalesced into one syscall. Zero keeps the historical
 	// flush-per-Send behavior, which callers without a Flush barrier
 	// (request/reply loops) rely on.
 	FlushThreshold int
-	// AdaptiveFlush drives the flush threshold at runtime instead of
-	// pinning it: starting from FlushThreshold (or 2 KiB when zero), the
-	// effective threshold doubles (capped at 64 KiB) every time a send
-	// crosses it — traffic is heavy enough to coalesce more — and halves
-	// (floored at 512 B) whenever the Flush barrier finds every buffer
-	// well under it, so light traffic is not held back waiting for a
-	// threshold it will never reach. The current value is observable as
-	// metrics.Snapshot.FlushThresholdCurrent. Only meaningful with the
-	// legacy (non-resilient) mesh: the session layer's writers flush on
-	// queue idle instead of by threshold.
-	AdaptiveFlush bool
 	// Metrics, when non-nil, counts physical frames, wire bytes, and
 	// flushes at this endpoint (metrics.Snapshot's FramesSent /
 	// WireBytes / Flushes), plus the resilience counters (Reconnects,
 	// HeartbeatsMissed, SendQShed, SendQDepthPeak, DrainFlushedBytes).
 	Metrics *metrics.Collector
 
-	// --- Resilience (the session layer) -------------------------------
+	// --- Resilience ---------------------------------------------------
 	//
-	// Setting any of the fields below switches the endpoint from the
-	// legacy fixed mesh (dial once, a broken socket is a permanent
-	// ErrPeerGone) to the resilient session layer: a symmetric
-	// incarnation-stamped handshake, background reconnect with jittered
-	// exponential backoff, per-peer bounded send queues drained by writer
-	// goroutines, and optional liveness heartbeats. All zero keeps the
-	// legacy behavior byte-for-byte (the bench parity baseline).
+	// Every link runs the same machinery (see tcp_session.go): an
+	// incarnation-stamped handshake, a per-peer bounded send queue drained
+	// by a writer goroutine, and a generation-checked read loop. What
+	// Reconnect adds is what a link does when its socket breaks.
 
-	// Reconnect enables the session layer. On connection loss the
-	// higher-id side of the link redials with jittered backoff while the
-	// lower-id side re-accepts; sends queue for ReconnectGrace before the
-	// peer is declared gone, and a later connection bearing an equal or
-	// higher incarnation resurrects the link (the rejoin path).
+	// Reconnect makes links resumable. On connection loss the higher-id
+	// side of the link redials with jittered backoff while the lower-id
+	// side re-accepts; sends queue for ReconnectGrace before the peer is
+	// declared gone, written frames are retained until acknowledged and
+	// replayed on the next socket, and a later connection bearing an
+	// equal or higher incarnation resurrects the link (the rejoin path).
+	// Off, a broken link is final at once: the peer is gone unless it
+	// announced DONE, and nothing is redialed, retained or acknowledged.
+	// Setting HeartbeatInterval, SendQueueFrames or SendQueueBytes
+	// implies Reconnect.
 	Reconnect bool
 	// ReconnectGrace is how long a broken link keeps queueing sends while
 	// reconnecting before Send starts returning ErrPeerGone (and
@@ -125,13 +106,12 @@ type TCPConfig struct {
 	// interval gets a PING, and a link idle past HeartbeatMisses+1
 	// intervals is torn down (feeding the reconnect machinery, and
 	// ultimately the runtime's suspicion/eviction). Zero disables
-	// heartbeats. Implies the session layer.
+	// heartbeats.
 	HeartbeatInterval time.Duration
 	// HeartbeatMisses is the miss budget before teardown (zero: 3).
 	HeartbeatMisses int
-	// SendQueueFrames/SendQueueBytes cap each peer's send queue in the
-	// session layer (zero: 1024 frames / 8 MiB). A full queue applies
-	// SendQueuePolicy. Setting either implies the session layer.
+	// SendQueueFrames/SendQueueBytes cap each peer's send queue (zero:
+	// 1024 frames / 8 MiB). A full queue applies SendQueuePolicy.
 	SendQueueFrames int
 	SendQueueBytes  int
 	// SendQueuePolicy picks between blocking (default) and shedding
@@ -153,13 +133,6 @@ type TCPConfig struct {
 	Listener net.Listener
 }
 
-// resilient reports whether any session-layer feature is configured; the
-// session layer is all-or-nothing (every node of a mesh must agree).
-func (c TCPConfig) resilient() bool {
-	return c.Reconnect || c.HeartbeatInterval > 0 ||
-		c.SendQueueFrames > 0 || c.SendQueueBytes > 0
-}
-
 func (c TCPConfig) withDefaults() TCPConfig {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = tcpDialTimeout
@@ -167,23 +140,23 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	if c.CloseGrace <= 0 {
 		c.CloseGrace = tcpCloseGrace
 	}
-	if c.resilient() {
+	if c.HeartbeatInterval > 0 || c.SendQueueFrames > 0 || c.SendQueueBytes > 0 {
 		c.Reconnect = true
-		if c.ReconnectGrace <= 0 {
-			c.ReconnectGrace = tcpReconnectGrace
-		}
-		if c.HeartbeatMisses <= 0 {
-			c.HeartbeatMisses = tcpHeartbeatMisses
-		}
-		if c.SendQueueFrames <= 0 {
-			c.SendQueueFrames = tcpSendQueueFrames
-		}
-		if c.SendQueueBytes <= 0 {
-			c.SendQueueBytes = tcpSendQueueBytes
-		}
-		if c.Incarnation <= 0 {
-			c.Incarnation = 1
-		}
+	}
+	if c.ReconnectGrace <= 0 {
+		c.ReconnectGrace = tcpReconnectGrace
+	}
+	if c.HeartbeatMisses <= 0 {
+		c.HeartbeatMisses = tcpHeartbeatMisses
+	}
+	if c.SendQueueFrames <= 0 {
+		c.SendQueueFrames = tcpSendQueueFrames
+	}
+	if c.SendQueueBytes <= 0 {
+		c.SendQueueBytes = tcpSendQueueBytes
+	}
+	if c.Incarnation <= 0 {
+		c.Incarnation = 1
 	}
 	return c
 }
@@ -196,7 +169,7 @@ type TCPEndpoint struct {
 	id    int
 	n     int
 	cfg   TCPConfig
-	addrs []string // peer listen addresses, for the reconnect dialer
+	addrs []string // peer listen addresses, for the dialers
 	start time.Time
 	ln    net.Listener
 
@@ -215,11 +188,19 @@ type TCPEndpoint struct {
 	closing atomic.Bool
 	done    chan struct{}
 
-	// flushThr is the adaptive flush controller's current threshold
-	// (TCPConfig.AdaptiveFlush); zero when the controller is off.
-	flushThr atomic.Int64
+	// setup carries the set-up's outcome to DialTCPConfig: nil once every
+	// link has come up (linksUp counts them), or the first failure.
+	// Senders never wait (setupEvent).
+	setup   chan error
+	linksUp atomic.Int32
 
-	peers []*tcpPeer // index by peer id; nil at own index
+	// handshaking holds the connections waiting for a hello (under mu), so
+	// shutdown can cut one that never sends it instead of waiting out the
+	// handshake deadline.
+	handshaking map[net.Conn]struct{}
+
+	peers []*tcpPeer // index by peer id; nil at own index; fixed at dial
+	links []*tcpPeer // the n-1 entries of peers that are links, in id order
 	wg    sync.WaitGroup
 }
 
@@ -240,48 +221,46 @@ func (s *sharedInts) Take(n int) []int64 {
 type tcpPeer struct {
 	id   int
 	mu   sync.Mutex // guards every field below
-	cond *sync.Cond // link/queue state changes (session layer)
+	cond *sync.Cond // link/queue state changes
 
 	conn     net.Conn
 	bw       *bufio.Writer
-	dead     bool // peer hung up; subsequent sends are dropped (legacy mesh)
-	departed bool // peer announced DONE before hanging up (legitimate exit)
+	departed bool // peer announced DONE (a later hang-up is a legitimate exit)
+	linked   bool // a socket was installed once (reported to the set-up)
 
-	// Session-layer state (TCPConfig.resilient() only).
-	gen       int   // connection generation; bumped by every adopt
+	gen       int   // connection generation; bumped by every handshake
 	inc       int64 // highest incarnation seen from this peer
-	gone      bool  // reconnect grace expired; sends fail with ErrPeerGone
+	gone      bool  // the link is down for good; sends fail with ErrPeerGone
 	redialing bool  // a redial loop for this link is running
-	draining  bool  // Drain began; new sends are rejected
-	q         []sendEntry
-	qBytes    int
-	inflight  bool // the writer popped a frame and is writing/flushing it
+	draining  bool  // Drain or Close began; new sends are rejected
+	q         sendQueue
+	flushReq  bool // a Flush barrier covers the queued frames
+	inflight  bool // the writer is writing or flushing queued frames
 	hbMiss    int
 	pingSeq   int64
 	lastRecv  atomic.Int64 // UnixNano of the last frame read from this peer
 
-	// Session resumption state: the link is a reliable FIFO channel across
-	// socket generations within one (local, remote) incarnation pair. Data
-	// frames are counted on both ends; written-but-unacknowledged frames are
-	// retained and replayed after a reconnect from the count the peer
-	// advertises in its hello. A fresh incarnation starts a new session with
-	// all counters at zero (the old incarnation's frames died with it — the
-	// Join path resynchronizes state wholesale instead).
-	sentSeq     int64       // data frames written to any socket this session
-	ackedSeq    int64       // frames the peer has confirmed receiving
-	retain      []sendEntry // frames sentSeq covers beyond ackedSeq, oldest first
-	retainBytes int
-	recvSeq     int64 // data frames received from the peer this session
-	ackSent     int64 // recvSeq as last advertised to the peer
+	// Session resumption state (Reconnect only): the link is a reliable
+	// FIFO channel across socket generations within one (local, remote)
+	// incarnation pair. Data frames are counted on both ends;
+	// written-but-unacknowledged frames are retained and replayed after a
+	// reconnect from the count the peer advertises in its hello. A fresh
+	// incarnation starts a new session with all counters at zero (the old
+	// incarnation's frames died with it — the Join path resynchronizes
+	// state wholesale instead).
+	ackedSeq int64       // data frames the peer has confirmed receiving
+	retain   []sendEntry // frames written since, oldest first
+	recvSeq  int64       // data frames received from the peer this session
+	ackSent  int64       // recvSeq as last advertised to the peer
 }
 
 // sendEntry is one queued, fully encoded (length-prefixed) frame, held as
 // a pooled wire.Encoded the queue owns: staging passes the reference in,
-// and every path that removes an entry — written-and-acked, shed, dropped
-// with a gone peer's queue, realigned away on reconnect, or left over at
-// shutdown — must Release it back to the pool. Control frames (PING/PONG,
-// hellos) are link-local: they are neither counted nor retained by the
-// resumption machinery and die with the socket.
+// and every path that removes an entry — written (and, on a resumable
+// link, acked), shed, dropped with a gone peer's queue, realigned away on
+// reconnect, or left over at shutdown — must Release it back to the pool.
+// Control frames (PING/PONG) are link-local: they are neither counted nor
+// retained by the resumption machinery and die with the socket.
 type sendEntry struct {
 	enc  *wire.Encoded
 	kind wire.Kind
@@ -290,6 +269,63 @@ type sendEntry struct {
 
 // size is the entry's on-wire length, the unit of the queue byte caps.
 func (s sendEntry) size() int { return s.enc.Len() }
+
+// sendQueue is a peer's FIFO of staged frames. A pop advances a head index
+// and moves nothing; the array is reused from its start once the queue runs
+// dry, and slid down rather than grown when it fills at least half popped.
+type sendQueue struct {
+	s     []sendEntry // s[head:] is queued, oldest first
+	head  int
+	bytes int // on-wire bytes queued
+}
+
+func (q *sendQueue) len() int { return len(q.s) - q.head }
+
+// entries is the queued frames, oldest first.
+func (q *sendQueue) entries() []sendEntry { return q.s[q.head:] }
+
+func (q *sendQueue) push(ent sendEntry) {
+	if len(q.s) == cap(q.s) && q.head > 0 && q.head >= len(q.s)/2 {
+		n := copy(q.s, q.s[q.head:])
+		clear(q.s[n:])
+		q.s, q.head = q.s[:n], 0
+	}
+	q.s = append(q.s, ent)
+	q.bytes += ent.size()
+}
+
+// pop removes and returns the oldest frame; the queue must not be empty.
+func (q *sendQueue) pop() sendEntry {
+	ent := q.s[q.head]
+	q.s[q.head] = sendEntry{}
+	q.head++
+	if q.head == len(q.s) {
+		q.s, q.head = q.s[:0], 0
+	}
+	q.bytes -= ent.size()
+	return ent
+}
+
+// unpop puts ents back at the front, ahead of everything queued.
+func (q *sendQueue) unpop(ents ...sendEntry) {
+	if len(ents) <= q.head {
+		q.head -= len(ents)
+		copy(q.s[q.head:], ents)
+	} else {
+		q.s, q.head = slices.Insert(q.s[q.head:], 0, ents...), 0
+	}
+	for _, ent := range ents {
+		q.bytes += ent.size()
+	}
+}
+
+// remove deletes and returns the i-th queued frame.
+func (q *sendQueue) remove(i int) sendEntry {
+	ent := q.s[q.head+i]
+	q.s = slices.Delete(q.s, q.head+i, q.head+i+1)
+	q.bytes -= ent.size()
+	return ent
+}
 
 // sheddable reports whether a queued frame may be dropped under
 // QueueShedOldest: SYNC rendezvous markers are retransmitted by the
@@ -329,7 +365,7 @@ func DialTCP(id int, addrs []string) (*TCPEndpoint, error) {
 	return DialTCPConfig(id, addrs, TCPConfig{})
 }
 
-// DialTCPConfig is DialTCP with explicit timing configuration.
+// DialTCPConfig is DialTCP with explicit configuration.
 func DialTCPConfig(id int, addrs []string, cfg TCPConfig) (*TCPEndpoint, error) {
 	n := len(addrs)
 	if id < 0 || id >= n {
@@ -354,168 +390,17 @@ func DialTCPConfig(id int, addrs []string, cfg TCPConfig) (*TCPEndpoint, error) 
 		start: time.Now(),
 		ln:    ln,
 		done:  make(chan struct{}),
+		setup: make(chan error, 1),
 		peers: make([]*tcpPeer, n),
+
+		handshaking: make(map[net.Conn]struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if cfg.AdaptiveFlush {
-		thr := cfg.FlushThreshold
-		if thr <= 0 {
-			thr = adaptiveFlushInit
-		}
-		e.flushThr.Store(int64(thr))
-		if cfg.Metrics != nil {
-			cfg.Metrics.NoteFlushThreshold(thr)
-		}
-	}
-	if cfg.resilient() {
-		if err := e.startSession(); err != nil {
-			e.Close()
-			return nil, err
-		}
-		return e, nil
-	}
-
-	errc := make(chan error, 2)
-	var setup sync.WaitGroup
-
-	// Accept links from higher-numbered peers. The set-up deadline bounds
-	// both the wait for a peer that never starts and the wait for the
-	// hello of one that connects and stays silent.
-	deadline := time.Now().Add(cfg.DialTimeout)
-	if dl, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-		_ = dl.SetDeadline(deadline)
-	}
-	setup.Add(1)
-	go func() {
-		defer setup.Done()
-		for accepted := 0; accepted < n-1-id; accepted++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				errc <- fmt.Errorf("accept: %w", err)
-				return
-			}
-			_ = conn.SetReadDeadline(deadline)
-			var hello wire.Msg
-			if err := wire.ReadFrame(conn, &hello); err != nil || hello.Kind != wire.KindHello {
-				conn.Close()
-				errc <- fmt.Errorf("bad handshake from %s: %v", conn.RemoteAddr(), err)
-				return
-			}
-			_ = conn.SetReadDeadline(time.Time{})
-			peer := int(hello.Stamp)
-			if peer <= id || peer >= n {
-				conn.Close()
-				errc <- fmt.Errorf("handshake names invalid peer %d", peer)
-				return
-			}
-			e.addPeer(peer, conn)
-		}
-	}()
-
-	// Dial links to lower-numbered peers.
-	setup.Add(1)
-	go func() {
-		defer setup.Done()
-		for peer := 0; peer < id; peer++ {
-			conn, err := dialRetry(addrs[peer], cfg.DialTimeout, cfg.BackoffSeed^uint64(id))
-			if err != nil {
-				errc <- fmt.Errorf("dial peer %d (%s): %w", peer, addrs[peer], err)
-				return
-			}
-			hello := &wire.Msg{Kind: wire.KindHello, Stamp: int64(id)}
-			if err := wire.WriteFrame(conn, hello); err != nil {
-				conn.Close()
-				errc <- fmt.Errorf("handshake to peer %d: %w", peer, err)
-				return
-			}
-			e.addPeer(peer, conn)
-		}
-	}()
-
-	setup.Wait()
-	select {
-	case err := <-errc:
+	if err := e.startSession(); err != nil {
 		e.Close()
 		return nil, err
-	default:
 	}
 	return e, nil
-}
-
-// dialRetry dials addr until it answers or the timeout expires, pacing
-// attempts with the same jittered exponential backoff the reconnect path
-// uses — one retry policy for startup and recovery.
-func dialRetry(addr string, timeout time.Duration, seed uint64) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
-	bo := Backoff{Seed: seed ^ hashString(addr)}
-	var lastErr error
-	for time.Now().Before(deadline) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
-		time.Sleep(bo.Next())
-	}
-	return nil, lastErr
-}
-
-func (e *TCPEndpoint) addPeer(peer int, conn net.Conn) {
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-	}
-	p := &tcpPeer{id: peer, conn: conn, bw: bufio.NewWriter(conn)}
-	p.cond = sync.NewCond(&p.mu)
-	e.mu.Lock()
-	e.peers[peer] = p
-	e.mu.Unlock()
-	e.wg.Add(1)
-	go e.readLoop(p)
-}
-
-func (e *TCPEndpoint) readLoop(p *tcpPeer) {
-	defer e.wg.Done()
-	br := bufio.NewReader(p.conn)
-	for {
-		// Decode into a pooled Msg; the runtime hands it back through
-		// Recycle once fully consumed, so steady-state receive paths stop
-		// allocating a Msg (plus its slices) per frame.
-		m := wire.GetMsg()
-		if err := wire.ReadFrameCarved(br, m, &e.ints); err != nil {
-			e.Recycle(m)
-			if !errors.Is(err, io.EOF) {
-				// Anything but a clean end-of-stream — a truncated,
-				// oversized, or garbage frame, or a reset — leaves the
-				// stream unparseable: close the link so the peer is
-				// suspected (ErrPeerGone on the next send) instead of
-				// lingering half-alive behind a silently stopped reader.
-				p.mu.Lock()
-				if !p.dead {
-					p.dead = true
-					_ = p.conn.Close()
-				}
-				p.mu.Unlock()
-			}
-			return // peer closed, sent garbage, or endpoint shutting down
-		}
-		m.Src, m.Dst = int32(p.id), int32(e.id) // routing is the link's, not the frame's
-		if m.Kind == wire.KindDone {
-			// The peer announced completion: a subsequent hang-up is a
-			// legitimate departure, not a crash (see Send).
-			p.mu.Lock()
-			p.departed = true
-			p.mu.Unlock()
-		}
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			e.Recycle(m)
-			return
-		}
-		e.queue.push(m)
-		e.cond.Signal()
-		e.mu.Unlock()
-	}
 }
 
 // ID implements Endpoint.
@@ -524,88 +409,18 @@ func (e *TCPEndpoint) ID() int { return e.id }
 // N implements Endpoint.
 func (e *TCPEndpoint) N() int { return e.n }
 
-// peer resolves the live link to peer `to`, or reports why there is none.
+// peer resolves the link to peer `to`, or reports why there is none.
 func (e *TCPEndpoint) peer(to int) (*tcpPeer, error) {
 	if to < 0 || to >= e.n || to == e.id {
 		return nil, fmt.Errorf("transport: send to invalid peer %d", to)
 	}
 	e.mu.Lock()
-	p := e.peers[to]
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
 	}
-	if p == nil {
-		return nil, fmt.Errorf("transport: no link to peer %d", to)
-	}
-	return p, nil
-}
-
-// flushThreshold returns the effective deferred-flush threshold: the
-// adaptive controller's current value when AdaptiveFlush is on, the
-// configured constant otherwise (zero meaning flush-per-send).
-func (e *TCPEndpoint) flushThreshold() int {
-	if e.cfg.AdaptiveFlush {
-		return int(e.flushThr.Load())
-	}
-	return e.cfg.FlushThreshold
-}
-
-// setFlushThreshold clamps and installs a new adaptive threshold,
-// exporting it through the FlushThresholdCurrent gauge.
-func (e *TCPEndpoint) setFlushThreshold(thr int) {
-	if thr < adaptiveFlushMin {
-		thr = adaptiveFlushMin
-	}
-	if thr > adaptiveFlushMax {
-		thr = adaptiveFlushMax
-	}
-	e.flushThr.Store(int64(thr))
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.NoteFlushThreshold(thr)
-	}
-}
-
-// maybeFlushLocked applies the flush policy after a frame was staged in
-// p.bw (p.mu held): flush-per-send when no threshold is configured,
-// otherwise only once the buffer crosses the threshold — the runtime's
-// Flush barrier picks up the rest. A threshold-triggered flush tells the
-// adaptive controller that traffic is dense enough to coalesce: the
-// threshold doubles so the next batch folds more frames into one syscall.
-func (e *TCPEndpoint) maybeFlushLocked(p *tcpPeer) error {
-	thr := e.flushThreshold()
-	buffered := p.bw.Buffered()
-	if thr > 0 && buffered < thr {
-		return nil
-	}
-	if err := p.bw.Flush(); err != nil {
-		return err
-	}
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.AddFlush()
-	}
-	if e.cfg.AdaptiveFlush && thr > 0 && buffered >= thr {
-		e.setFlushThreshold(thr * 2)
-	}
-	return nil
-}
-
-// brokenLocked handles a write failure on p (p.mu held): the link is
-// declared dead and the error is classified. A peer that announced DONE
-// legitimately departed (processes exit once finished), so messages to it
-// are silently dropped — the same contract as the in-memory and simulated
-// transports. A peer that vanished without DONE is presumed crashed:
-// report ErrPeerGone so the runtime's failure detector can observe it.
-func (p *tcpPeer) brokenLocked() error {
-	if !p.dead {
-		p.dead = true
-		_ = p.conn.Close()
-	}
-	if p.departed {
-		return nil
-	}
-	return ErrPeerGone
+	return e.peers[to], nil
 }
 
 // Send implements Endpoint.
@@ -619,40 +434,14 @@ func (e *TCPEndpoint) Send(to int, m *wire.Msg) error {
 }
 
 // SendEncoded implements EncodedSender: the shared frame goes out as it is,
-// since no byte of it names a destination. The session layer's queue holds
-// a reference of its own, released by whichever path dequeues the frame.
+// since no byte of it names a destination. The peer's queue holds a
+// reference of its own, released by whichever path dequeues the frame.
 func (e *TCPEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error {
 	p, err := e.peer(to)
 	if err != nil {
 		return err
 	}
-	if e.cfg.Reconnect {
-		return e.enqueue(p, enc.Retain(), m.Kind)
-	}
-	return e.writeFrame(p, enc)
-}
-
-// writeFrame stages enc in p's write buffer (the legacy, non-reconnecting
-// path) and counts it by the encoded frame's own length.
-func (e *TCPEndpoint) writeFrame(p *tcpPeer, enc *wire.Encoded) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.draining {
-		return ErrClosed
-	}
-	if p.dead {
-		return p.brokenLocked()
-	}
-	if _, err := p.bw.Write(enc.Frame()); err != nil {
-		return p.brokenLocked()
-	}
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.AddFrame(enc.Len())
-	}
-	if err := e.maybeFlushLocked(p); err != nil {
-		return p.brokenLocked()
-	}
-	return nil
+	return e.enqueue(p, enc.Retain(), m.Kind)
 }
 
 // SendMany implements MultiSender: one encode shared across all
@@ -661,61 +450,30 @@ func (e *TCPEndpoint) SendMany(dsts []int, m *wire.Msg) error {
 	return sendManyEncoded(e, dsts, m)
 }
 
-// Flush implements Flusher: it pushes every peer's buffered frames onto
-// the wire. The runtime calls it as a barrier at the end of each exchange
-// round and before blocking in a receive loop.
+// Flush implements Flusher: peer by peer, it makes every frame queued so
+// far due and waits until the writer has written and flushed it, or the
+// link is down. The runtime calls it as a barrier at the end of each
+// exchange round and before blocking in a receive loop. A broken link
+// surfaces as ErrPeerGone on the next Send (and through PeerGone), never
+// here.
 func (e *TCPEndpoint) Flush() error {
-	if e.cfg.Reconnect {
-		// The session layer's per-peer writers flush whenever their queue
-		// drains (flush-on-idle), so the barrier has nothing to do — and
-		// must not touch the bufio writers the writer goroutines own.
-		return nil
-	}
-	var errs []error
-	maxBuffered, flushed := 0, false
-	for to := 0; to < e.n; to++ {
-		// One link at a time under e.mu, never a snapshot of the table: the
-		// barrier runs every tick and must not allocate, and e.mu cannot be
-		// held across a socket write (the read loops deliver under it).
-		e.mu.Lock()
-		p := e.peers[to]
-		e.mu.Unlock()
-		if p == nil {
-			continue
-		}
+	for _, p := range e.links {
 		p.mu.Lock()
-		if !p.dead && p.bw.Buffered() > 0 {
-			if b := p.bw.Buffered(); b > maxBuffered {
-				maxBuffered = b
-			}
-			if err := p.bw.Flush(); err != nil {
-				if err := p.brokenLocked(); err != nil {
-					errs = append(errs, fmt.Errorf("flush to %d: %w", to, err))
-				}
-			} else {
-				flushed = true
-				if e.cfg.Metrics != nil {
-					e.cfg.Metrics.AddFlush()
-				}
-			}
+		if p.q.len() > 0 && !p.flushReq {
+			p.flushReq = true
+			p.cond.Broadcast()
+		}
+		for (p.flushReq || p.inflight) && p.conn != nil && !e.closing.Load() {
+			p.cond.Wait()
 		}
 		p.mu.Unlock()
 	}
-	// Barrier flushes finding every buffer well under the threshold mean
-	// the threshold exceeds a whole round's traffic to any peer: it only
-	// delays frames the barrier would have sent anyway. Back it off (once
-	// per barrier, on the busiest peer's fill) so light phases return to
-	// prompt flushing.
-	if thr := e.flushThreshold(); e.cfg.AdaptiveFlush && thr > adaptiveFlushMin &&
-		flushed && maxBuffered < thr/2 {
-		e.setFlushThreshold(thr / 2)
-	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // Recycle implements Recycler: messages delivered by this endpoint are
-// decoded from frames into pool-owned structs (see readLoop), so a fully
-// consumed message goes back to the free-list.
+// decoded from frames into pool-owned structs (see readConn), so a
+// fully consumed message goes back to the free-list.
 func (e *TCPEndpoint) Recycle(m *wire.Msg) { wire.PutMsg(m) }
 
 // Recv implements Endpoint.
@@ -779,135 +537,66 @@ func (e *TCPEndpoint) Compute(d time.Duration) {
 	}
 }
 
-// Close implements Endpoint: it tears down every link and unblocks Recv.
-//
-// Shutdown is lingering: each link's write side is closed first (FIN) and
-// the read loops keep draining until the peers close their ends or a grace
-// period expires. A hard close would send RST, and a peer's kernel may then
-// discard this node's final messages sitting unread in its receive buffer —
-// losing, for example, the DONE that tells the peer this process finished.
-func (e *TCPEndpoint) Close() error {
+// markClosed sets closed and unblocks Recv; it reports false when the
+// endpoint was already closed.
+func (e *TCPEndpoint) markClosed() bool {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
-		return nil
+		return false
 	}
 	e.closed = true
 	e.cond.Broadcast()
-	peers := make([]*tcpPeer, len(e.peers))
-	copy(peers, e.peers)
-	e.mu.Unlock()
+	return true
+}
 
-	if e.cfg.Reconnect {
-		e.closeSession(peers)
+// Close implements Endpoint: it tears down every link and unblocks Recv.
+//
+// Shutdown is lingering: the writers get CloseGrace to put queued frames on
+// the wire, then each link's write side is closed (FIN) and the read loops
+// keep draining until the peers close their ends or a grace period
+// expires. A hard close would send RST, and a peer's kernel may then
+// discard this node's final messages sitting unread in its receive buffer —
+// losing, for example, the DONE that tells the peer this process finished.
+func (e *TCPEndpoint) Close() error {
+	if !e.markClosed() {
 		return nil
 	}
-
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		if !p.dead {
-			_ = p.bw.Flush() // drain frames deferred past the last barrier
-		}
-		if tc, ok := p.conn.(*net.TCPConn); ok && !p.dead {
-			_ = tc.CloseWrite()
-		}
-		p.mu.Unlock()
-	}
-	_ = e.ln.Close()
-
-	done := make(chan struct{})
-	go func() {
-		e.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(e.cfg.CloseGrace):
-	}
-	for _, p := range peers {
-		if p != nil {
-			_ = p.conn.Close()
-		}
-	}
-	e.wg.Wait()
+	e.quiesce()
+	e.shutdown(false)
 	return nil
 }
 
 // Drain gracefully quiesces the endpoint ahead of Close: new sends are
-// rejected with ErrClosed, every queued and buffered frame is given
-// CloseGrace to reach the wire, and each link's write side is then
-// half-closed (FIN) so peers see a clean end-of-stream instead of a
-// connection cut mid-write. It returns the number of payload bytes that
-// were still pending when Drain began and made it out (also recorded in
-// the DrainFlushedBytes metric). The read side stays open — late inbound
-// frames still deliver — until Close.
+// rejected with ErrClosed, every queued frame is given CloseGrace to reach
+// the wire, and each link's write side is then half-closed (FIN) so peers
+// see a clean end-of-stream instead of a connection cut mid-write. It
+// returns the number of payload bytes that were still pending when Drain
+// began and made it out (also recorded in the DrainFlushedBytes metric).
+// The read side stays open — late inbound frames still deliver — until
+// Close.
 //
 // cmd/sdso-node wires Drain to SIGINT/SIGTERM.
 func (e *TCPEndpoint) Drain() (int, error) {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
 		return 0, ErrClosed
 	}
-	peers := make([]*tcpPeer, len(e.peers))
-	copy(peers, e.peers)
-	e.mu.Unlock()
-
-	pending := 0
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
+	queued, left := e.quiesce()
+	for _, p := range e.links {
 		p.mu.Lock()
-		p.draining = true
-		pending += p.qBytes
-		if !e.cfg.Reconnect && !p.dead {
-			pending += p.bw.Buffered()
-		}
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}
-
-	var errs []error
-	flushed := pending
-	if e.cfg.Reconnect {
-		e.awaitQuiescent(peers, time.Now().Add(e.cfg.CloseGrace))
-	}
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		if e.cfg.Reconnect {
-			flushed -= p.qBytes // still queued: the link never came back
-		} else if !p.dead {
-			before := p.bw.Buffered()
-			if err := p.bw.Flush(); err != nil {
-				flushed -= before
-				if err := p.brokenLocked(); err != nil {
-					errs = append(errs, fmt.Errorf("drain to %d: %w", p.id, err))
-				}
-			} else if e.cfg.Metrics != nil && before > 0 {
-				e.cfg.Metrics.AddFlush()
-			}
-		}
-		if p.conn != nil && !p.dead {
-			if tc, ok := p.conn.(*net.TCPConn); ok {
-				_ = tc.CloseWrite()
-			}
+		if tc, ok := p.conn.(*net.TCPConn); ok {
+			_ = tc.CloseWrite()
 		}
 		p.mu.Unlock()
 	}
-	if flushed < 0 {
-		flushed = 0
-	}
+	flushed := queued - left
 	if e.cfg.Metrics != nil {
 		e.cfg.Metrics.AddDrainFlushedBytes(flushed)
 	}
-	return flushed, errors.Join(errs...)
+	return flushed, nil
 }
 
 // Abort tears the endpoint down instantly: no queue drain, no flush, no
@@ -916,71 +605,23 @@ func (e *TCPEndpoint) Drain() (int, error) {
 // stand-in for SIGKILL, letting crash tests over real sockets model a
 // process that died mid-write.
 func (e *TCPEndpoint) Abort() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	e.cond.Broadcast()
-	peers := make([]*tcpPeer, len(e.peers))
-	copy(peers, e.peers)
-	e.mu.Unlock()
-
-	e.closing.Store(true)
-	close(e.done)
-	_ = e.ln.Close()
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		if p.conn != nil {
-			if tc, ok := p.conn.(*net.TCPConn); ok {
-				_ = tc.SetLinger(0)
-			}
-			_ = p.conn.Close()
-		}
-		p.dead = true
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}
-	e.wg.Wait()
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		p.dropQueueLocked()
-		p.dropRetainLocked()
-		p.mu.Unlock()
+	if e.markClosed() {
+		e.shutdown(true)
 	}
 }
 
 // PeerGone implements LivenessReporter: it reports whether the transport
-// has positive evidence that peer's process is unreachable — a broken
-// socket in the legacy mesh, or a link down past the reconnect grace in
-// the session layer. A peer that announced DONE departed legitimately and
-// is never reported gone. The runtime uses this to distinguish a dead
-// socket (evict now) from a merely slow peer (spend the full retransmit
-// budget).
+// has positive evidence that peer's process is unreachable — a broken link
+// that will not come back: at once without Reconnect, after the reconnect
+// grace with it. A peer that announced DONE departed legitimately and is
+// never reported gone. The runtime uses this to distinguish a dead socket
+// (evict now) from a merely slow peer (spend the full retransmit budget).
 func (e *TCPEndpoint) PeerGone(peer int) bool {
 	if peer < 0 || peer >= e.n || peer == e.id {
 		return false
 	}
-	e.mu.Lock()
 	p := e.peers[peer]
-	e.mu.Unlock()
-	if p == nil {
-		return false
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.departed {
-		return false
-	}
-	if e.cfg.Reconnect {
-		return p.gone
-	}
-	return p.dead
+	return p.gone && !p.departed
 }

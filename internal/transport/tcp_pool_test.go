@@ -1,8 +1,8 @@
 package transport
 
 // Tests pinning wire.Encoded refcount balance through the session layer's
-// bounded send queue (every dequeue path must Release its frame back to
-// the pool) and the adaptive flush controller's threshold dynamics.
+// bounded send queue: every dequeue path must Release its frame back to
+// the pool.
 
 import (
 	"sync"
@@ -88,83 +88,57 @@ func TestSessionCloseReleasesRetainedFrames(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFlushThresholdTracksTraffic drives the legacy mesh's
-// adaptive flush controller through both transitions: sends dense enough
-// to cross the threshold double it, and barrier flushes that find the
-// buffers nearly empty halve it back, with the current value exported
-// through the FlushThresholdCurrent gauge.
-func TestAdaptiveFlushThresholdTracksTraffic(t *testing.T) {
-	lns, addrs := listenLoopback(t, 2)
-	mc := metrics.NewCollector()
-	eps := make([]*TCPEndpoint, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		cfg := TCPConfig{FlushThreshold: 1024, AdaptiveFlush: true,
-			CloseGrace: 100 * time.Millisecond, Listener: lns[i]}
-		if i == 0 {
-			cfg.Metrics = mc
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eps[i], errs[i] = DialTCPConfig(i, addrs, cfg)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+// TestSendQueueDrainsInPlace pins the send queue's shape: frames leave in
+// FIFO order, frames put back go in front of everything queued, a frame can
+// be removed from the middle, and a queue held at a depth of a thousand
+// frames — the writer popping one, a blocked sender pushing one — keeps
+// reusing its array rather than growing it.
+func TestSendQueueDrainsInPlace(t *testing.T) {
+	encs := make([]*wire.Encoded, 5)
+	for i := range encs {
+		enc, err := wire.EncodeFrame(&wire.Msg{Kind: wire.KindSync, Stamp: int64(i)})
 		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
+			t.Fatal(err)
+		}
+		defer enc.Release()
+		encs[i] = enc
+	}
+	var q sendQueue
+	for _, enc := range encs {
+		q.push(sendEntry{enc: enc})
+	}
+	a, b := q.pop(), q.pop()
+	q.unpop(a, b)
+	if got := q.remove(2); got.enc != encs[2] {
+		t.Fatal("remove(2) did not remove the third frame")
+	}
+	for _, want := range []int{0, 1, 3, 4} {
+		if got := q.pop(); got.enc != encs[want] {
+			t.Fatalf("popped a frame out of order, want frame %d", want)
 		}
 	}
-	t.Cleanup(func() {
-		for _, ep := range eps {
-			if ep != nil {
-				ep.Close()
-			}
-		}
-	})
+	if q.len() != 0 || q.bytes != 0 || q.head != 0 {
+		t.Fatalf("drained queue: len %d, bytes %d, head %d; want all zero", q.len(), q.bytes, q.head)
+	}
 
-	if got := eps[0].flushThreshold(); got != 1024 {
-		t.Fatalf("initial threshold = %d, want 1024", got)
+	const depth = 1000
+	for i := 0; i < depth; i++ {
+		q.push(sendEntry{enc: encs[0]})
 	}
-	// Dense phase: each send stages ~600B, so every second send crosses
-	// the 1KiB threshold and the controller doubles it toward the cap.
-	payload := make([]byte, 600)
-	for i := 0; i < 64; i++ {
-		if err := eps[0].Send(1, &wire.Msg{Kind: wire.KindData, Stamp: int64(i), Payload: payload}); err != nil {
-			t.Fatalf("dense send %d: %v", i, err)
+	steady := 0
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 5*depth; i++ {
+			q.pop()
+			q.push(sendEntry{enc: encs[0]})
+		}
+		if round == 0 {
+			steady = cap(q.s)
 		}
 	}
-	raised := eps[0].flushThreshold()
-	if raised <= 1024 {
-		t.Fatalf("threshold after dense phase = %d, want > 1024", raised)
+	if q.len() != depth || q.bytes != depth*encs[0].Len() {
+		t.Fatalf("steady queue: len %d, bytes %d; want %d frames", q.len(), q.bytes, depth)
 	}
-	if raised > adaptiveFlushMax {
-		t.Fatalf("threshold after dense phase = %d, exceeds cap %d", raised, adaptiveFlushMax)
-	}
-	if got := mc.Snapshot().FlushThresholdCurrent; got != raised {
-		t.Fatalf("FlushThresholdCurrent gauge = %d, want %d", got, raised)
-	}
-	if err := eps[0].Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	// Light phase: one small frame per barrier leaves the buffer far
-	// under threshold, so each barrier halves it down to the floor.
-	for i := 0; i < 16; i++ {
-		if err := eps[0].Send(1, &wire.Msg{Kind: wire.KindData, Stamp: int64(100 + i)}); err != nil {
-			t.Fatalf("light send %d: %v", i, err)
-		}
-		if err := eps[0].Flush(); err != nil {
-			t.Fatalf("light flush %d: %v", i, err)
-		}
-	}
-	lowered := eps[0].flushThreshold()
-	if lowered != adaptiveFlushMin {
-		t.Fatalf("threshold after light phase = %d, want floor %d", lowered, adaptiveFlushMin)
-	}
-	if got := mc.Snapshot().FlushThresholdCurrent; got != lowered {
-		t.Fatalf("FlushThresholdCurrent gauge = %d, want %d", got, lowered)
+	if cap(q.s) != steady || steady > 4*depth {
+		t.Fatalf("a queue held at %d frames kept growing its array: %d entries, then %d", depth, steady, cap(q.s))
 	}
 }

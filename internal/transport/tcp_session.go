@@ -2,113 +2,112 @@ package transport
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdso/internal/wire"
 )
 
-// This file is the TCP session layer: the resilient mode of TCPEndpoint,
-// selected by any of TCPConfig's resilience fields (see TCPConfig). Where
-// the legacy mesh dials once and treats a broken socket as a permanent
-// ErrPeerGone, the session layer keeps each link alive across socket
-// deaths:
+// This file is the TCP session layer: the link machinery of every
+// TCPEndpoint (DESIGN.md §11). There is one of each — one accept loop and
+// one handshake, one generation-checked read loop per socket, one per-peer
+// queue drained by one writer goroutine, and one Close / Drain / Abort —
+// and TCPConfig.Reconnect decides only what a link does once its socket
+// breaks.
 //
-//   - Handshakes are symmetric and incarnation-stamped: both sides send
-//     KindHello{Stamp: id, Ints: [incarnation, generation, recvCount]}. A
-//     connection presenting an older incarnation than the link has already
-//     seen is refused; an equal or newer one replaces whatever socket is
-//     installed (closing a stale one), so a restarted process reclaims its
-//     links.
-//   - Sessions resume across socket deaths: within one incarnation pair the
-//     link is a reliable FIFO channel. Both ends count delivered data
-//     frames (the wire format is untouched — counting is implicit in the
-//     in-order stream), written frames are retained until the peer
-//     acknowledges them (acks ride PING/PONG and a periodic unsolicited
-//     PONG), and the handshake's recvCount tells the sender exactly which
-//     retained frames to replay. Protocols above keep the delivery
-//     guarantee TCP gave them, so fire-and-forget messages (EC lock
-//     releases, DONE announcements) survive connection kills. A fresh
-//     incarnation starts a new session from zero: its predecessor's frames
-//     are not replayed — the Join path resynchronizes state wholesale.
-//   - On connection loss the higher-id side of the link redials with
-//     jittered exponential backoff (the id-ordered dial/accept split of
-//     the startup mesh is kept, so exactly one side dials) while the
-//     lower-id side re-accepts on its long-lived listener.
-//   - Sends stage encoded frames in a bounded per-peer queue drained by a
-//     writer goroutine, so a stalled or dead socket never blocks the
-//     caller inside a kernel write; a full queue blocks or sheds
-//     SYNC-class frames per TCPConfig.SendQueuePolicy.
-//   - A link down for longer than ReconnectGrace declares the peer gone:
-//     queued frames are dropped, Send returns ErrPeerGone, and PeerGone
-//     reports true so the runtime's failure detector can evict without
-//     burning its full retransmit budget. The redial loop keeps trying
-//     regardless — a later connection with a fresh incarnation resurrects
-//     the link, which is how an evicted-then-restarted process gets a
-//     live link to Join over.
-//   - Optional PING/PONG heartbeats bound how long a silent socket can
-//     masquerade as a live one (the timeout-based failure detector of
-//     Aspnes's notes): any received frame is liveness evidence, an idle
-//     link is probed every interval, and a link idle past the miss budget
-//     is torn down into the reconnect machinery.
+//   - A handshake is a three-int hello, KindHello{Stamp: id, Ints:
+//     [incarnation, generation, recvCount]}; anything shorter is refused.
+//     An incarnation older than the link has seen is refused, an equal or
+//     newer one replaces the installed socket, so a restarted process
+//     reclaims its links. Only a resumable link's acceptor replies: its
+//     recvCount is the dialer's replay point.
+//   - Send stages an encoded frame on the peer's bounded queue and never
+//     blocks in a kernel write; a full queue blocks or sheds SYNC-class
+//     frames per SendQueuePolicy. The writer takes the queue when it is
+//     due (dueLocked), writes it and flushes once it has run dry. Flush
+//     returns once every writer it woke has done so, or its link is down.
+//   - Without Reconnect a broken link — a read or write error, or a clean
+//     hang-up without DONE — is final at once (the paper's fail-stop
+//     model): the peer is gone unless it announced DONE, and nothing is
+//     redialed, retained or acknowledged.
+//   - With Reconnect a link is a reliable FIFO channel within one
+//     incarnation pair, so fire-and-forget frames (EC lock releases, DONE)
+//     survive connection kills: both ends count data frames, written
+//     frames are retained until acked (acks ride PING/PONG and a PONG
+//     every sessionAckEvery frames) and replayed from the peer's recvCount
+//     once the higher-id side has redialed. A link down past ReconnectGrace
+//     makes the peer gone; a later fresh incarnation resurrects it (the
+//     Join path). Optional heartbeats tear down a link silent past the miss
+//     budget.
 
-// startSession brings up the resilient mesh: per-peer writers, the
-// long-lived accept loop, the optional heartbeat monitor, and the initial
-// links (dial lower ids, await accepts from higher ids) within DialTimeout.
+// startSession brings up the mesh: per-peer writers, the accept loop,
+// the optional heartbeat monitor, and the initial links (dial lower ids,
+// lower ids, await accepts from higher ids) within DialTimeout.
 func (e *TCPEndpoint) startSession() error {
-	for j := 0; j < e.n; j++ {
-		if j == e.id {
-			continue
+	for j := range e.peers {
+		if j != e.id {
+			// The queue is sized with the link, as the write buffer is: a
+			// round's frames to one peer fit without growing it mid-game.
+			p := &tcpPeer{id: j, q: sendQueue{s: make([]sendEntry, 0, tcpQueueInit)}}
+			p.cond = sync.NewCond(&p.mu)
+			e.peers[j] = p
+			e.links = append(e.links, p)
+			e.wg.Add(1)
+			go e.writeLoop(p)
 		}
-		p := &tcpPeer{id: j}
-		p.cond = sync.NewCond(&p.mu)
-		e.mu.Lock()
-		e.peers[j] = p
-		e.mu.Unlock()
-		e.wg.Add(1)
-		go e.writeLoop(p)
 	}
-	e.wg.Add(1)
+	e.wg.Add(2)
 	go e.acceptLoop()
+	deadline := time.Now().Add(e.cfg.DialTimeout)
+	go func() {
+		defer e.wg.Done()
+		for j := 0; j < e.id; j++ {
+			if err := e.dialSession(j, deadline); err != nil {
+				e.setupEvent(err)
+				return
+			}
+		}
+	}()
 	if e.cfg.HeartbeatInterval > 0 {
 		e.wg.Add(1)
 		go e.heartbeatLoop()
 	}
 
-	deadline := time.Now().Add(e.cfg.DialTimeout)
-	for j := 0; j < e.id; j++ {
-		if err := e.dialSession(j, deadline); err != nil {
-			return err
-		}
+	if len(e.links) == 0 {
+		return nil
 	}
-	for {
-		up := true
-		for j := e.id + 1; j < e.n; j++ {
-			p := e.peers[j]
-			p.mu.Lock()
-			if p.conn == nil {
-				up = false
-			}
-			p.mu.Unlock()
-			if !up {
-				break
-			}
-		}
-		if up {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: node %d: peers did not all connect within %v", e.id, e.cfg.DialTimeout)
-		}
-		time.Sleep(5 * time.Millisecond)
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case err := <-e.setup:
+		return err
+	case <-timer.C:
+		return fmt.Errorf("transport: node %d: peers did not all connect within %v", e.id, e.cfg.DialTimeout)
 	}
 }
 
-// acceptLoop serves the listener for the life of the endpoint: unlike the
-// legacy mesh, which accepts exactly n-1-id startup connections, restarted
-// or reconnecting peers may arrive at any time.
+// tcpQueueInit is a send queue's first capacity: the few frames one round
+// sends a peer between two Flush barriers.
+const tcpQueueInit = 4
+
+// setupEvent reports the set-up's outcome — nil when every link is up, or
+// a failure — to the set-up wait. It never blocks: only the first outcome
+// is heard, and once the set-up is over nobody listens.
+func (e *TCPEndpoint) setupEvent(err error) {
+	select {
+	case e.setup <- err:
+	default:
+	}
+}
+
+// acceptLoop serves the listener for the life of the endpoint: restarted
+// or reconnecting peers may arrive at any time. Each handshake runs on a
+// goroutine of its own, so a connection that stalls mid-handshake cannot
+// hold up another peer's.
 func (e *TCPEndpoint) acceptLoop() {
 	defer e.wg.Done()
 	for {
@@ -121,59 +120,83 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
-// sessionAckEvery is the unsolicited-acknowledgement cadence: after this
-// many unacknowledged data frames the receiver volunteers a PONG carrying
-// its receive count, bounding how much the sender must retain for replay
-// on links too busy for idle-triggered heartbeats to ack.
+// sessionAckEvery is the unsolicited-acknowledgement cadence of a
+// resumable link: after this many unacknowledged data frames the receiver
+// volunteers a PONG carrying its receive count, bounding how much the
+// sender must retain for replay on links too busy for idle-triggered
+// heartbeats to ack.
 const sessionAckEvery = 32
 
-// helloInts unpacks the variable part of a session hello: the sender's
-// incarnation and how many data frames it has received on this session
-// (the resume point — retained frames beyond it are replayed). Older
-// two-int hellos (no resumption) read as count zero, which degrades to
-// replaying everything retained; pre-resilience one-way hellos never reach
-// this path.
-func helloInts(m *wire.Msg) (inc, recvd int64) {
-	inc = 1
-	if len(m.Ints) > 0 {
-		inc = m.Ints[0]
+// hello builds this endpoint's handshake frame for a link at generation gen
+// that has received recvd data frames this session.
+func (e *TCPEndpoint) hello(gen int, recvd int64) *wire.Msg {
+	return &wire.Msg{Kind: wire.KindHello, Stamp: int64(e.id),
+		Ints: []int64{e.cfg.Incarnation, int64(gen), recvd}}
+}
+
+// readHello reads a handshake frame from conn within DialTimeout and
+// unpacks it: the sender's node id, its incarnation, and how many data
+// frames it has received on this session (the resume point — retained
+// frames beyond it are replayed). Anything but a hello carrying all three
+// ints is an error; the handshake refuses it. While it waits, conn is
+// listed in e.handshaking, so shutdown can cut a connection that never
+// says hello.
+func (e *TCPEndpoint) readHello(conn net.Conn, m *wire.Msg) (peer int, inc, recvd int64, err error) {
+	e.mu.Lock()
+	if e.closing.Load() {
+		e.mu.Unlock()
+		return 0, 0, 0, ErrClosed
 	}
-	if len(m.Ints) > 2 {
-		recvd = m.Ints[2]
+	e.handshaking[conn] = struct{}{}
+	e.mu.Unlock()
+	_ = conn.SetReadDeadline(time.Now().Add(e.cfg.DialTimeout))
+	err = wire.ReadFrame(conn, m)
+	_ = conn.SetReadDeadline(time.Time{})
+	e.mu.Lock()
+	delete(e.handshaking, conn)
+	e.mu.Unlock()
+	if err == nil && (m.Kind != wire.KindHello || len(m.Ints) < 3) {
+		err = errors.New("not a hello with incarnation, generation and receive count")
 	}
-	return inc, recvd
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return int(m.Stamp), m.Ints[0], m.Ints[2], nil
 }
 
 // handleAccept runs the accept side of the handshake: read the peer's
 // hello (bounded by a deadline so a garbage or stalled connection cannot
 // wedge the endpoint), validate it names a higher-id peer, fence the link,
-// reply with our own hello, and install the connection.
+// reply with our own hello if the link is resumable, and install the
+// connection. Without Reconnect a connection that fails this fails the
+// set-up, as the mesh has no second chance for a link.
 func (e *TCPEndpoint) handleAccept(conn net.Conn) {
 	defer e.wg.Done()
-	_ = conn.SetReadDeadline(time.Now().Add(e.cfg.DialTimeout))
 	var hello wire.Msg
-	if err := wire.ReadFrame(conn, &hello); err != nil || hello.Kind != wire.KindHello {
+	peer, inc, remoteRecv, err := e.readHello(conn, &hello)
+	if err != nil || peer <= e.id || peer >= e.n {
 		_ = conn.Close()
+		if !e.cfg.Reconnect {
+			e.setupEvent(fmt.Errorf("transport: bad handshake from %s (kind %v, ints %v): %v",
+				conn.RemoteAddr(), hello.Kind, hello.Ints, err))
+		}
 		return
 	}
-	peer := int(hello.Stamp)
-	if peer <= e.id || peer >= e.n {
-		_ = conn.Close()
-		return
-	}
-	inc, remoteRecv := helloInts(&hello)
-	_ = conn.SetReadDeadline(time.Time{})
 	p := e.peers[peer]
 
 	p.mu.Lock()
+	if !e.cfg.Reconnect && p.gen > 0 {
+		p.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
 	if e.closing.Load() || inc < p.inc {
 		// A stale socket racing a restarted process's fresh one (or our own
 		// shutdown): answer politely so the dialer can see who it reached,
 		// but leave the installed link untouched.
-		gen, recvd := p.gen, p.recvSeq
+		reply := e.hello(p.gen, p.recvSeq)
 		p.mu.Unlock()
-		_ = wire.WriteFrame(conn, &wire.Msg{Kind: wire.KindHello, Stamp: int64(e.id),
-			Ints: []int64{e.cfg.Incarnation, int64(gen), recvd}})
+		_ = wire.WriteFrame(conn, reply)
 		_ = conn.Close()
 		return
 	}
@@ -182,20 +205,26 @@ func (e *TCPEndpoint) handleAccept(conn net.Conn) {
 
 	// The receive count is advertised post-fence: the superseded read loop
 	// is generation-fenced out, so the count cannot move between here and
-	// the install.
-	reply := &wire.Msg{Kind: wire.KindHello, Stamp: int64(e.id),
-		Ints: []int64{e.cfg.Incarnation, int64(gen), recvd}}
-	if err := wire.WriteFrame(conn, reply); err != nil {
-		e.abandonHandshake(p, gen, conn)
-		return
+	// the install. Only a resumable link's dialer reads the reply.
+	if e.cfg.Reconnect {
+		if err := wire.WriteFrame(conn, e.hello(gen, recvd)); err != nil {
+			e.abandonHandshake(p, gen, conn)
+			return
+		}
 	}
 	e.installConn(p, conn, gen, inc, remoteRecv)
 }
 
+// tcpStartDialBase is the first retry delay of a start-up dial: a refused
+// dial there means the peer's process has not bound its listener yet,
+// which on one host is a matter of microseconds, not of a network fault.
+const tcpStartDialBase = time.Millisecond
+
 // dialSession establishes the startup link to lower-id peer j, retrying
-// with jittered backoff until the deadline.
+// refused dials with jittered backoff until the deadline. Without
+// Reconnect a failed handshake fails the set-up at once.
 func (e *TCPEndpoint) dialSession(j int, deadline time.Time) error {
-	bo := Backoff{Base: e.cfg.BackoffBase, Max: e.cfg.BackoffMax,
+	bo := Backoff{Base: tcpStartDialBase, Max: e.cfg.BackoffMax,
 		Seed: e.cfg.BackoffSeed ^ uint64(e.id)<<32 ^ uint64(j)}
 	for {
 		// A failed attempt spawns the redial loop via linkDown; if it wins
@@ -213,6 +242,9 @@ func (e *TCPEndpoint) dialSession(j int, deadline time.Time) error {
 			if e.handshakeDial(conn, j) {
 				return nil
 			}
+			if !e.cfg.Reconnect {
+				return fmt.Errorf("transport: handshake to peer %d (%s) failed", j, e.addrs[j])
+			}
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("dial peer %d (%s): %v", j, e.addrs[j], err)
@@ -228,7 +260,9 @@ func (e *TCPEndpoint) dialSession(j int, deadline time.Time) error {
 // handshakeDial runs the dial side of the handshake on conn and installs
 // it on success; on any failure the connection is closed and false
 // returned. The link is fenced before the hello goes out so the receive
-// count it advertises is frozen.
+// count it advertises is frozen. A resumable link reads the peer's reply
+// before installing — its receive count says what to replay — while a
+// link that cannot resume installs at once: no reply comes.
 func (e *TCPEndpoint) handshakeDial(conn net.Conn, peer int) bool {
 	p := e.peers[peer]
 	p.mu.Lock()
@@ -240,21 +274,19 @@ func (e *TCPEndpoint) handshakeDial(conn net.Conn, peer int) bool {
 	gen, recvd := e.fenceLinkLocked(p, p.inc)
 	p.mu.Unlock()
 
-	hello := &wire.Msg{Kind: wire.KindHello, Stamp: int64(e.id),
-		Ints: []int64{e.cfg.Incarnation, int64(gen), recvd}}
-	if err := wire.WriteFrame(conn, hello); err != nil {
+	if err := wire.WriteFrame(conn, e.hello(gen, recvd)); err != nil {
 		e.abandonHandshake(p, gen, conn)
 		return false
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(e.cfg.DialTimeout))
+	if !e.cfg.Reconnect {
+		return e.installConn(p, conn, gen, 0, 0)
+	}
 	var reply wire.Msg
-	if err := wire.ReadFrame(conn, &reply); err != nil ||
-		reply.Kind != wire.KindHello || int(reply.Stamp) != peer {
+	from, inc, remoteRecv, err := e.readHello(conn, &reply)
+	if err != nil || from != peer {
 		e.abandonHandshake(p, gen, conn)
 		return false
 	}
-	inc, remoteRecv := helloInts(&reply)
-	_ = conn.SetReadDeadline(time.Time{})
 	return e.installConn(p, conn, gen, inc, remoteRecv)
 }
 
@@ -279,7 +311,7 @@ func (e *TCPEndpoint) fenceLinkLocked(p *tcpPeer, inc int64) (gen int, recvd int
 	if inc > p.inc {
 		p.inc = inc
 		p.departed = false
-		p.sentSeq, p.ackedSeq = 0, 0
+		p.ackedSeq = 0
 		p.dropRetainLocked()
 		p.recvSeq, p.ackSent = 0, 0
 	}
@@ -288,7 +320,8 @@ func (e *TCPEndpoint) fenceLinkLocked(p *tcpPeer, inc int64) (gen int, recvd int
 
 // abandonHandshake gives up on a connection after its link was already
 // fenced: unless a newer handshake has re-fenced the link, it is downed so
-// the grace timer and (on the dialing side) the redial loop take over.
+// the grace timer and (on the dialing side) the redial loop take over —
+// or, without Reconnect, so the peer is gone.
 func (e *TCPEndpoint) abandonHandshake(p *tcpPeer, gen int, conn net.Conn) {
 	_ = conn.Close()
 	p.mu.Lock()
@@ -303,9 +336,9 @@ func (e *TCPEndpoint) abandonHandshake(p *tcpPeer, gen int, conn net.Conn) {
 // fence closed it, so the write errors promptly and the frame is restaged),
 // realigns the session to the peer's advertised receive count — confirmed
 // retained frames are dropped, unconfirmed ones are restaged ahead of the
-// queue to be re-sent, re-counted, and re-retained in order — and starts a
-// generation-checked read loop. Clearing the gone/departed verdicts makes
-// the link usable again, so a peer the runtime evicted can Join over it.
+// queue to be re-sent and re-retained in order — and starts a
+// generation-checked read loop. Clearing the gone verdict makes the link
+// usable again, so a peer the runtime evicted can Join over it.
 func (e *TCPEndpoint) installConn(p *tcpPeer, conn net.Conn, gen int, inc, remoteRecv int64) bool {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
@@ -326,28 +359,19 @@ func (e *TCPEndpoint) installConn(p *tcpPeer, conn net.Conn, gen int, inc, remot
 		// count stays — the peer's install adopted it as its send base.
 		p.inc = inc
 		p.departed = false
-		p.sentSeq, p.ackedSeq = 0, 0
+		p.ackedSeq = 0
 		p.dropRetainLocked()
 	}
 	if remoteRecv >= p.ackedSeq {
 		// Release what the peer confirms, restage the unconfirmed tail
 		// ahead of everything not yet written (the queue inherits the
 		// restaged entries' references).
-		drop := int(remoteRecv - p.ackedSeq)
-		if drop > len(p.retain) {
-			drop = len(p.retain)
-		}
+		drop := min(int(remoteRecv-p.ackedSeq), len(p.retain))
 		for _, ent := range p.retain[:drop] {
 			ent.enc.Release()
 		}
-		if rest := p.retain[drop:]; len(rest) > 0 {
-			q := make([]sendEntry, 0, len(rest)+len(p.q))
-			p.q = append(append(q, rest...), p.q...)
-			for _, ent := range rest {
-				p.qBytes += ent.size()
-			}
-		}
-		p.retain, p.retainBytes = nil, 0
+		p.q.unpop(p.retain[drop:]...)
+		p.retain = nil
 	} else {
 		// remoteRecv < ackedSeq means the peer has no memory of frames it
 		// once confirmed — a session this side never observed ending. The
@@ -355,28 +379,39 @@ func (e *TCPEndpoint) installConn(p *tcpPeer, conn net.Conn, gen int, inc, remot
 		// peer's count.
 		p.dropRetainLocked()
 	}
-	p.sentSeq, p.ackedSeq = remoteRecv, remoteRecv
-	reconnected := gen > 1
+	p.ackedSeq = remoteRecv
+	reconnected := p.linked
 	p.conn = conn
 	p.bw = bufio.NewWriter(conn)
 	p.gone = false
 	p.hbMiss = 0
 	p.lastRecv.Store(time.Now().UnixNano())
+	if p.q.len() > 0 {
+		// What queued while the link was down goes out now, not at the
+		// next barrier.
+		p.flushReq = true
+	}
+	p.linked = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	if reconnected && e.cfg.Metrics != nil {
+	if !reconnected {
+		if int(e.linksUp.Add(1)) == len(e.links) {
+			e.setupEvent(nil)
+		}
+	} else if e.cfg.Metrics != nil {
 		e.cfg.Metrics.AddReconnect()
 	}
 	e.wg.Add(1)
-	go e.readLoopSession(p, conn, gen)
+	go e.readConn(p, conn, gen)
 	return true
 }
 
 // linkDownLocked (p.mu held) tears down the current socket after a read or
-// write error, a heartbeat verdict, or a stale replacement: the connection
-// is closed, the redial loop is started when this side dials the link, and
-// a grace timer declares the peer gone if no replacement arrives in time.
-// A departed peer's link is simply left down.
+// write error, a heartbeat verdict, or a failed handshake: the connection
+// is closed, and a departed peer's link is simply left down. Otherwise,
+// without Reconnect the peer is gone at once and its queue dropped; with
+// it, the redial loop is started when this side dials the link, and a
+// grace timer declares the peer gone if no replacement arrives in time.
 func (e *TCPEndpoint) linkDownLocked(p *tcpPeer) {
 	if p.conn != nil {
 		_ = p.conn.Close()
@@ -385,6 +420,11 @@ func (e *TCPEndpoint) linkDownLocked(p *tcpPeer) {
 	}
 	p.cond.Broadcast()
 	if p.departed || e.closing.Load() {
+		return
+	}
+	if !e.cfg.Reconnect {
+		p.gone = true
+		p.dropQueueLocked()
 		return
 	}
 	gen := p.gen
@@ -404,57 +444,49 @@ func (e *TCPEndpoint) linkDownLocked(p *tcpPeer) {
 	}
 }
 
-// redialLoop re-establishes the link to a lower-id peer with jittered
-// exponential backoff. It never gives up on its own: even after the grace
-// timer declares the peer gone, a successful handshake (the peer
+// redialLoop re-establishes a resumable link to a lower-id peer with
+// jittered exponential backoff. It never gives up on its own: even after
+// the grace timer declares the peer gone, a successful handshake (the peer
 // restarted) resurrects the link. It stops only on shutdown, departure, or
 // success.
 func (e *TCPEndpoint) redialLoop(p *tcpPeer) {
 	defer e.wg.Done()
+	defer func() {
+		p.mu.Lock()
+		p.redialing = false
+		p.mu.Unlock()
+	}()
 	bo := Backoff{Base: e.cfg.BackoffBase, Max: e.cfg.BackoffMax,
 		Seed: e.cfg.BackoffSeed ^ uint64(e.id)<<32 ^ uint64(p.id) ^ 0x5dee}
 	for {
 		p.mu.Lock()
 		stop := p.conn != nil || p.departed || e.closing.Load()
-		if stop {
-			p.redialing = false
-		}
 		p.mu.Unlock()
 		if stop {
 			return
 		}
 		conn, err := net.DialTimeout("tcp", e.addrs[p.id], time.Second)
 		if err == nil && e.handshakeDial(conn, p.id) {
-			p.mu.Lock()
-			p.redialing = false
-			p.mu.Unlock()
 			return
 		}
 		select {
 		case <-e.done:
-			p.mu.Lock()
-			p.redialing = false
-			p.mu.Unlock()
 			return
 		case <-time.After(bo.Next()):
 		}
 	}
 }
 
-// readLoopSession drains frames from one socket generation. Transport-
-// internal kinds (PING/PONG, stray hellos) are consumed here — their Ints
-// carry the peer's receive count, acknowledging retained frames; data
-// frames advance the session's receive count and land in the shared
-// receive queue, with an unsolicited PONG ack volunteered every
-// sessionAckEvery frames. Every frame is generation-checked under p.mu: a
-// superseded loop can still drain frames buffered before its socket
-// closed, and counting or delivering those would corrupt the session. On a
-// read error — the peer died, the socket was replaced, or the peer sent
-// garbage the codec rejects — the loop downs the link if its generation is
-// still the installed one and exits; it can never wedge, because
-// wire.ReadFrame bounds every allocation and the loop never blocks on
-// anything but the socket.
-func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
+// readConn is the read loop of one socket generation. It decodes frames,
+// stamps them with the link's routing and hands each to deliver. On a read
+// error — the peer died or hung up, the socket was replaced, or the peer
+// sent garbage the codec rejects — it downs the link if its generation is
+// still the installed one and exits. A departed peer's write side stays
+// until a write to it fails, so what is sent to it does not depend on when
+// its hang-up was read. The loop never wedges: wire.ReadFrame bounds every
+// allocation and the loop blocks on nothing but the socket. It is kept
+// this small so its goroutine's first stack holds it.
+func (e *TCPEndpoint) readConn(p *tcpPeer, conn net.Conn, gen int) {
 	defer e.wg.Done()
 	br := bufio.NewReader(conn)
 	for {
@@ -462,7 +494,7 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 		if err := wire.ReadFrameCarved(br, m, &e.ints); err != nil {
 			e.Recycle(m)
 			p.mu.Lock()
-			if p.gen == gen {
+			if p.gen == gen && !p.departed {
 				e.linkDownLocked(p)
 			}
 			p.mu.Unlock()
@@ -470,71 +502,76 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 		}
 		m.Src, m.Dst = int32(p.id), int32(e.id) // routing is the link's, not the frame's
 		p.lastRecv.Store(time.Now().UnixNano())
-		switch m.Kind {
-		case wire.KindPing:
-			seq := m.Stamp
-			ack := int64(0)
-			if len(m.Ints) > 0 {
-				ack = m.Ints[0]
-			}
-			e.Recycle(m)
-			p.mu.Lock()
-			if p.gen != gen {
-				p.mu.Unlock()
-				return
-			}
-			p.ackRetainLocked(ack)
-			recvd := p.recvSeq
-			p.ackSent = recvd
-			p.mu.Unlock()
-			e.sendControl(p, &wire.Msg{Kind: wire.KindPong, Stamp: seq, Ints: []int64{recvd}})
-			continue
-		case wire.KindPong, wire.KindHello:
-			ack := int64(0)
-			if len(m.Ints) > 0 && m.Kind == wire.KindPong {
-				ack = m.Ints[0]
-			}
-			e.Recycle(m)
-			if ack > 0 {
-				p.mu.Lock()
-				if p.gen != gen {
-					p.mu.Unlock()
-					return
-				}
-				p.ackRetainLocked(ack)
-				p.mu.Unlock()
-			}
-			continue
-		}
-		p.mu.Lock()
-		if p.gen != gen {
-			p.mu.Unlock()
-			e.Recycle(m)
+		if !e.deliver(p, gen, m) {
 			return
 		}
-		if m.Kind == wire.KindDone {
-			p.departed = true
-		}
-		p.recvSeq++
-		ackNow := int64(0)
-		if p.recvSeq-p.ackSent >= sessionAckEvery {
-			p.ackSent = p.recvSeq
-			ackNow = p.recvSeq
-		}
-		p.mu.Unlock()
-		if ackNow > 0 {
-			e.sendControl(p, &wire.Msg{Kind: wire.KindPong, Ints: []int64{ackNow}})
-		}
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			e.Recycle(m)
-			return
-		}
-		e.queue.push(m)
-		e.cond.Signal()
-		e.mu.Unlock()
 	}
+}
+
+// deliver takes one frame read from p's socket at generation gen and
+// reports whether the read loop goes on. Transport-internal kinds are
+// consumed here: a PING or PONG carries the peer's receive count in its
+// Ints, acknowledging retained frames, and a stray hello is dropped. Data
+// frames advance the session's receive count and land in the shared
+// receive queue, with an unsolicited PONG ack volunteered every
+// sessionAckEvery frames on a resumable link. Every frame is
+// generation-checked under p.mu: a superseded loop can still drain frames
+// buffered before its socket closed, and counting or delivering those
+// would corrupt the session.
+func (e *TCPEndpoint) deliver(p *tcpPeer, gen int, m *wire.Msg) bool {
+	var ack int64
+	if len(m.Ints) > 0 {
+		ack = m.Ints[0]
+	}
+	if m.Kind == wire.KindPing || m.Kind == wire.KindPong || m.Kind == wire.KindHello {
+		kind, seq := m.Kind, m.Stamp
+		e.Recycle(m)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if p.gen != gen {
+			return false
+		}
+		if kind == wire.KindHello {
+			return true
+		}
+		p.ackRetainLocked(ack)
+		if kind == wire.KindPing {
+			p.ackSent = p.recvSeq
+			e.sendControlLocked(p, &wire.Msg{Kind: wire.KindPong, Stamp: seq, Ints: []int64{p.recvSeq}})
+		}
+		return true
+	}
+	p.mu.Lock()
+	if p.gen != gen {
+		p.mu.Unlock()
+		e.Recycle(m)
+		return false
+	}
+	if announcesDone(m) {
+		p.departed = true
+	}
+	p.recvSeq++
+	if e.cfg.Reconnect && p.recvSeq-p.ackSent >= sessionAckEvery {
+		p.ackSent = p.recvSeq
+		e.sendControlLocked(p, &wire.Msg{Kind: wire.KindPong, Ints: []int64{p.recvSeq}})
+	}
+	p.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		e.Recycle(m)
+		return false
+	}
+	e.queue.push(m)
+	e.cond.Signal()
+	return true
+}
+
+// announcesDone reports whether m tells the receiver its sender finished:
+// a bare DONE, or the final DATA frame carrying the DONE piggybacked. A
+// hang-up after it is a departure, not a crash.
+func announcesDone(m *wire.Msg) bool {
+	return m.Kind == wire.KindDone || m.Kind == wire.KindData && m.Mode&wire.ModeDonePiggyback != 0
 }
 
 // ackRetainLocked (p.mu held) releases retained frames the peer's receive
@@ -542,15 +579,11 @@ func (e *TCPEndpoint) readLoopSession(p *tcpPeer, conn net.Conn, gen int) {
 // incarnation) and never race one: acks are processed on the generation-
 // checked read loop, so a stale ack for a dead session cannot land here.
 func (p *tcpPeer) ackRetainLocked(ack int64) {
-	n := int(ack - p.ackedSeq)
+	n := min(int(ack-p.ackedSeq), len(p.retain))
 	if n <= 0 {
 		return
 	}
-	if n > len(p.retain) {
-		n = len(p.retain)
-	}
 	for _, ent := range p.retain[:n] {
-		p.retainBytes -= ent.size()
 		ent.enc.Release()
 	}
 	p.retain = p.retain[n:]
@@ -561,64 +594,64 @@ func (p *tcpPeer) ackRetainLocked(ack int64) {
 // shedding per the configured policy when the queue is full. It takes
 // ownership of the caller's reference to enc: the frame is released by
 // whichever path dequeues it, or right here when the peer cannot accept
-// it. It returns nil for departed peers (legitimate exit, same contract as
-// the legacy mesh) and ErrPeerGone once the reconnect grace expired.
+// it. It returns nil for a departed peer whose link is down (a legitimate
+// exit, the same contract as the in-memory transport) and ErrPeerGone for
+// one whose link is down for good.
 func (e *TCPEndpoint) enqueue(p *tcpPeer, enc *wire.Encoded, kind wire.Kind) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		switch {
-		case e.closing.Load():
+		case e.closing.Load(), p.draining:
 			enc.Release()
 			return ErrClosed
-		case p.draining:
-			enc.Release()
-			return ErrClosed
-		case p.departed:
+		case p.departed && p.conn == nil:
 			enc.Release()
 			return nil
 		case p.gone:
 			enc.Release()
 			return ErrPeerGone
 		}
-		if len(p.q) < e.cfg.SendQueueFrames && p.qBytes+enc.Len() <= e.cfg.SendQueueBytes {
+		if p.q.len() < e.cfg.SendQueueFrames && p.q.bytes+enc.Len() <= e.cfg.SendQueueBytes {
 			break
 		}
 		if e.cfg.SendQueuePolicy == QueueShedOldest && e.shedOldestLocked(p) {
 			continue
 		}
+		// A sender waiting for room is a barrier too: the writer takes
+		// the queue now, whatever the threshold.
+		p.flushReq = true
+		p.cond.Broadcast()
 		p.cond.Wait()
 	}
-	p.q = append(p.q, sendEntry{enc: enc, kind: kind})
-	p.qBytes += enc.Len()
+	p.q.push(sendEntry{enc: enc, kind: kind})
 	if m := e.cfg.Metrics; m != nil {
-		m.NoteSendQDepth(len(p.q))
+		m.NoteSendQDepth(p.q.len())
 	}
-	p.cond.Broadcast()
+	if e.dueLocked(p) {
+		p.cond.Broadcast()
+	}
 	return nil
 }
 
-// sendControl stages a transport-internal frame (PING/PONG) without ever
-// blocking: heartbeats must keep flowing — and the monitor must keep
-// running — even when a peer's queue is full, so a frame that does not fit
-// is simply dropped and regenerated next interval.
-func (e *TCPEndpoint) sendControl(p *tcpPeer, m *wire.Msg) {
+// sendControlLocked (p.mu held) stages a transport-internal frame
+// (PING/PONG) without ever blocking: heartbeats must keep flowing — and
+// the monitor must keep running — even when a peer's queue is full, so a
+// frame that does not fit is simply dropped and regenerated next interval.
+// A probe or an ack held back to the next barrier would be no use, so it
+// makes the queue due.
+func (e *TCPEndpoint) sendControlLocked(p *tcpPeer, m *wire.Msg) {
 	enc, err := wire.EncodeFrame(m)
 	if err != nil {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e.closing.Load() || p.draining || p.departed || p.gone || p.conn == nil {
+	if e.closing.Load() || p.draining || p.departed || p.gone || p.conn == nil ||
+		p.q.len() >= e.cfg.SendQueueFrames || p.q.bytes+enc.Len() > e.cfg.SendQueueBytes {
 		enc.Release()
 		return
 	}
-	if len(p.q) >= e.cfg.SendQueueFrames || p.qBytes+enc.Len() > e.cfg.SendQueueBytes {
-		enc.Release()
-		return
-	}
-	p.q = append(p.q, sendEntry{enc: enc, kind: m.Kind, ctrl: true})
-	p.qBytes += enc.Len()
+	p.q.push(sendEntry{enc: enc, kind: m.Kind, ctrl: true})
+	p.flushReq = true
 	p.cond.Broadcast()
 }
 
@@ -628,13 +661,11 @@ func (e *TCPEndpoint) sendControl(p *tcpPeer, m *wire.Msg) {
 // would bleed the frame pool one buffer per shed (the refcount never
 // reaches zero), which TestSessionShedStormReleasesFrames pins.
 func (e *TCPEndpoint) shedOldestLocked(p *tcpPeer) bool {
-	for i, ent := range p.q {
+	for i, ent := range p.q.entries() {
 		if !sheddable(ent.kind) {
 			continue
 		}
-		p.qBytes -= ent.size()
-		p.q = append(p.q[:i], p.q[i+1:]...)
-		ent.enc.Release()
+		p.q.remove(i).enc.Release()
 		if m := e.cfg.Metrics; m != nil {
 			m.AddSendQShed()
 		}
@@ -648,11 +679,10 @@ func (e *TCPEndpoint) shedOldestLocked(p *tcpPeer) bool {
 // evict and, if the peer returns, the Join path re-synchronizes state
 // wholesale.
 func (p *tcpPeer) dropQueueLocked() {
-	for _, ent := range p.q {
+	for _, ent := range p.q.entries() {
 		ent.enc.Release()
 	}
-	p.q = nil
-	p.qBytes = 0
+	p.q = sendQueue{}
 }
 
 // dropRetainLocked releases and forgets the retained replay tail (p.mu
@@ -662,92 +692,104 @@ func (p *tcpPeer) dropRetainLocked() {
 	for _, ent := range p.retain {
 		ent.enc.Release()
 	}
-	p.retain, p.retainBytes = nil, 0
+	p.retain = nil
 }
 
-// writeLoop is peer p's writer: it drains the send queue onto whatever
-// socket is currently installed, flushing whenever the queue runs dry
-// (flush-on-idle replaces the legacy mesh's explicit Flush barrier). All
-// socket writes happen outside p.mu, so a stalled TCP connection blocks
-// only this goroutine — senders keep staging until the queue cap applies
-// backpressure. A written data frame is counted and retained until the
-// peer acknowledges it; a write error restages the frame at the front of
-// the queue and downs the link, so the frame is re-sent on the next socket
-// rather than lost in flight. Control frames are link-local and die with
-// the socket. The install step waits for inflight to clear before
-// realigning the session, so the restaged or retained frame is always
-// accounted before replay ordering is computed.
+// dueLocked (p.mu held) reports whether p's writer must take its queue
+// now: there is a socket and something queued, and either every send
+// flushes (no threshold), a barrier covers the queue (Flush, a waiting
+// sender, a control frame, a resumed link), the endpoint is draining, or
+// the queue reached the threshold.
+func (e *TCPEndpoint) dueLocked(p *tcpPeer) bool {
+	thr := e.cfg.FlushThreshold
+	return p.conn != nil && p.q.len() > 0 &&
+		(thr <= 0 || p.flushReq || p.draining || p.q.bytes >= thr)
+}
+
+// writeLoop is peer p's writer: once its queue is due it writes every
+// queued frame onto whatever socket is installed and flushes when the
+// queue has run dry. It exits at shutdown, and once a link that cannot
+// resume is down. All socket writes happen outside p.mu, so a stalled
+// TCP connection blocks only this goroutine (and a Flush waiting for it)
+// — senders keep staging until the queue cap applies backpressure. A
+// written data frame on a resumable link is retained until the peer
+// acknowledges it; otherwise it is released at once. A write error puts
+// the frame back at the front of the queue and downs the link, so a
+// resumable link re-sends it on the next socket. Control frames are
+// link-local and die with the socket. The install step waits for inflight
+// to clear before realigning the session, so the frame put back or
+// retained is always accounted before replay ordering is computed.
 func (e *TCPEndpoint) writeLoop(p *tcpPeer) {
 	defer e.wg.Done()
+	m := e.cfg.Metrics
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
-		for !e.closing.Load() && !(len(p.q) > 0 && p.conn != nil) {
+		if e.closing.Load() || !e.cfg.Reconnect && p.linked && p.conn == nil {
+			return // shutdown, or a link that cannot resume is down for good
+		}
+		if !e.dueLocked(p) {
 			p.cond.Wait()
+			continue
 		}
-		if e.closing.Load() {
-			p.mu.Unlock()
-			return
-		}
-		ent := p.q[0]
-		p.q = p.q[1:]
-		p.qBytes -= ent.size()
-		flush := len(p.q) == 0
-		bw, gen := p.bw, p.gen
 		p.inflight = true
-		p.cond.Broadcast()
-		p.mu.Unlock()
-
-		_, err := bw.Write(ent.enc.Frame())
-		if err == nil {
-			if m := e.cfg.Metrics; m != nil {
+		bw, gen := p.bw, p.gen
+		var err error
+		// The socket written to is the installed one while gen holds and
+		// the link is up.
+		live := func() bool { return p.gen == gen && p.conn != nil }
+		for p.q.len() > 0 && live() {
+			ent := p.q.pop()
+			p.cond.Broadcast() // room for a waiting sender
+			p.mu.Unlock()
+			_, err = bw.Write(ent.enc.Frame())
+			p.mu.Lock()
+			if err != nil {
+				if ent.ctrl {
+					ent.enc.Release()
+				} else {
+					p.q.unpop(ent)
+				}
+				break
+			}
+			if m != nil {
 				m.AddFrame(ent.size())
 			}
-			if flush {
-				if err = bw.Flush(); err == nil && e.cfg.Metrics != nil {
-					e.cfg.Metrics.AddFlush()
-				}
-			}
-		}
-
-		p.mu.Lock()
-		p.inflight = false
-		if err == nil {
-			if !ent.ctrl {
+			if ent.ctrl || !e.cfg.Reconnect {
+				ent.enc.Release()
+			} else {
 				// The entry's reference moves to the retain buffer until
 				// the peer acks it (ackRetainLocked releases).
-				p.sentSeq++
 				p.retain = append(p.retain, ent)
-				p.retainBytes += ent.size()
-			} else {
-				ent.enc.Release()
 			}
-		} else {
-			if !ent.ctrl {
-				p.q = append([]sendEntry{ent}, p.q...)
-				p.qBytes += ent.size()
-			} else {
-				ent.enc.Release()
+		}
+		if p.q.len() == 0 {
+			p.flushReq = false // every frame a barrier covered is written
+		}
+		if err == nil && live() {
+			p.mu.Unlock()
+			err = bw.Flush()
+			p.mu.Lock()
+			if err == nil && m != nil {
+				m.AddFlush()
 			}
-			if p.gen == gen {
-				e.linkDownLocked(p)
-			}
+		}
+		p.inflight = false
+		if err != nil && live() {
+			e.linkDownLocked(p)
 		}
 		p.cond.Broadcast()
 	}
 }
 
 // heartbeatLoop probes idle links and tears down those silent past the
-// miss budget. Any received frame resets a link's idle clock (readLoop
-// stamps lastRecv), so a busy link is never probed; an idle-but-healthy
-// one answers PING with PONG well inside one interval.
+// miss budget. Any received frame resets a link's idle clock (the read
+// loop stamps lastRecv), so a busy link is never probed; an idle-but-
+// healthy one answers PING with PONG well inside one interval.
 func (e *TCPEndpoint) heartbeatLoop() {
 	defer e.wg.Done()
 	iv := e.cfg.HeartbeatInterval
-	period := iv / 2
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
+	tick := time.NewTicker(max(iv/2, time.Millisecond))
 	defer tick.Stop()
 	for {
 		select {
@@ -756,16 +798,10 @@ func (e *TCPEndpoint) heartbeatLoop() {
 		case <-tick.C:
 		}
 		now := time.Now()
-		for _, p := range e.peers {
-			if p == nil {
-				continue
-			}
+		for _, p := range e.links {
 			idle := now.Sub(time.Unix(0, p.lastRecv.Load()))
-			ping := false
-			var seq, recvd int64
 			p.mu.Lock()
 			if p.conn != nil && !p.departed && idle >= iv {
-				ping = true
 				if misses := int(idle/iv) - 1; misses > p.hbMiss {
 					if m := e.cfg.Metrics; m != nil {
 						m.AddHeartbeatsMissed(misses - p.hbMiss)
@@ -774,98 +810,114 @@ func (e *TCPEndpoint) heartbeatLoop() {
 				}
 				if p.hbMiss >= e.cfg.HeartbeatMisses {
 					e.linkDownLocked(p)
-					ping = false
+				} else {
+					// The probe doubles as an ack: its Ints carry our
+					// receive count, so an idle-but-retaining peer gets
+					// released.
+					p.ackSent = p.recvSeq
+					e.sendControlLocked(p, &wire.Msg{Kind: wire.KindPing, Stamp: p.pingSeq, Ints: []int64{p.recvSeq}})
+					p.pingSeq++
 				}
-				seq = p.pingSeq
-				p.pingSeq++
-				recvd = p.recvSeq
-				p.ackSent = recvd
 			}
 			p.mu.Unlock()
-			if ping {
-				// The probe doubles as an ack: its Ints carry our receive
-				// count, so an idle-but-retaining peer gets released.
-				e.sendControl(p, &wire.Msg{Kind: wire.KindPing, Stamp: seq, Ints: []int64{recvd}})
-			}
 		}
 	}
 }
 
-// closeSession is the session layer's half of Close (e.closed already set,
-// Recv unblocked): give the writers CloseGrace to put queued frames on the
-// wire, then stop every loop, FIN the links, and reap.
-func (e *TCPEndpoint) closeSession(peers []*tcpPeer) {
-	e.awaitQuiescent(peers, time.Now().Add(e.cfg.CloseGrace))
+// quiesce stops new sends on every link — they fail with ErrClosed — and
+// gives the writers CloseGrace to put everything queued on the wire:
+// draining makes every queued frame due, whatever the flush threshold. A
+// link that cannot deliver (gone, or down to a departed peer) is not
+// waited for; a resumable link that is down is, since it may come back. It
+// returns the bytes queued when it began and those still queued when it
+// returned.
+func (e *TCPEndpoint) quiesce() (queued, left int) {
+	busy := false
+	for _, p := range e.links {
+		p.mu.Lock()
+		p.draining = true
+		queued += p.q.bytes
+		busy = busy || p.q.len() > 0 || p.inflight
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
+	if !busy {
+		return queued, 0
+	}
+	var expired atomic.Bool
+	timer := time.AfterFunc(e.cfg.CloseGrace, func() {
+		expired.Store(true)
+		for _, p := range e.links {
+			p.mu.Lock()
+			p.cond.Broadcast()
+			p.mu.Unlock()
+		}
+	})
+	defer timer.Stop()
+	for _, p := range e.links {
+		p.mu.Lock()
+		for (p.q.len() > 0 || p.inflight) && !p.gone && !(p.departed && p.conn == nil) &&
+			!e.closing.Load() && !expired.Load() {
+			p.cond.Wait()
+		}
+		left += p.q.bytes
+		p.mu.Unlock()
+	}
+	return queued, left
+}
+
+// shutdown stops every loop and reaps it, then returns whatever frames
+// never made it out (and the retained tails nobody will ever ack) to the
+// pool. A hard shutdown cuts every socket with an RST at once; a soft one
+// half-closes each link (FIN) and gives the read loops CloseGrace to see
+// their peers hang up before cutting what is left.
+func (e *TCPEndpoint) shutdown(hard bool) {
 	e.closing.Store(true)
 	close(e.done)
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
+	_ = e.ln.Close()
+	e.mu.Lock()
+	for conn := range e.handshaking {
+		_ = conn.Close()
+	}
+	e.mu.Unlock()
+	for _, p := range e.links {
 		p.mu.Lock()
-		if p.conn != nil {
-			if tc, ok := p.conn.(*net.TCPConn); ok {
+		if tc, ok := p.conn.(*net.TCPConn); ok {
+			if hard {
+				_ = tc.SetLinger(0)
+			} else {
 				_ = tc.CloseWrite()
 			}
+		}
+		if hard && p.conn != nil {
+			_ = p.conn.Close()
 		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
-	_ = e.ln.Close()
-
-	finished := make(chan struct{})
-	go func() {
-		e.wg.Wait()
-		close(finished)
-	}()
-	select {
-	case <-finished:
-	case <-time.After(e.cfg.CloseGrace):
-	}
-	for _, p := range peers {
-		if p == nil {
-			continue
+	if !hard {
+		finished := make(chan struct{})
+		go func() {
+			e.wg.Wait()
+			close(finished)
+		}()
+		select {
+		case <-finished:
+		case <-time.After(e.cfg.CloseGrace):
 		}
-		p.mu.Lock()
-		if p.conn != nil {
-			_ = p.conn.Close()
+		for _, p := range e.links {
+			p.mu.Lock()
+			if p.conn != nil {
+				_ = p.conn.Close()
+			}
+			p.mu.Unlock()
 		}
-		p.mu.Unlock()
 	}
 	e.wg.Wait()
-	// Every loop is reaped; whatever frames never made it out (and the
-	// retained tails nobody will ever ack) go back to the pool.
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
+	for _, p := range e.links {
 		p.mu.Lock()
 		p.dropQueueLocked()
 		p.dropRetainLocked()
 		p.mu.Unlock()
-	}
-}
-
-// awaitQuiescent polls until every peer's queue is drained and flushed (or
-// the link is beyond hope: gone, dead, or departed), or the deadline hits.
-func (e *TCPEndpoint) awaitQuiescent(peers []*tcpPeer, deadline time.Time) {
-	for {
-		idle := true
-		for _, p := range peers {
-			if p == nil {
-				continue
-			}
-			p.mu.Lock()
-			busy := (len(p.q) > 0 || p.inflight) && !p.gone && !p.dead && !p.departed
-			p.mu.Unlock()
-			if busy {
-				idle = false
-				break
-			}
-		}
-		if idle || time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }

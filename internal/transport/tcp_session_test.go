@@ -278,7 +278,7 @@ func TestSessionStaleIncarnationRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := &wire.Msg{Kind: wire.KindHello, Stamp: 1, Ints: []int64{3, 0}}
+	hello := &wire.Msg{Kind: wire.KindHello, Stamp: 1, Ints: []int64{3, 0, 0}}
 	if err := wire.WriteFrame(conn, hello); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func (f *fakeSessionPeer) accept(t *testing.T, inc int64) net.Conn {
 		return nil
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	reply := &wire.Msg{Kind: wire.KindHello, Stamp: 0, Ints: []int64{inc, 0}}
+	reply := &wire.Msg{Kind: wire.KindHello, Stamp: 0, Ints: []int64{inc, 0, 0}}
 	if err := wire.WriteFrame(conn, reply); err != nil {
 		t.Errorf("fake peer handshake write: %v", err)
 		conn.Close()
@@ -617,14 +617,19 @@ func TestSessionHeartbeatAnsweredKeepsIdleLinkUp(t *testing.T) {
 	awaitStamp(t, eps[1], 42, 2*time.Second)
 }
 
-// malformedStreams are the byte sequences a hostile or corrupted peer might
-// write after a valid handshake, mirroring the wire fuzz corpus: a length
-// prefix promising 4 GiB, a frame with a garbage body, and a truncated
-// frame cut mid-body.
-var malformedStreams = map[string][]byte{
-	"oversized-prefix": {0xff, 0xff, 0xff, 0xff, 1, 2, 3},
-	"garbage-body":     garbageBody(),
-	"truncated-frame":  {0, 0, 0, 60, 9},
+// malformedPeers are what a hostile or corrupted peer might do to a link,
+// mirroring the wire fuzz corpus: after a valid handshake, write a length
+// prefix promising 4 GiB, a frame with a garbage body, or a frame cut
+// mid-body; or open with a hello short of the three ints every handshake
+// carries.
+var malformedPeers = map[string]struct {
+	hello []int64
+	junk  []byte
+}{
+	"oversized-prefix": {[]int64{1, 0, 0}, []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}},
+	"garbage-body":     {[]int64{1, 0, 0}, garbageBody()},
+	"truncated-frame":  {[]int64{1, 0, 0}, []byte{0, 0, 0, 60, 9}},
+	"short-hello":      {hello: []int64{1, 0}},
 }
 
 // garbageBody is a complete frame (so the reader is not left waiting for
@@ -637,53 +642,58 @@ func garbageBody() []byte {
 	return frame
 }
 
-func TestSessionMalformedFramesSuspectPeerWithoutPanic(t *testing.T) {
-	for name, junk := range malformedStreams {
+// suspectMalformedPeers runs every malformedPeers row against node 0 of a
+// two-node mesh, with a raw socket playing peer 1 (which reads the reply
+// hello only a resumable link sends). A short hello is refused at the
+// handshake: the connection is closed unanswered and the set-up never
+// counts the peer. Junk after a valid handshake makes the read loop down
+// the link (no panic, no wedge); with nobody redialing, the peer ends up
+// gone — at once without Reconnect, after the grace with it.
+func suspectMalformedPeers(t *testing.T, cfg TCPConfig) {
+	for name, row := range malformedPeers {
 		t.Run(name, func(t *testing.T) {
-			// Node 0 accepts; the fake plays peer 1, handshakes properly,
-			// then writes junk. The read loop must down the link (no panic,
-			// no wedge), and with nobody redialing the grace declares the
-			// peer gone.
 			lns, addrs := listenLoopback(t, 2)
+			cfg := cfg
+			cfg.Listener = lns[0]
+			if row.junk == nil {
+				cfg.DialTimeout = 300 * time.Millisecond
+			}
 			epCh := make(chan *TCPEndpoint, 1)
 			errCh := make(chan error, 1)
 			go func() {
-				ep, err := DialTCPConfig(0, addrs, TCPConfig{
-					Reconnect:      true,
-					ReconnectGrace: 100 * time.Millisecond,
-					CloseGrace:     100 * time.Millisecond,
-					Listener:       lns[0],
-				})
+				ep, err := DialTCPConfig(0, addrs, cfg)
 				epCh <- ep
 				errCh <- err
 			}()
-			var conn net.Conn
-			dialDeadline := time.Now().Add(5 * time.Second)
-			for conn == nil {
-				c, err := net.DialTimeout("tcp", addrs[0], time.Second)
-				if err == nil {
-					conn = c
-				} else if time.Now().After(dialDeadline) {
-					t.Fatalf("dial node 0: %v", err)
-				}
-			}
-			defer conn.Close()
-			hello := &wire.Msg{Kind: wire.KindHello, Stamp: 1, Ints: []int64{1, 0}}
-			if err := wire.WriteFrame(conn, hello); err != nil {
+			conn := dialRaw(t, addrs[0])
+			if err := wire.WriteFrame(conn, &wire.Msg{Kind: wire.KindHello, Stamp: 1, Ints: row.hello}); err != nil {
 				t.Fatal(err)
+			}
+			ep, err := <-epCh, <-errCh
+			if ep != nil {
+				defer ep.Abort()
 			}
 			var reply wire.Msg
 			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if err := wire.ReadFrame(conn, &reply); err != nil {
-				t.Fatalf("handshake reply: %v", err)
+			if row.junk == nil {
+				if err == nil {
+					t.Fatal("the set-up counted a peer whose hello was short")
+				}
+				if err := wire.ReadFrame(conn, &reply); err == nil {
+					t.Fatalf("a short hello was answered with %v", reply.Kind)
+				}
+				return
 			}
-			ep := <-epCh
-			if err := <-errCh; err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
-			defer ep.Abort()
+			if cfg.Reconnect {
+				if err := wire.ReadFrame(conn, &reply); err != nil {
+					t.Fatalf("handshake reply: %v", err)
+				}
+			}
 
-			if _, err := conn.Write(junk); err != nil {
+			if _, err := conn.Write(row.junk); err != nil {
 				t.Fatal(err)
 			}
 			if name == "truncated-frame" {
@@ -703,62 +713,17 @@ func TestSessionMalformedFramesSuspectPeerWithoutPanic(t *testing.T) {
 	}
 }
 
-func TestLegacyMalformedFramesSuspectPeerWithoutPanic(t *testing.T) {
-	for name, junk := range malformedStreams {
-		t.Run(name, func(t *testing.T) {
-			// Same attack against the legacy fixed mesh: the hardened read
-			// loop must close the connection and mark the peer dead so the
-			// next send reports ErrPeerGone — not stop silently and leave
-			// the link half-alive.
-			lns, addrs := listenLoopback(t, 2)
-			epCh := make(chan *TCPEndpoint, 1)
-			errCh := make(chan error, 1)
-			go func() {
-				ep, err := DialTCPConfig(0, addrs, TCPConfig{Listener: lns[0]})
-				epCh <- ep
-				errCh <- err
-			}()
-			var conn net.Conn
-			dialDeadline := time.Now().Add(5 * time.Second)
-			for conn == nil {
-				c, err := net.DialTimeout("tcp", addrs[0], time.Second)
-				if err == nil {
-					conn = c
-				} else if time.Now().After(dialDeadline) {
-					t.Fatalf("dial node 0: %v", err)
-				}
-			}
-			defer conn.Close()
-			// Legacy handshake is one-way: the dialer announces itself.
-			if err := wire.WriteFrame(conn, &wire.Msg{Kind: wire.KindHello, Stamp: 1}); err != nil {
-				t.Fatal(err)
-			}
-			ep := <-epCh
-			if err := <-errCh; err != nil {
-				t.Fatal(err)
-			}
-			defer ep.Close()
+func TestSessionMalformedFramesSuspectPeerWithoutPanic(t *testing.T) {
+	suspectMalformedPeers(t, TCPConfig{
+		Reconnect:      true,
+		ReconnectGrace: 100 * time.Millisecond,
+		CloseGrace:     100 * time.Millisecond,
+	})
+}
 
-			if _, err := conn.Write(junk); err != nil {
-				t.Fatal(err)
-			}
-			if name == "truncated-frame" {
-				_ = conn.Close()
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				err := ep.Send(1, &wire.Msg{Kind: wire.KindData})
-				if errors.Is(err, ErrPeerGone) {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("legacy mesh never suspected the malformed peer (last send err: %v)", err)
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			if !ep.PeerGone(1) {
-				t.Fatal("PeerGone(1) false after the malformed stream killed the link")
-			}
-		})
-	}
+// TestLegacyMalformedFramesSuspectPeerWithoutPanic is the same attack on a
+// zero-config endpoint (the name is the fixed mesh's, which it replaced):
+// the link is final, so the malformed peer is gone at once.
+func TestLegacyMalformedFramesSuspectPeerWithoutPanic(t *testing.T) {
+	suspectMalformedPeers(t, TCPConfig{CloseGrace: 100 * time.Millisecond})
 }

@@ -379,3 +379,178 @@ func TestTCPSendErrors(t *testing.T) {
 		t.Errorf("Send after close = %v, want ErrClosed", err)
 	}
 }
+
+// TestTCPBrokenLinkIsFinalWithoutReconnect pins the fail-stop contract of a
+// zero-config link, which the runtime's failure detector relies on. A peer
+// that dies without announcing DONE is gone at once — not after a
+// reconnect grace — and Send to it fails with ErrPeerGone; nobody redials
+// its address. A peer that announced DONE and then hung up departed: it is
+// never gone, and Send to it is silently dropped.
+func TestTCPBrokenLinkIsFinalWithoutReconnect(t *testing.T) {
+	eps := tcpMesh(t, 3, TCPConfig{CloseGrace: 200 * time.Millisecond})
+	defer func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+	}()
+
+	// Node 2 finishes: DONE to node 1, then it hangs up.
+	if err := eps[2].Send(1, &wire.Msg{Kind: wire.KindDone}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := eps[1].Recv(); err != nil || m.Kind != wire.KindDone {
+		t.Fatalf("node 1 received %v (%v), want DONE", m, err)
+	}
+	eps[2].Close()
+
+	// Node 0 dies: no DONE, every socket cut.
+	victim := eps[0].addrs[0]
+	eps[0].Abort()
+	deadline := time.Now().Add(time.Second)
+	for !eps[1].PeerGone(0) {
+		if time.Now().After(deadline) {
+			t.Fatal("a peer that died without DONE was not gone within 1s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := eps[1].Send(0, &wire.Msg{Kind: wire.KindSync}); !errors.Is(err, ErrPeerGone) {
+		t.Fatalf("send to the dead peer: err = %v, want ErrPeerGone", err)
+	}
+
+	// Node 1 dialed node 0 at set-up; a resumable link would dial it again.
+	ln, err := net.Listen("tcp", victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(300 * time.Millisecond))
+	if conn, err := ln.Accept(); err == nil {
+		conn.Close()
+		t.Fatal("the dead peer's address was redialed")
+	}
+
+	for i := 0; i < 5; i++ {
+		if eps[1].PeerGone(2) {
+			t.Fatal("a peer that announced DONE was reported gone")
+		}
+		if err := eps[1].Send(2, &wire.Msg{Kind: wire.KindSync}); err != nil {
+			t.Fatalf("send %d to the departed peer: %v, want nil", i, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTCPPiggybackedDoneIsADeparture: a runtime's last frame to a peer
+// usually carries its DONE on a DATA frame (wire.ModeDonePiggyback, the
+// frame rule), and that announces the departure as a bare DONE does: the
+// hang-up after it never makes the peer gone, on a zero-config link or a
+// resumable one whose reconnect grace has long run out.
+func TestTCPPiggybackedDoneIsADeparture(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  TCPConfig
+	}{
+		{"final", TCPConfig{CloseGrace: 100 * time.Millisecond}},
+		{"resumable", TCPConfig{Reconnect: true, ReconnectGrace: 20 * time.Millisecond, CloseGrace: 100 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eps := tcpMesh(t, 2, tc.cfg)
+			defer eps[0].Close()
+			last := &wire.Msg{Kind: wire.KindData, Mode: wire.ModeDonePiggyback, Stamp: 9}
+			if err := eps[1].Send(0, last); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := eps[0].Recv(); err != nil || m.Mode&wire.ModeDonePiggyback == 0 {
+				t.Fatalf("node 0 received %v (%v), want the DATA frame carrying DONE", m, err)
+			}
+			eps[1].Close()
+			for i := 0; i < 10; i++ {
+				if eps[0].PeerGone(1) {
+					t.Fatal("a peer whose last frame carried its DONE was reported gone")
+				}
+				if err := eps[0].Send(1, &wire.Msg{Kind: wire.KindSync}); err != nil {
+					t.Fatalf("send %d to the departed peer: %v, want nil", i, err)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestTCPCleanHangUpWithoutDoneIsFinal: on a zero-config link a peer that
+// closes its sockets cleanly (FIN, not RST) without ever announcing DONE
+// has stopped without finishing, which the fail-stop model calls a crash:
+// it is gone as soon as the hang-up is read, and Send to it fails with
+// ErrPeerGone — the first Send, not one after a write to the dead socket
+// has failed.
+func TestTCPCleanHangUpWithoutDoneIsFinal(t *testing.T) {
+	eps := tcpMesh(t, 2, TCPConfig{CloseGrace: 200 * time.Millisecond})
+	defer eps[0].Close()
+	eps[1].Close()
+	deadline := time.Now().Add(time.Second)
+	for !eps[0].PeerGone(1) {
+		if time.Now().After(deadline) {
+			t.Fatal("a peer that hung up without DONE was not gone within 1s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := eps[0].Send(1, &wire.Msg{Kind: wire.KindSync}); !errors.Is(err, ErrPeerGone) {
+		t.Fatalf("send to the peer that hung up: err = %v, want ErrPeerGone", err)
+	}
+}
+
+// TestTCPSilentConnectionDoesNotStallShutdown: the accept loop serves for
+// the endpoint's whole life, and a connection that never sends its hello —
+// a late or duplicate dial, a port probe — would hold the endpoint's
+// shutdown for the handshake deadline (DialTimeout, 10 s by default) if
+// shutdown waited for its handshake. Shutdown cuts it instead, so Abort
+// (the SIGKILL stand-in) and Close return at once.
+func TestTCPSilentConnectionDoesNotStallShutdown(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  TCPConfig
+	}{
+		{"final", TCPConfig{}},
+		{"resumable", TCPConfig{Reconnect: true}},
+	} {
+		for _, abort := range []bool{true, false} {
+			name := tc.name + "/close"
+			if abort {
+				name = tc.name + "/abort"
+			}
+			t.Run(name, func(t *testing.T) {
+				eps := tcpMesh(t, 2, tc.cfg)
+				defer eps[1].Abort()
+				conn, err := net.Dial("tcp", eps[0].addrs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				deadline := time.Now().Add(time.Second)
+				for {
+					eps[0].mu.Lock()
+					waiting := len(eps[0].handshaking)
+					eps[0].mu.Unlock()
+					if waiting > 0 {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("the silent connection never reached the handshake")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				start := time.Now()
+				if abort {
+					eps[0].Abort()
+				} else {
+					eps[1].Abort() // nobody left to wait for: Close returns at once
+					eps[0].Close()
+				}
+				if d := time.Since(start); d > 100*time.Millisecond {
+					t.Fatalf("shutdown took %v with a silent connection open, want well under the %v handshake deadline",
+						d, eps[0].cfg.DialTimeout)
+				}
+			})
+		}
+	}
+}

@@ -73,12 +73,13 @@ const (
 	KindUpdate
 	// KindShutdown tells service processes to exit.
 	KindShutdown
-	// KindHello is the TCP transport handshake announcing the sender's
-	// node ID (Stamp). Resilient endpoints (TCPConfig.Reconnect) extend
-	// it with Ints = [incarnation, connection generation]: a rejoining
-	// process presents a higher incarnation, which evicts any stale
-	// socket still installed for its ID, and both sides exchange hellos
-	// instead of the legacy dialer-only announcement.
+	// KindHello is the TCP transport handshake: the dialer of a new
+	// connection sends one, naming its node ID (Stamp) with Ints =
+	// [incarnation, connection generation, data frames received this
+	// session], and on a resumable link the acceptor answers with its own.
+	// A rejoining process presents a higher incarnation, which evicts any
+	// stale socket still installed for its ID, and the receive count tells
+	// a resumable link what to replay. A hello with fewer ints is refused.
 	KindHello
 	// KindCrash announces that the node named by Stamp is presumed
 	// crashed (fail-stop). Receivers purge its locks, fail its shard of
