@@ -137,18 +137,21 @@ type Node struct {
 	// report it to joiners (gameOver itself is application-side state).
 	over bool
 
-	// Rejoin state (guarded by mu). rejoinPending is true from New until
-	// the service has restored the lock-manager shard from the join
-	// handbacks; lock traffic for our own shard stalls in joinStalled
-	// until then. handback caches the records exported per joining team so
-	// a retransmitted join request resends the same payload (a second
-	// Export would find nothing).
-	rejoinPending bool
-	joinAcked     map[int]bool
-	joinSnapped   map[int]bool
-	joinRecs      map[int][]lockmgr.Record
-	joinStalled   []*wire.Msg
-	handback      map[int][]byte
+	// inflight holds, per base manager whose shard is in flight to this
+	// service, the lock traffic stalled until the shard lands (DESIGN.md
+	// §8): our own shard from New until a rejoin's handbacks are in, a dead
+	// manager's while its ownership is rebuilt from the quorum (guarded by
+	// mu; nil unless one of the two can happen).
+	inflight map[int][]*wire.Msg
+
+	// Rejoin state (guarded by mu): the handback records each team has
+	// acked with, and the teams whose checkpoint has been merged. handback
+	// caches the records exported per joining team so a retransmitted join
+	// request resends the same payload (a second Export would find
+	// nothing).
+	joinRecs    map[int][]lockmgr.Record
+	joinSnapped map[int]bool
+	handback    map[int][]byte
 
 	// Quorum replication state (guarded by mu; allocated when QuorumF > 0,
 	// see quorum.go). qseq numbers replication and reconstruction rounds;
@@ -192,6 +195,7 @@ func New(cfg NodeConfig) (*Node, error) {
 		n.inc[n.team] = cfg.Incarnation
 	}
 	if cfg.QuorumF > 0 {
+		n.inflight = make(map[int][]*wire.Msg)
 		n.qrep = make(map[store.ID]qOwnerRec)
 		n.qpend = make(map[int64]*qPending)
 		n.qAdopt = make(map[int]*qAdoptState)
@@ -208,10 +212,9 @@ func New(cfg NodeConfig) (*Node, error) {
 		// lock-manager shard comes back via the join handback.
 		n.st = store.New()
 		n.mgr = lockmgr.New(nil, nil)
-		n.rejoinPending = true
-		n.joinAcked = make(map[int]bool)
-		n.joinSnapped = make(map[int]bool)
+		n.inflight = map[int][]*wire.Msg{n.team: nil}
 		n.joinRecs = make(map[int][]lockmgr.Record)
+		n.joinSnapped = make(map[int]bool)
 		return n, nil
 	}
 	n.st = start.NewStore()
@@ -246,17 +249,6 @@ func (n *Node) Store() *store.Store {
 // svcID returns the service endpoint ID for a team.
 func (n *Node) svcID(team int) int { return n.teams + team }
 
-func (n *Node) countSend(ep transport.Endpoint, to int, m *wire.Msg) error {
-	n.mc.CountSend(m, m.EncodedSize())
-	if err := ep.Send(to, m); err != nil {
-		return err
-	}
-	// EC is request/response shaped: nearly every send immediately precedes
-	// a block on Recv, so on transports with deferred flushing the frame
-	// must go out now — there is no exchange-round barrier to ride.
-	return transport.Flush(ep)
-}
-
 // send gives away a message shaped like t (DESIGN.md §15, the message
 // rule): the struct comes from the wire pool, t's Payload is copied into the
 // struct's own buffer and t's Ints are shared. A sender that must resend
@@ -265,7 +257,14 @@ func (n *Node) send(ep transport.Endpoint, to int, t wire.Msg) error {
 	m := wire.GetMsg()
 	t.Payload = append(m.Payload[:0], t.Payload...)
 	*m = t
-	return n.countSend(ep, to, m)
+	n.mc.CountSend(m, m.EncodedSize())
+	if err := ep.Send(to, m); err != nil {
+		return err
+	}
+	// EC is request/response shaped: nearly every send immediately precedes
+	// a block on Recv, so on transports with deferred flushing the frame
+	// must go out now — there is no exchange-round barrier to ride.
+	return transport.Flush(ep)
 }
 
 // recycle hands a consumed message back to ep's free-list. Join traffic is
@@ -356,17 +355,14 @@ func (n *Node) noteCrash(team int, inc int64) bool {
 // dead team's incarnation as known here, so receivers that have since
 // admitted a newer life of the team recognize the declaration as stale.
 func (n *Node) declareCrash(team int) {
-	n.mu.Lock()
-	inc := n.inc[team]
-	n.mu.Unlock()
-	if !n.noteCrash(team, inc) {
+	crash := n.crashNews(team)
+	if !n.noteCrash(team, crash.Ints[0]) {
 		return
 	}
 	if n.debug() {
-		n.tracef("team %d declares %d crashed (inc %d)", n.team, team, inc)
+		n.tracef("team %d declares %d crashed (inc %d)", n.team, team, crash.Ints[0])
 	}
 	n.mc.AddEviction()
-	crash := wire.Msg{Kind: wire.KindCrash, Stamp: int64(team), Ints: []int64{inc}}
 	for t := 0; t < n.teams; t++ {
 		if t == team {
 			continue
@@ -385,26 +381,39 @@ func (n *Node) declareCrash(team int) {
 // notices — its KindLockBusy replies name only holders it knows are dead —
 // replays the announcement to that manager alone.
 func (n *Node) reannounceCrash(dead, mgrTeam int) {
-	n.mu.Lock()
-	inc := n.inc[dead]
-	n.mu.Unlock()
 	if n.debug() {
-		n.tracef("app %d re-announces crash of %d (inc %d) to mgr %d", n.team, dead, inc, mgrTeam)
+		n.tracef("app %d re-announces crash of %d to mgr %d", n.team, dead, mgrTeam)
 	}
-	_ = n.send(n.cfg.App, n.svcID(mgrTeam), wire.Msg{Kind: wire.KindCrash, Stamp: int64(dead), Ints: []int64{inc}})
+	_ = n.send(n.cfg.App, n.svcID(mgrTeam), n.crashNews(dead))
 }
 
-// liveManagerFor returns the team currently managing obj's lock: the static
-// base manager, or — after its crash — the next live team scanning up from
-// it. Every process computes the successor from its own crashed set; the
-// KindCrash broadcast keeps the sets converging.
-func (n *Node) liveManagerFor(obj store.ID) int {
-	base := lockmgr.ManagerFor(obj, n.teams)
+// crashNews is the KindCrash announcement of team, carrying its incarnation
+// as known here.
+func (n *Node) crashNews(team int) wire.Msg {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i := 0; i < n.teams; i++ {
-		t := (base + i) % n.teams
-		if !n.crashed[t] {
+	return wire.Msg{Kind: wire.KindCrash, Stamp: int64(team), Ints: []int64{n.inc[team]}}
+}
+
+// managerFor returns the team currently managing obj's lock: its static
+// base manager or, under crash tolerance, the base's successor.
+func (n *Node) managerFor(obj store.ID) int {
+	base := lockmgr.ManagerFor(obj, n.teams)
+	if !n.ft() {
+		return base
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.successor(base)
+}
+
+// successor is the one successor rule (callers hold n.mu): base's shard is
+// managed by base or, after its crash, by the next live team scanning up
+// from it. Every process computes it from its own crashed set; the
+// KindCrash broadcast keeps the sets converging.
+func (n *Node) successor(base int) int {
+	for i := range n.teams {
+		if t := (base + i) % n.teams; !n.crashed[t] {
 			return t
 		}
 	}
@@ -412,101 +421,111 @@ func (n *Node) liveManagerFor(obj store.ID) int {
 }
 
 // adoptShards makes this node's manager adopt the shard of every crashed
-// base manager whose live successor it now is. Idempotent; called by the
+// base manager whose successor it now is. Idempotent; called by the
 // service loop after each crash announcement (covers cascaded crashes: if
 // an adopter dies too, the next successor re-adopts the whole chain).
 func (n *Node) adoptShards() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for dead := 0; dead < n.teams; dead++ {
-		if !n.crashed[dead] {
-			continue
+	for dead := range n.teams {
+		if n.crashed[dead] && n.successor(dead) == n.team {
+			n.mgr.Adopt(n.shardOf(dead), n.team)
 		}
-		succ := -1
-		for i := 1; i <= n.teams; i++ {
-			t := (dead + i) % n.teams
-			if !n.crashed[t] {
-				succ = t
-				break
-			}
-		}
-		if succ != n.team {
-			continue
-		}
-		var objs []store.ID
-		for i := 0; i < n.cfg.Game.NumObjects(); i++ {
-			if lockmgr.ManagerFor(store.ID(i), n.teams) == dead {
-				objs = append(objs, store.ID(i))
-			}
-		}
-		n.mgr.Adopt(objs, n.team)
 	}
 }
 
-// routeAction is routeLock's disposition for lock traffic.
-type routeAction int
-
-const (
-	// routeServe: handle the message at this manager.
-	routeServe routeAction = iota
-	// routeStall: our own shard is mid-rejoin; the message was queued and
-	// will be replayed once the handback restores the shard.
-	routeStall
-	// routeForward: a live team closer to the object's base manages it;
-	// the message was sent on (the sender's crash view was stale).
-	routeForward
-)
-
-// routeLock decides what to do with a lock request or release for obj.
-// Normally the object is managed here and is served. Otherwise the sender
+// routeLock decides where a lock request or release for obj is served; it
+// returns the team to forward it to, or -1 to serve it here. Normally the
+// object is managed here, or is our own shard. Otherwise the sender
 // redirected traffic here believing every team from the object's static
-// base manager up to this node has crashed. Three cases:
-//
-//   - The object is our own shard and the rejoin handback has not landed
-//     yet: stall the message until it does (serving from a fresh shard
-//     could double-grant a lock whose true holder is in the in-flight
-//     handback).
-//   - Some team in the chain is live by our (fresher) view — typically a
-//     rejoined manager whose return the sender has not yet processed:
-//     forward the message to the first live team so it is served by the
-//     real manager; the grant goes straight to the original requester.
-//   - The whole chain really is crashed: the routing itself carries crash
-//     news (a KindCrash announcement lost in transit), so adopt the
-//     implied shard chain and serve.
-func (n *Node) routeLock(m *wire.Msg) (routeAction, int) {
+// base manager up to this node has crashed. Either some team in that chain
+// is live by our (fresher) view — typically a rejoined manager whose
+// return the sender has not yet processed — and the message goes on to the
+// first live one, so it is served by the real manager and the grant goes
+// straight to the original requester; or the whole chain really is
+// crashed, the routing itself carries crash news (a KindCrash announcement
+// lost in transit), and we adopt the implied shard chain and serve.
+func (n *Node) routeLock(m *wire.Msg) (forward int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	obj := store.ID(m.Obj)
-	if n.mgr.Manages(obj) {
-		return routeServe, 0
-	}
 	base := lockmgr.ManagerFor(obj, n.teams)
-	if base == n.team {
-		if n.rejoinPending {
-			n.joinStalled = append(n.joinStalled, m)
-			return routeStall, 0
-		}
-		return routeServe, 0
+	if n.mgr.Manages(obj) || base == n.team {
+		return -1
 	}
-	chain := make(map[int]bool)
 	for t := base; t != n.team; t = (t + 1) % n.teams {
 		if !n.crashed[t] {
-			return routeForward, t
+			return t
 		}
-		chain[t] = true
 	}
 	if n.debug() {
-		n.tracef("svc %d adopts shard chain for obj %d (teams %v)", n.team, obj, chain)
+		n.tracef("svc %d adopts shard chain for obj %d (teams %d up to %d)", n.team, obj, base, n.team)
 	}
-	var objs []store.ID
-	for i := 0; i < n.cfg.Game.NumObjects(); i++ {
-		id := store.ID(i)
-		if chain[lockmgr.ManagerFor(id, n.teams)] {
-			objs = append(objs, id)
+	for t := base; t != n.team; t = (t + 1) % n.teams {
+		n.mgr.Adopt(n.shardOf(t), n.team)
+	}
+	return -1
+}
+
+// stall parks lock traffic whose object's shard is in flight to this
+// service (DESIGN.md §8), until land replays it; it reports whether m was
+// parked. Serving from a shard still in flight could double-grant a lock
+// whose true holder is in an outstanding handback, or name a version-0
+// owner the quorum would have corrected.
+func (n *Node) stall(m *wire.Msg) bool {
+	base := lockmgr.ManagerFor(store.ID(m.Obj), n.teams)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	stalled, ok := n.inflight[base]
+	if ok {
+		n.inflight[base] = append(stalled, m)
+	}
+	return ok
+}
+
+// rejoining reports whether this node's own shard is still in flight.
+func (n *Node) rejoining() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	_, ok := n.inflight[n.team]
+	return ok
+}
+
+// land installs base's in-flight shard once all of it is in, then replays
+// the lock traffic that stalled behind it. Our own shard lands when every
+// live team has delivered its join ack and checkpoint: the handback records
+// first (they carry live holders, queues and ownership), then a fresh adopt
+// of whatever remains. A dead manager's shard lands when f+1 members of
+// its quorum group have contributed (restoreOwners, quorum.go).
+func (n *Node) land(base int) error {
+	n.mu.Lock()
+	stalled, ok := n.inflight[base]
+	if !ok || (base == n.team && len(n.unansweredLocked()) > 0) || (base != n.team && !n.reconDone(base)) {
+		n.mu.Unlock()
+		return nil
+	}
+	delete(n.inflight, base)
+	if base == n.team {
+		for t := range n.teams {
+			if recs := n.joinRecs[t]; len(recs) > 0 {
+				n.mgr.Readmit(recs)
+			}
 		}
+		n.mgr.Adopt(n.shardOf(n.team), n.team)
+	} else {
+		n.restoreOwners(base)
 	}
-	n.mgr.Adopt(objs, n.team)
-	return routeServe, 0
+	n.mu.Unlock()
+	if n.debug() {
+		n.tracef("svc %d landed mgr %d's shard, replaying %d stalled messages", n.team, base, len(stalled))
+	}
+	for _, m := range stalled {
+		if err := n.serveLock(m); err != nil {
+			return err
+		}
+		recycle(n.cfg.Svc, m)
+	}
+	return nil
 }
 
 // RunService processes lock and object-pull traffic until every
@@ -515,72 +534,40 @@ func (n *Node) routeLock(m *wire.Msg) (routeAction, int) {
 // application as crashed (it is demonstrably alive), and once that
 // application has shut down, prolonged total silence lets the service exit
 // rather than deadlock on shutdown or crash announcements lost in transit.
-// A message is recycled at the bottom of the loop once served; the paths
-// that keep it (stalled, forwarded) continue past that point.
+// A message is recycled at the bottom of the loop once handled; a stalled
+// one continues past that point.
 func (n *Node) RunService() error {
 	svc := n.cfg.Svc
-	remaining := n.teams
-	handled := make(map[int]bool, n.teams) // teams counted toward remaining
-	idle := 0
-	wait := n.cfg.SuspectTimeout
-	for remaining > 0 {
-		var m *wire.Msg
-		var err error
-		if n.ft() {
-			var ok bool
-			m, ok, err = svc.RecvTimeout(wait)
-			if err == nil && !ok {
-				if !handled[n.team] {
-					continue // our app still runs; just keep listening
-				}
-				idle++
-				if idle > n.maxRetransmits() {
-					if n.debug() {
-						n.tracef("svc %d now=%v idle-exit, remaining %d", n.team, svc.Now(), remaining)
-					}
-					return nil
-				}
-				if wait < 8*n.cfg.SuspectTimeout {
-					wait *= 2
-				}
-				continue
-			}
-			idle = 0
-			wait = n.cfg.SuspectTimeout
-		} else {
-			m, err = svc.Recv()
-		}
+	out := make(map[int]bool, n.teams) // teams shut down or buried
+	for len(out) < n.teams {
+		w := waiter{site: serviceWait, ep: svc, idle: out[n.team]}
+		m, err := n.await(&w)
 		if err != nil {
 			if errors.Is(err, transport.ErrClosed) {
 				return nil
 			}
 			return fmt.Errorf("ec service %d: %w", n.team, err)
 		}
+		if m == nil {
+			if n.debug() {
+				n.tracef("svc %d now=%v idle-exit, remaining %d", n.team, svc.Now(), n.teams-len(out))
+			}
+			return nil
+		}
 		switch m.Kind {
 		case wire.KindLockReq, wire.KindLockRelease:
-			if n.ft() {
-				act, to := n.routeLock(m)
-				if act == routeStall {
-					continue
-				}
-				if act == routeForward {
-					if err := n.forwardLock(m, to); err != nil {
-						return err
-					}
-					continue
-				}
+			if !n.ft() {
+				err = n.serveLock(m)
+			} else if to := n.routeLock(m); to >= 0 {
+				err = n.forwardLock(m, to)
+			} else if err = n.startAdoptRecon(); err == nil {
 				// routeLock may have just chain-adopted a dead manager's
 				// shard: in quorum mode the ownership must be reconstructed
 				// from the group before any of its locks are served.
-				if err := n.startAdoptRecon(); err != nil {
-					return err
-				}
-				if n.stallForAdopt(m) {
+				if n.stall(m) {
 					continue
 				}
-			}
-			if err := n.serveLock(m); err != nil {
-				return err
+				err = n.serveLock(m)
 			}
 		case wire.KindObjReq:
 			n.mu.Lock()
@@ -590,89 +577,67 @@ func (n *Node) RunService() error {
 			if errGet != nil {
 				return fmt.Errorf("ec service %d: serve obj %d: %w", n.team, m.Obj, errGet)
 			}
-			reply := wire.Msg{
+			err = n.send(svc, int(m.Src), wire.Msg{
 				Kind: wire.KindObjReply, Obj: m.Obj, Stamp: m.Stamp,
 				Ints: n.svcInts.Carve(ver), Payload: state,
-			}
-			if err := n.send(svc, int(m.Src), reply); err != nil {
-				return err
-			}
+			})
 		case wire.KindShutdown:
-			if src := int(m.Stamp); !handled[src] {
-				handled[src] = true
-				remaining--
-			}
+			out[int(m.Stamp)] = true
 			if n.debug() {
-				n.tracef("svc %d now=%v shutdown from %d, remaining %d", n.team, svc.Now(), m.Stamp, remaining)
+				n.tracef("svc %d now=%v shutdown from %d, remaining %d", n.team, svc.Now(), m.Stamp, n.teams-len(out))
 			}
 		case wire.KindCrash:
-			// A crash declaration: stop waiting for the dead team's
-			// shutdown, free every lock it held or queued for (granting
-			// unblocked waiters), and adopt its manager shard if this node
-			// is now the successor.
-			dead := int(m.Stamp)
-			if dead == n.team {
-				// A false declaration about our own co-located (and
-				// demonstrably alive) application: purging its locks or
-				// abandoning its shutdown would orphan it.
-				break
-			}
-			fresh := n.noteCrash(dead, crashInc(m))
-			if !fresh && !n.isCrashed(dead) {
-				break // stale declaration: the team has since rejoined
-			}
-			if !handled[dead] {
-				handled[dead] = true
-				remaining--
-			}
-			n.mu.Lock()
-			grants := n.mgr.PurgeProc(dead)
-			n.mu.Unlock()
-			if err := n.sendGrants(grants); err != nil {
-				return err
-			}
-			n.adoptShards()
-			if err := n.qPurgeDead(dead); err != nil {
-				return err
-			}
-			if err := n.startAdoptRecon(); err != nil {
-				return err
-			}
-			if err := n.finishRejoin(); err != nil {
-				return err
-			}
+			err = n.handleCrash(int(m.Stamp), crashInc(m), out)
 		case wire.KindQWrite:
-			if err := n.handleQWrite(m); err != nil {
-				return err
-			}
+			err = n.handleQWrite(m)
 		case wire.KindQWriteAck:
-			if err := n.handleQWriteAck(m); err != nil {
-				return err
-			}
+			err = n.handleQWriteAck(m)
 		case wire.KindQRead:
-			if err := n.handleQRead(m); err != nil {
-				return err
-			}
+			err = n.handleQRead(m)
 		case wire.KindQReadAck:
-			if err := n.handleQReadAck(m); err != nil {
-				return err
-			}
+			err = n.handleQReadAck(m)
 		case wire.KindJoinReq:
-			if err := n.serveJoin(m, handled, &remaining); err != nil {
-				return err
-			}
-		case wire.KindJoinAck:
-			if err := n.acceptJoinAck(m, handled, &remaining); err != nil {
-				return err
-			}
-		case wire.KindSnapshot:
-			if err := n.acceptJoinSnapshot(m); err != nil {
-				return err
-			}
+			err = n.serveJoin(m, out)
+		case wire.KindJoinAck, wire.KindSnapshot:
+			err = n.acceptJoin(m, out)
+		}
+		if err != nil {
+			return err
 		}
 		recycle(svc, m)
 	}
 	return nil
+}
+
+// handleCrash serves a crash declaration of dead: stop waiting for the
+// dead team's shutdown, free every lock it held or queued for (granting
+// unblocked waiters), and adopt its manager shard if this node is now the
+// successor.
+func (n *Node) handleCrash(dead int, inc int64, out map[int]bool) error {
+	if dead == n.team {
+		// A false declaration about our own co-located (and demonstrably
+		// alive) application: purging its locks or abandoning its shutdown
+		// would orphan it.
+		return nil
+	}
+	if !n.noteCrash(dead, inc) && !n.isCrashed(dead) {
+		return nil // stale declaration: the team has since rejoined
+	}
+	out[dead] = true
+	n.mu.Lock()
+	grants := n.mgr.PurgeProc(dead)
+	n.mu.Unlock()
+	if err := n.sendGrants(grants); err != nil {
+		return err
+	}
+	n.adoptShards()
+	if err := n.qPurgeDead(dead); err != nil {
+		return err
+	}
+	if err := n.startAdoptRecon(); err != nil {
+		return err
+	}
+	return n.land(n.team)
 }
 
 // serveLock serves a lock request or release at this manager.
@@ -757,24 +722,16 @@ func (n *Node) handleLockRelease(m *wire.Msg) error {
 
 // forwardLock sends a misrouted lock message on to the team that actually
 // manages the object, tagging it with the original requester (the grant or
-// busy reply then goes straight back to them). The received struct itself
-// travels on, so it is gone once sent. A forward to a team that died in the
-// meantime is dropped: the requester's own retransmission will re-route
-// once the crash news reaches it.
+// busy reply then goes straight back to them). A forward to a team that
+// died in the meantime is dropped: the requester's own retransmission will
+// re-route once the crash news reaches it.
 func (n *Node) forwardLock(m *wire.Msg, to int) error {
-	kind, obj, proc := m.Kind, m.Obj, lockProc(m)
-	m.Stamp = int64(proc) + 1
-	if err := n.countSend(n.cfg.Svc, n.svcID(to), m); err != nil {
-		if errors.Is(err, transport.ErrPeerGone) {
-			n.declareCrash(to)
-			return nil
-		}
-		return fmt.Errorf("ec service %d: forward %v obj %d to %d: %w", n.team, kind, obj, to, err)
-	}
+	m.Stamp = int64(lockProc(m)) + 1
 	if n.debug() {
-		n.tracef("svc %d forwards %v obj %d for proc %d to %d", n.team, kind, obj, proc, to)
+		n.tracef("svc %d forwards %v obj %d for proc %d to %d", n.team, m.Kind, m.Obj, m.Stamp-1, to)
 	}
-	return nil
+	_, err := n.sendTo(n.cfg.Svc, n.svcID(to), *m, true)
+	return err
 }
 
 func (n *Node) sendGrants(grants []lockmgr.Grant) error {
@@ -804,7 +761,7 @@ func (n *Node) sendGrants(grants []lockmgr.Grant) error {
 // set, and the exported records — plus a KindSnapshot of the replica. The
 // export is cached per team: a retransmitted join request gets the same
 // records back (a second Export would find nothing), plus a fresh snapshot.
-func (n *Node) serveJoin(m *wire.Msg, handled map[int]bool, remaining *int) error {
+func (n *Node) serveJoin(m *wire.Msg, out map[int]bool) error {
 	t := int(m.Src)
 	if t < 0 || t >= n.teams || t == n.team {
 		return nil
@@ -839,11 +796,7 @@ func (n *Node) serveJoin(m *wire.Msg, handled map[int]bool, remaining *int) erro
 	}
 	snap := n.st.Snapshot(0)
 	n.mu.Unlock()
-	if handled[t] {
-		// The joiner was counted out (crashed); wait for its shutdown again.
-		handled[t] = false
-		*remaining++
-	}
+	delete(out, t) // if the joiner was counted out, wait for its shutdown again
 	if fresh {
 		n.mc.AddJoin()
 		if n.debug() {
@@ -851,131 +804,52 @@ func (n *Node) serveJoin(m *wire.Msg, handled map[int]bool, remaining *int) erro
 		}
 	}
 	ack := wire.Msg{Kind: wire.KindJoinAck, Stamp: inc, Ints: ints, Payload: payload}
-	if err := n.send(n.cfg.Svc, n.svcID(t), ack); err != nil {
-		if errors.Is(err, transport.ErrPeerGone) {
-			return nil
-		}
-		return fmt.Errorf("ec service %d: join ack to %d: %w", n.team, t, err)
+	if gone, err := n.sendTo(n.cfg.Svc, n.svcID(t), ack, false); gone || err != nil {
+		return err
 	}
 	n.mc.AddSnapshotBytes(len(snap))
-	if err := n.send(n.cfg.Svc, n.svcID(t), wire.Msg{Kind: wire.KindSnapshot, Payload: snap}); err != nil && !errors.Is(err, transport.ErrPeerGone) {
-		return fmt.Errorf("ec service %d: snapshot to %d: %w", n.team, t, err)
-	}
-	return nil
+	_, err := n.sendTo(n.cfg.Svc, n.svcID(t), wire.Msg{Kind: wire.KindSnapshot, Payload: snap}, false)
+	return err
 }
 
-// acceptJoinAck is the joiner half, run in the rejoining node's service
-// loop: record the responder's handback records and its view of the game
-// (game-over flag, crashed set), then try to finish the rejoin.
-func (n *Node) acceptJoinAck(m *wire.Msg, handled map[int]bool, remaining *int) error {
-	if !n.cfg.Rejoin {
-		return nil
-	}
+// acceptJoin is the joiner half, run in the rejoining node's service loop.
+// A responder's KindJoinAck brings its handback records and its view of the
+// game (game-over flag, crashed set). Its KindSnapshot is merged into the
+// replica version-gated: merging every responder's checkpoint makes the
+// union capture every surviving write, whichever replica holds the freshest
+// copy of each object. A corrupt one is dropped (the app's retransmit
+// fetches another); otherwise the rejoin may now land.
+func (n *Node) acceptJoin(m *wire.Msg, out map[int]bool) error {
 	from := int(m.Src) - n.teams
-	if from < 0 || from >= n.teams || from == n.team {
-		return nil
-	}
-	recs, err := lockmgr.DecodeRecords(m.Payload)
-	if err != nil {
-		return nil // corrupt handback; the app's retransmit fetches another
-	}
-	var newlyCrashed []int
-	n.mu.Lock()
-	n.joinAcked[from] = true
-	n.joinRecs[from] = recs
-	delete(n.crashed, from) // the responder is demonstrably alive
-	delete(n.qAdopted, from)
-	if len(m.Ints) > 0 && m.Ints[0] == 1 {
-		n.over = true
-	}
-	for _, c := range m.Ints[1:] {
-		t := int(c)
-		if t >= 0 && t < n.teams && t != n.team && t != from && !n.crashed[t] {
-			n.crashed[t] = true
-			newlyCrashed = append(newlyCrashed, t)
-		}
-	}
-	n.mu.Unlock()
-	for _, t := range newlyCrashed {
-		if !handled[t] {
-			handled[t] = true
-			*remaining--
-		}
-	}
-	return n.finishRejoin()
-}
-
-// acceptJoinSnapshot merges a responder's checkpoint into the replica,
-// version-gated: merging every responder's snapshot makes the union capture
-// every surviving write, whichever replica holds the freshest copy of each
-// object.
-func (n *Node) acceptJoinSnapshot(m *wire.Msg) error {
-	if !n.cfg.Rejoin {
-		return nil
-	}
-	from := int(m.Src) - n.teams
-	if from < 0 || from >= n.teams || from == n.team {
+	if !n.cfg.Rejoin || from < 0 || from >= n.teams || from == n.team {
 		return nil
 	}
 	n.mu.Lock()
-	adopted, _, err := n.st.Merge(m.Payload)
-	if err == nil {
-		n.joinSnapped[from] = true
+	var adopted int
+	var recs []lockmgr.Record
+	var err error
+	if m.Kind == wire.KindSnapshot {
+		if adopted, _, err = n.st.Merge(m.Payload); err == nil {
+			n.joinSnapped[from] = true
+		}
+	} else if recs, err = lockmgr.DecodeRecords(m.Payload); err == nil {
+		n.joinRecs[from] = recs
+		delete(n.crashed, from) // the responder is demonstrably alive
+		delete(n.qAdopted, from)
+		n.over = n.over || m.Ints[0] == 1 // shaped: the game-over flag
+		for _, c := range m.Ints[1:] {
+			if t := int(c); t >= 0 && t < n.teams && t != n.team && t != from && !n.crashed[t] {
+				n.crashed[t] = true
+				out[t] = true
+			}
+		}
 	}
 	n.mu.Unlock()
 	if err != nil {
-		return nil // corrupt checkpoint is dropped; a retransmission follows
+		return nil
 	}
 	n.mc.AddCatchupDiffs(adopted)
-	return n.finishRejoin()
-}
-
-// finishRejoin completes the rejoin once every live team has delivered both
-// its ack and its checkpoint: restore the lock-manager shard — handback
-// records first (they carry live holders, queues, and ownership), then a
-// fresh adopt of whatever remains — and replay the lock traffic that
-// stalled while the shard was in flight.
-func (n *Node) finishRejoin() error {
-	n.mu.Lock()
-	if !n.rejoinPending {
-		n.mu.Unlock()
-		return nil
-	}
-	for t := 0; t < n.teams; t++ {
-		if t == n.team || n.crashed[t] {
-			continue
-		}
-		if !n.joinAcked[t] || !n.joinSnapped[t] {
-			n.mu.Unlock()
-			return nil
-		}
-	}
-	n.rejoinPending = false
-	for t := 0; t < n.teams; t++ {
-		if recs := n.joinRecs[t]; len(recs) > 0 {
-			n.mgr.Readmit(recs)
-		}
-	}
-	n.mgr.Adopt(n.shardOf(n.team), n.team)
-	stalled := n.joinStalled
-	n.joinStalled = nil
-	n.mu.Unlock()
-	if n.debug() {
-		n.tracef("svc %d rejoin complete: shard restored, replaying %d stalled messages", n.team, len(stalled))
-	}
-	return n.replay(stalled)
-}
-
-// replay serves lock traffic that stalled while its shard was in flight,
-// recycling each message once served.
-func (n *Node) replay(stalled []*wire.Msg) error {
-	for _, m := range stalled {
-		if err := n.serveLock(m); err != nil {
-			return err
-		}
-		recycle(n.cfg.Svc, m)
-	}
-	return nil
+	return n.land(n.team)
 }
 
 // lockReq is one entry of an iteration's lock set.
@@ -1054,12 +928,8 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 			if team == n.team || (n.ft() && n.isCrashed(team)) {
 				continue
 			}
-			if err := n.send(app, team, wire.Msg{Kind: wire.KindDone, Mode: 1, Stamp: int64(n.team)}); err != nil {
-				if n.ft() && errors.Is(err, transport.ErrPeerGone) {
-					n.declareCrash(team)
-					continue
-				}
-				return n.stats, fmt.Errorf("ec app %d: game-over to %d: %w", n.team, team, err)
+			if _, err := n.sendTo(app, team, wire.Msg{Kind: wire.KindDone, Mode: 1, Stamp: int64(n.team)}, true); err != nil {
+				return n.stats, err
 			}
 		}
 	}
@@ -1071,11 +941,8 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 		if n.ft() && n.isCrashed(team) {
 			continue
 		}
-		if err := n.send(app, n.svcID(team), wire.Msg{Kind: wire.KindShutdown, Stamp: int64(n.team)}); err != nil {
-			if n.ft() && errors.Is(err, transport.ErrPeerGone) {
-				continue
-			}
-			return n.stats, fmt.Errorf("ec app %d: shutdown to %d: %w", n.team, team, err)
+		if _, err := n.sendTo(app, n.svcID(team), wire.Msg{Kind: wire.KindShutdown, Stamp: int64(n.team)}, false); err != nil {
+			return n.stats, err
 		}
 	}
 	return n.stats, nil
@@ -1090,97 +957,34 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 // process was away are simply absent from the board.
 func (n *Node) runJoin() error {
 	app := n.cfg.App
-	req := wire.Msg{Kind: wire.KindJoinReq, Stamp: n.cfg.Incarnation}
-	var targets []int
-	for t := 0; t < n.teams; t++ {
-		if t != n.team {
-			targets = append(targets, t)
+	w := waiter{site: joinWait, ep: app, req: wire.Msg{Kind: wire.KindJoinReq, Stamp: n.cfg.Incarnation}}
+	for t := range n.teams {
+		if t == n.team {
+			continue
 		}
-	}
-	unresolved := func() []int {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		var out []int
-		for _, t := range targets {
-			if !n.crashed[t] && !(n.joinAcked[t] && n.joinSnapped[t]) {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-	send := func(t int) error {
-		if err := n.send(app, n.svcID(t), req); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				n.declareCrash(t)
-				return nil
-			}
-			return fmt.Errorf("ec app %d: join req to %d: %w", n.team, t, err)
-		}
-		return nil
-	}
-	for _, t := range targets {
-		if err := send(t); err != nil {
+		if _, err := n.sendTo(app, n.svcID(t), w.req, true); err != nil {
 			return err
 		}
 	}
-	timeout := n.cfg.SuspectTimeout
-	wait := timeout
-	retries := 0
-	for len(unresolved()) > 0 {
-		m, ok, err := app.RecvTimeout(wait)
-		if err != nil {
-			return fmt.Errorf("ec app %d: join wait: %w", n.team, err)
-		}
-		if ok {
-			n.noteAppMsg(m)
-			continue
-		}
-		retries++
-		if retries > n.maxRetransmits() {
-			// Non-responders are presumed dead; the join completes among
-			// whoever answered.
-			for _, t := range unresolved() {
-				n.declareCrash(t)
-			}
-			break
-		}
-		for _, t := range unresolved() {
-			if err := send(t); err != nil {
-				return err
-			}
-			n.mc.AddRetransmit()
-		}
-		if wait < 8*timeout {
-			wait *= 2
-		}
+	if _, err := n.await(&w); err != nil {
+		return err
 	}
-	// The service flips rejoinPending once every handback and checkpoint is
-	// in (our evictions above reach it as KindCrash); wait for that so the
-	// world below is complete.
-	for {
-		n.mu.Lock()
-		pending := n.rejoinPending
-		n.mu.Unlock()
-		if !pending {
-			break
-		}
-		m, ok, err := app.RecvTimeout(timeout)
-		if err != nil {
-			return fmt.Errorf("ec app %d: join wait: %w", n.team, err)
-		}
-		if ok {
-			n.noteAppMsg(m)
-		}
+	// The service lands our shard once every handback and checkpoint is in
+	// (the burials above reach it as KindCrash); wait for that so the world
+	// below is complete.
+	w = waiter{site: landWait, ep: app}
+	if _, err := n.await(&w); err != nil {
+		return err
 	}
 	n.mu.Lock()
-	acks := len(n.joinAcked)
+	acks := len(n.joinRecs)
 	if n.over {
 		n.gameOver = true
 	}
-	var w *game.World
+	var world *game.World
 	var err error
 	if acks > 0 {
-		w, err = game.DecodeWorld(n.cfg.Game, n.st)
+		world, err = game.DecodeWorld(n.cfg.Game, n.st)
 	}
 	n.mu.Unlock()
 	if acks == 0 {
@@ -1189,7 +993,7 @@ func (n *Node) runJoin() error {
 	if err != nil {
 		return fmt.Errorf("ec app %d: decode joined world: %w", n.team, err)
 	}
-	for _, pos := range w.TanksByTeam()[n.team] {
+	for _, pos := range world.TanksByTeam()[n.team] {
 		n.tanks = append(n.tanks, game.NewTankState(pos))
 	}
 	n.mc.AddJoin()
@@ -1197,6 +1001,25 @@ func (n *Node) runJoin() error {
 		n.tracef("app %d rejoined (inc %d): %d acks, %d tanks", n.team, n.cfg.Incarnation, acks, len(n.tanks))
 	}
 	return nil
+}
+
+// unanswered returns the live teams whose join ack or checkpoint has not
+// reached our service yet.
+func (n *Node) unanswered() []int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.unansweredLocked()
+}
+
+// unansweredLocked is unanswered for callers that hold n.mu.
+func (n *Node) unansweredLocked() []int {
+	var out []int
+	for t := range n.teams {
+		if _, acked := n.joinRecs[t]; t != n.team && !n.crashed[t] && !(acked && n.joinSnapped[t]) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // noteAppMsg consumes application-endpoint traffic other than the reply
@@ -1275,38 +1098,25 @@ func (n *Node) acquireAll(locks []lockReq) error {
 }
 
 // acquireOne acquires one lock, failing over to the successor manager and
-// purging dead holders when crash tolerance is on.
+// burying dead holders when crash tolerance is on, and pulls the object's
+// fresh copy when the grant names a newer one elsewhere.
 func (n *Node) acquireOne(lr lockReq) error {
 	app := n.cfg.App
-	mode := wire.ModeRead
+	mode, modeAux := wire.ModeRead, int64(0)
 	if lr.write {
-		mode = wire.ModeWrite
+		mode, modeAux = wire.ModeWrite, 1
 	}
-	mgrTeam := lockmgr.ManagerFor(lr.obj, n.teams)
-	if n.ft() {
-		mgrTeam = n.liveManagerFor(lr.obj)
-	}
-	var modeAux int64
-	if lr.write {
-		modeAux = 1
-	}
+	mgrTeam := n.managerFor(lr.obj)
 	n.cfg.AppTrace.Record(trace.OpLockReq, mgrTeam, int64(lr.obj), 0, 0, modeAux)
-	req := wire.Msg{Kind: wire.KindLockReq, Obj: uint32(lr.obj), Mode: mode}
+	w := waiter{site: grantWait, ep: app, obj: lr.obj, peer: mgrTeam, suspect: mgrTeam,
+		req: wire.Msg{Kind: wire.KindLockReq, Obj: uint32(lr.obj), Mode: mode}}
 	t0 := app.Now()
-	if err := n.send(app, n.svcID(mgrTeam), req); err != nil {
-		if n.ft() && errors.Is(err, transport.ErrPeerGone) {
-			n.declareCrash(mgrTeam)
-			return n.acquireOne(lr)
-		}
-		return fmt.Errorf("ec app %d: lock req %d: %w", n.team, lr.obj, err)
+	if gone, err := n.sendTo(app, n.svcID(mgrTeam), w.req, true); gone {
+		return n.acquireOne(lr)
+	} else if err != nil {
+		return err
 	}
-	var grant *wire.Msg
-	var err error
-	if n.ft() {
-		grant, err = n.awaitGrantFT(lr.obj, req, mgrTeam)
-	} else {
-		grant, err = n.awaitKind(wire.KindLockGrant, uint32(lr.obj))
-	}
+	grant, err := n.await(&w)
 	if err != nil {
 		return err
 	}
@@ -1318,36 +1128,23 @@ func (n *Node) acquireOne(lr lockReq) error {
 	n.mu.Lock()
 	local, _ := n.st.Version(lr.obj)
 	n.mu.Unlock()
-	if version > local && owner != n.team && !(n.ft() && n.isCrashed(owner)) {
-		t1 := app.Now()
-		pull := wire.Msg{Kind: wire.KindObjReq, Obj: uint32(lr.obj), Stamp: int64(lr.obj)}
-		if err := n.send(app, n.svcID(owner), pull); err != nil {
-			if n.ft() && errors.Is(err, transport.ErrPeerGone) {
-				n.declareCrash(owner)
-				return nil // local replica stands in for the lost copy
-			}
-			return fmt.Errorf("ec app %d: pull %d: %w", n.team, lr.obj, err)
-		}
-		var reply *wire.Msg
-		if n.ft() {
-			var ok bool
-			reply, ok, err = n.awaitPullFT(lr.obj, pull, owner)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				// The owner crashed before serving the pull; its latest
-				// writes are lost (fail-stop) and the local replica is
-				// the freshest surviving copy.
-				n.mc.AddTime(metrics.CatObjPull, app.Now()-t1)
-				return nil
-			}
-		} else {
-			reply, err = n.awaitKind(wire.KindObjReply, uint32(lr.obj))
-			if err != nil {
-				return err
-			}
-		}
+	if version <= local || owner == n.team || (n.ft() && n.isCrashed(owner)) {
+		return nil
+	}
+	t1 := app.Now()
+	w = waiter{site: pullWait, ep: app, obj: lr.obj, peer: owner,
+		req: wire.Msg{Kind: wire.KindObjReq, Obj: uint32(lr.obj), Stamp: int64(lr.obj)}}
+	if gone, err := n.sendTo(app, n.svcID(owner), w.req, true); gone || err != nil {
+		return err // gone: the local replica stands in for the lost copy
+	}
+	reply, err := n.await(&w)
+	if err != nil {
+		return err
+	}
+	// A nil reply: the owner crashed before serving the pull; its latest
+	// writes are lost (fail-stop) and the local replica is the freshest
+	// surviving copy.
+	if reply != nil {
 		n.mu.Lock()
 		err = n.st.SetState(lr.obj, reply.Payload, reply.Ints[0]) // copies the payload
 		n.mu.Unlock()
@@ -1355,197 +1152,9 @@ func (n *Node) acquireOne(lr lockReq) error {
 		if err != nil {
 			return fmt.Errorf("ec app %d: apply pulled %d: %w", n.team, lr.obj, err)
 		}
-		n.mc.AddTime(metrics.CatObjPull, app.Now()-t1)
 	}
+	n.mc.AddTime(metrics.CatObjPull, app.Now()-t1)
 	return nil
-}
-
-// awaitKind blocks until a message of the wanted kind for the wanted object
-// arrives. The application has at most one outstanding request, so no other
-// traffic can interleave.
-func (n *Node) awaitKind(kind wire.Kind, obj uint32) (*wire.Msg, error) {
-	for {
-		m, err := n.cfg.App.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("ec app %d: await %v: %w", n.team, kind, err)
-		}
-		if m.Kind == kind && m.Obj == obj {
-			return m, nil
-		}
-		// A winner's announcement arriving mid-acquire is noted and the
-		// wait goes on (locks are still released properly at the end of the
-		// iteration).
-		n.noteAppMsg(m)
-	}
-}
-
-// awaitGrantFT waits for the grant of obj with failure detection. Silence
-// past the suspicion timeout retransmits the request under bounded
-// exponential backoff; exhausted retries declare the current suspect — the
-// manager, or (after a KindLockBusy hint) a lock holder — crashed, and the
-// wait restarts against the recovered state: a dead manager's successor is
-// re-asked, a dead holder's purge lets the (live) manager grant.
-func (n *Node) awaitGrantFT(obj store.ID, req wire.Msg, mgrTeam int) (*wire.Msg, error) {
-	app := n.cfg.App
-	timeout := n.cfg.SuspectTimeout
-	wait := timeout
-	retries := 0
-	suspect := mgrTeam
-	suspectIsHolder := false
-	failover := func() error {
-		mgrTeam = n.liveManagerFor(obj)
-		suspect = mgrTeam
-		suspectIsHolder = false
-		retries = 0
-		wait = timeout
-		if n.debug() {
-			n.tracef("app %d now=%v obj=%d failover to mgr %d", n.team, app.Now(), obj, mgrTeam)
-		}
-		if err := n.send(app, n.svcID(mgrTeam), req); err != nil {
-			return fmt.Errorf("ec app %d: failover lock req %d to %d: %w", n.team, obj, mgrTeam, err)
-		}
-		n.mc.AddRetransmit()
-		return nil
-	}
-	for {
-		m, ok, err := app.RecvTimeout(wait)
-		if err != nil {
-			return nil, fmt.Errorf("ec app %d: await grant %d: %w", n.team, obj, err)
-		}
-		if ok {
-			switch {
-			case m.Kind == wire.KindLockGrant && m.Obj == uint32(obj):
-				return m, nil
-			case m.Kind == wire.KindLockBusy && m.Obj == uint32(obj):
-				// The manager is alive but the lock is held elsewhere:
-				// blame the first live foreign holder instead.
-				blamed := false
-				for _, h := range m.Ints {
-					if int(h) != n.team && !n.isCrashed(int(h)) {
-						suspect = int(h)
-						suspectIsHolder = true
-						blamed = true
-						break
-					}
-				}
-				if !blamed {
-					// Every foreign holder named is already buried in our
-					// view, yet the manager still serves their locks: its
-					// copy of the KindCrash broadcast was lost, and
-					// declareCrash won't repeat old news. Re-announce the
-					// burials to this manager so it purges the phantom
-					// holders and grants the queued request.
-					for _, h := range m.Ints {
-						if int(h) != n.team && n.isCrashed(int(h)) {
-							n.reannounceCrash(int(h), mgrTeam)
-						}
-					}
-				}
-			}
-			buried := m.Kind == wire.KindCrash && int(m.Stamp) == mgrTeam
-			n.noteAppMsg(m)
-			if buried && n.isCrashed(mgrTeam) {
-				// Someone else buried our manager; fail over now.
-				if err := failover(); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if retries == 0 {
-			n.mc.AddSuspect()
-		}
-		retries++
-		if cur := n.liveManagerFor(obj); cur != mgrTeam {
-			// The routing changed beneath us — a crash learned through
-			// another exchange, or the base manager rejoined. Re-aim at
-			// the current manager before spending the retry budget on the
-			// wrong one.
-			mgrTeam = cur
-			suspect = cur
-			suspectIsHolder = false
-		}
-		if n.debug() {
-			n.tracef("app %d now=%v obj=%d grant-wait timeout #%d suspect=%d holder=%v",
-				n.team, app.Now(), obj, retries, suspect, suspectIsHolder)
-		}
-		if retries > n.maxRetransmits() {
-			n.declareCrash(suspect)
-			if suspectIsHolder {
-				// The manager outlives the holder: its purge on KindCrash
-				// will grant us the lock. Resume suspecting the manager.
-				suspect = mgrTeam
-				suspectIsHolder = false
-				retries = 0
-				wait = timeout
-				continue
-			}
-			if err := failover(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := n.send(app, n.svcID(mgrTeam), req); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				n.declareCrash(mgrTeam)
-				if err := failover(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			return nil, fmt.Errorf("ec app %d: retransmit lock req %d: %w", n.team, obj, err)
-		}
-		n.mc.AddRetransmit()
-		if wait < 8*timeout {
-			wait *= 2
-		}
-	}
-}
-
-// awaitPullFT waits for an object-pull reply with failure detection. ok is
-// false when the owner was declared crashed instead of answering — the
-// caller falls back to its local replica.
-func (n *Node) awaitPullFT(obj store.ID, req wire.Msg, owner int) (*wire.Msg, bool, error) {
-	app := n.cfg.App
-	timeout := n.cfg.SuspectTimeout
-	wait := timeout
-	retries := 0
-	for {
-		m, ok, err := app.RecvTimeout(wait)
-		if err != nil {
-			return nil, false, fmt.Errorf("ec app %d: await pull %d: %w", n.team, obj, err)
-		}
-		if ok {
-			if m.Kind == wire.KindObjReply && m.Obj == uint32(obj) {
-				return m, true, nil
-			}
-			buried := m.Kind == wire.KindCrash && int(m.Stamp) == owner
-			n.noteAppMsg(m)
-			if buried && n.isCrashed(owner) {
-				return nil, false, nil
-			}
-			continue
-		}
-		if retries == 0 {
-			n.mc.AddSuspect()
-		}
-		retries++
-		if retries > n.maxRetransmits() {
-			n.declareCrash(owner)
-			return nil, false, nil
-		}
-		if err := n.send(app, n.svcID(owner), req); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				n.declareCrash(owner)
-				return nil, false, nil
-			}
-			return nil, false, fmt.Errorf("ec app %d: retransmit pull %d: %w", n.team, obj, err)
-		}
-		n.mc.AddRetransmit()
-		if wait < 8*timeout {
-			wait *= 2
-		}
-	}
 }
 
 // cleanRelease is the Ints of every release that wrote nothing: shared and
@@ -1558,10 +1167,7 @@ func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
 	app := n.cfg.App
 	t0 := app.Now()
 	for _, lr := range locks {
-		mgrTeam := lockmgr.ManagerFor(lr.obj, n.teams)
-		if n.ft() {
-			mgrTeam = n.liveManagerFor(lr.obj)
-		}
+		mgrTeam := n.managerFor(lr.obj)
 		rel := wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.obj), Ints: cleanRelease}
 		if v, ok := dirty[lr.obj]; ok && lr.write {
 			rel.Ints = n.appInts.Carve(1, v)

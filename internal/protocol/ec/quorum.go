@@ -18,14 +18,11 @@
 package ec
 
 import (
-	"errors"
-	"fmt"
 	"slices"
 
 	"sdso/internal/lockmgr"
 	"sdso/internal/quorum"
 	"sdso/internal/store"
-	"sdso/internal/transport"
 	"sdso/internal/wire"
 )
 
@@ -38,7 +35,6 @@ type qOwnerRec struct {
 // qPending is a replication round awaiting backup acks; the release's
 // grants stay deferred until the record is on f+1 group members.
 type qPending struct {
-	obj    store.ID
 	grants []lockmgr.Grant
 	needed int
 	acked  map[int]bool
@@ -46,13 +42,12 @@ type qPending struct {
 }
 
 // qAdoptState is an in-progress ownership reconstruction for a dead base
-// manager's shard.
+// manager's shard; the shard is in flight (Node.inflight) until it is done.
 type qAdoptState struct {
 	seq     int64
 	needed  int
 	replied map[int]bool
 	best    map[store.ID]qOwnerRec
-	stalled []*wire.Msg
 }
 
 // qf returns the replication factor (0 = quorum replication off).
@@ -92,7 +87,7 @@ func (n *Node) replicateOwner(obj store.ID, owner int, version int64, grants []l
 	seq := n.qseq
 	if needed > 0 {
 		n.qpend[seq] = &qPending{
-			obj: obj, grants: slices.Clone(grants), needed: needed, // grants are the manager's scratch
+			grants: slices.Clone(grants), needed: needed, // grants are the manager's scratch
 			acked: make(map[int]bool), sent: make(map[int]bool),
 		}
 		for _, t := range targets {
@@ -106,12 +101,8 @@ func (n *Node) replicateOwner(obj store.ID, owner int, version int64, grants []l
 	}
 	m := wire.Msg{Kind: wire.KindQWrite, Stamp: seq, Obj: uint32(obj), Ints: n.svcInts.Carve(int64(owner), version)}
 	for _, t := range targets {
-		if err := n.send(n.cfg.Svc, n.svcID(t), m); err != nil {
-			if errors.Is(err, transport.ErrPeerGone) {
-				n.declareCrash(t)
-				continue
-			}
-			return fmt.Errorf("ec service %d: replicate obj %d to %d: %w", n.team, obj, t, err)
+		if _, err := n.sendTo(n.cfg.Svc, n.svcID(t), m, true); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -119,75 +110,60 @@ func (n *Node) replicateOwner(obj store.ID, owner int, version int64, grants []l
 
 // qrepApply installs an ownership record in the local backup copy,
 // version-gated (callers hold n.mu).
-func (n *Node) qrepApply(obj store.ID, owner int, version int64) bool {
-	if cur, ok := n.qrep[obj]; ok && version <= cur.version {
-		return false
+func (n *Node) qrepApply(obj store.ID, owner int, version int64) {
+	if cur, ok := n.qrep[obj]; !ok || version > cur.version {
+		n.qrep[obj] = qOwnerRec{owner: owner, version: version}
 	}
-	n.qrep[obj] = qOwnerRec{owner: owner, version: version}
-	return true
 }
 
 // handleQWrite is the backup half of a replication round: store the record
 // version-gated and ack with the round's sequence number.
 func (n *Node) handleQWrite(m *wire.Msg) error {
-	if n.qf() == 0 || len(m.Ints) < 2 {
+	if n.qf() == 0 {
 		return nil
 	}
 	n.mu.Lock()
-	n.qrepApply(store.ID(m.Obj), int(m.Ints[0]), m.Ints[1])
+	n.qrepApply(store.ID(m.Obj), int(m.Ints[0]), m.Ints[1]) // shaped
 	n.mu.Unlock()
-	ack := wire.Msg{Kind: wire.KindQWriteAck, Stamp: m.Stamp, Obj: m.Obj}
-	if err := n.send(n.cfg.Svc, int(m.Src), ack); err != nil && !errors.Is(err, transport.ErrPeerGone) {
-		return fmt.Errorf("ec service %d: qwrite ack: %w", n.team, err)
-	}
-	return nil
+	_, err := n.sendTo(n.cfg.Svc, int(m.Src), wire.Msg{Kind: wire.KindQWriteAck, Stamp: m.Stamp, Obj: m.Obj}, false)
+	return err
 }
 
-// handleQWriteAck completes a replication round when f+1 group members hold
-// the record, releasing the deferred grants.
+// handleQWriteAck counts a backup's ack toward its replication round.
 func (n *Node) handleQWriteAck(m *wire.Msg) error {
 	n.mu.Lock()
-	p := n.qpend[m.Stamp]
-	if p == nil {
-		n.mu.Unlock()
-		return nil // duplicate ack of a completed round
-	}
-	from := int(m.Src) - n.teams
-	if p.acked[from] {
-		n.mu.Unlock()
-		return nil
-	}
-	p.acked[from] = true
-	done := len(p.acked) >= p.needed
-	var grants []lockmgr.Grant
-	if done {
-		grants = p.grants
-		delete(n.qpend, m.Stamp)
+	if p := n.qpend[m.Stamp]; p != nil { // nil: a duplicate ack of a completed round
+		p.acked[int(m.Src)-n.teams] = true
 	}
 	n.mu.Unlock()
-	if done {
-		return n.sendGrants(grants)
-	}
-	return nil
+	return n.completeRounds()
 }
 
-// qPurgeDead drops a crashed backup from every pending replication round,
-// completing rounds its ack was the last obstacle for. Without this a
-// backup dying mid-round would defer the release's grants forever.
+// qPurgeDead drops a crashed backup from every pending replication round.
+// Without this a backup dying mid-round would defer the release's grants
+// forever.
 func (n *Node) qPurgeDead(dead int) error {
 	if n.qf() == 0 {
 		return nil
 	}
+	n.mu.Lock()
+	for _, p := range n.qpend {
+		if p.sent[dead] && !p.acked[dead] {
+			delete(p.sent, dead)
+			p.needed = min(p.needed, len(p.sent))
+		}
+	}
+	n.mu.Unlock()
+	return n.completeRounds()
+}
+
+// completeRounds releases the deferred grants of every replication round
+// that f+1 group members now hold. Every ack and purge calls it, so only
+// the rounds they touched can have completed.
+func (n *Node) completeRounds() error {
 	var ready [][]lockmgr.Grant
 	n.mu.Lock()
 	for seq, p := range n.qpend {
-		if !p.sent[dead] || p.acked[dead] {
-			continue
-		}
-		delete(p.sent, dead)
-		if p.needed > len(p.sent) {
-			p.needed = len(p.sent)
-		}
 		if len(p.acked) >= p.needed {
 			ready = append(ready, p.grants)
 			delete(n.qpend, seq)
@@ -205,9 +181,9 @@ func (n *Node) qPurgeDead(dead int) error {
 // startAdoptRecon begins ownership reconstruction for every crashed base
 // manager whose shard this node has adopted and not yet reconstructed: a
 // quorum read over the dead manager's group. Until f+1 members contribute,
-// lock traffic for those objects stalls (see stallForAdopt) — serving from
-// a version-0 shard is exactly the regression replication exists to
-// prevent. Idempotent; call after any adoption point.
+// the shard is in flight and lock traffic for it stalls (see Node.stall) —
+// serving from a version-0 shard is exactly the regression replication
+// exists to prevent. Idempotent; call after any adoption point.
 func (n *Node) startAdoptRecon() error {
 	if n.qf() == 0 {
 		return nil
@@ -220,18 +196,7 @@ func (n *Node) startAdoptRecon() error {
 	var starts []recon
 	n.mu.Lock()
 	for dead := 0; dead < n.teams; dead++ {
-		if !n.crashed[dead] || n.qAdopt[dead] != nil || n.qAdopted[dead] {
-			continue
-		}
-		succ := -1
-		for i := 1; i <= n.teams; i++ {
-			t := (dead + i) % n.teams
-			if !n.crashed[t] {
-				succ = t
-				break
-			}
-		}
-		if succ != n.team {
+		if !n.crashed[dead] || n.qAdopt[dead] != nil || n.qAdopted[dead] || n.successor(dead) != n.team {
 			continue
 		}
 		group := n.qGroup(dead)
@@ -261,6 +226,7 @@ func (n *Node) startAdoptRecon() error {
 		n.qseq++
 		st.seq = n.qseq
 		n.qAdopt[dead] = st
+		n.inflight[dead] = nil
 		starts = append(starts, recon{dead: dead, seq: st.seq, targets: targets})
 	}
 	n.mu.Unlock()
@@ -271,17 +237,13 @@ func (n *Node) startAdoptRecon() error {
 		}
 		for _, t := range s.targets {
 			m := wire.Msg{Kind: wire.KindQRead, Stamp: s.seq, Obj: uint32(s.dead)}
-			if err := n.send(n.cfg.Svc, n.svcID(t), m); err != nil {
-				if errors.Is(err, transport.ErrPeerGone) {
-					n.declareCrash(t)
-					continue
-				}
-				return fmt.Errorf("ec service %d: qread to %d: %w", n.team, t, err)
+			if _, err := n.sendTo(n.cfg.Svc, n.svcID(t), m, true); err != nil {
+				return err
 			}
 		}
 		// A fully degraded reconstruction (no one left to ask) completes
 		// with whatever the local copy knows.
-		if err := n.finishAdoptRecon(s.dead); err != nil {
+		if err := n.land(s.dead); err != nil {
 			return err
 		}
 	}
@@ -306,14 +268,9 @@ func (n *Node) handleQRead(m *wire.Msg) error {
 		}
 	}
 	n.mu.Unlock()
-	ack := wire.Msg{
-		Kind: wire.KindQReadAck, Stamp: m.Stamp, Obj: m.Obj,
-		Payload: lockmgr.EncodeRecords(recs),
-	}
-	if err := n.send(n.cfg.Svc, int(m.Src), ack); err != nil && !errors.Is(err, transport.ErrPeerGone) {
-		return fmt.Errorf("ec service %d: qread ack: %w", n.team, err)
-	}
-	return nil
+	ack := wire.Msg{Kind: wire.KindQReadAck, Stamp: m.Stamp, Obj: m.Obj, Payload: lockmgr.EncodeRecords(recs)}
+	_, err := n.sendTo(n.cfg.Svc, int(m.Src), ack, false)
+	return err
 }
 
 // handleQReadAck folds one backup's records into an in-progress
@@ -338,19 +295,20 @@ func (n *Node) handleQReadAck(m *wire.Msg) error {
 		}
 	}
 	n.mu.Unlock()
-	return n.finishAdoptRecon(dead)
+	return n.land(dead)
 }
 
-// finishAdoptRecon completes a reconstruction once enough group members
-// have contributed: install the max-version records in the adopted shard,
-// then replay the lock traffic that stalled behind it.
-func (n *Node) finishAdoptRecon(dead int) error {
-	n.mu.Lock()
+// reconDone reports whether dead's reconstruction has heard from enough
+// group members (callers hold n.mu).
+func (n *Node) reconDone(dead int) bool {
 	st := n.qAdopt[dead]
-	if st == nil || len(st.replied) < st.needed {
-		n.mu.Unlock()
-		return nil
-	}
+	return st != nil && len(st.replied) >= st.needed
+}
+
+// restoreOwners completes dead's reconstruction (callers hold n.mu): the
+// max-version records are installed in the adopted shard.
+func (n *Node) restoreOwners(dead int) {
+	st := n.qAdopt[dead]
 	delete(n.qAdopt, dead)
 	n.qAdopted[dead] = true
 	repaired := 0
@@ -359,31 +317,11 @@ func (n *Node) finishAdoptRecon(dead int) error {
 			repaired++
 		}
 	}
-	stalled := st.stalled
-	n.mu.Unlock()
 	if repaired > 0 {
 		n.mc.AddReadRepair()
 	}
 	n.mc.AddReplicaCatchup()
 	if n.debug() {
-		n.tracef("svc %d reconstructed mgr %d's shard: %d records repaired, %d stalled msgs",
-			n.team, dead, repaired, len(stalled))
+		n.tracef("svc %d reconstructed mgr %d's shard: %d records repaired", n.team, dead, repaired)
 	}
-	return n.replay(stalled)
-}
-
-// stallForAdopt parks a lock request or release whose object's ownership is
-// still being reconstructed; reports whether the message was stalled.
-func (n *Node) stallForAdopt(m *wire.Msg) bool {
-	if n.qf() == 0 {
-		return false
-	}
-	base := lockmgr.ManagerFor(store.ID(m.Obj), n.teams)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if st := n.qAdopt[base]; st != nil {
-		st.stalled = append(st.stalled, m)
-		return true
-	}
-	return false
 }

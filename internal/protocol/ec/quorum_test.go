@@ -185,7 +185,7 @@ func TestQuorumStallsLocksDuringReconstruction(t *testing.T) {
 
 	crash(t, n1, 0) // QReads are now in flight, NOT yet answered
 	req := &wire.Msg{Kind: wire.KindLockReq, Src: 1, Obj: uint32(obj), Mode: wire.ModeWrite}
-	if !n1.stallForAdopt(req) {
+	if !n1.stall(req) {
 		t.Fatal("lock request served mid-reconstruction")
 	}
 	if got := drainGrants(t, apps[1]); len(got) != 0 {

@@ -461,8 +461,8 @@ func (n *Node) awaitKind(kind wire.Kind, obj uint32) (*wire.Msg, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lrc app %d: await %v: %w", n.team, kind, err)
 		}
-		if m.Kind == kind && m.Obj == obj {
-			return m, nil
+		if m.Kind == kind && m.Obj == obj && (kind != wire.KindObjReply || len(m.Ints) > 0) {
+			return m, nil // a peer's reply is outside input: read only a shaped one
 		}
 		if m.Kind == wire.KindDone {
 			n.gameOver = true
