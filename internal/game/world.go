@@ -12,6 +12,9 @@
 //     by every player of the process (start.go),
 //   - the per-tick tank decision function, a pure function of state that
 //     every consistency protocol keeps fresh (decide.go),
+//   - the team's turn every protocol driver plays on its own replica: set-up,
+//     the death check, the tanks deciding and writing in order, the one
+//     scoring rule and the access set (turn.go),
 //   - the lockstep single-threaded reference simulation that the lookahead
 //     protocols must reproduce exactly (reference.go), and
 //   - the spatial/temporal semantic machinery: beacons, the

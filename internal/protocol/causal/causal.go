@@ -46,19 +46,17 @@ type player struct {
 	mc   *metrics.Collector
 	team int
 
-	st    *store.Store
-	vc    clock.Vector
-	tick  int64
-	goal  game.Pos
-	tanks []game.TankState
+	st     *store.Store
+	vc     clock.Vector
+	tick   int64
+	turn   game.Team
+	writes []xlist.ObjDiff // the tick's writes, as replace diffs
 
 	// Causal delivery machinery.
 	pending  []*wire.Msg   // updates not yet causally deliverable
 	tickSeen map[int]int64 // peer -> latest update tick delivered
 	peerDone map[int]bool
 	gameOver bool
-
-	stats game.TeamStats
 }
 
 // RunPlayer executes one team's process under causal memory.
@@ -81,20 +79,16 @@ func RunPlayer(cfg PlayerConfig) (game.TeamStats, error) {
 		vc:       clock.NewVector(cfg.Endpoint.N()),
 		tickSeen: make(map[int]int64),
 		peerDone: make(map[int]bool),
-		stats:    game.TeamStats{Team: cfg.Endpoint.ID()},
 	}
-	start, err := game.StartOf(cfg.Game)
+	turn, start, err := game.NewTeam(&p.cfg.Game, p.team)
 	if err != nil {
 		return game.TeamStats{}, err
 	}
-	p.goal = start.Goal
-	p.st = start.NewStore()
-	for _, pos := range start.Tanks[p.team] {
-		p.tanks = append(p.tanks, game.NewTankState(pos))
-	}
+	p.turn, p.st = turn, start.NewStore()
+	p.turn.Replica = p.st
 	err = p.play()
 	mc.SetExecTime(cfg.Endpoint.Now())
-	return p.stats, err
+	return p.turn.Stats, err
 }
 
 func (p *player) send(to int, m *wire.Msg) error {
@@ -117,22 +111,19 @@ func (p *player) play() error {
 	for tick := int64(1); tick <= int64(cfg.MaxTicks); tick++ {
 		p.tick = tick
 		if cfg.EndOnFirstGoal && p.gameOver {
-			p.stats.DoneTick = tick
+			p.turn.Stats.DoneTick = tick
 			return p.finish(false)
 		}
 		appStart := p.ep.Now()
-		p.refreshTanks()
-		if len(p.tanks) == 0 {
-			if !p.stats.ReachedGoal {
-				p.stats.Destroyed = true
-			}
-			p.stats.DoneTick = tick
+		if !p.turn.Begin(tick) {
 			return p.finish(false)
 		}
-		p.stats.Ticks++
 		p.mc.AddTick()
 
-		writes, reachedGoal := p.decide()
+		p.writes = p.writes[:0]
+		if p.turn.Credit(p.turn.Turn(p.boardEnemies(), p.write)) {
+			p.mc.AddMod()
+		}
 		p.mc.AddTime(metrics.CatAppCompute, p.ep.Now()-appStart)
 		if p.cfg.ComputePerTick > 0 {
 			p.ep.Compute(p.cfg.ComputePerTick)
@@ -147,7 +138,7 @@ func (p *player) play() error {
 			Kind:    wire.KindUpdate,
 			Stamp:   tick,
 			Ints:    p.vc.Ints(),
-			Payload: xlist.EncodeDiffs(writes),
+			Payload: xlist.EncodeDiffs(p.writes),
 		}
 		for _, peer := range p.livePeers() {
 			if err := p.send(peer, update.Clone()); err != nil {
@@ -159,13 +150,12 @@ func (p *player) play() error {
 		}
 		p.mc.AddTime(metrics.CatExchange, p.ep.Now()-exStart)
 
-		if reachedGoal && len(p.tanks) == 0 {
-			p.stats.DoneTick = tick
+		if p.turn.Won(tick) {
 			return p.finish(true)
 		}
 	}
-	p.stats.DoneTick = int64(p.stats.Ticks)
-	return p.finish(p.stats.ReachedGoal)
+	p.turn.Horizon(int64(p.turn.Stats.Ticks))
+	return p.finish(p.turn.Stats.ReachedGoal)
 }
 
 // barrier blocks until every live peer's update for this tick has been
@@ -263,105 +253,30 @@ func (p *player) finish(won bool) error {
 	return nil
 }
 
-// refreshTanks drops destroyed tanks.
-func (p *player) refreshTanks() {
+// boardEnemies returns the turn's enemy picture. With a per-tick barrier
+// the whole replica is fresh, and causal memory has no beacons: enemy
+// positions come from a scan of every block.
+func (p *player) boardEnemies() map[int][]game.Pos {
 	cfg := p.cfg.Game
-	alive := p.tanks[:0]
-	for _, tank := range p.tanks {
-		b, err := p.st.View(cfg.ObjectOf(tank.Pos))
-		if err != nil {
-			continue
-		}
-		c, err := game.DecodeCell(b)
-		if err == nil && c.Kind == game.Tank && c.Team == p.team {
-			alive = append(alive, tank)
-		}
-	}
-	p.tanks = alive
-}
-
-// decide runs the shared decision function on the (barrier-fresh) replica
-// and applies the writes locally, returning them as replace diffs.
-func (p *player) decide() ([]xlist.ObjDiff, bool) {
-	cfg := p.cfg.Game
-	cellAt := func(pos game.Pos) game.Cell {
-		b, err := p.st.View(cfg.ObjectOf(pos))
-		if err != nil {
-			return game.Cell{Kind: game.Bomb}
-		}
-		c, err := game.DecodeCell(b)
-		if err != nil {
-			return game.Cell{Kind: game.Bomb}
-		}
-		return c
-	}
-	// With a per-tick barrier the whole replica is fresh; enemy
-	// positions come from a full scan (causal memory has no beacons).
 	enemies := make(map[int][]game.Pos)
 	for i := 0; i < cfg.NumObjects(); i++ {
-		b, err := p.st.View(store.ID(i))
-		if err != nil {
-			continue
-		}
-		c, err := game.DecodeCell(b)
-		if err == nil && c.Kind == game.Tank && c.Team != p.team {
-			enemies[c.Team] = append(enemies[c.Team], cfg.PosOf(store.ID(i)))
+		pos := cfg.PosOf(store.ID(i))
+		if c := p.turn.CellAt(pos); c.Kind == game.Tank && c.Team != p.team {
+			enemies[c.Team] = append(enemies[c.Team], pos)
 		}
 	}
+	return enemies
+}
 
-	var out []xlist.ObjDiff
-	reached := false
-	modified := false
-	var next []game.TankState
-	for _, tank := range p.tanks {
-		act := game.Decide(game.View{
-			Cfg:     cfg,
-			Team:    p.team,
-			Self:    tank.Pos,
-			Prev:    tank.Prev,
-			Goal:    p.goal,
-			CellAt:  cellAt,
-			Enemies: enemies,
-		})
-		var prevTarget game.Cell
-		if act.Kind == game.Move {
-			prevTarget = cellAt(act.To)
-		}
-		writes, reachedGoal := act.Writes(p.team, p.goal)
-		for _, cw := range writes {
-			id := cfg.ObjectOf(cw.Pos)
-			data := game.EncodeCell(cw.Cell)
-			_, v, _, err := p.st.WriteBy(id, data, -1)
-			if err != nil {
-				continue
-			}
-			out = append(out, xlist.ObjDiff{
-				Obj:     id,
-				Version: v,
-				D:       fullState(data),
-			})
-			modified = true
-		}
-		switch {
-		case reachedGoal:
-			p.stats.ReachedGoal = true
-			p.stats.Score += 5
-			reached = true
-		case act.Kind == game.Move:
-			if prevTarget.Kind == game.Bonus {
-				p.stats.Score++
-			}
-			next = append(next, tank.Advance(act))
-		default:
-			next = append(next, tank)
-		}
+// write lands one of the turn's writes in the replica and keeps it, as a
+// replace diff, for the tick's causal broadcast.
+func (p *player) write(id store.ID, state []byte) bool {
+	_, v, _, err := p.st.WriteBy(id, state, -1)
+	if err != nil {
+		return false
 	}
-	if modified {
-		p.stats.Mods++
-		p.mc.AddMod()
-	}
-	p.tanks = next
-	return out, reached
+	p.writes = append(p.writes, xlist.ObjDiff{Obj: id, Version: v, D: fullState(state)})
+	return true
 }
 
 func fullState(data []byte) diff.Diff {

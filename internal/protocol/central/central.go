@@ -216,17 +216,23 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 		mc = metrics.NewCollector()
 	}
 	server := cfg.Game.Teams
-	start, err := game.StartOf(cfg.Game)
+	turn, start, err := game.NewTeam(&cfg.Game, team)
 	if err != nil {
 		return game.TeamStats{}, err
 	}
+	// The client decides on its pulled snapshot, and its writes land there
+	// optimistically, as the replacement diffs of the tick's intent.
 	st := start.NewStore()
-	goal := start.Goal
-	var tanks []game.TankState
-	for _, pos := range start.Tanks[team] {
-		tanks = append(tanks, game.NewTankState(pos))
+	var writes []xlist.ObjDiff
+	turn.Replica = st
+	write := func(id store.ID, state []byte) bool {
+		_, v, _, err := st.WriteBy(id, state, -1)
+		if err != nil {
+			return false
+		}
+		writes = append(writes, xlist.ObjDiff{Obj: id, Version: v, D: newReplace(state)})
+		return true
 	}
-	stats := game.TeamStats{Team: team}
 	defer mc.SetExecTime(cfg.Endpoint.Now())
 
 	send := func(m *wire.Msg) error {
@@ -249,18 +255,22 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 	for tick := 1; tick <= cfg.Game.MaxTicks && !gameOver; tick++ {
 		// Phase 1: pull the visibility set.
 		t0 := cfg.Endpoint.Now()
-		need := visibility(cfg.Game, tanks)
+		visible := turn.AccessSet(cfg.Game.InteractionRadius())
+		need := make([]int64, 0, len(visible))
+		for _, a := range visible {
+			need = append(need, int64(a.Obj))
+		}
 		pull := &wire.Msg{Kind: wire.KindObjReq, Mode: modePull, Stamp: int64(tick), Ints: need}
 		if err := send(pull); err != nil {
-			return stats, err
+			return turn.Stats, err
 		}
 		reply, err := await(wire.KindData, modeState)
 		if err != nil {
-			return stats, err
+			return turn.Stats, err
 		}
 		diffs, err := xlist.DecodeDiffs(reply.Payload)
 		if err != nil {
-			return stats, fmt.Errorf("central client %d: bad state reply: %w", team, err)
+			return turn.Stats, fmt.Errorf("central client %d: bad state reply: %w", team, err)
 		}
 		for _, od := range diffs {
 			state, err := applyReplace(od)
@@ -273,30 +283,16 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 
 		// Death check against the fresh pull.
 		appStart := cfg.Endpoint.Now()
-		alive := tanks[:0]
-		for _, tank := range tanks {
-			b, err := st.View(cfg.Game.ObjectOf(tank.Pos))
-			if err != nil {
-				continue
-			}
-			c, err := game.DecodeCell(b)
-			if err == nil && c.Kind == game.Tank && c.Team == team {
-				alive = append(alive, tank)
-			}
-		}
-		tanks = alive
-		if len(tanks) == 0 {
-			if !stats.ReachedGoal {
-				stats.Destroyed = true
-			}
-			stats.DoneTick = int64(tick)
+		if !turn.Begin(int64(tick)) {
 			break
 		}
-		stats.Ticks++
 		mc.AddTick()
 
 		// Phase 2: decide on the snapshot and submit the intent.
-		writes, reached, scored := decide(cfg.Game, st, goal, team, &tanks)
+		writes = writes[:0]
+		enemies := make(map[int][]game.Pos)
+		turn.ScanRays(enemies, cfg.Game.InteractionRadius())
+		o := turn.Turn(enemies, write)
 		mc.AddTime(metrics.CatAppCompute, cfg.Endpoint.Now()-appStart)
 		if cfg.ComputePerTick > 0 {
 			cfg.Endpoint.Compute(cfg.ComputePerTick)
@@ -308,15 +304,15 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 				Kind: wire.KindData, Mode: modeIntent, Stamp: int64(tick),
 				Payload: xlist.EncodeDiffs(writes),
 			}
-			if reached {
+			if o.ReachedGoal {
 				intent.Obj = 1
 			}
 			if err := send(intent); err != nil {
-				return stats, err
+				return turn.Stats, err
 			}
 			v, err := await(wire.KindObjReply, modeVerdict)
 			if err != nil {
-				return stats, err
+				return turn.Stats, err
 			}
 			mc.AddTime(metrics.CatExchange, cfg.Endpoint.Now()-t1)
 			accepted := v.Stamp&verdictAccepted != 0
@@ -324,139 +320,39 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 				gameOver = true
 			}
 			if accepted {
-				stats.Mods++
-				mc.AddMod()
-				stats.Score += scored
-				if reached {
-					stats.ReachedGoal = true
-					stats.Score += 5
-					stats.DoneTick = int64(tick)
+				if turn.Credit(o) {
+					mc.AddMod()
+				}
+				if o.ReachedGoal {
+					turn.Stats.DoneTick = int64(tick)
 					break
 				}
 			} else {
 				// Rejected: the world moved first; rebuild tank state
 				// from our (still-fresh) snapshot next tick.
-				tanks = rollbackTanks(cfg.Game, st, team)
+				rollback(&turn)
 			}
 		}
 		if cfg.Game.EndOnFirstGoal && gameOver {
-			stats.DoneTick = int64(tick)
+			turn.Stats.DoneTick = int64(tick)
 			break
 		}
 	}
-	if stats.DoneTick == 0 {
-		stats.DoneTick = int64(stats.Ticks)
-	}
+	turn.Horizon(int64(turn.Stats.Ticks))
 	_ = send(&wire.Msg{Kind: wire.KindShutdown, Stamp: int64(team)})
-	return stats, nil
+	return turn.Stats, nil
 }
 
-// visibility lists the objects a team needs fresh this tick.
-func visibility(cfg game.Config, tanks []game.TankState) []int64 {
-	seen := map[store.ID]bool{}
-	add := func(p game.Pos) {
-		if cfg.InBounds(p) {
-			seen[cfg.ObjectOf(p)] = true
+// rollback re-derives the team's tanks from the snapshot after a rejected
+// intent (the optimistic local writes are overwritten by the next pull
+// anyway; positions must not advance).
+func rollback(turn *game.Team) {
+	var ps []game.Pos
+	for i := 0; i < turn.Cfg.NumObjects(); i++ {
+		pos := turn.Cfg.PosOf(store.ID(i))
+		if c := turn.CellAt(pos); c.Kind == game.Tank && c.Team == turn.ID {
+			ps = append(ps, pos)
 		}
 	}
-	dirs := []game.Pos{{X: 0, Y: -1}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: -1, Y: 0}}
-	for _, tank := range tanks {
-		add(tank.Pos)
-		for _, d := range dirs {
-			for k := 1; k <= cfg.InteractionRadius(); k++ {
-				add(game.Pos{X: tank.Pos.X + d.X*k, Y: tank.Pos.Y + d.Y*k})
-			}
-		}
-	}
-	out := make([]int64, 0, len(seen))
-	for id := range seen {
-		out = append(out, int64(id))
-	}
-	return out
-}
-
-// decide runs the shared decision logic on the pulled snapshot and applies
-// the writes to the local mirror, returning them as replacement diffs.
-func decide(cfg game.Config, st *store.Store, goal game.Pos, team int, tanks *[]game.TankState) ([]xlist.ObjDiff, bool, int) {
-	cellAt := func(p game.Pos) game.Cell {
-		b, err := st.View(cfg.ObjectOf(p))
-		if err != nil {
-			return game.Cell{Kind: game.Bomb}
-		}
-		c, err := game.DecodeCell(b)
-		if err != nil {
-			return game.Cell{Kind: game.Bomb}
-		}
-		return c
-	}
-	enemies := make(map[int][]game.Pos)
-	dirs := []game.Pos{{X: 0, Y: -1}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: -1, Y: 0}}
-	for _, tank := range *tanks {
-		for _, d := range dirs {
-			for k := 1; k <= cfg.InteractionRadius(); k++ {
-				p := game.Pos{X: tank.Pos.X + d.X*k, Y: tank.Pos.Y + d.Y*k}
-				if !cfg.InBounds(p) {
-					break
-				}
-				if c := cellAt(p); c.Kind == game.Tank && c.Team != team {
-					enemies[c.Team] = append(enemies[c.Team], p)
-				}
-			}
-		}
-	}
-	var out []xlist.ObjDiff
-	reached := false
-	scored := 0
-	var next []game.TankState
-	for _, tank := range *tanks {
-		act := game.Decide(game.View{
-			Cfg: cfg, Team: team, Self: tank.Pos, Prev: tank.Prev,
-			Goal: goal, CellAt: cellAt, Enemies: enemies,
-		})
-		var prevTarget game.Cell
-		if act.Kind == game.Move {
-			prevTarget = cellAt(act.To)
-		}
-		writes, reachedGoal := act.Writes(team, goal)
-		for _, cw := range writes {
-			id := cfg.ObjectOf(cw.Pos)
-			data := game.EncodeCell(cw.Cell)
-			_, v, _, err := st.WriteBy(id, data, -1)
-			if err != nil {
-				continue
-			}
-			out = append(out, xlist.ObjDiff{Obj: id, Version: v, D: newReplace(data)})
-		}
-		switch {
-		case reachedGoal:
-			reached = true
-		case act.Kind == game.Move:
-			if prevTarget.Kind == game.Bonus {
-				scored++
-			}
-			next = append(next, tank.Advance(act))
-		default:
-			next = append(next, tank)
-		}
-	}
-	*tanks = next
-	return out, reached, scored
-}
-
-// rollbackTanks re-derives tank positions from the snapshot after a
-// rejected intent (the optimistic local writes are overwritten by the next
-// pull anyway; positions must not advance).
-func rollbackTanks(cfg game.Config, st *store.Store, team int) []game.TankState {
-	var out []game.TankState
-	for i := 0; i < cfg.NumObjects(); i++ {
-		b, err := st.View(store.ID(i))
-		if err != nil {
-			continue
-		}
-		c, err := game.DecodeCell(b)
-		if err == nil && c.Kind == game.Tank && c.Team == team {
-			out = append(out, game.NewTankState(cfg.PosOf(store.ID(i))))
-		}
-	}
-	return out
+	turn.Place(ps)
 }

@@ -17,7 +17,7 @@ import (
 // cluster to its allocation budget per player-tick (DESIGN.md §15): lock
 // requests, grants, releases, pulls and replies circulate through the wire
 // pool, the Ints they carry are carved, the lock manager answers from its
-// scratch, and decideAndWrite reuses its own. The ceilings are the
+// scratch, and the team's turn reuses its own. The ceilings are the
 // measurement (2.71 allocations, 1 739 B) plus 15 %; before the message
 // rule reached EC the same games made 47.0 allocations of 3 713 B.
 func TestWholeGameAllocBudget(t *testing.T) {

@@ -21,10 +21,8 @@
 package ec
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -112,16 +110,12 @@ type Node struct {
 	st  *store.Store
 	mgr *lockmgr.Manager
 
-	goal     game.Pos
-	tanks    []game.TankState
-	locks    []lockReq // lockSet's scratch
-	stats    game.TeamStats
+	turn     game.Team
 	gameOver bool
 
-	// decideAndWrite's scratch: the dirty versions it returns (valid until
-	// its next call) and the tank buffer it swaps with tanks.
+	// dirty holds the versions the tick's writes produced, for its
+	// releases.
 	dirty map[store.ID]int64
-	spare []game.TankState
 	// Ints of the messages the application and the service send, each side
 	// carving from its own chunk since the two run concurrently.
 	appInts, svcInts wire.IntsChunk
@@ -202,11 +196,11 @@ func New(cfg NodeConfig) (*Node, error) {
 		n.qAdopted = make(map[int]bool)
 	}
 
-	start, err := game.StartOf(cfg.Game)
+	turn, start, err := game.NewTeam(&n.cfg.Game, n.team)
 	if err != nil {
 		return nil, err
 	}
-	n.goal = start.Goal // the goal block never moves; keep it even if hidden
+	n.turn = turn
 	if cfg.Rejoin {
 		// The world and the tank roster come from peer checkpoints; the
 		// lock-manager shard comes back via the join handback.
@@ -215,15 +209,12 @@ func New(cfg NodeConfig) (*Node, error) {
 		n.inflight = map[int][]*wire.Msg{n.team: nil}
 		n.joinRecs = make(map[int][]lockmgr.Record)
 		n.joinSnapped = make(map[int]bool)
-		return n, nil
+	} else {
+		n.st = start.NewStore()
+		// This node manages the locks for its static shard of the objects.
+		n.mgr = lockmgr.New(n.shardOf(n.team), nil)
 	}
-	n.st = start.NewStore()
-	for _, pos := range start.Tanks[n.team] {
-		n.tanks = append(n.tanks, game.NewTankState(pos))
-	}
-
-	// This node manages the locks for its static shard of the objects.
-	n.mgr = lockmgr.New(n.shardOf(n.team), nil)
+	n.turn.Replica = n.st
 	return n, nil
 }
 
@@ -239,7 +230,7 @@ func (n *Node) shardOf(team int) []store.ID {
 }
 
 // Stats returns the team's final stats (valid after RunApp returns).
-func (n *Node) Stats() game.TeamStats { return n.stats }
+func (n *Node) Stats() game.TeamStats { return n.turn.Stats }
 
 // Store exposes the node's replica (for test assertions).
 func (n *Node) Store() *store.Store {
@@ -852,23 +843,16 @@ func (n *Node) acceptJoin(m *wire.Msg, out map[int]bool) error {
 	return n.land(n.team)
 }
 
-// lockReq is one entry of an iteration's lock set.
-type lockReq struct {
-	obj   store.ID
-	write bool
-}
-
 // RunApp executes the team's game loop to completion.
 func (n *Node) RunApp() (game.TeamStats, error) {
 	app := n.cfg.App
-	n.stats = game.TeamStats{Team: n.team}
 	defer func() {
 		n.mc.SetExecTime(app.Now())
 	}()
 
 	if n.cfg.Rejoin {
 		if err := n.runJoin(); err != nil {
-			return n.stats, err
+			return n.turn.Stats, err
 		}
 	}
 
@@ -877,7 +861,7 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 			// Drain queued winner announcements before paying for locks.
 			n.pollApp()
 			if n.gameOver {
-				n.stats.DoneTick = int64(tick)
+				n.turn.Stats.DoneTick = int64(tick)
 				break
 			}
 		}
@@ -885,51 +869,56 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 			n.tracef("app %d now=%v tick %d", n.team, app.Now(), tick)
 		}
 		n.cfg.AppTrace.Record(trace.OpTick, -1, 0, 0, int64(tick), 0)
-		locks := n.lockSet()
+		// Write locks on the blocks a tank may modify, read locks on the
+		// rest of what it sees.
+		locks := n.turn.AccessSet(n.cfg.Game.Range)
 		if err := n.acquireAll(locks); err != nil {
-			return n.stats, err
+			return n.turn.Stats, err
 		}
 
 		appStart := app.Now()
-		alive := n.refreshTanks()
-		if !alive {
-			n.releaseAll(locks, nil)
-			if !n.stats.ReachedGoal {
-				n.stats.Destroyed = true
+		n.mu.Lock()
+		playing := n.turn.Begin(int64(tick))
+		if playing {
+			clear(n.dirty)
+			// Enemy positions come from the locked visibility cells (EC has
+			// no beacons; the locks themselves guarantee freshness).
+			enemies := make(map[int][]game.Pos)
+			n.turn.ScanRays(enemies, n.cfg.Game.Range)
+			if n.turn.Credit(n.turn.Turn(enemies, n.write)) {
+				n.mc.AddMod()
 			}
-			n.stats.DoneTick = int64(tick)
+			n.mc.AddTick()
+		}
+		n.mu.Unlock()
+		if !playing {
+			n.releaseAll(locks, nil)
 			break
 		}
-		n.stats.Ticks++
-
-		dirty := n.decideAndWrite()
 		n.mc.AddTime(metrics.CatAppCompute, app.Now()-appStart)
 		if n.cfg.ComputePerTick > 0 {
 			app.Compute(n.cfg.ComputePerTick)
 			n.mc.AddTime(metrics.CatAppCompute, n.cfg.ComputePerTick)
 		}
 
-		n.releaseAll(locks, dirty)
+		n.releaseAll(locks, n.dirty)
 
-		if n.stats.ReachedGoal && len(n.tanks) == 0 {
-			n.stats.DoneTick = int64(tick)
+		if n.turn.Won(int64(tick)) {
 			break
 		}
 	}
-	if n.stats.DoneTick == 0 {
-		n.stats.DoneTick = int64(n.stats.Ticks)
-	}
+	n.turn.Horizon(int64(n.turn.Stats.Ticks))
 
 	// In a first-to-goal game the winner tells every application the race
 	// is over.
-	if n.cfg.Game.EndOnFirstGoal && n.stats.ReachedGoal {
+	if n.cfg.Game.EndOnFirstGoal && n.turn.Stats.ReachedGoal {
 		n.noteGameOver() // late joiners asking after this learn it from acks
 		for team := 0; team < n.teams; team++ {
 			if team == n.team || (n.ft() && n.isCrashed(team)) {
 				continue
 			}
 			if _, err := n.sendTo(app, team, wire.Msg{Kind: wire.KindDone, Mode: 1, Stamp: int64(n.team)}, true); err != nil {
-				return n.stats, err
+				return n.turn.Stats, err
 			}
 		}
 	}
@@ -942,10 +931,10 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 			continue
 		}
 		if _, err := n.sendTo(app, n.svcID(team), wire.Msg{Kind: wire.KindShutdown, Stamp: int64(n.team)}, false); err != nil {
-			return n.stats, err
+			return n.turn.Stats, err
 		}
 	}
-	return n.stats, nil
+	return n.turn.Stats, nil
 }
 
 // runJoin is the application half of a rejoin: broadcast KindJoinReq to
@@ -993,12 +982,10 @@ func (n *Node) runJoin() error {
 	if err != nil {
 		return fmt.Errorf("ec app %d: decode joined world: %w", n.team, err)
 	}
-	for _, pos := range world.TanksByTeam()[n.team] {
-		n.tanks = append(n.tanks, game.NewTankState(pos))
-	}
+	n.turn.Place(world.TanksByTeam()[n.team])
 	n.mc.AddJoin()
 	if n.debug() {
-		n.tracef("app %d rejoined (inc %d): %d acks, %d tanks", n.team, n.cfg.Incarnation, acks, len(n.tanks))
+		n.tracef("app %d rejoined (inc %d): %d acks, %d tanks", n.team, n.cfg.Incarnation, acks, len(n.turn.Tanks))
 	}
 	return nil
 }
@@ -1047,48 +1034,9 @@ func (n *Node) pollApp() {
 	}
 }
 
-// lockDirs is the order lockSet sweeps a tank's four rays in.
-var lockDirs = [4]game.Pos{{X: 0, Y: -1}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: -1, Y: 0}}
-
-// lockSet computes this iteration's lock requests: write locks on each
-// tank's block and the four adjacent blocks, read locks on the rest of the
-// visibility set, ascending object order (deadlock prevention). The result
-// is the node's scratch, valid until the next call.
-func (n *Node) lockSet() []lockReq {
-	cfg := n.cfg.Game
-	out := n.locks[:0]
-	addVis := func(p game.Pos, write bool) {
-		if cfg.InBounds(p) {
-			out = append(out, lockReq{obj: cfg.ObjectOf(p), write: write})
-		}
-	}
-	for _, tank := range n.tanks {
-		addVis(tank.Pos, true)
-		for _, d := range lockDirs {
-			addVis(game.Pos{X: tank.Pos.X + d.X, Y: tank.Pos.Y + d.Y}, true)
-			for k := 2; k <= cfg.Range; k++ {
-				addVis(game.Pos{X: tank.Pos.X + d.X*k, Y: tank.Pos.Y + d.Y*k}, false)
-			}
-		}
-	}
-	// One request per object, a write if any sweep asked for one.
-	slices.SortFunc(out, func(a, b lockReq) int { return cmp.Compare(a.obj, b.obj) })
-	k := 0
-	for _, lr := range out {
-		if k > 0 && out[k-1].obj == lr.obj {
-			out[k-1].write = out[k-1].write || lr.write
-			continue
-		}
-		out[k] = lr
-		k++
-	}
-	n.locks = out[:k]
-	return n.locks
-}
-
 // acquireAll acquires the lock set in order, pulling fresh copies as grants
 // reveal newer versions elsewhere.
-func (n *Node) acquireAll(locks []lockReq) error {
+func (n *Node) acquireAll(locks []game.Access) error {
 	for _, lr := range locks {
 		if err := n.acquireOne(lr); err != nil {
 			return err
@@ -1100,16 +1048,16 @@ func (n *Node) acquireAll(locks []lockReq) error {
 // acquireOne acquires one lock, failing over to the successor manager and
 // burying dead holders when crash tolerance is on, and pulls the object's
 // fresh copy when the grant names a newer one elsewhere.
-func (n *Node) acquireOne(lr lockReq) error {
+func (n *Node) acquireOne(lr game.Access) error {
 	app := n.cfg.App
 	mode, modeAux := wire.ModeRead, int64(0)
-	if lr.write {
+	if lr.Write {
 		mode, modeAux = wire.ModeWrite, 1
 	}
-	mgrTeam := n.managerFor(lr.obj)
-	n.cfg.AppTrace.Record(trace.OpLockReq, mgrTeam, int64(lr.obj), 0, 0, modeAux)
-	w := waiter{site: grantWait, ep: app, obj: lr.obj, peer: mgrTeam, suspect: mgrTeam,
-		req: wire.Msg{Kind: wire.KindLockReq, Obj: uint32(lr.obj), Mode: mode}}
+	mgrTeam := n.managerFor(lr.Obj)
+	n.cfg.AppTrace.Record(trace.OpLockReq, mgrTeam, int64(lr.Obj), 0, 0, modeAux)
+	w := waiter{site: grantWait, ep: app, obj: lr.Obj, peer: mgrTeam, suspect: mgrTeam,
+		req: wire.Msg{Kind: wire.KindLockReq, Obj: uint32(lr.Obj), Mode: mode}}
 	t0 := app.Now()
 	if gone, err := n.sendTo(app, n.svcID(mgrTeam), w.req, true); gone {
 		return n.acquireOne(lr)
@@ -1124,16 +1072,16 @@ func (n *Node) acquireOne(lr lockReq) error {
 
 	owner, version := int(grant.Ints[0]), grant.Ints[1]
 	recycle(app, grant)
-	n.cfg.AppTrace.Record(trace.OpLockGranted, owner, int64(lr.obj), version, 0, modeAux)
+	n.cfg.AppTrace.Record(trace.OpLockGranted, owner, int64(lr.Obj), version, 0, modeAux)
 	n.mu.Lock()
-	local, _ := n.st.Version(lr.obj)
+	local, _ := n.st.Version(lr.Obj)
 	n.mu.Unlock()
 	if version <= local || owner == n.team || (n.ft() && n.isCrashed(owner)) {
 		return nil
 	}
 	t1 := app.Now()
-	w = waiter{site: pullWait, ep: app, obj: lr.obj, peer: owner,
-		req: wire.Msg{Kind: wire.KindObjReq, Obj: uint32(lr.obj), Stamp: int64(lr.obj)}}
+	w = waiter{site: pullWait, ep: app, obj: lr.Obj, peer: owner,
+		req: wire.Msg{Kind: wire.KindObjReq, Obj: uint32(lr.Obj), Stamp: int64(lr.Obj)}}
 	if gone, err := n.sendTo(app, n.svcID(owner), w.req, true); gone || err != nil {
 		return err // gone: the local replica stands in for the lost copy
 	}
@@ -1146,11 +1094,11 @@ func (n *Node) acquireOne(lr lockReq) error {
 	// surviving copy.
 	if reply != nil {
 		n.mu.Lock()
-		err = n.st.SetState(lr.obj, reply.Payload, reply.Ints[0]) // copies the payload
+		err = n.st.SetState(lr.Obj, reply.Payload, reply.Ints[0]) // copies the payload
 		n.mu.Unlock()
 		recycle(app, reply)
 		if err != nil {
-			return fmt.Errorf("ec app %d: apply pulled %d: %w", n.team, lr.obj, err)
+			return fmt.Errorf("ec app %d: apply pulled %d: %w", n.team, lr.Obj, err)
 		}
 	}
 	n.mc.AddTime(metrics.CatObjPull, app.Now()-t1)
@@ -1163,17 +1111,17 @@ var cleanRelease = []int64{0, 0}
 
 // releaseAll returns every lock; written objects release dirty with their
 // new version, transferring ownership.
-func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
+func (n *Node) releaseAll(locks []game.Access, dirty map[store.ID]int64) {
 	app := n.cfg.App
 	t0 := app.Now()
 	for _, lr := range locks {
-		mgrTeam := n.managerFor(lr.obj)
-		rel := wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.obj), Ints: cleanRelease}
-		if v, ok := dirty[lr.obj]; ok && lr.write {
+		mgrTeam := n.managerFor(lr.Obj)
+		rel := wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.Obj), Ints: cleanRelease}
+		if v, ok := dirty[lr.Obj]; ok && lr.Write {
 			rel.Ints = n.appInts.Carve(1, v)
-			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.obj), v, 0, 1)
+			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.Obj), v, 0, 1)
 		} else {
-			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.obj), 0, 0, 0)
+			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.Obj), 0, 0, 0)
 		}
 		// Releases are asynchronous; errors only surface via metrics
 		// divergence in tests.
@@ -1182,108 +1130,14 @@ func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
 	n.mc.AddTime(metrics.CatLockRelease, app.Now()-t0)
 }
 
-// refreshTanks drops destroyed tanks; reports whether any remain.
-func (n *Node) refreshTanks() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	alive := n.tanks[:0]
-	for _, tank := range n.tanks {
-		b, err := n.st.View(n.cfg.Game.ObjectOf(tank.Pos))
-		if err != nil {
-			continue
-		}
-		c, err := game.DecodeCell(b)
-		if err == nil && c.Kind == game.Tank && c.Team == n.team {
-			alive = append(alive, tank)
-		}
+// write lands one of the turn's writes in the locked replica, keeping the
+// version its release carries.
+func (n *Node) write(id store.ID, state []byte) bool {
+	_, v, _, err := n.st.WriteBy(id, state, n.team)
+	if err != nil {
+		return false
 	}
-	n.tanks = alive
-	return len(n.tanks) > 0
-}
-
-// decideAndWrite runs the decision function on the freshly locked state and
-// applies the writes; returns the dirty object versions, valid until the
-// next call.
-func (n *Node) decideAndWrite() map[store.ID]int64 {
-	cfg := n.cfg.Game
-	n.mu.Lock()
-	defer n.mu.Unlock()
-
-	cellAt := func(p game.Pos) game.Cell {
-		b, err := n.st.View(cfg.ObjectOf(p))
-		if err != nil {
-			return game.Cell{Kind: game.Bomb}
-		}
-		c, err := game.DecodeCell(b)
-		if err != nil {
-			return game.Cell{Kind: game.Bomb}
-		}
-		return c
-	}
-	// Enemy positions come from the locked visibility cells (EC has no
-	// beacons; the locks themselves guarantee freshness).
-	enemies := make(map[int][]game.Pos)
-	for _, tank := range n.tanks {
-		for _, d := range lockDirs {
-			for k := 1; k <= cfg.Range; k++ {
-				p := game.Pos{X: tank.Pos.X + d.X*k, Y: tank.Pos.Y + d.Y*k}
-				if !cfg.InBounds(p) {
-					break
-				}
-				if c := cellAt(p); c.Kind == game.Tank && c.Team != n.team {
-					enemies[c.Team] = append(enemies[c.Team], p)
-				}
-			}
-		}
-	}
-
-	dirty := n.dirty
-	clear(dirty)
-	modified := false
-	next := n.spare[:0]
-	for _, tank := range n.tanks {
-		act := game.Decide(game.View{
-			Cfg:     cfg,
-			Team:    n.team,
-			Self:    tank.Pos,
-			Prev:    tank.Prev,
-			Goal:    n.goal,
-			CellAt:  cellAt,
-			Enemies: enemies,
-		})
-		var prevTarget game.Cell
-		if act.Kind == game.Move {
-			prevTarget = cellAt(act.To)
-		}
-		writes, reachedGoal := act.Writes(n.team, n.goal)
-		for _, cw := range writes {
-			id := cfg.ObjectOf(cw.Pos)
-			_, v, _, err := n.st.WriteBy(id, game.EncodeCell(cw.Cell), n.team)
-			if err != nil {
-				continue
-			}
-			n.cfg.AppTrace.Record(trace.OpWrite, n.team, int64(id), v, 0, 0)
-			dirty[id] = v
-			modified = true
-		}
-		switch {
-		case reachedGoal:
-			n.stats.ReachedGoal = true
-			n.stats.Score += 5
-		case act.Kind == game.Move:
-			if prevTarget.Kind == game.Bonus {
-				n.stats.Score++
-			}
-			next = append(next, tank.Advance(act))
-		default:
-			next = append(next, tank)
-		}
-	}
-	if modified {
-		n.stats.Mods++
-		n.mc.AddMod()
-	}
-	n.mc.AddTick()
-	n.spare, n.tanks = n.tanks, next
-	return dirty
+	n.cfg.AppTrace.Record(trace.OpWrite, n.team, int64(id), v, 0, 0)
+	n.dirty[id] = v
+	return true
 }

@@ -186,7 +186,7 @@ func checkECWorldSanity(t *testing.T, cfg game.Config, nodes []*Node, stats []ga
 		default:
 			// The tanks the team left behind when it stopped playing.
 			shotAfterExit := 0
-			for _, tank := range nodes[st.Team].tanks {
+			for _, tank := range nodes[st.Team].turn.Tanks {
 				if c := final.At(tank.Pos); c.Kind == game.Tank && c.Team == st.Team {
 					continue
 				}
@@ -222,11 +222,11 @@ func TestECLockSetArithmetic(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Put the tank mid-board so nothing clips at an edge.
-		node.tanks = []game.TankState{game.NewTankState(game.Pos{X: 16, Y: 12})}
-		locks := node.lockSet()
+		node.turn.Tanks = []game.TankState{game.NewTankState(game.Pos{X: 16, Y: 12})}
+		locks := node.turn.AccessSet(cfg.Range)
 		writes := 0
 		for _, lr := range locks {
-			if lr.write {
+			if lr.Write {
 				writes++
 			}
 		}
@@ -235,7 +235,7 @@ func TestECLockSetArithmetic(t *testing.T) {
 				tt.rng, len(locks), writes, tt.total, tt.writes)
 		}
 		for i := 1; i < len(locks); i++ {
-			if locks[i-1].obj >= locks[i].obj {
+			if locks[i-1].Obj >= locks[i].Obj {
 				t.Errorf("range %d: lock set not in ascending object order", tt.rng)
 			}
 		}

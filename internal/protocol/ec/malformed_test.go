@@ -121,7 +121,7 @@ func TestECMalformedRepliesDoNotPanic(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			err = n.acquireOne(lockReq{obj: 1, write: true})
+			err = n.acquireOne(game.Access{Obj: 1, Write: true})
 			if v, _ := n.Store().Version(1); err == nil && v != 5 {
 				err = fmt.Errorf("object 1 at version %d after the pull, want 5", v)
 			}

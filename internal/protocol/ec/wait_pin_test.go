@@ -128,7 +128,7 @@ func (s pinScene) run(t *testing.T) string {
 // and then shuts down.
 func acquireThenShutdown(obj store.ID) func(n *Node) error {
 	return func(n *Node) error {
-		err := n.acquireOne(lockReq{obj: obj, write: true})
+		err := n.acquireOne(game.Access{Obj: obj, Write: true})
 		shutdownAll(n)
 		return err
 	}
@@ -249,7 +249,7 @@ suspects=0 retransmits=3 evictions=1`,
 			// with team 1 still outstanding let it exit.
 			name: "service idle exit",
 			scene: pinScene{teams: 2, app: func(n *Node) error {
-				err := n.acquireOne(lockReq{obj: 0, write: true})
+				err := n.acquireOne(game.Access{Obj: 0, Write: true})
 				n.cfg.App.Compute(100 * time.Millisecond)
 				shutdownAll(n)
 				return err

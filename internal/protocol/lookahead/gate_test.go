@@ -83,7 +83,7 @@ func TestGateExitsInOrder(t *testing.T) {
 					p.opts.GroupWithheldSyncs, tc.interest, tc.shards)
 			}
 
-			p.tanks = []game.TankState{game.NewTankState(me)}
+			p.turn.Tanks = []game.TankState{game.NewTankState(me)}
 			if tc.unknown {
 				p.known[1].present = false
 			} else {
@@ -101,7 +101,7 @@ func TestGateExitsInOrder(t *testing.T) {
 			}
 			for _, pos := range tc.pending {
 				c := game.Cell{Kind: game.Bomb}
-				if p.cellAt(pos).Kind == game.Bomb {
+				if p.turn.CellAt(pos).Kind == game.Bomb {
 					c = game.Cell{Kind: game.Bonus}
 				}
 				if err := p.rt.Write(g.ObjectOf(pos), game.EncodeCell(c)); err != nil {

@@ -173,7 +173,7 @@ type PlayerConfig struct {
 	// onActions, when set, observes each tick's decisions (test-only
 	// instrumentation).
 	afterExchange func(p *player)
-	onActions     func(tick int64, acts []tankAction)
+	onActions     func(tick int64, act game.Action)
 	debug         func(event string)
 }
 
@@ -192,10 +192,8 @@ type player struct {
 	cfg    PlayerConfig
 	rt     *core.Runtime
 	team   int
-	goal   game.Pos
-	tanks  []game.TankState
+	turn   game.Team
 	known  []knownPeer // indexed by team; see knownPeer.present
-	stats  game.TeamStats
 	mc     *metrics.Collector
 	ix     *interest.Index   // nil unless cfg.Interest
 	shards *shard.Partition  // nil unless cfg.Shards > 1
@@ -203,7 +201,7 @@ type player struct {
 
 	// Per-tick scratch: the own tanks' positions (see positions), the box
 	// of writes buffered for a peer (see pendingBox), the enemy picture
-	// handed to Decide, and the tick's box-less beacon.
+	// handed to the turn, and the tick's box-less beacon.
 	pos     []game.Pos
 	ids     []store.ID
 	box     game.Box
@@ -257,7 +255,6 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 		known:   make([]knownPeer, cfg.Endpoint.N()),
 		enemies: make(map[int][]game.Pos, cfg.Endpoint.N()),
 		mc:      mc,
-		stats:   game.TeamStats{Team: cfg.Endpoint.ID()},
 	}
 	if cfg.Interest {
 		p.ix = interest.New(interest.Config{
@@ -351,7 +348,7 @@ func (p *player) run() (game.TeamStats, error) {
 	if p.cfg.Snapshot != nil {
 		p.cfg.Snapshot(p.rt.Store())
 	}
-	return p.stats, nil
+	return p.turn.Stats, nil
 }
 
 // setup stands the player on the game's start — identical on every process,
@@ -359,11 +356,15 @@ func (p *player) run() (game.TeamStats, error) {
 // nothing per block. A joiner instead restores the current world from its
 // peers' checkpoints.
 func (p *player) setup() error {
-	start, err := game.StartOf(p.cfg.Game)
+	turn, start, err := game.NewTeam(&p.cfg.Game, p.team)
 	if err != nil {
 		return err
 	}
-	p.goal = start.Goal // the goal block never moves; keep it even if hidden
+	p.turn = turn
+	p.turn.Replica = p.rt.Store()
+	if p.cfg.onActions != nil {
+		p.turn.Decided = func(act game.Action) { p.cfg.onActions(p.rt.Now()+1, act) }
+	}
 	if p.cfg.Join {
 		// Not over the baseline, cheap as that would be. A joiner has no
 		// registered initial states, so a record a peer delta-encodes
@@ -378,7 +379,7 @@ func (p *player) setup() error {
 	}
 	// Every process knows the initial placement, so peers start "known" as
 	// of tick 0.
-	p.learnTanks(start.Tanks, 0)
+	p.learnPeers(start.Tanks, 0)
 	return nil
 }
 
@@ -387,6 +388,7 @@ func (p *player) setup() error {
 // tells us which of our tanks (placed at world creation, possibly
 // destroyed while we were away) are still alive.
 func (p *player) joinSetup() error {
+	p.turn.Place(nil) // until the board it joins says which are alive
 	if err := p.rt.Join(p.cfg.Incarnation); err != nil {
 		if errors.Is(err, core.ErrJoinFailed) && p.rt.GameOver() {
 			// The game ended while this process was away: nobody admits
@@ -399,28 +401,24 @@ func (p *player) joinSetup() error {
 	if err != nil {
 		return fmt.Errorf("lookahead: decode joined world: %w", err)
 	}
-	p.learnTanks(w.TanksByTeam(), p.rt.Now())
+	byTeam := w.TanksByTeam()
+	p.turn.Place(byTeam[p.team])
+	p.learnPeers(byTeam, p.rt.Now())
 	return nil
 }
 
-// learnTanks takes the board's tanks, by team, as of tick: the player's own
-// become its tank states, every other team's its knowledge of that peer. The
-// lists are copied — a peer's entry is decoded into in place at every
-// rendezvous, and the start's table is shared by every player of the process.
-func (p *player) learnTanks(byTeam [][]game.Pos, tick int64) {
+// learnPeers takes the board's tanks, by team, as of tick: every other
+// team's become the player's knowledge of that peer. The lists are copied —
+// a peer's entry is decoded into in place at every rendezvous, and the
+// start's table is shared by every player of the process.
+func (p *player) learnPeers(byTeam [][]game.Pos, tick int64) {
 	total := 0
 	for _, positions := range byTeam {
 		total += len(positions)
 	}
 	own := make([]game.Pos, total)
 	for team, positions := range byTeam {
-		if len(positions) == 0 {
-			continue
-		}
-		if team == p.team {
-			for _, pos := range positions {
-				p.tanks = append(p.tanks, game.NewTankState(pos))
-			}
+		if len(positions) == 0 || team == p.team {
 			continue
 		}
 		n := copy(own, positions)
@@ -447,56 +445,22 @@ func (p *player) play() error {
 			// captured the goal.
 			p.rt.Poll()
 			if p.rt.GameOver() {
-				p.stats.DoneTick = p.rt.Now()
+				p.turn.Stats.DoneTick = p.rt.Now()
 				return p.rt.Done(false)
 			}
 		}
-		p.refreshOwnTanks()
-		if len(p.tanks) == 0 {
-			if !p.stats.ReachedGoal {
-				p.stats.Destroyed = true
-			}
-			p.stats.DoneTick = p.rt.Now() + 1
-			return p.rt.Done(p.stats.ReachedGoal)
+		if !p.turn.Begin(tick) {
+			return p.rt.Done(p.turn.Stats.ReachedGoal)
 		}
-		p.stats.Ticks++
-
-		// decideAll both decides and applies each tank's writes to the
-		// local store (so a team's later tanks see its earlier tanks'
-		// moves); here we only account for the outcomes.
-		actions := p.decideAll()
-		if p.cfg.onActions != nil {
-			p.cfg.onActions(tick, actions)
-		}
-		modified := false
-		for _, ta := range actions {
-			writes, reachedGoal := ta.act.Writes(p.team, p.goal)
-			if len(writes) > 0 {
-				modified = true
-			}
-			switch {
-			case reachedGoal:
-				p.stats.ReachedGoal = true
-				p.stats.Score += 5
-			case ta.act.Kind == game.Move:
-				if ta.prevTarget.Kind == game.Bonus {
-					p.stats.Score++
-				}
-			}
-		}
-		if modified {
-			p.stats.Mods++
+		if p.turn.Credit(p.turn.Turn(p.beaconEnemies(), p.write)) {
 			p.mc.AddMod()
 		}
-		p.updateTanksAfterActions(actions)
 		p.mc.AddTime(metrics.CatAppCompute, p.cfg.Endpoint.Now()-appStart)
 		if p.cfg.ComputePerTick > 0 {
 			p.cfg.Endpoint.Compute(p.cfg.ComputePerTick)
 			p.mc.AddTime(metrics.CatAppCompute, p.cfg.ComputePerTick)
 		}
-
-		if p.stats.ReachedGoal && len(p.tanks) == 0 {
-			p.stats.DoneTick = p.rt.Now() + 1
+		if p.turn.Won(tick) {
 			return p.rt.Done(true)
 		}
 
@@ -504,7 +468,7 @@ func (p *player) play() error {
 			// The positions the upcoming rendezvous's beacon advertises:
 			// this tick's moves have been applied. The oracle pairs these
 			// with the peers' same-tick withhold decisions.
-			for _, tank := range p.tanks {
+			for _, tank := range p.turn.Tanks {
 				p.cfg.Trace.Record(trace.OpTankAt, -1, int64(tank.Pos.X), int64(tank.Pos.Y), tick, 0)
 			}
 		}
@@ -516,87 +480,28 @@ func (p *player) play() error {
 			p.cfg.afterExchange(p)
 		}
 	}
-	p.stats.DoneTick = p.rt.Now()
-	return p.rt.Done(p.stats.ReachedGoal)
+	p.turn.Horizon(p.rt.Now())
+	return p.rt.Done(p.turn.Stats.ReachedGoal)
 }
 
-// tankAction pairs a tank with its decided action and the pre-move content
-// of its target block (for bonus scoring).
-type tankAction struct {
-	tank       game.TankState
-	act        game.Action
-	prevTarget game.Cell
-}
-
-// refreshOwnTanks drops tanks whose blocks no longer hold them (destroyed
-// by enemy fire since the last tick).
-func (p *player) refreshOwnTanks() {
-	alive := p.tanks[:0]
-	for _, tank := range p.tanks {
-		c, err := p.readCell(tank.Pos)
-		if err == nil && c.Kind == game.Tank && c.Team == p.team {
-			alive = append(alive, tank)
-		}
-	}
-	p.tanks = alive
-}
-
-// decideAll runs the decision function for each tank. Team-internal
-// sequencing is naturally provided by the local store: each tank's writes
-// land before the next tank decides.
-func (p *player) decideAll() []tankAction {
-	enemies := p.enemies
-	clear(enemies)
+// beaconEnemies returns the turn's enemy picture, in the player's scratch:
+// each peer's tanks as its last beacon placed them. A peer that announced
+// done or was evicted as crashed no longer moves, so its tanks are left out
+// (its final world writes, if any, already landed via DATA).
+func (p *player) beaconEnemies() map[int][]game.Pos {
+	clear(p.enemies)
 	for team := range p.known {
-		// A peer that announced done or was evicted as crashed no longer
-		// moves; its last-known tanks are dropped from the enemy picture
-		// (its final world writes, if any, already landed via DATA).
 		kp := &p.known[team]
-		if !kp.present || p.rt.PeerGone(team) || len(kp.beacon.Tanks) == 0 {
-			continue
-		}
-		enemies[team] = kp.beacon.Tanks
-	}
-	var out []tankAction
-	for _, tank := range p.tanks {
-		v := game.View{
-			Cfg:     p.cfg.Game,
-			Team:    p.team,
-			Self:    tank.Pos,
-			Prev:    tank.Prev,
-			Goal:    p.goal,
-			CellAt:  p.cellAt,
-			Enemies: enemies,
-		}
-		act := game.Decide(v)
-		ta := tankAction{tank: tank, act: act}
-		if act.Kind == game.Move {
-			ta.prevTarget = p.cellAt(act.To)
-		}
-		out = append(out, ta)
-		// Apply this tank's writes locally before the next tank decides.
-		writes, _ := act.Writes(p.team, p.goal)
-		for _, cw := range writes {
-			_ = p.rt.Write(p.cfg.Game.ObjectOf(cw.Pos), game.EncodeCell(cw.Cell))
+		if kp.present && !p.rt.PeerGone(team) && len(kp.beacon.Tanks) > 0 {
+			p.enemies[team] = kp.beacon.Tanks
 		}
 	}
-	return out
+	return p.enemies
 }
 
-func (p *player) updateTanksAfterActions(actions []tankAction) {
-	next := p.tanks[:0]
-	for _, ta := range actions {
-		switch {
-		case ta.act.Kind == game.Move && ta.act.To == p.goal:
-			// Tank left the board.
-		case ta.act.Kind == game.Move:
-			next = append(next, ta.tank.Advance(ta.act))
-		default:
-			next = append(next, ta.tank)
-		}
-	}
-	p.tanks = next
-}
+// write lands one of the turn's writes in the replica, buffered for the
+// peers it is due to.
+func (p *player) write(id store.ID, state []byte) bool { return p.rt.Write(id, state) == nil }
 
 // pendingBox returns the bounding box of the modifications still buffered
 // for peer, nil when there are none. The box is player scratch: the result
@@ -609,7 +514,7 @@ func (p *player) pendingBox(peer int) *game.Box {
 // positions returns the own tanks' positions in a buffer reused by every
 // call: the result is valid until the next call.
 func (p *player) positions() []game.Pos {
-	p.pos = game.AppendPositions(p.pos[:0], p.tanks)
+	p.pos = game.AppendPositions(p.pos[:0], p.turn.Tanks)
 	return p.pos
 }
 
@@ -619,22 +524,6 @@ func (p *player) positions() []game.Pos {
 func (p *player) beacon(b game.Beacon) []int64 {
 	p.enc = game.AppendBeacon(p.enc[:0], b)
 	return p.ints.Carve(p.enc...)
-}
-
-func (p *player) readCell(pos game.Pos) (game.Cell, error) {
-	b, err := p.rt.Store().View(p.cfg.Game.ObjectOf(pos))
-	if err != nil {
-		return game.Cell{}, err
-	}
-	return game.DecodeCell(b)
-}
-
-func (p *player) cellAt(pos game.Pos) game.Cell {
-	c, err := p.readCell(pos)
-	if err != nil {
-		return game.Cell{Kind: game.Bomb} // unreadable blocks are impassable
-	}
-	return c
 }
 
 // exchangeOpts assembles the per-protocol exchange configuration: the

@@ -84,12 +84,10 @@ func TestActionTracesMatchReference(t *testing.T) {
 			for i := 0; i < cfg.Teams; i++ {
 				i := i
 				pc := PlayerConfig{Game: cfg, Protocol: proto, Endpoint: net.Endpoint(i)}
-				pc.onActions = func(tick int64, acts []tankAction) {
+				pc.onActions = func(tick int64, act game.Action) {
 					mu.Lock()
 					defer mu.Unlock()
-					for _, ta := range acts {
-						traces[i] = append(traces[i], game.TraceAction(tick, ta.act))
-					}
+					traces[i] = append(traces[i], game.TraceAction(tick, act))
 				}
 				wg.Add(1)
 				go func() {

@@ -129,9 +129,8 @@ type Node struct {
 	mgrBd board // manager-side accumulated notices
 
 	known    board // app-side: freshest noticed versions
-	goal     game.Pos
-	tanks    []game.TankState
-	stats    game.TeamStats
+	turn     game.Team
+	dirty    map[store.ID]int64 // the tick's written versions, for its releases
 	gameOver bool
 }
 
@@ -152,17 +151,14 @@ func New(cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{
 		cfg: cfg, team: cfg.App.ID(), teams: teams, mc: mc,
-		mgrBd: make(board), known: make(board),
+		mgrBd: make(board), known: make(board), dirty: make(map[store.ID]int64),
 	}
-	start, err := game.StartOf(cfg.Game)
+	turn, start, err := game.NewTeam(&n.cfg.Game, n.team)
 	if err != nil {
 		return nil, err
 	}
-	n.goal = start.Goal
-	n.st = start.NewStore()
-	for _, pos := range start.Tanks[n.team] {
-		n.tanks = append(n.tanks, game.NewTankState(pos))
-	}
+	n.turn, n.st = turn, start.NewStore()
+	n.turn.Replica = n.st
 	var managed []store.ID
 	for i := 0; i < cfg.Game.NumObjects(); i++ {
 		if lockmgr.ManagerFor(store.ID(i), teams) == n.team {
@@ -174,7 +170,7 @@ func New(cfg NodeConfig) (*Node, error) {
 }
 
 // Stats returns the final team stats (valid after RunApp).
-func (n *Node) Stats() game.TeamStats { return n.stats }
+func (n *Node) Stats() game.TeamStats { return n.turn.Stats }
 
 func (n *Node) svcID(team int) int { return n.teams + team }
 
@@ -273,77 +269,74 @@ func (n *Node) sendGrants(grants []lockmgr.Grant) error {
 	return nil
 }
 
-type lockReq struct {
-	obj   store.ID
-	write bool
-}
-
 // RunApp executes the team's game loop.
 func (n *Node) RunApp() (game.TeamStats, error) {
 	app := n.cfg.App
-	n.stats = game.TeamStats{Team: n.team}
 	defer func() { n.mc.SetExecTime(app.Now()) }()
 
 	for tick := 1; tick <= n.cfg.Game.MaxTicks; tick++ {
 		if n.cfg.Game.EndOnFirstGoal {
 			n.pollApp()
 			if n.gameOver {
-				n.stats.DoneTick = int64(tick)
+				n.turn.Stats.DoneTick = int64(tick)
 				break
 			}
 		}
-		locks := n.lockSet()
+		// The application's access pattern is EC's; only the consistency
+		// machinery differs.
+		locks := n.turn.AccessSet(n.cfg.Game.Range)
 		if err := n.acquireAll(locks); err != nil {
-			return n.stats, err
+			return n.turn.Stats, err
 		}
 
 		appStart := app.Now()
-		alive := n.refreshTanks()
-		if !alive {
-			n.releaseAll(locks, nil)
-			if !n.stats.ReachedGoal {
-				n.stats.Destroyed = true
+		n.mu.Lock()
+		playing := n.turn.Begin(int64(tick))
+		if playing {
+			clear(n.dirty)
+			enemies := make(map[int][]game.Pos)
+			n.turn.ScanRays(enemies, n.cfg.Game.Range)
+			if n.turn.Credit(n.turn.Turn(enemies, n.write)) {
+				n.mc.AddMod()
 			}
-			n.stats.DoneTick = int64(tick)
+			n.mc.AddTick()
+		}
+		n.mu.Unlock()
+		if !playing {
+			n.releaseAll(locks, nil)
 			break
 		}
-		n.stats.Ticks++
-
-		dirty := n.decideAndWrite()
 		n.mc.AddTime(metrics.CatAppCompute, app.Now()-appStart)
 		if n.cfg.ComputePerTick > 0 {
 			app.Compute(n.cfg.ComputePerTick)
 			n.mc.AddTime(metrics.CatAppCompute, n.cfg.ComputePerTick)
 		}
-		n.releaseAll(locks, dirty)
+		n.releaseAll(locks, n.dirty)
 
-		if n.stats.ReachedGoal && len(n.tanks) == 0 {
-			n.stats.DoneTick = int64(tick)
+		if n.turn.Won(int64(tick)) {
 			break
 		}
 	}
-	if n.stats.DoneTick == 0 {
-		n.stats.DoneTick = int64(n.stats.Ticks)
-	}
+	n.turn.Horizon(int64(n.turn.Stats.Ticks))
 
-	if n.cfg.Game.EndOnFirstGoal && n.stats.ReachedGoal {
+	if n.cfg.Game.EndOnFirstGoal && n.turn.Stats.ReachedGoal {
 		for team := 0; team < n.teams; team++ {
 			if team == n.team {
 				continue
 			}
 			m := &wire.Msg{Kind: wire.KindDone, Mode: 1, Stamp: int64(n.team)}
 			if err := n.countSend(app, team, m); err != nil {
-				return n.stats, fmt.Errorf("lrc app %d: game-over: %w", n.team, err)
+				return n.turn.Stats, fmt.Errorf("lrc app %d: game-over: %w", n.team, err)
 			}
 		}
 	}
 	for team := 0; team < n.teams; team++ {
 		m := &wire.Msg{Kind: wire.KindShutdown, Stamp: int64(n.team)}
 		if err := n.countSend(app, n.svcID(team), m); err != nil {
-			return n.stats, fmt.Errorf("lrc app %d: shutdown: %w", n.team, err)
+			return n.turn.Stats, fmt.Errorf("lrc app %d: shutdown: %w", n.team, err)
 		}
 	}
-	return n.stats, nil
+	return n.turn.Stats, nil
 }
 
 func (n *Node) pollApp() {
@@ -358,53 +351,19 @@ func (n *Node) pollApp() {
 	}
 }
 
-// lockSet mirrors the EC lock set (the application's access pattern is the
-// same; only the consistency machinery differs).
-func (n *Node) lockSet() []lockReq {
-	cfg := n.cfg.Game
-	want := make(map[store.ID]bool)
-	addVis := func(p game.Pos, write bool) {
-		if !cfg.InBounds(p) {
-			return
-		}
-		id := cfg.ObjectOf(p)
-		if write {
-			want[id] = true
-		} else if _, ok := want[id]; !ok {
-			want[id] = false
-		}
-	}
-	for _, tank := range n.tanks {
-		addVis(tank.Pos, true)
-		dirs := []game.Pos{{X: 0, Y: -1}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: -1, Y: 0}}
-		for _, d := range dirs {
-			addVis(game.Pos{X: tank.Pos.X + d.X, Y: tank.Pos.Y + d.Y}, true)
-			for k := 2; k <= cfg.Range; k++ {
-				addVis(game.Pos{X: tank.Pos.X + d.X*k, Y: tank.Pos.Y + d.Y*k}, false)
-			}
-		}
-	}
-	out := make([]lockReq, 0, len(want))
-	for id, write := range want {
-		out = append(out, lockReq{obj: id, write: write})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].obj < out[j].obj })
-	return out
-}
-
 // acquireAll acquires locks in order; each grant's notice board invalidates
 // stale objects, and invalidated objects in this iteration's access set are
 // pulled lazily from their noticed writers.
-func (n *Node) acquireAll(locks []lockReq) error {
+func (n *Node) acquireAll(locks []game.Access) error {
 	app := n.cfg.App
 	for _, lr := range locks {
-		mgrTeam := lockmgr.ManagerFor(lr.obj, n.teams)
-		req := &wire.Msg{Kind: wire.KindLockReq, Obj: uint32(lr.obj), Mode: lockMode(lr.write)}
+		mgrTeam := lockmgr.ManagerFor(lr.Obj, n.teams)
+		req := &wire.Msg{Kind: wire.KindLockReq, Obj: uint32(lr.Obj), Mode: lockMode(lr.Write)}
 		t0 := app.Now()
 		if err := n.countSend(app, n.svcID(mgrTeam), req); err != nil {
 			return fmt.Errorf("lrc app %d: lock req: %w", n.team, err)
 		}
-		grant, err := n.awaitKind(wire.KindLockGrant, uint32(lr.obj))
+		grant, err := n.awaitKind(wire.KindLockGrant, uint32(lr.Obj))
 		if err != nil {
 			return err
 		}
@@ -418,27 +377,27 @@ func (n *Node) acquireAll(locks []lockReq) error {
 	// Lazy pulls: any accessed object whose noticed version exceeds the
 	// local replica's.
 	for _, lr := range locks {
-		nt, ok := n.known[lr.obj]
+		nt, ok := n.known[lr.Obj]
 		if !ok || nt.writer == n.team {
 			continue
 		}
 		n.mu.Lock()
-		local, _ := n.st.Version(lr.obj)
+		local, _ := n.st.Version(lr.Obj)
 		n.mu.Unlock()
 		if nt.version <= local {
 			continue
 		}
 		t0 := app.Now()
-		pull := &wire.Msg{Kind: wire.KindObjReq, Obj: uint32(lr.obj), Stamp: int64(lr.obj)}
+		pull := &wire.Msg{Kind: wire.KindObjReq, Obj: uint32(lr.Obj), Stamp: int64(lr.Obj)}
 		if err := n.countSend(app, n.svcID(nt.writer), pull); err != nil {
 			return fmt.Errorf("lrc app %d: pull: %w", n.team, err)
 		}
-		reply, err := n.awaitKind(wire.KindObjReply, uint32(lr.obj))
+		reply, err := n.awaitKind(wire.KindObjReply, uint32(lr.Obj))
 		if err != nil {
 			return err
 		}
 		n.mu.Lock()
-		err = n.st.SetState(lr.obj, reply.Payload, reply.Ints[0])
+		err = n.st.SetState(lr.Obj, reply.Payload, reply.Ints[0])
 		n.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("lrc app %d: apply pulled: %w", n.team, err)
@@ -472,13 +431,13 @@ func (n *Node) awaitKind(kind wire.Kind, obj uint32) (*wire.Msg, error) {
 
 // releaseAll returns every lock; dirty releases carry the full notice board
 // (the LRC cost being measured).
-func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
+func (n *Node) releaseAll(locks []game.Access, dirty map[store.ID]int64) {
 	app := n.cfg.App
 	t0 := app.Now()
 	for _, lr := range locks {
-		mgrTeam := lockmgr.ManagerFor(lr.obj, n.teams)
-		rel := &wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.obj)}
-		if _, wrote := dirty[lr.obj]; wrote && lr.write {
+		mgrTeam := lockmgr.ManagerFor(lr.Obj, n.teams)
+		rel := &wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.Obj)}
+		if _, wrote := dirty[lr.Obj]; wrote && lr.Write {
 			rel.Mode = wire.ModeWrite
 			rel.Payload = n.known.encode()
 		}
@@ -487,103 +446,14 @@ func (n *Node) releaseAll(locks []lockReq, dirty map[store.ID]int64) {
 	n.mc.AddTime(metrics.CatLockRelease, app.Now()-t0)
 }
 
-func (n *Node) refreshTanks() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	alive := n.tanks[:0]
-	for _, tank := range n.tanks {
-		b, err := n.st.View(n.cfg.Game.ObjectOf(tank.Pos))
-		if err != nil {
-			continue
-		}
-		c, err := game.DecodeCell(b)
-		if err == nil && c.Kind == game.Tank && c.Team == n.team {
-			alive = append(alive, tank)
-		}
+// write lands one of the turn's writes in the locked replica and notices
+// it on the board.
+func (n *Node) write(id store.ID, state []byte) bool {
+	_, v, _, err := n.st.WriteBy(id, state, -1)
+	if err != nil {
+		return false
 	}
-	n.tanks = alive
-	return len(n.tanks) > 0
-}
-
-// decideAndWrite mirrors EC's, additionally recording write notices.
-func (n *Node) decideAndWrite() map[store.ID]int64 {
-	cfg := n.cfg.Game
-	n.mu.Lock()
-	defer n.mu.Unlock()
-
-	cellAt := func(p game.Pos) game.Cell {
-		b, err := n.st.View(cfg.ObjectOf(p))
-		if err != nil {
-			return game.Cell{Kind: game.Bomb}
-		}
-		c, err := game.DecodeCell(b)
-		if err != nil {
-			return game.Cell{Kind: game.Bomb}
-		}
-		return c
-	}
-	enemies := make(map[int][]game.Pos)
-	for _, tank := range n.tanks {
-		dirs := []game.Pos{{X: 0, Y: -1}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: -1, Y: 0}}
-		for _, d := range dirs {
-			for k := 1; k <= cfg.Range; k++ {
-				p := game.Pos{X: tank.Pos.X + d.X*k, Y: tank.Pos.Y + d.Y*k}
-				if !cfg.InBounds(p) {
-					break
-				}
-				if c := cellAt(p); c.Kind == game.Tank && c.Team != n.team {
-					enemies[c.Team] = append(enemies[c.Team], p)
-				}
-			}
-		}
-	}
-
-	dirty := make(map[store.ID]int64)
-	modified := false
-	var next []game.TankState
-	for _, tank := range n.tanks {
-		act := game.Decide(game.View{
-			Cfg:     cfg,
-			Team:    n.team,
-			Self:    tank.Pos,
-			Prev:    tank.Prev,
-			Goal:    n.goal,
-			CellAt:  cellAt,
-			Enemies: enemies,
-		})
-		var prevTarget game.Cell
-		if act.Kind == game.Move {
-			prevTarget = cellAt(act.To)
-		}
-		writes, reachedGoal := act.Writes(n.team, n.goal)
-		for _, cw := range writes {
-			id := cfg.ObjectOf(cw.Pos)
-			_, v, _, err := n.st.WriteBy(id, game.EncodeCell(cw.Cell), -1)
-			if err != nil {
-				continue
-			}
-			dirty[id] = v
-			n.known[id] = notice{writer: n.team, version: v}
-			modified = true
-		}
-		switch {
-		case reachedGoal:
-			n.stats.ReachedGoal = true
-			n.stats.Score += 5
-		case act.Kind == game.Move:
-			if prevTarget.Kind == game.Bonus {
-				n.stats.Score++
-			}
-			next = append(next, tank.Advance(act))
-		default:
-			next = append(next, tank)
-		}
-	}
-	if modified {
-		n.stats.Mods++
-		n.mc.AddMod()
-	}
-	n.mc.AddTick()
-	n.tanks = next
-	return dirty
+	n.dirty[id] = v
+	n.known[id] = notice{writer: n.team, version: v}
+	return true
 }
