@@ -166,10 +166,18 @@ func (t *Team) Won(tick int64) bool {
 }
 
 // Horizon ends at tick the game of a team that played to the last tick; a
-// game that already ended keeps its DoneTick.
-func (t *Team) Horizon(tick int64) {
-	if t.Stats.DoneTick == 0 {
-		t.Stats.DoneTick = tick
+// game that already ended keeps its DoneTick. fresh says the replica holds
+// the last tick's writes (a final exchange or barrier landed them): the
+// team's blocks are then read once more, and a team whose last tank was hit
+// on the last tick is destroyed, as in the reference's end-of-tick death
+// pass.
+func (t *Team) Horizon(tick int64, fresh bool) {
+	if t.Stats.DoneTick != 0 {
+		return
+	}
+	t.Stats.DoneTick = tick
+	if fresh && len(t.Tanks) > 0 && !t.refresh() {
+		t.Stats.Destroyed = !t.Stats.ReachedGoal
 	}
 }
 

@@ -10,23 +10,20 @@ import (
 // behaviorally lockstep — it must reproduce the reference exactly, like the
 // lookahead protocols.
 func TestCausalMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		g := game.DefaultConfig(6, 1)
-		g.Seed = seed
-		g.MaxTicks = 150
+	for _, g := range referenceGames(6) {
 		ref, err := game.RunReference(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := Run(Config{Game: g, Protocol: Causal})
 		if err != nil {
-			t.Fatalf("seed=%d: %v", seed, err)
+			t.Fatalf("n=%d seed=%d: %v", g.Teams, g.Seed, err)
 		}
 		for i, st := range res.Stats {
 			want := ref.Stats[i]
 			if st.Mods != want.Mods || st.Ticks != want.Ticks || st.Score != want.Score ||
 				st.ReachedGoal != want.ReachedGoal || st.Destroyed != want.Destroyed {
-				t.Errorf("seed=%d team %d:\n got %+v\nwant %+v", seed, i, st, want)
+				t.Errorf("n=%d seed=%d team %d:\n got %+v\nwant %+v", g.Teams, g.Seed, i, st, want)
 			}
 		}
 	}

@@ -154,7 +154,7 @@ func (p *player) play() error {
 			return p.finish(true)
 		}
 	}
-	p.turn.Horizon(int64(p.turn.Stats.Ticks))
+	p.turn.Horizon(int64(p.turn.Stats.Ticks), true) // the last barrier landed the last tick's writes
 	return p.finish(p.turn.Stats.ReachedGoal)
 }
 

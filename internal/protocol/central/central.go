@@ -338,7 +338,7 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 			break
 		}
 	}
-	turn.Horizon(int64(turn.Stats.Ticks))
+	turn.Horizon(int64(turn.Stats.Ticks), false) // the snapshot is a tick old
 	_ = send(&wire.Msg{Kind: wire.KindShutdown, Stamp: int64(team)})
 	return turn.Stats, nil
 }

@@ -907,7 +907,7 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 			break
 		}
 	}
-	n.turn.Horizon(int64(n.turn.Stats.Ticks))
+	n.turn.Horizon(int64(n.turn.Stats.Ticks), false) // the locks are released: the replica may be stale
 
 	// In a first-to-goal game the winner tells every application the race
 	// is over.

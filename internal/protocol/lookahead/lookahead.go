@@ -480,7 +480,7 @@ func (p *player) play() error {
 			p.cfg.afterExchange(p)
 		}
 	}
-	p.turn.Horizon(p.rt.Now())
+	p.turn.Horizon(p.rt.Now(), true) // the last exchange landed the last tick's writes
 	return p.rt.Done(p.turn.Stats.ReachedGoal)
 }
 

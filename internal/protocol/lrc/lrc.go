@@ -317,7 +317,7 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 			break
 		}
 	}
-	n.turn.Horizon(int64(n.turn.Stats.Ticks))
+	n.turn.Horizon(int64(n.turn.Stats.Ticks), false) // the locks are released: the replica may be stale
 
 	if n.cfg.Game.EndOnFirstGoal && n.turn.Stats.ReachedGoal {
 		for team := 0; team < n.teams; team++ {
