@@ -69,3 +69,23 @@ func TestCentralDeterministic(t *testing.T) {
 			a.Metrics.TotalMsgs(), a.VirtualDuration, b.Metrics.TotalMsgs(), b.VirtualDuration)
 	}
 }
+
+// TestCentralTeamsPlayOnWithoutRace: with EndOnFirstGoal off each team plays
+// until its own goal, destruction or the horizon (game.Config) — one team's
+// win does not stop the others.
+func TestCentralTeamsPlayOnWithoutRace(t *testing.T) {
+	for _, rng := range []int{1, 3} {
+		g := game.DefaultConfig(6, rng)
+		g.Seed, g.MaxTicks, g.TanksPerTeam = 3, 60, (rng+1)/2
+		res, err := Run(Config{Game: g, Protocol: Central})
+		if err != nil {
+			t.Fatalf("range %d: %v", rng, err)
+		}
+		for _, st := range res.Stats {
+			if !st.ReachedGoal && !st.Destroyed && st.Ticks != g.MaxTicks {
+				t.Errorf("range %d team %d stopped at tick %d with neither goal nor death: %+v",
+					rng, st.Team, st.DoneTick, st)
+			}
+		}
+	}
+}

@@ -39,7 +39,8 @@ func pinOf(res *Result) simPin {
 // (the gated run's traffic and duration re-recorded, stats unchanged, when
 // the enter-radius fetch was deleted). The range3x2 rows (range 3, two
 // tanks a team) were recorded at the parent of the commit that moved the
-// team's turn into internal/game.
+// team's turn into internal/game; both CENTRAL rows were re-recorded when a
+// central win stopped ending the other teams' games outside a race.
 // Spawn order, process numbering and collector wiring all show up here: the
 // virtual clock orders events by spawn and faultnet derives its decisions
 // per link.
@@ -105,14 +106,14 @@ func TestSimRunsPinned(t *testing.T) {
 		{"run/EC", plain(Config{Game: small(6), Protocol: EC}), simPin{virtual: 2962750400, msgs: 2523, logical: 2523, stats: "c55f15bd84596f01"}},
 		{"run/LRC", plain(Config{Game: small(6), Protocol: LRC}), simPin{virtual: 2988114800, msgs: 2538, logical: 2538, stats: "e94e3ff4da16e39b"}},
 		{"run/CAUSAL", plain(Config{Game: small(6), Protocol: Causal}), simPin{virtual: 262944800, msgs: 616, logical: 616, stats: "9dfdac6a49959849"}},
-		{"run/CENTRAL", plain(Config{Game: small(6), Protocol: Central}), simPin{virtual: 0, msgs: 556, logical: 556, stats: "c6c909a159a8d3ff"}},
+		{"run/CENTRAL", plain(Config{Game: small(6), Protocol: Central}), simPin{virtual: 0, msgs: 660, logical: 660, stats: "bbb4e166ea8a93ff"}},
 		{"run/BSYNC+range3x2", plain(Config{Game: wide(), Protocol: BSYNC}), simPin{virtual: 262156400, msgs: 590, logical: 1154, stats: "f860097954974243"}},
 		{"run/MSYNC+range3x2", plain(Config{Game: wide(), Protocol: MSYNC}), simPin{virtual: 223573200, msgs: 398, logical: 777, stats: "f860097954974243"}},
 		{"run/MSYNC2+range3x2", plain(Config{Game: wide(), Protocol: MSYNC2}), simPin{virtual: 223573200, msgs: 398, logical: 772, stats: "f860097954974243"}},
 		{"run/EC+range3x2", plain(Config{Game: wide(), Protocol: EC}), simPin{virtual: 13050429200, msgs: 10691, logical: 10691, stats: "96c8603597741a1f"}},
 		{"run/LRC+range3x2", plain(Config{Game: wide(), Protocol: LRC}), simPin{virtual: 12297253200, msgs: 10440, logical: 10440, stats: "bf795b440f172d3a"}},
 		{"run/CAUSAL+range3x2", plain(Config{Game: wide(), Protocol: Causal}), simPin{virtual: 268660000, msgs: 600, logical: 600, stats: "f860097954974243"}},
-		{"run/CENTRAL+range3x2", plain(Config{Game: wide(), Protocol: Central}), simPin{virtual: 0, msgs: 400, logical: 400, stats: "f70e4ef11298a181"}},
+		{"run/CENTRAL+range3x2", plain(Config{Game: wide(), Protocol: Central}), simPin{virtual: 0, msgs: 558, logical: 558, stats: "a55ee2d2f5d149dc"}},
 		{"chaos/BSYNC+restart", chaos(rejoinConfig(BSYNC, 13)), simPin{virtual: 398201200, msgs: 432, logical: 735, stats: "f58a8d42f981bc5d", decided: "b54731a850a7e769"}},
 		{"chaos/EC+restart+quorum1", chaos(ecQuorum), simPin{virtual: 2927498800, msgs: 4156, logical: 4156, stats: "ca435410685e7eb1", decided: "3b70ffc66f43aabb"}},
 		{"checked/MSYNC2+faults", checked(MSYNC2), simPin{events: 2289, verdict: "ok (2289 events)"}},

@@ -43,7 +43,7 @@ const (
 const (
 	verdictRejected int64 = 0
 	verdictAccepted int64 = 1
-	verdictGameOver int64 = 2 // bit: some team has won
+	verdictGameOver int64 = 2 // bit: some team has won the race (EndOnFirstGoal)
 )
 
 // ServerConfig configures the authoritative server process.
@@ -73,7 +73,7 @@ func RunServer(cfg ServerConfig) error {
 	}
 	st := start.NewStore()
 	goal := start.Goal
-	gameOver := false
+	raceOver := false
 	remaining := cfg.Game.Teams
 
 	send := func(to int, m *wire.Msg) error {
@@ -117,15 +117,13 @@ func RunServer(cfg ServerConfig) error {
 			verdict := verdictRejected
 			// First-to-goal races crown exactly one winner: once somebody
 			// has won, later intents are rejected outright so a second
-			// goal claim in flight cannot also be accepted.
-			raceDone := cfg.Game.EndOnFirstGoal && gameOver
-			if !raceDone && applyIntent(cfg.Game, st, goal, m) {
+			// goal claim in flight cannot also be accepted. Without a race
+			// a win ends only the winner's game.
+			if !raceOver && applyIntent(cfg.Game, st, goal, m) {
 				verdict = verdictAccepted
+				raceOver = cfg.Game.EndOnFirstGoal && intentReachesGoal(cfg.Game, st, goal, m)
 			}
-			if intentReachesGoal(cfg.Game, st, goal, m) && verdict == verdictAccepted {
-				gameOver = true
-			}
-			if gameOver {
+			if raceOver {
 				verdict |= verdictGameOver
 			}
 			reply := &wire.Msg{Kind: wire.KindObjReply, Mode: modeVerdict, Stamp: verdict, Obj: m.Obj}
@@ -251,8 +249,8 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 		}
 	}
 
-	gameOver := false
-	for tick := 1; tick <= cfg.Game.MaxTicks && !gameOver; tick++ {
+	raceOver := false
+	for tick := 1; tick <= cfg.Game.MaxTicks; tick++ {
 		// Phase 1: pull the visibility set.
 		t0 := cfg.Endpoint.Now()
 		visible := turn.AccessSet(cfg.Game.InteractionRadius())
@@ -317,7 +315,7 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 			mc.AddTime(metrics.CatExchange, cfg.Endpoint.Now()-t1)
 			accepted := v.Stamp&verdictAccepted != 0
 			if v.Stamp&verdictGameOver != 0 {
-				gameOver = true
+				raceOver = true
 			}
 			if accepted {
 				if turn.Credit(o) {
@@ -333,7 +331,7 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 				rollback(&turn)
 			}
 		}
-		if cfg.Game.EndOnFirstGoal && gameOver {
+		if raceOver {
 			turn.Stats.DoneTick = int64(tick)
 			break
 		}
