@@ -14,8 +14,8 @@ import (
 // (where the team reads a block), the enemy picture it hands each Turn, and
 // the function through which a Turn's writes land. It calls the team from
 // one process at a time, with the blocks the calls read kept fresh as View
-// requires. A driver holds its Team by value, and the turn keeps its
-// scratch: a tick allocates nothing for the team.
+// requires. A driver holds its Team by value, and the turn reuses its
+// scratch from tick to tick.
 type Team struct {
 	Cfg     *Config // the driver's, read only
 	ID      int
