@@ -143,9 +143,9 @@ func (r *Runtime) deltaBase(e *deltaEntry) ([]byte, int64) {
 // and the returned mode bit marks the payload for the receiver. Records,
 // XOR bytes and the encoding are assembled in per-runtime scratch; the
 // returned payload is one copy of it into dst's capacity (the outgoing
-// message's, usually enough after the struct's first trip round), owned by
-// the message. Encoding straight into dst would regrow a capacity-less
-// struct's buffer several times over.
+// message's: a pooled struct's inline buffer holds a small payload, a
+// larger one is allocated once), owned by the message. Encoding straight
+// into dst would regrow the buffer several times over.
 func (r *Runtime) encodeDataPayload(dst []byte, peer int, diffs []xlist.ObjDiff, stamp int64) ([]byte, uint8) {
 	if !r.cfg.DeltaEncode {
 		r.encBuf = xlist.AppendDiffs(r.encBuf[:0], diffs)

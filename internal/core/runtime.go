@@ -387,8 +387,10 @@ func New(cfg Config) (*Runtime, error) {
 		xl:       xlist.NewList(),
 		buf:      xlist.NewSlottedBuffer(ep.ID(), ep.N(), cfg.MergeDiffs),
 		peers:    make([]peerState, ep.N()),
+		targets:  make([]int, 0, ep.N()),
 		vaulting: cfg.CheckpointEvery > 0,
 	}
+	r.xl.Reserve(ep.N())
 	if r.vaulting && r.cfg.CheckpointF <= 0 {
 		r.cfg.CheckpointF = DefaultCheckpointF
 	}

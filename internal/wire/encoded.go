@@ -151,16 +151,35 @@ func (c *IntsChunk) Carve(vals ...int64) []int64 {
 // message it sends; Send gives the message away (transport.Endpoint.Send);
 // the receiving transport delivers that struct, or a frame decoded into
 // another pooled one (the TCP read loop, shared-encoding deliveries); and
-// the receiver's Recycle puts it
-// back once consumed. A recycled Msg keeps its Payload capacity, so in
-// steady state neither a send nor a decode allocates. A Msg taken and never
-// put back — sent over TCP, retained by its receiver, received by a
-// protocol that does not recycle — is ordinary garbage, and the next Get
-// allocates.
-var msgPool = sync.Pool{New: func() any { return new(Msg) }}
+// the receiver's Recycle puts it back once consumed. A pooled message
+// carries a small payload inline: the pool allocates a pooledMsg and
+// starts its Payload at small, so a payload of up to smallPayload bytes —
+// in the tank game, every BSYNC DATA payload — lives in the struct's own
+// allocation, on send and on decode alike. A larger one moves to the heap,
+// and a recycled Msg keeps that capacity. A Msg taken and never put back —
+// sent over TCP, retained by its receiver, received by a protocol that
+// does not recycle — is ordinary garbage, and the next Get allocates.
+var msgPool = sync.Pool{New: func() any {
+	p := new(pooledMsg)
+	p.Payload = p.small[:0:smallPayload]
+	return &p.Msg
+}}
+
+// smallPayload is the inline payload's size: it fills the pooled object
+// to 128 bytes, one of the allocator's size classes (DESIGN.md §15).
+const smallPayload = 48
+
+// pooledMsg is what the pool allocates. Msg itself stays without the
+// buffer, so a Msg literal or value costs only its header, and copying
+// one over a pooled struct (*m = t) leaves the inline bytes in place.
+type pooledMsg struct {
+	Msg
+	small [smallPayload]byte
+}
 
 // GetMsg returns a Msg from the free-list (fields zeroed and Ints nil,
-// Payload capacity possibly retained from a previous life).
+// Payload empty with the capacity of its inline buffer or of a previous
+// life's larger one).
 func GetMsg() *Msg { return msgPool.Get().(*Msg) }
 
 // PutMsg recycles m. The caller must own m and its Payload: after PutMsg

@@ -1,0 +1,111 @@
+package wire_test
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"sdso/internal/faultnet"
+	"sdso/internal/race"
+	"sdso/internal/transport"
+	"sdso/internal/wire"
+)
+
+// inline reports whether m's Payload lives inside m's own pooled object.
+func inline(m *wire.Msg) bool {
+	base := uintptr(unsafe.Pointer(m))
+	data := uintptr(unsafe.Pointer(unsafe.SliceData(m.Payload)))
+	return data >= base && data < base+wire.PooledMsgSize
+}
+
+// TestPooledMsgCarriesSmallPayload guards the layout and the lifetime of
+// the inline payload (DESIGN.md §15): a pooled message is one 128-byte
+// object whose last 48 bytes hold a small payload, a larger payload moves
+// to the heap for good, EC's send idiom keeps the bytes, and the poisoning
+// endpoint's scribble reaches them, so a receiver that keeps m.Payload past
+// Recycle still computes with garbage.
+func TestPooledMsgCarriesSmallPayload(t *testing.T) {
+	if wire.PooledMsgSize != 128 {
+		t.Fatalf("the pooled message is %d bytes, want 128 (an allocator size class; Msg is %d): "+
+			"when Msg grows, shrink small by as much", wire.PooledMsgSize, unsafe.Sizeof(wire.Msg{}))
+	}
+	small := bytes.Repeat([]byte{0xA5}, 48)
+	large := bytes.Repeat([]byte{0x5A}, 49)
+
+	t.Run("small payload is inline", func(t *testing.T) {
+		m := wire.NewPooledMsg()
+		if cap(m.Payload) != len(small) || !inline(m) {
+			t.Fatalf("a fresh pooled message has Payload cap %d, inline %v; want 48, true", cap(m.Payload), inline(m))
+		}
+		m.Payload = append(m.Payload, small...)
+		if !inline(m) || !bytes.Equal(m.Payload, small) {
+			t.Fatalf("a 48-byte payload left the struct (inline %v) or changed", inline(m))
+		}
+		if race.Enabled {
+			return // the race detector's instrumentation allocates
+		}
+		var sink *wire.Msg
+		allocs := testing.AllocsPerRun(100, func() {
+			m := wire.NewPooledMsg()
+			m.Payload = append(m.Payload, small...)
+			sink = m
+		})
+		if allocs != 1 || !inline(sink) {
+			t.Errorf("a pooled message with a 48-byte payload takes %v allocations, want 1: the struct itself", allocs)
+		}
+	})
+
+	t.Run("large payload keeps its capacity", func(t *testing.T) {
+		// One P, and its private pool slot emptied, so a Put is the next Get
+		// unless the race detector's pool drops it; then try a fresh one.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for try := 0; try < 50; try++ {
+			m := wire.NewPooledMsg()
+			m.Payload = append(m.Payload, large...)
+			if inline(m) || cap(m.Payload) < len(large) {
+				t.Fatalf("a 49-byte payload stayed inline (%v) or has cap %d", inline(m), cap(m.Payload))
+			}
+			data, capacity := unsafe.SliceData(m.Payload), cap(m.Payload)
+			wire.GetMsg()
+			wire.PutMsg(m)
+			if got := wire.GetMsg(); got == m {
+				if unsafe.SliceData(got.Payload) != data || cap(got.Payload) != capacity || len(got.Payload) != 0 {
+					t.Fatalf("PutMsg/GetMsg gave back Payload len %d cap %d, moved %v; want len 0 cap %d, not moved",
+						len(got.Payload), cap(got.Payload), unsafe.SliceData(got.Payload) != data, capacity)
+				}
+				return
+			}
+		}
+		t.Fatal("the pool never gave back the message put into it")
+	})
+
+	t.Run("EC send idiom keeps the bytes", func(t *testing.T) {
+		for _, payload := range [][]byte{small, large} {
+			src := wire.Msg{Kind: wire.KindObjReply, Stamp: 7, Obj: 3, Ints: []int64{1}, Payload: bytes.Clone(payload)}
+			m := wire.NewPooledMsg()
+			tpl := src
+			tpl.Payload = append(m.Payload[:0], tpl.Payload...)
+			*m = tpl
+			if !bytes.Equal(m.Payload, payload) || m.Kind != src.Kind || m.Stamp != src.Stamp || m.Obj != src.Obj {
+				t.Fatalf("%d-byte payload: the copied header clobbered the message: %v", len(payload), m)
+			}
+			if want := len(payload) <= 48; inline(m) != want {
+				t.Errorf("%d-byte payload: inline %v, want %v", len(payload), inline(m), want)
+			}
+		}
+	})
+
+	t.Run("poison reaches the inline bytes", func(t *testing.T) {
+		net := transport.NewMemNetwork(2)
+		defer net.Close()
+		p := faultnet.NewPoisonEndpoint(net.Endpoint(0), true)
+		m := wire.NewPooledMsg()
+		m.Payload = append(m.Payload, small...)
+		kept := m.Payload
+		p.Recycle(m)
+		if !bytes.Equal(kept, bytes.Repeat([]byte{0xFF}, len(small))) {
+			t.Fatalf("a payload kept past a poisoned Recycle reads %x, want every byte 0xFF", kept)
+		}
+	})
+}

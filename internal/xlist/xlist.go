@@ -68,6 +68,13 @@ type listItem struct {
 // NewList returns an empty exchange-list.
 func NewList() *List { return &List{} }
 
+// Reserve sizes the list for processes 0 … n-1, so that neither Set nor
+// Due grows a buffer for them.
+func (l *List) Reserve(n int) {
+	l.items = slices.Grow(l.items, max(n-len(l.items), 0))
+	l.due = slices.Grow(l.due[:0], n)
+}
+
 // Set schedules (or reschedules) the exchange time for proc, which must not
 // be negative.
 func (l *List) Set(proc int, t int64) {
