@@ -5,10 +5,12 @@ package core
 import "sdso/internal/wire"
 
 // vaultEntry is one replicated checkpoint: an origin's store snapshot at
-// its clock stamp.
+// its clock stamp, and whether it was already merged-and-relayed after the
+// origin's eviction.
 type vaultEntry struct {
-	stamp int64
-	snap  []byte
+	stamp   int64
+	snap    []byte
+	relayed bool
 }
 
 // streamCheckpoint is the tick's last stage at an epoch boundary: it
@@ -49,7 +51,7 @@ func (r *Runtime) streamCheckpoint() {
 // that is the recovery path the stream exists for.
 func (r *Runtime) handleCkpt(m *wire.Msg) {
 	origin := int(m.Obj)
-	if !r.vaulting || origin >= len(r.peers) {
+	if r.vaults == nil || origin >= len(r.peers) {
 		return // replication not enabled here, or no such origin; drop
 	}
 	if origin == r.ep.ID() {
@@ -59,14 +61,12 @@ func (r *Runtime) handleCkpt(m *wire.Msg) {
 		}
 		return
 	}
-	ps := &r.peers[origin]
-	if ps.vaulted && ps.vault.stamp >= m.Stamp {
+	if e, ok := r.vaults[origin]; ok && e.stamp >= m.Stamp {
 		return
 	}
-	ps.vault, ps.vaulted = vaultEntry{stamp: m.Stamp, snap: m.Payload}, true
-	ps.relayed = false
+	r.vaults[origin] = vaultEntry{stamp: m.Stamp, snap: m.Payload}
 	r.debugf("now=%d vault ckpt origin=%d stamp=%d bytes=%d", r.now, origin, m.Stamp, len(m.Payload))
-	if ps.crashed {
+	if r.peers[origin].crashed {
 		// The origin is already gone: fold its writes in right away.
 		r.relayVault(origin)
 	}
@@ -78,12 +78,12 @@ func (r *Runtime) handleCkpt(m *wire.Msg) {
 // outside its exchange range, under spatial withholding). Idempotent per
 // (origin, blob); best-effort on the wire.
 func (r *Runtime) relayVault(origin int) {
-	o := &r.peers[origin]
-	if !o.vaulted || o.relayed {
+	e, ok := r.vaults[origin]
+	if !ok || e.relayed {
 		return
 	}
-	e := o.vault
-	o.relayed = true
+	e.relayed = true
+	r.vaults[origin] = e
 	if _, _, err := r.st.Merge(e.snap); err != nil {
 		return
 	}

@@ -69,7 +69,7 @@ func TestCheckpointRecoversEvictedWrites(t *testing.T) {
 	// The stream goes to CheckpointF+1 = 2 ring successors: both peers
 	// vault origin 0.
 	for i, r := range []*Runtime{r1, r2} {
-		if !r.peers[0].vaulted {
+		if !heldFrom(r, 0).vaulted {
 			t.Fatalf("peer %d did not vault origin 0's checkpoint", i+1)
 		}
 	}
@@ -187,13 +187,13 @@ func TestCheckpointDisabledIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.vaulting {
+	if r.vaults != nil {
 		t.Fatal("disabled checkpointing still vaults")
 	}
 	// A stray replicated checkpoint from a peer that has it enabled must
 	// not corrupt a runtime that does not.
 	r.handleCkpt(&wire.Msg{Kind: wire.KindCkpt, Src: 1, Obj: 1, Stamp: 5, Payload: []byte{1, 2, 3}})
-	if r.peers[1].vaulted {
+	if heldFrom(r, 1).vaulted {
 		t.Fatal("stray CKPT was vaulted despite replication being off")
 	}
 	if mc.Snapshot().QuorumRounds != 0 || mc.Snapshot().ReplicaCatchups != 0 {

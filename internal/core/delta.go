@@ -152,7 +152,7 @@ func (r *Runtime) encodeDataPayload(dst []byte, peer int, diffs []xlist.ObjDiff,
 		return append(dst[:0], r.encBuf...), 0
 	}
 	ds := &r.peers[peer].send
-	recs, xor := r.encRecs[:0], r.encXOR[:0]
+	recs, xor := slices.Grow(r.encRecs[:0], len(diffs)), r.encXOR[:0]
 	for _, od := range diffs {
 		rec := xlist.DeltaRecord{Obj: od.Obj, Version: od.Version, D: od.D}
 		e := ds.at(&r.deltaPool, od.Obj)

@@ -13,7 +13,7 @@ import (
 // TestRidingDoneAheadOfReceiversClock: a peer one tick behind receives the
 // departing process's final flush — DATA carrying the DONE marker, stamped
 // ahead of its clock. The marker takes effect at arrival (the sender is
-// gone from the schedule at once) while the data half waits in earlyData
+// gone from the schedule at once) while the data half is held early
 // and is absorbed at its own tick, after the sender was marked done; and
 // the DONE is recorded with the stamp a bare DONE carries, the sender's
 // last tick.
@@ -77,7 +77,7 @@ func TestRidingDoneAheadOfReceiversClock(t *testing.T) {
 		if !buffered {
 			continue
 		}
-		if got := len(b.peers[0].earlyData); got != 1 || value() != 0 {
+		if got := len(heldFrom(b, 0).data); got != 1 || value() != 0 {
 			t.Fatalf("at tick %d: %d early DATA held, object = %d; want the flush stamped 3 waiting unapplied", b.Now(), got, value())
 		}
 		tick(b) // tick 2: still ahead
@@ -85,7 +85,7 @@ func TestRidingDoneAheadOfReceiversClock(t *testing.T) {
 			t.Fatalf("final flush stamped 3 applied at tick %d", b.Now())
 		}
 		tick(b) // tick 3: absorbed, from a peer long marked done
-		if got := len(b.peers[0].earlyData); got != 0 || value() != 42 {
+		if got := len(heldFrom(b, 0).data); got != 0 || value() != 42 {
 			t.Fatalf("at tick %d: %d early DATA held, object = %d; want the final write absorbed", b.Now(), got, value())
 		}
 	}
@@ -144,8 +144,8 @@ func FuzzConsumeData(f *testing.F) {
 		if src != 2 && src != 3 || k == wire.KindJoinReq || k == wire.KindJoinAck || k == wire.KindSnapshot {
 			return
 		}
-		ps := &r.peers[src]
-		if ps.done || len(ps.earlyData) != 0 || len(ps.earlySync) != 0 || ps.syncSeen != 0 || r.GameOver() || r.Epoch() != epoch {
+		ps, h := &r.peers[src], heldFrom(r, int(src))
+		if ps.done || len(h.data) != 0 || len(h.syncs) != 0 || ps.syncSeen != 0 || r.GameOver() || r.Epoch() != epoch {
 			t.Fatalf("%v frame from gone peer %d (mode %#x) left a mark: %+v gameOver=%v epoch %d→%d", k, src, mode, *ps, r.GameOver(), epoch, r.Epoch())
 		}
 	})

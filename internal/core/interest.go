@@ -51,7 +51,7 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 			if g < cap(groups) {
 				groups = groups[:g+1] // reuse the recycled group's dsts backing
 			} else {
-				groups = append(groups, syncGroup{})
+				groups = append(groups, syncGroup{dsts: make([]int, 0, r.ep.N())})
 			}
 			groups[g].beacon, groups[g].dsts = beacon, groups[g].dsts[:0]
 		}

@@ -117,8 +117,8 @@ func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
 		return
 	}
 	inc := m.Stamp
-	if ps.granted && ps.joinInc == inc && !ps.crashed && !ps.absent {
-		r.sendJoinReply(peer, ps.joinGrant)
+	if g, ok := r.grants[peer]; ok && g.inc == inc && !ps.crashed && !ps.absent {
+		r.sendJoinReply(peer, g.tick)
 		return
 	}
 	r.readmitPeer(peer)
@@ -127,7 +127,10 @@ func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
 		slack = DefaultJoinSlack
 	}
 	admit := r.now + slack
-	ps.granted, ps.joinGrant, ps.joinInc = true, admit, inc
+	if r.grants == nil {
+		r.grants = make(map[int]grant)
+	}
+	r.grants[peer] = grant{tick: admit, inc: inc}
 	r.xl.Set(peer, admit)
 	r.tr.Record(trace.OpAdmit, peer, 0, 0, r.now, admit)
 	r.debugf("now=%d serveJoin peer=%d inc=%d admit=%d epoch=%d", r.now, peer, inc, admit, r.epoch)
@@ -152,7 +155,8 @@ func (r *Runtime) readmitPeer(peer int) {
 	r.buf.Readmit(peer)
 	// Pre-crash leftovers from the peer's previous life must not leak
 	// into its new one.
-	ps.earlySync, ps.earlyData, ps.lastSync, ps.prevSync = nil, nil, syncRec{}, syncRec{}
+	r.dropEarly(peer, true)
+	ps.lastSync, ps.prevSync = syncRec{}, syncRec{}
 	// The peer's new life starts from the join snapshot, not from whatever
 	// the delta tables remember of its old one: force full records until
 	// fresh acks rebuild the table.
@@ -164,12 +168,12 @@ func (r *Runtime) readmitPeer(peer int) {
 	// from the store. The merge is version-gated, so it is a no-op when
 	// eviction-time relaying already did this. Then the entry is dropped;
 	// the peer's next epoch streams a fresh one.
-	if ps.vaulted && !ps.relayed {
-		if adopted, _, err := r.st.Merge(ps.vault.snap); err == nil && adopted > 0 {
+	if e, ok := r.vaults[peer]; ok && !e.relayed {
+		if adopted, _, err := r.st.Merge(e.snap); err == nil && adopted > 0 {
 			r.mc.AddReplicaCatchup()
 		}
 	}
-	ps.vault, ps.vaulted, ps.relayed = vaultEntry{}, false, false
+	delete(r.vaults, peer)
 }
 
 // sendJoinReply ships the admission ack (tick, epoch, game-over flag,
@@ -197,10 +201,10 @@ func (r *Runtime) sendJoinReply(peer int, admit int64) {
 	// restores its committed writes even when every process it ever
 	// exchanged with is gone — in ascending origin order.
 	for origin := range r.peers {
-		if !r.peers[origin].vaulted {
+		e, ok := r.vaults[origin]
+		if !ok {
 			continue
 		}
-		e := r.peers[origin].vault
 		r.mc.AddSnapshotBytes(len(e.snap))
 		_ = r.send(peer, &wire.Msg{Kind: wire.KindCkpt, Stamp: e.stamp, Obj: uint32(origin), Payload: e.snap})
 	}

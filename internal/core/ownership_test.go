@@ -72,14 +72,14 @@ func TestRetransmittedSyncKeepsBeacon(t *testing.T) {
 	// traffic and recycles — poisons — the message.
 	waitFor(t, "a's SYNC to be held early", func() bool {
 		b.Poll()
-		return len(b.peers[0].earlySync) == 1
+		return len(heldFrom(b, 0).syncs) == 1
 	})
 	// a times out on b and retransmits its SYNC, from the values it kept:
 	// the struct it sent is the one b just poisoned. b consumes the
 	// retransmission too.
 	waitFor(t, "a's retransmission", func() bool { return mcA.Snapshot().Retransmits > 0 })
 	b.Poll()
-	if es := b.peers[0].earlySync; len(es) != 1 || !slices.Equal(es[0].beacon, beacons[0]) {
+	if es := heldFrom(b, 0).syncs; len(es) != 1 || !slices.Equal(es[0].beacon, beacons[0]) {
 		t.Fatalf("held SYNC after the retransmission = %+v, want one carrying %v", es, beacons[0])
 	}
 

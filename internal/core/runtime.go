@@ -32,8 +32,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sdso/internal/diff"
@@ -226,8 +228,10 @@ const DefaultCheckpointF = 1
 
 // Runtime is one process's S-DSO instance.
 //
-// Memory. Peers are the dense integers 0..N-1, so everything the runtime
-// keeps per peer lives in one slab (peers) instead of a map per concern,
+// Memory. Peers are the dense integers 0..N-1, so what the runtime keeps
+// about every peer on every tick lives in one slab (peers) instead of a map
+// per concern; what only some peers have — early traffic, join grants,
+// vaulted checkpoints — lives in side tables that stay empty until used,
 // and the working sets of Exchange — Exchange is not re-entrant — are
 // reusable scratch. Per runtime that is O(N) + O(objects) + O(objects
 // actually exchanged with each peer): the per-peer delta tables are sparse
@@ -252,13 +256,20 @@ type Runtime struct {
 	pendingReplies []*wire.Msg // ObjReply messages awaiting a SyncGet
 	corrDone       int64       // highest consumed reply correlation stamp
 
+	// early is every message held until the local clock reaches its
+	// stamp, in arrival order; absorbEarly sorts the due ones into
+	// absorbing.
+	early     []earlyItem
+	absorbing []earlyItem
+
 	// Membership state (epoch-numbered views; see View).
 	epoch   int64
-	joining *joinState // non-nil while Join is collecting admissions
+	joining *joinState    // non-nil while Join is collecting admissions
+	grants  map[int]grant // admissions served, made at the first join served
 
-	// vaulting is set when CheckpointEvery > 0: peers' replicated
-	// checkpoints are vaulted (peerState.vault) and relayed on eviction.
-	vaulting bool
+	// vaults holds each origin's freshest replicated checkpoint, relayed
+	// on its eviction; it is made only when CheckpointEvery > 0.
+	vaults map[int]vaultEntry
 
 	// deltaPool is the storage under every peer's delta tables.
 	deltaPool deltaStorage
@@ -280,34 +291,23 @@ type Runtime struct {
 	decDiffs []xlist.ObjDiff
 }
 
-// peerState is everything the runtime knows about one remote process.
+// peerState is what the runtime keeps about one remote process on every
+// tick. State only some peers ever have — early traffic (Runtime.early),
+// join grants (Runtime.grants), vaulted checkpoints (Runtime.vaults) —
+// belongs in a side table, not here: n runtimes of n peers each hold n²
+// of these.
 type peerState struct {
 	done    bool // announced completion
 	crashed bool // evicted as crashed
 	absent  bool // late joiner not yet admitted
-
-	// Early (future-stamped) traffic: SYNC beacons seen ahead of the local
-	// clock, and DATA messages buffered unapplied.
-	earlySync []syncRec
-	earlyData []*wire.Msg
+	// heldSyncs counts the peer's SYNCs in Runtime.early: only a peer with
+	// one held can send a duplicate of it.
+	heldSyncs uint32
 
 	// Failure detection (active when RendezvousTimeout > 0).
 	syncSeen int64   // highest consumed SYNC stamp
 	lastSync syncRec // last SYNC sent to the peer (echo and retransmit source)
 	prevSync syncRec // the one before it (echo source for a peer a rendezvous behind)
-
-	// Join: the admission tick granted to the peer and the incarnation it
-	// was granted to.
-	granted   bool
-	joinGrant int64
-	joinInc   int64
-
-	// Checkpoint replication: the freshest vaulted blob with the peer as
-	// origin, and whether it was already merged-and-relayed after an
-	// eviction.
-	vaulted bool
-	relayed bool
-	vault   vaultEntry
 
 	// Delta-encoding state (see delta.go): the sender and receiver halves
 	// of the acked-version table. The receiver half is maintained even when
@@ -322,15 +322,28 @@ type peerState struct {
 	waitTick int64   // tick awaitRendezvous is waiting on the peer for
 }
 
-// syncRec is what the runtime keeps of a SYNC: one held early until the
-// local clock reaches its stamp, or one it sent — the values, never the
-// message, which Send gave away. The echo and retransmit paths build a fresh
-// message from it; the beacon is shared with every message that carried it
-// and is immutable. A zero stamp means none was sent.
+// syncRec is what the runtime keeps of a SYNC it sent — the values, never
+// the message, which Send gave away. The echo and retransmit paths build a
+// fresh message from it; the beacon is shared with every message that
+// carried it and is immutable. A zero stamp means none was sent.
 type syncRec struct {
 	stamp  int64
 	beacon []int64
 }
+
+// earlyItem is one piece of a peer's traffic held until the local clock
+// reaches its stamp: a DATA frame, unapplied (m), or a SYNC's beacon (m is
+// nil).
+type earlyItem struct {
+	peer   int
+	stamp  int64
+	m      *wire.Msg
+	beacon []int64
+}
+
+// grant is the admission tick served to a joiner and the incarnation it
+// was served to.
+type grant struct{ tick, inc int64 }
 
 // sent records the SYNC (bare or riding a DATA frame) just sent to the peer.
 // Two are kept: the local process passed rendezvous k only on the peer's
@@ -379,20 +392,22 @@ func New(cfg Config) (*Runtime, error) {
 		first = 1
 	}
 	r := &Runtime{
-		ep:       ep,
-		st:       store.New(),
-		mc:       mc,
-		tr:       cfg.Trace,
-		cfg:      cfg,
-		xl:       xlist.NewList(),
-		buf:      xlist.NewSlottedBuffer(ep.ID(), ep.N(), cfg.MergeDiffs),
-		peers:    make([]peerState, ep.N()),
-		targets:  make([]int, 0, ep.N()),
-		vaulting: cfg.CheckpointEvery > 0,
+		ep:      ep,
+		st:      store.New(),
+		mc:      mc,
+		tr:      cfg.Trace,
+		cfg:     cfg,
+		xl:      xlist.NewList(),
+		buf:     xlist.NewSlottedBuffer(ep.ID(), ep.N(), cfg.MergeDiffs),
+		peers:   make([]peerState, ep.N()),
+		targets: make([]int, 0, ep.N()),
 	}
 	r.xl.Reserve(ep.N())
-	if r.vaulting && r.cfg.CheckpointF <= 0 {
-		r.cfg.CheckpointF = DefaultCheckpointF
+	if cfg.CheckpointEvery > 0 {
+		r.vaults = make(map[int]vaultEntry)
+		if r.cfg.CheckpointF <= 0 {
+			r.cfg.CheckpointF = DefaultCheckpointF
+		}
 	}
 	if cfg.InitialMembers != nil {
 		for peer := range r.peers {
@@ -698,6 +713,9 @@ func (r *Runtime) sendFrames(opts ExchangeOpts) error {
 			// bare SYNCs usually share a beacon (same tanks, same
 			// buffered box), so they are fanned out after the loop with
 			// one encode per distinct beacon.
+			if cap(deferred) == 0 {
+				deferred = make([]int, 0, len(r.peers))
+			}
 			deferred = append(deferred, peer)
 			continue
 		}
@@ -759,50 +777,64 @@ func (r *Runtime) reschedule(sfunc SFunc) error {
 	return nil
 }
 
-// absorbEarly moves buffered early messages whose stamp is now current into
-// effect, in ascending peer order: DATA payloads are applied, then SYNC
-// beacons are noted as this tick's.
+// absorbEarly moves the held messages whose stamp is now current into
+// effect, ordered by peer and, within a peer, by arrival: every DATA
+// payload is applied, then each peer's newest SYNC beacon is noted as this
+// tick's.
 func (r *Runtime) absorbEarly() {
-	for peer := range r.peers {
-		ps := &r.peers[peer]
-		if len(ps.earlyData) == 0 {
+	keep, due := r.early[:0], r.absorbing[:0]
+	for _, it := range r.early {
+		if it.stamp > r.now {
+			keep = append(keep, it)
+		} else {
+			due = append(due, it)
+		}
+	}
+	clear(r.early[len(keep):])
+	r.early = keep
+	slices.SortStableFunc(due, func(a, b earlyItem) int { return cmp.Compare(a.peer, b.peer) })
+	for _, it := range due {
+		if it.m != nil {
+			r.applyData(it.m)
+			r.recycle(it.m)
+		}
+	}
+	for i := 0; i < len(due); {
+		peer, best := due[i].peer, earlyItem{stamp: -1}
+		for ; i < len(due) && due[i].peer == peer; i++ {
+			if due[i].m != nil {
+				continue
+			}
+			r.peers[peer].heldSyncs--
+			if due[i].stamp > best.stamp {
+				best = due[i]
+			}
+		}
+		if best.stamp >= 0 {
+			r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, best.stamp)
+			r.takeSync(peer, best.beacon, best.stamp)
+		}
+	}
+	clear(due)
+	r.absorbing = due
+}
+
+// dropEarly removes peer's held SYNCs from the early queue and, when data
+// is set, its held DATA too.
+func (r *Runtime) dropEarly(peer int, data bool) {
+	keep := r.early[:0]
+	for _, it := range r.early {
+		if it.peer == peer && (it.m == nil || data) {
+			if it.m != nil {
+				r.recycle(it.m)
+			}
 			continue
 		}
-		keep := ps.earlyData[:0]
-		for _, m := range ps.earlyData {
-			if m.Stamp <= r.now {
-				r.applyData(m)
-				r.recycle(m)
-			} else {
-				keep = append(keep, m)
-			}
-		}
-		clear(ps.earlyData[len(keep):])
-		ps.earlyData = keep
+		keep = append(keep, it)
 	}
-	for peer := range r.peers {
-		ps := &r.peers[peer]
-		best := int64(-1)
-		var beacon []int64
-		for _, es := range ps.earlySync {
-			if es.stamp <= r.now && es.stamp > best {
-				best, beacon = es.stamp, es.beacon
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, best)
-		r.takeSync(peer, beacon, best)
-		keep := ps.earlySync[:0]
-		for _, es := range ps.earlySync {
-			if es.stamp > r.now {
-				keep = append(keep, es)
-			}
-		}
-		clear(ps.earlySync[len(keep):])
-		ps.earlySync = keep
-	}
+	clear(r.early[len(keep):])
+	r.early = keep
+	r.peers[peer].heldSyncs = 0
 }
 
 // takeSync makes peer's SYNC stamped stamp this tick's, whether it completes
@@ -855,8 +887,8 @@ func (r *Runtime) flush() { _ = transport.Flush(r.ep) }
 // free-list, from which the next outgoing message is taken (newSync,
 // Done): a delivered message is the receiver's alone, so this closes
 // the cycle. Nothing may reference the struct or its Payload afterwards;
-// beacons retained past this point (earlySync, peerState.beacon) are safe
-// because transports detach Ints themselves (see transport.Recycler).
+// beacons retained past this point (a held SYNC's, peerState.beacon) are
+// safe because transports detach Ints themselves (see transport.Recycler).
 func (r *Runtime) recycle(m *wire.Msg) { transport.Recycle(r.ep, m) }
 
 // dispatch routes one incoming message. rendezvous is set by
@@ -917,7 +949,7 @@ func (r *Runtime) consume(m *wire.Msg, rendezvous bool) bool {
 		// — the same pair in two frames, which stays accepted.
 		early := m.Stamp > r.now
 		if early {
-			ps.earlyData = append(ps.earlyData, m)
+			r.early = append(r.early, earlyItem{peer: peer, stamp: m.Stamp, m: m})
 		} else {
 			r.applyData(m)
 		}
@@ -996,13 +1028,16 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 		// Ahead of our clock, or nobody is awaiting a rendezvous
 		// right now: hold the SYNC until the matching Exchange.
 		r.tr.Record(trace.OpSyncEarly, peer, 0, 0, r.now, stamp)
-		for i := range ps.earlySync {
-			if ps.earlySync[i].stamp == stamp {
-				ps.earlySync[i].beacon = beacon
-				return
+		if ps.heldSyncs > 0 {
+			for i := range r.early {
+				if it := &r.early[i]; it.peer == peer && it.m == nil && it.stamp == stamp {
+					it.beacon = beacon
+					return
+				}
 			}
 		}
-		ps.earlySync = append(ps.earlySync, syncRec{stamp: stamp, beacon: beacon})
+		ps.heldSyncs++
+		r.early = append(r.early, earlyItem{peer: peer, stamp: stamp, beacon: beacon})
 		return
 	}
 	r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, stamp)
@@ -1033,11 +1068,11 @@ func (r *Runtime) handleDone(peer int, won bool, stamp int64) {
 	// delta table goes back to the pool for the live peers' tables to grow
 	// into. The receiver half stays — the final flush below may be a delta.
 	ps.send.reset(&r.deltaPool)
-	// The peer's final flush may already sit in earlyData (stamped one
-	// tick ahead of its DONE); it must survive and be absorbed at its
-	// stamped tick — dropping it would lose the departing process's last
-	// writes. Early SYNCs, by contrast, have no rendezvous left to serve.
-	ps.earlySync = nil
+	// The peer's final flush may already be held early (stamped one tick
+	// ahead of its DONE); it must survive and be absorbed at its stamped
+	// tick — dropping it would lose the departing process's last writes.
+	// Early SYNCs, by contrast, have no rendezvous left to serve.
+	r.dropEarly(peer, false)
 }
 
 func (r *Runtime) debugf(format string, args ...any) {

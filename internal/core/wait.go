@@ -132,13 +132,13 @@ func (r *Runtime) evictPeer(peer int) {
 	ps.absent = false // an absent peer that failed to join is crashed
 	ps.crashed = true
 	r.epoch++
-	ps.granted = false // a future rejoin negotiates a fresh admission
+	delete(r.grants, peer) // a future rejoin negotiates a fresh admission
 	r.mc.AddEviction()
 	r.tr.Record(trace.OpEvict, peer, 0, 0, r.now, 0)
 	r.debugf("now=%d evict peer=%d epoch=%d", r.now, peer, r.epoch)
 	r.xl.Remove(peer)
 	r.buf.Drop(peer)
-	ps.earlySync = nil
+	r.dropEarly(peer, false)
 	// Anything the delta tables assumed about the peer died with it; a
 	// future readmission must start from full records.
 	r.deltaResetPeer(peer)

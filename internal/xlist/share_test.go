@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"sdso/internal/diff"
+	"sdso/internal/race"
 	"sdso/internal/store"
 )
 
@@ -164,6 +165,53 @@ func TestSlotRecordRetention(t *testing.T) {
 		}
 		if writes < 10*(peak+chunk) {
 			t.Fatalf("merge=%v: %d writes cannot tell the bound from no reuse", merge, writes)
+		}
+	}
+}
+
+// TestFlushedReplacementOutlivesItsRecord: a record keeps a replacement's
+// run inline, and a freed record is cleared and handed to the next write,
+// so Flush hands out a copy of the run: a flushed diff still reads its own
+// state after its record was let go by every slot and reused. And since
+// the buffer never keeps the caller's Runs slice, a replacement literal
+// stays on the caller's stack: once the buffer is warm, AddAll of one
+// allocates nothing (nor does the Flush that keeps the buffer steady).
+func TestFlushedReplacementOutlivesItsRecord(t *testing.T) {
+	for _, merge := range []bool{true, false} {
+		b := NewSlottedBuffer(0, 3, merge)
+		first, second := []byte("first state"), []byte("second state")
+		if err := b.AddAll(7, 1, diff.Diff{Replace: true, Len: len(first), Runs: []diff.Run{{Data: first}}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		rec := b.slots[1].pending[0]
+		out := b.Flush(1)
+		b.Drop(2)
+		if !reflect.ValueOf(*rec).IsZero() {
+			t.Fatalf("merge=%v: the record outlived its last slot: %+v", merge, *rec)
+		}
+		if err := b.AddAll(8, 2, diff.Diff{Replace: true, Len: len(second), Runs: []diff.Run{{Data: second}}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if b.slots[1].pending[0] != rec {
+			t.Fatalf("merge=%v: the second write did not reuse the freed record", merge)
+		}
+		if len(out) != 1 || out[0].Obj != 7 || out[0].Version != 1 || !out[0].D.Replace ||
+			len(out[0].D.Runs) != 1 || !bytes.Equal(out[0].D.Runs[0].Data, first) {
+			t.Fatalf("merge=%v: the first flush now reads %+v, want object 7 at version 1 = %q", merge, out, first)
+		}
+
+		if race.Enabled {
+			continue // the detector's instrumentation allocates
+		}
+		state := []byte("warm")
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := b.AddAll(9, 3, diff.Diff{Replace: true, Len: len(state), Runs: []diff.Run{{Data: state}}}, nil); err != nil {
+				t.Fatal(err)
+			}
+			b.Flush(1)
+		})
+		if allocs != 0 {
+			t.Fatalf("merge=%v: AddAll of a replacement literal and its Flush make %.1f allocations once warm, want 0", merge, allocs)
 		}
 	}
 }

@@ -176,13 +176,13 @@ type ObjDiff struct {
 // process's slot stays empty.
 //
 // A write is stored once: AddAll makes one record of it, and every slot it
-// waits in names that record (DESIGN.md §15, the bookkeeping rule). Diffs
-// handed to Add are shared, not copied: the buffer may keep d and hand it
-// out again from Flush, and in merge mode a whole-state replacement
-// arriving over a buffered diff simply takes its place in every slot. That
-// is sound because published state bytes are immutable (DESIGN.md,
-// "Ownership and memory"): callers must not modify a diff's run data after
-// adding it.
+// waits in names that record (DESIGN.md §15, the bookkeeping rule). The
+// buffer never keeps a caller's Runs slice — the record copies the runs, a
+// single one inline — but it shares their data: Flush may hand the bytes
+// out again, and in merge mode a whole-state replacement arriving over a
+// buffered diff simply takes its place in every slot. That is sound because
+// published state bytes are immutable (DESIGN.md, "Ownership and memory"):
+// callers must not modify a diff's run data after adding it.
 type SlottedBuffer struct {
 	self  int
 	n     int
@@ -191,16 +191,20 @@ type SlottedBuffer struct {
 	recs  Slab[record]    // every buffered write, once
 	pool  Blocks[*record] // every slot's storage
 	out   []ObjDiff       // Flush's result
+	runs  []diff.Run      // the runs of Flush's result
 	// first is out's storage until a flush outgrows it: a buffer whose
 	// flushes stay small allocates no result.
 	first [minBlock]ObjDiff
 }
 
-// record is one buffered write and the number of slots naming it. The last
-// slot to flush it, merge past it or drop it frees it, cleared: a free
-// record pins no diff.
+// record is one buffered write and the number of slots naming it. A
+// caller's diff keeps its run in run (a replacement has exactly one) and
+// any others in a copy; a merge's result is the buffer's own and is kept
+// as made. The last slot to flush it, merge past it or drop it frees it,
+// cleared: a free record pins no diff.
 type record struct {
 	ObjDiff
+	run  [1]diff.Run
 	refs int
 }
 
@@ -293,17 +297,23 @@ func (b *SlottedBuffer) add(sl *slot, rec **record, od ObjDiff) error {
 		return fmt.Errorf("merge buffered diff for obj %d: %w", od.Obj, err)
 	}
 	b.release(last)
-	var own *record
-	sl.pending[at-1] = b.ref(&own, ObjDiff{Obj: od.Obj, Version: od.Version, D: m})
+	own := b.recs.New()
+	own.ObjDiff, own.refs = ObjDiff{Obj: od.Obj, Version: od.Version, D: m}, 1
+	sl.pending[at-1] = own
 	return nil
 }
 
 // ref returns *rec with one more slot naming it, making it from od first if
-// it is nil.
+// it is nil. The record copies od's runs, so the caller's slice may live on
+// its stack.
 func (b *SlottedBuffer) ref(rec **record, od ObjDiff) *record {
 	if *rec == nil {
-		*rec = b.recs.New()
-		(*rec).ObjDiff = od
+		r := b.recs.New()
+		r.Obj, r.Version, r.D.Replace, r.D.Len = od.Obj, od.Version, od.D.Replace, od.D.Len
+		if len(od.D.Runs) > 0 {
+			r.D.Runs = append(r.run[:0], od.D.Runs...)
+		}
+		*rec = r
 	}
 	(*rec).refs++
 	return *rec
@@ -326,9 +336,10 @@ func (b *SlottedBuffer) Pending(proc int) int {
 
 // Flush removes and returns proc's buffered diffs, ordered by ascending
 // object ID and, within an object, oldest first (so sequential application
-// at the receiver reproduces the writer's final state). The result is the
-// buffer's own scratch: it stays valid until the next Flush, for any
-// process — encode or copy it before flushing again.
+// at the receiver reproduces the writer's final state). The result, runs
+// included, is the buffer's own scratch — a record the flush frees may be
+// reused by the next Add — and it stays valid until the next Flush, for
+// any process: encode or copy it before flushing again.
 func (b *SlottedBuffer) Flush(proc int) []ObjDiff {
 	if !b.remote(proc) {
 		return nil
@@ -341,14 +352,22 @@ func (b *SlottedBuffer) Flush(proc int) []ObjDiff {
 	// the head of a result that outgrew it.
 	clear(b.out)
 	clear(b.first[:])
-	out := b.out[:0]
+	clear(b.runs)
+	// runs has room for a run per record, so it never moves while out
+	// names it.
+	runs, out := slices.Grow(b.runs[:0], len(sl.pending)), slices.Grow(b.out[:0], len(sl.pending))
 	for _, r := range sl.pending {
-		out = append(out, r.ObjDiff)
+		od := r.ObjDiff
+		if n := len(runs); len(od.D.Runs) == 1 { // inline: a freed record is cleared
+			runs = append(runs, od.D.Runs[0])
+			od.D.Runs = runs[n : n+1 : n+1]
+		}
+		out = append(out, od)
 		b.release(r)
 	}
 	clear(sl.pending)
 	sl.pending = sl.pending[:0]
-	b.out = out
+	b.runs, b.out = runs, out
 	return out
 }
 
