@@ -245,9 +245,7 @@ func (n *Node) svcID(team int) int { return n.teams + team }
 // struct's own buffer and t's Ints are shared. A sender that must resend
 // keeps t, a value, and sends it again.
 func (n *Node) send(ep transport.Endpoint, to int, t wire.Msg) error {
-	m := wire.GetMsg()
-	t.Payload = append(m.Payload[:0], t.Payload...)
-	*m = t
+	m := wire.GetMsgOf(t)
 	n.mc.CountSend(m, m.EncodedSize())
 	if err := ep.Send(to, m); err != nil {
 		return err

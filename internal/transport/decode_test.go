@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"runtime"
 	"slices"
 	"testing"
@@ -16,11 +17,10 @@ var beacon14 = []int64{6, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0}
 
 // TestDecodePathAllocs pins what receiving a frame costs once warm. Over
 // TCP a Send + Flush + Recv + Recycle round trip of a DATA frame carrying a
-// 14-int beacon allocates at most once: the struct Send leaves to the
-// garbage collector (TCP Send is non-consuming, DESIGN.md §15). The length
-// header is read into the pooled frame buffer and the Ints are carved from
-// the endpoint's chunk, so the decode itself allocates nothing. A mem
-// SendEncoded delivery allocates nothing at all.
+// 14-int beacon allocates nothing: Send gives the pooled struct back once
+// its frame is encoded (DESIGN.md §15), the length header is read into the
+// pooled frame buffer and the Ints are carved from the endpoint's chunk. A
+// mem SendEncoded delivery allocates nothing either.
 func TestDecodePathAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -46,7 +46,7 @@ func TestDecodePathAllocs(t *testing.T) {
 		defer eps[0].Close()
 		defer eps[1].Close()
 		stamp := int64(0)
-		measure(t, 1, func() {
+		measure(t, 0, func() {
 			stamp++
 			m := wire.GetMsg()
 			m.Kind, m.Mode, m.Stamp, m.Ints = wire.KindData, wire.ModeSyncPiggyback, stamp, beacon14
@@ -81,6 +81,65 @@ func TestDecodePathAllocs(t *testing.T) {
 			Recycle(b, got)
 		})
 	})
+}
+
+// TestTCPSendReturnsPooledStruct pins which structs TCP Send gives back to
+// the pool (DESIGN.md §15). A GetMsg struct is recycled once its frame is
+// encoded, and the peer decodes that frame exactly. A Clone and a literal
+// are not the pool's: Send leaves them untouched, so a caller may send one
+// again, as the benchmark's panel sends its one ping.
+func TestTCPSendReturnsPooledStruct(t *testing.T) {
+	eps := tcpPair(t, TCPConfig{FlushThreshold: 1 << 20, CloseGrace: 100 * time.Millisecond})
+	defer eps[0].Close()
+	defer eps[1].Close()
+	want := &wire.Msg{Kind: wire.KindData, Mode: wire.ModeSyncPiggyback, Stamp: 9, Obj: 4, Ints: beacon14, Payload: []byte("a small payload")}
+	wantFrame, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(what string, m *wire.Msg, recycled bool) {
+		t.Helper()
+		if err := eps[0].Send(1, m); err != nil {
+			t.Fatal(err)
+		}
+		// Read before Flush: once the frame is out, the peer's read loop
+		// may take the recycled struct from the pool for its decode.
+		if got := m.Kind == 0 && len(m.Payload) == 0; got != recycled {
+			t.Fatalf("%s: after Send it reads %v, recycled %v, want %v", what, m, got, recycled)
+		}
+		if err := eps[0].Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := eps[1].Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame, err := got.MarshalBinary(); err != nil || !bytes.Equal(frame, wantFrame) {
+			t.Fatalf("%s: the peer decoded %v (err %v), want %v", what, got, err, want)
+		}
+		eps[1].Recycle(got)
+	}
+
+	pooled := func() *wire.Msg {
+		m := wire.GetMsg()
+		m.Kind, m.Mode, m.Stamp, m.Obj, m.Ints = want.Kind, want.Mode, want.Stamp, want.Obj, want.Ints
+		m.Payload = append(m.Payload, want.Payload...)
+		return m
+	}
+	roundTrip("a GetMsg struct", pooled(), true)
+	for _, kept := range []struct {
+		what string
+		m    *wire.Msg
+	}{{"a Clone of a GetMsg struct", pooled().Clone()}, {"a literal", &wire.Msg{
+		Kind: want.Kind, Mode: want.Mode, Stamp: want.Stamp, Obj: want.Obj, Ints: want.Ints, Payload: want.Payload,
+	}}} {
+		for try := 0; try < 2; try++ {
+			roundTrip(kept.what, kept.m, false)
+			if frame, err := kept.m.MarshalBinary(); err != nil || !bytes.Equal(frame, wantFrame) {
+				t.Fatalf("%s: Send changed it to %v", kept.what, kept.m)
+			}
+		}
+	}
 }
 
 // TestTCPReadLoopsShareOneChunk: a TCP endpoint's read loops — one a link,

@@ -423,8 +423,11 @@ func (e *TCPEndpoint) peer(to int) (*tcpPeer, error) {
 	return e.peers[to], nil
 }
 
-// Send implements Endpoint.
+// Send implements Endpoint. Only the encoded frame is queued, retained or
+// replayed, so Send is m's last reader and gives a pooled m back to the
+// free-list (wire.PutPooled).
 func (e *TCPEndpoint) Send(to int, m *wire.Msg) error {
+	defer wire.PutPooled(m)
 	enc, err := wire.EncodeFrame(m)
 	if err != nil {
 		return err

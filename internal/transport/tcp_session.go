@@ -392,14 +392,13 @@ func (e *TCPEndpoint) installConn(p *tcpPeer, conn net.Conn, gen int, inc, remot
 		p.flushReq = true
 	}
 	p.linked = true
+	if reconnected && e.cfg.Metrics != nil { // before traffic can resume
+		e.cfg.Metrics.AddReconnect()
+	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	if !reconnected {
-		if int(e.linksUp.Add(1)) == len(e.links) {
-			e.setupEvent(nil)
-		}
-	} else if e.cfg.Metrics != nil {
-		e.cfg.Metrics.AddReconnect()
+	if !reconnected && int(e.linksUp.Add(1)) == len(e.links) {
+		e.setupEvent(nil)
 	}
 	e.wg.Add(1)
 	go e.readConn(p, conn, gen)

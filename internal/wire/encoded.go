@@ -150,15 +150,16 @@ func (c *IntsChunk) Carve(vals ...int64) []int64 {
 // runtime takes every hot-path outgoing message from it, and EC every
 // message it sends; Send gives the message away (transport.Endpoint.Send);
 // the receiving transport delivers that struct, or a frame decoded into
-// another pooled one (the TCP read loop, shared-encoding deliveries); and
-// the receiver's Recycle puts it back once consumed. A pooled message
+// another pooled one (the TCP read loop, whose Send puts the sent one back
+// itself; shared-encoding deliveries); and the receiver's Recycle puts it
+// back once consumed. A pooled message
 // carries a small payload inline: the pool allocates a pooledMsg and
 // starts its Payload at small, so a payload of up to smallPayload bytes —
 // in the tank game, every BSYNC DATA payload — lives in the struct's own
 // allocation, on send and on decode alike. A larger one moves to the heap,
 // and a recycled Msg keeps that capacity. A Msg taken and never put back —
-// sent over TCP, retained by its receiver, received by a protocol that
-// does not recycle — is ordinary garbage, and the next Get allocates.
+// retained by its receiver, received by a protocol that does not recycle —
+// is ordinary garbage, and the next Get allocates.
 var msgPool = sync.Pool{New: func() any {
 	p := new(pooledMsg)
 	p.Payload = p.small[:0:smallPayload]
@@ -179,8 +180,22 @@ type pooledMsg struct {
 
 // GetMsg returns a Msg from the free-list (fields zeroed and Ints nil,
 // Payload empty with the capacity of its inline buffer or of a previous
-// life's larger one).
-func GetMsg() *Msg { return msgPool.Get().(*Msg) }
+// life's larger one), marked as the pool's.
+func GetMsg() *Msg {
+	m := msgPool.Get().(*Msg)
+	m.pooled = true
+	return m
+}
+
+// GetMsgOf returns a pooled Msg holding t, marked as the pool's whatever
+// t's mark, with t's Payload copied into the struct's own buffer.
+func GetMsgOf(t Msg) *Msg {
+	m := GetMsg()
+	t.Payload = append(m.Payload[:0], t.Payload...)
+	t.pooled = true
+	*m = t
+	return m
+}
 
 // PutMsg recycles m. The caller must own m and its Payload: after PutMsg
 // the struct and the Payload backing array will be scribbled over by a
@@ -190,8 +205,17 @@ func PutMsg(m *Msg) {
 	if m == nil {
 		return
 	}
-	*m = Msg{Payload: m.Payload[:0]}
+	*m = Msg{Payload: m.Payload[:0], pooled: true}
 	msgPool.Put(m)
+}
+
+// PutPooled recycles m if it is marked as the pool's (GetMsg, PutMsg) and
+// leaves any other struct alone: a Clone or a literal may share its Payload
+// with a snapshot, a vault entry or a caller that sends it again.
+func PutPooled(m *Msg) {
+	if m.pooled {
+		PutMsg(m)
+	}
 }
 
 // encodeCalls counts AppendBinary invocations — one per message encode,

@@ -22,10 +22,16 @@ func inline(m *wire.Msg) bool {
 // TestPooledMsgCarriesSmallPayload guards the layout and the lifetime of
 // the inline payload (DESIGN.md §15): a pooled message is one 128-byte
 // object whose last 48 bytes hold a small payload, a larger payload moves
-// to the heap for good, EC's send idiom keeps the bytes, and the poisoning
-// endpoint's scribble reaches them, so a receiver that keeps m.Payload past
-// Recycle still computes with garbage.
+// to the heap for good, EC's send idiom (GetMsgOf) keeps the bytes, and the
+// poisoning endpoint's scribble reaches them, so a receiver that keeps
+// m.Payload past Recycle still computes with garbage. It also guards the
+// pool's mark, which lets TCP Send give a sent struct back
+// (wire.PutPooled): it costs Msg no bytes, the pool's structs carry it and
+// a Clone does not.
 func TestPooledMsgCarriesSmallPayload(t *testing.T) {
+	if size := unsafe.Sizeof(wire.Msg{}); size != 80 {
+		t.Fatalf("Msg is %d bytes, want 80: the pool's mark belongs in Mode's padding", size)
+	}
 	if wire.PooledMsgSize != 128 {
 		t.Fatalf("the pooled message is %d bytes, want 128 (an allocator size class; Msg is %d): "+
 			"when Msg grows, shrink small by as much", wire.PooledMsgSize, unsafe.Sizeof(wire.Msg{}))
@@ -83,15 +89,51 @@ func TestPooledMsgCarriesSmallPayload(t *testing.T) {
 	t.Run("EC send idiom keeps the bytes", func(t *testing.T) {
 		for _, payload := range [][]byte{small, large} {
 			src := wire.Msg{Kind: wire.KindObjReply, Stamp: 7, Obj: 3, Ints: []int64{1}, Payload: bytes.Clone(payload)}
+			// EC sends through GetMsgOf; its copy, over a struct fresh
+			// from the pool's New, then GetMsgOf itself.
 			m := wire.NewPooledMsg()
 			tpl := src
 			tpl.Payload = append(m.Payload[:0], tpl.Payload...)
 			*m = tpl
-			if !bytes.Equal(m.Payload, payload) || m.Kind != src.Kind || m.Stamp != src.Stamp || m.Obj != src.Obj {
-				t.Fatalf("%d-byte payload: the copied header clobbered the message: %v", len(payload), m)
-			}
 			if want := len(payload) <= 48; inline(m) != want {
 				t.Errorf("%d-byte payload: inline %v, want %v", len(payload), inline(m), want)
+			}
+			for _, m := range []*wire.Msg{m, wire.GetMsgOf(src)} {
+				if !bytes.Equal(m.Payload, payload) || m.Kind != src.Kind || m.Stamp != src.Stamp || m.Obj != src.Obj {
+					t.Fatalf("%d-byte payload: the copied header clobbered the message: %v", len(payload), m)
+				}
+			}
+		}
+	})
+
+	t.Run("the pool's mark", func(t *testing.T) {
+		m := wire.GetMsg()
+		if !wire.Pooled(m) {
+			t.Fatal("GetMsg handed out an unmarked struct")
+		}
+		m.Kind, m.Payload = wire.KindData, append(m.Payload, small...)
+		if c := m.Clone(); wire.Pooled(c) {
+			t.Fatal("a Clone carries the pool's mark: TCP Send would recycle a struct its caller keeps")
+		}
+		wire.PutMsg(m)
+		if !wire.Pooled(m) {
+			t.Fatal("PutMsg dropped the mark")
+		}
+		lit := &wire.Msg{Kind: wire.KindSync}
+		wire.PutPooled(lit)
+		if lit.Kind != wire.KindSync || wire.Pooled(lit) {
+			t.Fatal("PutPooled recycled a literal")
+		}
+		wire.PutMsg(lit)
+		if !wire.Pooled(lit) {
+			t.Fatal("PutMsg left a literal it took into the pool unmarked")
+		}
+		// EC's value-copy idiom: a plain *m = t takes t's mark, so a value
+		// from a literal would unmark the pool's struct; GetMsgOf keeps it
+		// whatever t carries.
+		for _, src := range []*wire.Msg{{Kind: wire.KindLockGrant}, wire.GetMsg()} {
+			if m := wire.GetMsgOf(*src); !wire.Pooled(m) {
+				t.Fatalf("GetMsgOf of a value marked %v handed out an unmarked struct", wire.Pooled(src))
 			}
 		}
 	})

@@ -228,6 +228,7 @@ type Msg struct {
 	Stamp   int64  // logical timestamp / pair sequence / tick
 	Obj     uint32 // object identifier, when relevant
 	Mode    uint8  // lock mode or protocol-specific flag
+	pooled  bool   // the pool's struct (GetMsg, PutMsg), so PutPooled takes it; in Mode's padding
 	Ints    []int64
 	Payload []byte
 }
@@ -514,10 +515,12 @@ func readFrame(r io.Reader, m *Msg, src IntsSource) error {
 	return m.unmarshal(body, src)
 }
 
-// Clone returns a deep copy of m. Protocols that buffer messages use Clone
-// to decouple from sender-owned slices.
+// Clone returns a deep copy of m, not the pool's (PutPooled leaves it
+// alone). Protocols that buffer messages use Clone to decouple from
+// sender-owned slices.
 func (m *Msg) Clone() *Msg {
 	c := *m
+	c.pooled = false
 	if m.Ints != nil {
 		c.Ints = make([]int64, len(m.Ints))
 		copy(c.Ints, m.Ints)
