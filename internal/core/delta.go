@@ -78,7 +78,7 @@ type deltaTable struct {
 // pool.
 type deltaStorage struct {
 	entries xlist.Slab[deltaEntry]
-	tables  xlist.Blocks[*deltaEntry]
+	tables  xlist.Blocks[deltaEntry]
 }
 
 // at returns obj's entry, inserting an unknown one on first use. The

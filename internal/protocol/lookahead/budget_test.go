@@ -26,26 +26,31 @@ import (
 //     installed state carved from the store's arena 9.3, with beacons
 //     and decoded Ints carved from chunks 8.6 (7.4 later), with small
 //     payloads inline in the pooled message and the per-peer scratch sized
-//     at New 6.5, and with a buffered write's run inside its record and
-//     early traffic in one queue 4.7.
+//     at New 6.5, with a buffered write's run inside its record and early
+//     traffic in one queue 4.7, and with a departed player's frames
+//     recycled and freed blocks listing themselves 4.1.
 //   - bsync32: the same at n = 32, where a player-tick carries four times
 //     the messages and the inline payload shows: 13.4 before it, 10.3 with
-//     it, 8.3 with the inline run and the one early queue.
+//     it, 8.3 with the inline run and the one early queue, 6.4 with the
+//     departure recycled and the intrusive free lists.
 //   - gated: n = 16 MSYNC2 with delta encoding, the interest set and four
 //     shards (msync2_gated_mem_n64). With the map-based interest index and
 //     per-peer first blocks from the allocator this was 49; then 33; with
 //     the arena 15.3; with carved beacons and decoded Ints 13.6; without
 //     the enter-radius fetch 12.2 (11.1 later); with inline payloads 10.2;
 //     with the inline run, the one early queue and the withheld-SYNC
-//     scratch sized once 7.9.
+//     scratch sized once 7.9; with the departure recycled and the
+//     intrusive free lists 7.1.
 //
-// Bytes: 3 222, 7 230 and 4 650 a player-tick (3 345, 7 464 and 4 712
-// before the inline run and the one early queue; 3 362, 7 577 and 4 744
-// before the inline payload; 8 581 and 10 150 for bsync and gated while
-// every player generated the world and registered a record per block: on a
-// 768-block board that was half of what a 20-tick player allocates; 4 225
-// and 5 950 while every slot held its own copy of a write and every delta
-// table its entries by value, in blocks that doubled as they grew).
+// Bytes: 3 150, 7 000 and 4 550 a player-tick (3 222, 7 230 and 4 650
+// before the departure was recycled and freed blocks listed themselves;
+// 3 345, 7 464 and 4 712 before the inline run and the one early queue;
+// 3 362, 7 577 and 4 744 before the inline payload; 8 581 and 10 150 for
+// bsync and gated while every player generated the world and registered a
+// record per block: on a 768-block board that was half of what a 20-tick
+// player allocates; 4 225 and 5 950 while every slot held its own copy of
+// a write and every delta table its entries by value, in blocks that
+// doubled as they grew).
 //
 // Ceilings are the measurement + 15 %.
 func TestWholeGameAllocBudget(t *testing.T) {
@@ -60,9 +65,9 @@ func TestWholeGameAllocBudget(t *testing.T) {
 		bytes   float64 // bytes allocated per player-tick
 		apply   func(*PlayerConfig)
 	}{
-		{"bsync", 8, 20, 5.4, 3710, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
-		{"bsync32", 32, 20, 9.5, 8310, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
-		{"gated", 16, 30, 9.1, 5350, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
+		{"bsync", 8, 20, 4.7, 3620, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
+		{"bsync32", 32, 20, 7.4, 8050, func(pc *PlayerConfig) { pc.Protocol = BSYNC }},
+		{"gated", 16, 30, 8.2, 5230, func(pc *PlayerConfig) { pc.Protocol, pc.Interest, pc.Shards = MSYNC2, true, 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := game.DefaultConfig(tc.teams, 1)

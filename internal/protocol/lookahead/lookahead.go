@@ -220,13 +220,17 @@ type player struct {
 
 // RunPlayer executes one team's process to completion and returns its
 // stats. Every process in the group must run RunPlayer with the same
-// game.Config (and its own endpoint).
+// game.Config (and its own endpoint); a finished player departs it.
 func RunPlayer(cfg PlayerConfig) (game.TeamStats, error) {
 	p, err := newPlayer(cfg)
 	if err != nil {
 		return game.TeamStats{}, err
 	}
-	return p.run()
+	stats, err := p.run()
+	if err == nil {
+		transport.Depart(cfg.Endpoint)
+	}
+	return stats, err
 }
 
 // newPlayer validates the configuration and assembles a player.

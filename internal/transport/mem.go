@@ -56,11 +56,12 @@ type memEndpoint struct {
 	net *MemNetwork
 	id  int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  mailbox[memItem]
-	ints   wire.IntsChunk // what pop carves decoded Ints from (under mu)
-	closed bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    mailbox[memItem]
+	ints     wire.IntsChunk // what pop carves decoded Ints from (under mu)
+	closed   bool
+	departed bool // Depart was called: deliveries are recycled where they land
 }
 
 var (
@@ -87,8 +88,9 @@ func (e *memEndpoint) Send(to int, m *wire.Msg) error {
 	dst := e.net.eps[to]
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
-	if dst.closed {
-		return nil // messages to a closed peer are dropped, like the sim
+	if dst.closed || dst.departed {
+		wire.PutPooled(m) // nobody reads it: dropped, like the sim, and recycled
+		return nil
 	}
 	dst.queue.push(memItem{m: m})
 	dst.cond.Signal()
@@ -110,8 +112,8 @@ func (e *memEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error 
 	dst := e.net.eps[to]
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
-	if dst.closed {
-		return nil // dropped, as in Send
+	if dst.closed || dst.departed {
+		return nil // dropped, as in Send; the frame was never retained
 	}
 	dst.queue.push(memItem{enc: enc.Retain(), src: int32(e.id)})
 	dst.cond.Signal()
@@ -195,6 +197,20 @@ func (e *memEndpoint) TryRecv() (*wire.Msg, bool, error) {
 	}
 	m, err := e.pop()
 	return m, err == nil, err
+}
+
+// depart implements Depart; Send and SendEncoded drop later deliveries.
+func (e *memEndpoint) depart() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.departed = true
+	for e.queue.len() > 0 {
+		if it := e.queue.pop(); it.enc != nil {
+			it.enc.Release()
+		} else {
+			wire.PutPooled(it.m) // a Clone or a literal may share its Payload
+		}
+	}
 }
 
 func (e *memEndpoint) Now() time.Duration { return time.Since(e.net.start) }

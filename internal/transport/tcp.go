@@ -173,10 +173,11 @@ type TCPEndpoint struct {
 	start time.Time
 	ln    net.Listener
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  mailbox[*wire.Msg]
-	closed bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    mailbox[*wire.Msg]
+	closed   bool
+	departed bool // Depart was called: the read loops recycle what they read
 
 	// ints is what every read loop of the endpoint carves decoded Ints
 	// from: one chunk, not one a loop, so n-1 links fill one chunk.
@@ -526,6 +527,16 @@ func (e *TCPEndpoint) TryRecv() (*wire.Msg, bool, error) {
 		return nil, false, nil
 	}
 	return e.queue.pop(), true, nil
+}
+
+// depart implements Depart; deliver recycles later frames.
+func (e *TCPEndpoint) depart() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.departed = true
+	for e.queue.len() > 0 {
+		e.Recycle(e.queue.pop())
+	}
 }
 
 // Now implements Endpoint; it reports wall time since the endpoint started.

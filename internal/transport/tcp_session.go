@@ -557,9 +557,9 @@ func (e *TCPEndpoint) deliver(p *tcpPeer, gen int, m *wire.Msg) bool {
 	p.mu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed || e.departed {
 		e.Recycle(m)
-		return false
+		return !e.closed // a departed endpoint still reads acks and DONEs
 	}
 	e.queue.push(m)
 	e.cond.Signal()

@@ -201,6 +201,18 @@ func Recycle(ep Endpoint, m *wire.Msg) {
 	}
 }
 
+// Depart tells ep that its process has finished and will never receive
+// again: what is queued for it, and what is delivered to it later, goes
+// back to the pools (wire.PutPooled, or Release for a shared frame) instead
+// of waiting in a mailbox nobody reads. Its hook is unexported, so a wrapper
+// does not forward it: through one, and on the simulated transport, Depart
+// is a no-op.
+func Depart(ep Endpoint) {
+	if d, ok := ep.(interface{ depart() }); ok {
+		d.depart()
+	}
+}
+
 // PeerGone reports whether the endpoint has positive evidence that peer's
 // process is unreachable; endpoints without a liveness signal report
 // false for everyone.

@@ -13,53 +13,50 @@ import (
 // fit: a two-peer runtime stays small, an n = 128 one carves its few
 // hundred first blocks out of a dozen allocations, and what a short-lived
 // owner leaves uncarved is at most 4 KB. A block larger than a chunk gets a
-// chunk of its own. Free lists start at minFree entries.
+// chunk of its own.
 const (
 	minBlock        = 4
 	firstChunkBytes = 1 << 10
 	maxChunkBytes   = 4 << 10
-	minFree         = 16
 )
 
 // Blocks is the storage under a runtime's or a buffer's per-peer
-// bookkeeping (DESIGN.md §15, the bookkeeping rule): the sorted tables that
-// grow by one element at a time — a slotted buffer's slots, core's per-peer
-// delta tables, each a table of pointers to its owner's Slab records — take
+// bookkeeping (DESIGN.md §15, the bookkeeping rule): the sorted tables of
+// pointers that grow by one element at a time — a slotted buffer's slots,
+// core's per-peer delta tables, each naming its owner's Slab records — take
 // their backing from one pool per owner instead of the allocator. A block is
-// a []T whose capacity is its size class; it is carved from a chunk, handed
+// a []*E whose capacity is its size class; it is carved from a chunk, handed
 // back with Put (or by Insert when it outgrows its class) and reused by
 // whichever table of the same owner asks next. A freed block is cleared, so
-// it pins nothing its last holder stored. The zero value is an empty pool;
-// it is not safe for concurrent use.
-type Blocks[T any] struct {
-	// free is, per size class, the stack of freed blocks, each held by the
-	// pointer to its first element. The class gives the capacity, and with
-	// a 24-byte slice header per block the lists were a tenth of the memory
-	// they track (every table of a lockstep broadcast outgrows its first
-	// block in the same tick). The invariant behind the two unsafe calls: a
-	// pointer on free[class] heads minBlock<<class cleared elements of one
-	// chunk of this pool.
-	free  [][]*T
-	chunk []T // unused tail of the current chunk
-	bytes int // size the current chunk was allocated with
+// it pins nothing its last holder stored, and lists itself: its first slot
+// links the next free block of its class, as a Slab's cell links the next
+// record, so handing a block back allocates nothing. The zero value is an
+// empty pool; it is not safe for concurrent use.
+type Blocks[E any] struct {
+	// free heads, per size class, the list of freed blocks, each held by
+	// the address of its first slot; the class gives the capacity. The
+	// invariant behind the unsafe casts: a pointer on free[class] heads
+	// minBlock<<class slots of one chunk of this pool, the first holding
+	// the next such pointer (or nil) and the rest nil.
+	free  []**E
+	chunk []*E // unused tail of the current chunk
+	bytes int  // size the current chunk was allocated with
 }
 
 // get returns an empty block of capacity minBlock<<class.
-func (p *Blocks[T]) get(class int) []T {
+func (p *Blocks[E]) get(class int) []*E {
 	size := minBlock << class
 	if class < len(p.free) {
-		if f := p.free[class]; len(f) > 0 {
-			head := f[len(f)-1]
-			f[len(f)-1] = nil
-			p.free[class] = f[:len(f)-1]
+		if head := p.free[class]; head != nil {
+			link := (***E)(unsafe.Pointer(head))
+			p.free[class], *link = *link, nil
 			return unsafe.Slice(head, size)[:0]
 		}
 	}
 	if size > len(p.chunk) {
-		var elem T
 		p.bytes = min(max(2*p.bytes, firstChunkBytes), maxChunkBytes)
-		fit := p.bytes / max(int(unsafe.Sizeof(elem)), 1) &^ (minBlock - 1)
-		p.chunk = make([]T, max(size, fit))
+		fit := p.bytes / int(unsafe.Sizeof((*E)(nil))) &^ (minBlock - 1)
+		p.chunk = make([]*E, max(size, fit))
 	}
 	b := p.chunk[:0:size]
 	p.chunk = p.chunk[size:]
@@ -68,7 +65,7 @@ func (p *Blocks[T]) get(class int) []T {
 
 // grow returns a block of the next size class holding old's elements, and
 // frees old.
-func (p *Blocks[T]) grow(old []T) []T {
+func (p *Blocks[E]) grow(old []*E) []*E {
 	if cap(old) == 0 {
 		return p.get(0)
 	}
@@ -80,7 +77,7 @@ func (p *Blocks[T]) grow(old []T) []T {
 
 // Put clears b's whole capacity and frees it. b must be a block of this pool
 // (or nil); nothing may use it afterwards.
-func (p *Blocks[T]) Put(b []T) {
+func (p *Blocks[E]) Put(b []*E) {
 	if cap(b) == 0 {
 		return
 	}
@@ -88,19 +85,19 @@ func (p *Blocks[T]) Put(b []T) {
 	clear(b)
 	class := classOf(len(b))
 	if class >= len(p.free) {
-		p.free = append(p.free, make([][]*T, class+1-len(p.free))...)
+		// Room for four classes at once: one 32-byte array, not one
+		// allocation a class (8, 16, 24 and 32 bytes).
+		p.free = slices.Grow(p.free, max(class+1, 4)-len(p.free))[:class+1]
 	}
-	f := p.free[class]
-	if len(f) == cap(f) {
-		f = slices.Grow(f, max(len(f), minFree))
-	}
-	p.free[class] = append(f, unsafe.SliceData(b))
+	head := unsafe.SliceData(b)
+	*(***E)(unsafe.Pointer(head)) = p.free[class]
+	p.free[class] = head
 }
 
 // Insert puts v at index i of s — a block of this pool, or nil — moving s to
 // the next size class when it is full. Like append, the result replaces s; a
 // pointer into s is valid until the next Insert on it.
-func (p *Blocks[T]) Insert(s []T, i int, v T) []T {
+func (p *Blocks[E]) Insert(s []*E, i int, v *E) []*E {
 	if len(s) == cap(s) {
 		s = p.grow(s)
 	}

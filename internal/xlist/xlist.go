@@ -188,10 +188,10 @@ type SlottedBuffer struct {
 	n     int
 	merge bool
 	slots []slot
-	recs  Slab[record]    // every buffered write, once
-	pool  Blocks[*record] // every slot's storage
-	out   []ObjDiff       // Flush's result
-	runs  []diff.Run      // the runs of Flush's result
+	recs  Slab[record]   // every buffered write, once
+	pool  Blocks[record] // every slot's storage
+	out   []ObjDiff      // Flush's result
+	runs  []diff.Run     // the runs of Flush's result
 	// first is out's storage until a flush outgrows it: a buffer whose
 	// flushes stay small allocates no result.
 	first [minBlock]ObjDiff
