@@ -141,15 +141,16 @@ func (r *Runtime) deltaBase(e *deltaEntry) ([]byte, int64) {
 // (and returns mode 0, leaving frames byte-identical); with it on, each
 // record is delta-encoded when the table permits and the result is smaller,
 // and the returned mode bit marks the payload for the receiver. Records,
-// XOR bytes and the encoding are assembled in per-runtime scratch; the
-// returned payload is one copy of it into dst's capacity (the outgoing
-// message's: a pooled struct's inline buffer holds a small payload, a
-// larger one is allocated once), owned by the message. Encoding straight
-// into dst would regrow the buffer several times over.
-func (r *Runtime) encodeDataPayload(dst []byte, peer int, diffs []xlist.ObjDiff, stamp int64) ([]byte, uint8) {
+// XOR bytes and the encoding are assembled in per-runtime scratch, and the
+// returned payload is that scratch, valid until the next encode: runFrame
+// compares it with the frame a run of peers shares and copies it once into
+// an outgoing message only when it differs (a pooled struct's inline
+// buffer holds a small payload, a larger one is allocated once). Encoding
+// straight into a message would regrow its buffer several times over.
+func (r *Runtime) encodeDataPayload(peer int, diffs []xlist.ObjDiff, stamp int64) ([]byte, uint8) {
 	if !r.cfg.DeltaEncode {
 		r.encBuf = xlist.AppendDiffs(r.encBuf[:0], diffs)
-		return append(dst[:0], r.encBuf...), 0
+		return r.encBuf, 0
 	}
 	ds := &r.peers[peer].send
 	recs, xor := slices.Grow(r.encRecs[:0], len(diffs)), r.encXOR[:0]
@@ -193,7 +194,7 @@ func (r *Runtime) encodeDataPayload(dst []byte, peer int, diffs []xlist.ObjDiff,
 	r.encBuf = xlist.AppendDeltaRecords(r.encBuf[:0], recs)
 	clear(recs) // the scratch must not pin the diffs it carried
 	r.encRecs, r.encXOR = recs, xor
-	return append(dst[:0], r.encBuf...), wire.ModeDeltaPayload
+	return r.encBuf, wire.ModeDeltaPayload
 }
 
 // deltaAck feeds a consumed SYNC from peer stamped stamp into the ack

@@ -170,7 +170,7 @@ func TestDeltaTableResetForcesFullRecords(t *testing.T) {
 
 	// First record: no pending entries yet and the base (the registered
 	// initial state) is shared, so it may already be a delta.
-	payload, mode := r.encodeDataPayload(nil, 1, diffFor(state0, mut(1), 1), 1)
+	payload, mode := r.encodeDataPayload(1, diffFor(state0, mut(1), 1), 1)
 	if mode == 0 {
 		t.Fatal("DeltaEncode on but payload not marked as delta-capable")
 	}
@@ -179,7 +179,7 @@ func TestDeltaTableResetForcesFullRecords(t *testing.T) {
 	}
 
 	// Unacked pending entry → the table is not current → full record.
-	payload, _ = r.encodeDataPayload(nil, 1, diffFor(mut(1), mut(2), 2), 2)
+	payload, _ = r.encodeDataPayload(1, diffFor(mut(1), mut(2), 2), 2)
 	if flags := decodeRecordFlags(t, payload); flags[0] {
 		t.Fatal("record with an unacked predecessor must be a full record")
 	}
@@ -187,7 +187,7 @@ func TestDeltaTableResetForcesFullRecords(t *testing.T) {
 	// A SYNC from the peer stamped past both sends promotes the pending
 	// entries; the next record delta-encodes again.
 	r.deltaAck(1, 3)
-	payload, _ = r.encodeDataPayload(nil, 1, diffFor(mut(2), mut(3), 3), 3)
+	payload, _ = r.encodeDataPayload(1, diffFor(mut(2), mut(3), 3), 3)
 	if flags := decodeRecordFlags(t, payload); !flags[0] {
 		t.Fatal("record with a current ack table should delta-encode")
 	}
@@ -201,7 +201,7 @@ func TestDeltaTableResetForcesFullRecords(t *testing.T) {
 	if ps := &r.peers[1]; ps.send.entries != nil {
 		t.Fatal("deltaResetPeer left the send table allocated")
 	}
-	payload, _ = r.encodeDataPayload(nil, 1, diffFor(mut(3), mut(4), 4), 4)
+	payload, _ = r.encodeDataPayload(1, diffFor(mut(3), mut(4), 4), 4)
 	recs, err := xlist.DecodeDeltaRecords(payload)
 	if err != nil {
 		t.Fatalf("decode post-reset payload: %v", err)

@@ -255,7 +255,8 @@ func TestAppliedDataSurvivesPayloadReuse(t *testing.T) {
 	deliver := func(stamp int64, write func()) (payload []byte, recs []xlist.DeltaRecord) {
 		t.Helper()
 		write()
-		payload, mode := snd.encodeDataPayload(nil, 1, snd.buf.Flush(1), stamp)
+		payload, mode := snd.encodeDataPayload(1, snd.buf.Flush(1), stamp)
+		payload = bytes.Clone(payload) // the message's own copy: encodeDataPayload returns its scratch
 		recs, err := xlist.DecodeDeltaRecords(payload)
 		if err != nil {
 			t.Fatal(err)

@@ -116,6 +116,13 @@ func (s *splitEndpoint) Send(to int, m *wire.Msg) error {
 			marker.Mode = doneWon
 		}
 	}
+	if wire.Shared(m) {
+		// The frame is one struct for several peers, and immutable: strip
+		// the markers from a copy and return this Send's reference.
+		c := m.Clone()
+		wire.PutMsg(m)
+		m = c
+	}
 	m.Mode, m.Ints = m.Mode&^markers, nil
 	if err := s.Endpoint.Send(to, m); err != nil {
 		return err

@@ -32,6 +32,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -279,6 +280,11 @@ type Runtime struct {
 	deferred    []int // withheld peers whose bare SYNC fans out grouped
 	fanout      []syncGroup
 	outstanding int // targets awaitRendezvous still waits on
+
+	// run is the frame the latest peers of this call were owed, one
+	// shared message (DESIGN.md §15): the runtime keeps a reference of its
+	// own until the run ends, to compare the next peer's frame with.
+	run *wire.Msg
 
 	// DATA payload scratch (see delta.go): records and XOR bytes being
 	// assembled for one frame, the frame's encoding before its one copy
@@ -600,16 +606,16 @@ func newSync(stamp int64, beacon []int64, mode uint8) *wire.Msg {
 
 // sendFrame sends peer the one frame a rendezvous or Done owes it (DESIGN.md
 // §15), under the one send-error rule, and reports whether it went out.
-// Without diffs it is m, the call's bare marker (a SYNC or a DONE); with
-// diffs flushed from peer's slot, m becomes a DATA frame stamped stamp that
-// carries them, marker riding on it.
-func (r *Runtime) sendFrame(peer int, m *wire.Msg, diffs []xlist.ObjDiff, stamp int64, marker uint8, op string) (bool, error) {
+// Without diffs it is f, the call's bare marker (a SYNC or a DONE); with
+// diffs flushed from peer's slot, a DATA frame stamped stamp that carries
+// them, marker riding on it. The message that carries it is runFrame's.
+func (r *Runtime) sendFrame(peer int, f wire.Msg, diffs []xlist.ObjDiff, stamp int64, marker uint8, op string) (bool, error) {
 	if len(diffs) > 0 {
-		m.Kind, m.Stamp = wire.KindData, stamp
-		m.Payload, m.Mode = r.encodeDataPayload(m.Payload, peer, diffs, stamp)
-		m.Mode |= marker
+		f.Kind, f.Stamp = wire.KindData, stamp
+		f.Payload, f.Mode = r.encodeDataPayload(peer, diffs, stamp)
+		f.Mode |= marker
 	}
-	sent, err := r.sendTo(peer, m, op)
+	sent, err := r.sendTo(peer, r.runFrame(f), op)
 	if sent && len(diffs) > 0 && r.tr != nil {
 		for _, od := range diffs {
 			r.tr.Record(trace.OpSendObj, peer, int64(od.Obj), od.Version, stamp, 0)
@@ -617,6 +623,37 @@ func (r *Runtime) sendFrame(peer int, m *wire.Msg, diffs []xlist.ObjDiff, stamp 
 		r.tr.Record(trace.OpDataSend, peer, 0, 0, stamp, int64(len(diffs)))
 	}
 	return sent, err
+}
+
+// runFrame returns the message that carries frame f to the next peer of a
+// call. Consecutive peers owed the same frame — kind, mode, stamp, Ints and
+// payload bytes alike — get one shared message (wire.Share), so a broadcast
+// takes one pooled struct per distinct frame rather than one per peer:
+// each Send gives a reference away and each receiver's recycle returns
+// one. A frame unlike the run's ends the run (endRun) and starts another
+// in a fresh pooled copy of f, routed by the runtime; a duplicate takes no
+// struct. f's Payload is only read: it may be the encoding scratch.
+func (r *Runtime) runFrame(f wire.Msg) *wire.Msg {
+	if m := r.run; m != nil && m.Kind == f.Kind && m.Mode == f.Mode && m.Stamp == f.Stamp &&
+		slices.Equal(m.Ints, f.Ints) && bytes.Equal(m.Payload, f.Payload) {
+		wire.Share(m, 2) // the runtime's reference and this peer's
+		return m
+	}
+	f.Src, f.Dst = int32(r.ep.ID()), -1
+	m := wire.GetMsgOf(f) // before endRun: a new run never reuses the last one's struct
+	wire.Share(m, 2)
+	r.endRun()
+	r.run = m
+	return m
+}
+
+// endRun returns the runtime's reference to the run's message: the last
+// receiver to recycle it puts it back in the pool.
+func (r *Runtime) endRun() {
+	if r.run != nil {
+		wire.PutMsg(r.run)
+		r.run = nil
+	}
 }
 
 // Exchange is the paper's exchange() call (Figure 4): advance the logical
@@ -694,9 +731,11 @@ func (r *Runtime) selectTargets(how SendMode) {
 // in-memory and simulated transports hand the receiver this very struct,
 // which the receiver recycles once consumed, so structs and payloads
 // circulate instead of being allocated per rendezvous, and nothing here
-// keeps a sent message (lastSync is a value). Beacons are shared between
-// messages, read-only.
+// keeps a sent message past the call (lastSync is a value; the run's
+// reference ends with it). Peers in a row owed the same frame share one
+// struct (runFrame). Beacons are shared between messages, read-only.
 func (r *Runtime) sendFrames(opts ExchangeOpts) error {
+	defer r.endRun()
 	deferred := r.deferred[:0] // filtered-out peers whose bare SYNC fans out grouped
 	for _, peer := range r.targets {
 		if r.peers[peer].crashed {
@@ -727,7 +766,8 @@ func (r *Runtime) sendFrames(opts ExchangeOpts) error {
 		if opts.Beacon != nil {
 			beacon = opts.Beacon(peer)
 		}
-		sent, err := r.sendFrame(peer, newSync(r.now, beacon, 0), diffs, r.now, wire.ModeSyncPiggyback, "exchange with")
+		bare := wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: beacon}
+		sent, err := r.sendFrame(peer, bare, diffs, r.now, wire.ModeSyncPiggyback, "exchange with")
 		if err != nil {
 			return err
 		}
@@ -885,8 +925,9 @@ func (r *Runtime) flush() { _ = transport.Flush(r.ep) }
 
 // recycle returns a fully consumed incoming message to the transport's
 // free-list, from which the next outgoing message is taken (newSync,
-// Done): a delivered message is the receiver's alone, so this closes
-// the cycle. Nothing may reference the struct or its Payload afterwards;
+// runFrame): a delivered message is the receiver's until it recycles it —
+// a shared one goes back to the pool at its last receiver's — so this
+// closes the cycle. Nothing may reference the struct or its Payload afterwards;
 // beacons retained past this point (a held SYNC's, peerState.beacon) are
 // safe because transports detach Ints themselves (see transport.Recycler).
 func (r *Runtime) recycle(m *wire.Msg) { transport.Recycle(r.ep, m) }
@@ -1201,14 +1242,14 @@ func (r *Runtime) Done(won bool) error {
 	// would, independent of wall-clock message timing. The DONE is stamped
 	// now either way — riding a flush, the frame's stamp less one.
 	r.targets = r.appendLivePeers(r.targets[:0])
+	defer r.endRun()
 	for _, peer := range r.targets {
 		var diffs []xlist.ObjDiff
 		if r.buf.Pending(peer) > 0 {
 			diffs = r.buf.Flush(peer)
 		}
-		m := wire.GetMsg()
-		m.Kind, m.Stamp, m.Mode = wire.KindDone, r.now, bare
-		sent, err := r.sendFrame(peer, m, diffs, r.now+1, riding, "done to")
+		done := wire.Msg{Kind: wire.KindDone, Stamp: r.now, Mode: bare}
+		sent, err := r.sendFrame(peer, done, diffs, r.now+1, riding, "done to")
 		if err != nil {
 			return err
 		}

@@ -293,11 +293,13 @@ func (e *Endpoint) link(to int) *linkState {
 
 // Send implements transport.Endpoint: it draws this message's fault
 // decision from the link's seeded stream and forwards, duplicates, delays,
-// or drops accordingly.
+// or drops accordingly. Send was given m, so a dropped m goes back to the
+// pool (wire.PutPooled), as the mem endpoint's does when nobody will read
+// it: a shared message returns the one reference this Send was given.
 func (e *Endpoint) Send(to int, m *wire.Msg) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.sendOneLocked(to, m,
+	lost, err := e.sendOneLocked(to, m,
 		func(to, copies int) error {
 			// Duplicates are cloned first and the caller's m goes out last:
 			// a sent message is given away (transport.Endpoint.Send), so m
@@ -310,6 +312,10 @@ func (e *Endpoint) Send(to int, m *wire.Msg) error {
 			return e.inner.Send(to, m)
 		},
 		func() *wire.Msg { return m })
+	if lost {
+		wire.PutPooled(m)
+	}
+	return err
 }
 
 // SendMany implements transport.MultiSender. Every destination draws its
@@ -318,7 +324,8 @@ func (e *Endpoint) Send(to int, m *wire.Msg) error {
 // per-peer Send loop would produce, so chaos runs are indistinguishable —
 // while the deliveries themselves share one encoding of m whenever the
 // wrapped transport can forward pre-encoded frames. Best-effort across
-// destinations with joined errors.
+// destinations with joined errors. The caller keeps m, so nothing dropped
+// here is recycled.
 func (e *Endpoint) SendMany(dsts []int, m *wire.Msg) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -350,7 +357,7 @@ func (e *Endpoint) SendMany(dsts []int, m *wire.Msg) error {
 	hold := func() *wire.Msg { return m.Clone() }
 	var errs []error
 	for _, to := range dsts {
-		if err := e.sendOneLocked(to, m, deliver, hold); err != nil {
+		if _, err := e.sendOneLocked(to, m, deliver, hold); err != nil {
 			errs = append(errs, fmt.Errorf("faultnet: send to %d: %w", to, err))
 		}
 	}
@@ -360,32 +367,33 @@ func (e *Endpoint) SendMany(dsts []int, m *wire.Msg) error {
 // sendOneLocked runs the per-destination fault decision ladder (e.mu
 // held). deliver transmits the message copies times on the now-decided
 // link; hold surrenders a message the link may retain for delayed
-// re-injection.
-func (e *Endpoint) sendOneLocked(to int, m *wire.Msg, deliver func(to, copies int) error, hold func() *wire.Msg) error {
+// re-injection. lost reports that the message went nowhere: the process
+// crashed, the link is cut, or the draw dropped it.
+func (e *Endpoint) sendOneLocked(to int, m *wire.Msg, deliver func(to, copies int) error, hold func() *wire.Msg) (lost bool, err error) {
 	if e.checkCrashLocked(m) {
-		return ErrCrashed
+		return true, ErrCrashed
 	}
 	if deadline, ok := e.cutTo[to]; ok && e.inner.Now() < deadline {
 		e.link(to).note(decPartition)
 		e.countFault()
-		return nil // partitioned: silently lost
+		return true, nil // partitioned: silently lost
 	}
 	ls := e.link(to)
 	f := e.plan.linkFor(e.inner.ID(), to)
 	if f.zero() {
 		ls.note(decPass)
-		return e.flushAndDeliver(to, ls, deliver, 1)
+		return false, e.flushAndDeliver(to, ls, deliver, 1)
 	}
 	switch r := ls.rng.Float64(); {
 	case r < f.DropProb:
 		ls.note(decDrop)
 		ls.sends++
 		e.countFault()
-		return nil
+		return true, nil
 	case r < f.DropProb+f.DupProb:
 		ls.note(decDup)
 		e.countFault()
-		return e.flushAndDeliver(to, ls, deliver, 2)
+		return false, e.flushAndDeliver(to, ls, deliver, 2)
 	case r < f.DropProb+f.DupProb+f.DelayProb:
 		ls.note(decDelay)
 		e.countFault()
@@ -396,10 +404,10 @@ func (e *Endpoint) sendOneLocked(to int, m *wire.Msg, deliver func(to, copies in
 		}
 		ls.held = append(ls.held, hold())
 		ls.due = append(ls.due, ls.sends+delay)
-		return nil
+		return false, nil
 	default:
 		ls.note(decPass)
-		return e.flushAndDeliver(to, ls, deliver, 1)
+		return false, e.flushAndDeliver(to, ls, deliver, 1)
 	}
 }
 
@@ -453,6 +461,7 @@ func (e *Endpoint) Recv() (*wire.Msg, error) {
 		if e.admit(m) {
 			return m, nil
 		}
+		transport.Recycle(e.inner, m)
 	}
 }
 
@@ -472,6 +481,7 @@ func (e *Endpoint) RecvTimeout(d time.Duration) (*wire.Msg, bool, error) {
 		if e.admit(m) {
 			return m, true, nil
 		}
+		transport.Recycle(e.inner, m)
 	}
 }
 
@@ -491,6 +501,7 @@ func (e *Endpoint) TryRecv() (*wire.Msg, bool, error) {
 		if e.admit(m) {
 			return m, true, nil
 		}
+		transport.Recycle(e.inner, m)
 	}
 }
 
@@ -498,7 +509,8 @@ func (e *Endpoint) TryRecv() (*wire.Msg, bool, error) {
 // are dropped on the receive side too, covering traffic already in flight
 // when the partition is modeled and groups where only some endpoints are
 // wrapped. Receive-side partition drops are not counted as extra faults
-// (the sender side already counted its half).
+// (the sender side already counted its half), and the receive paths hand
+// what they drop to the wrapped endpoint's Recycle.
 func (e *Endpoint) admit(m *wire.Msg) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -533,16 +545,18 @@ func (e *Endpoint) AwaitRestart() error {
 	// gone. Drain the inner inbox directly — admit filters don't apply to
 	// traffic we're discarding wholesale.
 	for {
-		_, ok, err := e.inner.TryRecv()
+		m, ok, err := e.inner.TryRecv()
 		if err != nil || !ok {
 			break
 		}
+		transport.Recycle(e.inner, m)
 	}
 	return nil
 }
 
 // Close implements transport.Endpoint: held (delayed) messages are flushed
-// first unless the process crashed — a crashed process transmits nothing.
+// first unless the process crashed — a crashed process transmits nothing,
+// and gives what it held back to the pool.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()
 	if !e.crashed {
@@ -553,6 +567,13 @@ func (e *Endpoint) Close() error {
 		sort.Ints(peers)
 		for _, to := range peers {
 			_ = e.flushDue(to, e.links[to], true)
+		}
+	} else {
+		for _, ls := range e.links {
+			for _, m := range ls.held {
+				wire.PutPooled(m)
+			}
+			ls.held, ls.due = nil, nil
 		}
 	}
 	e.mu.Unlock()

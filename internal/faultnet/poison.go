@@ -84,10 +84,12 @@ func (p *PoisonEndpoint) Flush() error { return transport.Flush(p.Endpoint) }
 // PeerGone implements transport.LivenessReporter.
 func (p *PoisonEndpoint) PeerGone(peer int) bool { return transport.PeerGone(p.Endpoint, peer) }
 
-// Recycle implements transport.Recycler, scribbling first when poisoned.
+// Recycle implements transport.Recycler, scribbling first when poisoned
+// and m is about to go back to the pool: a shared message's other holders
+// still read it until the last of them recycles (wire.LastRef).
 func (p *PoisonEndpoint) Recycle(m *wire.Msg) {
 	p.recycled.Add(1)
-	if p.poison {
+	if p.poison && wire.LastRef(m) {
 		buf := m.Payload[:cap(m.Payload)]
 		for i := range buf {
 			buf[i] = 0xFF

@@ -84,12 +84,14 @@ func (e *memEndpoint) Send(to int, m *wire.Msg) error {
 	if closed {
 		return ErrClosed
 	}
-	m.Src, m.Dst = int32(e.id), int32(to)
+	if !wire.Shared(m) { // a shared message's other receivers may be reading it
+		m.Src, m.Dst = int32(e.id), int32(to)
+	}
 	dst := e.net.eps[to]
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	if dst.closed || dst.departed {
-		wire.PutPooled(m) // nobody reads it: dropped, like the sim, and recycled
+		wire.PutPooled(m) // nobody reads it: dropped, like the sim, and its reference returned
 		return nil
 	}
 	dst.queue.push(memItem{m: m})

@@ -426,7 +426,9 @@ func (e *TCPEndpoint) peer(to int) (*tcpPeer, error) {
 
 // Send implements Endpoint. Only the encoded frame is queued, retained or
 // replayed, so Send is m's last reader and gives a pooled m back to the
-// free-list (wire.PutPooled).
+// free-list (wire.PutPooled) — one reference of a shared m, which the peer
+// never sees: it decodes the frame into a struct of its own, routed by the
+// link.
 func (e *TCPEndpoint) Send(to int, m *wire.Msg) error {
 	defer wire.PutPooled(m)
 	enc, err := wire.EncodeFrame(m)

@@ -39,14 +39,20 @@ type Endpoint interface {
 	// Send transmits m to process `to`. Whatever m's Src and Dst held, the
 	// delivered message's are this endpoint and `to`: routing is the
 	// link's, set by the receiving transport, never read off the frame.
+	// A shared message (wire.Share) is the exception where the struct
+	// itself is delivered (mem, sim): one struct goes to several
+	// receivers, so its routing is the sender's, Src itself and Dst -1,
+	// and Send leaves it alone.
 	//
 	// A sent message is given away, whatever Send returned: the struct and
 	// its Payload belong to the receiver until it recycles them (the
 	// in-memory and simulated transports deliver the very struct), so the
 	// sender neither reads, writes, resends nor retains m afterwards — it
-	// keeps values, and builds a fresh message to retransmit. Ints is the
-	// exception: it is shared, and immutable from the moment it is sent, so
-	// one beacon may ride many messages and outlive all of them. A received
+	// keeps values, and builds a fresh message to retransmit. A shared
+	// message is given away one reference per Send, and each receiver's
+	// Recycle, or the path that drops the delivery, returns one. Ints is
+	// the exception: it is shared, and immutable from the moment it is
+	// sent, so one beacon may ride many messages and outlive all of them. A received
 	// message's Ints are immutable too: each endpoint carves the Ints it
 	// decodes from a wire.IntsChunk of its own.
 	Send(to int, m *wire.Msg) error

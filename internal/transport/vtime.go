@@ -50,7 +50,9 @@ func (e *SimEndpoint) Send(to int, m *wire.Msg) error {
 	if !e.alive {
 		return ErrClosed
 	}
-	m.Src, m.Dst = int32(e.proc.ID()), int32(to)
+	if !wire.Shared(m) { // one struct for every receiver: the sender routed it
+		m.Src, m.Dst = int32(e.proc.ID()), int32(to)
+	}
 	e.proc.Send(to, m, e.size(m))
 	return nil
 }

@@ -188,22 +188,28 @@ func GetMsg() *Msg {
 }
 
 // GetMsgOf returns a pooled Msg holding t, marked as the pool's whatever
-// t's mark, with t's Payload copied into the struct's own buffer.
+// t's mark and unshared whatever t's count, with t's Payload copied into
+// the struct's own buffer.
 func GetMsgOf(t Msg) *Msg {
 	m := GetMsg()
 	t.Payload = append(m.Payload[:0], t.Payload...)
-	t.pooled = true
+	t.pooled, t.refs = true, 0
 	*m = t
 	return m
 }
 
-// PutMsg recycles m. The caller must own m and its Payload: after PutMsg
-// the struct and the Payload backing array will be scribbled over by a
-// future decode. Ints are never pooled — they are shared, immutable, and
-// often carved — so PutMsg detaches them, and a caller may keep m.Ints.
+// PutMsg returns the caller's reference to m and recycles m once it was
+// the last (Share): a message with one owner is recycled at once. The
+// recycler must own m and its Payload: after the last PutMsg the struct and
+// the Payload backing array will be scribbled over by a future decode.
+// Ints are never pooled — they are shared, immutable, and often carved —
+// so PutMsg detaches them, and a caller may keep m.Ints.
 func PutMsg(m *Msg) {
 	if m == nil {
 		return
+	}
+	if atomic.LoadInt32(&m.refs) > 0 && atomic.AddInt32(&m.refs, -1) > 0 {
+		return // another holder still reads it
 	}
 	*m = Msg{Payload: m.Payload[:0], pooled: true}
 	msgPool.Put(m)
@@ -217,6 +223,29 @@ func PutPooled(m *Msg) {
 		PutMsg(m)
 	}
 }
+
+// Share turns the caller's one reference to m into k, one for each holder
+// the same message goes to (DESIGN.md §15): every Send of it gives one
+// away and every PutMsg returns one, and m is recycled at the last. A
+// shared message is immutable, and no transport writes its routing: the
+// sharer sets Src to itself and Dst to -1 before the first Send. Only a
+// holder may Share m again, or read it: a sender that compares against m
+// after sending it keeps a reference of its own until it is done.
+func Share(m *Msg, k int) {
+	if atomic.LoadInt32(&m.refs) == 0 { // one owner: the caller
+		atomic.StoreInt32(&m.refs, int32(k))
+	} else {
+		atomic.AddInt32(&m.refs, int32(k-1))
+	}
+}
+
+// Shared reports whether m has been shared (Share) and still has a holder.
+func Shared(m *Msg) bool { return atomic.LoadInt32(&m.refs) > 0 }
+
+// LastRef reports whether the caller's reference to m is its last, so that
+// a PutMsg now recycles it: a wrapper that acts on a recycled message (a
+// poisoning endpoint) acts only then.
+func LastRef(m *Msg) bool { return atomic.LoadInt32(&m.refs) <= 1 }
 
 // encodeCalls counts AppendBinary invocations — one per message encode,
 // however reached (MarshalBinary, WriteFrame, EncodeFrame). It exists so

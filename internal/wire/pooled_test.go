@@ -30,7 +30,7 @@ func inline(m *wire.Msg) bool {
 // a Clone does not.
 func TestPooledMsgCarriesSmallPayload(t *testing.T) {
 	if size := unsafe.Sizeof(wire.Msg{}); size != 80 {
-		t.Fatalf("Msg is %d bytes, want 80: the pool's mark belongs in Mode's padding", size)
+		t.Fatalf("Msg is %d bytes, want 80: the pool's mark and the shared count belong in its padding", size)
 	}
 	if wire.PooledMsgSize != 128 {
 		t.Fatalf("the pooled message is %d bytes, want 128 (an allocator size class; Msg is %d): "+
@@ -150,4 +150,75 @@ func TestPooledMsgCarriesSmallPayload(t *testing.T) {
 			t.Fatalf("a payload kept past a poisoned Recycle reads %x, want every byte 0xFF", kept)
 		}
 	})
+}
+
+// TestSharedMessageRecyclesAtLastReference pins the count under a shared
+// message (DESIGN.md §15): after Share(m, 3) three holders read one struct,
+// each PutMsg returns one reference, and only the last puts the struct back
+// in the pool — the first two leave every field readable. Sharing a shared
+// message again splits the caller's reference, as the runtime does for each
+// further peer of a run. A Clone or a GetMsgOf copy of a shared message has
+// one owner.
+func TestSharedMessageRecyclesAtLastReference(t *testing.T) {
+	payload, beacon := []byte("one frame for three peers"), []int64{3, 1, 4}
+	m := wire.GetMsg()
+	m.Kind, m.Src, m.Dst, m.Stamp, m.Mode, m.Ints = wire.KindData, 2, -1, 9, wire.ModeSyncPiggyback, beacon
+	m.Payload = append(m.Payload, payload...)
+	intact := func() bool {
+		return m.Kind == wire.KindData && m.Src == 2 && m.Dst == -1 && m.Stamp == 9 &&
+			m.Mode == wire.ModeSyncPiggyback && len(m.Ints) == 3 && bytes.Equal(m.Payload, payload)
+	}
+	if wire.Shared(m) || !wire.LastRef(m) {
+		t.Fatal("a message nobody shared reads as shared")
+	}
+	wire.Share(m, 3)
+	for put := 1; put <= 2; put++ {
+		if wire.LastRef(m) {
+			t.Fatalf("with %d of 3 references returned, LastRef reports the last", put-1)
+		}
+		wire.PutMsg(m)
+		if !intact() || !wire.Shared(m) {
+			t.Fatalf("after %d of 3 PutMsg calls the message reads %v, shared %v", put, m, wire.Shared(m))
+		}
+	}
+	if !wire.LastRef(m) {
+		t.Fatal("one reference left, and LastRef does not report it")
+	}
+	for _, c := range []*wire.Msg{m.Clone(), wire.GetMsgOf(*m)} {
+		if wire.Shared(c) {
+			t.Fatalf("a copy of a shared message is shared: %v", c)
+		}
+		wire.PutMsg(c)
+		if c.Kind != 0 || len(c.Payload) != 0 {
+			t.Fatalf("one PutMsg of an unshared copy left it reading %v", c)
+		}
+	}
+	if !intact() {
+		t.Fatalf("recycling its copies changed the shared message: %v", m)
+	}
+
+	// The runtime's idiom: it keeps a reference while a run of peers is
+	// open and splits it for each peer, so the count only ever grows from a
+	// reference the caller holds.
+	wire.Share(m, 2)
+	wire.Share(m, 2)
+	for put := 1; put <= 2; put++ {
+		wire.PutMsg(m)
+		if !intact() {
+			t.Fatalf("after %d of 3 PutMsg calls the resplit message reads %v", put, m)
+		}
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	wire.GetMsg() // empty this P's private pool slot, so the Put is the next Get
+	wire.PutMsg(m)
+	if wire.Shared(m) || m.Kind != 0 || m.Ints != nil || len(m.Payload) != 0 {
+		t.Fatalf("the last PutMsg left the message reading %v, shared %v", m, wire.Shared(m))
+	}
+	if race.Enabled {
+		return // the race detector's pool drops Puts at random
+	}
+	if got := wire.GetMsg(); got != m {
+		t.Fatal("the last PutMsg did not return the struct to the pool")
+	}
 }

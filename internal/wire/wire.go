@@ -224,7 +224,8 @@ const (
 type Msg struct {
 	Kind    Kind
 	Src     int32  // sending process, set by the transport (not encoded)
-	Dst     int32  // destination process, set by the transport (not encoded)
+	Dst     int32  // destination process, set by the transport (not encoded); -1 on a shared message
+	refs    int32  // holders of a shared message (Share), 0 for one owner; in the hole before Stamp; sync/atomic only
 	Stamp   int64  // logical timestamp / pair sequence / tick
 	Obj     uint32 // object identifier, when relevant
 	Mode    uint8  // lock mode or protocol-specific flag
@@ -515,12 +516,12 @@ func readFrame(r io.Reader, m *Msg, src IntsSource) error {
 	return m.unmarshal(body, src)
 }
 
-// Clone returns a deep copy of m, not the pool's (PutPooled leaves it
-// alone). Protocols that buffer messages use Clone to decouple from
-// sender-owned slices.
+// Clone returns a deep copy of m, neither the pool's (PutPooled leaves it
+// alone) nor shared. Protocols that buffer messages use Clone to decouple
+// from sender-owned slices. It copies field by field: the holders of a
+// shared m update its count concurrently.
 func (m *Msg) Clone() *Msg {
-	c := *m
-	c.pooled = false
+	c := Msg{Kind: m.Kind, Src: m.Src, Dst: m.Dst, Stamp: m.Stamp, Obj: m.Obj, Mode: m.Mode}
 	if m.Ints != nil {
 		c.Ints = make([]int64, len(m.Ints))
 		copy(c.Ints, m.Ints)
