@@ -19,11 +19,12 @@ import (
 )
 
 // The frame rule (DESIGN.md §15) through whole games: a call sends each
-// peer exactly one frame. Every endpoint is wrapped in a decorator that
-// notes each frame its runtime sends, and every runtime records its trace;
-// replaying the trace's schedule gives the rendezvous set of each Exchange
-// and the live peers of the Done independently of what was sent, and the
-// frames must match them one for one.
+// live target exactly one frame, and none to a target marked departed, which
+// gets one late frame if the mark was wrong. Every endpoint is wrapped in a
+// decorator that notes each frame its runtime sends, and every runtime
+// records its trace; replaying the trace's schedule gives the rendezvous set
+// of each Exchange and the live peers of the Done independently of what was
+// sent, and the frames must match them one for one.
 
 // sentFrame is one SYNC, DATA or DONE frame as it left a runtime.
 type sentFrame struct {
@@ -138,22 +139,29 @@ func observeMem(t *testing.T, proto lookahead.Protocol, apply func(*lookahead.Pl
 	return players
 }
 
-// checkFrameRule holds one player's frames against its trace. Replaying
+// checkFrameRule holds player id's frames against its trace. Replaying
 // the trace's schedule events yields, per Exchange, the peers due and not
 // gone when the tick began — the call's targets — and at Done the peers
 // still live. Each must have been sent exactly one frame by that call; with
 // resends allowed (a lossy run with timeouts) anything further to the same
-// peer at the same stamp must be a bare SYNC, sent after the original.
-func checkFrameRule(t *testing.T, id, n int, p *observedPlayer, resends bool) {
+// peer at the same stamp must be a bare SYNC, sent after the original. A
+// target the trace shows marked departed must have been sent nothing if its
+// own trace shows its game ended that tick, and its one frame if it
+// answered with a SYNC. It returns the marks, and how many were wrong.
+func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends bool) (marks, wrong int) {
 	t.Helper()
 	type call struct {
 		stamp int64
 		done  bool
 	}
-	want := make(map[call][]int)
+	n, p := len(players), players[id]
+	want, marked := make(map[call][]int), make(map[call][]int)
 	sched, scheduled, gone := make([]int64, n), make([]bool, n), make([]bool, n)
 	for _, ev := range p.rec.Events() {
 		switch ev.Op {
+		case trace.OpDeparted:
+			c := call{stamp: ev.Time}
+			marked[c] = append(marked[c], int(ev.Peer))
 		case trace.OpSched, trace.OpRendezvous:
 			sched[ev.Peer], scheduled[ev.Peer] = ev.Aux, true
 		case trace.OpPeerDone, trace.OpEvict:
@@ -197,11 +205,38 @@ func checkFrameRule(t *testing.T, id, n int, p *observedPlayer, resends bool) {
 	}
 	for c, targets := range want {
 		for _, dst := range targets {
-			if len(got[c][dst]) == 0 {
-				t.Errorf("player %d sent target %d nothing in the call (stamp %d, done %v)", id, dst, c.stamp, c.done)
+			frames := got[c][dst]
+			if !slices.Contains(marked[c], dst) {
+				if len(frames) == 0 {
+					t.Errorf("player %d sent target %d nothing in the call (stamp %d, done %v)", id, dst, c.stamp, c.done)
+				}
+				continue
+			}
+			marks++
+			// The peer's Begin(stamp) ran at its clock stamp-1. Under loss
+			// its DONE can be lost: the wait's first silence then sends the
+			// owed frame, as it would to a peer that wrongly marked this one.
+			if endedAt(players[dst], c.stamp-1) {
+				if len(frames) != 0 && !resends {
+					t.Errorf("player %d sent target %d, which ended at tick %d as marked, %+v", id, dst, c.stamp, frames)
+				}
+				continue
+			}
+			// A wrong mark: one frame, late unless the peer's SYNC was in
+			// hand, and under loss, like any target's, the bare SYNCs that
+			// answer the peer's retransmits.
+			wrong++
+			if len(frames) == 0 {
+				t.Errorf("player %d marked target %d departed at tick %d, wrongly, and sent it nothing", id, dst, c.stamp)
 			}
 		}
 	}
+	return marks, wrong
+}
+
+// endedAt reports whether p called Done with its clock at tick.
+func endedAt(p *observedPlayer, tick int64) bool {
+	return slices.ContainsFunc(p.rec.Events(), func(ev trace.Event) bool { return ev.Op == trace.OpDone && ev.Time == tick })
 }
 
 func TestOneFramePerPeerPerCall(t *testing.T) {
@@ -209,16 +244,16 @@ func TestOneFramePerPeerPerCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := poisonGame().Teams
 	check := func(t *testing.T, where string, players []*observedPlayer, resends, exact bool) {
 		t.Helper()
-		ridingSync, ridingDone, bareDone := 0, 0, 0
+		ridingSync, ridingDone, bareDone, marks, wrong := 0, 0, 0, 0, 0
 		for i, p := range players {
 			if p.err != nil {
 				t.Fatalf("%s: player %d: %v", where, i, p.err)
 			}
-			checkFrameRule(t, i, n, p, resends)
-			if exact && !matchesReference(p.stats, ref.Stats[i]) {
+			m, w := checkFrameRule(t, i, players, resends)
+			marks, wrong = marks+m, wrong+w
+			if exact && p.stats != ref.Stats[i] {
 				t.Errorf("%s: team %d stats %+v, reference %+v", where, i, p.stats, ref.Stats[i])
 			}
 			for _, f := range p.frames {
@@ -234,6 +269,10 @@ func TestOneFramePerPeerPerCall(t *testing.T) {
 		}
 		if ridingSync == 0 || ridingDone == 0 || bareDone == 0 {
 			t.Errorf("%s: %d riding SYNCs, %d riding DONEs, %d bare DONEs: a frame form never occurred", where, ridingSync, ridingDone, bareDone)
+		}
+		t.Logf("%s: %d targets marked departed, %d wrongly", where, marks, wrong)
+		if wrong > 0 && !resends {
+			t.Errorf("%s: %d wrong departure marks on a loss-free run", where, wrong)
 		}
 	}
 	for _, proto := range []lookahead.Protocol{lookahead.BSYNC, lookahead.MSYNC, lookahead.MSYNC2} {

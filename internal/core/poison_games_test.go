@@ -82,13 +82,6 @@ func (a gameOutcome) diff(b gameOutcome) string {
 	return ""
 }
 
-// matchesReference compares what the lockstep reference determines (its
-// DoneTick counts the final tick differently from a distributed player's).
-func matchesReference(got, ref game.TeamStats) bool {
-	got.DoneTick = ref.DoneTick
-	return got == ref
-}
-
 // playSim runs one game on the simulated cluster, each endpoint wrapped
 // sim → (faultnet, when faults is non-zero) → poison decorator.
 func playSim(t *testing.T, proto lookahead.Protocol, apply func(*lookahead.PlayerConfig), faults faultnet.LinkFaults, poison bool) gameOutcome {
@@ -201,12 +194,12 @@ func TestPoisonedRecycleWholeGames(t *testing.T) {
 					t.Errorf("sim+faultnet: poisoning recycled messages changed the run: %s", d)
 				}
 				for i, st := range playMem(t, proto, f.apply) {
-					if !matchesReference(st, ref.Stats[i]) {
+					if st != ref.Stats[i] {
 						t.Errorf("mem: team %d stats %+v, reference %+v", i, st, ref.Stats[i])
 					}
 				}
 				for i, st := range clean.stats {
-					if !matchesReference(st, ref.Stats[i]) {
+					if st != ref.Stats[i] {
 						t.Errorf("sim: team %d stats %+v, reference %+v", i, st, ref.Stats[i])
 					}
 				}

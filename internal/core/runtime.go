@@ -276,8 +276,9 @@ type Runtime struct {
 	deltaPool deltaStorage
 
 	// Exchange scratch, reused every tick.
-	targets     []int // this tick's rendezvous set
-	deferred    []int // withheld peers whose bare SYNC fans out grouped
+	opts        ExchangeOpts // the call's arguments, which a late frame is built from too
+	targets     []int        // this tick's rendezvous set
+	deferred    []int        // withheld peers whose bare SYNC fans out grouped
 	fanout      []syncGroup
 	outstanding int // targets awaitRendezvous still waits on
 
@@ -303,9 +304,10 @@ type Runtime struct {
 // belongs in a side table, not here: n runtimes of n peers each hold n²
 // of these.
 type peerState struct {
-	done    bool // announced completion
-	crashed bool // evicted as crashed
-	absent  bool // late joiner not yet admitted
+	done     bool // announced completion
+	crashed  bool // evicted as crashed
+	absent   bool // late joiner not yet admitted
+	departed bool // marked by Departed; still set past the send stage: owed its frame
 	// heldSyncs counts the peer's SYNCs in Runtime.early: only a peer with
 	// one held can send a duplicate of it.
 	heldSyncs uint32
@@ -676,9 +678,10 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	r.mc.AddTick()
 	r.tr.Record(trace.OpTick, -1, 0, 0, r.now, 0)
 
+	r.opts = opts
 	r.selectTargets(opts.How)
 	r.absorbEarly()
-	if err := r.sendFrames(opts); err != nil {
+	if err := r.sendFrames(); err != nil {
 		return err
 	}
 	if opts.Resync {
@@ -721,11 +724,9 @@ func (r *Runtime) selectTargets(how SendMode) {
 	}
 }
 
-// sendFrames is the send stage: the gate, then one frame per target
-// (sendFrame), the grouped fanout and the barrier. Broadcast mode "forces
-// the modifications ... as well as all buffered modifications to be
-// immediately flushed to all remote processes" (paper §3.1): the spatial
-// filter does not apply.
+// sendFrames is the send stage: one frame per target (exchangeFrame), none
+// to a target marked departed whose SYNC is not in hand, then the grouped
+// fanout and the barrier.
 //
 // Every message comes from the wire pool and is given away by send: the
 // in-memory and simulated transports hand the receiver this very struct,
@@ -734,59 +735,78 @@ func (r *Runtime) selectTargets(how SendMode) {
 // keeps a sent message past the call (lastSync is a value; the run's
 // reference ends with it). Peers in a row owed the same frame share one
 // struct (runFrame). Beacons are shared between messages, read-only.
-func (r *Runtime) sendFrames(opts ExchangeOpts) error {
+func (r *Runtime) sendFrames() error {
 	defer r.endRun()
 	deferred := r.deferred[:0] // filtered-out peers whose bare SYNC fans out grouped
 	for _, peer := range r.targets {
-		if r.peers[peer].crashed {
+		ps := &r.peers[peer]
+		if ps.crashed {
 			continue
 		}
-		sendData := opts.How == Broadcast || opts.SendData == nil || opts.SendData(peer)
-		if r.tr != nil && !sendData {
-			for _, obj := range r.buf.Objects(peer) {
-				r.tr.Record(trace.OpWithheld, peer, int64(obj), 0, r.now, 0)
+		if ps.departed {
+			if ps.syncTick != r.now {
+				continue // owed: a DONE settles the wait, a SYNC gets it late
 			}
+			ps.departed = false // its SYNC in hand proves it alive
 		}
-		if opts.GroupWithheldSyncs && !sendData {
-			// The withheld peers are the common case at scale and their
-			// bare SYNCs usually share a beacon (same tanks, same
-			// buffered box), so they are fanned out after the loop with
-			// one encode per distinct beacon.
+		grouped, err := r.exchangeFrame(peer, &r.opts)
+		if err != nil {
+			return err
+		}
+		if grouped {
 			if cap(deferred) == 0 {
 				deferred = make([]int, 0, len(r.peers))
 			}
 			deferred = append(deferred, peer)
-			continue
 		}
-		var diffs []xlist.ObjDiff
-		if sendData && r.buf.Pending(peer) > 0 {
-			diffs = r.buf.Flush(peer)
-		}
-		var beacon []int64 // evaluated after the flush: describes what stays buffered
-		if opts.Beacon != nil {
-			beacon = opts.Beacon(peer)
-		}
-		bare := wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: beacon}
-		sent, err := r.sendFrame(peer, bare, diffs, r.now, wire.ModeSyncPiggyback, "exchange with")
-		if err != nil {
-			return err
-		}
-		if !sent {
-			continue
-		}
-		if len(diffs) > 0 {
-			r.mc.AddPiggybackedSync()
-		}
-		r.peers[peer].sent(r.now, beacon) // retransmits and echoes are always bare SYNCs
 	}
 	r.deferred = deferred
-	if err := r.sendSyncFanout(deferred, opts); err != nil {
+	if err := r.sendSyncFanout(deferred, r.opts); err != nil {
 		return err
 	}
 	// Barrier: release whatever the transport coalesced before blocking on
 	// (or returning control ahead of) the peers' answers.
 	r.flush()
 	return nil
+}
+
+// exchangeFrame sends peer its frame of this tick's exchange: the gate,
+// then the diffs flushed from its slot with the SYNC riding on them, or the
+// SYNC bare. Broadcast mode "forces the modifications ... as well as all
+// buffered modifications to be immediately flushed to all remote processes"
+// (paper §3.1): the spatial filter does not apply. It reports grouped,
+// having sent nothing, for a withheld peer whose bare SYNC fans out after
+// the loop (GroupWithheldSyncs): the withheld peers are the common case at
+// scale and their bare SYNCs usually share a beacon (same tanks, same
+// buffered box), so sendSyncFanout encodes one per distinct beacon.
+func (r *Runtime) exchangeFrame(peer int, opts *ExchangeOpts) (grouped bool, err error) {
+	sendData := opts.How == Broadcast || opts.SendData == nil || opts.SendData(peer)
+	if r.tr != nil && !sendData {
+		for _, obj := range r.buf.Objects(peer) {
+			r.tr.Record(trace.OpWithheld, peer, int64(obj), 0, r.now, 0)
+		}
+	}
+	if opts.GroupWithheldSyncs && !sendData {
+		return true, nil
+	}
+	var diffs []xlist.ObjDiff
+	if sendData && r.buf.Pending(peer) > 0 {
+		diffs = r.buf.Flush(peer)
+	}
+	var beacon []int64 // evaluated after the flush: describes what stays buffered
+	if opts.Beacon != nil {
+		beacon = opts.Beacon(peer)
+	}
+	bare := wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: beacon}
+	sent, err := r.sendFrame(peer, bare, diffs, r.now, wire.ModeSyncPiggyback, "exchange with")
+	if !sent {
+		return false, err
+	}
+	if len(diffs) > 0 {
+		r.mc.AddPiggybackedSync()
+	}
+	r.peers[peer].sent(r.now, beacon) // retransmits and echoes are always bare SYNCs
+	return false, nil
 }
 
 // reschedule hands the s-function each live partner's beacon of this tick
@@ -906,6 +926,9 @@ func (r *Runtime) awaitRendezvous(timeout time.Duration) error {
 		peers: r.targets, timeout: timeout, rendezvous: true, suspect: true, goneFirst: true,
 		pending: func(peer int) bool { return r.peers[peer].waitTick == r.now },
 		resend: func(peer int) (bool, error) {
+			if r.peers[peer].departed {
+				return false, r.sendLate(peer) // not a retransmission: the first frame
+			}
 			ls := r.peers[peer].lastSync
 			if ls.stamp != r.now {
 				return false, nil // no SYNC went to the peer this tick
@@ -1083,9 +1106,28 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 	}
 	r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, stamp)
 	if ps.waitTick == r.now { // the rendezvous awaited it
+		if ps.departed {
+			// The mark was wrong. A send error other than the peer's
+			// hang-up (which evicts it) means a closed endpoint, which the
+			// wait's next receive reports.
+			_ = r.sendLate(peer)
+		}
 		r.takeSync(peer, beacon, stamp)
 		r.settle(ps)
 	}
+}
+
+// sendLate sends peer, marked departed, the frame the send stage skipped,
+// carrying the writes buffered for it, inline whatever the grouping: as
+// soon as the peer's SYNC shows the mark wrong, or at the wait's first
+// silence, in case the peer wrongly marked this process too.
+func (r *Runtime) sendLate(peer int) error {
+	r.peers[peer].departed = false
+	opts := r.opts
+	opts.GroupWithheldSyncs = false
+	_, err := r.exchangeFrame(peer, &opts)
+	r.endRun()
+	return err
 }
 
 // handleDone marks peer finished as of its DONE stamp. Its final data (if
@@ -1217,6 +1259,18 @@ func (r *Runtime) Poll() {
 			return
 		}
 		r.dispatch(m, false)
+	}
+}
+
+// Departed marks peer, a target of the next Exchange (a resync one),
+// departed: the application's replica, complete at the last rendezvous,
+// shows the peer's game ended, so the call sends it nothing and its DONE
+// settles the wait. Should it answer with a SYNC instead, the skipped frame
+// goes to it at once (sendLate), so a wrong mark costs one late frame.
+func (r *Runtime) Departed(peer int) {
+	if ps := &r.peers[peer]; !ps.gone() {
+		ps.departed = true
+		r.tr.Record(trace.OpDeparted, peer, 0, 0, r.now+1, 0)
 	}
 }
 

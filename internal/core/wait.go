@@ -13,8 +13,9 @@ import (
 )
 
 // settle stops awaitRendezvous waiting on peer (its SYNC arrived, it
-// announced DONE, or it was evicted).
+// announced DONE, or it was evicted), which ends a departure mark.
 func (r *Runtime) settle(ps *peerState) {
+	ps.departed = false
 	if ps.waitTick == r.now {
 		ps.waitTick = 0
 		r.outstanding--

@@ -65,12 +65,20 @@ func (t *Team) CellAt(p Pos) Cell {
 	return c
 }
 
+// HoldsTank reports whether the block at p in the replica holds a tank of
+// team: the test that keeps a team's tank alive at Begin, and so the one a
+// driver judges a peer's tanks by.
+func (t *Team) HoldsTank(p Pos, team int) bool {
+	c := t.CellAt(p)
+	return c.Kind == Tank && c.Team == team
+}
+
 // refresh drops the tanks whose block no longer holds them (hit by enemy
 // fire) and reports whether any remain.
 func (t *Team) refresh() bool {
 	alive := t.Tanks[:0]
 	for _, tank := range t.Tanks {
-		if c := t.CellAt(tank.Pos); c.Kind == Tank && c.Team == t.ID {
+		if t.HoldsTank(tank.Pos, t.ID) {
 			alive = append(alive, tank)
 		}
 	}
@@ -79,13 +87,14 @@ func (t *Team) refresh() bool {
 }
 
 // Begin opens the team's tick: the tanks hit since the last one are
-// dropped and, when none remain, the team's game ends at tick — destroyed,
-// unless it reached the goal. It reports whether the team plays the tick,
-// which then counts as played.
+// dropped and, when none remain, the team's game ends — destroyed, unless
+// it reached the goal — at tick-1, whose death pass the reference ends it
+// in. It reports whether the team plays the tick, which then counts as
+// played.
 func (t *Team) Begin(tick int64) bool {
 	if !t.refresh() {
 		t.Stats.Destroyed = !t.Stats.ReachedGoal
-		t.Stats.DoneTick = tick
+		t.Stats.DoneTick = tick - 1
 		return false
 	}
 	t.Stats.Ticks++

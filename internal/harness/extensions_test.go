@@ -21,8 +21,7 @@ func TestCausalMatchesReference(t *testing.T) {
 		}
 		for i, st := range res.Stats {
 			want := ref.Stats[i]
-			if st.Mods != want.Mods || st.Ticks != want.Ticks || st.Score != want.Score ||
-				st.ReachedGoal != want.ReachedGoal || st.Destroyed != want.Destroyed {
+			if st != want {
 				t.Errorf("n=%d seed=%d team %d:\n got %+v\nwant %+v", g.Teams, g.Seed, i, st, want)
 			}
 		}

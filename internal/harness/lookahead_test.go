@@ -45,8 +45,7 @@ func TestVtimeLookaheadMatchesReference(t *testing.T) {
 			}
 			for i, st := range res.Stats {
 				want := ref.Stats[i]
-				if st.Mods != want.Mods || st.Ticks != want.Ticks || st.Score != want.Score ||
-					st.ReachedGoal != want.ReachedGoal || st.Destroyed != want.Destroyed {
+				if st != want {
 					t.Errorf("%s n=%d seed=%d team %d:\n got %+v\nwant %+v", proto, g.Teams, g.Seed, i, st, want)
 				}
 			}

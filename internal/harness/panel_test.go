@@ -11,7 +11,8 @@ import (
 // then interest and shard at n=64 only — and compares their tables with
 // testdata/panels.golden. The golden was recorded with the per-panel
 // functions the panel engine replaced, their wall columns cut; it is never
-// regenerated from the engine.
+// regenerated from the engine. Its BSYNC columns were re-recorded once,
+// when BSYNC stopped sending frames to a peer the replica shows ended.
 func TestPanelsPinned(t *testing.T) {
 	want, err := os.ReadFile("testdata/panels.golden")
 	if err != nil {

@@ -54,10 +54,10 @@ func TestPoisonedRecycleECGames(t *testing.T) {
 				return simPin{}, err
 			}
 			return pinOf(res), nil
-		}, &simPin{virtual: 2962750400, msgs: 2523, logical: 2523, stats: "c55f15bd84596f01"}},
+		}, &simPin{virtual: 2962750400, msgs: 2523, logical: 2523, stats: "5a67977e585429b1"}},
 		{"chaos+restart", chaos(rejoinConfig(EC, 13)), nil},
 		{"chaos+restart+quorum1", chaos(quorum),
-			&simPin{virtual: 2927498800, msgs: 4156, logical: 4156, stats: "ca435410685e7eb1", decided: "3b70ffc66f43aabb"}},
+			&simPin{virtual: 2927498800, msgs: 4156, logical: 4156, stats: "3193089977907780", decided: "3b70ffc66f43aabb"}},
 		{"checked+faults", func(wrap wrapFunc) (simPin, error) {
 			rep, err := RunChecked(CheckedConfig{Protocol: EC, Seed: 7, Teams: 4, Ticks: 40, Faults: true, wrap: wrap})
 			if err != nil {

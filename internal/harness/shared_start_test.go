@@ -88,7 +88,6 @@ func TestSharedStartIsNeverWritten(t *testing.T) {
 					features(pc)
 				})
 				for i, st := range stats {
-					st.DoneTick = ref.Stats[i].DoneTick // the one field the protocols count differently
 					if st != ref.Stats[i] {
 						t.Errorf("team %d: %+v, reference %+v", i, st, ref.Stats[i])
 					}
@@ -157,8 +156,11 @@ func TestSharedStartIsNeverWritten(t *testing.T) {
 	if !res.Crashed || !res.Rejoined {
 		t.Fatalf("crashed=%v rejoined=%v, want both", res.Crashed, res.Rejoined)
 	}
-	if d, m, s := res.VirtualDuration, res.Metrics.TotalMsgs(), res.Metrics.SnapshotBytes(); d != 569195600 || m != 489 || s != 110664 {
-		t.Errorf("rejoin: %v, %d messages, %d snapshot bytes; the eager store gave 569.1956ms, 489, 110664", d, m, s)
+	// The eager store gave 569.1956ms and 489 messages before departed peers
+	// stopped being sent frames; under loss a wrongly marked peer's frame
+	// goes late, which costs time.
+	if d, m, s := res.VirtualDuration, res.Metrics.TotalMsgs(), res.Metrics.SnapshotBytes(); d != 585471600 || m != 484 || s != 110664 {
+		t.Errorf("rejoin: %v, %d messages, %d snapshot bytes; want 585.4716ms, 484, 110664", d, m, s)
 	}
 	if startChecksum(cstart) != cbefore {
 		t.Error("the crash-and-rejoin game wrote through the shared start")

@@ -231,7 +231,7 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 		writes = append(writes, xlist.ObjDiff{Obj: id, Version: v, D: newReplace(state)})
 		return true
 	}
-	defer mc.SetExecTime(cfg.Endpoint.Now())
+	defer func() { mc.SetExecTime(cfg.Endpoint.Now()) }() // the clock at return
 
 	send := func(m *wire.Msg) error {
 		mc.CountSend(m, m.EncodedSize())
@@ -321,8 +321,7 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 				if turn.Credit(o) {
 					mc.AddMod()
 				}
-				if o.ReachedGoal {
-					turn.Stats.DoneTick = int64(tick)
+				if turn.Won(int64(tick)) {
 					break
 				}
 			} else {

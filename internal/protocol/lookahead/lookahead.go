@@ -198,6 +198,9 @@ type player struct {
 	ix     *interest.Index   // nil unless cfg.Interest
 	shards *shard.Partition  // nil unless cfg.Shards > 1
 	opts   core.ExchangeOpts // every tick's exchange() arguments, built once
+	// marks says the replica is complete at every rendezvous (plain
+	// BSYNC), so the player tells the runtime which peers it shows ended.
+	marks bool
 
 	// Per-tick scratch: the own tanks' positions (see positions), the box
 	// of writes buffered for a peer (see pendingBox), the enemy picture
@@ -337,6 +340,7 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 	}
 	p.rt = rt
 	p.opts = p.exchangeOpts()
+	p.marks = cfg.Protocol == BSYNC && p.opts.SendData == nil && batch == 0
 	return p, nil
 }
 
@@ -456,6 +460,9 @@ func (p *player) play() error {
 		if !p.turn.Begin(tick) {
 			return p.rt.Done(p.turn.Stats.ReachedGoal)
 		}
+		if p.marks {
+			p.markDeparted() // before Turn: judged on the writes the peers' Begin(tick) reads
+		}
 		if p.turn.Credit(p.turn.Turn(p.beaconEnemies(), p.write)) {
 			p.mc.AddMod()
 		}
@@ -501,6 +508,27 @@ func (p *player) beaconEnemies() map[int][]game.Pos {
 		}
 	}
 	return p.enemies
+}
+
+// markDeparted marks departed every live peer whose tanks, as its beacon
+// of the last rendezvous lists them, are all gone from the replica: the
+// peer's own Begin reads the same blocks with the same test (Team.HoldsTank)
+// and ends its game, so the runtime sends it nothing this tick (see
+// core.Runtime.Departed).
+func (p *player) markDeparted() {
+	for peer := range p.known {
+		kp := &p.known[peer]
+		if !kp.present || len(kp.beacon.Tanks) == 0 || p.rt.PeerGone(peer) {
+			continue
+		}
+		alive := false
+		for _, pos := range kp.beacon.Tanks {
+			alive = alive || p.turn.HoldsTank(pos, peer)
+		}
+		if !alive {
+			p.rt.Departed(peer)
+		}
+	}
 }
 
 // write lands one of the turn's writes in the replica, buffered for the

@@ -101,11 +101,6 @@ func mergeByVersion(t *testing.T, cfg game.Config, stores []*store.Store) *store
 	return merged
 }
 
-func statsEqual(a, b game.TeamStats) bool {
-	return a.Team == b.Team && a.Mods == b.Mods && a.Ticks == b.Ticks &&
-		a.Score == b.Score && a.ReachedGoal == b.ReachedGoal && a.Destroyed == b.Destroyed
-}
-
 // TestProtocolMatchesReference is the paper's central correctness claim:
 // the lookahead protocols perform "what appear to be sequentially
 // consistent actions" — the distributed execution reproduces the lockstep
@@ -125,7 +120,7 @@ func TestProtocolMatchesReference(t *testing.T) {
 				for _, proto := range protos {
 					stats, merged := runGame(t, cfg, proto)
 					for i, st := range stats {
-						if !statsEqual(st, ref.Stats[i]) {
+						if st != ref.Stats[i] {
 							t.Errorf("%v teams=%d range=%d seed=%d team %d:\n got %+v\nwant %+v",
 								proto, teams, rng, seed, i, st, ref.Stats[i])
 						}
@@ -219,7 +214,7 @@ func TestMergeDiffsOffStillCorrect(t *testing.T) {
 		}
 		wg.Wait()
 		for i, st := range stats {
-			if !statsEqual(st, ref.Stats[i]) {
+			if st != ref.Stats[i] {
 				t.Errorf("merge=%v team %d: got %+v want %+v", merge, i, st, ref.Stats[i])
 			}
 			bytesSent += mcs[i].Snapshot().BytesSent

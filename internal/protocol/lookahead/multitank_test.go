@@ -25,7 +25,7 @@ func TestMultiTankTeamsMatchReference(t *testing.T) {
 				}
 				stats, merged := runGame(t, cfg, proto)
 				for i, st := range stats {
-					if !statsEqual(st, ref.Stats[i]) {
+					if st != ref.Stats[i] {
 						t.Errorf("%v k=%d seed=%d team %d:\n got %+v\nwant %+v",
 							proto, tanksPer, seed, i, st, ref.Stats[i])
 					}

@@ -47,6 +47,7 @@ const (
 	OpDone     // local process finished; Aux = 1 if it won
 	OpPeerDone // DONE received from Peer
 	OpEvict    // Peer evicted as crashed
+	OpDeparted // Peer marked departed for the Exchange of tick Time (sent nothing unless it answers)
 	OpAdmit    // Peer admitted (join served); Aux = admission tick
 	OpJoined   // local process finished joining; Time = resumed tick
 
@@ -67,7 +68,7 @@ var opNames = [...]string{
 	OpSyncRecv: "sync-recv", OpSyncEarly: "sync-early",
 	OpWrite: "write", OpSendObj: "send-obj", OpDataSend: "data-send",
 	OpWithheld: "withheld", OpApply: "apply", OpStale: "stale", OpAdopt: "adopt",
-	OpDone: "done", OpPeerDone: "peer-done", OpEvict: "evict",
+	OpDone: "done", OpPeerDone: "peer-done", OpEvict: "evict", OpDeparted: "departed",
 	OpAdmit: "admit", OpJoined: "joined", OpTankAt: "tank-at",
 	OpLockReq: "lock-req", OpLockGranted: "lock-granted", OpLockRel: "lock-rel",
 	OpMgrGrant: "mgr-grant", OpMgrRelease: "mgr-release",
