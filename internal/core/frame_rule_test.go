@@ -77,11 +77,10 @@ var frameRuleFeatures = []struct {
 	{"batch3", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.MaxBatchTicks = true, 3 }, false},
 }
 
-// observeSim plays poisonGame on the simulated cluster, under the drop plan
-// when drops is set (suspicion timeouts on, so the resend paths run).
-func observeSim(t *testing.T, proto lookahead.Protocol, apply func(*lookahead.PlayerConfig), drops bool) []*observedPlayer {
+// observeSim plays cfg on the simulated cluster, under the drop plan when
+// drops is set (suspicion timeouts on, so the resend paths run).
+func observeSim(t *testing.T, cfg game.Config, proto lookahead.Protocol, apply func(*lookahead.PlayerConfig), drops bool) []*observedPlayer {
 	t.Helper()
-	cfg := poisonGame()
 	n := cfg.Teams
 	sim := vtime.NewSim(vtime.Config{Links: netmodel.NewCluster(netmodel.Ethernet10Mbps()), Horizon: 10 * time.Minute})
 	plan := &faultnet.Plan{Seed: 11, Default: faultnet.LinkFaults{DropProb: 0.03}}
@@ -115,10 +114,9 @@ func observeSim(t *testing.T, proto lookahead.Protocol, apply func(*lookahead.Pl
 	return players
 }
 
-// observeMem plays poisonGame over the mem transport, one goroutine a player.
-func observeMem(t *testing.T, proto lookahead.Protocol, apply func(*lookahead.PlayerConfig)) []*observedPlayer {
+// observeMem plays cfg over the mem transport, one goroutine a player.
+func observeMem(t *testing.T, cfg game.Config, proto lookahead.Protocol, apply func(*lookahead.PlayerConfig)) []*observedPlayer {
 	t.Helper()
-	cfg := poisonGame()
 	net := transport.NewMemNetwork(cfg.Teams)
 	defer net.Close()
 	players := make([]*observedPlayer, cfg.Teams)
@@ -145,9 +143,12 @@ func observeMem(t *testing.T, proto lookahead.Protocol, apply func(*lookahead.Pl
 // still live. Each must have been sent exactly one frame by that call; with
 // resends allowed (a lossy run with timeouts) anything further to the same
 // peer at the same stamp must be a bare SYNC, sent after the original. A
-// target the trace shows marked departed must have been sent nothing if its
-// own trace shows its game ended that tick, and its one frame if it
-// answered with a SYNC. It returns the marks, and how many were wrong.
+// mark (trace.OpDeparted) stands until the next call that targets the
+// peer. A target with a standing mark must have been sent nothing if its
+// own trace shows its game ended by the tick the mark was for; otherwise
+// the mark was wrong, and an Exchange owes the target its one frame while
+// Done owes it nothing, as no one waits on a finished process. It returns
+// the marks, and how many were wrong.
 func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends bool) (marks, wrong int) {
 	t.Helper()
 	type call struct {
@@ -155,23 +156,26 @@ func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends boo
 		done  bool
 	}
 	n, p := len(players), players[id]
-	want, marked := make(map[call][]int), make(map[call][]int)
+	want, marked := make(map[call][]int), make(map[call]map[int]int64)
 	sched, scheduled, gone := make([]int64, n), make([]bool, n), make([]bool, n)
+	standing := make([]int64, n) // the tick a standing mark was made for, 0 for none
 	for _, ev := range p.rec.Events() {
 		switch ev.Op {
 		case trace.OpDeparted:
-			c := call{stamp: ev.Time}
-			marked[c] = append(marked[c], int(ev.Peer))
+			standing[ev.Peer] = ev.Time
 		case trace.OpSched, trace.OpRendezvous:
 			sched[ev.Peer], scheduled[ev.Peer] = ev.Aux, true
 		case trace.OpPeerDone, trace.OpEvict:
 			gone[ev.Peer] = true
 		case trace.OpTick, trace.OpDone:
 			c := call{stamp: ev.Time, done: ev.Op == trace.OpDone}
-			want[c] = []int{} // a call with no targets sends nothing
+			want[c], marked[c] = []int{}, make(map[int]int64) // a call with no targets sends nothing
 			for peer := 0; peer < n; peer++ {
 				if peer != id && !gone[peer] && (c.done || scheduled[peer] && sched[peer] <= ev.Time) {
 					want[c] = append(want[c], peer)
+					if standing[peer] != 0 {
+						marked[c][peer], standing[peer] = standing[peer], 0
+					}
 				}
 			}
 		}
@@ -206,37 +210,42 @@ func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends boo
 	for c, targets := range want {
 		for _, dst := range targets {
 			frames := got[c][dst]
-			if !slices.Contains(marked[c], dst) {
+			markedFor, ok := marked[c][dst]
+			if !ok {
 				if len(frames) == 0 {
 					t.Errorf("player %d sent target %d nothing in the call (stamp %d, done %v)", id, dst, c.stamp, c.done)
 				}
 				continue
 			}
 			marks++
-			// The peer's Begin(stamp) ran at its clock stamp-1. Under loss
-			// its DONE can be lost: the wait's first silence then sends the
-			// owed frame, as it would to a peer that wrongly marked this one.
-			if endedAt(players[dst], c.stamp-1) {
+			// The peer's Begin(markedFor) ran at its clock markedFor-1.
+			// Under loss its DONE can be lost: the wait's first silence then
+			// sends the owed frame, as it would to a peer that wrongly
+			// marked this one.
+			if endedBy(players[dst], markedFor-1) {
 				if len(frames) != 0 && !resends {
-					t.Errorf("player %d sent target %d, which ended at tick %d as marked, %+v", id, dst, c.stamp, frames)
+					t.Errorf("player %d sent target %d, which ended by tick %d as marked, %+v", id, dst, markedFor, frames)
 				}
 				continue
 			}
-			// A wrong mark: one frame, late unless the peer's SYNC was in
-			// hand, and under loss, like any target's, the bare SYNCs that
-			// answer the peer's retransmits.
+			// A wrong mark: in an Exchange one frame, late unless the peer's
+			// SYNC was in hand, and under loss, like any target's, the bare
+			// SYNCs that answer the peer's retransmits.
 			wrong++
-			if len(frames) == 0 {
-				t.Errorf("player %d marked target %d departed at tick %d, wrongly, and sent it nothing", id, dst, c.stamp)
+			if len(frames) == 0 && !c.done {
+				t.Errorf("player %d marked target %d departed for tick %d, wrongly, and sent it nothing at stamp %d", id, dst, markedFor, c.stamp)
+			}
+			if len(frames) != 0 && c.done {
+				t.Errorf("player %d's Done sent target %d, marked for tick %d, %+v", id, dst, markedFor, frames)
 			}
 		}
 	}
 	return marks, wrong
 }
 
-// endedAt reports whether p called Done with its clock at tick.
-func endedAt(p *observedPlayer, tick int64) bool {
-	return slices.ContainsFunc(p.rec.Events(), func(ev trace.Event) bool { return ev.Op == trace.OpDone && ev.Time == tick })
+// endedBy reports whether p called Done with its clock at tick or before.
+func endedBy(p *observedPlayer, tick int64) bool {
+	return slices.ContainsFunc(p.rec.Events(), func(ev trace.Event) bool { return ev.Op == trace.OpDone && ev.Time <= tick })
 }
 
 func TestOneFramePerPeerPerCall(t *testing.T) {
@@ -278,9 +287,9 @@ func TestOneFramePerPeerPerCall(t *testing.T) {
 	for _, proto := range []lookahead.Protocol{lookahead.BSYNC, lookahead.MSYNC, lookahead.MSYNC2} {
 		for _, f := range frameRuleFeatures {
 			t.Run(fmt.Sprintf("%v/%s", proto, f.name), func(t *testing.T) {
-				check(t, "sim", observeSim(t, proto, f.apply, false), false, f.exact)
-				check(t, "mem", observeMem(t, proto, f.apply), false, f.exact)
-				check(t, "sim+drops", observeSim(t, proto, f.apply, true), true, false)
+				check(t, "sim", observeSim(t, poisonGame(), proto, f.apply, false), false, f.exact)
+				check(t, "mem", observeMem(t, poisonGame(), proto, f.apply), false, f.exact)
+				check(t, "sim+drops", observeSim(t, poisonGame(), proto, f.apply, true), true, false)
 			})
 		}
 	}
