@@ -12,7 +12,8 @@ import (
 // testdata/panels.golden. The golden was recorded with the per-panel
 // functions the panel engine replaced, their wall columns cut; it is never
 // regenerated from the engine. Its BSYNC columns were re-recorded once,
-// when BSYNC stopped sending frames to a peer the replica shows ended.
+// when BSYNC stopped sending frames to a peer the replica shows ended, and
+// the lookahead columns once more, when every variant did.
 func TestPanelsPinned(t *testing.T) {
 	want, err := os.ReadFile("testdata/panels.golden")
 	if err != nil {
