@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"encoding/binary"
@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"sdso/internal/core"
 	"sdso/internal/faultnet"
+	"sdso/internal/game"
 	"sdso/internal/metrics"
+	"sdso/internal/protocol/lookahead"
 	"sdso/internal/transport"
 	"sdso/internal/vtime"
 	"sdso/internal/wire"
@@ -28,7 +31,6 @@ func TestDepartedPeerIsSentNothing(t *testing.T) {
 				var mu sync.Mutex
 				mcs := []*metrics.Collector{metrics.NewCollector(), metrics.NewCollector()}
 				var seen uint64
-				errs := make([]error, 2)
 				bodies := []func(ep transport.Endpoint) error{
 					func(ep transport.Endpoint) error {
 						ep = faultnet.NewObservedEndpoint(ep, func(to int, m *wire.Msg) {
@@ -40,11 +42,11 @@ func TestDepartedPeerIsSentNothing(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						if err := r.Write(1, counterBytes(42)); err != nil {
+						if err := r.Write(1, binary.BigEndian.AppendUint64(nil, 42)); err != nil {
 							return err
 						}
 						r.Departed(1)
-						if err := r.Exchange(ExchangeOpts{Resync: true, SFunc: EveryTick}); err != nil {
+						if err := r.Exchange(core.ExchangeOpts{Resync: true, SFunc: core.EveryTick}); err != nil {
 							return err
 						}
 						if !wrong && !r.PeerDone(1) {
@@ -60,7 +62,7 @@ func TestDepartedPeerIsSentNothing(t *testing.T) {
 						if !wrong {
 							return r.Done(false)
 						}
-						if err := r.Exchange(ExchangeOpts{Resync: true, SFunc: EveryTick}); err != nil {
+						if err := r.Exchange(core.ExchangeOpts{Resync: true, SFunc: core.EveryTick}); err != nil {
 							return err
 						}
 						state, err := r.Store().Get(1)
@@ -71,12 +73,7 @@ func TestDepartedPeerIsSentNothing(t *testing.T) {
 						return nil
 					},
 				}
-				playPair(t, net, bodies, errs)
-				for i, err := range errs {
-					if err != nil {
-						t.Fatalf("process %d: %v", i, err)
-					}
-				}
+				playGroup(t, net, bodies)
 				want := 0
 				if wrong {
 					want = 1
@@ -102,22 +99,141 @@ func TestDepartedPeerIsSentNothing(t *testing.T) {
 	}
 }
 
-// departedRuntime is a two-process runtime over ep sharing object 1, with a
-// rendezvous timeout no healthy run of this test reaches.
-func departedRuntime(ep transport.Endpoint, mc *metrics.Collector) (*Runtime, error) {
-	r, err := New(Config{Endpoint: ep, Metrics: mc, MergeDiffs: true, RendezvousTimeout: 2 * time.Second})
+// TestDoneSkipsDepartedPeer: Done sends a peer marked departed nothing and
+// every other live peer its final frame (DESIGN.md §15). Process 0 writes,
+// marks peer 1 and calls Done: peer 1, which ended too, gets nothing; peer
+// 2, at its rendezvous, gets the write riding 0's DONE, and both DONEs
+// settle its wait with no suspicion. Then whole games: every live peer ends
+// at MaxTicks, so a player whose Done comes there sends nothing after its
+// last Exchange, and a player destroyed at Begin(t) marks beforehand every
+// peer destroyed there too. On mem and on the simulated cluster.
+func TestDoneSkipsDepartedPeer(t *testing.T) {
+	for _, net := range []string{"mem", "sim"} {
+		t.Run(net+"/call", func(t *testing.T) {
+			players := make([]*observedPlayer, 3)
+			mcs := make([]*metrics.Collector, 3)
+			var seen uint64
+			bodies := make([]func(transport.Endpoint) error, 3)
+			for i := range players {
+				players[i], mcs[i] = &observedPlayer{}, metrics.NewCollector()
+				bodies[i] = func(ep transport.Endpoint) error {
+					r, err := departedRuntime(players[i].observe(ep), mcs[i])
+					if err != nil {
+						return err
+					}
+					switch i {
+					case 0:
+						if err := r.Write(1, binary.BigEndian.AppendUint64(nil, 42)); err != nil {
+							return err
+						}
+						r.Departed(1)
+						return r.Done(false)
+					case 1:
+						return r.Done(false)
+					}
+					if err := r.Exchange(core.ExchangeOpts{Resync: true, SFunc: core.EveryTick}); err != nil {
+						return err
+					}
+					if !r.PeerDone(0) || !r.PeerDone(1) {
+						return fmt.Errorf("the rendezvous completed without both DONEs")
+					}
+					state, err := r.Store().Get(1)
+					if err != nil {
+						return err
+					}
+					seen = binary.BigEndian.Uint64(state)
+					return nil
+				}
+			}
+			playGroup(t, net, bodies)
+			if f := players[0].frames; len(f) != 1 || f[0].dst != 2 || f[0].kind != wire.KindData || f[0].mode&wire.ModeDonePiggyback == 0 || f[0].stamp != 1 {
+				t.Errorf("process 0 sent %+v, want one frame, to peer 2: DATA stamped 1 carrying the DONE", f)
+			}
+			if f := players[1].frames; len(f) != 2 || !f[0].done() || !f[1].done() {
+				t.Errorf("process 1, which marked no one, sent %+v, want a DONE to each peer", f)
+			}
+			if seen != 42 {
+				t.Errorf("peer 2 reads %d after its rendezvous, want the write 42 that rode the DONE", seen)
+			}
+			for i, mc := range mcs {
+				if s := mc.Snapshot(); s.Suspects != 0 || s.Retransmits != 0 || s.Evictions != 0 {
+					t.Errorf("process %d: %d suspicions, %d retransmits, %d evictions, want none", i, s.Suspects, s.Retransmits, s.Evictions)
+				}
+			}
+		})
+	}
+	// Whole games, loss-free: a player that ends at the horizon sends
+	// nothing after its last Exchange, and under BSYNC, whose every beacon
+	// is fresh and box-free, one destroyed at Begin(t) sends no DONE to a
+	// peer destroyed there too, as both mark before Begin.
+	cfg := game.DefaultConfig(8, 1)
+	cfg.Seed, cfg.MaxTicks = 17, 25 // four teams survive; two are destroyed in one tick
+	for _, proto := range []lookahead.Protocol{lookahead.BSYNC, lookahead.MSYNC, lookahead.MSYNC2} {
+		t.Run(fmt.Sprintf("game/%v", proto), func(t *testing.T) {
+			for _, net := range []string{"mem", "sim"} {
+				var players []*observedPlayer
+				if net == "mem" {
+					players = observeMem(t, cfg, proto, func(*lookahead.PlayerConfig) {})
+				} else {
+					players = observeSim(t, cfg, proto, func(*lookahead.PlayerConfig) {}, false)
+				}
+				horizon, together := 0, 0
+				for i, p := range players {
+					if p.err != nil {
+						t.Fatalf("%s: player %d: %v", net, i, p.err)
+					}
+					end := p.stats.DoneTick
+					if end == int64(cfg.MaxTicks) && !endedBy(p, end-1) {
+						horizon++
+						for _, f := range p.frames {
+							if f.done() || f.stamp > end {
+								t.Errorf("%s: player %d ended at the horizon but sent peer %d %+v", net, i, f.dst, f)
+							}
+						}
+						continue
+					}
+					if proto != lookahead.BSYNC || !p.stats.Destroyed {
+						continue
+					}
+					for j, q := range players {
+						if j == i || !q.stats.Destroyed || q.stats.DoneTick != end {
+							continue
+						}
+						together++
+						for _, f := range p.frames {
+							if f.dst == j && f.done() {
+								t.Errorf("%s: players %d and %d were destroyed together at tick %d, but %d sent %d %+v", net, i, j, end, i, j, f)
+							}
+						}
+					}
+				}
+				if horizon == 0 || proto == lookahead.BSYNC && together == 0 {
+					t.Errorf("%s: %d players reached the horizon, %d pairs were destroyed together: a case never occurred", net, horizon, together)
+				}
+				t.Logf("%s: %d of %d players reached the horizon, %d pairs were destroyed together", net, horizon, len(players), together)
+			}
+		})
+	}
+}
+
+// departedRuntime is a runtime over ep sharing object 1, with a rendezvous
+// timeout no healthy run of these tests reaches.
+func departedRuntime(ep transport.Endpoint, mc *metrics.Collector) (*core.Runtime, error) {
+	r, err := core.New(core.Config{Endpoint: ep, Metrics: mc, MergeDiffs: true, RendezvousTimeout: 2 * time.Second})
 	if err != nil {
 		return nil, err
 	}
-	return r, r.Share(1, counterBytes(0))
+	return r, r.Share(1, make([]byte, 8))
 }
 
-// playPair runs bodies[i] as process i of a two-process group over mem
-// (one goroutine each) or the simulated cluster, and waits for both.
-func playPair(t *testing.T, net string, bodies []func(transport.Endpoint) error, errs []error) {
+// playGroup runs bodies[i] as process i of a group over mem (one goroutine
+// each) or the simulated cluster, and fails the test on any body's error.
+func playGroup(t *testing.T, net string, bodies []func(transport.Endpoint) error) {
 	t.Helper()
+	n := len(bodies)
+	errs := make([]error, n)
 	if net == "mem" {
-		mn := transport.NewMemNetwork(2)
+		mn := transport.NewMemNetwork(n)
 		defer mn.Close()
 		var wg sync.WaitGroup
 		for i, body := range bodies {
@@ -128,17 +244,22 @@ func playPair(t *testing.T, net string, bodies []func(transport.Endpoint) error,
 			}()
 		}
 		wg.Wait()
-		return
+	} else {
+		sim := vtime.NewSim(vtime.Config{Horizon: time.Minute})
+		eps := make([]transport.Endpoint, n)
+		for i, body := range bodies {
+			sim.Spawn(func(*vtime.Proc) { errs[i] = body(eps[i]) })
+		}
+		for i := range eps {
+			eps[i] = transport.NewSimEndpoint(sim.Proc(i), n, nil)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatalf("simulation: %v", err)
+		}
 	}
-	sim := vtime.NewSim(vtime.Config{Horizon: time.Minute})
-	eps := make([]transport.Endpoint, 2)
-	for i, body := range bodies {
-		sim.Spawn(func(*vtime.Proc) { errs[i] = body(eps[i]) })
-	}
-	for i := range eps {
-		eps[i] = transport.NewSimEndpoint(sim.Proc(i), 2, nil)
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatalf("simulation: %v", err)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("process %d: %v", i, err)
+		}
 	}
 }
