@@ -1,7 +1,8 @@
 package core
 
 // Interest-management support: the grouped SYNC fanout for peers whose
-// DATA ExchangeOpts.SendData withheld (ExchangeOpts.GroupWithheldSyncs).
+// DATA ExchangeOpts.SendData withheld (ExchangeOpts.GroupWithheldSyncs),
+// one shared message (runFrame) per distinct beacon.
 // The filter itself lives above the runtime (internal/interest plus the
 // protocol layer's gate); core only honors the veto. Interest never
 // pulls: a peer entering the sensing radius sends nothing, and the delta
@@ -9,10 +10,8 @@ package core
 // withholds flushes but never the SYNC wave that carries delta acks.
 
 import (
-	"fmt"
 	"slices"
 
-	"sdso/internal/transport"
 	"sdso/internal/wire"
 )
 
@@ -24,13 +23,11 @@ type syncGroup struct {
 }
 
 // sendSyncFanout ships the bare SYNC of every deferred (withheld-from)
-// peer. Peers whose beacons are identical — the common case: same tank
-// positions, same buffered-modification box — share one frame encode via
-// the transport's EncodedSender fast path, so the per-tick cost of the
-// global SYNC wave stays one encode plus O(n) writes instead of O(n)
-// encodes. Metrics count one logical SYNC per destination either way,
-// and a failed send follows the send-error rule exactly as on the
-// per-peer path.
+// peer, group by group. Peers whose beacons are identical — the common
+// case: same tank positions, same buffered-modification box — form one
+// group and go out back to back, so runFrame hands the whole group one
+// shared message. Metrics count one SYNC per destination, and a failed
+// send follows the send-error rule exactly as on the per-peer path.
 func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 	if len(peers) == 0 {
 		return nil
@@ -58,35 +55,10 @@ func (r *Runtime) sendSyncFanout(peers []int, opts ExchangeOpts) error {
 		groups[g].dsts = append(groups[g].dsts, peer)
 	}
 	r.fanout = groups
-	es, hasES := r.ep.(transport.EncodedSender)
 	for _, g := range groups {
-		if hasES && len(g.dsts) > 1 {
-			// SendEncoded does not take sync — the shared frame is what
-			// hits the wire — so the header goes straight back to the pool
-			// once the group is served.
-			sync := newSync(r.now, g.beacon, 0)
-			enc, err := wire.EncodeFrame(sync)
-			if err != nil {
-				return fmt.Errorf("exchange sync fanout: %w", err)
-			}
-			size := sync.EncodedSize()
-			for _, peer := range g.dsts {
-				r.mc.CountSend(sync, size)
-				sent, err := r.sendOutcome(peer, es.SendEncoded(peer, enc, sync), "exchange sync to")
-				if err != nil {
-					enc.Release()
-					return err
-				}
-				if sent {
-					r.peers[peer].sent(r.now, g.beacon)
-				}
-			}
-			enc.Release()
-			wire.PutMsg(sync)
-			continue
-		}
+		bare := wire.Msg{Kind: wire.KindSync, Stamp: r.now, Ints: g.beacon}
 		for _, peer := range g.dsts {
-			sent, err := r.sendTo(peer, newSync(r.now, g.beacon, 0), "exchange sync to")
+			sent, err := r.sendFrame(peer, bare, nil, r.now, 0, "exchange sync to")
 			if err != nil {
 				return err
 			}

@@ -104,7 +104,7 @@ type ExchangeOpts struct {
 	// diffs stay buffered in the peer's slot.
 	SendData func(peer int) bool
 	// GroupWithheldSyncs ships the bare SYNCs of peers SendData withheld
-	// after the per-peer loop, one frame encode per distinct beacon (see
+	// after the per-peer loop, one shared message per distinct beacon (see
 	// sendSyncFanout), instead of inline in peer order. Grouping reorders
 	// the tick's sends, so it is a property of the filter, set where the
 	// filter is built: a filter that withholds from most peers at scale
@@ -778,7 +778,7 @@ func (r *Runtime) sendFrames() error {
 // having sent nothing, for a withheld peer whose bare SYNC fans out after
 // the loop (GroupWithheldSyncs): the withheld peers are the common case at
 // scale and their bare SYNCs usually share a beacon (same tanks, same
-// buffered box), so sendSyncFanout encodes one per distinct beacon.
+// buffered box), so sendSyncFanout sends one message per distinct beacon.
 func (r *Runtime) exchangeFrame(peer int, opts *ExchangeOpts) (grouped bool, err error) {
 	sendData := opts.How == Broadcast || opts.SendData == nil || opts.SendData(peer)
 	if r.tr != nil && !sendData {

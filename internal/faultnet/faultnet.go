@@ -293,135 +293,65 @@ func (e *Endpoint) link(to int) *linkState {
 
 // Send implements transport.Endpoint: it draws this message's fault
 // decision from the link's seeded stream and forwards, duplicates, delays,
-// or drops accordingly. Send was given m, so a dropped m goes back to the
+// or drops m accordingly. Send was given m, so a dropped m goes back to the
 // pool (wire.PutPooled), as the mem endpoint's does when nobody will read
-// it: a shared message returns the one reference this Send was given.
+// it: a shared message returns the one reference this Send was given, and a
+// delayed one keeps it until the link re-injects it.
 func (e *Endpoint) Send(to int, m *wire.Msg) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	lost, err := e.sendOneLocked(to, m,
-		func(to, copies int) error {
-			// Duplicates are cloned first and the caller's m goes out last:
-			// a sent message is given away (transport.Endpoint.Send), so m
-			// cannot be read once the wrapped transport has it.
-			for i := 1; i < copies; i++ {
-				if err := e.inner.Send(to, m.Clone()); err != nil {
-					return err
-				}
-			}
-			return e.inner.Send(to, m)
-		},
-		func() *wire.Msg { return m })
-	if lost {
-		wire.PutPooled(m)
-	}
-	return err
-}
-
-// SendMany implements transport.MultiSender. Every destination draws its
-// fault decision from its own per-link stream in dsts order — exactly the
-// draws, decision-log bytes, and per-link delivery order the equivalent
-// per-peer Send loop would produce, so chaos runs are indistinguishable —
-// while the deliveries themselves share one encoding of m whenever the
-// wrapped transport can forward pre-encoded frames. Best-effort across
-// destinations with joined errors. The caller keeps m, so nothing dropped
-// here is recycled.
-func (e *Endpoint) SendMany(dsts []int, m *wire.Msg) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	es, _ := e.inner.(transport.EncodedSender)
-	var enc *wire.Encoded
-	if es != nil {
-		var err error
-		if enc, err = wire.EncodeFrame(m); err != nil {
-			return err
-		}
-		defer enc.Release()
-	}
-	deliver := func(to, copies int) error {
-		for i := 0; i < copies; i++ {
-			var err error
-			if es != nil {
-				err = es.SendEncoded(to, enc, m)
-			} else {
-				err = e.inner.Send(to, m.Clone())
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// A delayed message is held per link; unlike Send, the caller's m fans
-	// out to other links too, so each hold gets a private clone.
-	hold := func() *wire.Msg { return m.Clone() }
-	var errs []error
-	for _, to := range dsts {
-		if _, err := e.sendOneLocked(to, m, deliver, hold); err != nil {
-			errs = append(errs, fmt.Errorf("faultnet: send to %d: %w", to, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// sendOneLocked runs the per-destination fault decision ladder (e.mu
-// held). deliver transmits the message copies times on the now-decided
-// link; hold surrenders a message the link may retain for delayed
-// re-injection. lost reports that the message went nowhere: the process
-// crashed, the link is cut, or the draw dropped it.
-func (e *Endpoint) sendOneLocked(to int, m *wire.Msg, deliver func(to, copies int) error, hold func() *wire.Msg) (lost bool, err error) {
 	if e.checkCrashLocked(m) {
-		return true, ErrCrashed
-	}
-	if deadline, ok := e.cutTo[to]; ok && e.inner.Now() < deadline {
-		e.link(to).note(decPartition)
-		e.countFault()
-		return true, nil // partitioned: silently lost
+		wire.PutPooled(m)
+		return ErrCrashed
 	}
 	ls := e.link(to)
+	if deadline, ok := e.cutTo[to]; ok && e.inner.Now() < deadline {
+		ls.note(decPartition)
+		e.countFault()
+		wire.PutPooled(m)
+		return nil // partitioned: silently lost
+	}
+	dec := byte(decPass)
 	f := e.plan.linkFor(e.inner.ID(), to)
-	if f.zero() {
-		ls.note(decPass)
-		return false, e.flushAndDeliver(to, ls, deliver, 1)
-	}
-	switch r := ls.rng.Float64(); {
-	case r < f.DropProb:
-		ls.note(decDrop)
-		ls.sends++
-		e.countFault()
-		return true, nil
-	case r < f.DropProb+f.DupProb:
-		ls.note(decDup)
-		e.countFault()
-		return false, e.flushAndDeliver(to, ls, deliver, 2)
-	case r < f.DropProb+f.DupProb+f.DelayProb:
-		ls.note(decDelay)
-		e.countFault()
-		ls.sends++
-		delay := f.DelaySends
-		if delay < 1 {
-			delay = 1
+	if !f.zero() {
+		switch r := ls.rng.Float64(); {
+		case r < f.DropProb:
+			dec = decDrop
+		case r < f.DropProb+f.DupProb:
+			dec = decDup
+		case r < f.DropProb+f.DupProb+f.DelayProb:
+			dec = decDelay
 		}
-		ls.held = append(ls.held, hold())
-		ls.due = append(ls.due, ls.sends+delay)
-		return false, nil
-	default:
-		ls.note(decPass)
-		return false, e.flushAndDeliver(to, ls, deliver, 1)
 	}
-}
-
-func (ls *linkState) note(dec byte) { ls.log = append(ls.log, dec) }
-
-// flushAndDeliver re-injects due delayed messages, then transmits the
-// decided message copies times.
-func (e *Endpoint) flushAndDeliver(to int, ls *linkState, deliver func(to, copies int) error, copies int) error {
+	ls.note(dec)
 	ls.sends++
+	if dec != decPass {
+		e.countFault()
+	}
+	switch dec {
+	case decDrop:
+		wire.PutPooled(m)
+		return nil
+	case decDelay:
+		ls.held = append(ls.held, m)
+		ls.due = append(ls.due, ls.sends+max(f.DelaySends, 1))
+		return nil
+	}
 	if err := e.flushDue(to, ls, false); err != nil {
 		return err
 	}
-	return deliver(to, copies)
+	if dec == decDup {
+		// The duplicate is a clone and goes first: a sent message is given
+		// away (transport.Endpoint.Send), so m cannot be read once the
+		// wrapped transport has it.
+		if err := e.inner.Send(to, m.Clone()); err != nil {
+			return err
+		}
+	}
+	return e.inner.Send(to, m)
 }
+
+func (ls *linkState) note(dec byte) { ls.log = append(ls.log, dec) }
 
 // Flush implements transport.Flusher by delegation, so the runtime's flush
 // barrier reaches a coalescing transport under the fault layer.

@@ -15,9 +15,8 @@ import (
 // struct it sent, a receiver that kept a slice of a payload — computes with
 // garbage, and under -race is reported outright. Ints are left alone: they
 // are shared and immutable, and receivers legitimately keep them. onSend,
-// when set, sees every frame the protocol sends before it leaves: each
-// message handed to Send and, once per recipient, the header of a shared
-// frame handed to SendEncoded (which the caller keeps).
+// when set, sees every message handed to Send before it leaves, a shared
+// one once per recipient.
 //
 // It forwards every optional capability a protocol probes for, with or
 // without poison, so a poisoned and an unpoisoned run differ in nothing
@@ -31,8 +30,6 @@ type PoisonEndpoint struct {
 }
 
 var (
-	_ transport.MultiSender      = (*PoisonEndpoint)(nil)
-	_ transport.EncodedSender    = (*PoisonEndpoint)(nil)
 	_ transport.Flusher          = (*PoisonEndpoint)(nil)
 	_ transport.Recycler         = (*PoisonEndpoint)(nil)
 	_ transport.LivenessReporter = (*PoisonEndpoint)(nil)
@@ -58,24 +55,6 @@ func (p *PoisonEndpoint) Send(to int, m *wire.Msg) error {
 		p.onSend(to, m)
 	}
 	return p.Endpoint.Send(to, m)
-}
-
-// SendMany implements transport.MultiSender.
-func (p *PoisonEndpoint) SendMany(dsts []int, m *wire.Msg) error {
-	return transport.SendMany(p.Endpoint, dsts, m)
-}
-
-// SendEncoded forwards the shared frame when the wrapped endpoint takes
-// one (mem, sim) and sends a private clone otherwise (faultnet) — either
-// way the caller keeps m.
-func (p *PoisonEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error {
-	if p.onSend != nil {
-		p.onSend(to, m)
-	}
-	if es, ok := p.Endpoint.(transport.EncodedSender); ok {
-		return es.SendEncoded(to, enc, m)
-	}
-	return p.Endpoint.Send(to, m.Clone())
 }
 
 // Flush implements transport.Flusher.

@@ -12,9 +12,9 @@ import (
 // TestDroppedFramesAreRecycled: a frame the fault layer drops goes back to
 // the pool, as the mem endpoint's does when nobody will read it. Send was
 // given the message, so its drop, partition and crash branches return it
-// (one reference of a shared one); SendMany leaves the caller's message
-// alone whatever it drops; and a frame the receive side refuses across a
-// partition goes to the wrapped endpoint's Recycle.
+// (one reference of a shared one); transport.SendMany leaves the caller's
+// message alone whatever it drops; and a frame the receive side refuses
+// across a partition goes to the wrapped endpoint's Recycle.
 func TestDroppedFramesAreRecycled(t *testing.T) {
 	payload := []byte("a frame nobody will read")
 	pooled := func() *wire.Msg {
@@ -59,7 +59,7 @@ func TestDroppedFramesAreRecycled(t *testing.T) {
 			wire.PutMsg(shared)
 
 			kept := pooled()
-			_ = ep.SendMany([]int{1}, kept)
+			_ = transport.SendMany(ep, []int{1}, kept)
 			if !intact(kept) {
 				t.Fatalf("SendMany dropped the caller's message into the pool: %v", kept)
 			}

@@ -129,7 +129,7 @@ type Collector struct {
 	readRepairs     padded
 	replicaCatchups padded
 
-	// Wire-level counters (encode-once fanout and frame coalescing).
+	// Wire-level counters (frame coalescing).
 	// framesSent/wireBytes count physical frames and bytes at the TCP
 	// transport and flushes the syscalls they coalesce into; msgsSent and
 	// bytesSent count each frame the runtime sends, once. A DATA frame

@@ -20,7 +20,7 @@ var beacon14 = []int64{6, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0}
 // 14-int beacon allocates nothing: Send gives the pooled struct back once
 // its frame is encoded (DESIGN.md §15), the length header is read into the
 // pooled frame buffer and the Ints are carved from the endpoint's chunk. A
-// mem SendEncoded delivery allocates nothing either.
+// shared message delivered to two mem receivers allocates nothing either.
 func TestDecodePathAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -63,22 +63,22 @@ func TestDecodePathAllocs(t *testing.T) {
 	})
 
 	t.Run("mem", func(t *testing.T) {
-		net := NewMemNetwork(2)
+		net := NewMemNetwork(3)
 		defer net.Close()
-		a, b := net.Endpoint(0).(EncodedSender), net.Endpoint(1)
-		m := &wire.Msg{Kind: wire.KindData, Mode: wire.ModeSyncPiggyback, Stamp: 3, Ints: beacon14}
-		enc, err := wire.EncodeFrame(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer enc.Release()
 		measure(t, 0, func() {
-			if err := a.SendEncoded(1, enc, m); err != nil {
-				t.Fatal(err)
+			m := wire.GetMsg()
+			m.Kind, m.Mode, m.Stamp, m.Ints, m.Dst = wire.KindData, wire.ModeSyncPiggyback, 3, beacon14, -1
+			wire.Share(m, 2)
+			for to := 1; to <= 2; to++ {
+				if err := net.Endpoint(0).Send(to, m); err != nil {
+					t.Fatal(err)
+				}
 			}
-			got, err := b.Recv()
-			check(t, got, err, 3)
-			Recycle(b, got)
+			for to := 1; to <= 2; to++ {
+				got, err := net.Endpoint(to).Recv()
+				check(t, got, err, 3)
+				Recycle(net.Endpoint(to), got)
+			}
 		})
 	})
 }
@@ -202,10 +202,10 @@ func TestTCPReadLoopsShareOneChunk(t *testing.T) {
 // TestDecodedIntsRetention holds an endpoint's decoded Ints to the chunk's
 // retention law (DESIGN.md §15): a live Ints pins at most the chunk it was
 // carved from, so an endpoint retains at most (live decoded Ints + 1) ×
-// 1 KB, however many frames it decoded. The worst case is arranged on
-// purpose — the one Ints kept is the last carved from its chunk — and only
-// one chunk in four has a survivor, so an endpoint that kept its chunks
-// would hold four times the bound.
+// 1 KB, however many frames it decoded. TCP is the transport that decodes.
+// The worst case is arranged on purpose — the one Ints kept is the last
+// carved from its chunk — and only one chunk in four has a survivor, so an
+// endpoint that kept its chunks would hold four times the bound.
 func TestDecodedIntsRetention(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector inflates the heap")
@@ -215,6 +215,7 @@ func TestDecodedIntsRetention(t *testing.T) {
 		perChunk = 16   // 8-int frames a chunk holds
 		live     = 2048 // Ints kept
 		spacing  = 4    // chunks carved per Ints kept
+		batch    = 64   // frames sent between flushes
 	)
 	heap := func() uint64 {
 		runtime.GC()
@@ -223,33 +224,44 @@ func TestDecodedIntsRetention(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	net := NewMemNetwork(2)
-	defer net.Close()
-	a, b := net.Endpoint(0).(EncodedSender), net.Endpoint(1)
+	eps := tcpPair(t, TCPConfig{FlushThreshold: 1 << 20, CloseGrace: 100 * time.Millisecond})
+	defer eps[0].Close()
+	defer eps[1].Close()
 	m := &wire.Msg{Kind: wire.KindSync, Ints: []int64{1, 2, 3, 4, 5, 6, 7, 8}}
-	enc, err := wire.EncodeFrame(m)
-	if err != nil {
-		t.Fatal(err)
+	// frames sends a batch of m, a literal TCP Send leaves alone, and hands
+	// each decoded delivery to keep before recycling it.
+	frames := func(keep func(*wire.Msg)) {
+		for i := 0; i < batch; i++ {
+			if err := eps[0].Send(1, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eps[0].Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < batch; i++ {
+			got, err := eps[1].Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep(got)
+			eps[1].Recycle(got)
+		}
 	}
-	defer enc.Release()
+	frames(func(*wire.Msg) {}) // grow the queues and the mailbox first
 	kept := make([][]int64, 0, live)
 
 	before := heap()
-	for i := 1; i <= live*spacing*perChunk; i++ {
-		if err := a.SendEncoded(1, enc, m); err != nil {
-			t.Fatal(err)
-		}
-		got, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%(spacing*perChunk) == 0 {
-			kept = append(kept, got.Ints)
-		}
-		Recycle(b, got)
+	decoded := 0
+	for decoded < live*spacing*perChunk {
+		frames(func(got *wire.Msg) {
+			if decoded++; decoded%(spacing*perChunk) == 0 {
+				kept = append(kept, got.Ints)
+			}
+		})
 	}
 	retained, bound := int64(heap()-before), int64((live+1)*chunk+16<<10)
-	t.Logf("%d frames decoded, %d Ints kept: %d B retained, bound %d", live*spacing*perChunk, len(kept), retained, bound)
+	t.Logf("%d frames decoded, %d Ints kept: %d B retained, bound %d", decoded, len(kept), retained, bound)
 	if retained > bound {
 		t.Errorf("the endpoint retains %d B for %d live Ints, bound %d = (live + 1) × chunk + slack", retained, len(kept), bound)
 	}

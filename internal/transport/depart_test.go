@@ -12,8 +12,8 @@ import (
 
 // TestDepartedEndpointRecycles pins what Depart does to a finished
 // process's endpoint (DESIGN.md §15, the departure rule): what is queued for
-// it goes back to the pools at once, and so does everything delivered to it
-// later, which it never reports. A Clone or a literal sent to it is left
+// it goes back to the pool at once, one reference of a shared message, and
+// so does everything delivered to it later, which it never reports. A Clone or a literal sent to it is left
 // alone, as Send leaves it, and can be sent again. Depart is idempotent, and
 // a no-op through a wrapper, which does not forward it.
 func TestDepartedEndpointRecycles(t *testing.T) {
@@ -47,35 +47,40 @@ func TestDepartedEndpointRecycles(t *testing.T) {
 			t.Fatalf("TryRecv on a departed endpoint = %v, %v, %v; want nothing", m, ok, err)
 		}
 	}
-	// shared sends one encoded frame to the endpoint `to` and drops the
-	// caller's reference.
-	shared := func(t *testing.T, from transport.Endpoint, to int) {
+	// shared sends the endpoint `to` one reference of a shared message,
+	// keeping one: the message reads as sent for as long as that is not
+	// the last.
+	shared := func(t *testing.T, from transport.Endpoint, to int) *wire.Msg {
 		t.Helper()
-		m := &wire.Msg{Kind: wire.KindSync, Stamp: 5}
-		enc, err := wire.EncodeFrame(m)
-		if err != nil {
+		m := sharedFrame(2)
+		if err := from.Send(to, m); err != nil {
 			t.Fatal(err)
 		}
-		if err := from.(transport.EncodedSender).SendEncoded(to, enc, m); err != nil {
-			t.Fatal(err)
+		return m
+	}
+	// returned checks that every reference to m but the test's own came
+	// back, and returns the test's.
+	returned := func(t *testing.T, m *wire.Msg) {
+		t.Helper()
+		if !wire.LastRef(m) || !intactShared(m) {
+			t.Fatalf("a shared message sent to a departed endpoint reads %v, its reference not returned", m)
 		}
-		enc.Release()
+		wire.PutMsg(m)
 	}
 
 	t.Run("mem", func(t *testing.T) {
 		net := transport.NewMemNetwork(3)
 		defer net.Close()
 		a, b := net.Endpoint(0), net.Endpoint(1)
-		base := wire.LiveFrames()
 		queued := []*wire.Msg{pooled(1), pooled(2)}
 		for _, m := range queued {
 			if err := a.Send(1, m); err != nil {
 				t.Fatal(err)
 			}
 		}
-		shared(t, a, 1)
-		if live := wire.LiveFrames(); live != base+1 {
-			t.Fatalf("a queued shared frame: %d live frames, want %d", live, base+1)
+		before := shared(t, a, 1)
+		if wire.LastRef(before) {
+			t.Fatal("a queued shared message holds no reference of the queue's")
 		}
 		transport.Depart(b)
 		for _, m := range queued {
@@ -83,9 +88,7 @@ func TestDepartedEndpointRecycles(t *testing.T) {
 				t.Fatalf("a message queued before Depart reads %v, not recycled", m)
 			}
 		}
-		if live := wire.LiveFrames(); live != base {
-			t.Fatalf("after Depart %d live frames, want the baseline %d", live, base)
-		}
+		returned(t, before)
 		later := pooled(3)
 		if err := a.Send(1, later); err != nil {
 			t.Fatal(err)
@@ -93,13 +96,10 @@ func TestDepartedEndpointRecycles(t *testing.T) {
 		if !recycled(later) {
 			t.Fatalf("a message sent after Depart reads %v, not recycled", later)
 		}
-		shared(t, a, 1)
+		returned(t, shared(t, a, 1))
 		kept(t, a, 1)
 		transport.Depart(b)
 		nothing(t, b)
-		if live := wire.LiveFrames(); live != base {
-			t.Fatalf("%d live frames, want the baseline %d", live, base)
-		}
 
 		// Through a wrapper Depart does nothing: the message is delivered.
 		c := net.Endpoint(2)
@@ -144,7 +144,7 @@ func TestDepartedEndpointRecycles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		shared(t, a, 1)
+		returned(t, shared(t, a, 1)) // TCP Send returns its reference once the frame is encoded
 		if err := a.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestDepartedEndpointRecycles(t *testing.T) {
 		if err := a.Send(1, pooled(3)); err != nil {
 			t.Fatal(err)
 		}
-		shared(t, a, 1)
+		returned(t, shared(t, a, 1))
 		kept(t, a, 1)
 		transport.Depart(b)
 		transport.Depart(faultnet.NewPoisonEndpoint(b, false))

@@ -27,3 +27,6 @@ func Received(e *TCPEndpoint, peer int) int64 {
 	defer p.mu.Unlock()
 	return p.recvSeq
 }
+
+// TCPMesh dials an n-node loopback mesh with the given config.
+func TCPMesh(t *testing.T, n int, cfg TCPConfig) []*TCPEndpoint { return tcpMesh(t, n, cfg) }

@@ -12,8 +12,9 @@ import (
 	"sdso/internal/wire"
 )
 
-// errEndpoint is a minimal Endpoint (no MultiSender) whose sends to one
-// destination fail, for exercising the generic fallback paths.
+// errEndpoint is a minimal Endpoint whose sends to one destination fail,
+// for exercising the helpers' best-effort paths. Like mem, it routes what
+// it keeps unless the message is shared.
 type errEndpoint struct {
 	id, n    int
 	failDst  int
@@ -32,7 +33,9 @@ func (e *errEndpoint) Send(to int, m *wire.Msg) error {
 		e.sendErrs++
 		return ErrPeerGone
 	}
-	m.Src, m.Dst = int32(e.id), int32(to)
+	if !wire.Shared(m) {
+		m.Src, m.Dst = int32(e.id), int32(to)
+	}
 	e.sent[to] = append(e.sent[to], m)
 	return nil
 }
@@ -64,85 +67,33 @@ func TestBroadcastBestEffort(t *testing.T) {
 	}
 }
 
-// The generic SendMany fallback must clone per destination — receivers of
-// an eager transport must never share one mutable Msg.
+// SendMany sends one pooled copy of the caller's message, never the
+// message itself: every destination gets the same copy, routed by the
+// sender (Src 0, Dst -1), and the caller's m is left as it was.
 func TestSendManyFallbackClones(t *testing.T) {
 	ep := newErrEndpoint(0, 4, -1)
 	m := &wire.Msg{Kind: wire.KindData, Stamp: 3, Payload: []byte("p")}
 	if err := SendMany(ep, []int{1, 2, 3}, m); err != nil {
 		t.Fatalf("SendMany: %v", err)
 	}
-	seen := map[*wire.Msg]bool{m: true}
+	c := ep.sent[1]
 	for _, to := range []int{1, 2, 3} {
-		got := ep.sent[to]
-		if len(got) != 1 {
-			t.Fatalf("destination %d got %d messages", to, len(got))
+		if got := ep.sent[to]; len(got) != 1 || got[0] == m || got[0] != c[0] {
+			t.Fatalf("destination %d got %v, want the one copy the others got", to, got)
 		}
-		if seen[got[0]] {
-			t.Fatalf("destination %d received a shared Msg pointer", to)
-		}
-		seen[got[0]] = true
+	}
+	if got := c[0]; !wire.Shared(got) || got.Src != 0 || got.Dst != -1 || got.Stamp != 3 ||
+		!bytes.Equal(got.Payload, m.Payload) || &got.Payload[0] == &m.Payload[0] {
+		t.Fatalf("the copy reads %v, want a shared copy of %v routed 0->-1", got, m)
+	}
+	if wire.Shared(m) || m.Src != 0 || m.Dst != 0 || m.Stamp != 3 {
+		t.Fatalf("SendMany changed the caller's message: %v", m)
 	}
 }
 
-// One fanout over a MultiSender transport must marshal the message exactly
-// once, however many destinations it reaches.
-func TestSendManyEncodeOnce(t *testing.T) {
-	n := NewMemNetwork(16)
-	defer n.Close()
-	ep := n.Endpoint(0)
-	dsts := make([]int, 0, 15)
-	for i := 1; i < 16; i++ {
-		dsts = append(dsts, i)
-	}
-	m := &wire.Msg{Kind: wire.KindData, Stamp: 11, Ints: []int64{1, 2}, Payload: []byte("fanout payload")}
-	before := wire.EncodeCalls()
-	if err := SendMany(ep, dsts, m); err != nil {
-		t.Fatalf("SendMany: %v", err)
-	}
-	if d := wire.EncodeCalls() - before; d != 1 {
-		t.Fatalf("fanout to %d peers performed %d encodes, want exactly 1", len(dsts), d)
-	}
-	for _, to := range dsts {
-		got, err := n.Endpoint(to).Recv()
-		if err != nil {
-			t.Fatalf("Recv at %d: %v", to, err)
-		}
-		if got.Src != 0 || got.Dst != int32(to) || got.Stamp != 11 ||
-			!bytes.Equal(got.Payload, m.Payload) || len(got.Ints) != 2 {
-			t.Errorf("endpoint %d got %v", to, got)
-		}
-	}
-}
-
-// Receivers of a shared encoding must each own a private copy: mutating
-// one receiver's message must not leak into another's.
-func TestSendManyCopyOnRead(t *testing.T) {
-	n := NewMemNetwork(3)
-	defer n.Close()
-	m := &wire.Msg{Kind: wire.KindData, Stamp: 2, Payload: []byte("shared")}
-	if err := SendMany(n.Endpoint(0), []int{1, 2}, m); err != nil {
-		t.Fatalf("SendMany: %v", err)
-	}
-	m1, err := n.Endpoint(1).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1.Payload {
-		m1.Payload[i] = 'X'
-	}
-	m1.Ints = append(m1.Ints, 99)
-	m2, err := n.Endpoint(2).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(m2.Payload, []byte("shared")) || len(m2.Ints) != 0 {
-		t.Fatalf("receiver 2 observed receiver 1's mutations: %v", m2)
-	}
-}
-
-// The simulated transport's SendMany must deliver per-link copies too,
-// with routing set from the simulator's delivery record.
+// The simulated transport carries a SendMany as it carries any shared
+// message: each round's receivers get the one struct, routed by its sender
+// (Src 0, Dst -1), and nothing is encoded.
 func TestSimSendMany(t *testing.T) {
 	sim := vtime.NewSim(vtime.Config{Links: vtime.ConstantDelay(time.Millisecond)})
 	got := make([][]*wire.Msg, 3)
@@ -155,8 +106,8 @@ func TestSimSendMany(t *testing.T) {
 				t.Errorf("SendMany: %v", err)
 			}
 		}
-		if d := wire.EncodeCalls() - before; d != 2 {
-			t.Errorf("2 fanouts performed %d encodes, want 2", d)
+		if d := wire.EncodeCalls() - before; d != 0 {
+			t.Errorf("2 fanouts performed %d encodes, want none", d)
 		}
 	})
 	for i := 1; i < 3; i++ {
@@ -180,8 +131,8 @@ func TestSimSendMany(t *testing.T) {
 			t.Fatalf("proc %d received %d messages, want 2", i, len(got[i]))
 		}
 		for round, m := range got[i] {
-			if m.Src != 0 || m.Dst != int32(i) || m.Stamp != int64(round) {
-				t.Errorf("proc %d round %d got %v", i, round, m)
+			if m != got[1][round] || m.Src != 0 || m.Dst != -1 || m.Stamp != int64(round) {
+				t.Errorf("proc %d round %d got %p (%v), want proc 1's %p routed 0->-1", i, round, m, m, got[1][round])
 			}
 		}
 	}
@@ -211,35 +162,6 @@ func TestTCPDeferredFlushBarrier(t *testing.T) {
 		}
 		if m.Stamp != int64(i) {
 			t.Fatalf("out of order after flush: got %d want %d", m.Stamp, i)
-		}
-	}
-}
-
-// TCP SendMany: one encode, frames for every destination, delivered after
-// the barrier.
-func TestTCPSendManyEncodeOnce(t *testing.T) {
-	eps := tcpMesh(t, 4, TCPConfig{FlushThreshold: 1 << 20})
-	for _, ep := range eps {
-		defer ep.Close()
-	}
-	m := &wire.Msg{Kind: wire.KindData, Stamp: 5, Payload: []byte("tcp fanout")}
-	before := wire.EncodeCalls()
-	if err := SendMany(eps[0], []int{1, 2, 3}, m); err != nil {
-		t.Fatalf("SendMany: %v", err)
-	}
-	if d := wire.EncodeCalls() - before; d != 1 {
-		t.Fatalf("TCP fanout to 3 peers performed %d encodes, want exactly 1", d)
-	}
-	if err := Flush(eps[0]); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	for i := 1; i < 4; i++ {
-		got, err := eps[i].Recv()
-		if err != nil {
-			t.Fatalf("Recv at %d: %v", i, err)
-		}
-		if got.Src != 0 || got.Dst != int32(i) || got.Stamp != 5 || !bytes.Equal(got.Payload, m.Payload) {
-			t.Errorf("node %d got %v", i, got)
 		}
 	}
 }
@@ -287,9 +209,10 @@ func TestTCPRecycleAliasing(t *testing.T) {
 }
 
 // The in-memory endpoint's half of the message rule: a plain Send hands the
-// receiver the sender's very struct, a SendMany delivery is a private
-// decode, and Recycle takes either back — struct and Payload — while the
-// beacon the receiver kept stays intact.
+// receiver the sender's very struct, SendMany hands every receiver one
+// shared copy, and Recycle takes either back — struct and Payload, the
+// shared copy at the last reference — while the beacon the receiver kept
+// stays intact.
 func TestMemRecycle(t *testing.T) {
 	net := NewMemNetwork(3)
 	defer net.Close()
@@ -320,15 +243,20 @@ func TestMemRecycle(t *testing.T) {
 	if err := SendMany(net.Endpoint(0), []int{1, 2}, many); err != nil {
 		t.Fatal(err)
 	}
+	var copied *wire.Msg
 	for _, id := range []int{1, 2} {
 		got, err := net.Endpoint(id).Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got == many || got.Src != 0 || got.Dst != int32(id) || got.Stamp != 8 || !slices.Equal(got.Ints, beacon) {
-			t.Fatalf("SendMany delivery at %d = %v ints=%v (private copy: %v)", id, got, got.Ints, got != many)
+		if got == many || (copied != nil && got != copied) || got.Src != 0 || got.Dst != -1 || got.Stamp != 8 || !slices.Equal(got.Ints, beacon) {
+			t.Fatalf("SendMany delivery at %d = %p (%v) ints=%v, want one shared copy routed 0->-1", id, got, got, got.Ints)
 		}
+		copied = got
 		Recycle(net.Endpoint(id), got)
+	}
+	if wire.Shared(copied) || copied.Kind != 0 {
+		t.Fatalf("the last Recycle left the shared copy reading %v", copied)
 	}
 	if many.Stamp != 8 || !slices.Equal(many.Ints, beacon) {
 		t.Fatalf("SendMany consumed the caller's message: %v", many)

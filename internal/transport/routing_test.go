@@ -44,6 +44,16 @@ func checkRouted(t *testing.T, m *wire.Msg, from, to int) {
 	}
 }
 
+// oneStructDst is where a message mem or sim delivered to `to` says it
+// goes: `to` for the plain Send, and -1 for SendMany's lie (stamp 2),
+// which is delivered as the one shared struct, routed by its sender.
+func oneStructDst(m *wire.Msg, to int) int {
+	if m.Stamp == 2 {
+		return -1
+	}
+	return to
+}
+
 // recvN receives n messages at ep within a wall-clock deadline.
 func recvN(t *testing.T, ep Endpoint, n int) []*wire.Msg {
 	t.Helper()
@@ -142,8 +152,9 @@ var tcpModes = []struct {
 
 // TestRoutingComesFromTheLink: Src and Dst are not in the encoding, so every
 // transport's receive path sets them from the link — the sending endpoint
-// and the receiving one — for a plain Send and a shared-encoding fanout
-// alike. Over TCP this is what stops a peer from speaking for another: a
+// and the receiving one. A shared message that mem or sim delivers as the
+// one struct (SendMany's copy) keeps the routing its sender gave it: Src
+// the sender and Dst -1. Over TCP this is what stops a peer from speaking for another: a
 // raw socket that announced itself as node 1 and then writes frames built
 // from a message claiming to come from node 0 is still node 1.
 func TestRoutingComesFromTheLink(t *testing.T) {
@@ -151,9 +162,11 @@ func TestRoutingComesFromTheLink(t *testing.T) {
 		mn := NewMemNetwork(3)
 		defer mn.Close()
 		sendLies(t, mn.Endpoint(2))
-		checkRouted(t, recvN(t, mn.Endpoint(0), 1)[0], 2, 0)
+		for _, m := range recvN(t, mn.Endpoint(0), 1) {
+			checkRouted(t, m, 2, oneStructDst(m, 0))
+		}
 		for _, m := range recvN(t, mn.Endpoint(1), 2) {
-			checkRouted(t, m, 2, 1)
+			checkRouted(t, m, 2, oneStructDst(m, 1))
 		}
 	})
 
@@ -185,7 +198,7 @@ func TestRoutingComesFromTheLink(t *testing.T) {
 				t.Fatalf("proc %d received %d messages, want %d", id, len(got[id]), want)
 			}
 			for _, m := range got[id] {
-				checkRouted(t, m, 2, id)
+				checkRouted(t, m, 2, oneStructDst(m, id))
 			}
 		}
 	})
@@ -222,11 +235,12 @@ func TestRoutingComesFromTheLink(t *testing.T) {
 	}
 }
 
-// TestTCPFanoutFrameIsImmutable: a grouped fanout over TCP encodes once and
-// puts the very same bytes on every link — nothing is patched per
-// destination, so every receiver reads what WriteFrame writes for the
-// message — and once the endpoint has drained and closed, every frame it
-// staged, queued or retained is back in the pool.
+// TestTCPFanoutFrameIsImmutable: a fanout over TCP (SendMany, one shared
+// message) encodes the message once per link and puts the very same bytes
+// on every link — nothing is patched per destination, so every receiver
+// reads what WriteFrame writes for the message — and once the endpoint has
+// drained and closed, every frame it staged, queued or retained is back in
+// the pool.
 func TestTCPFanoutFrameIsImmutable(t *testing.T) {
 	for _, mode := range tcpModes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -238,8 +252,8 @@ func TestTCPFanoutFrameIsImmutable(t *testing.T) {
 			if err := SendMany(ep, []int{1, 2, 3}, m); err != nil {
 				t.Fatalf("SendMany: %v", err)
 			}
-			if d := wire.EncodeCalls() - before; d != 1 {
-				t.Fatalf("fanout to 3 peers performed %d encodes, want 1", d)
+			if d := wire.EncodeCalls() - before; d != 3 {
+				t.Fatalf("fanout to 3 peers performed %d encodes, want one per link", d)
 			}
 			if err := Flush(ep); err != nil {
 				t.Fatalf("Flush: %v", err)

@@ -256,8 +256,8 @@ type tcpPeer struct {
 }
 
 // sendEntry is one queued, fully encoded (length-prefixed) frame, held as
-// a pooled wire.Encoded the queue owns: staging passes the reference in,
-// and every path that removes an entry — written (and, on a resumable
+// a pooled wire.Encoded the queue owns: staging passes it in, and every
+// path that removes an entry — written (and, on a resumable
 // link, acked), shed, dropped with a gone peer's queue, realigned away on
 // reconnect, or left over at shutdown — must Release it back to the pool.
 // Control frames (PING/PONG) are link-local: they are neither counted nor
@@ -424,36 +424,32 @@ func (e *TCPEndpoint) peer(to int) (*tcpPeer, error) {
 	return e.peers[to], nil
 }
 
-// Send implements Endpoint. Only the encoded frame is queued, retained or
-// replayed, so Send is m's last reader and gives a pooled m back to the
-// free-list (wire.PutPooled) — one reference of a shared m, which the peer
-// never sees: it decodes the frame into a struct of its own, routed by the
-// link.
+// Send implements Endpoint. Send encodes m and hands the peer's queue the
+// frame, which is all that is queued, written or replayed, so Send is m's
+// last reader and gives a pooled m back to the free-list (wire.PutPooled) —
+// one reference of a shared m, which the peer never sees: it decodes the
+// frame into a struct of its own, routed by the link.
 func (e *TCPEndpoint) Send(to int, m *wire.Msg) error {
 	defer wire.PutPooled(m)
-	enc, err := wire.EncodeFrame(m)
-	if err != nil {
-		return err
-	}
-	defer enc.Release()
-	return e.SendEncoded(to, enc, m)
-}
-
-// SendEncoded implements EncodedSender: the shared frame goes out as it is,
-// since no byte of it names a destination. The peer's queue holds a
-// reference of its own, released by whichever path dequeues the frame.
-func (e *TCPEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error {
 	p, err := e.peer(to)
 	if err != nil {
 		return err
 	}
-	return e.enqueue(p, enc.Retain(), m.Kind)
+	enc, err := wire.EncodeFrame(m)
+	if err != nil {
+		return err
+	}
+	return e.enqueue(p, enc, m.Kind)
 }
 
-// SendMany implements MultiSender: one encode shared across all
-// destinations, best-effort with joined errors.
-func (e *TCPEndpoint) SendMany(dsts []int, m *wire.Msg) error {
-	return sendManyEncoded(e, dsts, m)
+// SendMany exists only for the benchmark's tracing decorator
+// (MultiSender); it is the SendMany helper.
+func (e *TCPEndpoint) SendMany(dsts []int, m *wire.Msg) error { return SendMany(e, dsts, m) }
+
+// SendEncoded exists only for the benchmark's tracing decorator
+// (EncodedSender); it sends a pooled copy of m.
+func (e *TCPEndpoint) SendEncoded(to int, _ *wire.Encoded, m *wire.Msg) error {
+	return e.Send(to, wire.GetMsgOf(*m))
 }
 
 // Flush implements Flusher: peer by peer, it makes every frame queued so

@@ -365,7 +365,7 @@ func (e *TCPEndpoint) installConn(p *tcpPeer, conn net.Conn, gen int, inc, remot
 	if remoteRecv >= p.ackedSeq {
 		// Release what the peer confirms, restage the unconfirmed tail
 		// ahead of everything not yet written (the queue inherits the
-		// restaged entries' references).
+		// restaged entries).
 		drop := min(int(remoteRecv-p.ackedSeq), len(p.retain))
 		for _, ent := range p.retain[:drop] {
 			ent.enc.Release()
@@ -591,9 +591,8 @@ func (p *tcpPeer) ackRetainLocked(ack int64) {
 
 // enqueue stages one encoded frame on p's bounded queue, blocking or
 // shedding per the configured policy when the queue is full. It takes
-// ownership of the caller's reference to enc: the frame is released by
-// whichever path dequeues it, or right here when the peer cannot accept
-// it. It returns nil for a departed peer whose link is down (a legitimate
+// ownership of enc: the frame is released by whichever path dequeues it,
+// or right here when the peer cannot accept it. It returns nil for a departed peer whose link is down (a legitimate
 // exit, the same contract as the in-memory transport) and ErrPeerGone for
 // one whose link is down for good.
 func (e *TCPEndpoint) enqueue(p *tcpPeer, enc *wire.Encoded, kind wire.Kind) error {
@@ -757,8 +756,8 @@ func (e *TCPEndpoint) writeLoop(p *tcpPeer) {
 			if ent.ctrl || !e.cfg.Reconnect {
 				ent.enc.Release()
 			} else {
-				// The entry's reference moves to the retain buffer until
-				// the peer acks it (ackRetainLocked releases).
+				// The entry moves to the retain buffer until the peer
+				// acks it (ackRetainLocked releases).
 				p.retain = append(p.retain, ent)
 			}
 		}

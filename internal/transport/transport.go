@@ -52,9 +52,9 @@ type Endpoint interface {
 	// message is given away one reference per Send, and each receiver's
 	// Recycle, or the path that drops the delivery, returns one. Ints is
 	// the exception: it is shared, and immutable from the moment it is
-	// sent, so one beacon may ride many messages and outlive all of them. A received
-	// message's Ints are immutable too: each endpoint carves the Ints it
-	// decodes from a wire.IntsChunk of its own.
+	// sent, so one beacon may ride many messages and outlive all of them.
+	// A received message's Ints are immutable too: TCP, the one transport
+	// that decodes, carves them from a wire.IntsChunk of its own.
 	Send(to int, m *wire.Msg) error
 	// Recv returns the next incoming message.
 	Recv() (*wire.Msg, error)
@@ -92,46 +92,17 @@ func FixedSize(n int) SizeFunc { return func(*wire.Msg) int { return n } }
 // EncodedSize charges each message its exact binary-encoded length.
 func EncodedSize(m *wire.Msg) int { return m.EncodedSize() }
 
-// MultiSender is an optional Endpoint capability: a group-send fast path
-// that transmits one message to many destinations with a single encode,
-// sharing the immutable bytes across links (wire.Encoded). Implementations
-// visit destinations in slice order, attempt every destination even after
-// an earlier one fails (best-effort), and join per-destination errors with
-// errors.Join. The caller keeps ownership of m; implementations do not
-// retain it past the call.
+// MultiSender and EncodedSender are the send capabilities the benchmark's
+// tracing decorator forwards and requires of the endpoints it wraps. No
+// program path probes for them: mem, sim and TCP keep one-line shims for
+// that decorator alone (SendMany, and a Send of a pooled copy of m).
 type MultiSender interface {
 	SendMany(dsts []int, m *wire.Msg) error
 }
 
-// EncodedSender is an optional Endpoint capability used by SendMany
-// implementations and fault-injecting wrappers: it forwards one shared,
-// pre-encoded frame (the encoding of m) to a single destination without
-// re-encoding. The frame is immutable and names no destination, so every
-// destination gets the same bytes: implementations write them before
-// returning, or Retain the frame and decode it lazily, setting Src and Dst
-// from the link as every receive path does. m is the message the frame
-// encodes, provided for sizing and header inspection; implementations
-// never modify or retain it.
+// EncodedSender: see MultiSender.
 type EncodedSender interface {
 	SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error
-}
-
-// sendManyEncoded is the shared MultiSender implementation: marshal once,
-// then fan the immutable bytes out per destination, best-effort with
-// joined errors.
-func sendManyEncoded(es EncodedSender, dsts []int, m *wire.Msg) error {
-	enc, err := wire.EncodeFrame(m)
-	if err != nil {
-		return err
-	}
-	defer enc.Release()
-	var errs []error
-	for _, to := range dsts {
-		if err := es.SendEncoded(to, enc, m); err != nil {
-			errs = append(errs, fmt.Errorf("send to %d: %w", to, err))
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // Flusher is an optional Endpoint capability: endpoints that coalesce
@@ -156,33 +127,35 @@ type LivenessReporter interface {
 }
 
 // Recycler is an optional Endpoint capability, and the other half of the
-// Send rule: a delivered message is the receiver's alone — decoded from a
-// frame into a pooled struct (TCP, SendMany deliveries) or given away by
-// its sender (in-memory and simulated Send) — so the receiver hands a fully
-// consumed one back to the free-list (wire.PutMsg) and messages circulate
-// instead of being allocated. Every transport in this package implements
-// it; wrappers forward to whatever they wrap. The caller must hold no
-// reference into the struct or its Payload afterwards, but may keep m.Ints
-// (a beacon outlives its message): wire.PutMsg takes the struct and the
-// Payload buffer only. Recycling is optional per message — one whose
-// Payload is retained (a vaulted checkpoint, a parked reply) is simply
-// never handed back.
+// Send rule: a delivered message is the receiver's — given away by its
+// sender (mem and sim deliver the very struct, one reference of a shared
+// one) or decoded from a frame into a pooled struct (TCP) — so the receiver
+// hands a fully consumed one back to the free-list (wire.PutMsg) and
+// messages circulate instead of being allocated. Every transport in this
+// package implements it; wrappers forward to whatever they wrap. The caller
+// must hold no reference into the struct or its Payload afterwards, but may
+// keep m.Ints (a beacon outlives its message): wire.PutMsg takes the struct
+// and the Payload buffer only. Recycling is optional per message — one
+// whose Payload is retained (a vaulted checkpoint, a parked reply) is
+// simply never handed back.
 type Recycler interface {
 	Recycle(m *wire.Msg)
 }
 
-// SendMany transmits m to every destination in dsts, using the endpoint's
-// encode-once fast path when it has one and falling back to a per-
-// destination Send of clones otherwise. Both paths are best-effort across
-// all destinations with errors joined, so one dead peer does not starve
-// the rest of a multicast.
+// SendMany transmits m to every destination in dsts, in order, as one
+// shared message (wire.Share): a pooled copy of m, routed Src this endpoint
+// and Dst -1, of which each Send gives one reference away. The caller keeps
+// m, which may be a literal it sends again. It is best-effort across all
+// destinations with errors joined, so one dead peer does not starve the
+// rest of a multicast.
 func SendMany(ep Endpoint, dsts []int, m *wire.Msg) error {
-	if ms, ok := ep.(MultiSender); ok {
-		return ms.SendMany(dsts, m)
-	}
+	c := wire.GetMsgOf(*m)
+	c.Src, c.Dst = int32(ep.ID()), -1
+	wire.Share(c, len(dsts)+1) // and SendMany's own, returned below
+	defer wire.PutMsg(c)
 	var errs []error
 	for _, to := range dsts {
-		if err := ep.Send(to, m.Clone()); err != nil {
+		if err := ep.Send(to, c); err != nil {
 			errs = append(errs, fmt.Errorf("send to %d: %w", to, err))
 		}
 	}
@@ -209,8 +182,8 @@ func Recycle(ep Endpoint, m *wire.Msg) {
 
 // Depart tells ep that its process has finished and will never receive
 // again: what is queued for it, and what is delivered to it later, goes
-// back to the pools (wire.PutPooled, or Release for a shared frame) instead
-// of waiting in a mailbox nobody reads. Its hook is unexported, so a wrapper
+// back to the pool (wire.PutPooled: one reference of a shared message)
+// instead of waiting in a mailbox nobody reads. Its hook is unexported, so a wrapper
 // does not forward it: through one, and on the simulated transport, Depart
 // is a no-op.
 func Depart(ep Endpoint) {
@@ -229,10 +202,7 @@ func PeerGone(ep Endpoint, peer int) bool {
 	return false
 }
 
-// Broadcast sends m to every process in the group except the sender. It is
-// best-effort: every destination is attempted even when an earlier send
-// fails, and the per-destination errors come back joined, so one crashed
-// peer no longer starves the rest of the group of the broadcast.
+// Broadcast is SendMany to every process in the group but the sender.
 func Broadcast(ep Endpoint, m *wire.Msg) error {
 	dsts := make([]int, 0, ep.N()-1)
 	for i := 0; i < ep.N(); i++ {

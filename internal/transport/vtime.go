@@ -16,14 +16,11 @@ type SimEndpoint struct {
 	n     int
 	size  SizeFunc
 	alive bool
-	ints  wire.IntsChunk // what decoded Ints are carved from
 }
 
 var (
-	_ Endpoint      = (*SimEndpoint)(nil)
-	_ MultiSender   = (*SimEndpoint)(nil)
-	_ EncodedSender = (*SimEndpoint)(nil)
-	_ Recycler      = (*SimEndpoint)(nil)
+	_ Endpoint = (*SimEndpoint)(nil)
+	_ Recycler = (*SimEndpoint)(nil)
 )
 
 // NewSimEndpoint wraps proc as an endpoint in a group of n simulated
@@ -45,9 +42,11 @@ func (e *SimEndpoint) ID() int { return e.proc.ID() }
 // N implements Endpoint.
 func (e *SimEndpoint) N() int { return e.n }
 
-// Send implements Endpoint.
+// Send implements Endpoint. A closed endpoint's Send puts m back in the
+// pool (wire.PutPooled), one reference of a shared one.
 func (e *SimEndpoint) Send(to int, m *wire.Msg) error {
 	if !e.alive {
+		wire.PutPooled(m)
 		return ErrClosed
 	}
 	if !wire.Shared(m) { // one struct for every receiver: the sender routed it
@@ -57,46 +56,19 @@ func (e *SimEndpoint) Send(to int, m *wire.Msg) error {
 	return nil
 }
 
-// SendEncoded implements EncodedSender: the link model is charged exactly
-// as for Send (per-link message and size), but the payload is the shared
-// frame itself, decoded lazily at receive time so every receiver gets a
-// private copy while the fanout marshaled once.
-func (e *SimEndpoint) SendEncoded(to int, enc *wire.Encoded, m *wire.Msg) error {
-	if !e.alive {
-		return ErrClosed
-	}
-	e.proc.Send(to, enc.Retain(), e.size(m))
-	return nil
-}
+// SendMany exists only for the benchmark's tracing decorator
+// (MultiSender); it is the SendMany helper.
+func (e *SimEndpoint) SendMany(dsts []int, m *wire.Msg) error { return SendMany(e, dsts, m) }
 
-// SendMany implements MultiSender: one encode, shared across destinations.
-func (e *SimEndpoint) SendMany(dsts []int, m *wire.Msg) error {
-	return sendManyEncoded(e, dsts, m)
-}
-
-// decode materializes a received vtime message: eager *wire.Msg
-// deliveries pass the given-away struct through, shared encodings decode a
-// private copy into a pooled one, routed by the simulator's delivery record.
-func (e *SimEndpoint) decode(vm vtime.Message) (*wire.Msg, bool) {
-	switch v := vm.Payload.(type) {
-	case *wire.Msg:
-		return v, true
-	case *wire.Encoded:
-		defer v.Release()
-		m := wire.GetMsg()
-		if err := v.DecodeCarved(m, &e.ints); err != nil {
-			wire.PutMsg(m)
-			return nil, false
-		}
-		m.Src, m.Dst = int32(vm.From), int32(vm.To)
-		return m, true
-	}
-	return nil, false
+// SendEncoded exists only for the benchmark's tracing decorator
+// (EncodedSender); it sends a pooled copy of m.
+func (e *SimEndpoint) SendEncoded(to int, _ *wire.Encoded, m *wire.Msg) error {
+	return e.Send(to, wire.GetMsgOf(*m))
 }
 
 // Recycle implements Recycler, exactly as the in-memory endpoint does: a
-// delivered message is the receiver's alone, so a fully consumed one goes
-// back to the free-list.
+// delivered message is the receiver's, one reference of a shared one, so a
+// fully consumed one goes back to the free-list.
 func (e *SimEndpoint) Recycle(m *wire.Msg) { wire.PutMsg(m) }
 
 // Recv implements Endpoint.
@@ -108,11 +80,7 @@ func (e *SimEndpoint) Recv() (*wire.Msg, error) {
 	if !ok {
 		return nil, ErrClosed
 	}
-	m, ok := e.decode(vm)
-	if !ok {
-		return nil, ErrClosed
-	}
-	return m, nil
+	return vm.Payload.(*wire.Msg), nil
 }
 
 // RecvTimeout implements Endpoint with a virtual-time deadline; expiries
@@ -128,11 +96,7 @@ func (e *SimEndpoint) RecvTimeout(d time.Duration) (*wire.Msg, bool, error) {
 	if !got {
 		return nil, false, ErrClosed
 	}
-	m, okM := e.decode(vm)
-	if !okM {
-		return nil, false, ErrClosed
-	}
-	return m, true, nil
+	return vm.Payload.(*wire.Msg), true, nil
 }
 
 // TryRecv implements Endpoint over the simulated inbox.
@@ -144,11 +108,7 @@ func (e *SimEndpoint) TryRecv() (*wire.Msg, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	m, okM := e.decode(vm)
-	if !okM {
-		return nil, false, nil
-	}
-	return m, true, nil
+	return vm.Payload.(*wire.Msg), true, nil
 }
 
 // Now implements Endpoint; it reports virtual time.

@@ -61,25 +61,13 @@ func TestIntsChunkCarving(t *testing.T) {
 	}
 }
 
-// decodeForms are the three ways in which a frame body reaches the decode
-// body: a plain buffer, a shared encoding, and a stream.
+// decodeForms are the two ways in which a frame body reaches the decode
+// body: a plain buffer and a stream.
 var decodeForms = []struct {
 	name   string
 	decode func(body []byte, m *Msg, src IntsSource) error
 }{
 	{"unmarshal", func(body []byte, m *Msg, src IntsSource) error { return m.unmarshal(body, src) }},
-	{"DecodeCarved", func(body []byte, m *Msg, src IntsSource) error {
-		var probe Msg
-		if err := probe.UnmarshalBinary(body); err != nil {
-			return err
-		}
-		e, err := EncodeFrame(&probe)
-		if err != nil {
-			return err
-		}
-		defer e.Release()
-		return e.DecodeCarved(m, src)
-	}},
 	{"ReadFrameCarved", func(body []byte, m *Msg, src IntsSource) error {
 		frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
 		return ReadFrameCarved(bytes.NewReader(append(frame, body...)), m, src)

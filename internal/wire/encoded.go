@@ -2,25 +2,18 @@ package wire
 
 import (
 	"encoding/binary"
-	"io"
 	"sync"
 	"sync/atomic"
 )
 
-// Encoded is a frame-ready binary encoding of one Msg — the length-prefixed
-// bytes WriteFrame would produce — shared across destinations: the message
-// is marshaled exactly once and the same bytes go to every peer. Routing is
-// not encoded (each receiver learns Src and Dst from its link), so nothing
-// about a destination is written into the frame, and it is immutable from
-// EncodeFrame until its last Release.
-//
-// Ownership follows a reference count. EncodeFrame returns an Encoded with
-// one reference; Retain adds one per additional holder — a send queue, a
-// lazily decoding receiver — and Release drops one, recycling the buffer
-// through a pool when the count reaches zero.
+// Encoded is the TCP writer's frame buffer: the length-prefixed bytes
+// WriteFrame would produce for one Msg, in a pooled buffer. Routing is not
+// encoded (each receiver learns Src and Dst from its link). An Encoded has
+// one owner at a time — the Send that encoded it, then the peer's send
+// queue, then a resumable link's replay buffer — and the last hands it to
+// Release. Several holders of one frame share the Msg instead (Share).
 type Encoded struct {
-	buf  []byte // length prefix + body
-	refs atomic.Int32
+	buf []byte // length prefix + body
 }
 
 var encodedPool = sync.Pool{New: func() any {
@@ -28,17 +21,17 @@ var encodedPool = sync.Pool{New: func() any {
 }}
 
 // liveFrames counts Encoded frames checked out of the pool and not yet
-// fully released. It exists so tests can pin refcount balance: a path that
-// drops an Encoded without Release (a shed queue entry, say) leaves the
-// counter permanently elevated, which a before/after comparison catches.
+// released. It exists so tests can pin that every path that drops a frame
+// (a shed queue entry, say) releases it: a forgotten one leaves the counter
+// permanently elevated, which a before/after comparison catches.
 var liveFrames atomic.Int64
 
-// LiveFrames returns the number of Encoded frames currently held by at
-// least one reference (test instrumentation; see liveFrames).
+// LiveFrames returns the number of Encoded frames not yet released (test
+// instrumentation; see liveFrames).
 func LiveFrames() int64 { return liveFrames.Load() }
 
-// EncodeFrame marshals m once into a pooled, shareable frame. The returned
-// Encoded holds one reference; callers hand it to Release when done.
+// EncodeFrame marshals m into a pooled frame, which the caller owns until
+// it hands it to Release.
 func EncodeFrame(m *Msg) (*Encoded, error) {
 	e := encodedPool.Get().(*Encoded)
 	buf := append(e.buf[:0], 0, 0, 0, 0) // length prefix placeholder
@@ -50,25 +43,15 @@ func EncodeFrame(m *Msg) (*Encoded, error) {
 	}
 	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
 	e.buf = buf
-	e.refs.Store(1)
 	liveFrames.Add(1)
 	return e, nil
 }
 
-// Retain adds one reference and returns e, for handing the same frame to an
-// additional holder (one per destination in a shared-encoding fanout).
-func (e *Encoded) Retain() *Encoded {
-	e.refs.Add(1)
-	return e
-}
-
-// Release drops one reference; the buffer is recycled once every holder has
-// released. Using e after the final Release is a use-after-free.
+// Release recycles the frame's buffer. Using e afterwards is a
+// use-after-free.
 func (e *Encoded) Release() {
-	if e.refs.Add(-1) == 0 {
-		liveFrames.Add(-1)
-		encodedPool.Put(e)
-	}
+	liveFrames.Add(-1)
+	encodedPool.Put(e)
 }
 
 // Frame returns the full wire frame (length prefix + body), ready for a
@@ -79,37 +62,8 @@ func (e *Encoded) Frame() []byte { return e.buf }
 // the exact on-wire cost of shipping this message once.
 func (e *Encoded) Len() int { return len(e.buf) }
 
-// EncodedSize returns the body length, matching Msg.EncodedSize of the
-// encoded message.
-func (e *Encoded) EncodedSize() int { return len(e.buf) - 4 }
-
-// Kind returns the encoded message's kind without decoding.
-func (e *Encoded) Kind() Kind { return Kind(e.buf[4]) }
-
-// Stamp returns the encoded message's stamp without decoding: the varint
-// that follows kind and mode.
-func (e *Encoded) Stamp() int64 {
-	v, _ := binary.Varint(e.buf[4+prefixSize:])
-	return v
-}
-
-// WriteTo writes the frame to w as one Write call.
-func (e *Encoded) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(e.buf)
-	return int64(n), err
-}
-
-// DecodeInto decodes the frame body into m with UnmarshalBinary's reuse
-// semantics. The decoded fields never alias the shared frame bytes, so the
-// caller may retain m past the frame's Release.
-func (e *Encoded) DecodeInto(m *Msg) error { return m.unmarshal(e.buf[4:], nil) }
-
-// DecodeCarved is DecodeInto with m.Ints taken from src: whatever m.Ints
-// held is left alone, and nothing else is allocated.
-func (e *Encoded) DecodeCarved(m *Msg, src IntsSource) error { return m.unmarshal(e.buf[4:], src) }
-
-// IntsSource supplies the Ints of a carving decode (DecodeCarved,
-// ReadFrameCarved): Take(n) returns n int64s no live slice shares, with
+// IntsSource supplies the Ints of a carving decode (ReadFrameCarved):
+// Take(n) returns n int64s no live slice shares, with
 // cap == len.
 type IntsSource interface {
 	Take(n int) []int64
@@ -151,8 +105,8 @@ func (c *IntsChunk) Carve(vals ...int64) []int64 {
 // message it sends; Send gives the message away (transport.Endpoint.Send);
 // the receiving transport delivers that struct, or a frame decoded into
 // another pooled one (the TCP read loop, whose Send puts the sent one back
-// itself; shared-encoding deliveries); and the receiver's Recycle puts it
-// back once consumed. A pooled message
+// itself); and the receiver's Recycle puts it back once consumed. A pooled
+// message
 // carries a small payload inline: the pool allocates a pooledMsg and
 // starts its Payload at small, so a payload of up to smallPayload bytes —
 // in the tank game, every BSYNC DATA payload — lives in the struct's own
@@ -249,9 +203,10 @@ func LastRef(m *Msg) bool { return atomic.LoadInt32(&m.refs) <= 1 }
 
 // encodeCalls counts AppendBinary invocations — one per message encode,
 // however reached (MarshalBinary, WriteFrame, EncodeFrame). It exists so
-// tests can assert the encode-once fanout property ("broadcasting to k
-// peers performs exactly one encode"); a single uncontended atomic add is
-// noise next to the memmove the encode itself performs.
+// tests can count what a send path encodes (a shared message delivered by
+// mem or sim is encoded nowhere, over TCP once per link); a single
+// uncontended atomic add is noise next to the memmove the encode itself
+// performs.
 var encodeCalls atomic.Int64
 
 // EncodeCalls returns the number of message encodes performed so far

@@ -486,8 +486,8 @@ func WriteFrame(w io.Writer, m *Msg) error {
 // caller knows which link r is.
 func ReadFrame(r io.Reader, m *Msg) error { return readFrame(r, m, nil) }
 
-// ReadFrameCarved is ReadFrame with m.Ints taken from src, as
-// Encoded.DecodeCarved takes them.
+// ReadFrameCarved is ReadFrame with m.Ints taken from src: whatever m.Ints
+// held is left alone, and nothing else is allocated.
 func ReadFrameCarved(r io.Reader, m *Msg, src IntsSource) error { return readFrame(r, m, src) }
 
 func readFrame(r io.Reader, m *Msg, src IntsSource) error {
