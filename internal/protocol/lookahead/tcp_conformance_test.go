@@ -28,7 +28,7 @@ func listenLoopback(t *testing.T, n int) ([]net.Listener, []string) {
 // runTCPConformance plays the same 4-process game twice — once over the
 // in-memory transport, once over loopback TCP with deferred flushing —
 // and requires identical outcomes. This is the
-// conformance oracle for the encode-once/coalescing transport path: the
+// conformance oracle for the coalescing TCP transport path: the
 // optimizations may change how many frames cross the wire, never what the
 // processes compute.
 func runTCPConformance(t *testing.T, proto Protocol) {

@@ -17,8 +17,8 @@ func sampleFanoutMsg() *Msg {
 }
 
 // The frame produced by EncodeFrame must be byte-identical to what
-// WriteFrame puts on the wire, so a shared encoding is indistinguishable
-// from a per-peer encode to any receiver.
+// WriteFrame puts on the wire: the TCP writer's frame buffer is what any
+// receiver would read.
 func TestEncodeFrameMatchesWriteFrame(t *testing.T) {
 	m := sampleFanoutMsg()
 	var legacy bytes.Buffer
@@ -115,9 +115,8 @@ func assertMsgEqual(t *testing.T, got, want *Msg) {
 }
 
 // EncodeCalls counts encodes: encoding a frame once must bump it exactly
-// once regardless of how many destinations later share the frame, and
-// sharing it is read-only — 16 receivers' decodes leave every byte as
-// EncodeFrame wrote it.
+// once however often it is decoded, and decoding is read-only — 16
+// decodes leave every byte as EncodeFrame wrote it.
 func TestEncodeCallsCounter(t *testing.T) {
 	m := sampleFanoutMsg()
 	before := EncodeCalls()
