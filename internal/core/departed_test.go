@@ -3,6 +3,7 @@ package core_test
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"sdso/internal/game"
 	"sdso/internal/metrics"
 	"sdso/internal/protocol/lookahead"
+	"sdso/internal/trace"
 	"sdso/internal/transport"
 	"sdso/internal/vtime"
 	"sdso/internal/wire"
@@ -211,6 +213,107 @@ func TestDoneSkipsDepartedPeer(t *testing.T) {
 					t.Errorf("%s: %d players reached the horizon, %d pairs were destroyed together: a case never occurred", net, horizon, together)
 				}
 				t.Logf("%s: %d of %d players reached the horizon, %d pairs were destroyed together", net, horizon, len(players), together)
+			}
+		})
+	}
+}
+
+// TestDoneSkipsPeerPastHorizon: a finishing player sends nothing to a live
+// peer whose next rendezvous with it lies past MaxTicks, and exactly one
+// frame to every other live peer (DESIGN.md §15). MSYNC2 games on the n = 16
+// default board cut to 10 ticks, seeds 1–3, on the simulated cluster and
+// over mem, with a 1 s rendezvous timeout: the frame rule holds with no
+// wrong mark, the unmet peers never wait on the finished player (no
+// suspicion, no eviction), and every team's stats equal the lockstep
+// reference's. Then a race: the winner's DONE ends every live peer's game,
+// so it reaches each, those past the horizon too.
+func TestDoneSkipsPeerPastHorizon(t *testing.T) {
+	withTimeout := func(pc *lookahead.PlayerConfig) { pc.RendezvousTimeout = time.Second }
+	observe := func(t *testing.T, net string, cfg game.Config) []*observedPlayer {
+		t.Helper()
+		var players []*observedPlayer
+		if net == "mem" {
+			players = observeMem(t, cfg, lookahead.MSYNC2, withTimeout)
+		} else {
+			players = observeSim(t, cfg, lookahead.MSYNC2, withTimeout, false)
+		}
+		for i, p := range players {
+			if p.err != nil {
+				t.Fatalf("player %d: %v", i, p.err)
+			}
+			if s := p.mc.Snapshot(); s.Suspects != 0 || s.Evictions != 0 {
+				t.Errorf("player %d: %d suspicions, %d evictions, want none", i, s.Suspects, s.Evictions)
+			}
+		}
+		return players
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := game.DefaultConfig(16, 1)
+		cfg.Seed, cfg.MaxTicks = seed, 10
+		ref, err := game.RunReference(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, net := range []string{"sim", "mem"} {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, net), func(t *testing.T) {
+				players := observe(t, net, cfg)
+				unmet := 0
+				for i, p := range players {
+					_, u, wrong := checkFrameRule(t, i, players, false, int64(cfg.MaxTicks))
+					unmet += u
+					if wrong != 0 {
+						t.Errorf("player %d made %d wrong marks", i, wrong)
+					}
+					if p.stats != ref.Stats[i] {
+						t.Errorf("team %d stats %+v, reference %+v", i, p.stats, ref.Stats[i])
+					}
+				}
+				if unmet == 0 {
+					t.Error("no Done skipped a peer past the horizon")
+				}
+				t.Logf("%d peers skipped as unmet", unmet)
+			})
+		}
+	}
+	race := game.DefaultConfig(16, 1)
+	race.Seed, race.MaxTicks, race.EndOnFirstGoal = 2, 20, true
+	for _, net := range []string{"sim", "mem"} {
+		t.Run("race/"+net, func(t *testing.T) {
+			players := observe(t, net, race)
+			winners, past := 0, 0
+			for i, p := range players {
+				checkFrameRule(t, i, players, false, int64(race.MaxTicks))
+				final, won := int64(-1), false
+				next := make(map[int]int64) // each live peer's next rendezvous
+				for _, ev := range p.rec.Events() {
+					switch ev.Op {
+					case trace.OpSched, trace.OpRendezvous:
+						next[int(ev.Peer)] = ev.Aux
+					case trace.OpPeerDone, trace.OpEvict:
+						delete(next, int(ev.Peer))
+					case trace.OpDeparted:
+						if endedBy(players[ev.Peer], ev.Time-1) {
+							delete(next, int(ev.Peer)) // a mark the replica made
+						}
+					case trace.OpDone:
+						final, won = ev.Time, ev.Aux == 1
+					}
+				}
+				if !won {
+					continue
+				}
+				winners++
+				for peer, at := range next {
+					if at > int64(race.MaxTicks) {
+						past++
+					}
+					if !slices.ContainsFunc(p.frames, func(f sentFrame) bool { return f.dst == peer && f.done() }) {
+						t.Errorf("winner %d, finishing at tick %d, sent live peer %d (next rendezvous %d) no DONE", i, final, peer, at)
+					}
+				}
+			}
+			if winners == 0 || past == 0 {
+				t.Errorf("%d winners, %d live peers past the horizon: the case never occurred", winners, past)
 			}
 		})
 	}

@@ -48,6 +48,7 @@ func (f sentFrame) bareSync() bool { return f.kind == wire.KindSync && f.payload
 type observedPlayer struct {
 	frames []sentFrame
 	rec    *trace.Recorder
+	mc     *metrics.Collector
 	stats  game.TeamStats
 	err    error
 }
@@ -88,10 +89,10 @@ func observeSim(t *testing.T, cfg game.Config, proto lookahead.Protocol, apply f
 	eps := make([]transport.Endpoint, n)
 	for i := 0; i < n; i++ {
 		i := i
-		players[i] = &observedPlayer{rec: trace.NewRecorder(i)}
+		players[i] = &observedPlayer{rec: trace.NewRecorder(i), mc: metrics.NewCollector()}
 		sim.Spawn(func(*vtime.Proc) {
 			pc := lookahead.PlayerConfig{
-				Game: cfg, Protocol: proto, Endpoint: eps[i], Metrics: metrics.NewCollector(),
+				Game: cfg, Protocol: proto, Endpoint: eps[i], Metrics: players[i].mc,
 				Trace: players[i].rec, ComputePerTick: 50 * time.Microsecond,
 			}
 			if drops {
@@ -122,12 +123,12 @@ func observeMem(t *testing.T, cfg game.Config, proto lookahead.Protocol, apply f
 	players := make([]*observedPlayer, cfg.Teams)
 	var wg sync.WaitGroup
 	for i := range players {
-		players[i] = &observedPlayer{rec: trace.NewRecorder(i)}
+		players[i] = &observedPlayer{rec: trace.NewRecorder(i), mc: metrics.NewCollector()}
 		wg.Add(1)
 		go func(p *observedPlayer, ep transport.Endpoint) {
 			defer wg.Done()
 			pc := lookahead.PlayerConfig{
-				Game: cfg, Protocol: proto, Endpoint: p.observe(ep), Metrics: metrics.NewCollector(), Trace: p.rec,
+				Game: cfg, Protocol: proto, Endpoint: p.observe(ep), Metrics: p.mc, Trace: p.rec,
 			}
 			apply(&pc)
 			p.stats, p.err = lookahead.RunPlayer(pc)
@@ -145,36 +146,38 @@ func observeMem(t *testing.T, cfg game.Config, proto lookahead.Protocol, apply f
 // peer at the same stamp must be a bare SYNC, sent after the original. A
 // mark (trace.OpDeparted) stands until the next call that targets the
 // peer. A target with a standing mark must have been sent nothing if its
-// own trace shows its game ended by the tick the mark was for; otherwise
-// the mark was wrong, and an Exchange owes the target its one frame while
-// Done owes it nothing, as no one waits on a finished process. It returns
-// the marks, and how many were wrong.
-func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends bool) (marks, wrong int) {
+// own trace shows its game ended by the tick the mark was for. A Done's
+// target marked with its next rendezvous past maxTicks (the event's aux
+// value) is unmet: it will never wait on the player, and is sent nothing.
+// Any other mark was wrong, and an Exchange owes the target its one frame
+// while Done owes it nothing, as no one waits on a finished process. It
+// returns the marks, how many of them were unmet, and how many were wrong.
+func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends bool, maxTicks int64) (marks, unmet, wrong int) {
 	t.Helper()
 	type call struct {
 		stamp int64
 		done  bool
 	}
 	n, p := len(players), players[id]
-	want, marked := make(map[call][]int), make(map[call]map[int]int64)
+	want, marked := make(map[call][]int), make(map[call]map[int]trace.Event)
 	sched, scheduled, gone := make([]int64, n), make([]bool, n), make([]bool, n)
-	standing := make([]int64, n) // the tick a standing mark was made for, 0 for none
+	standing := make([]trace.Event, n) // a standing mark, zero for none
 	for _, ev := range p.rec.Events() {
 		switch ev.Op {
 		case trace.OpDeparted:
-			standing[ev.Peer] = ev.Time
+			standing[ev.Peer] = ev
 		case trace.OpSched, trace.OpRendezvous:
 			sched[ev.Peer], scheduled[ev.Peer] = ev.Aux, true
 		case trace.OpPeerDone, trace.OpEvict:
 			gone[ev.Peer] = true
 		case trace.OpTick, trace.OpDone:
 			c := call{stamp: ev.Time, done: ev.Op == trace.OpDone}
-			want[c], marked[c] = []int{}, make(map[int]int64) // a call with no targets sends nothing
+			want[c], marked[c] = []int{}, make(map[int]trace.Event) // a call with no targets sends nothing
 			for peer := 0; peer < n; peer++ {
 				if peer != id && !gone[peer] && (c.done || scheduled[peer] && sched[peer] <= ev.Time) {
 					want[c] = append(want[c], peer)
-					if standing[peer] != 0 {
-						marked[c][peer], standing[peer] = standing[peer], 0
+					if standing[peer].Time != 0 {
+						marked[c][peer], standing[peer] = standing[peer], trace.Event{}
 					}
 				}
 			}
@@ -210,7 +213,7 @@ func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends boo
 	for c, targets := range want {
 		for _, dst := range targets {
 			frames := got[c][dst]
-			markedFor, ok := marked[c][dst]
+			mark, ok := marked[c][dst]
 			if !ok {
 				if len(frames) == 0 {
 					t.Errorf("player %d sent target %d nothing in the call (stamp %d, done %v)", id, dst, c.stamp, c.done)
@@ -218,6 +221,7 @@ func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends boo
 				continue
 			}
 			marks++
+			markedFor := mark.Time
 			// The peer's Begin(markedFor) ran at its clock markedFor-1.
 			// Under loss its DONE can be lost: the wait's first silence then
 			// sends the owed frame, as it would to a peer that wrongly
@@ -225,6 +229,13 @@ func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends boo
 			if endedBy(players[dst], markedFor-1) {
 				if len(frames) != 0 && !resends {
 					t.Errorf("player %d sent target %d, which ended by tick %d as marked, %+v", id, dst, markedFor, frames)
+				}
+				continue
+			}
+			if c.done && mark.Aux > maxTicks {
+				unmet++
+				if len(frames) != 0 {
+					t.Errorf("player %d's Done sent target %d, unmet until tick %d, %+v", id, dst, mark.Aux, frames)
 				}
 				continue
 			}
@@ -240,7 +251,7 @@ func checkFrameRule(t *testing.T, id int, players []*observedPlayer, resends boo
 			}
 		}
 	}
-	return marks, wrong
+	return marks, unmet, wrong
 }
 
 // endedBy reports whether p called Done with its clock at tick or before.
@@ -255,13 +266,13 @@ func TestOneFramePerPeerPerCall(t *testing.T) {
 	}
 	check := func(t *testing.T, where string, players []*observedPlayer, resends, exact bool) {
 		t.Helper()
-		ridingSync, ridingDone, bareDone, marks, wrong := 0, 0, 0, 0, 0
+		ridingSync, ridingDone, bareDone, marks, unmet, wrong := 0, 0, 0, 0, 0, 0
 		for i, p := range players {
 			if p.err != nil {
 				t.Fatalf("%s: player %d: %v", where, i, p.err)
 			}
-			m, w := checkFrameRule(t, i, players, resends)
-			marks, wrong = marks+m, wrong+w
+			m, u, w := checkFrameRule(t, i, players, resends, int64(poisonGame().MaxTicks))
+			marks, unmet, wrong = marks+m, unmet+u, wrong+w
 			if exact && p.stats != ref.Stats[i] {
 				t.Errorf("%s: team %d stats %+v, reference %+v", where, i, p.stats, ref.Stats[i])
 			}
@@ -279,7 +290,7 @@ func TestOneFramePerPeerPerCall(t *testing.T) {
 		if ridingSync == 0 || ridingDone == 0 || bareDone == 0 {
 			t.Errorf("%s: %d riding SYNCs, %d riding DONEs, %d bare DONEs: a frame form never occurred", where, ridingSync, ridingDone, bareDone)
 		}
-		t.Logf("%s: %d targets marked departed, %d wrongly", where, marks, wrong)
+		t.Logf("%s: %d targets marked departed, %d of them unmet, %d wrongly", where, marks, unmet, wrong)
 		if wrong > 0 && !resends {
 			t.Errorf("%s: %d wrong departure marks on a loss-free run", where, wrong)
 		}

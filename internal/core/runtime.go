@@ -1262,25 +1262,32 @@ func (r *Runtime) Poll() {
 	}
 }
 
-// Departed marks live peer departed: the application's replica shows the
-// peer's game ended, so no Exchange or Done sends it anything until its
-// DONE arrives, and its DONE settles a wait on it. Should a resync
-// Exchange's target answer with a SYNC instead, the skipped frame goes to
-// it at once (sendLate), so a wrong mark costs one late frame; one that
-// Done honours costs what a lost DONE does (DESIGN.md §15).
+// NextExchange returns the tick of the next rendezvous scheduled with peer;
+// false means none is (the peer is gone, absent or the local process).
+func (r *Runtime) NextExchange(peer int) (int64, bool) { return r.xl.Time(peer) }
+
+// Departed marks live peer departed: the application knows the peer will
+// not wait on this process again — its replica shows the peer's game ended,
+// or their next rendezvous lies past the game's last tick — so no Exchange
+// or Done sends it anything until its DONE arrives, and its DONE settles a
+// wait on it. Should a resync Exchange's target answer with a SYNC instead,
+// the skipped frame goes to it at once (sendLate), so a wrong mark costs
+// one late frame; one that Done honours costs what a lost DONE does
+// (DESIGN.md §15). The trace event carries the peer's next rendezvous tick.
 func (r *Runtime) Departed(peer int) {
 	if ps := &r.peers[peer]; !ps.gone() {
 		ps.departed = true
-		r.tr.Record(trace.OpDeparted, peer, 0, 0, r.now+1, 0)
+		next, _ := r.xl.Time(peer)
+		r.tr.Record(trace.OpDeparted, peer, 0, 0, r.now+1, next)
 	}
 }
 
 // Done announces that this process has finished, one frame per live peer
 // not marked departed (DESIGN.md §15): a peer with buffered modifications
 // gets them as a final flush carrying the DONE marker, every other peer a
-// bare DONE. A marked peer is sent nothing: nobody waits on a finished
-// process. won marks a process that reached the goal (ending a
-// first-to-goal game).
+// bare DONE. A marked peer — one whose game ended, or one never met again —
+// is sent nothing: nobody waits on a finished process. won marks a process
+// that reached the goal (ending a first-to-goal game).
 func (r *Runtime) Done(won bool) error {
 	if r.localDone {
 		return ErrDone

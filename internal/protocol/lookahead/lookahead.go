@@ -454,14 +454,14 @@ func (p *player) play() error {
 			p.rt.Poll()
 			if p.rt.GameOver() {
 				p.turn.Stats.DoneTick = p.rt.Now()
-				return p.rt.Done(false)
+				return p.finish(false)
 			}
 		}
 		if p.marks {
 			p.markDeparted() // before Begin and Turn: judged on the writes the peers' Begin(tick) reads
 		}
 		if !p.turn.Begin(tick) {
-			return p.rt.Done(p.turn.Stats.ReachedGoal)
+			return p.finish(p.turn.Stats.ReachedGoal)
 		}
 		if p.turn.Credit(p.turn.Turn(p.beaconEnemies(), p.write)) {
 			p.mc.AddMod()
@@ -472,7 +472,7 @@ func (p *player) play() error {
 			p.mc.AddTime(metrics.CatAppCompute, p.cfg.ComputePerTick)
 		}
 		if p.turn.Won(tick) {
-			return p.rt.Done(true)
+			return p.finish(true)
 		}
 
 		if p.cfg.Trace != nil {
@@ -492,12 +492,24 @@ func (p *player) play() error {
 		}
 	}
 	p.turn.Horizon(p.rt.Now(), true) // the last exchange landed the last tick's writes
-	for peer := range p.known {
-		if peer != p.team {
-			p.rt.Departed(peer) // every live peer ends at this tick too: the Done is silent
+	return p.finish(p.turn.Stats.ReachedGoal)
+}
+
+// finish ends the player's game with the runtime's Done, first marking
+// departed every live peer whose next rendezvous with it lies past MaxTicks.
+// The schedule is pairwise-symmetric (core package doc), so such a peer
+// never waits on this process again and Done sends it nothing; at the
+// horizon that is every live peer. A race's winning DONE ends every live
+// peer's game, so it reaches them all.
+func (p *player) finish(won bool) error {
+	if !won || !p.cfg.Game.EndOnFirstGoal {
+		for peer := range p.known {
+			if next, ok := p.rt.NextExchange(peer); ok && next > int64(p.cfg.Game.MaxTicks) {
+				p.rt.Departed(peer)
+			}
 		}
 	}
-	return p.rt.Done(p.turn.Stats.ReachedGoal)
+	return p.rt.Done(won)
 }
 
 // beaconEnemies returns the turn's enemy picture, in the player's scratch:

@@ -1,6 +1,7 @@
 package lookahead
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -63,21 +64,41 @@ func TestGameOverRealTCP(t *testing.T) {
 	}
 }
 
-// TestTCPHorizonGameEndsQuietly plays games that every team survives to
-// MaxTicks over loopback TCP, each node closing its endpoint as soon as it
-// finishes. Every Done there is silent (DESIGN.md §15): a node's close
-// reaches its peers without a DONE before it, while they may still be
-// finishing their last tick. That close must read as the departure it is:
-// no eviction, with crash detection on, and no reconnect, with resumable
-// links and heartbeats.
+// TestTCPHorizonGameEndsQuietly plays games over loopback TCP, each node
+// closing its endpoint as soon as it finishes, while its peers may still be
+// playing. A Done is silent to every peer that will not wait on the node
+// again (DESIGN.md §15), so the close reaches those peers without a DONE
+// before it. That close must read as the departure it is: no eviction, with
+// crash detection on, and no reconnect, with resumable links and
+// heartbeats. Two boards: n = 4 for 12 ticks, which every team survives to
+// the horizon (BSYNC and MSYNC2), and MSYNC2 on the n = 16 default board cut
+// to 10 ticks (seeds 1–3), where most Dones come early and skip the peers
+// whose next rendezvous lies past the horizon. Every team's stats equal the
+// lockstep reference's.
 func TestTCPHorizonGameEndsQuietly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	const teams = 4
-	cfg := game.DefaultConfig(teams, 1)
-	cfg.MaxTicks = 12
-	for _, proto := range []Protocol{BSYNC, MSYNC2} {
+	type board struct {
+		name    string
+		cfg     game.Config
+		proto   Protocol
+		horizon bool // every team plays to MaxTicks
+	}
+	survive := game.DefaultConfig(4, 1)
+	survive.MaxTicks = 12
+	boards := []board{{"BSYNC/n4", survive, BSYNC, true}, {"MSYNC2/n4", survive, MSYNC2, true}}
+	for seed := int64(1); seed <= 3; seed++ {
+		short := game.DefaultConfig(16, 1)
+		short.Seed, short.MaxTicks = seed, 10
+		boards = append(boards, board{fmt.Sprintf("MSYNC2/n16/seed%d", seed), short, MSYNC2, false})
+	}
+	for _, b := range boards {
+		teams := b.cfg.Teams
+		ref, err := game.RunReference(b.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, resumable := range []bool{false, true} {
 			lns, addrs := listenLoopback(t, teams)
 			stats := make([]game.TeamStats, teams)
@@ -100,7 +121,7 @@ func TestTCPHorizonGameEndsQuietly(t *testing.T) {
 					}
 					defer ep.Close()
 					stats[i], errs[i] = RunPlayer(PlayerConfig{
-						Game: cfg, Protocol: proto, Endpoint: ep, Metrics: mcs[i],
+						Game: b.cfg, Protocol: b.proto, Endpoint: ep, Metrics: mcs[i],
 						RendezvousTimeout: 200 * time.Millisecond,
 					})
 				}()
@@ -108,19 +129,23 @@ func TestTCPHorizonGameEndsQuietly(t *testing.T) {
 			wg.Wait()
 			for i, err := range errs {
 				if err != nil {
-					t.Fatalf("%v resumable=%v node %d: %v", proto, resumable, i, err)
+					t.Fatalf("%s resumable=%v node %d: %v", b.name, resumable, i, err)
 				}
 			}
 			ev, rc := 0, 0
 			for i, mc := range mcs {
 				s := mc.Snapshot()
 				ev, rc = ev+s.Evictions, rc+s.Reconnects
-				if st := stats[i]; st.DoneTick != int64(cfg.MaxTicks) || st.Destroyed || st.ReachedGoal {
-					t.Errorf("%v resumable=%v team %d did not play to the horizon: %+v", proto, resumable, i, st)
+				st := stats[i]
+				if b.horizon && (st.DoneTick != int64(b.cfg.MaxTicks) || st.Destroyed || st.ReachedGoal) {
+					t.Errorf("%s resumable=%v team %d did not play to the horizon: %+v", b.name, resumable, i, st)
+				}
+				if st != ref.Stats[i] {
+					t.Errorf("%s resumable=%v team %d: %+v, reference %+v", b.name, resumable, i, st, ref.Stats[i])
 				}
 			}
 			if ev != 0 || rc != 0 {
-				t.Errorf("%v resumable=%v: %d evictions, %d reconnects, want none", proto, resumable, ev, rc)
+				t.Errorf("%s resumable=%v: %d evictions, %d reconnects, want none", b.name, resumable, ev, rc)
 			}
 		}
 	}

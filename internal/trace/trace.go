@@ -47,7 +47,7 @@ const (
 	OpDone     // local process finished; Aux = 1 if it won
 	OpPeerDone // DONE received from Peer
 	OpEvict    // Peer evicted as crashed
-	OpDeparted // Peer marked departed for the Exchange of tick Time (sent nothing unless it answers)
+	OpDeparted // Peer marked departed for the Exchange of tick Time (sent nothing unless it answers); Aux = its next rendezvous tick
 	OpAdmit    // Peer admitted (join served); Aux = admission tick
 	OpJoined   // local process finished joining; Time = resumed tick
 
