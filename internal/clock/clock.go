@@ -1,71 +1,14 @@
-// Package clock provides the logical-time machinery used by the
-// consistency protocols: plain Lamport clocks (the lookahead protocols need
-// only integer timestamps — the paper notes BSYNC "does not require vector
-// timestamps") and vector clocks (required by the lazy-release and
-// causal-memory baselines of §2.3).
+// Package clock provides the vector clocks the causal-memory baseline of
+// §2.3 stamps its updates with. The lookahead protocols need only integer
+// timestamps — the paper notes BSYNC "does not require vector timestamps"
+// — and keep them in the runtime's tick.
 package clock
-
-import "fmt"
-
-// Lamport is a scalar logical clock.
-type Lamport struct {
-	t int64
-}
-
-// Now returns the current logical time.
-func (l *Lamport) Now() int64 { return l.t }
-
-// Tick advances the clock by one and returns the new time.
-func (l *Lamport) Tick() int64 {
-	l.t++
-	return l.t
-}
-
-// Observe folds in a remote timestamp: the clock jumps to max(local, remote).
-func (l *Lamport) Observe(remote int64) {
-	if remote > l.t {
-		l.t = remote
-	}
-}
-
-// Ordering is the result of comparing two vector clocks.
-type Ordering int
-
-// Vector clock orderings.
-const (
-	Before Ordering = iota + 1
-	After
-	Equal
-	Concurrent
-)
-
-// String implements fmt.Stringer.
-func (o Ordering) String() string {
-	switch o {
-	case Before:
-		return "before"
-	case After:
-		return "after"
-	case Equal:
-		return "equal"
-	case Concurrent:
-		return "concurrent"
-	}
-	return fmt.Sprintf("Ordering(%d)", int(o))
-}
 
 // Vector is a vector clock over a fixed-size process group.
 type Vector []int64
 
 // NewVector returns a zero vector clock for n processes.
 func NewVector(n int) Vector { return make(Vector, n) }
-
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	copy(c, v)
-	return c
-}
 
 // Tick increments process i's component and returns its new value.
 func (v Vector) Tick(i int) int64 {
@@ -81,44 +24,6 @@ func (v Vector) Merge(other Vector) {
 		}
 	}
 }
-
-// Compare returns the causal relationship of v to other.
-func (v Vector) Compare(other Vector) Ordering {
-	if len(v) != len(other) {
-		// Treat differing lengths as comparing the common prefix with
-		// missing entries at zero.
-		n := len(v)
-		if len(other) > n {
-			n = len(other)
-		}
-		a, b := make(Vector, n), make(Vector, n)
-		copy(a, v)
-		copy(b, other)
-		return a.Compare(b)
-	}
-	less, greater := false, false
-	for i := range v {
-		switch {
-		case v[i] < other[i]:
-			less = true
-		case v[i] > other[i]:
-			greater = true
-		}
-	}
-	switch {
-	case less && greater:
-		return Concurrent
-	case less:
-		return Before
-	case greater:
-		return After
-	default:
-		return Equal
-	}
-}
-
-// HappensBefore reports whether v causally precedes other (strictly).
-func (v Vector) HappensBefore(other Vector) bool { return v.Compare(other) == Before }
 
 // Ints returns the vector's components for embedding in a wire message.
 func (v Vector) Ints() []int64 { return append([]int64(nil), v...) }

@@ -20,8 +20,8 @@
 // falls back to a full record) and the delta is actually smaller. Each
 // delta carries the base's version and 32-bit fingerprint; the receiver
 // keeps a per-sender shadow of the sender's last-sent states and verifies
-// both before applying, so a diverged base — a dropped frame on a shed
-// send queue, a session reset — is detected, counted, and recovered from
+// both before applying, so a diverged base — a frame lost with a
+// session reset — is detected, counted, and recovered from
 // (an AsyncGet refetches the full state and realigns both tables) rather
 // than silently patched into garbage.
 package core

@@ -243,7 +243,7 @@ func TestRejectedDeltaInstallsNothing(t *testing.T) {
 	if err := r.Share(obj, base); err != nil {
 		t.Fatal(err)
 	}
-	good, _ := diff.EncodeXOR(base, next)
+	good, _ := diff.AppendXOR(nil, base, next)
 	deliver := func(rec xlist.DeltaRecord) {
 		rec.Obj = obj
 		r.applyDeltaData(&wire.Msg{Kind: wire.KindData, Src: 1, Mode: wire.ModeDeltaPayload,

@@ -222,20 +222,19 @@ func TestDoneSkipsDepartedPeer(t *testing.T) {
 // peer whose next rendezvous with it lies past MaxTicks, and exactly one
 // frame to every other live peer (DESIGN.md §15). MSYNC2 games on the n = 16
 // default board cut to 10 ticks, seeds 1–3, on the simulated cluster and
-// over mem, with a 1 s rendezvous timeout: the frame rule holds with no
+// over mem, with boundedWait's 1 s rendezvous timeout: the frame rule holds with no
 // wrong mark, the unmet peers never wait on the finished player (no
 // suspicion, no eviction), and every team's stats equal the lockstep
 // reference's. Then a race: the winner's DONE ends every live peer's game,
 // so it reaches each, those past the horizon too.
 func TestDoneSkipsPeerPastHorizon(t *testing.T) {
-	withTimeout := func(pc *lookahead.PlayerConfig) { pc.RendezvousTimeout = time.Second }
 	observe := func(t *testing.T, net string, cfg game.Config) []*observedPlayer {
 		t.Helper()
 		var players []*observedPlayer
 		if net == "mem" {
-			players = observeMem(t, cfg, lookahead.MSYNC2, withTimeout)
+			players = observeMem(t, cfg, lookahead.MSYNC2, func(*lookahead.PlayerConfig) {})
 		} else {
-			players = observeSim(t, cfg, lookahead.MSYNC2, withTimeout, false)
+			players = observeSim(t, cfg, lookahead.MSYNC2, func(*lookahead.PlayerConfig) {}, false)
 		}
 		for i, p := range players {
 			if p.err != nil {

@@ -78,6 +78,32 @@ var frameRuleFeatures = []struct {
 	{"batch3", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.MaxBatchTicks = true, 3 }, false},
 }
 
+// boundedWait is the failure detection of a loss-free observed game: a
+// silence no such game reaches (virtual under sim, where it costs nothing;
+// wall-clock over mem, 3 s before an eviction). A wrong departure mark
+// leaves a peer waiting on a finished process; the detector ends that wait
+// and stuckWaits names both, so the test fails instead of hanging. Over
+// mem, where each such wait costs 3 s, memGameBound caps the whole game.
+func boundedWait() (time.Duration, int) { return time.Second, 1 }
+
+// memGameBound is how long a mem game may run before its network is
+// closed, failing every wait still open; a loss-free game takes well under
+// a second.
+const memGameBound = 10 * time.Second
+
+// stuckWaits fails the test for every eviction in a loss-free game: the
+// evicting process waited on a peer that never answered.
+func stuckWaits(t *testing.T, where string, players []*observedPlayer) {
+	t.Helper()
+	for i, p := range players {
+		for _, ev := range p.rec.Events() {
+			if ev.Op == trace.OpEvict {
+				t.Fatalf("%s: player %d waited at tick %d on peer %d, which never answered, and evicted it", where, i, ev.Time, ev.Peer)
+			}
+		}
+	}
+}
+
 // observeSim plays cfg on the simulated cluster, under the drop plan when
 // drops is set (suspicion timeouts on, so the resend paths run).
 func observeSim(t *testing.T, cfg game.Config, proto lookahead.Protocol, apply func(*lookahead.PlayerConfig), drops bool) []*observedPlayer {
@@ -97,6 +123,8 @@ func observeSim(t *testing.T, cfg game.Config, proto lookahead.Protocol, apply f
 			}
 			if drops {
 				pc.RendezvousTimeout, pc.MaxRetransmits = 5*time.Millisecond, 20
+			} else {
+				pc.RendezvousTimeout, pc.MaxRetransmits = boundedWait()
 			}
 			apply(&pc)
 			players[i].stats, players[i].err = lookahead.RunPlayer(pc)
@@ -120,6 +148,7 @@ func observeMem(t *testing.T, cfg game.Config, proto lookahead.Protocol, apply f
 	t.Helper()
 	net := transport.NewMemNetwork(cfg.Teams)
 	defer net.Close()
+	defer time.AfterFunc(memGameBound, net.Close).Stop()
 	players := make([]*observedPlayer, cfg.Teams)
 	var wg sync.WaitGroup
 	for i := range players {
@@ -130,6 +159,7 @@ func observeMem(t *testing.T, cfg game.Config, proto lookahead.Protocol, apply f
 			pc := lookahead.PlayerConfig{
 				Game: cfg, Protocol: proto, Endpoint: p.observe(ep), Metrics: p.mc, Trace: p.rec,
 			}
+			pc.RendezvousTimeout, pc.MaxRetransmits = boundedWait()
 			apply(&pc)
 			p.stats, p.err = lookahead.RunPlayer(pc)
 		}(players[i], net.Endpoint(i))
@@ -267,6 +297,9 @@ func TestOneFramePerPeerPerCall(t *testing.T) {
 	check := func(t *testing.T, where string, players []*observedPlayer, resends, exact bool) {
 		t.Helper()
 		ridingSync, ridingDone, bareDone, marks, unmet, wrong := 0, 0, 0, 0, 0, 0
+		if !resends {
+			stuckWaits(t, where, players)
+		}
 		for i, p := range players {
 			if p.err != nil {
 				t.Fatalf("%s: player %d: %v", where, i, p.err)
@@ -297,11 +330,14 @@ func TestOneFramePerPeerPerCall(t *testing.T) {
 	}
 	for _, proto := range []lookahead.Protocol{lookahead.BSYNC, lookahead.MSYNC, lookahead.MSYNC2} {
 		for _, f := range frameRuleFeatures {
-			t.Run(fmt.Sprintf("%v/%s", proto, f.name), func(t *testing.T) {
+			ok := t.Run(fmt.Sprintf("%v/%s", proto, f.name), func(t *testing.T) {
 				check(t, "sim", observeSim(t, poisonGame(), proto, f.apply, false), false, f.exact)
 				check(t, "mem", observeMem(t, poisonGame(), proto, f.apply), false, f.exact)
 				check(t, "sim+drops", observeSim(t, poisonGame(), proto, f.apply, true), true, false)
 			})
+			if !ok {
+				return // a wrong mark stalls every later cell too, each up to memGameBound
+			}
 		}
 	}
 }

@@ -458,10 +458,6 @@ func (r *Runtime) Metrics() *metrics.Collector { return r.mc }
 // PeerDone reports whether peer has announced completion.
 func (r *Runtime) PeerDone(peer int) bool { return r.peers[peer].done }
 
-// PeerCrashed reports whether peer was evicted as crashed (silent past the
-// suspicion threshold, or its connection broke without a DONE).
-func (r *Runtime) PeerCrashed(peer int) bool { return r.peers[peer].crashed }
-
 // PeerAbsent reports whether peer has not yet joined the game (it was
 // excluded from Config.InitialMembers and no join request has arrived).
 func (r *Runtime) PeerAbsent(peer int) bool { return r.peers[peer].absent }

@@ -117,10 +117,10 @@ func (r *Runtime) await(w *waiter) (evicted bool, err error) {
 
 // evictPeer declares peer crashed: it is removed from the exchange list,
 // its buffered outbound diffs are dropped, and its pending rendezvous state
-// is discarded. Like a DONE, but recorded distinctly — PeerCrashed reports
-// it and the eviction is counted in metrics. Early DATA already received
-// from the peer survives (a fail-stop process's pre-crash output is valid
-// and is absorbed at its stamped tick).
+// is discarded. Like a DONE, but recorded distinctly — the eviction is
+// counted in metrics. Early DATA already received from the peer survives
+// (a fail-stop process's pre-crash output is valid and is absorbed at its
+// stamped tick).
 func (r *Runtime) evictPeer(peer int) {
 	if peer == r.ep.ID() {
 		return

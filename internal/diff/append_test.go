@@ -30,18 +30,18 @@ func randomDiffs(rng *rand.Rand, count int) []Diff {
 	return out
 }
 
-// TestEncodedSizeIsExact: EncodedSize(d) == len(Encode(d)), and the append
+// TestEncodedSizeIsExact: EncodedSize(d) == len(AppendEncode(nil, d)), and the append
 // form writes the same bytes after whatever dst already held.
 func TestEncodedSizeIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	prefix := []byte("prefix")
 	for _, d := range randomDiffs(rng, 500) {
-		enc := Encode(d)
+		enc := AppendEncode(nil, d)
 		if got := EncodedSize(d); got != len(enc) {
-			t.Fatalf("EncodedSize = %d, len(Encode) = %d for %+v", got, len(enc), d)
+			t.Fatalf("EncodedSize = %d, len(AppendEncode) = %d for %+v", got, len(enc), d)
 		}
 		if got := AppendEncode(bytes.Clone(prefix), d); !bytes.Equal(got, append(bytes.Clone(prefix), enc...)) {
-			t.Fatalf("AppendEncode diverges from Encode for %+v", d)
+			t.Fatalf("AppendEncode after a prefix diverges from AppendEncode onto nil for %+v", d)
 		}
 	}
 }
@@ -53,7 +53,7 @@ func TestDecodeAliasedMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var scratch Diff
 	for _, d := range randomDiffs(rng, 500) {
-		enc := Encode(d)
+		enc := AppendEncode(nil, d)
 		owned, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("Decode: %v", err)
@@ -61,14 +61,14 @@ func TestDecodeAliasedMatchesDecode(t *testing.T) {
 		if err := DecodeAliased(&scratch, enc); err != nil {
 			t.Fatalf("DecodeAliased: %v", err)
 		}
-		if !bytes.Equal(Encode(scratch), enc) || scratch.Replace != owned.Replace || scratch.Len != owned.Len {
+		if !bytes.Equal(AppendEncode(nil, scratch), enc) || scratch.Replace != owned.Replace || scratch.Len != owned.Len {
 			t.Fatalf("DecodeAliased = %+v, Decode = %+v", scratch, owned)
 		}
 		orig := bytes.Clone(enc)
 		for i := range enc {
 			enc[i] = 0xEE
 		}
-		if !bytes.Equal(Encode(owned), orig) {
+		if !bytes.Equal(AppendEncode(nil, owned), orig) {
 			t.Fatal("Decode's result aliases its input")
 		}
 		for _, r := range scratch.Runs {
@@ -79,8 +79,9 @@ func TestDecodeAliasedMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestAppendXORMatchesEncodeXOR: the append form writes EncodeXOR's bytes
-// after dst's content, and leaves dst alone when the lengths differ.
+// TestAppendXORMatchesEncodeXOR: AppendXOR writes after dst's content the
+// bytes it writes onto a nil dst, and leaves dst alone when the lengths
+// differ.
 func TestAppendXORMatchesEncodeXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	prefix := []byte("prefix")
@@ -91,7 +92,7 @@ func TestAppendXORMatchesEncodeXOR(t *testing.T) {
 		for k := rng.Intn(8); k > 0 && len(next) > 0; k-- {
 			next[rng.Intn(len(next))] ^= byte(1 + rng.Intn(255))
 		}
-		want, err := EncodeXOR(base, next)
+		want, err := AppendXOR(nil, base, next)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,23 +31,14 @@ func Fingerprint(b []byte) uint32 {
 	return h
 }
 
-// EncodeXOR returns the XOR delta transforming base into next. Both states
-// must have the same length (object sizes never change in place; senders
-// fall back to full records otherwise). The encoding is a uvarint state
-// length followed by (skip, runLen, runLen bytes of base^next) triples over
-// the differing positions, with equal gaps shorter than the coalesce
-// threshold absorbed into one run — the same trade Compute makes.
-func EncodeXOR(base, next []byte) ([]byte, error) {
-	buf, err := AppendXOR(make([]byte, 0, binary.MaxVarintLen64+len(next)/4+8), base, next)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// AppendXOR appends EncodeXOR(base, next) to dst and returns the extended
-// slice; on error dst is returned unchanged. Payload builders XOR a whole
-// batch into one scratch buffer with it.
+// AppendXOR appends the XOR delta transforming base into next to dst and
+// returns the extended slice; on error dst is returned unchanged. Both
+// states must have the same length (object sizes never change in place;
+// senders fall back to full records otherwise). The encoding is a uvarint
+// state length followed by (skip, runLen, runLen bytes of base^next)
+// triples over the differing positions, with equal gaps shorter than the
+// coalesce threshold absorbed into one run — the same trade Compute makes.
+// Payload builders XOR a whole batch into one scratch buffer with it.
 func AppendXOR(dst, base, next []byte) ([]byte, error) {
 	if len(base) != len(next) {
 		return dst, fmt.Errorf("%w: base %d, next %d", ErrLengthMismatch, len(base), len(next))
@@ -88,18 +79,12 @@ func AppendXOR(dst, base, next []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// ApplyXOR decodes an XOR delta against base, returning the next state as a
+// ApplyXORTo decodes an XOR delta against base into dst (in place when
+// its capacity suffices) and returns the next state; a nil dst gets a
 // fresh slice. It fails with ErrLengthMismatch when the delta was computed
 // against a state of a different length and ErrCorrupt on any malformed
-// input; base is never modified.
-func ApplyXOR(base, delta []byte) ([]byte, error) {
-	return ApplyXORTo(nil, base, delta)
-}
-
-// ApplyXORTo is ApplyXOR with reuse semantics, as ApplyTo is Apply's: the
-// next state is written into dst (in place when its capacity suffices) and
-// returned. dst must not alias base or delta, and holds no meaningful bytes
-// after an error.
+// input. dst must not alias base or delta, base is never modified, and dst
+// holds no meaningful bytes after an error.
 func ApplyXORTo(dst, base, delta []byte) ([]byte, error) {
 	n, used := binary.Uvarint(delta)
 	if used <= 0 {

@@ -14,13 +14,13 @@ func TestXORRoundTrip(t *testing.T) {
 		{bytes.Repeat([]byte{0}, 512), append(bytes.Repeat([]byte{0}, 500), bytes.Repeat([]byte{7}, 12)...)},
 	}
 	for _, c := range cases {
-		delta, err := EncodeXOR(c[0], c[1])
+		delta, err := AppendXOR(nil, c[0], c[1])
 		if err != nil {
-			t.Fatalf("EncodeXOR: %v", err)
+			t.Fatalf("AppendXOR: %v", err)
 		}
-		got, err := ApplyXOR(c[0], delta)
+		got, err := ApplyXORTo(nil, c[0], delta)
 		if err != nil {
-			t.Fatalf("ApplyXOR: %v", err)
+			t.Fatalf("ApplyXORTo(nil): %v", err)
 		}
 		if !bytes.Equal(got, c[1]) {
 			t.Fatalf("round trip: got %q want %q", got, c[1])
@@ -29,15 +29,15 @@ func TestXORRoundTrip(t *testing.T) {
 }
 
 func TestXORLengthMismatch(t *testing.T) {
-	if _, err := EncodeXOR([]byte("short"), []byte("longer")); err == nil {
-		t.Fatal("EncodeXOR accepted mismatched lengths")
+	if _, err := AppendXOR(nil, []byte("short"), []byte("longer")); err == nil {
+		t.Fatal("AppendXOR accepted mismatched lengths")
 	}
-	delta, err := EncodeXOR([]byte("aaaa"), []byte("abca"))
+	delta, err := AppendXOR(nil, []byte("aaaa"), []byte("abca"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ApplyXOR([]byte("aaaaaaaa"), delta); err == nil {
-		t.Fatal("ApplyXOR accepted a base of the wrong length")
+	if _, err := ApplyXORTo(nil, []byte("aaaaaaaa"), delta); err == nil {
+		t.Fatal("ApplyXORTo(nil) accepted a base of the wrong length")
 	}
 }
 
@@ -48,16 +48,16 @@ func TestXORWrongBaseDetectedByFingerprint(t *testing.T) {
 	if Fingerprint(base) == Fingerprint(other) {
 		t.Fatal("test bases collide; pick different ones")
 	}
-	delta, err := EncodeXOR(base, next)
+	delta, err := AppendXOR(nil, base, next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same length, wrong content: ApplyXOR succeeds mechanically but yields
+	// Same length, wrong content: ApplyXORTo succeeds mechanically but yields
 	// garbage — which is exactly why the protocol checks the fingerprint
 	// before applying.
-	got, err := ApplyXOR(other, delta)
+	got, err := ApplyXORTo(nil, other, delta)
 	if err != nil {
-		t.Fatalf("ApplyXOR: %v", err)
+		t.Fatalf("ApplyXORTo(nil): %v", err)
 	}
 	if bytes.Equal(got, next) {
 		t.Fatal("wrong base happened to decode correctly; fingerprint gate untestable")
@@ -67,15 +67,15 @@ func TestXORWrongBaseDetectedByFingerprint(t *testing.T) {
 func TestXORBaseUnmodified(t *testing.T) {
 	base := []byte("aaaaaaaa")
 	orig := append([]byte(nil), base...)
-	delta, err := EncodeXOR(base, []byte("abaaacaa"))
+	delta, err := AppendXOR(nil, base, []byte("abaaacaa"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ApplyXOR(base, delta); err != nil {
+	if _, err := ApplyXORTo(nil, base, delta); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(base, orig) {
-		t.Fatal("ApplyXOR modified its base")
+		t.Fatal("ApplyXORTo(nil) modified its base")
 	}
 }
 
@@ -86,22 +86,22 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add(bytes.Repeat([]byte{0}, 64), bytes.Repeat([]byte{1}, 64))
 	f.Fuzz(func(t *testing.T, base, next []byte) {
-		delta, err := EncodeXOR(base, next)
+		delta, err := AppendXOR(nil, base, next)
 		if len(base) != len(next) {
 			if err == nil {
-				t.Fatal("EncodeXOR accepted mismatched lengths")
+				t.Fatal("AppendXOR accepted mismatched lengths")
 			}
 			return
 		}
 		if err != nil {
-			t.Fatalf("EncodeXOR: %v", err)
+			t.Fatalf("AppendXOR: %v", err)
 		}
 		if app, err := AppendXOR([]byte{0xAB}, base, next); err != nil || !bytes.Equal(app[1:], delta) {
 			t.Fatalf("AppendXOR = %x, %v; want 0xAB + %x", app, err, delta)
 		}
-		got, err := ApplyXOR(base, delta)
+		got, err := ApplyXORTo(nil, base, delta)
 		if err != nil {
-			t.Fatalf("ApplyXOR rejected its own encoding: %v", err)
+			t.Fatalf("ApplyXORTo(nil) rejected its own encoding: %v", err)
 		}
 		if !bytes.Equal(got, next) {
 			t.Fatalf("round trip: got %x want %x", got, next)
@@ -116,15 +116,15 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 // the codec's contract is only that rejection is clean and the base stays
 // untouched either way.
 func FuzzDeltaApplyAgainstWrongBase(f *testing.F) {
-	seed, _ := EncodeXOR([]byte("aaaaaaaa"), []byte("abaaacaa"))
+	seed, _ := AppendXOR(nil, []byte("aaaaaaaa"), []byte("abaaacaa"))
 	f.Add(seed, []byte("aaaaaaaa"))
 	f.Add(seed, []byte("zzzz"))
 	f.Add([]byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, delta, base []byte) {
 		orig := append([]byte(nil), base...)
-		out, err := ApplyXOR(base, delta)
+		out, err := ApplyXORTo(nil, base, delta)
 		if !bytes.Equal(base, orig) {
-			t.Fatal("ApplyXOR modified its base")
+			t.Fatal("ApplyXORTo(nil) modified its base")
 		}
 		// The same into a destination carved from a larger block, as the
 		// store's arena hands them out: same verdict, same state, written in
@@ -133,7 +133,7 @@ func FuzzDeltaApplyAgainstWrongBase(f *testing.F) {
 		dst := block[8 : 8+len(base) : 8+len(base)]
 		into, intoErr := ApplyXORTo(dst, base, delta)
 		if (err == nil) != (intoErr == nil) || (err != nil && err.Error() != intoErr.Error()) {
-			t.Fatalf("ApplyXORTo err = %v, ApplyXOR err = %v", intoErr, err)
+			t.Fatalf("ApplyXORTo(dst) err = %v, ApplyXORTo(nil) err = %v", intoErr, err)
 		}
 		if !bytes.Equal(base, orig) {
 			t.Fatal("ApplyXORTo modified its base")
@@ -145,10 +145,10 @@ func FuzzDeltaApplyAgainstWrongBase(f *testing.F) {
 			return
 		}
 		if len(out) != len(base) {
-			t.Fatalf("ApplyXOR produced %d bytes from a %d-byte base", len(out), len(base))
+			t.Fatalf("ApplyXORTo(nil) produced %d bytes from a %d-byte base", len(out), len(base))
 		}
 		if !bytes.Equal(into, out) {
-			t.Fatalf("ApplyXORTo = %x, ApplyXOR = %x", into, out)
+			t.Fatalf("ApplyXORTo(dst) = %x, ApplyXORTo(nil) = %x", into, out)
 		}
 		if len(base) > 0 && &into[0] != &dst[0] {
 			t.Fatal("ApplyXORTo reallocated a destination that fits")

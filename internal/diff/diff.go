@@ -137,16 +137,6 @@ func (d Diff) Replacement() (state []byte, ok bool) {
 // Empty reports whether the diff changes nothing.
 func (d Diff) Empty() bool { return !d.Replace && len(d.Runs) == 0 }
 
-// ByteSize returns the number of payload bytes the diff carries (run data
-// plus per-run headers), used for wire-size accounting.
-func (d Diff) ByteSize() int {
-	n := 8 // len + flags header
-	for _, r := range d.Runs {
-		n += 8 + len(r.Data)
-	}
-	return n
-}
-
 // Apply transforms base according to the diff, returning a fresh slice.
 func Apply(base []byte, d Diff) ([]byte, error) {
 	return ApplyTo(nil, base, d)
@@ -391,9 +381,9 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// EncodedSize returns len(Encode(d)) without encoding: payload builders
-// write it as the record's length prefix and size-compare it against the
-// XOR form.
+// EncodedSize returns len(AppendEncode(nil, d)) without encoding: payload
+// builders write it as the record's length prefix and size-compare it
+// against the XOR form.
 func EncodedSize(d Diff) int {
 	size := 1 + uvarintLen(uint64(d.Len)) + uvarintLen(uint64(len(d.Runs)))
 	for _, r := range d.Runs {
@@ -402,12 +392,8 @@ func EncodedSize(d Diff) int {
 	return size
 }
 
-// Encode serializes the diff for transmission.
-func Encode(d Diff) []byte {
-	return AppendEncode(make([]byte, 0, EncodedSize(d)), d)
-}
-
-// AppendEncode appends Encode(d) to dst and returns the extended slice.
+// AppendEncode appends d's transmission encoding to dst and returns the
+// extended slice.
 func AppendEncode(dst []byte, d Diff) []byte {
 	var flags byte
 	if d.Replace {

@@ -209,14 +209,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if len(old) != len(new) {
 			// exercise both same-length and replacement paths
 			d := Compute(old, new)
-			dec, err := Decode(Encode(d))
+			dec, err := Decode(AppendEncode(nil, d))
 			if err != nil {
 				return false
 			}
 			return reflect.DeepEqual(normalize(d), normalize(dec))
 		}
 		d := Compute(old, new)
-		dec, err := Decode(Encode(d))
+		dec, err := Decode(AppendEncode(nil, d))
 		if err != nil {
 			return false
 		}
@@ -237,7 +237,7 @@ func normalize(d Diff) Diff {
 
 func TestDecodeCorrupt(t *testing.T) {
 	d := Compute([]byte("aaaaaaaa"), []byte("abcdaaXa"))
-	enc := Encode(d)
+	enc := AppendEncode(nil, d)
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad flags": append([]byte{7}, enc[1:]...),
@@ -259,17 +259,6 @@ func TestDecodeFuzzNoPanic(t *testing.T) {
 		buf := make([]byte, rng.Intn(64))
 		rng.Read(buf)
 		_, _ = Decode(buf) // must not panic
-	}
-}
-
-func TestByteSize(t *testing.T) {
-	d := Compute([]byte("aaaa"), []byte("abba"))
-	if d.ByteSize() <= 0 {
-		t.Errorf("ByteSize = %d", d.ByteSize())
-	}
-	var empty Diff
-	if empty.ByteSize() != 8 {
-		t.Errorf("empty ByteSize = %d, want 8", empty.ByteSize())
 	}
 }
 

@@ -8,20 +8,20 @@ import (
 // FuzzDecode: arbitrary bytes must never panic the decoder, and accepted
 // diffs must re-encode to an equivalent form.
 func FuzzDecode(f *testing.F) {
-	f.Add(Encode(Compute([]byte("aaaa"), []byte("abca"))))
-	f.Add(Encode(Compute([]byte("short"), []byte("a longer state"))))
+	f.Add(AppendEncode(nil, Compute([]byte("aaaa"), []byte("abca"))))
+	f.Add(AppendEncode(nil, Compute([]byte("short"), []byte("a longer state"))))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Decode(data)
 		if err != nil {
 			return
 		}
-		enc := Encode(d)
+		enc := AppendEncode(nil, d)
 		if EncodedSize(d) != len(enc) {
-			t.Fatalf("EncodedSize = %d, len(Encode) = %d", EncodedSize(d), len(enc))
+			t.Fatalf("EncodedSize = %d, len(AppendEncode) = %d", EncodedSize(d), len(enc))
 		}
 		var aliased Diff
-		if err := DecodeAliased(&aliased, data); err != nil || !bytes.Equal(Encode(aliased), enc) {
+		if err := DecodeAliased(&aliased, data); err != nil || !bytes.Equal(AppendEncode(nil, aliased), enc) {
 			t.Fatalf("DecodeAliased disagrees with Decode: %+v, %v", aliased, err)
 		}
 		d2, err := Decode(enc)
@@ -37,7 +37,7 @@ func FuzzDecode(f *testing.F) {
 // FuzzApply: applying any decoded diff to any base must never panic; when
 // it succeeds the result length matches the diff's declared length.
 func FuzzApply(f *testing.F) {
-	f.Add(Encode(Compute([]byte("aaaa"), []byte("abca"))), []byte("aaaa"))
+	f.Add(AppendEncode(nil, Compute([]byte("aaaa"), []byte("abca"))), []byte("aaaa"))
 	f.Fuzz(func(t *testing.T, enc, base []byte) {
 		d, err := Decode(enc)
 		if err != nil {

@@ -480,17 +480,6 @@ func TestBoxDist(t *testing.T) {
 	}
 }
 
-func TestBoxOf(t *testing.T) {
-	if BoxOf(nil) != nil {
-		t.Error("empty BoxOf should be nil")
-	}
-	b := BoxOf([]Pos{{3, 7}, {1, 9}, {5, 2}})
-	want := Box{MinX: 1, MinY: 2, MaxX: 5, MaxY: 9}
-	if *b != want {
-		t.Errorf("BoxOf = %+v, want %+v", *b, want)
-	}
-}
-
 // TestNextDeltaSymmetric is the deadlock-freedom invariant: both partners
 // compute the same delta from mirrored inputs.
 func TestNextDeltaSymmetric(t *testing.T) {
@@ -500,10 +489,10 @@ func TestNextDeltaSymmetric(t *testing.T) {
 		bTanks := []Pos{{int(bx % 32), int(by % 24)}}
 		var boxA, boxB *Box
 		if hasBoxA {
-			boxA = BoxOf(aTanks)
+			boxA = &Box{MinX: aTanks[0].X, MinY: aTanks[0].Y, MaxX: aTanks[0].X, MaxY: aTanks[0].Y}
 		}
 		if hasBoxB {
-			boxB = BoxOf(bTanks)
+			boxB = &Box{MinX: bTanks[0].X, MinY: bTanks[0].Y, MaxX: bTanks[0].X, MaxY: bTanks[0].Y}
 		}
 		d1 := NextDelta(hh, aTanks, boxA, bTanks, boxB)
 		d2 := NextDelta(hh, bTanks, boxB, aTanks, boxA)
@@ -574,13 +563,14 @@ func TestWithinRangeAndBoxApproach(t *testing.T) {
 
 func TestBoxOfObjects(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
-	if b := BoxOfObjects(cfg, nil); b != nil {
+	var box Box
+	if b := BoxOfObjectsInto(&box, cfg, nil); b != nil {
 		t.Error("empty object set should give nil box")
 	}
-	ids := []store.ID{cfg.ObjectOf(Pos{3, 4}), cfg.ObjectOf(Pos{8, 2})}
-	b := BoxOfObjects(cfg, ids)
+	ids := []store.ID{cfg.ObjectOf(Pos{3, 4}), cfg.ObjectOf(Pos{8, 2}), cfg.ObjectOf(Pos{5, 3})}
+	b := BoxOfObjectsInto(&box, cfg, ids)
 	want := Box{MinX: 3, MinY: 2, MaxX: 8, MaxY: 4}
-	if b == nil || *b != want {
-		t.Errorf("BoxOfObjects = %+v, want %+v", b, want)
+	if b != &box || box != want {
+		t.Errorf("BoxOfObjectsInto = %+v, want %+v in place", b, want)
 	}
 }

@@ -41,29 +41,8 @@ func (b *Box) Add(p Pos) {
 	}
 }
 
-// BoxOf returns the bounding box of a set of positions, or nil if empty.
-func BoxOf(ps []Pos) *Box {
-	if len(ps) == 0 {
-		return nil
-	}
-	b := &Box{MinX: ps[0].X, MinY: ps[0].Y, MaxX: ps[0].X, MaxY: ps[0].Y}
-	for _, p := range ps[1:] {
-		b.Add(p)
-	}
-	return b
-}
-
-// BoxOfObjects returns the bounding box of a set of object IDs, or nil if
-// empty.
-func BoxOfObjects(cfg Config, ids []store.ID) *Box {
-	if len(ids) == 0 {
-		return nil
-	}
-	return BoxOfObjectsInto(new(Box), cfg, ids)
-}
-
-// BoxOfObjectsInto is BoxOfObjects with the box stored in (and returned
-// as) *box, for callers that keep one.
+// BoxOfObjectsInto stores the bounding box of a set of object IDs in (and
+// returns it as) *box, or returns nil if the set is empty.
 func BoxOfObjectsInto(box *Box, cfg Config, ids []store.ID) *Box {
 	if len(ids) == 0 {
 		return nil

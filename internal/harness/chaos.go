@@ -303,14 +303,3 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	return &ChaosResult{Result: collect(cfg.Config, stats, collectors), Crashed: crashed, Rejoined: rejoined, DecisionLogs: logs}, nil
 }
-
-// RunChaosGrid executes a batch of chaos experiments concurrently on a
-// worker pool (workers <= 0 means GOMAXPROCS) and returns the results in
-// input order. Every experiment is a self-contained simulation whose fault
-// decisions derive only from its own ChaosConfig.Seed, so concurrent
-// execution reproduces the exact sequential results — decision logs
-// included; TestChaosGridParallelDeterminism asserts it under -race. On
-// error the first failing experiment in input order is reported.
-func RunChaosGrid(cfgs []ChaosConfig, workers int) ([]*ChaosResult, error) {
-	return runAll(cfgs, workers, RunChaos)
-}

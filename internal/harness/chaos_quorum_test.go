@@ -147,10 +147,10 @@ func TestChaosCheckpointSurvivesHolderSetCrash(t *testing.T) {
 			t.Errorf("survivor %d: missing %d of the victim's %d pre-crash writes", team, lost, total)
 		}
 	}
-	if res.Metrics.ReplicaCatchups() == 0 {
+	if res.Metrics.Sum(func(s metrics.Snapshot) int { return s.ReplicaCatchups }) == 0 {
 		t.Error("checkpoint mode: no replica catch-ups recorded; recovery did not go through the vault")
 	}
-	if res.Metrics.QuorumRounds() == 0 {
+	if res.Metrics.Sum(func(s metrics.Snapshot) int { return s.QuorumRounds }) == 0 {
 		t.Error("checkpoint mode: no checkpoint rounds recorded")
 	}
 }
@@ -210,7 +210,7 @@ func TestChaosQuorumSeedMatrix(t *testing.T) {
 			if !a.Crashed || !a.Rejoined {
 				t.Fatalf("seed %d: crashed=%v rejoined=%v, want both", seed, a.Crashed, a.Rejoined)
 			}
-			if a.Metrics.QuorumRounds() == 0 {
+			if a.Metrics.Sum(func(s metrics.Snapshot) int { return s.QuorumRounds }) == 0 {
 				t.Fatalf("seed %d: no quorum rounds recorded; replication never engaged", seed)
 			}
 			b, err := RunChaos(quorumScenario(sc.proto, sc.teams, sc.f, seed))
@@ -245,7 +245,7 @@ func TestChaosECQuorumFailover(t *testing.T) {
 	if !res.Crashed || !res.Rejoined {
 		t.Fatalf("crash/rejoin did not fire: crashed=%v rejoined=%v", res.Crashed, res.Rejoined)
 	}
-	if res.Metrics.QuorumRounds() == 0 {
+	if res.Metrics.Sum(func(s metrics.Snapshot) int { return s.QuorumRounds }) == 0 {
 		t.Error("no quorum rounds recorded; replication never engaged")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sdso/internal/core"
 	"sdso/internal/faultnet"
 	"sdso/internal/game"
+	"sdso/internal/metrics"
 )
 
 // chaosConfig builds the standard crash experiment: four teams on a lossy,
@@ -83,14 +84,14 @@ func assertSameRun(t *testing.T, a, b *ChaosResult) {
 			t.Errorf("team %d stats diverged: %+v vs %+v", i, a.Stats[i], b.Stats[i])
 		}
 	}
-	for name, pair := range map[string][2]int{
-		"retransmits":    {a.Metrics.Retransmits(), b.Metrics.Retransmits()},
-		"evictions":      {a.Metrics.Evictions(), b.Metrics.Evictions()},
-		"joins":          {a.Metrics.Joins(), b.Metrics.Joins()},
-		"snapshot bytes": {a.Metrics.SnapshotBytes(), b.Metrics.SnapshotBytes()},
-		"catchup diffs":  {a.Metrics.CatchupDiffs(), b.Metrics.CatchupDiffs()},
+	for name, count := range map[string]func(metrics.Snapshot) int{
+		"retransmits":    func(s metrics.Snapshot) int { return s.Retransmits },
+		"evictions":      func(s metrics.Snapshot) int { return s.Evictions },
+		"joins":          func(s metrics.Snapshot) int { return s.Joins },
+		"snapshot bytes": func(s metrics.Snapshot) int { return s.SnapshotBytes },
+		"catchup diffs":  func(s metrics.Snapshot) int { return s.CatchupDiffs },
 	} {
-		if pair[0] != pair[1] {
+		if pair := [2]int{a.Metrics.Sum(count), b.Metrics.Sum(count)}; pair[0] != pair[1] {
 			t.Errorf("%s diverged: %d vs %d", name, pair[0], pair[1])
 		}
 	}
@@ -119,13 +120,13 @@ func TestChaosRejoin(t *testing.T) {
 					t.Errorf("player %d played no ticks", i)
 				}
 			}
-			if got := res.Metrics.Joins(); got == 0 {
+			if got := res.Metrics.Sum(func(s metrics.Snapshot) int { return s.Joins }); got == 0 {
 				t.Errorf("no joins recorded despite a completed rejoin")
 			}
-			if got := res.Metrics.SnapshotBytes(); got == 0 {
+			if got := res.Metrics.Sum(func(s metrics.Snapshot) int { return s.SnapshotBytes }); got == 0 {
 				t.Errorf("no snapshot bytes recorded; state transfer never happened")
 			}
-			if got := res.Metrics.CatchupDiffs(); got == 0 {
+			if got := res.Metrics.Sum(func(s metrics.Snapshot) int { return s.CatchupDiffs }); got == 0 {
 				t.Errorf("no catch-up diffs recorded; the joiner adopted nothing")
 			}
 		})
@@ -185,7 +186,7 @@ func TestChaosLateJoin(t *testing.T) {
 					t.Errorf("player %d played no ticks", i)
 				}
 			}
-			if got := res.Metrics.Joins(); got == 0 {
+			if got := res.Metrics.Sum(func(s metrics.Snapshot) int { return s.Joins }); got == 0 {
 				t.Errorf("no joins recorded despite a completed late join")
 			}
 		})
@@ -264,13 +265,13 @@ func TestChaosCrashMidGame(t *testing.T) {
 					t.Errorf("survivor %d played no ticks", i)
 				}
 			}
-			if got := res.Metrics.Evictions(); got == 0 {
+			if got := res.Metrics.Sum(func(s metrics.Snapshot) int { return s.Evictions }); got == 0 {
 				t.Errorf("no evictions recorded; crash went undetected")
 			}
-			if got := res.Metrics.Retransmits(); got == 0 {
+			if got := res.Metrics.Sum(func(s metrics.Snapshot) int { return s.Retransmits }); got == 0 {
 				t.Errorf("no retransmits recorded; failure detection never probed")
 			}
-			if got := res.Metrics.Faults(); got == 0 {
+			if got := res.Metrics.Sum(func(s metrics.Snapshot) int { return s.Faults }); got == 0 {
 				t.Errorf("no injected faults recorded despite drop/dup/crash plan")
 			}
 		})
@@ -309,10 +310,12 @@ func TestChaosDeterministic(t *testing.T) {
 					t.Errorf("team %d stats diverged: %+v vs %+v", i, a.Stats[i], b.Stats[i])
 				}
 			}
-			if ar, br := a.Metrics.Retransmits(), b.Metrics.Retransmits(); ar != br {
+			retransmits := func(s metrics.Snapshot) int { return s.Retransmits }
+			if ar, br := a.Metrics.Sum(retransmits), b.Metrics.Sum(retransmits); ar != br {
 				t.Errorf("retransmit count diverged: %d vs %d", ar, br)
 			}
-			if ae, be := a.Metrics.Evictions(), b.Metrics.Evictions(); ae != be {
+			evictions := func(s metrics.Snapshot) int { return s.Evictions }
+			if ae, be := a.Metrics.Sum(evictions), b.Metrics.Sum(evictions); ae != be {
 				t.Errorf("eviction count diverged: %d vs %d", ae, be)
 			}
 		})
@@ -397,7 +400,7 @@ func TestChaosLossOnly(t *testing.T) {
 					t.Errorf("player %d played no ticks", i)
 				}
 			}
-			if got := res.Metrics.Faults(); got == 0 {
+			if got := res.Metrics.Sum(func(s metrics.Snapshot) int { return s.Faults }); got == 0 {
 				t.Errorf("no injected faults recorded despite drop/dup plan")
 			}
 		})

@@ -189,16 +189,6 @@ var (
 	MetricOverheadPct Metric = func(r *Result) float64 { return r.Metrics.AvgOverheadPct() }
 )
 
-// Series returns seed-averaged metric values for one protocol across the
-// sweep's Ns.
-func (sw *Sweep) Series(p Protocol, m Metric) []float64 {
-	out := make([]float64, 0, len(sw.Config.Ns))
-	for _, n := range sw.Config.Ns {
-		out = append(out, sw.Value(p, n, m))
-	}
-	return out
-}
-
 // Value returns one metric for one (protocol, n) cell, averaged over the
 // sweep's seeds.
 func (sw *Sweep) Value(p Protocol, n int, m Metric) float64 { return mean(sw.Results[p][n], m) }
@@ -256,24 +246,3 @@ func (sw *Sweep) Figure(fig string) string {
 	}
 	return ""
 }
-
-// figure runs the default sweep at a range and renders Figure fig.
-func figure(fig string, rng int) (*Sweep, string, error) {
-	sw, err := RunSweep(SweepConfig{Range: rng})
-	if err != nil {
-		return nil, "", err
-	}
-	return sw, sw.Figure(fig), nil
-}
-
-// Figure5 reproduces the paper's Figure 5 panel for a range.
-func Figure5(rng int) (*Sweep, string, error) { return figure("5", rng) }
-
-// Figure6 reproduces the paper's Figure 6 panel for a range.
-func Figure6(rng int) (*Sweep, string, error) { return figure("6", rng) }
-
-// Figure7 reproduces the paper's Figure 7 panel for a range.
-func Figure7(rng int) (*Sweep, string, error) { return figure("7", rng) }
-
-// Figure8 reproduces the paper's Figure 8 (overheads, range 1).
-func Figure8() (*Sweep, string, error) { return figure("8", 1) }

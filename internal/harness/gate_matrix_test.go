@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"sdso/internal/metrics"
 )
 
 // TestGoldenGateMatrix pins the lookahead gate's decisions end to end:
@@ -116,7 +118,7 @@ func TestGoldenGateMatrix(t *testing.T) {
 			if res.VirtualDuration != want.virtual {
 				t.Errorf("virtual duration = %d ns, want %d ns", res.VirtualDuration, want.virtual)
 			}
-			if got := res.Metrics.ShardVetoes(); got != want.vetoes {
+			if got := res.Metrics.Sum(func(s metrics.Snapshot) int { return s.ShardVetoes }); got != want.vetoes {
 				t.Errorf("shard vetoes = %d, want %d", got, want.vetoes)
 			}
 		})

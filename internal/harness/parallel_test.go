@@ -119,11 +119,11 @@ func TestChaosGridParallelDeterminism(t *testing.T) {
 	for _, seed := range seeds {
 		cfgs = append(cfgs, rejoinConfig(MSYNC2, seed), rejoinConfig(EC, seed))
 	}
-	seq, err := RunChaosGrid(cfgs, 1)
+	seq, err := runAll(cfgs, 1, RunChaos)
 	if err != nil {
 		t.Fatalf("sequential chaos grid: %v", err)
 	}
-	par, err := RunChaosGrid(cfgs, 4)
+	par, err := runAll(cfgs, 4, RunChaos)
 	if err != nil {
 		t.Fatalf("parallel chaos grid: %v", err)
 	}

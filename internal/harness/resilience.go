@@ -28,7 +28,6 @@ type ResilienceRow struct {
 	Reconnects        int
 	HeartbeatsMissed  int
 	SendQDepthPeak    int
-	SendQShed         int
 	DrainFlushedBytes int
 	Wall              time.Duration // total wall-clock across seeds
 }
@@ -251,7 +250,6 @@ func foldResilience(row *ResilienceRow, proxies []*tcpchaos.Proxy, mcs []*metric
 		s := mc.Snapshot()
 		row.Reconnects += s.Reconnects
 		row.HeartbeatsMissed += s.HeartbeatsMissed
-		row.SendQShed += s.SendQShed
 		row.DrainFlushedBytes += s.DrainFlushedBytes
 		if s.SendQDepthPeak > row.SendQDepthPeak {
 			row.SendQDepthPeak = s.SendQDepthPeak
@@ -301,12 +299,12 @@ func ResilienceAnalysis(protos []Protocol, seeds []int64) ([]ResilienceRow, erro
 func RenderResilience(rows []ResilienceRow) string {
 	var b strings.Builder
 	b.WriteString("Transport resilience: full games over real TCP, every connection killed after a seeded 512 B - 2 KiB budget\n")
-	fmt.Fprintf(&b, "%8s %6s %6s %10s %9s %10s %9s %12s %9s\n",
-		"proto", "seeds", "kills", "reconnects", "hb-missed", "sendq-peak", "shed", "drain-bytes", "wall")
+	fmt.Fprintf(&b, "%8s %6s %6s %10s %9s %10s %12s %9s\n",
+		"proto", "seeds", "kills", "reconnects", "hb-missed", "sendq-peak", "drain-bytes", "wall")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%8s %6d %6d %10d %9d %10d %9d %12d %9s\n",
+		fmt.Fprintf(&b, "%8s %6d %6d %10d %9d %10d %12d %9s\n",
 			r.Protocol, r.Seeds, r.Kills, r.Reconnects, r.HeartbeatsMissed,
-			r.SendQDepthPeak, r.SendQShed, r.DrainFlushedBytes,
+			r.SendQDepthPeak, r.DrainFlushedBytes,
 			r.Wall.Round(time.Millisecond))
 	}
 	return b.String()

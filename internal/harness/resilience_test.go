@@ -46,3 +46,20 @@ func TestResilienceAnalysisRejectsUnrunnableProtocol(t *testing.T) {
 		t.Fatal("Central has no TCP runner and must be rejected")
 	}
 }
+
+// TestRenderResilienceHeader pins the panel's columns: the session layer's
+// resilience counters, and nothing a shipped configuration never moves.
+func TestRenderResilienceHeader(t *testing.T) {
+	out := RenderResilience([]ResilienceRow{{Protocol: BSYNC, Seeds: 1, Kills: 3, Reconnects: 6}})
+	lines := strings.Split(out, "\n")
+	want := "   proto  seeds  kills reconnects hb-missed sendq-peak  drain-bytes      wall"
+	if len(lines) < 3 {
+		t.Fatalf("render = %q, want a title, a header and a row", out)
+	}
+	if lines[1] != want {
+		t.Fatalf("header = %q, want %q", lines[1], want)
+	}
+	if row := strings.Fields(lines[2]); len(row) != len(strings.Fields(want)) || row[0] != "BSYNC" || row[2] != "3" || row[3] != "6" {
+		t.Fatalf("row = %q does not line up with the header", lines[2])
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdso/internal/game"
+	"sdso/internal/metrics"
 )
 
 // Shard-gate coverage at the full-game level: the residency intersection
@@ -112,7 +113,7 @@ func TestShardRunDeterministic(t *testing.T) {
 		t.Fatalf("second run: %v", err)
 	}
 	assertIdenticalResults(t, "shards=4 double run", a, b)
-	if a.Metrics.ShardVetoes() == 0 {
+	if a.Metrics.Sum(func(s metrics.Snapshot) int { return s.ShardVetoes }) == 0 {
 		t.Error("shards=4 run recorded no shard vetoes; the gate never engaged")
 	}
 }
@@ -129,9 +130,9 @@ func TestShardOneMatchesUnsharded(t *testing.T) {
 		t.Fatalf("shards=1 run: %v", err)
 	}
 	assertIdenticalResults(t, "shards=1 vs unsharded", plain, one)
-	if one.Metrics.ShardVetoes() != 0 {
+	if one.Metrics.Sum(func(s metrics.Snapshot) int { return s.ShardVetoes }) != 0 {
 		t.Errorf("shards=1 run recorded %d shard vetoes; expected the filter disabled",
-			one.Metrics.ShardVetoes())
+			one.Metrics.Sum(func(s metrics.Snapshot) int { return s.ShardVetoes }))
 	}
 }
 

@@ -159,7 +159,7 @@ func TestSharedStartIsNeverWritten(t *testing.T) {
 	// The eager store gave 569.1956ms and 489 messages before departed peers
 	// stopped being sent frames; under loss a wrongly marked peer's frame
 	// goes late, which costs time.
-	if d, m, s := res.VirtualDuration, res.Metrics.TotalMsgs(), res.Metrics.SnapshotBytes(); d != 585471600 || m != 484 || s != 110664 {
+	if d, m, s := res.VirtualDuration, res.Metrics.TotalMsgs(), res.Metrics.Sum(func(s metrics.Snapshot) int { return s.SnapshotBytes }); d != 585471600 || m != 484 || s != 110664 {
 		t.Errorf("rejoin: %v, %d messages, %d snapshot bytes; want 585.4716ms, 484, 110664", d, m, s)
 	}
 	if startChecksum(cstart) != cbefore {

@@ -69,25 +69,17 @@ func Categories() []Category {
 	return out
 }
 
-// PaddedCounter is a cache-line-padded atomic counter. A Collector's
-// counters sit side by side in one struct; without padding, two goroutines
-// bumping adjacent counters would ping-pong the same cache line between
-// cores. It is exported so other hot-path instrumentation (the trace
-// recorder in internal/trace) can reuse the same layout.
-type PaddedCounter struct {
+// padded is a cache-line-padded atomic counter. A Collector's counters sit
+// side by side in one struct; without padding, two goroutines bumping
+// adjacent counters would ping-pong the same cache line between cores.
+type padded struct {
 	v atomic.Int64
 	_ [56]byte // pad to a 64-byte line
 }
 
-// Add atomically adds n to the counter.
-func (c *PaddedCounter) Add(n int64) { c.v.Add(n) }
-
-// Load atomically reads the counter.
-func (c *PaddedCounter) Load() int64 { return c.v.Load() }
-
 // Max atomically raises the counter to n if n is larger — a lock-free
 // high-water mark.
-func (c *PaddedCounter) Max(n int64) {
+func (c *padded) Max(n int64) {
 	for {
 		cur := c.v.Load()
 		if n <= cur || c.v.CompareAndSwap(cur, n) {
@@ -95,9 +87,6 @@ func (c *PaddedCounter) Max(n int64) {
 		}
 	}
 }
-
-// padded keeps the Collector's field declarations short.
-type padded = PaddedCounter
 
 // Collector gathers one process's counters. It is safe for concurrent use
 // (real transports receive on multiple goroutines): every counter is an
@@ -143,11 +132,10 @@ type Collector struct {
 
 	// TCP session-layer resilience counters: sockets re-established after
 	// a loss, heartbeat intervals that passed without any traffic from a
-	// peer, frames shed from full bounded send queues, the deepest any
-	// send queue got, and pending bytes flushed by a graceful Drain.
+	// peer, the deepest any send queue got, and pending bytes flushed by
+	// a graceful Drain.
 	reconnects       padded
 	heartbeatsMissed padded
-	sendqShed        padded
 	sendqDepthPeak   padded
 	drainFlushed     padded
 
@@ -269,10 +257,6 @@ func (c *Collector) AddReconnect() { c.reconnects.v.Add(1) }
 // any traffic from an idle-probed peer.
 func (c *Collector) AddHeartbeatsMissed(n int) { c.heartbeatsMissed.v.Add(int64(n)) }
 
-// AddSendQShed records one SYNC-class frame shed from a full bounded send
-// queue under the shed-oldest policy.
-func (c *Collector) AddSendQShed() { c.sendqShed.v.Add(1) }
-
 // NoteSendQDepth raises the send-queue high-water mark to depth if it is
 // the deepest observed so far.
 func (c *Collector) NoteSendQDepth(depth int) { c.sendqDepthPeak.Max(int64(depth)) }
@@ -346,7 +330,6 @@ func (c *Collector) Snapshot() Snapshot {
 
 		Reconnects:        int(c.reconnects.v.Load()),
 		HeartbeatsMissed:  int(c.heartbeatsMissed.v.Load()),
-		SendQShed:         int(c.sendqShed.v.Load()),
 		SendQDepthPeak:    int(c.sendqDepthPeak.v.Load()),
 		DrainFlushedBytes: int(c.drainFlushed.v.Load()),
 
@@ -413,11 +396,10 @@ type Snapshot struct {
 	PiggybackedSyncs int
 	PiggybackedDones int
 	// TCP session-layer resilience counters: reconnects completed,
-	// heartbeat intervals missed, frames shed from full send queues, the
-	// send-queue depth high-water mark, and bytes flushed by Drain.
+	// heartbeat intervals missed, the send-queue depth high-water mark,
+	// and bytes flushed by Drain.
 	Reconnects        int
 	HeartbeatsMissed  int
-	SendQShed         int
 	SendQDepthPeak    int
 	DrainFlushedBytes int
 	// Delta-exchange and tick-batching counters: XOR-delta records sent,
@@ -465,9 +447,6 @@ func (s Snapshot) LogicalMsgs() int {
 	return s.TotalMsgs() + s.PiggybackedSyncs + s.PiggybackedDones
 }
 
-// ControlMsgs returns TotalMsgs minus DataMsgs.
-func (s Snapshot) ControlMsgs() int { return s.TotalMsgs() - s.DataMsgs() }
-
 // ProtocolTime sums every duration bucket except application compute.
 func (s Snapshot) ProtocolTime() time.Duration {
 	var d time.Duration
@@ -494,7 +473,8 @@ type Group struct {
 }
 
 // Sum adds f over every process: the one per-process sum the roll-ups
-// below, and the harness's panel columns, read a Snapshot through.
+// below, the harness's panel columns and the tests read a Snapshot
+// through.
 func (g Group) Sum(f func(Snapshot) int) int {
 	n := 0
 	for _, s := range g.Procs {
@@ -512,38 +492,11 @@ func (g Group) DataMsgs() int { return g.Sum(Snapshot.DataMsgs) }
 // ControlMsgs sums control-message counts across processes.
 func (g Group) ControlMsgs() int { return g.TotalMsgs() - g.DataMsgs() }
 
-// Retransmits sums retransmission counts across processes.
-func (g Group) Retransmits() int { return g.Sum(func(s Snapshot) int { return s.Retransmits }) }
-
-// Evictions sums crash-eviction counts across processes.
-func (g Group) Evictions() int { return g.Sum(func(s Snapshot) int { return s.Evictions }) }
-
-// Faults sums injected-fault counts across processes.
-func (g Group) Faults() int { return g.Sum(func(s Snapshot) int { return s.Faults }) }
-
-// Joins sums completed/served join handshakes across processes.
-func (g Group) Joins() int { return g.Sum(func(s Snapshot) int { return s.Joins }) }
-
-// SnapshotBytes sums checkpoint payload bytes across processes.
-func (g Group) SnapshotBytes() int { return g.Sum(func(s Snapshot) int { return s.SnapshotBytes }) }
-
-// CatchupDiffs sums snapshot-adopted object states across processes.
-func (g Group) CatchupDiffs() int { return g.Sum(func(s Snapshot) int { return s.CatchupDiffs }) }
-
-// QuorumRounds sums completed quorum round trips across processes.
-func (g Group) QuorumRounds() int { return g.Sum(func(s Snapshot) int { return s.QuorumRounds }) }
-
-// ReplicaCatchups sums replica-served recoveries across processes.
-func (g Group) ReplicaCatchups() int { return g.Sum(func(s Snapshot) int { return s.ReplicaCatchups }) }
-
 // PayloadBytes sums sent payload bytes across processes.
 func (g Group) PayloadBytes() int { return g.Sum(func(s Snapshot) int { return s.PayloadBytes }) }
 
 // LogicalMsgs sums the paper's message count across processes.
 func (g Group) LogicalMsgs() int { return g.Sum(Snapshot.LogicalMsgs) }
-
-// ShardVetoes sums residency-vetoed DATA flushes across processes.
-func (g Group) ShardVetoes() int { return g.Sum(func(s Snapshot) int { return s.ShardVetoes }) }
 
 // AvgExecTime averages process execution times.
 func (g Group) AvgExecTime() time.Duration {

@@ -22,9 +22,6 @@ func TestCountSendSplitsClasses(t *testing.T) {
 	if got := s.DataMsgs(); got != 2 {
 		t.Errorf("DataMsgs = %d", got)
 	}
-	if got := s.ControlMsgs(); got != 2 {
-		t.Errorf("ControlMsgs = %d", got)
-	}
 	if s.BytesSent != 4*2048 {
 		t.Errorf("BytesSent = %d", s.BytesSent)
 	}
@@ -176,13 +173,13 @@ func TestJoinCounters(t *testing.T) {
 		t.Errorf("snapshot = %+v, want joins=1 snapshotBytes=100 catchupDiffs=3", snap)
 	}
 	g := Group{Procs: []Snapshot{a.Snapshot(), b.Snapshot()}}
-	if got := g.Joins(); got != 3 {
+	if got := g.Sum(func(s Snapshot) int { return s.Joins }); got != 3 {
 		t.Errorf("Joins = %d, want 3", got)
 	}
-	if got := g.SnapshotBytes(); got != 150 {
+	if got := g.Sum(func(s Snapshot) int { return s.SnapshotBytes }); got != 150 {
 		t.Errorf("SnapshotBytes = %d, want 150", got)
 	}
-	if got := g.CatchupDiffs(); got != 3 {
+	if got := g.Sum(func(s Snapshot) int { return s.CatchupDiffs }); got != 3 {
 		t.Errorf("CatchupDiffs = %d, want 3", got)
 	}
 }

@@ -18,11 +18,7 @@
 // internal/store's (version, writer) cells.
 package quorum
 
-import (
-	"sort"
-
-	"sdso/internal/store"
-)
+import "sdso/internal/store"
 
 // Value is one versioned register state. Writer breaks same-version ties by
 // process ID (higher wins), exactly like the store's PID arbitration.
@@ -73,19 +69,6 @@ func (r *Replica) Apply(obj store.ID, v Value) bool {
 	r.regs[obj] = Value{Version: v.Version, Writer: v.Writer, Data: data}
 	return true
 }
-
-// Objects returns the replicated object IDs in ascending order.
-func (r *Replica) Objects() []store.ID {
-	out := make([]store.ID, 0, len(r.regs))
-	for id := range r.regs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Len returns the number of replicated objects.
-func (r *Replica) Len() int { return len(r.regs) }
 
 // OpKind distinguishes reads from writes.
 type OpKind uint8

@@ -96,13 +96,6 @@ func (p *Proxy) Relayed() int64 { return p.relayed.Load() }
 // KillConns, and partition cuts all count).
 func (p *Proxy) Kills() int64 { return p.kills.Load() }
 
-// Active returns the number of currently proxied connections.
-func (p *Proxy) Active() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pairs)
-}
-
 // KillConns abruptly cuts every currently proxied connection, returning
 // how many were cut. New connections are still accepted (unlike
 // Partition), so a reconnecting mesh heals.

@@ -10,16 +10,10 @@
 // every Record call on it returns immediately without allocating, so the
 // hot paths pay one nil check when tracing is disabled. Events on one
 // recorder are appended from the owning process's goroutine only (the
-// same single-writer discipline the runtime itself follows); the event
-// count is a metrics.PaddedCounter so other goroutines can cheaply poll
-// progress without racing the slice.
+// same single-writer discipline the runtime itself follows).
 package trace
 
-import (
-	"fmt"
-
-	"sdso/internal/metrics"
-)
+import "fmt"
 
 // Op classifies an observation event.
 type Op uint8
@@ -102,7 +96,6 @@ func (e Event) String() string {
 // Recorder accumulates one process's observation history.
 type Recorder struct {
 	proc   int
-	count  metrics.PaddedCounter
 	events []Event
 }
 
@@ -120,7 +113,6 @@ func (r *Recorder) Record(op Op, peer int, obj, ver, t, aux int64) {
 	r.events = append(r.events, Event{
 		Op: op, Peer: int32(peer), Obj: obj, Ver: ver, Time: t, Aux: aux,
 	})
-	r.count.Add(1)
 }
 
 // Proc returns the process ID the recorder was created for.
@@ -129,15 +121,6 @@ func (r *Recorder) Proc() int {
 		return -1
 	}
 	return r.proc
-}
-
-// Len returns the number of recorded events. Safe to call from any
-// goroutine (it reads the atomic counter, not the slice).
-func (r *Recorder) Len() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.count.Load()
 }
 
 // Events returns the recorded history. Call only after the owning process

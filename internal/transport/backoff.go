@@ -58,10 +58,6 @@ func (b *Backoff) Next() time.Duration {
 	return half + time.Duration(h%uint64(half+1))
 }
 
-// Reset rewinds the schedule to the first delay, for reuse after a
-// successful attempt.
-func (b *Backoff) Reset() { b.attempt = 0 }
-
 // splitmix64 is the SplitMix64 mixing function (same construction as the
 // schedule-exploration jitter in internal/vtime): cheap, stateless, and
 // well-distributed, which is all retry jitter needs.

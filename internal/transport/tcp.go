@@ -33,22 +33,6 @@ const (
 	tcpSendQueueBytes  = 8 << 20
 )
 
-// QueuePolicy selects what an endpoint does when a peer's send queue is
-// full.
-type QueuePolicy int
-
-const (
-	// QueueBlock makes Send wait for queue space — natural backpressure at
-	// the protocols' exchange barriers.
-	QueueBlock QueuePolicy = iota
-	// QueueShedOldest drops the oldest sheddable frame (SYNC-class
-	// control traffic: SYNC rendezvous markers and PING/PONG probes,
-	// which the runtime retransmits or regenerates) to make room, and
-	// blocks only when the queue holds nothing sheddable. Data frames are
-	// never shed.
-	QueueShedOldest
-)
-
 // TCPConfig tunes the TCP transport's timing, write batching and link
 // resilience. The zero value selects the defaults (10s dial timeout, 2s
 // close grace, flush on every send) and the paper's fail-stop links: a
@@ -72,7 +56,7 @@ type TCPConfig struct {
 	// Metrics, when non-nil, counts physical frames, wire bytes, and
 	// flushes at this endpoint (metrics.Snapshot's FramesSent /
 	// WireBytes / Flushes), plus the resilience counters (Reconnects,
-	// HeartbeatsMissed, SendQShed, SendQDepthPeak, DrainFlushedBytes).
+	// HeartbeatsMissed, SendQDepthPeak, DrainFlushedBytes).
 	Metrics *metrics.Collector
 
 	// --- Resilience ---------------------------------------------------
@@ -111,12 +95,10 @@ type TCPConfig struct {
 	// HeartbeatMisses is the miss budget before teardown (zero: 3).
 	HeartbeatMisses int
 	// SendQueueFrames/SendQueueBytes cap each peer's send queue (zero:
-	// 1024 frames / 8 MiB). A full queue applies SendQueuePolicy.
+	// 1024 frames / 8 MiB). A Send to a full queue waits for room:
+	// backpressure at the protocols' exchange barriers.
 	SendQueueFrames int
 	SendQueueBytes  int
-	// SendQueuePolicy picks between blocking (default) and shedding
-	// SYNC-class frames when a peer's queue is full.
-	SendQueuePolicy QueuePolicy
 	// Incarnation is this process's life number, presented in the
 	// handshake; a restarted process presents a higher incarnation so
 	// peers close stale sockets in its favor. Zero selects 1.
@@ -258,13 +240,12 @@ type tcpPeer struct {
 // sendEntry is one queued, fully encoded (length-prefixed) frame, held as
 // a pooled wire.Encoded the queue owns: staging passes it in, and every
 // path that removes an entry — written (and, on a resumable
-// link, acked), shed, dropped with a gone peer's queue, realigned away on
+// link, acked), dropped with a gone peer's queue, realigned away on
 // reconnect, or left over at shutdown — must Release it back to the pool.
 // Control frames (PING/PONG) are link-local: they are neither counted nor
 // retained by the resumption machinery and die with the socket.
 type sendEntry struct {
 	enc  *wire.Encoded
-	kind wire.Kind
 	ctrl bool
 }
 
@@ -318,23 +299,6 @@ func (q *sendQueue) unpop(ents ...sendEntry) {
 	for _, ent := range ents {
 		q.bytes += ent.size()
 	}
-}
-
-// remove deletes and returns the i-th queued frame.
-func (q *sendQueue) remove(i int) sendEntry {
-	ent := q.s[q.head+i]
-	q.s = slices.Delete(q.s, q.head+i, q.head+i+1)
-	q.bytes -= ent.size()
-	return ent
-}
-
-// sheddable reports whether a queued frame may be dropped under
-// QueueShedOldest: SYNC rendezvous markers are retransmitted by the
-// runtime's failure detector and PING/PONG probes are regenerated every
-// interval, so losing one costs latency, never correctness. Everything
-// else (data, lock traffic, join/checkpoint frames) blocks instead.
-func sheddable(k wire.Kind) bool {
-	return k == wire.KindSync || k == wire.KindPing || k == wire.KindPong
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)
@@ -439,7 +403,7 @@ func (e *TCPEndpoint) Send(to int, m *wire.Msg) error {
 	if err != nil {
 		return err
 	}
-	return e.enqueue(p, enc, m.Kind)
+	return e.enqueue(p, enc)
 }
 
 // SendMany exists only for the benchmark's tracing decorator

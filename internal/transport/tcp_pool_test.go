@@ -5,60 +5,11 @@ package transport
 // the pool.
 
 import (
-	"sync"
 	"testing"
 	"time"
 
-	"sdso/internal/metrics"
 	"sdso/internal/wire"
 )
-
-// TestSessionShedStormReleasesFrames storms a stalled peer's bounded queue
-// with sheddable SYNC frames and pins pool balance: the shed path must
-// release every dropped frame (the latent leak this test exists to catch —
-// a shed entry that is merely forgotten keeps its refcount at one
-// forever), and dropping the queue must return the remainder.
-func TestSessionShedStormReleasesFrames(t *testing.T) {
-	base := wire.LiveFrames()
-	mc := metrics.NewCollector()
-	e := &TCPEndpoint{
-		id: 0, n: 2,
-		cfg: TCPConfig{
-			Reconnect:       true,
-			SendQueueFrames: 8,
-			SendQueuePolicy: QueueShedOldest,
-			Metrics:         mc,
-		}.withDefaults(),
-		done: make(chan struct{}),
-	}
-	// A bare peer with no socket and no writer: nothing drains the queue,
-	// so every enqueue past the cap must shed.
-	p := &tcpPeer{id: 1}
-	p.cond = sync.NewCond(&p.mu)
-
-	const storm = 500
-	for i := 0; i < storm; i++ {
-		enc, err := wire.EncodeFrame(&wire.Msg{Kind: wire.KindSync, Stamp: int64(i)})
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		if err := e.enqueue(p, enc, wire.KindSync); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
-		}
-	}
-	if shed, want := mc.Snapshot().SendQShed, storm-8; shed != want {
-		t.Fatalf("sheds = %d, want %d", shed, want)
-	}
-	if got := wire.LiveFrames() - base; got != 8 {
-		t.Fatalf("live frames after shed storm = %d, want 8 (the queued tail); shed frames leaked", got)
-	}
-	p.mu.Lock()
-	p.dropQueueLocked()
-	p.mu.Unlock()
-	if got := wire.LiveFrames() - base; got != 0 {
-		t.Fatalf("live frames after queue drop = %d, want 0", got)
-	}
-}
 
 // TestSessionCloseReleasesRetainedFrames runs real traffic through a
 // resilient pair and verifies shutdown returns every queued and retained
@@ -89,8 +40,7 @@ func TestSessionCloseReleasesRetainedFrames(t *testing.T) {
 }
 
 // TestSendQueueDrainsInPlace pins the send queue's shape: frames leave in
-// FIFO order, frames put back go in front of everything queued, a frame can
-// be removed from the middle, and a queue held at a depth of a thousand
+// FIFO order, frames put back go in front of everything queued, and a queue held at a depth of a thousand
 // frames — the writer popping one, a blocked sender pushing one — keeps
 // reusing its array rather than growing it.
 func TestSendQueueDrainsInPlace(t *testing.T) {
@@ -109,10 +59,7 @@ func TestSendQueueDrainsInPlace(t *testing.T) {
 	}
 	a, b := q.pop(), q.pop()
 	q.unpop(a, b)
-	if got := q.remove(2); got.enc != encs[2] {
-		t.Fatal("remove(2) did not remove the third frame")
-	}
-	for _, want := range []int{0, 1, 3, 4} {
+	for _, want := range []int{0, 1, 2, 3, 4} {
 		if got := q.pop(); got.enc != encs[want] {
 			t.Fatalf("popped a frame out of order, want frame %d", want)
 		}

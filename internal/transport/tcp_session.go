@@ -26,10 +26,10 @@ import (
 //     reclaims its links. Only a resumable link's acceptor replies: its
 //     recvCount is the dialer's replay point.
 //   - Send stages an encoded frame on the peer's bounded queue and never
-//     blocks in a kernel write; a full queue blocks or sheds SYNC-class
-//     frames per SendQueuePolicy. The writer takes the queue when it is
-//     due (dueLocked), writes it and flushes once it has run dry. Flush
-//     returns once every writer it woke has done so, or its link is down.
+//     blocks in a kernel write; a full queue blocks it. The writer takes
+//     the queue when it is due (dueLocked), writes it and flushes once it
+//     has run dry. Flush returns once every writer it woke has done so,
+//     or its link is down.
 //   - Without Reconnect a broken link — a read or write error, or a clean
 //     hang-up without DONE — is final at once (the paper's fail-stop
 //     model): the peer is gone unless it announced DONE, and nothing is
@@ -589,13 +589,13 @@ func (p *tcpPeer) ackRetainLocked(ack int64) {
 	p.ackedSeq += int64(n)
 }
 
-// enqueue stages one encoded frame on p's bounded queue, blocking or
-// shedding per the configured policy when the queue is full. It takes
-// ownership of enc: the frame is released by whichever path dequeues it,
-// or right here when the peer cannot accept it. It returns nil for a departed peer whose link is down (a legitimate
+// enqueue stages one encoded frame on p's bounded queue, blocking while
+// the queue is full. It takes ownership of enc: the frame is released by
+// whichever path dequeues it, or right here when the peer cannot accept
+// it. It returns nil for a departed peer whose link is down (a legitimate
 // exit, the same contract as the in-memory transport) and ErrPeerGone for
 // one whose link is down for good.
-func (e *TCPEndpoint) enqueue(p *tcpPeer, enc *wire.Encoded, kind wire.Kind) error {
+func (e *TCPEndpoint) enqueue(p *tcpPeer, enc *wire.Encoded) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -613,16 +613,13 @@ func (e *TCPEndpoint) enqueue(p *tcpPeer, enc *wire.Encoded, kind wire.Kind) err
 		if p.q.len() < e.cfg.SendQueueFrames && p.q.bytes+enc.Len() <= e.cfg.SendQueueBytes {
 			break
 		}
-		if e.cfg.SendQueuePolicy == QueueShedOldest && e.shedOldestLocked(p) {
-			continue
-		}
 		// A sender waiting for room is a barrier too: the writer takes
 		// the queue now, whatever the threshold.
 		p.flushReq = true
 		p.cond.Broadcast()
 		p.cond.Wait()
 	}
-	p.q.push(sendEntry{enc: enc, kind: kind})
+	p.q.push(sendEntry{enc: enc})
 	if m := e.cfg.Metrics; m != nil {
 		m.NoteSendQDepth(p.q.len())
 	}
@@ -648,28 +645,9 @@ func (e *TCPEndpoint) sendControlLocked(p *tcpPeer, m *wire.Msg) {
 		enc.Release()
 		return
 	}
-	p.q.push(sendEntry{enc: enc, kind: m.Kind, ctrl: true})
+	p.q.push(sendEntry{enc: enc, ctrl: true})
 	p.flushReq = true
 	p.cond.Broadcast()
-}
-
-// shedOldestLocked drops the oldest sheddable frame from p's queue (p.mu
-// held), releasing it back to the pool, and reports whether anything was
-// shed. The Release matters: a shed storm that merely forgot the entries
-// would bleed the frame pool one buffer per shed (the refcount never
-// reaches zero), which TestSessionShedStormReleasesFrames pins.
-func (e *TCPEndpoint) shedOldestLocked(p *tcpPeer) bool {
-	for i, ent := range p.q.entries() {
-		if !sheddable(ent.kind) {
-			continue
-		}
-		p.q.remove(i).enc.Release()
-		if m := e.cfg.Metrics; m != nil {
-			m.AddSendQShed()
-		}
-		return true
-	}
-	return false
 }
 
 // dropQueueLocked discards everything queued for a peer declared gone

@@ -376,50 +376,6 @@ func dialThroughFake(t *testing.T, fake *fakeSessionPeer, cfg TCPConfig) (*TCPEn
 	return ep, conn
 }
 
-func TestSessionSendQueueShedsOldestUnderStall(t *testing.T) {
-	fake := newFakeSessionPeer(t)
-	mc := metrics.NewCollector()
-	ep, _ := dialThroughFake(t, fake, TCPConfig{
-		Reconnect:       true,
-		ReconnectGrace:  10 * time.Second,
-		SendQueueFrames: 8,
-		SendQueueBytes:  1 << 20,
-		SendQueuePolicy: QueueShedOldest,
-		CloseGrace:      100 * time.Millisecond,
-		Metrics:         mc,
-	})
-
-	// The fake never reads: the writer wedges in the kernel once the small
-	// socket buffers fill, and the queue must bound at 8 frames with the
-	// overflow shed — never a blocked Send.
-	payload := make([]byte, 8<<10)
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < 100; i++ {
-			if err := ep.Send(0, &wire.Msg{Kind: wire.KindSync, Stamp: int64(i), Payload: payload}); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("send: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Send blocked under QueueShedOldest against a stalled peer")
-	}
-	snap := mc.Snapshot()
-	if snap.SendQDepthPeak > 8 {
-		t.Fatalf("queue depth peaked at %d frames, cap is 8", snap.SendQDepthPeak)
-	}
-	if snap.SendQShed == 0 {
-		t.Fatal("nothing was shed despite 100 frames against an 8-frame cap")
-	}
-}
-
 func TestSessionSendQueueBlockPolicyAppliesBackpressure(t *testing.T) {
 	fake := newFakeSessionPeer(t)
 	ep, conn := dialThroughFake(t, fake, TCPConfig{
@@ -427,7 +383,6 @@ func TestSessionSendQueueBlockPolicyAppliesBackpressure(t *testing.T) {
 		ReconnectGrace:  10 * time.Second,
 		SendQueueFrames: 4,
 		SendQueueBytes:  1 << 20,
-		SendQueuePolicy: QueueBlock,
 		CloseGrace:      100 * time.Millisecond,
 	})
 

@@ -206,9 +206,6 @@ func (s *Sim) Spawn(fn func(p *Proc)) *Proc {
 	return p
 }
 
-// NumProcs reports how many processes have been spawned.
-func (s *Sim) NumProcs() int { return len(s.procs) }
-
 // Proc returns the process with the given id.
 func (s *Sim) Proc(id int) *Proc { return s.procs[id] }
 

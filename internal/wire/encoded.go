@@ -22,8 +22,9 @@ var encodedPool = sync.Pool{New: func() any {
 
 // liveFrames counts Encoded frames checked out of the pool and not yet
 // released. It exists so tests can pin that every path that drops a frame
-// (a shed queue entry, say) releases it: a forgotten one leaves the counter
-// permanently elevated, which a before/after comparison catches.
+// (a queue dropped for a gone peer, say) releases it: a forgotten one
+// leaves the counter permanently elevated, which a before/after
+// comparison catches.
 var liveFrames atomic.Int64
 
 // LiveFrames returns the number of Encoded frames not yet released (test

@@ -125,7 +125,7 @@ func (b *mapBuffer) Readmit(proc int) {
 func flat(diffs []ObjDiff) string {
 	var buf bytes.Buffer
 	for _, od := range diffs {
-		fmt.Fprintf(&buf, "%d@%d:%x ", od.Obj, od.Version, diff.Encode(od.D))
+		fmt.Fprintf(&buf, "%d@%d:%x ", od.Obj, od.Version, diff.AppendEncode(nil, od.D))
 	}
 	return buf.String()
 }
@@ -174,9 +174,9 @@ func TestSlottedBufferMatchesMapOracle(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 3:
 					d := randDiff(obj)
-					errG, errW := got.Add(proc, store.ID(obj), int64(step), d), want.Add(proc, store.ID(obj), int64(step), d)
+					errG, errW := got.AddAll(store.ID(obj), int64(step), d, only(n, proc)), want.AddAll(store.ID(obj), int64(step), d, only(n, proc))
 					if (errG == nil) != (errW == nil) {
-						t.Fatalf("%s: Add err = %v, oracle %v", ctx, errG, errW)
+						t.Fatalf("%s: AddAll to one err = %v, oracle %v", ctx, errG, errW)
 					}
 				case op < 5:
 					var skip map[int]bool

@@ -42,7 +42,7 @@ type DeltaRecord struct {
 	Obj     store.ID
 	Version int64
 	// Delta selects the encoding: false means D holds a full diff, true
-	// means X holds diff.EncodeXOR output against (BaseVer, BaseHash).
+	// means X holds diff.AppendXOR output against (BaseVer, BaseHash).
 	Delta    bool
 	D        diff.Diff
 	BaseVer  int64

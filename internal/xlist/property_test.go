@@ -184,8 +184,8 @@ func runPropertySeq(t *testing.T, seed int64, merge bool) {
 			b.Readmit(p)
 			m.readmit(p)
 		default: // self-directed traffic must be inert
-			if err := b.Add(self, store.ID(rng.Intn(64)), int64(step), replaceOf(replacePayload(rng))); err != nil {
-				t.Fatalf("step %d: Add(self): %v", step, err)
+			if err := addFor(b, self, store.ID(rng.Intn(64)), int64(step), replaceOf(replacePayload(rng))); err != nil {
+				t.Fatalf("step %d: addFor(self): %v", step, err)
 			}
 		}
 		checkAgainstModel(t, step, b, m)

@@ -12,8 +12,8 @@ import (
 func TestSlottedBufferDropReadmit(t *testing.T) {
 	b := NewSlottedBuffer(0, 3, true)
 	pre := diff.Compute([]byte("aaaa"), []byte("abba"))
-	if err := b.Add(1, 7, 1, pre); err != nil {
-		t.Fatalf("Add: %v", err)
+	if err := addFor(b, 1, 7, 1, pre); err != nil {
+		t.Fatalf("addFor: %v", err)
 	}
 
 	b.Drop(1)
@@ -28,8 +28,8 @@ func TestSlottedBufferDropReadmit(t *testing.T) {
 	}
 	// Writes while dropped vanish (the peer is gone; its history will
 	// travel in a snapshot instead).
-	if err := b.Add(1, 7, 2, pre); err != nil {
-		t.Fatalf("Add to dropped slot: %v", err)
+	if err := addFor(b, 1, 7, 2, pre); err != nil {
+		t.Fatalf("addFor a dropped slot: %v", err)
 	}
 	if got := b.Pending(1); got != 0 {
 		t.Fatalf("dropped slot accumulated %d diffs", got)
@@ -43,8 +43,8 @@ func TestSlottedBufferDropReadmit(t *testing.T) {
 		t.Fatalf("readmitted slot not empty: %d diffs", got)
 	}
 	post := diff.Compute([]byte("abba"), []byte("abcd"))
-	if err := b.Add(1, 7, 3, post); err != nil {
-		t.Fatalf("Add after Readmit: %v", err)
+	if err := addFor(b, 1, 7, 3, post); err != nil {
+		t.Fatalf("addFor after Readmit: %v", err)
 	}
 	out := b.Flush(1)
 	if len(out) != 1 || out[0].Version != 3 {
@@ -56,8 +56,8 @@ func TestSlottedBufferDropReadmit(t *testing.T) {
 // what it holds.
 func TestSlottedBufferReadmitLiveSlot(t *testing.T) {
 	b := NewSlottedBuffer(0, 2, true)
-	if err := b.Add(1, 7, 1, diff.Compute([]byte("aa"), []byte("ab"))); err != nil {
-		t.Fatalf("Add: %v", err)
+	if err := addFor(b, 1, 7, 1, diff.Compute([]byte("aa"), []byte("ab"))); err != nil {
+		t.Fatalf("addFor: %v", err)
 	}
 	b.Readmit(1)
 	if got := b.Pending(1); got != 1 {

@@ -26,7 +26,7 @@ func randomBatch(rng *rand.Rand) (recs []DeltaRecord, diffs []ObjDiff) {
 			rec.D = diff.Diff{Replace: true, Len: len(next), Runs: []diff.Run{{Data: next}}}
 		default:
 			rec.Delta, rec.BaseVer, rec.BaseHash = true, int64(rng.Intn(100)), diff.Fingerprint(base)
-			rec.X, _ = diff.EncodeXOR(base, next)
+			rec.X, _ = diff.AppendXOR(nil, base, next)
 		}
 		recs = append(recs, rec)
 		if !rec.Delta {

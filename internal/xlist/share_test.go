@@ -42,7 +42,7 @@ func TestSlotRecordsAreShared(t *testing.T) {
 		// which must never be one a slot still names.
 		fresh := func(obj store.ID) *record {
 			t.Helper()
-			if err := b.Add(4, obj, 1, replace([]byte{1})); err != nil {
+			if err := addFor(b, 4, obj, 1, replace([]byte{1})); err != nil {
 				t.Fatal(err)
 			}
 			pending := b.slots[4].pending
@@ -55,7 +55,7 @@ func TestSlotRecordsAreShared(t *testing.T) {
 		}
 		if merge {
 			// A replacement over the buffered write: slot 2 merges past it.
-			if err := b.Add(2, 5, 2, replace([]byte{2})); err != nil {
+			if err := addFor(b, 2, 5, 2, replace([]byte{2})); err != nil {
 				t.Fatal(err)
 			}
 			if b.slots[2].pending[0] == rec {
@@ -136,7 +136,7 @@ func TestSlotRecordRetention(t *testing.T) {
 				if op < 9 {
 					err = b.AddAll(obj, int64(step), d, nil)
 				} else {
-					err = b.Add(proc, obj, int64(step), d)
+					err = addFor(b, proc, obj, int64(step), d)
 				}
 				if err != nil {
 					t.Fatal(err)

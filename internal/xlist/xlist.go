@@ -109,18 +109,6 @@ func (l *List) Time(proc int) (int64, bool) {
 // Len returns the number of scheduled processes.
 func (l *List) Len() int { return l.n }
 
-// Peek returns the earliest entry without removing it.
-func (l *List) Peek() (Entry, bool) {
-	var best Entry
-	found := false
-	for proc, it := range l.items {
-		if it.scheduled && (!found || it.time < best.Time) {
-			best, found = Entry{Time: it.time, Proc: proc}, true
-		}
-	}
-	return best, found
-}
-
 // Due returns, in ascending (time, proc) order, every process whose
 // exchange time is <= now. The entries remain scheduled; callers
 // reschedule them via Set after the exchange completes (the paper's
@@ -130,12 +118,6 @@ func (l *List) Peek() (Entry, bool) {
 func (l *List) Due(now int64) []Entry {
 	l.due = l.appendUpTo(l.due[:0], now)
 	return l.due
-}
-
-// Entries returns every entry in (time, proc) order — the rendering used in
-// the paper's Figure 2.
-func (l *List) Entries() []Entry {
-	return l.appendUpTo(make([]Entry, 0, l.n), math.MaxInt64)
 }
 
 // appendUpTo appends the entries scheduled at or before now to dst in
@@ -157,7 +139,7 @@ func (l *List) appendUpTo(dst []Entry, now int64) []Entry {
 // String renders the list like Figure 2: (t1,p1) (t2,p2) ...
 func (l *List) String() string {
 	s := ""
-	for _, e := range l.Entries() {
+	for _, e := range l.appendUpTo(nil, math.MaxInt64) {
 		s += fmt.Sprintf("(%d,%d) ", e.Time, e.Proc)
 	}
 	return s
@@ -232,25 +214,9 @@ func NewSlottedBuffer(self, n int, merge bool) *SlottedBuffer {
 	return b
 }
 
-// Merging reports whether diff merging is enabled.
-func (b *SlottedBuffer) Merging() bool { return b.merge }
-
 // remote reports whether proc names a slot other than the local one.
 func (b *SlottedBuffer) remote(proc int) bool {
 	return proc != b.self && proc >= 0 && proc < b.n
-}
-
-// Add records that obj changed by d (reaching version) and the change has
-// not yet been sent to proc.
-func (b *SlottedBuffer) Add(proc int, obj store.ID, version int64, d diff.Diff) error {
-	if proc == b.self {
-		return nil // "updates for the local process need not be buffered"
-	}
-	if proc < 0 || proc >= b.n {
-		return fmt.Errorf("xlist: no slot for process %d", proc)
-	}
-	var rec *record
-	return b.add(&b.slots[proc], &rec, ObjDiff{Obj: obj, Version: version, D: d})
 }
 
 // AddAll records the change for every remote process except those in skip.

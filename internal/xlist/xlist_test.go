@@ -2,6 +2,7 @@ package xlist
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,8 +46,8 @@ func TestListReschedule(t *testing.T) {
 	if tt, ok := l.Time(1); !ok || tt != 20 {
 		t.Errorf("Time(1) = %d,%v", tt, ok)
 	}
-	if e, ok := l.Peek(); !ok || e.Time != 20 {
-		t.Errorf("Peek = %+v,%v", e, ok)
+	if due := l.Due(math.MaxInt64); len(due) != 1 || due[0].Time != 20 {
+		t.Errorf("Due = %+v", due)
 	}
 }
 
@@ -62,14 +63,14 @@ func TestListRemove(t *testing.T) {
 	if _, ok := l.Time(1); ok {
 		t.Error("removed entry still present")
 	}
-	if e, _ := l.Peek(); e.Proc != 2 {
-		t.Errorf("Peek = %+v", e)
+	if due := l.Due(math.MaxInt64); len(due) != 1 || due[0].Proc != 2 {
+		t.Errorf("Due = %+v", due)
 	}
 }
 
 func TestListOrderedEarliestFirst(t *testing.T) {
-	// Property: Entries() is sorted by (time, proc) regardless of the
-	// insertion/reschedule sequence, and Peek matches Entries()[0].
+	// Property: Due is sorted by (time, proc) regardless of the
+	// insertion/reschedule sequence.
 	f := func(ops []struct {
 		Proc uint8
 		Time uint16
@@ -78,16 +79,10 @@ func TestListOrderedEarliestFirst(t *testing.T) {
 		for _, op := range ops {
 			l.Set(int(op.Proc), int64(op.Time))
 		}
-		es := l.Entries()
+		es := l.Due(math.MaxInt64)
 		for i := 1; i < len(es); i++ {
 			if es[i-1].Time > es[i].Time ||
 				(es[i-1].Time == es[i].Time && es[i-1].Proc >= es[i].Proc) {
-				return false
-			}
-		}
-		if len(es) > 0 {
-			p, ok := l.Peek()
-			if !ok || p != es[0] {
 				return false
 			}
 		}
@@ -107,6 +102,20 @@ func TestListString(t *testing.T) {
 	}
 }
 
+// only is the AddAll skip set that leaves proc alone of n processes.
+func only(n, proc int) map[int]bool {
+	skip := make(map[int]bool, n)
+	for q := 0; q < n; q++ {
+		skip[q] = q != proc
+	}
+	return skip
+}
+
+// addFor buffers a write for proc alone.
+func addFor(b *SlottedBuffer, proc int, obj store.ID, version int64, d diff.Diff) error {
+	return b.AddAll(obj, version, d, only(b.n, proc))
+}
+
 func mkDiff(t *testing.T, old, new string) diff.Diff {
 	t.Helper()
 	return diff.Compute([]byte(old), []byte(new))
@@ -115,20 +124,17 @@ func mkDiff(t *testing.T, old, new string) diff.Diff {
 func TestSlottedBufferBasics(t *testing.T) {
 	b := NewSlottedBuffer(0, 3, true)
 	d := mkDiff(t, "aaaa", "abba")
-	if err := b.Add(1, 7, 1, d); err != nil {
-		t.Fatalf("Add: %v", err)
+	if err := addFor(b, 1, 7, 1, d); err != nil {
+		t.Fatalf("addFor: %v", err)
 	}
-	if err := b.Add(0, 7, 1, d); err != nil { // self: silently ignored
-		t.Fatalf("Add self: %v", err)
+	if err := addFor(b, 0, 7, 1, d); err != nil { // self: silently ignored
+		t.Fatalf("addFor self: %v", err)
 	}
 	if b.Pending(0) != 0 {
 		t.Error("self slot should stay empty")
 	}
 	if b.Pending(1) != 1 || b.Pending(2) != 0 {
 		t.Errorf("Pending = %d,%d", b.Pending(1), b.Pending(2))
-	}
-	if err := b.Add(5, 7, 1, d); err == nil {
-		t.Error("Add out of range should fail")
 	}
 
 	out := b.Flush(1)
@@ -145,10 +151,10 @@ func TestSlottedBufferMerges(t *testing.T) {
 	base := []byte("aaaaaaaa")
 	mid := []byte("abaaaaaa")
 	fin := []byte("abaaaaba")
-	if err := b.Add(1, 3, 1, diff.Compute(base, mid)); err != nil {
+	if err := addFor(b, 1, 3, 1, diff.Compute(base, mid)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(1, 3, 2, diff.Compute(mid, fin)); err != nil {
+	if err := addFor(b, 1, 3, 2, diff.Compute(mid, fin)); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Pending(1); got != 1 {
@@ -172,8 +178,8 @@ func TestSlottedBufferUnmergedKeepsAll(t *testing.T) {
 	base := []byte("aaaaaaaa")
 	mid := []byte("abaaaaaa")
 	fin := []byte("abaaaaba")
-	b.Add(1, 3, 1, diff.Compute(base, mid))
-	b.Add(1, 3, 2, diff.Compute(mid, fin))
+	addFor(b, 1, 3, 1, diff.Compute(base, mid))
+	addFor(b, 1, 3, 2, diff.Compute(mid, fin))
 	if got := b.Pending(1); got != 2 {
 		t.Fatalf("unmerged Pending = %d, want 2", got)
 	}
@@ -195,7 +201,7 @@ func TestSlottedBufferFlushOrdering(t *testing.T) {
 	b := NewSlottedBuffer(1, 3, true)
 	d := mkDiff(t, "xx", "xy")
 	for _, obj := range []store.ID{9, 2, 5} {
-		if err := b.Add(0, obj, 1, d); err != nil {
+		if err := addFor(b, 0, obj, 1, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +213,7 @@ func TestSlottedBufferFlushOrdering(t *testing.T) {
 
 func TestSlottedBufferDrop(t *testing.T) {
 	b := NewSlottedBuffer(0, 2, true)
-	b.Add(1, 1, 1, mkDiff(t, "ab", "cd"))
+	addFor(b, 1, 1, 1, mkDiff(t, "ab", "cd"))
 	b.Drop(1)
 	if b.Pending(1) != 0 {
 		t.Error("Drop did not clear slot")
@@ -236,7 +242,7 @@ func TestBufferedMergeEquivalentToEager(t *testing.T) {
 				next[rng.Intn(objLen)] = byte(rng.Intn(256))
 			}
 			d := diff.Compute(cur, next)
-			if err := buf.Add(1, 1, int64(i+1), d); err != nil {
+			if err := addFor(buf, 1, 1, int64(i+1), d); err != nil {
 				return false
 			}
 			var err error
