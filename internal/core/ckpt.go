@@ -66,7 +66,7 @@ func (r *Runtime) handleCkpt(m *wire.Msg) {
 	}
 	r.vaults[origin] = vaultEntry{stamp: m.Stamp, snap: m.Payload}
 	r.debugf("now=%d vault ckpt origin=%d stamp=%d bytes=%d", r.now, origin, m.Stamp, len(m.Payload))
-	if r.peers[origin].crashed {
+	if r.peers[origin].is(crashed) {
 		// The origin is already gone: fold its writes in right away.
 		r.relayVault(origin)
 	}

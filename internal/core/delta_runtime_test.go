@@ -334,7 +334,7 @@ func TestDeltaLateJoinerResetsTables(t *testing.T) {
 						return err
 					}
 				}
-				for deadline := time.Now().Add(5 * time.Second); r.PeerAbsent(2); {
+				for deadline := time.Now().Add(5 * time.Second); r.peers[2].is(absent); {
 					if time.Now().After(deadline) {
 						return errors.New("joiner never arrived")
 					}

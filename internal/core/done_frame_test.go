@@ -134,7 +134,7 @@ func FuzzConsumeData(f *testing.F) {
 			t.Fatal(err)
 		}
 		r.evictPeer(2)
-		epoch := r.Epoch()
+		epoch := r.epoch
 		ints := make([]int64, len(beacon))
 		for i, v := range beacon {
 			ints[i] = int64(int8(v))
@@ -145,8 +145,8 @@ func FuzzConsumeData(f *testing.F) {
 			return
 		}
 		ps, h := &r.peers[src], heldFrom(r, int(src))
-		if ps.done || len(h.data) != 0 || len(h.syncs) != 0 || ps.syncSeen != 0 || r.GameOver() || r.Epoch() != epoch {
-			t.Fatalf("%v frame from gone peer %d (mode %#x) left a mark: %+v gameOver=%v epoch %d→%d", k, src, mode, *ps, r.GameOver(), epoch, r.Epoch())
+		if ps.is(done) || len(h.data) != 0 || len(h.syncs) != 0 || ps.syncSeen != 0 || r.GameOver() || r.epoch != epoch {
+			t.Fatalf("%v frame from gone peer %d (mode %#x) left a mark: %+v gameOver=%v epoch %d→%d", k, src, mode, *ps, r.GameOver(), epoch, r.epoch)
 		}
 	})
 }

@@ -48,7 +48,7 @@ func (r *Runtime) Join(incarnation int64) error {
 	}
 	var targets []int
 	for peer := range r.peers {
-		if ps := &r.peers[peer]; peer != r.ep.ID() && !ps.done && !ps.crashed {
+		if peer != r.ep.ID() && !r.peers[peer].ended() {
 			targets = append(targets, peer)
 		}
 	}
@@ -71,9 +71,8 @@ func (r *Runtime) Join(incarnation int64) error {
 	if _, err := r.await(&waiter{
 		peers: targets, timeout: timeout,
 		pending: func(peer int) bool {
-			ps := &r.peers[peer]
 			_, acked := js.admit[peer]
-			return !ps.done && !ps.crashed && !(acked && js.snapped[peer])
+			return !r.peers[peer].ended() && !(acked && js.snapped[peer])
 		},
 		resend: func(peer int) (bool, error) { return r.sendTo(peer, req.Clone(), "join retransmit to") },
 	}); err != nil {
@@ -85,11 +84,7 @@ func (r *Runtime) Join(incarnation int64) error {
 	// later admissions are already in the exchange-list.
 	earliest := int64(-1)
 	for _, peer := range targets {
-		admit, ok := js.admit[peer]
-		if ps := &r.peers[peer]; !ok || ps.done || ps.crashed {
-			continue
-		}
-		if earliest < 0 || admit < earliest {
+		if admit, ok := js.admit[peer]; ok && !r.peers[peer].ended() && (earliest < 0 || admit < earliest) {
 			earliest = admit
 		}
 	}
@@ -113,11 +108,11 @@ func (r *Runtime) Join(incarnation int64) error {
 // eventually arrive) plus a fresh snapshot.
 func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
 	ps := &r.peers[peer]
-	if peer == r.ep.ID() || r.localDone || ps.done {
+	if peer == r.ep.ID() || r.localDone || ps.is(done) {
 		return
 	}
 	inc := m.Stamp
-	if g, ok := r.grants[peer]; ok && g.inc == inc && !ps.crashed && !ps.absent {
+	if g, ok := r.grants[peer]; ok && g.inc == inc && !ps.barred() {
 		r.sendJoinReply(peer, g.tick)
 		return
 	}
@@ -141,17 +136,15 @@ func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
 	r.sendJoinReply(peer, admit)
 }
 
-// readmitPeer clears peer's crashed/absent status and re-opens its
-// bookkeeping: the membership epoch advances and the slotted-buffer slot
-// reopens so subsequent writes buffer for it again. The joiner's missed
-// history travels in the snapshot, so the slot starts empty.
+// readmitPeer takes an absent or evicted peer back into the game (move) and
+// re-opens its bookkeeping: the slotted-buffer slot reopens so subsequent
+// writes buffer for it again. The joiner's missed history travels in the
+// snapshot, so the slot starts empty.
 func (r *Runtime) readmitPeer(peer int) {
-	ps := &r.peers[peer]
-	if !ps.crashed && !ps.absent {
+	if !r.move(peer, onReadmit, 0) {
 		return
 	}
-	ps.crashed, ps.absent = false, false
-	r.epoch++
+	ps := &r.peers[peer]
 	r.buf.Readmit(peer)
 	// Pre-crash leftovers from the peer's previous life must not leak
 	// into its new one.
@@ -217,7 +210,7 @@ func (r *Runtime) sendJoinReply(peer int, admit int64) {
 // granted rendezvous times out.
 func (r *Runtime) handleJoinAck(peer int, m *wire.Msg) {
 	js := r.joining
-	if js == nil || r.peers[peer].done || r.peers[peer].crashed {
+	if js == nil || r.peers[peer].ended() {
 		return
 	}
 	r.readmitPeer(peer) // the responder is live and a member
@@ -242,7 +235,7 @@ func (r *Runtime) handleSnapshot(peer int, m *wire.Msg) {
 		return // corrupt checkpoints are dropped; a retransmission follows
 	}
 	js := r.joining
-	if js == nil || r.peers[peer].done || r.peers[peer].crashed {
+	if js == nil || r.peers[peer].ended() {
 		return
 	}
 	if !js.snapped[peer] {

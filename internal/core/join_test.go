@@ -33,7 +33,7 @@ func TestJoinLateComer(t *testing.T) {
 	}
 	rts := []*Runtime{mk(0, []int{0, 1}), mk(1, []int{0, 1}), mk(2, []int{2})}
 
-	if !rts[0].PeerAbsent(2) || !rts[2].PeerAbsent(0) {
+	if !rts[0].peers[2].is(absent) || !rts[2].peers[0].is(absent) {
 		t.Fatal("InitialMembers did not mark the missing peers absent")
 	}
 
@@ -54,7 +54,7 @@ func TestJoinLateComer(t *testing.T) {
 				// cleared by serveJoin), so the game cannot end before the
 				// join lands. A real player serves joins the same way, from
 				// the recv paths of its ordinary exchanges.
-				for deadline := time.Now().Add(5 * time.Second); r.PeerAbsent(2); {
+				for deadline := time.Now().Add(5 * time.Second); r.peers[2].is(absent); {
 					if time.Now().After(deadline) {
 						return errors.New("joiner never arrived")
 					}
@@ -111,11 +111,11 @@ func TestJoinLateComer(t *testing.T) {
 		if len(view.Members) != n {
 			t.Fatalf("runtime %d view = %v, want all %d members", i, view.Members, n)
 		}
-		if r.Epoch() == 0 {
+		if r.epoch == 0 {
 			t.Fatalf("runtime %d epoch never advanced across the join", i)
 		}
 	}
-	if rts[0].PeerAbsent(2) || rts[2].PeerAbsent(0) || rts[2].PeerAbsent(1) {
+	if rts[0].peers[2].is(absent) || rts[2].peers[0].is(absent) || rts[2].peers[1].is(absent) {
 		t.Fatal("absence flags survived the join")
 	}
 }
@@ -208,7 +208,7 @@ func TestJoinRequiresTimeout(t *testing.T) {
 // TestSentinelErrors: the exported sentinels match through errors.Is on the
 // paths that produce them — a timed-out synchronous wait reports both
 // ErrSyncTimeout and ErrEvicted (the wait gave up because the peer was
-// presumed dead), and the legacy alias still matches.
+// presumed dead).
 func TestSentinelErrors(t *testing.T) {
 	net := transport.NewMemNetwork(2)
 	t.Cleanup(net.Close)
@@ -231,8 +231,5 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if !errors.Is(err, ErrEvicted) {
 		t.Errorf("err = %v, want match for ErrEvicted", err)
-	}
-	if !errors.Is(err, ErrPeerCrashed) {
-		t.Errorf("err = %v, want match for the ErrPeerCrashed alias", err)
 	}
 }

@@ -135,7 +135,7 @@ func (r *Runtime) replyIndex(obj uint32, stamp int64) int {
 // request sends a clone of req (req is kept for resends) to peer and waits
 // in the one wait for the ObjReply matching it, installing its state when
 // apply is set. A responder evicted as silent yields an error wrapping
-// ErrSyncTimeout and ErrEvicted; one gone otherwise, ErrPeerCrashed.
+// ErrSyncTimeout and ErrEvicted; one that left otherwise, ErrEvicted.
 func (r *Runtime) request(to int, req *wire.Msg, apply bool) error {
 	obj, stamp := req.Obj, req.Stamp
 	if _, err := r.sendTo(to, req.Clone(), "request to"); err != nil {
@@ -147,7 +147,7 @@ func (r *Runtime) request(to int, req *wire.Msg, apply bool) error {
 		peers: []int{to}, timeout: timeout, suspect: true, goneFirst: true,
 		pending: func(int) bool { // without a timeout, the paper's blocking wait
 			ps := &r.peers[to]
-			return r.replyIndex(obj, stamp) < 0 && !ps.crashed && (timeout <= 0 || !ps.done)
+			return r.replyIndex(obj, stamp) < 0 && !ps.is(crashed) && (timeout <= 0 || !ps.ended())
 		},
 		resend: func(int) (bool, error) { return r.sendTo(to, req.Clone(), "retransmit request to") },
 	})
@@ -160,7 +160,7 @@ func (r *Runtime) request(to int, req *wire.Msg, apply bool) error {
 	case evicted:
 		return fmt.Errorf("core: no reply for obj %d from peer %d: %w (%w)", obj, to, ErrSyncTimeout, ErrEvicted)
 	default:
-		return fmt.Errorf("core: awaiting reply for obj %d from %d: %w", obj, to, ErrPeerCrashed)
+		return fmt.Errorf("core: awaiting reply for obj %d from %d: %w", obj, to, ErrEvicted)
 	}
 	m := r.pendingReplies[i]
 	r.pendingReplies = slices.Delete(r.pendingReplies, i, i+1)

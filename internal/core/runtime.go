@@ -304,10 +304,7 @@ type Runtime struct {
 // belongs in a side table, not here: n runtimes of n peers each hold n²
 // of these.
 type peerState struct {
-	done     bool // announced completion
-	crashed  bool // evicted as crashed
-	absent   bool // late joiner not yet admitted
-	departed bool // marked by Departed; still set past the send stage: owed its frame
+	status status // where the peer stands in the game; move is its one writer
 	// heldSyncs counts the peer's SYNCs in Runtime.early: only a peer with
 	// one held can send a duplicate of it.
 	heldSyncs uint32
@@ -360,9 +357,83 @@ func (ps *peerState) sent(stamp int64, beacon []int64) {
 	ps.prevSync, ps.lastSync = ps.lastSync, syncRec{stamp: stamp, beacon: beacon}
 }
 
-// gone reports whether the peer is not participating — announced done,
-// evicted as crashed, or absent (not yet joined).
-func (ps *peerState) gone() bool { return ps.done || ps.crashed || ps.absent }
+// status is where a peer stands in this process's game (DESIGN.md §8). New
+// starts a peer live or absent; from then on move is the one writer.
+type status uint8
+
+// The statuses, in the order the predicates rely on.
+const (
+	live     status = iota // in the game
+	departed               // live, marked by Departed: sent nothing until its SYNC shows it waits
+	absent                 // a late joiner not yet admitted
+	done                   // announced completion
+	crashed                // evicted as crashed
+)
+
+// edge is one event of a peer's lifecycle.
+type edge uint8
+
+const (
+	onReadmit edge = iota // a join handshake with the peer (serveJoin, handleJoinAck)
+	onMark                // Departed
+	onSettle              // a marked peer's SYNC is in hand, or sendLate sends it its frame
+	onDone                // its DONE arrived
+	onEvict               // declared crashed
+)
+
+// lifecycle[e][s] is the status edge e takes a peer in status s to, in the
+// order live, departed, absent, done, crashed; an edge a status has not got
+// leaves it unchanged. Done is final.
+var lifecycle = [...][5]status{
+	onReadmit: {live, departed, live, done, live},
+	onMark:    {departed, departed, absent, done, crashed},
+	onSettle:  {live, live, absent, done, crashed},
+	onDone:    {done, done, absent, done, crashed},
+	onEvict:   {crashed, crashed, crashed, done, crashed},
+}
+
+// The predicates every read of a status goes through.
+func (ps *peerState) is(s status) bool { return ps.status == s }
+func (ps *peerState) gone() bool       { return ps.status >= absent } // not in the game: absent, done or crashed
+func (ps *peerState) ended() bool      { return ps.status >= done }   // its game is over: done or crashed
+func (ps *peerState) marked() bool     { return ps.status == departed }
+func (ps *peerState) barred() bool     { return ps.status == absent || ps.status == crashed } // its traffic but join's is dropped
+
+// move takes peer along edge e and reports whether its status changed; it is
+// the one writer of statuses after New and of the epoch, which readmission
+// and leaving the game (a DONE, an eviction) advance. Leaving ends the
+// peer's schedule, slot and wait at once. stamp is a DONE's, for the trace.
+func (r *Runtime) move(peer int, e edge, stamp int64) bool {
+	ps := &r.peers[peer]
+	to := lifecycle[e][ps.status]
+	if to == ps.status {
+		return false
+	}
+	ps.status = to
+	switch e {
+	case onReadmit:
+		r.epoch++
+	case onDone, onEvict:
+		r.epoch++
+		r.settle(ps)
+		op := trace.OpEvict
+		if e == onDone {
+			op = trace.OpPeerDone
+		}
+		r.tr.Record(op, peer, 0, 0, r.now, stamp)
+		r.debugf("now=%d %v peer=%d stamp=%d epoch=%d", r.now, op, peer, stamp, r.epoch)
+		r.xl.Remove(peer)
+		r.buf.Drop(peer)
+		// Early SYNCs have no rendezvous left to serve. Early DATA survives,
+		// to be absorbed at its stamped tick: a DONE's final flush stamped
+		// one tick ahead, a fail-stop process's pre-crash output.
+		r.dropEarly(peer, false)
+		// Nothing is flushed to the peer again: its sender delta half goes back
+		// to the pool. The receiver half stays for a final flush's delta.
+		ps.send.reset(&r.deltaPool)
+	}
+	return true
+}
 
 // Errors returned by the runtime.
 var (
@@ -379,10 +450,6 @@ var (
 	// live peer (everyone is dead, done, or unreachable).
 	ErrJoinFailed = errors.New("core: join failed: no live peer answered")
 )
-
-// ErrPeerCrashed is the former name of ErrEvicted, kept so existing
-// errors.Is call sites keep matching.
-var ErrPeerCrashed = ErrEvicted
 
 // New builds a runtime over the endpoint. Objects are registered afterwards
 // via Share, before the first Exchange.
@@ -417,20 +484,11 @@ func New(cfg Config) (*Runtime, error) {
 			r.cfg.CheckpointF = DefaultCheckpointF
 		}
 	}
-	if cfg.InitialMembers != nil {
-		for peer := range r.peers {
-			r.peers[peer].absent = peer != ep.ID()
-		}
-		for _, p := range cfg.InitialMembers {
-			if p >= 0 && p < len(r.peers) {
-				r.peers[p].absent = false
-			}
-		}
-	}
 	for peer := range r.peers {
 		switch {
 		case peer == ep.ID():
-		case r.peers[peer].absent:
+		case cfg.InitialMembers != nil && !slices.Contains(cfg.InitialMembers, peer):
+			r.peers[peer] = peerState{status: absent}
 			r.buf.Drop(peer)
 		default:
 			r.xl.Set(peer, first)
@@ -455,12 +513,9 @@ func (r *Runtime) Store() *store.Store { return r.st }
 // Metrics exposes the collector.
 func (r *Runtime) Metrics() *metrics.Collector { return r.mc }
 
-// PeerDone reports whether peer has announced completion.
-func (r *Runtime) PeerDone(peer int) bool { return r.peers[peer].done }
-
-// PeerAbsent reports whether peer has not yet joined the game (it was
-// excluded from Config.InitialMembers and no join request has arrived).
-func (r *Runtime) PeerAbsent(peer int) bool { return r.peers[peer].absent }
+// PeerDone reports whether peer announced completion; an evicted peer, or
+// one not yet joined, has not.
+func (r *Runtime) PeerDone(peer int) bool { return r.peers[peer].is(done) }
 
 // PeerGone reports whether peer is not participating — announced done,
 // evicted as crashed, or absent (not yet joined).
@@ -475,18 +530,11 @@ type View struct {
 	Members []int // ascending, including the local process
 }
 
-// Epoch returns the current membership epoch.
-func (r *Runtime) Epoch() int64 { return r.epoch }
-
 // View returns the current membership view.
 func (r *Runtime) View() View {
-	members := make([]int, 0, len(r.peers))
-	for peer := range r.peers {
-		if peer == r.ep.ID() || !r.peers[peer].gone() {
-			members = append(members, peer)
-		}
-	}
-	return View{Epoch: r.epoch, Members: members}
+	members := r.appendLivePeers(make([]int, 0, len(r.peers)))
+	i, _ := slices.BinarySearch(members, r.ep.ID())
+	return View{Epoch: r.epoch, Members: slices.Insert(members, i, r.ep.ID())}
 }
 
 // PendingObjects returns the IDs of objects with modifications buffered for
@@ -500,8 +548,9 @@ func (r *Runtime) AppendPendingObjects(dst []store.ID, peer int) []store.ID {
 	return r.buf.AppendObjects(dst, peer)
 }
 
-// LivePeers returns the peers that have neither announced done nor been
-// evicted as crashed, ascending.
+// LivePeers returns, ascending, the peers in the game: every peer but the
+// local process that has joined, not announced done and not been evicted as
+// crashed — those PeerGone reports false for.
 func (r *Runtime) LivePeers() []int { return r.appendLivePeers(nil) }
 
 // appendLivePeers appends LivePeers to dst.
@@ -707,7 +756,7 @@ func (r *Runtime) selectTargets(how SendMode) {
 		targets = r.appendLivePeers(targets)
 	} else {
 		for _, e := range r.xl.Due(r.now) {
-			if ps := &r.peers[e.Proc]; !ps.done && !ps.crashed {
+			if !r.peers[e.Proc].ended() {
 				targets = append(targets, e.Proc)
 			}
 		}
@@ -736,15 +785,10 @@ func (r *Runtime) sendFrames() error {
 	deferred := r.deferred[:0] // filtered-out peers whose bare SYNC fans out grouped
 	for _, peer := range r.targets {
 		ps := &r.peers[peer]
-		if ps.crashed {
-			continue
+		if ps.is(crashed) || ps.marked() && ps.syncTick != r.now {
+			continue // a marked target is owed: a DONE settles the wait, a SYNC gets it late
 		}
-		if ps.departed {
-			if ps.syncTick != r.now {
-				continue // owed: a DONE settles the wait, a SYNC gets it late
-			}
-			ps.departed = false // its SYNC in hand proves it alive
-		}
+		r.move(peer, onSettle, 0) // a marked target's SYNC in hand proves it alive
 		grouped, err := r.exchangeFrame(peer, &r.opts)
 		if err != nil {
 			return err
@@ -810,7 +854,7 @@ func (r *Runtime) exchangeFrame(peer int, opts *ExchangeOpts) (grouped bool, err
 func (r *Runtime) reschedule(sfunc SFunc) error {
 	for _, peer := range r.targets {
 		ps := &r.peers[peer]
-		if ps.done || ps.crashed {
+		if ps.ended() {
 			continue
 		}
 		var pb []int64
@@ -912,7 +956,7 @@ func (r *Runtime) awaitRendezvous(timeout time.Duration) error {
 	r.outstanding = 0
 	for _, peer := range r.targets {
 		ps := &r.peers[peer]
-		if ps.done || ps.crashed || ps.syncTick == r.now {
+		if ps.ended() || ps.syncTick == r.now {
 			continue
 		}
 		ps.waitTick = r.now
@@ -922,7 +966,7 @@ func (r *Runtime) awaitRendezvous(timeout time.Duration) error {
 		peers: r.targets, timeout: timeout, rendezvous: true, suspect: true, goneFirst: true,
 		pending: func(peer int) bool { return r.peers[peer].waitTick == r.now },
 		resend: func(peer int) (bool, error) {
-			if r.peers[peer].departed {
+			if r.peers[peer].marked() {
 				return false, r.sendLate(peer) // not a retransmission: the first frame
 			}
 			ls := r.peers[peer].lastSync
@@ -993,7 +1037,7 @@ func (r *Runtime) consume(m *wire.Msg, rendezvous bool) bool {
 		return false
 	}
 	ps := &r.peers[peer]
-	if ps.crashed || ps.absent {
+	if ps.barred() {
 		// Other traffic from an evicted (or not-yet-joined) peer is
 		// dropped: the eviction decision is final (late messages from a
 		// slow-but-live peer must not resurrect half of its state), and
@@ -1102,7 +1146,7 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 	}
 	r.tr.Record(trace.OpSyncRecv, peer, 0, 0, r.now, stamp)
 	if ps.waitTick == r.now { // the rendezvous awaited it
-		if ps.departed {
+		if ps.marked() {
 			// The mark was wrong. A send error other than the peer's
 			// hang-up (which evicts it) means a closed endpoint, which the
 			// wait's next receive reports.
@@ -1118,7 +1162,7 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 // soon as the peer's SYNC shows the mark wrong, or at the wait's first
 // silence, in case the peer wrongly marked this process too.
 func (r *Runtime) sendLate(peer int) error {
-	r.peers[peer].departed = false
+	r.move(peer, onSettle, 0)
 	opts := r.opts
 	opts.GroupWithheldSyncs = false
 	_, err := r.exchangeFrame(peer, &opts)
@@ -1132,26 +1176,7 @@ func (r *Runtime) handleDone(peer int, won bool, stamp int64) {
 	if won {
 		r.gameOver = true
 	}
-	ps := &r.peers[peer]
-	r.settle(ps)
-	if ps.done {
-		return
-	}
-	ps.done = true
-	r.epoch++
-	r.tr.Record(trace.OpPeerDone, peer, 0, 0, r.now, stamp)
-	r.debugf("now=%d peerDone peer=%d stamp=%d epoch=%d", r.now, peer, stamp, r.epoch)
-	r.xl.Remove(peer)
-	r.buf.Drop(peer)
-	// Nothing is flushed to a finished peer again: the sender half of its
-	// delta table goes back to the pool for the live peers' tables to grow
-	// into. The receiver half stays — the final flush below may be a delta.
-	ps.send.reset(&r.deltaPool)
-	// The peer's final flush may already be held early (stamped one tick
-	// ahead of its DONE); it must survive and be absorbed at its stamped
-	// tick — dropping it would lose the departing process's last writes.
-	// Early SYNCs, by contrast, have no rendezvous left to serve.
-	r.dropEarly(peer, false)
+	r.move(peer, onDone, stamp)
 }
 
 func (r *Runtime) debugf(format string, args ...any) {
@@ -1271,8 +1296,8 @@ func (r *Runtime) NextExchange(peer int) (int64, bool) { return r.xl.Time(peer) 
 // one late frame; one that Done honours costs what a lost DONE does
 // (DESIGN.md §15). The trace event carries the peer's next rendezvous tick.
 func (r *Runtime) Departed(peer int) {
-	if ps := &r.peers[peer]; !ps.gone() {
-		ps.departed = true
+	if !r.peers[peer].gone() {
+		r.move(peer, onMark, 0)
 		next, _ := r.xl.Time(peer)
 		r.tr.Record(trace.OpDeparted, peer, 0, 0, r.now+1, next)
 	}
@@ -1304,7 +1329,7 @@ func (r *Runtime) Done(won bool) error {
 	r.targets = r.appendLivePeers(r.targets[:0])
 	defer r.endRun()
 	for _, peer := range r.targets {
-		if r.peers[peer].departed {
+		if r.peers[peer].marked() {
 			continue
 		}
 		var diffs []xlist.ObjDiff

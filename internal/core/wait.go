@@ -7,15 +7,13 @@ import (
 	"slices"
 	"time"
 
-	"sdso/internal/trace"
 	"sdso/internal/transport"
 	"sdso/internal/wire"
 )
 
-// settle stops awaitRendezvous waiting on peer (its SYNC arrived, it
-// announced DONE, or it was evicted), which ends a departure mark.
+// settle stops awaitRendezvous waiting on peer: its SYNC arrived, or it left
+// the game (move).
 func (r *Runtime) settle(ps *peerState) {
-	ps.departed = false
 	if ps.waitTick == r.now {
 		ps.waitTick = 0
 		r.outstanding--
@@ -115,33 +113,15 @@ func (r *Runtime) await(w *waiter) (evicted bool, err error) {
 	return evicted, nil
 }
 
-// evictPeer declares peer crashed: it is removed from the exchange list,
-// its buffered outbound diffs are dropped, and its pending rendezvous state
-// is discarded. Like a DONE, but recorded distinctly — the eviction is
-// counted in metrics. Early DATA already received from the peer survives
-// (a fail-stop process's pre-crash output is valid and is absorbed at its
-// stamped tick).
+// evictPeer declares peer crashed, which leaves it out of the game as a DONE
+// does (move) but is counted in metrics. A future rejoin negotiates a fresh
+// admission and starts from full delta records.
 func (r *Runtime) evictPeer(peer int) {
-	if peer == r.ep.ID() {
+	if peer == r.ep.ID() || !r.move(peer, onEvict, 0) {
 		return
 	}
-	ps := &r.peers[peer]
-	r.settle(ps)
-	if ps.done || ps.crashed {
-		return
-	}
-	ps.absent = false // an absent peer that failed to join is crashed
-	ps.crashed = true
-	r.epoch++
-	delete(r.grants, peer) // a future rejoin negotiates a fresh admission
+	delete(r.grants, peer)
 	r.mc.AddEviction()
-	r.tr.Record(trace.OpEvict, peer, 0, 0, r.now, 0)
-	r.debugf("now=%d evict peer=%d epoch=%d", r.now, peer, r.epoch)
-	r.xl.Remove(peer)
-	r.buf.Drop(peer)
-	r.dropEarly(peer, false)
-	// Anything the delta tables assumed about the peer died with it; a
-	// future readmission must start from full records.
 	r.deltaResetPeer(peer)
 	// With checkpoint replication on, an eviction is the moment the vault
 	// pays off: fold the evictee's last replicated snapshot into the live

@@ -259,7 +259,9 @@ func (s *Sim) Run() error {
 		}
 		if next == nil {
 			if s.anyLive() {
-				return s.deadlockError()
+				err := s.deadlockError() // before releaseAll, which ends every process
+				s.releaseAll()
+				return err
 			}
 			return nil // all processes done
 		}

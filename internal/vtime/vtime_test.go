@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -115,12 +116,20 @@ func TestBlockedTimeAccounting(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := NewSim(Config{})
 	s.Spawn(func(p *Proc) { p.Recv() })
 	s.Spawn(func(p *Proc) { p.Recv() })
 	err := s.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("Run = %v, want ErrDeadlock", err)
+	}
+	// The blocked processes are released, not left parked past Run. A
+	// released goroutine still has to exit, so wait a bounded while.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before: the deadlocked processes leaked", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

@@ -209,10 +209,12 @@ func (r *Runtime) GameOver() bool { return r.rt.GameOver() }
 // Poll drains already-delivered messages without blocking.
 func (r *Runtime) Poll() { r.rt.Poll() }
 
-// PeerDone reports whether a peer announced completion.
+// PeerDone reports whether a peer announced completion. An evicted peer —
+// a TCP peer that hung up without announcing it — has not.
 func (r *Runtime) PeerDone(peer int) bool { return r.rt.PeerDone(peer) }
 
-// LivePeers lists peers that have not announced completion.
+// LivePeers lists, ascending, the peers still in the game: every other peer
+// that has neither announced completion nor been evicted.
 func (r *Runtime) LivePeers() []int { return r.rt.LivePeers() }
 
 // PendingObjects lists objects with updates buffered for a peer but not yet
