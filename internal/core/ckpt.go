@@ -2,7 +2,10 @@
 // the merge-and-relay that outlives an evicted origin.
 package core
 
-import "sdso/internal/wire"
+import (
+	"sdso/internal/metrics"
+	"sdso/internal/wire"
+)
 
 // vaultEntry is one replicated checkpoint: an origin's store snapshot at
 // its clock stamp, and whether it was already merged-and-relayed after the
@@ -26,7 +29,7 @@ func (r *Runtime) streamCheckpoint() {
 	self, n := r.ep.ID(), r.ep.N()
 	want := r.cfg.CheckpointF + 1
 	copies := 0
-	r.mc.AddQuorumRound()
+	r.mc.Add(metrics.QuorumRounds, 1)
 	for d := 1; d < n && copies < want; d++ {
 		peer := (self + d) % n
 		if r.peers[peer].gone() {
@@ -36,7 +39,7 @@ func (r *Runtime) streamCheckpoint() {
 		if sent, err := r.sendTo(peer, m, "checkpoint to"); err != nil {
 			return // best-effort: a lost checkpoint only weakens this epoch's copy count
 		} else if sent {
-			r.mc.AddSnapshotBytes(len(snap))
+			r.mc.Add(metrics.SnapshotBytes, len(snap))
 			copies++
 		}
 	}
@@ -57,7 +60,7 @@ func (r *Runtime) handleCkpt(m *wire.Msg) {
 	if origin == r.ep.ID() {
 		// Our own pre-crash state coming back after a restart.
 		if adopted, _, err := r.st.Merge(m.Payload); err == nil && adopted > 0 {
-			r.mc.AddReplicaCatchup()
+			r.mc.Add(metrics.ReplicaCatchups, 1)
 		}
 		return
 	}
@@ -65,7 +68,6 @@ func (r *Runtime) handleCkpt(m *wire.Msg) {
 		return
 	}
 	r.vaults[origin] = vaultEntry{stamp: m.Stamp, snap: m.Payload}
-	r.debugf("now=%d vault ckpt origin=%d stamp=%d bytes=%d", r.now, origin, m.Stamp, len(m.Payload))
 	if r.peers[origin].is(crashed) {
 		// The origin is already gone: fold its writes in right away.
 		r.relayVault(origin)
@@ -87,7 +89,7 @@ func (r *Runtime) relayVault(origin int) {
 	if _, _, err := r.st.Merge(e.snap); err != nil {
 		return
 	}
-	r.mc.AddReplicaCatchup()
+	r.mc.Add(metrics.ReplicaCatchups, 1)
 	copies := 0
 	for peer := range r.peers {
 		if peer == r.ep.ID() || r.peers[peer].gone() {
@@ -95,7 +97,7 @@ func (r *Runtime) relayVault(origin int) {
 		}
 		m := &wire.Msg{Kind: wire.KindCkpt, Stamp: e.stamp, Obj: uint32(origin), Payload: e.snap}
 		if sent, _ := r.sendTo(peer, m, "relay checkpoint to"); sent {
-			r.mc.AddSnapshotBytes(len(e.snap))
+			r.mc.Add(metrics.SnapshotBytes, len(e.snap))
 			copies++
 		}
 	}

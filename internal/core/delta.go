@@ -31,6 +31,7 @@ import (
 	"slices"
 
 	"sdso/internal/diff"
+	"sdso/internal/metrics"
 	"sdso/internal/store"
 	"sdso/internal/wire"
 	"sdso/internal/xlist"
@@ -183,7 +184,8 @@ func (r *Runtime) encodeDataPayload(peer int, diffs []xlist.ObjDiff, stamp int64
 				rec.BaseVer = baseVer
 				rec.BaseHash = diff.Fingerprint(base)
 				rec.X = xor[mark:]
-				r.mc.AddDeltaRecord(full - len(rec.X))
+				r.mc.Add(metrics.DeltaRecords, 1)
+				r.mc.Add(metrics.DeltaBytesSaved, full-len(rec.X))
 			} else {
 				xor = xor[:mark]
 			}
@@ -243,7 +245,7 @@ func (r *Runtime) applyDeltaData(m *wire.Msg) {
 				// from the sender (the reply realigns both sides' tables).
 				// FIFO ordering makes this converge even if more
 				// stale-base records are already in flight.
-				r.mc.AddDeltaMismatch()
+				r.mc.Add(metrics.DeltaMismatches, 1)
 				e.bad = true
 				r.deltaRequestRecovery(src, e)
 				continue

@@ -65,6 +65,7 @@ func (p *observedPlayer) observe(ep transport.Endpoint) transport.Endpoint {
 
 var frameRuleFeatures = []struct {
 	name  string
+	game  game.Config
 	apply func(*lookahead.PlayerConfig)
 	// exact: the run reproduces the lockstep reference tick for tick.
 	// Batched BSYNC trades that for fewer rendezvous. The gated run is
@@ -72,10 +73,20 @@ var frameRuleFeatures = []struct {
 	// reply lands at an instant goroutine timing chose.
 	exact bool
 }{
-	{"plain", func(*lookahead.PlayerConfig) {}, true},
-	{"delta", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode = true }, true},
-	{"interest+shards", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.Interest, pc.Shards = true, true, 4 }, true},
-	{"batch3", func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.MaxBatchTicks = true, 3 }, false},
+	{"plain", poisonGame(), func(*lookahead.PlayerConfig) {}, true},
+	{"delta", poisonGame(), func(pc *lookahead.PlayerConfig) { pc.DeltaEncode = true }, true},
+	{"interest+shards", poisonGame(), func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.Interest, pc.Shards = true, true, 4 }, true},
+	{"batch3", poisonGame(), func(pc *lookahead.PlayerConfig) { pc.DeltaEncode, pc.MaxBatchTicks = true, 3 }, false},
+	// Team 2 is destroyed at tick 26, so under BSYNC its Done finds every
+	// live peer due at tick 27, the last tick: due, and so owed its DONE.
+	{"horizon-after-a-death", horizonGame(), func(*lookahead.PlayerConfig) {}, true},
+}
+
+// horizonGame is poisonGame cut to end one tick after team 2's death.
+func horizonGame() game.Config {
+	g := poisonGame()
+	g.MaxTicks = 27
+	return g
 }
 
 // boundedWait is the failure detection of a loss-free observed game: a
@@ -290,12 +301,12 @@ func endedBy(p *observedPlayer, tick int64) bool {
 }
 
 func TestOneFramePerPeerPerCall(t *testing.T) {
-	ref, err := game.RunReference(poisonGame())
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(t *testing.T, where string, players []*observedPlayer, resends, exact bool) {
+	check := func(t *testing.T, where string, g game.Config, players []*observedPlayer, resends, exact bool) {
 		t.Helper()
+		ref, err := game.RunReference(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ridingSync, ridingDone, bareDone, marks, unmet, wrong := 0, 0, 0, 0, 0, 0
 		if !resends {
 			stuckWaits(t, where, players)
@@ -304,7 +315,7 @@ func TestOneFramePerPeerPerCall(t *testing.T) {
 			if p.err != nil {
 				t.Fatalf("%s: player %d: %v", where, i, p.err)
 			}
-			m, u, w := checkFrameRule(t, i, players, resends, int64(poisonGame().MaxTicks))
+			m, u, w := checkFrameRule(t, i, players, resends, int64(g.MaxTicks))
 			marks, unmet, wrong = marks+m, unmet+u, wrong+w
 			if exact && p.stats != ref.Stats[i] {
 				t.Errorf("%s: team %d stats %+v, reference %+v", where, i, p.stats, ref.Stats[i])
@@ -331,9 +342,9 @@ func TestOneFramePerPeerPerCall(t *testing.T) {
 	for _, proto := range []lookahead.Protocol{lookahead.BSYNC, lookahead.MSYNC, lookahead.MSYNC2} {
 		for _, f := range frameRuleFeatures {
 			ok := t.Run(fmt.Sprintf("%v/%s", proto, f.name), func(t *testing.T) {
-				check(t, "sim", observeSim(t, poisonGame(), proto, f.apply, false), false, f.exact)
-				check(t, "mem", observeMem(t, poisonGame(), proto, f.apply), false, f.exact)
-				check(t, "sim+drops", observeSim(t, poisonGame(), proto, f.apply, true), true, false)
+				check(t, "sim", f.game, observeSim(t, f.game, proto, f.apply, false), false, f.exact)
+				check(t, "mem", f.game, observeMem(t, f.game, proto, f.apply), false, f.exact)
+				check(t, "sim+drops", f.game, observeSim(t, f.game, proto, f.apply, true), true, false)
 			})
 			if !ok {
 				return // a wrong mark stalls every later cell too, each up to memGameBound

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sdso/internal/metrics"
 	"sdso/internal/trace"
 	"sdso/internal/wire"
 )
@@ -95,13 +96,12 @@ func (r *Runtime) Join(incarnation int64) error {
 		r.now = earliest - 1
 	}
 	r.tr.Record(trace.OpJoined, -1, 0, 0, r.now, earliest)
-	r.mc.AddJoin()
-	r.debugf("now=%d joined epoch=%d members=%v", r.now, r.epoch, r.View().Members)
+	r.mc.Add(metrics.Joins, 1)
 	return nil
 }
 
 // serveJoin is the survivor half of the handshake: readmit the joiner,
-// grant it an admission tick JoinSlack past the local clock, and answer
+// grant it an admission tick DefaultJoinSlack past the local clock, and answer
 // with the ack and a store snapshot. Serving is idempotent per (peer,
 // incarnation): a retransmitted request gets the same admission tick back
 // (a fresh tick would desynchronize the pairwise schedule if both acks
@@ -117,19 +117,14 @@ func (r *Runtime) serveJoin(peer int, m *wire.Msg) {
 		return
 	}
 	r.readmitPeer(peer)
-	slack := r.cfg.JoinSlack
-	if slack <= 0 {
-		slack = DefaultJoinSlack
-	}
-	admit := r.now + slack
+	admit := r.now + DefaultJoinSlack
 	if r.grants == nil {
 		r.grants = make(map[int]grant)
 	}
 	r.grants[peer] = grant{tick: admit, inc: inc}
 	r.xl.Set(peer, admit)
 	r.tr.Record(trace.OpAdmit, peer, 0, 0, r.now, admit)
-	r.debugf("now=%d serveJoin peer=%d inc=%d admit=%d epoch=%d", r.now, peer, inc, admit, r.epoch)
-	r.mc.AddJoin()
+	r.mc.Add(metrics.Joins, 1)
 	if r.cfg.OnJoin != nil {
 		r.cfg.OnJoin(peer)
 	}
@@ -163,7 +158,7 @@ func (r *Runtime) readmitPeer(peer int) {
 	// the peer's next epoch streams a fresh one.
 	if e, ok := r.vaults[peer]; ok && !e.relayed {
 		if adopted, _, err := r.st.Merge(e.snap); err == nil && adopted > 0 {
-			r.mc.AddReplicaCatchup()
+			r.mc.Add(metrics.ReplicaCatchups, 1)
 		}
 	}
 	delete(r.vaults, peer)
@@ -187,7 +182,7 @@ func (r *Runtime) sendJoinReply(peer int, admit int64) {
 		return
 	}
 	snap := r.st.Snapshot(r.now)
-	r.mc.AddSnapshotBytes(len(snap))
+	r.mc.Add(metrics.SnapshotBytes, len(snap))
 	_ = r.send(peer, &wire.Msg{Kind: wire.KindSnapshot, Stamp: r.now, Payload: snap})
 	// With checkpoint replication on, the reply also carries every vaulted
 	// blob — most importantly the joiner's own pre-crash checkpoint, which
@@ -198,7 +193,7 @@ func (r *Runtime) sendJoinReply(peer int, admit int64) {
 		if !ok {
 			continue
 		}
-		r.mc.AddSnapshotBytes(len(e.snap))
+		r.mc.Add(metrics.SnapshotBytes, len(e.snap))
 		_ = r.send(peer, &wire.Msg{Kind: wire.KindCkpt, Stamp: e.stamp, Obj: uint32(origin), Payload: e.snap})
 	}
 }
@@ -223,7 +218,6 @@ func (r *Runtime) handleJoinAck(peer int, m *wire.Msg) {
 	if len(m.Ints) > 1 && m.Ints[1] == 1 {
 		r.gameOver = true
 	}
-	r.debugf("now=%d joinAck peer=%d admit=%d", r.now, peer, m.Stamp)
 }
 
 // handleSnapshot merges a checkpoint version-gated. Outside a join (a
@@ -240,7 +234,6 @@ func (r *Runtime) handleSnapshot(peer int, m *wire.Msg) {
 	}
 	if !js.snapped[peer] {
 		js.snapped[peer] = true
-		r.mc.AddCatchupDiffs(adopted)
-		r.debugf("now=%d snapshot peer=%d adopted=%d", r.now, peer, adopted)
+		r.mc.Add(metrics.CatchupDiffs, adopted)
 	}
 }

@@ -3,13 +3,15 @@ package core
 import (
 	"testing"
 
+	"sdso/internal/race"
 	"sdso/internal/transport"
 )
 
 // TestPeerLifecycleEdges: every edge from every status lands where the
 // lifecycle says, the epoch moves exactly on a membership change — a
 // readmission, a DONE or an eviction — and an edge a status has not got
-// changes nothing. Leaving the game takes the peer off the exchange list.
+// changes nothing. Leaving the game takes the peer off the exchange list,
+// and allocates nothing, however large the epoch and the DONE's stamp.
 func TestPeerLifecycleEdges(t *testing.T) {
 	names := [...]string{live: "live", departed: "departed", absent: "absent", done: "done", crashed: "crashed"}
 	edges := [...]string{onReadmit: "readmit", onMark: "mark", onSettle: "settle", onDone: "DONE", onEvict: "evict"}
@@ -77,5 +79,27 @@ func TestPeerLifecycleEdges(t *testing.T) {
 			t.Errorf("%s --%s--> %s left the peer on the exchange list", names[c.from], edges[c.e], names[ps.status])
 		}
 		net.Close()
+	}
+
+	if race.Enabled {
+		return // the detector's instrumentation allocates
+	}
+	net := transport.NewMemNetwork(3)
+	defer net.Close()
+	r, err := New(Config{Endpoint: net.Endpoint(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.epoch = 1000
+	for name, leave := range map[string]func(){
+		"DONE received": func() { r.handleDone(1, false, 777) },
+		"eviction":      func() { r.evictPeer(1) },
+	} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			r.peers[1].status = live
+			leave()
+		}); allocs != 0 || !r.peers[1].ended() {
+			t.Errorf("%s at epoch %d: %.1f allocations (ended %v), want 0", name, r.epoch, allocs, r.peers[1].ended())
+		}
 	}
 }

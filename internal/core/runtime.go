@@ -151,10 +151,6 @@ type Config struct {
 	// OnBeacon, when set, is invoked with each peer's beacon as a
 	// rendezvous with that peer completes.
 	OnBeacon func(peer int, beacon []int64)
-	// Debug, when set, receives a line per notable runtime event
-	// (rendezvous targets, data application, DONE processing); used by
-	// tests to diff executions.
-	Debug func(event string)
 
 	// InitialMembers, when non-nil, lists the process IDs present at the
 	// start of the game (the local ID is implied). Peers not listed are
@@ -162,12 +158,6 @@ type Config struct {
 	// from exchanges, writes, and completion accounting until a join
 	// request from them arrives. Nil means every peer starts as a member.
 	InitialMembers []int
-	// JoinSlack is the number of ticks between serving a join request and
-	// the joiner's first rendezvous with this process — the "next epoch
-	// boundary" granted to a joiner. It must exceed zero so the admission
-	// tick is strictly in this process's future; zero means
-	// DefaultJoinSlack.
-	JoinSlack int64
 	// OnJoin, when set, is invoked after peer is (re)admitted into the
 	// membership by a join request, before the admission is acknowledged.
 	// Protocols use it to reset per-peer knowledge (cached enemy
@@ -218,9 +208,10 @@ type Config struct {
 // this many unanswered retransmissions (plus the initial send).
 const DefaultMaxRetransmits = 3
 
-// DefaultJoinSlack is the admission distance used when Config.JoinSlack is
-// zero: a joiner is scheduled two ticks past the serving process's clock,
-// leaving one full tick for the acknowledgment and snapshot to land.
+// DefaultJoinSlack is the admission distance, the "next epoch boundary"
+// granted to a joiner: a joiner is scheduled two ticks past the serving
+// process's clock, strictly in its future, leaving one full tick for the
+// acknowledgment and snapshot to land.
 const DefaultJoinSlack = 2
 
 // DefaultCheckpointF is the checkpoint-stream crash budget used when
@@ -421,7 +412,6 @@ func (r *Runtime) move(peer int, e edge, stamp int64) bool {
 			op = trace.OpPeerDone
 		}
 		r.tr.Record(op, peer, 0, 0, r.now, stamp)
-		r.debugf("now=%d %v peer=%d stamp=%d epoch=%d", r.now, op, peer, stamp, r.epoch)
 		r.xl.Remove(peer)
 		r.buf.Drop(peer)
 		// Early SYNCs have no rendezvous left to serve. Early DATA survives,
@@ -607,9 +597,6 @@ func (r *Runtime) Write(id store.ID, data []byte) error {
 	if !changed {
 		return nil
 	}
-	if r.cfg.Debug != nil { // the variadic call boxes its arguments either way
-		r.debugf("now=%d write obj=%d", r.now, id)
-	}
 	r.tr.Record(trace.OpWrite, r.ep.ID(), int64(id), ver, r.now, 0)
 	// Done, crashed and absent peers need no skip list: their slots are
 	// tombstoned and accumulate nothing.
@@ -720,7 +707,7 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 	}
 	startWall := r.ep.Now()
 	r.now++
-	r.mc.AddTick()
+	r.mc.Add(metrics.Ticks, 1)
 	r.tr.Record(trace.OpTick, -1, 0, 0, r.now, 0)
 
 	r.opts = opts
@@ -765,7 +752,7 @@ func (r *Runtime) selectTargets(how SendMode) {
 	if r.cfg.MaxBatchTicks > 1 && how == Multicast && len(targets) == 0 {
 		// A tick folded into the next rendezvous's frame by the batching
 		// s-function: its writes stay buffered (and merge).
-		r.mc.AddTickBatched()
+		r.mc.Add(metrics.TicksBatched, 1)
 	}
 }
 
@@ -843,7 +830,7 @@ func (r *Runtime) exchangeFrame(peer int, opts *ExchangeOpts) (grouped bool, err
 		return false, err
 	}
 	if len(diffs) > 0 {
-		r.mc.AddPiggybackedSync()
+		r.mc.Add(metrics.PiggybackedSyncs, 1)
 	}
 	r.peers[peer].sent(r.now, beacon) // retransmits and echoes are always bare SYNCs
 	return false, nil
@@ -867,9 +854,6 @@ func (r *Runtime) reschedule(sfunc SFunc) error {
 		next := sfunc(peer, r.now, pb)
 		if next <= r.now {
 			return fmt.Errorf("core: s-function scheduled peer %d at %d, not after now=%d", peer, next, r.now)
-		}
-		if r.cfg.Debug != nil {
-			r.debugf("now=%d reschedule peer=%d next=%d", r.now, peer, next)
 		}
 		r.tr.Record(trace.OpRendezvous, peer, 0, 0, r.now, next)
 		r.xl.Set(peer, next)
@@ -1122,7 +1106,7 @@ func (r *Runtime) handleSyncPart(peer int, stamp int64, beacon []int64, mode uin
 			}
 			if ls.stamp != 0 && ls.stamp >= stamp {
 				if err := r.send(peer, newSync(ls.stamp, ls.beacon, 0)); err == nil {
-					r.mc.AddRetransmit()
+					r.mc.Add(metrics.Retransmits, 1)
 				}
 			}
 		}
@@ -1179,12 +1163,6 @@ func (r *Runtime) handleDone(peer int, won bool, stamp int64) {
 	r.move(peer, onDone, stamp)
 }
 
-func (r *Runtime) debugf(format string, args ...any) {
-	if r.cfg.Debug != nil {
-		r.cfg.Debug(fmt.Sprintf(format, args...))
-	}
-}
-
 // applyData decodes and applies a DATA message's diff batch, in the payload
 // format its mode bit names. Plain diffs are decoded into scratch whose run
 // data aliases m.Payload; the store copies what it keeps.
@@ -1200,13 +1178,6 @@ func (r *Runtime) applyData(m *wire.Msg) {
 		return
 	}
 	r.decDiffs = diffs
-	if r.cfg.Debug != nil {
-		objs := ""
-		for _, od := range diffs {
-			objs += fmt.Sprintf("%d@v%d ", od.Obj, od.Version)
-		}
-		r.debugf("now=%d applyData from=%d stamp=%d objs=[%s]", r.now, m.Src, m.Stamp, objs)
-	}
 	for _, od := range diffs {
 		r.install(int(m.Src), od.Obj, od.Version, od.D, nil, m.Stamp)
 	}
@@ -1342,7 +1313,7 @@ func (r *Runtime) Done(won bool) error {
 			return err
 		}
 		if sent && len(diffs) > 0 {
-			r.mc.AddPiggybackedDone()
+			r.mc.Add(metrics.PiggybackedDones, 1)
 		}
 	}
 	// The process may never send again; force the final frames out.

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"sdso/internal/metrics"
 	"sdso/internal/transport"
 	"sdso/internal/wire"
 )
@@ -71,7 +72,7 @@ func (r *Runtime) await(w *waiter) (evicted bool, err error) {
 		strikes++
 		for _, peer := range w.peers {
 			if w.suspect && strikes == 1 && w.pending(peer) {
-				r.mc.AddSuspect()
+				r.mc.Add(metrics.Suspects, 1)
 			}
 		}
 		for _, peer := range w.peers {
@@ -102,7 +103,7 @@ func (r *Runtime) await(w *waiter) (evicted bool, err error) {
 				return evicted, err
 			}
 			if sent {
-				r.mc.AddRetransmit()
+				r.mc.Add(metrics.Retransmits, 1)
 			}
 		}
 		r.flush()
@@ -121,7 +122,7 @@ func (r *Runtime) evictPeer(peer int) {
 		return
 	}
 	delete(r.grants, peer)
-	r.mc.AddEviction()
+	r.mc.Add(metrics.Evictions, 1)
 	r.deltaResetPeer(peer)
 	// With checkpoint replication on, an eviction is the moment the vault
 	// pays off: fold the evictee's last replicated snapshot into the live

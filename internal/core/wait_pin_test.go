@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sdso/internal/metrics"
+	"sdso/internal/trace"
 	"sdso/internal/transport"
 	"sdso/internal/vtime"
 	"sdso/internal/wire"
@@ -21,16 +22,41 @@ const (
 	pinTimeout                              = 10 * time.Millisecond
 )
 
-// pinEndpoint logs every frame the tested runtime sends, at its virtual
-// instant, and reports pinGone as gone.
+// pinEndpoint logs every frame the tested runtime sends and every eviction
+// its trace records, at its virtual instant, and reports pinGone as gone.
+// An eviction is logged at the runtime's next send or receive: no virtual
+// time passes outside the endpoint, so that is the eviction's instant.
 type pinEndpoint struct {
 	*transport.SimEndpoint
-	log *[]string
+	log  *[]string
+	tr   *trace.Recorder
+	seen *int // trace events already looked at
+}
+
+func (e pinEndpoint) logEvictions() {
+	evs := e.tr.Events()
+	for _, ev := range evs[*e.seen:] {
+		if ev.Op == trace.OpEvict {
+			*e.log = append(*e.log, fmt.Sprintf("%v evict %d", e.Now(), ev.Peer))
+		}
+	}
+	*e.seen = len(evs)
 }
 
 func (e pinEndpoint) Send(to int, m *wire.Msg) error {
+	e.logEvictions()
 	*e.log = append(*e.log, fmt.Sprintf("%v %v→%d mode=%d", e.Now(), m.Kind, to, m.Mode))
 	return e.SimEndpoint.Send(to, m)
+}
+
+func (e pinEndpoint) Recv() (*wire.Msg, error) {
+	e.logEvictions()
+	return e.SimEndpoint.Recv()
+}
+
+func (e pinEndpoint) RecvTimeout(d time.Duration) (*wire.Msg, bool, error) {
+	e.logEvictions()
+	return e.SimEndpoint.RecvTimeout(d)
 }
 
 func (e pinEndpoint) PeerGone(peer int) bool { return peer == pinGone }
@@ -46,25 +72,22 @@ func runWaitPin(t *testing.T, tested, live func(r *Runtime) error, members []int
 	var testedErr error
 	mc := metrics.NewCollector()
 	// mk runs on simulator goroutines, where the test may not FailNow.
-	mk := func(ep transport.Endpoint, mc *metrics.Collector, debug func(string)) (*Runtime, error) {
-		r, err := New(Config{Endpoint: ep, Metrics: mc, RendezvousTimeout: pinTimeout, InitialMembers: members, Debug: debug})
+	mk := func(ep transport.Endpoint, mc *metrics.Collector, tr *trace.Recorder) (*Runtime, error) {
+		r, err := New(Config{Endpoint: ep, Metrics: mc, RendezvousTimeout: pinTimeout, InitialMembers: members, Trace: tr})
 		if err == nil {
 			err = r.Share(1, counterBytes(0))
 		}
 		return r, err
 	}
 	sim.Spawn(func(p *vtime.Proc) {
-		ep := pinEndpoint{transport.NewSimEndpoint(p, 5, nil), &log}
-		r, err := mk(ep, mc, func(ev string) {
-			if i := strings.Index(ev, " evict peer="); i >= 0 {
-				log = append(log, fmt.Sprintf("%v evict %s", ep.Now(), strings.Fields(ev[i+len(" evict peer="):])[0]))
-			}
-		})
+		ep := pinEndpoint{transport.NewSimEndpoint(p, 5, nil), &log, trace.NewRecorder(0), new(int)}
+		r, err := mk(ep, mc, ep.tr)
 		if err != nil {
 			t.Errorf("tested runtime: %v", err)
 			return
 		}
 		testedErr = tested(r)
+		ep.logEvictions()
 	})
 	sim.Spawn(func(p *vtime.Proc) {
 		if live == nil {

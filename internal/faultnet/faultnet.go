@@ -254,7 +254,7 @@ func (e *Endpoint) Crashed() bool {
 // countFault records one injected fault.
 func (e *Endpoint) countFault() {
 	if e.mc != nil {
-		e.mc.AddFault()
+		e.mc.Add(metrics.Faults, 1)
 	}
 }
 

@@ -35,12 +35,10 @@ type CheckedConfig struct {
 	// means 2ms (comparable to one 2 KB frame's service time on the
 	// 10 Mbps cluster, enough to reorder cross-link traffic).
 	Jitter time.Duration
-	// Faults layers ambient message faults (drop/dup/delay) over the
-	// jittered links and turns failure detection on.
+	// Faults layers ambient message faults over the jittered links, 1%
+	// drop, 1% dup and 2% delay of 2 sends (checkedFaults), and turns
+	// failure detection on.
 	Faults bool
-	// FaultRates overrides the ambient rates; nil with Faults set means
-	// 1% drop, 1% dup, 2% delay of 2 sends.
-	FaultRates *faultnet.LinkFaults
 	// DeltaEncode runs the lookahead protocols with delta-encoded
 	// exchanges (see core.Config.DeltaEncode), proving the oracle's
 	// invariants hold over the delta path too.
@@ -81,12 +79,8 @@ func (c CheckedConfig) withCheckedDefaults() CheckedConfig {
 	return c
 }
 
-func (c CheckedConfig) faultRates() faultnet.LinkFaults {
-	if c.FaultRates != nil {
-		return *c.FaultRates
-	}
-	return faultnet.LinkFaults{DropProb: 0.01, DupProb: 0.01, DelayProb: 0.02, DelaySends: 2}
-}
+// checkedFaults are the ambient link faults of a checked run with Faults set.
+var checkedFaults = faultnet.LinkFaults{DropProb: 0.01, DupProb: 0.01, DelayProb: 0.02, DelaySends: 2}
 
 // checkOptions maps the protocol and scenario to the oracle's option set.
 func checkOptions(cfg CheckedConfig, g game.Config) check.Options {
@@ -157,7 +151,7 @@ func RunChecked(cfg CheckedConfig) (*check.Report, error) {
 	}
 	if cfg.Faults {
 		run.SuspectTimeout = 5 * time.Millisecond
-		plan := &faultnet.Plan{Seed: cfg.Seed, Default: cfg.faultRates()}
+		plan := &faultnet.Plan{Seed: cfg.Seed, Default: checkedFaults}
 		if cfg.Protocol == EC {
 			// A node's application and service are co-located, and local
 			// IPC does not lose messages; faulting it would leave a service

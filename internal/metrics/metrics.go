@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sdso/internal/wire"
 )
@@ -69,23 +70,100 @@ func Categories() []Category {
 	return out
 }
 
+// Counter names one of a Collector's counters. Each is declared once, here
+// with its meaning, once in the table below with its name (the one DESIGN.md
+// uses) and its Snapshot field, and once as that field.
+type Counter int
+
+// Counters. Peaks are raised with Max; every other counter grows with Add.
+const (
+	BytesSent         Counter = iota // bytes of the frames the runtime sent (CountSend)
+	PayloadBytes                     // the part of BytesSent that was Msg.Payload; the rest is envelope: header and Ints
+	Mods                             // object modifications, the normalizer of Figure 5
+	Ticks                            // logical clock ticks
+	Retransmits                      // retransmissions of an unacknowledged SYNC or sync put/get request
+	Suspects                         // peers that entered the suspected state: a timeout expired without an answer
+	Evictions                        // suspected peers declared crashed and removed from the live set
+	Faults                           // faults injected by the process's fault-injecting transport, crash-stops included
+	Joins                            // join handshakes completed by a joiner or served by a survivor
+	SnapshotBytes                    // checkpoint payload bytes sent to joiners
+	CatchupDiffs                     // object states adopted from peer snapshots while catching up after a join
+	QuorumRounds                     // quorum round trips: a record committed to a majority, a checkpoint streamed to f+1
+	ReadRepairs                      // quorum reads that overwrote a stale replica with their majority's highest value
+	ReplicaCatchups                  // recoveries served from replicas: a vaulted checkpoint merged or handed back, a lock shard rebuilt
+	FramesSent                       // physical frames put on the wire or staged in a coalescing write buffer (TCP)
+	Flushes                          // writer flushes, the syscalls frames coalesce into; FramesSent/Flushes is the coalescing factor
+	WireBytes                        // bytes of those physical frames, length prefixes included
+	PiggybackedSyncs                 // SYNC markers that rode on a DATA frame instead of a frame of their own
+	PiggybackedDones                 // DONE markers that rode on a final flush
+	Reconnects                       // links re-established after a socket loss, a restarted peer's new incarnation included
+	HeartbeatsMissed                 // heartbeat intervals that passed without any traffic from an idle-probed peer
+	SendQDepthPeak                   // the deepest any TCP send queue got, in frames
+	DrainFlushedBytes                // pending bytes a graceful Drain put on the wire before half-closing
+	DeltaRecords                     // object records shipped as XOR deltas instead of full diffs
+	DeltaBytesSaved                  // payload bytes those deltas saved over full diffs
+	DeltaMismatches                  // delta records refused for a diverged base, each triggering a full-state fetch
+	TicksBatched                     // logical ticks whose writes a later rendezvous's frame carried (tick batching)
+	InterestSetPeak                  // the largest interest set held at any refresh
+	InterestChurn                    // peers entering or leaving the interest set after its initial build
+	ShardVetoes                      // DATA flushes withheld because the peer's neighborhood shares no world shard with ours
+
+	numCounters
+)
+
+// counters names each counter and places it in a Snapshot: off is the
+// offset of its int field (an offset, not a setter, so that Snapshot's
+// result stays off the heap).
+var counters = [numCounters]struct {
+	name string
+	off  uintptr
+}{
+	BytesSent:         {"bytes_sent", unsafe.Offsetof(Snapshot{}.BytesSent)},
+	PayloadBytes:      {"payload_bytes", unsafe.Offsetof(Snapshot{}.PayloadBytes)},
+	Mods:              {"mods", unsafe.Offsetof(Snapshot{}.Mods)},
+	Ticks:             {"ticks", unsafe.Offsetof(Snapshot{}.Ticks)},
+	Retransmits:       {"retransmits", unsafe.Offsetof(Snapshot{}.Retransmits)},
+	Suspects:          {"suspects", unsafe.Offsetof(Snapshot{}.Suspects)},
+	Evictions:         {"evictions", unsafe.Offsetof(Snapshot{}.Evictions)},
+	Faults:            {"faults", unsafe.Offsetof(Snapshot{}.Faults)},
+	Joins:             {"joins", unsafe.Offsetof(Snapshot{}.Joins)},
+	SnapshotBytes:     {"snapshot_bytes", unsafe.Offsetof(Snapshot{}.SnapshotBytes)},
+	CatchupDiffs:      {"catchup_diffs", unsafe.Offsetof(Snapshot{}.CatchupDiffs)},
+	QuorumRounds:      {"quorum_rounds", unsafe.Offsetof(Snapshot{}.QuorumRounds)},
+	ReadRepairs:       {"read_repairs", unsafe.Offsetof(Snapshot{}.ReadRepairs)},
+	ReplicaCatchups:   {"replica_catchups", unsafe.Offsetof(Snapshot{}.ReplicaCatchups)},
+	FramesSent:        {"frames_sent", unsafe.Offsetof(Snapshot{}.FramesSent)},
+	Flushes:           {"flushes", unsafe.Offsetof(Snapshot{}.Flushes)},
+	WireBytes:         {"wire_bytes", unsafe.Offsetof(Snapshot{}.WireBytes)},
+	PiggybackedSyncs:  {"piggybacked_syncs", unsafe.Offsetof(Snapshot{}.PiggybackedSyncs)},
+	PiggybackedDones:  {"piggybacked_dones", unsafe.Offsetof(Snapshot{}.PiggybackedDones)},
+	Reconnects:        {"reconnects", unsafe.Offsetof(Snapshot{}.Reconnects)},
+	HeartbeatsMissed:  {"heartbeats_missed", unsafe.Offsetof(Snapshot{}.HeartbeatsMissed)},
+	SendQDepthPeak:    {"sendq_depth_peak", unsafe.Offsetof(Snapshot{}.SendQDepthPeak)},
+	DrainFlushedBytes: {"drain_flushed_bytes", unsafe.Offsetof(Snapshot{}.DrainFlushedBytes)},
+	DeltaRecords:      {"delta_records", unsafe.Offsetof(Snapshot{}.DeltaRecords)},
+	DeltaBytesSaved:   {"delta_bytes_saved", unsafe.Offsetof(Snapshot{}.DeltaBytesSaved)},
+	DeltaMismatches:   {"delta_mismatches", unsafe.Offsetof(Snapshot{}.DeltaMismatches)},
+	TicksBatched:      {"ticks_batched", unsafe.Offsetof(Snapshot{}.TicksBatched)},
+	InterestSetPeak:   {"interest_set_peak", unsafe.Offsetof(Snapshot{}.InterestSetPeak)},
+	InterestChurn:     {"interest_churn", unsafe.Offsetof(Snapshot{}.InterestChurn)},
+	ShardVetoes:       {"shard_vetoes", unsafe.Offsetof(Snapshot{}.ShardVetoes)},
+}
+
+// String returns the counter's name.
+func (k Counter) String() string {
+	if k >= 0 && k < numCounters {
+		return counters[k].name
+	}
+	return fmt.Sprintf("Counter(%d)", int(k))
+}
+
 // padded is a cache-line-padded atomic counter. A Collector's counters sit
-// side by side in one struct; without padding, two goroutines bumping
-// adjacent counters would ping-pong the same cache line between cores.
+// side by side in arrays; without padding, two goroutines bumping adjacent
+// counters would ping-pong the same cache line between cores.
 type padded struct {
 	v atomic.Int64
 	_ [56]byte // pad to a 64-byte line
-}
-
-// Max atomically raises the counter to n if n is larger — a lock-free
-// high-water mark.
-func (c *padded) Max(n int64) {
-	for {
-		cur := c.v.Load()
-		if n <= cur || c.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
 }
 
 // Collector gathers one process's counters. It is safe for concurrent use
@@ -93,82 +171,36 @@ func (c *padded) Max(n int64) {
 // independent padded atomic, so hot-path increments are lock-free and
 // uncontended.
 type Collector struct {
-	msgsSent     [wire.NumKinds]padded // indexed by wire.Kind
-	bytesSent    padded
-	payloadBytes padded
-	durations    [int(catMax)]padded // nanoseconds, indexed by Category
-	mods         padded
-	ticks        padded
-	execTime     atomic.Int64
-
-	// Fault-tolerance counters (crash detection and recovery).
-	retransmits padded
-	suspects    padded
-	evictions   padded
-	faults      padded
-
-	// Rejoin counters (checkpointed state transfer and membership).
-	joins         padded
-	snapshotBytes padded
-	catchupDiffs  padded
-
-	// Quorum replication counters (majority-committed records and
-	// replica-served recovery).
-	quorumRounds    padded
-	readRepairs     padded
-	replicaCatchups padded
-
-	// Wire-level counters (frame coalescing).
-	// framesSent/wireBytes count physical frames and bytes at the TCP
-	// transport and flushes the syscalls they coalesce into; msgsSent and
-	// bytesSent count each frame the runtime sends, once. A DATA frame
-	// usually carries a SYNC or DONE marker too (DESIGN.md §15): piggySyncs
-	// and piggyDones count those — messages in the paper's accounting.
-	framesSent padded
-	flushes    padded
-	wireBytes  padded
-	piggySyncs padded
-	piggyDones padded
-
-	// TCP session-layer resilience counters: sockets re-established after
-	// a loss, heartbeat intervals that passed without any traffic from a
-	// peer, the deepest any send queue got, and pending bytes flushed by
-	// a graceful Drain.
-	reconnects       padded
-	heartbeatsMissed padded
-	sendqDepthPeak   padded
-	drainFlushed     padded
-
-	// Delta-exchange and tick-batching counters: records shipped as XOR
-	// deltas instead of full diffs, payload bytes those deltas saved,
-	// delta base mismatches detected (and recovered from), logical ticks
-	// folded into a later rendezvous's frame by the batching s-function.
-	deltaRecords    padded
-	deltaBytesSaved padded
-	deltaMismatches padded
-	ticksBatched    padded
-
-	// Interest-management counters: the largest interest set the process
-	// ever held (a gauge) and peers that entered or left the interest set
-	// after the initial build (churn).
-	interestSetPeak padded
-	interestChurn   padded
-
-	// World-sharding counter: DATA flushes vetoed because no shard
-	// region is within reach of both neighborhoods.
-	shardVetoes padded
+	msgsSent  [wire.NumKinds]padded // indexed by wire.Kind
+	durations [int(catMax)]padded   // nanoseconds, indexed by Category
+	counts    [numCounters]padded
+	execTime  atomic.Int64
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return new(Collector) }
+
+// Add adds n to counter k.
+func (c *Collector) Add(k Counter, n int) { c.counts[k].v.Add(int64(n)) }
+
+// Max raises counter k to n if n is larger: a lock-free high-water mark.
+func (c *Collector) Max(k Counter, n int) {
+	v := &c.counts[k].v
+	for {
+		cur := v.Load()
+		if int64(n) <= cur || v.CompareAndSwap(cur, int64(n)) {
+			return
+		}
+	}
+}
 
 // CountSend records one outgoing frame (a marker it carries is not counted).
 func (c *Collector) CountSend(m *wire.Msg, size int) {
 	if m.Kind.Valid() {
 		c.msgsSent[m.Kind].v.Add(1)
 	}
-	c.bytesSent.v.Add(int64(size))
-	c.payloadBytes.v.Add(int64(len(m.Payload)))
+	c.Add(BytesSent, size)
+	c.Add(PayloadBytes, len(m.Payload))
 }
 
 // AddTime attributes a span of (virtual) time to a category.
@@ -182,166 +214,20 @@ func (c *Collector) AddTime(cat Category, d time.Duration) {
 	c.durations[cat].v.Add(int64(d))
 }
 
-// AddMod records one object modification.
-func (c *Collector) AddMod() { c.mods.v.Add(1) }
-
-// AddTick records one logical clock tick.
-func (c *Collector) AddTick() { c.ticks.v.Add(1) }
-
-// AddRetransmit records one retransmission of an unacknowledged message
-// (rendezvous SYNC or sync put/get request).
-func (c *Collector) AddRetransmit() { c.retransmits.v.Add(1) }
-
-// AddSuspect records that a peer entered the suspected state (a timeout
-// expired without an answer from it).
-func (c *Collector) AddSuspect() { c.suspects.v.Add(1) }
-
-// AddEviction records that a suspected peer was declared crashed and
-// removed from the process's live set.
-func (c *Collector) AddEviction() { c.evictions.v.Add(1) }
-
-// AddFault records one injected fault (dropped, duplicated, delayed, or
-// partitioned message, or a crash-stop) observed at this process's
-// fault-injecting transport.
-func (c *Collector) AddFault() { c.faults.v.Add(1) }
-
-// AddJoin records one completed join handshake: a joiner that finished
-// catching up, or a survivor that served a join request.
-func (c *Collector) AddJoin() { c.joins.v.Add(1) }
-
-// AddSnapshotBytes records n bytes of checkpoint payload sent to a joiner.
-func (c *Collector) AddSnapshotBytes(n int) { c.snapshotBytes.v.Add(int64(n)) }
-
-// AddCatchupDiffs records n object states adopted from peer snapshots
-// while catching up after a join.
-func (c *Collector) AddCatchupDiffs(n int) { c.catchupDiffs.v.Add(int64(n)) }
-
-// AddQuorumRound records one completed quorum round trip: a record
-// committed to a majority of its replica group, or a checkpoint streamed to
-// its f+1 recipients.
-func (c *Collector) AddQuorumRound() { c.quorumRounds.v.Add(1) }
-
-// AddReadRepair records one read repair: a quorum read that overwrote a
-// stale replica with the highest value in its majority.
-func (c *Collector) AddReadRepair() { c.readRepairs.v.Add(1) }
-
-// AddReplicaCatchup records one replica-served recovery: a vaulted
-// checkpoint merged or handed to a rejoiner, or a lock shard rebuilt from
-// its quorum group after manager failover.
-func (c *Collector) AddReplicaCatchup() { c.replicaCatchups.v.Add(1) }
-
-// AddFrame records one physical frame of n bytes put on the wire (or
-// staged in a coalescing write buffer).
-func (c *Collector) AddFrame(n int) {
-	c.framesSent.v.Add(1)
-	c.wireBytes.v.Add(int64(n))
-}
-
-// AddFlush records one writer flush — the syscall boundary that frames
-// coalesce into. FramesSent/Flushes is the coalescing factor.
-func (c *Collector) AddFlush() { c.flushes.v.Add(1) }
-
-// AddPiggybackedSync records one SYNC marker that rode on a data frame
-// instead of occupying a frame of its own.
-func (c *Collector) AddPiggybackedSync() { c.piggySyncs.v.Add(1) }
-
-// AddPiggybackedDone records one DONE marker that rode on a final flush.
-func (c *Collector) AddPiggybackedDone() { c.piggyDones.v.Add(1) }
-
-// AddReconnect records one link re-established after a socket loss (the
-// TCP session layer's reconnect path, including a restarted peer's fresh
-// incarnation replacing a stale socket).
-func (c *Collector) AddReconnect() { c.reconnects.v.Add(1) }
-
-// AddHeartbeatsMissed records n heartbeat intervals that elapsed without
-// any traffic from an idle-probed peer.
-func (c *Collector) AddHeartbeatsMissed(n int) { c.heartbeatsMissed.v.Add(int64(n)) }
-
-// NoteSendQDepth raises the send-queue high-water mark to depth if it is
-// the deepest observed so far.
-func (c *Collector) NoteSendQDepth(depth int) { c.sendqDepthPeak.Max(int64(depth)) }
-
-// AddDrainFlushedBytes records n pending bytes that a graceful Drain put
-// on the wire before half-closing.
-func (c *Collector) AddDrainFlushedBytes(n int) { c.drainFlushed.v.Add(int64(n)) }
-
-// AddDeltaRecord records one object record shipped as an XOR delta instead
-// of a full diff, saving saved payload bytes.
-func (c *Collector) AddDeltaRecord(saved int) {
-	c.deltaRecords.v.Add(1)
-	c.deltaBytesSaved.v.Add(int64(saved))
-}
-
-// AddDeltaMismatch records one delta record refused because the receiver's
-// base (version or fingerprint) diverged from the sender's, triggering a
-// full-state recovery fetch.
-func (c *Collector) AddDeltaMismatch() { c.deltaMismatches.v.Add(1) }
-
-// AddTickBatched records one logical tick whose writes were folded into a
-// later rendezvous's frame by the tick-batching s-function.
-func (c *Collector) AddTickBatched() { c.ticksBatched.v.Add(1) }
-
-// NoteInterestSetSize raises the interest-set high-water mark to n if it
-// is the largest set observed so far.
-func (c *Collector) NoteInterestSetSize(n int) { c.interestSetPeak.Max(int64(n)) }
-
-// AddInterestChurn records n peers entering or leaving the interest set
-// at one refresh.
-func (c *Collector) AddInterestChurn(n int) { c.interestChurn.v.Add(int64(n)) }
-
-// AddShardVeto records one DATA flush withheld because the peer's
-// neighborhood shares no world shard with ours.
-func (c *Collector) AddShardVeto() { c.shardVetoes.v.Add(1) }
-
 // SetExecTime records the process's total execution time (its clock at
 // completion).
 func (c *Collector) SetExecTime(d time.Duration) { c.execTime.Store(int64(d)) }
 
-// Snapshot returns an immutable copy of the collected values. Counters that
-// were never touched are omitted from the maps, matching what the old
-// map-backed collector exposed.
+// Snapshot returns an immutable copy of the collected values. Message kinds
+// and time categories never touched are omitted from the maps.
 func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
-		MsgsSent:     make(map[wire.Kind]int),
-		Durations:    make(map[Category]time.Duration),
-		BytesSent:    int(c.bytesSent.v.Load()),
-		PayloadBytes: int(c.payloadBytes.v.Load()),
-		Mods:         int(c.mods.v.Load()),
-		Ticks:        int(c.ticks.v.Load()),
-		ExecTime:     time.Duration(c.execTime.Load()),
-		Retransmits:  int(c.retransmits.v.Load()),
-		Suspects:     int(c.suspects.v.Load()),
-		Evictions:    int(c.evictions.v.Load()),
-		Faults:       int(c.faults.v.Load()),
-
-		Joins:         int(c.joins.v.Load()),
-		SnapshotBytes: int(c.snapshotBytes.v.Load()),
-		CatchupDiffs:  int(c.catchupDiffs.v.Load()),
-
-		QuorumRounds:    int(c.quorumRounds.v.Load()),
-		ReadRepairs:     int(c.readRepairs.v.Load()),
-		ReplicaCatchups: int(c.replicaCatchups.v.Load()),
-
-		FramesSent:       int(c.framesSent.v.Load()),
-		Flushes:          int(c.flushes.v.Load()),
-		WireBytes:        int(c.wireBytes.v.Load()),
-		PiggybackedSyncs: int(c.piggySyncs.v.Load()),
-		PiggybackedDones: int(c.piggyDones.v.Load()),
-
-		Reconnects:        int(c.reconnects.v.Load()),
-		HeartbeatsMissed:  int(c.heartbeatsMissed.v.Load()),
-		SendQDepthPeak:    int(c.sendqDepthPeak.v.Load()),
-		DrainFlushedBytes: int(c.drainFlushed.v.Load()),
-
-		DeltaRecords:    int(c.deltaRecords.v.Load()),
-		DeltaBytesSaved: int(c.deltaBytesSaved.v.Load()),
-		DeltaMismatches: int(c.deltaMismatches.v.Load()),
-		TicksBatched:    int(c.ticksBatched.v.Load()),
-
-		InterestSetPeak: int(c.interestSetPeak.v.Load()),
-		InterestChurn:   int(c.interestChurn.v.Load()),
-
-		ShardVetoes: int(c.shardVetoes.v.Load()),
+		MsgsSent:  make(map[wire.Kind]int),
+		Durations: make(map[Category]time.Duration),
+		ExecTime:  time.Duration(c.execTime.Load()),
+	}
+	for k, row := range counters {
+		*(*int)(unsafe.Add(unsafe.Pointer(&s), row.off)) = int(c.counts[k].v.Load())
 	}
 	for k := wire.KindSync; int(k) < wire.NumKinds; k++ {
 		if n := c.msgsSent[k].v.Load(); n != 0 {
@@ -356,69 +242,46 @@ func (c *Collector) Snapshot() Snapshot {
 	return s
 }
 
-// Snapshot is a frozen view of one process's metrics.
+// Snapshot is a frozen view of one process's metrics. Each int field but
+// InterestFetches is a counter, documented at its Counter constant.
+// InterestFetches is always 0: interest no longer pulls on an enter-radius
+// event, and the field stays only because the benchmark still reads it.
 type Snapshot struct {
 	MsgsSent  map[wire.Kind]int
-	BytesSent int
-	// PayloadBytes is the part of BytesSent that was Msg.Payload; the
-	// rest, 1 - PayloadBytes/BytesSent, is envelope: header and Ints.
-	PayloadBytes int
-	Durations    map[Category]time.Duration
-	Mods         int
-	Ticks        int
-	ExecTime     time.Duration
-	// Fault-tolerance counters: message retransmissions, peers that
-	// entered the suspected state, peers evicted as crashed, and faults
-	// injected by the process's (fault-injecting) transport.
-	Retransmits int
-	Suspects    int
-	Evictions   int
-	Faults      int
-	// Rejoin counters: join handshakes completed or served, checkpoint
-	// payload bytes shipped to joiners, and object states adopted from
-	// peer snapshots during catch-up.
-	Joins         int
-	SnapshotBytes int
-	CatchupDiffs  int
-	// Quorum replication counters: majority round trips completed, stale
-	// replicas repaired by quorum reads, and recoveries served from
-	// replicas instead of original holders.
-	QuorumRounds    int
-	ReadRepairs     int
-	ReplicaCatchups int
-	// Wire-level counters: physical frames and bytes at the transport
-	// (only populated by transports that report them, currently TCP), the
-	// flush syscalls those frames coalesced into, and the SYNC and DONE
-	// markers that rode on data frames instead of frames of their own.
-	FramesSent       int
-	Flushes          int
-	WireBytes        int
-	PiggybackedSyncs int
-	PiggybackedDones int
-	// TCP session-layer resilience counters: reconnects completed,
-	// heartbeat intervals missed, the send-queue depth high-water mark,
-	// and bytes flushed by Drain.
+	Durations map[Category]time.Duration
+	ExecTime  time.Duration
+
+	BytesSent         int
+	PayloadBytes      int
+	Mods              int
+	Ticks             int
+	Retransmits       int
+	Suspects          int
+	Evictions         int
+	Faults            int
+	Joins             int
+	SnapshotBytes     int
+	CatchupDiffs      int
+	QuorumRounds      int
+	ReadRepairs       int
+	ReplicaCatchups   int
+	FramesSent        int
+	Flushes           int
+	WireBytes         int
+	PiggybackedSyncs  int
+	PiggybackedDones  int
 	Reconnects        int
 	HeartbeatsMissed  int
 	SendQDepthPeak    int
 	DrainFlushedBytes int
-	// Delta-exchange and tick-batching counters: XOR-delta records sent,
-	// payload bytes those deltas saved over full diffs, delta base
-	// mismatches detected, and ticks folded by the batching s-function.
-	DeltaRecords    int
-	DeltaBytesSaved int
-	DeltaMismatches int
-	TicksBatched    int
-	// Interest-management counters: the largest interest set held at any
-	// refresh and peers entering or leaving the set after the initial
-	// build. InterestFetches is always 0: interest no longer pulls on an
-	// enter-radius event, and the field stays only because the benchmark
-	// still reads it.
-	InterestSetPeak int
-	InterestChurn   int
-	InterestFetches int
-	// World-sharding counter: DATA flushes vetoed by shard residency.
-	ShardVetoes int
+	DeltaRecords      int
+	DeltaBytesSaved   int
+	DeltaMismatches   int
+	TicksBatched      int
+	InterestSetPeak   int
+	InterestChurn     int
+	InterestFetches   int
+	ShardVetoes       int
 }
 
 // DataMsgs returns the number of data messages sent (paper Figure 7).

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -69,7 +70,7 @@ func TestGroupAggregation(t *testing.T) {
 			c.CountSend(&wire.Msg{Kind: wire.KindSync}, 2048)
 		}
 		for i := 0; i < mods; i++ {
-			c.AddMod()
+			c.Add(Mods, 1)
 		}
 		c.SetExecTime(exec)
 		return c.Snapshot()
@@ -125,8 +126,8 @@ func TestConcurrentCollector(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				c.CountSend(&wire.Msg{Kind: wire.KindData}, 1)
-				c.AddMod()
-				c.AddTick()
+				c.Add(Mods, 1)
+				c.Add(Ticks, 1)
 				c.AddTime(CatExchange, time.Microsecond)
 			}
 		}()
@@ -159,14 +160,14 @@ func TestStringsRender(t *testing.T) {
 
 func TestJoinCounters(t *testing.T) {
 	a := NewCollector()
-	a.AddJoin()
-	a.AddSnapshotBytes(100)
-	a.AddCatchupDiffs(3)
+	a.Add(Joins, 1)
+	a.Add(SnapshotBytes, 100)
+	a.Add(CatchupDiffs, 3)
 	b := NewCollector()
-	b.AddJoin()
-	b.AddJoin()
-	b.AddSnapshotBytes(50)
-	b.AddCatchupDiffs(0) // a no-op catch-up still counts zero diffs
+	b.Add(Joins, 1)
+	b.Add(Joins, 1)
+	b.Add(SnapshotBytes, 50)
+	b.Add(CatchupDiffs, 0) // a no-op catch-up still counts zero diffs
 
 	snap := a.Snapshot()
 	if snap.Joins != 1 || snap.SnapshotBytes != 100 || snap.CatchupDiffs != 3 {
@@ -197,15 +198,9 @@ func TestCollectorConcurrentUse(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.CountSend(&wire.Msg{Kind: wire.KindData}, 10)
 				c.AddTime(CatExchange, time.Microsecond)
-				c.AddMod()
-				c.AddTick()
-				c.AddRetransmit()
-				c.AddSuspect()
-				c.AddEviction()
-				c.AddFault()
-				c.AddJoin()
-				c.AddSnapshotBytes(2)
-				c.AddCatchupDiffs(1)
+				for k := PayloadBytes + 1; k < numCounters; k++ {
+					c.Add(k, 1)
+				}
 			}
 		}()
 	}
@@ -218,16 +213,54 @@ func TestCollectorConcurrentUse(t *testing.T) {
 	if s.Durations[CatExchange] != time.Duration(total)*time.Microsecond {
 		t.Errorf("durations lost: %v", s.Durations[CatExchange])
 	}
-	for name, got := range map[string]int{
-		"mods": s.Mods, "ticks": s.Ticks, "retransmits": s.Retransmits,
-		"suspects": s.Suspects, "evictions": s.Evictions, "faults": s.Faults,
-		"joins": s.Joins,
-	} {
-		if got != total {
-			t.Errorf("%s = %d, want %d", name, got, total)
+	for k := PayloadBytes + 1; k < numCounters; k++ {
+		if got := counterFields(s)[strings.ReplaceAll(k.String(), "_", "")]; got != total {
+			t.Errorf("%v = %d, want %d", k, got, total)
 		}
 	}
-	if s.SnapshotBytes != 2*total || s.CatchupDiffs != total {
-		t.Errorf("rejoin counters lost: bytes=%d diffs=%d", s.SnapshotBytes, s.CatchupDiffs)
+}
+
+// counterFields maps each counter field of a Snapshot, by its name lowered,
+// to its value: every int field but InterestFetches.
+func counterFields(s Snapshot) map[string]int {
+	out := make(map[string]int)
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Type.Kind() == reflect.Int && f.Name != "InterestFetches" {
+			out[strings.ToLower(f.Name)] = int(v.Field(i).Int())
+		}
+	}
+	return out
+}
+
+// TestCounterTable gives every counter a distinct value and reads each back
+// from the Snapshot field its name spells: a counter with no field, a field
+// with no counter or two counters sharing a field all fail it. Then Max
+// raises one peak and leaves another that is already higher.
+func TestCounterTable(t *testing.T) {
+	c := NewCollector()
+	for k := Counter(0); k < numCounters; k++ {
+		c.Add(k, 100+int(k))
+	}
+	s := c.Snapshot()
+	fields := counterFields(s)
+	if len(fields) != int(numCounters) {
+		t.Errorf("Snapshot has %d counter fields, the table %d counters", len(fields), numCounters)
+	}
+	for k := Counter(0); k < numCounters; k++ {
+		field := strings.ReplaceAll(k.String(), "_", "")
+		if got, ok := fields[field]; !ok || got != 100+int(k) {
+			t.Errorf("counter %v: field %q = %d (present %v), want %d", k, field, got, ok, 100+int(k))
+		}
+	}
+	if s.InterestFetches != 0 || s.TotalMsgs() != 0 || len(s.Durations) != 0 {
+		t.Errorf("counters leaked outside their fields: %+v", s)
+	}
+	// Max raises a peak and never lowers it.
+	c.Max(SendQDepthPeak, 1)
+	c.Max(InterestSetPeak, 1000)
+	if s := c.Snapshot(); s.SendQDepthPeak != 100+int(SendQDepthPeak) || s.InterestSetPeak != 1000 {
+		t.Errorf("peaks after Max = %d, %d, want %d, 1000", s.SendQDepthPeak, s.InterestSetPeak, 100+int(SendQDepthPeak))
 	}
 }

@@ -118,11 +118,11 @@ func (p *player) play() error {
 		if !p.turn.Begin(tick) {
 			return p.finish(false)
 		}
-		p.mc.AddTick()
+		p.mc.Add(metrics.Ticks, 1)
 
 		p.writes = p.writes[:0]
 		if p.turn.Credit(p.turn.Turn(p.boardEnemies(), p.write)) {
-			p.mc.AddMod()
+			p.mc.Add(metrics.Mods, 1)
 		}
 		p.mc.AddTime(metrics.CatAppCompute, p.ep.Now()-appStart)
 		if p.cfg.ComputePerTick > 0 {

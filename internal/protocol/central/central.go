@@ -284,7 +284,7 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 		if !turn.Begin(int64(tick)) {
 			break
 		}
-		mc.AddTick()
+		mc.Add(metrics.Ticks, 1)
 
 		// Phase 2: decide on the snapshot and submit the intent.
 		writes = writes[:0]
@@ -319,7 +319,7 @@ func RunClient(cfg ClientConfig) (game.TeamStats, error) {
 			}
 			if accepted {
 				if turn.Credit(o) {
-					mc.AddMod()
+					mc.Add(metrics.Mods, 1)
 				}
 				if turn.Won(int64(tick)) {
 					break

@@ -82,8 +82,6 @@ type NodeConfig struct {
 	// Requires SuspectTimeout > 0; zero keeps the unreplicated behavior
 	// with no extra messages.
 	QuorumF int
-	// Debug, when set, receives trace lines (like core.Config.Debug).
-	Debug func(string)
 
 	// AppTrace and SvcTrace, when set, record the application's and the
 	// service's observation histories (ticks, lock requests/grants/releases,
@@ -268,14 +266,6 @@ func recycle(ep transport.Endpoint, m *wire.Msg) {
 // ft reports whether crash tolerance is enabled.
 func (n *Node) ft() bool { return n.cfg.SuspectTimeout > 0 }
 
-// debug reports whether tracing is on; call sites check it before tracef,
-// whose arguments would otherwise be boxed on every call.
-func (n *Node) debug() bool { return n.cfg.Debug != nil }
-
-func (n *Node) tracef(format string, args ...any) {
-	n.cfg.Debug(fmt.Sprintf(format, args...))
-}
-
 func (n *Node) maxRetransmits() int {
 	if n.cfg.MaxRetransmits > 0 {
 		return n.cfg.MaxRetransmits
@@ -348,10 +338,7 @@ func (n *Node) declareCrash(team int) {
 	if !n.noteCrash(team, crash.Ints[0]) {
 		return
 	}
-	if n.debug() {
-		n.tracef("team %d declares %d crashed (inc %d)", n.team, team, crash.Ints[0])
-	}
-	n.mc.AddEviction()
+	n.mc.Add(metrics.Evictions, 1)
 	for t := 0; t < n.teams; t++ {
 		if t == team {
 			continue
@@ -370,9 +357,6 @@ func (n *Node) declareCrash(team int) {
 // notices — its KindLockBusy replies name only holders it knows are dead —
 // replays the announcement to that manager alone.
 func (n *Node) reannounceCrash(dead, mgrTeam int) {
-	if n.debug() {
-		n.tracef("app %d re-announces crash of %d to mgr %d", n.team, dead, mgrTeam)
-	}
 	_ = n.send(n.cfg.App, n.svcID(mgrTeam), n.crashNews(dead))
 }
 
@@ -447,9 +431,6 @@ func (n *Node) routeLock(m *wire.Msg) (forward int) {
 			return t
 		}
 	}
-	if n.debug() {
-		n.tracef("svc %d adopts shard chain for obj %d (teams %d up to %d)", n.team, obj, base, n.team)
-	}
 	for t := base; t != n.team; t = (t + 1) % n.teams {
 		n.mgr.Adopt(n.shardOf(t), n.team)
 	}
@@ -505,9 +486,6 @@ func (n *Node) land(base int) error {
 		n.restoreOwners(base)
 	}
 	n.mu.Unlock()
-	if n.debug() {
-		n.tracef("svc %d landed mgr %d's shard, replaying %d stalled messages", n.team, base, len(stalled))
-	}
 	for _, m := range stalled {
 		if err := n.serveLock(m); err != nil {
 			return err
@@ -538,9 +516,6 @@ func (n *Node) RunService() error {
 			return fmt.Errorf("ec service %d: %w", n.team, err)
 		}
 		if m == nil {
-			if n.debug() {
-				n.tracef("svc %d now=%v idle-exit, remaining %d", n.team, svc.Now(), n.teams-len(out))
-			}
 			return nil
 		}
 		switch m.Kind {
@@ -572,9 +547,6 @@ func (n *Node) RunService() error {
 			})
 		case wire.KindShutdown:
 			out[int(m.Stamp)] = true
-			if n.debug() {
-				n.tracef("svc %d now=%v shutdown from %d, remaining %d", n.team, svc.Now(), m.Stamp, n.teams-len(out))
-			}
 		case wire.KindCrash:
 			err = n.handleCrash(int(m.Stamp), crashInc(m), out)
 		case wire.KindQWrite:
@@ -716,9 +688,6 @@ func (n *Node) handleLockRelease(m *wire.Msg) error {
 // re-route once the crash news reaches it.
 func (n *Node) forwardLock(m *wire.Msg, to int) error {
 	m.Stamp = int64(lockProc(m)) + 1
-	if n.debug() {
-		n.tracef("svc %d forwards %v obj %d for proc %d to %d", n.team, m.Kind, m.Obj, m.Stamp-1, to)
-	}
 	_, err := n.sendTo(n.cfg.Svc, n.svcID(to), *m, true)
 	return err
 }
@@ -787,16 +756,13 @@ func (n *Node) serveJoin(m *wire.Msg, out map[int]bool) error {
 	n.mu.Unlock()
 	delete(out, t) // if the joiner was counted out, wait for its shutdown again
 	if fresh {
-		n.mc.AddJoin()
-		if n.debug() {
-			n.tracef("svc %d admits team %d (inc %d): %d handback bytes", n.team, t, inc, len(payload))
-		}
+		n.mc.Add(metrics.Joins, 1)
 	}
 	ack := wire.Msg{Kind: wire.KindJoinAck, Stamp: inc, Ints: ints, Payload: payload}
 	if gone, err := n.sendTo(n.cfg.Svc, n.svcID(t), ack, false); gone || err != nil {
 		return err
 	}
-	n.mc.AddSnapshotBytes(len(snap))
+	n.mc.Add(metrics.SnapshotBytes, len(snap))
 	_, err := n.sendTo(n.cfg.Svc, n.svcID(t), wire.Msg{Kind: wire.KindSnapshot, Payload: snap}, false)
 	return err
 }
@@ -837,7 +803,7 @@ func (n *Node) acceptJoin(m *wire.Msg, out map[int]bool) error {
 	if err != nil {
 		return nil
 	}
-	n.mc.AddCatchupDiffs(adopted)
+	n.mc.Add(metrics.CatchupDiffs, adopted)
 	return n.land(n.team)
 }
 
@@ -863,9 +829,6 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 				break
 			}
 		}
-		if n.debug() {
-			n.tracef("app %d now=%v tick %d", n.team, app.Now(), tick)
-		}
 		n.cfg.AppTrace.Record(trace.OpTick, -1, 0, 0, int64(tick), 0)
 		// Write locks on the blocks a tank may modify, read locks on the
 		// rest of what it sees.
@@ -884,9 +847,9 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 			enemies := make(map[int][]game.Pos)
 			n.turn.ScanRays(enemies, n.cfg.Game.Range)
 			if n.turn.Credit(n.turn.Turn(enemies, n.write)) {
-				n.mc.AddMod()
+				n.mc.Add(metrics.Mods, 1)
 			}
-			n.mc.AddTick()
+			n.mc.Add(metrics.Ticks, 1)
 		}
 		n.mu.Unlock()
 		if !playing {
@@ -981,10 +944,7 @@ func (n *Node) runJoin() error {
 		return fmt.Errorf("ec app %d: decode joined world: %w", n.team, err)
 	}
 	n.turn.Place(world.TanksByTeam()[n.team])
-	n.mc.AddJoin()
-	if n.debug() {
-		n.tracef("app %d rejoined (inc %d): %d acks, %d tanks", n.team, n.cfg.Incarnation, acks, len(n.turn.Tanks))
-	}
+	n.mc.Add(metrics.Joins, 1)
 	return nil
 }
 

@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"sdso/internal/lockmgr"
+	"sdso/internal/metrics"
 	"sdso/internal/quorum"
 	"sdso/internal/store"
 	"sdso/internal/wire"
@@ -95,7 +96,7 @@ func (n *Node) replicateOwner(obj store.ID, owner int, version int64, grants []l
 		}
 	}
 	n.mu.Unlock()
-	n.mc.AddQuorumRound()
+	n.mc.Add(metrics.QuorumRounds, 1)
 	if needed == 0 {
 		return n.sendGrants(grants)
 	}
@@ -231,10 +232,7 @@ func (n *Node) startAdoptRecon() error {
 	}
 	n.mu.Unlock()
 	for _, s := range starts {
-		n.mc.AddQuorumRound()
-		if n.debug() {
-			n.tracef("svc %d reconstructs dead mgr %d's shard from quorum (seq %d)", n.team, s.dead, s.seq)
-		}
+		n.mc.Add(metrics.QuorumRounds, 1)
 		for _, t := range s.targets {
 			m := wire.Msg{Kind: wire.KindQRead, Stamp: s.seq, Obj: uint32(s.dead)}
 			if _, err := n.sendTo(n.cfg.Svc, n.svcID(t), m, true); err != nil {
@@ -318,10 +316,7 @@ func (n *Node) restoreOwners(dead int) {
 		}
 	}
 	if repaired > 0 {
-		n.mc.AddReadRepair()
+		n.mc.Add(metrics.ReadRepairs, 1)
 	}
-	n.mc.AddReplicaCatchup()
-	if n.debug() {
-		n.tracef("svc %d reconstructed mgr %d's shard: %d records repaired", n.team, dead, repaired)
-	}
+	n.mc.Add(metrics.ReplicaCatchups, 1)
 }

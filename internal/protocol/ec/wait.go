@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sdso/internal/metrics"
 	"sdso/internal/store"
 	"sdso/internal/transport"
 	"sdso/internal/wire"
@@ -190,12 +191,12 @@ func (n *Node) strike(w *waiter) (done bool, err error) {
 			if _, err := n.sendTo(w.ep, n.svcID(t), w.req, true); err != nil {
 				return false, err
 			}
-			n.mc.AddRetransmit()
+			n.mc.Add(metrics.Retransmits, 1)
 		}
 		return over, nil
 	}
 	if w.strikes == 1 {
-		n.mc.AddSuspect()
+		n.mc.Add(metrics.Suspects, 1)
 	}
 	if w.site == pullWait {
 		if over {
@@ -204,7 +205,7 @@ func (n *Node) strike(w *waiter) (done bool, err error) {
 		}
 		gone, err := n.sendTo(w.ep, n.svcID(w.peer), w.req, true)
 		if !gone && err == nil {
-			n.mc.AddRetransmit()
+			n.mc.Add(metrics.Retransmits, 1)
 		}
 		return gone, err
 	}
@@ -213,10 +214,6 @@ func (n *Node) strike(w *waiter) (done bool, err error) {
 		// exchange, or the base manager rejoined. Re-aim at the current
 		// manager before spending the budget on the wrong one.
 		w.peer, w.suspect, w.holder = cur, cur, false
-	}
-	if n.debug() {
-		n.tracef("app %d now=%v obj=%d grant-wait timeout #%d suspect=%d holder=%v",
-			n.team, w.ep.Now(), w.obj, w.strikes, w.suspect, w.holder)
 	}
 	switch {
 	case over && w.holder:
@@ -234,7 +231,7 @@ func (n *Node) strike(w *waiter) (done bool, err error) {
 		return false, n.failover(w)
 	}
 	if err == nil {
-		n.mc.AddRetransmit()
+		n.mc.Add(metrics.Retransmits, 1)
 	}
 	return false, err
 }
@@ -244,13 +241,10 @@ func (n *Node) strike(w *waiter) (done bool, err error) {
 func (n *Node) failover(w *waiter) error {
 	w.peer = n.managerFor(w.obj)
 	w.suspect, w.holder, w.strikes = w.peer, false, 0
-	if n.debug() {
-		n.tracef("app %d now=%v obj=%d failover to mgr %d", n.team, w.ep.Now(), w.obj, w.peer)
-	}
 	if err := n.send(w.ep, n.svcID(w.peer), w.req); err != nil {
 		return fmt.Errorf("ec app %d: failover lock req %d to %d: %w", n.team, w.obj, w.peer, err)
 	}
-	n.mc.AddRetransmit()
+	n.mc.Add(metrics.Retransmits, 1)
 	return nil
 }
 

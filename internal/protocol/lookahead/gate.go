@@ -1,6 +1,9 @@
 package lookahead
 
-import "sdso/internal/game"
+import (
+	"sdso/internal/game"
+	"sdso/internal/metrics"
+)
 
 // gate is the spatial data filter handed to every exchange() as the
 // paper's SendData argument (§3.1–3.2): it decides whether this
@@ -68,7 +71,7 @@ func (p *player) gate(peer int) bool {
 		return false
 	}
 	if p.shards != nil && !p.shards.Overlaps(mine, h, theirs, h+staleness+4) {
-		p.mc.AddShardVeto()
+		p.mc.Add(metrics.ShardVetoes, 1)
 		return false
 	}
 	return true

@@ -6,7 +6,10 @@ package lookahead
 // internal/interest; the DATA veto it feeds is the interest term of
 // gate (gate.go).
 
-import "sdso/internal/game"
+import (
+	"sdso/internal/game"
+	"sdso/internal/metrics"
+)
 
 // InterestMaxStretch caps how many base periods the interest-paced BSYNC
 // s-function may skip for a far peer. It bounds SYNC staleness (and the
@@ -25,12 +28,12 @@ func (p *player) refreshInterest(tick int64) {
 		return
 	}
 	entered, left := p.ix.Refresh(p.positions(), tick)
-	p.mc.NoteInterestSetSize(p.ix.Size())
+	p.mc.Max(metrics.InterestSetPeak, p.ix.Size())
 	if tick > 1 {
 		// The first refresh builds the set; only later transitions are
 		// churn.
 		if n := len(entered) + len(left); n > 0 {
-			p.mc.AddInterestChurn(n)
+			p.mc.Add(metrics.InterestChurn, n)
 		}
 	}
 }

@@ -174,7 +174,6 @@ type PlayerConfig struct {
 	// instrumentation).
 	afterExchange func(p *player)
 	onActions     func(tick int64, act game.Action)
-	debug         func(event string)
 }
 
 // knownPeer is the freshest rendezvous information about one peer. Each
@@ -307,7 +306,6 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 		DeltaEncode:       cfg.DeltaEncode,
 		MaxBatchTicks:     batch,
 		Trace:             cfg.Trace,
-		Debug:             cfg.debug,
 		RendezvousTimeout: cfg.RendezvousTimeout,
 		MaxRetransmits:    cfg.MaxRetransmits,
 		CheckpointEvery:   cfg.CheckpointEvery,
@@ -464,7 +462,7 @@ func (p *player) play() error {
 			return p.finish(p.turn.Stats.ReachedGoal)
 		}
 		if p.turn.Credit(p.turn.Turn(p.beaconEnemies(), p.write)) {
-			p.mc.AddMod()
+			p.mc.Add(metrics.Mods, 1)
 		}
 		p.mc.AddTime(metrics.CatAppCompute, p.cfg.Endpoint.Now()-appStart)
 		if p.cfg.ComputePerTick > 0 {

@@ -297,9 +297,9 @@ func (n *Node) RunApp() (game.TeamStats, error) {
 			enemies := make(map[int][]game.Pos)
 			n.turn.ScanRays(enemies, n.cfg.Game.Range)
 			if n.turn.Credit(n.turn.Turn(enemies, n.write)) {
-				n.mc.AddMod()
+				n.mc.Add(metrics.Mods, 1)
 			}
-			n.mc.AddTick()
+			n.mc.Add(metrics.Ticks, 1)
 		}
 		n.mu.Unlock()
 		if !playing {

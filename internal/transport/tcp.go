@@ -570,7 +570,7 @@ func (e *TCPEndpoint) Drain() (int, error) {
 	}
 	flushed := queued - left
 	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.AddDrainFlushedBytes(flushed)
+		e.cfg.Metrics.Add(metrics.DrainFlushedBytes, flushed)
 	}
 	return flushed, nil
 }

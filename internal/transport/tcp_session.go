@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sdso/internal/metrics"
 	"sdso/internal/wire"
 )
 
@@ -393,7 +394,7 @@ func (e *TCPEndpoint) installConn(p *tcpPeer, conn net.Conn, gen int, inc, remot
 	}
 	p.linked = true
 	if reconnected && e.cfg.Metrics != nil { // before traffic can resume
-		e.cfg.Metrics.AddReconnect()
+		e.cfg.Metrics.Add(metrics.Reconnects, 1)
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -621,7 +622,7 @@ func (e *TCPEndpoint) enqueue(p *tcpPeer, enc *wire.Encoded) error {
 	}
 	p.q.push(sendEntry{enc: enc})
 	if m := e.cfg.Metrics; m != nil {
-		m.NoteSendQDepth(p.q.len())
+		m.Max(metrics.SendQDepthPeak, p.q.len())
 	}
 	if e.dueLocked(p) {
 		p.cond.Broadcast()
@@ -729,7 +730,8 @@ func (e *TCPEndpoint) writeLoop(p *tcpPeer) {
 				break
 			}
 			if m != nil {
-				m.AddFrame(ent.size())
+				m.Add(metrics.FramesSent, 1)
+				m.Add(metrics.WireBytes, ent.size())
 			}
 			if ent.ctrl || !e.cfg.Reconnect {
 				ent.enc.Release()
@@ -747,7 +749,7 @@ func (e *TCPEndpoint) writeLoop(p *tcpPeer) {
 			err = bw.Flush()
 			p.mu.Lock()
 			if err == nil && m != nil {
-				m.AddFlush()
+				m.Add(metrics.Flushes, 1)
 			}
 		}
 		p.inflight = false
@@ -780,7 +782,7 @@ func (e *TCPEndpoint) heartbeatLoop() {
 			if p.conn != nil && !p.departed && idle >= iv {
 				if misses := int(idle/iv) - 1; misses > p.hbMiss {
 					if m := e.cfg.Metrics; m != nil {
-						m.AddHeartbeatsMissed(misses - p.hbMiss)
+						m.Add(metrics.HeartbeatsMissed, misses-p.hbMiss)
 					}
 					p.hbMiss = misses
 				}
