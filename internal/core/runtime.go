@@ -117,9 +117,6 @@ type ExchangeOpts struct {
 	// remains buffered (the game advertises its "dirty box" this way).
 	// Nil means empty.
 	Beacon func(peer int) []int64
-	// Timeout overrides Config.RendezvousTimeout for this call; zero
-	// inherits the config value.
-	Timeout time.Duration
 }
 
 // Config assembles a runtime.
@@ -717,11 +714,7 @@ func (r *Runtime) Exchange(opts ExchangeOpts) error {
 		return err
 	}
 	if opts.Resync {
-		timeout := opts.Timeout
-		if timeout <= 0 {
-			timeout = r.cfg.RendezvousTimeout
-		}
-		if err := r.awaitRendezvous(timeout); err != nil {
+		if err := r.awaitRendezvous(); err != nil {
 			return err
 		}
 		if err := r.reschedule(opts.SFunc); err != nil {
@@ -936,7 +929,7 @@ func (r *Runtime) takeSync(peer int, beacon []int64, stamp int64) {
 // awaitRendezvous is the await stage: the one wait, until every target has
 // answered with a SYNC (or announced DONE). A silent target is resent the
 // SYNC this tick sent it; the rendezvous completes among the survivors.
-func (r *Runtime) awaitRendezvous(timeout time.Duration) error {
+func (r *Runtime) awaitRendezvous() error {
 	r.outstanding = 0
 	for _, peer := range r.targets {
 		ps := &r.peers[peer]
@@ -947,7 +940,7 @@ func (r *Runtime) awaitRendezvous(timeout time.Duration) error {
 		r.outstanding++
 	}
 	_, err := r.await(&waiter{
-		peers: r.targets, timeout: timeout, rendezvous: true, suspect: true, goneFirst: true,
+		peers: r.targets, timeout: r.cfg.RendezvousTimeout, rendezvous: true, suspect: true, goneFirst: true,
 		pending: func(peer int) bool { return r.peers[peer].waitTick == r.now },
 		resend: func(peer int) (bool, error) {
 			if r.peers[peer].marked() {

@@ -9,19 +9,21 @@ import (
 // runECVtime runs the entry-consistency baseline on the simulated cluster.
 // Each game node contributes two simulated processes — the application
 // (proc i) and its co-located lock-manager/object service (proc teams+i).
-func runECVtime(cfg Config) (*Result, error) {
+func runECVtime(cfg Config, c simCluster) (*Result, error) {
 	n := cfg.Game.Teams
 	collectors := newCollectors(n)
 	nodes := make([]*ec.Node, n)
 	stats := make([]game.TeamStats, n)
-	err := simCluster{name: "EC", procs: 2 * n, nodes: n, setup: func(eps []transport.Endpoint) (err error) {
+	c.name, c.procs, c.nodes = "EC", 2*n, n
+	c.setup = func(eps []transport.Endpoint) (err error) {
 		for i := range nodes {
 			if nodes[i], err = ec.New(cfg.ecNode(eps[i], eps[n+i], collectors[i])); err != nil {
 				return err
 			}
 		}
 		return nil
-	}}.play(cfg, func(i int, _ transport.Endpoint) error { return nodeBody(nodes[i%n], i, n, stats) })
+	}
+	err := c.play(cfg, func(i int, _ transport.Endpoint) error { return nodeBody(nodes[i%n], i, n, stats) })
 	if err != nil {
 		return nil, err
 	}

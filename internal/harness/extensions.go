@@ -9,16 +9,17 @@ import (
 )
 
 // runCausalVtime runs the causal-memory baseline on the simulated cluster.
-func runCausalVtime(cfg Config) (*Result, error) {
+func runCausalVtime(cfg Config, c simCluster) (*Result, error) {
 	n := cfg.Game.Teams
 	collectors := newCollectors(n)
 	stats := make([]game.TeamStats, n)
-	err := simCluster{name: "CAUSAL", procs: n}.play(cfg, func(i int, ep transport.Endpoint) (err error) {
+	c.name, c.procs = "CAUSAL", n
+	err := c.play(cfg, func(i int, ep transport.Endpoint) (err error) {
 		stats[i], err = causal.RunPlayer(causal.PlayerConfig{
 			Game:           cfg.Game,
 			Endpoint:       ep,
 			Metrics:        collectors[i],
-			ComputePerTick: cfg.ComputePerTick,
+			ComputePerTick: computePerTick,
 		})
 		return err
 	})
@@ -30,26 +31,28 @@ func runCausalVtime(cfg Config) (*Result, error) {
 
 // runLRCVtime runs the lazy-release-consistency baseline on the simulated
 // cluster (two processes per node, like EC).
-func runLRCVtime(cfg Config) (*Result, error) {
+func runLRCVtime(cfg Config, c simCluster) (*Result, error) {
 	n := cfg.Game.Teams
 	collectors := newCollectors(n)
 	nodes := make([]*lrc.Node, n)
 	stats := make([]game.TeamStats, n)
-	err := simCluster{name: "LRC", procs: 2 * n, nodes: n, setup: func(eps []transport.Endpoint) (err error) {
+	c.name, c.procs, c.nodes = "LRC", 2*n, n
+	c.setup = func(eps []transport.Endpoint) (err error) {
 		for i := range nodes {
 			nodes[i], err = lrc.New(lrc.NodeConfig{
 				Game:           cfg.Game,
 				App:            eps[i],
 				Svc:            eps[n+i],
 				Metrics:        collectors[i],
-				ComputePerTick: cfg.ComputePerTick,
+				ComputePerTick: computePerTick,
 			})
 			if err != nil {
 				return err
 			}
 		}
 		return nil
-	}}.play(cfg, func(i int, _ transport.Endpoint) error { return nodeBody(nodes[i%n], i, n, stats) })
+	}
+	err := c.play(cfg, func(i int, _ transport.Endpoint) error { return nodeBody(nodes[i%n], i, n, stats) })
 	if err != nil {
 		return nil, err
 	}
@@ -59,11 +62,12 @@ func runLRCVtime(cfg Config) (*Result, error) {
 // runCentralVtime runs the client-server alternative (paper §2.1) on the
 // simulated cluster: n client hosts plus one dedicated server host (process
 // n) whose NIC becomes the bottleneck.
-func runCentralVtime(cfg Config) (*Result, error) {
+func runCentralVtime(cfg Config, c simCluster) (*Result, error) {
 	n := cfg.Game.Teams
 	collectors := newCollectors(n + 1)
 	stats := make([]game.TeamStats, n)
-	err := simCluster{name: "CENTRAL", procs: n + 1}.play(cfg, func(i int, ep transport.Endpoint) (err error) {
+	c.name, c.procs = "CENTRAL", n+1
+	err := c.play(cfg, func(i int, ep transport.Endpoint) (err error) {
 		if i == n {
 			return central.RunServer(central.ServerConfig{Game: cfg.Game, Endpoint: ep, Metrics: collectors[n]})
 		}
@@ -71,7 +75,7 @@ func runCentralVtime(cfg Config) (*Result, error) {
 			Game:           cfg.Game,
 			Endpoint:       ep,
 			Metrics:        collectors[i],
-			ComputePerTick: cfg.ComputePerTick,
+			ComputePerTick: computePerTick,
 		})
 		return err
 	})

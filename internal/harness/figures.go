@@ -8,7 +8,6 @@ import (
 
 	"sdso/internal/game"
 	"sdso/internal/metrics"
-	"sdso/internal/netmodel"
 	"sdso/internal/shard"
 )
 
@@ -31,15 +30,6 @@ type SweepConfig struct {
 	Seeds []int64
 	// MaxTicks bounds each game; defaults to 200.
 	MaxTicks int
-	// Net overrides the simulated cluster network for every cell; the
-	// zero value keeps the paper's 10 Mbps Ethernet model. Lossy sweeps
-	// set DropProb/DropSeed here — each cell still derives every drop
-	// decision deterministically from its own seed and link state, so
-	// sweeps stay reproducible under any worker count.
-	Net netmodel.Params
-	// SuspectTimeout is handed to every cell (see Config.SuspectTimeout);
-	// required when Net is lossy.
-	SuspectTimeout time.Duration
 	// Workers bounds how many (protocol, n, seed) cells run concurrently.
 	// Zero means GOMAXPROCS; 1 reproduces the historical sequential
 	// execution exactly. Every cell is an independent vtime simulation,
@@ -146,7 +136,7 @@ func RunSweep(sc SweepConfig) (*Sweep, error) {
 			g.Seed = seed
 			g.MaxTicks = sc.MaxTicks
 			g.EndOnFirstGoal = true // the paper's race semantics
-			return Run(Config{Game: g, Protocol: p, Net: sc.Net, SuspectTimeout: sc.SuspectTimeout, Shards: sc.Shards})
+			return Run(Config{Game: g, Protocol: p, Shards: sc.Shards})
 		},
 	}.play(sc.Workers)
 	if err != nil {

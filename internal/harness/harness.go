@@ -57,24 +57,14 @@ type Config struct {
 	Game game.Config
 	// Protocol selects the consistency protocol.
 	Protocol Protocol
-	// Net describes the simulated cluster network; zero value uses the
-	// paper's 10 Mbps Ethernet model.
-	Net netmodel.Params
 	// MsgSize fixes the wire size charged per message; the paper reports
 	// both control and data messages averaging 2048 bytes. Zero means
 	// 2048.
 	MsgSize int
-	// ComputePerTick is the application work per game tick on each node.
-	// Zero means 50µs (the paper: "only a minimal amount of local
-	// processing").
-	ComputePerTick time.Duration
-	// Horizon bounds virtual time (guard against runaway runs). Zero
-	// means 10 minutes of virtual time.
-	Horizon time.Duration
 	// SuspectTimeout enables the runtime's failure-detection and
 	// retransmission machinery (the lookahead rendezvous timeout, EC's
-	// suspect timeout). Required when Net is lossy (DropProb > 0): a
-	// dropped SYNC or lock message would otherwise deadlock the run.
+	// suspect timeout). Runs that lose messages (a faultnet plan) need it:
+	// a dropped SYNC or lock message would otherwise deadlock the run.
 	// Zero leaves detection off, as in the paper's fault-free testbed.
 	SuspectTimeout time.Duration
 	// DeltaEncode switches the lookahead protocols' DATA payloads to the
@@ -100,18 +90,19 @@ type Config struct {
 	wrap func(transport.Endpoint) transport.Endpoint
 }
 
+// Every simulated run plays on the paper's testbed (netmodel.Ethernet10Mbps)
+// with these constants.
+const (
+	// computePerTick is the application work per game tick on each node
+	// (the paper: "only a minimal amount of local processing").
+	computePerTick = 50 * time.Microsecond
+	// horizon bounds virtual time, a guard against runaway runs.
+	horizon = 10 * time.Minute
+)
+
 func (c Config) withDefaults() Config {
-	if c.Net.BandwidthBps == 0 && c.Net.Propagation == 0 {
-		c.Net = netmodel.Ethernet10Mbps()
-	}
 	if c.MsgSize == 0 {
 		c.MsgSize = 2048
-	}
-	if c.ComputePerTick == 0 {
-		c.ComputePerTick = 50 * time.Microsecond
-	}
-	if c.Horizon == 0 {
-		c.Horizon = 10 * time.Minute
 	}
 	return c
 }
@@ -123,7 +114,7 @@ func (c Config) player(ep transport.Endpoint, mc *metrics.Collector) lookahead.P
 		Protocol:          lookaheadVariant(c.Protocol),
 		Endpoint:          ep,
 		Metrics:           mc,
-		ComputePerTick:    c.ComputePerTick,
+		ComputePerTick:    computePerTick,
 		RendezvousTimeout: c.SuspectTimeout,
 		DeltaEncode:       c.DeltaEncode,
 		MaxBatchTicks:     c.MaxBatchTicks,
@@ -140,7 +131,7 @@ func (c Config) ecNode(app, svc transport.Endpoint, mc *metrics.Collector) ec.No
 		App:            app,
 		Svc:            svc,
 		Metrics:        mc,
-		ComputePerTick: c.ComputePerTick,
+		ComputePerTick: computePerTick,
 		SuspectTimeout: c.SuspectTimeout,
 	}
 }
@@ -159,19 +150,23 @@ type Result struct {
 }
 
 // Run executes one experiment and returns its measurements.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, simCluster{}) }
+
+// run plays cfg on base, a cluster each runner completes with its own
+// layout; a base with jitter is how tests reorder a plain run's deliveries.
+func run(cfg Config, base simCluster) (*Result, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.Protocol {
 	case BSYNC, MSYNC, MSYNC2:
-		return runLookahead(cfg)
+		return runLookahead(cfg, base)
 	case EC:
-		return runECVtime(cfg)
+		return runECVtime(cfg, base)
 	case LRC:
-		return runLRCVtime(cfg)
+		return runLRCVtime(cfg, base)
 	case Causal:
-		return runCausalVtime(cfg)
+		return runCausalVtime(cfg, base)
 	case Central:
-		return runCentralVtime(cfg)
+		return runCentralVtime(cfg, base)
 	default:
 		return nil, fmt.Errorf("harness: unknown protocol %q", cfg.Protocol)
 	}
@@ -189,8 +184,8 @@ func lookaheadVariant(p Protocol) lookahead.Protocol {
 }
 
 // simCluster is the simulated workstation cluster a run plays on: procs
-// processes on Config.Net's links, each with one FixedSize(MsgSize)
-// endpoint.
+// processes on the paper's 10 Mbps Ethernet, each with one
+// FixedSize(MsgSize) endpoint.
 type simCluster struct {
 	name  string // error prefix, e.g. "BSYNC" or "EC chaos"
 	procs int
@@ -214,13 +209,13 @@ type simCluster struct {
 // play spawns body once per process, in process order, and runs the
 // simulation; it returns the first process error in process order.
 func (c simCluster) play(cfg Config, body func(proc int, ep transport.Endpoint) error) error {
-	net := cfg.Net
+	net := netmodel.Ethernet10Mbps()
 	if c.nodes > 0 {
 		net.HostOf = func(proc int) int { return proc % c.nodes }
 	}
 	sim := vtime.NewSim(vtime.Config{
 		Links:   vtime.Jitter(netmodel.NewCluster(net), uint64(c.seed), c.jitter),
-		Horizon: cfg.Horizon,
+		Horizon: horizon,
 	})
 	eps := make([]transport.Endpoint, c.procs)
 	errs := make([]error, c.procs)
@@ -320,12 +315,13 @@ func runAll[C, R any](in []C, workers int, run func(C) (R, error)) ([]R, error) 
 	return out, nil
 }
 
-func runLookahead(cfg Config) (*Result, error) {
+func runLookahead(cfg Config, c simCluster) (*Result, error) {
 	n := cfg.Game.Teams
 	collectors := newCollectors(n)
 	stats := make([]game.TeamStats, n)
 	touched := make([]int, n)
-	err := simCluster{name: string(cfg.Protocol), procs: n}.play(cfg, func(i int, ep transport.Endpoint) (err error) {
+	c.name, c.procs = string(cfg.Protocol), n
+	err := c.play(cfg, func(i int, ep transport.Endpoint) (err error) {
 		pc := cfg.player(ep, collectors[i])
 		pc.Snapshot = func(st *store.Store) { touched[i] = st.Materialized() }
 		stats[i], err = lookahead.RunPlayer(pc)

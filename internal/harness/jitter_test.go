@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sdso/internal/game"
-	"sdso/internal/netmodel"
 )
 
 // TestLookaheadSurvivesJitter is failure injection: with up to 20ms of
@@ -13,7 +12,8 @@ import (
 // messages from different senders reorder arbitrarily — yet the protocols
 // must still reproduce the reference exactly, because correctness rides on
 // logical stamps, version gating, and early-message buffering rather than
-// arrival order.
+// arrival order. The jitter is vtime.Jitter's, through simCluster's jitter
+// field, the seam RunChecked uses.
 func TestLookaheadSurvivesJitter(t *testing.T) {
 	for _, proto := range LookaheadProtocols {
 		for _, jitterSeed := range []int64{1, 99} {
@@ -23,10 +23,7 @@ func TestLookaheadSurvivesJitter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net := netmodel.Ethernet10Mbps()
-			net.Jitter = 20 * time.Millisecond
-			net.JitterSeed = jitterSeed
-			res, err := Run(Config{Game: g, Protocol: proto, Net: net})
+			res, err := run(Config{Game: g, Protocol: proto}, simCluster{jitter: 20 * time.Millisecond, seed: jitterSeed})
 			if err != nil {
 				t.Fatalf("%s jitterSeed=%d: %v", proto, jitterSeed, err)
 			}
@@ -48,10 +45,7 @@ func TestECSurvivesJitter(t *testing.T) {
 	g := game.DefaultConfig(6, 1)
 	g.MaxTicks = 120
 	g.EndOnFirstGoal = true
-	net := netmodel.Ethernet10Mbps()
-	net.Jitter = 20 * time.Millisecond
-	net.JitterSeed = 5
-	res, err := Run(Config{Game: g, Protocol: EC, Net: net})
+	res, err := run(Config{Game: g, Protocol: EC}, simCluster{jitter: 20 * time.Millisecond, seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

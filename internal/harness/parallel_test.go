@@ -3,9 +3,6 @@ package harness
 import (
 	"reflect"
 	"testing"
-	"time"
-
-	"sdso/internal/netmodel"
 )
 
 // sweepFingerprint renders every figure table plus the overhead breakdown,
@@ -68,40 +65,6 @@ func TestRunSweepParallelMatchesSequential(t *testing.T) {
 	}
 	if seqT != parT {
 		t.Errorf("parallel delta panel diverges from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqT, parT)
-	}
-}
-
-// TestRunSweepParallelLossyLinks guards the fault-injection path: a sweep
-// over lossy links (netmodel DropProb/DropSeed) derives every drop decision
-// from per-cell deterministic state, so concurrency must not perturb it.
-func TestRunSweepParallelLossyLinks(t *testing.T) {
-	net := netmodel.Ethernet10Mbps()
-	net.DropProb = 0.005
-	net.DropSeed = 21
-	sc := SweepConfig{
-		Protocols:      []Protocol{BSYNC, MSYNC2},
-		Ns:             []int{2, 4},
-		Seeds:          []int64{1, 2},
-		MaxTicks:       40,
-		Net:            net,
-		SuspectTimeout: 5 * time.Millisecond,
-	}
-
-	seqCfg := sc
-	seqCfg.Workers = 1
-	seq, err := RunSweep(seqCfg)
-	if err != nil {
-		t.Fatalf("sequential lossy sweep: %v", err)
-	}
-	parCfg := sc
-	parCfg.Workers = 4
-	par, err := RunSweep(parCfg)
-	if err != nil {
-		t.Fatalf("parallel lossy sweep: %v", err)
-	}
-	assertSweepsEqual(t, seq, par)
-	if seq.Results[BSYNC][2][0].Metrics.TotalMsgs() == 0 {
-		t.Error("lossy sweep produced no traffic; drop path not exercised")
 	}
 }
 

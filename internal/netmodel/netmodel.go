@@ -20,7 +20,6 @@
 package netmodel
 
 import (
-	"math/rand"
 	"time"
 
 	"sdso/internal/vtime"
@@ -44,18 +43,6 @@ type Params struct {
 	// HostOf maps a vtime process ID to a host ID. Nil means every
 	// process is its own host.
 	HostOf func(proc int) int
-	// Jitter adds a deterministic pseudo-random extra delay in
-	// [0, Jitter) to every remote message (failure injection: it reorders
-	// deliveries across sender pairs while per-pair FIFO order is
-	// preserved). JitterSeed seeds the generator.
-	Jitter     time.Duration
-	JitterSeed int64
-	// DropProb makes remote links lossy: each remote message is
-	// independently lost with this probability (loopback messages are
-	// never dropped). Losses are deterministic per DropSeed; messages
-	// that do get delivered keep per-pair FIFO order.
-	DropProb float64
-	DropSeed int64
 }
 
 // Ethernet10Mbps returns parameters approximating the paper's testbed.
@@ -79,29 +66,17 @@ type Cluster struct {
 	p        Params
 	upFree   map[int]vtime.Time // host -> uplink free-at
 	downFree map[int]vtime.Time // host -> downlink free-at
-
-	jitterRNG *rand.Rand
-	dropRNG   *rand.Rand
-	pairLast  map[[2]int]vtime.Time // FIFO floor per (from, to) pair
 }
 
 var _ vtime.LinkModel = (*Cluster)(nil)
 
 // NewCluster returns a Cluster link model with the given parameters.
 func NewCluster(p Params) *Cluster {
-	c := &Cluster{
+	return &Cluster{
 		p:        p,
 		upFree:   make(map[int]vtime.Time),
 		downFree: make(map[int]vtime.Time),
 	}
-	if p.Jitter > 0 {
-		c.jitterRNG = rand.New(rand.NewSource(p.JitterSeed))
-		c.pairLast = make(map[[2]int]vtime.Time)
-	}
-	if p.DropProb > 0 {
-		c.dropRNG = rand.New(rand.NewSource(p.DropSeed))
-	}
-	return c
 }
 
 func (c *Cluster) host(proc int) int {
@@ -126,12 +101,6 @@ func (c *Cluster) Delivery(from, to, size int, now vtime.Time) vtime.Time {
 	if src == dst {
 		return now + c.p.Loopback
 	}
-	// Lossy links: the drop decision is drawn before any NIC accounting
-	// (the message is lost at the sender), deterministically in the
-	// simulator's send order. Delivered messages keep per-pair FIFO.
-	if c.dropRNG != nil && c.dropRNG.Float64() < c.p.DropProb {
-		return vtime.Dropped
-	}
 	tx := c.txTime(size)
 
 	// Sender: CPU cost, then wait for the uplink, then transmit.
@@ -151,16 +120,5 @@ func (c *Cluster) Delivery(from, to, size int, now vtime.Time) vtime.Time {
 	downDone := arrive + tx
 	c.downFree[dst] = downDone
 
-	delivery := downDone + c.p.RecvCPU
-	if c.jitterRNG != nil {
-		delivery += vtime.Time(c.jitterRNG.Int63n(int64(c.p.Jitter)))
-		// The protocols assume per-pair FIFO (as TCP provides); jitter
-		// may reorder across pairs but never within one.
-		pair := [2]int{from, to}
-		if last := c.pairLast[pair]; delivery <= last {
-			delivery = last + 1
-		}
-		c.pairLast[pair] = delivery
-	}
-	return delivery
+	return downDone + c.p.RecvCPU
 }

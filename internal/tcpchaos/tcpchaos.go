@@ -5,8 +5,7 @@
 // deployment actually ran on — abrupt connection kills (seeded, by relayed
 // byte count, so a run's fault schedule is reproducible), stalls (bytes
 // stop flowing but connections stay up), half-open links (one direction
-// frozen), partitions (new connections refused, existing ones cut), and
-// bandwidth caps.
+// frozen) and partitions (new connections refused, existing ones cut).
 //
 // Topology: every node gets one proxy fronting its real listen address.
 // The mesh's address list carries the proxy addresses, and each node
@@ -36,9 +35,6 @@ type Config struct {
 	// game runs.
 	KillAfterMin int
 	KillAfterMax int
-	// BandwidthBPS caps each direction of each connection to roughly this
-	// many relayed bytes per second. Zero means unlimited.
-	BandwidthBPS int
 }
 
 // Proxy is one node's chaos proxy. All controls are safe for concurrent
@@ -214,7 +210,7 @@ func (p *Proxy) serve(client net.Conn, ordinal uint64) {
 }
 
 // pump relays one direction of one proxied connection, applying the
-// stall/half-open gates, the bandwidth cap, and the seeded kill budget.
+// stall/half-open gates and the seeded kill budget.
 func (p *Proxy) pump(pr *pair, src, dst net.Conn, backendToClient bool) {
 	defer p.wg.Done()
 	defer p.releasePump(pr)
@@ -224,9 +220,6 @@ func (p *Proxy) pump(pr *pair, src, dst net.Conn, backendToClient bool) {
 		if n > 0 {
 			if !p.gate(pr, backendToClient) {
 				return
-			}
-			if bps := p.cfg.BandwidthBPS; bps > 0 {
-				time.Sleep(time.Duration(int64(n) * int64(time.Second) / int64(bps)))
 			}
 			if p.cfg.KillAfterMax > 0 && pr.budget.Add(int64(-n)) <= 0 {
 				// The seeded cut: the bytes in hand are lost with the
@@ -241,8 +234,10 @@ func (p *Proxy) pump(pr *pair, src, dst net.Conn, backendToClient bool) {
 		}
 		if err != nil {
 			// Propagate a clean shutdown as a half-close so graceful
-			// drains (FIN) traverse the proxy faithfully.
-			if tc, ok := dst.(*net.TCPConn); ok {
+			// drains (FIN) traverse the proxy faithfully. A read that
+			// failed because the pair was killed is no shutdown: a FIN
+			// sent before the RST would make the cut look like a hang-up.
+			if tc, ok := dst.(*net.TCPConn); ok && !pr.killed.Load() {
 				_ = tc.CloseWrite()
 			}
 			return

@@ -288,6 +288,19 @@ func (q *sendQueue) pop() sendEntry {
 	return ent
 }
 
+// dropCtrl releases the queued control frames, keeping the data frames in
+// order.
+func (q *sendQueue) dropCtrl() {
+	data := slices.DeleteFunc(q.entries(), func(ent sendEntry) bool {
+		if ent.ctrl {
+			q.bytes -= ent.size()
+			ent.enc.Release()
+		}
+		return ent.ctrl
+	})
+	q.s = q.s[:q.head+len(data)]
+}
+
 // unpop puts ents back at the front, ahead of everything queued.
 func (q *sendQueue) unpop(ents ...sendEntry) {
 	if len(ents) <= q.head {

@@ -408,7 +408,8 @@ func (e *TCPEndpoint) installConn(p *tcpPeer, conn net.Conn, gen int, inc, remot
 
 // linkDownLocked (p.mu held) tears down the current socket after a read or
 // write error, a heartbeat verdict, or a failed handshake: the connection
-// is closed, and a departed peer's link is simply left down. Otherwise,
+// is closed, with the (link-local) control frames queued for it, and a
+// departed peer's link is simply left down. Otherwise,
 // without Reconnect the peer is gone at once and its queue dropped; with
 // it, the redial loop is started when this side dials the link, and a
 // grace timer declares the peer gone if no replacement arrives in time.
@@ -418,6 +419,7 @@ func (e *TCPEndpoint) linkDownLocked(p *tcpPeer) {
 		p.conn = nil
 		p.bw = nil
 	}
+	p.q.dropCtrl()
 	p.cond.Broadcast()
 	if p.departed || e.closing.Load() {
 		return
@@ -560,7 +562,7 @@ func (e *TCPEndpoint) deliver(p *tcpPeer, gen int, m *wire.Msg) bool {
 	defer e.mu.Unlock()
 	if e.closed || e.departed {
 		e.Recycle(m)
-		return !e.closed // a departed endpoint still reads acks and DONEs
+		return !e.closing.Load() // quiesce, after Depart or Close, reads acks
 	}
 	e.queue.push(m)
 	e.cond.Signal()
@@ -588,6 +590,7 @@ func (p *tcpPeer) ackRetainLocked(ack int64) {
 	}
 	p.retain = p.retain[n:]
 	p.ackedSeq += int64(n)
+	p.cond.Broadcast() // quiesce may be waiting for the ack
 }
 
 // enqueue stages one encoded frame on p's bounded queue, blocking while
@@ -635,13 +638,14 @@ func (e *TCPEndpoint) enqueue(p *tcpPeer, enc *wire.Encoded) error {
 // the monitor must keep running — even when a peer's queue is full, so a
 // frame that does not fit is simply dropped and regenerated next interval.
 // A probe or an ack held back to the next barrier would be no use, so it
-// makes the queue due.
+// makes the queue due. Draining or a peer's DONE does not stop it: a
+// quiescing endpoint's PING is answered.
 func (e *TCPEndpoint) sendControlLocked(p *tcpPeer, m *wire.Msg) {
 	enc, err := wire.EncodeFrame(m)
 	if err != nil {
 		return
 	}
-	if e.closing.Load() || p.draining || p.departed || p.gone || p.conn == nil ||
+	if e.closing.Load() || p.gone || p.conn == nil ||
 		p.q.len() >= e.cfg.SendQueueFrames || p.q.bytes+enc.Len() > e.cfg.SendQueueBytes {
 		enc.Release()
 		return
@@ -649,6 +653,15 @@ func (e *TCPEndpoint) sendControlLocked(p *tcpPeer, m *wire.Msg) {
 	p.q.push(sendEntry{enc: enc, ctrl: true})
 	p.flushReq = true
 	p.cond.Broadcast()
+}
+
+// pingLocked (p.mu held) probes p. The PING doubles as an ack, its Ints
+// carrying our receive count, so an idle-but-retaining peer gets released;
+// and the peer's PONG acks every frame written before it.
+func (e *TCPEndpoint) pingLocked(p *tcpPeer) {
+	p.ackSent = p.recvSeq
+	e.sendControlLocked(p, &wire.Msg{Kind: wire.KindPing, Stamp: p.pingSeq, Ints: []int64{p.recvSeq}})
+	p.pingSeq++
 }
 
 // dropQueueLocked discards everything queued for a peer declared gone
@@ -789,12 +802,7 @@ func (e *TCPEndpoint) heartbeatLoop() {
 				if p.hbMiss >= e.cfg.HeartbeatMisses {
 					e.linkDownLocked(p)
 				} else {
-					// The probe doubles as an ack: its Ints carry our
-					// receive count, so an idle-but-retaining peer gets
-					// released.
-					p.ackSent = p.recvSeq
-					e.sendControlLocked(p, &wire.Msg{Kind: wire.KindPing, Stamp: p.pingSeq, Ints: []int64{p.recvSeq}})
-					p.pingSeq++
+					e.pingLocked(p)
 				}
 			}
 			p.mu.Unlock()
@@ -805,17 +813,23 @@ func (e *TCPEndpoint) heartbeatLoop() {
 // quiesce stops new sends on every link — they fail with ErrClosed — and
 // gives the writers CloseGrace to put everything queued on the wire:
 // draining makes every queued frame due, whatever the flush threshold. A
-// link that cannot deliver (gone, or down to a departed peer) is not
-// waited for; a resumable link that is down is, since it may come back. It
+// resumable link also waits until a peer still playing acks every retained
+// frame: one a cut loses (this endpoint's DONE, say) is replayed only while
+// this endpoint is there. So each such link gets a PING behind its queue,
+// and again behind a replay; its PONG acks all that went before. A link
+// that cannot deliver (gone, or down to a departed peer) is not waited
+// for; a resumable link that is down is, since it may come back. It
 // returns the bytes queued when it began and those still queued when it
 // returned.
 func (e *TCPEndpoint) quiesce() (queued, left int) {
 	busy := false
-	for _, p := range e.links {
+	pinged := make([]int, len(e.links)) // the socket generation each PING went out on
+	for i, p := range e.links {
 		p.mu.Lock()
 		p.draining = true
 		queued += p.q.bytes
-		busy = busy || p.q.len() > 0 || p.inflight
+		pinged[i] = e.solicitLocked(p, -1)
+		busy = busy || p.pendingLocked()
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
@@ -832,16 +846,34 @@ func (e *TCPEndpoint) quiesce() (queued, left int) {
 		}
 	})
 	defer timer.Stop()
-	for _, p := range e.links {
+	for i, p := range e.links {
 		p.mu.Lock()
-		for (p.q.len() > 0 || p.inflight) && !p.gone && !(p.departed && p.conn == nil) &&
+		for p.pendingLocked() && !p.gone && !(p.departed && p.conn == nil) &&
 			!e.closing.Load() && !expired.Load() {
+			pinged[i] = e.solicitLocked(p, pinged[i])
 			p.cond.Wait()
 		}
 		left += p.q.bytes
 		p.mu.Unlock()
 	}
 	return queued, left
+}
+
+// solicitLocked (p.mu held) PINGs a resumable link that is up, unless its
+// socket generation is pinged already; it returns the last one PINGed.
+func (e *TCPEndpoint) solicitLocked(p *tcpPeer, pinged int) int {
+	if !e.cfg.Reconnect || p.conn == nil || p.gen == pinged {
+		return pinged
+	}
+	e.pingLocked(p)
+	return p.gen
+}
+
+// pendingLocked (p.mu held) reports whether quiesce still waits for p: a
+// frame is queued or being written, or a peer still playing has yet to
+// acknowledge a retained one (only a resumable link retains).
+func (p *tcpPeer) pendingLocked() bool {
+	return p.q.len() > 0 || p.inflight || len(p.retain) > 0 && !p.departed
 }
 
 // shutdown stops every loop and reaps it, then returns whatever frames

@@ -447,17 +447,24 @@ func TestSessionDrainDeliversQueuedFramesThenFIN(t *testing.T) {
 	}
 
 	// The fake resumes reading and counts data frames until the FIN from
-	// Drain's half-close surfaces as EOF.
+	// Drain's half-close surfaces as EOF. It answers a PING as a real peer
+	// does, with a PONG acking the data frames read so far.
 	type result struct {
 		got int
 		err error
 	}
 	res := make(chan result, 1)
+	var acked atomic.Int64
 	go func() {
 		n := 0
 		for {
 			var m wire.Msg
-			if err := wire.ReadFrame(conn, &m); err != nil {
+			err := wire.ReadFrame(conn, &m)
+			if err == nil && m.Kind == wire.KindPing {
+				acked.Store(int64(n))
+				err = wire.WriteFrame(conn, &wire.Msg{Kind: wire.KindPong, Stamp: m.Stamp, Ints: []int64{int64(n)}})
+			}
+			if err != nil {
 				if errors.Is(err, io.EOF) {
 					err = nil
 				}
@@ -476,6 +483,11 @@ func TestSessionDrainDeliversQueuedFramesThenFIN(t *testing.T) {
 	}
 	if flushed == 0 {
 		t.Fatal("Drain reported zero pending bytes despite a backed-up queue")
+	}
+	// A resumable link retains what it wrote until the peer acks it, and
+	// Drain waits for that ack: a frame written is not yet received.
+	if got := acked.Load(); got != frames {
+		t.Fatalf("Drain returned with %d of %d data frames acknowledged", got, frames)
 	}
 	if err := ep.Send(0, &wire.Msg{Kind: wire.KindData, Stamp: 999}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after Drain: err = %v, want ErrClosed", err)

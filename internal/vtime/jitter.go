@@ -12,7 +12,7 @@ import "time"
 // directed link, and the per-link message ordinal. Per-link FIFO order is
 // preserved (a later send on the same directed link is never delivered
 // before an earlier one), matching the in-order guarantee of the transports
-// the protocols run over; dropped messages stay dropped. The returned model
+// the protocols run over. The returned model
 // keeps per-link state and must not be shared across simulations.
 func Jitter(base LinkModel, seed uint64, max time.Duration) LinkModel {
 	if max <= 0 {
@@ -38,9 +38,6 @@ type jitterModel struct {
 // Delivery implements LinkModel.
 func (j *jitterModel) Delivery(from, to, size int, now Time) Time {
 	t := j.base.Delivery(from, to, size, now)
-	if t == Dropped {
-		return Dropped
-	}
 	k := [2]int{from, to}
 	n := j.ctr[k]
 	j.ctr[k] = n + 1

@@ -45,16 +45,11 @@ type Message struct {
 // LinkModel decides when a message sent at time now from one process to
 // another becomes available at the receiver. Implementations may keep state
 // (for example per-NIC busy-until times) and are invoked in deterministic
-// order. Delivery must be >= now, or Dropped to model message loss: the
-// message is silently discarded (the sender still pays nothing — lossy-link
-// models that want to charge NIC time should account it internally).
+// order. Delivery must be >= now: links do not lose messages (faultnet
+// does, at the endpoint).
 type LinkModel interface {
 	Delivery(from, to, size int, now Time) Time
 }
-
-// Dropped is the sentinel a LinkModel returns from Delivery for a message
-// the (lossy) link loses in transit.
-const Dropped = Time(-1)
 
 // ConstantDelay is the simplest LinkModel: every message takes the same time.
 type ConstantDelay Time
@@ -71,9 +66,6 @@ type Config struct {
 	// Horizon aborts the run once any clock passes this virtual time.
 	// Zero means no horizon.
 	Horizon Time
-	// MaxEvents aborts the run after this many scheduler decisions; a
-	// backstop against runaway simulations. Zero means no limit.
-	MaxEvents int
 }
 
 // ErrDeadlock is returned by Run when every live process is blocked in Recv
@@ -82,9 +74,6 @@ var ErrDeadlock = errors.New("vtime: deadlock: all processes blocked with no mes
 
 // ErrHorizon is returned by Run when the virtual-time horizon is exceeded.
 var ErrHorizon = errors.New("vtime: horizon exceeded")
-
-// ErrMaxEvents is returned by Run when the event budget is exhausted.
-var ErrMaxEvents = errors.New("vtime: event budget exhausted")
 
 type procState int
 
@@ -122,7 +111,6 @@ type Proc struct {
 	blockedTime Time
 	sent, recvd int
 	sentBytes   int
-	dropped     int
 }
 
 // Stats is a snapshot of a process's accounting counters.
@@ -134,8 +122,6 @@ type Stats struct {
 	Sent        int
 	Received    int
 	SentBytes   int
-	// Dropped counts messages the LinkModel lost in transit (lossy links).
-	Dropped int
 }
 
 // Sim is a deterministic discrete-event simulation.
@@ -150,7 +136,6 @@ type Sim struct {
 	yield   chan struct{}
 	started bool
 	failure error // sticky error observed during Run
-	nEvents int
 }
 
 // NewSim returns an empty simulation with the given configuration.
@@ -210,7 +195,7 @@ func (s *Sim) Spawn(fn func(p *Proc)) *Proc {
 func (s *Sim) Proc(id int) *Proc { return s.procs[id] }
 
 // Run executes the simulation to completion. It returns nil when every
-// process has finished, or one of ErrDeadlock, ErrHorizon, ErrMaxEvents.
+// process has finished, or ErrDeadlock or ErrHorizon.
 func (s *Sim) Run() error {
 	if s.started {
 		return errors.New("vtime: Run called twice")
@@ -218,14 +203,10 @@ func (s *Sim) Run() error {
 	s.started = true
 
 	for {
-		if s.cfg.MaxEvents > 0 && s.nEvents >= s.cfg.MaxEvents {
-			s.failure = ErrMaxEvents
-		}
 		if s.failure != nil {
 			s.releaseAll()
 			return s.failure
 		}
-		s.nEvents++
 
 		// Choose the next action: the earliest of (a) the head of the
 		// delivery-event queue, (b) the runnable process with the
@@ -370,7 +351,6 @@ func (p *Proc) Stats() Stats {
 		Sent:        p.sent,
 		Received:    p.recvd,
 		SentBytes:   p.sentBytes,
-		Dropped:     p.dropped,
 	}
 }
 
@@ -400,10 +380,6 @@ func (p *Proc) Send(to int, payload any, size int) {
 		panic(fmt.Sprintf("vtime: send to unknown proc %d", to))
 	}
 	at := p.sim.cfg.Links.Delivery(p.id, to, size, p.now)
-	if at < 0 {
-		p.dropped++ // lossy link: the message is lost in transit
-		return
-	}
 	if at < p.now {
 		panic("vtime: LinkModel produced delivery before send")
 	}

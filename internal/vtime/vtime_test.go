@@ -145,21 +145,6 @@ func TestHorizonAborts(t *testing.T) {
 	}
 }
 
-func TestMaxEventsAborts(t *testing.T) {
-	s := NewSim(Config{MaxEvents: 10})
-	s.Spawn(func(p *Proc) {
-		for {
-			p.Compute(time.Millisecond)
-			if p.failed() {
-				return
-			}
-		}
-	})
-	if err := s.Run(); !errors.Is(err, ErrMaxEvents) {
-		t.Fatalf("Run = %v, want ErrMaxEvents", err)
-	}
-}
-
 func TestMessageToFinishedProcDropped(t *testing.T) {
 	s := NewSim(Config{Links: ConstantDelay(time.Millisecond)})
 	s.Spawn(func(p *Proc) {}) // exits immediately
