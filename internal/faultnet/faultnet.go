@@ -294,21 +294,21 @@ func (e *Endpoint) link(to int) *linkState {
 // Send implements transport.Endpoint: it draws this message's fault
 // decision from the link's seeded stream and forwards, duplicates, delays,
 // or drops m accordingly. Send was given m, so a dropped m goes back to the
-// pool (wire.PutPooled), as the mem endpoint's does when nobody will read
+// pool (wire.PutMsg), as the mem endpoint's does when nobody will read
 // it: a shared message returns the one reference this Send was given, and a
 // delayed one keeps it until the link re-injects it.
 func (e *Endpoint) Send(to int, m *wire.Msg) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.checkCrashLocked(m) {
-		wire.PutPooled(m)
+		wire.PutMsg(m)
 		return ErrCrashed
 	}
 	ls := e.link(to)
 	if deadline, ok := e.cutTo[to]; ok && e.inner.Now() < deadline {
 		ls.note(decPartition)
 		e.countFault()
-		wire.PutPooled(m)
+		wire.PutMsg(m)
 		return nil // partitioned: silently lost
 	}
 	dec := byte(decPass)
@@ -330,7 +330,7 @@ func (e *Endpoint) Send(to int, m *wire.Msg) error {
 	}
 	switch dec {
 	case decDrop:
-		wire.PutPooled(m)
+		wire.PutMsg(m)
 		return nil
 	case decDelay:
 		ls.held = append(ls.held, m)
@@ -501,7 +501,7 @@ func (e *Endpoint) Close() error {
 	} else {
 		for _, ls := range e.links {
 			for _, m := range ls.held {
-				wire.PutPooled(m)
+				wire.PutMsg(m)
 			}
 			ls.held, ls.due = nil, nil
 		}

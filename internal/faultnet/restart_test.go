@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -125,5 +126,39 @@ func TestAwaitRestartErrors(t *testing.T) {
 	notCrashed := (&Plan{Seed: 1, Crashes: map[int]Crash{1: {At: time.Hour, RestartAfter: time.Hour}}}).Wrap(net.Endpoint(1), nil)
 	if err := notCrashed.AwaitRestart(); err == nil {
 		t.Fatal("AwaitRestart before the crash should fail")
+	}
+}
+
+// TestAwaitRestartKeepsLiterals: the restart's inbox drain hands every
+// discarded message back through Recycle, and a literal among them — a
+// checkpoint whose Payload is its sender's snapshot, kept in the sender's
+// other copies and in peers' vaults — is not the pool's. It must come back
+// unchanged and never out of GetMsg, where a decode would scribble over
+// the shared snapshot.
+func TestAwaitRestartKeepsLiterals(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a Put is this P's next Get
+	net := transport.NewMemNetwork(2)
+	defer net.Close()
+	plan := &Plan{Seed: 1, Crashes: map[int]Crash{0: {At: time.Nanosecond, RestartAfter: time.Nanosecond}}}
+	ep := plan.Wrap(net.Endpoint(0), nil)
+	time.Sleep(time.Millisecond) // the wall clock passes the crash instant
+	if _, _, err := ep.TryRecv(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("TryRecv before restart: got %v, want ErrCrashed", err)
+	}
+	snap := []byte("the sender's snapshot blob, shared with its vault copies")
+	ckpt := &wire.Msg{Kind: wire.KindCkpt, Stamp: 4, Obj: 1, Payload: snap}
+	if err := net.Endpoint(1).Send(0, ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.AwaitRestart(); err != nil {
+		t.Fatalf("AwaitRestart: %v", err)
+	}
+	if ckpt.Kind != wire.KindCkpt || ckpt.Stamp != 4 || &ckpt.Payload[0] != &snap[0] || len(ckpt.Payload) != len(snap) {
+		t.Fatalf("the drain recycled the checkpoint literal: it reads %v", ckpt)
+	}
+	for i := 0; i < 8; i++ {
+		if m := wire.GetMsg(); m == ckpt {
+			t.Fatalf("GetMsg %d handed out the drained checkpoint literal", i)
+		}
 	}
 }

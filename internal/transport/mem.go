@@ -59,17 +59,17 @@ func (e *memEndpoint) ID() int { return e.id }
 func (e *memEndpoint) N() int  { return len(e.net.eps) }
 
 // Send implements Endpoint. A message it cannot deliver goes back to the
-// pool (wire.PutPooled), one reference of a shared one, whatever the reason.
+// pool (wire.PutMsg), one reference of a shared one, whatever the reason.
 func (e *memEndpoint) Send(to int, m *wire.Msg) error {
 	if to < 0 || to >= len(e.net.eps) {
-		wire.PutPooled(m)
+		wire.PutMsg(m)
 		return fmt.Errorf("transport: send to unknown endpoint %d", to)
 	}
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {
-		wire.PutPooled(m)
+		wire.PutMsg(m)
 		return ErrClosed
 	}
 	if !wire.Shared(m) { // a shared message's other receivers may be reading it
@@ -79,7 +79,7 @@ func (e *memEndpoint) Send(to int, m *wire.Msg) error {
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 	if dst.closed || dst.departed {
-		wire.PutPooled(m) // nobody reads it: dropped, like the sim
+		wire.PutMsg(m) // nobody reads it: dropped, like the sim
 		return nil
 	}
 	dst.queue.push(m)
@@ -156,7 +156,7 @@ func (e *memEndpoint) depart() {
 	defer e.mu.Unlock()
 	e.departed = true
 	for e.queue.len() > 0 {
-		wire.PutPooled(e.queue.pop()) // a Clone or a literal may share its Payload
+		wire.PutMsg(e.queue.pop()) // a Clone or a literal may share its Payload
 	}
 }
 

@@ -403,11 +403,11 @@ func (e *TCPEndpoint) peer(to int) (*tcpPeer, error) {
 
 // Send implements Endpoint. Send encodes m and hands the peer's queue the
 // frame, which is all that is queued, written or replayed, so Send is m's
-// last reader and gives a pooled m back to the free-list (wire.PutPooled) —
+// last reader and gives a pooled m back to the free-list (wire.PutMsg) —
 // one reference of a shared m, which the peer never sees: it decodes the
 // frame into a struct of its own, routed by the link.
 func (e *TCPEndpoint) Send(to int, m *wire.Msg) error {
-	defer wire.PutPooled(m)
+	defer wire.PutMsg(m)
 	p, err := e.peer(to)
 	if err != nil {
 		return err

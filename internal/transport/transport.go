@@ -182,7 +182,7 @@ func Recycle(ep Endpoint, m *wire.Msg) {
 
 // Depart tells ep that its process has finished and will never receive
 // again: what is queued for it, and what is delivered to it later, goes
-// back to the pool (wire.PutPooled: one reference of a shared message)
+// back to the pool (wire.PutMsg: one reference of a shared message)
 // instead of waiting in a mailbox nobody reads. Its hook is unexported, so a wrapper
 // does not forward it: through one, and on the simulated transport, Depart
 // is a no-op.

@@ -43,10 +43,10 @@ func (e *SimEndpoint) ID() int { return e.proc.ID() }
 func (e *SimEndpoint) N() int { return e.n }
 
 // Send implements Endpoint. A closed endpoint's Send puts m back in the
-// pool (wire.PutPooled), one reference of a shared one.
+// pool (wire.PutMsg), one reference of a shared one.
 func (e *SimEndpoint) Send(to int, m *wire.Msg) error {
 	if !e.alive {
-		wire.PutPooled(m)
+		wire.PutMsg(m)
 		return ErrClosed
 	}
 	if !wire.Shared(m) { // one struct for every receiver: the sender routed it

@@ -154,13 +154,16 @@ func GetMsgOf(t Msg) *Msg {
 }
 
 // PutMsg returns the caller's reference to m and recycles m once it was
-// the last (Share): a message with one owner is recycled at once. The
-// recycler must own m and its Payload: after the last PutMsg the struct and
-// the Payload backing array will be scribbled over by a future decode.
-// Ints are never pooled — they are shared, immutable, and often carved —
-// so PutMsg detaches them, and a caller may keep m.Ints.
+// the last (Share): a message with one owner is recycled at once. Only the
+// pool's structs (GetMsg) go back; any other struct is left alone, because
+// a Clone or a literal may share its Payload with a snapshot, a vault entry
+// or a caller that sends it again. The recycler must own m and its
+// Payload: after the last PutMsg the struct and the Payload backing array
+// will be scribbled over by a future decode. Ints are never pooled — they
+// are shared, immutable, and often carved — so PutMsg detaches them, and a
+// caller may keep m.Ints.
 func PutMsg(m *Msg) {
-	if m == nil {
+	if m == nil || !m.pooled {
 		return
 	}
 	if atomic.LoadInt32(&m.refs) > 0 && atomic.AddInt32(&m.refs, -1) > 0 {
@@ -168,15 +171,6 @@ func PutMsg(m *Msg) {
 	}
 	*m = Msg{Payload: m.Payload[:0], pooled: true}
 	msgPool.Put(m)
-}
-
-// PutPooled recycles m if it is marked as the pool's (GetMsg, PutMsg) and
-// leaves any other struct alone: a Clone or a literal may share its Payload
-// with a snapshot, a vault entry or a caller that sends it again.
-func PutPooled(m *Msg) {
-	if m.pooled {
-		PutMsg(m)
-	}
 }
 
 // Share turns the caller's one reference to m into k, one for each holder
@@ -197,10 +191,10 @@ func Share(m *Msg, k int) {
 // Shared reports whether m has been shared (Share) and still has a holder.
 func Shared(m *Msg) bool { return atomic.LoadInt32(&m.refs) > 0 }
 
-// LastRef reports whether the caller's reference to m is its last, so that
-// a PutMsg now recycles it: a wrapper that acts on a recycled message (a
-// poisoning endpoint) acts only then.
-func LastRef(m *Msg) bool { return atomic.LoadInt32(&m.refs) <= 1 }
+// LastRef reports whether a PutMsg now recycles m: it is the pool's and
+// the caller's reference is its last. A wrapper that acts on a recycled
+// message (a poisoning endpoint) acts only then.
+func LastRef(m *Msg) bool { return m.pooled && atomic.LoadInt32(&m.refs) <= 1 }
 
 // encodeCalls counts AppendBinary invocations — one per message encode,
 // however reached (MarshalBinary, WriteFrame, EncodeFrame). It exists so

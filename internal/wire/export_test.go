@@ -8,9 +8,13 @@ import (
 // PooledMsgSize is the size of the object the message pool allocates.
 const PooledMsgSize = unsafe.Sizeof(pooledMsg{})
 
-// NewPooledMsg returns a message straight from the pool's New, as a
-// GetMsg on an empty pool does.
-func NewPooledMsg() *Msg { return msgPool.New().(*Msg) }
+// NewPooledMsg returns a message straight from the pool's New, marked as
+// the pool's, as a GetMsg on an empty pool does.
+func NewPooledMsg() *Msg {
+	m := msgPool.New().(*Msg)
+	m.pooled = true
+	return m
+}
 
 // Pooled reports whether m carries the pool's mark.
 func Pooled(m *Msg) bool { return m.pooled }

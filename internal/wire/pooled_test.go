@@ -25,9 +25,8 @@ func inline(m *wire.Msg) bool {
 // to the heap for good, EC's send idiom (GetMsgOf) keeps the bytes, and the
 // poisoning endpoint's scribble reaches them, so a receiver that keeps
 // m.Payload past Recycle still computes with garbage. It also guards the
-// pool's mark, which lets TCP Send give a sent struct back
-// (wire.PutPooled): it costs Msg no bytes, the pool's structs carry it and
-// a Clone does not.
+// pool's mark, which lets PutMsg tell the pool's structs from any other: it
+// costs Msg no bytes, the pool's structs carry it and a Clone does not.
 func TestPooledMsgCarriesSmallPayload(t *testing.T) {
 	if size := unsafe.Sizeof(wire.Msg{}); size != 80 {
 		t.Fatalf("Msg is %d bytes, want 80: the pool's mark and the shared count belong in its padding", size)
@@ -120,13 +119,9 @@ func TestPooledMsgCarriesSmallPayload(t *testing.T) {
 			t.Fatal("PutMsg dropped the mark")
 		}
 		lit := &wire.Msg{Kind: wire.KindSync}
-		wire.PutPooled(lit)
-		if lit.Kind != wire.KindSync || wire.Pooled(lit) {
-			t.Fatal("PutPooled recycled a literal")
-		}
 		wire.PutMsg(lit)
-		if !wire.Pooled(lit) {
-			t.Fatal("PutMsg left a literal it took into the pool unmarked")
+		if lit.Kind != wire.KindSync || wire.Pooled(lit) || wire.LastRef(lit) {
+			t.Fatal("PutMsg recycled a literal, or LastRef says it would")
 		}
 		// EC's value-copy idiom: a plain *m = t takes t's mark, so a value
 		// from a literal would unmark the pool's struct; GetMsgOf keeps it
@@ -188,9 +183,12 @@ func TestSharedMessageRecyclesAtLastReference(t *testing.T) {
 		if wire.Shared(c) {
 			t.Fatalf("a copy of a shared message is shared: %v", c)
 		}
+		// The pool's copy is recycled by one PutMsg; a Clone is not the
+		// pool's, so PutMsg leaves it as it was.
+		pooled := wire.Pooled(c)
 		wire.PutMsg(c)
-		if c.Kind != 0 || len(c.Payload) != 0 {
-			t.Fatalf("one PutMsg of an unshared copy left it reading %v", c)
+		if recycled := c.Kind == 0 && len(c.Payload) == 0; recycled != pooled {
+			t.Fatalf("one PutMsg of an unshared copy (the pool's: %v) left it reading %v", pooled, c)
 		}
 	}
 	if !intact() {

@@ -229,7 +229,7 @@ type Msg struct {
 	Stamp   int64  // logical timestamp / pair sequence / tick
 	Obj     uint32 // object identifier, when relevant
 	Mode    uint8  // lock mode or protocol-specific flag
-	pooled  bool   // the pool's struct (GetMsg, PutMsg), so PutPooled takes it; in Mode's padding
+	pooled  bool   // the pool's struct (GetMsg, PutMsg), so PutMsg takes it; in Mode's padding
 	Ints    []int64
 	Payload []byte
 }
@@ -516,7 +516,7 @@ func readFrame(r io.Reader, m *Msg, src IntsSource) error {
 	return m.unmarshal(body, src)
 }
 
-// Clone returns a deep copy of m, neither the pool's (PutPooled leaves it
+// Clone returns a deep copy of m, neither the pool's (PutMsg leaves it
 // alone) nor shared. Protocols that buffer messages use Clone to decouple
 // from sender-owned slices. It copies field by field: the holders of a
 // shared m update its count concurrently.
