@@ -18,10 +18,7 @@ func TestPublicAPIOptionsAndAccessors(t *testing.T) {
 	}()
 	rts := make([]*Runtime, 2)
 	for i := 0; i < 2; i++ {
-		rt, err := New(eps[i],
-			WithDiffMerging(false),
-			WithFirstExchange(1),
-		)
+		rt, err := New(eps[i], WithDiffMerging(false))
 		if err != nil {
 			t.Fatal(err)
 		}

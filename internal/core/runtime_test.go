@@ -191,6 +191,77 @@ func TestSparseSchedule(t *testing.T) {
 	}
 }
 
+// TestStartIsRendezvousZero: New schedules every member at tick 1; Start
+// rewrites each live member's first rendezvous from an s-function over the
+// start (tick 0, no beacon), leaves absent peers alone, clamps to tick 1,
+// and does nothing once the clock has moved. A group started with a gap
+// of 3 first meets at tick 3, so after 12 ticks every replica is current.
+func TestStartIsRendezvousZero(t *testing.T) {
+	net := transport.NewMemNetwork(4)
+	t.Cleanup(net.Close)
+	r, err := New(Config{Endpoint: net.Endpoint(0), InitialMembers: []int{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(peer int) int64 {
+		if tick, ok := r.NextExchange(peer); ok {
+			return tick
+		}
+		return -1
+	}
+	if next(1) != 1 || next(2) != 1 || next(3) != -1 {
+		t.Fatalf("New scheduled peers 1, 2, 3 at %d, %d, %d; want 1, 1 and the absent one unscheduled", next(1), next(2), next(3))
+	}
+	r.Start(func(peer int, now int64, beacon []int64) int64 {
+		if now != 0 || beacon != nil {
+			t.Errorf("the start's s-function got now %d, beacon %v; want 0 and none", now, beacon)
+		}
+		return now + int64(peer) - 1 // peer 1 asks for tick 0: clamped
+	})
+	if next(1) != 1 || next(2) != 1 || next(3) != -1 {
+		t.Fatalf("after Start peers 1, 2, 3 are at %d, %d, %d; want 1, 1, unscheduled", next(1), next(2), next(3))
+	}
+	r.Start(func(peer int, now int64, _ []int64) int64 { return now + int64(3*peer) })
+	if next(1) != 3 || next(2) != 6 || next(3) != -1 {
+		t.Fatalf("after Start peers 1, 2, 3 are at %d, %d, %d; want 3, 6, unscheduled", next(1), next(2), next(3))
+	}
+
+	const n, ticks, gap = 3, 12, 3
+	sfunc := func(peer int, now int64, _ []int64) int64 { return now + gap }
+	rts := runGroup(t, n, true, func(r *Runtime) error {
+		for obj := 0; obj < n; obj++ {
+			if err := r.Share(store.ID(obj), counterBytes(0)); err != nil {
+				return err
+			}
+		}
+		r.Start(sfunc)
+		mine := store.ID(r.ID())
+		for k := 1; k <= ticks; k++ {
+			if err := r.Write(mine, counterBytes(uint64(k))); err != nil {
+				return err
+			}
+			if err := r.Exchange(ExchangeOpts{Resync: true, SFunc: sfunc}); err != nil {
+				return err
+			}
+			r.Start(EveryTick) // the clock has moved: no effect
+			for peer := 0; peer < n; peer++ {
+				if tick, ok := r.NextExchange(peer); peer != r.ID() && (!ok || tick != (int64(k)/gap+1)*gap) {
+					return fmt.Errorf("after tick %d the rendezvous with %d is at %d (%v), want %d", k, peer, tick, ok, (int64(k)/gap+1)*gap)
+				}
+			}
+		}
+		return nil
+	})
+	for id, r := range rts {
+		for obj := 0; obj < n; obj++ {
+			b, _ := r.Store().Get(store.ID(obj))
+			if got := binary.BigEndian.Uint64(b); got != ticks {
+				t.Errorf("proc %d object %d = %d, want %d: the last rendezvous is tick %d", id, obj, got, ticks, ticks)
+			}
+		}
+	}
+}
+
 // TestSendDataFilter withholds data from one peer; the diffs stay buffered
 // and arrive once the filter opens.
 func TestSendDataFilter(t *testing.T) {

@@ -182,31 +182,26 @@ func minBoxDist(tanks []Pos, box *Box) int {
 //     peer's rendezvous-time position, where Δ is the gap being chosen):
 //     with Δ = ceil((d-H-2)/2), 2Δ <= d-H holds, so no trail block can be
 //     read before the next rendezvous delivers it.
-//   - the box terms: a tank approaches a (static) region of unseen remote
-//     writes at 1 block per tick; halving keeps a safety margin while the
-//     diffs stay buffered.
+//   - the box terms: a box of withheld writes is static after the
+//     rendezvous (the writes made since are the trail, which the tank term
+//     covers), so only the peer's tanks close on it, at 1 block per tick.
+//     A tank d blocks from the box is still more than H away from it after
+//     Δ = d-H-1 ticks, and halving would be a second margin.
 //
 // Both rendezvous partners evaluate NextDelta over the same four inputs
 // (their own fresh state plus the peer's beacon), so the result — and hence
 // the pairwise schedule — is identical on both sides.
 func NextDelta(h int, myTanks []Pos, myBoxForPeer *Box, peerTanks []Pos, peerBoxForMe *Box) int64 {
-	halve := func(d, margin int) int64 {
-		if d <= h+margin {
-			return 1
+	delta := int64(1)
+	if d := minPairDist(myTanks, peerTanks); d > h+2 {
+		delta = int64((d - h - 1) / 2)
+	}
+	for _, d := range [2]int{minBoxDist(peerTanks, myBoxForPeer), minBoxDist(myTanks, peerBoxForMe)} {
+		if t := int64(d - h - 1); t < delta {
+			delta = t
 		}
-		return int64((d - h - margin + 1) / 2)
 	}
-	delta := halve(minPairDist(myTanks, peerTanks), 2)
-	if t := halve(minBoxDist(peerTanks, myBoxForPeer), 0); t < delta {
-		delta = t
-	}
-	if t := halve(minBoxDist(myTanks, peerBoxForMe), 0); t < delta {
-		delta = t
-	}
-	if delta < 1 {
-		delta = 1
-	}
-	return delta
+	return max(delta, 1)
 }
 
 // AlignmentPossible reports whether any tank pair could share a row or

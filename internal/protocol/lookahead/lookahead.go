@@ -384,8 +384,11 @@ func (p *player) setup() error {
 		return err
 	}
 	// Every process knows the initial placement, so peers start "known" as
-	// of tick 0.
+	// of tick 0, and the start is rendezvous 0: each peer's first
+	// rendezvous is the s-function's, over the start with no boxes, and
+	// both sides of a pair compute the same one.
 	p.learnPeers(start.Tanks, 0)
+	p.rt.Start(p.opts.SFunc)
 	return nil
 }
 

@@ -228,6 +228,60 @@ func TestMergeDiffsOffStillCorrect(t *testing.T) {
 	}
 }
 
+// TestFirstRendezvousFromStart: the start is rendezvous 0. Every player
+// schedules each peer's first rendezvous with its own s-function over the
+// start's tanks and no boxes — NextDelta for MSYNC and MSYNC2, so both
+// sides of a pair pick the same tick — while BSYNC's EveryTick keeps tick 1
+// and a game expecting a late joiner leaves the absent team unscheduled.
+func TestFirstRendezvousFromStart(t *testing.T) {
+	cfg := game.DefaultConfig(8, 1)
+	start, err := game.StartOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cfg.InteractionRadius()
+	for _, proto := range []Protocol{BSYNC, MSYNC, MSYNC2} {
+		net := transport.NewMemNetwork(cfg.Teams)
+		first := make([][]int64, cfg.Teams)
+		for team := range first {
+			p, err := newPlayer(PlayerConfig{Game: cfg, Protocol: proto, Endpoint: net.Endpoint(team), AbsentPeers: []int{7}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.setup(); err != nil {
+				t.Fatal(err)
+			}
+			first[team] = make([]int64, cfg.Teams)
+			for peer := range first[team] {
+				first[team][peer], _ = p.rt.NextExchange(peer)
+			}
+		}
+		net.Close()
+		gaps := map[int64]int{}
+		for a := 0; a < 7; a++ {
+			for b := 0; b < 7; b++ {
+				if a == b {
+					continue
+				}
+				want := int64(1)
+				if proto != BSYNC {
+					want = game.NextDelta(h, start.Tanks[a], nil, start.Tanks[b], nil)
+				}
+				if first[a][b] != want || first[b][a] != want {
+					t.Errorf("%v: teams %d and %d first meet at %d and %d, want %d", proto, a, b, first[a][b], first[b][a], want)
+				}
+				gaps[want]++
+			}
+			if first[a][7] != 0 {
+				t.Errorf("%v: team %d scheduled the absent team 7 at %d", proto, a, first[a][7])
+			}
+		}
+		if proto != BSYNC && len(gaps) == 1 && gaps[1] > 0 {
+			t.Errorf("%v: every pair still meets at tick 1: %v", proto, gaps)
+		}
+	}
+}
+
 func TestRunPlayerValidation(t *testing.T) {
 	net := transport.NewMemNetwork(2)
 	defer net.Close()

@@ -99,21 +99,14 @@ type ExchangeOptions struct {
 type Option func(*options)
 
 type options struct {
-	mergeDiffs    bool
-	firstExchange int64
-	onBeacon      func(peer int, beacon []int64)
+	mergeDiffs bool
+	onBeacon   func(peer int, beacon []int64)
 }
 
 // WithDiffMerging toggles merging of successive updates to one object in
 // the per-peer buffers (on by default; the paper's §3.1 optimization).
 func WithDiffMerging(on bool) Option {
 	return func(o *options) { o.mergeDiffs = on }
-}
-
-// WithFirstExchange sets the tick of the initial rendezvous with every peer
-// (default 1).
-func WithFirstExchange(tick int64) Option {
-	return func(o *options) { o.firstExchange = tick }
 }
 
 // WithBeaconObserver installs a callback invoked with each peer's beacon as
@@ -135,17 +128,16 @@ func New(ep Endpoint, opts ...Option) (*Runtime, error) {
 	if ep.inner == nil {
 		return nil, errors.New("sdso: endpoint is not connected")
 	}
-	o := options{mergeDiffs: true, firstExchange: 1}
+	o := options{mergeDiffs: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	mc := metrics.NewCollector()
 	rt, err := core.New(core.Config{
-		Endpoint:      ep.inner,
-		Metrics:       mc,
-		MergeDiffs:    o.mergeDiffs,
-		FirstExchange: o.firstExchange,
-		OnBeacon:      o.onBeacon,
+		Endpoint:   ep.inner,
+		Metrics:    mc,
+		MergeDiffs: o.mergeDiffs,
+		OnBeacon:   o.onBeacon,
 	})
 	if err != nil {
 		return nil, err
