@@ -32,7 +32,11 @@ import (
 // nothing is never gated. The n = 64 batched BSYNC cell alone was
 // re-recorded when a finishing player stopped sending frames to a peer
 // whose next rendezvous lies past MaxTicks: per-team stats stayed equal in
-// all 30 cells. The
+// all 30 cells. When the start became rendezvous 0 and the box terms lost
+// their halving, every MSYNC and MSYNC2 cell and the six BSYNC interest
+// cells were re-recorded: per-team stats stayed equal in all but the two
+// batched BSYNC cells, whose replicas trail by design, and the four plain
+// and shards4 BSYNC cells did not move. The
 // last vector keeps the name it was recorded under; its piggyback flag is
 // now every vector's. A
 // reordered gate term, a changed backstop slack, or a moved choice
@@ -62,35 +66,35 @@ func TestGoldenGateMatrix(t *testing.T) {
 		vetoes   int
 	}{
 		{16, BSYNC, "plain", 3161, 129275, 630327600, 0},
-		{16, BSYNC, "interest", 1567, 82546, 497667200, 0},
+		{16, BSYNC, "interest", 1414, 80355, 468052800, 0},
 		{16, BSYNC, "shards4", 3177, 115283, 713086000, 559},
-		{16, BSYNC, "interest+shards16", 1567, 71200, 497667200, 0},
-		{16, BSYNC, "interest+shards4+batch3+piggyback", 1361, 73192, 310762000, 0},
-		{16, MSYNC, "plain", 1377, 80694, 439323200, 0},
-		{16, MSYNC, "interest", 1385, 79795, 445088400, 0},
-		{16, MSYNC, "shards4", 1377, 68729, 444176800, 20},
-		{16, MSYNC, "interest+shards16", 1385, 68125, 445088400, 0},
-		{16, MSYNC, "interest+shards4+batch3+piggyback", 1385, 68125, 445088400, 0},
-		{16, MSYNC2, "plain", 1385, 79795, 440173200, 0},
-		{16, MSYNC2, "interest", 1385, 79795, 445088400, 0},
-		{16, MSYNC2, "shards4", 1385, 68125, 445088400, 0},
-		{16, MSYNC2, "interest+shards16", 1385, 68125, 445088400, 0},
-		{16, MSYNC2, "interest+shards4+batch3+piggyback", 1385, 68125, 445088400, 0},
+		{16, BSYNC, "interest+shards16", 1414, 68746, 468052800, 0},
+		{16, BSYNC, "interest+shards4+batch3+piggyback", 1181, 72167, 271178800, 0},
+		{16, MSYNC, "plain", 1223, 77770, 420612400, 0},
+		{16, MSYNC, "interest", 1223, 77280, 420674000, 0},
+		{16, MSYNC, "shards4", 1223, 65717, 420612400, 5},
+		{16, MSYNC, "interest+shards16", 1223, 65481, 420674000, 0},
+		{16, MSYNC, "interest+shards4+batch3+piggyback", 1223, 65481, 420674000, 0},
+		{16, MSYNC2, "plain", 1223, 77280, 420612400, 0},
+		{16, MSYNC2, "interest", 1223, 77280, 420674000, 0},
+		{16, MSYNC2, "shards4", 1223, 65478, 420662400, 0},
+		{16, MSYNC2, "interest+shards16", 1223, 65481, 420674000, 0},
+		{16, MSYNC2, "interest+shards4+batch3+piggyback", 1223, 65481, 420674000, 0},
 		{64, BSYNC, "plain", 66159, 2731112, 2753425200, 0},
-		{64, BSYNC, "interest", 22990, 1148952, 2376412800, 0},
+		{64, BSYNC, "interest", 20085, 1112164, 2203619200, 0},
 		{64, BSYNC, "shards4", 67010, 2052723, 3657883600, 33232},
-		{64, BSYNC, "interest+shards16", 22990, 929718, 2376412800, 0},
-		{64, BSYNC, "interest+shards4+batch3+piggyback", 15541, 929980, 1108186000, 0},
-		{64, MSYNC, "plain", 12661, 1061656, 1915549200, 0},
-		{64, MSYNC, "interest", 12857, 1031928, 1920676000, 0},
-		{64, MSYNC, "shards4", 12724, 819275, 1834594400, 576},
-		{64, MSYNC, "interest+shards16", 12857, 801143, 1920676000, 0},
-		{64, MSYNC, "interest+shards4+batch3+piggyback", 12857, 801143, 1920676000, 0},
-		{64, MSYNC2, "plain", 12865, 1033744, 1929656400, 0},
-		{64, MSYNC2, "interest", 12857, 1031928, 1920676000, 0},
-		{64, MSYNC2, "shards4", 12860, 801343, 1915699200, 0},
-		{64, MSYNC2, "interest+shards16", 12857, 801143, 1920676000, 0},
-		{64, MSYNC2, "interest+shards4+batch3+piggyback", 12857, 801143, 1920676000, 0},
+		{64, BSYNC, "interest+shards16", 20085, 891082, 2203619200, 0},
+		{64, BSYNC, "interest+shards4+batch3+piggyback", 11160, 855024, 898620800, 0},
+		{64, MSYNC, "plain", 8968, 1004360, 1761778000, 0},
+		{64, MSYNC, "interest", 8962, 982906, 1754374400, 0},
+		{64, MSYNC, "shards4", 8959, 761487, 1757712800, 71},
+		{64, MSYNC, "interest+shards16", 8962, 749873, 1754374400, 0},
+		{64, MSYNC, "interest+shards4+batch3+piggyback", 8962, 749873, 1754374400, 0},
+		{64, MSYNC2, "plain", 8970, 984718, 1761778000, 0},
+		{64, MSYNC2, "interest", 8962, 982906, 1754374400, 0},
+		{64, MSYNC2, "shards4", 8967, 750318, 1747820800, 0},
+		{64, MSYNC2, "interest+shards16", 8962, 749873, 1754374400, 0},
+		{64, MSYNC2, "interest+shards4+batch3+piggyback", 8962, 749873, 1754374400, 0},
 	}
 	for _, want := range golden {
 		t.Run(fmt.Sprintf("n%d/%s/%s", want.n, want.proto, want.features), func(t *testing.T) {

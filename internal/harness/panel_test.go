@@ -13,7 +13,11 @@ import (
 // functions the panel engine replaced, their wall columns cut; it is never
 // regenerated from the engine. Its BSYNC columns were re-recorded once,
 // when BSYNC stopped sending frames to a peer the replica shows ended, and
-// the lookahead columns once more, when every variant did.
+// the lookahead columns once more, when every variant did. When the start
+// became rendezvous 0 and the box terms lost their halving, the MSYNC and
+// MSYNC2 columns, the MSYNC2 quorum rows and the batched BSYNC tables
+// (delta, interest, shard: a k-tick batch now first meets at tick k, not
+// 1) were re-recorded; the unbatched BSYNC and every EC column held.
 func TestPanelsPinned(t *testing.T) {
 	want, err := os.ReadFile("testdata/panels.golden")
 	if err != nil {
