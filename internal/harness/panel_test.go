@@ -19,10 +19,6 @@ import (
 // (delta, interest, shard: a k-tick batch now first meets at tick k, not
 // 1) were re-recorded; the unbatched BSYNC and every EC column held.
 func TestPanelsPinned(t *testing.T) {
-	want, err := os.ReadFile("testdata/panels.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
 	seeds := []int64{1}
 	var b strings.Builder
 	for _, p := range Panels(SweepConfig{Seeds: seeds}) {
@@ -45,17 +41,52 @@ func TestPanelsPinned(t *testing.T) {
 		}
 		b.WriteString(out + "\n")
 	}
-	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < max(len(got), len(wantLines)); i++ {
+	matchGolden(t, "testdata/panels.golden", b.String())
+}
+
+// TestExtensionPanelsPinned plays Figures 5-7 at both ranges and seed 1
+// with the extension baselines, LRC and CAUSAL, beside the paper's four —
+// the tables `sdso-bench -fig N -extensions -seeds 1` prints, wall lines
+// cut — and compares them with testdata/extensions.golden, recorded from
+// that command before EC and LRC shared one node.
+func TestExtensionPanelsPinned(t *testing.T) {
+	protos := append(append([]Protocol(nil), PaperProtocols...), LRC, Causal)
+	panels := Panels(SweepConfig{Protocols: protos, Seeds: []int64{1}})
+	var b strings.Builder
+	for _, fig := range []string{"5", "6", "7"} {
+		for _, p := range panels {
+			if p.Name != fig {
+				continue
+			}
+			table, err := p.Play()
+			if err != nil {
+				t.Fatalf("%s range %d: %v", p.Name, p.Range, err)
+			}
+			b.WriteString(table + "\n")
+		}
+	}
+	matchGolden(t, "testdata/extensions.golden", b.String())
+}
+
+// matchGolden fails at the first line where got differs from the golden
+// file at path.
+func matchGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
 		g, w := "<none>", "<none>"
-		if i < len(got) {
-			g = got[i]
+		if i < len(gotLines) {
+			g = gotLines[i]
 		}
 		if i < len(wantLines) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("line %d:\n got %q\nwant %q", i+1, g, w)
+			t.Fatalf("%s line %d:\n got %q\nwant %q", path, i+1, g, w)
 		}
 	}
 }
