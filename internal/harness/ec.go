@@ -3,21 +3,28 @@ package harness
 import (
 	"sdso/internal/game"
 	"sdso/internal/protocol/ec"
+	"sdso/internal/protocol/lrc"
 	"sdso/internal/transport"
 )
 
-// runECVtime runs the entry-consistency baseline on the simulated cluster.
-// Each game node contributes two simulated processes — the application
-// (proc i) and its co-located lock-manager/object service (proc teams+i).
+// runECVtime runs a lock protocol on the simulated cluster: the
+// entry-consistency baseline, or LRC, which is EC's node with the
+// notice-board policy. Each game node contributes two simulated processes —
+// the application (proc i) and its co-located lock-manager/object service
+// (proc teams+i).
 func runECVtime(cfg Config, c simCluster) (*Result, error) {
 	n := cfg.Game.Teams
 	collectors := newCollectors(n)
 	nodes := make([]*ec.Node, n)
 	stats := make([]game.TeamStats, n)
-	c.name, c.procs, c.nodes = "EC", 2*n, n
+	newNode := ec.New
+	if cfg.Protocol == LRC {
+		newNode = lrc.New
+	}
+	c.name, c.procs, c.nodes = string(cfg.Protocol), 2*n, n
 	c.setup = func(eps []transport.Endpoint) (err error) {
 		for i := range nodes {
-			if nodes[i], err = ec.New(cfg.ecNode(eps[i], eps[n+i], collectors[i])); err != nil {
+			if nodes[i], err = newNode(cfg.ecNode(eps[i], eps[n+i], collectors[i])); err != nil {
 				return err
 			}
 		}

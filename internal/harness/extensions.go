@@ -4,7 +4,6 @@ import (
 	"sdso/internal/game"
 	"sdso/internal/protocol/causal"
 	"sdso/internal/protocol/central"
-	"sdso/internal/protocol/lrc"
 	"sdso/internal/transport"
 )
 
@@ -23,36 +22,6 @@ func runCausalVtime(cfg Config, c simCluster) (*Result, error) {
 		})
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return collect(cfg, stats, collectors), nil
-}
-
-// runLRCVtime runs the lazy-release-consistency baseline on the simulated
-// cluster (two processes per node, like EC).
-func runLRCVtime(cfg Config, c simCluster) (*Result, error) {
-	n := cfg.Game.Teams
-	collectors := newCollectors(n)
-	nodes := make([]*lrc.Node, n)
-	stats := make([]game.TeamStats, n)
-	c.name, c.procs, c.nodes = "LRC", 2*n, n
-	c.setup = func(eps []transport.Endpoint) (err error) {
-		for i := range nodes {
-			nodes[i], err = lrc.New(lrc.NodeConfig{
-				Game:           cfg.Game,
-				App:            eps[i],
-				Svc:            eps[n+i],
-				Metrics:        collectors[i],
-				ComputePerTick: computePerTick,
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := c.play(cfg, func(i int, _ transport.Endpoint) error { return nodeBody(nodes[i%n], i, n, stats) })
 	if err != nil {
 		return nil, err
 	}

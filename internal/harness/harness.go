@@ -159,10 +159,8 @@ func run(cfg Config, base simCluster) (*Result, error) {
 	switch cfg.Protocol {
 	case BSYNC, MSYNC, MSYNC2:
 		return runLookahead(cfg, base)
-	case EC:
+	case EC, LRC:
 		return runECVtime(cfg, base)
-	case LRC:
-		return runLRCVtime(cfg, base)
 	case Causal:
 		return runCausalVtime(cfg, base)
 	case Central:
@@ -257,16 +255,9 @@ func (c simCluster) play(cfg Config, body func(proc int, ep transport.Endpoint) 
 	return nil
 }
 
-// appService is a node the cluster runs as two processes: its application
-// and its co-located lock-manager/object service (EC, LRC).
-type appService interface {
-	RunApp() (game.TeamStats, error)
-	RunService() error
-}
-
-// nodeBody plays process proc of a paired layout of n nodes on node:
-// its application (recording the team's stats) or its service.
-func nodeBody(node appService, proc, n int, stats []game.TeamStats) (err error) {
+// nodeBody plays process proc of a paired layout of n lock-protocol nodes
+// on node: its application (recording the team's stats) or its service.
+func nodeBody(node *ec.Node, proc, n int, stats []game.TeamStats) (err error) {
 	if proc < n {
 		stats[proc], err = node.RunApp()
 		return err

@@ -18,6 +18,10 @@
 // application process, and a service process that plays lock manager for
 // its share of the objects and serves object-pull requests against the
 // node's replica. Both share a mutex-guarded node state.
+//
+// What a lock conveys is the node's Policy; the last bullet above is EC's.
+// LRC is the same node with internal/protocol/lrc's notice boards, and
+// without EC's crash tolerance: suspicion, failover, rejoin and quorum.
 package ec
 
 import (
@@ -90,19 +94,23 @@ type NodeConfig struct {
 	// goroutine.
 	AppTrace *trace.Recorder
 	SvcTrace *trace.Recorder
+
+	// Policy is what a lock conveys; nil is EC's.
+	Policy Policy
 }
 
 // DefaultMaxRetransmits is the eviction threshold used when
 // NodeConfig.MaxRetransmits is zero.
 const DefaultMaxRetransmits = 3
 
-// Node is one EC participant: an application process and a co-located
-// service process sharing a replica and a lock-manager shard.
+// Node is one lock-protocol participant (EC, or LRC under its policy): an
+// application and a co-located service sharing a replica and a lock shard.
 type Node struct {
 	cfg   NodeConfig
 	team  int
 	teams int
 	mc    *metrics.Collector
+	pol   Policy
 
 	mu  sync.Mutex // guards st and mgr (app and svc touch both)
 	st  *store.Store
@@ -179,9 +187,12 @@ func New(cfg NodeConfig) (*Node, error) {
 		mc = metrics.NewCollector()
 	}
 	n := &Node{
-		cfg: cfg, team: cfg.App.ID(), teams: teams, mc: mc,
+		cfg: cfg, team: cfg.App.ID(), teams: teams, mc: mc, pol: cfg.Policy,
 		crashed: make(map[int]bool), inc: make(map[int]int64),
 		dirty: make(map[store.ID]int64),
+	}
+	if n.pol == nil {
+		n.pol = entry{n}
 	}
 	if cfg.Incarnation > 0 {
 		n.inc[n.team] = cfg.Incarnation
@@ -227,13 +238,8 @@ func (n *Node) shardOf(team int) []store.ID {
 	return out
 }
 
-// Stats returns the team's final stats (valid after RunApp returns).
-func (n *Node) Stats() game.TeamStats { return n.turn.Stats }
-
-// Store exposes the node's replica (for test assertions).
-func (n *Node) Store() *store.Store {
-	return n.st
-}
+// Store exposes the node's replica.
+func (n *Node) Store() *store.Store { return n.st }
 
 // svcID returns the service endpoint ID for a team.
 func (n *Node) svcID(team int) int { return n.teams + team }
@@ -651,11 +657,7 @@ func (n *Node) handleLockReq(m *wire.Msg) error {
 // handleLockRelease serves one lock release at this manager.
 func (n *Node) handleLockRelease(m *wire.Msg) error {
 	proc := lockProc(m)
-	dirty := len(m.Ints) >= 2 && m.Ints[0] == 1
-	var version int64
-	if dirty {
-		version = m.Ints[1]
-	}
+	dirty, version := n.pol.Released(m)
 	var dirtyAux int64
 	if dirty {
 		dirtyAux = 1
@@ -694,17 +696,12 @@ func (n *Node) forwardLock(m *wire.Msg, to int) error {
 
 func (n *Node) sendGrants(grants []lockmgr.Grant) error {
 	for _, g := range grants {
-		mode := wire.ModeRead
-		var modeAux int64
+		mode, modeAux := wire.ModeRead, int64(0)
 		if g.Mode == lockmgr.Write {
-			mode = wire.ModeWrite
-			modeAux = 1
+			mode, modeAux = wire.ModeWrite, 1
 		}
 		n.cfg.SvcTrace.Record(trace.OpMgrGrant, g.Proc, int64(g.Obj), g.Version, 0, modeAux)
-		m := wire.Msg{
-			Kind: wire.KindLockGrant, Obj: uint32(g.Obj), Mode: mode,
-			Ints: n.svcInts.Carve(int64(g.Owner), g.Version),
-		}
+		m := n.pol.Grant(wire.Msg{Kind: wire.KindLockGrant, Obj: uint32(g.Obj), Mode: mode}, g)
 		if err := n.send(n.cfg.Svc, g.Proc, m); err != nil {
 			return fmt.Errorf("ec service %d: send grant: %w", n.team, err)
 		}
@@ -810,9 +807,7 @@ func (n *Node) acceptJoin(m *wire.Msg, out map[int]bool) error {
 // RunApp executes the team's game loop to completion.
 func (n *Node) RunApp() (game.TeamStats, error) {
 	app := n.cfg.App
-	defer func() {
-		n.mc.SetExecTime(app.Now())
-	}()
+	defer func() { n.mc.SetExecTime(app.Now()) }()
 
 	if n.cfg.Rejoin {
 		if err := n.runJoin(); err != nil {
@@ -992,11 +987,17 @@ func (n *Node) pollApp() {
 	}
 }
 
-// acquireAll acquires the lock set in order, pulling fresh copies as grants
-// reveal newer versions elsewhere.
+// acquireAll acquires the lock set in order, then asks the policy again
+// about each object once the whole set is held, pulling what it names.
 func (n *Node) acquireAll(locks []game.Access) error {
 	for _, lr := range locks {
 		if err := n.acquireOne(lr); err != nil {
+			return err
+		}
+	}
+	for _, lr := range locks {
+		from, v := n.pol.Acquired(lr.Obj, nil)
+		if err := n.pull(lr.Obj, from, v); err != nil {
 			return err
 		}
 	}
@@ -1005,7 +1006,7 @@ func (n *Node) acquireAll(locks []game.Access) error {
 
 // acquireOne acquires one lock, failing over to the successor manager and
 // burying dead holders when crash tolerance is on, and pulls the object's
-// fresh copy when the grant names a newer one elsewhere.
+// fresh copy when the policy reads a newer one elsewhere off the grant.
 func (n *Node) acquireOne(lr game.Access) error {
 	app := n.cfg.App
 	mode, modeAux := wire.ModeRead, int64(0)
@@ -1028,19 +1029,29 @@ func (n *Node) acquireOne(lr game.Access) error {
 	}
 	n.mc.AddTime(metrics.CatLockAcquire, app.Now()-t0)
 
-	owner, version := int(grant.Ints[0]), grant.Ints[1]
+	from, version := n.pol.Acquired(lr.Obj, grant)
 	recycle(app, grant)
-	n.cfg.AppTrace.Record(trace.OpLockGranted, owner, int64(lr.Obj), version, 0, modeAux)
-	n.mu.Lock()
-	local, _ := n.st.Version(lr.Obj)
-	n.mu.Unlock()
-	if version <= local || owner == n.team || (n.ft() && n.isCrashed(owner)) {
+	n.cfg.AppTrace.Record(trace.OpLockGranted, from, int64(lr.Obj), version, 0, modeAux)
+	return n.pull(lr.Obj, from, version)
+}
+
+// pull is the one pull: obj's copy comes from team from when that is another
+// live team and version is newer than the replica's.
+func (n *Node) pull(obj store.ID, from int, version int64) error {
+	if from < 0 || from == n.team || (n.ft() && n.isCrashed(from)) {
 		return nil
 	}
-	t1 := app.Now()
-	w = waiter{site: pullWait, ep: app, obj: lr.Obj, peer: owner,
-		req: wire.Msg{Kind: wire.KindObjReq, Obj: uint32(lr.Obj), Stamp: int64(lr.Obj)}}
-	if gone, err := n.sendTo(app, n.svcID(owner), w.req, true); gone || err != nil {
+	n.mu.Lock()
+	local, _ := n.st.Version(obj)
+	n.mu.Unlock()
+	if version <= local {
+		return nil
+	}
+	app := n.cfg.App
+	t0 := app.Now()
+	w := waiter{site: pullWait, ep: app, obj: obj, peer: from,
+		req: wire.Msg{Kind: wire.KindObjReq, Obj: uint32(obj), Stamp: int64(obj)}}
+	if gone, err := n.sendTo(app, n.svcID(from), w.req, true); gone || err != nil {
 		return err // gone: the local replica stands in for the lost copy
 	}
 	reply, err := n.await(&w)
@@ -1052,31 +1063,28 @@ func (n *Node) acquireOne(lr game.Access) error {
 	// surviving copy.
 	if reply != nil {
 		n.mu.Lock()
-		err = n.st.SetState(lr.Obj, reply.Payload, reply.Ints[0]) // copies the payload
+		err = n.st.SetState(obj, reply.Payload, reply.Ints[0]) // copies the payload
 		n.mu.Unlock()
 		recycle(app, reply)
 		if err != nil {
-			return fmt.Errorf("ec app %d: apply pulled %d: %w", n.team, lr.Obj, err)
+			return fmt.Errorf("ec app %d: apply pulled %d: %w", n.team, obj, err)
 		}
 	}
-	n.mc.AddTime(metrics.CatObjPull, app.Now()-t1)
+	n.mc.AddTime(metrics.CatObjPull, app.Now()-t0)
 	return nil
 }
 
-// cleanRelease is the Ints of every release that wrote nothing: shared and
-// read-only, as a message's Ints are (DESIGN.md, "the message rule").
-var cleanRelease = []int64{0, 0}
-
-// releaseAll returns every lock; written objects release dirty with their
-// new version, transferring ownership.
+// releaseAll returns every lock, each release carrying what the policy puts
+// in it for the tick's writes.
 func (n *Node) releaseAll(locks []game.Access, dirty map[store.ID]int64) {
 	app := n.cfg.App
 	t0 := app.Now()
 	for _, lr := range locks {
 		mgrTeam := n.managerFor(lr.Obj)
-		rel := wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.Obj), Ints: cleanRelease}
-		if v, ok := dirty[lr.Obj]; ok && lr.Write {
-			rel.Ints = n.appInts.Carve(1, v)
+		v, wrote := dirty[lr.Obj]
+		wrote = wrote && lr.Write
+		rel := n.pol.Release(wire.Msg{Kind: wire.KindLockRelease, Obj: uint32(lr.Obj)}, wrote, v)
+		if wrote {
 			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.Obj), v, 0, 1)
 		} else {
 			n.cfg.AppTrace.Record(trace.OpLockRel, mgrTeam, int64(lr.Obj), 0, 0, 0)
@@ -1097,5 +1105,6 @@ func (n *Node) write(id store.ID, state []byte) bool {
 	}
 	n.cfg.AppTrace.Record(trace.OpWrite, n.team, int64(id), v, 0, 0)
 	n.dirty[id] = v
+	n.pol.Wrote(id, v)
 	return true
 }

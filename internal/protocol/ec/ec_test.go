@@ -264,18 +264,3 @@ func TestECManagersPartitioned(t *testing.T) {
 		}
 	}
 }
-
-func TestECConfigValidation(t *testing.T) {
-	cfg := game.DefaultConfig(2, 1)
-	net := transport.NewMemNetwork(4)
-	defer net.Close()
-	if _, err := New(NodeConfig{Game: cfg}); err == nil {
-		t.Error("missing endpoints accepted")
-	}
-	if _, err := New(NodeConfig{Game: cfg, App: net.Endpoint(0), Svc: net.Endpoint(1)}); err == nil {
-		t.Error("mismatched svc endpoint accepted")
-	}
-	if _, err := New(NodeConfig{Game: cfg, App: net.Endpoint(3), Svc: net.Endpoint(2)}); err == nil {
-		t.Error("app id out of team range accepted")
-	}
-}

@@ -1,4 +1,4 @@
-package ec
+package ec_test
 
 import (
 	"encoding/binary"
@@ -9,6 +9,7 @@ import (
 
 	"sdso/internal/game"
 	"sdso/internal/lockmgr"
+	"sdso/internal/protocol/ec"
 	"sdso/internal/protocol/lrc"
 	"sdso/internal/store"
 	"sdso/internal/transport"
@@ -81,10 +82,12 @@ func runSim(t testing.TB, bodies [4]body) []error {
 }
 
 // TestECMalformedRepliesDoNotPanic delivers, to a process waiting for a
-// reply, a frame of the awaited kind that carries too few Ints, and then a
-// well-formed one. Over TCP such frames come from peers, so they are outside
-// input: the waiter must pass over the malformed frame and take the good
-// one. Team 1's service is scripted; object 1 is its shard.
+// reply, a frame of the awaited kind that carries too few Ints or names no
+// team, and then a well-formed one. Over TCP such frames come from peers,
+// so they are outside input: the waiter must pass over the malformed frame
+// and take the good one. Team 1's service is scripted; object 1 is its
+// shard. The LRC cases play a tick of the same node under the notice-board
+// policy.
 func TestECMalformedRepliesDoNotPanic(t *testing.T) {
 	cfg := game.DefaultConfig(2, 1)
 	start, err := game.StartOf(cfg)
@@ -117,11 +120,11 @@ func TestECMalformedRepliesDoNotPanic(t *testing.T) {
 	// then shutting team 1's scripted service down.
 	acquire := func(suspect time.Duration) body {
 		return func(eps []*transport.SimEndpoint, self int) error {
-			n, err := New(NodeConfig{Game: cfg, App: eps[0], Svc: eps[2], SuspectTimeout: suspect})
+			n, err := ec.New(ec.NodeConfig{Game: cfg, App: eps[0], Svc: eps[2], SuspectTimeout: suspect})
 			if err != nil {
 				return err
 			}
-			err = n.acquireOne(game.Access{Obj: 1, Write: true})
+			err = n.AcquireOne(game.Access{Obj: 1, Write: true})
 			if v, _ := n.Store().Version(1); err == nil && v != 5 {
 				err = fmt.Errorf("object 1 at version %d after the pull, want 5", v)
 			}
@@ -135,15 +138,16 @@ func TestECMalformedRepliesDoNotPanic(t *testing.T) {
 	}{
 		{"lock grant without Ints", [4]body{0: acquire(0), 3: scripted(nil, []int64{5})}},
 		{"lock grant with one Int", [4]body{0: acquire(0), 3: scripted([]int64{1}, []int64{5})}},
-		{"lock grant without Ints, crash tolerant", [4]body{0: acquire(pinTimeout), 3: scripted(nil, []int64{5})}},
+		{"lock grant naming no team", [4]body{0: acquire(0), 3: scripted([]int64{9, 5}, []int64{5})}},
+		{"lock grant without Ints, crash tolerant", [4]body{0: acquire(ec.PinTimeout), 3: scripted(nil, []int64{5})}},
 		{"object reply without Ints", [4]body{0: acquire(0), 3: scripted([]int64{1, 5}, nil)}},
-		{"object reply without Ints, crash tolerant", [4]body{0: acquire(pinTimeout), 3: scripted([]int64{1, 5}, nil)}},
+		{"object reply without Ints, crash tolerant", [4]body{0: acquire(ec.PinTimeout), 3: scripted([]int64{1, 5}, nil)}},
 		{"join ack without Ints", [4]body{
 			// Team 0's service is rejoining; the malformed ack is followed
 			// by both teams' shutdowns, which end its loop.
 			2: func(eps []*transport.SimEndpoint, self int) error {
-				n, err := New(NodeConfig{Game: cfg, App: eps[0], Svc: eps[2],
-					SuspectTimeout: pinTimeout, Rejoin: true, Incarnation: 1})
+				n, err := ec.New(ec.NodeConfig{Game: cfg, App: eps[0], Svc: eps[2],
+					SuspectTimeout: ec.PinTimeout, Rejoin: true, Incarnation: 1})
 				if err != nil {
 					return err
 				}
@@ -154,7 +158,8 @@ func TestECMalformedRepliesDoNotPanic(t *testing.T) {
 				wire.Msg{Kind: wire.KindShutdown, Stamp: 0},
 				wire.Msg{Kind: wire.KindShutdown, Stamp: 1}),
 		}},
-		{"LRC object reply without Ints", lrcPull(cfg, world)},
+		{"LRC object reply without Ints", lrcPull(cfg, world, 1)},
+		{"LRC notice naming no team", lrcPull(cfg, world, 9)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,15 +174,15 @@ func TestECMalformedRepliesDoNotPanic(t *testing.T) {
 
 // lrcPull plays one tick of an LRC game as team 0 against a scripted team
 // 1. Each of its grants notices version 5 of the granted object, written by
-// team 1, so team 0 pulls every object of its lock set that team 1
-// manages, and each pull is answered with a malformed reply before the
-// good one.
-func lrcPull(cfg game.Config, world *store.Store) [4]body {
+// writer, so when writer is team 1 team 0 pulls every object of its lock
+// set that team 1 manages, and each pull is answered with a malformed reply
+// before the good one. A writer that is no team is no one to pull from.
+func lrcPull(cfg game.Config, world *store.Store, writer uint64) [4]body {
 	cfg.MaxTicks = 1
-	var n *lrc.Node
+	var n *ec.Node
 	node := func(eps []*transport.SimEndpoint) (err error) {
 		if n == nil {
-			n, err = lrc.New(lrc.NodeConfig{Game: cfg, App: eps[0], Svc: eps[2]})
+			n, err = lrc.New(ec.NodeConfig{Game: cfg, App: eps[0], Svc: eps[2]})
 		}
 		return err
 	}
@@ -200,9 +205,9 @@ func lrcPull(cfg game.Config, world *store.Store) [4]body {
 			cell, _ := world.Get(store.ID(m.Obj))
 			switch m.Kind {
 			case wire.KindLockReq:
-				// A board of one notice: (object, writer 1, version 5).
+				// A board of one notice: (object, writer, version 5).
 				notice := binary.AppendUvarint(binary.AppendUvarint(nil, 1), uint64(m.Obj))
-				notice = binary.AppendUvarint(binary.AppendUvarint(notice, 1), 5)
+				notice = binary.AppendUvarint(binary.AppendUvarint(notice, writer), 5)
 				return []wire.Msg{{Kind: wire.KindLockGrant, Obj: m.Obj, Mode: m.Mode, Payload: notice}}
 			case wire.KindObjReq:
 				return []wire.Msg{
@@ -240,8 +245,8 @@ func FuzzECService(f *testing.F) {
 		}
 		var bodies [4]body
 		bodies[2] = func(eps []*transport.SimEndpoint, self int) error {
-			n, err := New(NodeConfig{Game: cfg, App: eps[0], Svc: eps[2],
-				SuspectTimeout: pinTimeout, Rejoin: true, Incarnation: 1})
+			n, err := ec.New(ec.NodeConfig{Game: cfg, App: eps[0], Svc: eps[2],
+				SuspectTimeout: ec.PinTimeout, Rejoin: true, Incarnation: 1})
 			if err == nil {
 				err = n.RunService()
 			}

@@ -77,7 +77,7 @@ func (n *Node) await(w *waiter) (*wire.Msg, error) {
 		}
 		var done bool
 		switch {
-		case ok && w.resolves(m):
+		case ok && n.resolves(w, m):
 			return m, nil
 		case ok:
 			done, err = n.noteFrame(w, m)
@@ -106,7 +106,7 @@ func (n *Node) settled(w *waiter) bool {
 // a frame is outside input, and a malformed one resolves no wait.
 func shaped(m *wire.Msg) bool {
 	switch m.Kind {
-	case wire.KindLockGrant, wire.KindQWrite:
+	case wire.KindQWrite:
 		return len(m.Ints) >= 2
 	case wire.KindObjReply, wire.KindJoinAck:
 		return len(m.Ints) >= 1
@@ -114,11 +114,11 @@ func shaped(m *wire.Msg) bool {
 	return true
 }
 
-// resolves reports whether m is the frame w waits for.
-func (w *waiter) resolves(m *wire.Msg) bool {
+// resolves reports whether m is the frame w waits for; the policy checks a grant.
+func (n *Node) resolves(w *waiter, m *wire.Msg) bool {
 	switch w.site {
 	case grantWait:
-		return m.Kind == wire.KindLockGrant && m.Obj == uint32(w.obj) && shaped(m)
+		return m.Kind == wire.KindLockGrant && m.Obj == uint32(w.obj) && n.pol.ValidGrant(m)
 	case pullWait:
 		return m.Kind == wire.KindObjReply && m.Obj == uint32(w.obj) && shaped(m)
 	case serviceWait:
