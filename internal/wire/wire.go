@@ -31,9 +31,9 @@ import (
 type Kind uint8
 
 // Message kinds. Kinds up to KindDone are used by the lookahead protocols
-// (BSYNC/MSYNC/MSYNC2); the lock kinds implement entry consistency; the
-// notice/diff kinds implement lazy release consistency; KindUpdate carries
-// causal-memory updates.
+// (BSYNC/MSYNC/MSYNC2); the lock kinds implement entry and lazy release
+// consistency, whose notice boards ride the grants and releases; KindUpdate
+// carries causal-memory updates.
 const (
 	// KindSync is a lookahead rendezvous marker carrying no object data.
 	// A process blocked by data-race arbitration sends a bare SYNC in
@@ -58,16 +58,11 @@ const (
 	KindObjReq
 	// KindObjReply answers an ObjReq with the object state in Payload.
 	KindObjReply
-	// KindWriteNotice carries standalone LRC write notices. The bundled
-	// LRC implementation piggybacks its notice boards on lock grants and
-	// releases instead; the kind is reserved for custom protocols that
-	// ship notices out of band.
-	KindWriteNotice
-	// KindDiffReq asks a peer for the diffs of Obj since Stamp (reserved,
-	// as for KindWriteNotice).
-	KindDiffReq
-	// KindDiffReply answers a DiffReq with diffs in Payload.
-	KindDiffReply
+	// Three retired kinds that nothing sent: their values stay taken, so no
+	// kind after them renumbers.
+	_
+	_
+	_
 	// KindUpdate is a causally-ordered memory update; Ints carries the
 	// sender's vector clock.
 	KindUpdate
@@ -155,9 +150,6 @@ var kindNames = map[Kind]string{
 	KindLockRelease: "LOCK_REL",
 	KindObjReq:      "OBJ_REQ",
 	KindObjReply:    "OBJ_REPLY",
-	KindWriteNotice: "WRITE_NOTICE",
-	KindDiffReq:     "DIFF_REQ",
-	KindDiffReply:   "DIFF_REPLY",
 	KindUpdate:      "UPDATE",
 	KindShutdown:    "SHUTDOWN",
 	KindHello:       "HELLO",
@@ -238,7 +230,7 @@ type Msg struct {
 // "data message" class); everything else is a control message.
 func (m *Msg) IsData() bool {
 	switch m.Kind {
-	case KindData, KindObjReply, KindDiffReply, KindUpdate, KindSnapshot, KindCkpt:
+	case KindData, KindObjReply, KindUpdate, KindSnapshot, KindCkpt:
 		return true
 	}
 	return false
