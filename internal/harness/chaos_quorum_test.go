@@ -222,6 +222,27 @@ func TestChaosQuorumSeedMatrix(t *testing.T) {
 	}
 }
 
+// TestChaosECRejoinMidReconstruction: game 8 crashes team 1 and restarts it
+// while its adopter is still rebuilding team 1's ownership from the quorum.
+// The rejoin drops that reconstruction and forwards the lock traffic
+// stalled behind it to the rejoined manager; when the reconstruction was
+// kept instead, it later landed on the exported shard, the adopter's
+// service failed with "object not managed here", and the game ran to the
+// horizon.
+func TestChaosECRejoinMidReconstruction(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := quorumScenario(EC, 4, 1, seed)
+		cfg.Game.Seed = 8
+		res, err := RunChaos(cfg)
+		if err != nil {
+			t.Fatalf("fault seed %d: %v", seed, err)
+		}
+		if !res.Crashed || !res.Rejoined {
+			t.Fatalf("fault seed %d: crashed=%v rejoined=%v, want both", seed, res.Crashed, res.Rejoined)
+		}
+	}
+}
+
 // TestChaosECQuorumFailover: a full EC chaos run with quorum-replicated
 // lock state — the crashed node's lock-manager shard is reconstructed from
 // a majority, the game completes, and the quorum counters show the
