@@ -192,14 +192,9 @@ type Config struct {
 	// virtual time, so detection stays deterministic.
 	RendezvousTimeout time.Duration
 	// MaxRetransmits bounds the retransmissions per suspicion episode;
-	// zero means DefaultMaxRetransmits.
+	// zero means transport.DefaultMaxRetransmits.
 	MaxRetransmits int
 }
-
-// DefaultMaxRetransmits is the eviction threshold used when
-// Config.MaxRetransmits is zero: a silent peer is declared crashed after
-// this many unanswered retransmissions (plus the initial send).
-const DefaultMaxRetransmits = 3
 
 // DefaultJoinSlack is the admission distance, the "next epoch boundary"
 // granted to a joiner: a joiner is scheduled two ticks past the serving

@@ -1,16 +1,15 @@
 package harness
 
 import (
-	"cmp"
 	"os"
 	"strconv"
 	"testing"
 	"time"
 
-	"sdso/internal/core"
 	"sdso/internal/faultnet"
 	"sdso/internal/game"
 	"sdso/internal/metrics"
+	"sdso/internal/transport"
 )
 
 // chaosConfig builds the standard crash experiment: four teams on a lossy,
@@ -55,10 +54,9 @@ func rejoinConfig(proto Protocol, seed int64) ChaosConfig {
 // crash fires.
 func rejoinDowntime(cfg ChaosConfig) time.Duration {
 	cfg = cfg.withChaosDefaults()
-	bound, wait := time.Duration(0), cfg.SuspectTimeout
-	for i := cmp.Or(cfg.MaxRetransmits, core.DefaultMaxRetransmits) + 1; i >= 0; i-- {
-		bound += wait
-		wait = min(2*wait, 8*cfg.SuspectTimeout)
+	bound := time.Duration(0)
+	for s := range transport.RetransmitBudget(cfg.MaxRetransmits) + 2 {
+		bound += transport.SuspectWait(cfg.SuspectTimeout, s)
 	}
 	return bound
 }

@@ -135,7 +135,7 @@ type PlayerConfig struct {
 	// core.Config). Zero keeps the fail-free blocking behavior.
 	RendezvousTimeout time.Duration
 	// MaxRetransmits bounds retransmissions per suspicion episode; zero
-	// means core.DefaultMaxRetransmits.
+	// means transport.DefaultMaxRetransmits.
 	MaxRetransmits int
 	// Join makes this process enter a game already in progress instead of
 	// assuming the initial rendezvous: it restores the world from peer

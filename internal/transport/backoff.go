@@ -58,6 +58,24 @@ func (b *Backoff) Next() time.Duration {
 	return half + time.Duration(h%uint64(half+1))
 }
 
+// DefaultMaxRetransmits is the failure detectors' budget (core's and EC's
+// waits) when their config leaves it zero: the strike after this many
+// unanswered retransmissions declares the silent peer crashed.
+const DefaultMaxRetransmits = 3
+
+// RetransmitBudget is max, or DefaultMaxRetransmits when max is not
+// positive.
+func RetransmitBudget(max int) int {
+	if max > 0 {
+		return max
+	}
+	return DefaultMaxRetransmits
+}
+
+// SuspectWait is the silence a failure detector with timeout t waits for
+// after strikes strikes before it strikes again: t, 2t, 4t, 8t, 8t, ...
+func SuspectWait(t time.Duration, strikes int) time.Duration { return t << min(strikes, 3) }
+
 // splitmix64 is the SplitMix64 mixing function (same construction as the
 // schedule-exploration jitter in internal/vtime): cheap, stateless, and
 // well-distributed, which is all retry jitter needs.
