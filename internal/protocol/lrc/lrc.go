@@ -26,8 +26,7 @@ package lrc
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"sort"
+	"slices"
 
 	"sdso/internal/lockmgr"
 	"sdso/internal/protocol/ec"
@@ -42,59 +41,77 @@ type notice struct {
 }
 
 // board is a notice set: the freshest known (writer, version) per object.
+// On the wire it is a uvarint count, then one uvarint triple (object,
+// writer, version) per notice, by object.
 type board map[store.ID]notice
 
-// merge folds other into b, keeping the higher version per object.
-func (b board) merge(other board) {
-	for id, n := range other {
-		if cur, ok := b[id]; !ok || n.version > cur.version {
+// encoder is scratch a board is encoded into. The application's releases
+// and the service's grants each own one, since the two run concurrently;
+// the node's send copies a payload before the next encode.
+type encoder struct {
+	ids []store.ID
+	buf []byte
+}
+
+// encode flattens b into e's scratch, for the wire.
+func (e *encoder) encode(b board) []byte {
+	e.ids = e.ids[:0]
+	for id := range b {
+		e.ids = append(e.ids, id)
+	}
+	slices.Sort(e.ids)
+	e.buf = binary.AppendUvarint(e.buf[:0], uint64(len(e.ids)))
+	for _, id := range e.ids {
+		n := b[id]
+		e.buf = binary.AppendUvarint(e.buf, uint64(id))
+		e.buf = binary.AppendUvarint(e.buf, uint64(n.writer))
+		e.buf = binary.AppendUvarint(e.buf, uint64(n.version))
+	}
+	return e.buf
+}
+
+// take merges the encoded board in buf into b, keeping the higher version
+// per object, and reports whether buf is a board. A corrupt one (a clean
+// release carries none) conveys nothing, and a notice whose writer is not
+// one of teams is dropped.
+func (b board) take(buf []byte, teams int) bool {
+	if !walk(buf, nil) {
+		return false
+	}
+	walk(buf, func(id store.ID, n notice) {
+		if cur, ok := b[id]; n.writer >= 0 && n.writer < teams && (!ok || n.version > cur.version) {
 			b[id] = n
 		}
-	}
+	})
+	return true
 }
 
-// encode flattens the board into uvarint triples, by object, for the wire.
-func (b board) encode() []byte {
-	ids := make([]store.ID, 0, len(b))
-	for id := range b {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := binary.AppendUvarint(nil, uint64(len(ids)))
-	for _, id := range ids {
-		n := b[id]
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendUvarint(buf, uint64(n.writer))
-		buf = binary.AppendUvarint(buf, uint64(n.version))
-	}
-	return buf
-}
-
-// decodeBoard parses an encoded board.
-func decodeBoard(buf []byte) (board, error) {
+// walk calls f, when set, on each notice of the encoded board in buf in
+// order, and reports whether buf is a whole board.
+func walk(buf []byte, f func(store.ID, notice)) bool {
 	count, k := binary.Uvarint(buf)
 	if k <= 0 {
-		return nil, errors.New("lrc: corrupt board header")
+		return false
 	}
 	buf = buf[k:]
-	// Each entry costs at least three varint bytes; anything claiming
-	// more entries than the buffer could hold is corrupt (and must not
-	// drive the allocation below).
+	// Each notice costs at least three bytes; a count the buffer could not
+	// hold is corrupt.
 	if count > uint64(len(buf)) {
-		return nil, fmt.Errorf("lrc: board claims %d entries in %d bytes", count, len(buf))
+		return false
 	}
-	b := make(board, count)
-	for i := uint64(0); i < count; i++ {
-		var f [3]uint64 // object, writer, version
-		for j := range f {
-			if f[j], k = binary.Uvarint(buf); k <= 0 {
-				return nil, fmt.Errorf("lrc: corrupt board entry %d", i)
+	for range count {
+		var e [3]uint64 // object, writer, version
+		for j := range e {
+			if e[j], k = binary.Uvarint(buf); k <= 0 {
+				return false
 			}
 			buf = buf[k:]
 		}
-		b[store.ID(f[0])] = notice{writer: int(f[1]), version: int64(f[2])}
+		if f != nil {
+			f(store.ID(e[0]), notice{writer: int(e[1]), version: int64(e[2])})
+		}
 	}
-	return b, nil
+	return true
 }
 
 // New builds an LRC node: EC's node with the notice-board policy, and
@@ -114,11 +131,13 @@ func New(cfg ec.NodeConfig) (*ec.Node, error) {
 }
 
 // policy is the notice-board policy. The application keeps known, the
-// freshest notices the node made or heard of; the service keeps mgrBd,
-// every notice the manager's dirty releases brought.
+// freshest notices the node made or heard of, and encodes it into appEnc;
+// the service keeps mgrBd, every notice the manager's dirty releases
+// brought, and encodes it into svcEnc.
 type policy struct {
-	team, teams  int
-	known, mgrBd board
+	team, teams    int
+	known, mgrBd   board
+	appEnc, svcEnc encoder
 }
 
 func (p *policy) Wrote(obj store.ID, v int64) { p.known[obj] = notice{writer: p.team, version: v} }
@@ -126,7 +145,7 @@ func (p *policy) Wrote(obj store.ID, v int64) { p.known[obj] = notice{writer: p.
 // Release makes a dirty release carry the releaser's whole board.
 func (p *policy) Release(rel wire.Msg, wrote bool, _ int64) wire.Msg {
 	if wrote {
-		rel.Mode, rel.Payload = wire.ModeWrite, p.known.encode()
+		rel.Mode, rel.Payload = wire.ModeWrite, p.appEnc.encode(p.known)
 	}
 	return rel
 }
@@ -134,13 +153,13 @@ func (p *policy) Release(rel wire.Msg, wrote bool, _ int64) wire.Msg {
 // Released folds a dirty release's board into the manager's. Ownership is
 // the board's business: the lock manager records version 0.
 func (p *policy) Released(rel *wire.Msg) (dirty bool, v int64) {
-	p.take(p.mgrBd, rel.Payload)
+	p.mgrBd.take(rel.Payload, p.teams)
 	return rel.Mode == wire.ModeWrite, 0
 }
 
 // Grant makes every grant carry the manager's accumulated board.
 func (p *policy) Grant(m wire.Msg, _ lockmgr.Grant) wire.Msg {
-	m.Payload = p.mgrBd.encode()
+	m.Payload = p.svcEnc.encode(p.mgrBd)
 	return m
 }
 
@@ -150,23 +169,9 @@ func (p *policy) ValidGrant(*wire.Msg) bool { return true }
 // each object's noticed writer: the pulls come after every grant.
 func (p *policy) Acquired(obj store.ID, grant *wire.Msg) (from int, v int64) {
 	if grant != nil {
-		p.take(p.known, grant.Payload)
+		p.known.take(grant.Payload, p.teams)
 	} else if nt, ok := p.known[obj]; ok {
 		return nt.writer, nt.version
 	}
 	return -1, 0
-}
-
-// take merges the board in payload into b. A corrupt board (a clean
-// release carries none) conveys nothing, and a notice whose writer names
-// no team is dropped.
-func (p *policy) take(b board, payload []byte) {
-	if bd, err := decodeBoard(payload); err == nil {
-		for id, nt := range bd {
-			if nt.writer < 0 || nt.writer >= p.teams {
-				delete(bd, id)
-			}
-		}
-		b.merge(bd)
-	}
 }
