@@ -6,40 +6,35 @@ import (
 	"sdso/internal/wire"
 )
 
-// A Policy is what a lock conveys, the one line the paper's §2.3 draws
-// between entry and lazy release consistency: under EC the data the lock
-// guards, under LRC notices of all the data the releaser knows
-// (internal/protocol/lrc). The node's loops ask it three things. Released
-// and Grant run on the service, the rest on the application, so it needs
-// no lock. Frames pass by value: a pointer would send them to the heap.
+// A Policy is what a lock conveys, the line §2.3 draws between entry and
+// lazy release consistency: under EC the data the lock guards, under LRC
+// notices of all the data the releaser knows (internal/protocol/lrc).
+// Released and Grant run on the service, the rest on the application, so it
+// needs no lock. Frames pass by value: a pointer would send them to the heap.
 type Policy interface {
-	// What a release carries. Wrote notes the tick's write of obj at v,
-	// before its releases; Release fills in a release, where wrote says the
-	// tick wrote its object under its write lock, at v; Released reads one
-	// at the manager: is it dirty, and at which version is the releaser
-	// the owner.
+	// What a release carries. Wrote notes the tick's write of obj at v;
+	// Release fills in a release, wrote saying the tick wrote its object at
+	// v; Released reads one at the manager: is it dirty, and at which
+	// version is the releaser the owner.
 	Wrote(obj store.ID, v int64)
 	Release(rel wire.Msg, wrote bool, v int64) wire.Msg
 	Released(rel *wire.Msg) (dirty bool, v int64)
-	// What a grant carries. Grant fills in the grant of g; ValidGrant says
-	// whether m could be one, for one that is not resolves no wait.
+	// What a grant carries: Grant fills in g's; ValidGrant says whether m
+	// could be one (one that is not resolves no wait).
 	Grant(m wire.Msg, g lockmgr.Grant) wire.Msg
 	ValidGrant(m *wire.Msg) bool
-	// What an acquire does with it. Acquired takes in obj's grant and is
-	// asked again, with none, once the whole set is held. Each time it
-	// names the team to pull obj from and the version there; a negative
-	// team pulls nothing.
+	// What an acquire does with it: Acquired takes in obj's grant, and is
+	// asked again with none once the set is held, each time naming the
+	// team to pull obj from (negative: none) and the version there.
 	Acquired(obj store.ID, grant *wire.Msg) (from int, v int64)
 }
 
-// entry is EC's policy: a release carries [dirty, version] and a dirty one
-// makes the releaser the owner, a grant carries [owner, version], and the
-// acquirer pulls from the owner after each grant. It carves its Ints from
-// the node's chunks and allocates nothing a lock.
+// entry is EC's policy: a release carries [dirty, version], a dirty one
+// making the releaser the owner; a grant carries [owner, version], and the
+// acquirer pulls from the owner after each grant. It allocates nothing.
 type entry struct{ n *Node }
 
-// cleanRelease is the Ints of every release that wrote nothing: shared and
-// read-only, as a message's Ints are (DESIGN.md, "the message rule").
+// cleanRelease is the Ints of every clean release, shared and read-only.
 var cleanRelease = []int64{0, 0}
 
 func (entry) Wrote(store.ID, int64) {}
@@ -64,7 +59,7 @@ func (p entry) Grant(m wire.Msg, g lockmgr.Grant) wire.Msg {
 }
 
 // ValidGrant is the one check of an owner: a grant naming no team would
-// aim the pull at a process that is not a service.
+// aim the pull at no service.
 func (p entry) ValidGrant(m *wire.Msg) bool {
 	return len(m.Ints) >= 2 && m.Ints[0] >= 0 && m.Ints[0] < int64(p.n.teams)
 }
