@@ -161,6 +161,11 @@ func (n *Node) shift(base int, e shardEdge, m *wire.Msg) (released []*wire.Msg, 
 	case onAdopt:
 		n.mgr.Adopt(n.shardOf(base), n.team)
 	case onRecon:
+		// A crash the service has yet to handle: adopt first, or landing
+		// the read restores nothing.
+		if s.custody == notHeld || s.custody == handedBack {
+			n.mgr.Adopt(n.shardOf(base), n.team)
+		}
 		s.recon, s.stalled = n.newRecon(base), nil
 	case onStall:
 		s.stalled = append(s.stalled, m)

@@ -264,10 +264,7 @@ func TestShardCustodyEdges(t *testing.T) {
 		if (s.recon != nil) != (s.custody == reconstructing) || len(s.stalled) > 0 && s.custody != reconstructing {
 			t.Errorf("%s%s with a quorum read %v and %d frames parked", name, names[s.custody], s.recon != nil, len(s.stalled))
 		}
-		// A read started on a crash the service has yet to handle comes
-		// before the adoption (startAdoptRecon from notHeld or handedBack).
-		early := c.edge == "startAdoptRecon" && (c.from == notHeld || c.from == handedBack)
-		if s.custody == adopted || s.custody == reconstructed || s.custody == reconstructing && !early {
+		if s.custody == adopted || s.custody == reconstructed || s.custody == reconstructing {
 			if !n.mgr.Manages(obj) {
 				t.Errorf("%s%s does not manage the shard", name, names[s.custody])
 			}
