@@ -1,7 +1,8 @@
 package interest
 
-// The map-based Index this package shipped before the dense one, moved here
-// verbatim (names prefixed ref) as the differential oracle:
+// The map-based, grid-bucketed Index this package shipped before the dense
+// one, moved here (names prefixed ref; its slacks and speed now the
+// package's constants) as the differential oracle:
 // TestIndexMatchesMapReference drives both through the same sequences and
 // demands identical observations after every step.
 
@@ -39,14 +40,10 @@ type refIndex struct {
 
 // newRefIndex returns an empty index.
 func newRefIndex(cfg Config) *refIndex {
-	cfg = cfg.withDefaults()
-	side := cfg.Radius
-	if side < 1 {
-		side = 1
-	}
+	cfg.Radius = max(cfg.Radius, 1)
 	return &refIndex{
 		cfg:     cfg,
-		side:    side,
+		side:    cfg.Radius,
 		peers:   make(map[int]*refObs),
 		buckets: make(map[refCell][]int),
 		members: make(map[int]bool),
@@ -179,7 +176,7 @@ func (ix *refIndex) drift(o *refObs, now int64) int {
 	if age < 0 {
 		age = 0
 	}
-	return int(age) * ix.cfg.MaxSpeed
+	return int(age)
 }
 
 // Refresh recomputes the interest set for a player whose own tanks sit
@@ -188,7 +185,7 @@ func (ix *refIndex) drift(o *refObs, now int64) int {
 // by Contains separately) and never appear in either list.
 func (ix *refIndex) Refresh(self []game.Pos, now int64) (entered, left []int) {
 	// Exit pass: existing members leave once provably farther than
-	// Radius + ExitSlack + drift.
+	// Radius + exitSlack + drift.
 	for peer := range ix.members {
 		o := ix.peers[peer]
 		if o == nil || len(o.tanks) == 0 {
@@ -199,7 +196,7 @@ func (ix *refIndex) Refresh(self []game.Pos, now int64) (entered, left []int) {
 		if len(self) == 0 {
 			continue
 		}
-		if refDist(self, o) > ix.cfg.Radius+ix.cfg.ExitSlack+ix.drift(o, now) {
+		if refDist(self, o) > ix.cfg.Radius+exitSlack+ix.drift(o, now) {
 			delete(ix.members, peer)
 			left = append(left, peer)
 		}
@@ -208,7 +205,7 @@ func (ix *refIndex) Refresh(self []game.Pos, now int64) (entered, left []int) {
 		return entered, left
 	}
 	// Enter pass: query the grid for candidate peers within
-	// Radius + EnterSlack + maxDrift of any of our tanks, then confirm
+	// Radius + enterSlack + maxDrift of any of our tanks, then confirm
 	// with the exact per-peer drift-widened distance test. maxDrift uses
 	// the stalest bucketed observation so the cell sweep over-approximates
 	// every peer's own allowance.
@@ -221,7 +218,7 @@ func (ix *refIndex) Refresh(self []game.Pos, now int64) (entered, left []int) {
 			maxDrift = d
 		}
 	}
-	reach := ix.cfg.Radius + ix.cfg.EnterSlack + maxDrift
+	reach := ix.cfg.Radius + enterSlack + maxDrift
 	span := (reach + ix.side - 1) / ix.side // cells per axis, each side
 	seen := make(map[int]bool)
 	for _, p := range self {
@@ -234,7 +231,7 @@ func (ix *refIndex) Refresh(self []game.Pos, now int64) (entered, left []int) {
 					}
 					seen[peer] = true
 					o := ix.peers[peer]
-					if refDist(self, o) <= ix.cfg.Radius+ix.cfg.EnterSlack+ix.drift(o, now) {
+					if refDist(self, o) <= ix.cfg.Radius+enterSlack+ix.drift(o, now) {
 						ix.members[peer] = true
 						entered = append(entered, peer)
 					}
@@ -260,9 +257,9 @@ func (ix *refIndex) Refresh(self []game.Pos, now int64) (entered, left []int) {
 func TestIndexMatchesMapReference(t *testing.T) {
 	const maxPeer, steps = 40, 600
 	configs := []Config{
-		{Width: 48, Height: 36, Radius: 3, EnterSlack: 2, ExitSlack: 6, MaxSpeed: 1},
+		{Width: 48, Height: 36, Radius: 3},
 		{Width: 20, Height: 64, Radius: 1},
-		{Radius: 4, MaxSpeed: 2}, // unbounded: nothing is clamped from above
+		{Radius: 4}, // unbounded: the reference clamps nothing from above
 	}
 	for ci, cfg := range configs {
 		for seed := int64(1); seed <= 25; seed++ {

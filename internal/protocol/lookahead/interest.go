@@ -2,9 +2,8 @@ package lookahead
 
 // Spatial interest management for the lookahead protocols (PlayerConfig.
 // Interest): the per-tick interest-set refresh and the interest-paced
-// BSYNC s-function. The grid-bucketed index itself lives in
-// internal/interest; the DATA veto it feeds is the interest term of
-// gate (gate.go).
+// BSYNC s-function. The index itself lives in internal/interest; the
+// DATA veto it feeds is the interest term of gate (gate.go).
 
 import (
 	"sdso/internal/game"

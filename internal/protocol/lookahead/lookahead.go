@@ -102,8 +102,8 @@ type PlayerConfig struct {
 	// ticks, and stretching them would break the spatial flush
 	// invariants. Values below 2 mean no batching.
 	MaxBatchTicks int64
-	// Interest turns on spatial interest management: a grid-bucketed
-	// index (internal/interest) tracks which peers' tanks are within the
+	// Interest turns on spatial interest management: an index
+	// (internal/interest) tracks which peers' tanks are within the
 	// interaction radius (with hysteresis slack), and the gate's interest
 	// term withholds DATA from peers outside the set — their writes keep
 	// buffering and merging until they come near (the gate's flush
@@ -263,11 +263,7 @@ func newPlayer(cfg PlayerConfig) (*player, error) {
 		mc:      mc,
 	}
 	if cfg.Interest {
-		p.ix = interest.New(interest.Config{
-			Width:  cfg.Game.Width,
-			Height: cfg.Game.Height,
-			Radius: cfg.Game.InteractionRadius(),
-		})
+		p.ix = interest.New(interest.Config{Radius: cfg.Game.InteractionRadius()})
 	}
 	if cfg.Shards > 1 {
 		part, err := shard.New(cfg.Game.Width, cfg.Game.Height, cfg.Shards)
