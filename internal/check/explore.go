@@ -49,10 +49,10 @@ type ExploreConfig struct {
 	// FaultEvery enables the fault plan on every FaultEvery-th scenario
 	// (0 disables fault scenarios entirely).
 	FaultEvery int
-	// ShrinkBudget bounds the number of extra runs spent shrinking a
-	// failure; zero means 12.
-	ShrinkBudget int
 }
+
+// shrinkBudget bounds the number of extra runs spent shrinking a failure.
+const shrinkBudget = 12
 
 // Failure is one failing scenario, after shrinking.
 type Failure struct {
@@ -99,9 +99,6 @@ func (r *ExploreResult) Ok() bool { return len(r.Failures) == 0 }
 
 // Explore sweeps the schedule space and shrinks any failures.
 func Explore(cfg ExploreConfig, run Runner) *ExploreResult {
-	if cfg.ShrinkBudget <= 0 {
-		cfg.ShrinkBudget = 12
-	}
 	res := &ExploreResult{}
 	for i := 0; i < cfg.Schedules; i++ {
 		sc := Scenario{
@@ -120,7 +117,7 @@ func Explore(cfg ExploreConfig, run Runner) *ExploreResult {
 			res.Events += rep.Events
 			continue
 		}
-		shrunk, srep, serr := shrink(sc, rep, err, run, cfg.ShrinkBudget)
+		shrunk, srep, serr := shrink(sc, rep, err, run, shrinkBudget)
 		res.Failures = append(res.Failures, Failure{
 			Scenario: sc, Shrunk: shrunk, Report: srep, Err: serr,
 		})
